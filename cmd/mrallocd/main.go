@@ -253,14 +253,6 @@ func run(cfg daemonConfig) error {
 		rel = transport.NewReliable(clusterTr)
 		clusterTr = rel
 	}
-	if cfg.shards > 1 {
-		// The chaos and reliable wrappers forward the flat transport
-		// only; a sharded cluster needs the endpoint's Sharder face.
-		if _, ok := clusterTr.(transport.Sharder); !ok {
-			clusterTr.Close()
-			return fmt.Errorf("-shards %d: the -chaos-*/-reliable wrappers do not carry sharded traffic", cfg.shards)
-		}
-	}
 	// Leases need a clock: tick each node a few times per heartbeat.
 	var tick time.Duration
 	if cfg.leaseTTL > 0 {

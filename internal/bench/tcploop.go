@@ -60,9 +60,6 @@ func startTCPLoopCell(b *testing.B, nodes int, batching bool, wireFor func(d int
 			b.Fatal(err)
 		}
 		tr.SetBatching(batching)
-		if wireFor != nil {
-			tr.Tune(wireFor(d))
-		}
 		cell.trs = append(cell.trs, tr)
 		for _, id := range locals[d] {
 			addrs[id] = tr.Addr()
@@ -72,11 +69,16 @@ func startTCPLoopCell(b *testing.B, nodes int, batching bool, wireFor func(d int
 		if err := cell.trs[d].Connect(addrs); err != nil {
 			b.Fatal(err)
 		}
+		var wireOpts transport.WireOptions
+		if wireFor != nil {
+			wireOpts = wireFor(d)
+		}
 		c, err := live.New(live.Config{
 			Nodes:     nodes,
 			Resources: tcpLoopM,
 			Transport: cell.trs[d],
 			Local:     locals[d],
+			Wire:      wireOpts,
 		}, core.NewFactory(core.WithLoan()))
 		if err != nil {
 			b.Fatal(err)

@@ -19,11 +19,19 @@
 //
 // One subtlety absent from the original paper's prose deserves a note:
 // a site can hold a resource token while the control token names another
-// site p as latest requester (p registered after this site's previous
-// critical section but its INQUIRE is still in flight). When the holder
-// itself re-registers for that resource it must yield the held token to
-// p's incoming INQUIRE — p precedes it in the chain — and queue behind p
-// via its own INQUIRE. The mustYield flag implements exactly that.
+// site as latest requester: someone registered after this site's
+// previous critical section and its INQUIRE is still in flight. The
+// token is owed to that registrant, who precedes the holder in the
+// chain — but the holder cannot tell who it is (the control token names
+// the latest registrant, not the one right behind the holder), so if it
+// re-registered now, the INQUIRE it owes the token to and the INQUIRE of
+// whoever registers behind it next would be indistinguishable, and they
+// travel different links: the wrong one can arrive first, take the
+// token, and leave the holder and the rightful claimant waiting on each
+// other forever. The holder therefore does not register yet: it hands
+// the control token on untouched, waits for the owed INQUIRE (which is
+// then the only one that can reach it), yields the token, and only then
+// asks for the control token again (awaitInquire).
 package bouabdallah
 
 import (
@@ -81,9 +89,10 @@ func (resTokenMsg) Kind() string { return "BL.ResToken" }
 type state uint8
 
 const (
-	idle       state = iota
-	waitCT           // waiting for the control token
-	collecting       // registered; waiting for resource tokens
+	idle         state = iota
+	waitCT             // waiting for the control token
+	awaitInquire       // holding a token owed to an INQUIRE in flight; not registered yet
+	collecting         // registered; waiting for resource tokens
 	inCS
 )
 
@@ -97,10 +106,9 @@ type Node struct {
 	holding resource.Set // resource tokens present at this site
 
 	// nextHolder[r] is the site whose INQUIRE for r was deferred until
-	// our release; mustYield[r] marks a held token promised to an
-	// INQUIRE that has not arrived yet (see the package comment).
+	// our release or, when it found us waiting for the control token,
+	// our registration.
 	nextHolder []network.NodeID
-	mustYield  []bool
 }
 
 // NewFactory returns the factory for driver.Run. Site 0 initially holds
@@ -125,7 +133,6 @@ func (nd *Node) Attach(env alg.Env) {
 	for r := range nd.nextHolder {
 		nd.nextHolder[r] = network.None
 	}
-	nd.mustYield = make([]bool, m)
 	send := func(to network.NodeID, msg naimitrehel.Msg) { env.Send(to, ctWire{msg}) }
 	nd.nt = naimitrehel.New(env.ID(), 0, NewControlToken(m), send, nd.onControlToken)
 }
@@ -141,10 +148,23 @@ func (nd *Node) Request(rs resource.Set) {
 }
 
 // onControlToken registers the current request atomically and releases
-// the control token.
+// the control token — unless a wanted token we hold is owed to an
+// INQUIRE still in flight (see the package comment): then the control
+// token goes on untouched and the request waits for that INQUIRE.
 func (nd *Node) onControlToken(payload any) {
 	ct := payload.(*ControlToken)
 	self := nd.env.ID()
+	owed := false
+	nd.want.ForEach(func(r resource.ID) {
+		if !ct.HasToken[r] && ct.Last[r] != self && nd.holding.Has(r) && nd.nextHolder[r] == network.None {
+			owed = true
+		}
+	})
+	if owed {
+		nd.st = awaitInquire
+		nd.nt.Release(ct)
+		return
+	}
 	nd.want.ForEach(func(r resource.ID) {
 		switch {
 		case ct.HasToken[r]:
@@ -157,18 +177,14 @@ func (nd *Node) onControlToken(payload any) {
 				panic(fmt.Sprintf("bouabdallah: s%d registered as last for %d but does not hold it", self, r))
 			}
 		default:
-			prev := ct.Last[r]
-			nd.env.Send(prev, inquireMsg{R: r})
+			nd.env.Send(ct.Last[r], inquireMsg{R: r})
 			if nd.holding.Has(r) {
-				// prev registered before us and is claiming the token
-				// we still hold; yield to its INQUIRE and queue behind
-				// it through our own INQUIRE above.
-				if nd.nextHolder[r] != network.None {
-					nd.sendResource(nd.nextHolder[r], r)
-					nd.nextHolder[r] = network.None
-				} else {
-					nd.mustYield[r] = true
-				}
+				// Someone registered behind our last critical section and
+				// claimed the token we still hold while we waited for the
+				// control token; yield to it and queue at the chain's end
+				// through our own INQUIRE above.
+				nd.sendResource(nd.nextHolder[r], r)
+				nd.nextHolder[r] = network.None
 			}
 		}
 		ct.Last[r] = self
@@ -185,25 +201,6 @@ func (nd *Node) sendResource(to network.NodeID, r resource.ID) {
 
 func (nd *Node) checkEnter() {
 	if nd.st != collecting || !nd.want.SubsetOf(nd.holding) {
-		return
-	}
-	// A held token flagged mustYield is promised to an earlier
-	// registrant whose INQUIRE is still in flight: that site precedes
-	// us in the resource's chain, so the token is not ours to use this
-	// round — we yield it when the INQUIRE lands and re-acquire through
-	// the INQUIRE we sent at registration. Entering anyway would let
-	// the in-flight INQUIRE pull the token out from under a running
-	// critical section (two sites inside the CS on one resource). The
-	// inversion needs the direct INQUIRE to lose a race against a
-	// multi-hop control-token path, so only asymmetric link delays ever
-	// expose it — see TestMustYieldTokenNotUsableUntilYielded.
-	mustWait := false
-	nd.want.ForEach(func(r resource.ID) {
-		if nd.mustYield[r] {
-			mustWait = true
-		}
-	})
-	if mustWait {
 		return
 	}
 	nd.st = inCS
@@ -241,9 +238,14 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 }
 
 func (nd *Node) onInquire(from network.NodeID, r resource.ID) {
-	if nd.holding.Has(r) && (nd.st == idle || !nd.want.Has(r) || nd.mustYield[r]) {
-		nd.mustYield[r] = false
+	if nd.holding.Has(r) && (nd.st == idle || nd.st == awaitInquire || !nd.want.Has(r)) {
 		nd.sendResource(from, r)
+		if nd.st == awaitInquire && nd.want.Has(r) {
+			// The owed token is gone; try to register again (another
+			// wanted token may be owed too — then we are back here).
+			nd.st = waitCT
+			nd.nt.Request()
+		}
 		return
 	}
 	if nd.nextHolder[r] != network.None {

@@ -40,8 +40,9 @@ func TestSafetyAndLiveness(t *testing.T) {
 	}
 }
 
-// TestManySeeds explores interleavings; the mustYield inversion case in
-// particular only shows up under specific timings, so breadth matters.
+// TestManySeeds explores interleavings; the owed-token case (a held
+// token claimed by an INQUIRE still in flight) in particular only shows
+// up under specific timings, so breadth matters.
 func TestManySeeds(t *testing.T) {
 	prop := func(seed int64) bool {
 		c := cfg(seed)

@@ -9,14 +9,13 @@ import (
 	"mralloc/internal/sim"
 )
 
-// The mustYield inversion. A site h that re-registers while holding a
-// token the control token already promised to an earlier registrant w
-// (Last[r] = w, w's INQUIRE still in flight) sets mustYield[r] and
-// must NOT count r as satisfied: w precedes h in r's chain, so h has
-// to yield to w's INQUIRE and re-acquire through its own. Entering the
-// critical section on a mustYield'd token lets w's INQUIRE pull the
-// token out from under a running CS — two sites end up inside the CS
-// on one resource.
+// The owed-token inversion. A site h that gets the control token while
+// holding a token the control token already promised to an earlier
+// registrant w (Last[r] = w, w's INQUIRE still in flight) must NOT
+// count r as satisfied: w precedes h in r's chain, so h has to yield to
+// w's INQUIRE and re-acquire behind it. Entering the critical section
+// on the owed token lets w's INQUIRE pull the token out from under a
+// running CS — two sites end up inside the CS on one resource.
 //
 // The race needs w's direct INQUIRE (w→h) to arrive after the control
 // token reached h through a third site (w→z→h): impossible under
@@ -125,13 +124,13 @@ func TestMustYieldTokenNotUsableUntilYielded(t *testing.T) {
 		t.Fatal("z did not enter on the uncontended resource")
 	}
 
-	// h re-registers for r: the CT arrives z→h (two fast hops beat w's
-	// one slow one), h sees Last[r]=w and still holds r — the mustYield
+	// h asks for r again: the CT arrives z→h (two fast hops beat w's
+	// one slow one), h sees Last[r]=w and still holds r — the owed-token
 	// case. h must NOT be granted: w precedes it in r's chain.
 	nodes[h].Request(rOnly.Clone())
 	net.drain(isInquire)
 	if net.inCS[h] {
-		t.Fatal("h entered its CS on a token already promised to w (mustYield inversion)")
+		t.Fatal("h entered its CS on a token already promised to w (owed-token inversion)")
 	}
 
 	// w's INQUIRE finally lands: h yields r to w; w enters, h waits.
@@ -143,12 +142,85 @@ func TestMustYieldTokenNotUsableUntilYielded(t *testing.T) {
 		t.Fatal("h and w are both inside the CS on r")
 	}
 
-	// w releases; the token flows back along h's own INQUIRE and h
-	// finally enters.
+	// w releases; h, registered behind w once it had yielded, gets the
+	// token back along its own INQUIRE and finally enters.
 	net.inCS[w] = false
 	nodes[w].Release()
 	net.drain(nil)
 	if !net.inCS[h] {
 		t.Fatal("h starved after yielding to w")
+	}
+}
+
+// TestOwedTokenNotHandedToOvertakingInquire is the liveness twin of the
+// inversion above. h holds r owed to w (w's INQUIRE in flight on a slow
+// link) when it gets the control token again; q asks for r right after.
+// Had h registered at once, q would have queued behind h, and q's
+// INQUIRE to h — a different link from w's — could reach h first: h
+// cannot tell the two apart, hands w's token to q, and w and h wait on
+// each other forever with every later registrant queued behind them
+// (the whole cluster wedges — what the TCP and delay-fabric stress
+// tiers hit in one run out of six). h must sit the registration out
+// until w's INQUIRE has landed.
+func TestOwedTokenNotHandedToOvertakingInquire(t *testing.T) {
+	const n, m = 4, 2
+	const h, z, w, q = 0, 1, 2, 3 // z relays the CT past w's slow link, as above
+	nodes := NewFactory()(n, m)
+	net := &scriptNet{t: t, nodes: nodes, inCS: make([]bool, n)}
+	for i, nd := range nodes {
+		nd.Attach(&scriptEnv{net: net, id: network.NodeID(i), n: n, m: m})
+	}
+	r := resource.FromIDs(m, 0)
+	slow := func(msg scriptMsg) bool { return isInquire(msg) && msg.from == w }
+
+	// The token lives at h, outside the control token, Last[r]=h.
+	nodes[h].Request(r.Clone())
+	net.drain(nil)
+	net.inCS[h] = false
+	nodes[h].Release()
+	net.drain(nil)
+
+	// w registers (Last[r]=w); its INQUIRE to h stays in flight. z pulls
+	// the CT off w for the other resource, so the CT can reach h without
+	// anything overtaking on the w→h link. Then h and q ask for r, and
+	// every other message is delivered.
+	nodes[w].Request(r.Clone())
+	net.drain(slow)
+	nodes[z].Request(resource.FromIDs(m, 1))
+	net.drain(slow)
+	nodes[h].Request(r.Clone())
+	net.drain(slow)
+	nodes[q].Request(r.Clone())
+	net.drain(slow)
+	contenders := []int{h, w, q}
+	for _, id := range contenders {
+		if net.inCS[id] {
+			t.Fatalf("site %d entered on a token owed to w", id)
+		}
+	}
+
+	// w's INQUIRE lands: w first, then the other two, one at a time.
+	net.drain(nil)
+	var order []int
+	for range contenders {
+		in := -1
+		for _, id := range contenders {
+			if net.inCS[id] {
+				if in >= 0 {
+					t.Fatalf("sites %d and %d are both inside the CS on r", in, id)
+				}
+				in = id
+			}
+		}
+		if in < 0 {
+			t.Fatalf("nobody holds r after %v entered and released: the chain is wedged", order)
+		}
+		order = append(order, in)
+		net.inCS[in] = false
+		nodes[in].Release()
+		net.drain(nil)
+	}
+	if order[0] != w {
+		t.Fatalf("entry order %v, want w (site %d) first", order, w)
 	}
 }

@@ -1,0 +1,55 @@
+package live
+
+import (
+	"testing"
+
+	"mralloc/internal/alg"
+	"mralloc/internal/network"
+	"mralloc/internal/resource"
+)
+
+// sinkNode is a protocol node that does nothing: the loop-egress pin
+// drives the loop's own send path around it.
+type sinkNode struct{}
+
+func (sinkNode) Attach(alg.Env)                          {}
+func (sinkNode) Request(resource.Set)                    {}
+func (sinkNode) Release()                                {}
+func (sinkNode) Deliver(network.NodeID, network.Message) {}
+
+type sinkMsg struct{}
+
+func (sinkMsg) Kind() string { return "Sink" }
+
+// TestLoopEgressSingleMessageAllocs pins the loop's egress for the
+// commonest flush — one message to one destination — at what the parent
+// commit cost: 0 allocations, flat and sharded (there the message went
+// down as a value through Send/SendShard; now it is a run of one out of
+// the outbox's own storage). Together with the transport-level pin this
+// guards the benchmark's allocs_per_op bound on mem_closed (~19.5
+// messages per critical section) and sharded_delay.
+func TestLoopEgressSingleMessageAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c, err := New(Config{Nodes: 2, Resources: 4, Shards: shards}, func(n, m int) []alg.Node {
+			return []alg.Node{sinkNode{}, sinkNode{}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m network.Message = sinkMsg{}
+		l := c.loops[shards-1][0]
+		got := -1.0
+		// Inside the loop goroutine, mid-batch: send buffers, the flush
+		// hands the run to the fabric.
+		c.InspectShard(shards-1, 0, func(alg.Node) {
+			got = testing.AllocsPerRun(500, func() {
+				l.send(1, m)
+				l.flushOutbox()
+			})
+		})
+		c.Close()
+		if got != 0 {
+			t.Errorf("shards=%d: %v allocs per 1-message egress, want 0 (the parent commit's)", shards, got)
+		}
+	}
+}

@@ -22,7 +22,7 @@ import (
 )
 
 // TestChaosStress drives all four live-capable algorithms through the
-// fault-injecting transport wrapper, in two profiles with different
+// fault-injecting transport wrapper, in three profiles with different
 // fault menus but the same contract — safety AND liveness:
 //
 //   - lossless: delay plus directed partitions over the in-process
@@ -36,6 +36,12 @@ import (
 //     Chaos → TCP). Retransmission refills drops and kill windows,
 //     receiver-side dedup cancels duplicates — hypothesis 1 is
 //     restored end to end, so every acquire must still complete.
+//
+//   - sharded-lossy: the lossy stack and fault menu under a cluster of
+//     four resource shards, most acquires spanning several. Every
+//     (shard, from, to) link has its own fault decisions, sequence
+//     space and retransmit buffer, all multiplexed over the same killed
+//     and redialed connections.
 func TestChaosStress(t *testing.T) {
 	for algName, factory := range liveAlgorithms() {
 		factory := factory
@@ -48,7 +54,11 @@ func TestChaosStress(t *testing.T) {
 		factory := factory
 		t.Run(algName+"/lossy", func(t *testing.T) {
 			t.Parallel()
-			runChaosLossy(t, factory)
+			runChaosLossy(t, factory, 6, 1)
+		})
+		t.Run(algName+"/sharded-lossy", func(t *testing.T) {
+			t.Parallel()
+			runChaosLossy(t, factory, 8, 4)
 		})
 	}
 }
@@ -114,9 +124,9 @@ func runChaosLossless(t *testing.T, factory alg.Factory) {
 			if to >= from {
 				to++
 			}
-			ch.Partition(from, to)
+			ch.Partition(transport.Link{From: from, To: to})
 			time.Sleep(time.Duration(20+rng.Intn(50)) * time.Millisecond)
-			ch.Heal(from, to)
+			ch.Heal(transport.Link{From: from, To: to})
 			time.Sleep(time.Duration(5+rng.Intn(15)) * time.Millisecond)
 		}
 	}()
@@ -204,9 +214,11 @@ func runChaosLossless(t *testing.T, factory alg.Factory) {
 // liveness failure, not tolerated collateral), and after the storm a
 // probe round plus a quiescence check close the books. The core
 // variants run with leases armed, exercising heartbeat and grant-echo
-// traffic under the same faults.
-func runChaosLossy(t *testing.T, factory alg.Factory) {
-	const n, m = 4, 6
+// traffic under the same faults. With shards above one the m resources
+// split into that many shards, and at least a quarter of the storm's
+// acquires must span several of them.
+func runChaosLossy(t *testing.T, factory alg.Factory, m, shards int) {
+	const n = 4
 	iters := 10
 	window := time.Second
 	if testing.Short() {
@@ -237,7 +249,7 @@ func runChaosLossy(t *testing.T, factory alg.Factory) {
 		// acquire timeout even when several frames in a row are lost.
 		rels[i].SetRetransmit(2*time.Millisecond, 50*time.Millisecond)
 		c, err := New(Config{
-			Nodes: n, Resources: m,
+			Nodes: n, Resources: m, Shards: shards,
 			Transport: rels[i],
 			Local:     []int{i},
 			Wire:      transport.WireOptions{Delta: true},
@@ -302,7 +314,7 @@ func runChaosLossy(t *testing.T, factory alg.Factory) {
 		for time.Now().Before(deadline) {
 			time.Sleep(120 * time.Millisecond)
 			for _, ch := range chs {
-				kills.Add(int64(ch.KillConns()))
+				kills.Add(int64(ch.AbortConns()))
 			}
 		}
 	}()
@@ -312,7 +324,8 @@ func runChaosLossy(t *testing.T, factory alg.Factory) {
 	// required to complete, and the full Requested/Granted/Released
 	// sequence is monitored just like the lossless profile.
 	const acquireTimeout = 60 * time.Second
-	var granted atomic.Int64
+	smap := cs[0].ShardLayout()
+	var granted, crossShard atomic.Int64
 	var wg sync.WaitGroup
 	for node := 0; node < n; node++ {
 		node := node
@@ -340,6 +353,9 @@ func runChaosLossy(t *testing.T, factory alg.Factory) {
 				mon.Granted(network.NodeID(node), rs, now())
 				monMu.Unlock()
 				granted.Add(1)
+				if len(smap.Split(rs)) > 1 {
+					crossShard.Add(1)
+				}
 
 				if d := rng.Intn(150); d > 0 {
 					time.Sleep(time.Duration(d) * time.Microsecond)
@@ -412,8 +428,11 @@ func runChaosLossy(t *testing.T, factory alg.Factory) {
 	if rst.Retransmits == 0 {
 		t.Errorf("drops injected but nothing retransmitted: %+v", rst)
 	}
-	t.Logf("storm: %d grants; chaos dropped=%d dup=%d conns killed=%d (+%d aborts); recovery retransmits=%d acked=%d dups dropped=%d gaps=%d",
-		granted.Load(), cst.Dropped, cst.Duplicated, cst.Killed, kills.Load(),
+	if shards > 1 && 4*crossShard.Load() < granted.Load() {
+		t.Errorf("%d of %d storm acquires crossed shards, want at least a quarter", crossShard.Load(), granted.Load())
+	}
+	t.Logf("storm: %d grants (%d cross-shard); chaos dropped=%d dup=%d conns killed=%d (+%d aborts); recovery retransmits=%d acked=%d dups dropped=%d gaps=%d",
+		granted.Load(), crossShard.Load(), cst.Dropped, cst.Duplicated, cst.Killed, kills.Load(),
 		rst.Retransmits, rst.Acked, rst.DupsDropped, rst.Gaps)
 }
 
@@ -488,7 +507,7 @@ func TestRedialFreshDeltaState(t *testing.T) {
 		if killed := tr.AbortConns(); killed != 1 {
 			t.Fatalf("endpoint %d: AbortConns killed %d conns, want 1", i, killed)
 		}
-		tr.Send(network.NodeID(i), network.NodeID(1-i),
+		transporttest.Send(tr, transport.Link{From: network.NodeID(i), To: network.NodeID(1 - i)},
 			transporttest.Msg{K: transporttest.KindA, From: network.NodeID(i), Seq: 99})
 	}
 	for i, tr := range trs {

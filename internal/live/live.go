@@ -76,12 +76,13 @@ type Config struct {
 	// Shards, when above 1, splits the resource universe into that many
 	// contiguous shards (resource.ShardMap), each running its own
 	// allocator instances and event loops: single-shard acquires from
-	// different shards proceed fully in parallel on every node. The
-	// transport must implement transport.Sharder (the Mem and TCP
-	// fabrics do); every process of a multi-process cluster must
-	// configure the same count. 0 or 1 selects the flat single-universe
-	// cluster — exactly the pre-shard code path, byte-for-byte on the
-	// wire.
+	// different shards proceed fully in parallel on every node. Every
+	// transport carries any shard count, wrapped (Reliable, Chaos) or
+	// not — a shard is one field of the link a message is sent on;
+	// every process of a multi-process cluster must configure the same
+	// count. 0 or 1 selects the flat single-universe cluster: the
+	// one-shard instance of the same code path, byte-for-byte the
+	// pre-shard encoding on the wire.
 	Shards int
 	// CrossShardTwoPhase switches acquires spanning several shards from
 	// ordered locking (shards taken one at a time in ascending shard
@@ -98,13 +99,12 @@ type Config struct {
 	// at this period. Required for token leases (core Options.LeaseTTL —
 	// pick a period a few times smaller than the heartbeat interval).
 	Tick time.Duration
-	// Wire tunes the egress wire path of a tunable Transport
-	// (transport.WireTuner — the TCP fabric): delta-encoded token
-	// state, vectored writes, flush scheduling, handshake and window
-	// knobs. Fabrics without the knobs (Mem) ignore it. Applied before
-	// any node attaches, so it covers every connection the cluster
-	// dials; the zero value leaves the transport exactly as handed in,
-	// so pre-tuned endpoints keep their settings.
+	// Wire tunes the egress wire path of a socket fabric: delta-encoded
+	// token state, vectored writes, flush scheduling, handshake and
+	// window knobs. It reaches the fabric through any wrappers, in the
+	// one transport.Config the cluster announces before any node
+	// attaches, so it covers every connection the cluster dials;
+	// fabrics without a wire path (Mem) ignore it.
 	Wire transport.WireOptions
 }
 
@@ -114,9 +114,7 @@ type Config struct {
 type Cluster struct {
 	cfg  Config
 	tr   transport.Transport
-	bs   transport.BatchSender // tr's batch face, nil when unsupported
-	shd  transport.Sharder     // tr's shard face; nil in the flat configuration
-	smap resource.ShardMap     // global↔(shard, local) resource mapping; 1 shard when flat
+	smap resource.ShardMap // global↔(shard, local) resource mapping; 1 shard when flat
 	// loops[s][id] is shard s's event loop for node id; nil for nodes
 	// hosted elsewhere. The flat configuration is exactly one shard.
 	loops [][]*loop
@@ -193,28 +191,12 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 			return fail("local node %d is not hosted by the transport endpoint", id)
 		}
 	}
-	if sv, ok := tr.(transport.ShapeValidator); ok {
-		sv.SetShape(cfg.Nodes, cfg.Resources)
-	}
-	if cfg.Wire != (transport.WireOptions{}) {
-		if wt, ok := tr.(transport.WireTuner); ok {
-			wt.Tune(cfg.Wire)
-		}
-	}
 	smap := resource.NewShardMap(cfg.Resources, g)
-	var shd transport.Sharder
-	if g > 1 {
-		var ok bool
-		if shd, ok = tr.(transport.Sharder); !ok {
-			tr.Close()
-			return nil, fmt.Errorf("live: transport %T cannot carry %d resource shards", tr, g)
-		}
-		sizes := make([]int, g)
-		for s := range sizes {
-			sizes[s] = smap.Size(s)
-		}
-		shd.SetShards(sizes)
+	sizes := make([]int, g)
+	for s := range sizes {
+		sizes[s] = smap.Size(s)
 	}
+	tr.Configure(transport.Config{Shards: sizes, Wire: cfg.Wire})
 	// One allocator fleet per shard, each over its shard's local
 	// universe. The flat cluster is the one-shard instance of the same
 	// construction: Size(0) == Resources, so the factory call is exactly
@@ -230,12 +212,10 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		tr:     tr,
-		shd:    shd,
 		smap:   smap,
 		start:  time.Now(),
 		closed: make(chan struct{}),
 	}
-	c.bs, _ = tr.(transport.BatchSender)
 	c.loops = make([][]*loop, g)
 	for s := 0; s < g; s++ {
 		c.loops[s] = make([]*loop, cfg.Nodes)
@@ -245,19 +225,12 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 	}
 	// Bind before attaching: an Attach may not send, but a peer process
 	// already running can — the transport buffers until Bind either way.
-	// Shard 0 binds through the legacy face so the flat configuration
-	// never touches the shard path.
 	for s := 0; s < g; s++ {
 		for _, id := range local {
 			l := c.loops[s][id]
-			h := func(from network.NodeID, m network.Message) {
+			tr.Bind(s, l.id, func(from network.NodeID, m network.Message) {
 				l.postEnv(envelope{from: from, msg: m})
-			}
-			if s == 0 {
-				tr.Bind(l.id, h)
-			} else {
-				shd.BindShard(s, l.id, h)
-			}
+			})
 		}
 	}
 	for s := 0; s < g; s++ {
@@ -486,8 +459,8 @@ func (c *Cluster) Close() {
 // The loop also owns the node's egress batching: while a mailbox batch
 // is being processed, protocol sends accumulate in a per-destination
 // outbox instead of hitting the transport one call at a time, and the
-// whole run to each destination is handed over with one SendBatch —
-// which the TCP fabric turns into one coalesced write. The outbox is
+// whole run to each destination is handed over with one Send — which
+// the TCP fabric turns into one coalesced write. The outbox is
 // flushed at every point where the outside world can observe progress
 // (a waiter's done channel, a grant, the end of the batch), so no
 // message lingers while the loop parks.
@@ -504,9 +477,11 @@ type loop struct {
 
 	// Egress outbox (loop goroutine only). perDest[to] accumulates the
 	// batch's messages for node to; touched lists the destinations in
-	// first-use order. inBatch gates the buffering: sends outside batch
-	// processing (an Attach that announces itself, say) go straight to
-	// the transport.
+	// first-use order. Every send passes through it, so the transport
+	// is always handed a run out of storage the loop owns — a message
+	// sent alone costs no slice of its own. inBatch gates the
+	// buffering: sends outside batch processing (an Attach that
+	// announces itself, say) are flushed at once.
 	inBatch bool
 	perDest [][]network.Message
 	touched []network.NodeID
@@ -718,13 +693,9 @@ func (l *loop) run() {
 	}
 }
 
-// send queues m for to: buffered into the outbox while a batch is
-// being processed, straight to the transport otherwise.
+// send queues m for to in the outbox, and flushes at once unless a
+// batch is being processed.
 func (l *loop) send(to network.NodeID, m network.Message) {
-	if !l.inBatch {
-		l.sendNow(to, m)
-		return
-	}
 	if l.perDest == nil {
 		l.perDest = make([][]network.Message, l.c.cfg.Nodes)
 	}
@@ -732,6 +703,9 @@ func (l *loop) send(to network.NodeID, m network.Message) {
 		l.touched = append(l.touched, to)
 	}
 	l.perDest[to] = append(l.perDest[to], m)
+	if !l.inBatch {
+		l.flushOutbox()
+	}
 }
 
 // flushOutbox hands each destination's accumulated run to the
@@ -744,37 +718,16 @@ func (l *loop) flushOutbox() {
 	}
 	for _, to := range l.touched {
 		msgs := l.perDest[to]
-		switch {
-		case len(msgs) == 1:
-			l.sendNow(to, msgs[0])
-		case l.c.shd != nil:
-			l.c.shd.SendShardBatch(l.shard, l.id, to, msgs)
-		case l.c.bs != nil:
-			l.c.bs.SendBatch(l.id, to, msgs)
-		default:
-			for _, m := range msgs {
-				l.c.tr.Send(l.id, to, m)
-			}
-		}
-		// Reset the run but keep its capacity; drop message references
-		// so a recycled slot cannot pin dead payloads.
+		l.c.tr.Send(transport.Link{Shard: l.shard, From: l.id, To: to}, msgs)
+		// Reset the run but keep its capacity (the transport does not
+		// retain it); drop message references so a recycled slot cannot
+		// pin dead payloads.
 		for i := range msgs {
 			msgs[i] = nil
 		}
 		l.perDest[to] = msgs[:0]
 	}
 	l.touched = l.touched[:0]
-}
-
-// sendNow hands one message to the fabric: through the shard face when
-// the cluster is sharded (shard 0 included — SendShard(0, ...) is
-// Send), the plain transport otherwise.
-func (l *loop) sendNow(to network.NodeID, m network.Message) {
-	if l.c.shd != nil {
-		l.c.shd.SendShard(l.shard, l.id, to, m)
-		return
-	}
-	l.c.tr.Send(l.id, to, m)
 }
 
 // maybeAdmit feeds the scheduler's next pick into the protocol when

@@ -81,18 +81,40 @@ func TestShardedClusterBasics(t *testing.T) {
 	relA()
 }
 
-// TestShardedConfigValidation: shard counts the cluster cannot realize
-// are rejected, as is a transport without the shard face.
+// TestShardedConfigValidation: a shard count the cluster cannot realize
+// is rejected.
 func TestShardedConfigValidation(t *testing.T) {
 	f := core.NewFactory(core.WithLoan())
 	if _, err := New(Config{Nodes: 2, Resources: 4, Shards: 5}, f); err == nil {
 		t.Fatal("accepted more shards than resources")
 	}
-	// Reliable wraps a Mem but does not forward the Sharder face.
-	base := transport.NewMem(2, 0)
-	rel := transport.NewReliable(base)
-	if _, err := New(Config{Nodes: 2, Resources: 4, Shards: 2, Transport: rel}, f); err == nil {
-		t.Fatal("accepted a non-Sharder transport for a sharded cluster")
+}
+
+// TestShardedOverReliable: a wrapped transport carries a sharded
+// cluster like any other — Reliable keys its sequence spaces by the
+// whole link, shard included — and a cross-shard acquire goes through.
+// (Before the one link-addressed send path, live.New refused this
+// stack.)
+func TestShardedOverReliable(t *testing.T) {
+	rel := transport.NewReliable(transport.NewMem(2, 0))
+	c, err := New(Config{Nodes: 2, Resources: 4, Shards: 2, Transport: rel}, core.NewFactory(core.WithLoan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 20; i++ {
+		// Resources 1 and 2 live in shards 0 and 1; alternate the
+		// requesting node so both shards' tokens cross the fabric.
+		release, err := c.Acquire(ctx, i%2, 1, 2)
+		if err != nil {
+			t.Fatalf("cross-shard acquire %d over Reliable(Mem): %v", i, err)
+		}
+		release()
+	}
+	if rs := rel.RelStats(); rs.Acked == 0 {
+		t.Fatalf("no frame was acknowledged — traffic bypassed the wrapper (stats: %+v)", rs)
 	}
 }
 

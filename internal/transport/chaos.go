@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mralloc/internal/network"
+	"mralloc/internal/wire"
 )
 
 // Faults is one link's fault profile. The zero value injects nothing.
@@ -24,19 +25,18 @@ import (
 // reordered only across links), so a delay-only schedule may still
 // assert liveness once the fault window closes.
 type Faults struct {
-	// Drop is the probability a message (or a whole batch — one batch
-	// is one wire envelope, so it is one fault decision) is silently
-	// discarded.
+	// Drop is the probability a run (one Send — it travels as one wire
+	// envelope, so it is one fault decision) is silently discarded.
 	Drop float64
-	// Dup is the probability a message is delivered twice, back to
-	// back. Per-link FIFO is kept (the duplicate follows the original
+	// Dup is the probability a run is delivered twice, back to back.
+	// Per-link FIFO is kept (the duplicate follows the original
 	// immediately); exactly-once is not.
 	Dup float64
-	// DelayMin/DelayMax bound the uniform per-message delivery delay.
-	// Delays are drawn per message but applied by one forwarder per
-	// ordered link, so a link is never reordered with itself — delay
-	// reorders deliveries only across links (and across connections),
-	// like real queueing would.
+	// DelayMin/DelayMax bound the uniform per-run delivery delay.
+	// Delays are drawn per run but applied by one forwarder per link,
+	// so a link is never reordered with itself — delay reorders
+	// deliveries only across links (and across connections), like real
+	// queueing would.
 	DelayMin, DelayMax time.Duration
 }
 
@@ -48,38 +48,30 @@ type ChaosStats struct {
 	Dropped    int64 // messages discarded (batch counted per message)
 	Duplicated int64 // extra deliveries injected
 	Delayed    int64 // deliveries held by a drawn delay
-	Killed     int64 // connections forcibly closed via KillConns
-}
-
-// ConnKiller is implemented by transports whose live connections can be
-// forcibly closed mid-stream (the TCP transport's AbortConns); the
-// chaos wrapper uses it to exercise the broken-connection redial path
-// under load.
-type ConnKiller interface {
-	AbortConns() int
+	Killed     int64 // connections forcibly closed via AbortConns
 }
 
 // Chaos wraps a Transport with deterministic, seeded fault injection:
 // per-link drop/duplicate/delay, directed partitions (a→b severed while
-// b→a still flows), and — when the inner transport supports it —
-// connection kills. It forwards the optional transport faces
-// (BatchSender, WireTuner, ShapeValidator), so it slots in anywhere a
-// Mem or TCP endpoint does.
+// b→a still flows) and connection kills. It is middleware over the one
+// Send method, keyed by the whole Link, so it slots in anywhere a Mem
+// or TCP endpoint does, at any shard count: each (shard, from, to) link
+// has its own fault decisions, queue and forwarder.
 //
-// With no fault ever armed, Chaos is a pure passthrough: every Send and
-// SendBatch delegates directly, byte- and stats-identical, which is
-// what lets the conformance suite run against a wrapped fabric
-// unchanged. Arming any fault (SetFaults, SetLinkFaults, Partition)
-// permanently routes traffic through one FIFO queue per ordered link,
-// each drained by its own forwarder goroutine — the structure that
-// keeps per-link FIFO intact while faults reorder traffic across links.
-// Arm before the link carries traffic; arming concurrently with
-// in-flight Sends on the same link can reorder that instant's messages.
+// With no fault ever armed, Chaos is a pure passthrough: every Send
+// delegates directly, byte- and stats-identical, which is what lets the
+// conformance suite run against a wrapped fabric unchanged. Arming any
+// fault (SetFaults, SetLinkFaults, Partition) permanently routes
+// traffic through one FIFO queue per link, each drained by its own
+// forwarder goroutine — the structure that keeps per-link FIFO intact
+// while faults reorder traffic across links. Arm before the link
+// carries traffic; arming concurrently with in-flight Sends on the same
+// link can reorder that instant's messages.
 //
 // Determinism: every fault decision is drawn from a per-link RNG seeded
-// from (seed, from, to) in per-link send order, so a single-threaded
-// driver replays a schedule exactly; Trace serializes the decisions
-// for byte-identical comparison. Under concurrent senders the decision
+// from (seed, link) in per-link send order, so a single-threaded driver
+// replays a schedule exactly; Trace serializes the decisions for
+// byte-identical comparison. Under concurrent senders the decision
 // sequence per link still depends only on that link's send order.
 type Chaos struct {
 	inner Transport
@@ -89,8 +81,8 @@ type Chaos struct {
 
 	mu    sync.RWMutex
 	def   Faults
-	over  map[linkKey]Faults // per-link overrides
-	links map[linkKey]*chaosLink
+	over  map[Link]Faults // per-link overrides
+	links map[Link]*chaosLink
 
 	dropped kindStats // per-kind counts of discarded messages
 
@@ -104,20 +96,14 @@ type Chaos struct {
 	wg      sync.WaitGroup
 }
 
-type linkKey struct {
-	from, to network.NodeID
-}
-
-// chaosItem is one queued delivery: a single message (msgs nil) or a
-// batch shipped as a unit.
+// chaosItem is one queued delivery: a run shipped as a unit after its
+// drawn delay.
 type chaosItem struct {
-	from, to network.NodeID
-	m        network.Message
-	msgs     []network.Message
-	delay    time.Duration
+	run   held
+	delay time.Duration
 }
 
-// chaosLink is one ordered pair's fault pipeline: a FIFO queue, a
+// chaosLink is one link's fault pipeline: a FIFO queue, a
 // forwarder goroutine, a partition flag, and the link's decision RNG
 // plus trace.
 type chaosLink struct {
@@ -143,8 +129,8 @@ func NewChaos(inner Transport, seed int64) *Chaos {
 	return &Chaos{
 		inner:  inner,
 		seed:   seed,
-		over:   make(map[linkKey]Faults),
-		links:  make(map[linkKey]*chaosLink),
+		over:   make(map[Link]Faults),
+		links:  make(map[Link]*chaosLink),
 		closed: make(chan struct{}),
 	}
 }
@@ -158,11 +144,11 @@ func (c *Chaos) SetFaults(f Faults) {
 	c.armed.Store(true)
 }
 
-// SetLinkFaults overrides the fault profile of one ordered link and
-// arms the fault pipeline.
-func (c *Chaos) SetLinkFaults(from, to network.NodeID, f Faults) {
+// SetLinkFaults overrides the fault profile of one link and arms the
+// fault pipeline.
+func (c *Chaos) SetLinkFaults(l Link, f Faults) {
 	c.mu.Lock()
-	c.over[linkKey{from, to}] = f
+	c.over[l] = f
 	c.mu.Unlock()
 	c.armed.Store(true)
 }
@@ -192,13 +178,14 @@ func (c *Chaos) StopFaults() {
 	}
 }
 
-// Partition severs the directed link from→to: messages queue (FIFO)
-// and deliver only after Heal. The reverse link is untouched — a
-// directed partition, the asymmetric failure a bidirectional "cut"
-// model cannot express. Arms the fault pipeline.
-func (c *Chaos) Partition(from, to network.NodeID) {
+// Partition severs the directed link k: messages queue (FIFO) and
+// deliver only after Heal. The reverse link is untouched — a directed
+// partition, the asymmetric failure a bidirectional "cut" model cannot
+// express — and so are the same node pair's links in other shards.
+// Arms the fault pipeline.
+func (c *Chaos) Partition(k Link) {
 	c.armed.Store(true)
-	l := c.link(linkKey{from, to})
+	l := c.link(k)
 	if l == nil {
 		return
 	}
@@ -207,11 +194,11 @@ func (c *Chaos) Partition(from, to network.NodeID) {
 	l.mu.Unlock()
 }
 
-// Heal reopens the directed link from→to; everything queued while it
-// was severed delivers in order.
-func (c *Chaos) Heal(from, to network.NodeID) {
+// Heal reopens the directed link k; everything queued while it was
+// severed delivers in order.
+func (c *Chaos) Heal(k Link) {
 	c.mu.RLock()
-	l := c.links[linkKey{from, to}]
+	l := c.links[k]
 	c.mu.RUnlock()
 	if l == nil {
 		return
@@ -222,17 +209,13 @@ func (c *Chaos) Heal(from, to network.NodeID) {
 	l.mu.Unlock()
 }
 
-// KillConns forcibly closes every live connection of the inner
-// transport (ConnKiller), reporting how many died; zero when the inner
-// fabric has no connections to kill (Mem). The frames queued or in
-// flight on a killed connection are lost; the next send to that peer
-// redials.
-func (c *Chaos) KillConns() int {
-	k, ok := c.inner.(ConnKiller)
-	if !ok {
-		return 0
-	}
-	n := k.AbortConns()
+// AbortConns implements Transport: it forcibly closes every live
+// connection of the inner transport and counts the kills among the
+// injected faults; zero when the inner fabric has no connections to
+// kill (Mem). The frames queued or in flight on a killed connection are
+// lost; the next send to that peer redials.
+func (c *Chaos) AbortConns() int {
+	n := c.inner.AbortConns()
 	c.nKilled.Add(int64(n))
 	return n
 }
@@ -253,8 +236,11 @@ func (c *Chaos) N() int { return c.inner.N() }
 // Hosts implements Transport.
 func (c *Chaos) Hosts(id network.NodeID) bool { return c.inner.Hosts(id) }
 
+// Configure implements Transport by forwarding.
+func (c *Chaos) Configure(cfg Config) { c.inner.Configure(cfg) }
+
 // Bind implements Transport.
-func (c *Chaos) Bind(id network.NodeID, h Handler) { c.inner.Bind(id, h) }
+func (c *Chaos) Bind(shard int, id network.NodeID, h Handler) { c.inner.Bind(shard, id, h) }
 
 // Stats implements Transport. Dropped messages are counted under their
 // kind even though they never reached the inner fabric (a Send
@@ -268,109 +254,63 @@ func (c *Chaos) Stats() map[string]int64 {
 	return out
 }
 
-// Err forwards the inner transport's first asynchronous error, when it
-// exposes one (the TCP fabric).
-func (c *Chaos) Err() error {
-	if e, ok := c.inner.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
+// Err implements Transport by forwarding.
+func (c *Chaos) Err() error { return c.inner.Err() }
 
-// SetLossRecovery implements LossRecoverer by forwarding, so a
-// Reliable wrapper stacked above the chaos layer still reaches the
-// TCP fabric underneath.
-func (c *Chaos) SetLossRecovery(on bool) {
-	if lr, ok := c.inner.(LossRecoverer); ok {
-		lr.SetLossRecovery(on)
-	}
-}
-
-// Tune implements WireTuner by forwarding when the inner transport is
-// tunable, so live.Config.Wire reaches a wrapped TCP fabric unchanged.
-func (c *Chaos) Tune(o WireOptions) {
-	if wt, ok := c.inner.(WireTuner); ok {
-		wt.Tune(o)
-	}
-}
-
-// SetShape implements ShapeValidator by forwarding.
-func (c *Chaos) SetShape(nodes, resources int) {
-	if sv, ok := c.inner.(ShapeValidator); ok {
-		sv.SetShape(nodes, resources)
-	}
-}
-
-// Send implements Transport.
-func (c *Chaos) Send(from, to network.NodeID, m network.Message) {
-	if !c.armed.Load() {
-		c.inner.Send(from, to, m)
-		return
-	}
-	c.dispatch(chaosItem{from: from, to: to, m: m}, m.Kind(), 1)
-}
-
-// SendBatch implements BatchSender. One batch is one wire envelope, so
-// it is one fault decision: dropped whole, duplicated whole, or
-// delivered whole after one delay — mirroring what killing or delaying
-// one socket write would do to a coalesced flush.
-func (c *Chaos) SendBatch(from, to network.NodeID, msgs []network.Message) {
+// Send implements Transport. One run is one wire envelope, so it is one
+// fault decision: dropped whole, duplicated whole, or delivered whole
+// after one delay — mirroring what killing or delaying one socket write
+// would do to a coalesced flush.
+func (c *Chaos) Send(k Link, msgs []network.Message) {
 	if len(msgs) == 0 {
 		return
 	}
 	if !c.armed.Load() {
-		c.innerSendBatch(from, to, msgs)
+		c.inner.Send(k, msgs)
 		return
 	}
-	cp := append([]network.Message(nil), msgs...)
-	c.dispatch(chaosItem{from: from, to: to, msgs: cp}, "", len(cp))
+	c.dispatch(k, msgs)
 }
 
-// dispatch draws the link's next fault decision for one queued
-// delivery and enqueues it (once, twice, or not at all).
-func (c *Chaos) dispatch(it chaosItem, kind string, count int) {
+// dispatch draws the link's next fault decision for one run and
+// enqueues it (once, twice, or not at all).
+func (c *Chaos) dispatch(k Link, msgs []network.Message) {
 	select {
 	case <-c.closed:
 		return
 	default:
 	}
-	l := c.link(linkKey{it.from, it.to})
+	l := c.link(k)
 	if l == nil {
 		return // closed
 	}
-	f := c.faultsFor(it.from, it.to)
+	f := c.faultsFor(k)
 	l.mu.Lock()
-	action, delay := l.decide(f, count)
+	action, delay := l.decide(f, len(msgs))
 	if action == chaosDrop {
 		l.mu.Unlock()
-		c.nDropped.Add(int64(count))
-		if it.msgs != nil {
-			for _, m := range it.msgs {
-				c.dropped.count(m.Kind())
-			}
-		} else {
-			c.dropped.count(kind)
-		}
+		c.nDropped.Add(int64(len(msgs)))
+		c.dropped.count(msgs)
 		return
 	}
-	it.delay = delay
 	if delay > 0 {
 		c.nDelayed.Add(1)
 	}
+	it := chaosItem{run: hold(msgs), delay: delay}
 	l.queue = append(l.queue, it)
 	if action == chaosDup {
-		c.nDuplicated.Add(int64(count))
+		c.nDuplicated.Add(int64(len(msgs)))
 		l.queue = append(l.queue, it)
 	}
 	l.cond.Signal()
 	l.mu.Unlock()
 }
 
-// faultsFor resolves the fault profile of one ordered link.
-func (c *Chaos) faultsFor(from, to network.NodeID) Faults {
+// faultsFor resolves the fault profile of one link.
+func (c *Chaos) faultsFor(k Link) Faults {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if f, ok := c.over[linkKey{from, to}]; ok {
+	if f, ok := c.over[k]; ok {
 		return f
 	}
 	return c.def
@@ -398,9 +338,9 @@ func (l *chaosLink) decide(f Faults, count int) (action byte, delay time.Duratio
 	return action, delay
 }
 
-// link returns (creating on first use) the fault pipeline of one
-// ordered pair, or nil when the wrapper is closed.
-func (c *Chaos) link(k linkKey) *chaosLink {
+// link returns (creating on first use) the fault pipeline of one link,
+// or nil when the wrapper is closed.
+func (c *Chaos) link(k Link) *chaosLink {
 	c.mu.RLock()
 	l, ok := c.links[k]
 	c.mu.RUnlock()
@@ -421,22 +361,25 @@ func (c *Chaos) link(k linkKey) *chaosLink {
 	l.cond.L = &l.mu
 	c.links[k] = l
 	c.wg.Add(1)
-	go c.forward(l)
+	go c.forward(k, l)
 	return l
 }
 
 // linkSeed derives one link's RNG seed from the schedule seed and the
-// ordered pair — distinct per link, stable across runs.
-func linkSeed(seed int64, k linkKey) int64 {
-	return seed ^ (int64(k.from)+1)*1_000_003 ^ (int64(k.to)+1)*7_919_999
+// link — distinct per link, stable across runs. The shard term vanishes
+// for shard 0, so a flat cluster replays the schedules recorded before
+// links carried a shard.
+func linkSeed(seed int64, k Link) int64 {
+	return seed ^ (int64(k.From)+1)*1_000_003 ^ (int64(k.To)+1)*7_919_999 ^ int64(k.Shard)*15_485_863
 }
 
 // forward drains one link's queue in FIFO order: wait out the severed
 // flag, then the item's drawn delay, then deliver through the inner
-// transport. One forwarder per ordered link is what preserves per-link
-// FIFO while faults reorder across links.
-func (c *Chaos) forward(l *chaosLink) {
+// transport. One forwarder per link is what preserves per-link FIFO
+// while faults reorder across links.
+func (c *Chaos) forward(k Link, l *chaosLink) {
 	defer c.wg.Done()
+	var it chaosItem // outside the loop: see held.msgs
 	for {
 		l.mu.Lock()
 		for (len(l.queue) == 0 || l.severed) && !l.closed {
@@ -447,7 +390,7 @@ func (c *Chaos) forward(l *chaosLink) {
 			l.mu.Unlock()
 			return
 		}
-		it := l.queue[0]
+		it = l.queue[0]
 		l.queue = l.queue[1:]
 		l.mu.Unlock()
 		if it.delay > 0 {
@@ -459,42 +402,33 @@ func (c *Chaos) forward(l *chaosLink) {
 				return
 			}
 		}
-		if it.msgs != nil {
-			c.innerSendBatch(it.from, it.to, it.msgs)
-		} else {
-			c.inner.Send(it.from, it.to, it.m)
-		}
+		c.inner.Send(k, it.run.msgs())
 	}
 }
 
-// innerSendBatch delivers a run through the inner transport's batch
-// path when it has one.
-func (c *Chaos) innerSendBatch(from, to network.NodeID, msgs []network.Message) {
-	if bs, ok := c.inner.(BatchSender); ok {
-		bs.SendBatch(from, to, msgs)
-		return
-	}
-	for _, m := range msgs {
-		c.inner.Send(from, to, m)
-	}
-}
-
-// Trace serializes every link's decision log: links sorted by (from,
-// to), each as from, to, byte length, then the decisions in draw order
-// (action byte, message count, delay nanoseconds). Two runs with the
-// same seed, fault schedule, and per-link send order produce identical
-// bytes — the replay check the chaos tier pins.
+// Trace serializes every link's decision log: links sorted by (shard,
+// from, to), each as from, to, byte length, then the decisions in draw
+// order (action byte, message count, delay nanoseconds). A link of
+// shard s > 0 opens with the wire's shard tag — from is never negative,
+// so the tag is unambiguous and shard-0 traces keep the bytes they had
+// before links carried a shard. Two runs with the same seed, fault
+// schedule, and per-link send order produce identical bytes — the
+// replay check the chaos tier pins.
 func (c *Chaos) Trace() []byte {
 	c.mu.RLock()
-	keys := make([]linkKey, 0, len(c.links))
+	keys := make([]Link, 0, len(c.links))
 	for k := range c.links {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
+		a, b := keys[i], keys[j]
+		if a.Shard != b.Shard {
+			return a.Shard < b.Shard
 		}
-		return keys[i].to < keys[j].to
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
 	})
 	var out []byte
 	for _, k := range keys {
@@ -502,8 +436,9 @@ func (c *Chaos) Trace() []byte {
 		l.mu.Lock()
 		tr := append([]byte(nil), l.trace...)
 		l.mu.Unlock()
-		out = binary.AppendVarint(out, int64(k.from))
-		out = binary.AppendVarint(out, int64(k.to))
+		out = wire.AppendShardTag(out, k.Shard)
+		out = binary.AppendVarint(out, int64(k.From))
+		out = binary.AppendVarint(out, int64(k.To))
 		out = binary.AppendUvarint(out, uint64(len(tr)))
 		out = append(out, tr...)
 	}
@@ -549,7 +484,7 @@ type Spec struct {
 	Seed int64
 	Faults
 	// KillEvery, when positive, kills every live connection of the
-	// wrapped transport at this period (needs a ConnKiller inner).
+	// wrapped transport at this period.
 	KillEvery time.Duration
 }
 
@@ -649,7 +584,7 @@ func (c *Chaos) Apply(s Spec) {
 			for {
 				select {
 				case <-t.C:
-					c.KillConns()
+					c.AbortConns()
 				case <-c.closed:
 					return
 				}

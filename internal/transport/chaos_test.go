@@ -10,66 +10,44 @@ import (
 	"mralloc/internal/transport/transporttest"
 )
 
-// chaosMemFactory wraps the in-process fabric in a Chaos with no fault
+// chaosMemFabric wraps the in-process fabric in a Chaos with no fault
 // armed: the wrapper must be a pure passthrough, so the full
 // conformance suite runs against it unchanged. One wrapper is shared
 // by every node, like the Mem it wraps, so stats count once.
-func chaosMemFactory(t *testing.T, n int) []transport.Transport {
-	ch := transport.NewChaos(transport.NewMem(n, 0), 1)
-	eps := make([]transport.Transport, n)
-	for i := range eps {
-		eps[i] = ch
-	}
-	return eps
+func chaosMemFabric(t *testing.T, n int) []transport.Transport {
+	return shared(transport.NewChaos(transport.NewMem(n, 0), 1), n)
 }
 
-// chaosMemArmedFactory arms the fault pipeline with an all-zero
+// chaosMemArmedFabric arms the fault pipeline with an all-zero
 // profile: traffic routes through the per-link forwarder queues, and
 // every transport guarantee must still hold — the pipeline itself may
 // not lose, duplicate, or reorder a link.
-func chaosMemArmedFactory(t *testing.T, n int) []transport.Transport {
+func chaosMemArmedFabric(t *testing.T, n int) []transport.Transport {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 1)
 	ch.SetFaults(transport.Faults{})
-	eps := make([]transport.Transport, n)
-	for i := range eps {
-		eps[i] = ch
-	}
-	return eps
+	return shared(ch, n)
 }
 
-// chaosTCPFactory wraps every TCP endpoint of the maximally
+// chaosTCPFabric wraps every TCP endpoint of the maximally
 // distributed topology in its own unarmed Chaos.
-func chaosTCPFactory(t *testing.T, n int) []transport.Transport {
+func chaosTCPFabric(t *testing.T, n int) []transport.Transport {
 	eps := make([]transport.Transport, n)
-	addrs := make([]string, n)
-	tcps := make([]*transport.TCP, n)
-	for i := range eps {
-		tr, err := transport.ListenTCP("127.0.0.1:0", n, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcps[i] = tr
-		addrs[i] = tr.Addr()
+	for i, tr := range tcpEndpoints(t, n) {
 		eps[i] = transport.NewChaos(tr, int64(i))
-	}
-	for _, tr := range tcps {
-		if err := tr.Connect(addrs); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return eps
 }
 
 func TestChaosMemConformance(t *testing.T) {
-	transporttest.TestTransport(t, chaosMemFactory)
+	transporttest.TestTransport(t, over(chaosMemFabric))
 }
 
 func TestChaosMemArmedConformance(t *testing.T) {
-	transporttest.TestTransport(t, chaosMemArmedFactory)
+	transporttest.TestTransport(t, over(chaosMemArmedFabric))
 }
 
 func TestChaosTCPConformance(t *testing.T) {
-	transporttest.TestTransport(t, chaosTCPFactory)
+	transporttest.TestTransport(t, over(chaosTCPFabric))
 }
 
 // TestChaosScheduleReplay pins determinism: the same seed, fault
@@ -83,22 +61,21 @@ func TestChaosScheduleReplay(t *testing.T) {
 		ch := transport.NewChaos(transport.NewMem(n, 0), seed)
 		defer ch.Close()
 		for i := 0; i < n; i++ {
-			ch.Bind(network.NodeID(i), func(network.NodeID, network.Message) {})
+			ch.Bind(0, network.NodeID(i), func(network.NodeID, network.Message) {})
 		}
 		ch.SetFaults(f)
 		// A fixed single-threaded drive over three links, batches
 		// included: the decision sequence depends only on per-link
 		// send order, which this fixes exactly.
 		for s := int64(0); s < 200; s++ {
-			ch.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
+			transporttest.Send(ch, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
 			if s%3 == 0 {
-				ch.Send(1, 2, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: s})
+				transporttest.Send(ch, transport.Link{From: 1, To: 2}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: s})
 			}
 			if s%5 == 0 {
-				ch.SendBatch(2, 0, []network.Message{
+				transporttest.Send(ch, transport.Link{From: 2, To: 0},
 					transporttest.Msg{K: transporttest.KindA, From: 2, Seq: s},
-					transporttest.Msg{K: transporttest.KindB, From: 2, Seq: s + 1},
-				})
+					transporttest.Msg{K: transporttest.KindB, From: 2, Seq: s + 1})
 			}
 		}
 		return ch.Trace(), ch.ChaosStats()
@@ -132,15 +109,15 @@ func TestChaosDirectedPartition(t *testing.T) {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 7)
 	defer ch.Close()
 	got := make(chan transporttest.Msg, 64)
-	ch.Bind(0, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
-	ch.Bind(1, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
+	ch.Bind(0, 0, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
+	ch.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
 
-	ch.Partition(0, 1)
+	ch.Partition(transport.Link{From: 0, To: 1})
 	for s := int64(1); s <= 5; s++ {
-		ch.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
+		transporttest.Send(ch, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
 	}
 	// The reverse link must be untouched.
-	ch.Send(1, 0, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: 100})
+	transporttest.Send(ch, transport.Link{From: 1, To: 0}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: 100})
 	select {
 	case m := <-got:
 		if m.From != 1 {
@@ -155,7 +132,7 @@ func TestChaosDirectedPartition(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	ch.Heal(0, 1)
+	ch.Heal(transport.Link{From: 0, To: 1})
 	for s := int64(1); s <= 5; s++ {
 		select {
 		case m := <-got:

@@ -12,43 +12,78 @@ import (
 	"mralloc/internal/wire"
 )
 
-// memFactory: one in-process endpoint hosts every node.
-func memFactory(latency time.Duration) transporttest.Factory {
-	return func(t *testing.T, n int) []transport.Transport {
-		m := transport.NewMem(n, latency)
-		eps := make([]transport.Transport, n)
-		for i := range eps {
-			eps[i] = m
-		}
-		return eps
+// shared returns the fabric of one endpoint hosting every node.
+func shared(ep transport.Transport, n int) []transport.Transport {
+	eps := make([]transport.Transport, n)
+	for i := range eps {
+		eps[i] = ep
 	}
+	return eps
 }
 
-// tcpFactory: one endpoint per node, each with its own loopback
-// listener — the maximally distributed topology.
-func tcpFactory(t *testing.T, n int) []transport.Transport {
-	eps := make([]transport.Transport, n)
-	addrs := make([]string, n)
-	for i := range eps {
-		tr, err := transport.ListenTCP("127.0.0.1:0", n, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = tr
-		addrs[i] = tr.Addr()
-	}
+// configured announces the shard layout to every distinct endpoint of
+// a fabric, as live.New does, and returns the fabric.
+func configured(eps []transport.Transport, sizes []int) []transport.Transport {
+	seen := map[transport.Transport]bool{}
 	for _, ep := range eps {
-		if err := ep.(*transport.TCP).Connect(addrs); err != nil {
-			t.Fatal(err)
+		if !seen[ep] {
+			seen[ep] = true
+			ep.Configure(transport.Config{Shards: sizes})
 		}
 	}
 	return eps
 }
 
-// tcpPairedFactory: two endpoints each hosting half the nodes, so the
+// over turns a fabric builder into a conformance factory: build, then
+// configure every endpoint for the suite's layout.
+func over(fabric func(t *testing.T, n int) []transport.Transport) transporttest.Factory {
+	return func(t *testing.T, n int, sizes []int) []transport.Transport {
+		return configured(fabric(t, n), sizes)
+	}
+}
+
+// memFabric: one in-process endpoint hosts every node.
+func memFabric(latency time.Duration) func(t *testing.T, n int) []transport.Transport {
+	return func(t *testing.T, n int) []transport.Transport {
+		return shared(transport.NewMem(n, latency), n)
+	}
+}
+
+// tcpEndpoints listens one endpoint per node and connects them — the
+// maximally distributed topology.
+func tcpEndpoints(t *testing.T, n int) []*transport.TCP {
+	t.Helper()
+	tcps := make([]*transport.TCP, n)
+	addrs := make([]string, n)
+	for i := range tcps {
+		tr, err := transport.ListenTCP("127.0.0.1:0", n, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcps[i] = tr
+		addrs[i] = tr.Addr()
+	}
+	for _, tr := range tcps {
+		if err := tr.Connect(addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tcps
+}
+
+// tcpFabric: tcpEndpoints as a fabric.
+func tcpFabric(t *testing.T, n int) []transport.Transport {
+	eps := make([]transport.Transport, n)
+	for i, tr := range tcpEndpoints(t, n) {
+		eps[i] = tr
+	}
+	return eps
+}
+
+// tcpPairedFabric: two endpoints each hosting half the nodes, so the
 // suite also exercises node pairs that share a process (in-memory
 // short-circuit) next to pairs that cross the wire.
-func tcpPairedFactory(t *testing.T, n int) []transport.Transport {
+func tcpPairedFabric(t *testing.T, n int) []transport.Transport {
 	half := n / 2
 	lo := make([]int, 0, half)
 	hi := make([]int, 0, n-half)
@@ -87,24 +122,25 @@ func tcpPairedFactory(t *testing.T, n int) []transport.Transport {
 	return eps
 }
 
-// tcpHeteroFactory: the tcpPairedFactory topology with endpoint a
+// tcpDeltaFactory: the per-node topology with delta-encoded token
+// state on at both ends of every link, so each shard's traffic runs
+// over its own codec stream per connection direction.
+func tcpDeltaFactory(t *testing.T, n int, sizes []int) []transport.Transport {
+	eps := tcpFabric(t, n)
+	for _, ep := range eps {
+		ep.Configure(transport.Config{Shards: sizes, Wire: transport.WireOptions{Delta: true}})
+	}
+	return eps
+}
+
+// tcpHeteroFactory: the tcpPairedFabric topology with endpoint a
 // running every wire feature and endpoint b a feature-disabled build
 // (no delta, no writev) — negotiation must land each link on the
 // common subset while every transport guarantee still holds.
-func tcpHeteroFactory(t *testing.T, n int) []transport.Transport {
-	eps := tcpPairedFactory(t, n)
-	distinct := map[transport.Transport]bool{}
-	var uniq []*transport.TCP
-	for _, ep := range eps {
-		if !distinct[ep] {
-			distinct[ep] = true
-			uniq = append(uniq, ep.(*transport.TCP))
-		}
-	}
-	uniq[0].Tune(transport.WireOptions{Delta: true})
-	if len(uniq) > 1 {
-		uniq[1].Tune(transport.WireOptions{Delta: false, NoVectored: true})
-	}
+func tcpHeteroFactory(t *testing.T, n int, sizes []int) []transport.Transport {
+	eps := tcpPairedFabric(t, n)
+	eps[0].Configure(transport.Config{Shards: sizes, Wire: transport.WireOptions{Delta: true}})
+	eps[n-1].Configure(transport.Config{Shards: sizes, Wire: transport.WireOptions{NoVectored: true}})
 	return eps
 }
 
@@ -118,9 +154,9 @@ func TestTCPRejectsMisshapenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.SetShape(3, 8)
+	tr.Configure(transport.Config{Shards: []int{8}})
 	delivered := make(chan network.Message, 1)
-	tr.Bind(0, func(from network.NodeID, m network.Message) { delivered <- m })
+	tr.Bind(0, 0, func(from network.NodeID, m network.Message) { delivered <- m })
 
 	c, err := net.Dial("tcp", tr.Addr())
 	if err != nil {
@@ -157,19 +193,23 @@ func TestTCPRejectsMisshapenFrames(t *testing.T) {
 }
 
 func TestMemConformance(t *testing.T) {
-	transporttest.TestTransport(t, memFactory(0))
+	transporttest.TestTransport(t, over(memFabric(0)))
 }
 
 func TestMemLatencyConformance(t *testing.T) {
-	transporttest.TestTransport(t, memFactory(200*time.Microsecond))
+	transporttest.TestTransport(t, over(memFabric(200*time.Microsecond)))
 }
 
 func TestTCPConformance(t *testing.T) {
-	transporttest.TestTransport(t, tcpFactory)
+	transporttest.TestTransport(t, over(tcpFabric))
+}
+
+func TestTCPDeltaConformance(t *testing.T) {
+	transporttest.TestTransport(t, tcpDeltaFactory)
 }
 
 func TestTCPPairedConformance(t *testing.T) {
-	transporttest.TestTransport(t, tcpPairedFactory)
+	transporttest.TestTransport(t, over(tcpPairedFabric))
 }
 
 func TestTCPHeteroConformance(t *testing.T) {

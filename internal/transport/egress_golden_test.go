@@ -1,0 +1,206 @@
+package transport_test
+
+import (
+	"bytes"
+	"encoding/hex"
+	"io"
+	"net"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	_ "mralloc/internal/core" // registers the LASS kinds and their samples
+	"mralloc/internal/network"
+	"mralloc/internal/transport"
+	"mralloc/internal/transport/transporttest"
+	"mralloc/internal/wire"
+)
+
+// egressTap relays one dialed connection to target and records every
+// byte of the dial→target direction.
+type egressTap struct {
+	ln net.Listener
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func newEgressTap(t *testing.T, target string) *egressTap {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &egressTap{ln: ln}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", target)
+		if err != nil {
+			c.Close()
+			return
+		}
+		go func() { io.Copy(c, up); c.Close() }()
+		buf := make([]byte, 4096)
+		for {
+			n, err := c.Read(buf)
+			if n > 0 {
+				tap.mu.Lock()
+				tap.b.Write(buf[:n])
+				tap.mu.Unlock()
+				if _, werr := up.Write(buf[:n]); werr != nil {
+					break
+				}
+			}
+			if err != nil {
+				break
+			}
+		}
+		up.Close()
+	}()
+	return tap
+}
+
+func (tap *egressTap) bytes() []byte {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	return append([]byte(nil), tap.b.Bytes()...)
+}
+
+// egressCases are the pinned configurations: shard count × delta.
+var egressCases = map[string]struct {
+	g     int
+	delta bool
+}{
+	"g1":       {1, false},
+	"g1_delta": {1, true},
+	"g3":       {3, false},
+	"g3_delta": {3, true},
+}
+
+// TestEgressBytesGolden pins the wire format of one TCP link end to
+// end: hello, stream controls and frames of a fixed message sequence,
+// with batching off (one frame per flush, so the stream does not depend
+// on flush timing). The goldens were captured from the commit before
+// the link-addressed send path replaced the four send functions
+// (Send/SendBatch at G=1, SendShard/SendShardBatch at G=3, after
+// SetShape+SetShards+Tune); UPDATE_EGRESS_GOLDEN=1 rewrites them and is
+// for a deliberate wire-format change only.
+//
+// Each case runs in a child process: delta-encoded tokens carry a
+// process-wide cache epoch (core's deltaEpochs), so the bytes are only
+// reproducible from a process that has encoded nothing else.
+func TestEgressBytesGolden(t *testing.T) {
+	if name := os.Getenv("EGRESS_GOLDEN_CASE"); name != "" {
+		runEgressCase(t, name)
+		return
+	}
+	for name := range egressCases {
+		t.Run(name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestEgressBytesGolden$", "-test.count=1")
+			cmd.Env = append(os.Environ(), "EGRESS_GOLDEN_CASE="+name)
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+		})
+	}
+}
+
+func runEgressCase(t *testing.T, name string) {
+	c, ok := egressCases[name]
+	if !ok {
+		t.Fatalf("unknown egress case %q", name)
+	}
+	g := c.g
+	var lass []network.Message
+	for _, m := range wire.Samples() {
+		if k := m.Kind(); k == "LASS.Request" || k == "LASS.Response" {
+			lass = append(lass, m)
+		}
+	}
+	if len(lass) != 4 {
+		t.Fatalf("want the 4 LASS request/response samples, got %d", len(lass))
+	}
+	req, reqEmpty, resp, respSmall := lass[0], lass[1], lass[2], lass[3]
+	sizes := make([]int, g)
+	for s := range sizes {
+		sizes[s] = 8
+	}
+	w := transport.WireOptions{Delta: c.delta}
+	b, err := transport.ListenTCP("127.0.0.1:0", 4, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := transport.ListenTCP("127.0.0.1:0", 4, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.SetBatching(false)
+	a.Configure(transport.Config{Shards: sizes, Wire: w})
+	b.Configure(transport.Config{Shards: sizes, Wire: w})
+	tap := newEgressTap(t, b.Addr())
+	tapAddr := tap.ln.Addr().String()
+	if err := a.Connect([]string{a.Addr(), a.Addr(), tapAddr, tapAddr}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Connect([]string{a.Addr(), a.Addr(), b.Addr(), b.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	var got sync.WaitGroup
+	for s := 0; s < g; s++ {
+		for _, id := range []network.NodeID{2, 3} {
+			b.Bind(s, id, func(network.NodeID, network.Message) { got.Done() })
+		}
+	}
+	// Two rounds so the second meets warm delta caches; every shard
+	// sends the same tokens, so a cache shared across shards would show
+	// up as different bytes.
+	for round := 0; round < 2; round++ {
+		for s := 0; s < g; s++ {
+			got.Add(7)
+			transporttest.Send(a, transport.Link{Shard: s, From: 0, To: 2}, req)
+			transporttest.Send(a, transport.Link{Shard: s, From: 1, To: 3}, resp, reqEmpty, respSmall)
+			transporttest.Send(a, transport.Link{Shard: s, From: 0, To: 3}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(round)})
+			transporttest.Send(a, transport.Link{Shard: s, From: 1, To: 2}, resp, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: int64(s)})
+		}
+	}
+	done := make(chan struct{})
+	go func() { got.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("deliveries timed out (a: %v, b: %v)", a.Err(), b.Err())
+	}
+	if err := a.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "egress_"+name+".hex")
+	have := hex.EncodeToString(tap.bytes())
+	if os.Getenv("UPDATE_EGRESS_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(have+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if have != strings.TrimSpace(string(want)) {
+		t.Fatalf("egress bytes differ from the golden %s:\nhave %s\nwant %s", path, have, want)
+	}
+}

@@ -26,8 +26,8 @@ func listenPair(t *testing.T, tuneA, tuneB transport.WireOptions) (a, b *transpo
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Tune(tuneA)
-	b.Tune(tuneB)
+	a.Configure(transport.Config{Wire: tuneA})
+	b.Configure(transport.Config{Wire: tuneB})
 	addrs := []string{a.Addr(), b.Addr()}
 	if err := a.Connect(addrs); err != nil {
 		t.Fatal(err)
@@ -71,8 +71,8 @@ func waitDelivery(t *testing.T, ch <-chan network.Message) network.Message {
 func TestHandshakeNegotiates(t *testing.T) {
 	a, b := listenPair(t, transport.WireOptions{Delta: true}, transport.WireOptions{Delta: true})
 	got := make(chan network.Message, 1)
-	b.Bind(1, func(from network.NodeID, m network.Message) { got <- m })
-	a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
+	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitDelivery(t, got)
 	peer, ok := a.Negotiated(b.Addr())
 	if !ok {
@@ -100,8 +100,8 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 		transport.WireOptions{Delta: true},
 		transport.WireOptions{Delta: false, NoVectored: true})
 	got := make(chan network.Message, 1)
-	b.Bind(1, func(from network.NodeID, m network.Message) { got <- m })
-	a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 7})
+	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
+	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 7})
 	m := waitDelivery(t, got)
 	if m.(transporttest.Msg).Seq != 7 {
 		t.Fatalf("delivered %#v", m)
@@ -140,7 +140,7 @@ func TestHandshakeNodesMismatch(t *testing.T) {
 	if err := a.Connect([]string{a.Addr(), b.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitErr(t, a, "rejected")
 	waitErr(t, b, "nodes")
 }
@@ -150,9 +150,9 @@ func TestHandshakeNodesMismatch(t *testing.T) {
 // fine: the shape check only binds where both sides have announced.
 func TestHandshakeResourceMismatch(t *testing.T) {
 	a, b := listenPair(t, transport.WireOptions{}, transport.WireOptions{})
-	a.SetShape(2, 8)
-	b.SetShape(2, 9)
-	a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	a.Configure(transport.Config{Shards: []int{8}})
+	b.Configure(transport.Config{Shards: []int{9}})
+	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitErr(t, a, "rejected")
 	waitErr(t, b, "resource universe")
 }
@@ -238,9 +238,9 @@ func TestLegacyDialerServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.SetShape(2, 8)
+	b.Configure(transport.Config{Shards: []int{8}})
 	got := make(chan network.Message, 1)
-	b.Bind(0, func(from network.NodeID, m network.Message) { got <- m })
+	b.Bind(0, 0, func(from network.NodeID, m network.Message) { got <- m })
 
 	c, err := net.Dial("tcp", b.Addr())
 	if err != nil {
@@ -280,8 +280,8 @@ func TestLegacyDialerServed(t *testing.T) {
 func TestLegacyAcceptorNoHello(t *testing.T) {
 	a, b := listenPair(t, transport.WireOptions{NoHello: true}, transport.WireOptions{})
 	got := make(chan network.Message, 1)
-	b.Bind(1, func(from network.NodeID, m network.Message) { got <- m })
-	a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 9})
+	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
+	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 9})
 	waitDelivery(t, got)
 	if _, ok := a.Negotiated(b.Addr()); ok {
 		t.Fatal("NoHello connection claims negotiation")
@@ -338,7 +338,7 @@ func TestWindowStallsSender(t *testing.T) {
 	// Paced single sends keep each flush small, so egress drains group
 	// by group until the window is exhausted.
 	for i := 0; i < 400; i++ {
-		a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
+		transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 		time.Sleep(500 * time.Microsecond)
 	}
 	st := a.WireStats()

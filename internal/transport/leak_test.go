@@ -17,11 +17,11 @@ import (
 
 func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 	check := leakcheck.Check(t)
-	eps := tcpFactory(t, 3)
+	eps := tcpFabric(t, 3)
 	done := make(chan struct{}, 64)
 	for i := 0; i < 3; i++ {
 		id := network.NodeID(i)
-		eps[i].Bind(id, func(network.NodeID, network.Message) { done <- struct{}{} })
+		eps[i].Bind(0, id, func(network.NodeID, network.Message) { done <- struct{}{} })
 	}
 	// Traffic on several pairs: dials conns, starts flushers both ways.
 	want := 0
@@ -31,7 +31,7 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 				continue
 			}
 			want++
-			eps[from].Send(network.NodeID(from), network.NodeID(to),
+			transporttest.Send(eps[from], transport.Link{From: network.NodeID(from), To: network.NodeID(to)},
 				transporttest.Msg{K: transporttest.KindA, From: network.NodeID(from), Seq: 1})
 		}
 	}
@@ -50,9 +50,9 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 // queue frames: flushers must drain-or-abandon and exit either way.
 func TestTCPCloseMidTrafficLeaksNoGoroutines(t *testing.T) {
 	check := leakcheck.Check(t)
-	eps := tcpFactory(t, 2)
-	eps[1].Bind(1, func(network.NodeID, network.Message) {})
-	eps[0].Bind(0, func(network.NodeID, network.Message) {})
+	eps := tcpFabric(t, 2)
+	eps[1].Bind(0, 1, func(network.NodeID, network.Message) {})
+	eps[0].Bind(0, 0, func(network.NodeID, network.Message) {})
 	stop := make(chan struct{})
 	sent := make(chan struct{})
 	go func() {
@@ -65,7 +65,7 @@ func TestTCPCloseMidTrafficLeaksNoGoroutines(t *testing.T) {
 			default:
 			}
 			seq++
-			eps[0].Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
+			transporttest.Send(eps[0], transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
 		}
 	}()
 	time.Sleep(20 * time.Millisecond) // let a backlog form
@@ -80,14 +80,14 @@ func TestMemLatencyCloseLeaksNoGoroutines(t *testing.T) {
 	m := transport.NewMem(4, 100*time.Microsecond)
 	got := make(chan struct{}, 64)
 	for i := 0; i < 4; i++ {
-		m.Bind(network.NodeID(i), func(network.NodeID, network.Message) { got <- struct{}{} })
+		m.Bind(0, network.NodeID(i), func(network.NodeID, network.Message) { got <- struct{}{} })
 	}
 	msgs := []network.Message{
 		transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1},
 		transporttest.Msg{K: transporttest.KindB, From: 0, Seq: 2},
 	}
-	m.SendBatch(0, 1, msgs) // starts the 0→1 forwarder
-	m.Send(0, 2, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	m.Send(transport.Link{From: 0, To: 1}, msgs) // starts the 0→1 forwarder
+	transporttest.Send(m, transport.Link{From: 0, To: 2}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	for i := 0; i < 3; i++ {
 		select {
 		case <-got:

@@ -15,15 +15,15 @@ import (
 // Transport interface; its zero-latency path is the production
 // in-process lock-manager configuration.
 //
-// Batches (SendBatch) are delivered as a unit: the whole run crosses
-// into the destination under one binder-lock acquisition — and, in
-// latency mode, under one delay — mirroring how the TCP fabric ships
-// a run as one envelope.
+// A run is delivered as a unit: it crosses into the destination under
+// one binder-lock acquisition — and, in latency mode, under one delay —
+// mirroring how the TCP fabric ships a run as one envelope.
 //
 // A positive latency delays every delivery by that amount while
-// preserving FIFO per ordered pair: each (sender, destination) link
-// gets one forwarding queue drained by one goroutine, so equal
-// per-message delays cannot reorder a link.
+// preserving FIFO per link: each (shard, sender, destination) link gets
+// one forwarding queue drained by one goroutine, so equal per-message
+// delays cannot reorder a link, and shard traffic pipelines instead of
+// queueing behind other shards' latency.
 type Mem struct {
 	n       int
 	latency time.Duration
@@ -33,25 +33,11 @@ type Mem struct {
 	closeMu sync.Mutex
 	closed  chan struct{}
 
-	// links maps (shard*n+sender)*n+destination to that link's delay
-	// queue (latency mode only, created lazily).
+	// links holds each link's delay queue (latency mode only, created
+	// lazily).
 	linkMu sync.Mutex
-	links  map[int]chan linkItem
+	links  map[Link]chan held
 	wg     sync.WaitGroup
-
-	// shardBinders holds one binder per shard beyond the first
-	// (SetShards); shard 0 is the legacy binder. Written once before
-	// any sharded traffic, read-only after.
-	shardMu      sync.RWMutex
-	shardBinders []*binder
-}
-
-// linkItem is one delay-queue entry: a single message (msgs nil) or a
-// batch shipped as a unit.
-type linkItem struct {
-	from network.NodeID
-	m    network.Message
-	msgs []network.Message
 }
 
 // NewMem creates an in-process transport for n nodes. A positive
@@ -75,180 +61,65 @@ func (t *Mem) N() int { return t.n }
 // fabric.
 func (t *Mem) Hosts(id network.NodeID) bool { return id >= 0 && int(id) < t.n }
 
+// Configure implements Transport. The in-process fabric only needs the
+// shard count: there is no codec to validate universes against and no
+// wire path to tune.
+func (t *Mem) Configure(cfg Config) { t.binder.grow(len(cfg.Shards)) }
+
 // Bind implements Transport.
-func (t *Mem) Bind(id network.NodeID, h Handler) {
-	t.binder.bind(id, h)
+func (t *Mem) Bind(shard int, id network.NodeID, h Handler) {
+	t.binder.mustSlot(shard, id).bind(h)
 }
 
-// Send implements Transport.
-func (t *Mem) Send(from, to network.NodeID, m network.Message) {
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
+// Send implements Transport: the run is delivered under one binder-lock
+// acquisition (zero latency) or one delay (latency mode — it travels as
+// a unit, like one envelope on a wire).
+func (t *Mem) Send(l Link, msgs []network.Message) {
+	if len(msgs) == 0 {
+		return
 	}
+	checkDest(t.n, l.To)
+	slot := t.binder.mustSlot(l.Shard, l.To)
 	select {
 	case <-t.closed:
 		return
 	default:
 	}
-	t.stats.count(m.Kind())
+	t.stats.count(msgs)
 	if t.latency <= 0 {
-		t.binder.deliver(to, from, m)
+		slot.deliver(l.From, msgs)
 		return
 	}
 	select {
-	case t.link(from, to) <- linkItem{from: from, m: m}:
+	case t.link(l, slot) <- hold(msgs):
 	case <-t.closed:
 		// Closed mid-send: the link's forwarder may be gone; drop.
 	}
 }
 
-// SendBatch implements BatchSender: the run is delivered under one
-// binder-lock acquisition (zero latency) or one delay (latency mode —
-// the batch travels as a unit, like one envelope on a wire). The
-// caller's slice is copied in latency mode, never retained.
-func (t *Mem) SendBatch(from, to network.NodeID, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	for _, m := range msgs {
-		t.stats.count(m.Kind())
-	}
-	if t.latency <= 0 {
-		t.binder.deliverBatch(to, from, msgs)
-		return
-	}
-	cp := append([]network.Message(nil), msgs...)
-	select {
-	case t.link(from, to) <- linkItem{from: from, msgs: cp}:
-	case <-t.closed:
-	}
-}
-
-// SetShards implements Sharder. The in-process fabric only needs the
-// shard count — there is no codec to validate per-shard universes
-// against — but takes the sizes for interface uniformity.
-func (t *Mem) SetShards(sizes []int) {
-	if len(sizes) == 0 {
-		return
-	}
-	t.shardMu.Lock()
-	defer t.shardMu.Unlock()
-	t.shardBinders = make([]*binder, len(sizes))
-	t.shardBinders[0] = t.binder
-	for s := 1; s < len(sizes); s++ {
-		t.shardBinders[s] = newBinder(t.n)
-	}
-}
-
-// shardBinder resolves the binder of one shard, panicking on a shard
-// the endpoint was never configured for — that is a wiring bug, not a
-// runtime condition.
-func (t *Mem) shardBinder(shard int) *binder {
-	t.shardMu.RLock()
-	defer t.shardMu.RUnlock()
-	if shard < 0 || shard >= len(t.shardBinders) {
-		panic(fmt.Sprintf("transport: shard %d on an endpoint with %d shards", shard, len(t.shardBinders)))
-	}
-	return t.shardBinders[shard]
-}
-
-// BindShard implements Sharder.
-func (t *Mem) BindShard(shard int, id network.NodeID, h Handler) {
-	t.shardBinder(shard).bind(id, h)
-}
-
-// SendShard implements Sharder: Send within one shard's namespace.
-// Each (shard, sender, destination) triple is its own FIFO delay link,
-// so shard traffic pipelines instead of queueing behind other shards'
-// latency.
-func (t *Mem) SendShard(shard int, from, to network.NodeID, m network.Message) {
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	b := t.shardBinder(shard)
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	t.stats.count(m.Kind())
-	if t.latency <= 0 {
-		b.deliver(to, from, m)
-		return
-	}
-	select {
-	case t.shardLink(shard, from, to, b) <- linkItem{from: from, m: m}:
-	case <-t.closed:
-	}
-}
-
-// SendShardBatch implements Sharder.
-func (t *Mem) SendShardBatch(shard int, from, to network.NodeID, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	b := t.shardBinder(shard)
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	for _, m := range msgs {
-		t.stats.count(m.Kind())
-	}
-	if t.latency <= 0 {
-		b.deliverBatch(to, from, msgs)
-		return
-	}
-	cp := append([]network.Message(nil), msgs...)
-	select {
-	case t.shardLink(shard, from, to, b) <- linkItem{from: from, msgs: cp}:
-	case <-t.closed:
-	}
-}
-
-// link returns the delay queue of one ordered pair, starting its
-// forwarding goroutine on first use.
-func (t *Mem) link(from, to network.NodeID) chan linkItem {
-	return t.shardLink(0, from, to, t.binder)
-}
-
-// shardLink is link keyed by (shard, sender, destination), delivering
-// into the shard's binder.
-func (t *Mem) shardLink(shard int, from, to network.NodeID, b *binder) chan linkItem {
-	key := (shard*t.n+int(from))*t.n + int(to)
+// link returns the delay queue of one link, starting its forwarding
+// goroutine on first use.
+func (t *Mem) link(l Link, slot *binderSlot) chan held {
 	t.linkMu.Lock()
 	defer t.linkMu.Unlock()
 	if t.links == nil {
-		t.links = make(map[int]chan linkItem)
+		t.links = make(map[Link]chan held)
 	}
-	ch, ok := t.links[key]
+	ch, ok := t.links[l]
 	if !ok {
-		ch = make(chan linkItem, 1024)
-		t.links[key] = ch
+		// 1024 runs of slack before a sender feels the link's delay as
+		// backpressure; the queue stays bounded like a socket buffer.
+		ch = make(chan held, 1024)
+		t.links[l] = ch
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
+			var run held // outside the loop: see held.msgs
 			for {
 				select {
-				case p := <-ch:
+				case run = <-ch:
 					time.Sleep(t.latency)
-					if p.msgs != nil {
-						b.deliverBatch(to, p.from, p.msgs)
-					} else {
-						b.deliver(to, p.from, p.m)
-					}
+					slot.deliver(l.From, run.msgs())
 				case <-t.closed:
 					return
 				}
@@ -258,13 +129,14 @@ func (t *Mem) shardLink(shard int, from, to network.NodeID, b *binder) chan link
 	return ch
 }
 
-// Tune implements WireTuner as a no-op: the in-process fabric has no
-// wire path, but accepting the call lets callers hold wire options as
-// a plain value and tune every fabric uniformly.
-func (t *Mem) Tune(WireOptions) {}
-
 // Stats implements Transport.
 func (t *Mem) Stats() map[string]int64 { return t.stats.snapshot() }
+
+// AbortConns implements Transport: there are no connections to kill.
+func (t *Mem) AbortConns() int { return 0 }
+
+// Err implements Transport: nothing in the fabric fails asynchronously.
+func (t *Mem) Err() error { return nil }
 
 // Close implements Transport.
 func (t *Mem) Close() error {

@@ -120,15 +120,15 @@ func TestVectoredEgressShortWrites(t *testing.T) {
 // never short-writes, so the stub test above covers that half; this
 // one pins the integration.
 func TestTCPDeliveryOverLoopback(t *testing.T) {
-	eps := tcpFactory(t, 2)
+	eps := tcpFabric(t, 2)
 	defer closeAll(t, eps)
 	got := make(chan int64, 4096)
-	eps[1].Bind(1, func(from network.NodeID, m network.Message) {
+	eps[1].Bind(0, 1, func(from network.NodeID, m network.Message) {
 		got <- m.(transporttest.Msg).Seq
 	})
 	const msgs = 2000
 	for s := int64(1); s <= msgs; s++ {
-		eps[0].Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
+		transporttest.Send(eps[0], transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
 	}
 	for s := int64(1); s <= msgs; s++ {
 		select {

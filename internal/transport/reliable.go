@@ -1,8 +1,11 @@
 // Reliable delivery over a lossy fabric: a Transport wrapper that
-// sequence-numbers every frame per ordered node pair, acknowledges
-// cumulatively, retransmits on a jittered timer, and deduplicates at
-// the receiver — the go-back-N discipline that upgrades the chaos
-// fabric's "safety only" caveat to safety and liveness.
+// sequence-numbers every frame per link, acknowledges cumulatively,
+// retransmits on a jittered timer, and deduplicates at the receiver —
+// the go-back-N discipline that upgrades the chaos fabric's "safety
+// only" caveat to safety and liveness. All of its state is keyed by the
+// whole Link, so every (shard, from, to) channel has its own sequence
+// space and retransmit buffer and a sharded cluster needs nothing
+// extra.
 //
 // The stack composes as live → Reliable → Chaos → TCP/Mem, so
 // retransmitted frames re-traverse the fault injector like any other
@@ -111,21 +114,22 @@ type RelStats struct {
 	AcksSent int64
 }
 
-type relLinkKey struct{ from, to network.NodeID }
-
-// relSend is the send half of one ordered link: frames outstanding
-// toward one destination.
+// relSend is the send half of one link: frames outstanding toward one
+// destination.
 type relSend struct {
 	mu      sync.Mutex
 	nextSeq uint64 // next sequence number to assign (first frame is 1)
-	unacked []relData
+	// unacked holds the outstanding relData envelopes, oldest first,
+	// already boxed: a fresh run and a retransmission both hand the
+	// inner fabric a slice of it as it stands.
+	unacked []network.Message
 	// attempt counts consecutive retransmission rounds without ack
 	// progress; deadline is when the next round fires.
 	attempt  int
 	deadline time.Time
 }
 
-// relRecv is the receive half of one ordered link.
+// relRecv is the receive half of one link.
 type relRecv struct {
 	mu       sync.Mutex
 	expected uint64 // next sequence number to deliver (starts at 1)
@@ -139,6 +143,7 @@ type relRecv struct {
 type Reliable struct {
 	inner Transport
 	bind  *binder
+	bound int       // shards whose hosted nodes are bound on inner
 	stats kindStats // logical kinds, as the caller sent them
 
 	base, max time.Duration
@@ -146,8 +151,8 @@ type Reliable struct {
 	rng       *rand.Rand
 
 	mu    sync.Mutex
-	send  map[relLinkKey]*relSend
-	recv  map[relLinkKey]*relRecv
+	send  map[Link]*relSend
+	recv  map[Link]*relRecv
 	relMu sync.Mutex
 	rel   RelStats
 
@@ -162,15 +167,6 @@ type Reliable struct {
 // endpoints of every link must be wrapped (the envelope kinds are not
 // understood by a bare endpoint's protocol handlers). The wrapper owns
 // inner and closes it on Close.
-// LossRecoverer is implemented by transports that can treat broken
-// writes as recoverable instead of fatal. The Reliable wrapper arms it
-// on construction: everything lost with a dead connection is
-// retransmitted after the redial, so a failed write is part of normal
-// recovery, not a silently dropped frame.
-type LossRecoverer interface {
-	SetLossRecovery(on bool)
-}
-
 func NewReliable(inner Transport) *Reliable {
 	r := &Reliable{
 		inner:   inner,
@@ -178,28 +174,45 @@ func NewReliable(inner Transport) *Reliable {
 		base:    DefaultRetransmitBase,
 		max:     DefaultRetransmitMax,
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
-		send:    make(map[relLinkKey]*relSend),
-		recv:    make(map[relLinkKey]*relRecv),
+		send:    make(map[Link]*relSend),
+		recv:    make(map[Link]*relRecv),
 		ackKick: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
-	if lr, ok := inner.(LossRecoverer); ok {
-		lr.SetLossRecovery(true)
-	}
-	// Install the unwrapping handler for every hosted node now; the
-	// wrapper's own binder buffers traffic that beats the caller's Bind.
-	for id := 0; id < inner.N(); id++ {
-		if inner.Hosts(network.NodeID(id)) {
-			id := network.NodeID(id)
-			inner.Bind(id, func(from network.NodeID, m network.Message) {
-				r.onRecv(from, id, m)
-			})
-		}
-	}
+	r.bindShards(1)
 	r.wg.Add(2)
 	go r.acker()
 	go r.retransmitter()
 	return r
+}
+
+// Configure implements Transport: the layout goes down unchanged, with
+// broken writes marked recoverable — frames lost with a dead connection
+// are exactly what the retransmission timer repairs.
+func (r *Reliable) Configure(cfg Config) {
+	cfg.LossRecovered = true
+	r.inner.Configure(cfg)
+	r.bindShards(len(cfg.Shards))
+}
+
+// bindShards installs the unwrapping handler of every hosted node in
+// each shard below g not bound yet — shard 0 at construction, the rest
+// once the layout is announced (both before traffic, from the goroutine
+// assembling the stack, so bound needs no lock). The wrapper's own
+// binder buffers traffic that beats the caller's Bind.
+func (r *Reliable) bindShards(g int) {
+	r.bind.grow(g)
+	for ; r.bound < g; r.bound++ {
+		for id := 0; id < r.inner.N(); id++ {
+			shard, to := r.bound, network.NodeID(id)
+			if !r.inner.Hosts(to) {
+				continue
+			}
+			r.inner.Bind(shard, to, func(from network.NodeID, m network.Message) {
+				r.onRecv(Link{Shard: shard, From: from, To: to}, m)
+			})
+		}
+	}
 }
 
 // SetRetransmit tunes the retransmission timer (equal jitter in
@@ -222,9 +235,11 @@ func (r *Reliable) Hosts(id network.NodeID) bool { return r.inner.Hosts(id) }
 
 // Bind installs the delivery handler for a hosted node; deliveries
 // that arrived first are flushed to it in order.
-func (r *Reliable) Bind(id network.NodeID, h Handler) { r.bind.bind(id, h) }
+func (r *Reliable) Bind(shard int, id network.NodeID, h Handler) {
+	r.bind.mustSlot(shard, id).bind(h)
+}
 
-func (r *Reliable) sendLink(k relLinkKey) *relSend {
+func (r *Reliable) sendLink(k Link) *relSend {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.send[k]
@@ -235,7 +250,7 @@ func (r *Reliable) sendLink(k relLinkKey) *relSend {
 	return l
 }
 
-func (r *Reliable) recvLink(k relLinkKey) *relRecv {
+func (r *Reliable) recvLink(k Link) *relRecv {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.recv[k]
@@ -246,53 +261,36 @@ func (r *Reliable) recvLink(k relLinkKey) *relRecv {
 	return l
 }
 
-// Send wraps m in a sequenced envelope and transmits it, retaining it
-// for retransmission until acknowledged.
-func (r *Reliable) Send(from, to network.NodeID, m network.Message) {
-	r.sendEnvelopes(from, to, []network.Message{m})
-}
-
-// SendBatch sequences and transmits a run of messages as a unit,
-// forwarding to the inner fabric's batch path when it has one.
-func (r *Reliable) SendBatch(from, to network.NodeID, msgs []network.Message) {
-	r.sendEnvelopes(from, to, msgs)
-}
-
-func (r *Reliable) sendEnvelopes(from, to network.NodeID, msgs []network.Message) {
+// Send wraps each message of the run in a sequenced envelope and
+// transmits the envelopes as one run, retaining them for retransmission
+// until acknowledged.
+func (r *Reliable) Send(k Link, msgs []network.Message) {
 	if len(msgs) == 0 || r.isClosed() {
 		return
 	}
-	l := r.sendLink(relLinkKey{from, to})
+	l := r.sendLink(k)
 	// The link lock is held across the inner send so envelope sequence
 	// numbers hit the wire in order on a healthy link (go-back-N
-	// tolerates reordering, but not wasting it on the common case).
+	// tolerates reordering, but not wasting it on the common case) —
+	// and so the tail of unacked handed down cannot move under it.
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	envs := make([]network.Message, len(msgs))
-	for i, m := range msgs {
-		env := relData{Seq: l.nextSeq, M: m}
+	first := len(l.unacked)
+	for _, m := range msgs {
+		l.unacked = append(l.unacked, relData{Seq: l.nextSeq, M: m})
 		l.nextSeq++
-		l.unacked = append(l.unacked, env)
-		envs[i] = env
-		r.stats.count(m.Kind())
 	}
+	r.stats.count(msgs)
 	if l.deadline.IsZero() {
 		l.deadline = time.Now().Add(r.jitter(l.attempt))
 	}
-	if bs, ok := r.inner.(BatchSender); ok && len(envs) > 1 {
-		bs.SendBatch(from, to, envs)
-	} else {
-		for _, env := range envs {
-			r.inner.Send(from, to, env)
-		}
-	}
+	r.inner.Send(k, l.unacked[first:])
 }
 
-// onRecv unwraps inner deliveries addressed to hosted node `to`.
-func (r *Reliable) onRecv(from, to network.NodeID, m network.Message) {
+// onRecv unwraps an inner delivery on link k (k.To is hosted here).
+func (r *Reliable) onRecv(k Link, m network.Message) {
 	switch env := m.(type) {
 	case relData:
-		k := relLinkKey{from, to} // data link: from → to
 		l := r.recvLink(k)
 		l.mu.Lock()
 		switch {
@@ -302,7 +300,7 @@ func (r *Reliable) onRecv(from, to network.NodeID, m network.Message) {
 			l.mu.Unlock()
 			// Deliver while no link lock is held: the caller's handler
 			// may send (live's does not, but the contract allows it).
-			r.bind.deliver(to, from, env.M)
+			r.deliver(k, env.M)
 			r.kickAcker()
 			return
 		case env.Seq < l.expected:
@@ -324,18 +322,18 @@ func (r *Reliable) onRecv(from, to network.NodeID, m network.Message) {
 			return
 		}
 	case relAck:
-		// Ack for data we sent to `from`: the link is to → from.
-		l := r.sendLink(relLinkKey{to, from})
+		// Ack for data we sent the other way: the link is the reverse.
+		l := r.sendLink(k.reverse())
 		l.mu.Lock()
 		n := 0
-		for n < len(l.unacked) && l.unacked[n].Seq <= env.Cum {
+		for n < len(l.unacked) && l.unacked[n].(relData).Seq <= env.Cum {
 			n++
 		}
 		if n > 0 {
 			rest := l.unacked[n:]
 			copy(l.unacked, rest)
 			for i := len(rest); i < len(l.unacked); i++ {
-				l.unacked[i] = relData{}
+				l.unacked[i] = nil
 			}
 			l.unacked = l.unacked[:len(rest)]
 			// Progress: restart the backoff schedule.
@@ -353,9 +351,18 @@ func (r *Reliable) onRecv(from, to network.NodeID, m network.Message) {
 	default:
 		// A frame from an unwrapped peer (misconfiguration): deliver it
 		// rather than wedge — safety degrades to the inner fabric's.
-		r.bind.deliver(to, from, m)
+		r.deliver(k, m)
 	}
 }
+
+// deliver hands one unwrapped message to the caller's handler.
+func (r *Reliable) deliver(k Link, m network.Message) {
+	one := [1]network.Message{m}
+	r.bind.slot(k.Shard, k.To).deliver(k.From, one[:])
+}
+
+// reverse is the link acks for k's data travel on.
+func (k Link) reverse() Link { return Link{Shard: k.Shard, From: k.To, To: k.From} }
 
 func (r *Reliable) kickAcker() {
 	select {
@@ -375,7 +382,7 @@ func (r *Reliable) acker() {
 		case <-r.ackKick:
 		}
 		r.mu.Lock()
-		links := make([]relLinkKey, 0, len(r.recv))
+		links := make([]Link, 0, len(r.recv))
 		for k := range r.recv {
 			links = append(links, k)
 		}
@@ -389,9 +396,10 @@ func (r *Reliable) acker() {
 			if !due || r.isClosed() {
 				continue
 			}
-			// The ack travels the reverse direction: receiver (k.to)
-			// back to the data's sender (k.from).
-			r.inner.Send(k.to, k.from, relAck{Cum: cum})
+			// The ack travels the reverse direction: receiver back to
+			// the data's sender.
+			ack := [1]network.Message{relAck{Cum: cum}}
+			r.inner.Send(k.reverse(), ack[:])
 			r.addRel(func(s *RelStats) { s.AcksSent++ })
 		}
 	}
@@ -411,7 +419,7 @@ func (r *Reliable) retransmitter() {
 		}
 		now := time.Now()
 		r.mu.Lock()
-		links := make([]relLinkKey, 0, len(r.send))
+		links := make([]Link, 0, len(r.send))
 		for k := range r.send {
 			links = append(links, k)
 		}
@@ -423,10 +431,6 @@ func (r *Reliable) retransmitter() {
 				l.mu.Unlock()
 				continue
 			}
-			resend := make([]network.Message, len(l.unacked))
-			for i, env := range l.unacked {
-				resend[i] = env
-			}
 			l.attempt++
 			l.deadline = now.Add(r.jitter(l.attempt))
 			// Hold the link lock across the re-send so a concurrent
@@ -436,15 +440,10 @@ func (r *Reliable) retransmitter() {
 				l.mu.Unlock()
 				return
 			}
-			if bs, ok := r.inner.(BatchSender); ok && len(resend) > 1 {
-				bs.SendBatch(k.from, k.to, resend)
-			} else {
-				for _, env := range resend {
-					r.inner.Send(k.from, k.to, env)
-				}
-			}
+			resent := len(l.unacked)
+			r.inner.Send(k, l.unacked)
 			l.mu.Unlock()
-			r.addRel(func(s *RelStats) { s.Retransmits += int64(len(resend)) })
+			r.addRel(func(s *RelStats) { s.Retransmits += int64(resent) })
 		}
 	}
 }
@@ -484,37 +483,12 @@ func (r *Reliable) RelStats() RelStats {
 // (those are RelStats' business).
 func (r *Reliable) Stats() map[string]int64 { return r.stats.snapshot() }
 
-// Tune forwards egress wire options to the inner fabric.
-func (r *Reliable) Tune(o WireOptions) {
-	if t, ok := r.inner.(WireTuner); ok {
-		t.Tune(o)
-	}
-}
+// AbortConns implements Transport by forwarding; frames lost to the
+// abort are exactly what the retransmission timer repairs.
+func (r *Reliable) AbortConns() int { return r.inner.AbortConns() }
 
-// SetShape forwards cluster-shape validation to the inner fabric (the
-// nested payload decodes under the same shape as its envelope).
-func (r *Reliable) SetShape(nodes, resources int) {
-	if s, ok := r.inner.(ShapeValidator); ok {
-		s.SetShape(nodes, resources)
-	}
-}
-
-// AbortConns forwards to the inner fabric's connection killer; frames
-// lost to the abort are exactly what the retransmission timer repairs.
-func (r *Reliable) AbortConns() int {
-	if k, ok := r.inner.(ConnKiller); ok {
-		return k.AbortConns()
-	}
-	return 0
-}
-
-// Err reports the inner fabric's background error, if it tracks one.
-func (r *Reliable) Err() error {
-	if e, ok := r.inner.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
+// Err implements Transport by forwarding.
+func (r *Reliable) Err() error { return r.inner.Err() }
 
 func (r *Reliable) isClosed() bool {
 	r.closeMu.Lock()

@@ -10,46 +10,28 @@ import (
 	"mralloc/internal/transport/transporttest"
 )
 
-// reliableMemFactory: every node on one Mem endpoint behind one
+// reliableMemFabric: every node on one Mem endpoint behind one
 // Reliable wrapper — the wrapper must be a conformant Transport even
 // when the fabric underneath is already perfect.
-func reliableMemFactory(t *testing.T, n int) []transport.Transport {
-	r := transport.NewReliable(transport.NewMem(n, 0))
-	eps := make([]transport.Transport, n)
-	for i := range eps {
-		eps[i] = r
-	}
-	return eps
+func reliableMemFabric(t *testing.T, n int) []transport.Transport {
+	return shared(transport.NewReliable(transport.NewMem(n, 0)), n)
 }
 
-// reliableTCPFactory: one TCP endpoint per node, each behind its own
+// reliableTCPFabric: one TCP endpoint per node, each behind its own
 // Reliable wrapper — envelopes and acks cross real sockets.
-func reliableTCPFactory(t *testing.T, n int) []transport.Transport {
-	raw := make([]*transport.TCP, n)
-	addrs := make([]string, n)
-	for i := range raw {
-		tr, err := transport.ListenTCP("127.0.0.1:0", n, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[i] = tr
-		addrs[i] = tr.Addr()
-	}
+func reliableTCPFabric(t *testing.T, n int) []transport.Transport {
 	eps := make([]transport.Transport, n)
-	for i, tr := range raw {
-		if err := tr.Connect(addrs); err != nil {
-			t.Fatal(err)
-		}
+	for i, tr := range tcpEndpoints(t, n) {
 		eps[i] = transport.NewReliable(tr)
 	}
 	return eps
 }
 
-// reliableLossyFactory: Reliable over a chaos fabric dropping,
+// reliableLossyFabric: Reliable over a chaos fabric dropping,
 // duplicating, and delaying frames. The conformance suite's guarantees
-// (no loss, FIFO, no duplication) must hold anyway — this is the
-// wrapper's whole reason to exist.
-func reliableLossyFactory(t *testing.T, n int) []transport.Transport {
+// (no loss, FIFO, no duplication) must hold anyway, on every shard's
+// links — this is the wrapper's whole reason to exist.
+func reliableLossyFabric(t *testing.T, n int) []transport.Transport {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 0x10552)
 	ch.SetFaults(transport.Faults{
 		Drop:     0.10,
@@ -59,23 +41,19 @@ func reliableLossyFactory(t *testing.T, n int) []transport.Transport {
 	})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(2*time.Millisecond, 50*time.Millisecond)
-	eps := make([]transport.Transport, n)
-	for i := range eps {
-		eps[i] = r
-	}
-	return eps
+	return shared(r, n)
 }
 
 func TestReliableMemConformance(t *testing.T) {
-	transporttest.TestTransport(t, reliableMemFactory)
+	transporttest.TestTransport(t, over(reliableMemFabric))
 }
 
 func TestReliableTCPConformance(t *testing.T) {
-	transporttest.TestTransport(t, reliableTCPFactory)
+	transporttest.TestTransport(t, over(reliableTCPFabric))
 }
 
 func TestReliableLossyConformance(t *testing.T) {
-	transporttest.TestTransport(t, reliableLossyFactory)
+	transporttest.TestTransport(t, over(reliableLossyFabric))
 }
 
 // TestReliableDupExactlyOnce is the deterministic dup regression: with
@@ -90,12 +68,12 @@ func TestReliableDupExactlyOnce(t *testing.T) {
 
 	const msgs = 50
 	got := make(chan transporttest.Msg, 4*msgs)
-	r.Bind(1, func(from network.NodeID, m network.Message) {
+	r.Bind(0, 1, func(from network.NodeID, m network.Message) {
 		got <- m.(transporttest.Msg)
 	})
-	r.Bind(0, func(network.NodeID, network.Message) {})
+	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	for i := 1; i <= msgs; i++ {
-		r.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
+		transporttest.Send(r, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 	}
 	for i := 1; i <= msgs; i++ {
 		select {
@@ -129,12 +107,12 @@ func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
 	defer r.Close()
 
 	got := make(chan transporttest.Msg, 16)
-	r.Bind(1, func(from network.NodeID, m network.Message) {
+	r.Bind(0, 1, func(from network.NodeID, m network.Message) {
 		got <- m.(transporttest.Msg)
 	})
-	r.Bind(0, func(network.NodeID, network.Message) {})
+	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	for i := 1; i <= 3; i++ {
-		r.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
+		transporttest.Send(r, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 	}
 	select {
 	case m := <-got:
@@ -166,9 +144,9 @@ func TestReliableCloseLeaksNothing(t *testing.T) {
 	ch.SetFaults(transport.Faults{Drop: 1.0})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(time.Millisecond, 5*time.Millisecond)
-	r.Bind(0, func(network.NodeID, network.Message) {})
-	r.Bind(1, func(network.NodeID, network.Message) {})
-	r.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	r.Bind(0, 0, func(network.NodeID, network.Message) {})
+	r.Bind(0, 1, func(network.NodeID, network.Message) {})
+	transporttest.Send(r, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	time.Sleep(10 * time.Millisecond) // let at least one retransmission fire
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

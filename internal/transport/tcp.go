@@ -93,38 +93,15 @@ type TCP struct {
 	// kept selectable so benchmarks can pin the before/after.
 	noBatch atomic.Bool
 
-	// lossRecovered, when set (SetLossRecovery), marks broken writes as
-	// recoverable: a reliability layer above retransmits whatever died
-	// with the connection, so a failed write drops the conn for redial
-	// without poisoning Err — the frame was neither silent nor lost.
-	lossRecovered atomic.Bool
-
-	// Wire tuning (Tune): delta token encoding, vectored egress, flush
-	// scheduling, receive window and hello suppression. Like noBatch,
-	// they apply to connections dialed after the call. Vectored egress
-	// and the hello default on, so noVec and noHello are negated flags.
-	delta   atomic.Bool
-	noVec   atomic.Bool
-	noHello atomic.Bool
-	tuneMu  sync.Mutex
-	fDelay  time.Duration
-	fDelayM time.Duration
-	window  int64
-	dialWin time.Duration // 0 = defaultDialWindow
+	// shape is the announced cluster layout and wire tuning (Configure),
+	// swapped whole so the per-frame and per-send reads take no lock.
+	// Like noBatch, wire options apply to connections dialed after the
+	// call.
+	shape   atomic.Pointer[tcpShape]
+	dialWin atomic.Int64 // SetDialWindow, ns; 0 = defaultDialWindow
 
 	peersMu sync.RWMutex
 	peers   []string // per node; nil until Connect
-
-	// resources, when set via SetShape, tightens inbound frame
-	// validation to the cluster's resource universe. shardSizes, when
-	// set via SetShards, declares the per-shard universes: inbound
-	// shard-s frames validate against shardSizes[s], the hello
-	// announces len(shardSizes), and shardBinders[s] routes shard-s
-	// deliveries (shard 0 is the legacy binder).
-	shapeMu      sync.RWMutex
-	resources    int
-	shardSizes   []int
-	shardBinders []*binder
 
 	connMu sync.Mutex
 	conns  map[string]*outConn
@@ -140,18 +117,33 @@ type TCP struct {
 	firstErr error
 }
 
+// tcpShape is one Configure call, plus what is derived from it once
+// rather than per frame. cfg.Shards is never empty: an endpoint not
+// configured, or configured without a layout, is one shard of unknown
+// size (zero — the codec then checks site ids alone).
+type tcpShape struct {
+	cfg Config
+	// resources is the global universe M (the sum of the shard sizes),
+	// announced in the hello; zero while unknown.
+	resources int
+}
+
+// helloShards is the shard count the hello announces. A flat endpoint
+// announces none: its hello stays the pre-shard one byte for byte, and
+// zero is what a peer reads as "exactly one shard".
+func (s *tcpShape) helloShards() int {
+	if g := len(s.cfg.Shards); g > 1 {
+		return g
+	}
+	return 0
+}
+
 // outConn is one dialed connection plus its coalescing writer.
 type outConn struct {
 	c      net.Conn
 	co     *wire.Coalescer
-	strm   *wire.Stream // egress codec context; nil unless delta is on
+	strms  shardStreams // egress codec contexts; base nil unless delta is on
 	broken atomic.Bool  // write failed; next Send to this peer redials
-	// strms are the per-shard egress codec contexts of sharded sends
-	// (lazily created; shard 0 aliases strm). Delta caches are keyed by
-	// resource id, and shard-local ids collide across shards — each
-	// shard therefore gets its own Stream per connection direction.
-	strmMu sync.Mutex
-	strms  []*wire.Stream
 	// negotiated records a completed hello exchange and the peer's
 	// hello; both are set before the connection is registered and
 	// read-only after, so no lock guards them.
@@ -195,6 +187,7 @@ func ListenTCP(addr string, n int, local ...int) (*TCP, error) {
 		conns:  make(map[string]*outConn),
 		closed: make(chan struct{}),
 	}
+	t.Configure(Config{})
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -222,43 +215,26 @@ func (t *TCP) N() int { return t.n }
 // Hosts implements Transport.
 func (t *TCP) Hosts(id network.NodeID) bool { return t.local[id] }
 
-// SetShape implements ShapeValidator: inbound frames must then carry
-// site ids below nodes (checked against the listen-time n regardless)
-// and resource ids/universes matching resources.
-func (t *TCP) SetShape(nodes, resources int) {
-	t.shapeMu.Lock()
-	t.resources = resources
-	t.shapeMu.Unlock()
-}
-
-// SetShards implements Sharder: declares the per-shard resource
-// universes (len(sizes) = G, sizes[s] = shard s's local universe).
-// Must run before the first Bind/Send — connections negotiated earlier
-// announced a different shard count. Announcing shards arms shard
-// validation on the hello: peers claiming a different non-zero shard
-// count are rejected, and a legacy peer (no shards field) interops
-// only with a single-shard configuration.
-func (t *TCP) SetShards(sizes []int) {
-	if len(sizes) == 0 {
-		return
+// Configure implements Transport: inbound frames must then carry
+// resource ids within their shard's universe (site ids are checked
+// against the listen-time n regardless), the hello announces the layout
+// and the wire features, and peers claiming a different shard count are
+// rejected — a legacy peer (no shards field) interops only with a flat
+// cluster. Call it before the first Send: connections negotiated
+// earlier announced the previous configuration.
+func (t *TCP) Configure(cfg Config) {
+	cfg.Shards = append([]int(nil), cfg.Shards...)
+	if len(cfg.Shards) == 0 {
+		cfg.Shards = []int{0}
 	}
-	binders := make([]*binder, len(sizes))
-	binders[0] = t.binder
-	for s := 1; s < len(sizes); s++ {
-		binders[s] = newBinder(t.n)
+	sh := &tcpShape{cfg: cfg}
+	for _, sz := range cfg.Shards {
+		sh.resources += sz
 	}
-	t.shapeMu.Lock()
-	t.shardSizes = append([]int(nil), sizes...)
-	t.shardBinders = binders
-	t.shapeMu.Unlock()
-}
-
-// shardConfig snapshots the sharding configuration (nil sizes =
-// unsharded endpoint).
-func (t *TCP) shardConfig() (sizes []int, binders []*binder) {
-	t.shapeMu.RLock()
-	defer t.shapeMu.RUnlock()
-	return t.shardSizes, t.shardBinders
+	// Slots first: a frame validated against the new shape must find
+	// its shard's slot.
+	t.binder.grow(len(cfg.Shards))
+	t.shape.Store(sh)
 }
 
 // SetBatching toggles egress coalescing (on by default). Turning it
@@ -268,48 +244,29 @@ func (t *TCP) shardConfig() (sizes []int, binders []*binder) {
 // set it before the first Send.
 func (t *TCP) SetBatching(on bool) { t.noBatch.Store(!on) }
 
-// Tune implements WireTuner: delta token encoding, vectored egress,
-// flush scheduling, receive window and hello suppression for the
-// coalescing writers. Like SetBatching it only affects connections
-// dialed after the call — set it before the first Send.
-func (t *TCP) Tune(o WireOptions) {
-	t.delta.Store(o.Delta)
-	t.noVec.Store(o.NoVectored)
-	t.noHello.Store(o.NoHello)
-	t.tuneMu.Lock()
-	t.fDelay, t.fDelayM = o.FlushDelay, o.FlushDelayMax
-	t.window = o.Window
-	t.tuneMu.Unlock()
-}
-
 // localHello assembles the hello this endpoint sends (dial side) or
 // answers with (accept side): protocol version, cluster shape, the
 // locally enabled feature set, and the receive window it grants.
 func (t *TCP) localHello() wire.Hello {
-	t.shapeMu.RLock()
-	res := t.resources
-	shards := len(t.shardSizes)
-	t.shapeMu.RUnlock()
+	sh := t.shape.Load()
+	w := sh.cfg.Wire
 	var feat uint64
-	if t.delta.Load() {
+	if w.Delta {
 		feat |= wire.FeatDelta
 	}
-	if !t.noVec.Load() {
+	if !w.NoVectored {
 		feat |= wire.FeatWritev
 	}
-	t.tuneMu.Lock()
-	fd, fdm, win := t.fDelay, t.fDelayM, t.window
-	t.tuneMu.Unlock()
-	if fd > 0 || fdm > 0 {
+	if w.FlushDelay > 0 || w.FlushDelayMax > 0 {
 		feat |= wire.FeatFlushDelay
 	}
 	return wire.Hello{
 		Version:   wire.ProtoVersion,
 		Nodes:     t.n,
-		Resources: res,
+		Resources: sh.resources,
 		Features:  feat,
-		Window:    resolveWindow(win),
-		Shards:    shards,
+		Window:    resolveWindow(w.Window),
+		Shards:    sh.helloShards(),
 	}
 }
 
@@ -339,19 +296,17 @@ func (t *TCP) checkPeer(peer wire.Hello) error {
 	if peer.Nodes != 0 && peer.Nodes != t.n {
 		return fmt.Errorf("cluster of %d nodes, this endpoint connects %d", peer.Nodes, t.n)
 	}
-	t.shapeMu.RLock()
-	res := t.resources
-	shards := len(t.shardSizes)
-	t.shapeMu.RUnlock()
-	if peer.Resources != 0 && res != 0 && peer.Resources != res {
+	sh := t.shape.Load()
+	if res := sh.resources; peer.Resources != 0 && res != 0 && peer.Resources != res {
 		return fmt.Errorf("resource universe of %d, this endpoint %d", peer.Resources, res)
 	}
-	// Shard counts must agree once this endpoint is shard-configured. A
-	// hello without the field (Shards 0 — a legacy or flat build) means
-	// the flat single-universe protocol, interoperable with exactly one
-	// shard; an endpoint not yet shard-configured leaves the claim
-	// unchecked, like an unknown resource universe.
-	if shards > 0 {
+	// Shard counts must agree once this endpoint announces one. A hello
+	// without the field (Shards 0 — a legacy or flat build) means the
+	// flat single-universe protocol, interoperable with exactly one
+	// shard; an endpoint that announces none itself leaves the claim
+	// unchecked, like an unknown resource universe (the sharded peer
+	// rejects the pairing from its side).
+	if shards := sh.helloShards(); shards > 0 {
 		peerShards := peer.Shards
 		if peerShards == 0 {
 			peerShards = 1
@@ -376,136 +331,96 @@ func (t *TCP) Negotiated(addr string) (wire.Hello, bool) {
 	return oc.peer, true
 }
 
-// Bind implements Transport.
-func (t *TCP) Bind(id network.NodeID, h Handler) {
+// Bind implements Transport. Shard 0 is the namespace untagged frames
+// from flat peers land in.
+func (t *TCP) Bind(shard int, id network.NodeID, h Handler) {
 	if !t.local[id] {
 		panic(fmt.Sprintf("transport: binding node %d not hosted by this endpoint", id))
 	}
-	t.binder.bind(id, h)
+	t.binder.mustSlot(shard, id).bind(h)
 }
 
-// BindShard implements Sharder. Shard 0 is the legacy binder — the
-// same handler slot Bind installs — so untagged frames from flat peers
-// and shard-0 traffic are one namespace.
-func (t *TCP) BindShard(shard int, id network.NodeID, h Handler) {
-	if !t.local[id] {
-		panic(fmt.Sprintf("transport: binding node %d not hosted by this endpoint", id))
-	}
-	t.shardBinderFor(shard).bind(id, h)
+// shardStreams holds the codec contexts of one direction of one
+// connection: the connection stream, which shard 0 uses, and lazily one
+// more per further shard. Delta caches are keyed by resource id, and
+// shard-local ids collide across shards, so each shard gets its own
+// Stream. A per-shard stream only scopes the shadow caches: stream
+// controls are announced once per connection and hold for all of them.
+type shardStreams struct {
+	base *wire.Stream // nil on an egress without per-stream state
+	mu   sync.Mutex   // an egress is shared by concurrent senders
+	more []*wire.Stream
 }
 
-// shardBinderFor resolves a shard's delivery binder, panicking on a
-// shard the endpoint was never configured for — a wiring bug, not a
-// runtime condition.
-func (t *TCP) shardBinderFor(shard int) *binder {
-	if shard == 0 {
-		return t.binder
+// of resolves shard's stream, creating it with the connection stream's
+// delta flag on first use.
+func (ss *shardStreams) of(shard int) *wire.Stream {
+	if shard == 0 || ss.base == nil {
+		return ss.base
 	}
-	_, binders := t.shardConfig()
-	if shard < 0 || shard >= len(binders) {
-		panic(fmt.Sprintf("transport: shard %d on an endpoint with %d shards", shard, len(binders)))
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for len(ss.more) <= shard {
+		ss.more = append(ss.more, nil)
 	}
-	return binders[shard]
-}
-
-// shardStream resolves the egress codec context of one shard on this
-// connection. A lazily created stream inherits the connection stream's
-// delta flag — the control is announced once per connection, and the
-// per-shard stream only scopes the shadow caches, whose resource-id
-// keys collide across shards.
-func (oc *outConn) shardStream(shard int) *wire.Stream {
-	if shard == 0 || oc.strm == nil {
-		return oc.strm
-	}
-	oc.strmMu.Lock()
-	defer oc.strmMu.Unlock()
-	for len(oc.strms) <= shard {
-		oc.strms = append(oc.strms, nil)
-	}
-	if oc.strms[shard] == nil {
+	if ss.more[shard] == nil {
 		s := wire.NewStream()
-		if oc.strm.HasFlag(wire.CtrlTokenDelta) {
+		if ss.base.HasFlag(wire.CtrlTokenDelta) {
 			s.SetFlag(wire.CtrlTokenDelta)
 		}
-		oc.strms[shard] = s
+		ss.more[shard] = s
 	}
-	return oc.strms[shard]
+	return ss.more[shard]
 }
 
-// SendShard implements Sharder: Send within one shard's namespace.
-// Shard 0 is exactly Send — untagged legacy frames; shards above ride
-// a shard tag ahead of the unchanged frame header.
-func (t *TCP) SendShard(shard int, from, to network.NodeID, m network.Message) {
-	if shard == 0 {
-		t.Send(from, to, m)
-		return
+// setFlag activates a stream control the peer announced on every
+// stream of the connection, present and future.
+func (ss *shardStreams) setFlag(code uint64) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.base.SetFlag(code)
+	for _, s := range ss.more {
+		if s != nil {
+			s.SetFlag(code)
+		}
 	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	b := t.shardBinderFor(shard)
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	t.stats.count(m.Kind())
-	if t.local[to] {
-		b.deliver(to, from, m)
-		return
-	}
-	oc := t.connFor(to)
-	if oc == nil {
-		return
-	}
-	buf := wire.GetFrame(256)[:wire.FrameDataOff]
-	buf = wire.AppendShardTag(buf, shard)
-	buf = binary.AppendVarint(buf, int64(from))
-	buf = binary.AppendVarint(buf, int64(to))
-	frame, err := wire.AppendStream(buf, m, oc.shardStream(shard))
-	if err != nil {
-		wire.ReleaseFrame(frame)
-		t.fail(err)
-		return
-	}
-	oc.co.AppendOwned(frame, wire.FinishFrame(frame))
 }
 
-// SendShardBatch implements Sharder.
-func (t *TCP) SendShardBatch(shard int, from, to network.NodeID, msgs []network.Message) {
-	if shard == 0 {
-		t.SendBatch(from, to, msgs)
-		return
-	}
+// Send implements Transport: the run is encoded into the connection's
+// coalescing writer in one pass (no syscall until the flusher wakes),
+// or delivered to a local node under one binder lock. Shard-0 frames
+// are byte for byte the flat single-universe encoding; shards above
+// ride a shard tag ahead of the unchanged frame header
+// (wire.AppendShardTag).
+func (t *TCP) Send(l Link, msgs []network.Message) {
 	if len(msgs) == 0 {
 		return
 	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	b := t.shardBinderFor(shard)
+	checkDest(t.n, l.To)
+	slot := t.binder.mustSlot(l.Shard, l.To)
 	select {
 	case <-t.closed:
 		return
 	default:
 	}
-	for _, m := range msgs {
-		t.stats.count(m.Kind())
-	}
-	if t.local[to] {
-		b.deliverBatch(to, from, msgs)
+	t.stats.count(msgs)
+	if t.local[l.To] {
+		slot.deliver(l.From, msgs)
 		return
 	}
-	oc := t.connFor(to)
+	oc := t.connFor(l.To)
 	if oc == nil {
-		return
+		return // closed or unreachable; error recorded
 	}
-	strm := oc.shardStream(shard)
+	strm := oc.strms.of(l.Shard)
 	for _, m := range msgs {
+		// Owned-frame egress: each frame is encoded once, into a pooled
+		// buffer the coalescing writer writes from directly and releases
+		// after the flush — no copy between encode and syscall.
 		buf := wire.GetFrame(256)[:wire.FrameDataOff]
-		buf = wire.AppendShardTag(buf, shard)
-		buf = binary.AppendVarint(buf, int64(from))
-		buf = binary.AppendVarint(buf, int64(to))
+		buf = wire.AppendShardTag(buf, l.Shard)
+		buf = binary.AppendVarint(buf, int64(l.From))
+		buf = binary.AppendVarint(buf, int64(l.To))
 		frame, err := wire.AppendStream(buf, m, strm)
 		if err != nil {
 			wire.ReleaseFrame(frame)
@@ -513,86 +428,7 @@ func (t *TCP) SendShardBatch(shard int, from, to network.NodeID, msgs []network.
 			return
 		}
 		if !oc.co.AppendOwned(frame, wire.FinishFrame(frame)) {
-			return
-		}
-	}
-}
-
-// Send implements Transport.
-func (t *TCP) Send(from, to network.NodeID, m network.Message) {
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	t.stats.count(m.Kind())
-	if t.local[to] {
-		t.binder.deliver(to, from, m)
-		return
-	}
-	oc := t.connFor(to)
-	if oc == nil {
-		return // closed or unreachable; error recorded
-	}
-	// Owned-frame egress: the frame is encoded once, into a pooled
-	// buffer the coalescing writer writes from directly and releases
-	// after the flush — no copy between encode and syscall.
-	buf := wire.GetFrame(256)[:wire.FrameDataOff]
-	buf = binary.AppendVarint(buf, int64(from))
-	buf = binary.AppendVarint(buf, int64(to))
-	frame, err := wire.AppendStream(buf, m, oc.strm)
-	if err != nil {
-		wire.ReleaseFrame(frame)
-		t.fail(err)
-		return
-	}
-	oc.co.AppendOwned(frame, wire.FinishFrame(frame))
-}
-
-// SendBatch implements BatchSender: the run is encoded into the
-// connection's coalescing writer in one pass (one pooled scratch
-// buffer, no syscall until the flusher wakes), or delivered to a local
-// node under one binder lock.
-func (t *TCP) SendBatch(from, to network.NodeID, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	for _, m := range msgs {
-		t.stats.count(m.Kind())
-	}
-	if t.local[to] {
-		t.binder.deliverBatch(to, from, msgs)
-		return
-	}
-	oc := t.connFor(to)
-	if oc == nil {
-		return
-	}
-	for _, m := range msgs {
-		// One owned pooled buffer per frame: ownership passes to the
-		// coalescing writer, which releases it after the flush.
-		buf := wire.GetFrame(256)[:wire.FrameDataOff]
-		buf = binary.AppendVarint(buf, int64(from))
-		buf = binary.AppendVarint(buf, int64(to))
-		frame, err := wire.AppendStream(buf, m, oc.strm)
-		if err != nil {
-			wire.ReleaseFrame(frame)
-			t.fail(err)
-			return
-		}
-		if !oc.co.AppendOwned(frame, wire.FinishFrame(frame)) {
-			return // connection broke mid-batch; error recorded by onErr
+			return // connection broke mid-run; error recorded by onErr
 		}
 	}
 }
@@ -613,17 +449,11 @@ func (t *TCP) connFor(to network.NodeID) *outConn {
 // unreachable peer (the default absorbs multi-process startup races;
 // chaos and failover tests shorten it so a killed peer costs bounded
 // retry time). Non-positive restores the default.
-func (t *TCP) SetDialWindow(d time.Duration) {
-	t.tuneMu.Lock()
-	t.dialWin = d
-	t.tuneMu.Unlock()
-}
+func (t *TCP) SetDialWindow(d time.Duration) { t.dialWin.Store(int64(d)) }
 
 func (t *TCP) dialWindow() time.Duration {
-	t.tuneMu.Lock()
-	defer t.tuneMu.Unlock()
-	if t.dialWin > 0 {
-		return t.dialWin
+	if d := time.Duration(t.dialWin.Load()); d > 0 {
+		return d
 	}
 	return defaultDialWindow
 }
@@ -734,7 +564,7 @@ type negotiated struct {
 // carries exactly the pre-negotiation byte stream, for dialing legacy
 // acceptors that would choke on a control they do not know.
 func (t *TCP) dialHandshake(c net.Conn) (negotiated, error) {
-	if t.noHello.Load() {
+	if t.shape.Load().cfg.Wire.NoHello {
 		return negotiated{}, nil
 	}
 	// The handshake deadline caps a silent peer, but a transport
@@ -797,8 +627,9 @@ func (t *TCP) newOutConn(c net.Conn, hs negotiated) *outConn {
 	oc.co = wire.NewCoalescer(c, maxFrames, func(err error) {
 		t.writeFailed(oc, err)
 	})
-	useDelta := t.delta.Load()
-	vectored := !t.noVec.Load()
+	w := t.shape.Load().cfg.Wire
+	useDelta := w.Delta
+	vectored := !w.NoVectored
 	if hs.done {
 		useDelta = useDelta && hs.peer.Features&wire.FeatDelta != 0
 		vectored = vectored && hs.peer.Features&wire.FeatWritev != 0
@@ -806,20 +637,17 @@ func (t *TCP) newOutConn(c net.Conn, hs negotiated) *outConn {
 	if !vectored {
 		oc.co.SetVectored(false)
 	}
-	t.tuneMu.Lock()
-	fd, fdm := t.fDelay, t.fDelayM
-	t.tuneMu.Unlock()
-	if fdm > fd {
-		oc.co.SetFlushAdaptive(fd, fdm)
-	} else if fd > 0 {
-		oc.co.SetFlushDelay(fd)
+	if w.FlushDelayMax > w.FlushDelay {
+		oc.co.SetFlushAdaptive(w.FlushDelay, w.FlushDelayMax)
+	} else if w.FlushDelay > 0 {
+		oc.co.SetFlushDelay(w.FlushDelay)
 	}
 	if useDelta {
 		// Announce delta-encoded token state ahead of the first
 		// frame; the per-connection stream carries the encoder's
 		// shadow cache from here on.
-		oc.strm = wire.NewStream()
-		oc.strm.SetFlag(wire.CtrlTokenDelta)
+		oc.strms.base = wire.NewStream()
+		oc.strms.base.SetFlag(wire.CtrlTokenDelta)
 		oc.co.SetPreamble(wire.AppendControl(nil, wire.CtrlTokenDelta, nil))
 	}
 	// The byte budget is always armed — negotiated or legacy, a stalled
@@ -867,8 +695,8 @@ func (t *TCP) creditLoop(oc *outConn, br *bufio.Reader) {
 // broken-flag redial path: frames queued or in flight on the killed
 // connection are lost, and the next Send to that peer dials fresh
 // (new handshake, new per-connection codec state). Reports how many
-// connections were killed. This is the chaos wrapper's ConnKiller
-// hook; it is exported for tests driving kills directly.
+// connections were killed. Implements Transport; the chaos wrapper's
+// kill schedule lands here.
 func (t *TCP) AbortConns() int {
 	t.connMu.Lock()
 	conns := make([]*outConn, 0, len(t.conns))
@@ -885,13 +713,17 @@ func (t *TCP) AbortConns() int {
 // writeFailed runs on a connection's flusher goroutine when a write
 // errors: the connection is dropped so the next Send to that peer
 // redials, and the failure is recorded unless the transport is closing
-// or a reliability layer above recovers lost frames (SetLossRecovery).
+// or a reliability layer above recovers lost frames
+// (Config.LossRecovered): what died with the connection is then
+// retransmitted after the redial, neither silent nor lost. Dial
+// failures and corrupt inbound frames still count — the layer above
+// cannot recover those.
 func (t *TCP) writeFailed(oc *outConn, err error) {
 	if !oc.broken.CompareAndSwap(false, true) {
 		return
 	}
 	t.dropConn(oc)
-	if t.lossRecovered.Load() {
+	if t.shape.Load().cfg.LossRecovered {
 		return
 	}
 	select {
@@ -961,30 +793,11 @@ func (t *TCP) serve(c net.Conn) {
 		}
 	}()
 	fr := wire.NewFrameReader(c, maxFrame)
-	// The ingress codec context: stream controls the peer announces
+	// The ingress codec contexts: stream controls the peer announces
 	// (delta-encoded token state) flip flags here, and stateful codecs
-	// keep their per-connection caches in it. Sharded frames get one
-	// context per shard (delta caches key by shard-local resource id,
-	// which collides across shards); shard 0 aliases the legacy one.
-	strm := wire.NewStream()
-	var shardStrms []*wire.Stream
-	deltaOn := false
-	ingressStream := func(shard int) *wire.Stream {
-		if shard == 0 {
-			return strm
-		}
-		for len(shardStrms) <= shard {
-			shardStrms = append(shardStrms, nil)
-		}
-		if shardStrms[shard] == nil {
-			s := wire.NewStream()
-			if deltaOn {
-				s.SetFlag(wire.CtrlTokenDelta)
-			}
-			shardStrms[shard] = s
-		}
-		return shardStrms[shard]
-	}
+	// keep their per-connection caches in them.
+	strms := shardStreams{base: wire.NewStream()}
+	var one [1]network.Message // each decoded frame, as a run of one
 	// Negotiation state. The hello reply and subsequent credits are the
 	// only bytes this side ever writes, and both happen strictly after
 	// a valid dialer hello arrives — a legacy dialer that never sends
@@ -999,13 +812,7 @@ func (t *TCP) serve(c net.Conn) {
 	fr.OnControl(func(code uint64, payload []byte) error {
 		switch code {
 		case wire.CtrlTokenDelta:
-			strm.SetFlag(code)
-			deltaOn = true
-			for _, s := range shardStrms {
-				if s != nil {
-					s.SetFlag(code)
-				}
-			}
+			strms.setFlag(code)
 			return nil
 		case wire.CtrlHello:
 			if frames > 0 || helloed {
@@ -1035,11 +842,6 @@ func (t *TCP) serve(c net.Conn) {
 		}
 	})
 	for {
-		// Re-read the shape per frame: a peer may connect (and send)
-		// before this process's cluster has announced it via SetShape.
-		t.shapeMu.RLock()
-		resources := t.resources
-		t.shapeMu.RUnlock()
 		frame, err := fr.Next()
 		if err != nil {
 			t.connErr(c, err)
@@ -1058,8 +860,10 @@ func (t *TCP) serve(c net.Conn) {
 			}
 			credited += delta
 		}
-		sizes, binders := t.shardConfig()
-		d := wire.NewDecFor(frame, t.n, resources)
+		// Re-read the shape per frame: a peer may connect (and send)
+		// before this process's cluster has announced it via Configure.
+		sh := t.shape.Load()
+		d := wire.NewDecFor(frame, t.n, sh.resources)
 		shard := d.ShardTag()
 		from := d.Site()
 		to := d.Site()
@@ -1067,29 +871,25 @@ func (t *TCP) serve(c net.Conn) {
 			t.connErr(c, d.Err())
 			return
 		}
-		// A shard-configured endpoint validates every frame against its
-		// shard's local universe (shard 0 included — its universe is
-		// sizes[0], not the announced global M); a tagged frame on an
-		// unsharded endpoint is a peer speaking a protocol this side was
-		// not configured for.
-		deliverTo, decRes := t.binder, resources
-		if shard > 0 || len(sizes) > 0 {
-			if shard >= len(sizes) {
-				t.connErr(c, fmt.Errorf("frame for shard %d, endpoint has %d shards", shard, len(sizes)))
-				return
-			}
-			deliverTo, decRes = binders[shard], sizes[shard]
+		// Every frame validates against its shard's local universe (shard
+		// 0 included — its universe is Shards[0], not the announced global
+		// M); a tagged frame on a flat endpoint is a peer speaking a
+		// protocol this side was not configured for.
+		if shard >= len(sh.cfg.Shards) {
+			t.connErr(c, fmt.Errorf("frame for shard %d, endpoint has %d shards", shard, len(sh.cfg.Shards)))
+			return
 		}
 		if !t.local[to] {
 			t.connErr(c, fmt.Errorf("frame for node %d, not hosted here", to))
 			return
 		}
-		m, err := wire.DecodeStream(d.Rest(), t.n, decRes, ingressStream(shard))
+		m, err := wire.DecodeStream(d.Rest(), t.n, sh.cfg.Shards[shard], strms.of(shard))
 		if err != nil {
 			t.connErr(c, err)
 			return
 		}
-		deliverTo.deliver(to, from, m)
+		one[0] = m
+		t.binder.slot(shard, to).deliver(from, one[:])
 	}
 }
 
@@ -1120,16 +920,9 @@ func (t *TCP) fail(err error) {
 	t.errMu.Unlock()
 }
 
-// SetLossRecovery implements LossRecoverer: with a reliability layer
-// stacked above, a frame that dies with a broken connection is
-// retransmitted after the redial, so write failures stop counting as
-// the endpoint's fatal first error. Dial failures and corrupt inbound
-// frames still do — the layer above cannot recover those.
-func (t *TCP) SetLossRecovery(on bool) { t.lossRecovered.Store(on) }
-
 // Err reports the first asynchronous transport error observed (dial
 // failure past the retry window, broken write, corrupt inbound frame),
-// or nil. Also returned by Close.
+// or nil. Also returned by Close. Implements Transport.
 func (t *TCP) Err() error {
 	t.errMu.Lock()
 	defer t.errMu.Unlock()

@@ -1,22 +1,37 @@
 // Package transport abstracts the communication substrate of a live
-// cluster (internal/live) behind a small interface, so the same
-// alg.Node state machines run over in-process channels or real
-// sockets without change.
+// cluster (internal/live) behind one small contract, so the same
+// alg.Node state machines run over in-process channels or real sockets
+// without change.
+//
+// There is one way to send: Send(Link{Shard, From, To}, msgs) hands the
+// fabric a run of one or more messages for one link. A link is an
+// ordered node pair inside one resource shard; a flat cluster is the
+// one-shard instance, and shard 0 is an ordinary value. Every fabric
+// and every wrapper implements exactly that method, and every
+// guarantee below holds per link — which is why the wrappers compose in
+// any order at any shard count: their sequence spaces, fault decisions
+// and FIFO queues are keyed by the whole Link, so nothing about shards
+// is special-cased anywhere.
 //
 // A Transport connects the N nodes of one cluster. Implementations
 // must provide the guarantees the algorithms assume (the paper's
 // hypotheses 1–3), which are exactly what the conformance suite in
-// transporttest asserts:
+// transporttest asserts, per link:
 //
-//   - reliability: while the transport is open, every Send is
+//   - reliability: while the transport is open, every sent message is
 //     eventually delivered to the destination's handler;
-//   - FIFO per ordered pair: messages from node a to node b are
-//     delivered in send order (no ordering is promised across pairs);
-//   - no duplication: each Send is delivered exactly once;
+//   - FIFO per link: messages of one link are delivered in send order,
+//     across run boundaries (no ordering is promised across links —
+//     which is exactly what lets shards proceed in parallel);
+//   - no duplication: each sent message is delivered exactly once;
 //   - per-kind accounting: Stats counts every sent message under its
 //     Kind, the synchronization cost the evaluation measures;
 //   - clean close: Close is idempotent, terminates the transport's
 //     goroutines, and later Sends are dropped rather than panicking.
+//
+// Wrappers stack as live → Reliable → Chaos → TCP|Mem. Each forwards
+// Configure, AbortConns and Err to the fabric underneath, so a caller
+// holds the top of the stack and never reaches around it.
 //
 // Handlers may be invoked concurrently for different senders and must
 // not block for long — the live runtime's handlers only append to an
@@ -25,7 +40,9 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mralloc/internal/network"
@@ -34,6 +51,35 @@ import (
 // Handler consumes a message delivered to a locally hosted node.
 type Handler func(from network.NodeID, m network.Message)
 
+// Link addresses one FIFO channel of the fabric: the ordered pair
+// From→To inside resource shard Shard. Each shard is its own token
+// universe with its own allocator instances, so links of different
+// shards are independent channels even between the same two nodes.
+type Link struct {
+	Shard    int
+	From, To network.NodeID
+}
+
+// Config is what a cluster announces to its fabric, once, before the
+// first Bind or Send.
+type Config struct {
+	// Shards lists the local resource-universe size of every shard; a
+	// flat cluster is the one-shard instance {M}. A socket fabric
+	// validates inbound shard-s frames against Shards[s] and announces
+	// a count above one in its hello. Empty leaves the endpoint one
+	// shard of unknown size (frames are then checked against the node
+	// count alone).
+	Shards []int
+	// Wire tunes the egress wire path of a socket fabric; fabrics
+	// without one ignore it.
+	Wire WireOptions
+	// LossRecovered marks broken socket writes as recoverable. The
+	// Reliable wrapper sets it on the way down: everything lost with a
+	// dead connection is retransmitted after the redial, so a failed
+	// write is part of normal recovery, not a silently dropped frame.
+	LossRecovered bool
+}
+
 // Transport is one process's endpoint of a cluster's message fabric.
 // An in-process cluster hosts all N nodes on one endpoint; a
 // multi-process cluster hosts a subset on each.
@@ -41,19 +87,33 @@ type Transport interface {
 	// N reports the cluster size the transport connects.
 	N() int
 	// Hosts reports whether node id is hosted by this endpoint —
-	// i.e. whether Bind(id, ...) is legal here.
+	// i.e. whether Bind(shard, id, ...) is legal here.
 	Hosts(id network.NodeID) bool
-	// Bind installs the delivery handler for a locally hosted node.
-	// Messages arriving for a node before its Bind are buffered and
+	// Configure announces the cluster's shard layout and wire options.
+	// An endpoint never configured is a flat one with default options.
+	Configure(Config)
+	// Bind installs the delivery handler of a locally hosted node in
+	// one shard. Messages arriving before their Bind are buffered and
 	// delivered, in order, when the handler is installed.
-	Bind(id network.NodeID, h Handler)
-	// Send transmits m from a locally hosted node to any node. It may
-	// block briefly (backpressure) but must not block indefinitely
-	// while the transport is open; after Close it is a no-op.
-	Send(from, to network.NodeID, m network.Message)
+	Bind(shard int, id network.NodeID, h Handler)
+	// Send transmits the run msgs (one or more messages, in order) on
+	// link l, whose From is locally hosted. The fabric does not retain
+	// msgs after the call returns — callers send from storage they own
+	// and recycle it. Send may block briefly (backpressure) but must
+	// not block indefinitely while the transport is open; after Close
+	// it is a no-op.
+	Send(l Link, msgs []network.Message)
 	// Stats snapshots the per-kind counters of messages sent through
 	// this endpoint.
 	Stats() map[string]int64
+	// AbortConns forcibly closes every live connection of the fabric,
+	// as a peer crash or a cut cable would, and reports how many died
+	// (always zero on a fabric without connections). Frames queued or
+	// in flight on a killed connection are lost; the next Send redials.
+	AbortConns() int
+	// Err reports the first asynchronous error the fabric observed, or
+	// nil.
+	Err() error
 	// Close tears the endpoint down. Idempotent.
 	Close() error
 }
@@ -94,95 +154,71 @@ type WireOptions struct {
 	NoHello bool
 }
 
-// WireTuner is implemented by transports whose egress wire path is
-// tunable (the TCP transport); the live runtime forwards
-// live.Config.Wire through it. Fabrics without a wire path (Mem)
-// simply do not implement it.
-type WireTuner interface {
-	Tune(WireOptions)
-}
-
-// ShapeValidator is implemented by transports that validate inbound
-// frames against the cluster shape (node and resource counts); the
-// live runtime announces the shape through it so that frames from a
-// differently-configured peer are rejected at the codec instead of
-// crashing a protocol state machine.
-type ShapeValidator interface {
-	SetShape(nodes, resources int)
-}
-
-// BatchSender is implemented by transports that can accept a run of
-// messages from one sender to one destination in a single call — the
-// live runtime's event loop drains its outbox into per-destination
-// batches and hands each over whole, so the fabric can deliver (Mem)
-// or encode and flush (TCP) the run as a unit instead of paying the
-// per-message overhead len(msgs) times.
-//
-// SendBatch is equivalent to calling Send for each message in order:
-// same FIFO, reliability, and per-kind accounting guarantees. The
-// transport must not retain msgs after the call returns (callers
-// recycle the slice).
-type BatchSender interface {
-	SendBatch(from, to network.NodeID, msgs []network.Message)
-}
-
-// Sharder is implemented by transports that can route the traffic of
-// G independent resource shards over one fabric. Each shard is its own
-// token universe with its own allocator instances; shard-s traffic
-// obeys the same reliability/FIFO/no-duplication guarantees as the
-// flat transport, per (shard, sender, destination) — no ordering is
-// promised across shards, which is exactly what lets them proceed in
-// parallel.
-//
-// Shard 0 is the legacy namespace: BindShard(0, ...) and SendShard(0,
-// ...) are Bind and Send — on a socket fabric, shard-0 frames are
-// byte-for-byte the flat single-universe encoding, and shards s > 0
-// ride a shard tag ahead of the frame header (wire.AppendShardTag).
-//
-// SetShards must be called before the first BindShard/SendShard, with
-// the local resource-universe size of every shard; a socket fabric
-// validates inbound shard-s frames against sizes[s] and announces
-// len(sizes) in its hello.
-type Sharder interface {
-	SetShards(sizes []int)
-	BindShard(shard int, id network.NodeID, h Handler)
-	SendShard(shard int, from, to network.NodeID, m network.Message)
-	SendShardBatch(shard int, from, to network.NodeID, msgs []network.Message)
-}
-
-// kindStats is the shared per-kind message counter.
+// kindStats is the shared per-kind message counter. Counting is on the
+// path of every message of every fabric and wrapper, so it takes no
+// lock: each kind owns an atomic counter, found through a sync.Map that
+// is read-only after a kind's first message.
 type kindStats struct {
-	mu sync.Mutex
-	m  map[string]int64
+	m sync.Map // kind string → *atomic.Int64
 }
 
-func (s *kindStats) count(kind string) {
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[string]int64)
+func (s *kindStats) count(msgs []network.Message) {
+	for _, m := range msgs {
+		kind := m.Kind()
+		c, ok := s.m.Load(kind)
+		if !ok {
+			c, _ = s.m.LoadOrStore(kind, new(atomic.Int64))
+		}
+		c.(*atomic.Int64).Add(1)
 	}
-	s.m[kind]++
-	s.mu.Unlock()
 }
 
 func (s *kindStats) snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
+	out := make(map[string]int64)
+	s.m.Range(func(k, v any) bool {
+		out[k.(string)] = v.(*atomic.Int64).Load()
+		return true
+	})
 	return out
 }
 
-// binder maps locally hosted nodes to their handlers and buffers
-// deliveries that race ahead of Bind: a peer process may legitimately
-// start sending before this process has attached its nodes, and a
-// reliable transport must not drop those messages. Per-node locking
-// keeps delivery FIFO per destination without serializing the whole
-// endpoint.
+// held is a run a fabric keeps past the Send that brought it (a delay
+// queue, a fault pipeline). The caller recycles its slice, so the run
+// is copied — except that a single message, by far the common run,
+// lives inline and costs no allocation to queue.
+type held struct {
+	one  [1]network.Message
+	more []network.Message // the whole run when longer than one
+}
+
+func hold(msgs []network.Message) held {
+	if len(msgs) == 1 {
+		return held{one: [1]network.Message{msgs[0]}}
+	}
+	return held{more: append([]network.Message(nil), msgs...)}
+}
+
+// msgs returns the run. It aliases h, so h must outlive the slice:
+// forwarders keep the item they are delivering in a variable declared
+// outside their loop, which costs one allocation per goroutine instead
+// of one per item.
+func (h *held) msgs() []network.Message {
+	if h.more != nil {
+		return h.more
+	}
+	return h.one[:]
+}
+
+// binder maps the locally hosted (shard, node) slots to their handlers
+// and buffers deliveries that race ahead of Bind: a peer process may
+// legitimately start sending before this process has attached its
+// nodes, and a reliable transport must not drop those messages.
+// Per-slot locking keeps delivery FIFO per destination without
+// serializing the whole endpoint. Shard 0 exists from construction;
+// grow adds the rest when the cluster announces its layout.
 type binder struct {
-	slots []binderSlot
+	n      int
+	shards atomic.Pointer[[][]binderSlot] // [shard][node]
 }
 
 type binderSlot struct {
@@ -196,10 +232,52 @@ type pendingMsg struct {
 	m    network.Message
 }
 
-func newBinder(n int) *binder { return &binder{slots: make([]binderSlot, n)} }
+func newBinder(n int) *binder {
+	b := &binder{n: n}
+	b.grow(1)
+	return b
+}
 
-func (b *binder) bind(id network.NodeID, h Handler) {
-	s := &b.slots[id]
+// grow extends the table to g shards. Existing shards keep their slots
+// (handlers and buffered traffic included); the table never shrinks.
+// Only the goroutine assembling the stack grows it (constructors and
+// Configure); deliveries read it concurrently, hence the atomic swap.
+func (b *binder) grow(g int) {
+	var cur [][]binderSlot
+	if p := b.shards.Load(); p != nil {
+		cur = *p
+	}
+	if g <= len(cur) {
+		return
+	}
+	next := append([][]binderSlot(nil), cur...)
+	for len(next) < g {
+		next = append(next, make([]binderSlot, b.n))
+	}
+	b.shards.Store(&next)
+}
+
+// slot resolves one (shard, node) slot, or nil for a shard the endpoint
+// was never configured for.
+func (b *binder) slot(shard int, id network.NodeID) *binderSlot {
+	shards := *b.shards.Load()
+	if shard < 0 || shard >= len(shards) {
+		return nil
+	}
+	return &shards[shard][id]
+}
+
+// mustSlot is slot for the local call sites (Bind, Send), where an
+// unknown shard is a wiring bug, not a runtime condition.
+func (b *binder) mustSlot(shard int, id network.NodeID) *binderSlot {
+	s := b.slot(shard, id)
+	if s == nil {
+		panic(fmt.Sprintf("transport: shard %d on an endpoint with %d shards", shard, len(*b.shards.Load())))
+	}
+	return s
+}
+
+func (s *binderSlot) bind(h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.h = h
@@ -209,25 +287,11 @@ func (b *binder) bind(id network.NodeID, h Handler) {
 	s.pending = nil
 }
 
-// deliver hands a message to id's handler, or buffers it until Bind.
-// The slot lock is held across the handler call so that a concurrent
-// bind cannot reorder a buffered prefix after a direct delivery.
-func (b *binder) deliver(id, from network.NodeID, m network.Message) {
-	s := &b.slots[id]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.h == nil {
-		s.pending = append(s.pending, pendingMsg{from, m})
-		return
-	}
-	s.h(from, m)
-}
-
-// deliverBatch hands a run of messages from one sender to id's handler
-// under a single slot-lock acquisition — the in-process half of batch
-// delivery.
-func (b *binder) deliverBatch(id, from network.NodeID, msgs []network.Message) {
-	s := &b.slots[id]
+// deliver hands a run from one sender to the slot's handler, or buffers
+// it until Bind. The slot lock is held across the handler calls — once
+// for the whole run — so that a concurrent bind cannot reorder a
+// buffered prefix after a direct delivery.
+func (s *binderSlot) deliver(from network.NodeID, msgs []network.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.h == nil {
@@ -238,5 +302,13 @@ func (b *binder) deliverBatch(id, from network.NodeID, msgs []network.Message) {
 	}
 	for _, m := range msgs {
 		s.h(from, m)
+	}
+}
+
+// checkDest panics on a destination outside the cluster — a wiring bug
+// on the sending side, never input from a peer.
+func checkDest(n int, to network.NodeID) {
+	if to < 0 || int(to) >= n {
+		panic(fmt.Sprintf("transport: send to invalid node %d", to))
 	}
 }

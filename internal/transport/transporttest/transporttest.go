@@ -1,19 +1,22 @@
 // Package transporttest is the reusable conformance suite for
 // transport.Transport implementations. Any transport that carries a
 // live cluster must pass TestTransport: it asserts exactly the
-// guarantees the algorithms assume — reliable delivery, FIFO per
-// ordered node pair, no duplication, accurate per-kind statistics, and
-// clean close semantics.
+// guarantees the algorithms assume — reliable delivery, FIFO per link
+// (ordered node pair within one shard), no duplication, accurate
+// per-kind statistics, and clean close semantics — at one shard (the
+// flat cluster) and at three, over runs of one message and of several.
 //
 // The suite drives the transport through the same endpoint topology a
 // cluster would: a Factory returns one endpoint per node (an
 // in-process transport returns the same endpoint N times; a socket
-// transport returns N connected endpoints). Message codecs for the
-// suite's own test messages are registered with internal/wire, so a
-// codec-backed transport needs no special support.
+// transport returns N connected endpoints), each configured for the
+// shard layout the suite asks for. Message codecs for the suite's own
+// test messages are registered with internal/wire, so a codec-backed
+// transport needs no special support.
 package transporttest
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -59,19 +62,45 @@ func init() {
 }
 
 // Factory builds a connected transport fabric for n nodes and returns
-// node i's endpoint at index i. Endpoints may repeat (one in-process
+// node i's endpoint at index i, every endpoint configured (Configure)
+// for the shard layout sizes. Endpoints may repeat (one in-process
 // endpoint hosting every node). The suite closes each distinct
 // endpoint itself.
-type Factory func(t *testing.T, n int) []transport.Transport
+type Factory func(t *testing.T, n int, sizes []int) []transport.Transport
 
-// TestTransport runs the conformance suite against one implementation.
-func TestTransport(t *testing.T, factory Factory) {
-	t.Run("FIFONoLossNoDup", func(t *testing.T) { testFIFO(t, factory) })
-	t.Run("BatchFIFOAcrossBoundaries", func(t *testing.T) { testBatchFIFO(t, factory) })
-	t.Run("PerKindStats", func(t *testing.T) { testStats(t, factory) })
-	t.Run("BindBuffersEarlyTraffic", func(t *testing.T) { testLateBind(t, factory) })
-	t.Run("CleanClose", func(t *testing.T) { testClose(t, factory) })
+// Send transmits msgs as one run on link l of tr — the suite's and the
+// transport tests' shorthand for building the run slice.
+func Send(tr transport.Transport, l transport.Link, msgs ...network.Message) {
+	tr.Send(l, msgs)
 }
+
+// Layouts are the shard layouts the suite runs under: the flat cluster
+// (one shard — the one-shard instance of the same contract) and a
+// three-shard one.
+var Layouts = [][]int{{8}, {4, 3, 3}}
+
+// TestTransport runs the conformance suite against one implementation,
+// once per layout.
+func TestTransport(t *testing.T, factory Factory) {
+	for _, sizes := range Layouts {
+		mk := func(t *testing.T, n int) []transport.Transport { return factory(t, n, sizes) }
+		g := len(sizes)
+		t.Run(fmt.Sprintf("G=%d", g), func(t *testing.T) {
+			t.Run("FIFONoLossNoDup", func(t *testing.T) { testFIFO(t, mk, g) })
+			t.Run("BatchFIFOAcrossBoundaries", func(t *testing.T) { testBatchFIFO(t, mk, g) })
+			t.Run("PerKindStats", func(t *testing.T) { testStats(t, mk, g) })
+			t.Run("BindBuffersEarlyTraffic", func(t *testing.T) { testLateBind(t, mk, g) })
+			t.Run("CleanClose", func(t *testing.T) { testClose(t, mk, g) })
+		})
+	}
+}
+
+// build is a Factory with the layout already chosen.
+type build func(t *testing.T, n int) []transport.Transport
+
+// seqBase offsets each shard's sequence space, so a message that
+// leaked into another shard's handler reads as a sequence error.
+func seqBase(shard int) int64 { return int64(shard) * 1_000_000 }
 
 // distinct returns the unique endpoints of a fabric, in first-use order.
 func distinct(eps []transport.Transport) []transport.Transport {
@@ -100,41 +129,55 @@ func closeAll(t *testing.T, eps []transport.Transport) {
 	}
 }
 
-// recorder tracks, per ordered pair, the last sequence number seen, and
-// fails on any gap, reordering, or duplicate.
+// recorder tracks, per link, the last sequence number seen, and fails
+// on any gap, reordering, duplicate, or delivery into the wrong shard.
 type recorder struct {
 	t       *testing.T
-	n       int
 	mu      sync.Mutex
-	lastSeq [][]int64 // [to][from]
+	lastSeq [][][]int64 // [shard][to][from]
 	total   int
 }
 
-func newRecorder(t *testing.T, n int) *recorder {
-	r := &recorder{t: t, n: n, lastSeq: make([][]int64, n)}
-	for i := range r.lastSeq {
-		r.lastSeq[i] = make([]int64, n)
+func newRecorder(t *testing.T, n, g int) *recorder {
+	r := &recorder{t: t, lastSeq: make([][][]int64, g)}
+	for s := range r.lastSeq {
+		r.lastSeq[s] = make([][]int64, n)
+		for to := range r.lastSeq[s] {
+			r.lastSeq[s][to] = make([]int64, n)
+			for from := range r.lastSeq[s][to] {
+				r.lastSeq[s][to][from] = seqBase(s)
+			}
+		}
 	}
 	return r
 }
 
-func (r *recorder) handler(to network.NodeID) transport.Handler {
+// bindAll binds every (shard, node) slot of the fabric to the recorder.
+func (r *recorder) bindAll(eps []transport.Transport) {
+	for s := range r.lastSeq {
+		for i, ep := range eps {
+			ep.Bind(s, network.NodeID(i), r.handler(s, network.NodeID(i)))
+		}
+	}
+}
+
+func (r *recorder) handler(shard int, to network.NodeID) transport.Handler {
 	return func(from network.NodeID, nm network.Message) {
 		m, ok := nm.(Msg)
 		if !ok {
-			r.t.Errorf("node %d received %T, want Msg", to, nm)
+			r.t.Errorf("shard %d node %d received %T, want Msg", shard, to, nm)
 			return
 		}
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if m.From != from {
-			r.t.Errorf("node %d: envelope sender %d but payload sender %d", to, from, m.From)
+			r.t.Errorf("shard %d node %d: envelope sender %d but payload sender %d", shard, to, from, m.From)
 		}
-		if want := r.lastSeq[to][from] + 1; m.Seq != want {
-			r.t.Errorf("link %d→%d: got seq %d, want %d (loss, duplication or reordering)",
-				from, to, m.Seq, want)
+		if want := r.lastSeq[shard][to][from] + 1; m.Seq != want {
+			r.t.Errorf("shard %d link %d→%d: got seq %d, want %d (loss, duplication, reordering or shard leak)",
+				shard, from, to, m.Seq, want)
 		}
-		r.lastSeq[to][from] = m.Seq
+		r.lastSeq[shard][to][from] = m.Seq
 		r.total++
 	}
 }
@@ -163,127 +206,114 @@ func (r *recorder) waitFor(want int, d time.Duration) {
 	}
 }
 
-// testFIFO hammers every ordered pair concurrently: one sender
-// goroutine per pair, interleaved kinds, sequence numbers checked at
-// the receiver.
-func testFIFO(t *testing.T, factory Factory) {
+// testFIFO hammers every link concurrently: one sender goroutine per
+// (shard, ordered pair), interleaved kinds, runs of one message,
+// sequence numbers checked at the receiver.
+func testFIFO(t *testing.T, factory build, g int) {
 	const n, msgs = 4, 200
 	eps := factory(t, n)
 	defer closeAll(t, eps)
-	rec := newRecorder(t, n)
-	for i := 0; i < n; i++ {
-		eps[i].Bind(network.NodeID(i), rec.handler(network.NodeID(i)))
-	}
+	rec := newRecorder(t, n, g)
+	rec.bindAll(eps)
 	var wg sync.WaitGroup
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if from == to {
-				continue
-			}
-			from, to := network.NodeID(from), network.NodeID(to)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for s := int64(1); s <= msgs; s++ {
-					k := KindA
-					if s%3 == 0 {
-						k = KindB
-					}
-					eps[from].Send(from, to, Msg{K: k, From: from, Seq: s})
+	for shard := 0; shard < g; shard++ {
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if from == to {
+					continue
 				}
-			}()
+				l := transport.Link{Shard: shard, From: network.NodeID(from), To: network.NodeID(to)}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for s := int64(1); s <= msgs; s++ {
+						k := KindA
+						if s%3 == 0 {
+							k = KindB
+						}
+						Send(eps[l.From], l, Msg{K: k, From: l.From, Seq: seqBase(l.Shard) + s})
+					}
+				}()
+			}
 		}
 	}
 	wg.Wait()
-	rec.waitFor(n*(n-1)*msgs, 10*time.Second)
+	rec.waitFor(g*n*(n-1)*msgs, 10*time.Second)
 }
 
-// testBatchFIFO interleaves single Sends with SendBatch runs of
-// varying sizes on every ordered pair: sequence numbers must still
-// arrive gapless and in order — batch boundaries (and however the
-// transport coalesces them on the wire) must be invisible to delivery
-// order. Transports without BatchSender are exercised through plain
-// Sends so the suite stays implementation-agnostic.
-func testBatchFIFO(t *testing.T, factory Factory) {
+// testBatchFIFO interleaves runs of one message with runs of varying
+// sizes on every link: sequence numbers must still arrive gapless and
+// in order — run boundaries (and however the transport coalesces them
+// on the wire) must be invisible to delivery order.
+func testBatchFIFO(t *testing.T, factory build, g int) {
 	const n, rounds = 3, 60
 	eps := factory(t, n)
 	defer closeAll(t, eps)
-	rec := newRecorder(t, n)
-	for i := 0; i < n; i++ {
-		eps[i].Bind(network.NodeID(i), rec.handler(network.NodeID(i)))
-	}
+	rec := newRecorder(t, n, g)
+	rec.bindAll(eps)
 	total := 0
 	var wg sync.WaitGroup
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if from == to {
-				continue
-			}
-			from, to := network.NodeID(from), network.NodeID(to)
-			bs, _ := eps[from].(transport.BatchSender)
-			// Per pair: rounds of [1 single, batch of (r%5)+2, 1 single].
-			count := 0
-			for r := 0; r < rounds; r++ {
-				count += 1 + (r%5 + 2) + 1
-			}
-			total += count
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				seq := int64(0)
-				next := func(k string) Msg {
-					seq++
-					return Msg{K: k, From: from, Seq: seq}
+	for shard := 0; shard < g; shard++ {
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if from == to {
+					continue
 				}
-				batch := make([]network.Message, 0, 8)
+				l := transport.Link{Shard: shard, From: network.NodeID(from), To: network.NodeID(to)}
+				// Per link: rounds of [run of 1, run of (r%5)+2, run of 1].
 				for r := 0; r < rounds; r++ {
-					eps[from].Send(from, to, next(KindA))
-					batch = batch[:0]
-					for i := 0; i < r%5+2; i++ {
-						k := KindA
-						if i%2 == 1 {
-							k = KindB
-						}
-						batch = append(batch, next(k))
-					}
-					if bs != nil {
-						bs.SendBatch(from, to, batch)
-					} else {
-						for _, m := range batch {
-							eps[from].Send(from, to, m)
-						}
-					}
-					eps[from].Send(from, to, next(KindB))
+					total += 1 + (r%5 + 2) + 1
 				}
-			}()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					seq := seqBase(l.Shard)
+					next := func(k string) Msg {
+						seq++
+						return Msg{K: k, From: l.From, Seq: seq}
+					}
+					// The run slice is recycled across sends, as the live
+					// loop recycles its outbox: a fabric that retained it
+					// would deliver overwritten messages.
+					run := make([]network.Message, 0, 8)
+					for r := 0; r < rounds; r++ {
+						eps[l.From].Send(l, append(run[:0], next(KindA)))
+						run = run[:0]
+						for i := 0; i < r%5+2; i++ {
+							k := KindA
+							if i%2 == 1 {
+								k = KindB
+							}
+							run = append(run, next(k))
+						}
+						eps[l.From].Send(l, run)
+						eps[l.From].Send(l, append(run[:0], next(KindB)))
+					}
+				}()
+			}
 		}
 	}
 	wg.Wait()
 	rec.waitFor(total, 10*time.Second)
 }
 
-// testStats sends known per-kind counts and checks the aggregated
-// endpoint statistics match exactly.
-func testStats(t *testing.T, factory Factory) {
+// testStats sends known per-kind counts, spread over the shards, and
+// checks the aggregated endpoint statistics match exactly.
+func testStats(t *testing.T, factory build, g int) {
 	const n = 3
 	eps := factory(t, n)
 	defer closeAll(t, eps)
-	rec := newRecorder(t, n)
-	for i := 0; i < n; i++ {
-		eps[i].Bind(network.NodeID(i), rec.handler(network.NodeID(i)))
-	}
+	rec := newRecorder(t, n, g)
+	rec.bindAll(eps)
 	if got := eps[0].N(); got != n {
 		t.Fatalf("N() = %d, want %d", got, n)
 	}
 	wantA, wantB := 0, 0
-	seq := make([][]int64, n)
-	for i := range seq {
-		seq[i] = make([]int64, n)
-	}
-	send := func(from, to int, k string) {
-		seq[from][to]++
-		eps[from].Send(network.NodeID(from), network.NodeID(to),
-			Msg{K: k, From: network.NodeID(from), Seq: seq[from][to]})
+	seq := map[transport.Link]int64{}
+	send := func(shard, from, to int, k string) {
+		l := transport.Link{Shard: shard, From: network.NodeID(from), To: network.NodeID(to)}
+		seq[l]++
+		Send(eps[from], l, Msg{K: k, From: l.From, Seq: seqBase(shard) + seq[l]})
 		if k == KindA {
 			wantA++
 		} else {
@@ -291,10 +321,10 @@ func testStats(t *testing.T, factory Factory) {
 		}
 	}
 	for i := 0; i < 7; i++ {
-		send(0, 1, KindA)
-		send(1, 2, KindB)
+		send(i%g, 0, 1, KindA)
+		send(i%g, 1, 2, KindB)
 	}
-	send(2, 0, KindA)
+	send(g-1, 2, 0, KindA)
 	rec.waitFor(wantA+wantB, 10*time.Second)
 
 	gotA, gotB := int64(0), int64(0)
@@ -319,43 +349,54 @@ func testStats(t *testing.T, factory Factory) {
 	}
 }
 
-// testLateBind sends to a node before its handler is bound; a reliable
-// transport buffers and delivers in order at Bind time.
-func testLateBind(t *testing.T, factory Factory) {
+// testLateBind sends to a node, in every shard, before its handlers
+// are bound; a reliable transport buffers and delivers in order at
+// Bind time.
+func testLateBind(t *testing.T, factory build, g int) {
 	const n, early = 2, 50
 	eps := factory(t, n)
 	defer closeAll(t, eps)
-	rec := newRecorder(t, n)
-	eps[0].Bind(0, rec.handler(0))
-	for s := int64(1); s <= early; s++ {
-		eps[0].Send(0, 1, Msg{K: KindA, From: 0, Seq: s})
+	rec := newRecorder(t, n, g)
+	sendRange := func(lo, hi int64) {
+		for shard := 0; shard < g; shard++ {
+			l := transport.Link{Shard: shard, From: 0, To: 1}
+			for s := lo; s <= hi; s++ {
+				Send(eps[0], l, Msg{K: KindA, From: 0, Seq: seqBase(shard) + s})
+			}
+		}
 	}
+	for shard := 0; shard < g; shard++ {
+		eps[0].Bind(shard, 0, rec.handler(shard, 0))
+	}
+	sendRange(1, early)
 	// Give an async transport time to get the early traffic in flight,
 	// then bind: everything must arrive, in order.
 	time.Sleep(20 * time.Millisecond)
-	eps[1].Bind(1, rec.handler(1))
-	for s := int64(early + 1); s <= 2*early; s++ {
-		eps[0].Send(0, 1, Msg{K: KindA, From: 0, Seq: s})
+	for shard := 0; shard < g; shard++ {
+		eps[1].Bind(shard, 1, rec.handler(shard, 1))
 	}
-	rec.waitFor(2*early, 10*time.Second)
+	sendRange(early+1, 2*early)
+	rec.waitFor(g*2*early, 10*time.Second)
 }
 
-// testClose: Close is idempotent, terminates, and later Sends neither
-// panic nor deliver.
-func testClose(t *testing.T, factory Factory) {
+// testClose: Close is idempotent, terminates, and later Sends — on any
+// shard — neither panic nor deliver.
+func testClose(t *testing.T, factory build, g int) {
 	const n = 2
 	eps := factory(t, n)
-	rec := newRecorder(t, n)
-	for i := 0; i < n; i++ {
-		eps[i].Bind(network.NodeID(i), rec.handler(network.NodeID(i)))
+	rec := newRecorder(t, n, g)
+	rec.bindAll(eps)
+	for shard := 0; shard < g; shard++ {
+		Send(eps[0], transport.Link{Shard: shard, From: 0, To: 1}, Msg{K: KindA, From: 0, Seq: seqBase(shard) + 1})
 	}
-	eps[0].Send(0, 1, Msg{K: KindA, From: 0, Seq: 1})
-	rec.waitFor(1, 10*time.Second)
+	rec.waitFor(g, 10*time.Second)
 	closeAll(t, eps)
 	closeAll(t, eps) // idempotent
-	eps[0].Send(0, 1, Msg{K: KindA, From: 0, Seq: 2})
+	for shard := 0; shard < g; shard++ {
+		Send(eps[0], transport.Link{Shard: shard, From: 0, To: 1}, Msg{K: KindA, From: 0, Seq: seqBase(shard) + 2})
+	}
 	time.Sleep(10 * time.Millisecond)
-	if got := rec.count(); got != 1 {
-		t.Fatalf("message delivered after Close (count %d)", got)
+	if got := rec.count(); got != g {
+		t.Fatalf("message delivered after Close (count %d, want %d)", got, g)
 	}
 }
