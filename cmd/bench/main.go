@@ -11,6 +11,11 @@
 //	                                    # keep BENCH_5's rows byte-identical,
 //	                                    # run and append only the new tier
 //	go run ./cmd/bench -capture-baseline # print Go literal for baseline.go
+//	go run ./cmd/bench -run tcploop/n4/s8/batch -count 5
+//	                                    # five runs per cell: the report row is the
+//	                                    # median-ns/op run, the spread goes to stderr
+//	GOMAXPROCS=1 go run ./cmd/bench -run tcploop/n4/s8/batch -cpuprofile cpu.prof
+//	                                    # profile one cell (-memprofile likewise)
 //
 // The scenario grid, seeds, and protocol metrics (msg/cs, grants,
 // events) are deterministic; ns/op and allocs/op depend on the machine.
@@ -21,24 +26,54 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"mralloc/internal/bench"
 )
+
+// fatal reports err and exits: nothing the command does survives a
+// file it cannot read or write.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "bench:", err)
+	os.Exit(1)
+}
+
+// measure runs s count times and returns the run with the median
+// ns/op, printing the spread of the repeats to stderr.
+func measure(s bench.Scenario, count int) bench.Result {
+	runs := make([]bench.Result, count)
+	for i := range runs {
+		runs[i] = bench.Measure(s)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
+	if count > 1 {
+		fmt.Fprintf(os.Stderr, "  %d runs: ns/op min %d median %d max %d\n",
+			count, runs[0].NsPerOp, runs[count/2].NsPerOp, runs[count-1].NsPerOp)
+	}
+	return runs[count/2]
+}
 
 func main() {
 	out := flag.String("out", "BENCH_6.json", "output report path")
 	filter := flag.String("run", "", "only run scenarios whose name contains this substring")
 	merge := flag.String("merge", "", "prior report whose rows are kept verbatim; scenarios it already has are skipped, new ones appended")
 	capture := flag.Bool("capture-baseline", false, "print the measurements as a Go literal for baseline.go instead of writing the report")
+	count := flag.Int("count", 1, "runs per scenario; the report keeps the run with the median ns/op and stderr shows min/median/max")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measured scenarios to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile, taken after the last scenario, to this file")
 	flag.Parse()
+	if *count < 1 {
+		fatal(fmt.Errorf("-count %d: need at least one run", *count))
+	}
 
 	var prior *bench.Report
 	if *merge != "" {
 		data, err := os.ReadFile(*merge)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		prior = &bench.Report{}
 		if err := json.Unmarshal(data, prior); err != nil {
@@ -53,6 +88,17 @@ func main() {
 		}
 	}
 
+	var cpuFile *os.File
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		cpuFile = f
+	}
 	var results []bench.Result
 	for _, s := range bench.Grid() {
 		if *filter != "" && !strings.Contains(s.Name, *filter) {
@@ -62,7 +108,28 @@ func main() {
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %s...\n", s.Name)
-		results = append(results, bench.Measure(s))
+		results = append(results, measure(s, *count))
+	}
+	// Profiles are finished here, not in a defer: the exits below would
+	// skip it and truncate them.
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fatal(err)
+		}
+	}
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // settle the heap so the profile is complete
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "bench: no scenario matched")
@@ -85,12 +152,10 @@ func main() {
 	}
 	data, err := report.Marshal()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	fmt.Print(report.Table())

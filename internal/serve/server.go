@@ -118,6 +118,11 @@ type Server struct {
 	conns     map[*conn]bool
 	wireAccum wire.CoalescerStats // egress of connections already gone
 
+	// tasks hands a request's blocking acquisition to a parked worker
+	// goroutine (see dispatch). Unbuffered on purpose: a send succeeds
+	// only into a worker that is waiting for one.
+	tasks chan func()
+
 	closeMu sync.Mutex
 	closed  chan struct{}
 	wg      sync.WaitGroup
@@ -153,6 +158,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ln:     ln,
 		queued: make([]atomic.Int64, cfg.Nodes),
 		conns:  make(map[*conn]bool),
+		tasks:  make(chan func()),
 		closed: make(chan struct{}),
 	}
 	s.wg.Add(1)
@@ -223,6 +229,46 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// workerIdle is how long a request worker stays parked with nothing to
+// run before it retires: long enough to span the gaps inside a burst
+// and between a client's consecutive requests, short enough that a
+// port gone quiet holds no goroutines.
+const workerIdle = time.Second
+
+// dispatch runs one request's blocking part (admit's run) off the read
+// loop: on a parked worker when one is waiting, on a new one otherwise.
+// A goroutine per request would start each acquisition on a minimal
+// stack and regrow it inside Session.Acquire every time; a worker that
+// has served one request keeps the grown stack for the next. The pool
+// sizes itself to the number of requests blocked at once.
+func (s *Server) dispatch(run func()) {
+	select {
+	case s.tasks <- run:
+	default:
+		s.wg.Add(1)
+		go s.worker(run)
+	}
+}
+
+// worker runs its first task, then whatever dispatch hands it, until
+// it has been idle for workerIdle or the server closes.
+func (s *Server) worker(run func()) {
+	defer s.wg.Done()
+	idle := time.NewTimer(workerIdle)
+	defer idle.Stop()
+	for {
+		run()
+		idle.Reset(workerIdle)
+		select {
+		case run = <-s.tasks:
+		case <-idle.C:
+			return
+		case <-s.closed:
+			return
+		}
+	}
+}
+
 // connReq is one client request's server-side state. The connection
 // lock guards state transitions; the acquire goroutine holds no lock
 // while blocked in Acquire.
@@ -241,7 +287,7 @@ type conn struct {
 
 	mu   sync.Mutex
 	reqs map[uint64]*connReq
-	wg   sync.WaitGroup // acquire goroutines
+	wg   sync.WaitGroup // dispatched acquisitions
 }
 
 func (s *Server) serve(nc net.Conn) {
@@ -409,10 +455,10 @@ func (cn *conn) handleAcquire(x ClientAcquire) bool {
 	run, ok := cn.admit(x)
 	if ok && run != nil {
 		cn.wg.Add(1)
-		go func() {
+		cn.s.dispatch(func() {
 			defer cn.wg.Done()
 			run()
-		}()
+		})
 	}
 	return ok
 }
@@ -447,7 +493,7 @@ func (cn *conn) handleAcquireAll(x ClientAcquireAll) bool {
 				k, len(local))
 			return true
 		}
-		base := int(cn.s.rr.Add(1) % uint64(len(local)))
+		base := cn.s.nextLocal()
 		nodes = make([]int, k)
 		for i := range nodes {
 			nodes[i] = local[(base+i)%len(local)]
@@ -482,12 +528,12 @@ func (cn *conn) handleAcquireAll(x ClientAcquireAll) bool {
 		return true
 	}
 	cn.wg.Add(1)
-	go func() {
+	cn.s.dispatch(func() {
 		defer cn.wg.Done()
 		for _, run := range runs {
 			run()
 		}
-	}()
+	})
 	return true
 }
 
@@ -515,14 +561,14 @@ func (cn *conn) admit(x ClientAcquire) (run func(), ok bool) {
 	node := int(x.Node)
 	if x.Node == network.None {
 		local := cn.s.cfg.Local
-		node = local[int(cn.s.rr.Add(1))%len(local)]
+		node = local[cn.s.nextLocal()]
 		if ol := cn.s.cfg.Overloaded; ol != nil && ol(node, len(resources)) {
 			// Spread: one shedding node must not deny what another
 			// hosted node could serve — advance the cursor until a node
 			// accepts, or every candidate has shed (the check below
 			// then denies on the last one).
 			for i := 1; i < len(local); i++ {
-				node = local[int(cn.s.rr.Add(1))%len(local)]
+				node = local[cn.s.nextLocal()]
 				if !ol(node, len(resources)) {
 					break
 				}
@@ -679,6 +725,14 @@ func (s *Server) egressBudget() int64 {
 	default:
 		return b
 	}
+}
+
+// nextLocal advances the round-robin cursor and returns its index into
+// cfg.Local. The modulo is taken unsigned: converted to int first, the
+// counter turns negative once it passes MaxInt (2³¹ requests on a
+// 32-bit build) and the index with it.
+func (s *Server) nextLocal() int {
+	return int(s.rr.Add(1) % uint64(len(s.cfg.Local)))
 }
 
 func (s *Server) hostsLocally(node int) bool {

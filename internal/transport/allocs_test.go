@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"mralloc/internal/network"
+	_ "mralloc/internal/serve" // registers the Client kinds and their samples
 	"mralloc/internal/transport"
 	"mralloc/internal/transport/transporttest"
+	"mralloc/internal/wire"
 )
 
 // TestSingleMessageSendAllocs pins the cost of the commonest run: one
@@ -39,5 +41,46 @@ func TestSingleMessageSendAllocs(t *testing.T) {
 				t.Fatalf("%v allocs per 1-message Send, want 0 (the parent commit's)", got)
 			}
 		})
+	}
+}
+
+// TestCodecScaffoldingAllocs pins the codec entry points of the request
+// path, over the first registered sample of the four kinds one client
+// acquire puts on the wire: encoding into a buffer with room allocates
+// nothing, and decoding allocates the message and nothing else. The
+// encoder and decoder themselves come from pools, and the kind is
+// looked up from the frame bytes; a local Enc/Dec (both escape through
+// the registered codec functions) and a kind string cost one allocation
+// per encode and two per decode on every frame. This is the unit-level
+// guard of allocs_per_op on the socket workloads.
+func TestCodecScaffoldingAllocs(t *testing.T) {
+	// What the decoded message owns, sample by sample.
+	own := map[string]float64{
+		"LASS.Request":   4,  // visited list, request slice, the loan request's missing set, interface box
+		"LASS.Response":  12, // counter and token slices, two tokens with stamps and queues, interface box
+		"Client.Acquire": 2,  // resource list, interface box
+		"Client.Grant":   0,  // one small integer: boxed without allocating
+	}
+	seen := map[string]bool{}
+	buf := make([]byte, 0, 4096)
+	for _, m := range wire.Samples() {
+		want, ok := own[m.Kind()]
+		if !ok || seen[m.Kind()] {
+			continue
+		}
+		seen[m.Kind()] = true
+		enc, err := wire.Append(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() { buf, _ = wire.AppendStream(buf[:0], m, nil) }); got > 0 {
+			t.Errorf("%s: %v allocs per AppendStream, want 0", m.Kind(), got)
+		}
+		if got := testing.AllocsPerRun(200, func() { wire.DecodeStream(enc, 0, 0, nil) }); got > want {
+			t.Errorf("%s: %v allocs per DecodeStream, the message itself is %v", m.Kind(), got, want)
+		}
+	}
+	if len(seen) != len(own) {
+		t.Fatalf("samples cover %v, want every kind of %v", seen, own)
 	}
 }

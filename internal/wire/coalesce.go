@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -14,15 +15,18 @@ import (
 
 // Coalescer turns a stream of per-message frames into batched writes:
 // senders append frames (cheap, never blocking on the network) and a
-// dedicated flusher goroutine drains everything queued since its last
-// wakeup into one flush group — a single frame when one message is
-// pending, a batch envelope when more are. With no flush delay
-// configured, batching costs no added latency: it only kicks in
-// exactly when the writer is already behind, which is when the
-// per-write cost matters. A configurable micro-delay (SetFlushDelay)
-// trades that bound for bigger batches, and the adaptive mode
-// (SetFlushAdaptive) widens the delay only while small flushes pile up
-// under high fan-in.
+// dedicated flusher goroutine drains everything queued into one flush
+// group — a single frame when one message is pending, a batch envelope
+// when more are. The flusher drains-then-flushes: woken by the first
+// frame, it yields the processor to the goroutines that are already
+// runnable and takes the queue once it has stopped growing (gather), so
+// one write carries a whole scheduling wave rather than its first
+// frame. The wait is bounded in scheduler passes, not in time, and with
+// nothing else runnable it is no wait at all: a lone frame leaves as
+// promptly as it would without batching. A configurable micro-delay
+// (SetFlushDelay) replaces that rule with a timed wait for bigger
+// batches, and the adaptive mode (SetFlushAdaptive) widens the delay
+// only while small flushes pile up under high fan-in.
 //
 // Frames are held in the pooled buffers they were encoded into
 // (AppendOwned transfers ownership; Append copies into one) and an
@@ -493,9 +497,9 @@ const (
 	adaptLargeFrames = 32.0
 )
 
-// flusher is the write-side goroutine: each wakeup (optionally held
-// for the micro-delay) takes the whole queue in one swap and writes it
-// out in as few writes as the limits allow.
+// flusher is the write-side goroutine: each wakeup gathers (or, with a
+// micro-delay configured, sleeps the delay), then takes the whole queue
+// in one swap and writes it out in as few writes as the limits allow.
 func (c *Coalescer) flusher() {
 	defer close(c.done)
 	var timer *time.Timer
@@ -514,6 +518,9 @@ func (c *Coalescer) flusher() {
 			return
 		}
 		delay, closed := c.delay, c.closed
+		if delay == 0 && !closed {
+			c.gather()
+		}
 		c.mu.Unlock()
 
 		if delay > 0 && !closed {
@@ -594,6 +601,43 @@ func (c *Coalescer) flusher() {
 			if c.onErr != nil {
 				c.onErr(err)
 			}
+			return
+		}
+	}
+}
+
+// gatherRounds bounds the flusher's yields before a drain, and so how
+// long a queued frame can wait for company: that many passes of the
+// scheduler over what is runnable, never a span of time. A yielding
+// goroutine goes to the back of the global run queue, behind every
+// goroutine that is ready now and those they wake in turn (which queue
+// locally, and the local queue is served first), so the first yield
+// already lets the whole wave append and the second finds the queue
+// unchanged and ends the wait. Later rounds are reached only while
+// frames keep coming from goroutines that do not wait for this write
+// (overlapping waves; on several Ps, a producer mid-burst on another),
+// where each buys at most one more producer turn: twice the common path
+// is the headroom for those, and the cut-off for a producer that never
+// pauses. Bounds of 1, 2, 4 and 8 measured alike on every socket
+// workload of the benchmark at one and two Ps, so the value is not
+// tuned and need not be.
+const gatherRounds = 4
+
+// gather is the drain-then-flush rule (mu held on entry and return):
+// yield, look again, repeat while the queue grew and the bound allows.
+// A queue that already fills one write (maxFrames, MaxEnvelope, a byte
+// budget that is blocking its appenders) is not waited on at all.
+func (c *Coalescer) gather() {
+	for round := 0; round < gatherRounds && !c.closed; round++ {
+		n := len(c.pending)
+		if (c.maxFrames > 0 && n >= c.maxFrames) || c.pendingBytes >= MaxEnvelope ||
+			(c.budget > 0 && c.pendingBytes >= c.budget) {
+			return
+		}
+		c.mu.Unlock()
+		runtime.Gosched()
+		c.mu.Lock()
+		if len(c.pending) == n {
 			return
 		}
 	}

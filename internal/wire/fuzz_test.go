@@ -104,10 +104,32 @@ func FuzzDecode(f *testing.F) {
 	seedCorpus(f)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	good, err := wire.Append(nil, wire.Samples()[0])
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := wire.Decode(b)
 		if err == nil && m == nil {
 			t.Fatal("nil message decoded without error")
+		}
+		// The decoder is pooled: the one that just ran (and maybe
+		// failed, or ran up an allocation charge) serves the next
+		// decodes. A sound frame must still decode after it, and the
+		// same input must give the same result a second time.
+		if _, err := wire.Decode(good); err != nil {
+			t.Fatalf("a sound frame fails after this input: %v", err)
+		}
+		m2, err2 := wire.Decode(b)
+		if (err == nil) != (err2 == nil) || (err != nil && err.Error() != err2.Error()) {
+			t.Fatalf("one input, two results: %v, then %v", err, err2)
+		}
+		if err == nil {
+			e1, _ := wire.Append(nil, m)
+			e2, _ := wire.Append(nil, m2)
+			if !bytes.Equal(e1, e2) {
+				t.Fatalf("one input, two messages:\n  %x\n  %x", e1, e2)
+			}
 		}
 		// The shape-validating path must be equally panic-free, and
 		// never accept what the unvalidated path rejects.

@@ -26,6 +26,11 @@ var (
 	regMu    sync.RWMutex
 	registry = map[string]codec{}
 	samples  []network.Message
+
+	// Pooled codec scaffolding for AppendStream/DecodeStream. Pointers in
+	// a sync.Pool cost no boxing allocation on Put.
+	encPool = sync.Pool{New: func() any { return new(Enc) }}
+	decPool = sync.Pool{New: func() any { return new(Dec) }}
 )
 
 // Register installs the codec for one message kind. Kinds whose Kind()
@@ -97,10 +102,16 @@ func AppendStream(buf []byte, m network.Message, strm *Stream) ([]byte, error) {
 	if !ok {
 		return buf, fmt.Errorf("wire: no codec registered for kind %q", kind)
 	}
-	e := Enc{buf: buf, strm: strm}
+	// The encoder escapes through the registered EncodeFunc, so a local
+	// one would be a heap allocation per message; a pooled one is not.
+	e := encPool.Get().(*Enc)
+	e.buf, e.strm = buf, strm
 	e.String(kind)
-	c.enc(&e, m)
-	return e.buf, nil
+	c.enc(e, m)
+	buf = e.buf
+	*e = Enc{}
+	encPool.Put(e)
+	return buf, nil
 }
 
 // Decode reconstructs the message encoded in b. The whole buffer must
@@ -123,24 +134,41 @@ func DecodeFor(b []byte, nodes, resources int) (network.Message, error) {
 // Stream and passes it for every frame of the connection; stateful
 // codecs find their caches there.
 func DecodeStream(b []byte, nodes, resources int, strm *Stream) (network.Message, error) {
-	d := NewDecFor(b, nodes, resources)
-	d.strm = strm
-	kind := d.String()
+	// Like the encoder, the decoder escapes through the registered
+	// DecodeFunc. It goes back to the pool zeroed: it aliases the
+	// caller's frame and the connection's Stream, and a sticky error or
+	// an allocation charge left behind would fail the next decode.
+	d := decPool.Get().(*Dec)
+	*d = Dec{buf: b, nodes: nodes, resources: resources, strm: strm}
+	m, err := decode(d)
+	*d = Dec{}
+	decPool.Put(d)
+	return m, err
+}
+
+// decode reads the kind, then hands the rest of d to the kind's codec.
+func decode(d *Dec) (network.Message, error) {
+	n := d.Count()
 	if d.err != nil {
 		return nil, d.err
 	}
+	// The kind is looked up from the frame bytes (the compiler elides
+	// the conversion in a map index); only the two error paths below
+	// build the string.
+	kind := d.buf[d.off : d.off+n]
+	d.off += n
 	regMu.RLock()
-	c, ok := registry[kind]
+	c, ok := registry[string(kind)]
 	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("wire: unknown kind %q", kind)
+		return nil, fmt.Errorf("wire: unknown kind %q", string(kind))
 	}
 	m := c.dec(d)
 	if d.err != nil {
 		return nil, d.err
 	}
 	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %q payload", d.Remaining(), kind)
+		return nil, fmt.Errorf("wire: %d trailing bytes after %q payload", d.Remaining(), string(kind))
 	}
 	return m, nil
 }
