@@ -15,7 +15,10 @@
 //	                                    # five runs per cell: the report row is the
 //	                                    # median-ns/op run, the spread goes to stderr
 //	GOMAXPROCS=1 go run ./cmd/bench -run tcploop/n4/s8/batch -cpuprofile cpu.prof
-//	                                    # profile one cell (-memprofile likewise)
+//	                                    # profile one cell
+//	GOMAXPROCS=1 go run ./cmd/bench -run tcploop/n4/s8/batch -memprofile mem.prof
+//	                                    # every allocation recorded (not sampled);
+//	                                    # objects/op per allocating site on stderr
 //
 // The scenario grid, seeds, and protocol metrics (msg/cs, grants,
 // events) are deterministic; ns/op and allocs/op depend on the machine.
@@ -30,6 +33,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
+	"testing"
 
 	"mralloc/internal/bench"
 )
@@ -56,6 +60,50 @@ func measure(s bench.Scenario, count int) bench.Result {
 	return runs[count/2]
 }
 
+// allocSites prints, for the allocation sites with the most objects,
+// objects per operation: every allocation recorded since the profile
+// rate was set, charged to the innermost mralloc function on its stack
+// (so a context or a channel counts against the code that asked for
+// it), over the ops the measured scenarios ran.
+func allocSites(ops int64) {
+	n, _ := runtime.MemProfile(nil, true)
+	var recs []runtime.MemProfileRecord
+	for ok := false; !ok; { // the profile may grow between the two calls
+		recs = make([]runtime.MemProfileRecord, n+64)
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+		}
+	}
+	objects := map[string]int64{}
+	var total int64
+	for i := range recs {
+		site := "(outside mralloc)"
+		for frames := runtime.CallersFrames(recs[i].Stack()); ; {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "mralloc/") {
+				site = f.Function
+				break
+			}
+			if !more {
+				break
+			}
+		}
+		objects[site] += recs[i].AllocObjects
+		total += recs[i].AllocObjects
+	}
+	sites := make([]string, 0, len(objects))
+	for site := range objects {
+		sites = append(sites, site)
+	}
+	sort.Slice(sites, func(i, j int) bool { return objects[sites[i]] > objects[sites[j]] })
+	const top = 30
+	fmt.Fprintf(os.Stderr, "allocation sites, objects/op over %d ops (%.1f in all; set-up included):\n",
+		ops, float64(total)/float64(ops))
+	for _, site := range sites[:min(top, len(sites))] {
+		fmt.Fprintf(os.Stderr, "  %6.2f  %s\n", float64(objects[site])/float64(ops), site)
+	}
+}
+
 func main() {
 	out := flag.String("out", "BENCH_6.json", "output report path")
 	filter := flag.String("run", "", "only run scenarios whose name contains this substring")
@@ -63,7 +111,7 @@ func main() {
 	capture := flag.Bool("capture-baseline", false, "print the measurements as a Go literal for baseline.go instead of writing the report")
 	count := flag.Int("count", 1, "runs per scenario; the report keeps the run with the median ns/op and stderr shows min/median/max")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measured scenarios to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile, taken after the last scenario, to this file")
+	memProfile := flag.String("memprofile", "", "record every allocation of the measured scenarios: write the profile to this file and print objects/op per allocating site to stderr")
 	flag.Parse()
 	if *count < 1 {
 		fatal(fmt.Errorf("-count %d: need at least one run", *count))
@@ -88,6 +136,15 @@ func main() {
 		}
 	}
 
+	// profiledOps counts the iterations the scenarios run under
+	// -memprofile, calibration rounds included: the profile covers them
+	// all.
+	var profiledOps int64
+	if *memProfile != "" {
+		// The default rate samples by bytes allocated, which makes
+		// objects per site an estimate; this makes it a count.
+		runtime.MemProfileRate = 1
+	}
 	var cpuFile *os.File
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -108,6 +165,12 @@ func main() {
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %s...\n", s.Name)
+		if run := s.Run; *memProfile != "" {
+			s.Run = func(b *testing.B) {
+				profiledOps += int64(b.N)
+				run(b)
+			}
+		}
 		results = append(results, measure(s, *count))
 	}
 	// Profiles are finished here, not in a defer: the exits below would
@@ -129,6 +192,9 @@ func main() {
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
+		}
+		if profiledOps > 0 {
+			allocSites(profiledOps)
 		}
 	}
 	if len(results) == 0 {

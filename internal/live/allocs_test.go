@@ -1,11 +1,15 @@
 package live
 
 import (
+	"context"
 	"testing"
 
 	"mralloc/internal/alg"
+	"mralloc/internal/core"
+	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
+	"mralloc/internal/serve"
 )
 
 // sinkNode is a protocol node that does nothing: the loop-egress pin
@@ -51,5 +55,51 @@ func TestLoopEgressSingleMessageAllocs(t *testing.T) {
 		if got != 0 {
 			t.Errorf("shards=%d: %v allocs per 1-message egress, want 0 (the parent commit's)", shards, got)
 		}
+	}
+}
+
+// TestAcquireAllocs pins the uncontended acquire→release round trip on
+// a one-node cluster, flat and sharded: what is left is the release
+// closure and the protocol's own work, not request scaffolding. The
+// ephemeral door (Cluster.Acquire — the benchmark's
+// live.local_acquire_allocs probe) draws its session from the cluster's
+// spares; a long-lived session is one closure cheaper than its budget
+// only because core's outbox allocates on about every other request.
+func TestAcquireAllocs(t *testing.T) {
+	if leakcheck.Race {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	for _, shards := range []int{1, 2} {
+		c, err := New(Config{Nodes: 1, Resources: 8, Shards: shards}, core.NewFactory(core.WithLoan()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		door := testing.AllocsPerRun(500, func() {
+			release, err := c.Acquire(ctx, 0, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		})
+		if door > 4 {
+			t.Errorf("shards=%d: %v allocs per Cluster.Acquire+release, budget 4", shards, door)
+		}
+		s, err := c.NewSession(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := serve.AcquireOpts{Resources: []int{5}}
+		long := testing.AllocsPerRun(500, func() {
+			release, err := s.Acquire(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		})
+		if long > 2 {
+			t.Errorf("shards=%d: %v allocs per Session.Acquire+release, budget 2", shards, long)
+		}
+		c.Close()
 	}
 }

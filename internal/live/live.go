@@ -28,7 +28,6 @@
 package live
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -120,8 +119,12 @@ type Cluster struct {
 	loops [][]*loop
 	start time.Time
 
+	sessMu  sync.Mutex
 	sessSeq uint64 // session id allocator
-	seqMu   sync.Mutex
+	// spare[node] holds the ephemeral sessions Cluster.Acquire is not
+	// using right now; it grows to the most acquires ever held at once
+	// on the node and is filled on first use.
+	spare [][]*Session
 
 	closed  chan struct{}
 	closeMu sync.Mutex
@@ -214,6 +217,7 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		tr:     tr,
 		smap:   smap,
 		start:  time.Now(),
+		spare:  make([][]*Session, cfg.Nodes),
 		closed: make(chan struct{}),
 	}
 	c.loops = make([][]*loop, g)
@@ -552,34 +556,30 @@ type envelope struct {
 	msg  network.Message
 }
 
+// The ticket commands are one pointer each, so they ride the mailbox's
+// cmd field without boxing: everything else a command needs (the set,
+// the reply channels) lives in the ticket.
+
 // cmdSubmit enqueues a ticket into the node's admission scheduler.
-type cmdSubmit struct {
-	t *ticket
-}
+type cmdSubmit struct{ t *ticket }
 
 // cmdCancel withdraws a ticket on behalf of a caller whose context
-// ended: removed from the queue if still queued, marked abandoned if
-// in flight (the grant, when it arrives, is given straight back), or
-// released immediately if the grant already landed. The loop always
-// closes done; the caller returns ctx.Err() either way.
-type cmdCancel struct {
-	t    *ticket
-	done chan struct{}
-}
+// ended. The loop always answers on t.done: true when the ticket goes
+// back to its session — removed from the queue while still queued, or
+// released on the spot because the grant had already landed — and false
+// when it was in flight, which the protocol cannot abandon: the loop
+// keeps such a ticket and gives its grant straight back on arrival.
+type cmdCancel struct{ t *ticket }
 
-// cmdRelease ends the critical section of a granted ticket.
-type cmdRelease struct {
-	t    *ticket
-	done chan struct{}
-}
+// cmdRelease ends the critical section of a granted ticket; the loop
+// answers on t.done.
+type cmdRelease struct{ t *ticket }
 
 // cmdReap is the loop's note to itself: an abandoned ticket was
 // granted, so release it and admit the next — as a fresh activation,
 // never recursively from inside the Granted callback (the state
 // machines assume Release is a separate activation).
-type cmdReap struct {
-	t *ticket
-}
+type cmdReap struct{ t *ticket }
 
 type cmdInspect struct {
 	fn   func(alg.Node)
@@ -630,9 +630,9 @@ func (l *loop) stop() {
 // run is the site's event loop goroutine. It drains the mailbox a
 // batch at a time: every message that queued up while the previous
 // batch was being processed is handled under a single wakeup, and the
-// sends it provokes leave as per-destination batches. When the mailbox
-// closes it fails every queued and in-flight ticket with ErrClosed, so
-// no Acquire outlives the cluster.
+// sends it provokes leave as per-destination batches. It exits when the
+// mailbox closes; the sessions waiting on its tickets watch the
+// cluster's closed channel themselves, so no Acquire outlives it.
 func (l *loop) run() {
 	var spare []mbItem
 	for {
@@ -653,13 +653,13 @@ func (l *loop) run() {
 				l.sched.Push(&x.t.item, l.c.now())
 				l.maybeAdmit()
 			case cmdCancel:
-				l.cancel(x.t)
+				back := l.cancel(x.t)
 				l.flushOutbox() // the waiter may observe state; sends first
-				close(x.done)
+				x.t.done <- back
 			case cmdRelease:
 				l.release(x.t)
 				l.flushOutbox()
-				close(x.done)
+				x.t.done <- true
 			case cmdReap:
 				l.release(x.t)
 			case cmdInspect:
@@ -681,15 +681,6 @@ func (l *loop) run() {
 		l.inBatch = false
 		l.flushOutbox()
 		spare = batch
-	}
-	// Shutdown: nothing more will be delivered. Fail the queue, then
-	// the in-flight request.
-	for _, it := range l.sched.Drain() {
-		it.V.(*ticket).abort(ErrClosed)
-	}
-	if t := l.inflight; t != nil {
-		l.inflight = nil
-		t.abort(ErrClosed)
 	}
 }
 
@@ -747,35 +738,35 @@ func (l *loop) maybeAdmit() {
 }
 
 // release ends t's critical section and admits the next request. A
-// stale release (the ticket is no longer in flight — the cluster
-// auto-released it on cancel) is a no-op.
+// release of a ticket that is not in its critical section is a no-op.
 func (l *loop) release(t *ticket) {
 	if l.inflight != t || !t.inCS {
 		return
 	}
+	t.inCS = false
 	l.sched.ObserveService(l.c.now() - t.admitted)
 	l.node.Release()
 	l.inflight = nil
 	l.maybeAdmit()
 }
 
-// cancel withdraws t after its caller's context ended.
-func (l *loop) cancel(t *ticket) {
+// cancel withdraws t after its caller's context ended, reporting
+// whether the ticket goes back to its session (see cmdCancel).
+func (l *loop) cancel(t *ticket) bool {
 	switch {
 	case l.sched.Remove(&t.item):
 		// Still queued: never admitted, nothing to unwind.
-		t.abort(context.Canceled)
 	case l.inflight == t && !t.inCS:
 		// In flight: the protocol cannot abandon a request — mark it
-		// so the grant is given straight back on arrival.
+		// so the grant is given straight back on arrival. The ticket is
+		// the loop's from here on.
 		t.abandoned = true
-	case l.inflight == t && t.inCS:
+		return false
+	default:
 		// Granted, caller didn't take it: give the resources back now.
-		l.sched.ObserveService(l.c.now() - t.admitted)
-		l.node.Release()
-		l.inflight = nil
-		l.maybeAdmit()
+		l.release(t)
 	}
+	return true
 }
 
 // onGranted runs inside the loop goroutine (via Env.Granted).
@@ -791,10 +782,10 @@ func (l *loop) onGranted() {
 		l.post(cmdReap{t: t})
 		return
 	}
-	// The waiter wakes the moment this closes; everything the grant's
+	// The waiter wakes the moment this lands; everything the grant's
 	// activation already sent must be on its way first.
 	l.flushOutbox()
-	close(t.granted)
+	t.granted <- struct{}{}
 }
 
 // liveEnv adapts a loop to the alg.Env contract.

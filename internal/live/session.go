@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,6 +31,11 @@ var ErrSessionBusy = errors.New("live: session already has an acquire in flight"
 // detected (overlapping Acquires fail with ErrSessionBusy), but a
 // session models one logical client — open more sessions for more
 // concurrency.
+//
+// A session owns the request records (tickets) its Acquires travel on,
+// one per shard it has touched, and uses them again for the next
+// Acquire: a steady stream of acquires builds nothing but its release
+// functions.
 type Session struct {
 	c    *Cluster
 	node int
@@ -41,6 +45,19 @@ type Session struct {
 	closed atomic.Bool
 
 	grants atomic.Int64
+
+	slots []slot    // by shard
+	parts []*ticket // route's result; scratch of the running Acquire (busy-guarded)
+}
+
+// slot is a session's place for one shard's ticket.
+type slot struct {
+	// idle holds the ticket between acquires: nil before the first one
+	// and while a ticket is out — until its release is acknowledged, or
+	// for good when it was abandoned to the loop.
+	idle atomic.Pointer[ticket]
+	// cur is the ticket the running Acquire is filling (busy-guarded).
+	cur *ticket
 }
 
 // NewSession opens a session on node id. Only locally hosted nodes
@@ -54,11 +71,11 @@ func (c *Cluster) NewSession(node int) (*Session, error) {
 		return nil, ErrClosed
 	default:
 	}
-	c.seqMu.Lock()
+	c.sessMu.Lock()
 	c.sessSeq++
 	id := c.sessSeq
-	c.seqMu.Unlock()
-	return &Session{c: c, node: node, id: id}, nil
+	c.sessMu.Unlock()
+	return &Session{c: c, node: node, id: id, slots: make([]slot, c.smap.Shards())}, nil
 }
 
 // ID reports the session's cluster-unique identifier.
@@ -76,10 +93,12 @@ func (s *Session) Grants() int64 { return s.grants.Load() }
 func (s *Session) Close() { s.closed.Store(true) }
 
 // Acquire blocks until the session holds exclusive access to every
-// resource in opts, then returns the release function (call it exactly
-// once; it is idempotent). Requests from all of a node's sessions
-// queue in the admission scheduler and enter the protocol one at a
-// time under the cluster's policy; aging guarantees no session starves.
+// resource in opts, then returns the release function. The function is
+// idempotent and bound to this grant: calling it again, even after the
+// session has acquired something else, releases nothing. Requests from
+// all of a node's sessions queue in the admission scheduler and enter
+// the protocol one at a time under the cluster's policy; aging
+// guarantees no session starves.
 //
 // On a sharded cluster the set is split along shard boundaries and
 // each part is acquired from its shard's allocator. A set inside one
@@ -97,23 +116,31 @@ func (s *Session) Close() { s.closed.Store(true) }
 // Either way Acquire returns promptly with ctx.Err(). On a closed
 // cluster it returns ErrClosed.
 func (s *Session) Acquire(ctx context.Context, opts serve.AcquireOpts) (func(), error) {
+	h, err := s.acquire(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	return func() { h.release() }, nil
+}
+
+// acquire is Acquire up to the grant: what it holds is for the caller
+// to wrap in a release function.
+func (s *Session) acquire(ctx context.Context, opts serve.AcquireOpts) (hold, error) {
 	if s.closed.Load() {
-		return nil, ErrSessionClosed
+		return hold{}, ErrSessionClosed
 	}
 	if !s.busy.CompareAndSwap(false, true) {
-		return nil, ErrSessionBusy
+		return hold{}, ErrSessionBusy
 	}
 	defer s.busy.Store(false)
 
 	if len(opts.Resources) == 0 {
-		return nil, fmt.Errorf("live: empty resource set")
+		return hold{}, fmt.Errorf("live: empty resource set")
 	}
-	rs := resource.NewSet(s.c.cfg.Resources)
 	for _, r := range opts.Resources {
 		if r < 0 || r >= s.c.cfg.Resources {
-			return nil, fmt.Errorf("live: no resource %d", r)
+			return hold{}, fmt.Errorf("live: no resource %d", r)
 		}
-		rs.Add(resource.ID(r))
 	}
 	deadline := opts.Deadline
 	if deadline.IsZero() {
@@ -129,67 +156,119 @@ func (s *Session) Acquire(ctx context.Context, opts serve.AcquireOpts) (func(), 
 		}
 	}
 
-	parts := s.c.smap.Split(rs)
-	var release func()
+	var h hold
 	var err error
-	switch {
+	switch parts := s.route(opts.Resources); {
 	case len(parts) == 1:
 		// Whole set inside one shard (every flat acquire is this case):
 		// one protocol request, no composition.
-		release, err = s.acquireOne(ctx, parts[0].Shard, parts[0].Local, dl)
+		h.first, err = s.acquireOne(ctx, parts[0], dl)
 	case s.c.cfg.CrossShardTwoPhase:
-		release, err = s.acquireTwoPhase(ctx, parts, dl)
+		h, err = s.acquireTwoPhase(ctx, opts.Resources, parts, dl)
 	default:
-		release, err = s.acquireOrdered(ctx, parts, dl)
+		h, err = s.acquireOrdered(ctx, parts, dl)
 	}
 	if err != nil {
-		return nil, err
+		return hold{}, err
 	}
 	s.grants.Add(1)
-	return release, nil
+	return h, nil
+}
+
+// route splits a validated request along shard boundaries into the
+// session's tickets, one per shard touched, each holding its part in
+// the shard's local identifiers. It returns them in ascending shard
+// order; the slice is the session's scratch, good until the next call.
+func (s *Session) route(resources []int) []*ticket {
+	sm := s.c.smap
+	lo, hi := len(s.slots), -1
+	for _, r := range resources {
+		id := resource.ID(r)
+		sh := sm.ShardOf(id)
+		sl := &s.slots[sh]
+		if sl.cur == nil {
+			sl.cur = s.take(sh)
+			lo, hi = min(lo, sh), max(hi, sh)
+		}
+		sl.cur.rs.Add(id - sm.Start(sh))
+	}
+	s.parts = s.parts[:0]
+	for sh := lo; sh <= hi; sh++ {
+		if sl := &s.slots[sh]; sl.cur != nil {
+			s.parts = append(s.parts, sl.cur)
+			sl.cur = nil
+		}
+	}
+	return s.parts
+}
+
+// take hands out the session's ticket for shard sh: the idle one, or a
+// new one on first use, after an abandonment, or while the previous
+// acquire's grant is still held.
+func (s *Session) take(sh int) *ticket {
+	if t := s.slots[sh].idle.Swap(nil); t != nil {
+		return t
+	}
+	t := &ticket{
+		s:       s,
+		l:       s.c.loops[sh][s.node],
+		rs:      resource.NewSet(s.c.smap.Size(sh)),
+		granted: make(chan struct{}, 1),
+		done:    make(chan bool, 1),
+	}
+	t.item.Session, t.item.V = s.id, t
+	return t
+}
+
+// put takes back a ticket the loop is done with: emptied, it waits in
+// its slot for the next acquire (or is dropped when the slot was
+// refilled meanwhile).
+func (s *Session) put(t *ticket) {
+	t.rs.Clear()
+	s.slots[t.l.shard].idle.CompareAndSwap(nil, t)
 }
 
 // acquireOne runs one part's protocol request on its shard's loop and
 // waits for the grant — the flat Acquire path, parameterized by shard.
-func (s *Session) acquireOne(ctx context.Context, shard int, rs resource.Set, dl sim.Time) (func(), error) {
-	l := s.c.loops[shard][s.node]
-	t := s.submit(l, rs, dl)
-	if t == nil {
-		return nil, ErrClosed
+// The ticket is the callee's: every way out but the grant returns it to
+// its slot or leaves it with the loop.
+func (s *Session) acquireOne(ctx context.Context, t *ticket, dl sim.Time) (grantRef, error) {
+	if !s.submit(t, dl) {
+		return grantRef{}, ErrClosed
 	}
 	select {
 	case <-t.granted:
-		return s.releaseFunc(l, t), nil
-	case err := <-t.aborted:
-		return nil, err
+		return grantRef{t: t, gen: t.gen.Load()}, nil
+	case <-s.c.closed:
+		return grantRef{}, ErrClosed
 	case <-ctx.Done():
-		s.withdraw(l, t)
-		return nil, ctx.Err()
+		s.withdraw(t)
+		return grantRef{}, ctx.Err()
 	}
 }
 
 // acquireOrdered assembles a cross-shard set one shard at a time in
-// ascending shard order (Split's order). Every session walks shards in
+// ascending shard order (route's order). Every session walks shards in
 // the same order, so no cycle of sessions can each hold a shard the
 // next one needs — the same argument that makes AcquireAll's ascending
 // node order deadlock-free. A failure hands back the prefix already
 // held, in reverse.
-func (s *Session) acquireOrdered(ctx context.Context, parts []resource.ShardPart, dl sim.Time) (func(), error) {
-	releases := make([]func(), 0, len(parts))
-	unwind := func() {
-		for i := len(releases) - 1; i >= 0; i-- {
-			releases[i]()
-		}
-	}
-	for _, p := range parts {
-		rel, err := s.acquireOne(ctx, p.Shard, p.Local, dl)
+func (s *Session) acquireOrdered(ctx context.Context, parts []*ticket, dl sim.Time) (hold, error) {
+	refs := make([]grantRef, 0, len(parts))
+	for i, t := range parts {
+		g, err := s.acquireOne(ctx, t, dl)
 		if err != nil {
-			unwind()
-			return nil, err
+			for _, u := range parts[i+1:] {
+				s.put(u) // never submitted
+			}
+			for j := len(refs) - 1; j >= 0; j-- {
+				refs[j].release()
+			}
+			return hold{}, err
 		}
-		releases = append(releases, rel)
+		refs = append(refs, g)
 	}
-	return unwind, nil
+	return hold{first: refs[0], more: refs[1:]}, nil
 }
 
 // Two-phase attempt pacing: an attempt that cannot assemble the full
@@ -205,34 +284,36 @@ const (
 // only if all grants land before the attempt times out; otherwise it
 // releases what it got, backs off, and tries again. Higher concurrency
 // than the ordered walk when shards are uncontended, at the price of
-// retry work when they are not.
-func (s *Session) acquireTwoPhase(ctx context.Context, parts []resource.ShardPart, dl sim.Time) (func(), error) {
+// retry work when they are not. Every attempt ends with its tickets
+// held, back in their slots or left with their loops, so a retry routes
+// the request afresh.
+func (s *Session) acquireTwoPhase(ctx context.Context, resources []int, parts []*ticket, dl sim.Time) (hold, error) {
 	wait := twoPhaseBaseWait
 	for attempt := 0; ; attempt++ {
-		tickets := make([]*ticket, len(parts))
-		loops := make([]*loop, len(parts))
-		for i, p := range parts {
-			loops[i] = s.c.loops[p.Shard][s.node]
-			if tickets[i] = s.submit(loops[i], p.Local, dl); tickets[i] == nil {
-				for j := 0; j < i; j++ {
-					s.withdraw(loops[j], tickets[j])
+		if attempt > 0 {
+			parts = s.route(resources)
+		}
+		for i, t := range parts {
+			if !s.submit(t, dl) {
+				for _, u := range parts[:i] {
+					s.withdraw(u)
 				}
-				return nil, ErrClosed
+				return hold{}, ErrClosed
 			}
 		}
 		timer := time.NewTimer(wait + time.Duration(rand.Int63n(int64(wait))))
-		held := make([]bool, len(parts))
+		refs := make([]grantRef, len(parts)) // refs[i].t set once part i is held
 		var permErr error
 		timedOut := false
-		for i, t := range tickets {
+		for i, t := range parts {
 			if permErr != nil || timedOut {
 				break
 			}
 			select {
 			case <-t.granted:
-				held[i] = true
-			case err := <-t.aborted:
-				permErr = err
+				refs[i] = grantRef{t: t, gen: t.gen.Load()}
+			case <-s.c.closed:
+				permErr = ErrClosed
 			case <-ctx.Done():
 				permErr = ctx.Err()
 			case <-timer.C:
@@ -241,33 +322,25 @@ func (s *Session) acquireTwoPhase(ctx context.Context, parts []resource.ShardPar
 		}
 		timer.Stop()
 		if permErr == nil && !timedOut {
-			rels := make([]func(), len(parts))
-			for i := range tickets {
-				rels[i] = s.releaseFunc(loops[i], tickets[i])
-			}
-			return func() {
-				for i := len(rels) - 1; i >= 0; i-- {
-					rels[i]()
-				}
-			}, nil
+			return hold{first: refs[0], more: refs[1:]}, nil
 		}
 		// Hand everything back: release what landed, withdraw the rest
 		// (a grant racing the withdrawal is released by the loop).
-		for i := range tickets {
-			if held[i] {
-				s.releaseFunc(loops[i], tickets[i])()
+		for i, t := range parts {
+			if refs[i].t != nil {
+				refs[i].release()
 			} else {
-				s.withdraw(loops[i], tickets[i])
+				s.withdraw(t)
 			}
 		}
 		if permErr != nil {
-			return nil, permErr
+			return hold{}, permErr
 		}
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return hold{}, ctx.Err()
 		case <-s.c.closed:
-			return nil, ErrClosed
+			return hold{}, ErrClosed
 		case <-time.After(time.Duration(rand.Int63n(int64(wait)))):
 		}
 		if wait *= 2; wait > twoPhaseMaxWait {
@@ -276,83 +349,147 @@ func (s *Session) acquireTwoPhase(ctx context.Context, parts []resource.ShardPar
 	}
 }
 
-// submit builds and enqueues a ticket on one shard loop, returning nil
-// once the cluster is closing.
-func (s *Session) submit(l *loop, rs resource.Set, dl sim.Time) *ticket {
-	t := &ticket{
-		rs:      rs,
-		granted: make(chan struct{}),
-		aborted: make(chan error, 1),
-	}
-	t.item = serve.Item{Session: s.id, Size: rs.Len(), Deadline: dl, V: t}
-	if !l.post(cmdSubmit{t: t}) {
-		return nil
-	}
-	return t
+// submit enqueues a filled ticket on its loop, reporting false once the
+// cluster is closing.
+func (s *Session) submit(t *ticket, dl sim.Time) bool {
+	t.item.Size, t.item.Deadline = t.rs.Len(), dl
+	return t.l.post(cmdSubmit{t})
 }
 
-// withdraw cancels a submitted ticket through its loop; the loop always
-// answers (or the cluster is closing, which fails every ticket anyway).
-func (s *Session) withdraw(l *loop, t *ticket) {
-	done := make(chan struct{})
-	if l.post(cmdCancel{t: t, done: done}) {
+// withdraw cancels a submitted ticket through its loop. The loop always
+// answers (or the cluster is closing, which ends every acquire anyway):
+// a ticket it hands back returns to its slot, one it keeps is gone.
+func (s *Session) withdraw(t *ticket) {
+	if !t.l.post(cmdCancel{t}) {
+		return
+	}
+	select {
+	case back := <-t.done:
+		if back {
+			// A grant that raced the cancel left its signal behind.
+			select {
+			case <-t.granted:
+			default:
+			}
+			s.put(t)
+		}
+	case <-s.c.closed:
+	}
+}
+
+// grantRef names one grant of one ticket. The generation is what binds
+// a release function to its own grant: the ticket carries on to later
+// acquires, and a release arriving with an old generation is a no-op.
+type grantRef struct {
+	t   *ticket
+	gen uint64
+}
+
+// release ends the grant, reporting whether this call was the one that
+// did — false for a repeat or a call that outlived its grant. On a
+// closing cluster the release degrades to a no-op: nothing is left to
+// hand the resources to.
+func (g grantRef) release() bool {
+	t := g.t
+	if !t.gen.CompareAndSwap(g.gen, g.gen+1) {
+		return false
+	}
+	if t.l.post(cmdRelease{t}) {
 		select {
-		case <-done:
-		case <-s.c.closed:
+		case <-t.done:
+			t.s.put(t)
+		case <-t.l.c.closed:
 		}
 	}
+	return true
 }
 
-// releaseFunc builds the exactly-once release closure for a granted
-// ticket. On a closing cluster the release degrades to a no-op — the
-// loop's shutdown path owns the unwind.
-func (s *Session) releaseFunc(l *loop, t *ticket) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			done := make(chan struct{})
-			if !l.post(cmdRelease{t: t, done: done}) {
-				return
-			}
-			select {
-			case <-done:
-			case <-s.c.closed:
-			}
-		})
+// hold is everything one Acquire was granted: one part for every
+// single-shard acquire, and the rest of a cross-shard set behind it in
+// ascending shard order.
+type hold struct {
+	first grantRef
+	more  []grantRef
+}
+
+// release hands the parts back, last acquired first, reporting whether
+// this call was the one that released them.
+func (h hold) release() bool {
+	for i := len(h.more) - 1; i >= 0; i-- {
+		h.more[i].release()
 	}
+	return h.first.release()
 }
 
-// Acquire is the one-session convenience wrapper: it opens an
-// ephemeral session on node id, performs a single Acquire, and closes
-// the session when the grant is released. See Session.Acquire for the
-// full semantics; concurrent Acquires on one node multiplex through
-// the admission scheduler exactly like long-lived sessions.
+// Acquire is the one-session convenience wrapper: it performs a single
+// Acquire on node id through an ephemeral session, drawn from the
+// cluster's spares and handed back when the grant is released. See
+// Session.Acquire for the full semantics; concurrent Acquires on one
+// node multiplex through the admission scheduler exactly like
+// long-lived sessions.
 func (c *Cluster) Acquire(ctx context.Context, id int, resources ...int) (func(), error) {
-	s, err := c.NewSession(id)
+	s, err := c.spareSession(id)
 	if err != nil {
 		return nil, err
 	}
-	release, err := s.Acquire(ctx, serve.AcquireOpts{Resources: resources})
+	h, err := s.acquire(ctx, serve.AcquireOpts{Resources: resources})
 	if err != nil {
-		s.Close()
+		c.keepSpare(s)
 		return nil, err
 	}
 	return func() {
-		release()
-		s.Close()
+		if h.release() {
+			c.keepSpare(s)
+		}
 	}, nil
 }
 
-// ticket is one admission request in flight: scheduler item, protocol
-// state, and the channels its session waits on. The loop goroutine
-// owns every field after the submit; the session only reads granted
-// and aborted.
+// spareSession takes an idle ephemeral session of node id, opening one
+// when none is spare.
+func (c *Cluster) spareSession(id int) (*Session, error) {
+	if c.Local(id) {
+		c.sessMu.Lock()
+		if n := len(c.spare[id]); n > 0 {
+			s := c.spare[id][n-1]
+			c.spare[id] = c.spare[id][:n-1]
+			c.sessMu.Unlock()
+			return s, nil
+		}
+		c.sessMu.Unlock()
+	}
+	return c.NewSession(id)
+}
+
+func (c *Cluster) keepSpare(s *Session) {
+	c.sessMu.Lock()
+	c.spare[s.node] = append(c.spare[s.node], s)
+	c.sessMu.Unlock()
+}
+
+// ticket is one admission request record: scheduler item, the shard's
+// part of the request, and the signals its session waits on. It belongs
+// to one session and one loop for life and carries one request after
+// another. Between submit and the loop's answer — the grant followed by
+// the release acknowledgement, or a cancel acknowledged with true — the
+// loop owns every field but gen; otherwise the session does. The one
+// exception is final: a ticket cancelled while in flight stays with the
+// loop, and the session builds another.
 type ticket struct {
 	item serve.Item
-	rs   resource.Set
+	rs   resource.Set // the request, in the shard's local identifiers
+	s    *Session
+	l    *loop
 
-	granted chan struct{} // closed by the loop when the CS is entered
-	aborted chan error    // receives the terminal error instead
+	// Reusable signals, one slot each: the loop sends at most one value
+	// per request on granted and one per command on done, and the
+	// session consumes (or, for a grant that raced a cancel, drains)
+	// each before the ticket is used again.
+	granted chan struct{} // the CS is entered
+	done    chan bool     // cmdRelease / cmdCancel handled; false: the loop keeps the ticket
+
+	// gen counts the ticket's grants that have been released; a grant
+	// is named by the value it was made under (see grantRef).
+	gen atomic.Uint64
 
 	admitted sim.Time // when the protocol Request was issued (loop only)
 
@@ -360,13 +497,4 @@ type ticket struct {
 	// -released, and canceled-while-in-flight respectively.
 	inCS      bool
 	abandoned bool
-}
-
-// abort delivers a terminal error to the session (at most one is ever
-// sent; the buffer makes the send safe when nobody is listening).
-func (t *ticket) abort(err error) {
-	select {
-	case t.aborted <- err:
-	default:
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mralloc/internal/network"
@@ -51,12 +52,28 @@ type Client struct {
 	mu      sync.Mutex
 	next    uint64
 	pending map[uint64]*clientPending
-	err     error // terminal connection error
+	free    *clientPending // entries no request is using, linked through next
+	err     error          // terminal connection error
 	closed  chan struct{}
 }
 
+// clientPending is one request's wait for its response. An entry is in
+// Client.pending from registration until whoever deletes it there — the
+// read loop delivering the response, or the waiter giving up — and the
+// deleter alone may still send on ch. The waiter puts the entry on the
+// free list once it knows ch is empty and stays so: after receiving the
+// response, or after deleting the entry itself.
+//
+// An Acquire's entry stays out of the free list while its grant is
+// held, as the flag its release function flips: gen counts the grants
+// the entry has seen released, a release function carries the value its
+// grant was made under, and the one call that moves gen on sends the
+// release. A repeated call, or one that comes after the entry went on
+// to another request, finds gen moved and does nothing.
 type clientPending struct {
-	ch chan clientResult // buffered(1): grant or deny
+	ch   chan clientResult // buffered(1): grant or deny
+	next *clientPending
+	gen  atomic.Uint64
 }
 
 type clientResult struct {
@@ -200,55 +217,43 @@ func (c *Client) acquireOnce(ctx context.Context, node int, opts AcquireOpts) (f
 	if node != AnyNode && node < 0 {
 		return nil, fmt.Errorf("serve: bad node %d", node)
 	}
-	msg := ClientAcquire{Node: network.NodeID(node)}
-	msg.Resources = make([]int64, len(opts.Resources))
-	for i, r := range opts.Resources {
-		msg.Resources[i] = int64(r)
-	}
 	deadline := opts.Deadline
 	if deadline.IsZero() {
 		if d, ok := ctx.Deadline(); ok {
 			deadline = d
 		}
 	}
+	var deadlineMS int64
 	if !deadline.IsZero() {
-		ms := time.Until(deadline).Milliseconds()
-		if ms < 1 {
-			ms = 1 // already due: the nearest possible deadline, not "none"
+		deadlineMS = time.Until(deadline).Milliseconds()
+		if deadlineMS < 1 {
+			deadlineMS = 1 // already due: the nearest possible deadline, not "none"
 		}
-		msg.DeadlineMS = ms
 	}
 
-	p := &clientPending{ch: make(chan clientResult, 1)}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	var w [1]*clientPending
+	id, err := c.register(w[:])
+	if err != nil {
 		return nil, err
 	}
-	c.next++
-	id := c.next
-	msg.Req = id
-	c.pending[id] = p
-	c.mu.Unlock()
-
-	if err := c.send(msg); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+	p := w[0]
+	frame := appendAcquire(wire.GetFrame(128)[:wire.FrameDataOff], id, network.NodeID(node), opts.Resources, deadlineMS)
+	if err := c.queue(frame); err != nil {
+		c.abandon(id, p)
 		return nil, err
 	}
 	select {
 	case res := <-p.ch:
 		if !res.granted {
-			if res.code == DenyOverloaded {
-				return nil, fmt.Errorf("serve: denied: %s: %w", res.reason, ErrOverloaded)
-			}
-			return nil, fmt.Errorf("serve: denied: %s", res.reason)
+			c.recycle(p)
+			return nil, res.denied("")
 		}
-		var once sync.Once
+		gen := p.gen.Load()
 		return func() {
-			once.Do(func() { c.send(ClientRelease{Req: id}) })
+			if p.gen.CompareAndSwap(gen, gen+1) {
+				c.sendRelease(id)
+				c.recycle(p)
+			}
 		}, nil
 	case <-ctx.Done():
 		// Withdraw. If the grant already raced in, the entry is gone
@@ -256,10 +261,8 @@ func (c *Client) acquireOnce(ctx context.Context, node int, opts AcquireOpts) (f
 		// daemon cancels the queued request (and sends no response, so
 		// the entry must be dropped here, not by a later dispatch).
 		// Either way nothing stays held on our behalf.
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		c.send(ClientRelease{Req: id})
+		c.abandon(id, p)
+		c.sendRelease(id)
 		return nil, ctx.Err()
 	case <-c.closed:
 		c.mu.Lock()
@@ -267,6 +270,60 @@ func (c *Client) acquireOnce(ctx context.Context, node int, opts AcquireOpts) (f
 		c.mu.Unlock()
 		return nil, err
 	}
+}
+
+// register reserves len(waiters) consecutive request ids, base onward,
+// and fills waiters with a pending entry for each, or reports the
+// connection's terminal error.
+func (c *Client) register(waiters []*clientPending) (base uint64, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return 0, c.err
+	}
+	base = c.next + 1
+	c.next += uint64(len(waiters))
+	for i := range waiters {
+		p := c.free
+		if p != nil {
+			c.free, p.next = p.next, nil
+		} else {
+			p = &clientPending{ch: make(chan clientResult, 1)}
+		}
+		waiters[i] = p
+		c.pending[base+uint64(i)] = p
+	}
+	return base, nil
+}
+
+// abandon gives up on request id. If its entry is still pending nothing
+// will be sent on it now, so it is recycled; if the read loop got there
+// first the entry is left to the garbage collector, a response already
+// in (or on its way into) its channel.
+func (c *Client) abandon(id uint64, p *clientPending) {
+	c.mu.Lock()
+	if c.pending[id] == p {
+		delete(c.pending, id)
+		p.next, c.free = c.free, p
+	}
+	c.mu.Unlock()
+}
+
+// recycle frees an entry whose response has been received (and, for a
+// grant, released).
+func (c *Client) recycle(p *clientPending) {
+	c.mu.Lock()
+	p.next, c.free = c.free, p
+	c.mu.Unlock()
+}
+
+// denied renders a denial as the error Acquire returns; set names the
+// batch member it answers ("" for a plain Acquire).
+func (r clientResult) denied(set string) error {
+	if r.code == DenyOverloaded {
+		return fmt.Errorf("serve: denied%s: %s: %w", set, r.reason, ErrOverloaded)
+	}
+	return fmt.Errorf("serve: denied%s: %s", set, r.reason)
 }
 
 // AcquireAll batches many acquisitions into one request frame — one
@@ -316,41 +373,34 @@ func (c *Client) AcquireAll(ctx context.Context, node int, sets ...[]int) (func(
 	// to base+i, and each is tracked like a standalone Acquire.
 	k := len(sets)
 	waiters := make([]*clientPending, k)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	base, err := c.register(waiters)
+	if err != nil {
 		return nil, err
 	}
-	base := c.next + 1
-	c.next += uint64(k)
-	for i := range waiters {
-		waiters[i] = &clientPending{ch: make(chan clientResult, 1)}
-		c.pending[base+uint64(i)] = waiters[i]
-	}
-	c.mu.Unlock()
 	msg.Req = base
 
 	// unwind releases or withdraws sub-request i — the all-or-nothing
 	// cleanup for grants landed before a failure.
 	unwind := func(i int) {
-		id := base + uint64(i)
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		c.send(ClientRelease{Req: id})
+		c.abandon(base+uint64(i), waiters[i])
+		c.sendRelease(base + uint64(i))
 	}
-	if err := c.send(msg); err != nil {
-		c.mu.Lock()
-		for i := range waiters {
-			delete(c.pending, base+uint64(i))
+	frame, err := wire.Append(wire.GetFrame(128)[:wire.FrameDataOff], msg)
+	if err == nil {
+		err = c.queue(frame)
+	} else {
+		wire.ReleaseFrame(frame)
+	}
+	if err != nil {
+		for i, p := range waiters {
+			c.abandon(base+uint64(i), p)
 		}
-		c.mu.Unlock()
 		return nil, err
 	}
 	for i, p := range waiters {
 		select {
 		case res := <-p.ch:
+			c.recycle(p)
 			if res.granted {
 				continue
 			}
@@ -359,10 +409,7 @@ func (c *Client) AcquireAll(ctx context.Context, node int, sets ...[]int) (func(
 					unwind(j)
 				}
 			}
-			if res.code == DenyOverloaded {
-				return nil, fmt.Errorf("serve: denied set %d: %s: %w", i, res.reason, ErrOverloaded)
-			}
-			return nil, fmt.Errorf("serve: denied set %d: %s", i, res.reason)
+			return nil, res.denied(fmt.Sprintf(" set %d", i))
 		case <-ctx.Done():
 			for j := 0; j < k; j++ {
 				unwind(j)
@@ -375,13 +422,13 @@ func (c *Client) AcquireAll(ctx context.Context, node int, sets ...[]int) (func(
 			return nil, err
 		}
 	}
-	var once sync.Once
+	var released atomic.Bool
 	return func() {
-		once.Do(func() {
+		if released.CompareAndSwap(false, true) {
 			for i := 0; i < k; i++ {
-				c.send(ClientRelease{Req: base + uint64(i)})
+				c.sendRelease(base + uint64(i))
 			}
-		})
+		}
 	}, nil
 }
 
@@ -467,23 +514,24 @@ func (c *Client) fail(err error) {
 	go c.co.CloseWithin(10 * time.Second)
 }
 
-// send queues one request frame on the coalescing writer — encoded
-// into an owned pooled buffer the writer writes from and releases.
-func (c *Client) send(m network.Message) error {
-	frame, err := wire.Append(wire.GetFrame(128)[:wire.FrameDataOff], m)
-	if err != nil {
-		wire.ReleaseFrame(frame)
-		return err
+// queue hands one request frame — encoded into an owned pooled buffer
+// from wire.FrameDataOff on — to the coalescing writer, which writes
+// from it and releases it.
+func (c *Client) queue(frame []byte) error {
+	if c.co.AppendOwned(frame, wire.FinishFrame(frame)) {
+		return nil
 	}
-	ok := c.co.AppendOwned(frame, wire.FinishFrame(frame))
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("serve: connection closed")
-		}
-		return err
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	if err == nil {
+		err = fmt.Errorf("serve: connection closed")
 	}
-	return nil
+	return err
+}
+
+// sendRelease ends or withdraws request id. A failure to send means the
+// connection is gone, and the daemon has released everything with it.
+func (c *Client) sendRelease(id uint64) {
+	c.queue(appendRelease(wire.GetFrame(128)[:wire.FrameDataOff], id))
 }

@@ -122,8 +122,14 @@ type Scheduler struct {
 	// so that aged items can be promoted front-first. Each entry pins
 	// the push's seq: an entry whose item has since been popped and
 	// re-pushed no longer matches and is compacted as stale, so a
-	// recycled Item cannot revive its old queue position.
+	// recycled Item cannot revive its old queue position. The live
+	// entries are fifo[head:]: consuming one advances head instead of
+	// reslicing, so the buffer's capacity survives. It is rewound when
+	// the queue empties, and a Push that finds it full slides the live
+	// half down rather than growing it — a queue allocates only while
+	// it is deeper than it has ever been.
 	fifo []fifoEntry
+	head int
 }
 
 // fifoEntry is one arrival-order record: the item plus the seq it was
@@ -176,6 +182,11 @@ func (s *Scheduler) Push(it *Item, now sim.Time) {
 	it.state = itemQueued
 	it.hi = -1
 	heap.Push(&s.heap, it)
+	if len(s.fifo) == cap(s.fifo) && s.head > 0 && s.head >= len(s.fifo)/2 {
+		n := copy(s.fifo, s.fifo[s.head:])
+		clear(s.fifo[n:])
+		s.fifo, s.head = s.fifo[:n], 0
+	}
 	s.fifo = append(s.fifo, fifoEntry{it: it, seq: it.seq})
 	if s.ad != nil {
 		s.ad.onPush(s)
@@ -189,16 +200,14 @@ func (s *Scheduler) Push(it *Item, now sim.Time) {
 func (s *Scheduler) Pop(now sim.Time) *Item {
 	// Compact stale fifo entries (popped via the heap, removed, or
 	// re-pushed under a newer seq).
-	for len(s.fifo) > 0 && s.fifo[0].stale() {
-		s.fifo[0] = fifoEntry{}
-		s.fifo = s.fifo[1:]
+	for s.head < len(s.fifo) && s.fifo[s.head].stale() {
+		s.dropOldest()
 	}
-	if len(s.fifo) == 0 {
+	if s.head == len(s.fifo) {
 		return nil
 	}
-	if oldest := s.fifo[0].it; now-oldest.Enqueued >= s.aging {
-		s.fifo[0] = fifoEntry{}
-		s.fifo = s.fifo[1:]
+	if oldest := s.fifo[s.head].it; now-oldest.Enqueued >= s.aging {
+		s.dropOldest()
 		heap.Remove(&s.heap, oldest.hi)
 		oldest.state = itemPopped
 		if s.ad != nil {
@@ -214,6 +223,15 @@ func (s *Scheduler) Pop(now sim.Time) *Item {
 	return it
 }
 
+// dropOldest consumes the front fifo entry, rewinding the buffer to its
+// start once nothing is left in it.
+func (s *Scheduler) dropOldest() {
+	s.fifo[s.head] = fifoEntry{}
+	if s.head++; s.head == len(s.fifo) {
+		s.fifo, s.head = s.fifo[:0], 0
+	}
+}
+
 // Remove cancels a queued item, reporting whether it was still queued
 // (false once popped or already removed).
 func (s *Scheduler) Remove(it *Item) bool {
@@ -226,25 +244,6 @@ func (s *Scheduler) Remove(it *Item) bool {
 		s.ad.onDepth(s.heap.Len())
 	}
 	return true
-}
-
-// Drain removes and returns every queued item in arrival order — the
-// shutdown path, where each must be failed distinctly.
-func (s *Scheduler) Drain() []*Item {
-	var out []*Item
-	for _, e := range s.fifo {
-		if e.it != nil && !e.stale() {
-			e.it.state = itemRemoved
-			e.it.hi = -1
-			out = append(out, e.it)
-		}
-	}
-	s.fifo = nil
-	s.heap.items = nil
-	if s.ad != nil {
-		s.ad.onDepth(0)
-	}
-	return out
 }
 
 // policyHeap orders queued items by the current ordering mode, arrival

@@ -118,27 +118,6 @@ func TestRemoveCancelsQueued(t *testing.T) {
 	}
 }
 
-func TestDrainReturnsArrivalOrder(t *testing.T) {
-	s := NewScheduler(EDF, 0)
-	for i := 0; i < 4; i++ {
-		s.Push(&Item{Session: uint64(i), Deadline: sim.Time(100 - i)}, sim.Time(i))
-	}
-	s.Pop(0) // session 3 (nearest deadline) leaves
-	got := s.Drain()
-	want := []uint64{0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d items, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Session != want[i] {
-			t.Fatalf("drain order %v, want %v", got, want)
-		}
-	}
-	if s.Len() != 0 {
-		t.Fatal("scheduler non-empty after Drain")
-	}
-}
-
 // TestNoStarvationUnderAdversarialStream: keep feeding small requests
 // that SSF prefers; a big early request must still be admitted within
 // a bounded number of pops thanks to aging.
@@ -248,4 +227,38 @@ func TestReusedItemCannotReviveQueuePosition(t *testing.T) {
 		}
 	}
 	t.Fatal("big request starved by a reused small item (stale fifo entry revived)")
+}
+
+// TestSteadyStateQueueAllocs: a queue that is not deeper than it has
+// been before allocates nothing per push/pop — at depth 1 (the
+// uncontended node: every request finds the queue empty), where the
+// arrival-order buffer used to be resliced down to zero capacity and
+// regrown on every push, and at depth 64.
+func TestSteadyStateQueueAllocs(t *testing.T) {
+	for _, p := range Policies() {
+		for _, depth := range []int{1, 64} {
+			s := NewScheduler(p, 0)
+			now := sim.Time(0)
+			items := make([]Item, depth)
+			for i := range items {
+				items[i] = Item{Session: uint64(i), Size: 1 + i%4, Deadline: sim.Time(i + 1)}
+				s.Push(&items[i], now)
+			}
+			spare := s.Pop(now)
+			cycle := func() {
+				now++
+				s.Push(spare, now)
+				spare = s.Pop(now)
+			}
+			for i := 0; i < 4*depth; i++ { // let the buffers reach their steady size
+				cycle()
+			}
+			if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+				t.Errorf("%s, depth %d: %v allocs per push/pop, want 0", p, depth, got)
+			}
+			if s.Len() != depth-1 {
+				t.Fatalf("%s, depth %d: %d items queued after the cycles", p, depth, s.Len())
+			}
+		}
+	}
 }

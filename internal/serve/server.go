@@ -51,9 +51,10 @@ type ServerConfig struct {
 	// Local lists the node ids this process hosts — the candidates
 	// for requests that do not target a node.
 	Local []int
-	// Open opens a session on a locally hosted node; the server opens
-	// one per admitted client request and closes it when the request
-	// is released, denied or the connection drops.
+	// Open opens a session on a locally hosted node. A connection opens
+	// one when a request finds none of the node's sessions idle, runs
+	// one request after another on it, and closes it when the
+	// connection drops.
 	Open func(node int) (BackendSession, error)
 	// MaxQueue, when positive, bounds how many of this port's client
 	// requests may be waiting (submitted but not yet granted) on one
@@ -121,7 +122,7 @@ type Server struct {
 	// tasks hands a request's blocking acquisition to a parked worker
 	// goroutine (see dispatch). Unbuffered on purpose: a send succeeds
 	// only into a worker that is waiting for one.
-	tasks chan func()
+	tasks chan *connReq
 
 	closeMu sync.Mutex
 	closed  chan struct{}
@@ -158,7 +159,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ln:     ln,
 		queued: make([]atomic.Int64, cfg.Nodes),
 		conns:  make(map[*conn]bool),
-		tasks:  make(chan func()),
+		tasks:  make(chan *connReq),
 		closed: make(chan struct{}),
 	}
 	s.wg.Add(1)
@@ -235,32 +236,38 @@ func (s *Server) acceptLoop() {
 // port gone quiet holds no goroutines.
 const workerIdle = time.Second
 
-// dispatch runs one request's blocking part (admit's run) off the read
-// loop: on a parked worker when one is waiting, on a new one otherwise.
-// A goroutine per request would start each acquisition on a minimal
-// stack and regrow it inside Session.Acquire every time; a worker that
-// has served one request keeps the grown stack for the next. The pool
-// sizes itself to the number of requests blocked at once.
-func (s *Server) dispatch(run func()) {
+// dispatch runs the blocking part of one request — or of a batch, the
+// chain of requests linked behind r — off the read loop: on a parked
+// worker when one is waiting, on a new one otherwise. A goroutine per
+// request would start each acquisition on a minimal stack and regrow it
+// inside Session.Acquire every time; a worker that has served one
+// request keeps the grown stack for the next. The pool sizes itself to
+// the number of requests blocked at once.
+func (s *Server) dispatch(r *connReq) {
 	select {
-	case s.tasks <- run:
+	case s.tasks <- r:
 	default:
 		s.wg.Add(1)
-		go s.worker(run)
+		go s.worker(r)
 	}
 }
 
-// worker runs its first task, then whatever dispatch hands it, until
+// worker runs its first chain, then whatever dispatch hands it, until
 // it has been idle for workerIdle or the server closes.
-func (s *Server) worker(run func()) {
+func (s *Server) worker(r *connReq) {
 	defer s.wg.Done()
 	idle := time.NewTimer(workerIdle)
 	defer idle.Stop()
 	for {
-		run()
+		for r != nil {
+			next := r.next // run ends with r recycled, its link with it
+			r.next = nil
+			r.run()
+			r = next
+		}
 		idle.Reset(workerIdle)
 		select {
-		case run = <-s.tasks:
+		case r = <-s.tasks:
 		case <-idle.C:
 			return
 		case <-s.closed:
@@ -269,14 +276,51 @@ func (s *Server) worker(run func()) {
 	}
 }
 
-// connReq is one client request's server-side state. The connection
-// lock guards state transitions; the acquire goroutine holds no lock
-// while blocked in Acquire.
+// connReq is the server-side record of one client request, and what
+// carries one request after another: a connection builds a record (and
+// opens its backend session) only when a request finds none idle for
+// its node, and keeps it until the connection drops.
+//
+// A record is in exactly one place: on its node's free list (idle), in
+// conn.reqs (admitted: id, opts and the fields below are live), or with
+// the one goroutine that just took it out of either. Whoever deletes it
+// from conn.reqs ends the request and recycles the record; a
+// ClientRelease that arrives afterwards finds no such id and is the
+// no-op it always was, whatever the record is doing by then.
+//
+// The record is also the context.Context its acquisition runs under:
+// cancelled when the client withdraws the request or the connection
+// drops. Its Done channel is replaced only after an actual cancel.
 type connReq struct {
-	sess      BackendSession
-	cancel    context.CancelFunc
-	release   func() // set once granted
-	withdrawn bool   // client released before the grant landed
+	cn   *conn
+	node int
+	sess BackendSession
+	next *connReq // free list; or the next sub-request of a batch being dispatched
+
+	id   uint64
+	opts AcquireOpts // Resources keeps its storage from request to request
+
+	done     chan struct{}
+	canceled atomic.Bool // set under conn.mu; withdrawn before the grant landed, or torn down
+	release  func()      // under conn.mu; set once granted
+}
+
+func (r *connReq) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (r *connReq) Done() <-chan struct{}       { return r.done }
+func (r *connReq) Value(any) any               { return nil }
+
+func (r *connReq) Err() error {
+	if r.canceled.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// cancel ends the record's context; conn.mu held.
+func (r *connReq) cancel() {
+	if !r.canceled.Swap(true) {
+		close(r.done)
+	}
 }
 
 // conn is one client connection.
@@ -287,12 +331,14 @@ type conn struct {
 
 	mu   sync.Mutex
 	reqs map[uint64]*connReq
-	wg   sync.WaitGroup // dispatched acquisitions
+	free []*connReq     // by node: idle records, linked through next
+	all  []*connReq     // every record built, for teardown (read loop only)
+	wg   sync.WaitGroup // admitted requests whose run has not returned
 }
 
 func (s *Server) serve(nc net.Conn) {
 	defer s.wg.Done()
-	cn := &conn{s: s, c: nc, reqs: make(map[uint64]*connReq)}
+	cn := &conn{s: s, c: nc, reqs: make(map[uint64]*connReq), free: make([]*connReq, s.cfg.Nodes)}
 	maxFrames := 0
 	if s.cfg.DisableCoalesce {
 		maxFrames = 1
@@ -324,16 +370,17 @@ func (s *Server) serve(nc net.Conn) {
 	reqs := cn.reqs
 	cn.reqs = nil
 	for _, r := range reqs {
-		r.withdrawn = true
 		r.cancel()
 		if r.release != nil {
 			r.release()
-			r.sess.Close()
 			s.sessions.Add(-1)
 		}
 	}
 	cn.mu.Unlock()
 	cn.wg.Wait()
+	for _, r := range cn.all {
+		r.sess.Close()
+	}
 	// Flush whatever responses are still queued (bounded — the client
 	// may be gone), fold the egress counters into the server total,
 	// and drop the socket. The bounded close join backstops the write
@@ -452,13 +499,9 @@ func (s *Server) checkClient(peer wire.Hello) error {
 // id, which a conforming client must treat as that request's outcome,
 // stranding the real grant when it lands.
 func (cn *conn) handleAcquire(x ClientAcquire) bool {
-	run, ok := cn.admit(x)
-	if ok && run != nil {
-		cn.wg.Add(1)
-		cn.s.dispatch(func() {
-			defer cn.wg.Done()
-			run()
-		})
+	r, ok := cn.admit(x)
+	if r != nil {
+		cn.s.dispatch(r)
 	}
 	return ok
 }
@@ -474,10 +517,10 @@ func (cn *conn) handleAcquire(x ClientAcquire) bool {
 // same order, so two concurrent batches cannot deadlock each other.
 func (cn *conn) handleAcquireAll(x ClientAcquireAll) bool {
 	k := len(x.Sets)
-	denyAll := func(code DenyCode, format string, args ...any) {
+	denyAll := func(format string, args ...any) {
 		reason := fmt.Sprintf(format, args...)
 		for i := 0; i < k; i++ {
-			cn.send(ClientDeny{Req: x.Req + uint64(i), Reason: reason, Code: code})
+			cn.send(ClientDeny{Req: x.Req + uint64(i), Reason: reason})
 		}
 	}
 	if k == 0 {
@@ -488,8 +531,7 @@ func (cn *conn) handleAcquireAll(x ClientAcquireAll) bool {
 	if x.Node == network.None {
 		local := cn.s.cfg.Local
 		if k > len(local) {
-			denyAll(DenyGeneric,
-				"batch of %d sets exceeds the %d hosted nodes (one critical section per node)",
+			denyAll("batch of %d sets exceeds the %d hosted nodes (one critical section per node)",
 				k, len(local))
 			return true
 		}
@@ -501,86 +543,88 @@ func (cn *conn) handleAcquireAll(x ClientAcquireAll) bool {
 		sort.Ints(nodes)
 	} else {
 		if k > 1 {
-			denyAll(DenyGeneric,
-				"a %d-set batch cannot target one node (one critical section per node); omit the node to spread it",
+			denyAll("a %d-set batch cannot target one node (one critical section per node); omit the node to spread it",
 				k)
 			return true
 		}
 		nodes = []int{int(x.Node)}
 	}
-	runs := make([]func(), 0, k)
+	var first, last *connReq
 	for i, set := range x.Sets {
-		sub := ClientAcquire{
+		r, ok := cn.admit(ClientAcquire{
 			Req:        x.Req + uint64(i),
 			Node:       network.NodeID(nodes[i]),
 			Resources:  set,
 			DeadlineMS: x.DeadlineMS,
-		}
-		run, ok := cn.admit(sub)
+		})
 		if !ok {
+			// The connection dies for this sub-request, and the ones
+			// admitted before it will never run: end them here, or they
+			// stay counted against their nodes for the daemon's life.
+			for r := first; r != nil; r = r.next {
+				cn.mu.Lock()
+				delete(cn.reqs, r.id)
+				cn.mu.Unlock()
+				cn.s.queued[r.node].Add(-1)
+				cn.s.sessions.Add(-1)
+				cn.wg.Done()
+			}
 			return false
 		}
-		if run != nil {
-			runs = append(runs, run)
+		switch {
+		case r == nil: // answered already
+		case first == nil:
+			first, last = r, r
+		default:
+			last.next, last = r, r
 		}
 	}
-	if len(runs) == 0 {
-		return true
+	if first != nil {
+		cn.s.dispatch(first)
 	}
-	cn.wg.Add(1)
-	cn.s.dispatch(func() {
-		defer cn.wg.Done()
-		for _, run := range runs {
-			run()
-		}
-	})
 	return true
 }
 
 // admit validates and registers one request. ok reports whether the
-// connection may live on (false: protocol violation, kill it); run,
-// when non-nil, performs the blocking acquisition and sends the
-// response — the caller chooses the goroutine it runs on. A nil run
-// with ok means the request was already answered (denied).
-func (cn *conn) admit(x ClientAcquire) (run func(), ok bool) {
-	deny := func(format string, args ...any) {
-		cn.send(ClientDeny{Req: x.Req, Reason: fmt.Sprintf(format, args...)})
-	}
+// connection may live on (false: protocol violation, kill it); r, when
+// non-nil, is the admitted request, whose run — the blocking
+// acquisition and its response — the caller must dispatch. A nil r with
+// ok means the request was already answered (denied).
+func (cn *conn) admit(x ClientAcquire) (r *connReq, ok bool) {
 	if len(x.Resources) == 0 {
-		deny("empty resource set")
+		cn.deny(x.Req, "empty resource set")
 		return nil, true
 	}
-	resources := make([]int, len(x.Resources))
-	for i, r := range x.Resources {
-		if r < 0 || r >= int64(cn.s.cfg.Resources) {
-			deny("no resource %d", r)
+	for _, res := range x.Resources {
+		if res < 0 || res >= int64(cn.s.cfg.Resources) {
+			cn.deny(x.Req, "no resource %d", res)
 			return nil, true
 		}
-		resources[i] = int(r)
 	}
+	size := len(x.Resources)
 	node := int(x.Node)
 	if x.Node == network.None {
 		local := cn.s.cfg.Local
 		node = local[cn.s.nextLocal()]
-		if ol := cn.s.cfg.Overloaded; ol != nil && ol(node, len(resources)) {
+		if ol := cn.s.cfg.Overloaded; ol != nil && ol(node, size) {
 			// Spread: one shedding node must not deny what another
 			// hosted node could serve — advance the cursor until a node
 			// accepts, or every candidate has shed (the check below
 			// then denies on the last one).
 			for i := 1; i < len(local); i++ {
 				node = local[cn.s.nextLocal()]
-				if !ol(node, len(resources)) {
+				if !ol(node, size) {
 					break
 				}
 			}
 		}
 	} else if !cn.s.hostsLocally(node) {
-		deny("node %d is not hosted by this daemon", node)
+		cn.deny(x.Req, "node %d is not hosted by this daemon", node)
 		return nil, true
 	}
 	// Load-aware shed: the adaptive bound denies before the queue
 	// passes the knee, while the client can still act on it.
-	if ol := cn.s.cfg.Overloaded; ol != nil && ol(node, len(resources)) {
+	if ol := cn.s.cfg.Overloaded; ol != nil && ol(node, size) {
 		if ns := cn.s.cfg.NoteShed; ns != nil {
 			ns(node)
 		}
@@ -606,70 +650,85 @@ func (cn *conn) admit(x ClientAcquire) (run func(), ok bool) {
 	} else {
 		cn.s.queued[node].Add(1)
 	}
-	unqueue := func() { cn.s.queued[node].Add(-1) }
 
-	var opts AcquireOpts
-	opts.Resources = resources
-	if x.DeadlineMS > 0 {
-		opts.Deadline = time.Now().Add(time.Duration(x.DeadlineMS) * time.Millisecond)
-	}
-
-	sess, err := cn.s.cfg.Open(node)
-	if err != nil {
-		unqueue()
-		deny("%v", err)
-		return nil, true
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &connReq{sess: sess, cancel: cancel}
 	cn.mu.Lock()
-	if cn.reqs == nil {
-		cn.mu.Unlock()
-		unqueue()
-		cancel()
-		sess.Close()
-		return nil, false // connection already torn down
+	if r = cn.free[node]; r != nil {
+		cn.free[node], r.next = r.next, nil
 	}
+	cn.mu.Unlock()
+	if r == nil {
+		sess, err := cn.s.cfg.Open(node)
+		if err != nil {
+			cn.s.queued[node].Add(-1)
+			cn.deny(x.Req, "%v", err)
+			return nil, true
+		}
+		r = &connReq{cn: cn, node: node, sess: sess, done: make(chan struct{})}
+		cn.all = append(cn.all, r)
+	}
+	r.id = x.Req
+	r.opts.Resources = r.opts.Resources[:0]
+	for _, res := range x.Resources {
+		r.opts.Resources = append(r.opts.Resources, int(res))
+	}
+	r.opts.Deadline = time.Time{}
+	if x.DeadlineMS > 0 {
+		r.opts.Deadline = time.Now().Add(time.Duration(x.DeadlineMS) * time.Millisecond)
+	}
+
+	cn.mu.Lock()
 	if _, dup := cn.reqs[x.Req]; dup {
 		cn.mu.Unlock()
-		unqueue()
-		cancel()
-		sess.Close()
+		cn.s.queued[node].Add(-1)
 		return nil, false // id reuse while in flight: unrecoverable ambiguity
 	}
 	cn.reqs[x.Req] = r
 	cn.mu.Unlock()
 	cn.s.sessions.Add(1)
+	cn.wg.Add(1)
+	return r, true
+}
 
-	return func() {
-		release, err := sess.Acquire(ctx, opts)
-		unqueue() // granted or failed: either way no longer waiting
-		cn.mu.Lock()
-		if err != nil {
-			withdrawn := r.withdrawn
-			delete(cn.reqs, x.Req)
-			cn.mu.Unlock()
-			cn.s.sessions.Add(-1)
-			sess.Close()
-			if !withdrawn {
-				deny("%v", err)
-			}
-			return
-		}
-		if r.withdrawn {
-			// Released (or disconnected) before the grant landed: give
-			// it straight back.
-			delete(cn.reqs, x.Req)
-			cn.mu.Unlock()
-			cn.s.sessions.Add(-1)
-			release()
-			sess.Close()
-			return
-		}
+// run performs an admitted request's blocking acquisition and answers
+// the client.
+func (r *connReq) run() {
+	cn := r.cn
+	defer cn.wg.Done()
+	release, err := r.sess.Acquire(r, r.opts)
+	cn.s.queued[r.node].Add(-1) // granted or failed: either way no longer waiting
+	id := r.id
+	cn.mu.Lock()
+	if err == nil && !r.canceled.Load() {
 		r.release = release
-		cn.mu.Unlock()
-		cn.send(ClientGrant{Req: x.Req})
-	}, true
+		cn.mu.Unlock() // the record is handleRelease's from here
+		cn.sendGrant(id)
+		return
+	}
+	// Failed, or released (or disconnected) before the grant landed:
+	// the request ends here, a grant going straight back.
+	canceled := r.canceled.Load()
+	delete(cn.reqs, id)
+	cn.mu.Unlock()
+	cn.s.sessions.Add(-1)
+	if err == nil {
+		release()
+	} else if !canceled {
+		cn.deny(id, "%v", err)
+	}
+	cn.recycle(r)
+}
+
+// recycle puts a record whose request has ended — already out of
+// conn.reqs, its grant released — back on its node's free list.
+func (cn *conn) recycle(r *connReq) {
+	r.release = nil
+	if r.canceled.Load() {
+		r.done = make(chan struct{})
+		r.canceled.Store(false)
+	}
+	cn.mu.Lock()
+	r.next, cn.free[r.node] = cn.free[r.node], r
+	cn.mu.Unlock()
 }
 
 func (cn *conn) handleRelease(req uint64) {
@@ -679,32 +738,30 @@ func (cn *conn) handleRelease(req uint64) {
 		cn.mu.Unlock()
 		return // unknown or already finished: releases are idempotent
 	}
-	if r.release != nil {
-		delete(cn.reqs, req)
+	if r.release == nil {
+		// Not granted yet: withdraw. The acquire goroutine unwinds it.
+		r.cancel()
 		cn.mu.Unlock()
-		r.release()
-		r.sess.Close()
-		cn.s.sessions.Add(-1)
 		return
 	}
-	// Not granted yet: withdraw. The acquire goroutine unwinds it.
-	r.withdrawn = true
-	r.cancel()
+	delete(cn.reqs, req)
 	cn.mu.Unlock()
+	r.release()
+	cn.s.sessions.Add(-1)
+	cn.recycle(r)
+}
+
+// deny answers request req with a generic denial.
+func (cn *conn) deny(req uint64, format string, args ...any) {
+	cn.send(ClientDeny{Req: req, Reason: fmt.Sprintf(format, args...)})
 }
 
 // send queues one response frame on the connection's coalescing
 // writer; concurrent grant fan-outs coalesce into batch envelopes.
 // The frame is encoded straight into an owned pooled buffer the
 // writer writes from and releases — no copy between encode and flush.
-//
-// A client that stops draining responses is shed, not queued for
-// without bound: once the egress backlog crosses the budget the
-// connection is closed, which unwinds the read loop and hands every
-// grant back — the same outcome as the client crashing.
 func (cn *conn) send(m network.Message) {
-	if b := cn.s.egressBudget(); b > 0 && cn.co.QueuedBytes() > b {
-		cn.c.Close()
+	if cn.shed() {
 		return
 	}
 	frame, err := wire.Append(wire.GetFrame(128)[:wire.FrameDataOff], m)
@@ -712,6 +769,28 @@ func (cn *conn) send(m network.Message) {
 		panic(fmt.Sprintf("serve: encoding own message: %v", err))
 	}
 	cn.co.AppendOwned(frame, wire.FinishFrame(frame))
+}
+
+// sendGrant is send(ClientGrant{Req: req}) without building the message.
+func (cn *conn) sendGrant(req uint64) {
+	if cn.shed() {
+		return
+	}
+	frame := appendGrant(wire.GetFrame(128)[:wire.FrameDataOff], req)
+	cn.co.AppendOwned(frame, wire.FinishFrame(frame))
+}
+
+// shed reports whether the client has stopped draining responses: it
+// is shed, not queued for without bound. Once the egress backlog
+// crosses the budget the connection is closed, which unwinds the read
+// loop and hands every grant back — the same outcome as the client
+// crashing.
+func (cn *conn) shed() bool {
+	if b := cn.s.egressBudget(); b > 0 && cn.co.QueuedBytes() > b {
+		cn.c.Close()
+		return true
+	}
+	return false
 }
 
 // egressBudget resolves ServerConfig.EgressBudget: zero selects the

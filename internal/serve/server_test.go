@@ -608,3 +608,120 @@ func TestClientPortRejectsBadVersion(t *testing.T) {
 		t.Fatalf("reject reason %q, %v", reason, err)
 	}
 }
+
+// rawClient speaks the client protocol by hand, for the sequences a
+// conforming serve.Client never produces.
+type rawClient struct {
+	t  *testing.T
+	nc net.Conn
+	fr *wire.FrameReader
+}
+
+func dialRaw(t *testing.T, addr string) *rawClient {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return &rawClient{t: t, nc: nc, fr: wire.NewFrameReader(nc, 1<<20)}
+}
+
+func (rc *rawClient) send(m network.Message) {
+	rc.t.Helper()
+	payload, err := wire.Append(nil, m)
+	if err != nil {
+		rc.t.Fatal(err)
+	}
+	if _, err := rc.nc.Write(wire.AppendFrame(nil, payload)); err != nil {
+		rc.t.Fatal(err)
+	}
+}
+
+func (rc *rawClient) wantGrant(req uint64) {
+	rc.t.Helper()
+	rc.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	frame, err := rc.fr.Next()
+	if err != nil {
+		rc.t.Fatal(err)
+	}
+	if m, err := wire.Decode(frame); err != nil {
+		rc.t.Fatal(err)
+	} else if g, ok := m.(serve.ClientGrant); !ok || g.Req != req {
+		rc.t.Fatalf("expected grant for req %d, got %#v", req, m)
+	}
+}
+
+// TestAcquireAllViolationUnwindsAdmittedPrefix: a batch whose third
+// sub-request reuses an in-flight id kills the connection — after the
+// first two were admitted. Nothing will ever run them, so the kill must
+// end them itself: left alone they stayed counted in Sessions and
+// against their nodes' admission bounds for the life of the daemon.
+func TestAcquireAllViolationUnwindsAdmittedPrefix(t *testing.T) {
+	_, srv := startServer(t, 3, 6, serve.FIFO)
+	rc := dialRaw(t, srv.Addr())
+	rc.send(serve.ClientAcquire{Req: 5, Node: 0, Resources: []int64{0}})
+	rc.wantGrant(5)
+	// Sub-requests 3, 4, 5: the third is the duplicate.
+	rc.send(serve.ClientAcquireAll{Req: 3, Node: network.None, Sets: [][]int64{{1}, {2}, {3}}})
+	rc.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := rc.fr.Next(); err == nil {
+		t.Fatal("connection survived a duplicate request id inside a batch")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	settled := func() bool {
+		if srv.Sessions() != 0 {
+			return false
+		}
+		for node := 0; node < 3; node++ {
+			if srv.QueueLen(node) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for !settled() {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the kill: Sessions() = %d, QueueLen = %d/%d/%d, want all 0",
+				srv.Sessions(), srv.QueueLen(0), srv.QueueLen(1), srv.QueueLen(2))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHazardReleaseForRecycledRecord: request records are reused, ids
+// are not. A ClientRelease for an id whose request has ended — its
+// record already carrying a later request — must not touch that request.
+func TestHazardReleaseForRecycledRecord(t *testing.T) {
+	_, srv := startServer(t, 1, 2, serve.FIFO)
+	rc := dialRaw(t, srv.Addr())
+	rc.send(serve.ClientAcquire{Req: 7, Node: 0, Resources: []int64{0}})
+	rc.wantGrant(7)
+	rc.send(serve.ClientRelease{Req: 7})
+	rc.send(serve.ClientAcquire{Req: 8, Node: 0, Resources: []int64{0}}) // on 7's record
+	rc.wantGrant(8)
+	rc.send(serve.ClientRelease{Req: 7}) // late duplicate
+	// A round trip behind it: the duplicate has been handled by the time
+	// request 9 is answered.
+	rc.send(serve.ClientAcquire{Req: 9, Node: 0, Resources: []int64{1}})
+	rc.send(serve.ClientRelease{Req: 9}) // withdraws or releases, either way
+	cl, err := serve.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	_, err = cl.Acquire(ctx, 0, 0)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("resource 0 acquired by another client (err %v): the duplicate release ended request 8", err)
+	}
+	rc.send(serve.ClientRelease{Req: 8})
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	release, err := cl.Acquire(ctx, 0, 0)
+	if err != nil {
+		t.Fatalf("resource 0 stranded after its release: %v", err)
+	}
+	release()
+}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/binary"
+
 	"mralloc/internal/network"
 	"mralloc/internal/wire"
 )
@@ -130,6 +132,34 @@ type ClientDeny struct {
 
 // Kind implements network.Message.
 func (ClientDeny) Kind() string { return "Client.Deny" }
+
+// The three kinds of an uncontended acquire's round trip are also
+// encoded by hand, straight from what the sender has — a request's
+// []int, a bare id — into the frame buffer: same bytes as wire.Append
+// of the message (TestDirectEncodersMatchCodecs), without building the
+// message, its []int64 or the interface it would travel in.
+
+func appendKind(buf []byte, kind string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(kind))), kind...)
+}
+
+func appendAcquire(buf []byte, req uint64, node network.NodeID, resources []int, deadlineMS int64) []byte {
+	buf = binary.AppendUvarint(appendKind(buf, "Client.Acquire"), req)
+	buf = binary.AppendVarint(buf, int64(node))
+	buf = binary.AppendUvarint(buf, uint64(len(resources)))
+	for _, r := range resources {
+		buf = binary.AppendVarint(buf, int64(r))
+	}
+	return binary.AppendVarint(buf, deadlineMS)
+}
+
+func appendGrant(buf []byte, req uint64) []byte {
+	return binary.AppendUvarint(appendKind(buf, "Client.Grant"), req)
+}
+
+func appendRelease(buf []byte, req uint64) []byte {
+	return binary.AppendUvarint(appendKind(buf, "Client.Release"), req)
+}
 
 func init() {
 	wire.Register("Client.Acquire",

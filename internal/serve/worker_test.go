@@ -20,7 +20,7 @@ type gateBackend struct {
 	mu      sync.Mutex
 	gate    chan struct{}
 	blocked atomic.Int64 // acquisitions that have reached the gate
-	opened  []int        // node of every session opened, in order
+	served  []int        // node of every acquisition, in arrival order
 }
 
 func (b *gateBackend) arm() {
@@ -37,17 +37,20 @@ func (b *gateBackend) open() {
 }
 
 func (b *gateBackend) session(node int) (BackendSession, error) {
-	b.mu.Lock()
-	b.opened = append(b.opened, node)
-	b.mu.Unlock()
-	return gateSession{b}, nil
+	return gateSession{b, node}, nil
 }
 
-type gateSession struct{ b *gateBackend }
+// gateSession is one backend session; the server runs request after
+// request on it, so the node is recorded per acquisition, not per open.
+type gateSession struct {
+	b    *gateBackend
+	node int
+}
 
 func (s gateSession) Acquire(ctx context.Context, _ AcquireOpts) (func(), error) {
 	s.b.mu.Lock()
 	gate := s.b.gate
+	s.b.served = append(s.b.served, s.node)
 	s.b.mu.Unlock()
 	s.b.blocked.Add(1)
 	select {
@@ -222,8 +225,8 @@ func TestAnyNodeCursorSurvivesWrap(t *testing.T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := 1; i < 4; i++ {
-		if b.opened[i] == b.opened[i-1] {
-			t.Fatalf("nodes %v: consecutive requests landed on one node", b.opened)
+		if b.served[i] == b.served[i-1] {
+			t.Fatalf("nodes %v: consecutive requests landed on one node", b.served)
 		}
 	}
 }

@@ -471,8 +471,12 @@ func (c *Chaos) Close() error {
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	}
+	// Inner first, then the join: a pump inside inner.Send to a peer
+	// that is already gone is released by the inner Close alone (see
+	// Reliable.Close).
+	err := c.inner.Close()
 	c.wg.Wait()
-	return c.inner.Close()
+	return err
 }
 
 // Spec is a serializable chaos schedule: the seed plus the default

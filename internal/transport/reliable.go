@@ -498,6 +498,14 @@ func (r *Reliable) isClosed() bool {
 
 // Close stops the recovery goroutines and closes the inner transport.
 // Idempotent; unacked frames are abandoned (the cluster is going away).
+//
+// The inner transport closes before the goroutines are joined, not
+// after: the acker or the retransmitter may be inside inner.Send, and a
+// socket fabric's Send to a peer that has already shut down sits in its
+// dial retry loop, which only the fabric's own Close cuts short. Joined
+// first, that goroutine would hold Close for the whole dial window and
+// then leave the fabric a dial failure to report. A Send that arrives
+// after the inner Close is dropped by the fabric.
 func (r *Reliable) Close() error {
 	r.closeMu.Lock()
 	if r.closed {
@@ -507,6 +515,7 @@ func (r *Reliable) Close() error {
 	r.closed = true
 	r.closeMu.Unlock()
 	close(r.stop)
+	err := r.inner.Close()
 	r.wg.Wait()
-	return r.inner.Close()
+	return err
 }
