@@ -28,7 +28,12 @@ type Env interface {
 	M() int
 	// Now is the current (virtual or wall-clock) time.
 	Now() sim.Time
-	// Send transmits m to another site.
+	// Send transmits m to another site and gives it away for good: the
+	// message belongs to whoever Deliver hands it to, so the sender must
+	// not touch, resend or reuse m (or storage m points into) after the
+	// call. A runtime may hold m for as long as it likes — in a delay
+	// queue, for retransmission — but delivers it at most once, and
+	// never reads a message it has already delivered.
 	Send(to network.NodeID, m network.Message)
 	// Granted tells the runtime the node has entered its critical
 	// section: it holds exclusive access to every requested resource.
@@ -50,7 +55,11 @@ type Node interface {
 	Request(rs resource.Set)
 	// Release ends the critical section entered at the last Granted.
 	Release()
-	// Deliver hands the node a protocol message from another site.
+	// Deliver hands the node a protocol message from another site. The
+	// receiver keeps the record: m is the node's from here on, to scrub
+	// and refill for a message of its own (internal/core does), and the
+	// runtime must not look at it after the call. Nodes run serialized,
+	// so that reuse needs no lock.
 	Deliver(from network.NodeID, m network.Message)
 }
 

@@ -20,7 +20,7 @@ func init() {
 }
 
 func encReqBatch(e *wire.Enc, m network.Message) {
-	b := m.(reqBatch)
+	b := m.(*reqBatch)
 	e.Nodes(b.Visited)
 	e.Uvarint(uint64(len(b.Reqs)))
 	for _, r := range b.Reqs {
@@ -34,13 +34,12 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 	}
 }
 
+// The decoders build the record the receiving node keeps (see batch):
+// one allocation for the record, one per non-empty slice, each sized to
+// the message at hand.
 func decReqBatch(d *wire.Dec) network.Message {
-	var b reqBatch
-	// A decoded batch is exclusively the receiver's; one slot of
-	// headroom lets the forwarding hop append itself to the visited
-	// set in place (see visitedAdd's aliasing rule).
-	b.Visited = d.NodesPad(1)
-	b.owned = true
+	b := new(reqBatch)
+	b.Visited = d.Nodes()
 	n := d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(request{}))) {
 		return b
@@ -75,7 +74,7 @@ func decReqBatch(d *wire.Dec) network.Message {
 }
 
 func encRespBatch(e *wire.Enc, m network.Message) {
-	b := m.(respBatch)
+	b := m.(*respBatch)
 	e.Uvarint(uint64(len(b.Counters)))
 	for _, c := range b.Counters {
 		e.Varint(int64(c.R))
@@ -89,7 +88,7 @@ func encRespBatch(e *wire.Enc, m network.Message) {
 }
 
 func decRespBatch(d *wire.Dec) network.Message {
-	var b respBatch
+	b := new(respBatch)
 	n := d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(counterVal{}))) {
 		return b
@@ -172,8 +171,22 @@ func decTokenSnap(d *wire.Dec) *token {
 	t := &token{}
 	t.R = d.Res()
 	t.Counter = d.Varint()
-	t.LastReqC = d.Int64s()
-	t.LastCS = d.Int64s()
+	// Both stamp vectors are N long on an honest token: cut them from
+	// one allocation.
+	n := d.Count()
+	if d.Err() != nil || !d.Charge(16*n) {
+		return t
+	}
+	if n > 0 {
+		stamps := make([]int64, 2*n)
+		t.LastReqC, t.LastCS = stamps[:n:n], stamps[n:]
+	}
+	d.Varints(t.LastReqC)
+	if n2 := d.Count(); n2 != n && d.Err() == nil {
+		d.Fail("token stamp vectors of %d and %d entries", n, n2)
+		return t
+	}
+	d.Varints(t.LastCS)
 	// The stamp vectors are indexed by site id all over the node code;
 	// under shape validation they must be exactly N long.
 	if nn, _ := d.Shape(); nn > 0 && d.Err() == nil &&
@@ -182,7 +195,7 @@ func decTokenSnap(d *wire.Dec) *token {
 			len(t.LastReqC), len(t.LastCS), nn)
 		return t
 	}
-	n := d.Count()
+	n = d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(reqRef{}))) {
 		return t
 	}
@@ -249,7 +262,7 @@ func codecSamples() []network.Message {
 	tok.Lender = 2
 	tok.Epoch = 2 // a regenerated token's bumped authority generation
 	return []network.Message{
-		reqBatch{
+		&reqBatch{
 			Visited: []network.NodeID{0, 2},
 			Reqs: []request{
 				{Kind: reqCnt, R: 1, Init: 0, ID: 3},
@@ -258,11 +271,11 @@ func codecSamples() []network.Message {
 				{Kind: reqLoan, R: 5, Init: 1, ID: 2, Mark: 0.5, Missing: missing},
 			},
 		},
-		reqBatch{},
-		respBatch{
+		&reqBatch{},
+		&respBatch{
 			Counters: []counterVal{{R: 1, Val: 42, ID: 3}, {R: 2, Val: 7, ID: 3}},
 			Tokens:   []*token{tok, newToken(0, 4)},
 		},
-		respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}},
+		&respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}},
 	}
 }

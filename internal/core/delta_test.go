@@ -28,7 +28,7 @@ func newDeltaPipe() *deltaPipe {
 // stream, returning the frame bytes.
 func (p *deltaPipe) send(t *testing.T, toks ...*token) []byte {
 	t.Helper()
-	b, err := wire.AppendStream(nil, respBatch{Tokens: toks}, p.enc)
+	b, err := wire.AppendStream(nil, &respBatch{Tokens: toks}, p.enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +36,12 @@ func (p *deltaPipe) send(t *testing.T, toks ...*token) []byte {
 }
 
 // recv decodes one frame through the pipe's decoder stream.
-func (p *deltaPipe) recv(frame []byte, nodes, resources int) (respBatch, error) {
+func (p *deltaPipe) recv(frame []byte, nodes, resources int) (*respBatch, error) {
 	m, err := wire.DecodeStream(frame, nodes, resources, p.dec)
 	if err != nil {
-		return respBatch{}, err
+		return nil, err
 	}
-	return m.(respBatch), nil
+	return m.(*respBatch), nil
 }
 
 func tokensEqual(a, b *token) error {
@@ -344,7 +344,7 @@ func TestTokenDeltaQueueGrowthBounded(t *testing.T) {
 	enc2 := wire.NewStream()
 	enc2.SetFlag(wire.CtrlTokenDelta)
 	tok.Counter = 9
-	frame, err := wire.AppendStream(nil, respBatch{Tokens: []*token{tok}}, enc2)
+	frame, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestTokenDeltaFrameDedup(t *testing.T) {
 	// The poisoned entry healed by a fresh generation's full snapshot.
 	enc2 := wire.NewStream()
 	enc2.SetFlag(wire.CtrlTokenDelta)
-	frame, err := wire.AppendStream(nil, respBatch{Tokens: []*token{tok}}, enc2)
+	frame, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestTokenDeltaLegacyUnchanged(t *testing.T) {
 	tok := newToken(2, 4)
 	tok.Counter = 9
 	tok.Queue.Insert(reqRef{Site: 1, ID: 2, Mark: 0.5})
-	msg := respBatch{Tokens: []*token{tok}}
+	msg := &respBatch{Tokens: []*token{tok}}
 	legacy, err := wire.Append(nil, msg)
 	if err != nil {
 		t.Fatal(err)
@@ -481,13 +481,13 @@ func FuzzTokenDelta(f *testing.F) {
 		enc := wire.NewStream()
 		enc.SetFlag(wire.CtrlTokenDelta)
 		tok := seedTok()
-		full, err := wire.AppendStream(nil, respBatch{Tokens: []*token{tok}}, enc)
+		full, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc)
 		if err != nil {
 			f.Fatal(err)
 		}
 		tok.Counter++
 		tok.Queue.PopHead()
-		delta, err := wire.AppendStream(nil, respBatch{Tokens: []*token{tok}}, enc)
+		delta, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -501,7 +501,7 @@ func FuzzTokenDelta(f *testing.F) {
 		dec := wire.NewStream()
 		dec.SetFlag(wire.CtrlTokenDelta)
 		tok := seedTok()
-		base, err := wire.AppendStream(nil, respBatch{Tokens: []*token{tok}}, enc)
+		base, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +517,7 @@ func FuzzTokenDelta(f *testing.F) {
 		enc2.SetFlag(wire.CtrlTokenDelta)
 		tok2 := seedTok()
 		tok2.Counter = 100
-		full2, err := wire.AppendStream(nil, respBatch{Tokens: []*token{tok2}}, enc2)
+		full2, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok2}}, enc2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +525,7 @@ func FuzzTokenDelta(f *testing.F) {
 			t.Fatalf("full snapshot did not resync the stream: %v", err)
 		}
 		tok2.Counter++
-		delta2, err := wire.AppendStream(nil, respBatch{Tokens: []*token{tok2}}, enc2)
+		delta2, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok2}}, enc2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,7 +533,7 @@ func FuzzTokenDelta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("delta after resync rejected: %v", err)
 		}
-		if err := tokensEqual(tok2, got.(respBatch).Tokens[0]); err != nil {
+		if err := tokensEqual(tok2, got.(*respBatch).Tokens[0]); err != nil {
 			t.Fatalf("post-resync token wrong: %v", err)
 		}
 	})

@@ -30,6 +30,25 @@
 // pendingReq history replayed when a token arrives, and the stamps in
 // the token discard obsolete replays.
 //
+// # Message records
+//
+// One ownership rule governs the two batch messages (LASS.Request,
+// LASS.Response): the receiver keeps the record. A record owns its
+// storage; Env.Send gives it away for good, so a sender never touches,
+// reuses or recycles what it sent (a reliable fabric keeps sent messages
+// for retransmission and a fault injector may queue one twice — reuse on
+// the sending side is unsound by construction). Deliver hands the record
+// to the receiving node, which, after the activation's flush has
+// returned (the forwarded batches copy its visited set until then),
+// scrubs it — no token, no Missing set stays reachable — onto a small
+// capped free list its own next flush draws from, exactly as token
+// snapshots cycle through snapFree. Nodes run serialized, so none of
+// this needs a lock, and a free-list miss costs what building the
+// message from scratch costs: a fresh record with slices sized to the
+// message at hand. Over a socket the rule holds for the outbound half:
+// decoded records are fresh, and what a site decodes feeds what it
+// sends.
+//
 // # Deviations from the paper's pseudo-code
 //
 // Five defensive deviations, each preserving the paper's semantics (see

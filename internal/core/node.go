@@ -74,13 +74,17 @@ type Node struct {
 	newOwned        []resource.ID // tokens installed this activation, awaiting a heartbeat
 
 	// Reusable hot-path scratch. ids snapshots a set for iteration in
-	// Release/scanQueues/processLoanQueues (never nested with each
-	// other); lendIDs is canLend's own snapshot, which IS reached from
-	// inside a processLoanQueues iteration. miss holds maybeAskLoan's
-	// missing-set computation.
-	ids     []resource.ID
-	lendIDs []resource.ID
-	miss    resource.Set
+	// Release/scanQueues/processLoanQueues/Tick/Drain (never nested with
+	// each other); lendIDs is canLend's own snapshot, which IS reached
+	// from inside a processLoanQueues iteration; bounceIDs is onTokens'
+	// failed-loan scan, which calls sendToken while it iterates and
+	// runs before scanQueues and processLoanQueues take ids in the same
+	// activation — its own slice, so it nests with nothing. miss holds
+	// maybeAskLoan's missing-set computation.
+	ids       []resource.ID
+	lendIDs   []resource.ID
+	bounceIDs []resource.ID
+	miss      resource.Set
 
 	// snapFree recycles stale token snapshots: sendToken needs one per
 	// transfer, and the one an arriving token displaces in processUpdate
@@ -212,14 +216,14 @@ func (nd *Node) obsolete(req request, t *token) bool {
 }
 
 // flush ends an activation, transmitting buffered messages. visited is
-// the visited-sites set stamped on request batches (§4.2.1).
+// the visited-sites set (§4.2.1) of the batch this activation forwards
+// requests from, nil when the node originates them; request batches
+// leave stamped with it plus this site.
 func (nd *Node) flush(visited []network.NodeID) {
 	nd.out.flush(nd.env, visited, !nd.opt.DisableAggregation)
 }
 
-func (nd *Node) flushOwn() {
-	nd.flush([]network.NodeID{nd.self()})
-}
+func (nd *Node) flushOwn() { nd.flush(nil) }
 
 // sendToken transfers ownership of r's token to another site: the
 // authoritative token rides the wire, a stale snapshot stays behind for
@@ -375,20 +379,16 @@ func (nd *Node) Release() {
 }
 
 // Deliver implements alg.Node, dispatching the three receive handlers
-// of Figure 12.
+// of Figure 12. A delivered batch record is this node's to keep: it is
+// recycled once the activation's flush has returned, not before — the
+// forwarded batches copy the record's visited set inside flush.
 func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 	switch msg := m.(type) {
-	case reqBatch:
+	case *reqBatch:
 		nd.onRequests(msg)
-		if len(nd.out.reqs) > 0 {
-			// Only build the forwarded visited set when a request batch
-			// is actually being forwarded; an owned batch (wire-decoded,
-			// or single-destination in process) extends in place.
-			nd.flush(visitedAdd(msg.Visited, nd.self(), msg.owned))
-		} else {
-			nd.flush(nil)
-		}
-	case respBatch:
+		nd.flush(msg.Visited)
+		nd.out.recycle((*batch)(msg))
+	case *respBatch:
 		nd.onCounters(from, msg.Counters)
 		if len(msg.Tokens) > 0 {
 			nd.onTokens(msg.Tokens)
@@ -396,6 +396,7 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 			nd.processCntNeededEmpty()
 		}
 		nd.flushOwn()
+		nd.out.recycle((*batch)(msg))
 	case hbMsg:
 		nd.onHeartbeat(from, msg)
 	case leaseMsg:
@@ -409,7 +410,7 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 }
 
 // onRequests implements "Receive Request" (pseudo lines 159-189).
-func (nd *Node) onRequests(batch reqBatch) {
+func (nd *Node) onRequests(batch *reqBatch) {
 	for _, req := range batch.Reqs {
 		r := req.R
 		if nd.obsolete(req, nd.lastTok[r]) {
@@ -554,7 +555,7 @@ func (nd *Node) processReqLoan(req request) {
 	}
 	if nd.canLend(req) {
 		nd.stats.LoansGranted++
-		nd.lent = req.Missing.Clone()
+		nd.lent.CopyFrom(req.Missing)
 		self := nd.self()
 		req.Missing.ForEach(func(r resource.ID) {
 			t := nd.lastTok[r]
@@ -613,7 +614,8 @@ func (nd *Node) onTokens(toks []*token) {
 		// borrowed tokens straight back to the lender and restore our
 		// queue position (hardening deviation 4).
 		returned := false
-		for _, r := range nd.owned.Members() {
+		nd.bounceIDs = nd.owned.AppendMembers(nd.bounceIDs)
+		for _, r := range nd.bounceIDs {
 			t := nd.lastTok[r]
 			if t.Lender == network.None || t.Lender == nd.self() {
 				continue
@@ -695,7 +697,9 @@ func (nd *Node) processUpdate(t *token) {
 func (nd *Node) replayPending(t *token) {
 	r := t.R
 	reqs := nd.pending[r]
-	nd.pending[r] = nil
+	// Truncated, not dropped: the history regrows every token tenure.
+	// Nothing below stores into it (only onRequests does).
+	nd.pending[r] = reqs[:0]
 	for _, req := range reqs {
 		if nd.obsolete(req, t) {
 			continue

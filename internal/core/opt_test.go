@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mralloc/internal/network"
@@ -93,7 +94,7 @@ func TestForwardStopKeepsRequestLocal(t *testing.T) {
 		// §4.2.1 rule alone would stop it; the §4.6.2 rule must stop
 		// it even when the father was NOT visited.
 		before := h.nw.Stats().Total
-		nd.Deliver(2, reqBatch{
+		nd.Deliver(2, &reqBatch{
 			Visited: []network.NodeID{2},
 			Reqs: []request{{
 				Kind: reqRes, R: 0, Init: 2, ID: 1, Mark: nd.myMark + 100,
@@ -130,7 +131,7 @@ func TestVisitedSetStopsForwarding(t *testing.T) {
 	h := newScript(t, 3, 2, WithoutLoan())
 	nd := h.nodes[1] // father for everything is node 0
 	before := h.nw.Stats().Total
-	nd.Deliver(2, reqBatch{
+	nd.Deliver(2, &reqBatch{
 		Visited: []network.NodeID{2, 0}, // node 0 = nd's father, visited
 		Reqs:    []request{{Kind: reqRes, R: 0, Init: 2, ID: 1, Mark: 1}},
 	})
@@ -141,6 +142,38 @@ func TestVisitedSetStopsForwarding(t *testing.T) {
 		t.Fatal("request not stored in local history")
 	}
 	h.eng.Run()
+
+	// One flush fanning out to three destinations, each of which
+	// forwards: every batch owns its visited set, so the three sets the
+	// next hop sees are {origin, that forwarder} — none of them has
+	// picked up a sibling's entry.
+	f := newFifoNet(5, 4, WithoutLoan())
+	origin := f.nodes[4]
+	for r, father := range []network.NodeID{1, 2, 3} {
+		origin.tokDir[r] = father // stale pointers to three different sites
+	}
+	origin.Request(ids(4, 0, 1, 2))
+	if len(f.queue) != 3 {
+		t.Fatalf("request fanned out to %d destinations, want 3", len(f.queue))
+	}
+	fanned := append([]fifoMsg(nil), f.queue...)
+	f.queue = f.queue[:0]
+	for _, x := range fanned {
+		f.nodes[x.to].Deliver(x.from, x.m) // non-owners: each forwards to node 0
+	}
+	if len(f.queue) != 3 {
+		t.Fatalf("%d batches forwarded, want 3", len(f.queue))
+	}
+	for i, x := range f.queue {
+		got := x.m.(*reqBatch).Visited
+		if want := []network.NodeID{4, x.from}; x.to != 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("forwarded batch %d (s%d→s%d): visited %v, want %v", i, x.from, x.to, got, want)
+		}
+	}
+	f.pump()
+	if f.granted[4] != 1 {
+		t.Fatal("fan-out request never granted")
+	}
 }
 
 // TestPendingPruneDropsObsolete fills a node's local history past the
@@ -174,12 +207,12 @@ func TestStaleCounterIgnored(t *testing.T) {
 			t.Fatalf("state %v", nd.st)
 		}
 		was := nd.myVector[0]
-		nd.Deliver(0, respBatch{Counters: []counterVal{{R: 0, Val: 999, ID: nd.curID - 1}}})
+		nd.Deliver(0, &respBatch{Counters: []counterVal{{R: 0, Val: 999, ID: nd.curID - 1}}})
 		if nd.myVector[0] != was {
 			t.Fatal("stale counter accepted")
 		}
 		// Same id but the counter is no longer needed: also ignored.
-		nd.Deliver(0, respBatch{Counters: []counterVal{{R: 0, Val: 999, ID: nd.curID}}})
+		nd.Deliver(0, &respBatch{Counters: []counterVal{{R: 0, Val: 999, ID: nd.curID}}})
 		if nd.myVector[0] != was {
 			t.Fatal("unneeded counter accepted")
 		}

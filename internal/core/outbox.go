@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mralloc/internal/alg"
 	"mralloc/internal/network"
 )
@@ -8,7 +10,7 @@ import (
 // outbox implements the aggregation mechanism of §4.2.2: within one
 // activation (one Request/Release/Deliver call), messages to the same
 // destination are buffered and combined — request messages into one
-// reqBatch sharing the activation's visited set, responses (counters
+// reqBatch carrying the activation's visited set, responses (counters
 // and tokens) into one respBatch. With aggregation disabled every item
 // travels alone, which is ablation A2.
 type outbox struct {
@@ -20,7 +22,17 @@ type outbox struct {
 	// across activations. An activation talks to a handful of sites, so
 	// linear scans beat a map here — and allocate nothing.
 	dests []network.NodeID
+
+	// free holds the records this node was delivered and is done with,
+	// scrubbed (see recycle and batch): the next flush fills them
+	// instead of allocating. Only the node's own serialized activations
+	// reach this list, like Node.snapFree.
+	free []*batch
 }
+
+// maxFreeBatches caps the free list: a site that receives more than it
+// sends (a hot token holder's forwarders) leaves the surplus to the GC.
+const maxFreeBatches = 64
 
 type destReq struct {
 	to network.NodeID
@@ -57,14 +69,37 @@ func (o *outbox) destAdd(to network.NodeID) {
 	o.dests = append(o.dests, to)
 }
 
-// flush transmits everything buffered. visited applies to all request
-// messages of this activation (§4.2.1); it must already include the
-// sending site, and flush takes ownership of it — the caller must not
-// retain or reuse the slice. When the requests go to exactly one
-// destination, that single batch inherits the exclusive ownership
-// (owned=true) so the receiving hop may extend the visited set in
-// place; with several destinations the slice is shared between their
-// batches and every receiver must copy (see visitedAdd).
+// get returns an empty record: a recycled one when the free list has
+// any, else a fresh one whose slices flush sizes to the message at hand.
+func (o *outbox) get() *batch {
+	if n := len(o.free); n > 0 {
+		b := o.free[n-1]
+		o.free[n-1] = nil
+		o.free = o.free[:n-1]
+		return b
+	}
+	return new(batch)
+}
+
+// recycle scrubs a delivered record — no token and no Missing set may
+// stay reachable from a record waiting for reuse — and keeps it for the
+// next flush. Callers recycle only after the activation's flush has
+// returned: a forwarded batch reads the record's Visited until then.
+func (o *outbox) recycle(b *batch) {
+	if len(o.free) >= maxFreeBatches {
+		return
+	}
+	clear(b.Reqs)
+	clear(b.Tokens)
+	b.Visited, b.Reqs = b.Visited[:0], b.Reqs[:0]
+	b.Counters, b.Tokens = b.Counters[:0], b.Tokens[:0]
+	o.free = append(o.free, b)
+}
+
+// flush transmits everything buffered. visited is the set the requests
+// being forwarded arrived with (nil for the node's own); every request
+// batch copies it, plus the sending site, into its own record, so the
+// caller keeps the slice and no two receivers share one.
 func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 	if len(o.reqs) > 0 {
 		if aggregate {
@@ -72,7 +107,6 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 			for _, x := range o.reqs {
 				o.destAdd(x.to)
 			}
-			owned := len(o.dests) == 1
 			for _, to := range o.dests {
 				n := 0
 				for _, x := range o.reqs {
@@ -80,18 +114,22 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 						n++
 					}
 				}
-				reqs := make([]request, 0, n)
+				b := o.get()
+				b.stamp(visited, env.ID())
+				b.Reqs = slices.Grow(b.Reqs, n)
 				for _, x := range o.reqs {
 					if x.to == to {
-						reqs = append(reqs, x.r)
+						b.Reqs = append(b.Reqs, x.r)
 					}
 				}
-				env.Send(to, reqBatch{Visited: visited, Reqs: reqs, owned: owned})
+				env.Send(to, (*reqBatch)(b))
 			}
 		} else {
-			owned := len(o.reqs) == 1
 			for _, x := range o.reqs {
-				env.Send(x.to, reqBatch{Visited: visited, Reqs: []request{x.r}, owned: owned})
+				b := o.get()
+				b.stamp(visited, env.ID())
+				b.Reqs = append(b.Reqs, x.r)
+				env.Send(x.to, (*reqBatch)(b))
 			}
 		}
 		o.reqs = o.reqs[:0]
@@ -108,43 +146,42 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 			o.destAdd(x.to)
 		}
 		for _, to := range o.dests {
-			var b respBatch
-			n := 0
+			nc, nt := 0, 0
 			for _, x := range o.cnts {
 				if x.to == to {
-					n++
+					nc++
 				}
 			}
-			if n > 0 {
-				b.Counters = make([]counterVal, 0, n)
-				for _, x := range o.cnts {
-					if x.to == to {
-						b.Counters = append(b.Counters, x.c)
-					}
-				}
-			}
-			n = 0
 			for _, x := range o.toks {
 				if x.to == to {
-					n++
+					nt++
 				}
 			}
-			if n > 0 {
-				b.Tokens = make([]*token, 0, n)
-				for _, x := range o.toks {
-					if x.to == to {
-						b.Tokens = append(b.Tokens, x.t)
-					}
+			b := o.get()
+			b.Counters = slices.Grow(b.Counters, nc)
+			for _, x := range o.cnts {
+				if x.to == to {
+					b.Counters = append(b.Counters, x.c)
 				}
 			}
-			env.Send(to, b)
+			b.Tokens = slices.Grow(b.Tokens, nt)
+			for _, x := range o.toks {
+				if x.to == to {
+					b.Tokens = append(b.Tokens, x.t)
+				}
+			}
+			env.Send(to, (*respBatch)(b))
 		}
 	} else {
 		for _, x := range o.cnts {
-			env.Send(x.to, respBatch{Counters: []counterVal{x.c}})
+			b := o.get()
+			b.Counters = append(b.Counters, x.c)
+			env.Send(x.to, (*respBatch)(b))
 		}
 		for _, x := range o.toks {
-			env.Send(x.to, respBatch{Tokens: []*token{x.t}})
+			b := o.get()
+			b.Tokens = append(b.Tokens, x.t)
+			env.Send(x.to, (*respBatch)(b))
 		}
 	}
 	o.cnts = o.cnts[:0]

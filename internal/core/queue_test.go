@@ -194,53 +194,24 @@ func TestVisitedHelpers(t *testing.T) {
 	if !visitedContains(v, 4) || visitedContains(v, 2) {
 		t.Fatal("visitedContains wrong")
 	}
-	w := visitedAdd(v, 2, false)
-	if len(w) != 3 || !visitedContains(w, 2) {
-		t.Fatal("visitedAdd failed")
+	// stamp writes v ∪ {s} into the record's own storage: the input is
+	// neither mutated nor aliased, a member is not duplicated, and what
+	// a recycled record still held is overwritten.
+	b := &batch{Visited: make([]network.NodeID, 0, 8)}
+	b.stamp(v, 2)
+	if len(b.Visited) != 3 || b.Visited[0] != 1 || b.Visited[1] != 4 || b.Visited[2] != 2 {
+		t.Fatalf("stamp = %v, want [1 4 2]", b.Visited)
 	}
-	if len(v) != 2 {
-		t.Fatal("visitedAdd mutated input")
+	b.Visited[0] = 9
+	if len(v) != 2 || v[0] != 1 {
+		t.Fatal("stamp aliased or mutated its input")
 	}
-	if len(visitedAdd(v, 1, false)) != 2 {
-		t.Fatal("visitedAdd duplicated member")
+	b.Visited = b.Visited[:0]
+	if b.stamp(v, 1); len(b.Visited) != 2 {
+		t.Fatalf("stamp duplicated a member: %v", b.Visited)
 	}
-}
-
-// TestVisitedAddOwnership pins the aliasing rule: an owned slice with
-// spare capacity is extended in place (no allocation, same backing); a
-// shared slice is copied even when spare capacity exists, because
-// sibling batches of one flush alias the backing array.
-func TestVisitedAddOwnership(t *testing.T) {
-	v := make([]network.NodeID, 2, 4)
-	v[0], v[1] = 1, 4
-
-	shared := visitedAdd(v, 2, false)
-	if &shared[0] == &v[0] {
-		t.Fatal("unowned visitedAdd reused the shared backing array")
-	}
-	if len(shared) != 3 || cap(shared) < 4 {
-		t.Fatalf("copy lost headroom: len=%d cap=%d", len(shared), cap(shared))
-	}
-
-	owned := visitedAdd(v, 2, true)
-	if &owned[0] != &v[0] {
-		t.Fatal("owned visitedAdd with spare capacity did not extend in place")
-	}
-	if len(owned) != 3 || owned[2] != 2 {
-		t.Fatalf("owned append wrong: %v", owned)
-	}
-
-	// The copy made for a shared batch is exclusively the caller's:
-	// the next hop may extend it in place using the headroom.
-	next := visitedAdd(shared, 7, true)
-	if &next[0] != &shared[0] {
-		t.Fatal("ownership did not transfer to the copied slice")
-	}
-
-	// No spare capacity: even an owned slice must reallocate.
-	full := []network.NodeID{1, 2}
-	grown := visitedAdd(full[:2:2], 3, true)
-	if len(grown) != 3 {
-		t.Fatalf("grown = %v", grown)
+	var own batch
+	if own.stamp(nil, 3); len(own.Visited) != 1 || own.Visited[0] != 3 {
+		t.Fatalf("originating stamp = %v, want [3]", own.Visited)
 	}
 }

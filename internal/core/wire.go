@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
@@ -49,23 +50,30 @@ func (r request) String() string {
 	return fmt.Sprintf("%v[r%d s%d#%d]", r.Kind, r.R, r.Init, r.ID)
 }
 
-// reqBatch aggregates request messages to one destination (§4.2.2).
-// All requests in a batch share the visited-sites set of §4.2.1.
-//
-// owned reports that the receiver of this batch exclusively owns
-// Visited's backing array and may extend it in place (visitedAdd). It
-// never crosses the wire: the decoder sets it (a decoded slice aliases
-// nothing), and the in-process fabrics deliver the flag the sender
-// computed — true exactly when no sibling batch of the same
-// aggregation flush shares the slice. See visitedAdd for the rule.
-type reqBatch struct {
+// batch is the one record both LASS message kinds travel in. It owns
+// its storage: a sender fills a record and gives it away for good with
+// Env.Send, the receiving node keeps it and, once the activation that
+// consumed it has flushed, refills it for a message of its own (see
+// outbox.recycle). One layout for both kinds lets a site that mostly
+// receives requests and sends responses, or the reverse, reuse what it
+// was sent whatever its kind.
+type batch struct {
+	// Visited is the visited-sites set of §4.2.1, shared by all the
+	// requests of a reqBatch.
 	Visited []network.NodeID
 	Reqs    []request
-	owned   bool
+	// Counters and Tokens are a respBatch's counter replies and tokens.
+	Counters []counterVal
+	Tokens   []*token
 }
 
-// Kind implements network.Message.
-func (reqBatch) Kind() string { return "LASS.Request" }
+// reqBatch aggregates request messages to one destination (§4.2.2).
+type reqBatch batch
+
+// Kind implements network.Message. Like respBatch's it has a pointer
+// receiver and reads nothing, so asking for a record's kind never
+// touches the record.
+func (*reqBatch) Kind() string { return "LASS.Request" }
 
 func visitedContains(v []network.NodeID, s network.NodeID) bool {
 	for _, x := range v {
@@ -76,37 +84,13 @@ func visitedContains(v []network.NodeID, s network.NodeID) bool {
 	return false
 }
 
-// visitedAdd returns v ∪ {s}. The aliasing rule: one aggregation flush
-// hands the same visited slice to every destination's batch, and an
-// in-process fabric delivers those batches by reference — so distinct
-// receivers may hold aliases of v concurrently, and extending v in
-// place (writing v's backing array at len(v)) would race with them.
-// visitedAdd therefore copies unless the caller owns v's backing
-// exclusively (owned: a batch the wire decoder materialized for this
-// delivery, or one the sender flushed to a single destination), in
-// which case spare capacity is reused and the forwarding hop allocates
-// nothing. Either way the result is exclusively the caller's.
-func visitedAdd(v []network.NodeID, s network.NodeID, owned bool) []network.NodeID {
-	if visitedContains(v, s) {
-		if owned {
-			return v
-		}
-		// s is already a member, but the contract still promises an
-		// exclusively-owned result — the caller's flush may mark it
-		// owned for the next hop, so a shared v must not leak through.
-		out := make([]network.NodeID, len(v), len(v)+2)
-		copy(out, v)
-		return out
+// stamp writes visited ∪ {self} — the visited-sites set of §4.2.1 as
+// the next hop must see it — into b's own storage.
+func (b *batch) stamp(visited []network.NodeID, self network.NodeID) {
+	b.Visited = append(slices.Grow(b.Visited, len(visited)+1), visited...)
+	if !visitedContains(visited, self) {
+		b.Visited = append(b.Visited, self)
 	}
-	if owned && cap(v) > len(v) {
-		return append(v, s)
-	}
-	// One slot of headroom: if this batch reaches its next hop with
-	// ownership intact, that hop's visitedAdd extends in place.
-	out := make([]network.NodeID, len(v)+1, len(v)+2)
-	copy(out, v)
-	out[len(v)] = s
-	return out
 }
 
 // counterVal is one Counter reply: the value assigned to request ID of
@@ -120,10 +104,7 @@ type counterVal struct {
 
 // respBatch aggregates response messages — counter replies and tokens —
 // to one destination (§4.2.2).
-type respBatch struct {
-	Counters []counterVal
-	Tokens   []*token
-}
+type respBatch batch
 
 // Kind implements network.Message.
-func (respBatch) Kind() string { return "LASS.Response" }
+func (*respBatch) Kind() string { return "LASS.Response" }

@@ -2,6 +2,9 @@ package live
 
 import (
 	"context"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"mralloc/internal/alg"
@@ -101,5 +104,64 @@ func TestAcquireAllocs(t *testing.T) {
 			t.Errorf("shards=%d: %v allocs per Session.Acquire+release, budget 2", shards, long)
 		}
 		c.Close()
+	}
+}
+
+// TestContendedAcquireAllocs pins the contended in-process path — the
+// benchmark's mem_closed shape: 8 nodes, 32 resources, 8 closed-loop
+// callers asking for 1–8 resources each, so nearly every acquire
+// crosses nodes and most wait on one another. Counted from outside with
+// runtime.MemStats (every object of the process, the callers' release
+// closures included). The protocol's share is what the budget guards:
+// core refills the batch records it was sent instead of building each
+// message out of fresh slices, which was 66 objects per acquire.
+func TestContendedAcquireAllocs(t *testing.T) {
+	if leakcheck.Race {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	const n, m, phi = 8, 32, 8
+	const warm, measured = 300, 1000 // acquires per caller
+	c, err := New(Config{Nodes: n, Resources: m}, core.NewFactory(core.WithLoan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Requests are drawn up front: the measured window runs no
+	// generator.
+	reqs := make([][][]int, n)
+	for node := range reqs {
+		rng := rand.New(rand.NewSource(int64(node) + 1))
+		for i := 0; i < warm+measured; i++ {
+			reqs[node] = append(reqs[node], rng.Perm(m)[:1+rng.Intn(phi)])
+		}
+	}
+	ctx := context.Background()
+	run := func(from, to int) {
+		var wg sync.WaitGroup
+		for node := 0; node < n; node++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, ids := range reqs[node][from:to] {
+					release, err := c.Acquire(ctx, node, ids...)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					release()
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	run(0, warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(warm, warm+measured)
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.Mallocs-before.Mallocs) / (n * measured)
+	t.Logf("%.2f objects per contended acquire", perOp)
+	if perOp > 6 {
+		t.Errorf("%.2f objects per contended acquire, budget 6", perOp)
 	}
 }

@@ -2,11 +2,13 @@ package live
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mralloc/internal/alg"
 	"mralloc/internal/core"
 	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
@@ -206,4 +208,96 @@ func TestWedgeThenRecover(t *testing.T) {
 			t.Fatalf("endpoint %d: delta resync after kill: %v", i, err)
 		}
 	}
+}
+
+// TestHazardRecordReuseUnderRetransmission runs core with loans — whose
+// nodes keep and refill every batch record they are delivered — over
+// Reliable → Chaos → Mem, the one stack where a sent record stays
+// reachable from the fabric after its delivery: the reliable wrapper
+// holds it for retransmission until acknowledged, and the fault injector
+// queues some runs twice. A retransmitted or duplicated envelope
+// therefore points at a record whose receiver may already have scrubbed
+// and refilled it, and only the wrapper's dropping such envelopes on
+// their sequence number, unread, keeps that sound. Every acquire must
+// complete under the monitor, and afterwards every token must still be
+// there exactly once: each node in turn takes all M resources.
+func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
+	const n, m = 4, 8
+	iters := 60
+	if testing.Short() {
+		iters = 40
+	}
+	ch := transport.NewChaos(transport.NewMem(n, 0), 0xfee1)
+	rel := transport.NewReliable(ch)
+	rel.SetRetransmit(time.Millisecond, 20*time.Millisecond)
+	c, err := New(Config{Nodes: n, Resources: m, Transport: rel}, core.NewFactory(core.WithLoan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
+
+	var monMu sync.Mutex
+	mon := verify.New(m, func(v verify.Violation) { t.Errorf("%v", v) })
+	start := time.Now()
+	now := func() sim.Time { return sim.Time(time.Since(start)) }
+	acquire := func(node int, rs resource.Set) bool {
+		ids := make([]int, 0, rs.Len())
+		rs.ForEach(func(r resource.ID) { ids = append(ids, int(r)) })
+		monMu.Lock()
+		mon.Requested(network.NodeID(node), now())
+		monMu.Unlock()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		release, err := c.Acquire(ctx, node, ids...)
+		cancel()
+		if err != nil {
+			t.Errorf("node %d: acquire %v: %v", node, rs, err)
+			return false
+		}
+		monMu.Lock()
+		mon.Granted(network.NodeID(node), rs, now())
+		mon.Released(network.NodeID(node), rs, now())
+		monMu.Unlock()
+		release()
+		return true
+	}
+
+	var wg sync.WaitGroup
+	for node := 0; node < n; node++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(node) + 7))
+			for i := 0; i < iters; i++ {
+				if !acquire(node, resource.Sample(rng, m, 1+rng.Intn(4))) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ch.StopFaults()
+
+	all := resource.NewSet(m)
+	for r := 0; r < m; r++ {
+		all.Add(resource.ID(r))
+	}
+	for node := 0; node < n; node++ {
+		if !acquire(node, all) {
+			t.Fatalf("node %d cannot assemble all %d tokens after the storm", node, m)
+		}
+	}
+	monMu.Lock()
+	mon.CheckQuiescent(now())
+	monMu.Unlock()
+	cs, rs := ch.ChaosStats(), rel.RelStats()
+	if cs.Duplicated == 0 || rs.Retransmits == 0 || rs.DupsDropped == 0 {
+		t.Fatalf("no delivered record was put back on the fabric: chaos %+v, recovery %+v", cs, rs)
+	}
+	var loans int
+	for id := 0; id < n; id++ {
+		c.Inspect(id, func(nd alg.Node) { loans += nd.(*core.Node).Counters().LoansGranted })
+	}
+	t.Logf("%d grants, %d loans; chaos dropped=%d dup=%d; retransmits=%d dups dropped=%d",
+		mon.Grants(), loans, cs.Dropped, cs.Duplicated, rs.Retransmits, rs.DupsDropped)
 }

@@ -53,7 +53,8 @@ type Network struct {
 
 	stats Stats
 	// Trace, when non-nil, observes every send (for debugging and the
-	// Gantt/trace tooling).
+	// Gantt/trace tooling). It must not keep m past the call: a sent
+	// message belongs to its receiver, which may refill it (alg.Env).
 	Trace func(at sim.Time, from, to NodeID, m Message)
 
 	// free pools delivery records so that a send schedules its delivery

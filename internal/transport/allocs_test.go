@@ -56,8 +56,8 @@ func TestSingleMessageSendAllocs(t *testing.T) {
 func TestCodecScaffoldingAllocs(t *testing.T) {
 	// What the decoded message owns, sample by sample.
 	own := map[string]float64{
-		"LASS.Request":   4,  // visited list, request slice, the loan request's missing set, interface box
-		"LASS.Response":  12, // counter and token slices, two tokens with stamps and queues, interface box
+		"LASS.Request":   4,  // the record, visited list, request slice, the loan request's missing set
+		"LASS.Response":  10, // the record, counter and token slices, two tokens (one allocation for both stamp vectors each), a queue, a loan list and its missing set
 		"Client.Acquire": 2,  // resource list, interface box
 		"Client.Grant":   0,  // one small integer: boxed without allocating
 	}

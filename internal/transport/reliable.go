@@ -305,8 +305,10 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 			return
 		case env.Seq < l.expected:
 			// Duplicate (chaos Dup, or a retransmission that raced its
-			// own ack): drop the payload, but re-ack so a sender whose
-			// ack was lost still advances.
+			// own ack): drop the payload unread — on an in-process
+			// fabric env.M is the very record the first copy delivered,
+			// and its receiver may be refilling it — but re-ack so a
+			// sender whose ack was lost still advances.
 			l.ackDue = true
 			l.mu.Unlock()
 			r.addRel(func(s *RelStats) { s.DupsDropped++ })

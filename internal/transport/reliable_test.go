@@ -155,3 +155,56 @@ func TestReliableCloseLeaksNothing(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 }
+
+// keptRecord is a message the way core's batch records are: a pointer
+// whose receiver keeps it and writes over it once delivered.
+type keptRecord struct{ seq int }
+
+func (*keptRecord) Kind() string { return "Test.Kept" }
+
+// TestHazardDeliveredRecordNeverReadAgain pins what makes "the receiver
+// keeps the record" sound under retransmission and duplication. The
+// wrapper holds every sent message in its retransmit buffer until it is
+// acknowledged and the fault injector may queue a run twice — so on an
+// in-process fabric an envelope can still point at a record its receiver
+// has already taken over. The stack must drop such an envelope on its
+// sequence number alone: the handler below scribbles on every record the
+// moment it is delivered, so a second delivery shows as a wrong seq and
+// any read of a delivered record — anywhere between the retransmitter
+// and the receiver — is a data race the detector reports.
+func TestHazardDeliveredRecordNeverReadAgain(t *testing.T) {
+	ch := transport.NewChaos(transport.NewMem(2, 0), 0x5eed)
+	ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
+	r := transport.NewReliable(ch)
+	r.SetRetransmit(time.Millisecond, 10*time.Millisecond)
+	defer r.Close()
+
+	msgs := 1000
+	if testing.Short() {
+		msgs = 500
+	}
+	next, done := 1, make(chan struct{})
+	r.Bind(0, 1, func(from network.NodeID, m network.Message) {
+		rec := m.(*keptRecord)
+		if rec.seq != next {
+			t.Errorf("delivery %d carries seq %d: a record was delivered again after its receiver took it over", next, rec.seq)
+		}
+		rec.seq = -1 // the receiver's to overwrite, from now on
+		if next++; next > msgs {
+			close(done)
+		}
+	})
+	r.Bind(0, 0, func(network.NodeID, network.Message) {})
+	for i := 1; i <= msgs; i++ {
+		transporttest.Send(r, transport.Link{From: 0, To: 1}, &keptRecord{seq: i})
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("deliveries never completed")
+	}
+	cs, rs := ch.ChaosStats(), r.RelStats()
+	if cs.Duplicated == 0 || rs.Retransmits == 0 || rs.DupsDropped == 0 {
+		t.Fatalf("the run never put a delivered record back on the fabric: chaos %+v, recovery %+v", cs, rs)
+	}
+}

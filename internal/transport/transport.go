@@ -29,6 +29,18 @@
 //   - clean close: Close is idempotent, terminates the transport's
 //     goroutines, and later Sends are dropped rather than panicking.
 //
+// A sent message belongs to its receiver (alg.Env.Send): the in-process
+// paths deliver it by reference and the receiving node may scrub and
+// refill it as soon as its handler has run. Everything here that holds
+// a message past the Send that brought it — a delay queue's held run,
+// the binder's backlog of an unbound slot, a fault pipeline's item, the
+// reliable wrapper's retransmit buffer — therefore holds it unread: an
+// in-process path reads a message (its Kind, for the counters) only on
+// the way to its first delivery, and an envelope that may point at a
+// delivered message (a duplicate, a retransmission) is discarded on its
+// sequence number alone. A socket path may encode a message again: what
+// it encodes was never handed to a receiver.
+//
 // Wrappers stack as live → Reliable → Chaos → TCP|Mem. Each forwards
 // Configure, AbortConns and Err to the fabric underneath, so a caller
 // holds the top of the stack and never reaches around it.

@@ -389,23 +389,15 @@ func (d *Dec) Count() int {
 
 // Nodes reads a slice of node identifiers; nil when empty. Entries are
 // read as sites (visited lists and queues never carry None).
-func (d *Dec) Nodes() []network.NodeID { return d.NodesPad(0) }
-
-// NodesPad is Nodes with pad extra slots of capacity. Decoders use it
-// when the consumer is entitled to extend the slice in place — a
-// wire-decoded message is exclusively owned by its receiver, and the
-// headroom turns the extension into a zero-allocation append (see
-// core's visited-set ownership rule). The padding is charged against
-// the allocation budget like the elements themselves.
-func (d *Dec) NodesPad(pad int) []network.NodeID {
+func (d *Dec) Nodes() []network.NodeID {
 	n := d.Count()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	if !d.charge(8 * (n + pad)) {
+	if !d.charge(8 * n) {
 		return nil
 	}
-	out := make([]network.NodeID, n, n+pad)
+	out := make([]network.NodeID, n)
 	for i := range out {
 		out[i] = d.Site()
 	}
@@ -422,10 +414,17 @@ func (d *Dec) Int64s() []int64 {
 		return nil
 	}
 	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.Varint()
-	}
+	d.Varints(out)
 	return out
+}
+
+// Varints fills dst with len(dst) signed integers: the body of an
+// Int64s whose length the caller read with Count and whose storage it
+// charged and cut itself, several vectors from one allocation.
+func (d *Dec) Varints(dst []int64) {
+	for i := range dst {
+		dst[i] = d.Varint()
+	}
 }
 
 // Message reads a nested message appended by Enc.Message, decoding it
