@@ -72,20 +72,6 @@ type ClusterConfig struct {
 	// clusters only.
 	Latency time.Duration
 
-	// Policy orders each node's admission queue when concurrent
-	// sessions multiplex onto it (default PolicyFIFO).
-	//
-	// Deprecated: pass WithPolicy to NewCluster instead; the option
-	// wins when both are given. Kept so existing callers build.
-	Policy Policy
-	// AgingThreshold is the wait after which a queued request is
-	// admitted in arrival order regardless of policy — the starvation
-	// bound. Zero selects a sane default (500ms).
-	//
-	// Deprecated: pass WithAging to NewCluster instead; the option
-	// wins when both are given. Kept so existing callers build.
-	AgingThreshold time.Duration
-
 	// Peers switches the cluster to multi-process mode: Peers[i] is the
 	// TCP address of the process hosting node i, and this process runs
 	// the nodes listed in Local, exchanging protocol messages over the
@@ -103,27 +89,17 @@ type ClusterConfig struct {
 	Listen string
 }
 
-// WireConfig tunes the peer wire path of a multi-process cluster —
-// the knobs each connection's hello exchange then negotiates down to
-// what both ends support. The zero value selects the defaults (delta
-// off, vectored writes, hello on, default receive window). In-process
-// clusters have no wire and ignore it.
+// WireConfig tunes the peer wire path of a multi-process cluster. The
+// zero value selects the defaults (delta off, default receive window).
+// In-process clusters have no wire and ignore it.
 type WireConfig struct {
-	// Delta delta-encodes token state against the per-peer baseline.
+	// Delta delta-encodes token state against the per-peer baseline on
+	// every link whose other end enables it too.
 	Delta bool
-	// NoVectored disables writev egress for batched frames.
-	NoVectored bool
-	// FlushDelay is the egress micro-delay before each flush;
-	// FlushDelayMax above it enables the adaptive scheduler.
-	FlushDelay    time.Duration
-	FlushDelayMax time.Duration
 	// Window is the receive window announced to peers, in bytes: how
 	// much a peer may have in flight before waiting for credit. Zero
 	// selects the transport default, negative disables crediting.
 	Window int64
-	// NoHello suppresses the connection hello on dialed links,
-	// mimicking a pre-negotiation build (testing/interop only).
-	NoHello bool
 }
 
 // Option customizes NewCluster beyond the core shape in ClusterConfig.
@@ -131,42 +107,29 @@ type Option func(*clusterOptions)
 
 type clusterOptions struct {
 	policy      Policy
-	havePolicy  bool
 	aging       time.Duration
-	haveAging   bool
 	wire        WireConfig
 	haveWire    bool
-	window      int64
-	haveWindow  bool
 	admitTarget time.Duration
 }
 
-// WithPolicy selects the admission-scheduling policy (PolicyFIFO,
-// PolicySSF, PolicyEDF, PolicyAdaptive), overriding
-// ClusterConfig.Policy.
+// WithPolicy selects the admission-scheduling policy (PolicyFIFO, the
+// default, PolicySSF, PolicyEDF, PolicyAdaptive).
 func WithPolicy(p Policy) Option {
-	return func(o *clusterOptions) { o.policy = p; o.havePolicy = true }
+	return func(o *clusterOptions) { o.policy = p }
 }
 
 // WithAging sets the starvation bound: the wait after which a queued
-// request is admitted in arrival order regardless of policy. Overrides
-// ClusterConfig.AgingThreshold.
+// request is admitted in arrival order regardless of policy. Zero
+// selects a sane default (500ms).
 func WithAging(d time.Duration) Option {
-	return func(o *clusterOptions) { o.aging = d; o.haveAging = true }
+	return func(o *clusterOptions) { o.aging = d }
 }
 
 // WithWire tunes the peer wire path of a multi-process cluster; see
-// WireConfig. Later options override earlier ones field-wise only for
-// WithWindow — a second WithWire replaces the whole config.
+// WireConfig. A second WithWire replaces the whole config.
 func WithWire(w WireConfig) Option {
 	return func(o *clusterOptions) { o.wire = w; o.haveWire = true }
-}
-
-// WithWindow sets just the announced receive window (bytes a peer may
-// have in flight before waiting for credit) on top of whatever WithWire
-// configured: zero the default, negative disables crediting.
-func WithWindow(bytes int64) Option {
-	return func(o *clusterOptions) { o.window = bytes; o.haveWindow = true }
 }
 
 // WithAdmitTarget sets PolicyAdaptive's grant-latency target: the
@@ -192,9 +155,7 @@ type LoanStats struct {
 // NewCluster starts a cluster of protocol nodes. ClusterConfig gives
 // the core shape (nodes, resources, algorithm, deployment); everything
 // else — admission policy, aging, wire tuning — is a functional option
-// (WithPolicy, WithAging, WithWire, WithWindow). The deprecated
-// ClusterConfig tuning fields still work and options override them, so
-// pre-option callers build and behave unchanged.
+// (WithPolicy, WithAging, WithWire, WithAdmitTarget).
 func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	var o clusterOptions
 	for _, opt := range opts {
@@ -208,30 +169,11 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 		copt.Loan = true
 		copt.LoanThreshold = cfg.LoanThreshold
 	}
-	pol := cfg.Policy
-	if o.havePolicy {
-		pol = o.policy
-	}
-	policy, err := serve.ParsePolicy(string(pol))
+	policy, err := serve.ParsePolicy(string(o.policy))
 	if err != nil {
 		return nil, fmt.Errorf("mralloc: %w", err)
 	}
-	aging := cfg.AgingThreshold
-	if o.haveAging {
-		aging = o.aging
-	}
-	wire := transport.WireOptions{
-		Delta:         o.wire.Delta,
-		NoVectored:    o.wire.NoVectored,
-		FlushDelay:    o.wire.FlushDelay,
-		FlushDelayMax: o.wire.FlushDelayMax,
-		Window:        o.wire.Window,
-		NoHello:       o.wire.NoHello,
-	}
-	if o.haveWindow {
-		wire.Window = o.window
-	}
-	if (o.haveWire || o.haveWindow) && len(cfg.Peers) == 0 {
+	if o.haveWire && len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("mralloc: wire options apply to multi-process clusters only")
 	}
 	lcfg := live.Config{
@@ -239,9 +181,9 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 		Resources:   cfg.Resources,
 		Latency:     cfg.Latency,
 		Policy:      policy,
-		Aging:       aging,
+		Aging:       o.aging,
 		AdmitTarget: o.admitTarget,
-		Wire:        wire,
+		Wire:        transport.WireOptions{Delta: o.wire.Delta, Window: o.wire.Window},
 	}
 	if len(cfg.Peers) > 0 {
 		if len(cfg.Peers) != cfg.Nodes {

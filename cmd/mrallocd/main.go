@@ -77,12 +77,8 @@ type daemonConfig struct {
 	admitTarget      time.Duration
 	pprofAddr        string
 	wireDelta        bool
-	wireWritev       bool
-	wireHello        bool
 	wireWindow       int64
 	egressBudget     int64
-	flushDelay       time.Duration
-	flushDelayMax    time.Duration
 	chaosDrop        float64
 	chaosDup         float64
 	chaosDelay       time.Duration
@@ -95,43 +91,45 @@ type daemonConfig struct {
 	hbInterval       time.Duration
 }
 
+// registerFlags declares the daemon's whole flag surface on fs; the
+// flag-surface test renders it from here.
+func registerFlags(fs *flag.FlagSet, cfg *daemonConfig) {
+	fs.IntVar(&cfg.nodes, "nodes", 3, "total number of nodes N in the cluster")
+	fs.IntVar(&cfg.resources, "resources", 16, "number of resources M")
+	fs.IntVar(&cfg.shards, "shards", 1, "split the resource universe into this many contiguous shards, each with its own allocator instances and event loops; every daemon of the cluster must agree (1 = flat)")
+	fs.BoolVar(&cfg.crossTwoPhase, "cross-two-phase", false, "acquire cross-shard sets with the parallel two-phase scheme (timeout, hand back, retry) instead of ordered shard locking")
+	fs.StringVar(&cfg.algName, "alg", "counter-loan", "algorithm: counter-loan, counter-no-loan, incremental, bouabdallah")
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:7000", "TCP listen address of this process")
+	fs.StringVar(&cfg.peersCSV, "peers", "", "comma-separated list of N addresses; entry i hosts node i")
+	fs.StringVar(&cfg.localCSV, "local", "0", "comma-separated node ids hosted by this process")
+	fs.IntVar(&cfg.ops, "ops", 0, "random acquire/release cycles per local node (0 = serve until signal)")
+	fs.StringVar(&cfg.clientListen, "client-listen", "", "TCP address of the client port (empty = no client port)")
+	fs.StringVar(&cfg.policyStr, "policy", "fifo", "admission policy for multiplexed sessions: fifo, ssf, edf, adaptive")
+	fs.IntVar(&cfg.maxQueue, "max-queue", 0, "deny client acquires with ErrOverloaded once a node has this many waiting (0 = unbounded)")
+	fs.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
+	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
+	fs.BoolVar(&cfg.wireDelta, "wire-delta", true, "delta-encode token state on peer connections; every daemon of the cluster must run a delta-aware build (pass =false to interoperate with pre-delta peers)")
+	fs.Int64Var(&cfg.wireWindow, "wire-window", 0, "receive window in bytes announced to peers (0 = default, negative = disable crediting)")
+	fs.Int64Var(&cfg.egressBudget, "egress-budget", 0, "client-port response bytes queued per connection before the client is shed (0 = default, negative = unbounded)")
+	fs.Float64Var(&cfg.chaosDrop, "chaos-drop", 0, "fault injection: probability in [0,1] of dropping each outgoing peer message")
+	fs.Float64Var(&cfg.chaosDup, "chaos-dup", 0, "fault injection: probability in [0,1] of duplicating each outgoing peer message (breaks the no-duplication hypothesis — expect safety-only behavior)")
+	fs.DurationVar(&cfg.chaosDelay, "chaos-delay", 0, "fault injection: minimum extra delay per outgoing peer message")
+	fs.DurationVar(&cfg.chaosDelayMax, "chaos-delay-max", 0, "fault injection: maximum extra delay per outgoing peer message (0 with -chaos-delay set means fixed delay)")
+	fs.DurationVar(&cfg.chaosKillEvery, "chaos-kill-every", 0, "fault injection: forcibly abort every live peer connection at this interval, exercising the redial path (0 = never)")
+	fs.Int64Var(&cfg.chaosSeed, "chaos-seed", 1, "fault injection: RNG seed for the per-link fault schedules")
+	fs.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection: hex-encoded chaos spec (as printed by a prior run) — replays that exact fault configuration, overriding the individual -chaos-* knobs")
+	fs.BoolVar(&cfg.reliable, "reliable", false, "per-link ack/retransmit wrapper on peer traffic: restores reliable delivery (and so liveness) over a lossy fabric, at the cost of ack frames and retransmit buffers")
+	fs.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "token lease TTL (counter-loan/counter-no-loan only): heartbeat-tracked leases let a steward regenerate tokens lost with a crashed peer, fencing the stale epoch (0 = leases off)")
+	fs.DurationVar(&cfg.hbInterval, "hb-interval", 0, "lease heartbeat interval (0 = lease-ttl/3); must be well below -lease-ttl")
+	fs.DurationVar(&cfg.linger, "linger", 5*time.Second, "after the workload, keep serving peers this long before exiting (0 = until signal); legacy safety net from before the shutdown drain — tokens are now handed off explicitly, lingering just catches stragglers mid-handoff")
+	fs.IntVar(&cfg.phi, "phi", 4, "maximum resources per request (workload mode)")
+	fs.DurationVar(&cfg.think, "think", time.Millisecond, "mean pause between requests (workload mode)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "workload RNG seed")
+}
+
 func main() {
 	var cfg daemonConfig
-	flag.IntVar(&cfg.nodes, "nodes", 3, "total number of nodes N in the cluster")
-	flag.IntVar(&cfg.resources, "resources", 16, "number of resources M")
-	flag.IntVar(&cfg.shards, "shards", 1, "split the resource universe into this many contiguous shards, each with its own allocator instances and event loops; every daemon of the cluster must agree (1 = flat, wire-compatible with pre-shard builds)")
-	flag.BoolVar(&cfg.crossTwoPhase, "cross-two-phase", false, "acquire cross-shard sets with the parallel two-phase scheme (timeout, hand back, retry) instead of ordered shard locking")
-	flag.StringVar(&cfg.algName, "alg", "counter-loan", "algorithm: counter-loan, counter-no-loan, incremental, bouabdallah")
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:7000", "TCP listen address of this process")
-	flag.StringVar(&cfg.peersCSV, "peers", "", "comma-separated list of N addresses; entry i hosts node i")
-	flag.StringVar(&cfg.localCSV, "local", "0", "comma-separated node ids hosted by this process")
-	flag.IntVar(&cfg.ops, "ops", 0, "random acquire/release cycles per local node (0 = serve until signal)")
-	flag.StringVar(&cfg.clientListen, "client-listen", "", "TCP address of the client port (empty = no client port)")
-	flag.StringVar(&cfg.policyStr, "policy", "fifo", "admission policy for multiplexed sessions: fifo, ssf, edf, adaptive")
-	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "deny client acquires with ErrOverloaded once a node has this many waiting (0 = unbounded)")
-	flag.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
-	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
-	flag.BoolVar(&cfg.wireDelta, "wire-delta", true, "delta-encode token state on peer connections; every daemon of the cluster must run a delta-aware build (pass =false to interoperate with pre-delta peers)")
-	flag.BoolVar(&cfg.wireWritev, "wire-writev", true, "vectored (writev) egress for batched peer frames")
-	flag.BoolVar(&cfg.wireHello, "wire-hello", true, "send the connection hello on dialed peer links (negotiates features and flow-control windows; pass =false to mimic a pre-negotiation build)")
-	flag.Int64Var(&cfg.wireWindow, "wire-window", 0, "receive window in bytes announced to peers (0 = default, negative = disable crediting)")
-	flag.Int64Var(&cfg.egressBudget, "egress-budget", 0, "client-port response bytes queued per connection before the client is shed (0 = default, negative = unbounded)")
-	flag.DurationVar(&cfg.flushDelay, "flush-delay", 0, "egress micro-delay before each peer flush, trading bounded latency for bigger batches (0 = flush on wakeup)")
-	flag.DurationVar(&cfg.flushDelayMax, "flush-delay-max", 0, "> flush-delay enables adaptive widening of the flush delay under high fan-in")
-	flag.Float64Var(&cfg.chaosDrop, "chaos-drop", 0, "fault injection: probability in [0,1] of dropping each outgoing peer message")
-	flag.Float64Var(&cfg.chaosDup, "chaos-dup", 0, "fault injection: probability in [0,1] of duplicating each outgoing peer message (breaks the no-duplication hypothesis — expect safety-only behavior)")
-	flag.DurationVar(&cfg.chaosDelay, "chaos-delay", 0, "fault injection: minimum extra delay per outgoing peer message")
-	flag.DurationVar(&cfg.chaosDelayMax, "chaos-delay-max", 0, "fault injection: maximum extra delay per outgoing peer message (0 with -chaos-delay set means fixed delay)")
-	flag.DurationVar(&cfg.chaosKillEvery, "chaos-kill-every", 0, "fault injection: forcibly abort every live peer connection at this interval, exercising the redial path (0 = never)")
-	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 1, "fault injection: RNG seed for the per-link fault schedules")
-	flag.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection: hex-encoded chaos spec (as printed by a prior run) — replays that exact fault configuration, overriding the individual -chaos-* knobs")
-	flag.BoolVar(&cfg.reliable, "reliable", false, "per-link ack/retransmit wrapper on peer traffic: restores reliable delivery (and so liveness) over a lossy fabric, at the cost of ack frames and retransmit buffers")
-	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "token lease TTL (counter-loan/counter-no-loan only): heartbeat-tracked leases let a steward regenerate tokens lost with a crashed peer, fencing the stale epoch (0 = leases off)")
-	flag.DurationVar(&cfg.hbInterval, "hb-interval", 0, "lease heartbeat interval (0 = lease-ttl/3); must be well below -lease-ttl")
-	flag.DurationVar(&cfg.linger, "linger", 5*time.Second, "after the workload, keep serving peers this long before exiting (0 = until signal); legacy safety net from before the shutdown drain — tokens are now handed off explicitly, lingering just catches stragglers mid-handoff")
-	flag.IntVar(&cfg.phi, "phi", 4, "maximum resources per request (workload mode)")
-	flag.DurationVar(&cfg.think, "think", time.Millisecond, "mean pause between requests (workload mode)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "workload RNG seed")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "mrallocd:", err)
@@ -274,14 +272,7 @@ func run(cfg daemonConfig) error {
 		Policy:             policy,
 		AdmitTarget:        cfg.admitTarget,
 		Tick:               tick,
-		Wire: transport.WireOptions{
-			Delta:         cfg.wireDelta,
-			NoVectored:    !cfg.wireWritev,
-			NoHello:       !cfg.wireHello,
-			Window:        cfg.wireWindow,
-			FlushDelay:    cfg.flushDelay,
-			FlushDelayMax: cfg.flushDelayMax,
-		},
+		Wire:               transport.WireOptions{Delta: cfg.wireDelta, Window: cfg.wireWindow},
 	}, factory)
 	if err != nil {
 		return err

@@ -71,19 +71,8 @@ func TestTCPLoopbackSmoke(t *testing.T) {
 	if len(grid) == 0 {
 		t.Fatal("empty tcploop grid")
 	}
-	// One batched cell is enough for CI; the full grid runs via
-	// cmd/bench.
-	var s Scenario
-	for _, c := range grid {
-		if strings.HasSuffix(c.Name, "/batch") {
-			s = c
-			break
-		}
-	}
-	if s.Run == nil {
-		t.Fatal("no batched tcploop scenario in the grid")
-	}
-	r := Measure(s)
+	// One cell is enough for CI; the full grid runs via cmd/bench.
+	r := Measure(grid[0])
 	if r.NsPerOp <= 0 || r.AllocsPerOp <= 0 {
 		t.Fatalf("no wall-clock measurement: %+v", r)
 	}
@@ -210,26 +199,6 @@ func TestServeGridScales(t *testing.T) {
 	}
 	if many.Waiting.P99 <= one.Waiting.P99 {
 		t.Errorf("p99 wait did not grow under 64× multiplexing: %v vs %v", many.Waiting.P99, one.Waiting.P99)
-	}
-}
-
-// TestHeteroLoopbackSmoke runs the heterogeneous-feature twin once:
-// mixed builds must negotiate per-link feature subsets and still move
-// real traffic with sane wire-path columns.
-func TestHeteroLoopbackSmoke(t *testing.T) {
-	var s Scenario
-	for _, c := range TCPLoopGrid() {
-		if strings.HasSuffix(c.Name, "/hetero") {
-			s = c
-			break
-		}
-	}
-	if s.Run == nil {
-		t.Fatal("no hetero tcploop scenario in the grid")
-	}
-	r := Measure(s)
-	if r.WritesPerOp <= 0 || r.WireBytesPerOp <= 0 || r.MsgPerCS <= 0 {
-		t.Fatalf("hetero cell produced no wire traffic: %+v", r)
 	}
 }
 

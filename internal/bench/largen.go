@@ -22,16 +22,14 @@ import (
 // over a real socket) and drives concurrent acquire/release cycles
 // straight through the live clusters.
 //
-// Twins per N, each toggling exactly one payload-path axis:
+// Twins per N, toggling the one payload-path axis:
 //
-//	delta   — delta tokens on,  writev on  (the full payload path)
-//	nodelta — delta tokens off, writev on  (isolates the delta win)
-//	copy    — delta tokens on,  writev off (isolates the writev win)
+//	delta   — delta tokens on (the full payload path)
+//	nodelta — delta tokens off
 //
 // The workload and protocol traffic are identical across twins
 // (msg_per_cs matches within run jitter); wire_bytes_per_op is the
-// column the delta/nodelta pair pins, writes_per_op and ns/op the
-// writev/copy pair.
+// column the pair pins.
 
 // largeNM is the tier's resource universe; requests take 2 resources.
 const largeNM = 32
@@ -179,15 +177,13 @@ func largeNScenario(nodes int, tag string, wireOpts transport.WireOptions) Scena
 	return s
 }
 
-// LargeNGrid is the payload-path tier: N∈{128,512}, one twin per
-// toggled axis.
+// LargeNGrid is the payload-path tier: N∈{128,512}, delta on and off.
 func LargeNGrid() []Scenario {
 	var out []Scenario
 	for _, n := range []int{128, 512} {
 		out = append(out,
 			largeNScenario(n, "delta", transport.WireOptions{Delta: true}),
 			largeNScenario(n, "nodelta", transport.WireOptions{Delta: false}),
-			largeNScenario(n, "copy", transport.WireOptions{Delta: true, NoVectored: true}),
 		)
 	}
 	return out

@@ -104,8 +104,8 @@ func NewReport(current []Result) Report {
 		Notes: []string{
 			"baseline predates the Floyd sampler, which changed the request draw of every Sample()-driven sim scenario; their deltas mix the optimization effect with a workload shift (compare msg_per_cs/grants_per_op/events_per_op across columns to gauge it)",
 			"micro/* and live/* scenarios are workload-identical across columns; their deltas are pure optimization effect",
-			"tcploop/* rows have no frozen baseline; each cell's …/nobatch twin runs the identical workload with coalescing disabled (the pre-batching wire behavior), so the batch-vs-nobatch writes_per_op/wire_bytes_per_op pair is the wire-path before/after on identical protocol traffic (msg_per_cs matches within run jitter)",
-			"largeN/* rows are payload-path twins at N∈{128,512} over TCP loopback, each toggling one axis against the full path (…/delta): …/nodelta disables delta-encoded token state (wire_bytes_per_op pins the delta saving), …/copy disables vectored (writev) egress (ns/op and writes_per_op pin the writev effect); workloads are identical, msg_per_cs matches within run jitter",
+			"tcploop/* rows have no frozen baseline: they price the wire path (writes_per_op, wire_bytes_per_op, avg_batch_frames) under the protocol traffic msg_per_cs reports",
+			"largeN/* rows are payload-path twins at N∈{128,512} over TCP loopback: …/nodelta disables delta-encoded token state against the full path (…/delta), so wire_bytes_per_op pins the delta saving; workloads are identical, msg_per_cs matches within run jitter",
 			"cross-report comparisons (e.g. BENCH_2.json — the PR 4 record — vs BENCH_3.json) should anchor on the protocol columns and allocs_per_op; wall-clock ns/op varies with machine load between report generations",
 			"recovery/* rows run the lease-armed reliable stack (live → Reliable → Chaos → TCP loopback): the clean cell prices the wrapper with zero faults (retransmits_per_op ~0), the faulted cell injects drop+dup at the fabric so retransmits_per_op/dups_dropped_per_op show the recovery machinery at work; fault draws are seeded but interleave with real goroutine timing, so these columns jitter across runs",
 			"openloop/* rows decouple arrivals from completions (Poisson arrivals at offered_rps over the tcploop fabric): goodput_rps counts only grants within the 50ms tier SLO while grant_rps counts all of them — past the knee unbounded FIFO keeps grant_rps near capacity at timeout-scale sojourns (goodput_rps ~0), adaptive sheds (shed_rate) to hold p99 inside the SLO; rates are machine-dependent, compare policies within one report only",

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mralloc/internal/core"
 	"mralloc/internal/live"
@@ -23,11 +22,6 @@ import (
 // protocol. This is the ROADMAP's missing multi-process bench
 // scenario: the sim grid measures the algorithms, this tier measures
 // the wire path under them.
-//
-// Every cell runs twice, batch and nobatch: identical workload and
-// protocol traffic (msg/cs must match), differing only in whether the
-// coalescing writers may pack more than one frame per flush. The
-// writes/op and bytes/op columns pin what the batching buys.
 
 // tcpLoopM is the resource universe of the tier; requests take 2
 // resources, so conflicts are common but not total at 32.
@@ -41,7 +35,7 @@ type tcpLoopCell struct {
 	clients  []*serve.Client
 }
 
-func startTCPLoopCell(b *testing.B, nodes int, batching bool, wireFor func(d int) transport.WireOptions) *tcpLoopCell {
+func startTCPLoopCell(b *testing.B, nodes int) *tcpLoopCell {
 	b.Helper()
 	half := nodes / 2
 	locals := [2][]int{}
@@ -59,7 +53,6 @@ func startTCPLoopCell(b *testing.B, nodes int, batching bool, wireFor func(d int
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr.SetBatching(batching)
 		cell.trs = append(cell.trs, tr)
 		for _, id := range locals[d] {
 			addrs[id] = tr.Addr()
@@ -69,28 +62,22 @@ func startTCPLoopCell(b *testing.B, nodes int, batching bool, wireFor func(d int
 		if err := cell.trs[d].Connect(addrs); err != nil {
 			b.Fatal(err)
 		}
-		var wireOpts transport.WireOptions
-		if wireFor != nil {
-			wireOpts = wireFor(d)
-		}
 		c, err := live.New(live.Config{
 			Nodes:     nodes,
 			Resources: tcpLoopM,
 			Transport: cell.trs[d],
 			Local:     locals[d],
-			Wire:      wireOpts,
 		}, core.NewFactory(core.WithLoan()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		cell.clusters = append(cell.clusters, c)
 		srv, err := serve.NewServer(serve.ServerConfig{
-			Listen:          "127.0.0.1:0",
-			Nodes:           nodes,
-			Resources:       tcpLoopM,
-			Local:           locals[d],
-			Open:            func(node int) (serve.BackendSession, error) { return c.NewSession(node) },
-			DisableCoalesce: !batching,
+			Listen:    "127.0.0.1:0",
+			Nodes:     nodes,
+			Resources: tcpLoopM,
+			Local:     locals[d],
+			Open:      func(node int) (serve.BackendSession, error) { return c.NewSession(node) },
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -100,7 +87,6 @@ func startTCPLoopCell(b *testing.B, nodes int, batching bool, wireFor func(d int
 		if err != nil {
 			b.Fatal(err)
 		}
-		cl.SetBatching(batching)
 		cell.clients = append(cell.clients, cl)
 	}
 	return cell
@@ -150,38 +136,11 @@ func (c *tcpLoopCell) peerMsgs() int64 {
 // driving acquire/release cycles through the two-daemon loopback
 // deployment. One op is one granted-and-released acquisition of two
 // resources on a daemon-picked node.
-func tcpLoopScenario(nodes, sessions int, batching bool) Scenario {
-	tag := "nobatch"
-	if batching {
-		tag = "batch"
-	}
-	return tcpLoopWireScenario(nodes, sessions, batching, tag, nil)
-}
-
-// tcpLoopHeteroScenario is the heterogeneous-feature twin: daemon 0 a
-// full-featured build (delta tokens, adaptive flush), daemon 1 a
-// feature-disabled build (no delta, no writev). Every cross-daemon
-// link negotiates down to the common subset in its hello exchange; the
-// columns pin what the mixture costs next to the homogeneous batch
-// cell on identical workload.
-func tcpLoopHeteroScenario(nodes, sessions int) Scenario {
-	return tcpLoopWireScenario(nodes, sessions, true, "hetero", func(d int) transport.WireOptions {
-		if d == 0 {
-			return transport.WireOptions{
-				Delta:         true,
-				FlushDelay:    50 * time.Microsecond,
-				FlushDelayMax: 2 * time.Millisecond,
-			}
-		}
-		return transport.WireOptions{NoVectored: true}
-	})
-}
-
-func tcpLoopWireScenario(nodes, sessions int, batching bool, tag string, wireFor func(d int) transport.WireOptions) Scenario {
-	s := Scenario{Name: fmt.Sprintf("tcploop/n%d/s%d/%s", nodes, sessions, tag)}
+func tcpLoopScenario(nodes, sessions int) Scenario {
+	s := Scenario{Name: fmt.Sprintf("tcploop/n%d/s%d/batch", nodes, sessions)}
 	var lastHist string
 	s.Run = func(b *testing.B) {
-		cell := startTCPLoopCell(b, nodes, batching, wireFor)
+		cell := startTCPLoopCell(b, nodes)
 		defer cell.close()
 		ctx := context.Background()
 		b.ReportAllocs()
@@ -245,17 +204,7 @@ func tcpLoopWireScenario(nodes, sessions int, batching bool, tag string, wireFor
 }
 
 // TCPLoopGrid is the tcp-loopback tier: 4 nodes split across two
-// daemons, a light and a heavy sessions count, each with batching on
-// and off so BENCH_*.json pins the before/after on identical traffic,
-// plus the heterogeneous-feature twin (mixed builds negotiating the
-// common feature subset per link).
+// daemons, a light and a heavy sessions count.
 func TCPLoopGrid() []Scenario {
-	var out []Scenario
-	for _, sessions := range []int{8, 32} {
-		for _, batching := range []bool{true, false} {
-			out = append(out, tcpLoopScenario(4, sessions, batching))
-		}
-	}
-	out = append(out, tcpLoopHeteroScenario(4, 8))
-	return out
+	return []Scenario{tcpLoopScenario(4, 8), tcpLoopScenario(4, 32)}
 }

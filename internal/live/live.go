@@ -80,8 +80,8 @@ type Config struct {
 	// not — a shard is one field of the link a message is sent on;
 	// every process of a multi-process cluster must configure the same
 	// count. 0 or 1 selects the flat single-universe cluster: the
-	// one-shard instance of the same code path, byte-for-byte the
-	// pre-shard encoding on the wire.
+	// one-shard instance of the same code path, whose frames carry no
+	// shard tag.
 	Shards int
 	// CrossShardTwoPhase switches acquires spanning several shards from
 	// ordered locking (shards taken one at a time in ascending shard
@@ -98,9 +98,9 @@ type Config struct {
 	// at this period. Required for token leases (core Options.LeaseTTL —
 	// pick a period a few times smaller than the heartbeat interval).
 	Tick time.Duration
-	// Wire tunes the egress wire path of a socket fabric: delta-encoded
-	// token state, vectored writes, flush scheduling, handshake and
-	// window knobs. It reaches the fabric through any wrappers, in the
+	// Wire tunes the wire path of a socket fabric: delta-encoded token
+	// state and the receive window. It reaches the fabric through any
+	// wrappers, in the
 	// one transport.Config the cluster announces before any node
 	// attaches, so it covers every connection the cluster dials;
 	// fabrics without a wire path (Mem) ignore it.

@@ -86,35 +86,22 @@ func shardedMemFabric(g int, twoPhase bool) fabric {
 // stand-in for one OS process, every message through the wire codec.
 func tcpFabric() fabric { return tcpWireFabric("tcp", nil) }
 
-// tcpDeltaFabric is tcpFabric with the whole payload-path armory on:
-// delta-encoded token state, vectored egress, and an adaptive flush
-// delay — the invariant battery must hold bit-exact protocol behavior
-// under all of them.
+// tcpDeltaFabric is tcpFabric with delta-encoded token state on every
+// link — the invariant battery must hold bit-exact protocol behavior
+// under it.
 func tcpDeltaFabric() fabric {
 	return tcpWireFabric("tcp-delta", func(int) transport.WireOptions {
-		return transport.WireOptions{
-			Delta:         true,
-			FlushDelay:    50 * time.Microsecond,
-			FlushDelayMax: 2 * time.Millisecond,
-		}
+		return transport.WireOptions{Delta: true}
 	})
 }
 
-// tcpHeteroFabric mixes builds: even nodes run the full feature set
-// (delta, vectored egress, adaptive flush), odd nodes a feature-
-// disabled build. Every cross-parity link must negotiate down to the
-// common subset in its hello exchange, and the invariant battery must
-// hold over the mixture.
+// tcpHeteroFabric mixes configurations: even nodes delta-on, odd nodes
+// delta-off. Every cross-parity link must negotiate down to the common
+// subset (full snapshots) in its hello exchange, and the invariant
+// battery must hold over the mixture.
 func tcpHeteroFabric() fabric {
 	return tcpWireFabric("tcp-hetero", func(i int) transport.WireOptions {
-		if i%2 == 0 {
-			return transport.WireOptions{
-				Delta:         true,
-				FlushDelay:    50 * time.Microsecond,
-				FlushDelayMax: 2 * time.Millisecond,
-			}
-		}
-		return transport.WireOptions{NoVectored: true}
+		return transport.WireOptions{Delta: i%2 == 0}
 	})
 }
 

@@ -94,7 +94,7 @@ func Dial(addr string) (*Client, error) {
 	}
 	// Raw write, ahead of the coalescer's first flush: the hello must
 	// precede every frame, and nothing else is writing yet.
-	mine := wire.Hello{Version: wire.ProtoVersion, Features: wire.FeatWritev}
+	mine := wire.Hello{Version: wire.ProtoVersion} // shape unknown: the reply announces it
 	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
 	if _, err := nc.Write(hello); err != nil {
 		nc.Close()
@@ -137,15 +137,12 @@ func (c *Client) Shape(ctx context.Context) (nodes, resources int, err error) {
 }
 
 // Shards reports the number of resource shards the daemon announced
-// (1 for a flat cluster or a pre-shard daemon), blocking like Shape.
+// (1 for a flat cluster), blocking like Shape.
 // Requests are always phrased over the global universe either way; the
 // count describes how the daemon parallelizes them.
 func (c *Client) Shards(ctx context.Context) (int, error) {
 	select {
 	case <-c.helloed:
-		if c.hello.Shards == 0 {
-			return 1, nil
-		}
 		return c.hello.Shards, nil
 	case <-ctx.Done():
 		return 0, ctx.Err()
@@ -166,22 +163,6 @@ func (c *Client) Close() error {
 // WireStats snapshots the egress counters of the client's coalescing
 // writer (writes, frames, batch envelopes, bytes).
 func (c *Client) WireStats() wire.CoalescerStats { return c.co.Stats() }
-
-// SetBatching toggles request coalescing (on by default). Benchmarks
-// turn it off to measure the pre-batching wire behavior; production
-// has no reason to.
-func (c *Client) SetBatching(on bool) {
-	if on {
-		c.co.SetMaxFrames(0)
-	} else {
-		c.co.SetMaxFrames(1)
-	}
-}
-
-// SetFlushDelay sets the request-egress micro-delay: concurrent
-// Acquires get that long to assemble into one batch envelope before
-// the flush. Zero (the default) flushes on wakeup.
-func (c *Client) SetFlushDelay(d time.Duration) { c.co.SetFlushDelay(d) }
 
 // AnyNode targets no node in particular: the daemon picks one of its
 // hosted nodes round-robin.

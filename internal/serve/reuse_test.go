@@ -77,6 +77,10 @@ func TestClientPortAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	hello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion})
+	if _, err := nc.Write(wire.AppendControl(nil, wire.CtrlHello, hello)); err != nil {
+		t.Fatal(err)
+	}
 	const id = 1000
 	acquire := wire.AppendFrame(nil, appendAcquire(nil, id, network.None, []int{1, 6}, 0))
 	release := wire.AppendFrame(nil, appendRelease(nil, id))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -42,11 +43,10 @@ type ServerConfig struct {
 	Nodes, Resources int
 	// Shards is the number of resource shards the backing cluster runs
 	// (live.Config.Shards), announced in the hello reply so a client
-	// can see the namespace layout. 0 or 1 is the flat cluster and
-	// announces the pre-shard hello byte-for-byte. Client requests are
-	// always phrased over the global universe — the backend splits them
-	// — so the count is informational to clients, but one that claims a
-	// different count in its own hello is rejected.
+	// can see the namespace layout; 0 means 1, the flat cluster. Client
+	// requests are always phrased over the global universe — the backend
+	// splits them — so the count is informational to clients, but one
+	// that claims a different count in its own hello is rejected.
 	Shards int
 	// Local lists the node ids this process hosts — the candidates
 	// for requests that do not target a node.
@@ -76,18 +76,6 @@ type ServerConfig struct {
 	// policy's denial-rate statistics see sheds that never reach the
 	// node loop (live.Cluster.NoteShed).
 	NoteShed func(node int)
-	// DisableCoalesce pins every response write to a single frame
-	// (no batch envelopes), the pre-batching wire behavior. Benchmarks
-	// use it to measure the batching win; production has no reason to.
-	DisableCoalesce bool
-	// FlushDelay is the response-egress micro-delay: a grant fan-out
-	// burst gets FlushDelay longer to assemble into one batch envelope
-	// before the flush, trading bounded response latency for fewer
-	// writes. Zero (the default) flushes on wakeup. FlushDelayMax,
-	// when above FlushDelay, enables the adaptive scheduler (see
-	// wire.Coalescer.SetFlushAdaptive).
-	FlushDelay    time.Duration
-	FlushDelayMax time.Duration
 	// EgressBudget bounds the response bytes queued for one client
 	// connection; a client not draining them past the bound is shed
 	// (connection closed, grants returned). Zero selects
@@ -149,6 +137,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("serve: negative MaxQueue %d", cfg.MaxQueue)
+	}
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -339,18 +330,9 @@ type conn struct {
 func (s *Server) serve(nc net.Conn) {
 	defer s.wg.Done()
 	cn := &conn{s: s, c: nc, reqs: make(map[uint64]*connReq), free: make([]*connReq, s.cfg.Nodes)}
-	maxFrames := 0
-	if s.cfg.DisableCoalesce {
-		maxFrames = 1
-	}
 	// A write error marks the connection dead; the read loop notices
 	// and unwinds.
-	cn.co = wire.NewCoalescer(nc, maxFrames, func(error) { nc.Close() })
-	if fd, fdm := s.cfg.FlushDelay, s.cfg.FlushDelayMax; fdm > fd {
-		cn.co.SetFlushAdaptive(fd, fdm)
-	} else if fd > 0 {
-		cn.co.SetFlushDelay(fd)
-	}
+	cn.co = wire.NewCoalescer(nc, 0, func(error) { nc.Close() })
 	s.connsMu.Lock()
 	s.conns[cn] = true
 	s.connsMu.Unlock()
@@ -395,56 +377,27 @@ func (s *Server) serve(nc net.Conn) {
 }
 
 func (cn *conn) readLoop() {
-	fr := wire.NewFrameReader(cn.c, maxClientFrame)
-	// Negotiation: a hello before the first frame is answered with this
-	// daemon's hello — protocol version, cluster shape (how a client
-	// learns N and M without out-of-band config) and feature bits. A
-	// legacy client that never sends one is served exactly as before,
-	// and is never sent a control it could not parse: the reply below
-	// is the only control this side ever writes, strictly in response.
-	// Writing it raw here is safe — hello precedes every request, so
-	// the response coalescer has never been touched yet.
-	var frames, helloed bool
+	// Negotiation: the client's hello is answered with this daemon's —
+	// protocol version and cluster shape (how a client learns N, M and
+	// the shard count without out-of-band config). Writing the reply raw
+	// is safe: the hello precedes every request, so the response
+	// coalescer has never been touched yet.
+	br := bufio.NewReader(cn.c)
+	if _, err := wire.AcceptHello(br, cn.c, cn.s.answerHello); err != nil {
+		return
+	}
+	fr := wire.NewFrameReader(br, maxClientFrame)
 	fr.OnControl(func(code uint64, payload []byte) error {
-		switch code {
-		case wire.CtrlHello:
-			if frames || helloed {
-				return fmt.Errorf("hello mid-stream")
-			}
-			peer, err := wire.ParseHello(payload)
-			if err != nil {
-				return err
-			}
-			if err := cn.s.checkClient(peer); err != nil {
-				reject := wire.AppendReject(nil, err.Error())
-				cn.c.Write(wire.AppendControl(nil, wire.CtrlReject, reject))
-				return err
-			}
-			mine := wire.Hello{
-				Version:   wire.ProtoVersion,
-				Nodes:     cn.s.cfg.Nodes,
-				Resources: cn.s.cfg.Resources,
-				Features:  wire.FeatWritev,
-			}
-			if cn.s.cfg.Shards > 1 {
-				mine.Shards = cn.s.cfg.Shards
-			}
-			reply := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
-			if _, err := cn.c.Write(reply); err != nil {
-				return fmt.Errorf("hello reply: %w", err)
-			}
-			helloed = true
-			return nil
-		default:
-			return wire.ErrUnknownControl // forward compat: skip and count
+		if code == wire.CtrlHello {
+			return fmt.Errorf("hello mid-stream")
 		}
+		return wire.ErrUnknownControl // forward compat: skip and count
 	})
 	for {
 		frame, err := fr.Next()
 		if err != nil {
 			return
 		}
-		frames = true
 		m, err := wire.DecodeFor(frame, cn.s.cfg.Nodes, cn.s.cfg.Resources)
 		if err != nil {
 			return // malformed frame: kill the connection
@@ -466,30 +419,18 @@ func (cn *conn) readLoop() {
 	}
 }
 
-// checkClient validates a client hello: the protocol version must
-// match, and any cluster shape the client claims to know must agree
-// with this daemon's (zero means unknown — the usual case, since
-// learning the shape is what the hello reply is for).
-func (s *Server) checkClient(peer wire.Hello) error {
-	if peer.Version != wire.ProtoVersion {
-		return fmt.Errorf("protocol version %d, want %d", peer.Version, wire.ProtoVersion)
+// answerHello answers a client hello with this daemon's. The protocol
+// version must match, and any cluster shape the client claims to know
+// must agree (zero means unknown — the usual case, since learning the
+// shape is what the reply is for).
+func (s *Server) answerHello(peer wire.Hello) (wire.Hello, error) {
+	mine := wire.Hello{
+		Version:   wire.ProtoVersion,
+		Nodes:     s.cfg.Nodes,
+		Resources: s.cfg.Resources,
+		Shards:    s.cfg.Shards,
 	}
-	if peer.Nodes != 0 && peer.Nodes != s.cfg.Nodes {
-		return fmt.Errorf("cluster of %d nodes, this daemon serves %d", peer.Nodes, s.cfg.Nodes)
-	}
-	if peer.Resources != 0 && peer.Resources != s.cfg.Resources {
-		return fmt.Errorf("resource universe of %d, this daemon serves %d", peer.Resources, s.cfg.Resources)
-	}
-	if peer.Shards != 0 {
-		shards := s.cfg.Shards
-		if shards == 0 {
-			shards = 1
-		}
-		if peer.Shards != shards {
-			return fmt.Errorf("%d resource shards, this daemon serves %d", peer.Shards, shards)
-		}
-	}
-	return nil
+	return mine, mine.Check(peer)
 }
 
 // handleAcquire admits one client request, reporting false when the

@@ -401,6 +401,9 @@ func TestDuplicateRequestIDKillsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	if _, err := nc.Write(clientHello()); err != nil {
+		t.Fatal(err)
+	}
 	sendRaw := func(m network.Message) {
 		payload, err := wire.Append(nil, m)
 		if err != nil {
@@ -548,10 +551,10 @@ func TestAcquireAllOverwideBatch(t *testing.T) {
 	}
 }
 
-// TestLegacyClientServed: a pre-negotiation client (no hello) is
-// served byte-for-byte as before — granted, and never sent a control
-// it could not parse.
-func TestLegacyClientServed(t *testing.T) {
+// TestClientPortRequiresHello: a client whose first stream element is
+// a request, not a hello, draws CtrlReject("hello required") and a
+// closed connection; the request is never admitted.
+func TestClientPortRequiresHello(t *testing.T) {
 	_, srv := startServer(t, 1, 2, serve.FIFO)
 	nc, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -565,21 +568,11 @@ func TestLegacyClientServed(t *testing.T) {
 	if _, err := nc.Write(wire.AppendFrame(nil, payload)); err != nil {
 		t.Fatal(err)
 	}
-	fr := wire.NewFrameReader(nc, 1<<20)
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	frame, err := fr.Next()
-	if err != nil {
-		t.Fatal(err)
+	if reason := wantReject(t, nc); !strings.Contains(reason, "hello required") {
+		t.Fatalf("reject reason %q", reason)
 	}
-	if m, err := wire.Decode(frame); err != nil {
-		t.Fatal(err)
-	} else if g, ok := m.(serve.ClientGrant); !ok || g.Req != 1 {
-		t.Fatalf("expected grant, got %#v", m)
-	}
-	// The modern frame reader would silently skip a stray control; a
-	// real legacy reader would die on one. Assert none arrived.
-	if n := fr.SkippedControls(); n != 0 {
-		t.Fatalf("legacy connection received %d stream controls", n)
+	if n := srv.Sessions(); n != 0 {
+		t.Fatalf("%d requests admitted ahead of the hello", n)
 	}
 }
 
@@ -596,17 +589,34 @@ func TestClientPortRejectsBadVersion(t *testing.T) {
 	if _, err := nc.Write(wire.AppendControl(nil, wire.CtrlHello, h)); err != nil {
 		t.Fatal(err)
 	}
+	if reason := wantReject(t, nc); !strings.Contains(reason, "version") {
+		t.Fatalf("reject reason %q", reason)
+	}
+}
+
+// wantReject reads the daemon's answer on a raw connection: it must be
+// a CtrlReject followed by the connection closing. It returns the
+// reason.
+func wantReject(t *testing.T, nc net.Conn) string {
+	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	ctl, err := wire.ReadControl(bufio.NewReader(nc))
+	br := bufio.NewReader(nc)
+	ctl, err := wire.ReadControl(br)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ctl.Code != wire.CtrlReject {
 		t.Fatalf("got control %d, want CtrlReject", ctl.Code)
 	}
-	if reason, err := wire.ParseReject(ctl.Payload); err != nil || !strings.Contains(reason, "version") {
-		t.Fatalf("reject reason %q, %v", reason, err)
+	reason, err := wire.ParseReject(ctl.Payload)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var ne net.Error
+	if _, err := br.ReadByte(); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("connection not closed after the reject: %v", err)
+	}
+	return reason
 }
 
 // rawClient speaks the client protocol by hand, for the sequences a
@@ -617,6 +627,14 @@ type rawClient struct {
 	fr *wire.FrameReader
 }
 
+// clientHello is the opening every client connection needs: a hello
+// claiming no shape.
+func clientHello() []byte {
+	return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion}))
+}
+
+// dialRaw connects and says hello; the daemon's reply is a control the
+// frame reader skips.
 func dialRaw(t *testing.T, addr string) *rawClient {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
@@ -624,6 +642,9 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
+	if _, err := nc.Write(clientHello()); err != nil {
+		t.Fatal(err)
+	}
 	return &rawClient{t: t, nc: nc, fr: wire.NewFrameReader(nc, 1<<20)}
 }
 

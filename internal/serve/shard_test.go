@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"bufio"
 	"context"
 	"net"
 	"strings"
@@ -72,8 +71,8 @@ func TestClientLearnsShards(t *testing.T) {
 	release()
 }
 
-// TestFlatDaemonAnnouncesOneShard: a flat daemon's hello says nothing
-// about shards (legacy bytes) and the accessor normalizes that to 1.
+// TestFlatDaemonAnnouncesOneShard: a daemon configured without a shard
+// count is the flat cluster and announces one shard.
 func TestFlatDaemonAnnouncesOneShard(t *testing.T) {
 	_, srv := startServer(t, 2, 4, serve.FIFO)
 	cl, err := serve.Dial(srv.Addr())
@@ -105,16 +104,7 @@ func TestClientPortRejectsShardMismatch(t *testing.T) {
 	if _, err := c.Write(wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))); err != nil {
 		t.Fatal(err)
 	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ctl, err := wire.ReadControl(bufio.NewReader(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Code != wire.CtrlReject {
-		t.Fatalf("got control %d, want CtrlReject", ctl.Code)
-	}
-	reason, err := wire.ParseReject(ctl.Payload)
-	if err != nil || !strings.Contains(reason, "shards") {
-		t.Fatalf("reject reason %q, %v", reason, err)
+	if reason := wantReject(t, c); !strings.Contains(reason, "shards") {
+		t.Fatalf("reject reason %q", reason)
 	}
 }

@@ -134,13 +134,13 @@ func tcpDeltaFactory(t *testing.T, n int, sizes []int) []transport.Transport {
 }
 
 // tcpHeteroFactory: the tcpPairedFabric topology with endpoint a
-// running every wire feature and endpoint b a feature-disabled build
-// (no delta, no writev) — negotiation must land each link on the
-// common subset while every transport guarantee still holds.
+// delta-on and endpoint b delta-off — negotiation must land each link
+// on the common subset (full snapshots) while every transport guarantee
+// still holds.
 func tcpHeteroFactory(t *testing.T, n int, sizes []int) []transport.Transport {
 	eps := tcpPairedFabric(t, n)
 	eps[0].Configure(transport.Config{Shards: sizes, Wire: transport.WireOptions{Delta: true}})
-	eps[n-1].Configure(transport.Config{Shards: sizes, Wire: transport.WireOptions{NoVectored: true}})
+	eps[n-1].Configure(transport.Config{Shards: sizes})
 	return eps
 }
 
@@ -170,8 +170,7 @@ func TestTCPRejectsMisshapenFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	if _, err := c.Write(append(frame, payload...)); err != nil {
+	if _, err := c.Write(wire.AppendFrame(rawHello(), payload)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)

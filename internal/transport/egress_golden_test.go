@@ -73,6 +73,31 @@ func (tap *egressTap) bytes() []byte {
 	return append([]byte(nil), tap.b.Bytes()...)
 }
 
+// canonical re-serialises the tapped stream element by element, in
+// stream order, with every frame on its own: how the sender's flusher
+// happened to group frames into envelopes depends on timing, the
+// controls and frames it sent do not. It also reports the control codes
+// seen.
+func (tap *egressTap) canonical(t *testing.T) (stream []byte, controls []uint64) {
+	t.Helper()
+	fr := wire.NewFrameReader(bytes.NewReader(tap.bytes()), 1<<24)
+	fr.OnControl(func(code uint64, payload []byte) error {
+		stream = wire.AppendControl(stream, code, payload)
+		controls = append(controls, code)
+		return nil
+	})
+	for {
+		frame, err := fr.Next()
+		if err == io.EOF {
+			return stream, controls
+		}
+		if err != nil {
+			t.Fatalf("tapped stream: %v", err)
+		}
+		stream = wire.AppendFrame(stream, frame)
+	}
+}
+
 // egressCases are the pinned configurations: shard count × delta.
 var egressCases = map[string]struct {
 	g     int
@@ -86,12 +111,10 @@ var egressCases = map[string]struct {
 
 // TestEgressBytesGolden pins the wire format of one TCP link end to
 // end: hello, stream controls and frames of a fixed message sequence,
-// with batching off (one frame per flush, so the stream does not depend
-// on flush timing). The goldens were captured from the commit before
-// the link-addressed send path replaced the four send functions
-// (Send/SendBatch at G=1, SendShard/SendShardBatch at G=3, after
-// SetShape+SetShards+Tune); UPDATE_EGRESS_GOLDEN=1 rewrites them and is
-// for a deliberate wire-format change only.
+// compared in canonical form (every frame on its own, so the stream
+// does not depend on flush timing; envelope headers are pinned by
+// wire's batch and gather tests). UPDATE_EGRESS_GOLDEN=1 rewrites the
+// goldens and is for a deliberate wire-format change only.
 //
 // Each case runs in a child process: delta-encoded tokens carry a
 // process-wide cache epoch (core's deltaEpochs), so the bytes are only
@@ -143,7 +166,6 @@ func runEgressCase(t *testing.T, name string) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetBatching(false)
 	a.Configure(transport.Config{Shards: sizes, Wire: w})
 	b.Configure(transport.Config{Shards: sizes, Wire: w})
 	tap := newEgressTap(t, b.Addr())
@@ -186,7 +208,8 @@ func runEgressCase(t *testing.T, name string) {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "egress_"+name+".hex")
-	have := hex.EncodeToString(tap.bytes())
+	stream, _ := tap.canonical(t)
+	have := hex.EncodeToString(stream)
 	if os.Getenv("UPDATE_EGRESS_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,8 @@ package transport_test
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -78,8 +80,11 @@ func TestHandshakeNegotiates(t *testing.T) {
 	if !ok {
 		t.Fatal("connection not negotiated")
 	}
-	if peer.Features&wire.FeatDelta == 0 || peer.Features&wire.FeatWritev == 0 {
-		t.Fatalf("peer features %b missing delta or writev", peer.Features)
+	if peer.Features&wire.FeatDelta == 0 {
+		t.Fatalf("peer features %b missing delta", peer.Features)
+	}
+	if peer.Version != wire.ProtoVersion || peer.Shards != 1 {
+		t.Fatalf("peer announced version %d, %d shards", peer.Version, peer.Shards)
 	}
 	if peer.Window != transport.DefaultWindow {
 		t.Fatalf("peer window %d, want default %d", peer.Window, transport.DefaultWindow)
@@ -92,29 +97,60 @@ func TestHandshakeNegotiates(t *testing.T) {
 	}
 }
 
-// TestHandshakeFeatureIntersection: a full-featured dialer against a
-// feature-disabled acceptor must land on the common subset — delta
-// suppressed on the wire — and still deliver.
+// TestHandshakeFeatureIntersection: a delta-on endpoint and a delta-off
+// one must settle on full snapshots in both directions — neither link
+// announces CtrlTokenDelta, whichever end dialed — and token state
+// still crosses both.
 func TestHandshakeFeatureIntersection(t *testing.T) {
-	a, b := listenPair(t,
-		transport.WireOptions{Delta: true},
-		transport.WireOptions{Delta: false, NoVectored: true})
-	got := make(chan network.Message, 1)
-	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
-	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 7})
-	m := waitDelivery(t, got)
-	if m.(transporttest.Msg).Seq != 7 {
-		t.Fatalf("delivered %#v", m)
+	var resp network.Message
+	for _, m := range wire.Samples() {
+		if m.Kind() == "LASS.Response" {
+			resp = m
+			break
+		}
 	}
-	peer, ok := a.Negotiated(b.Addr())
-	if !ok {
-		t.Fatal("connection not negotiated")
+	// Four nodes, two per endpoint: the sample token's stamp vectors are
+	// four entries long.
+	a, err := transport.ListenTCP("127.0.0.1:0", 4, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if peer.Features&wire.FeatDelta != 0 {
-		t.Fatal("feature-disabled peer advertised delta")
+	defer a.Close()
+	b, err := transport.ListenTCP("127.0.0.1:0", 4, 2, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if peer.Features&wire.FeatWritev != 0 {
-		t.Fatal("no-writev peer advertised writev")
+	defer b.Close()
+	a.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: true}})
+	b.Configure(transport.Config{Shards: []int{8}})
+	toB, toA := newEgressTap(t, b.Addr()), newEgressTap(t, a.Addr())
+	viaB, viaA := toB.ln.Addr().String(), toA.ln.Addr().String()
+	if err := a.Connect([]string{a.Addr(), a.Addr(), viaB, viaB}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Connect([]string{viaA, viaA, b.Addr(), b.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	atA, atB := make(chan network.Message, 1), make(chan network.Message, 1)
+	a.Bind(0, 0, func(from network.NodeID, m network.Message) { atA <- m })
+	b.Bind(0, 2, func(from network.NodeID, m network.Message) { atB <- m })
+	transporttest.Send(a, transport.Link{From: 0, To: 2}, resp)
+	transporttest.Send(b, transport.Link{From: 2, To: 0}, resp)
+	for _, ch := range []chan network.Message{atA, atB} {
+		if m := waitDelivery(t, ch); m.Kind() != "LASS.Response" {
+			t.Fatalf("delivered %#v", m)
+		}
+	}
+	if peer, ok := a.Negotiated(viaB); !ok || peer.Features&wire.FeatDelta != 0 {
+		t.Fatalf("delta-off peer advertised %b (negotiated=%v)", peer.Features, ok)
+	}
+	if peer, ok := b.Negotiated(viaA); !ok || peer.Features&wire.FeatDelta == 0 {
+		t.Fatalf("delta-on peer advertised %b (negotiated=%v)", peer.Features, ok)
+	}
+	for name, tap := range map[string]*egressTap{"a→b": toB, "b→a": toA} {
+		if _, controls := tap.canonical(t); len(controls) != 1 || controls[0] != wire.CtrlHello {
+			t.Errorf("%s announced controls %v, want the hello alone", name, controls)
+		}
 	}
 	if err := a.Err(); err != nil {
 		t.Fatal(err)
@@ -154,40 +190,66 @@ func TestHandshakeResourceMismatch(t *testing.T) {
 	b.Configure(transport.Config{Shards: []int{9}})
 	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitErr(t, a, "rejected")
-	waitErr(t, b, "resource universe")
+	waitErr(t, b, "resources")
 }
 
-// TestHandshakeVersionMismatch: a raw dialer announcing a future
-// protocol version gets a CtrlReject naming the version, and the
-// acceptor records the failure.
-func TestHandshakeVersionMismatch(t *testing.T) {
-	b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	c, err := net.Dial("tcp", b.Addr())
+// rawHello is the opening a raw dialer needs before its frames are
+// looked at: a hello that claims no shape, so it passes any endpoint.
+func rawHello() []byte {
+	return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion}))
+}
+
+// rawDial opens a bare socket to tr, writes first as its opening bytes,
+// and returns the CtrlReject reason tr answers with before closing the
+// connection.
+func rawDial(t *testing.T, tr *transport.TCP, first []byte) (reason string) {
+	t.Helper()
+	c, err := net.Dial("tcp", tr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	h := wire.Hello{Version: wire.ProtoVersion + 41, Nodes: 2}
-	if _, err := c.Write(wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))); err != nil {
+	if _, err := c.Write(first); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ctl, err := wire.ReadControl(bufio.NewReader(c))
+	br := bufio.NewReader(c)
+	ctl, err := wire.ReadControl(br)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ctl.Code != wire.CtrlReject {
 		t.Fatalf("got control %d, want CtrlReject", ctl.Code)
 	}
-	reason, err := wire.ParseReject(ctl.Payload)
-	if err != nil || !strings.Contains(reason, "version") {
-		t.Fatalf("reject reason %q, %v", reason, err)
+	if reason, err = wire.ParseReject(ctl.Payload); err != nil {
+		t.Fatal(err)
 	}
-	waitErr(t, b, "version")
+	var ne net.Error
+	if _, err := br.ReadByte(); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("connection not closed after the reject: %v", err)
+	}
+	return reason
+}
+
+// TestHandshakeVersionMismatch: a raw dialer announcing another
+// protocol version — a future one, or the v1 of the builds before the
+// hello became mandatory — gets a CtrlReject naming both versions, and
+// the acceptor records the failure.
+func TestHandshakeVersionMismatch(t *testing.T) {
+	for _, version := range []uint64{wire.ProtoVersion + 41, 1} {
+		b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		h := wire.Hello{Version: version, Nodes: 2}
+		reason := rawDial(t, b, wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h)))
+		want := fmt.Sprintf("protocol version %d, want %d", version, wire.ProtoVersion)
+		if !strings.Contains(reason, want) {
+			t.Fatalf("reject reason %q does not say %q", reason, want)
+		}
+		waitErr(t, b, want)
+	}
 }
 
 // TestHandshakeHostile: a garbage hello payload and a duplicate hello
@@ -225,13 +287,14 @@ func TestHandshakeHostile(t *testing.T) {
 		if _, err := c.Write(append(append([]byte{}, hello...), hello...)); err != nil {
 			t.Fatal(err)
 		}
-		waitErr(t, b, "hello after")
+		waitErr(t, b, "hello mid-stream")
 	})
 }
 
-// TestLegacyDialerServed: a peer that never sends a hello (a pre-
-// negotiation build) is detected and served byte-for-byte in legacy
-// mode — its frames delivered, and not one byte sent back to it.
+// TestLegacyDialerServed: what a dialer that skips the hello is served
+// is a refusal. Its first stream element is a frame, so it gets a
+// CtrlReject and a closed socket, nothing is delivered, and the
+// endpoint's Err names the cause.
 func TestLegacyDialerServed(t *testing.T) {
 	b, err := transport.ListenTCP("127.0.0.1:0", 2, 0)
 	if err != nil {
@@ -242,52 +305,20 @@ func TestLegacyDialerServed(t *testing.T) {
 	got := make(chan network.Message, 1)
 	b.Bind(0, 0, func(from network.NodeID, m network.Message) { got <- m })
 
-	c, err := net.Dial("tcp", b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// The exact pre-negotiation stream: a bare frame, no hello.
 	payload := binary.AppendVarint(nil, 1) // from node 1
 	payload = binary.AppendVarint(payload, 0)
 	payload, err = wire.Append(payload, transporttest.Msg{K: transporttest.KindA, From: 1, Seq: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	if _, err := c.Write(append(frame, payload...)); err != nil {
-		t.Fatal(err)
+	if reason := rawDial(t, b, wire.AppendFrame(nil, payload)); !strings.Contains(reason, "hello required") {
+		t.Fatalf("reject reason %q", reason)
 	}
-	m := waitDelivery(t, got)
-	if m.(transporttest.Msg).Seq != 3 {
-		t.Fatalf("delivered %#v", m)
-	}
-	// The reverse path must stay silent: a legacy peer's reader would
-	// choke on any control we emitted.
-	c.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-	buf := make([]byte, 1)
-	if n, err := c.Read(buf); n != 0 || err == nil {
-		t.Fatalf("legacy connection received %d reverse-path bytes (err=%v)", n, err)
-	}
-	if err := b.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyAcceptorNoHello: NoHello dials a connection that skips
-// negotiation entirely — the escape hatch for pre-negotiation
-// acceptors — and traffic still flows, uncredited but byte-budgeted.
-func TestLegacyAcceptorNoHello(t *testing.T) {
-	a, b := listenPair(t, transport.WireOptions{NoHello: true}, transport.WireOptions{})
-	got := make(chan network.Message, 1)
-	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
-	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 9})
-	waitDelivery(t, got)
-	if _, ok := a.Negotiated(b.Addr()); ok {
-		t.Fatal("NoHello connection claims negotiation")
-	}
-	if err := a.Err(); err != nil {
-		t.Fatal(err)
+	waitErr(t, b, "hello required")
+	select {
+	case m := <-got:
+		t.Fatalf("frame ahead of the hello delivered: %#v", m)
+	default:
 	}
 }
 

@@ -105,23 +105,28 @@ func TestTCPShardedSetValidation(t *testing.T) {
 	}
 }
 
-// TestTCPShardCountMismatch: an endpoint configured for 3 shards
-// rejects a flat (unannounced = single-shard) peer at the handshake —
-// the configured acceptor records the mismatch and the flat dialer
-// learns it was rejected.
+// TestTCPShardCountMismatch: a 3-shard endpoint and a flat (one-shard)
+// one refuse each other at the handshake whichever of them dials — the
+// acceptor records the mismatch and the dialer learns it was rejected.
 func TestTCPShardCountMismatch(t *testing.T) {
-	a, b := listenPair(t, transport.WireOptions{}, transport.WireOptions{})
-	a.Configure(transport.Config{Shards: []int{4, 3, 3}})
-	transporttest.Send(b, transport.Link{From: 1, To: 0}, transporttest.Msg{K: transporttest.KindA, From: 1, Seq: 1})
-	waitErr(t, b, "rejected")
-	waitErr(t, a, "shards")
+	for _, flatDials := range []bool{true, false} {
+		a, b := listenPair(t, transport.WireOptions{}, transport.WireOptions{})
+		a.Configure(transport.Config{Shards: []int{4, 3, 3}})
+		dialer, acceptor, link := a, b, transport.Link{From: 0, To: 1}
+		if flatDials {
+			dialer, acceptor, link = b, a, transport.Link{From: 1, To: 0}
+		}
+		transporttest.Send(dialer, link, transporttest.Msg{K: transporttest.KindA, From: link.From, Seq: 1})
+		waitErr(t, dialer, "rejected")
+		waitErr(t, acceptor, "shards")
+	}
 }
 
 // TestTCPShardFrameOnFlatEndpoint: a tagged frame arriving at an
 // endpoint that never configured shards is a protocol violation, not a
 // silent misroute into the flat namespace. The handshake already
 // blocks sharded endpoints from connecting here, so play a raw dialer
-// that skips the hello (legacy dialers are served without one).
+// whose hello claims no shard count.
 func TestTCPShardFrameOnFlatEndpoint(t *testing.T) {
 	b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
 	if err != nil {
@@ -143,8 +148,7 @@ func TestTCPShardFrameOnFlatEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	if _, err := c.Write(append(frame, payload...)); err != nil {
+	if _, err := c.Write(wire.AppendFrame(rawHello(), payload)); err != nil {
 		t.Fatal(err)
 	}
 	waitErr(t, b, "shard")

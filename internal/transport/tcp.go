@@ -44,16 +44,15 @@ const DefaultWindow = 8 << 20
 const MinWindow = 2 * wire.MaxEnvelope
 
 // DefaultBudget bounds the bytes queued inside one connection's
-// coalescing writer. Unlike the credit window (negotiated, may be
-// absent on legacy links) the budget is always armed: a peer that
+// coalescing writer. Unlike the credit window (which a peer may
+// decline by announcing none) the budget is always armed: a peer that
 // stops reading costs this much sender memory and blocked Sends,
 // never an OOM.
 const DefaultBudget = 16 << 20
 
 // handshakeTimeout bounds the dial-side wait for the peer's hello
-// reply. A pre-negotiation acceptor never answers (dial it with
-// WireOptions.NoHello instead), so the dial must fail promptly rather
-// than hang.
+// reply: a listener that never answers must fail the dial promptly
+// rather than hang it.
 const handshakeTimeout = 5 * time.Second
 
 // TCP is the socket transport: one endpoint per process, hosting a
@@ -72,8 +71,8 @@ const handshakeTimeout = 5 * time.Second
 // and appends it to the connection's coalescing writer
 // (wire.Coalescer); a dedicated flusher per connection drains
 // everything queued since its last wakeup into one write — one frame
-// alone travels in the legacy single-frame format, a backlog travels
-// as one batch envelope. One write syscall then carries a whole burst
+// alone travels as a single frame, a backlog travels as one batch
+// envelope. One write syscall then carries a whole burst
 // instead of one message, without adding latency when there is no
 // burst. WireStats exposes the write/frame/batch counters.
 //
@@ -88,15 +87,9 @@ type TCP struct {
 	binder *binder
 	stats  kindStats
 
-	// noBatch, when set (SetBatching(false)), pins every coalescing
-	// writer to one frame per flush — the pre-batching wire behavior,
-	// kept selectable so benchmarks can pin the before/after.
-	noBatch atomic.Bool
-
 	// shape is the announced cluster layout and wire tuning (Configure),
 	// swapped whole so the per-frame and per-send reads take no lock.
-	// Like noBatch, wire options apply to connections dialed after the
-	// call.
+	// Wire options apply to connections dialed after the call.
 	shape   atomic.Pointer[tcpShape]
 	dialWin atomic.Int64 // SetDialWindow, ns; 0 = defaultDialWindow
 
@@ -128,27 +121,15 @@ type tcpShape struct {
 	resources int
 }
 
-// helloShards is the shard count the hello announces. A flat endpoint
-// announces none: its hello stays the pre-shard one byte for byte, and
-// zero is what a peer reads as "exactly one shard".
-func (s *tcpShape) helloShards() int {
-	if g := len(s.cfg.Shards); g > 1 {
-		return g
-	}
-	return 0
-}
-
 // outConn is one dialed connection plus its coalescing writer.
 type outConn struct {
 	c      net.Conn
 	co     *wire.Coalescer
 	strms  shardStreams // egress codec contexts; base nil unless delta is on
 	broken atomic.Bool  // write failed; next Send to this peer redials
-	// negotiated records a completed hello exchange and the peer's
-	// hello; both are set before the connection is registered and
-	// read-only after, so no lock guards them.
-	negotiated bool
-	peer       wire.Hello
+	// peer is the hello the acceptor answered with, set before the
+	// connection is registered and read-only after, so no lock guards it.
+	peer wire.Hello
 	// retired marks the stats folded into wireAccum; guarded by the
 	// endpoint's wireMu so a snapshot can never miss or double-count a
 	// connection retiring concurrently.
@@ -219,8 +200,7 @@ func (t *TCP) Hosts(id network.NodeID) bool { return t.local[id] }
 // resource ids within their shard's universe (site ids are checked
 // against the listen-time n regardless), the hello announces the layout
 // and the wire features, and peers claiming a different shard count are
-// rejected — a legacy peer (no shards field) interops only with a flat
-// cluster. Call it before the first Send: connections negotiated
+// rejected. Call it before the first Send: connections negotiated
 // earlier announced the previous configuration.
 func (t *TCP) Configure(cfg Config) {
 	cfg.Shards = append([]int(nil), cfg.Shards...)
@@ -237,13 +217,6 @@ func (t *TCP) Configure(cfg Config) {
 	t.shape.Store(sh)
 }
 
-// SetBatching toggles egress coalescing (on by default). Turning it
-// off pins every flush to a single frame — the pre-batching wire
-// behavior — so benchmarks can measure the batching win on identical
-// workloads. It only affects connections dialed after the call, so
-// set it before the first Send.
-func (t *TCP) SetBatching(on bool) { t.noBatch.Store(!on) }
-
 // localHello assembles the hello this endpoint sends (dial side) or
 // answers with (accept side): protocol version, cluster shape, the
 // locally enabled feature set, and the receive window it grants.
@@ -254,19 +227,13 @@ func (t *TCP) localHello() wire.Hello {
 	if w.Delta {
 		feat |= wire.FeatDelta
 	}
-	if !w.NoVectored {
-		feat |= wire.FeatWritev
-	}
-	if w.FlushDelay > 0 || w.FlushDelayMax > 0 {
-		feat |= wire.FeatFlushDelay
-	}
 	return wire.Hello{
 		Version:   wire.ProtoVersion,
 		Nodes:     t.n,
 		Resources: sh.resources,
 		Features:  feat,
 		Window:    resolveWindow(w.Window),
-		Shards:    sh.helloShards(),
+		Shards:    len(sh.cfg.Shards),
 	}
 }
 
@@ -286,53 +253,21 @@ func resolveWindow(w int64) uint64 {
 	}
 }
 
-// checkPeer validates a peer hello against this endpoint: the protocol
-// version must match exactly, and the cluster shape must agree
-// wherever both sides know it (a zero count means unknown).
-func (t *TCP) checkPeer(peer wire.Hello) error {
-	if peer.Version != wire.ProtoVersion {
-		return fmt.Errorf("protocol version %d, want %d", peer.Version, wire.ProtoVersion)
-	}
-	if peer.Nodes != 0 && peer.Nodes != t.n {
-		return fmt.Errorf("cluster of %d nodes, this endpoint connects %d", peer.Nodes, t.n)
-	}
-	sh := t.shape.Load()
-	if res := sh.resources; peer.Resources != 0 && res != 0 && peer.Resources != res {
-		return fmt.Errorf("resource universe of %d, this endpoint %d", peer.Resources, res)
-	}
-	// Shard counts must agree once this endpoint announces one. A hello
-	// without the field (Shards 0 — a legacy or flat build) means the
-	// flat single-universe protocol, interoperable with exactly one
-	// shard; an endpoint that announces none itself leaves the claim
-	// unchecked, like an unknown resource universe (the sharded peer
-	// rejects the pairing from its side).
-	if shards := sh.helloShards(); shards > 0 {
-		peerShards := peer.Shards
-		if peerShards == 0 {
-			peerShards = 1
-		}
-		if peerShards != shards {
-			return fmt.Errorf("%d resource shards, this endpoint %d", peerShards, shards)
-		}
-	}
-	return nil
-}
-
 // Negotiated reports the hello received from the peer at addr, if a
-// negotiated connection to it is currently open — the test hook for
-// asserting what a heterogeneous pair agreed on.
+// connection to it is currently open — the test hook for asserting what
+// a differently configured pair agreed on.
 func (t *TCP) Negotiated(addr string) (wire.Hello, bool) {
 	t.connMu.Lock()
 	defer t.connMu.Unlock()
 	oc, ok := t.conns[addr]
-	if !ok || !oc.negotiated {
+	if !ok {
 		return wire.Hello{}, false
 	}
 	return oc.peer, true
 }
 
 // Bind implements Transport. Shard 0 is the namespace untagged frames
-// from flat peers land in.
+// land in.
 func (t *TCP) Bind(shard int, id network.NodeID, h Handler) {
 	if !t.local[id] {
 		panic(fmt.Sprintf("transport: binding node %d not hosted by this endpoint", id))
@@ -491,7 +426,7 @@ func (t *TCP) conn(addr string) *outConn {
 		}
 		c, err := t.dialOnce(ctx, addr)
 		if err == nil {
-			hs, err := t.dialHandshake(c)
+			peer, br, err := t.dialHandshake(c)
 			if err != nil {
 				c.Close()
 				select {
@@ -520,7 +455,7 @@ func (t *TCP) conn(addr string) *outConn {
 			// awaiting its writeFailed sweep; the fresh one replaces it
 			// (dropConn deletes by identity, so the sweep cannot evict
 			// this registration).
-			oc = t.newOutConn(c, hs)
+			oc = t.newOutConn(c, peer, br)
 			t.conns[addr] = oc
 			t.connMu.Unlock()
 			return oc
@@ -548,25 +483,12 @@ func (t *TCP) dialOnce(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(dctx, "tcp", addr)
 }
 
-// negotiated carries a dial handshake's outcome into connection setup:
-// whether a hello was exchanged, the peer's hello, and the reverse-path
-// reader (which may hold buffered bytes past the hello reply and must
-// therefore keep serving the credit loop).
-type negotiated struct {
-	done bool
-	peer wire.Hello
-	br   *bufio.Reader
-}
-
 // dialHandshake runs the dial side of connection negotiation: send our
-// hello, wait (bounded) for the peer's hello or rejection. With
-// NoHello set the exchange is skipped entirely — the connection then
-// carries exactly the pre-negotiation byte stream, for dialing legacy
-// acceptors that would choke on a control they do not know.
-func (t *TCP) dialHandshake(c net.Conn) (negotiated, error) {
-	if t.shape.Load().cfg.Wire.NoHello {
-		return negotiated{}, nil
-	}
+// hello, wait (bounded) for the peer's hello or rejection. It returns
+// the peer's hello and the reverse-path reader, which may hold buffered
+// bytes past the hello reply and must therefore keep serving the credit
+// loop.
+func (t *TCP) dialHandshake(c net.Conn) (wire.Hello, *bufio.Reader, error) {
 	// The handshake deadline caps a silent peer, but a transport
 	// shutting down must not ride it out: closing the socket unblocks
 	// the exchange the moment Close runs.
@@ -579,32 +501,32 @@ func (t *TCP) dialHandshake(c net.Conn) (negotiated, error) {
 		case <-hsDone:
 		}
 	}()
-	mine := t.localHello()
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer c.SetDeadline(time.Time{})
+	mine := t.localHello()
 	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
 	if _, err := c.Write(hello); err != nil {
-		return negotiated{}, fmt.Errorf("transport: hello to %s: %w", c.RemoteAddr(), err)
+		return wire.Hello{}, nil, fmt.Errorf("transport: hello to %s: %w", c.RemoteAddr(), err)
 	}
 	br := bufio.NewReader(c)
 	for {
 		ctl, err := wire.ReadControl(br)
 		if err != nil {
-			return negotiated{}, fmt.Errorf("transport: hello reply from %s: %w", c.RemoteAddr(), err)
+			return wire.Hello{}, nil, fmt.Errorf("transport: hello reply from %s: %w", c.RemoteAddr(), err)
 		}
 		switch ctl.Code {
 		case wire.CtrlHello:
 			peer, err := wire.ParseHello(ctl.Payload)
 			if err != nil {
-				return negotiated{}, fmt.Errorf("transport: hello from %s: %w", c.RemoteAddr(), err)
+				return wire.Hello{}, nil, fmt.Errorf("transport: hello from %s: %w", c.RemoteAddr(), err)
 			}
-			if err := t.checkPeer(peer); err != nil {
-				return negotiated{}, fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
+			if err := mine.Check(peer); err != nil {
+				return wire.Hello{}, nil, fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
 			}
-			return negotiated{done: true, peer: peer, br: br}, nil
+			return peer, br, nil
 		case wire.CtrlReject:
 			reason, _ := wire.ParseReject(ctl.Payload)
-			return negotiated{}, fmt.Errorf("transport: peer %s rejected handshake: %s", c.RemoteAddr(), reason)
+			return wire.Hello{}, nil, fmt.Errorf("transport: peer %s rejected handshake: %s", c.RemoteAddr(), reason)
 		default:
 			// A control ahead of the hello reply from a future build:
 			// skip it, same forward-compatibility rule as FrameReader.
@@ -614,35 +536,14 @@ func (t *TCP) dialHandshake(c net.Conn) (negotiated, error) {
 
 // newOutConn builds the coalescing writer for a freshly dialed
 // connection, intersecting the locally enabled features with what the
-// peer advertised (a legacy, non-negotiated connection trusts local
-// configuration alone, exactly as pre-hello builds did). Caller holds
-// connMu — which is what makes the credit loop's wg.Add ordered
-// before Close's Wait.
-func (t *TCP) newOutConn(c net.Conn, hs negotiated) *outConn {
-	oc := &outConn{c: c, negotiated: hs.done, peer: hs.peer}
-	maxFrames := 0
-	if t.noBatch.Load() {
-		maxFrames = 1
-	}
-	oc.co = wire.NewCoalescer(c, maxFrames, func(err error) {
+// peer advertised. Caller holds connMu — which is what makes the credit
+// loop's wg.Add ordered before Close's Wait.
+func (t *TCP) newOutConn(c net.Conn, peer wire.Hello, br *bufio.Reader) *outConn {
+	oc := &outConn{c: c, peer: peer}
+	oc.co = wire.NewCoalescer(c, 0, func(err error) {
 		t.writeFailed(oc, err)
 	})
-	w := t.shape.Load().cfg.Wire
-	useDelta := w.Delta
-	vectored := !w.NoVectored
-	if hs.done {
-		useDelta = useDelta && hs.peer.Features&wire.FeatDelta != 0
-		vectored = vectored && hs.peer.Features&wire.FeatWritev != 0
-	}
-	if !vectored {
-		oc.co.SetVectored(false)
-	}
-	if w.FlushDelayMax > w.FlushDelay {
-		oc.co.SetFlushAdaptive(w.FlushDelay, w.FlushDelayMax)
-	} else if w.FlushDelay > 0 {
-		oc.co.SetFlushDelay(w.FlushDelay)
-	}
-	if useDelta {
+	if t.shape.Load().cfg.Wire.Delta && peer.Features&wire.FeatDelta != 0 {
 		// Announce delta-encoded token state ahead of the first
 		// frame; the per-connection stream carries the encoder's
 		// shadow cache from here on.
@@ -650,13 +551,13 @@ func (t *TCP) newOutConn(c net.Conn, hs negotiated) *outConn {
 		oc.strms.base.SetFlag(wire.CtrlTokenDelta)
 		oc.co.SetPreamble(wire.AppendControl(nil, wire.CtrlTokenDelta, nil))
 	}
-	// The byte budget is always armed — negotiated or legacy, a stalled
-	// peer costs bounded memory, never an OOM.
+	// The byte budget is always armed: whatever window the peer
+	// announced, a stalled peer costs bounded memory, never an OOM.
 	oc.co.SetByteBudget(DefaultBudget)
-	if hs.done && hs.peer.Window > 0 {
-		oc.co.SetWindow(int64(hs.peer.Window))
+	if peer.Window > 0 {
+		oc.co.SetWindow(int64(peer.Window))
 		t.wg.Add(1)
-		go t.creditLoop(oc, hs.br)
+		go t.creditLoop(oc, br)
 	}
 	return oc
 }
@@ -792,51 +693,34 @@ func (t *TCP) serve(c net.Conn) {
 		case <-done: // the connection ended first; don't outlive it
 		}
 	}()
-	fr := wire.NewFrameReader(c, maxFrame)
+	// The hello reply and subsequent credits are the only bytes this side
+	// ever writes. The exchange happens on the bare buffered reader, so
+	// Consumed below counts exactly the bytes the dialer's coalescing
+	// writer charges against the window.
+	br := bufio.NewReader(c)
+	mine, err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
+		mine := t.localHello()
+		return mine, mine.Check(peer)
+	})
+	if err != nil {
+		t.connErr(c, err)
+		return
+	}
+	window := mine.Window // announced receive window; 0 = no crediting
+	var credited uint64   // Consumed() bytes already credited back
+	fr := wire.NewFrameReader(br, maxFrame)
 	// The ingress codec contexts: stream controls the peer announces
 	// (delta-encoded token state) flip flags here, and stateful codecs
 	// keep their per-connection caches in them.
 	strms := shardStreams{base: wire.NewStream()}
 	var one [1]network.Message // each decoded frame, as a run of one
-	// Negotiation state. The hello reply and subsequent credits are the
-	// only bytes this side ever writes, and both happen strictly after
-	// a valid dialer hello arrives — a legacy dialer that never sends
-	// one therefore sees a byte-for-byte legacy connection: no reply,
-	// no credits, nothing on the reverse path at all.
-	var (
-		frames   int64  // frames seen; a hello after the first is hostile
-		helloed  bool   // dialer hello received and answered
-		window   uint64 // announced receive window; 0 = no crediting
-		credited uint64 // Consumed() bytes already credited back
-	)
 	fr.OnControl(func(code uint64, payload []byte) error {
 		switch code {
 		case wire.CtrlTokenDelta:
 			strms.setFlag(code)
 			return nil
 		case wire.CtrlHello:
-			if frames > 0 || helloed {
-				return fmt.Errorf("hello after %d frames (helloed=%v)", frames, helloed)
-			}
-			peer, err := wire.ParseHello(payload)
-			if err != nil {
-				return err
-			}
-			if err := t.checkPeer(peer); err != nil {
-				// Tell the dialer why before dying: its handshake is
-				// blocked on this reply and would otherwise time out.
-				reject := wire.AppendReject(nil, err.Error())
-				c.Write(wire.AppendControl(nil, wire.CtrlReject, reject))
-				return err
-			}
-			mine := t.localHello()
-			reply := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
-			if _, err := c.Write(reply); err != nil {
-				return fmt.Errorf("hello reply: %w", err)
-			}
-			helloed = true
-			window = mine.Window
-			return nil
+			return fmt.Errorf("hello mid-stream")
 		default:
 			return wire.ErrUnknownControl // forward compat: skip and count
 		}
@@ -847,7 +731,6 @@ func (t *TCP) serve(c net.Conn) {
 			t.connErr(c, err)
 			return
 		}
-		frames++
 		// Credit consumed stream bytes back once half the window has
 		// gone by — frequent enough that the sender never stalls on a
 		// draining receiver, rare enough to stay off the hot path.

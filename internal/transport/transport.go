@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mralloc/internal/network"
 )
@@ -130,40 +129,18 @@ type Transport interface {
 	Close() error
 }
 
-// WireOptions tunes the egress wire path of a socket transport. Every
-// knob is independently disableable so benchmarks can isolate each
-// optimization's effect, and the zero value of every field selects the
-// default behavior — setting one knob never silently flips another.
+// WireOptions tunes the wire path of a socket transport. The zero
+// value selects the defaults.
 type WireOptions struct {
-	// Delta enables delta-encoded token state (wire.CtrlTokenDelta):
-	// connections dialed after the call announce the control and ship
-	// token deltas instead of full snapshots. Both ends of every peer
-	// link must run a delta-aware build; leave it off to interoperate
-	// with pre-delta peers.
+	// Delta enables delta-encoded token state (wire.CtrlTokenDelta): a
+	// link ships token deltas instead of full snapshots when both of its
+	// ends enable it, and full snapshots otherwise.
 	Delta bool
-	// NoVectored disables the writev egress for batched frames
-	// (on by default), restoring the copy-assemble flush for
-	// before/after runs.
-	NoVectored bool
-	// FlushDelay is the egress micro-delay: a flusher waking on a
-	// non-empty queue waits this long before draining, trading bounded
-	// latency for bigger batches. Zero flushes on wakeup.
-	FlushDelay time.Duration
-	// FlushDelayMax, when above FlushDelay, enables the adaptive
-	// scheduler: the delay widens toward FlushDelayMax while small
-	// flushes pile up under high fan-in and narrows back otherwise.
-	FlushDelayMax time.Duration
 	// Window is the receive window this endpoint announces in its hello
 	// (bytes the peer may have in flight before waiting for credit).
 	// Zero selects DefaultWindow; a negative value disables crediting
-	// (the peer sends unbounded, as pre-hello builds did).
+	// (the peer then sends bounded by its byte budget alone).
 	Window int64
-	// NoHello suppresses the connection hello on dialed connections,
-	// for interoperating with pre-negotiation acceptors that would not
-	// answer one. Feature negotiation and flow-control crediting are
-	// unavailable on such connections; the egress byte budget still
-	// bounds sender memory.
-	NoHello bool
 }
 
 // kindStats is the shared per-kind message counter. Counting is on the

@@ -29,15 +29,13 @@ import (
 // empty payload cannot carry a message), which is what makes the batch
 // marker unambiguous; a zero envelope length is impossible for a batch
 // (an envelope holds at least one frame), which is what makes the
-// control marker unambiguous in turn. The three formats coexist on one
-// stream, and a reader that understands all of them still accepts
-// every pre-batch stream byte for byte; conversely a legacy stream
-// never contains either marker. Empty frames inside an envelope and
-// nested markers are malformed, and a control is only valid between
-// stream elements, never inside an envelope. This layout is a
-// compatibility surface (see README "Wire path & batching" and
-// "Payload path"): both the peer transport and the client port speak
-// it.
+// control marker unambiguous in turn. The three elements coexist on one
+// stream: a lone frame travels as a single frame, a backlog as one
+// envelope. Empty frames inside an envelope and nested markers are
+// malformed, and a control is only valid between stream elements, never
+// inside an envelope. This layout is a compatibility surface (see
+// README "Wire path & batching" and "Payload path"): both the peer
+// transport and the client port speak it.
 
 // MaxEnvelope caps the body of one batch envelope a writer emits.
 // Readers enforce their own (usually larger) limit; the writer cap just
@@ -74,15 +72,17 @@ const (
 	// payload is empty. Senders emit it once, before the first frame.
 	CtrlTokenDelta = 1
 	// CtrlHello opens connection negotiation: version, cluster shape,
-	// feature bits and receive window (see hello.go). Sent before any
-	// frame; the acceptor answers with its own hello or a CtrlReject.
+	// feature bits and receive window (see hello.go). It must be the
+	// dialer's first stream element; the acceptor answers with its own
+	// hello or a CtrlReject.
 	CtrlHello = 2
 	// CtrlWindow credits consumed stream bytes back to the sender —
 	// the flow-control half of the negotiated window (hello.go). Its
 	// payload is one uvarint byte count.
 	CtrlWindow = 3
 	// CtrlReject refuses a handshake with a human-readable reason
-	// (version or shape mismatch); the connection dies after it.
+	// (no hello, version or shape mismatch); the connection dies after
+	// it.
 	CtrlReject = 4
 )
 

@@ -22,19 +22,14 @@ import (
 // runnable and takes the queue once it has stopped growing (gather), so
 // one write carries a whole scheduling wave rather than its first
 // frame. The wait is bounded in scheduler passes, not in time, and with
-// nothing else runnable it is no wait at all: a lone frame leaves as
-// promptly as it would without batching. A configurable micro-delay
-// (SetFlushDelay) replaces that rule with a timed wait for bigger
-// batches, and the adaptive mode (SetFlushAdaptive) widens the delay
-// only while small flushes pile up under high fan-in.
+// nothing else runnable it is no wait at all: a lone frame leaves at
+// once.
 //
 // Frames are held in the pooled buffers they were encoded into
 // (AppendOwned transfers ownership; Append copies into one) and an
 // envelope flush hands them to the connection as one vectored write
 // (net.Buffers / writev) with the envelope header materialized
 // in-place in the first frame's reserved prefix — no per-flush memcpy.
-// SetVectored(false) restores the copy-assemble egress for
-// before/after measurement.
 //
 // One Coalescer serves one connection. Senders may call Append
 // concurrently; frame order is append order, which is what preserves
@@ -68,36 +63,22 @@ type Coalescer struct {
 	credit     int64
 	creditCond sync.Cond
 	// maxFrames, when positive, bounds how many frames one flush may
-	// write together; 1 disables batching entirely (the pre-batching
-	// wire behavior, kept measurable for before/after benchmarks).
-	// Guarded by mu; the flusher samples it per drain.
+	// write together (1: every frame its own write, which is how the
+	// framing tests get deterministic groups). Fixed at construction.
 	maxFrames int
-	// vectored selects the writev egress for envelope flushes; off, the
-	// group is copied into one contiguous buffer first (the pre-writev
-	// behavior, kept measurable). Guarded by mu.
-	vectored bool
-
-	// Flush scheduling (guarded by mu). delay is the current
-	// micro-delay the flusher sleeps after waking on a non-empty
-	// queue; base/max bound it, and max > base enables the adaptive
-	// controller (emaFrames tracks frames per drain).
-	delay, delayBase, delayMax time.Duration
-	emaFrames                  float64
 
 	// preamble is written before the first flush — stream controls a
 	// dialer announces ahead of any frame.
 	preamble []byte
 
 	// spare is the flusher's drained span slice handed back for reuse;
-	// copyBuf/vecBufs are the flusher's private flush scratch.
+	// vecBufs is the flusher's private flush scratch.
 	spare   []span
-	copyBuf []byte
 	vecBufs [][]byte
 
 	stats CoalescerStats // guarded by mu
 
-	closeCh chan struct{} // closed by Close; cuts a pending micro-delay short
-	done    chan struct{} // closed when the flusher exits
+	done chan struct{} // closed when the flusher exits
 }
 
 // span is one queued frame: buf[off:] holds the complete frame
@@ -204,13 +185,9 @@ func (s CoalescerStats) HistString() string {
 }
 
 // NewCoalescer starts a coalescing writer over w. maxFrames bounds the
-// frames per flush (0 = unbounded, 1 = no batching); onErr may be nil.
-// Vectored egress is on by default; the flush delay is zero.
+// frames per flush (0 = unbounded); onErr may be nil.
 func NewCoalescer(w io.Writer, maxFrames int, onErr func(error)) *Coalescer {
-	c := &Coalescer{
-		w: w, onErr: onErr, maxFrames: maxFrames, vectored: true,
-		closeCh: make(chan struct{}), done: make(chan struct{}),
-	}
+	c := &Coalescer{w: w, onErr: onErr, maxFrames: maxFrames, done: make(chan struct{})}
 	c.nonIdle.L = &c.mu
 	c.room.L = &c.mu
 	c.creditCond.L = &c.mu
@@ -295,57 +272,6 @@ func (c *Coalescer) chargeCredit(n int64) {
 	c.mu.Unlock()
 }
 
-// SetMaxFrames adjusts the per-flush frame bound (0 = unbounded, 1 =
-// no batching). It affects flushes after the call; frames already
-// queued flush under the new bound.
-func (c *Coalescer) SetMaxFrames(n int) {
-	c.mu.Lock()
-	c.maxFrames = n
-	c.mu.Unlock()
-}
-
-// SetVectored toggles the writev egress for envelope flushes (on by
-// default). Off, the group is assembled into one contiguous buffer and
-// written whole — the pre-writev behavior, kept so benchmarks can
-// measure the vectored win on identical workloads.
-func (c *Coalescer) SetVectored(on bool) {
-	c.mu.Lock()
-	c.vectored = on
-	c.mu.Unlock()
-}
-
-// SetFlushDelay fixes the micro-delay the flusher waits after waking
-// on a non-empty queue before draining — frames arriving inside the
-// window join the same flush. Zero (the default) restores
-// flush-on-wakeup; the delay bounds the latency a queued frame can be
-// held. Disables the adaptive mode.
-func (c *Coalescer) SetFlushDelay(d time.Duration) {
-	c.mu.Lock()
-	c.delay, c.delayBase, c.delayMax = d, d, d
-	c.mu.Unlock()
-}
-
-// SetFlushAdaptive enables the adaptive flush scheduler: the
-// micro-delay starts at base and widens toward max while flushes stay
-// small with new frames already queued behind the write (many small
-// flushes under high fan-in — exactly when widening buys batching),
-// narrowing back as batches grow or the pressure vanishes. max must
-// exceed base to enable; max bounds the latency a frame can be held.
-func (c *Coalescer) SetFlushAdaptive(base, max time.Duration) {
-	c.mu.Lock()
-	c.delay, c.delayBase, c.delayMax = base, base, max
-	c.emaFrames = 0
-	c.mu.Unlock()
-}
-
-// FlushDelay reports the current micro-delay (fixed, or the adaptive
-// controller's present choice).
-func (c *Coalescer) FlushDelay() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.delay
-}
-
 // SetPreamble queues raw stream bytes (controls built with
 // AppendControl) to be written before the first flush. Call it before
 // the first Append; the bytes are not retained beyond the first flush.
@@ -425,9 +351,8 @@ func (c *Coalescer) Stats() CoalescerStats {
 	return c.stats
 }
 
-// Close flushes anything still queued (cutting a pending micro-delay
-// short), stops the flusher, and returns the first write error, if
-// any. Idempotent.
+// Close flushes anything still queued, stops the flusher, and returns
+// the first write error, if any. Idempotent.
 //
 // Close waits for the flusher to exit, so a flusher stuck in a Write
 // that never returns blocks it forever — close the underlying
@@ -479,7 +404,6 @@ func (c *Coalescer) beginClose() {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true
-		close(c.closeCh)
 		c.nonIdle.Signal()
 		// Wake appenders blocked on the budget and a flusher waiting
 		// for credit: a close must never deadlock on flow control.
@@ -489,25 +413,11 @@ func (c *Coalescer) beginClose() {
 	c.mu.Unlock()
 }
 
-// Adaptive flush controller constants: widen while drains average
-// fewer than adaptSmallFrames frames with more already queued, narrow
-// at adaptLargeFrames or when the queue drains dry.
-const (
-	adaptSmallFrames = 4.0
-	adaptLargeFrames = 32.0
-)
-
-// flusher is the write-side goroutine: each wakeup gathers (or, with a
-// micro-delay configured, sleeps the delay), then takes the whole queue
-// in one swap and writes it out in as few writes as the limits allow.
+// flusher is the write-side goroutine: each wakeup gathers, then takes
+// the whole queue in one swap and writes it out in as few writes as the
+// limits allow.
 func (c *Coalescer) flusher() {
 	defer close(c.done)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		c.mu.Lock()
 		for len(c.pending) == 0 && !c.closed {
@@ -517,33 +427,8 @@ func (c *Coalescer) flusher() {
 			c.mu.Unlock()
 			return
 		}
-		delay, closed := c.delay, c.closed
-		if delay == 0 && !closed {
-			c.gather()
-		}
-		c.mu.Unlock()
-
-		if delay > 0 && !closed {
-			// Micro-delay: let more frames join this drain. Close cuts
-			// the wait short so shutdown latency stays bounded by the
-			// write, not the delay.
-			if timer == nil {
-				timer = time.NewTimer(delay)
-			} else {
-				timer.Reset(delay)
-			}
-			select {
-			case <-timer.C:
-			case <-c.closeCh:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			}
-		}
-
-		c.mu.Lock()
+		c.gather()
 		spans := c.pending
-		maxFrames, vectored := c.maxFrames, c.vectored
 		c.pending, c.spare = c.spare[:0], nil
 		pre := c.preamble
 		c.preamble = nil
@@ -558,11 +443,11 @@ func (c *Coalescer) flusher() {
 		if len(pre) > 0 {
 			before := st.Bytes
 			c.waitCredit(int64(len(pre)))
-			err = c.write(&st, nil, pre)
+			err = c.write(&st, pre)
 			c.chargeCredit(st.Bytes - before)
 		}
 		if err == nil {
-			err = c.writeOut(&st, spans, maxFrames, vectored)
+			err = c.writeOut(&st, spans)
 		}
 		for i := range spans {
 			ReleaseFrame(spans[i].buf)
@@ -577,9 +462,6 @@ func (c *Coalescer) flusher() {
 		// holds them against appenders.
 		c.pendingBytes -= drained
 		c.room.Broadcast()
-		if c.delayMax > c.delayBase {
-			c.adapt(len(spans), len(c.pending) > 0)
-		}
 		if err != nil && c.err == nil {
 			c.err = err
 		}
@@ -643,42 +525,16 @@ func (c *Coalescer) gather() {
 	}
 }
 
-// adapt is the adaptive flush controller (mu held): drained is the
-// frame count of the drain just written, pressure whether new frames
-// were already queued behind it.
-func (c *Coalescer) adapt(drained int, pressure bool) {
-	c.emaFrames = 0.75*c.emaFrames + 0.25*float64(drained)
-	switch {
-	case pressure && c.emaFrames < adaptSmallFrames:
-		d := c.delay * 2
-		if d == 0 {
-			if d = c.delayMax / 16; d == 0 {
-				d = c.delayMax
-			}
-		}
-		if d > c.delayMax {
-			d = c.delayMax
-		}
-		c.delay = d
-	case !pressure || c.emaFrames >= adaptLargeFrames:
-		d := c.delay / 2
-		if d < c.delayBase {
-			d = c.delayBase
-		}
-		c.delay = d
-	}
-}
-
 // writeOut writes the drained queue: frames are grouped into flushes
 // of at most maxFrames frames and MaxEnvelope bytes, each flush one
-// single-frame write or one batch envelope (vectored or copied).
-func (c *Coalescer) writeOut(st *CoalescerStats, spans []span, maxFrames int, vectored bool) error {
+// single-frame write or one vectored batch envelope.
+func (c *Coalescer) writeOut(st *CoalescerStats, spans []span) error {
 	first := 0
 	for first < len(spans) {
 		// Grow the group while the limits allow.
 		last, size := first, len(spans[first].frame())
 		for last+1 < len(spans) &&
-			(maxFrames <= 0 || last+1-first < maxFrames) &&
+			(c.maxFrames <= 0 || last+1-first < c.maxFrames) &&
 			size+len(spans[last+1].frame()) <= MaxEnvelope {
 			last++
 			size += len(spans[last].frame())
@@ -690,15 +546,12 @@ func (c *Coalescer) writeOut(st *CoalescerStats, spans []span, maxFrames int, ve
 		c.waitCredit(int64(size) + headerReserve)
 		before := st.Bytes
 		var err error
-		switch {
-		case frames == 1:
-			// Single-buffer fast path: the frame is already contiguous
-			// in its own buffer; one legacy-format write.
-			err = c.write(st, nil, spans[first].frame())
-		case vectored:
+		if frames == 1 {
+			// The frame is already contiguous in its own buffer: one
+			// plain write, no envelope.
+			err = c.write(st, spans[first].frame())
+		} else {
 			err = c.writeVec(st, spans[first:last+1], size)
-		default:
-			err = c.writeCopy(st, spans[first:last+1], size)
 		}
 		c.chargeCredit(st.Bytes - before)
 		st.Flushes++
@@ -785,37 +638,20 @@ func consumeBufs(bufs [][]byte, n int64) [][]byte {
 	return bufs
 }
 
-// writeCopy is the vectored-off twin: the group is assembled —
-// envelope header, then every frame — into one reused contiguous
-// buffer and written whole (the pre-writev egress, kept measurable).
-func (c *Coalescer) writeCopy(st *CoalescerStats, group []span, size int) error {
-	buf := c.copyBuf[:0]
-	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(size))
-	for _, s := range group {
-		buf = append(buf, s.frame()...)
-	}
-	c.copyBuf = buf
-	return c.write(st, nil, buf)
-}
-
-// write pushes hdr (optional) then body to the writer, tolerating
-// partial writes explicitly: an io.Writer must error when it writes
-// short, but a flaky conn wrapper may not, and a framed stream cannot
-// afford to drop a suffix silently.
-func (c *Coalescer) write(st *CoalescerStats, hdr, body []byte) error {
-	for _, b := range [2][]byte{hdr, body} {
-		for len(b) > 0 {
-			n, err := c.w.Write(b)
-			st.Writes++
-			st.Bytes += int64(n)
-			b = b[n:]
-			if err != nil {
-				return err
-			}
-			if n == 0 && len(b) > 0 {
-				return io.ErrShortWrite // refuse to spin on a stuck writer
-			}
+// write pushes b to the writer, tolerating partial writes explicitly:
+// an io.Writer must error when it writes short, but a flaky conn wrapper
+// may not, and a framed stream cannot afford to drop a suffix silently.
+func (c *Coalescer) write(st *CoalescerStats, b []byte) error {
+	for len(b) > 0 {
+		n, err := c.w.Write(b)
+		st.Writes++
+		st.Bytes += int64(n)
+		b = b[n:]
+		if err != nil {
+			return err
+		}
+		if n == 0 && len(b) > 0 {
+			return io.ErrShortWrite // refuse to spin on a stuck writer
 		}
 	}
 	return nil

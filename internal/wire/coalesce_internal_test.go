@@ -4,50 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
-	"time"
 )
-
-// TestAdaptController pins the adaptive flush scheduler's decisions
-// deterministically (the flusher calls adapt with the same inputs):
-// sustained small drains under pressure widen the delay to its bound,
-// big drains or vanished pressure narrow it back to base.
-func TestAdaptController(t *testing.T) {
-	c := &Coalescer{delayBase: 0, delayMax: time.Millisecond}
-
-	for i := 0; i < 64; i++ {
-		c.adapt(1, true)
-	}
-	if c.delay != c.delayMax {
-		t.Fatalf("delay = %v after sustained small flushes under pressure, want %v", c.delay, c.delayMax)
-	}
-
-	for i := 0; i < 64; i++ {
-		c.adapt(64, true)
-	}
-	if c.delay != c.delayBase {
-		t.Fatalf("delay = %v after sustained large flushes, want base %v", c.delay, c.delayBase)
-	}
-
-	// Pressure gone: even with small drains the delay must decay — a
-	// lone frame per wakeup on an idle connection should not be held.
-	c.delay, c.emaFrames = c.delayMax, 0
-	for i := 0; i < 64; i++ {
-		c.adapt(1, false)
-	}
-	if c.delay != c.delayBase {
-		t.Fatalf("delay = %v with no pressure, want base %v", c.delay, c.delayBase)
-	}
-
-	// A non-zero base is the floor, not zero.
-	c.delayBase, c.delayMax = 100*time.Microsecond, time.Millisecond
-	c.delay, c.emaFrames = c.delayMax, 0
-	for i := 0; i < 64; i++ {
-		c.adapt(64, true)
-	}
-	if c.delay != c.delayBase {
-		t.Fatalf("delay = %v, want floor %v", c.delay, c.delayBase)
-	}
-}
 
 // TestFinishFrameLayout pins the owned-frame geometry: the length
 // prefix lands right-aligned against the payload with at least

@@ -7,14 +7,14 @@ import (
 	"io"
 )
 
-// Connection negotiation. Every negotiated connection (peer transport
-// and client port alike) opens with a Hello exchange riding the
-// stream-control element of batch.go: the dialer announces its
-// protocol version, cluster shape, feature set and receive window; the
-// acceptor answers only after seeing a valid hello — so a legacy
-// dialer that never sends one is served in legacy mode, byte for byte
-// — and either side that cannot proceed answers CtrlReject with a
-// reason instead of silently dropping the socket.
+// Connection negotiation. Every connection (peer transport and client
+// port alike) opens with a Hello exchange riding the stream-control
+// element of batch.go: the dialer's first stream element is its hello —
+// protocol version, cluster shape, feature set and receive window — and
+// the acceptor answers with its own. Either side that cannot proceed
+// (anything but a hello first, a different version, a disagreeing
+// shape) answers CtrlReject with a reason instead of silently dropping
+// the socket.
 //
 // The hello payload is forward-compatible by construction: decoders
 // ignore trailing bytes, so future versions may append fields without
@@ -23,28 +23,18 @@ import (
 
 // ProtoVersion is the wire protocol version this build speaks. A hello
 // carrying a different version is rejected — the version only moves
-// when the stream alphabet itself changes, which the feature bits
-// exist to avoid.
-const ProtoVersion = 1
+// when the stream alphabet or the mandatory hello fields change, which
+// the feature bits exist to avoid.
+const ProtoVersion = 2
 
 // Feature bits a hello advertises. A capability is used on a
 // connection only when both hellos carry its bit (Intersect), which is
-// what lets heterogeneous builds interoperate: the connection degrades
-// to the common subset instead of desynchronizing.
+// what lets differently configured endpoints interoperate: the
+// connection degrades to the common subset instead of desynchronizing.
 const (
 	// FeatDelta: the sender can decode delta-encoded token state
 	// (CtrlTokenDelta payloads).
 	FeatDelta uint64 = 1 << iota
-	// FeatWritev: vectored (writev) egress. Purely a sender-local
-	// optimization — advertised for introspection and symmetric
-	// negotiation, never required for decoding.
-	FeatWritev
-	// FeatFlushDelay: the adaptive flush scheduler. Sender-local, like
-	// FeatWritev.
-	FeatFlushDelay
-	// FeatCompress is reserved for a future compressed-envelope format;
-	// no current build sets it.
-	FeatCompress
 )
 
 // Hello is the negotiation announcement either side of a connection
@@ -63,17 +53,37 @@ type Hello struct {
 	// back with CtrlWindow updates. Zero disables crediting (the sender
 	// promises to drain unboundedly).
 	Window uint64
-	// Shards is the sender's resource-shard count (appended field —
-	// absent in hellos from older builds, which ParseHello reports as
-	// zero). Zero means unannounced and is interoperable with exactly
-	// one shard: the flat single-universe protocol, whose frames carry
-	// no shard tags. Mismatching non-zero values are rejected like a
-	// shape mismatch.
+	// Shards is the sender's resource-shard count; a flat cluster is one
+	// shard. Zero means unknown, like the shape — only a client sends it
+	// — and mismatching non-zero values are rejected the same way.
 	Shards int
 }
 
 // Intersect reports the feature set two hellos agree on.
 func (h Hello) Intersect(o Hello) uint64 { return h.Features & o.Features }
+
+// Check reports why the sender of h cannot talk to the sender of peer:
+// the protocol version must match exactly, and nodes, resources and
+// shards must each agree wherever both sides announce one (zero means
+// unknown).
+func (h Hello) Check(peer Hello) error {
+	if peer.Version != h.Version {
+		return fmt.Errorf("protocol version %d, want %d", peer.Version, h.Version)
+	}
+	for _, f := range [3]struct {
+		what       string
+		peer, mine int
+	}{
+		{"nodes", peer.Nodes, h.Nodes},
+		{"resources", peer.Resources, h.Resources},
+		{"resource shards", peer.Shards, h.Shards},
+	} {
+		if f.peer != 0 && f.mine != 0 && f.peer != f.mine {
+			return fmt.Errorf("cluster of %d %s, this end has %d", f.peer, f.what, f.mine)
+		}
+	}
+	return nil
+}
 
 // maxHelloShape bounds the node/resource counts a hello may claim; a
 // hostile hello must not smuggle absurd shapes past validation.
@@ -92,18 +102,14 @@ func AppendHello(dst []byte, h Hello) []byte {
 	return dst
 }
 
-// ParseHello decodes a CtrlHello payload. Trailing bytes are ignored —
-// future versions may append fields — but a truncated or absurd hello
-// is an error. The shards field is itself such an appended field:
-// hellos from builds predating it simply end after window, which
-// parses as Shards zero.
+// ParseHello decodes a CtrlHello payload: six mandatory uvarints.
+// Trailing bytes are ignored — future versions may append fields — but
+// a truncated or absurd hello is an error.
 func ParseHello(payload []byte) (Hello, error) {
 	var h Hello
-	fields := [5]*uint64{&h.Version, nil, nil, &h.Features, &h.Window}
-	var nodes, resources uint64
-	fields[1], fields[2] = &nodes, &resources
+	var nodes, resources, shards uint64
 	rest := payload
-	for i, f := range fields {
+	for i, f := range [6]*uint64{&h.Version, &nodes, &resources, &h.Features, &h.Window, &shards} {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return Hello{}, fmt.Errorf("wire: hello truncated at field %d", i)
@@ -114,17 +120,10 @@ func ParseHello(payload []byte) (Hello, error) {
 	if nodes > maxHelloShape || resources > maxHelloShape {
 		return Hello{}, fmt.Errorf("wire: hello claims absurd shape %d/%d", nodes, resources)
 	}
-	h.Nodes, h.Resources = int(nodes), int(resources)
-	if len(rest) > 0 {
-		shards, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return Hello{}, fmt.Errorf("wire: hello truncated at shards field")
-		}
-		if shards > MaxShards {
-			return Hello{}, fmt.Errorf("wire: hello claims absurd shard count %d", shards)
-		}
-		h.Shards = int(shards)
+	if shards > MaxShards {
+		return Hello{}, fmt.Errorf("wire: hello claims absurd shard count %d", shards)
 	}
+	h.Nodes, h.Resources, h.Shards = int(nodes), int(resources), int(shards)
 	return h, nil
 }
 
@@ -203,4 +202,39 @@ func ReadControl(br *bufio.Reader) (Control, error) {
 		return Control{}, noEOF(err)
 	}
 	return Control{Code: code, Payload: payload}, nil
+}
+
+// AcceptHello runs the acceptor's half of the exchange on a fresh
+// connection: the dialer's first stream element must be a hello that
+// parses, and answer decides on it — the hello to reply with, or why to
+// refuse. A refusal (anything but a hello first included) is sent as a
+// CtrlReject naming the reason and returned as the error; the caller
+// closes the connection. A dialer that hangs up without sending a byte
+// is io.EOF. On success the hello that was sent back is returned.
+func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, error)) (Hello, error) {
+	ctl, err := ReadControl(br)
+	if err == io.EOF {
+		return Hello{}, err
+	}
+	var peer, mine Hello
+	switch {
+	case err != nil:
+		err = fmt.Errorf("hello required: %w", err)
+	case ctl.Code != CtrlHello:
+		err = fmt.Errorf("hello required: got stream control %d", ctl.Code)
+	default:
+		if peer, err = ParseHello(ctl.Payload); err == nil {
+			mine, err = answer(peer)
+		}
+	}
+	if err != nil {
+		// Tell the dialer why before dying: its handshake is blocked on
+		// this reply and would otherwise time out.
+		w.Write(AppendControl(nil, CtrlReject, AppendReject(nil, err.Error())))
+		return Hello{}, err
+	}
+	if _, err := w.Write(AppendControl(nil, CtrlHello, AppendHello(nil, mine))); err != nil {
+		return Hello{}, fmt.Errorf("hello reply: %w", err)
+	}
+	return mine, nil
 }

@@ -14,8 +14,9 @@ func TestHelloRoundTrip(t *testing.T) {
 		Version:   wire.ProtoVersion,
 		Nodes:     512,
 		Resources: 80,
-		Features:  wire.FeatDelta | wire.FeatWritev | wire.FeatFlushDelay,
+		Features:  wire.FeatDelta,
 		Window:    8 << 20,
+		Shards:    1,
 	}
 	got, err := wire.ParseHello(wire.AppendHello(nil, h))
 	if err != nil {
@@ -46,6 +47,12 @@ func TestHelloHostile(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     nil,
 		"truncated": wire.AppendHello(nil, wire.Hello{Version: 1, Nodes: 3, Resources: 4})[:2],
+		// All six fields are mandatory: a hello that ends after the
+		// window (no shard count) is truncated, not flat.
+		"five fields": func() []byte {
+			h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 4, Window: 1 << 16, Shards: 1})
+			return h[:len(h)-1] // the shard count is one byte
+		}(),
 		"absurd shape": func() []byte {
 			return wire.AppendHello(nil, wire.Hello{Version: 1, Nodes: 1 << 30, Resources: 4})
 		}(),

@@ -69,19 +69,6 @@ func TestHelloShardsRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("round trip %+v want %+v", got, h)
 	}
-	// A pre-shard hello ends after window; the shards field reads zero.
-	legacy := binary.AppendUvarint(nil, ProtoVersion)
-	legacy = binary.AppendUvarint(legacy, 4)
-	legacy = binary.AppendUvarint(legacy, 12)
-	legacy = binary.AppendUvarint(legacy, FeatDelta)
-	legacy = binary.AppendUvarint(legacy, 1<<16)
-	got, err = ParseHello(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Shards != 0 {
-		t.Fatalf("legacy hello shards %d", got.Shards)
-	}
 	// An absurd claimed shard count is rejected outright.
 	bad := AppendHello(nil, Hello{Version: ProtoVersion})
 	bad = bad[:len(bad)-1] // drop the appended shards=0

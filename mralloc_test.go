@@ -266,7 +266,7 @@ func TestClusterSessions(t *testing.T) {
 		t.Run(string(policy), func(t *testing.T) {
 			t.Parallel()
 			const nodes, m, sessions, iters = 2, 6, 8, 6
-			c, err := NewCluster(ClusterConfig{Nodes: nodes, Resources: m, Policy: policy})
+			c, err := NewCluster(ClusterConfig{Nodes: nodes, Resources: m}, WithPolicy(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func TestClusterSessionErrors(t *testing.T) {
 	if _, err := s.Acquire(context.Background(), 0); !errors.Is(err, ErrSessionClosed) {
 		t.Errorf("acquire on closed session: %v, want ErrSessionClosed", err)
 	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 1, Resources: 1, Policy: "lifo"}); err == nil {
+	if _, err := NewCluster(ClusterConfig{Nodes: 1, Resources: 1}, WithPolicy("lifo")); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	c.Close()
@@ -336,13 +336,13 @@ func TestClusterSessionErrors(t *testing.T) {
 	}
 }
 
-// TestClusterOptions: the functional options override the deprecated
-// ClusterConfig tuning fields, bad values still error, and wire
-// options are refused on in-process clusters (which have no wire).
+// TestClusterOptions: the functional options are accepted, bad values
+// still error, and wire options are refused on in-process clusters
+// (which have no wire).
 func TestClusterOptions(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4, Policy: "lifo"}, WithPolicy(PolicySSF), WithAging(time.Second))
+	c, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithPolicy(PolicySSF), WithAging(time.Second))
 	if err != nil {
-		t.Fatalf("WithPolicy did not override the deprecated field: %v", err)
+		t.Fatalf("valid options refused: %v", err)
 	}
 	c.Close()
 	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithPolicy("lifo")); err == nil {
@@ -351,7 +351,7 @@ func TestClusterOptions(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithWire(WireConfig{Delta: true})); err == nil {
 		t.Error("wire options accepted on an in-process cluster")
 	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithWindow(1<<20)); err == nil {
+	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithWire(WireConfig{Window: 1 << 20})); err == nil {
 		t.Error("window option accepted on an in-process cluster")
 	}
 }
