@@ -1,33 +1,30 @@
-// Command bench runs the reproducible performance grid of
-// internal/bench and writes the BENCH report JSON.
+// Command bench measures and profiles the live cells of internal/bench,
+// one or a few at a time. It writes no report: the repository's numbers
+// come from `bash benchmark/run.sh` (benchmark/README.md).
 //
 // Usage:
 //
-//	go run ./cmd/bench                  # full grid -> BENCH_6.json
-//	go run ./cmd/bench -out other.json
-//	go run ./cmd/bench -run sim/n32     # scenario name filter (substring)
-//	go run ./cmd/bench -run largeN      # just the payload-path tier
-//	go run ./cmd/bench -merge BENCH_5.json -run sharded
-//	                                    # keep BENCH_5's rows byte-identical,
-//	                                    # run and append only the new tier
-//	go run ./cmd/bench -capture-baseline # print Go literal for baseline.go
+//	go run ./cmd/bench                  # every cell, one line each
+//	go run ./cmd/bench -run largeN      # cell name filter (substring)
 //	go run ./cmd/bench -run tcploop/n4/s8/batch -count 5
-//	                                    # five runs per cell: the report row is the
-//	                                    # median-ns/op run, the spread goes to stderr
+//	                                    # five runs, then ns/op min/median/max
 //	GOMAXPROCS=1 go run ./cmd/bench -run tcploop/n4/s8/batch -cpuprofile cpu.prof
 //	                                    # profile one cell
 //	GOMAXPROCS=1 go run ./cmd/bench -run tcploop/n4/s8/batch -memprofile mem.prof
 //	                                    # every allocation recorded (not sampled);
-//	                                    # objects/op per allocating site on stderr
+//	                                    # objects/op per allocating site follows
 //
-// The scenario grid, seeds, and protocol metrics (msg/cs, grants,
-// events) are deterministic; ns/op and allocs/op depend on the machine.
+// Each line is the cell's testing.BenchmarkResult: iterations, ns/op,
+// every metric the cell reports (msg_per_cs, wire_bytes_per_op, …),
+// B/op and allocs/op. Protocol counters repeat to within run jitter;
+// ns/op and allocs/op depend on the machine.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -38,34 +35,25 @@ import (
 	"mralloc/internal/bench"
 )
 
-// fatal reports err and exits: nothing the command does survives a
-// file it cannot read or write.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bench:", err)
-	os.Exit(1)
+type options struct {
+	filter                 string
+	count                  int
+	cpuProfile, memProfile string
 }
 
-// measure runs s count times and returns the run with the median
-// ns/op, printing the spread of the repeats to stderr.
-func measure(s bench.Scenario, count int) bench.Result {
-	runs := make([]bench.Result, count)
-	for i := range runs {
-		runs[i] = bench.Measure(s)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
-	if count > 1 {
-		fmt.Fprintf(os.Stderr, "  %d runs: ns/op min %d median %d max %d\n",
-			count, runs[0].NsPerOp, runs[count/2].NsPerOp, runs[count-1].NsPerOp)
-	}
-	return runs[count/2]
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.filter, "run", "", "only run cells whose name contains this substring")
+	fs.IntVar(&o.count, "count", 1, "runs per cell; more than one also prints ns/op min/median/max")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the measured cells to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "record every allocation of the measured cells: write the profile to this file and print objects/op per allocating site")
 }
 
 // allocSites prints, for the allocation sites with the most objects,
 // objects per operation: every allocation recorded since the profile
 // rate was set, charged to the innermost mralloc function on its stack
 // (so a context or a channel counts against the code that asked for
-// it), over the ops the measured scenarios ran.
-func allocSites(ops int64) {
+// it), over the ops the measured cells ran.
+func allocSites(w io.Writer, ops int64) {
 	n, _ := runtime.MemProfile(nil, true)
 	var recs []runtime.MemProfileRecord
 	for ok := false; !ok; { // the profile may grow between the two calls
@@ -97,132 +85,121 @@ func allocSites(ops int64) {
 	}
 	sort.Slice(sites, func(i, j int) bool { return objects[sites[i]] > objects[sites[j]] })
 	const top = 30
-	fmt.Fprintf(os.Stderr, "allocation sites, objects/op over %d ops (%.1f in all; set-up included):\n",
+	fmt.Fprintf(w, "allocation sites, objects/op over %d ops (%.1f in all; set-up included):\n",
 		ops, float64(total)/float64(ops))
 	for _, site := range sites[:min(top, len(sites))] {
-		fmt.Fprintf(os.Stderr, "  %6.2f  %s\n", float64(objects[site])/float64(ops), site)
+		fmt.Fprintf(w, "  %6.2f  %s\n", float64(objects[site])/float64(ops), site)
 	}
 }
 
-func main() {
-	out := flag.String("out", "BENCH_6.json", "output report path")
-	filter := flag.String("run", "", "only run scenarios whose name contains this substring")
-	merge := flag.String("merge", "", "prior report whose rows are kept verbatim; scenarios it already has are skipped, new ones appended")
-	capture := flag.Bool("capture-baseline", false, "print the measurements as a Go literal for baseline.go instead of writing the report")
-	count := flag.Int("count", 1, "runs per scenario; the report keeps the run with the median ns/op and stderr shows min/median/max")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measured scenarios to this file")
-	memProfile := flag.String("memprofile", "", "record every allocation of the measured scenarios: write the profile to this file and print objects/op per allocating site to stderr")
-	flag.Parse()
-	if *count < 1 {
-		fatal(fmt.Errorf("-count %d: need at least one run", *count))
-	}
-
-	var prior *bench.Report
-	if *merge != "" {
-		data, err := os.ReadFile(*merge)
+// measure runs c count times, printing one result line per run and,
+// for more than one, the spread of ns/op.
+func measure(w io.Writer, c bench.Cell, count int) error {
+	ns := make([]int64, count)
+	for i := range ns {
+		r, err := bench.Measure(c)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		prior = &bench.Report{}
-		if err := json.Unmarshal(data, prior); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s: %v\n", *merge, err)
-			os.Exit(1)
+		fmt.Fprintf(w, "%-28s %s %s\n", c.Name, r, r.MemString())
+		ns[i] = r.NsPerOp()
+	}
+	if count > 1 {
+		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		fmt.Fprintf(w, "  %d runs: ns/op min %d median %d max %d\n",
+			count, ns[0], ns[count/2], ns[count-1])
+	}
+	return nil
+}
+
+// run is main without the process: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	registerFlags(fs, &o)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "bench:", err)
+		return 1
+	}
+	if o.count < 1 {
+		return fail(fmt.Errorf("-count %d: need at least one run", o.count))
+	}
+	var cells []bench.Cell
+	for _, c := range bench.Cells() {
+		if strings.Contains(c.Name, o.filter) {
+			cells = append(cells, c)
 		}
 	}
-	have := map[string]bool{}
-	if prior != nil {
-		for _, r := range prior.Current {
-			have[r.Scenario] = true
-		}
+	if len(cells) == 0 {
+		return fail(fmt.Errorf("no scenario matched"))
 	}
 
-	// profiledOps counts the iterations the scenarios run under
+	// profiledOps counts the iterations the cells run under
 	// -memprofile, calibration rounds included: the profile covers them
 	// all.
 	var profiledOps int64
-	if *memProfile != "" {
+	if o.memProfile != "" {
 		// The default rate samples by bytes allocated, which makes
 		// objects per site an estimate; this makes it a count.
 		runtime.MemProfileRate = 1
 	}
 	var cpuFile *os.File
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		cpuFile = f
 	}
-	var results []bench.Result
-	for _, s := range bench.Grid() {
-		if *filter != "" && !strings.Contains(s.Name, *filter) {
-			continue
-		}
-		if have[s.Name] {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "running %s...\n", s.Name)
-		if run := s.Run; *memProfile != "" {
-			s.Run = func(b *testing.B) {
+	var failed error
+	for _, c := range cells {
+		if run := c.Run; o.memProfile != "" {
+			c.Run = func(b *testing.B) {
 				profiledOps += int64(b.N)
 				run(b)
 			}
 		}
-		results = append(results, measure(s, *count))
+		if failed = measure(stdout, c, o.count); failed != nil {
+			break
+		}
 	}
-	// Profiles are finished here, not in a defer: the exits below would
-	// skip it and truncate them.
+	// Profiles are finished on the failure path too: what ran is in them.
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := cpuFile.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
+	if o.memProfile != "" {
+		f, err := os.Create(o.memProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		runtime.GC() // settle the heap so the profile is complete
 		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if profiledOps > 0 {
-			allocSites(profiledOps)
+			allocSites(stdout, profiledOps)
 		}
 	}
-	if len(results) == 0 {
-		fmt.Fprintln(os.Stderr, "bench: no scenario matched")
-		os.Exit(1)
+	if failed != nil {
+		return fail(failed)
 	}
-
-	if *capture {
-		fmt.Println("var Baseline = []Result{")
-		for _, r := range results {
-			fmt.Printf("\t{Scenario: %q, NsPerOp: %d, AllocsPerOp: %d, BytesPerOp: %d, MsgPerCS: %v, GrantsPerOp: %d, EventsPerOp: %d, CSPerSec: %v},\n",
-				r.Scenario, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.MsgPerCS, r.GrantsPerOp, r.EventsPerOp, r.CSPerSec)
-		}
-		fmt.Println("}")
-		return
-	}
-
-	report := bench.NewReport(results)
-	if prior != nil {
-		report = bench.MergeReports(*prior, report)
-	}
-	data, err := report.Marshal()
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	fmt.Print(report.Table())
+	return 0
 }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -1,415 +1,90 @@
-// Package bench is the reproducible performance harness behind
-// BENCH_*.json. It defines a fixed scenario grid over the simulation
-// kernel, the LASS hot paths, and the live goroutine runtime, measures
-// each cell with testing.Benchmark, and renders the results against the
-// frozen pre-optimization baseline (baseline.go).
+// Package bench holds the live cells cmd/bench profiles one at a time
+// and the three performance claims the test suite pins as same-run
+// ratios. The repository's numbers come from benchmark/ (see its
+// README); nothing here writes or reads a report.
 //
-// The grid is deterministic: scenario names, workload seeds, and the
-// protocol-level metrics (messages per critical section, grants,
-// simulator events) reproduce exactly across runs. Wall-clock metrics
-// (ns/op, allocs/op, CS/s) vary with the machine; the baseline column
-// records them once, on the same machine state as the first optimized
-// run, so the ratios in the report are meaningful.
+// A cell is a func(*testing.B) that assembles a deployment, drives b.N
+// contended acquire/release cycles through it and reports protocol and
+// wire counters through b.ReportMetric:
+//
+//	tcploop/n4/{s8,s32}/batch                 client sessions over two loopback daemons
+//	largeN/n{128,512}/{delta,nodelta}         token state on the wire at large N
+//	sharded/g{1,4,16}/single                  shard parallelism on the latency fabric
+//	sharded/g{4,16}/cross/{ordered,twophase}  the two cross-shard compositions
+//
+// The claims, each comparing two measurements of one test run
+// (bench_test.go, openloop_test.go): G=4 shards move the sharded
+// workload's protocol traffic ≥ 2.5× faster than G=1; delta tokens move
+// ≤ 0.80× the wire bytes per op at N=128; past the knee an unbounded
+// FIFO queue collapses while Adaptive admission holds p99 (RunOpenLoop).
+//
+// The socket cells' protocol counters (msg_per_cs, wire_bytes_per_op)
+// are stable across machines to within run jitter; ns/op and allocs/op
+// are not, and neither is a sharded cell's msg_per_cs (sharded.go).
 package bench
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
-
-	"mralloc/internal/core"
-	"mralloc/internal/driver"
-	"mralloc/internal/experiments"
-	"mralloc/internal/live"
-	"mralloc/internal/resource"
-	"mralloc/internal/serve"
-	"mralloc/internal/sim"
-	"mralloc/internal/workload"
-
-	"context"
 )
 
-// Scenario is one cell of the benchmark grid.
-type Scenario struct {
-	// Name is the stable identifier, e.g. "sim/n128/loan".
+// Cell is one named measurement.
+type Cell struct {
+	// Name is the stable identifier, e.g. "tcploop/n4/s8/batch";
+	// cmd/bench -run matches it by substring.
 	Name string
-	// Run executes the scenario under b and attaches extra metrics via
-	// b.ReportMetric (msg_per_cs, grants_per_op, events_per_op).
-	Run func(b *testing.B)
-	// Post, when non-nil, decorates the measured Result with metrics
-	// that cannot ride b.ReportMetric (strings — the batch histogram).
-	Post func(r *Result)
+	Run  func(b *testing.B)
 }
 
-// simWorkload is the paper-standard workload at the given cluster size.
-// M, φ, α, γ and ρ are the high-load constants of §5.1; only N varies
-// across the grid.
-func simWorkload(n int) workload.Config {
-	return workload.Config{
-		N: n, M: 80, Phi: 16,
-		AlphaMin: 5 * sim.Millisecond,
-		AlphaMax: 35 * sim.Millisecond,
-		Gamma:    600 * sim.Microsecond,
-		Rho:      0.1,
-		Seed:     7,
+// Cells lists every cell, in print order.
+func Cells() []Cell {
+	cells := []Cell{tcpLoopCell(4, 8), tcpLoopCell(4, 32)}
+	for _, n := range []int{128, 512} {
+		cells = append(cells, largeNCell(n, true), largeNCell(n, false))
 	}
+	return append(cells, shardedCells()...)
 }
 
-// simHorizon bounds the simulated span per iteration. Larger clusters
-// process proportionally more messages per simulated second, so the
-// horizon shrinks with N to keep one iteration comparable.
-func simHorizon(n int) sim.Time {
-	switch {
-	case n >= 512:
-		return 300 * sim.Millisecond
-	case n >= 128:
-		return 600 * sim.Millisecond
-	default:
-		return 1 * sim.Second
+// Measure runs c under testing.Benchmark. A cell that called b.Fatal
+// or b.Error leaves a zero result and its message is discarded by the
+// testing package, so that case is reported as an error here.
+func Measure(c Cell) (testing.BenchmarkResult, error) {
+	r := testing.Benchmark(c.Run)
+	if r.N == 0 {
+		return r, fmt.Errorf("%s: cell failed", c.Name)
 	}
+	return r, nil
 }
 
-// simScenario benchmarks one full driver.Run per iteration.
-func simScenario(name string, wl workload.Config, opt core.Options) Scenario {
-	return Scenario{Name: name, Run: func(b *testing.B) {
-		cfg := driver.Config{
-			Workload:   wl,
-			Processing: experiments.Proc,
-			Warmup:     20 * sim.Millisecond,
-			Horizon:    simHorizon(wl.N),
-		}
-		factory := core.NewFactory(opt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var last driver.Result
-		for i := 0; i < b.N; i++ {
-			res, err := driver.Run(cfg, factory)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.ReportMetric(last.MsgPerGrant, "msg_per_cs")
-		b.ReportMetric(float64(last.Grants), "grants_per_op")
-		b.ReportMetric(float64(last.Events), "events_per_op")
-		reportWait(b, last)
-	}}
-}
-
-// reportWait attaches the wait-time distribution of a driver run to
-// the benchmark record (enqueue→grant, milliseconds).
-func reportWait(b *testing.B, res driver.Result) {
-	b.ReportMetric(res.Waiting.Mean, "wait_mean_ms")
-	b.ReportMetric(res.Waiting.P50, "wait_p50_ms")
-	b.ReportMetric(res.Waiting.P95, "wait_p95_ms")
-	b.ReportMetric(res.Waiting.P99, "wait_p99_ms")
-}
-
-// SimGrid is the cluster-size × loan grid plus the zones and skew
-// workloads from internal/workload.
-func SimGrid() []Scenario {
-	var out []Scenario
-	for _, n := range []int{32, 128, 512} {
-		for _, loan := range []bool{false, true} {
-			opt, tag := core.WithoutLoan(), "noloan"
-			if loan {
-				opt, tag = core.WithLoan(), "loan"
-			}
-			out = append(out, simScenario(fmt.Sprintf("sim/n%d/%s", n, tag), simWorkload(n), opt))
-		}
-	}
-	zones := simWorkload(32)
-	zones.Zones, zones.LocalBias = 4, 0.8
-	out = append(out, simScenario("sim/n32/zones4", zones, core.WithLoan()))
-	skew := simWorkload(32)
-	skew.Skew = 1.0
-	out = append(out, simScenario("sim/n32/skew", skew, core.WithLoan()))
-	return out
-}
-
-// serveWorkload is the multiplexed-sessions workload: the paper's M/φ
-// shape at light per-session load (high ρ), so a single session leaves
-// a node mostly thinking and the sessions axis — not raw protocol
-// saturation — is what moves the needle. That is the regime the serve
-// layer exists for: many mostly-idle clients multiplexed onto few
-// protocol nodes.
-func serveWorkload(n int) workload.Config {
-	wl := simWorkload(n)
-	wl.Phi = 8
-	wl.Rho = 8
-	return wl
-}
-
-// ServeCell runs one sessions-per-node cell: n nodes × sessions
-// concurrent sessions per node under the given admission policy, over
-// the serveWorkload, measuring enqueue→grant waiting (the queue wait
-// is the point). Exported so the CI bench-smoke test can run the same
-// cells with a tiny horizon.
-func ServeCell(n, sessions int, policy serve.Policy, horizon sim.Time) (driver.Result, error) {
-	return driver.Run(driver.Config{
-		Workload:   serveWorkload(n),
-		Sessions:   sessions,
-		Policy:     policy,
-		Processing: experiments.Proc,
-		Warmup:     20 * sim.Millisecond,
-		Horizon:    horizon,
-	}, core.NewFactory(core.WithLoan()))
-}
-
-// serveScenario benchmarks one ServeCell per iteration.
-func serveScenario(n, sessions int, policy serve.Policy) Scenario {
-	name := fmt.Sprintf("serve/n%d/s%d/%s", n, sessions, policy)
-	horizon := simHorizon(n)
-	return Scenario{Name: name, Run: func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var last driver.Result
-		for i := 0; i < b.N; i++ {
-			res, err := ServeCell(n, sessions, policy, horizon)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.ReportMetric(last.MsgPerGrant, "msg_per_cs")
-		b.ReportMetric(float64(last.Grants), "grants_per_op")
-		b.ReportMetric(float64(last.Events), "events_per_op")
-		reportWait(b, last)
-	}}
-}
-
-// ServeGrid is the sessions-per-node grid: S∈{1,8,64} sessions × N
-// nodes × policy. FIFO and SSF cover every cell (the two policies the
-// scaling claim is reported over); EDF is sampled at the heaviest cell.
-func ServeGrid() []Scenario {
-	var out []Scenario
-	for _, n := range []int{8, 32} {
-		for _, s := range []int{1, 8, 64} {
-			for _, p := range []serve.Policy{serve.FIFO, serve.SSF} {
-				out = append(out, serveScenario(n, s, p))
-			}
-		}
-	}
-	out = append(out, serveScenario(8, 64, serve.EDF))
-	return out
-}
-
-// MicroGrid isolates the two allocation-heavy kernels under the sim
-// scenarios: event scheduling in sim.Engine and request sampling in
-// workload.Generator.
-func MicroGrid() []Scenario {
-	engine := Scenario{Name: "micro/engine/schedule", Run: func(b *testing.B) {
-		const k = 65536
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e := sim.New()
-			var fn func()
-			n := 0
-			fn = func() {
-				if n < k {
-					n++
-					e.After(sim.Microsecond, fn)
+// driveClosed is the closed loop every cell runs: workers goroutines
+// share b.N operations, op(w, i) being operation i on worker w — one
+// acquisition, granted and released. It returns when all are done; the
+// first error fails b and stops the rest.
+func driveClosed(b *testing.B, workers int, op func(w int, i int64) error) {
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) || failed.Load() {
+					return
 				}
-			}
-			e.After(sim.Microsecond, fn)
-			e.Run()
-		}
-		b.ReportMetric(k, "events_per_op")
-	}}
-	cancel := Scenario{Name: "micro/engine/cancel", Run: func(b *testing.B) {
-		// Schedule k events, cancel every other one, drain: exercises
-		// the canceled-head discard path and event recycling.
-		const k = 65536
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e := sim.New()
-			for j := 0; j < k; j++ {
-				ev := e.At(sim.Time(j), func() {})
-				if j%2 == 0 {
-					e.Cancel(ev)
-				}
-			}
-			e.Run()
-		}
-		b.ReportMetric(k, "events_per_op")
-	}}
-	sample := Scenario{Name: "micro/workload/next", Run: func(b *testing.B) {
-		g := workload.NewGenerator(simWorkload(32), 3)
-		b.ReportAllocs()
-		b.ResetTimer()
-		size := 0
-		for i := 0; i < b.N; i++ {
-			size += g.Next().Size
-		}
-		_ = size
-	}}
-	set := Scenario{Name: "micro/resource/sample", Run: func(b *testing.B) {
-		r := sim.Stream(7, "bench/sample")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := resource.Sample(r, 80, 16)
-			if s.Len() != 16 {
-				b.Fatal("bad sample")
-			}
-		}
-	}}
-	// wqueue.Insert is on the token hot path and its cost scales with
-	// queue depth; the 512-entry cell pins the binary-search insertion
-	// at the largeN regime the payload-path work targets.
-	wq := Scenario{Name: "micro/wqueue/insert512", Run: func(b *testing.B) {
-		qb := core.NewQueueBench(512)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			qb.Round()
-		}
-		b.ReportMetric(float64(qb.Ops()), "events_per_op")
-	}}
-	return []Scenario{engine, cancel, sample, set, wq}
-}
-
-// LiveGrid measures the goroutine runtime: end-to-end Acquire/Release
-// throughput on a contended in-process cluster.
-func LiveGrid() []Scenario {
-	throughput := Scenario{Name: "live/acquire/n8", Run: func(b *testing.B) {
-		c, err := live.New(live.Config{Nodes: 8, Resources: 32}, core.NewFactory(core.WithLoan()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			release, err := c.Acquire(ctx, i%8, i%32, (i+11)%32)
-			if err != nil {
-				b.Fatal(err)
-			}
-			release()
-		}
-	}}
-	parallel := Scenario{Name: "live/acquire/n8/parallel", Run: func(b *testing.B) {
-		c, err := live.New(live.Config{Nodes: 8, Resources: 32}, core.NewFactory(core.WithLoan()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				node := i % 8
-				release, err := c.Acquire(ctx, node, (node*7+i)%32)
-				if err != nil {
+				if err := op(w, i); err != nil {
 					// b.Fatal would Goexit a non-benchmark goroutine,
 					// which the testing package forbids.
 					b.Error(err)
+					failed.Store(true)
 					return
 				}
-				release()
 			}
-		})
-	}}
-	return []Scenario{throughput, parallel}
-}
-
-// Grid is the full scenario grid of the checked-in BENCH report, in
-// report order.
-func Grid() []Scenario {
-	var out []Scenario
-	out = append(out, SimGrid()...)
-	out = append(out, ServeGrid()...)
-	out = append(out, MicroGrid()...)
-	out = append(out, LiveGrid()...)
-	out = append(out, TCPLoopGrid()...)
-	out = append(out, LargeNGrid()...)
-	out = append(out, BackpressureGrid()...)
-	out = append(out, OpenLoopGrid()...)
-	out = append(out, RecoveryGrid()...)
-	out = append(out, ShardedGrid()...)
-	return out
-}
-
-// Measure runs one scenario and converts its benchmark result into a
-// schema Result row.
-func Measure(s Scenario) Result {
-	r := testing.Benchmark(s.Run)
-	res := Result{
-		Scenario:    s.Name,
-		NsPerOp:     r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
+		}()
 	}
-	if v, ok := r.Extra["msg_per_cs"]; ok {
-		res.MsgPerCS = round3(v)
-	}
-	if v, ok := r.Extra["grants_per_op"]; ok {
-		res.GrantsPerOp = int64(v)
-	}
-	if v, ok := r.Extra["events_per_op"]; ok {
-		res.EventsPerOp = int64(v)
-	}
-	if v, ok := r.Extra["wait_mean_ms"]; ok {
-		res.WaitMeanMS = round3(v)
-	}
-	if v, ok := r.Extra["wait_p50_ms"]; ok {
-		res.WaitP50MS = round3(v)
-	}
-	if v, ok := r.Extra["wait_p95_ms"]; ok {
-		res.WaitP95MS = round3(v)
-	}
-	if v, ok := r.Extra["wait_p99_ms"]; ok {
-		res.WaitP99MS = round3(v)
-	}
-	if v, ok := r.Extra["writes_per_op"]; ok {
-		res.WritesPerOp = round3(v)
-	}
-	if v, ok := r.Extra["wire_bytes_per_op"]; ok {
-		res.WireBytesPerOp = round3(v)
-	}
-	if v, ok := r.Extra["avg_batch_frames"]; ok {
-		res.AvgBatchFrames = round3(v)
-	}
-	if v, ok := r.Extra["offered_rps"]; ok {
-		res.OfferedRPS = round3(v)
-	}
-	if v, ok := r.Extra["grant_rps"]; ok {
-		res.GrantRPS = round3(v)
-	}
-	if v, ok := r.Extra["goodput_rps"]; ok {
-		res.GoodputRPS = round3(v)
-	}
-	if v, ok := r.Extra["shed_rate"]; ok {
-		res.ShedRate = round3(v)
-	}
-	if v, ok := r.Extra["slo_max_rps"]; ok {
-		res.SLOMaxRPS = round3(v)
-	}
-	if v, ok := r.Extra["retransmits_per_op"]; ok {
-		res.RetransmitsPerOp = round3(v)
-	}
-	if v, ok := r.Extra["dups_dropped_per_op"]; ok {
-		res.DupsDroppedPerOp = round3(v)
-	}
-	if res.NsPerOp > 0 {
-		ops := 1e9 / float64(res.NsPerOp)
-		if res.GrantsPerOp > 0 {
-			// Wall-clock critical sections per second: how many CS the
-			// harness pushes through one real second of simulation.
-			res.CSPerSec = round3(ops * float64(res.GrantsPerOp))
-		}
-	}
-	if s.Post != nil {
-		s.Post(&res)
-	}
-	return res
-}
-
-func round3(v float64) float64 {
-	return float64(int64(v*1000+0.5)) / 1000
+	wg.Wait()
 }

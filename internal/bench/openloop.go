@@ -7,81 +7,78 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"time"
 
-	"mralloc/internal/core"
 	"mralloc/internal/live"
 	"mralloc/internal/metrics"
 	"mralloc/internal/serve"
-	"mralloc/internal/transport"
 )
 
-// The open-loop tier. Every other bench cell is closed-loop: a fixed
-// set of sessions issues the next request only after the previous one
+// The open-loop tier. The cells are closed-loop: a fixed set of
+// sessions issues the next request only after the previous one
 // finishes, so offered load can never exceed capacity and queueing
-// collapse is structurally invisible. This tier decouples arrivals
-// from completions — sessions arrive at a target RPS (Poisson by
-// default) whether or not earlier ones have finished, exactly like
-// independent users hitting a service. Sweeping the rate through and
-// past the saturation knee makes the collapse measurable: offered
-// load, goodput (grants/s), shed rate, and the sojourn-time
-// distribution per cell, plus an SLO search (the highest offered RPS a
-// configuration sustains within a p99 target).
+// collapse is structurally invisible. RunOpenLoop decouples arrivals
+// from completions — sessions arrive at a target RPS (Poisson, seeded)
+// whether or not earlier ones have finished, exactly like independent
+// users hitting a service — and measures offered load, goodput (grants
+// within the SLO per second), shed rate and the sojourn-time
+// distribution of one window.
 //
 // The fabric is the tcploop deployment: two in-process daemons on real
 // 127.0.0.1 sockets, half the nodes each, serve.Client sessions over
-// the client wire protocol. Cells differ only in admission policy —
+// the client wire protocol. Runs differ only in admission policy —
 // fixed FIFO with an unbounded queue (the collapse exhibit) versus
 // Adaptive, whose self-tuned bound sheds (DenyOverloaded) before the
 // knee and switches ordering under pressure.
 
-// OpenLoopConfig parameterizes one open-loop cell.
+// OpenLoopConfig parameterizes one open-loop run.
 type OpenLoopConfig struct {
 	// Nodes is the cluster size, split across the two daemons.
 	Nodes int
-	// Policy is each node's admission policy; serve.Adaptive also
-	// wires the cluster's load oracle into the client ports, so the
-	// daemons shed at the self-tuned bound.
-	Policy serve.Policy
-	// AdmitTarget is the Adaptive grant-latency target
-	// (serve.DefaultAdmitTarget when zero; ignored by fixed policies).
+	// Policy is each node's admission policy; AdmitTarget the Adaptive
+	// grant-latency target (serve.DefaultAdmitTarget when zero; ignored
+	// by fixed policies). The client ports' queues are unbounded.
+	Policy      serve.Policy
 	AdmitTarget time.Duration
-	// MaxQueue is the static per-node admission bound of the client
-	// ports (0 = unbounded, the collapse configuration).
-	MaxQueue int
 
-	// RPS is the offered arrival rate. Arrivals are Poisson (seeded,
-	// exponential inter-arrival times) unless Fixed pins the interval.
-	RPS   float64
-	Fixed bool
-	Seed  int64
+	// RPS is the offered arrival rate: Poisson arrivals, exponential
+	// inter-arrival times drawn from Seed.
+	RPS  float64
+	Seed int64
 
 	// Warmup arrivals prime the fabric and are excluded from every
 	// reported number; Window is the measured span. Defaults: 250ms
 	// and 1s.
 	Warmup, Window time.Duration
-	// SLO is the sojourn objective a grant must meet to count toward
-	// goodput (default 50ms, the tier SLO). A grant delivered after it
-	// is wasted work: the collapse exhibit keeps granting at a high
-	// rate, but at sojourns no caller would still be waiting for.
-	SLO time.Duration
 	// Timeout bounds one acquisition (default 1s). A request still
 	// unanswered then is withdrawn and counted as timed out, with its
 	// sojourn clamped to Timeout — under collapse the queue outgrows
 	// the window, and unclamped sojourns would survivorship-bias p99
 	// toward the requests that made it.
 	Timeout time.Duration
-	// MaxInFlight caps the driver's concurrently outstanding arrivals
-	// (default 8192); beyond it arrivals are dropped and counted as
-	// shed without a wire round trip, bounding driver memory however
-	// far past the knee the cell runs.
-	MaxInFlight int
-	// Retry, when non-nil, has each arrival retry ErrOverloaded
-	// denials under the jittered backoff schedule (still bounded by
-	// Timeout) instead of counting them shed on first denial.
-	Retry *serve.Backoff
 }
+
+// openLoopSLO is the sojourn objective a grant must meet to count
+// toward goodput: well above the fabric's uncongested sojourn
+// (hundreds of microseconds) and well below the collapse signature
+// (sojourns clamped at the timeout). A grant delivered after it is
+// wasted work: the collapse exhibit keeps granting at a high rate, but
+// at sojourns no caller would still be waiting for.
+const openLoopSLO = 50 * time.Millisecond
+
+// openLoopAdmitTarget is the Adaptive grant-latency target the
+// collapse exhibit runs with: a fifth of the SLO. Probing showed deeper
+// targets are strictly worse here — a deeper admitted queue both
+// lengthens the survivors' sojourns and (by slowing every slot's
+// grant/release round trip) lowers the admitted rate, so the rest of
+// the SLO is left for wire round trips, fan-out and scheduling noise.
+const openLoopAdmitTarget = 10 * time.Millisecond
+
+// openLoopMaxInFlight caps the driver's concurrently outstanding
+// arrivals; beyond it arrivals are dropped and counted as shed without
+// a wire round trip, bounding driver memory however far past the knee
+// a run goes.
+const openLoopMaxInFlight = 8192
 
 func (cfg *OpenLoopConfig) defaults() error {
 	if cfg.Nodes < 2 || cfg.Nodes%2 != 0 {
@@ -96,28 +93,27 @@ func (cfg *OpenLoopConfig) defaults() error {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
 	}
-	if cfg.SLO <= 0 {
-		cfg.SLO = openLoopSLOTarget
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = time.Second
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 8192
-	}
-	if _, err := serve.ParsePolicy(string(cfg.Policy)); err != nil {
-		return err
-	}
-	return nil
+	_, err := serve.ParsePolicy(string(cfg.Policy))
+	return err
 }
 
-// OpenLoopResult is one cell's measurement. All counts and rates cover
+// start assembles the run's deployment.
+func (cfg OpenLoopConfig) start() (*loopback, error) {
+	return startLoopback(live.Config{
+		Nodes: cfg.Nodes, Policy: cfg.Policy, AdmitTarget: cfg.AdmitTarget,
+	}, true)
+}
+
+// OpenLoopResult is one run's measurement. All counts and rates cover
 // the measurement window only (arrivals whose scheduled instant fell
 // inside it).
 type OpenLoopResult struct {
 	// Offered is the realized arrival rate (arrivals/s, including shed
 	// and dropped ones). Throughput is all granted acquisitions/s;
-	// Goodput only the grants whose sojourn met the cell's SLO — the
+	// Goodput only the grants whose sojourn met openLoopSLO — the
 	// distinction is the whole point of the tier: a collapsed FIFO queue
 	// keeps granting near capacity, but at sojourns no caller would
 	// still be waiting for, so its throughput stays flat while its
@@ -136,102 +132,7 @@ type OpenLoopResult struct {
 	Sojourn metrics.Summary
 }
 
-// openLoopCell is the two-daemon loopback deployment of the tier,
-// assembled outside testing so the SLO search and cmd-level tools can
-// run cells too.
-type openLoopCell struct {
-	trs      []*transport.TCP
-	clusters []*live.Cluster
-	servers  []*serve.Server
-	clients  []*serve.Client
-}
-
-func startOpenLoopCell(cfg OpenLoopConfig) (*openLoopCell, error) {
-	half := cfg.Nodes / 2
-	locals := [2][]int{}
-	for i := 0; i < cfg.Nodes; i++ {
-		if i < half {
-			locals[0] = append(locals[0], i)
-		} else {
-			locals[1] = append(locals[1], i)
-		}
-	}
-	cell := &openLoopCell{}
-	fail := func(err error) (*openLoopCell, error) {
-		cell.close()
-		return nil, err
-	}
-	addrs := make([]string, cfg.Nodes)
-	for d := 0; d < 2; d++ {
-		tr, err := transport.ListenTCP("127.0.0.1:0", cfg.Nodes, locals[d]...)
-		if err != nil {
-			return fail(err)
-		}
-		cell.trs = append(cell.trs, tr)
-		for _, id := range locals[d] {
-			addrs[id] = tr.Addr()
-		}
-	}
-	for d := 0; d < 2; d++ {
-		if err := cell.trs[d].Connect(addrs); err != nil {
-			return fail(err)
-		}
-		c, err := live.New(live.Config{
-			Nodes:       cfg.Nodes,
-			Resources:   tcpLoopM,
-			Transport:   cell.trs[d],
-			Local:       locals[d],
-			Policy:      cfg.Policy,
-			AdmitTarget: cfg.AdmitTarget,
-		}, core.NewFactory(core.WithLoan()))
-		if err != nil {
-			return fail(err)
-		}
-		cell.clusters = append(cell.clusters, c)
-		scfg := serve.ServerConfig{
-			Listen:    "127.0.0.1:0",
-			Nodes:     cfg.Nodes,
-			Resources: tcpLoopM,
-			Local:     locals[d],
-			Open:      func(node int) (serve.BackendSession, error) { return c.NewSession(node) },
-			MaxQueue:  cfg.MaxQueue,
-		}
-		if cfg.Policy == serve.Adaptive {
-			scfg.Overloaded = c.Overloaded
-			scfg.NoteShed = c.NoteShed
-		}
-		srv, err := serve.NewServer(scfg)
-		if err != nil {
-			return fail(err)
-		}
-		cell.servers = append(cell.servers, srv)
-		cl, err := serve.Dial(srv.Addr())
-		if err != nil {
-			return fail(err)
-		}
-		cell.clients = append(cell.clients, cl)
-	}
-	return cell, nil
-}
-
-func (c *openLoopCell) close() {
-	for _, cl := range c.clients {
-		cl.Close()
-	}
-	for _, s := range c.servers {
-		s.Close()
-	}
-	for _, cl := range c.clusters {
-		cl.Close() // closes its transport
-	}
-	// Transports with no cluster yet (assembly error paths); Close is
-	// idempotent, so an already-adopted transport costs nothing.
-	for _, tr := range c.trs {
-		tr.Close()
-	}
-}
-
-// RunOpenLoop assembles a cell and offers cfg.RPS arrivals to it for
+// RunOpenLoop assembles a deployment and offers cfg.RPS arrivals to it for
 // warmup+window, each arrival one AnyNode acquisition of two
 // resources, released the moment it is granted (the protocol's
 // acquisition cost dominates; hold time would only shift the knee).
@@ -239,15 +140,12 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return OpenLoopResult{}, err
 	}
-	cell, err := startOpenLoopCell(cfg)
+	cell, err := cfg.start()
 	if err != nil {
 		return OpenLoopResult{}, err
 	}
 	defer cell.close()
-	return driveOpenLoop(cfg, cell)
-}
 
-func driveOpenLoop(cfg OpenLoopConfig, cell *openLoopCell) (OpenLoopResult, error) {
 	var (
 		granted, withinSLO, shed, timedOut, dropped, arrivals atomic.Int64
 
@@ -265,9 +163,6 @@ func driveOpenLoop(cfg OpenLoopConfig, cell *openLoopCell) (OpenLoopResult, erro
 
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x6f70656e6c6f6f70)) // "openloop"
 	interval := func() time.Duration {
-		if cfg.Fixed {
-			return time.Duration(float64(time.Second) / cfg.RPS)
-		}
 		return time.Duration(rng.ExpFloat64() * float64(time.Second) / cfg.RPS)
 	}
 
@@ -287,7 +182,7 @@ func driveOpenLoop(cfg OpenLoopConfig, cell *openLoopCell) (OpenLoopResult, erro
 		if inWindow {
 			arrivals.Add(1)
 		}
-		if inflight.Add(1) > int64(cfg.MaxInFlight) {
+		if inflight.Add(1) > openLoopMaxInFlight {
 			inflight.Add(-1)
 			if inWindow {
 				dropped.Add(1)
@@ -295,8 +190,8 @@ func driveOpenLoop(cfg OpenLoopConfig, cell *openLoopCell) (OpenLoopResult, erro
 			continue
 		}
 		n++
-		r1 := int(n*7) % tcpLoopM
-		r2 := (r1 + 11) % tcpLoopM
+		r1 := int(n*7) % loopM
+		r2 := (r1 + 11) % loopM
 		cl := cell.clients[n%int64(len(cell.clients))]
 		wg.Add(1)
 		go func() {
@@ -304,7 +199,7 @@ func driveOpenLoop(cfg OpenLoopConfig, cell *openLoopCell) (OpenLoopResult, erro
 			defer inflight.Add(-1)
 			ctx, cancel := context.WithDeadline(context.Background(), at.Add(cfg.Timeout))
 			defer cancel()
-			opts := serve.AcquireOpts{Resources: []int{r1, r2}, RetryOverloaded: cfg.Retry}
+			opts := serve.AcquireOpts{Resources: []int{r1, r2}}
 			if cfg.AdmitTarget > 0 {
 				opts.Deadline = at.Add(cfg.AdmitTarget)
 			}
@@ -315,7 +210,7 @@ func driveOpenLoop(cfg OpenLoopConfig, cell *openLoopCell) (OpenLoopResult, erro
 				release()
 				if inWindow {
 					granted.Add(1)
-					if soj <= cfg.SLO {
+					if soj <= openLoopSLO {
 						withinSLO.Add(1)
 					}
 					record(soj)
@@ -370,7 +265,7 @@ func CalibrateOpenLoopCapacity(nodes, workers int, d time.Duration) (float64, er
 	if err := cfg.defaults(); err != nil {
 		return 0, err
 	}
-	cell, err := startOpenLoopCell(cfg)
+	cell, err := cfg.start()
 	if err != nil {
 		return 0, err
 	}
@@ -386,8 +281,7 @@ func CalibrateOpenLoopCapacity(nodes, workers int, d time.Duration) (float64, er
 		go func() {
 			defer wg.Done()
 			for i := 0; ctx.Err() == nil; i++ {
-				r1 := (i + w*7) % tcpLoopM
-				r2 := (r1 + 11) % tcpLoopM
+				r1, r2 := loopPair(w, int64(i))
 				release, err := cl.Acquire(ctx, serve.AnyNode, r1, r2)
 				if err != nil {
 					return
@@ -399,186 +293,4 @@ func CalibrateOpenLoopCapacity(nodes, workers int, d time.Duration) (float64, er
 	}
 	wg.Wait()
 	return float64(ops.Load()) / d.Seconds(), nil
-}
-
-// Sustains reports whether the cell met the SLO: survivor p99 within
-// the target and at most 10% of arrivals lost (shed, timed out or
-// dropped) — a configuration that "holds p99" by refusing a third of
-// its traffic is not sustaining the offered rate.
-func (r OpenLoopResult) Sustains(sloP99 time.Duration) bool {
-	return r.Arrivals > 0 &&
-		r.Sojourn.P99 <= float64(sloP99)/float64(time.Millisecond) &&
-		r.ShedRate <= 0.1
-}
-
-// OpenLoopSLO is the result of FindSLO's knee search.
-type OpenLoopSLO struct {
-	// MaxRPS is the highest offered rate that sustained the SLO (0 if
-	// even the base rate failed); Goodput and P99MS are that cell's.
-	MaxRPS  float64
-	Goodput float64
-	P99MS   float64
-	// FailRPS is the lowest rate observed failing (0 if the search hit
-	// Cap without failing); Cells counts the cells run.
-	FailRPS float64
-	Cells   int
-}
-
-// FindSLO locates the saturation knee of one configuration: starting
-// at base RPS it doubles the offered rate until the SLO fails or cap
-// is reached, then bisects twice between the last pass and the first
-// failure, reusing one cell definition per step (fresh fabric each —
-// no cross-step queue leakage). The knee-finding resolution is about
-// ±12% of the knee, which is below run-to-run jitter on a loaded
-// machine; the regression gate compares against it with a 10% band on
-// top.
-func FindSLO(cfg OpenLoopConfig, sloP99 time.Duration, base, cap float64) (OpenLoopSLO, error) {
-	if base <= 0 || cap < base {
-		return OpenLoopSLO{}, fmt.Errorf("openloop: bad SLO search range [%v, %v]", base, cap)
-	}
-	out := OpenLoopSLO{}
-	run := func(rps float64) (OpenLoopResult, error) {
-		c := cfg
-		c.RPS = rps
-		if c.SLO == 0 {
-			c.SLO = sloP99 // goodput counts what the search checks
-		}
-		out.Cells++
-		return RunOpenLoop(c)
-	}
-	pass, fail := 0.0, 0.0
-	for rps := base; ; rps *= 2 {
-		if rps > cap {
-			rps = cap
-		}
-		res, err := run(rps)
-		if err != nil {
-			return out, err
-		}
-		if res.Sustains(sloP99) {
-			pass = rps
-			out.MaxRPS, out.Goodput, out.P99MS = rps, res.Goodput, res.Sojourn.P99
-			if rps >= cap {
-				return out, nil
-			}
-		} else {
-			fail = rps
-			out.FailRPS = rps
-			break
-		}
-	}
-	if pass == 0 {
-		return out, nil // even base failed: MaxRPS 0, FailRPS base
-	}
-	for i := 0; i < 2; i++ {
-		mid := (pass + fail) / 2
-		res, err := run(mid)
-		if err != nil {
-			return out, err
-		}
-		if res.Sustains(sloP99) {
-			pass = mid
-			out.MaxRPS, out.Goodput, out.P99MS = mid, res.Goodput, res.Sojourn.P99
-		} else {
-			fail = mid
-			out.FailRPS = mid
-		}
-	}
-	return out, nil
-}
-
-// openLoopSLOTarget is the tier's p99 SLO: well above the fabric's
-// uncongested sojourn (hundreds of microseconds) and well below the
-// collapse signature (sojourns clamped at the 1s timeout), so the
-// pass/fail boundary is the knee, not noise.
-const openLoopSLOTarget = 50 * time.Millisecond
-
-// openLoopAdmitTarget is the Adaptive grant-latency target of the
-// tier's cells: a fifth of the SLO. Probing showed deeper targets are
-// strictly worse here — a deeper admitted queue both lengthens the
-// survivors' sojourns and (by slowing every slot's grant/release round
-// trip) lowers the admitted rate, so the rest of the SLO is left for
-// wire round trips, fan-out and scheduling noise.
-const openLoopAdmitTarget = 10 * time.Millisecond
-
-// openLoopScenario is one fixed-rate cell as a report row.
-func openLoopScenario(nodes int, policy serve.Policy, rps float64) Scenario {
-	name := fmt.Sprintf("openloop/n%d/%s/r%d", nodes, policy, int(rps))
-	return Scenario{Name: name, Run: func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var last OpenLoopResult
-		for i := 0; i < b.N; i++ {
-			cfg := OpenLoopConfig{Nodes: nodes, Policy: policy, RPS: rps, Seed: 7}
-			if policy == serve.Adaptive {
-				cfg.AdmitTarget = openLoopAdmitTarget
-			}
-			res, err := RunOpenLoop(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.StopTimer()
-		reportOpenLoop(b, last)
-	}}
-}
-
-func reportOpenLoop(b *testing.B, res OpenLoopResult) {
-	b.ReportMetric(res.Offered, "offered_rps")
-	b.ReportMetric(res.Throughput, "grant_rps")
-	b.ReportMetric(res.Goodput, "goodput_rps")
-	b.ReportMetric(res.ShedRate, "shed_rate")
-	b.ReportMetric(res.Sojourn.Mean, "wait_mean_ms")
-	b.ReportMetric(res.Sojourn.P50, "wait_p50_ms")
-	b.ReportMetric(res.Sojourn.P95, "wait_p95_ms")
-	b.ReportMetric(res.Sojourn.P99, "wait_p99_ms")
-}
-
-// openLoopSLOScenario is one configuration's knee search as a report
-// row: slo_max_rps is the highest offered rate sustaining the tier
-// SLO, goodput/quantiles are the passing cell's.
-func openLoopSLOScenario(nodes int, policy serve.Policy, base, cap float64) Scenario {
-	name := fmt.Sprintf("openloop/n%d/%s/slo", nodes, policy)
-	return Scenario{Name: name, Run: func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var last OpenLoopSLO
-		for i := 0; i < b.N; i++ {
-			cfg := OpenLoopConfig{Nodes: nodes, Policy: policy, Seed: 7}
-			if policy == serve.Adaptive {
-				cfg.AdmitTarget = openLoopAdmitTarget
-			}
-			slo, err := FindSLO(cfg, openLoopSLOTarget, base, cap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = slo
-		}
-		b.StopTimer()
-		b.ReportMetric(last.MaxRPS, "slo_max_rps")
-		b.ReportMetric(last.Goodput, "goodput_rps")
-		b.ReportMetric(last.P99MS, "wait_p99_ms")
-	}}
-}
-
-// openLoopRates is the committed rate ladder. The loopback fabric's
-// open-loop knee sits at roughly half its closed-loop capacity (the
-// tcploop rows): the low rung is far below it, the middle rung just
-// below it, and the top rung is past it, so the report shows the same
-// fabric before, at, and beyond the knee.
-var openLoopRates = []float64{2000, 12000, 30000}
-
-// OpenLoopGrid is the open-loop tier: the rate ladder under unbounded
-// FIFO (the collapse exhibit) and under Adaptive (which must hold p99
-// by shedding), plus each configuration's SLO knee search.
-func OpenLoopGrid() []Scenario {
-	var out []Scenario
-	for _, policy := range []serve.Policy{serve.FIFO, serve.Adaptive} {
-		for _, rps := range openLoopRates {
-			out = append(out, openLoopScenario(4, policy, rps))
-		}
-		out = append(out, openLoopSLOScenario(4, policy, 1000, 32000))
-	}
-	return out
 }

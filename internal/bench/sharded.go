@@ -3,8 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,20 +22,23 @@ import (
 //
 // The workload is identical across G: the M=64 universe is cut into 16
 // G16-aligned blocks of 4, every draw stays inside its worker's block
-// (single rows) or spans a fixed block pair (cross rows), and the
+// (single cells) or spans a fixed block pair (cross cells), and the
 // resource ids drawn at iteration i do not depend on G. Two workers
 // per block — one per node — contend for it, so tokens ping-pong over
 // the fabric on every critical section and the links stay on the
 // critical path; without the contention the loan protocol parks the
-// tokens locally and every row collapses to the message-free fast
-// path.
+// tokens locally and every cell collapses to the message-free fast
+// path. How often a holder re-acquires locally before the other node's
+// request arrives is up to the scheduler, so msg_per_cs drifts (0.3–1.1
+// from run to run) and ns/op with it; ns/op ÷ msg_per_cs, wall time per
+// protocol message, is the quantity that repeats.
 //
-// Cross rows span two blocks 8 apart, which land in different shards
+// Cross cells span two blocks 8 apart, which land in different shards
 // at every G>1, and come in twins: ordered (ascending shard locking)
 // vs twophase (parallel submit, timed back-off). One op is one
-// granted-and-released acquisition; grants_per_op is 1 so cs_per_sec
-// is directly comparable across rows, and the wait quantiles are the
-// per-worker accumulators merged (metrics.Accum.Merge).
+// granted-and-released acquisition, so ns/op is directly comparable
+// across cells, and the wait quantiles are the per-worker accumulators
+// merged (metrics.Accum.Merge).
 const (
 	shardedM       = 64
 	shardedBlocks  = 16 // one block = one G16 shard
@@ -46,7 +47,7 @@ const (
 )
 
 // shardedDraw yields worker w's resource pair at iteration i. The
-// draw must not depend on G — that is what makes rows comparable.
+// draw must not depend on G — that is what makes cells comparable.
 type shardedDraw func(w int, i int64) (r1, r2 int)
 
 // singleDraw keeps both resources inside worker w's own block, so the
@@ -64,8 +65,8 @@ func crossDraw(w int, i int64) (int, int) {
 		(p+shardedBlocks/2)*shardedBlockSz + int(i)%shardedBlockSz
 }
 
-func shardedScenario(name string, g int, twoPhase bool, workers int, draw shardedDraw) Scenario {
-	return Scenario{Name: name, Run: func(b *testing.B) {
+func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDraw) Cell {
+	return Cell{Name: name, Run: func(b *testing.B) {
 		c, err := live.New(live.Config{
 			Nodes:              2,
 			Resources:          shardedM,
@@ -79,46 +80,25 @@ func shardedScenario(name string, g int, twoPhase bool, workers int, draw sharde
 		defer c.Close()
 		ctx := context.Background()
 		base := sumStats(c.Stats())
-		accums := make([]*metrics.Accum, workers)
+		waits := make([]metrics.Accum, workers) // one per worker, merged below
 		b.ReportAllocs()
 		b.ResetTimer()
-
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			acc := new(metrics.Accum)
-			accums[w] = acc
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(b.N) || failed.Load() {
-						return
-					}
-					r1, r2 := draw(w, i)
-					start := time.Now()
-					release, err := c.Acquire(ctx, w%2, r1, r2)
-					if err != nil {
-						// b.Fatal would Goexit a non-benchmark goroutine,
-						// which the testing package forbids.
-						b.Error(err)
-						failed.Store(true)
-						return
-					}
-					acc.Add(float64(time.Since(start)) / float64(time.Millisecond))
-					release()
-				}
-			}()
-		}
-		wg.Wait()
+		driveClosed(b, workers, func(w int, i int64) error {
+			r1, r2 := draw(w, i)
+			start := time.Now()
+			release, err := c.Acquire(ctx, w%2, r1, r2)
+			if err != nil {
+				return err
+			}
+			waits[w].Add(float64(time.Since(start)) / float64(time.Millisecond))
+			release()
+			return nil
+		})
 		b.StopTimer()
 
 		var wait metrics.Accum
-		for _, a := range accums {
-			wait.Merge(a)
+		for i := range waits {
+			wait.Merge(&waits[i])
 		}
 		s := wait.Summary()
 		b.ReportMetric(s.Mean, "wait_mean_ms")
@@ -126,32 +106,22 @@ func shardedScenario(name string, g int, twoPhase bool, workers int, draw sharde
 		b.ReportMetric(s.P95, "wait_p95_ms")
 		b.ReportMetric(s.P99, "wait_p99_ms")
 		b.ReportMetric(float64(sumStats(c.Stats())-base)/float64(b.N), "msg_per_cs")
-		b.ReportMetric(1, "grants_per_op")
 	}}
 }
 
-func sumStats(m map[string]int64) int64 {
-	var total int64
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
-
-// ShardedGrid is the sharded tier: the single-shard workload at
-// G∈{1,4,16} (the parallel-allocators scaling claim), and the
-// cross-shard block-pair workload at G∈{4,16} under both composition
-// strategies.
-func ShardedGrid() []Scenario {
-	var out []Scenario
+// shardedCells is the single-shard workload at G∈{1,4,16} (the
+// parallel-allocators scaling claim) and the cross-shard block-pair
+// workload at G∈{4,16} under both composition strategies.
+func shardedCells() []Cell {
+	var out []Cell
 	for _, g := range []int{1, 4, 16} {
-		out = append(out, shardedScenario(
+		out = append(out, shardedCell(
 			fmt.Sprintf("sharded/g%d/single", g), g, false, 2*shardedBlocks, singleDraw))
 	}
 	for _, g := range []int{4, 16} {
-		out = append(out, shardedScenario(
+		out = append(out, shardedCell(
 			fmt.Sprintf("sharded/g%d/cross/ordered", g), g, false, shardedBlocks, crossDraw))
-		out = append(out, shardedScenario(
+		out = append(out, shardedCell(
 			fmt.Sprintf("sharded/g%d/cross/twophase", g), g, true, shardedBlocks, crossDraw))
 	}
 	return out

@@ -234,6 +234,9 @@ func TestSessionsMultiplex(t *testing.T) {
 	if multi.Waiting.P95 < multi.Waiting.P50 || multi.Waiting.P99 < multi.Waiting.P95 {
 		t.Errorf("quantiles not monotone: %+v", multi.Waiting)
 	}
+	if multi.Waiting.P99 <= base.Waiting.P99 {
+		t.Errorf("p99 wait did not grow under 8× multiplexing: %v vs %v", multi.Waiting.P99, base.Waiting.P99)
+	}
 }
 
 // TestSessionsDeterministic: a multiplexed run is as reproducible as a
