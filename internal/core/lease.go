@@ -414,12 +414,12 @@ func (nd *Node) onRegen(rg regenMsg) {
 		// to the fence: chase the regenerated token.
 		nd.reclaimParked(r)
 	case nd.st == stWaitS && nd.cntNeeded.Has(r):
-		nd.out.request(nd.tokDir[r], request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
+		nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
 	case nd.st == stWaitCS && nd.required.Has(r) && !nd.owned.Has(r):
 		if nd.single {
-			nd.out.request(nd.tokDir[r], request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
+			nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
 		} else {
-			nd.out.request(nd.tokDir[r], request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
+			nd.out.request(nd.tokDir[r], &request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
 		}
 	}
 }
@@ -445,7 +445,7 @@ func (nd *Node) reclaimParked(r resource.ID) {
 	// waitCS path and chase the departed token with an ordinary marked
 	// resource request.
 	nd.st = stWaitCS
-	nd.out.request(nd.tokDir[r], request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
+	nd.out.request(nd.tokDir[r], &request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
 }
 
 // Drain implements alg.Drainer: an orderly shutdown hands every owned

@@ -37,6 +37,9 @@ func (s state) String() string {
 // entries provably obsolete under the stale local snapshot are dropped.
 const pruneThreshold = 128
 
+// pendingCap caps the capacity a history is first given (storePending).
+const pendingCap = 16
+
 // Node is one site of the algorithm. All fields map one-to-one to the
 // pseudo-code's local variables (Figure 9).
 type Node struct {
@@ -202,7 +205,7 @@ func (nd *Node) markSingle(r resource.ID, val int64) float64 {
 
 // obsolete implements the §4.2.1 staleness test against a token (or a
 // stale snapshot, which is conservative: stamps only grow).
-func (nd *Node) obsolete(req request, t *token) bool {
+func (nd *Node) obsolete(req *request, t *token) bool {
 	if t == nil {
 		return false
 	}
@@ -283,7 +286,7 @@ func (nd *Node) Request(rs resource.Set) {
 		nd.single = true
 		nd.st = stWaitCS
 		nd.cntNeeded.Add(r) // the arriving token will assign our counter
-		nd.out.request(nd.tokDir[r], request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
+		nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
 		nd.flushOwn()
 		return
 	}
@@ -298,7 +301,7 @@ func (nd *Node) Request(rs resource.Set) {
 		} else {
 			missingCnt = true
 			nd.cntNeeded.Add(r)
-			nd.out.request(nd.tokDir[r], request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
+			nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
 		}
 	})
 	nd.flushOwn()
@@ -326,7 +329,7 @@ func (nd *Node) processCntNeededEmpty() {
 	nd.required.ForEach(func(r resource.ID) {
 		if !nd.owned.Has(r) {
 			sent = true
-			nd.out.request(nd.tokDir[r], request{
+			nd.out.request(nd.tokDir[r], &request{
 				Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark,
 			})
 		}
@@ -411,7 +414,8 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 
 // onRequests implements "Receive Request" (pseudo lines 159-189).
 func (nd *Node) onRequests(batch *reqBatch) {
-	for _, req := range batch.Reqs {
+	for i := range batch.Reqs {
+		req := &batch.Reqs[i]
 		r := req.R
 		if nd.obsolete(req, nd.lastTok[r]) {
 			continue
@@ -437,7 +441,7 @@ func (nd *Node) onRequests(batch *reqBatch) {
 // know we will receive the token before the requester — either our own
 // pending request for r has priority, or we lent the token and it must
 // come back. The stored pendingReq copy is replayed on token arrival.
-func (nd *Node) forwardStop(req request) bool {
+func (nd *Node) forwardStop(req *request) bool {
 	if nd.opt.DisableForwardStop || req.Kind != reqRes {
 		return false
 	}
@@ -450,29 +454,35 @@ func (nd *Node) forwardStop(req request) bool {
 
 // storePending appends to the §4.2.1 local history, deduplicating and
 // pruning provably obsolete entries when the history grows.
-func (nd *Node) storePending(r resource.ID, req request) {
-	for _, x := range nd.pending[r] {
-		if x.Kind == req.Kind && x.Init == req.Init && x.ID == req.ID {
+func (nd *Node) storePending(r resource.ID, req *request) {
+	hist := nd.pending[r]
+	for i := range hist {
+		if x := &hist[i]; x.Kind == req.Kind && x.Init == req.Init && x.ID == req.ID {
 			return
 		}
 	}
-	if len(nd.pending[r]) >= pruneThreshold {
+	if hist == nil {
+		// Sized once: a history holds about one live entry per site,
+		// and replayPending truncates it instead of dropping it.
+		hist = make([]request, 0, min(nd.env.N(), pendingCap))
+	}
+	if len(hist) >= pruneThreshold {
 		if snap := nd.lastTok[r]; snap != nil {
-			kept := nd.pending[r][:0]
-			for _, x := range nd.pending[r] {
-				if !nd.obsolete(x, snap) {
-					kept = append(kept, x)
+			kept := hist[:0]
+			for i := range hist {
+				if !nd.obsolete(&hist[i], snap) {
+					kept = append(kept, hist[i])
 				}
 			}
-			nd.pending[r] = kept
+			hist = kept
 		}
 	}
-	nd.pending[r] = append(nd.pending[r], req)
+	nd.pending[r] = append(hist, *req)
 }
 
 // handleOwnedRequest decides a live request at the token owner
 // (pseudo lines 167-184).
-func (nd *Node) handleOwnedRequest(req request) {
+func (nd *Node) handleOwnedRequest(req *request) {
 	r := req.R
 	t := nd.lastTok[r]
 	isCnt := req.Kind == reqCnt && !req.Single
@@ -527,7 +537,7 @@ func (q wqueue) contains(s network.NodeID, id int64) bool {
 
 // canLend evaluates the five lending conditions of §4.5 (pseudo lines
 // 117-132).
-func (nd *Node) canLend(req request) bool {
+func (nd *Node) canLend(req *request) bool {
 	if !req.Missing.SubsetOf(nd.owned) {
 		return false
 	}
@@ -548,7 +558,7 @@ func (nd *Node) canLend(req request) bool {
 
 // processReqLoan decides a loan request at the token owner (pseudo
 // lines 190-207).
-func (nd *Node) processReqLoan(req request) {
+func (nd *Node) processReqLoan(req *request) {
 	if req.Init == nd.self() || nd.obsolete(req, nd.lastTok[req.R]) {
 		// Own loan requests are moot once the token is here.
 		return
@@ -625,7 +635,7 @@ func (nd *Node) onTokens(toks []*token) {
 			nd.stats.LoanReturns++
 			returned = true
 			if nd.st == stWaitCS && nd.required.Has(r) {
-				nd.out.request(nd.tokDir[r], request{
+				nd.out.request(nd.tokDir[r], &request{
 					Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark,
 				})
 			}
@@ -700,7 +710,8 @@ func (nd *Node) replayPending(t *token) {
 	// Truncated, not dropped: the history regrows every token tenure.
 	// Nothing below stores into it (only onRequests does).
 	nd.pending[r] = reqs[:0]
-	for _, req := range reqs {
+	for i := range reqs {
+		req := &reqs[i]
 		if nd.obsolete(req, t) {
 			continue
 		}
@@ -771,7 +782,7 @@ func (nd *Node) processLoanQueues() {
 			if !nd.owned.Has(l.R) {
 				continue // lent away earlier in this very scan
 			}
-			nd.processReqLoan(request{
+			nd.processReqLoan(&request{
 				Kind: reqLoan, R: l.R, Init: l.Ref.Site, ID: l.Ref.ID,
 				Mark: l.Ref.Mark, Missing: l.Missing,
 			})
@@ -798,7 +809,7 @@ func (nd *Node) maybeAskLoan() {
 	// request's Missing in place.
 	missing := nd.miss.Clone()
 	nd.miss.ForEach(func(r resource.ID) {
-		nd.out.request(nd.tokDir[r], request{
+		nd.out.request(nd.tokDir[r], &request{
 			Kind: reqLoan, R: r, Init: nd.self(), ID: nd.curID,
 			Mark: nd.myMark, Missing: missing,
 		})

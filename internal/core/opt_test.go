@@ -188,7 +188,7 @@ func TestPendingPruneDropsObsolete(t *testing.T) {
 	snap.LastCS[2] = 1 << 40
 	nd.lastTok[0] = snap
 	for i := 0; i < pruneThreshold+50; i++ {
-		nd.storePending(0, request{Kind: reqRes, R: 0, Init: 2, ID: int64(i + 1), Mark: 1})
+		nd.storePending(0, &request{Kind: reqRes, R: 0, Init: 2, ID: int64(i + 1), Mark: 1})
 	}
 	if got := len(nd.pending[0]); got > pruneThreshold+1 {
 		t.Fatalf("history grew to %d, prune did not run", got)

@@ -47,8 +47,8 @@ type destTok struct {
 	t  *token
 }
 
-func (o *outbox) request(to network.NodeID, r request) {
-	o.reqs = append(o.reqs, destReq{to, r})
+func (o *outbox) request(to network.NodeID, r *request) {
+	o.reqs = append(o.reqs, destReq{to, *r})
 }
 
 func (o *outbox) counter(to network.NodeID, c counterVal) {
@@ -103,33 +103,35 @@ func (o *outbox) recycle(b *batch) {
 func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 	if len(o.reqs) > 0 {
 		if aggregate {
+			// Index loops throughout: a destReq is 80 bytes, and these
+			// passes run once per destination.
 			o.dests = o.dests[:0]
-			for _, x := range o.reqs {
-				o.destAdd(x.to)
+			for i := range o.reqs {
+				o.destAdd(o.reqs[i].to)
 			}
 			for _, to := range o.dests {
 				n := 0
-				for _, x := range o.reqs {
-					if x.to == to {
+				for i := range o.reqs {
+					if o.reqs[i].to == to {
 						n++
 					}
 				}
 				b := o.get()
 				b.stamp(visited, env.ID())
 				b.Reqs = slices.Grow(b.Reqs, n)
-				for _, x := range o.reqs {
-					if x.to == to {
-						b.Reqs = append(b.Reqs, x.r)
+				for i := range o.reqs {
+					if o.reqs[i].to == to {
+						b.Reqs = append(b.Reqs, o.reqs[i].r)
 					}
 				}
 				env.Send(to, (*reqBatch)(b))
 			}
 		} else {
-			for _, x := range o.reqs {
+			for i := range o.reqs {
 				b := o.get()
 				b.stamp(visited, env.ID())
-				b.Reqs = append(b.Reqs, x.r)
-				env.Send(x.to, (*reqBatch)(b))
+				b.Reqs = append(b.Reqs, o.reqs[i].r)
+				env.Send(o.reqs[i].to, (*reqBatch)(b))
 			}
 		}
 		o.reqs = o.reqs[:0]

@@ -321,19 +321,19 @@ func TestObsoleteRequestDiscarded(t *testing.T) {
 	tok.LastCS[2] = 4
 	tok.LastReqC[2] = 6
 	nd := &Node{opt: WithoutLoan(), mark: AvgNonZero}
-	if !nd.obsolete(request{Kind: reqRes, Init: 2, ID: 4}, tok) {
+	if !nd.obsolete(&request{Kind: reqRes, Init: 2, ID: 4}, tok) {
 		t.Fatal("ReqRes with id ≤ lastCS not obsolete")
 	}
-	if nd.obsolete(request{Kind: reqRes, Init: 2, ID: 5}, tok) {
+	if nd.obsolete(&request{Kind: reqRes, Init: 2, ID: 5}, tok) {
 		t.Fatal("fresh ReqRes reported obsolete")
 	}
-	if !nd.obsolete(request{Kind: reqCnt, Init: 2, ID: 6}, tok) {
+	if !nd.obsolete(&request{Kind: reqCnt, Init: 2, ID: 6}, tok) {
 		t.Fatal("ReqCnt with id ≤ lastReqC not obsolete")
 	}
-	if nd.obsolete(request{Kind: reqCnt, Init: 2, ID: 7}, tok) {
+	if nd.obsolete(&request{Kind: reqCnt, Init: 2, ID: 7}, tok) {
 		t.Fatal("fresh ReqCnt reported obsolete")
 	}
-	if nd.obsolete(request{Kind: reqRes, Init: 2, ID: 9}, nil) {
+	if nd.obsolete(&request{Kind: reqRes, Init: 2, ID: 9}, nil) {
 		t.Fatal("nil token should never mark obsolete")
 	}
 }

@@ -32,19 +32,19 @@ func (k reqKind) String() string {
 // request is one request travelling toward a token holder.
 type request struct {
 	Kind reqKind
-	R    resource.ID
-	Init network.NodeID
-	ID   int64
+	// Single marks the §4.6.1 fast path: a reqCnt the root converts
+	// into a reqRes by applying A itself.
+	Single bool
+	R      resource.ID
+	Init   network.NodeID
+	ID     int64
 	// Mark is A's value for reqRes/reqLoan.
 	Mark float64
 	// Missing is the full missing set of a reqLoan.
 	Missing resource.Set
-	// Single marks the §4.6.1 fast path: a reqCnt the root converts
-	// into a reqRes by applying A itself.
-	Single bool
 }
 
-func (r request) ref() reqRef { return reqRef{Site: r.Init, ID: r.ID, Mark: r.Mark} }
+func (r *request) ref() reqRef { return reqRef{Site: r.Init, ID: r.ID, Mark: r.Mark} }
 
 func (r request) String() string {
 	return fmt.Sprintf("%v[r%d s%d#%d]", r.Kind, r.R, r.Init, r.ID)

@@ -319,3 +319,29 @@ func TestRejectsBadSessionsConfig(t *testing.T) {
 		t.Error("unknown policy accepted")
 	}
 }
+
+// BenchmarkRunPaper is one simulated second at the benchmark's
+// sim_paper point (N=32, M=80, φ=16, ρ=0.1, loan) — the loop to put
+// under -cpuprofile when the simulated path is the subject.
+func BenchmarkRunPaper(b *testing.B) {
+	cfg := Config{
+		Workload: workload.Config{
+			N: 32, M: 80, Phi: 16,
+			AlphaMin: 5 * sim.Millisecond, AlphaMax: 35 * sim.Millisecond,
+			Gamma: 600 * sim.Microsecond, Rho: 0.1, Seed: 1,
+		},
+		Processing: 600 * sim.Microsecond,
+		Warmup:     200 * sim.Millisecond,
+		Horizon:    8 * sim.Second,
+	}
+	b.ReportAllocs()
+	grants := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg, core.NewFactory(core.WithLoan()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		grants += res.Grants
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grants), "ns/grant")
+}

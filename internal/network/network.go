@@ -51,7 +51,11 @@ type Network struct {
 	proc      sim.Time
 	busyUntil []sim.Time
 
-	stats Stats
+	// kinds counts traffic per message kind, in first-seen order. A run
+	// sends a handful of kinds, so a scan with a string compare beats
+	// hashing the kind of every message into a map; Stats builds the map.
+	kinds []kindCount
+	total int64
 	// Trace, when non-nil, observes every send (for debugging and the
 	// Gantt/trace tooling). It must not keep m past the call: a sent
 	// message belongs to its receiver, which may refill it (alg.Env).
@@ -111,7 +115,6 @@ func New(eng *sim.Engine, n int, lat LatencyModel, rng *rand.Rand) *Network {
 		lastArrival: make([]sim.Time, n*n),
 		busyUntil:   make([]sim.Time, n),
 		n:           n,
-		stats:       newStats(),
 	}
 }
 
@@ -144,7 +147,7 @@ func (nw *Network) Send(from, to NodeID, m Message) {
 	if to < 0 || int(to) >= nw.n {
 		panic(fmt.Sprintf("network: send to invalid node %d", to))
 	}
-	nw.stats.count(m)
+	nw.count(m.Kind())
 	if nw.Trace != nil {
 		nw.Trace(nw.eng.Now(), from, to, m)
 	}
@@ -168,29 +171,35 @@ func (nw *Network) Send(from, to NodeID, m Message) {
 	nw.eng.At(at, d.run)
 }
 
+type kindCount struct {
+	kind string
+	n    int64
+}
+
+func (nw *Network) count(kind string) {
+	nw.total++
+	for i := range nw.kinds {
+		if nw.kinds[i].kind == kind {
+			nw.kinds[i].n++
+			return
+		}
+	}
+	nw.kinds = append(nw.kinds, kindCount{kind, 1})
+}
+
 // Stats returns a snapshot of the traffic counters.
-func (nw *Network) Stats() Stats { return nw.stats.clone() }
+func (nw *Network) Stats() Stats {
+	s := Stats{ByKind: make(map[string]int64, len(nw.kinds)), Total: nw.total}
+	for _, k := range nw.kinds {
+		s.ByKind[k.kind] = k.n
+	}
+	return s
+}
 
 // Stats aggregates message counts by kind.
 type Stats struct {
 	ByKind map[string]int64
 	Total  int64
-}
-
-func newStats() Stats { return Stats{ByKind: make(map[string]int64)} }
-
-func (s *Stats) count(m Message) {
-	s.ByKind[m.Kind()]++
-	s.Total++
-}
-
-func (s Stats) clone() Stats {
-	c := newStats()
-	c.Total = s.Total
-	for k, v := range s.ByKind {
-		c.ByKind[k] = v
-	}
-	return c
 }
 
 // Kinds returns the observed message kinds in sorted order.

@@ -90,6 +90,34 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestNetworkSendSteadyStateAllocs: once the delivery pool, the agenda
+// and the kind slots are warm, a send and its delivery allocate nothing.
+func TestNetworkSendSteadyStateAllocs(t *testing.T) {
+	eng := sim.New()
+	nw := New(eng, 2, Constant{D: sim.Millisecond}, nil)
+	nw.SetProcessingDelay(sim.Microsecond)
+	delivered := 0
+	for i := 0; i < 2; i++ {
+		nw.Bind(NodeID(i), func(NodeID, Message) { delivered++ })
+	}
+	// Boxed once: converting a testMsg per send would be the test's own
+	// allocation, not the network's.
+	var a, b Message = testMsg{kind: "A"}, testMsg{kind: "B"}
+	round := func() {
+		nw.Send(0, 1, a)
+		nw.Send(1, 0, b)
+		nw.Send(0, 1, b)
+		eng.Run()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Fatalf("steady-state round allocated %.1f objects, want 0", got)
+	}
+	if st := nw.Stats(); st.Total != int64(delivered) || st.ByKind["A"]*2 != st.ByKind["B"] {
+		t.Fatalf("stats = %v after %d deliveries", st, delivered)
+	}
+}
+
 func TestSelfSendPanics(t *testing.T) {
 	eng := sim.New()
 	nw := New(eng, 2, Constant{}, nil)

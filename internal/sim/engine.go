@@ -5,13 +5,30 @@ package sim
 // cancellation is collected, so the scheduling hot path allocates only
 // when the agenda outgrows every previous high-water mark.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at Time
+	fn func()
 
-	index    int // position in the heap, -1 once popped
 	gen      uint64
 	canceled bool
+}
+
+// entry is one agenda slot. The ordering key (at, seq) sits inline
+// beside the record pointer, so sifting compares and moves slots of the
+// heap's own array and never follows a pointer into a record.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
+
+// before is the agenda order: by instant, ties in scheduling order.
+// seq is unique, so the order is total and the pop sequence does not
+// depend on how the heap happens to be laid out.
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Event is a cancellation handle for a scheduled callback, returned by
@@ -39,7 +56,7 @@ func (ev Event) At() Time {
 type Engine struct {
 	now  Time
 	seq  uint64
-	heap []*event
+	heap []entry
 
 	// free holds spent event records for reuse (a free-list pool).
 	free []*event
@@ -49,7 +66,7 @@ type Engine struct {
 
 // New returns an engine with the clock at zero and an empty agenda.
 func New() *Engine {
-	return &Engine{heap: make([]*event, 0, 1024)}
+	return &Engine{heap: make([]entry, 0, 1024)}
 }
 
 // Now reports the current virtual time.
@@ -83,9 +100,8 @@ func (e *Engine) At(t Time, fn func()) Event {
 	ev := e.free[n-1]
 	e.free = e.free[:n-1]
 	ev.at, ev.fn, ev.canceled = t, fn, false
-	ev.seq = e.seq
+	e.push(entry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	e.push(ev)
 	return Event{n: ev, gen: ev.gen}
 }
 
@@ -102,7 +118,9 @@ func (e *Engine) After(d Time, fn func()) Event {
 // record has been recycled is a no-op, so callers need not track firing.
 func (e *Engine) Cancel(ev Event) {
 	n := ev.n
-	if n == nil || n.gen != ev.gen || n.canceled || n.index < 0 {
+	// A record leaves the agenda only through recycle, which moves its
+	// generation on: a matching generation means it is still scheduled.
+	if n == nil || n.gen != ev.gen {
 		return
 	}
 	n.canceled = true
@@ -131,8 +149,8 @@ func (e *Engine) Step() bool {
 		// Recycle before running: fn frequently schedules a follow-up
 		// (network deliveries, the driver's request cycle), and handing
 		// it this record keeps the pool at its high-water mark. The
-		// handle the caller holds is dead either way — index is -1 and
-		// the generation has moved on.
+		// handle the caller holds is dead either way — the generation
+		// has moved on.
 		e.recycle(ev)
 		fn()
 		return true
@@ -165,7 +183,7 @@ func (e *Engine) RunUntil(horizon Time) {
 // (and recycling) canceled entries on the way.
 func (e *Engine) peek() *event {
 	for len(e.heap) > 0 {
-		if ev := e.heap[0]; !ev.canceled {
+		if ev := e.heap[0].ev; !ev.canceled {
 			return ev
 		}
 		e.recycle(e.pop())
@@ -173,66 +191,52 @@ func (e *Engine) peek() *event {
 	return nil
 }
 
-// The heap is hand-rolled rather than container/heap to keep event
-// pointers stable and avoid interface boxing on the hot path.
+// The heap is hand-rolled rather than container/heap to keep the keys
+// inline and avoid interface boxing on the hot path. Both sifts move a
+// hole instead of swapping: one slot written per level.
 
-func (e *Engine) less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func (e *Engine) push(x entry) {
+	e.heap = append(e.heap, x)
+	h := e.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) push(ev *event) {
-	ev.index = len(e.heap)
-	e.heap = append(e.heap, ev)
-	e.up(ev.index)
+	h[i] = x
 }
 
 func (e *Engine) pop() *event {
 	h := e.heap
 	n := len(h) - 1
-	top := h[0]
-	h[0], h[n] = h[n], h[0]
-	h[0].index = 0
+	top := h[0].ev
+	x := h[n]
+	// No need to nil the vacated slot: records are slab-backed and stay
+	// reachable through the pool either way.
 	e.heap = h[:n]
-	if n > 0 {
-		e.down(0)
+	if n == 0 {
+		return top
 	}
-	top.index = -1
-	return top
-}
-
-func (e *Engine) up(i int) {
-	h := e.heap
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(h[i], h[parent]) {
+	// Sift x down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].index, h[parent].index = i, parent
-		i = parent
+		if right := child + 1; right < n && h[right].before(&h[child]) {
+			child = right
+		}
+		if !h[child].before(&x) {
+			break
+		}
+		h[i] = h[child]
+		i = child
 	}
-}
-
-func (e *Engine) down(i int) {
-	h := e.heap
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && e.less(h[right], h[left]) {
-			smallest = right
-		}
-		if !e.less(h[smallest], h[i]) {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		h[i].index, h[smallest].index = i, smallest
-		i = smallest
-	}
+	h[i] = x
+	return top
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,103 @@ func TestEngineCancelProperty(t *testing.T) {
 	}
 }
 
+// refAgenda is the reference the engine is compared against: the same
+// (at, seq) order through container/heap, cancellation by lazy mark.
+type refEvent struct {
+	at       Time
+	seq, id  int
+	canceled bool
+}
+type refAgenda []*refEvent
+
+func (h refAgenda) Len() int      { return len(h) }
+func (h refAgenda) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h refAgenda) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h *refAgenda) Push(x any) { *h = append(*h, x.(*refEvent)) }
+func (h *refAgenda) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestEngineMatchesReferenceHeap drives 10 000 events through a mixed
+// At / Cancel / Step schedule — handlers scheduling follow-ups, stale
+// and repeated cancels included — and checks every executed event, and
+// the clock at it, against the container/heap reference.
+func TestEngineMatchesReferenceHeap(t *testing.T) {
+	const total = 10000
+	r := rand.New(rand.NewSource(7))
+	e := New()
+	var ref refAgenda
+	var now Time // the reference clock
+	var handles []Event
+	var refs []*refEvent
+	var ran []int // ids in the order the engine executed them
+
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		id := len(refs)
+		handles = append(handles, e.At(at, func() {
+			ran = append(ran, id)
+			if id%3 == 0 && len(refs) < total {
+				schedule(e.Now() + Time(id%7))
+			}
+		}))
+		x := &refEvent{at: at, seq: id, id: id}
+		refs = append(refs, x)
+		heap.Push(&ref, x)
+	}
+	// step runs one event on both sides and compares them.
+	step := func() bool {
+		var want *refEvent
+		for ref.Len() > 0 && want == nil {
+			if x := heap.Pop(&ref).(*refEvent); !x.canceled {
+				want = x
+			}
+		}
+		before := len(ran)
+		if e.Step() != (want != nil) {
+			t.Fatalf("Step ran an event: %v, reference has one: %v", want == nil, want != nil)
+		}
+		if want == nil {
+			return false
+		}
+		now = want.at
+		// The handler may have scheduled a follow-up after recording.
+		if len(ran) != before+1 || ran[before] != want.id || e.Now() != now {
+			t.Fatalf("event %d: engine ran %v at %v, reference %d at %v",
+				before, ran[before:], e.Now(), want.id, now)
+		}
+		want.canceled = true // spent: a later Cancel of it is stale
+		return true
+	}
+	for len(refs) < total {
+		switch k := r.Intn(10); {
+		case k < 6:
+			schedule(now + Time(r.Intn(50)))
+		case k < 8 && len(refs) > 0:
+			// Any handle ever issued: pending, fired, canceled or
+			// recycled under a later event.
+			i := r.Intn(len(refs))
+			e.Cancel(handles[i])
+			refs[i].canceled = true
+		default:
+			step()
+		}
+	}
+	for step() {
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the drain", e.Pending())
+	}
+}
+
 func TestEngineCancelThenReschedule(t *testing.T) {
 	e := New()
 	var got []int
@@ -313,6 +411,31 @@ func TestEngineScheduleIsAllocationFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state Step allocated %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestEngineChurnAllocs is the same budget on a deep agenda with the
+// cancel path in play: at a standing depth of 512, scheduling two
+// events, canceling one and running one allocates nothing — collected
+// cancellations refill the pool and the heap's array stops growing.
+func TestEngineChurnAllocs(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 512; i++ {
+		e.After(Time(i), fn)
+	}
+	churn := func() {
+		e.After(300, fn)
+		e.Cancel(e.After(100, fn))
+		if !e.Step() {
+			t.Fatal("agenda drained early")
+		}
+	}
+	for i := 0; i < 2000; i++ { // reach the pool's and the heap's high-water marks
+		churn()
+	}
+	if allocs := testing.AllocsPerRun(500, churn); allocs > 0 {
+		t.Fatalf("steady-state churn allocated %.2f objects/run, want 0", allocs)
 	}
 }
 

@@ -24,6 +24,16 @@ import (
 // one forwarding queue drained by one goroutine, so equal per-message
 // delays cannot reorder a link, and shard traffic pipelines instead of
 // queueing behind other shards' latency.
+//
+// The delay is a time.Sleep per run, and on Linux a sleep shorter than a
+// millisecond does not last what it says: with no other goroutine to
+// run, the P parks in epoll_wait, whose timeout is whole milliseconds
+// rounded up (runtime netpoll: delay < 1e6 ns → 1 ms). Measured at
+// GOMAXPROCS 1 and 2, time.Sleep(200µs) returns after p10/p50/p90 =
+// 1075/1088/1137 µs and 1.5 ms after 2.18 ms. A sub-millisecond latency
+// therefore costs about one millisecond per hop (a second P spinning
+// on other work does not shorten it), and a link forwards one run per
+// sleep. Any timer-based replacement rounds the same way.
 type Mem struct {
 	n       int
 	latency time.Duration
@@ -41,7 +51,8 @@ type Mem struct {
 }
 
 // NewMem creates an in-process transport for n nodes. A positive
-// latency delays every delivery (demos, protocol-visibility tests).
+// latency delays every delivery (demos, protocol-visibility tests); see
+// Mem for what a latency below a millisecond really costs on Linux.
 func NewMem(n int, latency time.Duration) *Mem {
 	if n < 1 {
 		panic(fmt.Sprintf("transport: need ≥1 node, got %d", n))

@@ -145,29 +145,63 @@ type WireOptions struct {
 
 // kindStats is the shared per-kind message counter. Counting is on the
 // path of every message of every fabric and wrapper, so it takes no
-// lock: each kind owns an atomic counter, found through a sync.Map that
-// is read-only after a kind's first message.
+// lock and hashes nothing: each kind owns an atomic counter, found by
+// scanning the published handful of kinds with a string compare. Only
+// the first message of a kind takes the lock, to publish a longer copy.
 type kindStats struct {
-	m sync.Map // kind string → *atomic.Int64
+	kinds atomic.Pointer[[]kindCount]
+	mu    sync.Mutex // serialises publication
+}
+
+type kindCount struct {
+	kind string
+	n    *atomic.Int64
 }
 
 func (s *kindStats) count(msgs []network.Message) {
 	for _, m := range msgs {
-		kind := m.Kind()
-		c, ok := s.m.Load(kind)
-		if !ok {
-			c, _ = s.m.LoadOrStore(kind, new(atomic.Int64))
-		}
-		c.(*atomic.Int64).Add(1)
+		s.counter(m.Kind()).Add(1)
 	}
+}
+
+func (s *kindStats) counter(kind string) *atomic.Int64 {
+	if n := kindCounter(s.kinds.Load(), kind); n != nil {
+		return n
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.kinds.Load()
+	if n := kindCounter(old, kind); n != nil {
+		return n
+	}
+	var grown []kindCount
+	if old != nil {
+		grown = append(grown, *old...)
+	}
+	grown = append(grown, kindCount{kind, new(atomic.Int64)})
+	s.kinds.Store(&grown)
+	return grown[len(grown)-1].n
+}
+
+func kindCounter(kinds *[]kindCount, kind string) *atomic.Int64 {
+	if kinds == nil {
+		return nil
+	}
+	for i := range *kinds {
+		if k := &(*kinds)[i]; k.kind == kind {
+			return k.n
+		}
+	}
+	return nil
 }
 
 func (s *kindStats) snapshot() map[string]int64 {
 	out := make(map[string]int64)
-	s.m.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
+	if kinds := s.kinds.Load(); kinds != nil {
+		for _, k := range *kinds {
+			out[k.kind] = k.n.Load()
+		}
+	}
 	return out
 }
 

@@ -63,6 +63,16 @@ func TestPinnedDraws(t *testing.T) {
 		{6, "{0,1,13,30,48,56}"},
 		{3, "{0,1,35}"},
 	})
+
+	// Think times run on their own stream, which no sampler touches.
+	g := NewGenerator(base(), 0)
+	for i, want := range []sim.Time{
+		8420282, 5632167, 87742859, 5977895, 24948429, 20070570, 84683378, 105221136,
+	} {
+		if got := g.Think(); got != want {
+			t.Errorf("think draw %d = %d, want %d", i, int64(got), int64(want))
+		}
+	}
 }
 
 // TestZonedCoinIndependentOfSampling proves the mechanism behind the
