@@ -53,17 +53,17 @@ func TestRunGoldens(t *testing.T) {
 		want string
 	}{
 		{"paper/1", paper(1), core.WithLoan(),
-			"grants=698 events=43859 LASS.Request=32108 LASS.Response=10336 wait=4065643308fc1fe2 use=3fc3f8c94abdfb70"},
+			"grants=709 events=44836 LASS.Request=32655 LASS.Response=10755 wait=40653e598e02ae91 use=3fc46b61a8ca7b20"},
 		{"paper/2", paper(2), core.WithLoan(),
-			"grants=685 events=42781 LASS.Request=30911 LASS.Response=10484 wait=4066130eeab0c7ae use=3fc3f2bbf14ed849"},
+			"grants=675 events=42251 LASS.Request=30471 LASS.Response=10401 wait=4066684d233030f0 use=3fc3f90ff0556ed9"},
 		{"paper/3", paper(3), core.WithLoan(),
-			"grants=672 events=42098 LASS.Request=30584 LASS.Response=10156 wait=40665ae9fa89d567 use=3fc38ed89319c021"},
+			"grants=683 events=42426 LASS.Request=30792 LASS.Response=10243 wait=4066264454271236 use=3fc3ae40a0dfe053"},
 		{"small/1", small(1), core.WithoutLoan(),
-			"grants=480 events=5558 LASS.Request=2938 LASS.Response=1660 wait=4031589914e4689f use=3fd491624e026a29"},
+			"grants=471 events=5520 LASS.Request=2914 LASS.Response=1664 wait=40322ff92a980be5 use=3fd450829bca6446"},
 		{"small/2", small(2), core.WithoutLoan(),
-			"grants=464 events=5492 LASS.Request=2872 LASS.Response=1692 wait=40324f7f72e22cca use=3fd479e796e92fca"},
+			"grants=463 events=5468 LASS.Request=2841 LASS.Response=1701 wait=4032a6552f9c3965 use=3fd4875980288216"},
 		{"small/3", small(3), core.WithoutLoan(),
-			"grants=470 events=5599 LASS.Request=2937 LASS.Response=1722 wait=40315dcd2beffdd5 use=3fd590f1f2052324"},
+			"grants=453 events=5582 LASS.Request=2985 LASS.Response=1691 wait=4033422357d30fa4 use=3fd41df0b69e033a"},
 	}
 	for _, c := range cases {
 		res, err := Run(c.cfg, core.NewFactory(c.opt))

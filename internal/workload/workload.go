@@ -6,15 +6,17 @@
 // uniformly from the M available. The critical-section duration grows
 // with x ("a request requiring a lot of resources is more likely to
 // have a longer critical section execution time"): α(x) interpolates
-// linearly from AlphaMin to AlphaMax as x goes from 1 to φ. Think time
-// β is exponential with mean Rho·(ᾱ+γ), which realizes the paper's
-// load ratio ρ = β/(α+γ).
+// linearly from AlphaMin to AlphaMax as x goes from 1 to M — the scale
+// is global, so a small-φ experiment has short critical sections (see
+// Config.Alpha). Think time β is exponential with mean Rho·(ᾱ+γ), which
+// realizes the paper's load ratio ρ = β/(α+γ).
 package workload
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"mralloc/internal/resource"
 	"mralloc/internal/sim"
@@ -119,9 +121,17 @@ type Request struct {
 // internal refactors. Sizes, think times and the zone-locality coin
 // each consume exactly one draw per request from their own streams;
 // resource selection — whose internal draw count depends on the
-// sampling algorithm — runs on a fresh per-request substream seeded by
-// one draw from sampleSeeds, so optimizing a sampler's internals (e.g.
-// the PR-1 Floyd change) cannot shift any later draw of the scenario.
+// sampling algorithm — runs on a per-request substream seeded by one
+// draw from sampleSeeds, so optimizing a sampler's internals (e.g. the
+// PR-1 Floyd change) cannot shift any later draw of the scenario.
+//
+// The substream generator is math/rand/v2's PCG behind one *rand.Rand
+// the Generator keeps: starting a substream stores the seed into PCG's
+// two state words, O(1) and allocation-free, where seeding a fresh
+// math/rand source ran 1 841 steps of its seeding generator over a
+// 4.9 kB table to serve the ≤ φ draws of one request. The stream a seed
+// yields is fixed by the standard library's PCG-DXSM, not by anything
+// written here.
 type Generator struct {
 	cfg     Config
 	zone    int       // home zone of the site (0 when zoning is off)
@@ -130,9 +140,20 @@ type Generator struct {
 	picks   *rand.Rand // zone-locality coin: one draw per zoned request
 	think   *rand.Rand
 	// sampleSeeds yields one seed per request; the resource sampler
-	// runs on a private substream built from it.
+	// runs on the substream smp restarts from it.
 	sampleSeeds *rand.Rand
+	smp         *rand.Rand // over sub
+	sub         substream
+	top         []keyed // sampleSkewed's reservoir, reused across requests
 }
+
+// substream is the resource sampler's reseedable source: math/rand's
+// Source64 over a PCG.
+type substream struct{ pcg randv2.PCG }
+
+func (s *substream) Seed(seed int64) { s.pcg.Seed(uint64(seed), 0) }
+func (s *substream) Uint64() uint64  { return s.pcg.Uint64() }
+func (s *substream) Int63() int64    { return int64(s.pcg.Uint64() >> 1) }
 
 // NewGenerator builds the stream for one site. Distinct sites get
 // distinct independent streams derived from the run seed.
@@ -159,6 +180,7 @@ func NewSessionGenerator(cfg Config, site, session int) *Generator {
 		think:       sim.Stream(cfg.Seed, "wl/think/"+key),
 		sampleSeeds: sim.Stream(cfg.Seed, "wl/sample/"+key),
 	}
+	g.smp = rand.New(&g.sub)
 	if cfg.Zones > 1 {
 		g.zone = site / (cfg.N / cfg.Zones)
 	}
@@ -175,28 +197,25 @@ func NewSessionGenerator(cfg Config, site, session int) *Generator {
 // to the Zipf weights, using the Efraimidis–Spirakis one-pass weighted
 // reservoir: each resource gets key u^(1/w); the x largest keys win.
 func (g *Generator) sampleSkewed(rng *rand.Rand, x int) resource.Set {
-	type kr struct {
-		key float64
-		r   resource.ID
-	}
-	top := make([]kr, 0, x) // kept sorted ascending by key
+	top := g.top[:0] // kept sorted ascending by key
 	for r := 0; r < g.cfg.M; r++ {
 		k := math.Pow(rng.Float64(), 1/g.weights[r])
 		switch {
 		case len(top) < x:
 			// Insert at the end, bubble left into place.
-			top = append(top, kr{k, resource.ID(r)})
+			top = append(top, keyed{k, resource.ID(r)})
 			for i := len(top) - 1; i > 0 && top[i].key < top[i-1].key; i-- {
 				top[i], top[i-1] = top[i-1], top[i]
 			}
 		case k > top[0].key:
 			// Evict the minimum, bubble the newcomer right into place.
-			top[0] = kr{k, resource.ID(r)}
+			top[0] = keyed{k, resource.ID(r)}
 			for i := 0; i+1 < len(top) && top[i].key > top[i+1].key; i++ {
 				top[i], top[i+1] = top[i+1], top[i]
 			}
 		}
 	}
+	g.top = top
 	s := resource.NewSet(g.cfg.M)
 	for _, e := range top {
 		s.Add(e.r)
@@ -204,12 +223,19 @@ func (g *Generator) sampleSkewed(rng *rand.Rand, x int) resource.Set {
 	return s
 }
 
+// keyed is one reservoir entry of sampleSkewed.
+type keyed struct {
+	key float64
+	r   resource.ID
+}
+
 // Next draws the site's next request. The resource sampler runs on its
-// own single-use substream (see the Generator comment), so its internal
+// own per-request substream (see the Generator comment), so its internal
 // draw count cannot leak into the rest of the scenario.
 func (g *Generator) Next() Request {
 	x := 1 + g.sizes.Intn(g.cfg.Phi)
-	smp := rand.New(rand.NewSource(g.sampleSeeds.Int63()))
+	g.sub.Seed(g.sampleSeeds.Int63())
+	smp := g.smp
 	if g.weights != nil {
 		return Request{Resources: g.sampleSkewed(smp, x), Size: x, CS: g.cfg.Alpha(x)}
 	}
