@@ -320,20 +320,11 @@ func TestRejectsBadSessionsConfig(t *testing.T) {
 	}
 }
 
-// BenchmarkRunPaper is one simulated second at the benchmark's
-// sim_paper point (N=32, M=80, φ=16, ρ=0.1, loan) — the loop to put
-// under -cpuprofile when the simulated path is the subject.
+// BenchmarkRunPaper is one run of eight simulated seconds at the
+// benchmark's sim_paper point with loan — the loop to put under
+// -cpuprofile when the simulated path is the subject.
 func BenchmarkRunPaper(b *testing.B) {
-	cfg := Config{
-		Workload: workload.Config{
-			N: 32, M: 80, Phi: 16,
-			AlphaMin: 5 * sim.Millisecond, AlphaMax: 35 * sim.Millisecond,
-			Gamma: 600 * sim.Microsecond, Rho: 0.1, Seed: 1,
-		},
-		Processing: 600 * sim.Microsecond,
-		Warmup:     200 * sim.Millisecond,
-		Horizon:    8 * sim.Second,
-	}
+	cfg := paperConfig(1, 8*sim.Second)
 	b.ReportAllocs()
 	grants := 0
 	for i := 0; i < b.N; i++ {

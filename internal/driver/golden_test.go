@@ -22,6 +22,21 @@ func runFingerprint(res Result) string {
 		math.Float64bits(res.Waiting.Mean), math.Float64bits(res.UseRate))
 }
 
+// paperConfig is the benchmark's sim_paper point: N=32, M=80, φ=16,
+// ρ=0.1, 600 µs links and receivers.
+func paperConfig(seed int64, horizon sim.Time) Config {
+	return Config{
+		Workload: workload.Config{
+			N: 32, M: 80, Phi: 16,
+			AlphaMin: 5 * sim.Millisecond, AlphaMax: 35 * sim.Millisecond,
+			Gamma: 600 * sim.Microsecond, Rho: 0.1, Seed: seed,
+		},
+		Processing: 600 * sim.Microsecond,
+		Warmup:     200 * sim.Millisecond,
+		Horizon:    horizon,
+	}
+}
+
 // TestRunGoldens pins driver.Run across commits (TestRunDeterministic
 // only compares a run with itself): three seeds at the benchmark's
 // sim_paper point (N=32, M=80, φ=16, ρ=0.1, loan) and three at N=8,
@@ -29,18 +44,7 @@ func runFingerprint(res Result) string {
 // change that only moves memory around must leave them bit-identical;
 // a change that means to alter the protocol re-records them and says so.
 func TestRunGoldens(t *testing.T) {
-	paper := func(seed int64) Config {
-		return Config{
-			Workload: workload.Config{
-				N: 32, M: 80, Phi: 16,
-				AlphaMin: 5 * sim.Millisecond, AlphaMax: 35 * sim.Millisecond,
-				Gamma: 600 * sim.Microsecond, Rho: 0.1, Seed: seed,
-			},
-			Processing: 600 * sim.Microsecond,
-			Warmup:     200 * sim.Millisecond,
-			Horizon:    4 * sim.Second,
-		}
-	}
+	paper := func(seed int64) Config { return paperConfig(seed, 4*sim.Second) }
 	small := func(seed int64) Config {
 		cfg := smallConfig()
 		cfg.Workload.Seed = seed

@@ -53,6 +53,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -165,30 +166,31 @@ func (s *kindStats) count(msgs []network.Message) {
 }
 
 func (s *kindStats) counter(kind string) *atomic.Int64 {
-	if n := kindCounter(s.kinds.Load(), kind); n != nil {
+	if n := s.find(kind); n != nil {
 		return n
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.kinds.Load()
-	if n := kindCounter(old, kind); n != nil {
+	if n := s.find(kind); n != nil {
 		return n
 	}
-	var grown []kindCount
-	if old != nil {
-		grown = append(grown, *old...)
-	}
-	grown = append(grown, kindCount{kind, new(atomic.Int64)})
+	n := new(atomic.Int64)
+	// Clipped, so the append copies: readers keep scanning the old array.
+	grown := append(slices.Clip(s.load()), kindCount{kind, n})
 	s.kinds.Store(&grown)
-	return grown[len(grown)-1].n
+	return n
 }
 
-func kindCounter(kinds *[]kindCount, kind string) *atomic.Int64 {
-	if kinds == nil {
-		return nil
+func (s *kindStats) load() []kindCount {
+	if p := s.kinds.Load(); p != nil {
+		return *p
 	}
-	for i := range *kinds {
-		if k := &(*kinds)[i]; k.kind == kind {
+	return nil
+}
+
+func (s *kindStats) find(kind string) *atomic.Int64 {
+	for _, k := range s.load() {
+		if k.kind == kind {
 			return k.n
 		}
 	}
@@ -197,10 +199,8 @@ func kindCounter(kinds *[]kindCount, kind string) *atomic.Int64 {
 
 func (s *kindStats) snapshot() map[string]int64 {
 	out := make(map[string]int64)
-	if kinds := s.kinds.Load(); kinds != nil {
-		for _, k := range *kinds {
-			out[k.kind] = k.n.Load()
-		}
+	for _, k := range s.load() {
+		out[k.kind] = k.n.Load()
 	}
 	return out
 }
