@@ -1,12 +1,13 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5) plus the DESIGN.md extensions and ablations. Each
-// benchmark iteration runs the full experiment at a reduced scale and
-// reports the headline metric alongside ns/op, so
+// evaluation (§5) plus the extensions and ablations of
+// internal/experiments. Each benchmark iteration runs the full
+// experiment at a reduced scale and reports the headline metric
+// alongside ns/op, so
 //
 //	go test -bench=. -benchmem
 //
-// doubles as a one-command reproduction smoke run. cmd/paperfig and
-// cmd/sweep produce the full-scale numbers recorded in EXPERIMENTS.md.
+// doubles as a one-command reproduction smoke run. `mrsim fig` and
+// `mrsim sweep` produce the full-scale numbers.
 package mralloc
 
 import (

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 )
@@ -10,33 +11,21 @@ import (
 // removing a flag must change this list in the same commit.
 const flagSurface = `admit-target
 alg
-chaos-delay
-chaos-delay-max
-chaos-drop
-chaos-dup
-chaos-kill-every
-chaos-seed
 chaos-spec
 client-listen
 cross-two-phase
 egress-budget
-hb-interval
 lease-ttl
-linger
 listen
 local
 max-queue
 nodes
-ops
 peers
-phi
 policy
 pprof
 reliable
 resources
-seed
 shards
-think
 wire-delta
 wire-window`
 
@@ -48,5 +37,19 @@ func TestFlagSurface(t *testing.T) {
 	if got := strings.Join(names, "\n"); got != flagSurface {
 		t.Errorf("registered flags (%d) differ from the reviewed list (%d):\n%s",
 			len(names), strings.Count(flagSurface, "\n")+1, got)
+	}
+}
+
+// TestRemovedFlagRejected: a flag that left the surface gets no alias —
+// the flag package's own error names it.
+func TestRemovedFlagRejected(t *testing.T) {
+	for _, arg := range []string{"-ops=20", "-linger=2s", "-chaos-drop=0.1", "-hb-interval=1s"} {
+		fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, new(daemonConfig))
+		err := fs.Parse([]string{arg})
+		if err == nil || !strings.Contains(err.Error(), "provided but not defined") {
+			t.Errorf("%s: err = %v, want the flag package's \"provided but not defined\"", arg, err)
+		}
 	}
 }

@@ -51,8 +51,7 @@
 //
 // # Deviations from the paper's pseudo-code
 //
-// Five defensive deviations, each preserving the paper's semantics (see
-// also DESIGN.md):
+// Five defensive deviations, each preserving the paper's semantics:
 //
 //  1. A site that assigns itself a counter value from a token it just
 //     received also stamps lastReqC[self], and Counter replies carry the

@@ -13,8 +13,8 @@ import (
 // gets a fixed steward — site r % N — and ownership becomes a lease
 // renewed by heartbeat:
 //
-//   - Every owner heartbeats its holdings to their stewards each
-//     HeartbeatInterval (and immediately on acquiring a token). The
+//   - Every owner heartbeats its holdings to their stewards every
+//     LeaseTTL/3 (and immediately on acquiring a token). The
 //     steward echoes a grant carrying the heartbeat's own send time,
 //     and only that echo extends the holder's lease: leaseUntil =
 //     sentTime + TTL on the holder's clock. Clock *skew* between the

@@ -671,7 +671,7 @@ func (nd *Node) processUpdate(t *token) {
 	// Owning the token serves us; stale replayed entries of our own —
 	// queued ReqRes or a ReqLoan from a failed loan round — must not
 	// survive into our own token, or a later processLoanQueues could
-	// try to lend the token to ourselves (hardening, see DESIGN.md).
+	// try to lend the token to ourselves (hardening deviation 5, doc.go).
 	t.Queue.RemoveSite(self)
 	t.removeLoans(self)
 	if old := nd.lastTok[r]; old != nil {

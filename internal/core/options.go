@@ -98,10 +98,6 @@ type Options struct {
 	// original crash-free protocol. Leases require a time source: the
 	// environment must drive Node.Tick.
 	LeaseTTL sim.Time
-	// HeartbeatInterval is how often an owner renews its leases. Zero
-	// defaults to LeaseTTL/3, which gives a holder two retries before
-	// the grant it relies on lapses.
-	HeartbeatInterval sim.Time
 }
 
 // WithLoan is the paper's "With loan" configuration (threshold 1).
@@ -124,9 +120,6 @@ func (o Options) threshold() int {
 	return o.LoanThreshold
 }
 
-func (o Options) hbInterval() sim.Time {
-	if o.HeartbeatInterval > 0 {
-		return o.HeartbeatInterval
-	}
-	return o.LeaseTTL / 3
-}
+// hbInterval is how often an owner renews its leases: a third of the
+// TTL gives a holder two retries before the grant it relies on lapses.
+func (o Options) hbInterval() sim.Time { return o.LeaseTTL / 3 }

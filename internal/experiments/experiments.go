@@ -1,14 +1,14 @@
 // Package experiments defines the paper's evaluation (§5) as runnable
 // configurations: every figure of the evaluation section, the future-work
 // extensions (loan threshold, hierarchical topology) and two ablations
-// (choice of A, the §4.2.2/§4.6 optimizations). cmd/paperfig regenerates
+// (choice of A, the §4.2.2/§4.6 optimizations). `mrsim fig` regenerates
 // the figures; bench_test.go wraps each one in a testing.B benchmark.
 //
 // The paper's constants: N = 32 processes, M = 80 resources, critical
 // sections of 5–35 ms, γ ≈ 0.6 ms network latency. The paper
 // parameterizes load by ρ = β/(α+γ) without publishing the exact values
 // for its "medium" and "high" regimes; this harness uses ρ = 1 and
-// ρ = 0.1 (see DESIGN.md).
+// ρ = 0.1 (Load.Rho).
 package experiments
 
 import (
@@ -154,7 +154,7 @@ func (p Point) factory() alg.Factory {
 // this value is calibrated so that a node saturates at a few thousand
 // messages per second, which is what makes the global control token of
 // Bouabdallah–Laforest queue under load — the effect the paper
-// measures. See DESIGN.md (substitutions) and EXPERIMENTS.md.
+// measures.
 const Proc = 600 * sim.Microsecond
 
 // Run executes one point at the given scale.

@@ -22,7 +22,7 @@
 // pointers, visited sets, pendingReq replay) is needed. The price is
 // exactly what the paper's introduction says: x·(N−1) messages per
 // request, "not scalable in terms of message complexity". The
-// message-complexity experiment (cmd/sweep -exp msgs) quantifies it.
+// message-complexity experiment (mrsim sweep -exp msgs) quantifies it.
 package maddi
 
 import (

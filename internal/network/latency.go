@@ -50,7 +50,8 @@ func (h Hierarchical) Latency(from, to NodeID, r *rand.Rand) sim.Time {
 }
 
 // TwoZones splits n nodes into two equal halves — the standard
-// configuration of the cloud experiment (extension E2 in DESIGN.md).
+// configuration of the cloud experiment (extension E2,
+// experiments.CloudExperiment).
 func TwoZones(n int) func(NodeID) int {
 	half := n / 2
 	return func(id NodeID) int {

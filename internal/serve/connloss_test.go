@@ -7,8 +7,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"mralloc/internal/transport"
 )
 
 // TestClientConnLossTyped kills the connection under a pending Acquire
@@ -34,7 +32,7 @@ func TestClientConnLossTyped(t *testing.T) {
 			go io.Copy(io.Discard, c)
 		}
 	}()
-	px, err := transport.NewProxy(ln.Addr().String())
+	px, err := newProxy(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

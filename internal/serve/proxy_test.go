@@ -1,4 +1,4 @@
-package transport
+package serve
 
 import (
 	"fmt"
@@ -7,13 +7,13 @@ import (
 	"sync"
 )
 
-// Proxy is a TCP pass-through with a kill switch: it forwards every
+// proxy is a TCP pass-through with a kill switch: it forwards every
 // accepted connection to a fixed target and can sever all of them
 // mid-stream on demand. The serve layer's client connections do not go
 // through the Transport interface, so connection-kill chaos for them is
 // injected here, between client and daemon, instead of inside an
 // endpoint.
-type Proxy struct {
+type proxy struct {
 	ln     net.Listener
 	target string
 
@@ -23,23 +23,23 @@ type Proxy struct {
 	wg     sync.WaitGroup
 }
 
-// NewProxy starts a proxy on a loopback ephemeral port relaying to
+// newProxy starts a proxy on a loopback ephemeral port relaying to
 // target.
-func NewProxy(target string) (*Proxy, error) {
+func newProxy(target string) (*proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("transport: proxy listen: %w", err)
+		return nil, fmt.Errorf("proxy listen: %w", err)
 	}
-	p := &Proxy{ln: ln, target: target, conns: make(map[net.Conn]bool)}
+	p := &proxy{ln: ln, target: target, conns: make(map[net.Conn]bool)}
 	p.wg.Add(1)
 	go p.accept()
 	return p, nil
 }
 
 // Addr reports the address clients dial.
-func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+func (p *proxy) Addr() string { return p.ln.Addr().String() }
 
-func (p *Proxy) accept() {
+func (p *proxy) accept() {
 	defer p.wg.Done()
 	for {
 		c, err := p.ln.Accept()
@@ -81,7 +81,7 @@ func (p *Proxy) accept() {
 
 // KillConns forcibly closes every live relayed connection (both
 // halves), reporting how many client connections died.
-func (p *Proxy) KillConns() int {
+func (p *proxy) KillConns() int {
 	p.mu.Lock()
 	conns := make([]net.Conn, 0, len(p.conns))
 	for c := range p.conns {
@@ -95,7 +95,7 @@ func (p *Proxy) KillConns() int {
 }
 
 // Close stops the proxy and severs every relay. Idempotent.
-func (p *Proxy) Close() error {
+func (p *proxy) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -2,11 +2,12 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -480,8 +481,8 @@ func (c *Chaos) Close() error {
 }
 
 // Spec is a serializable chaos schedule: the seed plus the default
-// fault profile and the connection-kill period. Its binary encoding
-// (Append/ParseSpec, or the hex String form mrallocd prints and
+// fault profile and the connection-kill period. Its one textual form
+// (String/ParseSpec — what mrallocd prints and its -chaos-spec flag
 // accepts) lets one run's schedule replay elsewhere: same spec + same
 // per-link send order = same fault decisions.
 type Spec struct {
@@ -492,85 +493,105 @@ type Spec struct {
 	KillEvery time.Duration
 }
 
-// specVersion versions the Spec encoding.
-const specVersion = 1
-
-// Append encodes s.
-func (s Spec) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, specVersion)
-	dst = binary.AppendVarint(dst, s.Seed)
-	dst = binary.AppendUvarint(dst, math.Float64bits(s.Drop))
-	dst = binary.AppendUvarint(dst, math.Float64bits(s.Dup))
-	dst = binary.AppendUvarint(dst, uint64(s.DelayMin))
-	dst = binary.AppendUvarint(dst, uint64(s.DelayMax))
-	dst = binary.AppendUvarint(dst, uint64(s.KillEvery))
-	return dst
+// String renders the spec as comma-separated key=value pairs, e.g.
+//
+//	seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s
+//
+// A key at its zero value is left out (the zero Spec prints as "").
+// Probabilities print in the shortest form that parses back to the
+// same bits, durations exactly, so ParseSpec(s.String()) == s.
+func (s Spec) String() string {
+	var kv []string
+	if s.Seed != 0 {
+		kv = append(kv, "seed="+strconv.FormatInt(s.Seed, 10))
+	}
+	if s.Drop != 0 {
+		kv = append(kv, "drop="+strconv.FormatFloat(s.Drop, 'g', -1, 64))
+	}
+	if s.Dup != 0 {
+		kv = append(kv, "dup="+strconv.FormatFloat(s.Dup, 'g', -1, 64))
+	}
+	if s.DelayMin != 0 || s.DelayMax != 0 {
+		kv = append(kv, "delay="+specDuration(s.DelayMin)+".."+specDuration(s.DelayMax))
+	}
+	if s.KillEvery != 0 {
+		kv = append(kv, "kill-every="+specDuration(s.KillEvery))
+	}
+	return strings.Join(kv, ",")
 }
 
-// String renders the spec as hex — the replay handle mrallocd prints
-// and its -chaos-spec flag parses back.
-func (s Spec) String() string { return hex.EncodeToString(s.Append(nil)) }
+// specDuration is Duration.String with the ASCII spelling of µs, so a
+// printed spec pastes into any shell.
+func specDuration(d time.Duration) string { return strings.Replace(d.String(), "µ", "u", 1) }
 
-// ParseSpec decodes and validates a Spec encoding.
-func ParseSpec(b []byte) (Spec, error) {
+// ParseSpec parses and validates the form String prints. Keys may come
+// in any order, each at most once; an absent key keeps its zero value.
+func ParseSpec(text string) (Spec, error) {
 	var s Spec
-	v, n := binary.Uvarint(b)
-	if n <= 0 || v != specVersion {
-		return s, fmt.Errorf("transport: chaos spec version %d, want %d", v, specVersion)
+	if text == "" {
+		return s, nil
 	}
-	b = b[n:]
-	seed, n := binary.Varint(b)
-	if n <= 0 {
-		return s, fmt.Errorf("transport: chaos spec: truncated seed")
-	}
-	b = b[n:]
-	s.Seed = seed
-	fields := []struct {
-		name string
-		f    *float64
-		d    *time.Duration
-	}{
-		{"drop", &s.Drop, nil},
-		{"dup", &s.Dup, nil},
-		{"delay-min", nil, &s.DelayMin},
-		{"delay-max", nil, &s.DelayMax},
-		{"kill-every", nil, &s.KillEvery},
-	}
-	for _, fl := range fields {
-		u, n := binary.Uvarint(b)
-		if n <= 0 {
-			return Spec{}, fmt.Errorf("transport: chaos spec: truncated %s", fl.name)
+	seen := map[string]bool{}
+	for _, kv := range strings.Split(text, ",") {
+		key, val, ok := strings.Cut(kv, "=")
+		if !ok {
+			return Spec{}, fmt.Errorf("transport: chaos spec: %q is not key=value", kv)
 		}
-		b = b[n:]
-		if fl.f != nil {
-			p := math.Float64frombits(u)
-			if math.IsNaN(p) || p < 0 || p > 1 {
-				return Spec{}, fmt.Errorf("transport: chaos spec: %s %v outside [0,1]", fl.name, p)
-			}
-			*fl.f = p
-		} else {
-			if u > math.MaxInt64 {
-				return Spec{}, fmt.Errorf("transport: chaos spec: %s overflows", fl.name)
-			}
-			*fl.d = time.Duration(u)
+		if seen[key] {
+			return Spec{}, fmt.Errorf("transport: chaos spec: %s given twice", key)
 		}
-	}
-	if len(b) != 0 {
-		return Spec{}, fmt.Errorf("transport: chaos spec: %d trailing bytes", len(b))
-	}
-	if s.DelayMax < s.DelayMin {
-		return Spec{}, fmt.Errorf("transport: chaos spec: delay-max %v below delay-min %v", s.DelayMax, s.DelayMin)
+		seen[key] = true
+		var err error
+		switch key {
+		case "seed":
+			s.Seed, err = strconv.ParseInt(val, 10, 64)
+		case "drop":
+			s.Drop, err = parseProbability(val)
+		case "dup":
+			s.Dup, err = parseProbability(val)
+		case "delay":
+			lo, hi, ok := strings.Cut(val, "..")
+			if !ok {
+				return Spec{}, fmt.Errorf("transport: chaos spec: delay %q is not min..max", val)
+			}
+			if s.DelayMin, err = parseSpecDuration(lo); err == nil {
+				s.DelayMax, err = parseSpecDuration(hi)
+			}
+			if err == nil && s.DelayMax < s.DelayMin {
+				err = fmt.Errorf("max %v below min %v", s.DelayMax, s.DelayMin)
+			}
+		case "kill-every":
+			s.KillEvery, err = parseSpecDuration(val)
+		default:
+			return Spec{}, fmt.Errorf("transport: chaos spec: unknown key %q", key)
+		}
+		if err != nil {
+			return Spec{}, fmt.Errorf("transport: chaos spec: %s: %w", key, err)
+		}
 	}
 	return s, nil
 }
 
-// ParseSpecHex parses the hex form String produced.
-func ParseSpecHex(h string) (Spec, error) {
-	b, err := hex.DecodeString(h)
+func parseProbability(val string) (float64, error) {
+	p, err := strconv.ParseFloat(val, 64)
 	if err != nil {
-		return Spec{}, fmt.Errorf("transport: chaos spec hex: %w", err)
+		return 0, err
 	}
-	return ParseSpec(b)
+	if math.IsNaN(p) || math.Signbit(p) || p > 1 {
+		return 0, fmt.Errorf("%v outside [0,1]", p)
+	}
+	return p, nil
+}
+
+func parseSpecDuration(val string) (time.Duration, error) {
+	d, err := time.ParseDuration(val)
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("negative duration %v", d)
+	}
+	return d, nil
 }
 
 // Apply arms the wrapper with the spec's default fault profile and,

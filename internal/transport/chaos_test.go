@@ -2,6 +2,9 @@ package transport_test
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,62 +148,95 @@ func TestChaosDirectedPartition(t *testing.T) {
 	}
 }
 
-// TestChaosSpecRoundTrip pins the schedule encoding: encode → parse →
-// re-encode must be the identity, and malformed inputs must be
-// rejected rather than panic.
+// TestChaosSpecRoundTrip pins the schedule's text form: print → parse
+// must be the identity (probabilities bit for bit), a hand-typed spec
+// parses to what it says, and malformed input is rejected with an
+// error naming the offending key.
 func TestChaosSpecRoundTrip(t *testing.T) {
 	specs := []transport.Spec{
 		{},
 		{Seed: -12345},
 		{Seed: 42, Faults: transport.Faults{Drop: 0.05, Dup: 0.01, DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond}, KillEvery: 250 * time.Millisecond},
 		{Seed: 1 << 60, Faults: transport.Faults{Drop: 1, Dup: 1, DelayMax: time.Hour}},
+		{Faults: transport.Faults{Drop: 1.0 / 3, Dup: math.SmallestNonzeroFloat64, DelayMin: 1, DelayMax: math.MaxInt64}, KillEvery: 1500 * time.Microsecond},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		lo := time.Duration(rng.Int63n(int64(time.Second)))
+		specs = append(specs, transport.Spec{
+			Seed:      rng.Int63() - rng.Int63(),
+			Faults:    transport.Faults{Drop: rng.Float64(), Dup: rng.Float64(), DelayMin: lo, DelayMax: lo + time.Duration(rng.Int63n(int64(time.Second)))},
+			KillEvery: time.Duration(rng.Int63()),
+		})
 	}
 	for _, s := range specs {
-		enc := s.Append(nil)
-		got, err := transport.ParseSpec(enc)
+		got, err := transport.ParseSpec(s.String())
 		if err != nil {
-			t.Fatalf("ParseSpec(%+v): %v", s, err)
+			t.Fatalf("ParseSpec(%q): %v", s, err)
 		}
-		if got != s {
-			t.Fatalf("round trip changed spec: %+v -> %+v", s, got)
-		}
-		hexGot, err := transport.ParseSpecHex(s.String())
-		if err != nil || hexGot != s {
-			t.Fatalf("hex round trip: %+v -> %+v (%v)", s, hexGot, err)
+		if got != s || math.Float64bits(got.Drop) != math.Float64bits(s.Drop) || math.Float64bits(got.Dup) != math.Float64bits(s.Dup) {
+			t.Fatalf("round trip through %q changed spec: %+v -> %+v", s, s, got)
 		}
 	}
-	bad := [][]byte{
-		nil,
-		{0xff},
-		transport.Spec{Faults: transport.Faults{DelayMin: 2, DelayMax: 1}}.Append(nil),
-		append(transport.Spec{}.Append(nil), 0),
+
+	const typed = "seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s"
+	want := transport.Spec{Seed: 7, Faults: transport.Faults{Drop: 0.02, Dup: 0.02, DelayMin: 100 * time.Microsecond, DelayMax: time.Millisecond}, KillEvery: 2 * time.Second}
+	if got, err := transport.ParseSpec(typed); err != nil || got != want {
+		t.Fatalf("ParseSpec(%q) = %+v, %v; want %+v", typed, got, err, want)
 	}
-	for _, b := range bad {
-		if _, err := transport.ParseSpec(b); err == nil {
-			t.Fatalf("ParseSpec accepted malformed input %x", b)
+	if got := want.String(); got != typed {
+		t.Fatalf("String() = %q, want %q", got, typed)
+	}
+	if got, err := transport.ParseSpec("kill-every=1s,seed=3"); err != nil || got != (transport.Spec{Seed: 3, KillEvery: time.Second}) {
+		t.Fatalf("keys out of order: %+v, %v", got, err)
+	}
+
+	bad := map[string]string{ // input → the key its error must name
+		"jitter=1":           "jitter",
+		"seed=1,seed=2":      "seed",
+		"seed=x":             "seed",
+		"drop=1.5":           "drop",
+		"drop=-0.1":          "drop",
+		"dup=NaN":            "dup",
+		"delay=2ms..1ms":     "delay",
+		"delay=1ms":          "delay",
+		"delay=-1ms..1ms":    "delay",
+		"kill-every=-2s":     "kill-every",
+		"kill-every=soon":    "kill-every",
+		"drop":               "drop",
+		"seed=1,":            `""`,
+		"deadbeef0102030405": "deadbeef0102030405",
+	}
+	for in, key := range bad {
+		_, err := transport.ParseSpec(in)
+		if err == nil {
+			t.Fatalf("ParseSpec accepted malformed input %q", in)
+		}
+		if !strings.Contains(err.Error(), key) {
+			t.Fatalf("ParseSpec(%q): error %q does not name %s", in, err, key)
 		}
 	}
 }
 
 // FuzzChaosSpec: ParseSpec must never panic, and anything it accepts
-// must survive a re-encode/re-parse round trip unchanged — the replay
-// handle a spec is must mean the same schedule wherever it lands.
+// must re-print and re-parse to itself — the replay handle a spec is
+// must mean the same schedule wherever it lands.
 func FuzzChaosSpec(f *testing.F) {
-	f.Add(transport.Spec{}.Append(nil))
-	f.Add(transport.Spec{Seed: 42, Faults: transport.Faults{Drop: 0.05, Dup: 0.01, DelayMax: 5 * time.Millisecond}, KillEvery: 100 * time.Millisecond}.Append(nil))
-	f.Add(transport.Spec{Seed: -1, Faults: transport.Faults{Drop: 1, Dup: 1, DelayMin: 1, DelayMax: 1}}.Append(nil))
-	f.Add([]byte{0x01})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := transport.ParseSpec(b)
+	f.Add("")
+	f.Add(transport.Spec{Seed: 42, Faults: transport.Faults{Drop: 0.05, Dup: 0.01, DelayMax: 5 * time.Millisecond}, KillEvery: 100 * time.Millisecond}.String())
+	f.Add(transport.Spec{Seed: -1, Faults: transport.Faults{Drop: 1, Dup: 1, DelayMin: 1, DelayMax: 1}}.String())
+	f.Add("drop=0x1p-2,delay=1µs..1h")
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := transport.ParseSpec(text)
 		if err != nil {
 			return
 		}
-		again, err := transport.ParseSpec(s.Append(nil))
+		again, err := transport.ParseSpec(s.String())
 		if err != nil {
-			t.Fatalf("accepted %x but rejects its own re-encoding: %v", b, err)
+			t.Fatalf("accepted %q but rejects its own re-print %q: %v", text, s, err)
 		}
 		if again != s {
-			t.Fatalf("re-encode round trip changed spec: %+v -> %+v", s, again)
+			t.Fatalf("re-print round trip changed spec: %+v -> %+v", s, again)
 		}
 	})
 }

@@ -13,9 +13,8 @@
 // about its contents yields an error, never a crash or an OOM.
 //
 // Registration happens in init functions of the protocol packages
-// (internal/core, internal/bouabdallah, internal/incremental,
-// internal/pmutex), keeping the unexported message types where they
-// belong. A package's messages are encodable exactly when the package
+// (internal/core, internal/bouabdallah, internal/incremental), keeping
+// the unexported message types where they belong. A package's messages are encodable exactly when the package
 // is linked in.
 package wire
 

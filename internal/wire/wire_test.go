@@ -15,7 +15,6 @@ import (
 	_ "mralloc/internal/bouabdallah"
 	_ "mralloc/internal/core"
 	_ "mralloc/internal/incremental"
-	_ "mralloc/internal/pmutex"
 	_ "mralloc/internal/serve"
 	_ "mralloc/internal/transport"
 )
@@ -29,7 +28,6 @@ var expectedKinds = []string{
 	"Client.Acquire", "Client.Deny", "Client.Grant", "Client.Release",
 	"Inc.Request", "Inc.Token",
 	"LASS.HB", "LASS.Lease", "LASS.Regen", "LASS.Request", "LASS.Response",
-	"PMutex.Request", "PMutex.Token",
 	"Rel.Ack", "Rel.Data",
 }
 

@@ -8,7 +8,7 @@
 //   - Simulate runs the paper's algorithms on a deterministic
 //     discrete-event network and reports resource-use rate, waiting
 //     times and message counts — the measurements of the paper's
-//     evaluation. cmd/paperfig builds every figure on top of this.
+//     evaluation. `mrsim fig` builds every figure on top of this.
 //
 //   - NewCluster starts a live lock manager: one goroutine per node,
 //     running the paper's algorithm for real — in-process over the
@@ -18,8 +18,7 @@
 //     access to arbitrary subsets of M resources with no global lock
 //     and no prior knowledge of the conflict graph.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// See README.md (Architecture map) for the system inventory.
 package mralloc
 
 import (
@@ -57,20 +56,14 @@ const (
 )
 
 func (a Algorithm) factory() (alg.Factory, error) {
-	switch a {
-	case Incremental:
-		return experiments.Factory(experiments.Incremental), nil
-	case BouabdallahLaforest:
-		return experiments.Factory(experiments.Bouabdallah), nil
-	case CounterNoLoan:
-		return experiments.Factory(experiments.WithoutLoan), nil
-	case CounterLoan, "":
-		return experiments.Factory(experiments.WithLoan), nil
-	case SharedMemory:
-		return experiments.Factory(experiments.SharedMem), nil
-	default:
+	if a == "" {
+		a = CounterLoan
+	}
+	e, ok := experiments.AlgorithmByName(string(a))
+	if !ok {
 		return nil, fmt.Errorf("mralloc: unknown algorithm %q", a)
 	}
+	return experiments.Factory(e), nil
 }
 
 // SimConfig parameterizes one simulated run (defaults reproduce the
