@@ -3,7 +3,6 @@ package mralloc
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"mralloc/internal/alg"
@@ -90,16 +89,12 @@ type ClusterConfig struct {
 }
 
 // WireConfig tunes the peer wire path of a multi-process cluster. The
-// zero value selects the defaults (delta off, default receive window).
-// In-process clusters have no wire and ignore it.
+// zero value selects the default (delta off). In-process clusters have
+// no wire and ignore it.
 type WireConfig struct {
 	// Delta delta-encodes token state against the per-peer baseline on
 	// every link whose other end enables it too.
 	Delta bool
-	// Window is the receive window announced to peers, in bytes: how
-	// much a peer may have in flight before waiting for credit. Zero
-	// selects the transport default, negative disables crediting.
-	Window int64
 }
 
 // Option customizes NewCluster beyond the core shape in ClusterConfig.
@@ -183,7 +178,7 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 		Policy:      policy,
 		Aging:       o.aging,
 		AdmitTarget: o.admitTarget,
-		Wire:        transport.WireOptions{Delta: o.wire.Delta, Window: o.wire.Window},
+		Wire:        transport.WireOptions{Delta: o.wire.Delta},
 	}
 	if len(cfg.Peers) > 0 {
 		if len(cfg.Peers) != cfg.Nodes {
@@ -247,51 +242,6 @@ func (c *Cluster) LoanStats() LoanStats {
 // cluster's Policy. Long-lived clients should hold a Session instead.
 func (c *Cluster) Acquire(ctx context.Context, node int, resources ...int) (func(), error) {
 	return c.inner.Acquire(ctx, node, resources...)
-}
-
-// AcquireAll acquires every listed set in one call, all-or-nothing:
-// either the returned release function hands back every set (call it
-// exactly once; idempotent), or nothing stays held and the error names
-// the set that failed.
-//
-// The protocol admits one critical section per node at a time (the
-// paper's hypothesis 4), so the sets are spread over distinct hosted
-// nodes — set i lands on the i-th hosted node, acquired in ascending
-// node order so concurrent batches cannot deadlock one another — and a
-// batch of more sets than this process hosts nodes is refused. The
-// client wire protocol carries the same shape in one frame
-// (serve.Client.AcquireAll).
-func (c *Cluster) AcquireAll(ctx context.Context, sets ...[]int) (func(), error) {
-	if len(sets) == 0 {
-		return func() {}, nil
-	}
-	var hosted []int
-	for id := 0; id < c.inner.N(); id++ {
-		if c.inner.Local(id) {
-			hosted = append(hosted, id)
-		}
-	}
-	if len(sets) > len(hosted) {
-		return nil, fmt.Errorf(
-			"mralloc: batch of %d sets exceeds the %d hosted nodes (one critical section per node)",
-			len(sets), len(hosted))
-	}
-	releases := make([]func(), 0, len(sets))
-	unwind := func() {
-		for i := len(releases) - 1; i >= 0; i-- {
-			releases[i]()
-		}
-	}
-	for i, set := range sets {
-		release, err := c.inner.Acquire(ctx, hosted[i], set...)
-		if err != nil {
-			unwind()
-			return nil, fmt.Errorf("mralloc: set %d: %w", i, err)
-		}
-		releases = append(releases, release)
-	}
-	var once sync.Once
-	return func() { once.Do(unwind) }, nil
 }
 
 // AcquireOpts parameterizes Session.AcquireWith.

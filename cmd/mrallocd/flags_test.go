@@ -26,8 +26,7 @@ pprof
 reliable
 resources
 shards
-wire-delta
-wire-window`
+wire-delta`
 
 func TestFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
@@ -43,7 +42,7 @@ func TestFlagSurface(t *testing.T) {
 // TestRemovedFlagRejected: a flag that left the surface gets no alias —
 // the flag package's own error names it.
 func TestRemovedFlagRejected(t *testing.T) {
-	for _, arg := range []string{"-ops=20", "-linger=2s", "-chaos-drop=0.1", "-hb-interval=1s"} {
+	for _, arg := range []string{"-ops=20", "-linger=2s", "-chaos-drop=0.1", "-hb-interval=1s", "-wire-window=65536"} {
 		fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		registerFlags(fs, new(daemonConfig))

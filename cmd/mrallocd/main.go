@@ -67,7 +67,6 @@ type daemonConfig struct {
 	admitTarget      time.Duration
 	pprofAddr        string
 	wireDelta        bool
-	wireWindow       int64
 	egressBudget     int64
 	chaosSpec        string
 	reliable         bool
@@ -91,7 +90,6 @@ func registerFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	fs.BoolVar(&cfg.wireDelta, "wire-delta", true, "delta-encode token state on peer connections; every daemon of the cluster must run a delta-aware build (pass =false to interoperate with pre-delta peers)")
-	fs.Int64Var(&cfg.wireWindow, "wire-window", 0, "receive window in bytes announced to peers (0 = default, negative = disable crediting)")
 	fs.Int64Var(&cfg.egressBudget, "egress-budget", 0, "client-port response bytes queued per connection before the client is shed (0 = default, negative = unbounded)")
 	fs.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection on outgoing peer messages, as key=value pairs: seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s (drop/dup: probability in [0,1] per message, dup breaks the no-duplication hypothesis — expect safety-only behavior; delay: uniform extra delay; kill-every: abort every live peer connection at this interval, exercising the redial path; absent keys are off). A chaotic run prints its spec for replay")
 	fs.BoolVar(&cfg.reliable, "reliable", false, "per-link ack/retransmit wrapper on peer traffic: restores reliable delivery (and so liveness) over a lossy fabric, at the cost of ack frames and retransmit buffers")
@@ -242,7 +240,7 @@ func run(ctx context.Context, cfg daemonConfig, out io.Writer) error {
 		Policy:             policy,
 		AdmitTarget:        cfg.admitTarget,
 		Tick:               tick,
-		Wire:               transport.WireOptions{Delta: cfg.wireDelta, Window: cfg.wireWindow},
+		Wire:               transport.WireOptions{Delta: cfg.wireDelta},
 	}, factory)
 	if err != nil {
 		return err

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"mralloc/internal/metrics"
+	"mralloc/internal/resource"
 	"mralloc/internal/serve"
 )
 
@@ -81,16 +82,13 @@ func main() {
 	}
 }
 
-// drawResources picks 1..phi distinct resources.
+// drawResources picks 1..phi distinct resources, ascending: the same
+// requests for the same seed.
 func drawResources(rng *rand.Rand, m, phi int) []int {
-	k := 1 + rng.Intn(phi)
-	set := make(map[int]bool, k)
-	for len(set) < k {
-		set[rng.Intn(m)] = true
-	}
-	ids := make([]int, 0, k)
-	for r := range set {
-		ids = append(ids, r)
+	members := resource.Sample(rng, m, 1+rng.Intn(phi)).Members()
+	ids := make([]int, len(members))
+	for i, r := range members {
+		ids[i] = int(r)
 	}
 	return ids
 }

@@ -87,8 +87,8 @@ type Config struct {
 	Shards int
 	// CrossShardTwoPhase switches acquires spanning several shards from
 	// ordered locking (shards taken one at a time in ascending shard
-	// order — deadlock-free the same way AcquireAll's ascending node
-	// order is) to a two-phase scheme: every shard is requested in
+	// order, which every session shares, so no cycle of holders can
+	// form) to a two-phase scheme: every shard is requested in
 	// parallel and, when the full set cannot be assembled before the
 	// attempt times out, everything is handed back and the acquire
 	// retries after a jittered backoff. Two-phase trades the ordered

@@ -250,9 +250,8 @@ func (s *Session) acquireOne(ctx context.Context, t *ticket, dl sim.Time) (grant
 // acquireOrdered assembles a cross-shard set one shard at a time in
 // ascending shard order (route's order). Every session walks shards in
 // the same order, so no cycle of sessions can each hold a shard the
-// next one needs — the same argument that makes AcquireAll's ascending
-// node order deadlock-free. A failure hands back the prefix already
-// held, in reverse.
+// next one needs. A failure hands back the prefix already held, in
+// reverse.
 func (s *Session) acquireOrdered(ctx context.Context, parts []*ticket, dl sim.Time) (hold, error) {
 	refs := make([]grantRef, 0, len(parts))
 	for i, t := range parts {

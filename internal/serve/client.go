@@ -212,12 +212,10 @@ func (c *Client) acquireOnce(ctx context.Context, node int, opts AcquireOpts) (f
 		}
 	}
 
-	var w [1]*clientPending
-	id, err := c.register(w[:])
+	id, p, err := c.register()
 	if err != nil {
 		return nil, err
 	}
-	p := w[0]
 	frame := appendAcquire(wire.GetFrame(128)[:wire.FrameDataOff], id, network.NodeID(node), opts.Resources, deadlineMS)
 	if err := c.queue(frame); err != nil {
 		c.abandon(id, p)
@@ -227,7 +225,7 @@ func (c *Client) acquireOnce(ctx context.Context, node int, opts AcquireOpts) (f
 	case res := <-p.ch:
 		if !res.granted {
 			c.recycle(p)
-			return nil, res.denied("")
+			return nil, res.denied()
 		}
 		gen := p.gen.Load()
 		return func() {
@@ -253,28 +251,22 @@ func (c *Client) acquireOnce(ctx context.Context, node int, opts AcquireOpts) (f
 	}
 }
 
-// register reserves len(waiters) consecutive request ids, base onward,
-// and fills waiters with a pending entry for each, or reports the
-// connection's terminal error.
-func (c *Client) register(waiters []*clientPending) (base uint64, err error) {
+// register reserves the next request id and a pending entry for it, or
+// reports the connection's terminal error.
+func (c *Client) register() (id uint64, p *clientPending, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
-		return 0, c.err
+		return 0, nil, c.err
 	}
-	base = c.next + 1
-	c.next += uint64(len(waiters))
-	for i := range waiters {
-		p := c.free
-		if p != nil {
-			c.free, p.next = p.next, nil
-		} else {
-			p = &clientPending{ch: make(chan clientResult, 1)}
-		}
-		waiters[i] = p
-		c.pending[base+uint64(i)] = p
+	c.next++
+	if p = c.free; p != nil {
+		c.free, p.next = p.next, nil
+	} else {
+		p = &clientPending{ch: make(chan clientResult, 1)}
 	}
-	return base, nil
+	c.pending[c.next] = p
+	return c.next, p, nil
 }
 
 // abandon gives up on request id. If its entry is still pending nothing
@@ -298,119 +290,12 @@ func (c *Client) recycle(p *clientPending) {
 	c.mu.Unlock()
 }
 
-// denied renders a denial as the error Acquire returns; set names the
-// batch member it answers ("" for a plain Acquire).
-func (r clientResult) denied(set string) error {
+// denied renders a denial as the error Acquire returns.
+func (r clientResult) denied() error {
 	if r.code == DenyOverloaded {
-		return fmt.Errorf("serve: denied%s: %s: %w", set, r.reason, ErrOverloaded)
+		return fmt.Errorf("serve: denied: %s: %w", r.reason, ErrOverloaded)
 	}
-	return fmt.Errorf("serve: denied%s: %s", set, r.reason)
-}
-
-// AcquireAll batches many acquisitions into one request frame — one
-// round trip admits them all, where a loop of Acquires pays a round
-// trip each. The acquisition is all-or-nothing: on any denial, context
-// end, or connection failure the already-granted sets are handed back
-// and the error returned. On success the returned release function
-// hands back every set (call exactly once; idempotent).
-//
-// The protocol admits at most one critical section per node at a time
-// (the paper's hypothesis 4), so a batch can hold all its sets at once
-// only when every set lands on a distinct node. Pass AnyNode and the
-// daemon spreads the batch over its hosted nodes, acquiring in
-// ascending node order so concurrent batches cannot deadlock; a batch
-// of more sets than the daemon hosts nodes is denied. A specific node
-// admits only single-set batches — multi-set explicit-node batches are
-// refused here, before any bytes move.
-func (c *Client) AcquireAll(ctx context.Context, node int, sets ...[]int) (func(), error) {
-	if node != AnyNode && node < 0 {
-		return nil, fmt.Errorf("serve: bad node %d", node)
-	}
-	if node != AnyNode && len(sets) > 1 {
-		return nil, fmt.Errorf(
-			"serve: a %d-set batch cannot target one node (one critical section per node); use AnyNode",
-			len(sets))
-	}
-	if len(sets) == 0 {
-		return func() {}, nil
-	}
-	msg := ClientAcquireAll{Node: network.NodeID(node)}
-	msg.Sets = make([][]int64, len(sets))
-	for i, set := range sets {
-		msg.Sets[i] = make([]int64, len(set))
-		for j, r := range set {
-			msg.Sets[i][j] = int64(r)
-		}
-	}
-	if d, ok := ctx.Deadline(); ok {
-		ms := time.Until(d).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		msg.DeadlineMS = ms
-	}
-
-	// Reserve len(sets) consecutive request ids: sub-request i answers
-	// to base+i, and each is tracked like a standalone Acquire.
-	k := len(sets)
-	waiters := make([]*clientPending, k)
-	base, err := c.register(waiters)
-	if err != nil {
-		return nil, err
-	}
-	msg.Req = base
-
-	// unwind releases or withdraws sub-request i — the all-or-nothing
-	// cleanup for grants landed before a failure.
-	unwind := func(i int) {
-		c.abandon(base+uint64(i), waiters[i])
-		c.sendRelease(base + uint64(i))
-	}
-	frame, err := wire.Append(wire.GetFrame(128)[:wire.FrameDataOff], msg)
-	if err == nil {
-		err = c.queue(frame)
-	} else {
-		wire.ReleaseFrame(frame)
-	}
-	if err != nil {
-		for i, p := range waiters {
-			c.abandon(base+uint64(i), p)
-		}
-		return nil, err
-	}
-	for i, p := range waiters {
-		select {
-		case res := <-p.ch:
-			c.recycle(p)
-			if res.granted {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if j != i {
-					unwind(j)
-				}
-			}
-			return nil, res.denied(fmt.Sprintf(" set %d", i))
-		case <-ctx.Done():
-			for j := 0; j < k; j++ {
-				unwind(j)
-			}
-			return nil, ctx.Err()
-		case <-c.closed:
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return nil, err
-		}
-	}
-	var released atomic.Bool
-	return func() {
-		if released.CompareAndSwap(false, true) {
-			for i := 0; i < k; i++ {
-				c.sendRelease(base + uint64(i))
-			}
-		}
-	}, nil
+	return fmt.Errorf("serve: denied: %s", r.reason)
 }
 
 func (c *Client) readLoop() {

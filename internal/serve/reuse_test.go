@@ -249,8 +249,7 @@ func (s *ledgerSession) Close() {
 
 // TestHazardTeardownEveryState drops a connection that has a request
 // record in every state at once — idle on a free list with its session
-// open, granted and held, blocked in the backend, admitted behind a
-// blocked batch sibling and not yet running, withdrawn but not yet
+// open, granted and held, blocked in the backend, withdrawn but not yet
 // unwound — and balances the ledger afterwards.
 func TestHazardTeardownEveryState(t *testing.T) {
 	check := leakcheck.Check(t)
@@ -282,20 +281,21 @@ func TestHazardTeardownEveryState(t *testing.T) {
 	if _, err := cl.Acquire(ctx, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Blocked in the backend; a batch whose second member waits behind
-	// its blocked first; and a request withdrawn while blocked.
+	// Blocked in the backend, on an explicit node and on nodes the daemon
+	// picks; and a request withdrawn while blocked.
 	b.mu.Lock()
 	b.gate = make(chan struct{})
 	b.mu.Unlock()
 	go cl.Acquire(ctx, 1, 2)
-	go cl.AcquireAll(ctx, AnyNode, []int{3}, []int{4})
+	go cl.Acquire(ctx, AnyNode, 3)
+	go cl.Acquire(ctx, AnyNode, 4)
 	withdrawn, cancel := context.WithCancel(ctx)
 	go cl.Acquire(withdrawn, 2, 5)
 	eventually(t, "every request to be admitted", func() bool { return srv.Sessions() == 5 })
 	eventually(t, "the acquisitions to block in the backend", func() bool {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		return b.blocked == 3
+		return b.blocked == 4
 	})
 	cancel()
 

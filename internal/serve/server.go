@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,9 +27,8 @@ const closeFlushTimeout = 2 * time.Second
 // connection. A client that stops reading its responses is shed (its
 // connection closed, everything it held handed back) once the queue
 // crosses the budget — the client port's half of byte-bounded
-// backpressure, analogous to the peer transport's credit window but
-// without the reverse-path crediting a second stream writer would
-// need.
+// backpressure: where a peer link's writer blocks its senders at its
+// byte budget, the client port drops the reader that fell behind.
 const DefaultEgressBudget = 4 << 20
 
 // ServerConfig sizes a client-port server.
@@ -227,11 +225,10 @@ func (s *Server) acceptLoop() {
 // port gone quiet holds no goroutines.
 const workerIdle = time.Second
 
-// dispatch runs the blocking part of one request — or of a batch, the
-// chain of requests linked behind r — off the read loop: on a parked
-// worker when one is waiting, on a new one otherwise. A goroutine per
-// request would start each acquisition on a minimal stack and regrow it
-// inside Session.Acquire every time; a worker that has served one
+// dispatch runs the blocking part of one request off the read loop: on a
+// parked worker when one is waiting, on a new one otherwise. A goroutine
+// per request would start each acquisition on a minimal stack and regrow
+// it inside Session.Acquire every time; a worker that has served one
 // request keeps the grown stack for the next. The pool sizes itself to
 // the number of requests blocked at once.
 func (s *Server) dispatch(r *connReq) {
@@ -243,19 +240,14 @@ func (s *Server) dispatch(r *connReq) {
 	}
 }
 
-// worker runs its first chain, then whatever dispatch hands it, until
+// worker runs its first request, then whatever dispatch hands it, until
 // it has been idle for workerIdle or the server closes.
 func (s *Server) worker(r *connReq) {
 	defer s.wg.Done()
 	idle := time.NewTimer(workerIdle)
 	defer idle.Stop()
 	for {
-		for r != nil {
-			next := r.next // run ends with r recycled, its link with it
-			r.next = nil
-			r.run()
-			r = next
-		}
+		r.run()
 		idle.Reset(workerIdle)
 		select {
 		case r = <-s.tasks:
@@ -286,7 +278,7 @@ type connReq struct {
 	cn   *conn
 	node int
 	sess BackendSession
-	next *connReq // free list; or the next sub-request of a batch being dispatched
+	next *connReq // free list
 
 	id   uint64
 	opts AcquireOpts // Resources keeps its storage from request to request
@@ -407,10 +399,6 @@ func (cn *conn) readLoop() {
 			if !cn.handleAcquire(x) {
 				return // protocol violation: kill the connection
 			}
-		case ClientAcquireAll:
-			if !cn.handleAcquireAll(x) {
-				return
-			}
 		case ClientRelease:
 			cn.handleRelease(x.Req)
 		default:
@@ -433,113 +421,22 @@ func (s *Server) answerHello(peer wire.Hello) (wire.Hello, error) {
 	return mine, mine.Check(peer)
 }
 
-// handleAcquire admits one client request, reporting false when the
-// frame is a protocol violation and the connection must die. Requests
-// with bad arguments are merely denied — only a reused in-flight
-// request id is fatal: denying it would carry the original request's
-// id, which a conforming client must treat as that request's outcome,
-// stranding the real grant when it lands.
+// handleAcquire validates and registers one client request and hands its
+// run — the blocking acquisition and its response — to a worker,
+// reporting false when the frame is a protocol violation and the
+// connection must die. Requests with bad arguments are merely denied —
+// only a reused in-flight request id is fatal: denying it would carry
+// the original request's id, which a conforming client must treat as
+// that request's outcome, stranding the real grant when it lands.
 func (cn *conn) handleAcquire(x ClientAcquire) bool {
-	r, ok := cn.admit(x)
-	if r != nil {
-		cn.s.dispatch(r)
-	}
-	return ok
-}
-
-// handleAcquireAll admits a batch of acquisitions from one frame. The
-// paper's admission model (hypothesis 4) runs at most one critical
-// section per node at a time, so a batch can hold all its sets
-// concurrently only when every sub-request lands on a distinct node:
-// an explicit-node batch is limited to one set, and an AnyNode batch
-// spreads over the hosted nodes and is denied outright when it has
-// more sets than this daemon has nodes. Sub-requests acquire in
-// ascending node order on a single goroutine — every batch takes the
-// same order, so two concurrent batches cannot deadlock each other.
-func (cn *conn) handleAcquireAll(x ClientAcquireAll) bool {
-	k := len(x.Sets)
-	denyAll := func(format string, args ...any) {
-		reason := fmt.Sprintf(format, args...)
-		for i := 0; i < k; i++ {
-			cn.send(ClientDeny{Req: x.Req + uint64(i), Reason: reason})
-		}
-	}
-	if k == 0 {
-		cn.send(ClientDeny{Req: x.Req, Reason: "empty acquire batch"})
-		return true
-	}
-	var nodes []int
-	if x.Node == network.None {
-		local := cn.s.cfg.Local
-		if k > len(local) {
-			denyAll("batch of %d sets exceeds the %d hosted nodes (one critical section per node)",
-				k, len(local))
-			return true
-		}
-		base := cn.s.nextLocal()
-		nodes = make([]int, k)
-		for i := range nodes {
-			nodes[i] = local[(base+i)%len(local)]
-		}
-		sort.Ints(nodes)
-	} else {
-		if k > 1 {
-			denyAll("a %d-set batch cannot target one node (one critical section per node); omit the node to spread it",
-				k)
-			return true
-		}
-		nodes = []int{int(x.Node)}
-	}
-	var first, last *connReq
-	for i, set := range x.Sets {
-		r, ok := cn.admit(ClientAcquire{
-			Req:        x.Req + uint64(i),
-			Node:       network.NodeID(nodes[i]),
-			Resources:  set,
-			DeadlineMS: x.DeadlineMS,
-		})
-		if !ok {
-			// The connection dies for this sub-request, and the ones
-			// admitted before it will never run: end them here, or they
-			// stay counted against their nodes for the daemon's life.
-			for r := first; r != nil; r = r.next {
-				cn.mu.Lock()
-				delete(cn.reqs, r.id)
-				cn.mu.Unlock()
-				cn.s.queued[r.node].Add(-1)
-				cn.s.sessions.Add(-1)
-				cn.wg.Done()
-			}
-			return false
-		}
-		switch {
-		case r == nil: // answered already
-		case first == nil:
-			first, last = r, r
-		default:
-			last.next, last = r, r
-		}
-	}
-	if first != nil {
-		cn.s.dispatch(first)
-	}
-	return true
-}
-
-// admit validates and registers one request. ok reports whether the
-// connection may live on (false: protocol violation, kill it); r, when
-// non-nil, is the admitted request, whose run — the blocking
-// acquisition and its response — the caller must dispatch. A nil r with
-// ok means the request was already answered (denied).
-func (cn *conn) admit(x ClientAcquire) (r *connReq, ok bool) {
 	if len(x.Resources) == 0 {
 		cn.deny(x.Req, "empty resource set")
-		return nil, true
+		return true
 	}
 	for _, res := range x.Resources {
 		if res < 0 || res >= int64(cn.s.cfg.Resources) {
 			cn.deny(x.Req, "no resource %d", res)
-			return nil, true
+			return true
 		}
 	}
 	size := len(x.Resources)
@@ -561,7 +458,7 @@ func (cn *conn) admit(x ClientAcquire) (r *connReq, ok bool) {
 		}
 	} else if !cn.s.hostsLocally(node) {
 		cn.deny(x.Req, "node %d is not hosted by this daemon", node)
-		return nil, true
+		return true
 	}
 	// Load-aware shed: the adaptive bound denies before the queue
 	// passes the knee, while the client can still act on it.
@@ -574,7 +471,7 @@ func (cn *conn) admit(x ClientAcquire) (r *connReq, ok bool) {
 			Reason: fmt.Sprintf("node %d sheds at its adaptive admission bound", node),
 			Code:   DenyOverloaded,
 		})
-		return nil, true
+		return true
 	}
 	// Backpressure: refuse rather than queue without bound. Increment
 	// first so concurrent arrivals cannot slip past the limit together.
@@ -586,14 +483,15 @@ func (cn *conn) admit(x ClientAcquire) (r *connReq, ok bool) {
 				Reason: fmt.Sprintf("node %d admission queue full (max %d)", node, max),
 				Code:   DenyOverloaded,
 			})
-			return nil, true
+			return true
 		}
 	} else {
 		cn.s.queued[node].Add(1)
 	}
 
 	cn.mu.Lock()
-	if r = cn.free[node]; r != nil {
+	r := cn.free[node]
+	if r != nil {
 		cn.free[node], r.next = r.next, nil
 	}
 	cn.mu.Unlock()
@@ -602,7 +500,7 @@ func (cn *conn) admit(x ClientAcquire) (r *connReq, ok bool) {
 		if err != nil {
 			cn.s.queued[node].Add(-1)
 			cn.deny(x.Req, "%v", err)
-			return nil, true
+			return true
 		}
 		r = &connReq{cn: cn, node: node, sess: sess, done: make(chan struct{})}
 		cn.all = append(cn.all, r)
@@ -621,13 +519,14 @@ func (cn *conn) admit(x ClientAcquire) (r *connReq, ok bool) {
 	if _, dup := cn.reqs[x.Req]; dup {
 		cn.mu.Unlock()
 		cn.s.queued[node].Add(-1)
-		return nil, false // id reuse while in flight: unrecoverable ambiguity
+		return false // id reuse while in flight: unrecoverable ambiguity
 	}
 	cn.reqs[x.Req] = r
 	cn.mu.Unlock()
 	cn.s.sessions.Add(1)
 	cn.wg.Add(1)
-	return r, true
+	cn.s.dispatch(r)
+	return true
 }
 
 // run performs an admitted request's blocking acquisition and answers

@@ -467,11 +467,12 @@ func TestClientLearnsShape(t *testing.T) {
 	}
 }
 
-// TestAcquireAllRoundTrip: one frame carries a batch of acquisitions
-// spread over distinct nodes (one critical section per node); the
-// combined release hands every set back.
-func TestAcquireAllRoundTrip(t *testing.T) {
-	_, srv := startServer(t, 3, 6, serve.FIFO)
+// TestUnionAcquire: holding several sets is one Acquire of their union
+// — wider than the hosted-node count and overlapping alike, on one node
+// in one round trip — and a union with one bad member is denied whole,
+// stranding nothing.
+func TestUnionAcquire(t *testing.T) {
+	_, srv := startServer(t, 2, 6, serve.FIFO)
 	cl, err := serve.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -479,73 +480,19 @@ func TestAcquireAllRoundTrip(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	release, err := cl.AcquireAll(ctx, serve.AnyNode, []int{0, 1}, []int{2}, []int{3, 4, 5})
+	// {0,1} ∪ {1,2} ∪ {3,4,5}: three sets, two nodes, one shared member.
+	release, err := cl.Acquire(ctx, serve.AnyNode, 0, 1, 2, 3, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	release()
-	release() // idempotent
-	// Everything must be free again: re-acquire each set singly.
-	for _, set := range [][]int{{0, 1}, {2}, {3, 4, 5}} {
+	if _, err := cl.Acquire(ctx, serve.AnyNode, 0, 99, 1); err == nil || !strings.Contains(err.Error(), "denied") {
+		t.Fatalf("union with a bad member: %v, want denial", err)
+	}
+	for _, set := range [][]int{{0, 1}, {1, 2}, {3, 4, 5}} {
 		rel, err := cl.Acquire(ctx, serve.AnyNode, set...)
 		if err != nil {
-			t.Fatalf("set %v stranded after AcquireAll release: %v", set, err)
-		}
-		rel()
-	}
-}
-
-// TestAcquireAllPartialDeny: a batch with one bad set is all-or-
-// nothing — the good sets' grants are handed back, nothing stranded.
-func TestAcquireAllPartialDeny(t *testing.T) {
-	_, srv := startServer(t, 3, 4, serve.FIFO)
-	cl, err := serve.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, err = cl.AcquireAll(ctx, serve.AnyNode, []int{0}, []int{99}, []int{1})
-	if err == nil || !strings.Contains(err.Error(), "denied") {
-		t.Fatalf("bad set accepted: %v", err)
-	}
-	// The granted sets must have been handed back.
-	for _, r := range []int{0, 1} {
-		rel, err := cl.Acquire(ctx, serve.AnyNode, r)
-		if err != nil {
-			t.Fatalf("resource %d stranded after partial deny: %v", r, err)
-		}
-		rel()
-	}
-}
-
-// TestAcquireAllOverwideBatch: hypothesis 4 admits one critical
-// section per node, so batches that cannot hold their sets on distinct
-// nodes are refused — multi-set explicit-node batches before any bytes
-// move, over-wide AnyNode batches by the daemon, all-or-nothing.
-func TestAcquireAllOverwideBatch(t *testing.T) {
-	_, srv := startServer(t, 2, 4, serve.FIFO)
-	cl, err := serve.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := cl.AcquireAll(ctx, 0, []int{0}, []int{1}); err == nil ||
-		!strings.Contains(err.Error(), "one critical section per node") {
-		t.Fatalf("multi-set explicit-node batch accepted: %v", err)
-	}
-	// Three sets, two hosted nodes: denied, nothing stranded.
-	if _, err := cl.AcquireAll(ctx, serve.AnyNode, []int{0}, []int{1}, []int{2}); err == nil ||
-		!strings.Contains(err.Error(), "hosted nodes") {
-		t.Fatalf("over-wide batch accepted: %v", err)
-	}
-	for _, r := range []int{0, 1, 2} {
-		rel, err := cl.Acquire(ctx, serve.AnyNode, r)
-		if err != nil {
-			t.Fatalf("resource %d stranded after over-wide deny: %v", r, err)
+			t.Fatalf("set %v stranded: %v", set, err)
 		}
 		rel()
 	}
@@ -576,21 +523,31 @@ func TestClientPortRequiresHello(t *testing.T) {
 	}
 }
 
-// TestClientPortRejectsBadVersion: a hello from an incompatible build
-// draws a CtrlReject naming the version, then the connection dies.
+// TestClientPortRejectsBadVersion: a hello from an incompatible build —
+// a future one, or the previous build's six-field v2 hello byte for
+// byte — draws a CtrlReject naming the version, then the connection
+// dies.
 func TestClientPortRejectsBadVersion(t *testing.T) {
 	_, srv := startServer(t, 1, 2, serve.FIFO)
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion + 9})
-	if _, err := nc.Write(wire.AppendControl(nil, wire.CtrlHello, h)); err != nil {
-		t.Fatal(err)
-	}
-	if reason := wantReject(t, nc); !strings.Contains(reason, "version") {
-		t.Fatalf("reject reason %q", reason)
+	future := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion + 9})
+	for _, tc := range []struct {
+		hello []byte
+		want  string
+	}{
+		{wire.AppendControl(nil, wire.CtrlHello, future), fmt.Sprintf("version %d, want %d", wire.ProtoVersion+9, wire.ProtoVersion)},
+		{[]byte{0x00, 0x00, 0x02, 0x09, 0x02, 0x04, 0x08, 0x01, 0x80, 0x80, 0x80, 0x04, 0x01}, "version 2, want 3"},
+	} {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write(tc.hello); err != nil {
+			t.Fatal(err)
+		}
+		if reason := wantReject(t, nc); !strings.Contains(reason, tc.want) {
+			t.Fatalf("reject reason %q does not say %q", reason, tc.want)
+		}
 	}
 }
 
@@ -670,43 +627,6 @@ func (rc *rawClient) wantGrant(req uint64) {
 		rc.t.Fatal(err)
 	} else if g, ok := m.(serve.ClientGrant); !ok || g.Req != req {
 		rc.t.Fatalf("expected grant for req %d, got %#v", req, m)
-	}
-}
-
-// TestAcquireAllViolationUnwindsAdmittedPrefix: a batch whose third
-// sub-request reuses an in-flight id kills the connection — after the
-// first two were admitted. Nothing will ever run them, so the kill must
-// end them itself: left alone they stayed counted in Sessions and
-// against their nodes' admission bounds for the life of the daemon.
-func TestAcquireAllViolationUnwindsAdmittedPrefix(t *testing.T) {
-	_, srv := startServer(t, 3, 6, serve.FIFO)
-	rc := dialRaw(t, srv.Addr())
-	rc.send(serve.ClientAcquire{Req: 5, Node: 0, Resources: []int64{0}})
-	rc.wantGrant(5)
-	// Sub-requests 3, 4, 5: the third is the duplicate.
-	rc.send(serve.ClientAcquireAll{Req: 3, Node: network.None, Sets: [][]int64{{1}, {2}, {3}}})
-	rc.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := rc.fr.Next(); err == nil {
-		t.Fatal("connection survived a duplicate request id inside a batch")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	settled := func() bool {
-		if srv.Sessions() != 0 {
-			return false
-		}
-		for node := 0; node < 3; node++ {
-			if srv.QueueLen(node) != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for !settled() {
-		if time.Now().After(deadline) {
-			t.Fatalf("after the kill: Sessions() = %d, QueueLen = %d/%d/%d, want all 0",
-				srv.Sessions(), srv.QueueLen(0), srv.QueueLen(1), srv.QueueLen(2))
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -51,42 +51,6 @@ type ClientAcquire struct {
 // Kind implements network.Message.
 func (ClientAcquire) Kind() string { return "Client.Acquire" }
 
-// maxAcquireSets bounds how many sub-requests one ClientAcquireAll may
-// carry; a corrupt or hostile count must not fan out without limit.
-const maxAcquireSets = 1 << 10
-
-// ClientAcquireAll asks the daemon to admit a batch of acquisitions in
-// one frame — one round trip carries many acquires. Sub-request i
-// behaves exactly like a ClientAcquire with request id Req+i and
-// resource set Sets[i]; every response (grant or deny) names that id,
-// and each sub-request is released or withdrawn independently with
-// ClientRelease. The ids Req..Req+len(Sets)-1 must all be unique among
-// the connection's in-flight requests.
-//
-// Because the protocol admits at most one critical section per node at
-// a time (the paper's hypothesis 4), a batch can hold all its sets
-// concurrently only when every sub-request lands on a distinct node.
-// The daemon therefore denies an explicit-node batch of more than one
-// set, and denies an AnyNode batch with more sets than it hosts nodes;
-// an admissible AnyNode batch is spread over distinct hosted nodes and
-// acquired in ascending node order, so concurrent batches cannot
-// deadlock one another.
-type ClientAcquireAll struct {
-	// Req is the base request identifier; sub-request i answers to
-	// Req+i.
-	Req uint64
-	// Node targets a locally hosted node for every sub-request;
-	// network.None lets the daemon pick (round-robin per sub-request).
-	Node network.NodeID
-	// Sets lists one resource set per sub-request.
-	Sets [][]int64
-	// DeadlineMS applies to every sub-request (see ClientAcquire).
-	DeadlineMS int64
-}
-
-// Kind implements network.Message.
-func (ClientAcquireAll) Kind() string { return "Client.AcquireAll" }
-
 // ClientGrant tells the client request Req entered its critical
 // section: every requested resource is now held exclusively.
 type ClientGrant struct {
@@ -181,36 +145,6 @@ func init() {
 			}
 			return x
 		})
-	wire.Register("Client.AcquireAll",
-		func(e *wire.Enc, m network.Message) {
-			x := m.(ClientAcquireAll)
-			e.Uvarint(x.Req)
-			e.Node(x.Node)
-			e.Uvarint(uint64(len(x.Sets)))
-			for _, set := range x.Sets {
-				e.Int64s(set)
-			}
-			e.Varint(x.DeadlineMS)
-		},
-		func(d *wire.Dec) network.Message {
-			var x ClientAcquireAll
-			x.Req = d.Uvarint()
-			x.Node = d.Node()
-			n := d.Uvarint()
-			if n > maxAcquireSets {
-				d.Fail("acquire batch of %d sets exceeds limit %d", n, maxAcquireSets)
-				return x
-			}
-			x.Sets = make([][]int64, n)
-			for i := range x.Sets {
-				x.Sets[i] = d.Int64s()
-			}
-			x.DeadlineMS = d.Varint()
-			if x.DeadlineMS < 0 {
-				d.Fail("negative client deadline %d", x.DeadlineMS)
-			}
-			return x
-		})
 	wire.Register("Client.Grant",
 		func(e *wire.Enc, m network.Message) {
 			e.Uvarint(m.(ClientGrant).Req)
@@ -245,9 +179,6 @@ func init() {
 	wire.RegisterSamples(
 		ClientAcquire{Req: 1, Node: 2, Resources: []int64{0, 3, 17}, DeadlineMS: 250},
 		ClientAcquire{Req: 9, Node: network.None, Resources: []int64{5}},
-		ClientAcquireAll{Req: 3, Node: 1, Sets: [][]int64{{0, 2}, {5}}, DeadlineMS: 100},
-		ClientAcquireAll{Req: 11, Node: network.None, Sets: [][]int64{{4}}},
-		ClientAcquireAll{},
 		ClientGrant{Req: 1},
 		ClientRelease{Req: 1},
 		ClientDeny{Req: 9, Reason: "no resource 99"},

@@ -62,12 +62,12 @@ type ChaosStats struct {
 // With no fault ever armed, Chaos is a pure passthrough: every Send
 // delegates directly, byte- and stats-identical, which is what lets the
 // conformance suite run against a wrapped fabric unchanged. Arming any
-// fault (SetFaults, SetLinkFaults, Partition) permanently routes
-// traffic through one FIFO queue per link, each drained by its own
-// forwarder goroutine — the structure that keeps per-link FIFO intact
-// while faults reorder traffic across links. Arm before the link
-// carries traffic; arming concurrently with in-flight Sends on the same
-// link can reorder that instant's messages.
+// fault (SetFaults, Partition) permanently routes traffic through one
+// FIFO queue per link, each drained by its own forwarder goroutine —
+// the structure that keeps per-link FIFO intact while faults reorder
+// traffic across links. Arm before the link carries traffic; arming
+// concurrently with in-flight Sends on the same link can reorder that
+// instant's messages.
 //
 // Determinism: every fault decision is drawn from a per-link RNG seeded
 // from (seed, link) in per-link send order, so a single-threaded driver
@@ -82,7 +82,6 @@ type Chaos struct {
 
 	mu    sync.RWMutex
 	def   Faults
-	over  map[Link]Faults // per-link overrides
 	links map[Link]*chaosLink
 
 	dropped kindStats // per-kind counts of discarded messages
@@ -130,14 +129,13 @@ func NewChaos(inner Transport, seed int64) *Chaos {
 	return &Chaos{
 		inner:  inner,
 		seed:   seed,
-		over:   make(map[Link]Faults),
 		links:  make(map[Link]*chaosLink),
 		closed: make(chan struct{}),
 	}
 }
 
-// SetFaults installs the default fault profile for every link (links
-// with a SetLinkFaults override keep it) and arms the fault pipeline.
+// SetFaults installs the fault profile of every link and arms the fault
+// pipeline.
 func (c *Chaos) SetFaults(f Faults) {
 	c.mu.Lock()
 	c.def = f
@@ -145,27 +143,15 @@ func (c *Chaos) SetFaults(f Faults) {
 	c.armed.Store(true)
 }
 
-// SetLinkFaults overrides the fault profile of one link and arms the
-// fault pipeline.
-func (c *Chaos) SetLinkFaults(l Link, f Faults) {
-	c.mu.Lock()
-	c.over[l] = f
-	c.mu.Unlock()
-	c.armed.Store(true)
-}
-
-// StopFaults ends the fault window: the default profile and every
-// per-link override are zeroed and every partition healed, so all
-// queued traffic drains and subsequent sends pass undisturbed (still
-// through the FIFO pipeline, which keeps ordering consistent). Delays
-// already drawn for queued messages still apply — the window is fully
-// over once they elapse, at most DelayMax later.
+// StopFaults ends the fault window: the fault profile is zeroed and
+// every partition healed, so all queued traffic drains and subsequent
+// sends pass undisturbed (still through the FIFO pipeline, which keeps
+// ordering consistent). Delays already drawn for queued messages still
+// apply — the window is fully over once they elapse, at most DelayMax
+// later.
 func (c *Chaos) StopFaults() {
 	c.mu.Lock()
 	c.def = Faults{}
-	for k := range c.over {
-		delete(c.over, k)
-	}
 	links := make([]*chaosLink, 0, len(c.links))
 	for _, l := range c.links {
 		links = append(links, l)
@@ -285,7 +271,9 @@ func (c *Chaos) dispatch(k Link, msgs []network.Message) {
 	if l == nil {
 		return // closed
 	}
-	f := c.faultsFor(k)
+	c.mu.RLock()
+	f := c.def
+	c.mu.RUnlock()
 	l.mu.Lock()
 	action, delay := l.decide(f, len(msgs))
 	if action == chaosDrop {
@@ -305,16 +293,6 @@ func (c *Chaos) dispatch(k Link, msgs []network.Message) {
 	}
 	l.cond.Signal()
 	l.mu.Unlock()
-}
-
-// faultsFor resolves the fault profile of one link.
-func (c *Chaos) faultsFor(k Link) Faults {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if f, ok := c.over[k]; ok {
-		return f
-	}
-	return c.def
 }
 
 // decide draws one fault decision from the link's RNG and records it in

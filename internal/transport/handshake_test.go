@@ -68,8 +68,7 @@ func waitDelivery(t *testing.T, ch <-chan network.Message) network.Message {
 }
 
 // TestHandshakeNegotiates: two same-build endpoints exchange hellos,
-// agree on the full feature set and the default window, and traffic
-// flows.
+// agree on the full feature set, and traffic flows.
 func TestHandshakeNegotiates(t *testing.T) {
 	a, b := listenPair(t, transport.WireOptions{Delta: true}, transport.WireOptions{Delta: true})
 	got := make(chan network.Message, 1)
@@ -85,9 +84,6 @@ func TestHandshakeNegotiates(t *testing.T) {
 	}
 	if peer.Version != wire.ProtoVersion || peer.Shards != 1 {
 		t.Fatalf("peer announced version %d, %d shards", peer.Version, peer.Shards)
-	}
-	if peer.Window != transport.DefaultWindow {
-		t.Fatalf("peer window %d, want default %d", peer.Window, transport.DefaultWindow)
 	}
 	if peer.Nodes != 2 {
 		t.Fatalf("peer reports %d nodes", peer.Nodes)
@@ -232,19 +228,28 @@ func rawDial(t *testing.T, tr *transport.TCP, first []byte) (reason string) {
 }
 
 // TestHandshakeVersionMismatch: a raw dialer announcing another
-// protocol version — a future one, or the v1 of the builds before the
-// hello became mandatory — gets a CtrlReject naming both versions, and
-// the acceptor records the failure.
+// protocol version — a future one, the v1 of the builds before the
+// hello became mandatory, or the six-field v2 hello byte for byte as the
+// previous build sent it — gets a CtrlReject naming both versions, and
+// the acceptor records the failure. The v2 bytes read as a five-field
+// hello would claim 8 Mi shards: the version is refused first.
 func TestHandshakeVersionMismatch(t *testing.T) {
-	for _, version := range []uint64{wire.ProtoVersion + 41, 1} {
+	hello := func(version uint64) []byte {
+		h := wire.Hello{Version: version, Nodes: 2}
+		return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))
+	}
+	v2 := []byte{0x00, 0x00, 0x02, 0x09, 0x02, 0x04, 0x08, 0x01, 0x80, 0x80, 0x80, 0x04, 0x01}
+	for _, tc := range []struct {
+		version uint64
+		first   []byte
+	}{{wire.ProtoVersion + 41, hello(wire.ProtoVersion + 41)}, {1, hello(1)}, {2, v2}} {
 		b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer b.Close()
-		h := wire.Hello{Version: version, Nodes: 2}
-		reason := rawDial(t, b, wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h)))
-		want := fmt.Sprintf("protocol version %d, want %d", version, wire.ProtoVersion)
+		reason := rawDial(t, b, tc.first)
+		want := fmt.Sprintf("protocol version %d, want %d", tc.version, wire.ProtoVersion)
 		if !strings.Contains(reason, want) {
 			t.Fatalf("reject reason %q does not say %q", reason, want)
 		}
@@ -319,85 +324,5 @@ func TestLegacyDialerServed(t *testing.T) {
 	case m := <-got:
 		t.Fatalf("frame ahead of the hello delivered: %#v", m)
 	default:
-	}
-}
-
-// TestWindowStallsSender is the end-to-end flow-control test: a peer
-// that grants a tiny window and then stops crediting must stall the
-// sender's egress near that window; a later credit resumes it.
-func TestWindowStallsSender(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	const window = 4096
-	credit := make(chan struct{})
-	acceptErr := make(chan error, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptErr <- err
-			return
-		}
-		defer c.Close()
-		br := bufio.NewReader(c)
-		if _, err := wire.ReadControl(br); err != nil { // the dialer's hello
-			acceptErr <- err
-			return
-		}
-		h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Window: window})
-		if _, err := c.Write(wire.AppendControl(nil, wire.CtrlHello, h)); err != nil {
-			acceptErr <- err
-			return
-		}
-		// Stop reading: the window is granted but never replenished.
-		<-credit
-		u := wire.AppendWindowUpdate(nil, 1<<20)
-		c.Write(wire.AppendControl(nil, wire.CtrlWindow, u))
-		<-credit // hold the conn open until the test is done
-	}()
-
-	a, err := transport.ListenTCP("127.0.0.1:0", 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := a.Connect([]string{a.Addr(), ln.Addr().String()}); err != nil {
-		t.Fatal(err)
-	}
-	// Paced single sends keep each flush small, so egress drains group
-	// by group until the window is exhausted.
-	for i := 0; i < 400; i++ {
-		transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
-		time.Sleep(500 * time.Microsecond)
-	}
-	st := a.WireStats()
-	if st.Bytes > window+512 {
-		t.Fatalf("wrote %d bytes against a %d-byte window", st.Bytes, window)
-	}
-	if st.Bytes == 0 {
-		t.Fatal("nothing written: window never opened")
-	}
-	if st.Stalls == 0 {
-		t.Fatal("no egress stalls recorded")
-	}
-	select {
-	case err := <-acceptErr:
-		t.Fatal(err)
-	default:
-	}
-
-	credit <- struct{}{} // replenish: egress must resume
-	deadline := time.Now().Add(5 * time.Second)
-	for a.WireStats().Bytes <= st.Bytes {
-		if time.Now().After(deadline) {
-			t.Fatalf("egress never resumed past %d bytes after credit", st.Bytes)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(credit)
-	if err := a.Err(); err != nil {
-		t.Fatal(err)
 	}
 }

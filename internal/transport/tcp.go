@@ -33,21 +33,9 @@ const defaultDialWindow = 10 * time.Second
 // coalescing writer to drain frames queued before the close.
 const closeFlushTimeout = 2 * time.Second
 
-// DefaultWindow is the receive window an endpoint announces in its
-// hello when WireOptions.Window is zero: the peer may have this many
-// stream bytes in flight before it must wait for a CtrlWindow credit.
-const DefaultWindow = 8 << 20
-
-// MinWindow floors any positive configured window at two maximum batch
-// envelopes, so a single full-size batch can always be credited and a
-// too-small window cannot deadlock the link.
-const MinWindow = 2 * wire.MaxEnvelope
-
 // DefaultBudget bounds the bytes queued inside one connection's
-// coalescing writer. Unlike the credit window (which a peer may
-// decline by announcing none) the budget is always armed: a peer that
-// stops reading costs this much sender memory and blocked Sends,
-// never an OOM.
+// coalescing writer. It is always armed: a peer that stops reading
+// costs this much sender memory and blocked Sends, never an OOM.
 const DefaultBudget = 16 << 20
 
 // handshakeTimeout bounds the dial-side wait for the peer's hello
@@ -218,13 +206,12 @@ func (t *TCP) Configure(cfg Config) {
 }
 
 // localHello assembles the hello this endpoint sends (dial side) or
-// answers with (accept side): protocol version, cluster shape, the
-// locally enabled feature set, and the receive window it grants.
+// answers with (accept side): protocol version, cluster shape and the
+// locally enabled feature set.
 func (t *TCP) localHello() wire.Hello {
 	sh := t.shape.Load()
-	w := sh.cfg.Wire
 	var feat uint64
-	if w.Delta {
+	if sh.cfg.Wire.Delta {
 		feat |= wire.FeatDelta
 	}
 	return wire.Hello{
@@ -232,24 +219,7 @@ func (t *TCP) localHello() wire.Hello {
 		Nodes:     t.n,
 		Resources: sh.resources,
 		Features:  feat,
-		Window:    resolveWindow(w.Window),
 		Shards:    len(sh.cfg.Shards),
-	}
-}
-
-// resolveWindow maps the WireOptions.Window knob onto the announced
-// window: zero selects the default, negative disables crediting, and
-// a positive value is floored at MinWindow.
-func resolveWindow(w int64) uint64 {
-	switch {
-	case w < 0:
-		return 0
-	case w == 0:
-		return DefaultWindow
-	case w < MinWindow:
-		return MinWindow
-	default:
-		return uint64(w)
 	}
 }
 
@@ -426,7 +396,7 @@ func (t *TCP) conn(addr string) *outConn {
 		}
 		c, err := t.dialOnce(ctx, addr)
 		if err == nil {
-			peer, br, err := t.dialHandshake(c)
+			peer, err := t.dialHandshake(c)
 			if err != nil {
 				c.Close()
 				select {
@@ -455,7 +425,7 @@ func (t *TCP) conn(addr string) *outConn {
 			// awaiting its writeFailed sweep; the fresh one replaces it
 			// (dropConn deletes by identity, so the sweep cannot evict
 			// this registration).
-			oc = t.newOutConn(c, peer, br)
+			oc = t.newOutConn(c, peer)
 			t.conns[addr] = oc
 			t.connMu.Unlock()
 			return oc
@@ -484,11 +454,9 @@ func (t *TCP) dialOnce(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // dialHandshake runs the dial side of connection negotiation: send our
-// hello, wait (bounded) for the peer's hello or rejection. It returns
-// the peer's hello and the reverse-path reader, which may hold buffered
-// bytes past the hello reply and must therefore keep serving the credit
-// loop.
-func (t *TCP) dialHandshake(c net.Conn) (wire.Hello, *bufio.Reader, error) {
+// hello, wait (bounded) for the peer's hello or rejection. The hello
+// reply is the last thing the acceptor ever writes on the connection.
+func (t *TCP) dialHandshake(c net.Conn) (wire.Hello, error) {
 	// The handshake deadline caps a silent peer, but a transport
 	// shutting down must not ride it out: closing the socket unblocks
 	// the exchange the moment Close runs.
@@ -506,27 +474,27 @@ func (t *TCP) dialHandshake(c net.Conn) (wire.Hello, *bufio.Reader, error) {
 	mine := t.localHello()
 	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
 	if _, err := c.Write(hello); err != nil {
-		return wire.Hello{}, nil, fmt.Errorf("transport: hello to %s: %w", c.RemoteAddr(), err)
+		return wire.Hello{}, fmt.Errorf("transport: hello to %s: %w", c.RemoteAddr(), err)
 	}
 	br := bufio.NewReader(c)
 	for {
 		ctl, err := wire.ReadControl(br)
 		if err != nil {
-			return wire.Hello{}, nil, fmt.Errorf("transport: hello reply from %s: %w", c.RemoteAddr(), err)
+			return wire.Hello{}, fmt.Errorf("transport: hello reply from %s: %w", c.RemoteAddr(), err)
 		}
 		switch ctl.Code {
 		case wire.CtrlHello:
 			peer, err := wire.ParseHello(ctl.Payload)
 			if err != nil {
-				return wire.Hello{}, nil, fmt.Errorf("transport: hello from %s: %w", c.RemoteAddr(), err)
+				return wire.Hello{}, fmt.Errorf("transport: hello from %s: %w", c.RemoteAddr(), err)
 			}
 			if err := mine.Check(peer); err != nil {
-				return wire.Hello{}, nil, fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
+				return wire.Hello{}, fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
 			}
-			return peer, br, nil
+			return peer, nil
 		case wire.CtrlReject:
 			reason, _ := wire.ParseReject(ctl.Payload)
-			return wire.Hello{}, nil, fmt.Errorf("transport: peer %s rejected handshake: %s", c.RemoteAddr(), reason)
+			return wire.Hello{}, fmt.Errorf("transport: peer %s rejected handshake: %s", c.RemoteAddr(), reason)
 		default:
 			// A control ahead of the hello reply from a future build:
 			// skip it, same forward-compatibility rule as FrameReader.
@@ -536,9 +504,8 @@ func (t *TCP) dialHandshake(c net.Conn) (wire.Hello, *bufio.Reader, error) {
 
 // newOutConn builds the coalescing writer for a freshly dialed
 // connection, intersecting the locally enabled features with what the
-// peer advertised. Caller holds connMu — which is what makes the credit
-// loop's wg.Add ordered before Close's Wait.
-func (t *TCP) newOutConn(c net.Conn, peer wire.Hello, br *bufio.Reader) *outConn {
+// peer advertised.
+func (t *TCP) newOutConn(c net.Conn, peer wire.Hello) *outConn {
 	oc := &outConn{c: c, peer: peer}
 	oc.co = wire.NewCoalescer(c, 0, func(err error) {
 		t.writeFailed(oc, err)
@@ -551,43 +518,10 @@ func (t *TCP) newOutConn(c net.Conn, peer wire.Hello, br *bufio.Reader) *outConn
 		oc.strms.base.SetFlag(wire.CtrlTokenDelta)
 		oc.co.SetPreamble(wire.AppendControl(nil, wire.CtrlTokenDelta, nil))
 	}
-	// The byte budget is always armed: whatever window the peer
-	// announced, a stalled peer costs bounded memory, never an OOM.
+	// The one flow-control rule of a peer link: a stalled peer costs
+	// bounded memory and blocked Sends, never an OOM.
 	oc.co.SetByteBudget(DefaultBudget)
-	if peer.Window > 0 {
-		oc.co.SetWindow(int64(peer.Window))
-		t.wg.Add(1)
-		go t.creditLoop(oc, br)
-	}
 	return oc
-}
-
-// creditLoop drains the reverse path of a dialed connection for
-// CtrlWindow credits and feeds them to the coalescing writer. On any
-// read error it grants unbounded credit before exiting: a dying
-// reverse path must never wedge the flusher — the next forward write
-// fails normally instead, and the connection is redialed.
-func (t *TCP) creditLoop(oc *outConn, br *bufio.Reader) {
-	defer t.wg.Done()
-	defer oc.co.AddCredit(1 << 62)
-	for {
-		ctl, err := wire.ReadControl(br)
-		if err != nil {
-			return
-		}
-		switch ctl.Code {
-		case wire.CtrlWindow:
-			n, err := wire.ParseWindowUpdate(ctl.Payload)
-			if err != nil {
-				return
-			}
-			oc.co.AddCredit(int64(n))
-		case wire.CtrlReject:
-			return
-		default:
-			// Unknown reverse-path control from a future build: skip.
-		}
-	}
 }
 
 // AbortConns forcibly closes every currently dialed connection's
@@ -693,12 +627,9 @@ func (t *TCP) serve(c net.Conn) {
 		case <-done: // the connection ended first; don't outlive it
 		}
 	}()
-	// The hello reply and subsequent credits are the only bytes this side
-	// ever writes. The exchange happens on the bare buffered reader, so
-	// Consumed below counts exactly the bytes the dialer's coalescing
-	// writer charges against the window.
+	// The hello reply is the only thing this side ever writes.
 	br := bufio.NewReader(c)
-	mine, err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
+	_, err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
 		mine := t.localHello()
 		return mine, mine.Check(peer)
 	})
@@ -706,8 +637,6 @@ func (t *TCP) serve(c net.Conn) {
 		t.connErr(c, err)
 		return
 	}
-	window := mine.Window // announced receive window; 0 = no crediting
-	var credited uint64   // Consumed() bytes already credited back
 	fr := wire.NewFrameReader(br, maxFrame)
 	// The ingress codec contexts: stream controls the peer announces
 	// (delta-encoded token state) flip flags here, and stateful codecs
@@ -730,18 +659,6 @@ func (t *TCP) serve(c net.Conn) {
 		if err != nil {
 			t.connErr(c, err)
 			return
-		}
-		// Credit consumed stream bytes back once half the window has
-		// gone by — frequent enough that the sender never stalls on a
-		// draining receiver, rare enough to stay off the hot path.
-		if window > 0 && fr.Consumed()-credited >= window/2 {
-			delta := fr.Consumed() - credited
-			update := wire.AppendWindowUpdate(nil, delta)
-			if _, err := c.Write(wire.AppendControl(nil, wire.CtrlWindow, update)); err != nil {
-				t.connErr(c, fmt.Errorf("window update: %w", err))
-				return
-			}
-			credited += delta
 		}
 		// Re-read the shape per frame: a peer may connect (and send)
 		// before this process's cluster has announced it via Configure.

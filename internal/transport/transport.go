@@ -131,17 +131,12 @@ type Transport interface {
 }
 
 // WireOptions tunes the wire path of a socket transport. The zero
-// value selects the defaults.
+// value selects the default.
 type WireOptions struct {
 	// Delta enables delta-encoded token state (wire.CtrlTokenDelta): a
 	// link ships token deltas instead of full snapshots when both of its
 	// ends enable it, and full snapshots otherwise.
 	Delta bool
-	// Window is the receive window this endpoint announces in its hello
-	// (bytes the peer may have in flight before waiting for credit).
-	// Zero selects DefaultWindow; a negative value disables crediting
-	// (the peer then sends bounded by its byte budget alone).
-	Window int64
 }
 
 // kindStats is the shared per-kind message counter. Counting is on the

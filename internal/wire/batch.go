@@ -71,15 +71,11 @@ const (
 	// token; epoch/seq stamps ride in the tokens themselves). Its
 	// payload is empty. Senders emit it once, before the first frame.
 	CtrlTokenDelta = 1
-	// CtrlHello opens connection negotiation: version, cluster shape,
-	// feature bits and receive window (see hello.go). It must be the
-	// dialer's first stream element; the acceptor answers with its own
-	// hello or a CtrlReject.
+	// CtrlHello opens connection negotiation: version, cluster shape
+	// and feature bits (see hello.go). It must be the dialer's first
+	// stream element; the acceptor answers with its own hello or a
+	// CtrlReject.
 	CtrlHello = 2
-	// CtrlWindow credits consumed stream bytes back to the sender —
-	// the flow-control half of the negotiated window (hello.go). Its
-	// payload is one uvarint byte count.
-	CtrlWindow = 3
 	// CtrlReject refuses a handshake with a human-readable reason
 	// (no hello, version or shape mismatch); the connection dies after
 	// it.
@@ -130,8 +126,7 @@ type FrameReader struct {
 	env uint64 // bytes remaining in the current batch envelope
 	buf []byte // reused frame buffer
 
-	consumed uint64 // exact stream bytes consumed (markers and headers included)
-	skipped  uint64 // unknown controls skipped (forward compat)
+	skipped uint64 // unknown controls skipped (forward compat)
 
 	// onControl, when set, receives stream-control elements; returning
 	// ErrUnknownControl skips the control (forward compat), any other
@@ -145,13 +140,6 @@ type FrameReader struct {
 func (fr *FrameReader) OnControl(fn func(code uint64, payload []byte) error) {
 	fr.onControl = fn
 }
-
-// Consumed reports the exact number of stream bytes read so far —
-// markers, envelope headers, control elements and frame payloads all
-// included. It is the byte count a flow-controlled receiver credits
-// back to the sender (CtrlWindow), so the units match the sender's
-// written-byte accounting.
-func (fr *FrameReader) Consumed() uint64 { return fr.consumed }
 
 // SkippedControls reports how many unknown stream controls the reader
 // has skipped (the forward-compatibility path: no handler, or a
@@ -182,7 +170,6 @@ func (fr *FrameReader) Next() ([]byte, error) {
 			if size > fr.max {
 				return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", size, fr.max)
 			}
-			fr.consumed += uint64(uvarintLen(size)) + size
 			return fr.read(size)
 		}
 		// Batch marker: read the envelope header, then fall through to
@@ -202,7 +189,6 @@ func (fr *FrameReader) Next() ([]byte, error) {
 		if env > fr.max {
 			return nil, fmt.Errorf("wire: batch envelope of %d bytes exceeds limit %d", env, fr.max)
 		}
-		fr.consumed += 1 + uint64(uvarintLen(env))
 		fr.env = env
 	}
 	// Inside an envelope: every byte read, prefix included, is charged
@@ -219,7 +205,6 @@ func (fr *FrameReader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("wire: frame of %d bytes overruns its batch envelope (%d left)", size, fr.env)
 	}
 	fr.env -= cost
-	fr.consumed += cost
 	return fr.read(size)
 }
 
@@ -241,7 +226,6 @@ func (fr *FrameReader) control() error {
 	if _, err := io.ReadFull(fr.br, payload); err != nil {
 		return noEOF(err)
 	}
-	fr.consumed += 2 + uint64(uvarintLen(code)) + uint64(uvarintLen(n)) + n
 	if fr.onControl == nil {
 		// Forward compatibility: a reader with no handler skips every
 		// control. The length prefix makes that safe; erroring here

@@ -399,8 +399,7 @@ func TestFrameReaderStreamControls(t *testing.T) {
 // TestFrameReaderSkipsUnknownControls pins the forward-compatibility
 // rule: unknown stream controls are skipped and counted — by a reader
 // with no handler, and by a handler returning ErrUnknownControl — so
-// future controls never break old decoders. Consumed must account for
-// every stream byte either way (it is what flow control credits back).
+// future controls never break old decoders.
 func TestFrameReaderSkipsUnknownControls(t *testing.T) {
 	var stream []byte
 	stream = wire.AppendControl(stream, 77, []byte{9, 9, 9})
@@ -426,9 +425,6 @@ func TestFrameReaderSkipsUnknownControls(t *testing.T) {
 		}
 		if got := fr.SkippedControls(); got != wantSkips {
 			t.Fatalf("SkippedControls = %d, want %d", got, wantSkips)
-		}
-		if got := fr.Consumed(); got != uint64(len(stream)) {
-			t.Fatalf("Consumed = %d, want the whole stream (%d bytes)", got, len(stream))
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 )
@@ -55,13 +54,6 @@ type Coalescer struct {
 	pendingBytes int64
 	room         sync.Cond
 
-	// Credit window (SetWindow/AddCredit): the peer's advertised
-	// receive window. The flusher spends credit as it writes and waits
-	// on creditCond when the window is exhausted; CtrlWindow updates
-	// from the peer replenish it.
-	window     int64
-	credit     int64
-	creditCond sync.Cond
 	// maxFrames, when positive, bounds how many frames one flush may
 	// write together (1: every frame its own write, which is how the
 	// framing tests get deterministic groups). Fixed at construction.
@@ -138,7 +130,7 @@ type CoalescerStats struct {
 	Frames  int64 // frames written
 	Bytes   int64 // bytes written, envelope headers included
 	// Stalls counts backpressure events: appends that blocked on the
-	// byte budget, plus flushes that waited for window credit.
+	// byte budget.
 	Stalls int64
 	// Hist buckets flush groups by frame count:
 	// 1, 2–3, 4–7, 8–15, 16–31, 32–63, 64–127, ≥128.
@@ -167,30 +159,12 @@ func (s *CoalescerStats) Add(o CoalescerStats) {
 	}
 }
 
-// HistString renders the non-empty histogram buckets, e.g.
-// "1:120 2-3:31 8-15:2".
-func (s CoalescerStats) HistString() string {
-	labels := [8]string{"1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127", "128+"}
-	var sb strings.Builder
-	for i, v := range s.Hist {
-		if v == 0 {
-			continue
-		}
-		if sb.Len() > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%s:%d", labels[i], v)
-	}
-	return sb.String()
-}
-
 // NewCoalescer starts a coalescing writer over w. maxFrames bounds the
 // frames per flush (0 = unbounded); onErr may be nil.
 func NewCoalescer(w io.Writer, maxFrames int, onErr func(error)) *Coalescer {
 	c := &Coalescer{w: w, onErr: onErr, maxFrames: maxFrames, done: make(chan struct{})}
 	c.nonIdle.L = &c.mu
 	c.room.L = &c.mu
-	c.creditCond.L = &c.mu
 	go c.flusher()
 	return c
 }
@@ -215,61 +189,6 @@ func (c *Coalescer) QueuedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pendingBytes
-}
-
-// SetWindow arms credit-based flow control with the peer's advertised
-// receive window (hello negotiation): the flusher spends the window as
-// it writes and waits for CtrlWindow credits (AddCredit) when it is
-// exhausted. Zero (the default) disables crediting. Call before the
-// first Append.
-func (c *Coalescer) SetWindow(n int64) {
-	c.mu.Lock()
-	c.window = n
-	c.credit = n
-	c.creditCond.Broadcast()
-	c.mu.Unlock()
-}
-
-// AddCredit returns n consumed bytes of window credit (a CtrlWindow
-// update from the peer), waking a flusher waiting for it.
-func (c *Coalescer) AddCredit(n int64) {
-	c.mu.Lock()
-	c.credit += n
-	c.creditCond.Broadcast()
-	c.mu.Unlock()
-}
-
-// waitCredit blocks until at least min(n, window) bytes of credit are
-// available, then reserves nothing — chargeCredit settles the exact
-// written byte count afterwards. A closed or failed coalescer never
-// waits (Close must be able to drain against a dead peer; the write
-// deadline bounds that attempt instead).
-func (c *Coalescer) waitCredit(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.window <= 0 {
-		return
-	}
-	if n > c.window {
-		n = c.window // a group larger than the window must still move
-	}
-	waited := false
-	for c.credit < n && !c.closed && c.err == nil {
-		if !waited {
-			waited = true
-			c.stats.Stalls++
-		}
-		c.creditCond.Wait()
-	}
-}
-
-// chargeCredit spends written bytes against the window.
-func (c *Coalescer) chargeCredit(n int64) {
-	c.mu.Lock()
-	if c.window > 0 {
-		c.credit -= n
-	}
-	c.mu.Unlock()
 }
 
 // SetPreamble queues raw stream bytes (controls built with
@@ -405,10 +324,9 @@ func (c *Coalescer) beginClose() {
 	if !c.closed {
 		c.closed = true
 		c.nonIdle.Signal()
-		// Wake appenders blocked on the budget and a flusher waiting
-		// for credit: a close must never deadlock on flow control.
+		// Wake appenders blocked on the budget: a close must never
+		// deadlock on flow control.
 		c.room.Broadcast()
-		c.creditCond.Broadcast()
 	}
 	c.mu.Unlock()
 }
@@ -441,10 +359,7 @@ func (c *Coalescer) flusher() {
 		var st CoalescerStats
 		var err error
 		if len(pre) > 0 {
-			before := st.Bytes
-			c.waitCredit(int64(len(pre)))
 			err = c.write(&st, pre)
-			c.chargeCredit(st.Bytes - before)
 		}
 		if err == nil {
 			err = c.writeOut(&st, spans)
@@ -475,7 +390,6 @@ func (c *Coalescer) flusher() {
 			c.pending = nil
 			c.pendingBytes = 0
 			c.room.Broadcast()
-			c.creditCond.Broadcast()
 			c.mu.Unlock()
 			for _, s := range stale {
 				ReleaseFrame(s.buf)
@@ -540,11 +454,6 @@ func (c *Coalescer) writeOut(st *CoalescerStats, spans []span) error {
 			size += len(spans[last].frame())
 		}
 		frames := last + 1 - first
-		// Flow control: hold the group until the peer's window has room
-		// for it (plus the envelope header), then settle the exact
-		// written byte count against the credit.
-		c.waitCredit(int64(size) + headerReserve)
-		before := st.Bytes
 		var err error
 		if frames == 1 {
 			// The frame is already contiguous in its own buffer: one
@@ -553,7 +462,6 @@ func (c *Coalescer) writeOut(st *CoalescerStats, spans []span) error {
 		} else {
 			err = c.writeVec(st, spans[first:last+1], size)
 		}
-		c.chargeCredit(st.Bytes - before)
 		st.Flushes++
 		st.Frames += int64(frames)
 		st.Hist[histBucket(frames)]++

@@ -144,40 +144,3 @@ func TestCloseUnblocksBudgetedAppender(t *testing.T) {
 		t.Fatal("Close left the appender blocked on the budget")
 	}
 }
-
-// TestCreditWindowGatesWrites: with a window armed, the flusher must
-// stop writing once the credit is spent and resume on AddCredit — the
-// sender half of end-to-end flow control.
-func TestCreditWindowGatesWrites(t *testing.T) {
-	const window = 1024
-	g := newGateWriter()
-	g.release() // writer never blocks; only credit gates progress
-	co := wire.NewCoalescer(g, 1, nil)
-	co.SetWindow(window)
-
-	payload := make([]byte, 200)
-	for i := 0; i < 20; i++ { // ~4KB total against a 1KB window
-		if !co.Append(payload) {
-			t.Fatal("append refused")
-		}
-	}
-	// Writes must stall at (roughly) the window, not run to 4KB.
-	eventually(t, "first window written", func() bool { return g.written.Load() > window/2 })
-	time.Sleep(20 * time.Millisecond)
-	if w := g.written.Load(); w > window+512 {
-		t.Fatalf("wrote %d bytes with only %d credit", w, window)
-	}
-	before := g.written.Load()
-	co.AddCredit(window)
-	eventually(t, "credit resumed writes", func() bool { return g.written.Load() > before })
-	if co.Stats().Stalls == 0 {
-		t.Fatal("no credit stalls recorded")
-	}
-	// Close must drain the rest even with the window dry.
-	if err := co.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := co.Stats(); st.Frames != 20 {
-		t.Fatalf("wrote %d frames, want 20", st.Frames)
-	}
-}

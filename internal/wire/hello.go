@@ -10,11 +10,10 @@ import (
 // Connection negotiation. Every connection (peer transport and client
 // port alike) opens with a Hello exchange riding the stream-control
 // element of batch.go: the dialer's first stream element is its hello —
-// protocol version, cluster shape, feature set and receive window — and
-// the acceptor answers with its own. Either side that cannot proceed
-// (anything but a hello first, a different version, a disagreeing
-// shape) answers CtrlReject with a reason instead of silently dropping
-// the socket.
+// protocol version, cluster shape and feature set — and the acceptor
+// answers with its own. Either side that cannot proceed (anything but a
+// hello first, a different version, a disagreeing shape) answers
+// CtrlReject with a reason instead of silently dropping the socket.
 //
 // The hello payload is forward-compatible by construction: decoders
 // ignore trailing bytes, so future versions may append fields without
@@ -25,12 +24,12 @@ import (
 // carrying a different version is rejected — the version only moves
 // when the stream alphabet or the mandatory hello fields change, which
 // the feature bits exist to avoid.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // Feature bits a hello advertises. A capability is used on a
-// connection only when both hellos carry its bit (Intersect), which is
-// what lets differently configured endpoints interoperate: the
-// connection degrades to the common subset instead of desynchronizing.
+// connection only when both hellos carry its bit, which is what lets
+// differently configured endpoints interoperate: the connection degrades
+// to the common subset instead of desynchronizing.
 const (
 	// FeatDelta: the sender can decode delta-encoded token state
 	// (CtrlTokenDelta payloads).
@@ -48,19 +47,11 @@ type Hello struct {
 	Nodes, Resources int
 	// Features is the sender's advertised feature set (Feat* bits).
 	Features uint64
-	// Window is the sender's receive window in bytes: how many stream
-	// bytes it is willing to buffer from the peer before crediting them
-	// back with CtrlWindow updates. Zero disables crediting (the sender
-	// promises to drain unboundedly).
-	Window uint64
 	// Shards is the sender's resource-shard count; a flat cluster is one
 	// shard. Zero means unknown, like the shape — only a client sends it
 	// — and mismatching non-zero values are rejected the same way.
 	Shards int
 }
-
-// Intersect reports the feature set two hellos agree on.
-func (h Hello) Intersect(o Hello) uint64 { return h.Features & o.Features }
 
 // Check reports why the sender of h cannot talk to the sender of peer:
 // the protocol version must match exactly, and nodes, resources and
@@ -90,26 +81,25 @@ func (h Hello) Check(peer Hello) error {
 const maxHelloShape = 1 << 24
 
 // AppendHello appends h's payload encoding (version, nodes, resources,
-// features, window, shards — all uvarints) onto dst. Wrap it in a
+// features, shards — all uvarints) onto dst. Wrap it in a
 // control with AppendControl(dst, CtrlHello, payload).
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.AppendUvarint(dst, h.Version)
 	dst = binary.AppendUvarint(dst, uint64(h.Nodes))
 	dst = binary.AppendUvarint(dst, uint64(h.Resources))
 	dst = binary.AppendUvarint(dst, h.Features)
-	dst = binary.AppendUvarint(dst, h.Window)
 	dst = binary.AppendUvarint(dst, uint64(h.Shards))
 	return dst
 }
 
-// ParseHello decodes a CtrlHello payload: six mandatory uvarints.
+// ParseHello decodes a CtrlHello payload: five mandatory uvarints.
 // Trailing bytes are ignored — future versions may append fields — but
 // a truncated or absurd hello is an error.
 func ParseHello(payload []byte) (Hello, error) {
 	var h Hello
 	var nodes, resources, shards uint64
 	rest := payload
-	for i, f := range [6]*uint64{&h.Version, &nodes, &resources, &h.Features, &h.Window, &shards} {
+	for i, f := range [5]*uint64{&h.Version, &nodes, &resources, &h.Features, &shards} {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return Hello{}, fmt.Errorf("wire: hello truncated at field %d", i)
@@ -125,21 +115,6 @@ func ParseHello(payload []byte) (Hello, error) {
 	}
 	h.Nodes, h.Resources, h.Shards = int(nodes), int(resources), int(shards)
 	return h, nil
-}
-
-// AppendWindowUpdate appends a CtrlWindow payload crediting n consumed
-// bytes back to the sender.
-func AppendWindowUpdate(dst []byte, n uint64) []byte {
-	return binary.AppendUvarint(dst, n)
-}
-
-// ParseWindowUpdate decodes a CtrlWindow payload.
-func ParseWindowUpdate(payload []byte) (uint64, error) {
-	v, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: truncated window update")
-	}
-	return v, nil
 }
 
 // maxRejectReason bounds a CtrlReject reason string.
@@ -223,7 +198,12 @@ func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, 
 	case ctl.Code != CtrlHello:
 		err = fmt.Errorf("hello required: got stream control %d", ctl.Code)
 	default:
-		if peer, err = ParseHello(ctl.Payload); err == nil {
+		// The version gates the parse: what follows it is laid out as
+		// that version says, so another version's hello is refused by its
+		// first field and never read further.
+		if v, n := binary.Uvarint(ctl.Payload); n > 0 && v != ProtoVersion {
+			err = Hello{Version: ProtoVersion}.Check(Hello{Version: v})
+		} else if peer, err = ParseHello(ctl.Payload); err == nil {
 			mine, err = answer(peer)
 		}
 	}

@@ -15,7 +15,6 @@ func TestHelloRoundTrip(t *testing.T) {
 		Nodes:     512,
 		Resources: 80,
 		Features:  wire.FeatDelta,
-		Window:    8 << 20,
 		Shards:    1,
 	}
 	got, err := wire.ParseHello(wire.AppendHello(nil, h))
@@ -47,10 +46,10 @@ func TestHelloHostile(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     nil,
 		"truncated": wire.AppendHello(nil, wire.Hello{Version: 1, Nodes: 3, Resources: 4})[:2],
-		// All six fields are mandatory: a hello that ends after the
-		// window (no shard count) is truncated, not flat.
-		"five fields": func() []byte {
-			h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 4, Window: 1 << 16, Shards: 1})
+		// All five fields are mandatory: a hello that ends after the
+		// features (no shard count) is truncated, not flat.
+		"four fields": func() []byte {
+			h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 4, Shards: 1})
 			return h[:len(h)-1] // the shard count is one byte
 		}(),
 		"absurd shape": func() []byte {
@@ -64,14 +63,11 @@ func TestHelloHostile(t *testing.T) {
 	}
 }
 
+// TestWindowUpdateAndRejectRoundTrip: a reject reason round-trips, cut
+// at 256 bytes; a malformed payload is an error. (Reject is the one
+// payload left under this name, which the suite's pinned test list
+// keeps.)
 func TestWindowUpdateAndRejectRoundTrip(t *testing.T) {
-	n, err := wire.ParseWindowUpdate(wire.AppendWindowUpdate(nil, 123456))
-	if err != nil || n != 123456 {
-		t.Fatalf("window update: %d, %v", n, err)
-	}
-	if _, err := wire.ParseWindowUpdate(nil); err == nil {
-		t.Fatal("empty window update accepted")
-	}
 	reason, err := wire.ParseReject(wire.AppendReject(nil, "version mismatch"))
 	if err != nil || reason != "version mismatch" {
 		t.Fatalf("reject: %q, %v", reason, err)

@@ -61,7 +61,7 @@ func TestShardTagLegacyUnconsumed(t *testing.T) {
 }
 
 func TestHelloShardsRoundTrip(t *testing.T) {
-	h := Hello{Version: ProtoVersion, Nodes: 4, Resources: 12, Features: FeatDelta, Window: 1 << 16, Shards: 4}
+	h := Hello{Version: ProtoVersion, Nodes: 4, Resources: 12, Features: FeatDelta, Shards: 4}
 	got, err := ParseHello(AppendHello(nil, h))
 	if err != nil {
 		t.Fatal(err)

@@ -351,42 +351,4 @@ func TestClusterOptions(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithWire(WireConfig{Delta: true})); err == nil {
 		t.Error("wire options accepted on an in-process cluster")
 	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithWire(WireConfig{Window: 1 << 20})); err == nil {
-		t.Error("window option accepted on an in-process cluster")
-	}
-}
-
-// TestClusterAcquireAll: the batched all-or-nothing acquire spreads
-// its sets over distinct nodes (one critical section per node) and the
-// combined release hands everything back.
-func TestClusterAcquireAll(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 3, Resources: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	release, err := c.AcquireAll(ctx, []int{0, 1}, []int{2}, []int{3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	release() // idempotent
-	for _, set := range [][]int{{0, 1}, {2}, {3, 4, 5}} {
-		rel, err := c.Acquire(ctx, 0, set...)
-		if err != nil {
-			t.Fatalf("set %v stranded after AcquireAll release: %v", set, err)
-		}
-		rel()
-	}
-	// More sets than nodes: refused, nothing held.
-	if _, err := c.AcquireAll(ctx, []int{0}, []int{1}, []int{2}, []int{3}); err == nil {
-		t.Fatal("over-wide batch accepted")
-	}
-	rel, err := c.AcquireAll(ctx) // empty batch is a no-op
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel()
 }
