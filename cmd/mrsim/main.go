@@ -6,6 +6,7 @@
 //	mrsim run -alg bouabdallah-laforest -phi 8 -gantt -m 10 -n 6
 //	mrsim fig -fig 5a          # Figure 5(a): use rate vs φ, medium load
 //	mrsim fig -fig all -scale full
+//	mrsim fig -diff internal/experiments/testdata   # what did this tree do to the figures?
 //	mrsim sweep -exp threshold # E1: loan threshold (the paper's future work)
 //	mrsim sweep -exp msgs -csv # message complexity incl. the broadcast baseline
 //
@@ -15,12 +16,19 @@
 // markfn opts msgs fairness hotspot (see internal/experiments/names.go);
 // "all" runs the whole list. Scales: quick, std (default), full — they
 // trade simulated horizon and seed count for runtime.
+//
+// With -diff <dir>, fig and sweep print no table: they run the selected
+// ones at quick scale and compare each with its recording
+// <dir>/<name>_quick.csv (the goldens of experiments.TestFigureGoldens:
+// the six figures and "msgs"), one "old → new" line per differing cell,
+// and exit 1 if there was any.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -63,14 +71,24 @@ func tables(sel, what string, list []experiments.Experiment, args []string) {
 	pick := fs.String(sel, "all", what+": "+strings.Join(names, " ")+" all")
 	scale := fs.String("scale", "std", "simulation scale: quick std full")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	diff := fs.String("diff", "", "compare with the tables recorded in `dir` (<name>_quick.csv, quick scale) instead of printing")
 	fs.Parse(args)
 
+	if *diff != "" {
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "scale" && *scale != "quick" || f.Name == "csv" {
+				fmt.Fprintf(os.Stderr, "mrsim: -diff compares at quick scale and prints no table: -%s does not go with it\n", f.Name)
+				os.Exit(2)
+			}
+		})
+		*scale = "quick"
+	}
 	sc, ok := experiments.ScaleByName(*scale)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mrsim: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	ran := 0
+	ran, differ := 0, false
 	for _, e := range list {
 		if *pick != "all" && *pick != e.Name {
 			continue
@@ -81,9 +99,20 @@ func tables(sel, what string, list []experiments.Experiment, args []string) {
 			fmt.Fprintf(os.Stderr, "mrsim: %s %s: %v\n", what, e.Name, err)
 			os.Exit(1)
 		}
-		if *csv {
+		switch {
+		case *diff != "":
+			recorded, err := os.ReadFile(filepath.Join(*diff, e.Name+"_quick.csv"))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "mrsim: %s %s has no recording: %v\n", what, e.Name, err)
+				os.Exit(1)
+			}
+			for _, line := range diffTable(tab, string(recorded)) {
+				differ = true
+				fmt.Printf("%s %s\n", e.Name, line)
+			}
+		case *csv:
 			fmt.Print(tab.CSV())
-		} else {
+		default:
 			fmt.Println(tab.String())
 		}
 	}
@@ -91,6 +120,51 @@ func tables(sel, what string, list []experiments.Experiment, args []string) {
 		fmt.Fprintf(os.Stderr, "mrsim: unknown %s %q\n", what, *pick)
 		os.Exit(2)
 	}
+	if differ {
+		os.Exit(1)
+	}
+}
+
+// diffTable compares tab with a recording of the same table in CSV form
+// and returns one line per cell that differs — "row, column: old → new",
+// a row named by its first cell. A row only one side has is one line,
+// and so is a changed header, after which no cell can be matched.
+func diffTable(tab experiments.Table, recorded string) []string {
+	parse := func(csv string) (rows [][]string) {
+		for _, line := range strings.Split(strings.TrimSuffix(csv, "\n"), "\n") {
+			rows = append(rows, strings.Split(line, ","))
+		}
+		return rows
+	}
+	old, cur := parse(recorded), parse(tab.CSV())
+	if a, b := strings.Join(old[0], ","), strings.Join(cur[0], ","); a != b {
+		return []string{fmt.Sprintf("header: %s → %s", a, b)}
+	}
+	header := cur[0]
+	was := make(map[string][]string, len(old))
+	for _, row := range old[1:] {
+		was[row[0]] = row
+	}
+	var out []string
+	for _, row := range cur[1:] {
+		prev, ok := was[row[0]]
+		if !ok {
+			out = append(out, fmt.Sprintf("%s=%s: not in the recording", header[0], row[0]))
+			continue
+		}
+		delete(was, row[0])
+		for i := 1; i < len(row) && i < len(prev); i++ {
+			if row[i] != prev[i] {
+				out = append(out, fmt.Sprintf("%s=%s, %s: %s → %s", header[0], row[0], header[i], prev[i], row[i]))
+			}
+		}
+	}
+	for _, row := range old[1:] {
+		if _, gone := was[row[0]]; gone {
+			out = append(out, fmt.Sprintf("%s=%s: recorded, no longer produced", header[0], row[0]))
+		}
+	}
+	return out
 }
 
 // runOne simulates one configuration and prints what it measured.

@@ -23,13 +23,18 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 	b := m.(*reqBatch)
 	e.Nodes(b.Visited)
 	e.Uvarint(uint64(len(b.Reqs)))
-	for _, r := range b.Reqs {
+	sets := loanSets(b.Missing)
+	for i := range b.Reqs {
+		r := &b.Reqs[i]
 		e.Uvarint(uint64(r.Kind))
 		e.Varint(int64(r.R))
 		e.Node(r.Init)
 		e.Varint(r.ID)
 		e.F64(r.Mark)
-		e.Set(r.Missing)
+		// Every request has the set's slot on the wire, empty unless
+		// it is a loan: the record keeps the sets on the side, the
+		// frame keeps them in place.
+		e.Set(sets.next(r))
 		e.Bool(r.Single)
 	}
 }
@@ -57,18 +62,19 @@ func decReqBatch(d *wire.Dec) network.Message {
 		r.Init = d.Site()
 		r.ID = d.Varint()
 		r.Mark = d.F64()
-		r.Missing = d.Set()
+		miss := d.Set()
 		r.Single = d.Bool()
-		if r.Kind == reqLoan && r.Missing.Universe() == 0 {
-			// A loan request always names its missing set; protocol
-			// code runs set algebra on it, which panics on a universe
-			// mismatch the zero value would smuggle past shape checks.
-			d.Fail("loan request without a missing set")
+		// A loan request always names its missing set (protocol code
+		// runs set algebra on it, which panics on a universe mismatch
+		// the zero value would smuggle past shape checks) and no other
+		// request has one: the record has a place for a loan's set only.
+		if (r.Kind == reqLoan) != (miss.Universe() != 0) && d.Err() == nil {
+			d.Fail("%v with a missing set over %d resources", r.Kind, miss.Universe())
 		}
-		if d.Err() != nil {
+		if d.Err() != nil || (r.Kind == reqLoan && !d.Charge(int(unsafe.Sizeof(miss)))) {
 			return b
 		}
-		b.Reqs = append(b.Reqs, r)
+		(*batch)(b).addReq(&r, miss)
 	}
 	return b
 }
@@ -268,8 +274,9 @@ func codecSamples() []network.Message {
 				{Kind: reqCnt, R: 1, Init: 0, ID: 3},
 				{Kind: reqCnt, R: 2, Init: 0, ID: 3, Single: true},
 				{Kind: reqRes, R: 4, Init: 2, ID: 8, Mark: 1.5},
-				{Kind: reqLoan, R: 5, Init: 1, ID: 2, Mark: 0.5, Missing: missing},
+				{Kind: reqLoan, R: 5, Init: 1, ID: 2, Mark: 0.5},
 			},
+			Missing: []resource.Set{missing},
 		},
 		&reqBatch{},
 		&respBatch{
@@ -277,5 +284,19 @@ func codecSamples() []network.Message {
 			Tokens:   []*token{tok, newToken(0, 4)},
 		},
 		&respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}},
+		// Two loans with sets of their own between the other kinds: a
+		// set is found by its loan's position among the loans.
+		// (Last: transport's egress goldens send the first four samples.)
+		&reqBatch{
+			Visited: []network.NodeID{1},
+			Reqs: []request{
+				{Kind: reqLoan, R: 2, Init: 1, ID: 4, Mark: 0.5},
+				{Kind: reqCnt, R: 6, Init: 3, ID: 1},
+				{Kind: reqRes, R: 0, Init: 2, ID: 8, Mark: 1.5},
+				{Kind: reqLoan, R: 7, Init: 3, ID: 2, Mark: 2},
+				{Kind: reqCnt, R: 3, Init: 0, ID: 5, Single: true},
+			},
+			Missing: []resource.Set{missing, resource.FromIDs(8, 7)},
+		},
 	}
 }

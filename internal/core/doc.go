@@ -40,14 +40,30 @@
 // the sending side is unsound by construction). Deliver hands the record
 // to the receiving node, which, after the activation's flush has
 // returned (the forwarded batches copy its visited set until then),
-// scrubs it — no token, no Missing set stays reachable — onto a small
-// capped free list its own next flush draws from, exactly as token
-// snapshots cycle through snapFree. Nodes run serialized, so none of
-// this needs a lock, and a free-list miss costs what building the
-// message from scratch costs: a fresh record with slices sized to the
-// message at hand. Over a socket the rule holds for the outbound half:
-// decoded records are fresh, and what a site decodes feeds what it
-// sends.
+// scrubs it onto a small capped free list its own next flush draws
+// from. The scrub rule: nothing another site may own stays reachable
+// from a waiting record — its token pointers and the missing sets of
+// its loan requests are cleared; its requests hold no pointer (a loan's
+// set rides in a list beside them, batch.Missing) and are only
+// truncated. Nodes run serialized, so none of this needs a lock, and a
+// free-list miss costs what building the message from scratch costs: a
+// fresh record with slices sized to the message at hand. Over a socket
+// the rule holds for the outbound half: decoded records are fresh, and
+// what a site decodes feeds what it sends.
+//
+// # Node state
+//
+// What a node keeps per resource is flat and, where it is large,
+// pointer-free. A token is reachable from a node exactly while the node
+// owns it (Node.tok); when it leaves — sent, or fenced by a
+// regeneration — its two stamp vectors and counter are copied into the
+// node's stale table, one []int64 chunk per tableChunk resources, made
+// when the first of them leaves, and the non-owner's staleness test is
+// an indexed load there. The pendingReq histories are slices of
+// pointer-free 40-byte requests whose first storage is cut from per-node
+// slabs the same way. No per-transfer, per-resource or per-request
+// object is left: a node allocates a chunk now and then while it meets
+// new resources, and then nothing.
 //
 // # Deviations from the paper's pseudo-code
 //

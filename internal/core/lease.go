@@ -26,8 +26,8 @@ import (
 //     lease always runs out at least 3×TTL before its steward can act
 //     on the silence: critical sections shorter than that bound are
 //     safe by construction.
-//   - On expiry the steward regenerates the token from its stale
-//     snapshot under a bumped Epoch and broadcasts the regeneration.
+//   - On expiry the steward regenerates the token from the stale
+//     stamps it kept under a bumped Epoch and broadcasts the regeneration.
 //     Every site re-aims its father pointer at the steward and
 //     re-issues its in-flight request; a resurfacing copy of the old
 //     token — or its stale ex-holder — is fenced by the epoch check
@@ -284,7 +284,7 @@ func (nd *Node) sendHeartbeats(now sim.Time, rs []resource.ID) {
 			hb = &hbMsg{Sent: now}
 			byDest[s] = hb
 		}
-		hb.Owned = append(hb.Owned, hbEntry{R: r, Epoch: nd.lastTok[r].Epoch})
+		hb.Owned = append(hb.Owned, hbEntry{R: r, Epoch: nd.tok[r].Epoch})
 	}
 	for to, hb := range byDest {
 		nd.stats.Heartbeats++
@@ -346,7 +346,7 @@ func (nd *Node) onLease(l leaseMsg) {
 }
 
 // regenerate rebuilds the token of r under a fresh epoch. The stale
-// snapshot seeds counter and obsolescence stamps (conservative: stamps
+// table seeds counter and obsolescence stamps (conservative: stamps
 // only grow, so replayed requests are never wrongly dropped), queues
 // start empty, and every site re-issues its in-flight request when the
 // broadcast arrives.
@@ -354,15 +354,16 @@ func (nd *Node) regenerate(r resource.ID, now sim.Time) {
 	nd.stats.Regens++
 	newE := nd.curEpoch[r] + 1
 	nd.curEpoch[r] = newE
-	t := newToken(r, nd.env.N())
-	if snap := nd.lastTok[r]; snap != nil {
-		t.Counter = snap.Counter + 1
-		copy(t.LastReqC, snap.LastReqC)
-		copy(t.LastCS, snap.LastCS)
-		nd.snapFree = append(nd.snapFree, snap)
+	n := nd.n
+	t := newToken(r, n)
+	if st := nd.staleStamps(r); st != nil {
+		// (All zeros when r's token was never here: a genesis token.)
+		copy(t.LastReqC, st[:n])
+		copy(t.LastCS, st[n:2*n])
+		t.Counter = st[2*n] + 1
 	}
 	t.Epoch = newE
-	nd.lastTok[r] = t
+	nd.tok[r] = t
 	nd.owned.Add(r)
 	nd.tokDir[r] = network.None
 	nd.stewardDeadline[r] = 0
@@ -392,14 +393,13 @@ func (nd *Node) onRegen(rg regenMsg) {
 	// heartbeater) re-run everything below; each step is idempotent.
 	nd.curEpoch[r] = rg.Epoch
 	nd.regenOwner[r] = rg.Owner
-	if nd.owned.Has(r) && nd.lastTok[r].Epoch < rg.Epoch {
-		// We are the fenced ex-holder: ownership is gone, the full old
-		// token collapses to a stale snapshot (its queue and loans are
+	if nd.owned.Has(r) && nd.tok[r].Epoch < rg.Epoch {
+		// We are the fenced ex-holder: ownership is gone, of the old
+		// token only its stale stamps stay (its queue and loans are
 		// re-issued by their initiators on this same broadcast).
 		nd.stats.Fenced++
-		nd.owned.Remove(r)
+		nd.disown(r)
 		nd.lent.Remove(r)
-		nd.lastTok[r] = nd.lastTok[r].snapshotInto(nil)
 	}
 	if rg.Owner != nd.self() && !nd.owned.Has(r) {
 		nd.tokDir[r] = rg.Owner
@@ -414,12 +414,12 @@ func (nd *Node) onRegen(rg regenMsg) {
 		// to the fence: chase the regenerated token.
 		nd.reclaimParked(r)
 	case nd.st == stWaitS && nd.cntNeeded.Has(r):
-		nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
+		nd.ask(&request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
 	case nd.st == stWaitCS && nd.required.Has(r) && !nd.owned.Has(r):
 		if nd.single {
-			nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
+			nd.ask(&request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
 		} else {
-			nd.out.request(nd.tokDir[r], &request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
+			nd.ask(&request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
 		}
 	}
 }
@@ -445,7 +445,7 @@ func (nd *Node) reclaimParked(r resource.ID) {
 	// waitCS path and chase the departed token with an ordinary marked
 	// resource request.
 	nd.st = stWaitCS
-	nd.out.request(nd.tokDir[r], &request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
+	nd.ask(&request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
 }
 
 // Drain implements alg.Drainer: an orderly shutdown hands every owned
@@ -463,7 +463,7 @@ func (nd *Node) Drain() {
 		if nd.st == stInCS && nd.required.Has(r) {
 			continue // an active critical section cannot be handed off
 		}
-		t := nd.lastTok[r]
+		t := nd.tok[r]
 		var to network.NodeID
 		if head, ok := t.Queue.Head(); ok && head.Site != nd.self() {
 			t.Queue.PopHead()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mralloc/internal/network"
+	"mralloc/internal/resource"
 	"mralloc/internal/sim"
 )
 
@@ -122,8 +123,8 @@ func TestLeaseRegenAfterCrash(t *testing.T) {
 		if h.nodes[0].Counters().Regens != 1 {
 			t.Fatalf("steward counters: %+v, want exactly one regeneration", h.nodes[0].Counters())
 		}
-		if h.nodes[2].lastTok[0].Epoch != 1 {
-			t.Fatalf("served token epoch %d, want 1", h.nodes[2].lastTok[0].Epoch)
+		if h.nodes[2].tok[0].Epoch != 1 {
+			t.Fatalf("served token epoch %d, want 1", h.nodes[2].tok[0].Epoch)
 		}
 		h.nodes[2].Release()
 	})
@@ -280,8 +281,8 @@ func TestDrainQueueHeadWins(t *testing.T) {
 	h.at(1, func() { h.nodes[1].Request(ids(3, 1)) })
 	h.at(10, func() { h.nodes[2].Request(ids(3, 1)) })
 	h.at(20, func() {
-		if !h.nodes[1].lastTok[1].Queue.contains(2, h.nodes[2].curID) {
-			t.Fatalf("setup: node2 not queued at node1: %v", h.nodes[1].lastTok[1].Queue)
+		if !h.nodes[1].tok[1].Queue.contains(2, h.nodes[2].curID) {
+			t.Fatalf("setup: node2 not queued at node1: %v", h.nodes[1].tok[1].Queue)
 		}
 		// node1 releases, then drains: the token must go to node2 (the
 		// released queue head service already does this; drain the rest).
@@ -332,4 +333,113 @@ func TestParkedEntryReclaimsStolenToken(t *testing.T) {
 	if len(h.grants) != 2 {
 		t.Fatalf("grants=%v, want both nodes served", h.grants)
 	}
+}
+
+// TestFencedOwnerKeepsStaleStamps: an owner fenced by a regeneration
+// announcement loses the token but keeps what it knew of it — the
+// stamps it judges replayed requests by, as after an ordinary transfer.
+func TestFencedOwnerKeepsStaleStamps(t *testing.T) {
+	f := newFifoNet(3, 3, WithoutLoan())
+	f.acquire(t, 1, ids(3, 0))
+	f.release(1) // r0's token rests at node 1
+	nd := f.nodes[1]
+	tok := nd.tok[0]
+	tok.LastCS[2], tok.LastReqC[2] = 4, 6
+	tok.Queue.Insert(reqRef{Site: 2, ID: 5, Mark: 1})
+
+	nd.Deliver(0, regenMsg{R: 0, Epoch: 1, Owner: 0})
+	if nd.owned.Has(0) || nd.tok[0] != nil {
+		t.Fatalf("fenced owner still holds r0: owned %v, token %v", nd.owned, nd.tok[0])
+	}
+	if nd.stats.Fenced != 1 || nd.curEpoch[0] != 1 || nd.tokDir[0] != 0 {
+		t.Fatalf("after the fence: fenced %d, epoch %d, father s%d", nd.stats.Fenced, nd.curEpoch[0], nd.tokDir[0])
+	}
+	if len(f.queue) != 0 {
+		t.Fatalf("an idle fenced owner sent %d messages", len(f.queue))
+	}
+	// Replays of what the dead token had already served are dropped;
+	// the request it had not served is stored and chases the new token.
+	nd.Deliver(2, &reqBatch{
+		Visited: []network.NodeID{2},
+		Reqs: []request{
+			{Kind: reqRes, R: 0, Init: 2, ID: 4, Mark: 1},
+			{Kind: reqCnt, R: 0, Init: 2, ID: 6},
+			{Kind: reqRes, R: 0, Init: 2, ID: 5, Mark: 1},
+		},
+	})
+	if h := nd.pending[0].reqs; len(h) != 1 || h[0].ID != 5 {
+		t.Fatalf("history after the replays: %v, want the one live request", h)
+	}
+	if len(f.queue) != 1 || f.queue[0].to != 0 {
+		t.Fatalf("forwarded %d messages, want one to the regenerated token's owner", len(f.queue))
+	}
+	if fwd := f.queue[0].m.(*reqBatch); len(fwd.Reqs) != 1 || fwd.Reqs[0].ID != 5 {
+		t.Fatalf("forwarded %v, want the one live request", fwd.Reqs)
+	}
+}
+
+// TestRegenerateFromStaleStamps: the steward rebuilds a lost token from
+// what it kept when the token left — counter one past the stale one,
+// both stamp vectors — so the reborn token still drops the replays the
+// old one had served, and the cluster goes on under the new epoch.
+func TestRegenerateFromStaleStamps(t *testing.T) {
+	f := newFifoNet(3, 3, WithoutLoan())
+	nd := f.nodes[0] // steward of r0, and its genesis owner
+	tok := nd.tok[0]
+	tok.Counter = 9
+	tok.LastCS[2], tok.LastReqC[2] = 4, 6
+	f.acquire(t, 1, ids(3, 0)) // the token leaves with those stamps
+	f.release(1)
+	left := f.nodes[1].tok[0].Counter
+	if nd.owned.Has(0) || left < 9 {
+		t.Fatalf("set-up: steward owns %v, the token left with counter %d", nd.owned, left)
+	}
+	stale := nd.staleStamps(0)[2*3]
+	// In the steward's history: a request the old token had served and
+	// one it had not.
+	nd.storePending(&request{Kind: reqRes, R: 0, Init: 2, ID: 4, Mark: 1}, resource.Set{})
+	nd.storePending(&request{Kind: reqRes, R: 0, Init: 2, ID: 5, Mark: 1}, resource.Set{})
+
+	nd.regenerate(0, 0)
+	nd.flushOwn() // as Tick, regenerate's caller, does
+	if nd.stats.Regens != 1 || nd.curEpoch[0] != 1 {
+		t.Fatalf("after regenerate: regens %d, epoch %d", nd.stats.Regens, nd.curEpoch[0])
+	}
+	// Two announcements, then the reborn token on its way to the live
+	// request's site (the steward does not compete for r0).
+	if len(f.queue) != 3 {
+		t.Fatalf("regenerate sent %d messages, want 2 announcements and the token", len(f.queue))
+	}
+	for i, to := range []network.NodeID{1, 2} {
+		if rg, ok := f.queue[i].m.(regenMsg); !ok || f.queue[i].to != to || rg != (regenMsg{R: 0, Epoch: 1, Owner: 0}) {
+			t.Fatalf("message %d: %+v to s%d, want the announcement to s%d", i, f.queue[i].m, f.queue[i].to, to)
+		}
+	}
+	resp, ok := f.queue[2].m.(*respBatch)
+	if !ok || f.queue[2].to != 2 || len(resp.Tokens) != 1 {
+		t.Fatalf("third message %+v to s%d, want r0's token to s2", f.queue[2].m, f.queue[2].to)
+	}
+	reborn := resp.Tokens[0]
+	if reborn.Epoch != 1 || reborn.Counter != stale+1 || reborn.LastCS[2] != 4 || reborn.LastReqC[2] != 6 {
+		t.Fatalf("reborn token %+v, want epoch 1, counter %d and the stale stamps", reborn, stale+1)
+	}
+	if len(reborn.Queue) != 0 {
+		t.Fatalf("reborn token queues %v: the served request was replayed onto it", reborn.Queue)
+	}
+	if len(nd.pending[0].reqs) != 0 {
+		t.Fatalf("history not consumed by the replay: %v", nd.pending[0].reqs)
+	}
+
+	// The old token's holder is fenced by the announcement and the
+	// cluster serves r0 under the new epoch.
+	f.pump()
+	if f.nodes[1].owned.Has(0) || f.nodes[1].stats.Fenced != 1 || !f.nodes[2].owned.Has(0) {
+		t.Fatalf("after the announcements: s1 owns %v (fenced %d), s2 owns %v",
+			f.nodes[1].owned, f.nodes[1].stats.Fenced, f.nodes[2].owned)
+	}
+	f.acquire(t, 1, ids(3, 0))
+	if got := f.nodes[1].tok[0].Epoch; got != 1 {
+		t.Fatalf("served under epoch %d, want 1", got)
+	}
+	f.release(1)
 }

@@ -34,22 +34,64 @@ func (s state) String() string {
 }
 
 // pruneThreshold bounds the per-resource pendingReq history: past it,
-// entries provably obsolete under the stale local snapshot are dropped.
+// entries provably obsolete under the stale local stamps are dropped.
 const pruneThreshold = 128
 
-// pendingCap caps the capacity a history is first given (storePending).
-const pendingCap = 16
+// pendingCap caps the capacity a history is first given (storePending),
+// missCap is the room its list of missing sets starts with.
+const (
+	pendingCap = 16
+	missCap    = 2
+)
+
+// tableChunk is how many resources' worth of state one lazily made
+// chunk of a per-node table holds (Node.stale, slab): a node pays for
+// the resources it has met, an allocation per chunk rather than per
+// resource, and nothing at Attach.
+const tableChunk = 8
+
+// slab hands out the first storage of per-resource lists, cut from
+// chunks made when the previous one is used up.
+type slab[T any] struct{ rest []T }
+
+// take returns an empty list with room for c entries and no more, so a
+// list that outgrows its piece moves to storage of its own instead of
+// running into its neighbour's.
+func (s *slab[T]) take(c int) []T {
+	if len(s.rest) < c {
+		s.rest = make([]T, tableChunk*c)
+	}
+	p := s.rest[:0:c]
+	s.rest = s.rest[c:]
+	return p
+}
+
+// history is the §4.2.1 pendingReq list of one resource. miss holds
+// the sets of its reqLoans in request order, like batch.Missing.
+type history struct {
+	reqs []request
+	miss []resource.Set
+}
+
+// add appends r and, when r is a reqLoan, its missing set.
+func (h *history) add(r *request, miss resource.Set) {
+	h.reqs = append(h.reqs, *r)
+	if r.Kind == reqLoan {
+		h.miss = append(h.miss, miss)
+	}
+}
 
 // Node is one site of the algorithm. All fields map one-to-one to the
 // pseudo-code's local variables (Figure 9).
 type Node struct {
 	env  alg.Env
+	n    int // env.N(), kept for the stale table's indexing
 	opt  Options
 	mark MarkFunc
 
 	st        state
 	tokDir    []network.NodeID // father per resource; None when owner
-	lastTok   []*token         // authoritative iff owned; else stale snapshot
+	tok       []*token         // the token of every owned resource, nil for the rest
 	owned     resource.Set     // TOwned
 	required  resource.Set     // TRequired
 	cntNeeded resource.Set     // CntNeeded
@@ -61,9 +103,22 @@ type Node struct {
 	loanAsked bool
 	single    bool // current request took the §4.6.1 fast path
 
-	pending [][]request // pendingReq, per resource
+	pending []history // pendingReq, per resource
 	out     outbox
 	stats   Counters
+
+	// stale holds what this node remembers of the tokens it no longer
+	// owns, for the §4.2.1 staleness test of a forwarded request and
+	// for regeneration: per resource the LastReqC and LastCS vectors
+	// and the counter, as they were when the token last left (stamps
+	// only grow, so judging by them is conservative). Chunk r/tableChunk
+	// holds resource r (staleStamps) and is nil until the token of one
+	// of its resources has left; all-zero stamps call nothing obsolete
+	// and a zero counter says no token of r has been here.
+	stale [][]int64
+	// The histories' first storage (storePending).
+	reqSlab slab[request]
+	setSlab slab[resource.Set]
 
 	// Lease machinery (lease.go), live when opt.LeaseTTL > 0.
 	leaseUntil      []sim.Time       // per owned resource: lease end on our clock
@@ -88,12 +143,6 @@ type Node struct {
 	lendIDs   []resource.ID
 	bounceIDs []resource.ID
 	miss      resource.Set
-
-	// snapFree recycles stale token snapshots: sendToken needs one per
-	// transfer, and the one an arriving token displaces in processUpdate
-	// never escapes the node, so they cycle through this free list
-	// instead of allocating two N-sized stamp arrays per transfer.
-	snapFree []*token
 }
 
 // Counters exposes protocol-internal event counts that never cross the
@@ -158,15 +207,17 @@ func NewFactory(opt Options) alg.Factory {
 func (nd *Node) Attach(env alg.Env) {
 	nd.env = env
 	n, m := env.N(), env.M()
+	nd.n = n
 	nd.tokDir = make([]network.NodeID, m)
-	nd.lastTok = make([]*token, m)
+	nd.tok = make([]*token, m)
 	nd.owned = resource.NewSet(m)
 	nd.required = resource.NewSet(m)
 	nd.cntNeeded = resource.NewSet(m)
 	nd.lent = resource.NewSet(m)
 	nd.myVector = make([]int64, m)
 	nd.scratch = make([]int64, m)
-	nd.pending = make([][]request, m)
+	nd.pending = make([]history, m)
+	nd.stale = make([][]int64, (m+tableChunk-1)/tableChunk)
 	nd.miss = resource.NewSet(m)
 	nd.leaseUntil = make([]sim.Time, m)
 	nd.leaseLapsed = make([]bool, m)
@@ -180,7 +231,7 @@ func (nd *Node) Attach(env alg.Env) {
 	for r := 0; r < m; r++ {
 		if env.ID() == elected {
 			nd.tokDir[r] = network.None
-			nd.lastTok[r] = newToken(resource.ID(r), n)
+			nd.tok[r] = newToken(resource.ID(r), n)
 			nd.owned.Add(resource.ID(r))
 		} else {
 			nd.tokDir[r] = elected
@@ -203,19 +254,36 @@ func (nd *Node) markSingle(r resource.ID, val int64) float64 {
 	return m
 }
 
-// obsolete implements the §4.2.1 staleness test against a token (or a
-// stale snapshot, which is conservative: stamps only grow).
-func (nd *Node) obsolete(req *request, t *token) bool {
-	if t == nil {
-		return false
+// staleStamps returns the stale record of r — LastReqC in [0, N),
+// LastCS in [N, 2N), the counter at 2N — or nil when no token of r's
+// chunk has left this node yet.
+func (nd *Node) staleStamps(r resource.ID) []int64 {
+	c := nd.stale[int(r)/tableChunk]
+	if c == nil {
+		return nil
 	}
-	if req.ID <= t.LastCS[req.Init] {
-		return true
+	w := 2*nd.n + 1
+	return c[int(r)%tableChunk*w:][:w]
+}
+
+// keepStale records t's stamps and counter as the token leaves.
+func (nd *Node) keepStale(t *token) {
+	n := nd.n
+	if c := &nd.stale[int(t.R)/tableChunk]; *c == nil {
+		*c = make([]int64, tableChunk*(2*n+1))
 	}
-	if req.Kind == reqCnt && req.ID <= t.LastReqC[req.Init] {
-		return true
-	}
-	return false
+	st := nd.staleStamps(t.R)
+	copy(st[:n], t.LastReqC)
+	copy(st[n:2*n], t.LastCS)
+	st[2*n] = t.Counter
+}
+
+// staleObsolete is the §4.2.1 staleness test of a site that does not
+// own req.R's token, against the stamps it kept (token.obsolete is the
+// owner's).
+func (nd *Node) staleObsolete(req *request) bool {
+	st := nd.staleStamps(req.R)
+	return st != nil && obsolete(req, st[:nd.n], st[nd.n:])
 }
 
 // flush ends an activation, transmitting buffered messages. visited is
@@ -228,22 +296,25 @@ func (nd *Node) flush(visited []network.NodeID) {
 
 func (nd *Node) flushOwn() { nd.flush(nil) }
 
+// disown ends this node's ownership of r and returns the token: its
+// stamps stay behind in the stale table, the token itself is no longer
+// reachable from the node.
+func (nd *Node) disown(r resource.ID) *token {
+	t := nd.tok[r]
+	nd.keepStale(t)
+	nd.tok[r] = nil
+	nd.owned.Remove(r)
+	return t
+}
+
 // sendToken transfers ownership of r's token to another site: the
-// authoritative token rides the wire, a stale snapshot stays behind for
-// obsolescence pruning, and the father pointer follows the token.
+// token rides the wire, its stamps stay behind for obsolescence
+// pruning, and the father pointer follows the token.
 func (nd *Node) sendToken(to network.NodeID, r resource.ID) {
 	if to == nd.self() {
 		panic(fmt.Sprintf("core: s%d sending token %d to itself", nd.self(), r))
 	}
-	t := nd.lastTok[r]
-	nd.owned.Remove(r)
-	var spare *token
-	if n := len(nd.snapFree); n > 0 {
-		spare = nd.snapFree[n-1]
-		nd.snapFree[n-1] = nil
-		nd.snapFree = nd.snapFree[:n-1]
-	}
-	nd.lastTok[r] = t.snapshotInto(spare)
+	t := nd.disown(r)
 	nd.tokDir[r] = to
 	if nd.leasing() && nd.steward(r) == nd.self() {
 		// Our own steward duty resumes the moment the token leaves:
@@ -273,7 +344,7 @@ func (nd *Node) Request(rs resource.Set) {
 		nd.stats.SingleFast++
 		r := rs.Min()
 		if nd.owned.Has(r) {
-			t := nd.lastTok[r]
+			t := nd.tok[r]
 			nd.myVector[r] = t.Counter
 			t.LastReqC[nd.self()] = nd.curID
 			// The mark must be current before a lease-parked entry: a
@@ -286,7 +357,7 @@ func (nd *Node) Request(rs resource.Set) {
 		nd.single = true
 		nd.st = stWaitCS
 		nd.cntNeeded.Add(r) // the arriving token will assign our counter
-		nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
+		nd.ask(&request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID, Single: true})
 		nd.flushOwn()
 		return
 	}
@@ -295,13 +366,13 @@ func (nd *Node) Request(rs resource.Set) {
 	missingCnt := false
 	nd.required.ForEach(func(r resource.ID) {
 		if nd.owned.Has(r) {
-			t := nd.lastTok[r]
+			t := nd.tok[r]
 			nd.myVector[r] = t.Counter
 			t.Counter++
 		} else {
 			missingCnt = true
 			nd.cntNeeded.Add(r)
-			nd.out.request(nd.tokDir[r], &request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
+			nd.ask(&request{Kind: reqCnt, R: r, Init: nd.self(), ID: nd.curID})
 		}
 	})
 	nd.flushOwn()
@@ -329,9 +400,7 @@ func (nd *Node) processCntNeededEmpty() {
 	nd.required.ForEach(func(r resource.ID) {
 		if !nd.owned.Has(r) {
 			sent = true
-			nd.out.request(nd.tokDir[r], &request{
-				Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark,
-			})
+			nd.ask(&request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
 		}
 	})
 	if !sent {
@@ -354,7 +423,7 @@ func (nd *Node) Release() {
 		if !nd.owned.Has(r) {
 			continue // fenced away mid-CS by an epoch regeneration
 		}
-		t := nd.lastTok[r]
+		t := nd.tok[r]
 		t.LastCS[nd.self()] = nd.curID
 		if t.Lender != network.None && t.Lender != nd.self() {
 			// Borrowed: return straight to the lender, dropping any
@@ -414,27 +483,36 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 
 // onRequests implements "Receive Request" (pseudo lines 159-189).
 func (nd *Node) onRequests(batch *reqBatch) {
+	sets := loanSets(batch.Missing)
 	for i := range batch.Reqs {
 		req := &batch.Reqs[i]
+		miss := sets.next(req)
 		r := req.R
-		if nd.obsolete(req, nd.lastTok[r]) {
+		if t := nd.tok[r]; t != nil {
+			if !t.obsolete(req) {
+				nd.handleOwnedRequest(req, miss)
+			}
 			continue
 		}
-		if nd.owned.Has(r) {
-			nd.handleOwnedRequest(req)
+		if nd.staleObsolete(req) {
 			continue
 		}
 		// Not the owner: record in the local history, then forward
 		// unless an optimization or the visited set stops us.
-		nd.storePending(r, req)
+		nd.storePending(req, miss)
 		if nd.forwardStop(req) {
 			continue
 		}
 		if visitedContains(batch.Visited, nd.tokDir[r]) {
 			continue // §4.2.1: the token is heading to a visited site
 		}
-		nd.out.request(nd.tokDir[r], req)
+		nd.out.request(nd.tokDir[r], req, miss)
 	}
+}
+
+// ask sends a request of this node's own toward the token of req.R.
+func (nd *Node) ask(req *request) {
+	nd.out.request(nd.tokDir[req.R], req, resource.Set{})
 }
 
 // forwardStop is optimization §4.6.2: stop forwarding a ReqRes when we
@@ -452,44 +530,48 @@ func (nd *Node) forwardStop(req *request) bool {
 		nd.myRef().precedes(req.ref())
 }
 
-// storePending appends to the §4.2.1 local history, deduplicating and
-// pruning provably obsolete entries when the history grows.
-func (nd *Node) storePending(r resource.ID, req *request) {
-	hist := nd.pending[r]
-	for i := range hist {
-		if x := &hist[i]; x.Kind == req.Kind && x.Init == req.Init && x.ID == req.ID {
+// storePending appends to the §4.2.1 local history of req.R,
+// deduplicating and pruning provably obsolete entries when the history
+// grows. miss is the missing set of a reqLoan.
+func (nd *Node) storePending(req *request, miss resource.Set) {
+	h := &nd.pending[req.R]
+	for i := range h.reqs {
+		if x := &h.reqs[i]; x.Kind == req.Kind && x.Init == req.Init && x.ID == req.ID {
 			return
 		}
 	}
-	if hist == nil {
+	if cap(h.reqs) == 0 {
 		// Sized once: a history holds about one live entry per site,
-		// and replayPending truncates it instead of dropping it.
-		hist = make([]request, 0, min(nd.env.N(), pendingCap))
+		// and replayPending truncates it instead of dropping it. The
+		// first storage is a capped piece of the node's slab, so a
+		// history that outgrows it moves to storage of its own.
+		h.reqs = nd.reqSlab.take(min(nd.n, pendingCap))
 	}
-	if len(hist) >= pruneThreshold {
-		if snap := nd.lastTok[r]; snap != nil {
-			kept := hist[:0]
-			for i := range hist {
-				if !nd.obsolete(&hist[i], snap) {
-					kept = append(kept, hist[i])
-				}
+	if req.Kind == reqLoan && cap(h.miss) == 0 {
+		h.miss = nd.setSlab.take(missCap)
+	}
+	if len(h.reqs) >= pruneThreshold {
+		reqs, sets := h.reqs, loanSets(h.miss)
+		h.reqs, h.miss = reqs[:0], h.miss[:0]
+		for i := range reqs {
+			if m := sets.next(&reqs[i]); !nd.staleObsolete(&reqs[i]) {
+				h.add(&reqs[i], m)
 			}
-			hist = kept
 		}
 	}
-	nd.pending[r] = append(hist, *req)
+	h.add(req, miss)
 }
 
 // handleOwnedRequest decides a live request at the token owner
-// (pseudo lines 167-184).
-func (nd *Node) handleOwnedRequest(req *request) {
+// (pseudo lines 167-184); miss is the missing set of a reqLoan.
+func (nd *Node) handleOwnedRequest(req *request, miss resource.Set) {
 	r := req.R
-	t := nd.lastTok[r]
+	t := nd.tok[r]
 	isCnt := req.Kind == reqCnt && !req.Single
 
 	switch {
 	case req.Kind == reqLoan:
-		nd.processReqLoan(req)
+		nd.processReqLoan(req, miss)
 
 	case !nd.required.Has(r) || (nd.st == stWaitS && !isCnt):
 		// Not competing for r (or still collecting counters and the
@@ -536,14 +618,14 @@ func (q wqueue) contains(s network.NodeID, id int64) bool {
 }
 
 // canLend evaluates the five lending conditions of §4.5 (pseudo lines
-// 117-132).
-func (nd *Node) canLend(req *request) bool {
-	if !req.Missing.SubsetOf(nd.owned) {
+// 117-132) for a loan of miss.
+func (nd *Node) canLend(req *request, miss resource.Set) bool {
+	if !miss.SubsetOf(nd.owned) {
 		return false
 	}
 	nd.lendIDs = nd.owned.AppendMembers(nd.lendIDs)
 	for _, r := range nd.lendIDs {
-		if nd.lastTok[r].Lender != network.None {
+		if nd.tok[r].Lender != network.None {
 			return false // we hold borrowed tokens ourselves
 		}
 	}
@@ -556,19 +638,19 @@ func (nd *Node) canLend(req *request) bool {
 	return true
 }
 
-// processReqLoan decides a loan request at the token owner (pseudo
-// lines 190-207).
-func (nd *Node) processReqLoan(req *request) {
-	if req.Init == nd.self() || nd.obsolete(req, nd.lastTok[req.R]) {
+// processReqLoan decides a loan request for miss at the token owner
+// (pseudo lines 190-207).
+func (nd *Node) processReqLoan(req *request, miss resource.Set) {
+	if req.Init == nd.self() || nd.tok[req.R].obsolete(req) {
 		// Own loan requests are moot once the token is here.
 		return
 	}
-	if nd.canLend(req) {
+	if nd.canLend(req, miss) {
 		nd.stats.LoansGranted++
-		nd.lent.CopyFrom(req.Missing)
+		nd.lent.CopyFrom(miss)
 		self := nd.self()
-		req.Missing.ForEach(func(r resource.ID) {
-			t := nd.lastTok[r]
+		miss.ForEach(func(r resource.ID) {
+			t := nd.tok[r]
 			t.Lender = self
 			// The borrower is served through the loan: its queued
 			// ReqRes entries and duplicate loan entries go away.
@@ -582,9 +664,9 @@ func (nd *Node) processReqLoan(req *request) {
 		nd.sendToken(req.Init, req.R)
 		return
 	}
-	t := nd.lastTok[req.R]
+	t := nd.tok[req.R]
 	if !t.hasLoan(req.ref(), req.R) {
-		t.Loans = append(t.Loans, loanEntry{Ref: req.ref(), R: req.R, Missing: req.Missing})
+		t.Loans = append(t.Loans, loanEntry{Ref: req.ref(), R: req.R, Missing: miss})
 	}
 }
 
@@ -626,7 +708,7 @@ func (nd *Node) onTokens(toks []*token) {
 		returned := false
 		nd.bounceIDs = nd.owned.AppendMembers(nd.bounceIDs)
 		for _, r := range nd.bounceIDs {
-			t := nd.lastTok[r]
+			t := nd.tok[r]
 			if t.Lender == network.None || t.Lender == nd.self() {
 				continue
 			}
@@ -635,9 +717,7 @@ func (nd *Node) onTokens(toks []*token) {
 			nd.stats.LoanReturns++
 			returned = true
 			if nd.st == stWaitCS && nd.required.Has(r) {
-				nd.out.request(nd.tokDir[r], &request{
-					Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark,
-				})
+				nd.ask(&request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
 			}
 		}
 		if returned {
@@ -674,12 +754,7 @@ func (nd *Node) processUpdate(t *token) {
 	// try to lend the token to ourselves (hardening deviation 5, doc.go).
 	t.Queue.RemoveSite(self)
 	t.removeLoans(self)
-	if old := nd.lastTok[r]; old != nil {
-		// The displaced stale snapshot is node-private; recycle it for
-		// the next sendToken.
-		nd.snapFree = append(nd.snapFree, old)
-	}
-	nd.lastTok[r] = t
+	nd.tok[r] = t
 	nd.owned.Add(r)
 	nd.tokDir[r] = network.None
 	if nd.leasing() {
@@ -706,13 +781,15 @@ func (nd *Node) processUpdate(t *token) {
 // the (just installed or regenerated) token.
 func (nd *Node) replayPending(t *token) {
 	r := t.R
-	reqs := nd.pending[r]
+	h := &nd.pending[r]
+	reqs, sets := h.reqs, loanSets(h.miss)
 	// Truncated, not dropped: the history regrows every token tenure.
 	// Nothing below stores into it (only onRequests does).
-	nd.pending[r] = reqs[:0]
+	h.reqs, h.miss = reqs[:0], h.miss[:0]
 	for i := range reqs {
 		req := &reqs[i]
-		if nd.obsolete(req, t) {
+		miss := sets.next(req)
+		if t.obsolete(req) {
 			continue
 		}
 		switch {
@@ -730,7 +807,7 @@ func (nd *Node) replayPending(t *token) {
 			t.Queue.Insert(req.ref())
 		case req.Kind == reqLoan:
 			if !t.hasLoan(req.ref(), r) {
-				t.Loans = append(t.Loans, loanEntry{Ref: req.ref(), R: r, Missing: req.Missing})
+				t.Loans = append(t.Loans, loanEntry{Ref: req.ref(), R: r, Missing: miss})
 			}
 		}
 	}
@@ -743,7 +820,7 @@ func (nd *Node) replayPending(t *token) {
 func (nd *Node) scanQueues() {
 	nd.ids = nd.owned.AppendMembers(nd.ids)
 	for _, r := range nd.ids {
-		t := nd.lastTok[r]
+		t := nd.tok[r]
 		head, ok := t.Queue.Head()
 		if !ok {
 			continue
@@ -772,9 +849,9 @@ func (nd *Node) processLoanQueues() {
 	}
 	nd.ids = nd.owned.AppendMembers(nd.ids)
 	for _, r := range nd.ids {
-		t := nd.lastTok[r]
-		if len(t.Loans) == 0 {
-			continue
+		t := nd.tok[r]
+		if t == nil || len(t.Loans) == 0 {
+			continue // nil: lent away earlier in this very scan
 		}
 		loans := t.Loans
 		t.Loans = nil
@@ -783,9 +860,8 @@ func (nd *Node) processLoanQueues() {
 				continue // lent away earlier in this very scan
 			}
 			nd.processReqLoan(&request{
-				Kind: reqLoan, R: l.R, Init: l.Ref.Site, ID: l.Ref.ID,
-				Mark: l.Ref.Mark, Missing: l.Missing,
-			})
+				Kind: reqLoan, R: l.R, Init: l.Ref.Site, ID: l.Ref.ID, Mark: l.Ref.Mark,
+			}, l.Missing)
 		}
 	}
 }
@@ -805,13 +881,12 @@ func (nd *Node) maybeAskLoan() {
 	nd.stats.LoanAsks++
 	// One copy of the missing set rides every ReqLoan of this round.
 	// Receivers store and forward it by reference, so it must be
-	// treated as immutable from here on — nothing may mutate a
-	// request's Missing in place.
+	// treated as immutable from here on — nothing may mutate a loan's
+	// missing set in place.
 	missing := nd.miss.Clone()
 	nd.miss.ForEach(func(r resource.ID) {
 		nd.out.request(nd.tokDir[r], &request{
-			Kind: reqLoan, R: r, Init: nd.self(), ID: nd.curID,
-			Mark: nd.myMark, Missing: missing,
-		})
+			Kind: reqLoan, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark,
+		}, missing)
 	})
 }

@@ -230,7 +230,7 @@ func TestQuiescentTokenState(t *testing.T) {
 		for _, nd := range *nodes {
 			if nd.owned.Has(resource.ID(r)) {
 				owners++
-				tok := nd.lastTok[r]
+				tok := nd.tok[r]
 				if len(tok.Queue) != 0 {
 					t.Errorf("resource %d: queue %v left at quiescence", r, tok.Queue)
 				}

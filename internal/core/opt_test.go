@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mralloc/internal/network"
+	"mralloc/internal/resource"
 	"mralloc/internal/sim"
 )
 
@@ -103,8 +104,8 @@ func TestForwardStopKeepsRequestLocal(t *testing.T) {
 		if got := h.nw.Stats().Total - before; got != 0 {
 			t.Fatalf("forwarded %d messages, want 0 (forward stop)", got)
 		}
-		if len(nd.pending[0]) != 1 {
-			t.Fatalf("pendingReq = %v, want the stored request", nd.pending[0])
+		if len(nd.pending[0].reqs) != 1 {
+			t.Fatalf("pendingReq = %v, want the stored request", nd.pending[0].reqs)
 		}
 	})
 	h.at(20, func() { h.nodes[0].Release() })
@@ -117,7 +118,7 @@ func TestForwardStopKeepsRequestLocal(t *testing.T) {
 	if nd.st != stInCS {
 		t.Fatalf("node1 state %v", nd.st)
 	}
-	tok := nd.lastTok[0]
+	tok := nd.tok[0]
 	if !tok.Queue.contains(2, 1) {
 		t.Fatalf("replayed request missing from queue: %v", tok.Queue)
 	}
@@ -138,7 +139,7 @@ func TestVisitedSetStopsForwarding(t *testing.T) {
 	if got := h.nw.Stats().Total - before; got != 0 {
 		t.Fatalf("forwarded %d messages despite visited father", got)
 	}
-	if len(nd.pending[0]) != 1 {
+	if len(nd.pending[0].reqs) != 1 {
 		t.Fatal("request not stored in local history")
 	}
 	h.eng.Run()
@@ -177,21 +178,35 @@ func TestVisitedSetStopsForwarding(t *testing.T) {
 }
 
 // TestPendingPruneDropsObsolete fills a node's local history past the
-// prune threshold with requests its stale snapshot can prove obsolete;
-// the history must stay bounded.
+// prune threshold with requests its stale stamps can prove obsolete;
+// the history must stay bounded, and the loans that survive the prune
+// must still find their own missing sets.
 func TestPendingPruneDropsObsolete(t *testing.T) {
-	h := newScript(t, 3, 2, WithoutLoan())
+	h := newScript(t, 3, 2, WithLoan())
 	nd := h.nodes[1]
-	// Give node 1 a stale snapshot that says: node 2's requests up to
-	// id 10^6 are all served.
-	snap := newToken(0, 3)
-	snap.LastCS[2] = 1 << 40
-	nd.lastTok[0] = snap
+	// Node 1 saw r0's token leave with stamps that say: node 2's
+	// requests up to id 2^40 are all served.
+	gone := newToken(0, 3)
+	gone.LastCS[2] = 1 << 40
+	nd.keepStale(gone)
+	// Two live loans of node 0 first, an obsolete loan of node 2
+	// between them: the prune removes the middle set with its request.
+	first, second := ids(2, 0), ids(2, 0, 1)
+	nd.storePending(&request{Kind: reqLoan, R: 0, Init: 0, ID: 1, Mark: 1}, first)
+	nd.storePending(&request{Kind: reqLoan, R: 0, Init: 2, ID: 1, Mark: 1}, ids(2, 1))
+	nd.storePending(&request{Kind: reqLoan, R: 0, Init: 0, ID: 2, Mark: 1}, second)
 	for i := 0; i < pruneThreshold+50; i++ {
-		nd.storePending(0, &request{Kind: reqRes, R: 0, Init: 2, ID: int64(i + 1), Mark: 1})
+		nd.storePending(&request{Kind: reqRes, R: 0, Init: 2, ID: int64(i + 2), Mark: 1}, resource.Set{})
 	}
-	if got := len(nd.pending[0]); got > pruneThreshold+1 {
+	hist := nd.pending[0]
+	if got := len(hist.reqs); got > pruneThreshold+1 {
 		t.Fatalf("history grew to %d, prune did not run", got)
+	}
+	if len(hist.miss) != 2 || !hist.miss[0].Equal(first) || !hist.miss[1].Equal(second) {
+		t.Fatalf("sets after the prune: %v, want node 0's two", hist.miss)
+	}
+	if hist.reqs[0].ID != 1 || hist.reqs[1].ID != 2 || hist.reqs[1].Init != 0 {
+		t.Fatalf("requests after the prune: %v, want node 0's two loans first", hist.reqs[:2])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"mralloc/internal/alg"
 	"mralloc/internal/network"
+	"mralloc/internal/resource"
 )
 
 // outbox implements the aggregation mechanism of §4.2.2: within one
@@ -15,6 +16,7 @@ import (
 // travels alone, which is ablation A2.
 type outbox struct {
 	reqs []destReq
+	miss []resource.Set // the buffered reqLoans' sets, in reqs order (batch.Missing)
 	cnts []destCnt
 	toks []destTok
 
@@ -26,7 +28,7 @@ type outbox struct {
 	// free holds the records this node was delivered and is done with,
 	// scrubbed (see recycle and batch): the next flush fills them
 	// instead of allocating. Only the node's own serialized activations
-	// reach this list, like Node.snapFree.
+	// reach this list.
 	free []*batch
 }
 
@@ -47,8 +49,13 @@ type destTok struct {
 	t  *token
 }
 
-func (o *outbox) request(to network.NodeID, r *request) {
+// request buffers r for to; miss is the missing set of a reqLoan and
+// ignored for the other kinds.
+func (o *outbox) request(to network.NodeID, r *request, miss resource.Set) {
 	o.reqs = append(o.reqs, destReq{to, *r})
+	if r.Kind == reqLoan {
+		o.miss = append(o.miss, miss)
+	}
 }
 
 func (o *outbox) counter(to network.NodeID, c counterVal) {
@@ -81,17 +88,18 @@ func (o *outbox) get() *batch {
 	return new(batch)
 }
 
-// recycle scrubs a delivered record — no token and no Missing set may
-// stay reachable from a record waiting for reuse — and keeps it for the
-// next flush. Callers recycle only after the activation's flush has
-// returned: a forwarded batch reads the record's Visited until then.
+// recycle scrubs a delivered record — no token and no missing set may
+// stay reachable from a record waiting for reuse; its requests hold no
+// pointer and are merely truncated — and keeps it for the next flush.
+// Callers recycle only after the activation's flush has returned: a
+// forwarded batch reads the record's Visited until then.
 func (o *outbox) recycle(b *batch) {
 	if len(o.free) >= maxFreeBatches {
 		return
 	}
-	clear(b.Reqs)
+	clear(b.Missing)
 	clear(b.Tokens)
-	b.Visited, b.Reqs = b.Visited[:0], b.Reqs[:0]
+	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
 	b.Counters, b.Tokens = b.Counters[:0], b.Tokens[:0]
 	o.free = append(o.free, b)
 }
@@ -103,7 +111,7 @@ func (o *outbox) recycle(b *batch) {
 func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 	if len(o.reqs) > 0 {
 		if aggregate {
-			// Index loops throughout: a destReq is 80 bytes, and these
+			// Index loops throughout: a destReq is 48 bytes, and these
 			// passes run once per destination.
 			o.dests = o.dests[:0]
 			for i := range o.reqs {
@@ -119,22 +127,27 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 				b := o.get()
 				b.stamp(visited, env.ID())
 				b.Reqs = slices.Grow(b.Reqs, n)
+				sets := loanSets(o.miss)
 				for i := range o.reqs {
-					if o.reqs[i].to == to {
-						b.Reqs = append(b.Reqs, o.reqs[i].r)
+					miss := sets.next(&o.reqs[i].r)
+					if o.reqs[i].to != to {
+						continue
 					}
+					b.addReq(&o.reqs[i].r, miss)
 				}
 				env.Send(to, (*reqBatch)(b))
 			}
 		} else {
+			sets := loanSets(o.miss)
 			for i := range o.reqs {
 				b := o.get()
 				b.stamp(visited, env.ID())
-				b.Reqs = append(b.Reqs, o.reqs[i].r)
+				b.addReq(&o.reqs[i].r, sets.next(&o.reqs[i].r))
 				env.Send(o.reqs[i].to, (*reqBatch)(b))
 			}
 		}
-		o.reqs = o.reqs[:0]
+		clear(o.miss)
+		o.reqs, o.miss = o.reqs[:0], o.miss[:0]
 	}
 	if len(o.cnts) == 0 && len(o.toks) == 0 {
 		return

@@ -118,56 +118,43 @@ func TestQueueSortedProperty(t *testing.T) {
 	}
 }
 
-func TestTokenSnapshotIndependent(t *testing.T) {
-	tok := newToken(3, 4)
+// TestStaleStampsIndependent: what a node keeps of a departed token is a
+// copy — the token is another site's to mutate from then on — and the
+// records of two resources in one chunk do not overlap.
+func TestStaleStampsIndependent(t *testing.T) {
+	const n = 4
+	nd := newFifoNet(n, 2*tableChunk, WithoutLoan()).nodes[1]
+	if nd.staleStamps(3) != nil {
+		t.Fatal("a stale record exists before any token left")
+	}
+	tok := newToken(3, n)
 	tok.Counter = 9
+	tok.LastReqC[0] = 7
 	tok.LastCS[2] = 5
 	tok.Queue.Insert(reqRef{Site: 1, ID: 1, Mark: 1})
-	s := tok.snapshotInto(nil)
-	if s.Counter != 9 || s.LastCS[2] != 5 || s.R != 3 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-	if len(s.Queue) != 0 || s.Lender != network.None {
-		t.Fatal("snapshot must not carry queue or lender")
-	}
-	s.LastCS[2] = 99
-	if tok.LastCS[2] != 5 {
-		t.Fatal("snapshot aliases token stamps")
-	}
-}
+	nd.keepStale(tok)
+	next := newToken(4, n)
+	next.Counter = 2
+	next.LastReqC[0] = 1
+	next.LastCS[n-1] = 1
+	nd.keepStale(next)
 
-// TestTokenSnapshotIntoRecycles pins the free-list contract: reusing a
-// dirty record must scrub its queue, loans and lender, and must not
-// allocate fresh stamp arrays when the shape matches.
-func TestTokenSnapshotIntoRecycles(t *testing.T) {
-	tok := newToken(3, 4)
-	tok.Counter = 9
-	tok.LastCS[2] = 5
-
-	dirty := newToken(1, 4)
-	dirty.Queue.Insert(reqRef{Site: 1, ID: 1, Mark: 1})
-	dirty.Loans = append(dirty.Loans, loanEntry{Ref: reqRef{Site: 2, ID: 2}, R: 1})
-	dirty.Lender = 3
-	stamps := &dirty.LastCS[0]
-
-	s := tok.snapshotInto(dirty)
-	if s != dirty {
-		t.Fatal("matching-shape record was not reused")
+	st := nd.staleStamps(3)
+	if len(st) != 2*n+1 || st[0] != 7 || st[n+2] != 5 || st[2*n] != 9 {
+		t.Fatalf("stale record of r3 = %v", st)
 	}
-	if &s.LastCS[0] != stamps {
-		t.Fatal("stamp arrays were reallocated")
+	if st := nd.staleStamps(4); st[0] != 1 || st[2*n-1] != 1 || st[2*n] != 2 {
+		t.Fatalf("stale record of r4 = %v", st)
 	}
-	if s.R != 3 || s.Counter != 9 || s.LastCS[2] != 5 {
-		t.Fatalf("recycled snapshot = %+v", s)
+	tok.LastCS[2] = 99
+	if st[n+2] != 5 {
+		t.Fatal("the stale record aliases the token's stamps")
 	}
-	if len(s.Queue) != 0 || len(s.Loans) != 0 || s.Lender != network.None {
-		t.Fatal("recycled snapshot carries stale queue/loans/lender")
+	if st := nd.staleStamps(2); st == nil || st[2*n] != 0 {
+		t.Fatalf("r2 shares the chunk and never left: record %v, want zeros", st)
 	}
-
-	// A record of the wrong shape is rejected, not resized in place.
-	wrong := newToken(0, 2)
-	if tok.snapshotInto(wrong) == wrong {
-		t.Fatal("wrong-shape record reused")
+	if nd.staleStamps(tableChunk) != nil {
+		t.Fatal("a chunk none of whose tokens left was made")
 	}
 }
 

@@ -260,8 +260,9 @@ func TestHazardRecycleAfterFlush(t *testing.T) {
 
 // TestHazardRecycledRecordScrubbed: a record waiting on a free list may
 // sit there for long; it must pin no token (the token is some other
-// site's by then) and no Missing set — over the whole capacity of its
-// slices, not only their length.
+// site's by then) and no missing set — over the whole capacity of its
+// slices, not only their length. Requests hold no pointer
+// (TestHotRecordsPointerFree) and are truncated, not cleared.
 func TestHazardRecycledRecordScrubbed(t *testing.T) {
 	const n, m = 4, 8
 	f := newFifoNet(n, m, WithLoan())
@@ -278,12 +279,12 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 		f.acquire(t, 2, ids(m, 0, 1, 3, 5))
 		f.release(2)
 	}
-	var asks, records int
+	var asks, records, sets int
 	for id, nd := range f.nodes {
 		asks += nd.Counters().LoanAsks
 		for _, b := range nd.out.free {
 			records++
-			if len(b.Visited)+len(b.Reqs)+len(b.Counters)+len(b.Tokens) != 0 {
+			if len(b.Visited)+len(b.Reqs)+len(b.Missing)+len(b.Counters)+len(b.Tokens) != 0 {
 				t.Errorf("node %d: recycled record still has contents: %+v", id, b)
 			}
 			for _, tk := range b.Tokens[:cap(b.Tokens)] {
@@ -291,14 +292,23 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 					t.Errorf("node %d: recycled record pins the token of r%d", id, tk.R)
 				}
 			}
-			for _, r := range b.Reqs[:cap(b.Reqs)] {
-				if r.Missing.Universe() != 0 || !reflect.DeepEqual(r, request{}) {
-					t.Errorf("node %d: recycled record keeps request %v (missing %v)", id, r, r.Missing)
+			sets += cap(b.Missing)
+			for _, s := range b.Missing[:cap(b.Missing)] {
+				if s.Universe() != 0 {
+					t.Errorf("node %d: recycled record keeps the missing set %v", id, s)
 				}
 			}
 		}
+		if len(nd.out.miss) != 0 {
+			t.Errorf("node %d: outbox keeps %d missing sets between activations", id, len(nd.out.miss))
+		}
+		for _, s := range nd.out.miss[:cap(nd.out.miss)] {
+			if s.Universe() != 0 {
+				t.Errorf("node %d: flushed outbox keeps the missing set %v", id, s)
+			}
+		}
 	}
-	if asks == 0 || records == 0 {
-		t.Fatalf("scenario exercised nothing: %d loan asks, %d recycled records", asks, records)
+	if asks == 0 || records == 0 || sets == 0 {
+		t.Fatalf("scenario exercised nothing: %d loan asks, %d recycled records with room for %d sets", asks, records, sets)
 	}
 }

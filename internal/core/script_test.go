@@ -187,7 +187,7 @@ func TestLoanScenario(t *testing.T) {
 		if !h.nodes[1].lent.Has(0) {
 			t.Fatalf("lender lent set = %v", h.nodes[1].lent)
 		}
-		tok := h.nodes[0].lastTok[0]
+		tok := h.nodes[0].tok[0]
 		if tok.Lender != 1 {
 			t.Fatalf("borrowed token lender = %d, want 1", tok.Lender)
 		}
@@ -199,7 +199,7 @@ func TestLoanScenario(t *testing.T) {
 			t.Fatalf("token r0 did not return: owned=%v lent=%v",
 				h.nodes[1].owned, h.nodes[1].lent)
 		}
-		if h.nodes[1].lastTok[0].Lender != network.None {
+		if h.nodes[1].tok[0].Lender != network.None {
 			t.Fatal("returned token still marked lent")
 		}
 	})
@@ -290,8 +290,8 @@ func TestPriorityYield(t *testing.T) {
 		if !h.nodes[1].owned.Has(0) {
 			t.Fatal("node1 yielded r0 to a lower-priority request")
 		}
-		if !h.nodes[1].lastTok[0].Queue.contains(0, h.nodes[0].curID) {
-			t.Fatalf("node0 not queued: %v", h.nodes[1].lastTok[0].Queue)
+		if !h.nodes[1].tok[0].Queue.contains(0, h.nodes[0].curID) {
+			t.Fatalf("node0 not queued: %v", h.nodes[1].tok[0].Queue)
 		}
 	})
 
@@ -315,25 +315,42 @@ func TestPriorityYield(t *testing.T) {
 }
 
 // TestObsoleteRequestDiscarded: replaying a stale pendingReq copy after
-// the requester's CS completed must not reinsert it anywhere.
+// the requester's CS completed must not reinsert it anywhere — judged by
+// the owner against the token, by everyone else against the stamps kept
+// when the token left.
 func TestObsoleteRequestDiscarded(t *testing.T) {
 	tok := newToken(0, 3)
 	tok.LastCS[2] = 4
 	tok.LastReqC[2] = 6
-	nd := &Node{opt: WithoutLoan(), mark: AvgNonZero}
-	if !nd.obsolete(&request{Kind: reqRes, Init: 2, ID: 4}, tok) {
-		t.Fatal("ReqRes with id ≤ lastCS not obsolete")
+	nd := newFifoNet(3, 2*tableChunk, WithoutLoan()).nodes[1]
+	if nd.staleObsolete(&request{Kind: reqRes, R: 0, Init: 2, ID: 4}) {
+		t.Fatal("a site the token never left calls a request obsolete")
 	}
-	if nd.obsolete(&request{Kind: reqRes, Init: 2, ID: 5}, tok) {
-		t.Fatal("fresh ReqRes reported obsolete")
+	nd.keepStale(tok)
+	for _, c := range []struct {
+		req  request
+		want bool
+		why  string
+	}{
+		{request{Kind: reqRes, Init: 2, ID: 4}, true, "ReqRes with id ≤ lastCS"},
+		{request{Kind: reqRes, Init: 2, ID: 5}, false, "fresh ReqRes"},
+		{request{Kind: reqLoan, Init: 2, ID: 4}, true, "ReqLoan with id ≤ lastCS"},
+		{request{Kind: reqCnt, Init: 2, ID: 6}, true, "ReqCnt with id ≤ lastReqC"},
+		{request{Kind: reqCnt, Init: 2, ID: 7}, false, "fresh ReqCnt"},
+		{request{Kind: reqRes, Init: 1, ID: 1}, false, "a site with no stamp"},
+	} {
+		if got := tok.obsolete(&c.req); got != c.want {
+			t.Errorf("%s: obsolete by the token = %v, want %v", c.why, got, c.want)
+		}
+		if got := nd.staleObsolete(&c.req); got != c.want {
+			t.Errorf("%s: obsolete by the stale stamps = %v, want %v", c.why, got, c.want)
+		}
 	}
-	if !nd.obsolete(&request{Kind: reqCnt, Init: 2, ID: 6}, tok) {
-		t.Fatal("ReqCnt with id ≤ lastReqC not obsolete")
-	}
-	if nd.obsolete(&request{Kind: reqCnt, Init: 2, ID: 7}, tok) {
-		t.Fatal("fresh ReqCnt reported obsolete")
-	}
-	if nd.obsolete(&request{Kind: reqRes, Init: 2, ID: 9}, nil) {
-		t.Fatal("nil token should never mark obsolete")
+	// r1 shares r0's chunk and has all-zero stamps; the next chunk was
+	// never made. Neither calls anything obsolete.
+	for _, r := range []resource.ID{1, tableChunk} {
+		if nd.staleObsolete(&request{Kind: reqRes, R: r, Init: 2, ID: 1}) {
+			t.Errorf("r%d: obsolete by stamps of another resource", r)
+		}
 	}
 }

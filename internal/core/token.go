@@ -129,26 +129,18 @@ func newToken(r resource.ID, n int) *token {
 	}
 }
 
-// snapshotInto returns a stale copy safe to keep after the
-// authoritative token is sent away: stamps and counter for conservative
-// obsolescence pruning, no queues (they travel with the token). A
-// recycled record of matching shape is reused; pass nil to allocate.
-func (t *token) snapshotInto(s *token) *token {
-	if s == nil || len(s.LastReqC) != len(t.LastReqC) {
-		s = &token{
-			LastReqC: make([]int64, len(t.LastReqC)),
-			LastCS:   make([]int64, len(t.LastCS)),
-		}
-	}
-	s.R = t.R
-	s.Counter = t.Counter
-	copy(s.LastReqC, t.LastReqC)
-	copy(s.LastCS, t.LastCS)
-	s.Queue = nil
-	s.Loans = nil
-	s.Lender = network.None
-	s.Epoch = t.Epoch
-	return s
+// obsolete implements the §4.2.1 staleness test: the request's site has
+// since completed that critical section or a later one, or — a counter
+// request — has since been answered.
+func obsolete(req *request, lastReqC, lastCS []int64) bool {
+	return req.ID <= lastCS[req.Init] ||
+		(req.Kind == reqCnt && req.ID <= lastReqC[req.Init])
+}
+
+// obsolete judges req by the authoritative stamps; Node.staleObsolete
+// is the non-owner's version.
+func (t *token) obsolete(req *request) bool {
+	return obsolete(req, t.LastReqC, t.LastCS)
 }
 
 // hasLoan reports whether a loan with the same (Site, ID, R) is queued.

@@ -29,7 +29,12 @@ func (k reqKind) String() string {
 	return "Req?"
 }
 
-// request is one request travelling toward a token holder.
+// request is one request travelling toward a token holder. It holds
+// no pointer (TestHotRecordsPointerFree): the slices of requests on the
+// hot path — batch.Reqs, outbox.reqs, the pending histories — are
+// memory the collector never scans and a copy needs no write barrier.
+// The one variable-size field a request has, the missing set of a
+// reqLoan, rides beside those slices instead (batch.Missing).
 type request struct {
 	Kind reqKind
 	// Single marks the §4.6.1 fast path: a reqCnt the root converts
@@ -40,8 +45,6 @@ type request struct {
 	ID     int64
 	// Mark is A's value for reqRes/reqLoan.
 	Mark float64
-	// Missing is the full missing set of a reqLoan.
-	Missing resource.Set
 }
 
 func (r *request) ref() reqRef { return reqRef{Site: r.Init, ID: r.ID, Mark: r.Mark} }
@@ -62,9 +65,21 @@ type batch struct {
 	// requests of a reqBatch.
 	Visited []network.NodeID
 	Reqs    []request
+	// Missing holds the full missing set of every reqLoan in Reqs, in
+	// request order: the i-th loan's set is Missing[i]. Position is the
+	// only link between the two, so whoever walks Reqs (loanSets) takes
+	// a set for every loan it passes, whatever it does with the request.
+	Missing []resource.Set
 	// Counters and Tokens are a respBatch's counter replies and tokens.
 	Counters []counterVal
 	Tokens   []*token
+
+	// oneSet is Missing's first storage. A loan round asks with one
+	// reqLoan per missing resource and a site forwards what it was
+	// sent, so a batch with more than one loan is rare: with room for
+	// one in the record, the side list costs a fresh (decoded) record
+	// no allocation of its own.
+	oneSet [1]resource.Set
 }
 
 // reqBatch aggregates request messages to one destination (§4.2.2).
@@ -75,6 +90,30 @@ type reqBatch batch
 // touches the record.
 func (*reqBatch) Kind() string { return "LASS.Request" }
 
+// loanSets hands out the missing sets of a request list's reqLoans in
+// request order.
+type loanSets []resource.Set
+
+// next returns the set that belongs to req, the zero Set unless req is
+// a reqLoan. Call it once per request, in order.
+func (l *loanSets) next(req *request) (miss resource.Set) {
+	if req.Kind == reqLoan {
+		miss, *l = (*l)[0], (*l)[1:]
+	}
+	return miss
+}
+
+// addReq appends r and, when r is a reqLoan, its missing set.
+func (b *batch) addReq(r *request, miss resource.Set) {
+	b.Reqs = append(b.Reqs, *r)
+	if r.Kind == reqLoan {
+		if b.Missing == nil {
+			b.Missing = b.oneSet[:0]
+		}
+		b.Missing = append(b.Missing, miss)
+	}
+}
+
 func visitedContains(v []network.NodeID, s network.NodeID) bool {
 	for _, x := range v {
 		if x == s {
@@ -84,10 +123,16 @@ func visitedContains(v []network.NodeID, s network.NodeID) bool {
 	return false
 }
 
+// visitedRoom is the least room a record's visited list is grown to: a
+// request's path is a handful of sites, and a list that starts with
+// room for one and doubles its way there costs a fresh record three
+// allocations where this costs one.
+const visitedRoom = 8
+
 // stamp writes visited ∪ {self} — the visited-sites set of §4.2.1 as
 // the next hop must see it — into b's own storage.
 func (b *batch) stamp(visited []network.NodeID, self network.NodeID) {
-	b.Visited = append(slices.Grow(b.Visited, len(visited)+1), visited...)
+	b.Visited = append(slices.Grow(b.Visited, max(len(visited)+1, visitedRoom)), visited...)
 	if !visitedContains(visited, self) {
 		b.Visited = append(b.Visited, self)
 	}

@@ -6,6 +6,7 @@ import (
 	"mralloc/internal/alg"
 	"mralloc/internal/centralized"
 	"mralloc/internal/core"
+	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/serve"
@@ -317,6 +318,35 @@ func TestRejectsBadSessionsConfig(t *testing.T) {
 	cfg.Policy = "lifo"
 	if _, err := Run(cfg, centralized.NewFactory()); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// TestRunPaperAllocs budgets the objects one cold run allocates per
+// granted critical section, at the benchmark's sim_paper point and run
+// length — the figure its allocs_per_op reports. A run starts from
+// nothing, so this is where per-node and per-resource state built on
+// first touch shows (the steady-state budgets of core see none of it):
+// the run reads 13.5; with one stamp snapshot and one history allocated
+// per (site, resource) instead of cut from per-node chunks it read 22.4,
+// and either of the two coming back is 1.8 over.
+func TestRunPaperAllocs(t *testing.T) {
+	if leakcheck.Race {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	cfg := paperConfig(1, 8*sim.Second)
+	grants := 0
+	objects := testing.AllocsPerRun(1, func() {
+		res, err := Run(cfg, core.NewFactory(core.WithLoan()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grants = res.Grants
+	})
+	if grants == 0 {
+		t.Fatal("the run granted nothing")
+	}
+	if per := objects / float64(grants); per > 14.5 {
+		t.Errorf("%.0f objects for %d grants: %.2f per grant, want ≤ 14.5", objects, grants, per)
 	}
 }
 

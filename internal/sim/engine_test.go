@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -458,6 +460,48 @@ func TestStreamIndependenceAndDeterminism(t *testing.T) {
 	}
 	if sameAB > 2 {
 		t.Errorf("streams with different labels collided %d/100 times", sameAB)
+	}
+}
+
+// TestStreamSeedsAtFirstDraw: a stream nobody draws from costs no
+// seeding, and one that is drawn from yields what the eagerly seeded
+// source of the same seed yields, method by method.
+func TestStreamSeedsAtFirstDraw(t *testing.T) {
+	lazy := Stream(7, "x")
+	h := fnv.New64a()
+	h.Write([]byte("x"))
+	eager := rand.New(rand.NewSource(7 ^ int64(h.Sum64())))
+	if got, want := lazy.Int63(), eager.Int63(); got != want {
+		t.Fatalf("first draw %d, eager source gives %d", got, want)
+	}
+	for i := 0; i < 50; i++ {
+		if a, b := lazy.Uint64(), eager.Uint64(); a != b {
+			t.Fatalf("Uint64 draw %d: %d, eager %d", i, a, b)
+		}
+		if a, b := lazy.Float64(), eager.Float64(); a != b {
+			t.Fatalf("Float64 draw %d: %v, eager %v", i, a, b)
+		}
+		if a, b := lazy.Intn(16), eager.Intn(16); a != b {
+			t.Fatalf("Intn draw %d: %d, eager %d", i, a, b)
+		}
+		if a, b := lazy.ExpFloat64(), eager.ExpFloat64(); a != b {
+			t.Fatalf("ExpFloat64 draw %d: %v, eager %v", i, a, b)
+		}
+	}
+	lazy.Seed(9)
+	if a, b := lazy.Int63(), rand.New(rand.NewSource(9)).Int63(); a != b {
+		t.Fatalf("after Seed(9): %d, want %d", a, b)
+	}
+
+	const streams = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < streams; i++ {
+		Stream(int64(i), "never drawn")
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / streams; per > 512 {
+		t.Errorf("an undrawn stream allocates %d bytes: seeded before its first draw", per)
 	}
 }
 

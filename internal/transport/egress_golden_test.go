@@ -147,8 +147,10 @@ func runEgressCase(t *testing.T, name string) {
 			lass = append(lass, m)
 		}
 	}
-	if len(lass) != 4 {
-		t.Fatalf("want the 4 LASS request/response samples, got %d", len(lass))
+	// The recorded bytes are the first four; samples added since ride
+	// the fuzz corpus only.
+	if len(lass) < 4 {
+		t.Fatalf("want the 4 recorded LASS request/response samples, got %d", len(lass))
 	}
 	req, reqEmpty, resp, respSmall := lass[0], lass[1], lass[2], lass[3]
 	sizes := make([]int, g)

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"net"
 	"testing"
 
 	"mralloc/internal/wire"
@@ -48,5 +49,53 @@ func TestOwnedFrameEgressAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("%v allocs per frame read, want 0", got)
+	}
+}
+
+// TestVectoredFlushAllocs pins the other way out of a Coalescer: several
+// frames leaving in one batch envelope through a socket's writev, which
+// is every flush of a busy peer link. Two frames are queued before the
+// flusher can run (AllocsPerRun measures on one P, and a flusher woken
+// early yields until the queue stops growing), go out as one vectored
+// write over loopback TCP and are read back; none of it allocates.
+func TestVectoredFlushAllocs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	out, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	in, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	co := wire.NewCoalescer(out, 2, func(err error) { t.Error(err) })
+	defer co.Close()
+	fr := wire.NewFrameReader(in, 1<<20)
+	payload := []byte("one small frame")
+	send := func() {
+		for i := 0; i < 2; i++ {
+			frame := append(wire.GetFrame(128)[:wire.FrameDataOff], payload...)
+			if !co.AppendOwned(frame, wire.FinishFrame(frame)) {
+				t.Fatal("coalescer refused a frame")
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := fr.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := testing.AllocsPerRun(500, send)
+	if st := co.Stats(); st.Batches != st.Flushes || st.Writes != st.Flushes || st.Frames != 2*st.Flushes {
+		t.Fatalf("not every flush was one two-frame writev: %+v", st)
+	}
+	if got != 0 {
+		t.Errorf("%v allocs per two-frame vectored flush, want 0", got)
 	}
 }

@@ -64,9 +64,12 @@ type Coalescer struct {
 	preamble []byte
 
 	// spare is the flusher's drained span slice handed back for reuse;
-	// vecBufs is the flusher's private flush scratch.
+	// vecBufs is the flusher's private flush scratch, and netBufs the
+	// header net.Buffers consumes a socket write's share of it through
+	// (WriteTo's receiver escapes: a local one is boxed per write).
 	spare   []span
 	vecBufs [][]byte
+	netBufs net.Buffers
 
 	stats CoalescerStats // guarded by mu
 
@@ -512,9 +515,9 @@ func (c *Coalescer) vwrite(st *CoalescerStats, bufs [][]byte) error {
 			n = int64(k)
 			bufs = consumeBufs(bufs, n)
 		case *net.TCPConn, *net.UnixConn:
-			nb := net.Buffers(bufs)
-			n, err = nb.WriteTo(c.w)
-			bufs = nb
+			c.netBufs = bufs
+			n, err = c.netBufs.WriteTo(c.w)
+			bufs = c.netBufs
 		default:
 			var k int
 			k, err = c.w.Write(bufs[0])
