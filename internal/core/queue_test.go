@@ -201,4 +201,14 @@ func TestVisitedHelpers(t *testing.T) {
 	if own.stamp(nil, 3); len(own.Visited) != 1 || own.Visited[0] != 3 {
 		t.Fatalf("originating stamp = %v, want [3]", own.Visited)
 	}
+	// A list that must grow gets room for a path; one that fits stays
+	// where it is (a decoded record's list is cut to its message).
+	if cap(own.Visited) < visitedRoom {
+		t.Fatalf("a fresh record's list got room for %d sites, want %d", cap(own.Visited), visitedRoom)
+	}
+	fits := &batch{Visited: make([]network.NodeID, 0, 2)}
+	at := &fits.Visited[:1][0]
+	if fits.stamp([]network.NodeID{1}, 2); cap(fits.Visited) != 2 || &fits.Visited[0] != at {
+		t.Fatal("a list with room for the stamp was regrown")
+	}
 }

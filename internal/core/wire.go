@@ -123,16 +123,20 @@ func visitedContains(v []network.NodeID, s network.NodeID) bool {
 	return false
 }
 
-// visitedRoom is the least room a record's visited list is grown to: a
-// request's path is a handful of sites, and a list that starts with
-// room for one and doubles its way there costs a fresh record three
-// allocations where this costs one.
+// visitedRoom is the least room a record's visited list gets when it
+// has to grow: a request's path is a handful of sites, and a list that
+// starts with room for one and doubles its way there costs a fresh
+// record three allocations where this costs one.
 const visitedRoom = 8
 
 // stamp writes visited ∪ {self} — the visited-sites set of §4.2.1 as
 // the next hop must see it — into b's own storage.
 func (b *batch) stamp(visited []network.NodeID, self network.NodeID) {
-	b.Visited = append(slices.Grow(b.Visited, max(len(visited)+1, visitedRoom)), visited...)
+	need := len(visited) + 1
+	if cap(b.Visited) < need {
+		need = max(need, visitedRoom)
+	}
+	b.Visited = append(slices.Grow(b.Visited, need), visited...)
 	if !visitedContains(visited, self) {
 		b.Visited = append(b.Visited, self)
 	}
