@@ -103,13 +103,13 @@ func run(cfg clientConfig) error {
 		// The daemon's hello reply carries the cluster shape, so a
 		// client needs no out-of-band M.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		nodes, resources, err := cl.Shape(ctx)
+		hello, err := cl.Hello(ctx)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("learning cluster shape (pass -resources to skip): %w", err)
 		}
-		cfg.m = resources
-		fmt.Printf("mrclient: daemon announced N=%d M=%d\n", nodes, cfg.m)
+		cfg.m = hello.Resources
+		fmt.Printf("mrclient: daemon announced N=%d M=%d\n", hello.Nodes, cfg.m)
 	}
 	if cfg.phi < 1 || cfg.phi > cfg.m {
 		return fmt.Errorf("-phi %d outside [1, %d]", cfg.phi, cfg.m)

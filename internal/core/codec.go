@@ -132,9 +132,9 @@ func decRespBatch(d *wire.Dec) network.Message {
 	return b
 }
 
-// encToken puts one token on the wire. Off-stream (and on streams
-// without the token-delta control) it is the legacy snapshot layout;
-// on a delta-capable stream it dispatches to the stateful delta
+// encToken puts one token on the wire. Without a Stream (off-stream,
+// or on a link that did not negotiate delta) it is the bare snapshot
+// layout; under one it dispatches to the stateful delta
 // encoder (delta.go), which ships a full snapshot the first time a
 // resource's token crosses the stream and field deltas afterwards.
 func encToken(e *wire.Enc, t *token) {

@@ -13,15 +13,16 @@ import (
 // vectors, so at large N the LASS.Response payload is dominated by
 // bytes that barely change between transfers: one transfer typically
 // bumps the counter a few times, touches a handful of stamp entries
-// and moves one queue head. On a stream that announced
-// wire.CtrlTokenDelta, both ends therefore keep a per-resource shadow
+// and moves one queue head. On a link whose hellos negotiated
+// wire.FeatDelta — which is exactly when the transport hands the codec a
+// wire.Stream — both ends therefore keep a per-resource shadow
 // of the last token state that crossed the stream: the first transfer
 // of a resource's token ships the full snapshot, later transfers ship
 // only the changed fields, and the decoder replays them onto its
 // shadow to reconstruct the exact token.
 //
-// Wire forms (replacing the bare snapshot of encTokenSnap on
-// delta-capable streams only — legacy streams are untouched):
+// Wire forms (replacing the bare snapshot of encTokenSnap under a
+// Stream only — without one the encoding is the bare snapshot):
 //
 //	full:  uvarint(0), uvarint(epoch), uvarint(seq), <snapshot fields>
 //	delta: uvarint(1), varint(R), uvarint(epoch), uvarint(seq),
@@ -116,7 +117,7 @@ type tokenDeltaEnc struct {
 
 func encDeltaState(e *wire.Enc) *tokenDeltaEnc {
 	s := e.Stream()
-	if !s.HasFlag(wire.CtrlTokenDelta) {
+	if s == nil {
 		return nil
 	}
 	return s.Value(tokenDeltaEncKey{}, func() any {
@@ -312,7 +313,7 @@ func (st *tokenDeltaDec) frameDup(d *wire.Dec, r resource.ID) bool {
 
 func decDeltaState(d *wire.Dec) *tokenDeltaDec {
 	s := d.Stream()
-	if !s.HasFlag(wire.CtrlTokenDelta) {
+	if s == nil {
 		return nil
 	}
 	return s.Value(tokenDeltaDecKey{}, func() any {

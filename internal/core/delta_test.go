@@ -10,18 +10,14 @@ import (
 )
 
 // deltaPipe is one simulated delta-capable connection: an encoder-side
-// and a decoder-side wire.Stream with the token-delta control active,
-// as the transport would set them up after sending/receiving the
-// CtrlTokenDelta stream control.
+// and a decoder-side wire.Stream, as the transport builds them for a link
+// whose two hellos carry wire.FeatDelta.
 type deltaPipe struct {
 	enc, dec *wire.Stream
 }
 
 func newDeltaPipe() *deltaPipe {
-	p := &deltaPipe{enc: wire.NewStream(), dec: wire.NewStream()}
-	p.enc.SetFlag(wire.CtrlTokenDelta)
-	p.dec.SetFlag(wire.CtrlTokenDelta)
-	return p
+	return &deltaPipe{enc: wire.NewStream(), dec: wire.NewStream()}
 }
 
 // send encodes a respBatch carrying tok through the pipe's encoder
@@ -342,7 +338,6 @@ func TestTokenDeltaQueueGrowthBounded(t *testing.T) {
 	// The poisoned shadow is gone; a fresh encoder generation (what a
 	// redial produces) heals the resource through a full snapshot.
 	enc2 := wire.NewStream()
-	enc2.SetFlag(wire.CtrlTokenDelta)
 	tok.Counter = 9
 	frame, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc2)
 	if err != nil {
@@ -393,7 +388,6 @@ func TestTokenDeltaFrameDedup(t *testing.T) {
 	}
 	// The poisoned entry healed by a fresh generation's full snapshot.
 	enc2 := wire.NewStream()
-	enc2.SetFlag(wire.CtrlTokenDelta)
 	frame, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc2)
 	if err != nil {
 		t.Fatal(err)
@@ -403,9 +397,10 @@ func TestTokenDeltaFrameDedup(t *testing.T) {
 	}
 }
 
-// TestTokenDeltaLegacyUnchanged: without the stream flag the encoding
-// must be byte-identical to the legacy snapshot layout — delta-aware
-// binaries stay wire-compatible with pre-delta peers by default.
+// TestTokenDeltaLegacyUnchanged: the Stream is the whole decision.
+// Without one the encoding is byte-identical to the bare snapshot layout
+// — what a link that did not negotiate delta carries, and what a
+// delta-off peer decodes — and under one it is the delta-capable form.
 func TestTokenDeltaLegacyUnchanged(t *testing.T) {
 	tok := newToken(2, 4)
 	tok.Counter = 9
@@ -415,16 +410,23 @@ func TestTokenDeltaLegacyUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A Stream without the flag must also produce the legacy bytes.
-	plain, err := wire.AppendStream(nil, msg, wire.NewStream())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(legacy) != string(plain) {
-		t.Fatal("flag-free stream encoding differs from the legacy layout")
+	var e wire.Enc
+	e.String(msg.Kind())
+	e.Uvarint(0) // counters
+	e.Uvarint(1) // tokens
+	encTokenSnap(&e, tok)
+	if string(legacy) != string(e.Bytes()) {
+		t.Fatal("stream-free encoding differs from the bare snapshot layout")
 	}
 	if _, err := wire.Decode(legacy); err != nil {
 		t.Fatal(err)
+	}
+	framed, err := wire.AppendStream(nil, msg, wire.NewStream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(framed) == string(legacy) {
+		t.Fatal("a Stream was passed and the token still travelled as a bare snapshot")
 	}
 }
 
@@ -479,7 +481,6 @@ func FuzzTokenDelta(f *testing.F) {
 	// Seeds: a valid delta, a valid full, and the empty input.
 	{
 		enc := wire.NewStream()
-		enc.SetFlag(wire.CtrlTokenDelta)
 		tok := seedTok()
 		full, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc)
 		if err != nil {
@@ -497,9 +498,7 @@ func FuzzTokenDelta(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		enc := wire.NewStream()
-		enc.SetFlag(wire.CtrlTokenDelta)
 		dec := wire.NewStream()
-		dec.SetFlag(wire.CtrlTokenDelta)
 		tok := seedTok()
 		base, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc)
 		if err != nil {
@@ -514,7 +513,6 @@ func FuzzTokenDelta(f *testing.F) {
 		// Resync: a fresh encoder generation heals the stream through a
 		// full snapshot, whatever the input above did to the shadow.
 		enc2 := wire.NewStream()
-		enc2.SetFlag(wire.CtrlTokenDelta)
 		tok2 := seedTok()
 		tok2.Counter = 100
 		full2, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok2}}, enc2)

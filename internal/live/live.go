@@ -101,11 +101,10 @@ type Config struct {
 	// pick a period a few times smaller than the heartbeat interval).
 	Tick time.Duration
 	// Wire tunes the wire path of a socket fabric: delta-encoded token
-	// state and the receive window. It reaches the fabric through any
-	// wrappers, in the
-	// one transport.Config the cluster announces before any node
-	// attaches, so it covers every connection the cluster dials;
-	// fabrics without a wire path (Mem) ignore it.
+	// state. It reaches the fabric through any wrappers, in the one
+	// transport.Config the cluster announces before any node attaches,
+	// so it covers every connection the cluster dials; fabrics without a
+	// wire path (Mem) ignore it.
 	Wire transport.WireOptions
 }
 

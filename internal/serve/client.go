@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -45,7 +46,7 @@ type Client struct {
 	co *wire.Coalescer // request egress
 
 	// helloed closes when the daemon's hello reply lands; hello then
-	// holds the announced cluster shape and features (see Shape).
+	// holds what it announced (see Hello).
 	helloed chan struct{}
 	hello   wire.Hello
 
@@ -84,7 +85,7 @@ type clientResult struct {
 
 // Dial connects to a daemon's client port and opens negotiation: the
 // client's hello goes out before any request, and the daemon's reply
-// carries the cluster shape (see Shape) — a client needs no
+// carries the cluster shape (see Hello) — a client needs no
 // out-of-band N or M. Dial does not wait for the reply; requests may
 // flow immediately.
 func Dial(addr string) (*Client, error) {
@@ -112,7 +113,7 @@ func Dial(addr string) (*Client, error) {
 	// Byte-bounded egress: a stalled daemon costs blocked Acquires and
 	// at most this much queued request memory, never an OOM.
 	c.co.SetByteBudget(clientEgressBudget)
-	go c.readLoop()
+	go c.readLoop(mine)
 	return c, nil
 }
 
@@ -120,36 +121,21 @@ func Dial(addr string) (*Client, error) {
 // daemon that has stopped reading.
 const clientEgressBudget = 4 << 20
 
-// Shape reports the cluster shape (N nodes, M resources) the daemon
-// announced in its hello reply, blocking until the reply lands, ctx
-// ends, or the connection fails.
-func (c *Client) Shape(ctx context.Context) (nodes, resources int, err error) {
+// Hello reports the daemon's hello reply — the cluster shape (Nodes,
+// Resources) and the number of resource shards (1 for a flat cluster) —
+// blocking until the reply lands, ctx ends, or the connection fails.
+// Requests are always phrased over the global universe; the shard count
+// describes how the daemon parallelizes them.
+func (c *Client) Hello(ctx context.Context) (wire.Hello, error) {
 	select {
 	case <-c.helloed:
-		return c.hello.Nodes, c.hello.Resources, nil
+		return c.hello, nil
 	case <-ctx.Done():
-		return 0, 0, ctx.Err()
+		return wire.Hello{}, ctx.Err()
 	case <-c.closed:
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return 0, 0, c.err
-	}
-}
-
-// Shards reports the number of resource shards the daemon announced
-// (1 for a flat cluster), blocking like Shape.
-// Requests are always phrased over the global universe either way; the
-// count describes how the daemon parallelizes them.
-func (c *Client) Shards(ctx context.Context) (int, error) {
-	select {
-	case <-c.helloed:
-		return c.hello.Shards, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-c.closed:
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return 0, c.err
+		return wire.Hello{}, c.err
 	}
 }
 
@@ -298,29 +284,18 @@ func (r clientResult) denied() error {
 	return fmt.Errorf("serve: denied: %s", r.reason)
 }
 
-func (c *Client) readLoop() {
-	fr := wire.NewFrameReader(c.c, maxClientFrame)
-	fr.OnControl(func(code uint64, payload []byte) error {
-		switch code {
-		case wire.CtrlHello:
-			h, err := wire.ParseHello(payload)
-			if err != nil {
-				return err
-			}
-			select {
-			case <-c.helloed: // duplicate reply: keep the first
-			default:
-				c.hello = h
-				close(c.helloed)
-			}
-			return nil
-		case wire.CtrlReject:
-			reason, _ := wire.ParseReject(payload)
-			return fmt.Errorf("daemon rejected handshake: %s", reason)
-		default:
-			return wire.ErrUnknownControl // forward compat: skip and count
-		}
-	})
+// readLoop reads the daemon's answer to the hello Dial sent, mine, then
+// responses until the connection ends.
+func (c *Client) readLoop(mine wire.Hello) {
+	br := bufio.NewReader(c.c)
+	hello, err := wire.ReadHelloReply(br, mine)
+	if err != nil {
+		c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
+		return
+	}
+	c.hello = hello
+	close(c.helloed)
+	fr := wire.NewFrameReader(br, maxClientFrame)
 	for {
 		frame, err := fr.Next()
 		if err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"net"
@@ -77,14 +78,18 @@ func TestClientPortAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	hello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion})
-	if _, err := nc.Write(wire.AppendControl(nil, wire.CtrlHello, hello)); err != nil {
+	hello := wire.Hello{Version: wire.ProtoVersion}
+	if _, err := nc.Write(wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, hello))); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	if _, err := wire.ReadHelloReply(br, hello); err != nil {
 		t.Fatal(err)
 	}
 	const id = 1000
 	acquire := wire.AppendFrame(nil, appendAcquire(nil, id, network.None, []int{1, 6}, 0))
 	release := wire.AppendFrame(nil, appendRelease(nil, id))
-	fr := wire.NewFrameReader(nc, maxClientFrame)
+	fr := wire.NewFrameReader(br, maxClientFrame)
 	server := testing.AllocsPerRun(300, func() {
 		if _, err := nc.Write(acquire); err != nil {
 			t.Fatal(err)

@@ -23,6 +23,11 @@ const maxClientFrame = 1 << 20
 // its coalescing writer to drain queued responses.
 const closeFlushTimeout = 2 * time.Second
 
+// handshakeTimeout bounds the wait for a fresh connection's hello: a
+// dialer that never speaks must not hold a goroutine and a descriptor
+// until Close.
+const handshakeTimeout = 5 * time.Second
+
 // DefaultEgressBudget bounds the response bytes queued for one client
 // connection. A client that stops reading its responses is shed (its
 // connection closed, everything it held handed back) once the queue
@@ -173,8 +178,7 @@ func (s *Server) QueueLen(node int) int64 {
 }
 
 // WireStats aggregates the egress counters of every client
-// connection: writes, flushes, frames, batch envelopes, bytes, and
-// the flush-size histogram.
+// connection: writes, flushes, frames, batch envelopes and bytes.
 func (s *Server) WireStats() wire.CoalescerStats {
 	s.connsMu.Lock()
 	total := s.wireAccum
@@ -375,16 +379,12 @@ func (cn *conn) readLoop() {
 	// is safe: the hello precedes every request, so the response
 	// coalescer has never been touched yet.
 	br := bufio.NewReader(cn.c)
-	if _, err := wire.AcceptHello(br, cn.c, cn.s.answerHello); err != nil {
+	cn.c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	if _, _, err := wire.AcceptHello(br, cn.c, cn.s.answerHello); err != nil {
 		return
 	}
+	cn.c.SetReadDeadline(time.Time{})
 	fr := wire.NewFrameReader(br, maxClientFrame)
-	fr.OnControl(func(code uint64, payload []byte) error {
-		if code == wire.CtrlHello {
-			return fmt.Errorf("hello mid-stream")
-		}
-		return wire.ErrUnknownControl // forward compat: skip and count
-	})
 	for {
 		frame, err := fr.Next()
 		if err != nil {

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"errors"
+	"io"
 	"net"
 
 	"context"
@@ -401,9 +402,7 @@ func TestDuplicateRequestIDKillsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := nc.Write(clientHello()); err != nil {
-		t.Fatal(err)
-	}
+	fr := helloRaw(t, nc)
 	sendRaw := func(m network.Message) {
 		payload, err := wire.Append(nil, m)
 		if err != nil {
@@ -416,7 +415,6 @@ func TestDuplicateRequestIDKillsConnection(t *testing.T) {
 	sendRaw(serve.ClientAcquire{Req: 7, Node: 0, Resources: []int64{0}})
 	// Wait for the grant so request 7 holds resource 0. The server may
 	// coalesce responses, so read through the batch-aware reader.
-	fr := wire.NewFrameReader(nc, 1<<20)
 	frame, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -458,12 +456,12 @@ func TestClientLearnsShape(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	nodes, resources, err := cl.Shape(ctx)
+	hello, err := cl.Hello(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodes != 3 || resources != 7 {
-		t.Fatalf("learned shape %d/%d, want 3/7", nodes, resources)
+	if hello.Nodes != 3 || hello.Resources != 7 {
+		t.Fatalf("learned shape %d/%d, want 3/7", hello.Nodes, hello.Resources)
 	}
 }
 
@@ -523,6 +521,64 @@ func TestClientPortRequiresHello(t *testing.T) {
 	}
 }
 
+// TestClientPortControlAfterHandshake: once the hello is answered the
+// client port takes frames and envelopes only. A control — a second
+// hello, or a code of another build — kills the connection: the acquire
+// behind it is never answered, and the grant the connection held is
+// handed back.
+func TestClientPortControlAfterHandshake(t *testing.T) {
+	for name, ctl := range map[string][]byte{
+		"second hello":    clientHello(),
+		"unknown control": wire.AppendControl(nil, 1, nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, srv := startServer(t, 1, 2, serve.FIFO)
+			rc := dialRaw(t, srv.Addr())
+			rc.send(serve.ClientAcquire{Req: 7, Node: 0, Resources: []int64{0}})
+			rc.wantGrant(7)
+			behind, err := wire.Append(nil, serve.ClientAcquire{Req: 8, Node: 0, Resources: []int64{1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rc.nc.Write(wire.AppendFrame(append([]byte(nil), ctl...), behind)); err != nil {
+				t.Fatal(err)
+			}
+			rc.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if frame, err := rc.fr.Next(); err != io.EOF {
+				t.Fatalf("connection survived a control after the handshake: frame %x, err %v", frame, err)
+			}
+			cl, err := serve.Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			release, err := cl.Acquire(ctx, 0, 0, 1)
+			if err != nil {
+				t.Fatalf("resources stranded after the violating connection died: %v", err)
+			}
+			release()
+		})
+	}
+}
+
+// TestClientPortSilentDialerDropped: a connection that never sends its
+// hello is told why and dropped when the handshake timeout passes, where
+// it used to hold its goroutine and descriptor until Close.
+func TestClientPortSilentDialerDropped(t *testing.T) {
+	_, srv := startServer(t, 1, 2, serve.FIFO)
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	reason := wantReject(t, nc)
+	if !strings.Contains(reason, "hello required") || !strings.Contains(reason, "timeout") {
+		t.Fatalf("reject reason %q, want the hello required and the timeout named", reason)
+	}
+}
+
 // TestClientPortRejectsBadVersion: a hello from an incompatible build —
 // a future one, or the previous build's six-field v2 hello byte for
 // byte — draws a CtrlReject naming the version, then the connection
@@ -535,7 +591,7 @@ func TestClientPortRejectsBadVersion(t *testing.T) {
 		want  string
 	}{
 		{wire.AppendControl(nil, wire.CtrlHello, future), fmt.Sprintf("version %d, want %d", wire.ProtoVersion+9, wire.ProtoVersion)},
-		{[]byte{0x00, 0x00, 0x02, 0x09, 0x02, 0x04, 0x08, 0x01, 0x80, 0x80, 0x80, 0x04, 0x01}, "version 2, want 3"},
+		{[]byte{0x00, 0x00, 0x02, 0x09, 0x02, 0x04, 0x08, 0x01, 0x80, 0x80, 0x80, 0x04, 0x01}, "version 2, want 4"},
 	} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -590,8 +646,21 @@ func clientHello() []byte {
 	return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion}))
 }
 
-// dialRaw connects and says hello; the daemon's reply is a control the
-// frame reader skips.
+// helloRaw runs the handshake on a raw connection and returns the reader
+// of the frames that follow the daemon's reply.
+func helloRaw(t *testing.T, nc net.Conn) *wire.FrameReader {
+	t.Helper()
+	if _, err := nc.Write(clientHello()); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	if _, err := wire.ReadHelloReply(br, wire.Hello{Version: wire.ProtoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	return wire.NewFrameReader(br, 1<<20)
+}
+
+// dialRaw connects and runs the handshake.
 func dialRaw(t *testing.T, addr string) *rawClient {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
@@ -599,10 +668,7 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	if _, err := nc.Write(clientHello()); err != nil {
-		t.Fatal(err)
-	}
-	return &rawClient{t: t, nc: nc, fr: wire.NewFrameReader(nc, 1<<20)}
+	return &rawClient{t: t, nc: nc, fr: helloRaw(t, nc)}
 }
 
 func (rc *rawClient) send(m network.Message) {

@@ -56,12 +56,12 @@ func TestClientLearnsShards(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	g, err := cl.Shards(ctx)
+	hello, err := cl.Hello(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g != 4 {
-		t.Fatalf("learned %d shards, want 4", g)
+	if hello.Shards != 4 {
+		t.Fatalf("learned %d shards, want 4", hello.Shards)
 	}
 	// Resources 0 and 11 live in shards 0 and 3.
 	release, err := cl.Acquire(ctx, 0, 0, 11)
@@ -82,12 +82,12 @@ func TestFlatDaemonAnnouncesOneShard(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	g, err := cl.Shards(ctx)
+	hello, err := cl.Hello(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g != 1 {
-		t.Fatalf("flat daemon announced %d shards, want 1", g)
+	if hello.Shards != 1 {
+		t.Fatalf("flat daemon announced %d shards, want 1", hello.Shards)
 	}
 }
 

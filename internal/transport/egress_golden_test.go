@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"io"
@@ -75,26 +76,27 @@ func (tap *egressTap) bytes() []byte {
 
 // canonical re-serialises the tapped stream element by element, in
 // stream order, with every frame on its own: how the sender's flusher
-// happened to group frames into envelopes depends on timing, the
-// controls and frames it sent do not. It also reports the control codes
-// seen.
-func (tap *egressTap) canonical(t *testing.T) (stream []byte, controls []uint64) {
+// happened to group frames into envelopes depends on timing, the hello
+// and the frames it sent do not. frames are the same frames, apart.
+func (tap *egressTap) canonical(t *testing.T) (stream []byte, frames [][]byte) {
 	t.Helper()
-	fr := wire.NewFrameReader(bytes.NewReader(tap.bytes()), 1<<24)
-	fr.OnControl(func(code uint64, payload []byte) error {
-		stream = wire.AppendControl(stream, code, payload)
-		controls = append(controls, code)
-		return nil
-	})
+	br := bufio.NewReader(bytes.NewReader(tap.bytes()))
+	hello, err := wire.ReadControl(br)
+	if err != nil || hello.Code != wire.CtrlHello {
+		t.Fatalf("tapped stream opens with %+v (%v), want the hello", hello, err)
+	}
+	stream = wire.AppendControl(stream, hello.Code, hello.Payload)
+	fr := wire.NewFrameReader(br, 1<<24)
 	for {
 		frame, err := fr.Next()
 		if err == io.EOF {
-			return stream, controls
+			return stream, frames
 		}
 		if err != nil {
 			t.Fatalf("tapped stream: %v", err)
 		}
 		stream = wire.AppendFrame(stream, frame)
+		frames = append(frames, append([]byte(nil), frame...))
 	}
 }
 
@@ -110,7 +112,7 @@ var egressCases = map[string]struct {
 }
 
 // TestEgressBytesGolden pins the wire format of one TCP link end to
-// end: hello, stream controls and frames of a fixed message sequence,
+// end: the hello and the frames of a fixed message sequence,
 // compared in canonical form (every frame on its own, so the stream
 // does not depend on flush timing; envelope headers are pinned by
 // wire's batch and gather tests). UPDATE_EGRESS_GOLDEN=1 rewrites the

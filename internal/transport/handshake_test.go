@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -93,10 +94,13 @@ func TestHandshakeNegotiates(t *testing.T) {
 	}
 }
 
-// TestHandshakeFeatureIntersection: a delta-on endpoint and a delta-off
-// one must settle on full snapshots in both directions — neither link
-// announces CtrlTokenDelta, whichever end dialed — and token state
-// still crosses both.
+// TestHandshakeFeatureIntersection: the two hellos are the whole
+// negotiation. Over {delta on, off} at either end, a link carries token
+// state as deltas exactly when both ends enabled it, whichever end dialed
+// — each pair is tapped in both directions, so every setting is seen as
+// dialer and as acceptor — and as bare snapshots otherwise: a default
+// daemon and a -wire-delta=false one interoperate. Nothing but the hello
+// and frames is on the wire, and token state crosses either way.
 func TestHandshakeFeatureIntersection(t *testing.T) {
 	var resp network.Message
 	for _, m := range wire.Samples() {
@@ -105,54 +109,84 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 			break
 		}
 	}
-	// Four nodes, two per endpoint: the sample token's stamp vectors are
-	// four entries long.
-	a, err := transport.ListenTCP("127.0.0.1:0", 4, 0, 1)
+	bare, err := wire.Append(nil, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := transport.ListenTCP("127.0.0.1:0", 4, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: true}})
-	b.Configure(transport.Config{Shards: []int{8}})
-	toB, toA := newEgressTap(t, b.Addr()), newEgressTap(t, a.Addr())
-	viaB, viaA := toB.ln.Addr().String(), toA.ln.Addr().String()
-	if err := a.Connect([]string{a.Addr(), a.Addr(), viaB, viaB}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Connect([]string{viaA, viaA, b.Addr(), b.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	atA, atB := make(chan network.Message, 1), make(chan network.Message, 1)
-	a.Bind(0, 0, func(from network.NodeID, m network.Message) { atA <- m })
-	b.Bind(0, 2, func(from network.NodeID, m network.Message) { atB <- m })
-	transporttest.Send(a, transport.Link{From: 0, To: 2}, resp)
-	transporttest.Send(b, transport.Link{From: 2, To: 0}, resp)
-	for _, ch := range []chan network.Message{atA, atB} {
-		if m := waitDelivery(t, ch); m.Kind() != "LASS.Response" {
-			t.Fatalf("delivered %#v", m)
-		}
-	}
-	if peer, ok := a.Negotiated(viaB); !ok || peer.Features&wire.FeatDelta != 0 {
-		t.Fatalf("delta-off peer advertised %b (negotiated=%v)", peer.Features, ok)
-	}
-	if peer, ok := b.Negotiated(viaA); !ok || peer.Features&wire.FeatDelta == 0 {
-		t.Fatalf("delta-on peer advertised %b (negotiated=%v)", peer.Features, ok)
-	}
-	for name, tap := range map[string]*egressTap{"a→b": toB, "b→a": toA} {
-		if _, controls := tap.canonical(t); len(controls) != 1 || controls[0] != wire.CtrlHello {
-			t.Errorf("%s announced controls %v, want the hello alone", name, controls)
-		}
-	}
-	if err := a.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Err(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ deltaA, deltaB bool }{{true, true}, {true, false}, {false, true}, {false, false}} {
+		t.Run(fmt.Sprintf("a=%v,b=%v", tc.deltaA, tc.deltaB), func(t *testing.T) {
+			// Four nodes, two per endpoint: the sample token's stamp vectors
+			// are four entries long.
+			a, err := transport.ListenTCP("127.0.0.1:0", 4, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			b, err := transport.ListenTCP("127.0.0.1:0", 4, 2, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			a.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: tc.deltaA}})
+			b.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: tc.deltaB}})
+			toB, toA := newEgressTap(t, b.Addr()), newEgressTap(t, a.Addr())
+			viaB, viaA := toB.ln.Addr().String(), toA.ln.Addr().String()
+			if err := a.Connect([]string{a.Addr(), a.Addr(), viaB, viaB}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Connect([]string{viaA, viaA, b.Addr(), b.Addr()}); err != nil {
+				t.Fatal(err)
+			}
+			atA, atB := make(chan network.Message, 2), make(chan network.Message, 2)
+			a.Bind(0, 0, func(from network.NodeID, m network.Message) { atA <- m })
+			b.Bind(0, 2, func(from network.NodeID, m network.Message) { atB <- m })
+			// The token twice each way: on a delta link the second transfer
+			// meets a warm shadow.
+			for i := 0; i < 2; i++ {
+				transporttest.Send(a, transport.Link{From: 0, To: 2}, resp)
+				transporttest.Send(b, transport.Link{From: 2, To: 0}, resp)
+				for _, ch := range []chan network.Message{atA, atB} {
+					if m := waitDelivery(t, ch); m.Kind() != "LASS.Response" {
+						t.Fatalf("delivered %#v", m)
+					}
+				}
+			}
+			if peer, ok := a.Negotiated(viaB); !ok || peer.Features&wire.FeatDelta != 0 != tc.deltaB {
+				t.Fatalf("b advertised %b (negotiated=%v)", peer.Features, ok)
+			}
+			if peer, ok := b.Negotiated(viaA); !ok || peer.Features&wire.FeatDelta != 0 != tc.deltaA {
+				t.Fatalf("a advertised %b (negotiated=%v)", peer.Features, ok)
+			}
+			for name, tap := range map[string]*egressTap{"a→b": toB, "b→a": toA} {
+				_, frames := tap.canonical(t) // fails on anything but a hello, then frames
+				if len(frames) != 2 {
+					t.Fatalf("%s carried %d frames, want the token twice", name, len(frames))
+				}
+				var body [2][]byte
+				for i, frame := range frames {
+					d := wire.NewDecFor(frame, 4, 8)
+					d.ShardTag()
+					d.Site()
+					d.Site()
+					body[i] = d.Rest()
+				}
+				if tc.deltaA && tc.deltaB {
+					if bytes.Equal(body[0], bare) || len(body[1]) >= len(body[0]) {
+						t.Errorf("%s: both ends enabled delta, but the token travelled as %d then %d bytes (bare snapshot: %d)",
+							name, len(body[0]), len(body[1]), len(bare))
+					}
+				} else if !bytes.Equal(body[0], bare) || !bytes.Equal(body[1], bare) {
+					t.Errorf("%s: one end has delta off, but the token did not travel as the bare snapshot both times:\n%x\n%x\nwant %x",
+						name, body[0], body[1], bare)
+				}
+			}
+			if err := a.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -195,6 +229,18 @@ func rawHello() []byte {
 	return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion}))
 }
 
+// rawFrame is one peer frame as a raw dialer writes it: a test message
+// from node from to node to.
+func rawFrame(t *testing.T, from, to int64) []byte {
+	t.Helper()
+	payload := binary.AppendVarint(binary.AppendVarint(nil, from), to)
+	payload, err := wire.Append(payload, transporttest.Msg{K: transporttest.KindA, From: network.NodeID(from), Seq: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendFrame(nil, payload)
+}
+
 // rawDial opens a bare socket to tr, writes first as its opening bytes,
 // and returns the CtrlReject reason tr answers with before closing the
 // connection.
@@ -208,7 +254,7 @@ func rawDial(t *testing.T, tr *transport.TCP, first []byte) (reason string) {
 	if _, err := c.Write(first); err != nil {
 		t.Fatal(err)
 	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	c.SetReadDeadline(time.Now().Add(15 * time.Second)) // past the acceptor's handshake timeout
 	br := bufio.NewReader(c)
 	ctl, err := wire.ReadControl(br)
 	if err != nil {
@@ -257,8 +303,11 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestHandshakeHostile: a garbage hello payload and a duplicate hello
-// both kill the connection with a recorded error; nothing is delivered.
+// TestHandshakeHostile: a garbage hello payload kills the connection
+// with a recorded error, and so does any control once the handshake is
+// over — a second hello, or the delta announcement the previous protocol
+// version sent there. The error names it; the frame behind it is never
+// delivered.
 func TestHandshakeHostile(t *testing.T) {
 	t.Run("garbage payload", func(t *testing.T) {
 		b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
@@ -276,24 +325,37 @@ func TestHandshakeHostile(t *testing.T) {
 		}
 		waitErr(t, b, "hello")
 	})
-	t.Run("duplicate hello", func(t *testing.T) {
-		b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		c, err := net.Dial("tcp", b.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Nodes: 2})
-		hello := wire.AppendControl(nil, wire.CtrlHello, h)
-		if _, err := c.Write(append(append([]byte{}, hello...), hello...)); err != nil {
-			t.Fatal(err)
-		}
-		waitErr(t, b, "hello mid-stream")
-	})
+	h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Nodes: 2})
+	hello := wire.AppendControl(nil, wire.CtrlHello, h)
+	for name, ctl := range map[string][]byte{
+		"duplicate hello":             hello,
+		"control after the handshake": wire.AppendControl(nil, 1, nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			got := make(chan network.Message, 1)
+			b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
+			c, err := net.Dial("tcp", b.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			stream := append(append(append([]byte(nil), hello...), ctl...), rawFrame(t, 0, 1)...)
+			if _, err := c.Write(stream); err != nil {
+				t.Fatal(err)
+			}
+			waitErr(t, b, wire.ErrControl.Error())
+			select {
+			case m := <-got:
+				t.Fatalf("frame behind the control delivered: %#v", m)
+			default:
+			}
+		})
+	}
 }
 
 // TestLegacyDialerServed: what a dialer that skips the hello is served
@@ -310,13 +372,7 @@ func TestLegacyDialerServed(t *testing.T) {
 	got := make(chan network.Message, 1)
 	b.Bind(0, 0, func(from network.NodeID, m network.Message) { got <- m })
 
-	payload := binary.AppendVarint(nil, 1) // from node 1
-	payload = binary.AppendVarint(payload, 0)
-	payload, err = wire.Append(payload, transporttest.Msg{K: transporttest.KindA, From: 1, Seq: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reason := rawDial(t, b, wire.AppendFrame(nil, payload)); !strings.Contains(reason, "hello required") {
+	if reason := rawDial(t, b, rawFrame(t, 1, 0)); !strings.Contains(reason, "hello required") {
 		t.Fatalf("reject reason %q", reason)
 	}
 	waitErr(t, b, "hello required")
@@ -324,5 +380,20 @@ func TestLegacyDialerServed(t *testing.T) {
 	case m := <-got:
 		t.Fatalf("frame ahead of the hello delivered: %#v", m)
 	default:
+	}
+}
+
+// TestSilentDialerDropped: a connection that never sends its hello is
+// told why and dropped when the handshake timeout passes, where it used
+// to hold its goroutine and descriptor until Close.
+func TestSilentDialerDropped(t *testing.T) {
+	b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	reason := rawDial(t, b, nil)
+	if !strings.Contains(reason, "hello required") || !strings.Contains(reason, "timeout") {
+		t.Fatalf("reject reason %q, want the hello required and the timeout named", reason)
 	}
 }

@@ -38,9 +38,10 @@ const closeFlushTimeout = 2 * time.Second
 // costs this much sender memory and blocked Sends, never an OOM.
 const DefaultBudget = 16 << 20
 
-// handshakeTimeout bounds the dial-side wait for the peer's hello
-// reply: a listener that never answers must fail the dial promptly
-// rather than hang it.
+// handshakeTimeout bounds either end's wait for the other's hello: a
+// listener that never answers must fail the dial promptly rather than
+// hang it, and a dialer that never speaks must not hold the acceptor's
+// goroutine and descriptor until Close.
 const handshakeTimeout = 5 * time.Second
 
 // TCP is the socket transport: one endpoint per process, hosting a
@@ -111,10 +112,13 @@ type tcpShape struct {
 
 // outConn is one dialed connection plus its coalescing writer.
 type outConn struct {
-	c      net.Conn
-	co     *wire.Coalescer
-	strms  shardStreams // egress codec contexts; base nil unless delta is on
-	broken atomic.Bool  // write failed; next Send to this peer redials
+	c  net.Conn
+	co *wire.Coalescer
+	// strms are the egress codec contexts, one per configured shard (delta
+	// caches are keyed by resource id, and shard-local ids collide across
+	// shards); all nil unless the hellos negotiated delta.
+	strms  []*wire.Stream
+	broken atomic.Bool // write failed; next Send to this peer redials
 	// peer is the hello the acceptor answered with, set before the
 	// connection is registered and read-only after, so no lock guards it.
 	peer wire.Hello
@@ -245,50 +249,10 @@ func (t *TCP) Bind(shard int, id network.NodeID, h Handler) {
 	t.binder.mustSlot(shard, id).bind(h)
 }
 
-// shardStreams holds the codec contexts of one direction of one
-// connection: the connection stream, which shard 0 uses, and lazily one
-// more per further shard. Delta caches are keyed by resource id, and
-// shard-local ids collide across shards, so each shard gets its own
-// Stream. A per-shard stream only scopes the shadow caches: stream
-// controls are announced once per connection and hold for all of them.
-type shardStreams struct {
-	base *wire.Stream // nil on an egress without per-stream state
-	mu   sync.Mutex   // an egress is shared by concurrent senders
-	more []*wire.Stream
-}
-
-// of resolves shard's stream, creating it with the connection stream's
-// delta flag on first use.
-func (ss *shardStreams) of(shard int) *wire.Stream {
-	if shard == 0 || ss.base == nil {
-		return ss.base
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for len(ss.more) <= shard {
-		ss.more = append(ss.more, nil)
-	}
-	if ss.more[shard] == nil {
-		s := wire.NewStream()
-		if ss.base.HasFlag(wire.CtrlTokenDelta) {
-			s.SetFlag(wire.CtrlTokenDelta)
-		}
-		ss.more[shard] = s
-	}
-	return ss.more[shard]
-}
-
-// setFlag activates a stream control the peer announced on every
-// stream of the connection, present and future.
-func (ss *shardStreams) setFlag(code uint64) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.base.SetFlag(code)
-	for _, s := range ss.more {
-		if s != nil {
-			s.SetFlag(code)
-		}
-	}
+// deltaOn reports whether a link whose ends sent these hellos carries
+// token state as deltas: both must have advertised it.
+func deltaOn(mine, peer wire.Hello) bool {
+	return mine.Features&peer.Features&wire.FeatDelta != 0
 }
 
 // Send implements Transport: the run is encoded into the connection's
@@ -317,7 +281,7 @@ func (t *TCP) Send(l Link, msgs []network.Message) {
 	if oc == nil {
 		return // closed or unreachable; error recorded
 	}
-	strm := oc.strms.of(l.Shard)
+	strm := oc.strms[l.Shard]
 	for _, m := range msgs {
 		// Owned-frame egress: each frame is encoded once, into a pooled
 		// buffer the coalescing writer writes from directly and releases
@@ -396,7 +360,8 @@ func (t *TCP) conn(addr string) *outConn {
 		}
 		c, err := t.dialOnce(ctx, addr)
 		if err == nil {
-			peer, err := t.dialHandshake(c)
+			mine := t.localHello()
+			peer, err := t.dialHandshake(c, mine)
 			if err != nil {
 				c.Close()
 				select {
@@ -425,7 +390,7 @@ func (t *TCP) conn(addr string) *outConn {
 			// awaiting its writeFailed sweep; the fresh one replaces it
 			// (dropConn deletes by identity, so the sweep cannot evict
 			// this registration).
-			oc = t.newOutConn(c, peer)
+			oc = t.newOutConn(c, mine, peer)
 			t.conns[addr] = oc
 			t.connMu.Unlock()
 			return oc
@@ -456,7 +421,7 @@ func (t *TCP) dialOnce(ctx context.Context, addr string) (net.Conn, error) {
 // dialHandshake runs the dial side of connection negotiation: send our
 // hello, wait (bounded) for the peer's hello or rejection. The hello
 // reply is the last thing the acceptor ever writes on the connection.
-func (t *TCP) dialHandshake(c net.Conn) (wire.Hello, error) {
+func (t *TCP) dialHandshake(c net.Conn, mine wire.Hello) (wire.Hello, error) {
 	// The handshake deadline caps a silent peer, but a transport
 	// shutting down must not ride it out: closing the socket unblocks
 	// the exchange the moment Close runs.
@@ -471,52 +436,29 @@ func (t *TCP) dialHandshake(c net.Conn) (wire.Hello, error) {
 	}()
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer c.SetDeadline(time.Time{})
-	mine := t.localHello()
 	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
 	if _, err := c.Write(hello); err != nil {
 		return wire.Hello{}, fmt.Errorf("transport: hello to %s: %w", c.RemoteAddr(), err)
 	}
-	br := bufio.NewReader(c)
-	for {
-		ctl, err := wire.ReadControl(br)
-		if err != nil {
-			return wire.Hello{}, fmt.Errorf("transport: hello reply from %s: %w", c.RemoteAddr(), err)
-		}
-		switch ctl.Code {
-		case wire.CtrlHello:
-			peer, err := wire.ParseHello(ctl.Payload)
-			if err != nil {
-				return wire.Hello{}, fmt.Errorf("transport: hello from %s: %w", c.RemoteAddr(), err)
-			}
-			if err := mine.Check(peer); err != nil {
-				return wire.Hello{}, fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
-			}
-			return peer, nil
-		case wire.CtrlReject:
-			reason, _ := wire.ParseReject(ctl.Payload)
-			return wire.Hello{}, fmt.Errorf("transport: peer %s rejected handshake: %s", c.RemoteAddr(), reason)
-		default:
-			// A control ahead of the hello reply from a future build:
-			// skip it, same forward-compatibility rule as FrameReader.
-		}
+	peer, err := wire.ReadHelloReply(bufio.NewReader(c), mine)
+	if err != nil {
+		return wire.Hello{}, fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
 	}
+	return peer, nil
 }
 
 // newOutConn builds the coalescing writer for a freshly dialed
-// connection, intersecting the locally enabled features with what the
-// peer advertised.
-func (t *TCP) newOutConn(c net.Conn, peer wire.Hello) *outConn {
-	oc := &outConn{c: c, peer: peer}
+// connection and, where the two hellos negotiated delta, the encoder's
+// shadow caches.
+func (t *TCP) newOutConn(c net.Conn, mine, peer wire.Hello) *outConn {
+	oc := &outConn{c: c, peer: peer, strms: make([]*wire.Stream, mine.Shards)}
 	oc.co = wire.NewCoalescer(c, 0, func(err error) {
 		t.writeFailed(oc, err)
 	})
-	if t.shape.Load().cfg.Wire.Delta && peer.Features&wire.FeatDelta != 0 {
-		// Announce delta-encoded token state ahead of the first
-		// frame; the per-connection stream carries the encoder's
-		// shadow cache from here on.
-		oc.strms.base = wire.NewStream()
-		oc.strms.base.SetFlag(wire.CtrlTokenDelta)
-		oc.co.SetPreamble(wire.AppendControl(nil, wire.CtrlTokenDelta, nil))
+	if deltaOn(mine, peer) {
+		for s := range oc.strms {
+			oc.strms[s] = wire.NewStream()
+		}
 	}
 	// The one flow-control rule of a peer link: a stalled peer costs
 	// bounded memory and blocked Sends, never an OOM.
@@ -629,7 +571,8 @@ func (t *TCP) serve(c net.Conn) {
 	}()
 	// The hello reply is the only thing this side ever writes.
 	br := bufio.NewReader(c)
-	_, err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
+	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	mine, peer, err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
 		mine := t.localHello()
 		return mine, mine.Check(peer)
 	})
@@ -637,23 +580,15 @@ func (t *TCP) serve(c net.Conn) {
 		t.connErr(c, err)
 		return
 	}
+	c.SetReadDeadline(time.Time{})
 	fr := wire.NewFrameReader(br, maxFrame)
-	// The ingress codec contexts: stream controls the peer announces
-	// (delta-encoded token state) flip flags here, and stateful codecs
-	// keep their per-connection caches in them.
-	strms := shardStreams{base: wire.NewStream()}
+	// The ingress codec contexts, by shard: stateful codecs keep their
+	// per-connection caches in them. None on a link that did not
+	// negotiate delta; otherwise they grow as shards show up, because a
+	// peer may connect before Configure has announced the layout.
+	delta := deltaOn(mine, peer)
+	var strms []*wire.Stream
 	var one [1]network.Message // each decoded frame, as a run of one
-	fr.OnControl(func(code uint64, payload []byte) error {
-		switch code {
-		case wire.CtrlTokenDelta:
-			strms.setFlag(code)
-			return nil
-		case wire.CtrlHello:
-			return fmt.Errorf("hello mid-stream")
-		default:
-			return wire.ErrUnknownControl // forward compat: skip and count
-		}
-	})
 	for {
 		frame, err := fr.Next()
 		if err != nil {
@@ -683,7 +618,14 @@ func (t *TCP) serve(c net.Conn) {
 			t.connErr(c, fmt.Errorf("frame for node %d, not hosted here", to))
 			return
 		}
-		m, err := wire.DecodeStream(d.Rest(), t.n, sh.cfg.Shards[shard], strms.of(shard))
+		var strm *wire.Stream
+		if delta {
+			for len(strms) <= shard {
+				strms = append(strms, wire.NewStream())
+			}
+			strm = strms[shard]
+		}
+		m, err := wire.DecodeStream(d.Rest(), t.n, sh.cfg.Shards[shard], strm)
 		if err != nil {
 			t.connErr(c, err)
 			return
@@ -734,11 +676,10 @@ func (t *TCP) Stats() map[string]int64 { return t.stats.snapshot() }
 
 // WireStats aggregates the egress counters of every connection this
 // endpoint has dialed: writes (the syscall proxy), flushes, frames,
-// batch envelopes, bytes, and the flush-size histogram. Holding
-// wireMu across the accumulator read and the live summation makes
-// each connection count exactly once — either in wireAccum (retired)
-// or live — even while retire runs concurrently, so successive
-// snapshots are monotonic.
+// batch envelopes and bytes. Holding wireMu across the accumulator read
+// and the live summation makes each connection count exactly once —
+// either in wireAccum (retired) or live — even while retire runs
+// concurrently, so successive snapshots are monotonic.
 func (t *TCP) WireStats() wire.CoalescerStats {
 	t.connMu.Lock()
 	conns := make([]*outConn, 0, len(t.conns))

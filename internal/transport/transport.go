@@ -133,8 +133,8 @@ type Transport interface {
 // WireOptions tunes the wire path of a socket transport. The zero
 // value selects the default.
 type WireOptions struct {
-	// Delta enables delta-encoded token state (wire.CtrlTokenDelta): a
-	// link ships token deltas instead of full snapshots when both of its
+	// Delta enables delta-encoded token state (the hello's
+	// wire.FeatDelta bit): a link ships token deltas instead of full snapshots when both of its
 	// ends enable it, and full snapshots otherwise.
 	Delta bool
 }

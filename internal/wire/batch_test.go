@@ -339,103 +339,34 @@ func TestGetReleaseFrame(t *testing.T) {
 	}
 }
 
-// TestFrameReaderStreamControls: controls interleave with frames and
-// envelopes, are surfaced through OnControl in stream order, and yield
-// no frame; a handler error fails the stream.
+// TestFrameReaderStreamControls: controls belong to the handshake. Once
+// a FrameReader runs, a control marker — code 1, which the previous
+// protocol version announced deltas with, a code no build knows, a
+// second hello — fails the stream with ErrControl wherever it sits
+// between elements: the frames ahead of it are delivered, nothing behind
+// it is.
 func TestFrameReaderStreamControls(t *testing.T) {
-	var stream []byte
-	stream = wire.AppendControl(stream, wire.CtrlTokenDelta, nil)
-	stream = wire.AppendFrame(stream, []byte("aa"))
-	stream = wire.AppendControl(stream, 9, []byte{1, 2})
-	stream = wire.AppendBatch(stream, wire.AppendFrame(wire.AppendFrame(nil, []byte("bb")), []byte("cc")))
-
-	var controls []uint64
-	var payloads [][]byte
-	fr := wire.NewFrameReader(bytes.NewReader(stream), 1<<16)
-	fr.OnControl(func(code uint64, payload []byte) error {
-		controls = append(controls, code)
-		payloads = append(payloads, append([]byte(nil), payload...))
-		return nil
-	})
-	var frames [][]byte
-	for {
-		f, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, append([]byte(nil), f...))
-	}
-	if len(frames) != 3 || string(frames[0]) != "aa" || string(frames[1]) != "bb" || string(frames[2]) != "cc" {
-		t.Fatalf("frames = %q", frames)
-	}
-	if len(controls) != 2 || controls[0] != wire.CtrlTokenDelta || controls[1] != 9 {
-		t.Fatalf("controls = %v", controls)
-	}
-	if len(payloads[1]) != 2 || payloads[1][0] != 1 {
-		t.Fatalf("control payload = %v", payloads[1])
-	}
-
-	// A handler rejecting a control (any error other than
-	// ErrUnknownControl) fails the stream.
-	fr = wire.NewFrameReader(bytes.NewReader(stream), 1<<16)
-	fr.OnControl(func(code uint64, payload []byte) error {
-		if code != wire.CtrlTokenDelta {
-			return fmt.Errorf("malformed control %d", code)
-		}
-		return nil
-	})
-	var err error
-	for err == nil {
-		_, err = fr.Next()
-	}
-	if err == io.EOF {
-		t.Fatal("rejected control accepted")
-	}
-}
-
-// TestFrameReaderSkipsUnknownControls pins the forward-compatibility
-// rule: unknown stream controls are skipped and counted — by a reader
-// with no handler, and by a handler returning ErrUnknownControl — so
-// future controls never break old decoders.
-func TestFrameReaderSkipsUnknownControls(t *testing.T) {
-	var stream []byte
-	stream = wire.AppendControl(stream, 77, []byte{9, 9, 9})
-	stream = wire.AppendFrame(stream, []byte("aa"))
-	stream = wire.AppendControl(stream, 78, nil)
-	stream = wire.AppendFrame(stream, []byte("bb"))
-
-	check := func(t *testing.T, fr *wire.FrameReader, wantSkips uint64) {
-		t.Helper()
-		var frames [][]byte
-		for {
-			f, err := fr.Next()
-			if err == io.EOF {
-				break
+	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion}))
+	batch := wire.AppendBatch(nil, wire.AppendFrame(wire.AppendFrame(nil, []byte("bb")), []byte("cc")))
+	for _, tc := range []struct {
+		name      string
+		head, ctl []byte
+		frames    int
+	}{
+		{"first element", nil, wire.AppendControl(nil, 1, nil), 0},
+		{"after a frame", wire.AppendFrame(nil, []byte("aa")), wire.AppendControl(nil, 9, []byte{1, 2}), 1},
+		{"second hello after an envelope", batch, hello, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream := append(append([]byte(nil), tc.head...), tc.ctl...)
+			stream = wire.AppendFrame(stream, []byte("zz"))
+			got, err := collect(t, stream, 1<<16)
+			if !errors.Is(err, wire.ErrControl) {
+				t.Fatalf("stream ended with %v, want ErrControl", err)
 			}
-			if err != nil {
-				t.Fatal(err)
+			if len(got) != tc.frames {
+				t.Fatalf("%d frames delivered ahead of the control, want %d: %q", len(got), tc.frames, got)
 			}
-			frames = append(frames, append([]byte(nil), f...))
-		}
-		if len(frames) != 2 || string(frames[0]) != "aa" || string(frames[1]) != "bb" {
-			t.Fatalf("frames = %q", frames)
-		}
-		if got := fr.SkippedControls(); got != wantSkips {
-			t.Fatalf("SkippedControls = %d, want %d", got, wantSkips)
-		}
-	}
-
-	t.Run("no handler", func(t *testing.T) {
-		check(t, wire.NewFrameReader(bytes.NewReader(stream), 1<<16), 2)
-	})
-	t.Run("handler returns ErrUnknownControl", func(t *testing.T) {
-		fr := wire.NewFrameReader(bytes.NewReader(stream), 1<<16)
-		fr.OnControl(func(code uint64, payload []byte) error {
-			return fmt.Errorf("%w %d", wire.ErrUnknownControl, code)
 		})
-		check(t, fr, 2)
-	})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"runtime"
 	"sync"
@@ -58,10 +57,6 @@ type Coalescer struct {
 	// write together (1: every frame its own write, which is how the
 	// framing tests get deterministic groups). Fixed at construction.
 	maxFrames int
-
-	// preamble is written before the first flush — stream controls a
-	// dialer announces ahead of any frame.
-	preamble []byte
 
 	// spare is the flusher's drained span slice handed back for reuse;
 	// vecBufs is the flusher's private flush scratch, and netBufs the
@@ -135,18 +130,6 @@ type CoalescerStats struct {
 	// Stalls counts backpressure events: appends that blocked on the
 	// byte budget.
 	Stalls int64
-	// Hist buckets flush groups by frame count:
-	// 1, 2–3, 4–7, 8–15, 16–31, 32–63, 64–127, ≥128.
-	Hist [8]int64
-}
-
-// histBucket maps a flush's frame count to its histogram bucket.
-func histBucket(frames int) int {
-	b := bits.Len(uint(frames)) - 1
-	if b > 7 {
-		b = 7
-	}
-	return b
 }
 
 // Add accumulates o into s.
@@ -157,9 +140,6 @@ func (s *CoalescerStats) Add(o CoalescerStats) {
 	s.Frames += o.Frames
 	s.Bytes += o.Bytes
 	s.Stalls += o.Stalls
-	for i, v := range o.Hist {
-		s.Hist[i] += v
-	}
 }
 
 // NewCoalescer starts a coalescing writer over w. maxFrames bounds the
@@ -192,15 +172,6 @@ func (c *Coalescer) QueuedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pendingBytes
-}
-
-// SetPreamble queues raw stream bytes (controls built with
-// AppendControl) to be written before the first flush. Call it before
-// the first Append; the bytes are not retained beyond the first flush.
-func (c *Coalescer) SetPreamble(b []byte) {
-	c.mu.Lock()
-	c.preamble = b
-	c.mu.Unlock()
 }
 
 // Append queues one frame holding payload (the bytes are copied into a
@@ -351,8 +322,6 @@ func (c *Coalescer) flusher() {
 		c.gather()
 		spans := c.pending
 		c.pending, c.spare = c.spare[:0], nil
-		pre := c.preamble
-		c.preamble = nil
 		c.mu.Unlock()
 
 		var drained int64
@@ -360,13 +329,7 @@ func (c *Coalescer) flusher() {
 			drained += int64(len(s.frame()))
 		}
 		var st CoalescerStats
-		var err error
-		if len(pre) > 0 {
-			err = c.write(&st, pre)
-		}
-		if err == nil {
-			err = c.writeOut(&st, spans)
-		}
+		err := c.writeOut(&st, spans)
 		for i := range spans {
 			ReleaseFrame(spans[i].buf)
 			spans[i] = span{}
@@ -467,7 +430,6 @@ func (c *Coalescer) writeOut(st *CoalescerStats, spans []span) error {
 		}
 		st.Flushes++
 		st.Frames += int64(frames)
-		st.Hist[histBucket(frames)]++
 		if frames > 1 {
 			st.Batches++
 		}

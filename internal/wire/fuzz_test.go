@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -55,7 +56,10 @@ func FuzzRoundTrip(f *testing.F) {
 // must never panic and must terminate — every frame yielded before an
 // error (or clean EOF) must itself be decodable or not, without
 // crashing. Seeds cover single frames, batch envelopes of mixed kinds,
-// an empty batch, and a truncated envelope.
+// an empty batch, a truncated envelope, and controls mid-stream. Those
+// belong to the handshake: behind any stream that reads to a clean end, a
+// control must fail the reader with ErrControl, after the same frames and
+// ahead of anything that follows it.
 func FuzzBatchStream(f *testing.F) {
 	var all []byte
 	var body []byte
@@ -74,26 +78,38 @@ func FuzzBatchStream(f *testing.F) {
 	f.Add(batch[:len(batch)/2])        // truncated envelope
 	f.Add([]byte{0, 0})                // empty batch
 	f.Add(wire.AppendBatch(all, body)) // singles then a batch
+	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion}))
+	f.Add(append(append(append([]byte(nil), all...), hello...), all...))      // a second hello mid-stream
+	f.Add(wire.AppendBatch(wire.AppendControl(batch, 9, []byte{1, 2}), body)) // an unknown control between envelopes
+	tail := wire.AppendFrame(wire.AppendControl(nil, 1, nil), []byte("behind the control"))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr := wire.NewFrameReader(bytes.NewReader(b), 1<<16)
-		frames := 0
-		for {
-			frame, err := fr.Next()
-			if err == io.EOF {
-				break
+		// read drains one stream, reporting the frames it yielded and the
+		// error that ended it.
+		read := func(b []byte) (frames int, err error) {
+			fr := wire.NewFrameReader(bytes.NewReader(b), 1<<16)
+			for {
+				frame, err := fr.Next()
+				if err != nil {
+					return frames, err
+				}
+				if len(frame) == 0 {
+					t.Fatal("FrameReader yielded an empty frame")
+				}
+				// Whatever the frame holds, decoding must not panic.
+				wire.Decode(frame)
+				frames++
+				if frames > len(b) {
+					t.Fatalf("more frames (%d) than input bytes (%d)", frames, len(b))
+				}
 			}
-			if err != nil {
-				break
-			}
-			if len(frame) == 0 {
-				t.Fatal("FrameReader yielded an empty frame")
-			}
-			// Whatever the frame holds, decoding must not panic.
-			wire.Decode(frame)
-			frames++
-			if frames > len(b) {
-				t.Fatalf("more frames (%d) than input bytes (%d)", frames, len(b))
-			}
+		}
+		frames, err := read(b)
+		if err != io.EOF {
+			return
+		}
+		got, err := read(append(append([]byte(nil), b...), tail...))
+		if !errors.Is(err, wire.ErrControl) || got != frames {
+			t.Fatalf("control behind %d clean frames: %d frames, then %v; want ErrControl", frames, got, err)
 		}
 	})
 }

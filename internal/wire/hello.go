@@ -8,12 +8,23 @@ import (
 )
 
 // Connection negotiation. Every connection (peer transport and client
-// port alike) opens with a Hello exchange riding the stream-control
-// element of batch.go: the dialer's first stream element is its hello —
-// protocol version, cluster shape and feature set — and the acceptor
-// answers with its own. Either side that cannot proceed (anything but a
-// hello first, a different version, a disagreeing shape) answers
-// CtrlReject with a reason instead of silently dropping the socket.
+// port alike) opens with a hello exchange, and that exchange is the whole
+// negotiation: the dialer's first bytes are its hello — protocol
+// version, cluster shape and feature set — and the acceptor answers with
+// its own, or, when it cannot proceed (anything but a hello first, a
+// different version, a disagreeing shape), with a reject naming the
+// reason instead of silently dropping the socket. Each end then uses a
+// capability iff both hellos carry its bit; nothing is announced, turned
+// on or renegotiated later, so the stream that follows holds frames and
+// envelopes only (batch.go).
+//
+// Both messages travel as control elements, which exist for the
+// handshake alone:
+//
+//	control: uvarint(0)          the batch marker
+//	         uvarint(0)          the control marker
+//	         uvarint(code)       CtrlHello or CtrlReject
+//	         uvarint(k), k bytes the code's payload
 //
 // The hello payload is forward-compatible by construction: decoders
 // ignore trailing bytes, so future versions may append fields without
@@ -24,20 +35,42 @@ import (
 // carrying a different version is rejected — the version only moves
 // when the stream alphabet or the mandatory hello fields change, which
 // the feature bits exist to avoid.
-const ProtoVersion = 3
+const ProtoVersion = 4
+
+const (
+	// CtrlHello carries a Hello. It is the dialer's first stream element
+	// and the acceptor's answer to one it accepts.
+	CtrlHello = 2
+	// CtrlReject refuses a handshake with a human-readable reason
+	// (no hello, version or shape mismatch); the connection dies after
+	// it.
+	CtrlReject = 4
+)
+
+// maxControlPayload bounds one control's payload: a hello is a few
+// bytes, a reject reason at most maxRejectReason.
+const maxControlPayload = 1 << 10
+
+// AppendControl appends a control element onto dst.
+func AppendControl(dst []byte, code uint64, payload []byte) []byte {
+	dst = append(dst, 0, 0) // batch marker, then the control marker
+	dst = binary.AppendUvarint(dst, code)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	return append(dst, payload...)
+}
 
 // Feature bits a hello advertises. A capability is used on a
 // connection only when both hellos carry its bit, which is what lets
 // differently configured endpoints interoperate: the connection degrades
 // to the common subset instead of desynchronizing.
 const (
-	// FeatDelta: the sender can decode delta-encoded token state
-	// (CtrlTokenDelta payloads).
+	// FeatDelta: the sender encodes and decodes token state as deltas
+	// against per-connection shadows (internal/core's delta.go).
 	FeatDelta uint64 = 1 << iota
 )
 
 // Hello is the negotiation announcement either side of a connection
-// sends as a CtrlHello stream control before any frame.
+// sends as a CtrlHello control before any frame.
 type Hello struct {
 	// Version is the sender's ProtoVersion.
 	Version uint64
@@ -139,18 +172,15 @@ func ParseReject(payload []byte) (string, error) {
 	return string(payload[k : uint64(k)+n]), nil
 }
 
-// Control is one stream-control element read outside a FrameReader —
-// the handshake phase, where the dialer reads controls synchronously
-// before any frame machinery exists.
+// Control is one control element of the handshake.
 type Control struct {
 	Code    uint64
 	Payload []byte
 }
 
-// ReadControl reads exactly one stream-control element from br. It is
-// the dialer's handshake reader: anything other than a control (a
-// frame, an envelope, garbage) is an error, because a conforming
-// acceptor sends nothing but controls before the handshake completes.
+// ReadControl reads exactly one control element from br. Anything else
+// (a frame, an envelope, garbage) is an error: neither end sends
+// anything but a control before the handshake completes.
 func ReadControl(br *bufio.Reader) (Control, error) {
 	for _, marker := range [2]string{"batch", "control"} {
 		b, err := binary.ReadUvarint(br)
@@ -179,19 +209,46 @@ func ReadControl(br *bufio.Reader) (Control, error) {
 	return Control{Code: code, Payload: payload}, nil
 }
 
+// ReadHelloReply is the dialer's half of the exchange once its hello,
+// mine, is sent: the acceptor's one answer is either its own hello,
+// returned if it passes mine.Check, or a reject, whose reason becomes
+// the error. Anything else fails the handshake too.
+func ReadHelloReply(br *bufio.Reader, mine Hello) (Hello, error) {
+	ctl, err := ReadControl(br)
+	if err != nil {
+		return Hello{}, fmt.Errorf("hello reply: %w", err)
+	}
+	switch ctl.Code {
+	case CtrlHello:
+		peer, err := ParseHello(ctl.Payload)
+		if err == nil {
+			err = mine.Check(peer)
+		}
+		if err != nil {
+			return Hello{}, err
+		}
+		return peer, nil
+	case CtrlReject:
+		reason, _ := ParseReject(ctl.Payload)
+		return Hello{}, fmt.Errorf("handshake rejected: %s", reason)
+	default:
+		return Hello{}, fmt.Errorf("hello reply: got stream control %d", ctl.Code)
+	}
+}
+
 // AcceptHello runs the acceptor's half of the exchange on a fresh
 // connection: the dialer's first stream element must be a hello that
 // parses, and answer decides on it — the hello to reply with, or why to
 // refuse. A refusal (anything but a hello first included) is sent as a
 // CtrlReject naming the reason and returned as the error; the caller
 // closes the connection. A dialer that hangs up without sending a byte
-// is io.EOF. On success the hello that was sent back is returned.
-func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, error)) (Hello, error) {
+// is io.EOF. On success the pair the connection runs under is returned:
+// the hello sent back and the dialer's.
+func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, error)) (mine, peer Hello, err error) {
 	ctl, err := ReadControl(br)
 	if err == io.EOF {
-		return Hello{}, err
+		return Hello{}, Hello{}, err
 	}
-	var peer, mine Hello
 	switch {
 	case err != nil:
 		err = fmt.Errorf("hello required: %w", err)
@@ -211,10 +268,10 @@ func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, 
 		// Tell the dialer why before dying: its handshake is blocked on
 		// this reply and would otherwise time out.
 		w.Write(AppendControl(nil, CtrlReject, AppendReject(nil, err.Error())))
-		return Hello{}, err
+		return Hello{}, Hello{}, err
 	}
 	if _, err := w.Write(AppendControl(nil, CtrlHello, AppendHello(nil, mine))); err != nil {
-		return Hello{}, fmt.Errorf("hello reply: %w", err)
+		return Hello{}, Hello{}, fmt.Errorf("hello reply: %w", err)
 	}
-	return mine, nil
+	return mine, peer, nil
 }

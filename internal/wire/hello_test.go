@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -110,5 +111,38 @@ func TestReadControl(t *testing.T) {
 	big := wire.AppendControl(nil, 7, make([]byte, 4096))
 	if _, err := wire.ReadControl(bufio.NewReader(bytes.NewReader(big))); err == nil {
 		t.Fatal("oversized control accepted")
+	}
+}
+
+// TestReadHelloReply: the dialer takes exactly one answer. A hello that
+// passes its own is returned; one that does not, a reject, any other
+// control and anything that is not a control all fail the handshake, each
+// naming why.
+func TestReadHelloReply(t *testing.T) {
+	mine := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 8, Shards: 1}
+	hello := func(h wire.Hello) []byte {
+		return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))
+	}
+	peer := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Features: wire.FeatDelta, Shards: 1}
+	got, err := wire.ReadHelloReply(bufio.NewReader(bytes.NewReader(hello(peer))), mine)
+	if err != nil || got != peer {
+		t.Fatalf("sound reply: %+v, %v", got, err)
+	}
+	for name, tc := range map[string]struct {
+		reply []byte
+		want  string
+	}{
+		"other version": {hello(wire.Hello{Version: wire.ProtoVersion - 1, Nodes: 3}), fmt.Sprintf("version %d, want %d", wire.ProtoVersion-1, wire.ProtoVersion)},
+		"other shape":   {hello(wire.Hello{Version: wire.ProtoVersion, Nodes: 4}), "4 nodes"},
+		"garbage hello": {wire.AppendControl(nil, wire.CtrlHello, []byte{0xFF}), "truncated"},
+		"reject":        {wire.AppendControl(nil, wire.CtrlReject, wire.AppendReject(nil, "no room")), "handshake rejected: no room"},
+		"other control": {wire.AppendControl(nil, 1, nil), "stream control 1"},
+		"a frame":       {wire.AppendFrame(nil, []byte("zz")), "expected a stream control"},
+		"nothing":       {nil, "EOF"},
+	} {
+		_, err := wire.ReadHelloReply(bufio.NewReader(bytes.NewReader(tc.reply)), mine)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", name, err, tc.want)
+		}
 	}
 }

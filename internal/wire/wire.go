@@ -28,46 +28,24 @@ import (
 	"mralloc/internal/resource"
 )
 
-// Stream carries per-connection codec state across frames: which
-// stream-control features (batch.go) are active, plus whatever
-// per-kind state a codec keeps for the life of the connection — the
-// token delta caches of internal/core live here. One Stream serves one
-// direction of one connection; encoding through a shared Stream from
+// Stream carries per-connection codec state across frames: whatever a
+// codec keeps for the life of the connection — the token delta caches of
+// internal/core live here. One Stream serves one direction of one
+// connection (and one shard of it), and exists iff the two hellos
+// negotiated such state for the link: stateful codecs take a non-nil
+// Stream as the decision. Encoding through a shared Stream from
 // concurrent senders is safe (codecs guard their own state), decoding
 // is single-goroutine per connection by construction.
 //
 // A nil *Stream is valid everywhere and means "no per-stream state":
-// Append/Decode without a Stream produce exactly the legacy encoding.
+// Append/Decode without a Stream produce exactly the stateless encoding.
 type Stream struct {
-	mu    sync.Mutex
-	flags uint64
-	vals  map[any]any
+	mu   sync.Mutex
+	vals map[any]any
 }
 
 // NewStream returns an empty per-connection codec context.
 func NewStream() *Stream { return &Stream{} }
-
-// SetFlag activates a stream-control feature (codes < 64, see the
-// Ctrl* constants). The egress side sets it when it announces the
-// control; the ingress side sets it from FrameReader's OnControl.
-func (s *Stream) SetFlag(code uint64) {
-	s.mu.Lock()
-	if code < 64 {
-		s.flags |= 1 << code
-	}
-	s.mu.Unlock()
-}
-
-// HasFlag reports whether a stream-control feature is active. Safe on
-// a nil Stream (always false).
-func (s *Stream) HasFlag(code uint64) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return code < 64 && s.flags&(1<<code) != 0
-}
 
 // Value returns the stream's state under key, creating it with mk on
 // first use (atomically — concurrent callers observe one instance).
