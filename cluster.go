@@ -215,7 +215,7 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 }
 
 // LoanStats snapshots the loan mechanism's aggregate activity. Each
-// node's counters are read inside its own event loop, so the snapshot
+// node's counters are read on its shard's runner, so the snapshot
 // is race-free (though nodes are sampled one after another).
 func (c *Cluster) LoanStats() LoanStats {
 	var s LoanStats

@@ -46,11 +46,11 @@ func TestLoopEgressSingleMessageAllocs(t *testing.T) {
 		var m network.Message = sinkMsg{}
 		l := c.loops[shards-1][0]
 		got := -1.0
-		// Inside the loop goroutine, mid-batch: send buffers, the flush
+		// On the shard's runner, mid-batch: send buffers, the flush
 		// hands the run to the fabric.
 		c.InspectShard(shards-1, 0, func(alg.Node) {
 			got = testing.AllocsPerRun(500, func() {
-				l.send(1, m)
+				l.Send(1, m)
 				l.flushOutbox()
 			})
 		})

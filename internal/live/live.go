@@ -1,6 +1,6 @@
 // Package live runs multi-resource allocation nodes as real concurrent
-// processes: one goroutine per site, a transport.Transport as the
-// message fabric. The same alg.Node state machines that run under the
+// processes: one runner goroutine per shard, a transport.Transport as
+// the message fabric. The same alg.Node state machines that run under the
 // deterministic simulation run here unchanged, which is both a strong
 // test (the race detector sees real interleavings) and the basis of the
 // public lock-manager API (package mralloc).
@@ -14,22 +14,26 @@
 // transport contract (reliable FIFO per ordered pair, see
 // internal/transport) is exactly the paper's hypotheses 1–3.
 //
-// Each site owns an event loop goroutine that serializes its protocol
-// activations — exactly the atomicity the algorithms assume. Message
-// queues are unbounded so that no cycle of full mailboxes can deadlock
+// Each shard has one runner: a goroutine that serializes the protocol
+// activations of every site this process hosts in that shard — per site
+// exactly the atomicity the algorithms assume. A message between two
+// co-hosted sites of a shard is an append to the runner's own mailbox,
+// with no goroutine woken; separate runners keep the shards parallel.
+// The mailbox is unbounded so that no cycle of full queues can deadlock
 // the token exchange.
 //
 // Above the protocol sits the serve layer (internal/serve): a node's
 // single request slot (hypothesis 4) is fed by an admission scheduler,
 // so any number of concurrent Sessions can multiplex onto one node.
-// Sessions enqueue Acquires with deadlines and cancellation; the loop
-// admits them one at a time under the configured policy, with aging
+// Sessions enqueue Acquires with deadlines and cancellation; the node's
+// loop admits them one at a time under the configured policy, with aging
 // guaranteeing starvation freedom.
 package live
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -76,7 +80,7 @@ type Config struct {
 	AdmitTarget time.Duration
 	// Shards, when above 1, splits the resource universe into that many
 	// contiguous shards (resource.ShardMap), each running its own
-	// allocator instances and event loops: single-shard acquires from
+	// allocator instances and runner: single-shard acquires from
 	// different shards proceed fully in parallel on every node. Every
 	// transport carries any shard count, wrapped (Reliable, Chaos) or
 	// not — a shard is one field of the link a message is sent on;
@@ -96,7 +100,7 @@ type Config struct {
 	// measures both.
 	CrossShardTwoPhase bool
 	// Tick, when positive, drives time-based protocol machinery: every
-	// local node implementing alg.Ticker gets a Tick in its event loop
+	// local node implementing alg.Ticker gets a Tick on its shard's runner
 	// at this period. Required for token leases (core Options.LeaseTTL —
 	// pick a period a few times smaller than the heartbeat interval).
 	Tick time.Duration
@@ -115,10 +119,12 @@ type Cluster struct {
 	cfg  Config
 	tr   transport.Transport
 	smap resource.ShardMap // global↔(shard, local) resource mapping; 1 shard when flat
-	// loops[s][id] is shard s's event loop for node id; nil for nodes
-	// hosted elsewhere. The flat configuration is exactly one shard.
-	loops [][]*loop
-	start time.Time
+	// loops[s][id] is node id's site in shard s; nil for nodes hosted
+	// elsewhere. runners[s] runs every local site of shard s. The flat
+	// configuration is exactly one shard.
+	loops   [][]*loop
+	runners []*runner
+	start   time.Time
 
 	sessMu  sync.Mutex
 	sessSeq uint64 // session id allocator
@@ -222,31 +228,24 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		closed: make(chan struct{}),
 	}
 	c.loops = make([][]*loop, g)
+	c.runners = make([]*runner, g)
 	for s := 0; s < g; s++ {
+		r := &runner{}
+		r.mb.nonEmpty.L = &r.mb.mu
+		c.runners[s] = r
 		c.loops[s] = make([]*loop, cfg.Nodes)
 		for _, id := range local {
-			c.loops[s][id] = newLoop(c, network.NodeID(id), nodesByShard[s][id], s)
+			l := newLoop(c, r, network.NodeID(id), nodesByShard[s][id], s)
+			c.loops[s][id] = l
+			// A peer process already running may send at once: what
+			// arrives before the runner starts waits in its mailbox, and
+			// every Attach precedes the first Deliver.
+			tr.Bind(s, l.id, l.deliver)
+			l.node.Attach(l)
 		}
 	}
-	// Bind before attaching: an Attach may not send, but a peer process
-	// already running can — the transport buffers until Bind either way.
-	for s := 0; s < g; s++ {
-		for _, id := range local {
-			l := c.loops[s][id]
-			tr.Bind(s, l.id, func(from network.NodeID, m network.Message) {
-				l.postEnv(envelope{from: from, msg: m})
-			})
-		}
-	}
-	for s := 0; s < g; s++ {
-		for _, id := range local {
-			nodesByShard[s][id].Attach(&liveEnv{c: c, l: c.loops[s][id]})
-		}
-	}
-	for s := 0; s < g; s++ {
-		for _, id := range local {
-			go c.loops[s][id].run()
-		}
+	for _, r := range c.runners {
+		go r.run()
 	}
 	if cfg.Tick > 0 {
 		c.tickWG.Add(1)
@@ -256,8 +255,8 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 }
 
 // runTicker posts a cmdTick to every local loop each Config.Tick, so
-// timed protocol machinery advances inside the loops' serialized
-// context. It exits when the cluster closes.
+// timed protocol machinery advances as an activation on the shard's
+// runner. It exits when the cluster closes.
 func (c *Cluster) runTicker(local []int) {
 	defer c.tickWG.Done()
 	tick := time.NewTicker(c.cfg.Tick)
@@ -286,15 +285,11 @@ func (c *Cluster) Drain() bool {
 	var dones []chan struct{}
 	for _, shard := range c.loops {
 		for _, l := range shard {
-			if l == nil {
-				continue
+			if l != nil {
+				done := make(chan struct{})
+				l.post(cmdDrain{done: done}) // refused only once closed, which the wait sees
+				dones = append(dones, done)
 			}
-			done := make(chan struct{})
-			if !l.post(cmdDrain{done: done}) {
-				ok = false
-				continue
-			}
-			dones = append(dones, done)
 		}
 	}
 	for _, done := range dones {
@@ -338,11 +333,13 @@ func (c *Cluster) Stats() map[string]int64 {
 	return c.tr.Stats()
 }
 
-// Inspect runs fn against node id's shard-0 protocol state inside that
-// node's event loop, so fn sees a quiesced snapshot without data races
-// (the whole protocol state of a flat cluster). It reports false when
-// the cluster is closed or the node is not local. fn must not block on
-// other cluster operations.
+// Inspect runs fn against node id's shard-0 protocol state on the
+// shard's runner, so fn sees a quiesced snapshot without data races (the
+// whole protocol state of a flat cluster). It reports false when the
+// cluster is closed or the node is not local. No local site of the shard
+// takes a step while fn runs, so fn must not block on other cluster
+// operations: waiting on another local node of the same shard — an
+// Acquire, a release, an Inspect — deadlocks.
 func (c *Cluster) Inspect(id int, fn func(alg.Node)) bool {
 	return c.InspectShard(0, id, fn)
 }
@@ -371,23 +368,13 @@ func (c *Cluster) InspectShard(shard, id int, fn func(alg.Node)) bool {
 // load introspection. It reports 0 for non-local nodes or a closed
 // cluster.
 func (c *Cluster) QueueLen(id int) int {
-	if !c.Local(id) {
-		return 0
-	}
 	total := 0
-	for _, shard := range c.loops {
-		l := shard[id]
-		n := 0
-		done := make(chan struct{})
-		if !l.post(cmdInspect{fn: func(alg.Node) { n = l.sched.Len() }, done: done}) {
-			return total
+	for s, shard := range c.loops {
+		n := 0 // fn may still run after a false return: total is not its to touch
+		if !c.InspectShard(s, id, func(alg.Node) { n = shard[id].sched.Len() }) {
+			break
 		}
-		select {
-		case <-done:
-			total += n
-		case <-c.closed:
-			return total
-		}
+		total += n
 	}
 	return total
 }
@@ -433,9 +420,9 @@ func (c *Cluster) NodeLoad(id int) serve.Load {
 	return c.loops[0][id].sched.Load()
 }
 
-// Close stops every local node loop and closes the transport. Every
+// Close stops every shard's runner and closes the transport. Every
 // outstanding or queued Acquire fails promptly with ErrClosed, and all
-// loop goroutines exit. Close is idempotent.
+// runner goroutines exit. Close is idempotent.
 func (c *Cluster) Close() {
 	c.closeMu.Lock()
 	defer c.closeMu.Unlock()
@@ -446,19 +433,15 @@ func (c *Cluster) Close() {
 	}
 	close(c.closed)
 	c.tickWG.Wait()
-	for _, shard := range c.loops {
-		for _, l := range shard {
-			if l != nil {
-				l.stop()
-			}
-		}
+	for _, r := range c.runners {
+		r.mb.close()
 	}
 	c.tr.Close()
 }
 
-// loop is one site's event loop: a single goroutine applying protocol
-// activations sequentially. Above the protocol it owns the node's
-// admission scheduler: at most one ticket is fed into the state
+// loop is one site of one shard: the state its runner applies the
+// site's activations to, one at a time. Above the protocol it owns the
+// node's admission scheduler: at most one ticket is fed into the state
 // machine at a time (hypothesis 4); the rest queue under the policy.
 //
 // The loop also owns the node's egress batching: while a mailbox batch
@@ -468,44 +451,54 @@ func (c *Cluster) Close() {
 // the TCP fabric turns into one coalesced write. The outbox is
 // flushed at every point where the outside world can observe progress
 // (a waiter's done channel, a grant, the end of the batch), so no
-// message lingers while the loop parks.
+// message lingers while the runner parks.
 type loop struct {
 	c     *Cluster
+	r     *runner
 	id    network.NodeID
 	shard int
 	node  alg.Node
 
-	mb mailbox // envelopes and commands (unbounded, batch-drained)
-
 	sched    *serve.Scheduler
 	inflight *ticket // admitted into the state machine; nil when idle
 
-	// Egress outbox (loop goroutine only). perDest[to] accumulates the
+	// Egress outbox (runner goroutine only). perDest[to] accumulates the
 	// batch's messages for node to; touched lists the destinations in
 	// first-use order. Every send passes through it, so the transport
 	// is always handed a run out of storage the loop owns — a message
-	// sent alone costs no slice of its own. inBatch gates the
-	// buffering: sends outside batch processing (an Attach that
-	// announces itself, say) are flushed at once.
-	inBatch bool
+	// sent alone costs no slice of its own.
 	perDest [][]network.Message
 	touched []network.NodeID
 }
 
-// mbItem is one mailbox entry. Envelopes — the hot path: every protocol
-// message is one — ride unboxed (cmd nil); control commands box into
-// cmd. This keeps a delivered message from costing an interface
-// allocation per hop.
-type mbItem struct {
-	env envelope
-	cmd any
+// runner is one shard's event loop: a single goroutine that applies the
+// activations of every local site of the shard, one at a time, drawn
+// from one mailbox whose items name their site. A Send that blocks (a
+// TCP peer stalled at its byte budget) holds up all of those sites.
+type runner struct {
+	mb mailbox // messages and commands for the shard's local sites
+	// inBatch gates the loops' egress buffering: sends outside a batch
+	// are flushed at once. dirty lists the loops that buffered sends in
+	// the batch, flushed at its end. woke: the batch readied a waiter.
+	inBatch bool
+	woke    bool
+	dirty   []*loop
 }
 
-// mailbox is the loop's unbounded multi-producer queue. The consumer
-// drains it in batches: one wakeup takes every queued item, so a burst
-// of messages costs one mutex handoff and one goroutine wakeup instead
-// of one channel rendezvous each. Unbounded queues keep send-cycles
-// (token exchanges) from deadlocking on full mailboxes.
+// mbItem is one mailbox entry, for site l. A delivered message — the hot
+// path — rides unboxed (cmd nil): no interface allocation per hop.
+type mbItem struct {
+	l    *loop
+	from network.NodeID
+	msg  network.Message
+	cmd  any
+}
+
+// mailbox is the runner's unbounded multi-producer queue, drained in
+// batches: one wakeup takes every queued item, and an item the runner
+// queues for itself (a message between two of its sites) costs no
+// wakeup at all. Unbounded, it keeps send-cycles (token exchanges) from
+// deadlocking on a full queue.
 type mailbox struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond // 1-to-1 with the consumer; signaled on empty→non-empty
@@ -552,11 +545,6 @@ func (mb *mailbox) close() {
 	mb.nonEmpty.Broadcast()
 }
 
-type envelope struct {
-	from network.NodeID
-	msg  network.Message
-}
-
 // The ticket commands are one pointer each, so they ride the mailbox's
 // cmd field without boxing: everything else a command needs (the set,
 // the reply channels) lives in the ticket.
@@ -597,9 +585,10 @@ type cmdDrain struct {
 	done chan struct{}
 }
 
-func newLoop(c *Cluster, id network.NodeID, node alg.Node, shard int) *loop {
+func newLoop(c *Cluster, r *runner, id network.NodeID, node alg.Node, shard int) *loop {
 	l := &loop{
 		c:     c,
+		r:     r,
 		id:    id,
 		shard: shard,
 		node:  node,
@@ -608,94 +597,117 @@ func newLoop(c *Cluster, id network.NodeID, node alg.Node, shard int) *loop {
 	if c.cfg.AdmitTarget > 0 {
 		l.sched.SetTarget(sim.Time(c.cfg.AdmitTarget))
 	}
-	l.mb.nonEmpty.L = &l.mb.mu
 	return l
 }
 
-// postEnv enqueues a delivered message, reporting false once the loop
-// is stopping.
-func (l *loop) postEnv(e envelope) bool {
-	return l.mb.put(mbItem{env: e})
+// deliver enqueues a message delivered to the site; it is the site's
+// transport handler.
+func (l *loop) deliver(from network.NodeID, m network.Message) {
+	l.r.mb.put(mbItem{l: l, from: from, msg: m})
 }
 
-// post enqueues a control command, reporting false once the loop is
-// stopping.
+// post enqueues a control command for the site, reporting false once
+// the runner is stopping.
 func (l *loop) post(v any) bool {
-	return l.mb.put(mbItem{cmd: v})
+	return l.r.mb.put(mbItem{l: l, cmd: v})
 }
 
-func (l *loop) stop() {
-	l.mb.close()
-}
-
-// run is the site's event loop goroutine. It drains the mailbox a
-// batch at a time: every message that queued up while the previous
-// batch was being processed is handled under a single wakeup, and the
-// sends it provokes leave as per-destination batches. It exits when the
-// mailbox closes; the sessions waiting on its tickets watch the
-// cluster's closed channel themselves, so no Acquire outlives it.
-func (l *loop) run() {
+// run is the shard's event loop goroutine. It drains the mailbox a
+// batch at a time: every item that queued up while the previous batch
+// was being processed — for any local site of the shard — is handled
+// under a single wakeup, and the sends it provokes leave as
+// per-destination runs. It exits when the mailbox closes; the sessions
+// waiting on its tickets watch the cluster's closed channel themselves,
+// so no Acquire outlives it.
+func (r *runner) run() {
 	var spare []mbItem
 	for {
-		batch, ok := l.mb.takeAll(spare)
+		batch, ok := r.mb.takeAll(spare)
 		if !ok {
-			break
+			return
 		}
-		l.inBatch = true
+		r.inBatch = true
 		for i := range batch {
 			v := batch[i]
 			batch[i] = mbItem{} // drop references as soon as handled
-			if v.cmd == nil {
-				l.node.Deliver(v.env.from, v.env.msg)
-				continue
-			}
-			switch x := v.cmd.(type) {
-			case cmdSubmit:
-				l.sched.Push(&x.t.item, l.c.now())
-				l.maybeAdmit()
-			case cmdCancel:
-				back := l.cancel(x.t)
-				l.flushOutbox() // the waiter may observe state; sends first
-				x.t.done <- back
-			case cmdRelease:
-				l.release(x.t)
-				l.flushOutbox()
-				x.t.done <- true
-			case cmdReap:
-				l.release(x.t)
-			case cmdInspect:
-				l.flushOutbox() // quiesce egress before the snapshot
-				x.fn(l.node)
-				close(x.done)
-			case cmdTick:
-				if tk, ok := l.node.(alg.Ticker); ok {
-					tk.Tick(l.c.now())
-				}
-			case cmdDrain:
-				if dr, ok := l.node.(alg.Drainer); ok {
-					dr.Drain()
-				}
-				l.flushOutbox() // the waiter acts on the handoffs being sent
-				close(x.done)
-			}
+			v.l.handle(v)
 		}
-		l.inBatch = false
-		l.flushOutbox()
+		r.inBatch = false
+		for _, l := range r.dirty {
+			l.flushOutbox()
+		}
+		r.dirty = r.dirty[:0]
 		spare = batch
+		if r.woke {
+			// The sessions this batch woke run before the next drain:
+			// else runnext hands the P back and forth between the runner
+			// and the last-woken session, which finds its tokens still
+			// local while the others starve (TestRunnerNoMonopoly).
+			r.woke = false
+			runtime.Gosched()
+		}
 	}
 }
 
-// send queues m for to in the outbox, and flushes at once unless a
+// handle applies one mailbox item to the site: a delivered message, or
+// a command.
+func (l *loop) handle(v mbItem) {
+	if v.cmd == nil {
+		l.node.Deliver(v.from, v.msg)
+		return
+	}
+	switch x := v.cmd.(type) {
+	case cmdSubmit:
+		l.sched.Push(&x.t.item, l.c.now())
+		l.maybeAdmit()
+	case cmdCancel:
+		back := l.cancel(x.t)
+		l.wake()
+		x.t.done <- back
+	case cmdRelease:
+		l.release(x.t)
+		l.wake()
+		x.t.done <- true
+	case cmdReap:
+		l.release(x.t)
+	case cmdInspect:
+		l.wake() // quiesce egress before the snapshot
+		x.fn(l.node)
+		close(x.done)
+	case cmdTick:
+		if tk, ok := l.node.(alg.Ticker); ok {
+			tk.Tick(l.c.now())
+		}
+	case cmdDrain:
+		if dr, ok := l.node.(alg.Drainer); ok {
+			dr.Drain()
+		}
+		l.wake() // the waiter acts on the handoffs being sent
+		close(x.done)
+	}
+}
+
+// wake prepares to ready a waiter: the waiter may observe state, so the
+// site's sends go first, and the runner yields after the batch.
+func (l *loop) wake() {
+	l.flushOutbox()
+	l.r.woke = true
+}
+
+// Send queues m for to in the outbox, and flushes at once unless a
 // batch is being processed.
-func (l *loop) send(to network.NodeID, m network.Message) {
+func (l *loop) Send(to network.NodeID, m network.Message) {
 	if l.perDest == nil {
 		l.perDest = make([][]network.Message, l.c.cfg.Nodes)
+	}
+	if len(l.touched) == 0 && l.r.inBatch {
+		l.r.dirty = append(l.r.dirty, l)
 	}
 	if len(l.perDest[to]) == 0 {
 		l.touched = append(l.touched, to)
 	}
 	l.perDest[to] = append(l.perDest[to], m)
-	if !l.inBatch {
+	if !l.r.inBatch {
 		l.flushOutbox()
 	}
 }
@@ -770,8 +782,8 @@ func (l *loop) cancel(t *ticket) bool {
 	return true
 }
 
-// onGranted runs inside the loop goroutine (via Env.Granted).
-func (l *loop) onGranted() {
+// Granted runs on the shard's runner: the node just entered its CS.
+func (l *loop) Granted() {
 	t := l.inflight
 	if t == nil {
 		panic(fmt.Sprintf("live: node %d granted without a pending request", l.id))
@@ -783,30 +795,17 @@ func (l *loop) onGranted() {
 		l.post(cmdReap{t: t})
 		return
 	}
-	// The waiter wakes the moment this lands; everything the grant's
-	// activation already sent must be on its way first.
-	l.flushOutbox()
+	l.wake() // everything the grant's activation sent goes first
 	t.granted <- struct{}{}
 }
 
-// liveEnv adapts a loop to the alg.Env contract.
-type liveEnv struct {
-	c *Cluster
-	l *loop
-}
+// The loop is its site's alg.Env.
 
-func (e *liveEnv) ID() network.NodeID { return e.l.id }
-func (e *liveEnv) N() int             { return e.c.cfg.Nodes }
+func (l *loop) ID() network.NodeID { return l.id }
+func (l *loop) N() int             { return l.c.cfg.Nodes }
 
 // M is the node's resource universe: its shard's local universe, which
 // is the whole global universe on a flat cluster.
-func (e *liveEnv) M() int { return e.c.smap.Size(e.l.shard) }
+func (l *loop) M() int { return l.c.smap.Size(l.shard) }
 
-func (e *liveEnv) Now() sim.Time { return e.c.now() }
-
-// Granted runs inside the loop goroutine: the node just entered its CS.
-func (e *liveEnv) Granted() { e.l.onGranted() }
-
-func (e *liveEnv) Send(to network.NodeID, m network.Message) {
-	e.l.send(to, m)
-}
+func (l *loop) Now() sim.Time { return l.c.now() }

@@ -3,6 +3,9 @@ package live
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,6 +153,117 @@ func TestCloseFailsQueuedSessionsPromptly(t *testing.T) {
 	}
 	// A release arriving after Close must not hang either.
 	release()
+}
+
+// TestRunnerPerShard: a cluster runs one goroutine per shard however
+// many nodes it hosts, plus the ticker when Tick is set, and Close
+// leaves none of them behind.
+func TestRunnerPerShard(t *testing.T) {
+	const started, runner, ticker = "created by mralloc/internal/live.New ", "live.(*runner).run(", "live.(*Cluster).runTicker("
+	buf := make([]byte, 1<<20)
+	count := func(s string) int {
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), s)
+	}
+	for _, tc := range []struct {
+		nodes, shards int
+		tick          time.Duration
+	}{{8, 1, 0}, {8, 4, 0}, {5, 3, time.Millisecond}} {
+		// Earlier tests' runners unwind after their Close returns.
+		for i := 0; count(started) > 0 && i < 500; i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		checkLeak := leakcheck.Check(t)
+		c, err := New(Config{Nodes: tc.nodes, Resources: 8, Shards: tc.shards, Tick: tc.tick}, core.NewFactory(core.WithLoan()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Acquires on every node, some across shards: the runners are
+		// past their first frame by the count.
+		for node := 0; node < tc.nodes; node++ {
+			release, err := c.Acquire(context.Background(), node, node, 7-node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		}
+		tickers := 0
+		if tc.tick > 0 {
+			tickers = 1
+		}
+		if got := count(started); got != tc.shards+tickers {
+			t.Errorf("%+v: New started %d goroutines, want %d", tc, got, tc.shards+tickers)
+		}
+		if got := count(runner); got != tc.shards {
+			t.Errorf("%+v: %d runner goroutines, want one per shard", tc, got)
+		}
+		if got := count(ticker); got != tickers {
+			t.Errorf("%+v: %d ticker goroutines, want %d", tc, got, tickers)
+		}
+		c.Close()
+		checkLeak()
+	}
+}
+
+// TestRunnerNoMonopoly: after a batch that woke a waiter the runner
+// yields, so the woken sessions run before it drains again. Without the
+// yield, at one P runnext hands the P back and forth between the runner
+// and the session it woke last; that session finds its tokens still
+// local and the rest starve — messages per grant fall from about 19.5
+// to 0.1.
+func TestRunnerNoMonopoly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, m, phi = 8, 32, 8
+	c, err := New(Config{Nodes: n, Resources: m}, core.NewFactory(core.WithLoan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stop := time.Now().Add(300 * time.Millisecond)
+	grants := make([]int, n)
+	var wg sync.WaitGroup
+	for node := 0; node < n; node++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := c.NewSession(node)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(node) + 1))
+			for time.Now().Before(stop) {
+				opts := serve.AcquireOpts{Resources: rng.Perm(m)[:1+rng.Intn(phi)]}
+				release, err := s.Acquire(context.Background(), opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				release()
+				grants[node]++
+			}
+		}()
+	}
+	wg.Wait()
+	total, msgs := 0, int64(0)
+	for _, g := range grants {
+		total += g
+	}
+	for _, v := range c.Stats() {
+		msgs += v
+	}
+	if total == 0 {
+		t.Fatal("no grants")
+	}
+	perGrant := float64(msgs) / float64(total)
+	t.Logf("%.2f messages per grant, grants per session %v", perGrant, grants)
+	if perGrant < 5 {
+		t.Errorf("%.2f messages per grant over %d grants, want ≥ 5: the woken sessions did not get to run", perGrant, total)
+	}
+	for node, g := range grants {
+		if g*4*n < total {
+			t.Errorf("session on node %d: %d grants, below a quarter of the mean %.1f (grants %v)", node, g, float64(total)/n, grants)
+		}
+	}
 }
 
 // TestCancelQueuedAcquire: a context canceled while the request is

@@ -10,8 +10,9 @@
 //     times and message counts — the measurements of the paper's
 //     evaluation. `mrsim fig` builds every figure on top of this.
 //
-//   - NewCluster starts a live lock manager: one goroutine per node,
-//     running the paper's algorithm for real — in-process over the
+//   - NewCluster starts a live lock manager: one goroutine per shard,
+//     stepping the shard's nodes one activation at a time, running the
+//     paper's algorithm for real — in-process over the
 //     in-memory transport by default, or spanning OS processes over
 //     TCP (ClusterConfig.Peers; cmd/mrallocd is the ready-made
 //     daemon). Acquire/Release give callers deadlock-free exclusive
