@@ -14,11 +14,9 @@ alg
 chaos-spec
 client-listen
 cross-two-phase
-egress-budget
 lease-ttl
 listen
 local
-max-queue
 nodes
 peers
 policy
@@ -42,7 +40,7 @@ func TestFlagSurface(t *testing.T) {
 // TestRemovedFlagRejected: a flag that left the surface gets no alias —
 // the flag package's own error names it.
 func TestRemovedFlagRejected(t *testing.T) {
-	for _, arg := range []string{"-ops=20", "-linger=2s", "-chaos-drop=0.1", "-hb-interval=1s", "-wire-window=65536"} {
+	for _, arg := range []string{"-ops=20", "-linger=2s", "-chaos-drop=0.1", "-hb-interval=1s", "-wire-window=65536", "-max-queue=4", "-egress-budget=-1"} {
 		fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		registerFlags(fs, new(daemonConfig))

@@ -63,11 +63,9 @@ type daemonConfig struct {
 	localCSV         string
 	clientListen     string
 	policyStr        string
-	maxQueue         int
 	admitTarget      time.Duration
 	pprofAddr        string
 	wireDelta        bool
-	egressBudget     int64
 	chaosSpec        string
 	reliable         bool
 	leaseTTL         time.Duration
@@ -86,11 +84,9 @@ func registerFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.StringVar(&cfg.localCSV, "local", "0", "comma-separated node ids hosted by this process")
 	fs.StringVar(&cfg.clientListen, "client-listen", "", "TCP address of the client port (empty = no client port)")
 	fs.StringVar(&cfg.policyStr, "policy", "fifo", "admission policy for multiplexed sessions: fifo, ssf, edf, adaptive")
-	fs.IntVar(&cfg.maxQueue, "max-queue", 0, "deny client acquires with ErrOverloaded once a node has this many waiting (0 = unbounded)")
 	fs.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	fs.BoolVar(&cfg.wireDelta, "wire-delta", true, "delta-encode token state on peer connections; every daemon of the cluster must run a delta-aware build (pass =false to interoperate with pre-delta peers)")
-	fs.Int64Var(&cfg.egressBudget, "egress-budget", 0, "client-port response bytes queued per connection before the client is shed (0 = default, negative = unbounded)")
 	fs.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection on outgoing peer messages, as key=value pairs: seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s (drop/dup: probability in [0,1] per message, dup breaks the no-duplication hypothesis — expect safety-only behavior; delay: uniform extra delay; kill-every: abort every live peer connection at this interval, exercising the redial path; absent keys are off). A chaotic run prints its spec for replay")
 	fs.BoolVar(&cfg.reliable, "reliable", false, "per-link ack/retransmit wrapper on peer traffic: restores reliable delivery (and so liveness) over a lossy fabric, at the cost of ack frames and retransmit buffers")
 	fs.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "token lease TTL (counter-loan/counter-no-loan only): leases renewed by a heartbeat every lease-ttl/3 let a steward regenerate tokens lost with a crashed peer, fencing the stale epoch (0 = leases off)")
@@ -256,14 +252,12 @@ func run(ctx context.Context, cfg daemonConfig, out io.Writer) error {
 
 	if cfg.clientListen != "" {
 		scfg := serve.ServerConfig{
-			Listen:       cfg.clientListen,
-			Nodes:        nodes,
-			Resources:    resources,
-			Shards:       cfg.shards,
-			Local:        local,
-			MaxQueue:     cfg.maxQueue,
-			EgressBudget: cfg.egressBudget,
-			Open:         func(node int) (serve.BackendSession, error) { return cluster.NewSession(node) },
+			Listen:    cfg.clientListen,
+			Nodes:     nodes,
+			Resources: resources,
+			Shards:    cfg.shards,
+			Local:     local,
+			Open:      func(node int) (serve.BackendSession, error) { return cluster.NewSession(node) },
 		}
 		if policy == serve.Adaptive {
 			// The adaptive load oracle: the client port consults each
@@ -277,7 +271,7 @@ func run(ctx context.Context, cfg daemonConfig, out io.Writer) error {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(out, "mrallocd: client port on %s (policy %s, max-queue %d)\n", srv.Addr(), policy, cfg.maxQueue)
+		fmt.Fprintf(out, "mrallocd: client port on %s (policy %s)\n", srv.Addr(), policy)
 	}
 
 	<-ctx.Done()

@@ -18,10 +18,8 @@
 // offered at that rate (Poisson) for -duration whether or not earlier
 // ones have finished, like independent users hitting a service — the
 // mode that makes queueing collapse visible. Shed arrivals
-// (ErrOverloaded, from -max-queue or the adaptive bound on the daemon)
-// and timeouts are counted instead of aborting the run; pass
-// -retry-overloaded to have each arrival retry denials under jittered
-// exponential backoff instead.
+// (ErrOverloaded, from the adaptive bound of a -policy adaptive
+// daemon) and timeouts are counted instead of aborting the run.
 //
 //	mrclient -addr 127.0.0.1:8000 -rate 5000 -duration 30s -interval 1s
 //
@@ -47,16 +45,15 @@ import (
 )
 
 type clientConfig struct {
-	addr            string
-	sessions, ops   int
-	m, phi, node    int
-	think, hold     time.Duration
-	timeout         time.Duration
-	seed            int64
-	rate            float64
-	duration        time.Duration
-	interval        time.Duration
-	retryOverloaded bool
+	addr          string
+	sessions, ops int
+	m, phi, node  int
+	think, hold   time.Duration
+	timeout       time.Duration
+	seed          int64
+	rate          float64
+	duration      time.Duration
+	interval      time.Duration
 }
 
 func main() {
@@ -74,7 +71,6 @@ func main() {
 	flag.Float64Var(&cfg.rate, "rate", 0, "open loop: offer arrivals at this rate (acquires/s, Poisson) for -duration instead of running sessions×ops")
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "open loop: how long to offer arrivals")
 	flag.DurationVar(&cfg.interval, "interval", 0, "print wait quantiles per window of this length (0 = one final summary); windows are independent, not cumulative")
-	flag.BoolVar(&cfg.retryOverloaded, "retry-overloaded", false, "retry ErrOverloaded denials with jittered exponential backoff (bounded by -timeout)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "mrclient:", err)
@@ -149,15 +145,10 @@ func run(cfg clientConfig) error {
 		stopReport = func() { close(done); wgR.Wait() }
 	}
 
-	var retry *serve.Backoff
-	if cfg.retryOverloaded {
-		retry = &serve.Backoff{}
-	}
-
 	if cfg.rate > 0 {
-		err = runOpenLoop(cfg, cl, retry, record)
+		err = runOpenLoop(cfg, cl, record)
 	} else {
-		err = runClosedLoop(cfg, cl, retry, record)
+		err = runClosedLoop(cfg, cl, record)
 	}
 	stopReport()
 	if err != nil {
@@ -174,7 +165,7 @@ func run(cfg clientConfig) error {
 }
 
 // runClosedLoop is the original sessions×ops workload.
-func runClosedLoop(cfg clientConfig, cl *serve.Client, retry *serve.Backoff, record func(time.Time)) error {
+func runClosedLoop(cfg clientConfig, cl *serve.Client, record func(time.Time)) error {
 	errs := make(chan error, cfg.sessions)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -188,10 +179,7 @@ func runClosedLoop(cfg clientConfig, cl *serve.Client, retry *serve.Backoff, rec
 				ids := drawResources(rng, cfg.m, cfg.phi)
 				ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 				issued := time.Now()
-				release, err := cl.AcquireWith(ctx, cfg.node, serve.AcquireOpts{
-					Resources:       ids,
-					RetryOverloaded: retry,
-				})
+				release, err := cl.Acquire(ctx, cfg.node, ids...)
 				cancel()
 				if err != nil {
 					errs <- fmt.Errorf("session %d: %w", s, err)
@@ -223,7 +211,7 @@ func runClosedLoop(cfg clientConfig, cl *serve.Client, retry *serve.Backoff, rec
 // runOpenLoop offers Poisson arrivals at cfg.rate for cfg.duration,
 // counting sheds and timeouts instead of aborting on them — under
 // overload they are the measurement.
-func runOpenLoop(cfg clientConfig, cl *serve.Client, retry *serve.Backoff, record func(time.Time)) error {
+func runOpenLoop(cfg clientConfig, cl *serve.Client, record func(time.Time)) error {
 	var granted, shed, timedOut atomic.Int64
 	var firstErr atomic.Value
 	rng := rand.New(rand.NewSource(cfg.seed))
@@ -243,10 +231,7 @@ func runOpenLoop(cfg clientConfig, cl *serve.Client, retry *serve.Backoff, recor
 			ids := drawResources(rand.New(rand.NewSource(seed)), cfg.m, cfg.phi)
 			ctx, cancel := context.WithDeadline(context.Background(), at.Add(cfg.timeout))
 			defer cancel()
-			release, err := cl.AcquireWith(ctx, cfg.node, serve.AcquireOpts{
-				Resources:       ids,
-				RetryOverloaded: retry,
-			})
+			release, err := cl.Acquire(ctx, cfg.node, ids...)
 			switch {
 			case err == nil:
 				record(at)

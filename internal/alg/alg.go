@@ -3,8 +3,9 @@
 //
 // An algorithm instance is one Node per site. Nodes are message-driven
 // state machines: the runtime (a deterministic simulation in
-// internal/driver, or the goroutine-per-node runtime in internal/live)
-// calls Request/Release/Deliver, and the node calls back through its Env
+// internal/driver, or internal/live, where one runner goroutine per
+// shard steps every node it hosts) calls Request/Release/Deliver, and
+// the node calls back through its Env
 // to send messages and to announce that the critical section has been
 // entered. A node never blocks; "waiting" is simply the state between
 // Request and the Granted callback.

@@ -1,17 +1,117 @@
+// Package bench holds the live cells, run as sub-benchmarks, and the
+// three performance claims the test suite pins as same-run ratios. The
+// repository's numbers come from benchmark/ (see its README); nothing
+// here writes or reads a report.
+//
+// A cell is a func(*testing.B) that assembles a deployment, drives b.N
+// contended acquire/release cycles through it and reports protocol and
+// wire counters through b.ReportMetric:
+//
+//	tcploop/n4/{s8,s32}/batch                 client sessions over two loopback daemons
+//	largeN/n{128,512}/{delta,nodelta}         token state on the wire at large N
+//	sharded/g{1,4,16}/single                  shard parallelism on the latency fabric
+//	sharded/g{4,16}/cross/{ordered,twophase}  the two cross-shard compositions
+//
+// The first element of a cell's name is its benchmark family, so a
+// cell name is a -bench pattern that selects that cell:
+//
+//	go test -run '^$' -bench tcploop/n4/s8/batch -count 3 ./internal/bench/
+//	go test -run '^$' -bench largeN -cpuprofile cpu.prof ./internal/bench/
+//	go test -run '^$' -bench . -benchtime 1x ./internal/bench/  # every cell, one op each
+//
+// The claims, each comparing two measurements of one test run
+// (bench_test.go, openloop_test.go): G=4 shards move the sharded
+// workload's protocol traffic ≥ 2.5× faster than G=1; delta tokens move
+// ≤ 0.80× the wire bytes per op at N=128; past the knee an unbounded
+// FIFO queue collapses while Adaptive admission holds p99 (runOpenLoop).
+//
+// The socket cells' protocol counters (msg_per_cs, wire_bytes_per_op)
+// are stable across machines to within run jitter; ns/op and allocs/op
+// are not, and neither is a sharded cell's msg_per_cs (sharded_test.go).
 package bench
 
 import (
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// measure runs the named cell once.
+// cell is one named measurement.
+type cell struct {
+	name string // e.g. "tcploop/n4/s8/batch": family/rest
+	run  func(b *testing.B)
+}
+
+// cells lists every cell, in run order.
+func cells() []cell {
+	cs := []cell{tcpLoopCell(4, 8), tcpLoopCell(4, 32)}
+	for _, n := range []int{128, 512} {
+		cs = append(cs, largeNCell(n, true), largeNCell(n, false))
+	}
+	return append(cs, shardedCells()...)
+}
+
+// families are the benchmarks below, one per first element of a cell
+// name.
+var families = []string{"tcploop", "largeN", "sharded"}
+
+func Benchmark_tcploop(b *testing.B) { runFamily(b, "tcploop") }
+func Benchmark_largeN(b *testing.B)  { runFamily(b, "largeN") }
+func Benchmark_sharded(b *testing.B) { runFamily(b, "sharded") }
+
+// runFamily runs each cell of the family as a sub-benchmark named by
+// the rest of the cell's name.
+func runFamily(b *testing.B, family string) {
+	for _, c := range cells() {
+		if rest, ok := strings.CutPrefix(c.name, family+"/"); ok {
+			b.Run(rest, c.run)
+		}
+	}
+}
+
+// driveClosed is the closed loop every cell runs: workers goroutines
+// share b.N operations, op(w, i) being operation i on worker w — one
+// acquisition, granted and released. It returns when all are done; the
+// first error fails b and stops the rest.
+func driveClosed(b *testing.B, workers int, op func(w int, i int64) error) {
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) || failed.Load() {
+					return
+				}
+				if err := op(w, i); err != nil {
+					// b.Fatal would Goexit a non-benchmark goroutine,
+					// which the testing package forbids.
+					b.Error(err)
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// measure runs the named cell once under testing.Benchmark. A cell that
+// called b.Fatal or b.Error leaves a zero result, its message discarded
+// by the testing package, so that case fails t here.
 func measure(t *testing.T, name string) testing.BenchmarkResult {
 	t.Helper()
-	for _, c := range Cells() {
-		if c.Name == name {
-			r, err := Measure(c)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range cells() {
+		if c.name == name {
+			r := testing.Benchmark(c.run)
+			if r.N == 0 {
+				t.Fatalf("%s: cell failed", name)
 			}
 			return r
 		}
@@ -20,18 +120,21 @@ func measure(t *testing.T, name string) testing.BenchmarkResult {
 	return testing.BenchmarkResult{}
 }
 
-// TestCellNamesUnique: cmd/bench -run is a substring match on these
-// names, so each must be present, runnable and distinct.
+// TestCellNamesUnique: a cell name is a -bench pattern, so each must be
+// present, runnable, distinct and under one of the family benchmarks.
 func TestCellNamesUnique(t *testing.T) {
 	names := make(map[string]bool)
-	for _, c := range Cells() {
-		if c.Name == "" || c.Run == nil {
+	for _, c := range cells() {
+		if c.name == "" || c.run == nil {
 			t.Fatalf("malformed cell %+v", c)
 		}
-		if names[c.Name] {
-			t.Fatalf("duplicate cell name %q", c.Name)
+		if names[c.name] {
+			t.Fatalf("duplicate cell name %q", c.name)
 		}
-		names[c.Name] = true
+		names[c.name] = true
+		if family, _, _ := strings.Cut(c.name, "/"); !slices.Contains(families, family) {
+			t.Fatalf("cell %q is in no family benchmark %v", c.name, families)
+		}
 	}
 }
 

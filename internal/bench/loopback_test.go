@@ -156,8 +156,8 @@ func sumStats(m map[string]int64) int64 {
 // operation i. One op is one granted-and-released acquisition; the
 // wire counters exclude the deployment's set-up traffic.
 func socketCell(name string, lc live.Config, ports bool, workers int,
-	acquire func(f *loopback, w int, i int64) (release func(), err error)) Cell {
-	return Cell{Name: name, Run: func(b *testing.B) {
+	acquire func(f *loopback, w int, i int64) (release func(), err error)) cell {
+	return cell{name, func(b *testing.B) {
 		f, err := startLoopback(lc, ports)
 		if err != nil {
 			b.Fatal(err)
@@ -189,7 +189,7 @@ func socketCell(name string, lc live.Config, ports bool, workers int,
 // tcpLoopCell has sessions concurrent client sessions acquire through
 // the client ports, on a daemon-picked node: the whole wire path of a
 // client Acquire→Release, under the algorithms the simulator measures.
-func tcpLoopCell(nodes, sessions int) Cell {
+func tcpLoopCell(nodes, sessions int) cell {
 	ctx := context.Background()
 	return socketCell(fmt.Sprintf("tcploop/n%d/s%d/batch", nodes, sessions),
 		live.Config{Nodes: nodes}, true, sessions,
@@ -209,7 +209,7 @@ const largeNSessions = 32
 // delta and nodelta twins run the same workload and protocol traffic
 // (msg_per_cs matches within run jitter); wire_bytes_per_op is what
 // the pair compares.
-func largeNCell(nodes int, delta bool) Cell {
+func largeNCell(nodes int, delta bool) cell {
 	tag := "nodelta"
 	if delta {
 		tag = "delta"

@@ -65,8 +65,8 @@ func crossDraw(w int, i int64) (int, int) {
 		(p+shardedBlocks/2)*shardedBlockSz + int(i)%shardedBlockSz
 }
 
-func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDraw) Cell {
-	return Cell{Name: name, Run: func(b *testing.B) {
+func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDraw) cell {
+	return cell{name, func(b *testing.B) {
 		c, err := live.New(live.Config{
 			Nodes:              2,
 			Resources:          shardedM,
@@ -112,8 +112,8 @@ func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDra
 // shardedCells is the single-shard workload at G∈{1,4,16} (the
 // parallel-allocators scaling claim) and the cross-shard block-pair
 // workload at G∈{4,16} under both composition strategies.
-func shardedCells() []Cell {
-	var out []Cell
+func shardedCells() []cell {
+	var out []cell
 	for _, g := range []int{1, 4, 16} {
 		out = append(out, shardedCell(
 			fmt.Sprintf("sharded/g%d/single", g), g, false, 2*shardedBlocks, singleDraw))

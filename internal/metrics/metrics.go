@@ -151,9 +151,6 @@ func (e *EWMA) Observe(x float64) float64 {
 // Value reports the current average (zero before any sample).
 func (e *EWMA) Value() float64 { return e.v }
 
-// Seen reports whether any sample has been observed.
-func (e *EWMA) Seen() bool { return e.init }
-
 // UseRate tracks per-resource busy intervals and reports the aggregate
 // use rate over a measurement window.
 type UseRate struct {

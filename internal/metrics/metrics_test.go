@@ -362,8 +362,8 @@ func TestSnapshotResetsQuantileMarkers(t *testing.T) {
 
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Seen() {
-		t.Fatal("fresh EWMA claims samples")
+	if e.Value() != 0 {
+		t.Fatalf("fresh EWMA has value %v", e.Value())
 	}
 	if got := e.Observe(10); got != 10 {
 		t.Fatalf("first sample seeds directly: got %v", got)
@@ -374,8 +374,8 @@ func TestEWMA(t *testing.T) {
 	if got := e.Observe(15); got != 15 {
 		t.Fatalf("steady sample moves value: got %v", got)
 	}
-	if !e.Seen() || e.Value() != 15 {
-		t.Fatalf("Seen/Value = %v/%v", e.Seen(), e.Value())
+	if e.Value() != 15 {
+		t.Fatalf("Value = %v", e.Value())
 	}
 	// Out-of-range alpha clamps rather than producing a frozen average.
 	c := NewEWMA(-3)

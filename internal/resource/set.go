@@ -122,34 +122,12 @@ func (s *Set) UnionWith(o Set) {
 	}
 }
 
-// IntersectWith removes members absent from o.
-func (s *Set) IntersectWith(o Set) {
-	s.sameUniverse(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
 // DiffWith removes every member of o.
 func (s *Set) DiffWith(o Set) {
 	s.sameUniverse(o)
 	for i, w := range o.words {
 		s.words[i] &^= w
 	}
-}
-
-// Union returns s ∪ o without mutating either.
-func (s Set) Union(o Set) Set {
-	c := s.Clone()
-	c.UnionWith(o)
-	return c
-}
-
-// Intersect returns s ∩ o without mutating either.
-func (s Set) Intersect(o Set) Set {
-	c := s.Clone()
-	c.IntersectWith(o)
-	return c
 }
 
 // Diff returns s \ o without mutating either.
@@ -168,18 +146,6 @@ func (s Set) SubsetOf(o Set) bool {
 		}
 	}
 	return true
-}
-
-// Intersects reports whether s and o share at least one member — the
-// "conflict" predicate between two requests.
-func (s Set) Intersects(o Set) bool {
-	s.sameUniverse(o)
-	for i, w := range s.words {
-		if w&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether s and o hold exactly the same members.

@@ -67,14 +67,6 @@ func (sm ShardMap) Local(r ID) ID {
 	return r - sm.Start(sm.ShardOf(r))
 }
 
-// Global translates a shard-local identifier back to the flat universe.
-func (sm ShardMap) Global(s int, local ID) ID {
-	if local < 0 || int(local) >= sm.Size(s) {
-		panic(fmt.Sprintf("resource: local id %d outside shard %d universe [0,%d)", local, s, sm.Size(s)))
-	}
-	return sm.Start(s) + local
-}
-
 // Split partitions a global resource set into per-shard local sets,
 // returned in ascending shard order and skipping shards the set does
 // not touch. Each part's Set ranges over that shard's local universe.

@@ -33,7 +33,7 @@ func TestShardMapPartition(t *testing.T) {
 		// Every global id round-trips through (shard, local).
 		for r := ID(0); int(r) < tc.m; r++ {
 			s := sm.ShardOf(r)
-			if got := sm.Global(s, sm.Local(r)); got != r {
+			if got := sm.Start(s) + sm.Local(r); got != r {
 				t.Fatalf("m=%d g=%d: id %d -> shard %d local %d -> %d", tc.m, tc.g, r, s, sm.Local(r), got)
 			}
 			if r >= sm.Start(s)+ID(sm.Size(s)) {
@@ -93,7 +93,7 @@ func TestShardMapSplit(t *testing.T) {
 			if p.Local.Empty() {
 				t.Fatalf("m=%d g=%d: empty part for shard %d", m, g, p.Shard)
 			}
-			p.Local.ForEach(func(l ID) { back.Add(smap.Global(p.Shard, l)) })
+			p.Local.ForEach(func(l ID) { back.Add(smap.Start(p.Shard) + l) })
 		}
 		if !back.Equal(rs) {
 			t.Fatalf("m=%d g=%d: split/join mismatch %v vs %v", m, g, back, rs)

@@ -1,11 +1,11 @@
 // Adaptive admission: the load-aware half of the scheduler.
 //
 // The fixed policies (FIFO/SSF/EDF) order the queue blind to observed
-// load, and the only overload protection is the server's static
-// -max-queue backpressure — a bound that is either too small (sheds a
-// node that could keep up) or too large (admits past the saturation
-// knee, where every queued request's sojourn time grows without bound
-// while goodput stays flat). The Adaptive policy closes the loop: the
+// load and never shed: past the saturation knee every queued request's
+// sojourn time grows without bound while goodput stays flat, and a
+// static queue bound would be either too small (shedding a node that
+// could keep up) or too large (admitting past the knee). The Adaptive
+// policy closes the loop: the
 // scheduler tracks EWMAs of queue depth, grant latency (enqueue →
 // admission into the protocol), slot occupancy (admission → release),
 // admitted request size, and overload-denial rate, and uses them to
@@ -18,8 +18,9 @@
 //     (bound ≈ target latency / EWMA slot occupancy): a queue deeper
 //     than the bound cannot possibly meet the latency target, so new
 //     arrivals are shed early (DenyOverloaded) while the queue is
-//     still short of the knee — clients retry with jittered backoff
-//     instead of parking in a queue that has already collapsed;
+//     still short of the knee — a client learns at once that the node
+//     is saturated instead of parking in a queue that has already
+//     collapsed;
 //  3. cost-weight wide acquires under pressure: a request for ≥ 2× the
 //     EWMA admitted size blocks many small ones, so it sheds at half
 //     the bound when the node is pressured (aging still guarantees any
@@ -213,14 +214,6 @@ func (s *Scheduler) SetTarget(t sim.Time) {
 		t = DefaultAdmitTarget
 	}
 	s.ad.target = t
-}
-
-// Target reports the grant-latency target (zero for fixed policies).
-func (s *Scheduler) Target() sim.Time {
-	if s.ad == nil {
-		return 0
-	}
-	return s.ad.target
 }
 
 // ObserveService reports one admission→release slot occupancy to the

@@ -33,8 +33,8 @@ func TestAdaptiveSwitchesToSSFUnderPressure(t *testing.T) {
 	s := NewScheduler(Adaptive, hugeAging)
 	target := 10 * sim.Millisecond
 	s.SetTarget(target)
-	if got := s.Target(); got != target {
-		t.Fatalf("Target() = %v, want %v", got, target)
+	if got := s.ad.target; got != target {
+		t.Fatalf("target = %v, want %v", got, target)
 	}
 
 	// One pop whose wait dwarfs the target seeds the grant-latency
@@ -232,7 +232,7 @@ func TestFixedPoliciesIgnoreAdaptiveSurface(t *testing.T) {
 	if got := (Load{}); s.Load() != got {
 		t.Fatalf("fixed policy Load = %+v, want zero", s.Load())
 	}
-	if s.Target() != 0 {
-		t.Fatal("fixed policy has a target")
+	if s.ad != nil {
+		t.Fatal("fixed policy has adaptive state")
 	}
 }

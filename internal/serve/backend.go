@@ -14,13 +14,6 @@ type AcquireOpts struct {
 	// not abort a late request — cancellation comes from the context.
 	// When zero, an Acquire context's deadline (if any) is used.
 	Deadline time.Time
-	// RetryOverloaded, when non-nil, makes Client.AcquireWith retry
-	// ErrOverloaded denials itself under the Backoff's jittered
-	// exponential schedule until granted, denied for another reason,
-	// attempts run out, or the context ends. Client-side only: it does
-	// not cross the wire, and the in-process Session ignores it (a
-	// cluster without a client port has no shedding admission edge).
-	RetryOverloaded *Backoff
 }
 
 // BackendSession is one session of the cluster the client-port server

@@ -14,10 +14,9 @@ import (
 	"mralloc/internal/wire"
 )
 
-// ErrOverloaded reports a denial with DenyOverloaded: the daemon's
-// admission queue for the chosen node is at its configured bound.
-// Callers detect it with errors.Is and may retry later or target
-// another node/daemon.
+// ErrOverloaded reports a denial with DenyOverloaded: the chosen node
+// sheds at its adaptive admission bound. Callers detect it with
+// errors.Is and may try later or target another node/daemon.
 var ErrOverloaded = errors.New("serve: daemon overloaded")
 
 // ErrConnLost reports that the connection to the daemon died under a
@@ -167,20 +166,9 @@ func (c *Client) Acquire(ctx context.Context, node int, resources ...int) (func(
 // AcquireWith is Acquire with explicit options. A non-zero Deadline is
 // shipped as a relative duration (client and daemon clocks need not
 // agree) and feeds the daemon's deadline-aware admission policies. A
-// denial for backpressure (the daemon's admission queue or adaptive
-// bound sheds) satisfies errors.Is(err, ErrOverloaded); set
-// RetryOverloaded to have the client retry such denials itself under
-// jittered exponential backoff instead of returning them.
+// denial for backpressure (the daemon's adaptive bound sheds)
+// satisfies errors.Is(err, ErrOverloaded).
 func (c *Client) AcquireWith(ctx context.Context, node int, opts AcquireOpts) (func(), error) {
-	if b := opts.RetryOverloaded; b != nil {
-		return retryOverloaded(ctx, b, func() (func(), error) {
-			return c.acquireOnce(ctx, node, opts)
-		})
-	}
-	return c.acquireOnce(ctx, node, opts)
-}
-
-func (c *Client) acquireOnce(ctx context.Context, node int, opts AcquireOpts) (func(), error) {
 	if node != AnyNode && node < 0 {
 		return nil, fmt.Errorf("serve: bad node %d", node)
 	}

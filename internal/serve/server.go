@@ -28,7 +28,7 @@ const closeFlushTimeout = 2 * time.Second
 // until Close.
 const handshakeTimeout = 5 * time.Second
 
-// DefaultEgressBudget bounds the response bytes queued for one client
+// DefaultEgressBudget bounds the response bytes queued for every client
 // connection. A client that stops reading its responses is shed (its
 // connection closed, everything it held handed back) once the queue
 // crosses the budget — the client port's half of byte-bounded
@@ -59,19 +59,12 @@ type ServerConfig struct {
 	// one request after another on it, and closes it when the
 	// connection drops.
 	Open func(node int) (BackendSession, error)
-	// MaxQueue, when positive, bounds how many of this port's client
-	// requests may be waiting (submitted but not yet granted) on one
-	// node at a time. A request that would exceed the bound is denied
-	// immediately with DenyOverloaded instead of queueing without
-	// limit — backpressure the client can act on. Zero means
-	// unbounded (the pre-backpressure behavior).
-	MaxQueue int
 	// Overloaded, when non-nil, is the load-aware admission oracle
 	// (live.Cluster.Overloaded for an Adaptive-policy cluster): it is
 	// consulted per request on the admission fast path, and a true
 	// answer sheds the request with DenyOverloaded before it queues.
-	// Unlike the static MaxQueue bound it sees the node's observed
-	// service time, so it sheds before the queue passes the knee. A
+	// It sees the node's observed service time, so it sheds before the
+	// queue passes the knee; without it a node's queue is unbounded. A
 	// request that does not target a node is spread past shedding
 	// nodes first and denied only when every hosted node sheds it.
 	Overloaded func(node, size int) bool
@@ -79,12 +72,6 @@ type ServerConfig struct {
 	// policy's denial-rate statistics see sheds that never reach the
 	// node loop (live.Cluster.NoteShed).
 	NoteShed func(node int)
-	// EgressBudget bounds the response bytes queued for one client
-	// connection; a client not draining them past the bound is shed
-	// (connection closed, grants returned). Zero selects
-	// DefaultEgressBudget; negative disables the bound (the
-	// pre-backpressure behavior).
-	EgressBudget int64
 }
 
 // Server is one daemon's client port: it accepts connections from
@@ -104,7 +91,11 @@ type Server struct {
 	rr atomic.Uint64 // round-robin cursor over cfg.Local
 
 	sessions atomic.Int64   // in-flight client requests, for introspection
-	queued   []atomic.Int64 // per-node not-yet-granted requests (MaxQueue)
+	queued   []atomic.Int64 // per-node not-yet-granted requests (QueueLen)
+
+	// egressBudget is DefaultEgressBudget; a test lowers it to reach
+	// the shed without queueing megabytes.
+	egressBudget int64
 
 	connsMu   sync.Mutex
 	conns     map[*conn]bool
@@ -138,9 +129,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Open == nil {
 		return nil, fmt.Errorf("serve: nil Open")
 	}
-	if cfg.MaxQueue < 0 {
-		return nil, fmt.Errorf("serve: negative MaxQueue %d", cfg.MaxQueue)
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -149,12 +137,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("serve: listen %s: %w", cfg.Listen, err)
 	}
 	s := &Server{
-		cfg:    cfg,
-		ln:     ln,
-		queued: make([]atomic.Int64, cfg.Nodes),
-		conns:  make(map[*conn]bool),
-		tasks:  make(chan *connReq),
-		closed: make(chan struct{}),
+		cfg:          cfg,
+		ln:           ln,
+		queued:       make([]atomic.Int64, cfg.Nodes),
+		egressBudget: DefaultEgressBudget,
+		conns:        make(map[*conn]bool),
+		tasks:        make(chan *connReq),
+		closed:       make(chan struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -169,7 +158,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) Sessions() int64 { return s.sessions.Load() }
 
 // QueueLen reports how many of this port's requests are waiting (not
-// yet granted) on node id — the quantity MaxQueue bounds.
+// yet granted) on node id.
 func (s *Server) QueueLen(node int) int64 {
 	if node < 0 || node >= len(s.queued) {
 		return 0
@@ -473,21 +462,7 @@ func (cn *conn) handleAcquire(x ClientAcquire) bool {
 		})
 		return true
 	}
-	// Backpressure: refuse rather than queue without bound. Increment
-	// first so concurrent arrivals cannot slip past the limit together.
-	if max := cn.s.cfg.MaxQueue; max > 0 {
-		if cn.s.queued[node].Add(1) > int64(max) {
-			cn.s.queued[node].Add(-1)
-			cn.send(ClientDeny{
-				Req:    x.Req,
-				Reason: fmt.Sprintf("node %d admission queue full (max %d)", node, max),
-				Code:   DenyOverloaded,
-			})
-			return true
-		}
-	} else {
-		cn.s.queued[node].Add(1)
-	}
+	cn.s.queued[node].Add(1)
 
 	cn.mu.Lock()
 	r := cn.free[node]
@@ -626,24 +601,11 @@ func (cn *conn) sendGrant(req uint64) {
 // loop and hands every grant back — the same outcome as the client
 // crashing.
 func (cn *conn) shed() bool {
-	if b := cn.s.egressBudget(); b > 0 && cn.co.QueuedBytes() > b {
+	if cn.co.QueuedBytes() > cn.s.egressBudget {
 		cn.c.Close()
 		return true
 	}
 	return false
-}
-
-// egressBudget resolves ServerConfig.EgressBudget: zero selects the
-// default, negative disables the bound.
-func (s *Server) egressBudget() int64 {
-	switch b := s.cfg.EgressBudget; {
-	case b < 0:
-		return 0
-	case b == 0:
-		return DefaultEgressBudget
-	default:
-		return b
-	}
 }
 
 // nextLocal advances the round-robin cursor and returns its index into

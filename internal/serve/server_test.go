@@ -12,6 +12,7 @@ import (
 	"mralloc/internal/wire"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,21 +302,25 @@ func TestClientProtocolStress(t *testing.T) {
 	}
 }
 
-// TestMaxQueueDeniesWithOverloaded: once a node's waiting requests hit
-// the MaxQueue bound, further acquires must be denied immediately with
-// the distinct overload code (errors.Is ErrOverloaded on the client),
-// and the bound must lift again as the queue drains.
+// TestMaxQueueDeniesWithOverloaded: while the Overloaded oracle sheds,
+// an acquire must be denied immediately with the distinct overload code
+// (errors.Is ErrOverloaded on the client) and reported to NoteShed;
+// QueueLen counts the requests waiting behind a held grant; and once
+// the oracle stops shedding, acquires are admitted again.
 func TestMaxQueueDeniesWithOverloaded(t *testing.T) {
-	const maxQueue = 2
+	const queued = 2
 	c, err := live.New(live.Config{Nodes: 1, Resources: 1}, core.NewFactory(core.WithLoan()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	var shedding atomic.Bool
+	var noted atomic.Int64
 	srv, err := serve.NewServer(serve.ServerConfig{
 		Listen: "127.0.0.1:0", Nodes: 1, Resources: 1, Local: []int{0},
-		MaxQueue: maxQueue,
-		Open:     func(node int) (serve.BackendSession, error) { return c.NewSession(node) },
+		Open:       func(node int) (serve.BackendSession, error) { return c.NewSession(node) },
+		Overloaded: func(node, size int) bool { return shedding.Load() },
+		NoteShed:   func(node int) { noted.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,9 +337,8 @@ func TestMaxQueueDeniesWithOverloaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the admission queue to the bound.
-	results := make(chan error, maxQueue)
-	for i := 0; i < maxQueue; i++ {
+	results := make(chan error, queued)
+	for i := 0; i < queued; i++ {
 		go func() {
 			rel, err := cl.Acquire(context.Background(), 0, 0)
 			if err == nil {
@@ -344,20 +348,29 @@ func TestMaxQueueDeniesWithOverloaded(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.QueueLen(0) < maxQueue {
+	for srv.QueueLen(0) < queued {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %d/%d", srv.QueueLen(0), maxQueue)
+			t.Fatalf("queue never filled: %d/%d", srv.QueueLen(0), queued)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// One more must bounce with the overload code, not queue.
+	// While the oracle sheds, one more must bounce with the overload
+	// code, not queue, and the shed must be noted.
+	shedding.Store(true)
 	if _, err := cl.Acquire(context.Background(), 0, 0); !errors.Is(err, serve.ErrOverloaded) {
-		t.Fatalf("over-limit acquire: %v, want ErrOverloaded", err)
+		t.Fatalf("acquire while shedding: %v, want ErrOverloaded", err)
 	}
-	// Drain: the held grant releases, the queued pair completes, and
-	// the bound lifts for new work.
+	if n := noted.Load(); n != 1 {
+		t.Fatalf("NoteShed called %d times, want 1", n)
+	}
+	if n := srv.QueueLen(0); n != queued {
+		t.Fatalf("QueueLen %d after a shed, want %d: the shed request queued", n, queued)
+	}
+	// Drain: the oracle stops shedding, the held grant releases, the
+	// queued pair completes, and new work is admitted.
+	shedding.Store(false)
 	release()
-	for i := 0; i < maxQueue; i++ {
+	for i := 0; i < queued; i++ {
 		select {
 		case err := <-results:
 			if err != nil {
@@ -366,6 +379,9 @@ func TestMaxQueueDeniesWithOverloaded(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("queued acquire never completed")
 		}
+	}
+	if n := srv.QueueLen(0); n != 0 {
+		t.Fatalf("QueueLen %d after the queue drained", n)
 	}
 	rel, err := cl.Acquire(context.Background(), 0, 0)
 	if err != nil {

@@ -75,11 +75,11 @@ type DenyCode uint8
 const (
 	// DenyGeneric covers bad arguments, backend errors, and shutdown.
 	DenyGeneric DenyCode = iota
-	// DenyOverloaded reports backpressure: the target node's admission
-	// queue is at its configured bound (ServerConfig.MaxQueue) and the
-	// daemon refuses new work rather than queueing without limit.
-	// Clients see it as serve.ErrOverloaded and may retry elsewhere or
-	// later.
+	// DenyOverloaded reports backpressure: the target node sheds at its
+	// adaptive admission bound (ServerConfig.Overloaded), refusing new
+	// work that could not meet its latency target rather than queueing
+	// it. Clients see it as serve.ErrOverloaded and may try elsewhere
+	// or later.
 	DenyOverloaded
 
 	denyCodeEnd // one past the last valid code

@@ -88,7 +88,9 @@ func init() {
 // Retransmit timer defaults: the base must exceed a healthy link's
 // round trip (loopback plus chaos delays of a few hundred µs) so acks
 // usually win the race, and the cap bounds how long a healed link
-// stays idle. Same equal-jitter discipline as serve.Backoff.
+// stays idle. Each round's delay is drawn with equal jitter (see
+// jitter), so links that lost frames together do not retransmit in
+// lockstep.
 const (
 	DefaultRetransmitBase = 10 * time.Millisecond
 	DefaultRetransmitMax  = 250 * time.Millisecond
