@@ -181,6 +181,10 @@ func runOne(args []string) {
 	gantt := fs.Bool("gantt", false, "print an occupancy Gantt diagram")
 	width := fs.Int("width", 100, "gantt width in columns")
 	fs.Parse(args)
+	if *gantt && *width < 1 {
+		fmt.Fprintf(os.Stderr, "mrsim: -width %d: a Gantt chart needs at least one column\n", *width)
+		os.Exit(2)
+	}
 
 	a, ok := experiments.AlgorithmByName(*algName)
 	if !ok {

@@ -3,10 +3,12 @@
 // metrics from it.
 //
 // Each site loops through the paper's request cycle: think for β, issue
-// a request of x ≤ φ resources, wait for admission, hold the resources
-// for α(x), release, repeat. The driver owns this cycle; algorithms only
-// see Request/Release/Deliver and answer through Env.Granted, so every
-// algorithm runs under a byte-identical workload for a given seed.
+// a request of x ≤ φ resources, wait for the grant, hold the resources
+// for α(x), release, repeat. A site has one request at a time, so the
+// paper's hypothesis 4 holds by construction. The driver owns this
+// cycle; algorithms only see Request/Release/Deliver and answer through
+// Env.Granted, so every algorithm runs under a byte-identical workload
+// for a given seed.
 package driver
 
 import (
@@ -16,7 +18,6 @@ import (
 	"mralloc/internal/metrics"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
-	"mralloc/internal/serve"
 	"mralloc/internal/sim"
 	"mralloc/internal/verify"
 	"mralloc/internal/workload"
@@ -25,22 +26,6 @@ import (
 // Config parameterizes one run.
 type Config struct {
 	Workload workload.Config
-
-	// Sessions is the number of concurrent client sessions per site
-	// (default 1). Each session runs the paper's request cycle
-	// independently — think, request, hold, release — and the site's
-	// admission scheduler (internal/serve, the same one the live
-	// runtime uses) feeds them one at a time into the protocol, so
-	// hypothesis 4 holds below the sessions. Session 0's draws are
-	// identical to the single-session workload.
-	Sessions int
-
-	// Policy orders each site's admission queue (serve.FIFO when
-	// empty); Aging is the starvation bound (serve.DefaultAging when
-	// zero). With Sessions ≤ 1 the queue never holds more than one
-	// request and the policy is irrelevant.
-	Policy serve.Policy
-	Aging  sim.Time
 
 	// Latency is the network model; nil means Constant{Workload.Gamma}.
 	Latency network.LatencyModel
@@ -76,24 +61,20 @@ type Config struct {
 
 // Result is what one run measures.
 type Result struct {
-	UseRate     float64
-	PerResource []float64
+	UseRate float64
 
-	// PerSiteWaitMean and PerSiteGrants break service down by site;
-	// JainWait and JainGrants are Jain fairness indices over them.
-	PerSiteWaitMean []float64
-	PerSiteGrants   []int
-	JainWait        float64
-	JainGrants      float64
+	// JainWait and JainGrants are Jain fairness indices over the sites'
+	// mean waits and grant counts.
+	JainWait   float64
+	JainGrants float64
 
-	Waiting     metrics.Summary // all sizes, milliseconds (incl. queue wait)
+	Waiting     metrics.Summary // all sizes, milliseconds
 	WaitBuckets []BucketSummary // aligned with Config.WaitBuckets
 	Messages    network.Stats   // traffic by kind
 	Grants      int             // completed admissions
 	MsgPerGrant float64         // synchronization cost per CS
 	Events      uint64          // simulator events executed
 	Ungranted   int             // requests in the protocol, ungranted at cut-off
-	Queued      int             // requests still in admission queues at cut-off
 }
 
 // BucketSummary pairs a size-bucket edge with its waiting summary.
@@ -110,15 +91,8 @@ func Run(cfg Config, factory alg.Factory) (Result, error) {
 	if cfg.Horizon <= cfg.Warmup {
 		return Result{}, fmt.Errorf("driver: horizon %v ≤ warmup %v", cfg.Horizon, cfg.Warmup)
 	}
-	if cfg.Sessions < 0 {
-		return Result{}, fmt.Errorf("driver: %d sessions per site", cfg.Sessions)
-	}
-	sessions := cfg.Sessions
-	if sessions == 0 {
-		sessions = 1
-	}
-	if _, err := serve.ParsePolicy(string(cfg.Policy)); err != nil {
-		return Result{}, fmt.Errorf("driver: %w", err)
+	if cfg.Processing < 0 {
+		return Result{}, fmt.Errorf("driver: negative processing delay %v", cfg.Processing)
 	}
 	lat := cfg.Latency
 	if lat == nil {
@@ -155,26 +129,17 @@ func Run(cfg Config, factory alg.Factory) (Result, error) {
 		nodes[i].Attach(env)
 		nw.Bind(id, nodes[i].Deliver)
 		st := &d.sites[i]
-		st.sched = serve.NewScheduler(cfg.Policy, cfg.Aging)
-		// Bind the cycle callbacks once per site/session: the request
-		// loop reschedules them constantly, and prebound closures keep
-		// that off the allocator.
+		st.gen = workload.NewGenerator(wl, i)
+		// Bind the cycle callbacks once per site: the request loop
+		// reschedules them constantly, and prebound closures keep that
+		// off the allocator.
+		st.issueFn = func() { d.issue(id) }
 		st.releaseFn = func() { d.release(id) }
-		st.sessions = make([]sessState, sessions)
-		for s := range st.sessions {
-			s := s
-			ss := &st.sessions[s]
-			ss.gen = workload.NewSessionGenerator(wl, i, s)
-			ss.issueFn = func() { d.issue(id, s) }
-		}
 	}
-	// Stagger the very first request of each session by an independent
+	// Stagger the very first request of each site by an independent
 	// think draw so time zero is not a synchronized thundering herd.
 	for i := range d.sites {
-		for s := range d.sites[i].sessions {
-			ss := &d.sites[i].sessions[s]
-			eng.At(ss.gen.Think(), ss.issueFn)
-		}
+		eng.At(d.sites[i].gen.Think(), d.sites[i].issueFn)
 	}
 
 	eng.RunUntil(cfg.Horizon)
@@ -184,26 +149,21 @@ func Run(cfg Config, factory alg.Factory) (Result, error) {
 	}
 
 	res := Result{
-		UseRate:     d.use.Rate(),
-		PerResource: d.use.PerResource(),
-		Waiting:     d.waiting.Overall(),
-		Messages:    nw.Stats(),
-		Grants:      d.mon.Grants(),
-		Events:      eng.Executed(),
-		Ungranted:   len(d.mon.PendingRequests()),
+		UseRate:   d.use.Rate(),
+		Waiting:   d.waiting.Overall(),
+		Messages:  nw.Stats(),
+		Grants:    d.mon.Grants(),
+		Events:    eng.Executed(),
+		Ungranted: len(d.mon.PendingRequests()),
 	}
-	for i := range d.sites {
-		res.Queued += d.sites[i].sched.Len()
-	}
-	grantsF := make([]float64, wl.N)
+	waitMeans := make([]float64, wl.N)
+	grants := make([]float64, wl.N)
 	for i := range d.siteWait {
 		s := d.siteWait[i].Summary()
-		res.PerSiteWaitMean = append(res.PerSiteWaitMean, s.Mean)
-		res.PerSiteGrants = append(res.PerSiteGrants, s.Count)
-		grantsF[i] = float64(s.Count)
+		waitMeans[i], grants[i] = s.Mean, float64(s.Count)
 	}
-	res.JainWait = metrics.Jain(res.PerSiteWaitMean)
-	res.JainGrants = metrics.Jain(grantsF)
+	res.JainWait = metrics.Jain(waitMeans)
+	res.JainGrants = metrics.Jain(grants)
 	for i, e := range d.waiting.Edges() {
 		res.WaitBuckets = append(res.WaitBuckets, BucketSummary{Edge: e, Summary: d.waiting.Bucket(i)})
 	}
@@ -213,30 +173,17 @@ func Run(cfg Config, factory alg.Factory) (Result, error) {
 	return res, nil
 }
 
-// siteState is one site: its admission scheduler, its sessions, and
-// the session currently admitted into the protocol (at most one —
-// hypothesis 4 holds below the sessions).
+// siteState is one site's position in the request cycle.
 type siteState struct {
-	sched    *serve.Scheduler
-	sessions []sessState
-	cur      *sessState // in the protocol (requested or in CS); nil when idle
-
-	// releaseFn is the site's CS-end callback, bound once at setup and
-	// rescheduled for every grant.
-	releaseFn func()
-}
-
-// sessState tracks one session's position in the request cycle.
-type sessState struct {
 	gen       *workload.Generator
 	req       workload.Request
-	enqAt     sim.Time // admission-queue arrival; waits measure from here
-	inCS      bool
+	issuedAt  sim.Time // waits measure from here
+	waiting   bool     // req is issued and not yet granted
 	grantedAt sim.Time
-	item      serve.Item
 
-	// issueFn is the session's cycle callback, bound once at setup.
-	issueFn func()
+	// issueFn and releaseFn are the site's cycle callbacks, bound once
+	// at setup and rescheduled for every request.
+	issueFn, releaseFn func()
 }
 
 type runState struct {
@@ -251,87 +198,53 @@ type runState struct {
 	sites    []siteState
 }
 
-// issue enqueues a new request for session s of site id, unless the
-// horizon has passed.
-func (d *runState) issue(id network.NodeID, s int) {
-	if d.eng.Now() >= d.cfg.Horizon {
+// issue starts site id's next request, unless the horizon has passed.
+func (d *runState) issue(id network.NodeID) {
+	now := d.eng.Now()
+	if now >= d.cfg.Horizon {
 		return
 	}
 	st := &d.sites[id]
-	ss := &st.sessions[s]
-	ss.req = ss.gen.Next()
-	ss.enqAt = d.eng.Now()
-	ss.item = serve.Item{
-		Session: uint64(int(id))*uint64(len(st.sessions)) + uint64(s),
-		Size:    ss.req.Size,
-		// The workload has no intrinsic deadlines; give EDF one with
-		// slack proportional to the request's own CS duration, so big
-		// requests are not unfairly due first.
-		Deadline: ss.enqAt + 8*ss.req.CS,
-		V:        ss,
-	}
-	st.sched.Push(&ss.item, ss.enqAt)
-	d.maybeAdmit(id)
-}
-
-// maybeAdmit feeds the scheduler's next pick into the protocol when
-// site id's single request slot is free.
-func (d *runState) maybeAdmit(id network.NodeID) {
-	st := &d.sites[id]
-	if st.cur != nil {
-		return
-	}
-	it := st.sched.Pop(d.eng.Now())
-	if it == nil {
-		return
-	}
-	ss := it.V.(*sessState)
-	st.cur = ss
-	d.mon.Requested(id, d.eng.Now())
-	d.nodes[id].Request(ss.req.Resources)
+	st.req = st.gen.Next()
+	st.issuedAt = now
+	st.waiting = true
+	d.mon.Requested(id, now)
+	d.nodes[id].Request(st.req.Resources)
 }
 
 // granted is the Env.Granted callback: site id entered its CS.
 func (d *runState) granted(id network.NodeID) {
 	st := &d.sites[id]
-	ss := st.cur
-	if ss == nil {
-		panic(fmt.Sprintf("driver: site %d granted with no admitted request", id))
+	if !st.waiting {
+		panic(fmt.Sprintf("driver: site %d granted with no request waiting", id))
 	}
-	if ss.inCS {
-		panic(fmt.Sprintf("driver: site %d granted twice", id))
-	}
-	ss.inCS = true
+	st.waiting = false
 	now := d.eng.Now()
-	ss.grantedAt = now
-	d.mon.Granted(id, ss.req.Resources, now)
-	if ss.enqAt >= d.cfg.Warmup {
-		d.waiting.Observe(ss.req.Size, now-ss.enqAt)
-		d.siteWait[id].Add((now - ss.enqAt).Milliseconds())
+	st.grantedAt = now
+	d.mon.Granted(id, st.req.Resources, now)
+	if st.issuedAt >= d.cfg.Warmup {
+		d.waiting.Observe(st.req.Size, now-st.issuedAt)
+		d.siteWait[id].Add((now - st.issuedAt).Milliseconds())
 	}
-	ss.req.Resources.ForEach(func(r resource.ID) { d.use.Acquire(int(r), now) })
-	d.eng.After(ss.req.CS, st.releaseFn)
+	st.req.Resources.ForEach(func(r resource.ID) { d.use.Acquire(int(r), now) })
+	d.eng.After(st.req.CS, st.releaseFn)
 }
 
-// release ends site id's critical section, schedules the session's
-// next cycle, and admits the site's next queued request.
+// release ends site id's critical section and schedules its next
+// request.
 func (d *runState) release(id network.NodeID) {
 	st := &d.sites[id]
-	ss := st.cur
 	now := d.eng.Now()
-	ss.inCS = false
-	ss.req.Resources.ForEach(func(r resource.ID) { d.use.Release(int(r), now) })
-	d.mon.Released(id, ss.req.Resources, now)
+	st.req.Resources.ForEach(func(r resource.ID) { d.use.Release(int(r), now) })
+	d.mon.Released(id, st.req.Resources, now)
 	if d.cfg.TraceGrant != nil {
-		d.cfg.TraceGrant(id, ss.req.Resources, ss.grantedAt, now)
+		d.cfg.TraceGrant(id, st.req.Resources, st.grantedAt, now)
 	}
 	d.nodes[id].Release()
-	st.cur = nil
-	next := now + ss.gen.Think()
+	next := now + st.gen.Think()
 	if next < d.cfg.Horizon {
-		d.eng.At(next, ss.issueFn)
+		d.eng.At(next, st.issueFn)
 	}
-	d.maybeAdmit(id)
 }
 
 // nodeEnv adapts the run state to the alg.Env contract for one site.

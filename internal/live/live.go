@@ -320,9 +320,8 @@ func (c *Cluster) Local(id int) bool {
 	return id >= 0 && id < c.cfg.Nodes && c.loops[0][id] != nil
 }
 
-// now is the cluster clock: wall time since start, in the same unit
-// the simulation uses, so the serve scheduler runs identically in both
-// runtimes.
+// now is the cluster clock: wall time since start, in the simulation's
+// unit (sim.Time), which the serve scheduler's deadlines and aging use.
 func (c *Cluster) now() sim.Time { return sim.Time(time.Since(c.start)) }
 
 // Stats snapshots the per-kind counters of messages sent through this

@@ -230,27 +230,6 @@ func (u *UseRate) Rate() float64 {
 	return float64(total) / (float64(window) * float64(u.m))
 }
 
-// PerResource returns each resource's individual use rate (for traces
-// and the fairness ablation).
-func (u *UseRate) PerResource() []float64 {
-	out := make([]float64, u.m)
-	window := float64(u.horizon - u.warmup)
-	for r, b := range u.busy {
-		extra := sim.Time(0)
-		if u.since[r] >= 0 {
-			from, to := u.since[r], u.horizon
-			if from < u.warmup {
-				from = u.warmup
-			}
-			if to > from {
-				extra = to - from
-			}
-		}
-		out[r] = float64(b+extra) / window
-	}
-	return out
-}
-
 // Jain computes Jain's fairness index (Σx)²/(n·Σx²) over non-negative
 // samples: 1 when all sites are served equally, 1/n when one site gets
 // everything. Used to check that the dynamic scheduling of the paper's

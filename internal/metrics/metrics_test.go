@@ -73,9 +73,15 @@ func TestUseRateSimple(t *testing.T) {
 	if got := u.Rate(); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("rate = %v, want 0.75", got)
 	}
-	per := u.PerResource()
-	if per[0] != 0.5 || per[1] != 1.0 {
-		t.Fatalf("per-resource = %v", per)
+	// Each resource alone, on a one-resource tracker.
+	r0 := NewUseRate(1, 0, 100)
+	r0.Acquire(0, 10)
+	r0.Release(0, 60)
+	r1 := NewUseRate(1, 0, 100)
+	r1.Acquire(0, 0)
+	r1.Release(0, 100)
+	if r0.Rate() != 0.5 || r1.Rate() != 1.0 {
+		t.Fatalf("one-resource rates = %v, %v, want 0.5, 1", r0.Rate(), r1.Rate())
 	}
 }
 
@@ -98,9 +104,11 @@ func TestUseRateOpenIntervalAtHorizon(t *testing.T) {
 	if got := u.Rate(); math.Abs(got-0.10) > 1e-12 {
 		t.Fatalf("rate = %v, want 0.10", got)
 	}
-	per := u.PerResource()
-	if math.Abs(per[0]-0.10) > 1e-12 {
-		t.Fatalf("per-resource = %v", per)
+	// Held from before the warmup to past the horizon: both ends clip.
+	w := NewUseRate(1, 20, 100)
+	w.Acquire(0, 5)
+	if got := w.Rate(); got != 1 {
+		t.Fatalf("rate of a hold across the whole window = %v, want 1", got)
 	}
 }
 
@@ -134,35 +142,35 @@ func TestUseRateMisusePanics(t *testing.T) {
 	}()
 }
 
-// Property: the aggregate rate equals the mean of per-resource rates and
-// never leaves [0, 1] under random non-overlapping busy intervals.
+// Property: the aggregate rate equals the mean of the rates one-resource
+// trackers measure for each resource alone, and none leaves [0, 1] under
+// random non-overlapping busy intervals straddling warmup and horizon.
 func TestUseRateProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		const m, horizon = 4, 1000
-		u := NewUseRate(m, 100, horizon)
+		const m, warmup, horizon = 4, 100, 1000
+		u := NewUseRate(m, warmup, horizon)
+		var mean float64
 		for res := 0; res < m; res++ {
+			one := NewUseRate(1, warmup, horizon)
 			t := sim.Time(r.Intn(200))
 			for t < horizon {
 				hold := sim.Time(1 + r.Intn(100))
 				u.Acquire(res, t)
 				u.Release(res, t+hold)
+				one.Acquire(0, t)
+				one.Release(0, t+hold)
 				t += hold + sim.Time(1+r.Intn(100))
 			}
-		}
-		rate := u.Rate()
-		if rate < 0 || rate > 1 {
-			return false
-		}
-		var mean float64
-		for _, p := range u.PerResource() {
+			p := one.Rate()
 			if p < 0 || p > 1 {
 				return false
 			}
 			mean += p
 		}
 		mean /= m
-		return math.Abs(mean-rate) < 1e-9
+		rate := u.Rate()
+		return rate >= 0 && rate <= 1 && math.Abs(mean-rate) < 1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

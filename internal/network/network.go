@@ -56,10 +56,6 @@ type Network struct {
 	// hashing the kind of every message into a map; Stats builds the map.
 	kinds []kindCount
 	total int64
-	// Trace, when non-nil, observes every send (for debugging and the
-	// Gantt/trace tooling). It must not keep m past the call: a sent
-	// message belongs to its receiver, which may refill it (alg.Env).
-	Trace func(at sim.Time, from, to NodeID, m Message)
 
 	// free pools delivery records so that a send schedules its delivery
 	// without allocating a fresh closure per message.
@@ -128,9 +124,6 @@ func (nw *Network) SetProcessingDelay(d sim.Time) {
 	nw.proc = d
 }
 
-// N reports the number of nodes.
-func (nw *Network) N() int { return nw.n }
-
 // Bind installs the delivery handler for node id. Every node must be
 // bound before the first send to it is delivered.
 func (nw *Network) Bind(id NodeID, h Handler) {
@@ -148,9 +141,6 @@ func (nw *Network) Send(from, to NodeID, m Message) {
 		panic(fmt.Sprintf("network: send to invalid node %d", to))
 	}
 	nw.count(m.Kind())
-	if nw.Trace != nil {
-		nw.Trace(nw.eng.Now(), from, to, m)
-	}
 	at := nw.eng.Now() + nw.lat.Latency(from, to, nw.rng)
 	link := int(from)*nw.n + int(to)
 	if at < nw.lastArrival[link] {

@@ -140,25 +140,6 @@ func TestInvalidDestinationPanics(t *testing.T) {
 	nw.Send(0, 7, testMsg{kind: "x"})
 }
 
-func TestTraceHook(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 2, Constant{D: sim.Millisecond}, nil)
-	nw.Bind(0, func(NodeID, Message) {})
-	nw.Bind(1, func(NodeID, Message) {})
-	var seen int
-	nw.Trace = func(at sim.Time, from, to NodeID, m Message) {
-		seen++
-		if at != 0 || from != 0 || to != 1 || m.Kind() != "x" {
-			t.Errorf("trace saw at=%v from=%d to=%d kind=%s", at, from, to, m.Kind())
-		}
-	}
-	nw.Send(0, 1, testMsg{kind: "x"})
-	eng.Run()
-	if seen != 1 {
-		t.Fatalf("trace called %d times", seen)
-	}
-}
-
 func TestHierarchicalLatency(t *testing.T) {
 	h := Hierarchical{
 		Zone:   TwoZones(8),

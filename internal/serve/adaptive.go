@@ -27,7 +27,7 @@
 //     admitted wide request is not starved).
 //
 // All EWMA updates happen in the event loop that owns the scheduler
-// (live node loop or simulation engine) — the state needs no locks.
+// (the live node loop) — the state needs no locks.
 // The published snapshot (depth, bound, pressure, mean size) is
 // atomic, so server connection goroutines can consult Overloaded on
 // the admission fast path without entering the loop; NoteShed from
@@ -219,9 +219,8 @@ func (s *Scheduler) SetTarget(t sim.Time) {
 // ObserveService reports one admission→release slot occupancy to the
 // Adaptive policy, which retunes its admission bound from it. Called
 // by the runtime that owns the scheduler when a granted request
-// releases; a no-op for fixed policies (and for runtimes, like the
-// simulation driver, that never call it — the bound then stays
-// unbounded and Adaptive degrades to pure load-aware ordering).
+// releases; a no-op for fixed policies. Until it is first called the
+// bound stays unbounded and Adaptive is pure load-aware ordering.
 func (s *Scheduler) ObserveService(d sim.Time) {
 	if s.ad != nil {
 		s.ad.observeService(d)

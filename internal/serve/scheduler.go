@@ -7,11 +7,9 @@
 // concurrency. The serve layer decouples them: sessions enqueue
 // requests with deadlines and cancellation into a per-node Scheduler,
 // and the node's event loop feeds them one at a time into the state
-// machine under a pluggable policy. The same scheduler runs under the
-// goroutine runtime (internal/live, wall-clock time) and the
-// deterministic simulation (internal/driver, virtual time), so policy
-// behaviour measured in paper-style experiments is the behaviour a
-// live cluster exhibits.
+// machine under a pluggable policy. The goroutine runtime
+// (internal/live) hosts it; the simulation (internal/driver) runs the
+// paper's one request cycle per site and needs no admission queue.
 //
 // Starvation freedom is guaranteed by aging regardless of policy: a
 // request that has waited at least the aging threshold is admitted in
@@ -75,8 +73,8 @@ const DefaultAging = 500 * sim.Millisecond
 
 // Item is one queued admission request. Callers fill the public
 // fields, hand the item to Push, and get it back from Pop; V carries
-// the runtime's per-request state (a live ticket, a simulated
-// session). An item belongs to at most one scheduler at a time.
+// the runtime's per-request state (a live ticket). An item belongs to
+// at most one scheduler at a time.
 type Item struct {
 	// Session identifies the submitting session, for fairness
 	// accounting and diagnostics; the scheduler does not interpret it.
@@ -106,10 +104,9 @@ const (
 )
 
 // Scheduler is one node's admission queue. It is a plain data
-// structure — no goroutines, no locks — driven by whichever event loop
-// owns the node: the live runtime calls it inside the node's loop
-// goroutine, the simulation inside the engine. Items may be re-pushed
-// (the simulation reuses one Item per session) once popped or removed.
+// structure — no goroutines, no locks — driven by the event loop that
+// owns the node (the live runtime calls it inside the node's loop).
+// Items may be re-pushed once popped or removed.
 type Scheduler struct {
 	policy Policy
 	aging  sim.Time

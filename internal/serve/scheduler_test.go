@@ -197,8 +197,8 @@ func TestRandomizedInvariants(t *testing.T) {
 }
 
 // TestReusedItemCannotReviveQueuePosition is the regression test for
-// the re-push aliasing bug: the simulation driver reuses one Item per
-// session, so a popped item is pushed again with fresh fields. The
+// the re-push aliasing bug: a live session reuses its ticket's Item,
+// so a popped item is pushed again with fresh fields. The
 // recycled push must not revive the item's stale arrival-order entry
 // — which would both break aging (the "oldest" slot pinned by the
 // newest push) and grow the fifo without bound.
@@ -209,8 +209,8 @@ func TestReusedItemCannotReviveQueuePosition(t *testing.T) {
 	s.Push(big, 0)
 	churn := &Item{Session: 1, Size: 1}
 	now := sim.Time(0)
-	// Session 1 cycles small requests, reusing the same Item — exactly
-	// what driver.issue does. SSF prefers them; aging must still
+	// Session 1 cycles small requests, reusing the same Item, as a
+	// live ticket does. SSF prefers them; aging must still
 	// promote the big request once it has waited the threshold.
 	for i := 0; i < 500; i++ {
 		now += 10

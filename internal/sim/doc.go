@@ -4,7 +4,8 @@
 // callbacks scheduled on it. Events that share an instant run in the order
 // they were scheduled, so a simulation driven from a single seed is fully
 // reproducible: the heap breaks time ties with a monotonically increasing
-// sequence number.
+// sequence number. Scheduling is one-way: an event, once scheduled, runs.
+// A caller that may change its mind checks a flag in its own callback.
 //
 // The kernel is single-threaded by design. Parallelism in this repository
 // happens one level up: independent simulations (one per experiment point)

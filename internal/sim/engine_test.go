@@ -86,25 +86,6 @@ func TestEngineAfterChains(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	ran := false
-	ev := e.At(10, func() { ran = true })
-	e.Cancel(ev)
-	e.Cancel(ev) // double cancel is a no-op
-	e.Run()
-	if ran {
-		t.Fatal("canceled event ran")
-	}
-	// Cancel after execution is a no-op too.
-	ev2 := e.At(20, func() {})
-	e.Run()
-	e.Cancel(ev2)
-	if e.Executed() != 1 {
-		t.Fatalf("Executed() = %d, want 1", e.Executed())
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := New()
 	var got []Time
@@ -113,18 +94,18 @@ func TestEngineRunUntil(t *testing.T) {
 		e.At(at, func() { got = append(got, at) })
 	}
 	e.RunUntil(15)
-	if len(got) != 3 {
-		t.Fatalf("RunUntil(15) ran %d events, want 3", len(got))
+	if len(got) != 3 || e.Executed() != 3 {
+		t.Fatalf("RunUntil(15) ran %d events (executed %d), want 3", len(got), e.Executed())
 	}
 	if e.Now() != 15 {
 		t.Fatalf("Now() = %v, want 15", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
 	e.RunUntil(100)
-	if e.Now() != 100 || e.Pending() != 0 {
-		t.Fatalf("after RunUntil(100): now=%v pending=%d", e.Now(), e.Pending())
+	if e.Now() != 100 || len(got) != 4 {
+		t.Fatalf("after RunUntil(100): now=%v, %d events ran", e.Now(), len(got))
+	}
+	if e.Step() {
+		t.Fatal("an event was left after RunUntil passed every instant")
 	}
 }
 
@@ -176,44 +157,11 @@ func TestEngineHeapProperty(t *testing.T) {
 	}
 }
 
-// TestEngineCancelProperty cancels a random subset and checks exactly the
-// survivors run.
-func TestEngineCancelProperty(t *testing.T) {
-	prop := func(times []uint8, seed int64) bool {
-		e := New()
-		r := rand.New(rand.NewSource(seed))
-		ran := make(map[int]bool)
-		events := make([]Event, len(times))
-		for i, raw := range times {
-			i := i
-			events[i] = e.At(Time(raw), func() { ran[i] = true })
-		}
-		canceled := make(map[int]bool)
-		for i := range events {
-			if r.Intn(2) == 0 {
-				e.Cancel(events[i])
-				canceled[i] = true
-			}
-		}
-		e.Run()
-		for i := range events {
-			if ran[i] == canceled[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // refAgenda is the reference the engine is compared against: the same
-// (at, seq) order through container/heap, cancellation by lazy mark.
+// (at, seq) order through container/heap.
 type refEvent struct {
-	at       Time
-	seq, id  int
-	canceled bool
+	at      Time
+	seq, id int
 }
 type refAgenda []*refEvent
 
@@ -234,39 +182,35 @@ func (h *refAgenda) Pop() any {
 }
 
 // TestEngineMatchesReferenceHeap drives 10 000 events through a mixed
-// At / Cancel / Step schedule — handlers scheduling follow-ups, stale
-// and repeated cancels included — and checks every executed event, and
-// the clock at it, against the container/heap reference.
+// At / Step schedule — handlers scheduling follow-ups, many events
+// sharing an instant — and checks every executed event, and the clock
+// at it, against the container/heap reference.
 func TestEngineMatchesReferenceHeap(t *testing.T) {
 	const total = 10000
 	r := rand.New(rand.NewSource(7))
 	e := New()
 	var ref refAgenda
-	var now Time // the reference clock
-	var handles []Event
-	var refs []*refEvent
-	var ran []int // ids in the order the engine executed them
+	var now Time   // the reference clock
+	scheduled := 0 // events scheduled so far; the next one's id
+	var ran []int  // ids in the order the engine executed them
 
 	var schedule func(at Time)
 	schedule = func(at Time) {
-		id := len(refs)
-		handles = append(handles, e.At(at, func() {
+		id := scheduled
+		scheduled++
+		e.At(at, func() {
 			ran = append(ran, id)
-			if id%3 == 0 && len(refs) < total {
+			if id%3 == 0 && scheduled < total {
 				schedule(e.Now() + Time(id%7))
 			}
-		}))
-		x := &refEvent{at: at, seq: id, id: id}
-		refs = append(refs, x)
-		heap.Push(&ref, x)
+		})
+		heap.Push(&ref, &refEvent{at: at, seq: id, id: id})
 	}
 	// step runs one event on both sides and compares them.
 	step := func() bool {
 		var want *refEvent
-		for ref.Len() > 0 && want == nil {
-			if x := heap.Pop(&ref).(*refEvent); !x.canceled {
-				want = x
-			}
+		if ref.Len() > 0 {
+			want = heap.Pop(&ref).(*refEvent)
 		}
 		before := len(ran)
 		if e.Step() != (want != nil) {
@@ -281,119 +225,25 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 			t.Fatalf("event %d: engine ran %v at %v, reference %d at %v",
 				before, ran[before:], e.Now(), want.id, now)
 		}
-		want.canceled = true // spent: a later Cancel of it is stale
 		return true
 	}
-	for len(refs) < total {
-		switch k := r.Intn(10); {
-		case k < 6:
+	for scheduled < total {
+		if r.Intn(10) < 6 {
 			schedule(now + Time(r.Intn(50)))
-		case k < 8 && len(refs) > 0:
-			// Any handle ever issued: pending, fired, canceled or
-			// recycled under a later event.
-			i := r.Intn(len(refs))
-			e.Cancel(handles[i])
-			refs[i].canceled = true
-		default:
+		} else {
 			step()
 		}
 	}
 	for step() {
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after the drain", e.Pending())
+	if len(ran) != total {
+		t.Fatalf("%d events ran, %d were scheduled", len(ran), total)
 	}
 }
 
-func TestEngineCancelThenReschedule(t *testing.T) {
-	e := New()
-	var got []int
-	ev := e.At(10, func() { got = append(got, 1) })
-	e.Cancel(ev)
-	e.At(10, func() { got = append(got, 2) }) // replacement at the same instant
-	e.Run()
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("got %v, want only the rescheduled event", got)
-	}
-	if e.Executed() != 1 {
-		t.Fatalf("Executed() = %d, want 1", e.Executed())
-	}
-
-	// Cancel-then-reschedule from inside a handler: the handler cancels
-	// a pending event and schedules its replacement later.
-	e2 := New()
-	var fired []Time
-	pending := e2.At(20, func() { fired = append(fired, e2.Now()) })
-	e2.At(5, func() {
-		e2.Cancel(pending)
-		e2.At(30, func() { fired = append(fired, e2.Now()) })
-	})
-	e2.Run()
-	if len(fired) != 1 || fired[0] != 30 {
-		t.Fatalf("fired = %v, want [30]", fired)
-	}
-}
-
-func TestEngineRunUntilDiscardsCanceledHeads(t *testing.T) {
-	e := New()
-	ran := false
-	for _, at := range []Time{5, 6, 7} {
-		e.Cancel(e.At(at, func() { ran = true }))
-	}
-	e.At(20, func() {})
-	e.RunUntil(10)
-	if ran {
-		t.Fatal("canceled event ran")
-	}
-	if e.Executed() != 0 {
-		t.Fatalf("Executed() = %d, want 0", e.Executed())
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %v, want 10", e.Now())
-	}
-	// The canceled heads were in RunUntil's way and must have been
-	// collected; only the live event at 20 remains.
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-	e.RunUntil(25)
-	if e.Executed() != 1 || e.Pending() != 0 {
-		t.Fatalf("after RunUntil(25): executed=%d pending=%d", e.Executed(), e.Pending())
-	}
-}
-
-// TestEnginePoolNoResurrection pins the pool-safety contract: a stale
-// handle to a fired or collected event must not cancel the unrelated
-// event that recycled its record.
-func TestEnginePoolNoResurrection(t *testing.T) {
-	e := New()
-	fired := e.At(5, func() {})
-	e.Run() // fires, record recycled
-
-	ran := false
-	e.At(10, func() { ran = true }) // reuses the record behind `fired`
-	e.Cancel(fired)                 // stale: must be a no-op
-	e.Run()
-	if !ran {
-		t.Fatal("stale handle canceled a recycled event")
-	}
-
-	// Same via the canceled-and-collected path.
-	canceled := e.At(15, func() {})
-	e.Cancel(canceled)
-	e.Run() // discards and recycles the record
-	ran = false
-	e.At(20, func() { ran = true })
-	e.Cancel(canceled) // stale again
-	e.Run()
-	if !ran {
-		t.Fatal("stale canceled handle resurrected onto a recycled event")
-	}
-}
-
-// TestEngineScheduleIsAllocationFree checks the free list actually
-// eliminates steady-state allocation: once the agenda has reached its
-// high-water mark, At must reuse records instead of allocating.
+// TestEngineScheduleIsAllocationFree: once the agenda's array has
+// reached its high-water mark, scheduling and running an event
+// allocates nothing — a slot holds the callback inline.
 func TestEngineScheduleIsAllocationFree(t *testing.T) {
 	e := New()
 	var fn func()
@@ -405,7 +255,7 @@ func TestEngineScheduleIsAllocationFree(t *testing.T) {
 		}
 	}
 	e.After(1, fn)
-	e.Step() // warm the pool
+	e.Step()
 	allocs := testing.AllocsPerRun(50, func() {
 		if !e.Step() {
 			t.Fatal("agenda drained early")
@@ -416,10 +266,9 @@ func TestEngineScheduleIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestEngineChurnAllocs is the same budget on a deep agenda with the
-// cancel path in play: at a standing depth of 512, scheduling two
-// events, canceling one and running one allocates nothing — collected
-// cancellations refill the pool and the heap's array stops growing.
+// TestEngineChurnAllocs is the same budget on a deep agenda: at a
+// standing depth of 512, scheduling one event and running one allocates
+// nothing once the heap's array has stopped growing.
 func TestEngineChurnAllocs(t *testing.T) {
 	e := New()
 	fn := func() {}
@@ -428,12 +277,11 @@ func TestEngineChurnAllocs(t *testing.T) {
 	}
 	churn := func() {
 		e.After(300, fn)
-		e.Cancel(e.After(100, fn))
 		if !e.Step() {
 			t.Fatal("agenda drained early")
 		}
 	}
-	for i := 0; i < 2000; i++ { // reach the pool's and the heap's high-water marks
+	for i := 0; i < 2000; i++ { // reach the heap's high-water mark
 		churn()
 	}
 	if allocs := testing.AllocsPerRun(500, churn); allocs > 0 {

@@ -123,7 +123,8 @@ type Request struct {
 // resource selection — whose internal draw count depends on the
 // sampling algorithm — runs on a per-request substream seeded by one
 // draw from sampleSeeds, so optimizing a sampler's internals (e.g. the
-// PR-1 Floyd change) cannot shift any later draw of the scenario.
+// switch to Floyd's algorithm) cannot shift any later draw of the
+// scenario.
 //
 // The substream generator is math/rand/v2's PCG behind one *rand.Rand
 // the Generator keeps: starting a substream stores the seed into PCG's
@@ -156,23 +157,11 @@ func (s *substream) Uint64() uint64  { return s.pcg.Uint64() }
 func (s *substream) Int63() int64    { return int64(s.pcg.Uint64() >> 1) }
 
 // NewGenerator builds the stream for one site. Distinct sites get
-// distinct independent streams derived from the run seed.
+// distinct independent streams derived from the run seed; a site has
+// exactly one, since it runs one request cycle at a time (the paper's
+// hypothesis 4).
 func NewGenerator(cfg Config, site int) *Generator {
-	return NewSessionGenerator(cfg, site, 0)
-}
-
-// NewSessionGenerator builds the stream for one session of a site —
-// the multiplexed-sessions experiments run several independent request
-// cycles per site. Session 0 is stream-for-stream identical to
-// NewGenerator(cfg, site), so single-session scenarios (and their
-// pinned draws) are untouched by the serve layer; higher sessions get
-// their own independent substreams. Zone locality follows the site,
-// not the session: a site's sessions share its home zone.
-func NewSessionGenerator(cfg Config, site, session int) *Generator {
 	key := fmt.Sprintf("%d", site)
-	if session > 0 {
-		key = fmt.Sprintf("%d.s%d", site, session)
-	}
 	g := &Generator{
 		cfg:         cfg,
 		sizes:       sim.Stream(cfg.Seed, "wl/size/"+key),
