@@ -68,7 +68,7 @@ type ClusterConfig struct {
 	LoanThreshold int
 	// Latency, when positive, delays every message — useful to make
 	// protocol behaviour visible in demos and tests. In-process
-	// clusters only.
+	// clusters only; negative is an error.
 	Latency time.Duration
 
 	// Peers switches the cluster to multi-process mode: Peers[i] is the
@@ -170,6 +170,9 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	}
 	if o.haveWire && len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("mralloc: wire options apply to multi-process clusters only")
+	}
+	if cfg.Latency < 0 {
+		return nil, fmt.Errorf("mralloc: negative Latency %v", cfg.Latency)
 	}
 	lcfg := live.Config{
 		Nodes:       cfg.Nodes,

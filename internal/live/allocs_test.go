@@ -13,6 +13,7 @@ import (
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/serve"
+	"mralloc/internal/transport"
 )
 
 // sinkNode is a protocol node that does nothing: the loop-egress pin
@@ -29,34 +30,44 @@ type sinkMsg struct{}
 func (sinkMsg) Kind() string { return "Sink" }
 
 // TestLoopEgressSingleMessageAllocs pins the loop's egress for the
-// commonest flush — one message to one destination — at what the parent
-// commit cost: 0 allocations, flat and sharded (there the message went
-// down as a value through Send/SendShard; now it is a run of one out of
-// the outbox's own storage). Together with the transport-level pin this
-// guards the benchmark's allocs_per_op bound on mem_closed (~19.5
-// messages per critical section) and sharded_delay.
+// commonest flush — one message to one destination — at 0 allocations
+// on both routes, flat and sharded. On the direct route (the cluster
+// built its own fabric) the message is counted and appended to the
+// runner's local queue, which keeps its capacity from drain to drain;
+// on the fabric route (a Mem handed in) it is a run of one out of the
+// outbox's own storage. Together with the transport-level pin this
+// guards the benchmark's allocs_per_op bound on mem_closed (direct,
+// ~17.4 messages per critical section) and sharded_delay (fabric).
 func TestLoopEgressSingleMessageAllocs(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		c, err := New(Config{Nodes: 2, Resources: 4, Shards: shards}, func(n, m int) []alg.Node {
-			return []alg.Node{sinkNode{}, sinkNode{}}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m network.Message = sinkMsg{}
-		l := c.loops[shards-1][0]
-		got := -1.0
-		// On the shard's runner, mid-batch: send buffers, the flush
-		// hands the run to the fabric.
-		c.InspectShard(shards-1, 0, func(alg.Node) {
-			got = testing.AllocsPerRun(500, func() {
-				l.Send(1, m)
-				l.flushOutbox()
-			})
-		})
-		c.Close()
-		if got != 0 {
-			t.Errorf("shards=%d: %v allocs per 1-message egress, want 0 (the parent commit's)", shards, got)
+	sinks := func(n, m int) []alg.Node { return []alg.Node{sinkNode{}, sinkNode{}} }
+	for _, route := range []string{"direct", "fabric"} {
+		for _, shards := range []int{1, 2} {
+			cfg := Config{Nodes: 2, Resources: 4, Shards: shards}
+			if route == "fabric" {
+				cfg.Transport = transport.NewMem(2, 0)
+			}
+			c, err := New(cfg, sinks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m network.Message = sinkMsg{}
+			l := c.loops[shards-1][0]
+			got := -1.0
+			// On the shard's runner, mid-drain: send queues or buffers,
+			// the flush hands a buffered run to the fabric. The first
+			// pass grows the local queue the second one reuses.
+			for range 2 {
+				c.InspectShard(shards-1, 0, func(alg.Node) {
+					got = testing.AllocsPerRun(500, func() {
+						l.Send(1, m)
+						l.flushOutbox()
+					})
+				})
+			}
+			c.Close()
+			if got != 0 {
+				t.Errorf("%s, shards=%d: %v allocs per 1-message egress, want 0", route, shards, got)
+			}
 		}
 	}
 }

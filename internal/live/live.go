@@ -16,11 +16,14 @@
 //
 // Each shard has one runner: a goroutine that serializes the protocol
 // activations of every site this process hosts in that shard — per site
-// exactly the atomicity the algorithms assume. A message between two
-// co-hosted sites of a shard is an append to the runner's own mailbox,
-// with no goroutine woken; separate runners keep the shards parallel.
-// The mailbox is unbounded so that no cycle of full queues can deadlock
-// the token exchange.
+// exactly the atomicity the algorithms assume; separate runners keep
+// the shards parallel. When the cluster builds its own fabric with no
+// latency, every message is between two sites of one runner and never
+// leaves it: Send appends it to a queue the runner handles in the same
+// drain, and the fabric only counts it. Under any other fabric a
+// message between two co-hosted sites lands in the runner's own
+// mailbox, with no goroutine woken. Both queues are unbounded so that
+// no cycle of full queues can deadlock the token exchange.
 //
 // Above the protocol sits the serve layer (internal/serve): a node's
 // single request slot (hypothesis 4) is fed by an admission scheduler,
@@ -56,9 +59,11 @@ type Config struct {
 	Resources int
 	// Latency, when positive, delays every message delivery of the
 	// built-in in-process transport (FIFO per link is preserved). It
-	// cannot be combined with a custom Transport. The delay is a
-	// time.Sleep, which an idle Linux process rounds up to whole
-	// milliseconds: 200µs here is about 1.1 ms per hop (transport.Mem).
+	// cannot be combined with a custom Transport, and a negative value
+	// is an error. The delay is a time.Sleep, which an idle Linux
+	// process rounds up to whole milliseconds: 200µs here is about 1.1
+	// ms per hop (transport.Mem). At zero with no Transport a message
+	// never leaves its shard's runner (see the package comment).
 	Latency time.Duration
 	// Transport, when non-nil, carries the cluster's messages; the
 	// cluster takes ownership and closes it on Close. Nil selects the
@@ -116,9 +121,12 @@ type Config struct {
 // single-process configuration, this process's share of them in a
 // multi-process deployment.
 type Cluster struct {
-	cfg  Config
-	tr   transport.Transport
-	smap resource.ShardMap // global↔(shard, local) resource mapping; 1 shard when flat
+	cfg Config
+	tr  transport.Transport
+	// direct is tr when the cluster built it with no latency: sends then
+	// queue on the sender's runner (loop.Send) and direct only counts.
+	direct *transport.Mem
+	smap   resource.ShardMap // global↔(shard, local) resource mapping; 1 shard when flat
 	// loops[s][id] is node id's site in shard s; nil for nodes hosted
 	// elsewhere. runners[s] runs every local site of shard s. The flat
 	// configuration is exactly one shard.
@@ -155,6 +163,9 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 	if cfg.Nodes < 1 || cfg.Resources < 1 {
 		return fail("need ≥1 node and ≥1 resource, got %d/%d", cfg.Nodes, cfg.Resources)
 	}
+	if cfg.Latency < 0 {
+		return fail("negative Latency %v", cfg.Latency)
+	}
 	g := cfg.Shards
 	if g <= 0 {
 		g = 1
@@ -183,11 +194,16 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		seen[id] = true
 	}
 	tr := cfg.Transport
+	var direct *transport.Mem
 	if tr == nil {
 		if len(local) != cfg.Nodes {
 			return fail("hosting %d of %d nodes needs a transport (the in-process fabric cannot reach the rest)", len(local), cfg.Nodes)
 		}
-		tr = transport.NewMem(cfg.Nodes, cfg.Latency)
+		mem := transport.NewMem(cfg.Nodes, cfg.Latency)
+		if cfg.Latency == 0 {
+			direct = mem
+		}
+		tr = mem
 	} else {
 		if cfg.Latency > 0 {
 			return fail("Latency applies only to the built-in transport")
@@ -222,6 +238,7 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		tr:     tr,
+		direct: direct,
 		smap:   smap,
 		start:  time.Now(),
 		spare:  make([][]*Session, cfg.Nodes),
@@ -324,9 +341,10 @@ func (c *Cluster) Local(id int) bool {
 // unit (sim.Time), which the serve scheduler's deadlines and aging use.
 func (c *Cluster) now() sim.Time { return sim.Time(time.Since(c.start)) }
 
-// Stats snapshots the per-kind counters of messages sent through this
-// process's transport endpoint. In a multi-process cluster each
-// process counts its own sends; summing over processes gives the
+// Stats snapshots the per-kind message counters of this process's
+// transport endpoint: what was sent through it and, on a direct fabric,
+// what the runners delivered themselves. In a multi-process cluster
+// each process counts its own sends; summing over processes gives the
 // cluster total.
 func (c *Cluster) Stats() map[string]int64 {
 	return c.tr.Stats()
@@ -443,14 +461,16 @@ func (c *Cluster) Close() {
 // node's admission scheduler: at most one ticket is fed into the state
 // machine at a time (hypothesis 4); the rest queue under the policy.
 //
-// The loop also owns the node's egress batching: while a mailbox batch
-// is being processed, protocol sends accumulate in a per-destination
-// outbox instead of hitting the transport one call at a time, and the
-// whole run to each destination is handed over with one Send — which
-// the TCP fabric turns into one coalesced write. The outbox is
-// flushed at every point where the outside world can observe progress
-// (a waiter's done channel, a grant, the end of the batch), so no
-// message lingers while the runner parks.
+// On a cluster with a direct fabric (Cluster.direct) a protocol send is
+// an append to the runner's local queue and nothing else. Otherwise the
+// loop owns the node's egress batching: while the runner drains,
+// protocol sends accumulate in a per-destination outbox instead of
+// hitting the transport one call at a time, and the whole run to each
+// destination is handed over with one Send — which the TCP fabric
+// turns into one coalesced write. The outbox is flushed at every point
+// where the outside world can observe progress (a waiter's done
+// channel, a grant, the end of the drain), so no message lingers while
+// the runner parks.
 type loop struct {
 	c     *Cluster
 	r     *runner
@@ -461,27 +481,33 @@ type loop struct {
 	sched    *serve.Scheduler
 	inflight *ticket // admitted into the state machine; nil when idle
 
-	// Egress outbox (runner goroutine only). perDest[to] accumulates the
-	// batch's messages for node to; touched lists the destinations in
-	// first-use order. Every send passes through it, so the transport
-	// is always handed a run out of storage the loop owns — a message
-	// sent alone costs no slice of its own.
+	// Egress outbox (runner goroutine only; unused on a direct fabric).
+	// perDest[to] accumulates the drain's messages for node to; touched
+	// lists the destinations in first-use order. Every fabric send
+	// passes through it, so the transport is always handed a run out of
+	// storage the loop owns — a message sent alone costs no slice of its
+	// own.
 	perDest [][]network.Message
 	touched []network.NodeID
 }
 
 // runner is one shard's event loop: a single goroutine that applies the
 // activations of every local site of the shard, one at a time, drawn
-// from one mailbox whose items name their site. A Send that blocks (a
-// TCP peer stalled at its byte budget) holds up all of those sites.
+// from one mailbox whose items name their site and, on a direct fabric,
+// from the local queue of messages its sites sent one another. A Send
+// that blocks (a TCP peer stalled at its byte budget) holds up all of
+// those sites.
 type runner struct {
 	mb mailbox // messages and commands for the shard's local sites
-	// inBatch gates the loops' egress buffering: sends outside a batch
-	// are flushed at once. dirty lists the loops that buffered sends in
-	// the batch, flushed at its end. woke: the batch readied a waiter.
-	inBatch bool
-	woke    bool
-	dirty   []*loop
+	// local holds the messages between the shard's sites sent during
+	// this drain (direct fabric only), handled before the drain ends.
+	local []mbItem
+	// draining gates the loops' egress buffering: sends outside a drain
+	// go out at once. dirty lists the loops that buffered sends in the
+	// drain, flushed at its end. woke: the drain readied a waiter.
+	draining bool
+	woke     bool
+	dirty    []*loop
 }
 
 // mbItem is one mailbox entry, for site l. A delivered message — the hot
@@ -495,9 +521,9 @@ type mbItem struct {
 
 // mailbox is the runner's unbounded multi-producer queue, drained in
 // batches: one wakeup takes every queued item, and an item the runner
-// queues for itself (a message between two of its sites) costs no
-// wakeup at all. Unbounded, it keeps send-cycles (token exchanges) from
-// deadlocking on a full queue.
+// queues for itself (a message between two of its sites that went
+// through a fabric) costs no wakeup at all. Unbounded, it keeps
+// send-cycles (token exchanges) from deadlocking on a full queue.
 type mailbox struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond // 1-to-1 with the consumer; signaled on empty→non-empty
@@ -611,13 +637,14 @@ func (l *loop) post(v any) bool {
 	return l.r.mb.put(mbItem{l: l, cmd: v})
 }
 
-// run is the shard's event loop goroutine. It drains the mailbox a
-// batch at a time: every item that queued up while the previous batch
-// was being processed — for any local site of the shard — is handled
-// under a single wakeup, and the sends it provokes leave as
-// per-destination runs. It exits when the mailbox closes; the sessions
-// waiting on its tickets watch the cluster's closed channel themselves,
-// so no Acquire outlives it.
+// run is the shard's event loop goroutine. One drain takes a mailbox
+// batch — every item that queued up while the previous drain ran, for
+// any local site of the shard — under a single wakeup, then the local
+// queue until it is empty (a delivery may add to it), and the sends
+// that went to a fabric leave as per-destination runs. A link's
+// messages all take the same queue, so each link stays FIFO. It exits
+// when the mailbox closes; the sessions waiting on its tickets watch
+// the cluster's closed channel themselves, so no Acquire outlives it.
 func (r *runner) run() {
 	var spare []mbItem
 	for {
@@ -625,20 +652,26 @@ func (r *runner) run() {
 		if !ok {
 			return
 		}
-		r.inBatch = true
+		r.draining = true
 		for i := range batch {
 			v := batch[i]
 			batch[i] = mbItem{} // drop references as soon as handled
 			v.l.handle(v)
 		}
-		r.inBatch = false
+		for i := 0; i < len(r.local); i++ {
+			v := r.local[i]
+			r.local[i] = mbItem{}
+			v.l.handle(v)
+		}
+		r.local = r.local[:0]
+		r.draining = false
 		for _, l := range r.dirty {
 			l.flushOutbox()
 		}
 		r.dirty = r.dirty[:0]
 		spare = batch
 		if r.woke {
-			// The sessions this batch woke run before the next drain:
+			// The sessions this drain woke run before the next one:
 			// else runnext hands the P back and forth between the runner
 			// and the last-woken session, which finds its tokens still
 			// local while the others starve (TestRunnerNoMonopoly).
@@ -687,26 +720,38 @@ func (l *loop) handle(v mbItem) {
 }
 
 // wake prepares to ready a waiter: the waiter may observe state, so the
-// site's sends go first, and the runner yields after the batch.
+// site's fabric sends go first, and the runner yields after the drain.
 func (l *loop) wake() {
 	l.flushOutbox()
 	l.r.woke = true
 }
 
-// Send queues m for to in the outbox, and flushes at once unless a
-// batch is being processed.
+// Send counts m and queues it for to's site on this runner when the
+// fabric is direct — on the local queue during a drain, else in the
+// mailbox. Otherwise it queues m in the outbox, and flushes at once
+// outside a drain.
 func (l *loop) Send(to network.NodeID, m network.Message) {
+	if d := l.c.direct; d != nil {
+		d.Count(m)
+		v := mbItem{l: l.c.loops[l.shard][to], from: l.id, msg: m}
+		if l.r.draining {
+			l.r.local = append(l.r.local, v)
+		} else {
+			l.r.mb.put(v)
+		}
+		return
+	}
 	if l.perDest == nil {
 		l.perDest = make([][]network.Message, l.c.cfg.Nodes)
 	}
-	if len(l.touched) == 0 && l.r.inBatch {
+	if len(l.touched) == 0 && l.r.draining {
 		l.r.dirty = append(l.r.dirty, l)
 	}
 	if len(l.perDest[to]) == 0 {
 		l.touched = append(l.touched, to)
 	}
 	l.perDest[to] = append(l.perDest[to], m)
-	if !l.r.inBatch {
+	if !l.r.draining {
 		l.flushOutbox()
 	}
 }

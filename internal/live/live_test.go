@@ -46,6 +46,11 @@ func TestRejectsBadArguments(t *testing.T) {
 	if _, err := New(Config{Nodes: 0, Resources: 1}, core.NewFactory(core.Options{})); err == nil {
 		t.Error("empty cluster accepted")
 	}
+	// A negative Latency is an error, not a zero-latency cluster.
+	if neg, err := New(Config{Nodes: 2, Resources: 2, Latency: -time.Millisecond}, core.NewFactory(core.WithLoan())); err == nil {
+		neg.Close()
+		t.Error("negative latency accepted")
+	}
 }
 
 // TestMutualExclusionUnderRace hammers conflicting acquisitions from

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -11,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"mralloc/internal/alg"
 	"mralloc/internal/core"
 	"mralloc/internal/leakcheck"
+	"mralloc/internal/network"
+	"mralloc/internal/resource"
 	"mralloc/internal/serve"
 )
 
@@ -204,11 +208,11 @@ func TestRunnerPerShard(t *testing.T) {
 	}
 }
 
-// TestRunnerNoMonopoly: after a batch that woke a waiter the runner
+// TestRunnerNoMonopoly: after a drain that woke a waiter the runner
 // yields, so the woken sessions run before it drains again. Without the
 // yield, at one P runnext hands the P back and forth between the runner
 // and the session it woke last; that session finds its tokens still
-// local and the rest starve — messages per grant fall from about 19.5
+// local and the rest starve — messages per grant fall from about 17.4
 // to 0.1.
 func TestRunnerNoMonopoly(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -263,6 +267,101 @@ func TestRunnerNoMonopoly(t *testing.T) {
 		if g*4*n < total {
 			t.Errorf("session on node %d: %d grants, below a quarter of the mean %.1f (grants %v)", node, g, float64(total)/n, grants)
 		}
+	}
+}
+
+// relayNode passes each relayMsg on to the next site, switching kinds,
+// until its hop count runs out. It counts what it received by kind and
+// notes how many items its runner's mailbox held at each delivery.
+type relayNode struct {
+	env    alg.Env
+	got    map[string]int64
+	depths []int
+}
+
+type relayMsg struct {
+	kind string
+	hops int
+}
+
+func (m relayMsg) Kind() string { return m.kind }
+
+func (r *relayNode) Attach(env alg.Env) { r.env = env }
+func (*relayNode) Request(resource.Set) {}
+func (*relayNode) Release()             {}
+
+func (r *relayNode) Deliver(_ network.NodeID, m network.Message) {
+	r.got[m.Kind()]++
+	mb := &r.env.(*loop).r.mb
+	mb.mu.Lock()
+	r.depths = append(r.depths, len(mb.queue))
+	mb.mu.Unlock()
+	if x := m.(relayMsg); x.hops > 0 {
+		next := relayMsg{kind: "Ping", hops: x.hops - 1}
+		if x.kind == "Ping" {
+			next.kind = "Pong"
+		}
+		r.env.Send((r.env.ID()+1)%network.NodeID(r.env.N()), next)
+	}
+}
+
+// TestCoHostedChainOneDrain: on a cluster that built its own
+// zero-latency fabric, a chain of messages between co-hosted sites
+// that starts on the runner is handled within the drain that started
+// it. A probe posted to the mailbox right after the first send finds
+// every hop delivered, and the mailbox held the probe alone at each
+// delivery: no hop went through it. Stats counts exactly the messages
+// the sites received, by kind.
+func TestCoHostedChainOneDrain(t *testing.T) {
+	const n, hops = 3, 40
+	for _, shards := range []int{1, 2} {
+		var sites []*relayNode
+		c, err := New(Config{Nodes: n, Resources: 4, Shards: shards}, func(n, m int) []alg.Node {
+			nodes := make([]alg.Node, n)
+			for i := range nodes {
+				r := &relayNode{got: map[string]int64{}}
+				sites = append(sites, r)
+				nodes[i] = r
+			}
+			return nodes
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := shards - 1 // the chain runs on the last shard
+		received := func() map[string]int64 {
+			sum := map[string]int64{}
+			for _, r := range sites {
+				for k, v := range r.got {
+					sum[k] += v
+				}
+			}
+			return sum
+		}
+		var atProbe map[string]int64
+		probed := make(chan struct{})
+		c.InspectShard(s, 0, func(alg.Node) {
+			l := c.loops[s][0]
+			l.Send(1, relayMsg{kind: "Ping", hops: hops - 1})
+			l.post(cmdInspect{fn: func(alg.Node) { atProbe = received() }, done: probed})
+		})
+		<-probed
+		want := map[string]int64{"Ping": hops / 2, "Pong": hops / 2}
+		if !maps.Equal(atProbe, want) {
+			t.Errorf("shards=%d: the probe queued behind the first hop saw %v delivered, want the whole chain %v", shards, atProbe, want)
+		}
+		for i, r := range sites {
+			for _, d := range r.depths {
+				if d != 1 {
+					t.Errorf("shards=%d: site %d saw %d mailbox items at a delivery, want 1 (the probe): %v", shards, i, d, r.depths)
+					break
+				}
+			}
+		}
+		if got := c.Stats(); !maps.Equal(got, received()) {
+			t.Errorf("shards=%d: Stats %v, sites received %v", shards, got, received())
+		}
+		c.Close()
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 // send. A run of one must cost the same: the caller sends from storage
 // it owns, and queue items hold a one-message run inline (held). This
 // is the unit-level guard of the benchmark's allocs_per_op bound on
-// mem_closed and sharded_delay.
+// sharded_delay (mem_closed's messages stay on their shard runner and
+// never reach a Send).
 func TestSingleMessageSendAllocs(t *testing.T) {
 	cases := []struct {
 		name string

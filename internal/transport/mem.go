@@ -10,10 +10,13 @@ import (
 
 // Mem is the in-process transport: all N nodes live on this endpoint
 // and a Send is a direct (per-destination-serialized) handler call, so
-// messages never leave the process and never serialize. This is the
-// channel fabric internal/live always ran on, extracted behind the
-// Transport interface; its zero-latency path is the production
-// in-process lock-manager configuration.
+// messages never leave the process and never serialize. A live cluster
+// that builds its own zero-latency Mem does not send through it: every
+// message there is between two sites of one shard runner, which
+// delivers it in its own drain and only reports it to Count. The
+// zero-latency Send is the route of a Mem handed to a cluster
+// explicitly (under the Reliable and Chaos wrappers, or bare in tests);
+// latency mode is the route of every cluster that asks for a delay.
 //
 // A run is delivered as a unit: it crosses into the destination under
 // one binder-lock acquisition — and, in latency mode, under one delay —
@@ -139,6 +142,10 @@ func (t *Mem) link(l Link, slot *binderSlot) chan held {
 	}
 	return ch
 }
+
+// Count adds m to the per-kind counters Stats reports, for a message
+// the owner of this endpoint delivered without a Send.
+func (t *Mem) Count(m network.Message) { t.stats.counter(m.Kind()).Add(1) }
 
 // Stats implements Transport.
 func (t *Mem) Stats() map[string]int64 { return t.stats.snapshot() }

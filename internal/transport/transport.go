@@ -47,7 +47,7 @@
 //
 // Handlers may be invoked concurrently for different senders and must
 // not block for long — the live runtime's handlers only append to an
-// unbounded per-node mailbox, and custom transports should assume no
+// unbounded per-runner mailbox, and custom transports should assume no
 // more than that.
 package transport
 

@@ -63,6 +63,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: φ = %d outside [1, M=%d]", c.Phi, c.M)
 	case c.AlphaMin <= 0 || c.AlphaMax < c.AlphaMin:
 		return fmt.Errorf("workload: need 0 < AlphaMin ≤ AlphaMax, got [%v, %v]", c.AlphaMin, c.AlphaMax)
+	case c.Gamma < 0:
+		return fmt.Errorf("workload: γ = %v, need ≥ 0", c.Gamma)
 	case c.Rho < 0:
 		return fmt.Errorf("workload: ρ = %v, need ≥ 0", c.Rho)
 	case c.Zones < 0 || (c.Zones > 1 && (c.M%c.Zones != 0 || c.N%c.Zones != 0)):

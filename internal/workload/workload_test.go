@@ -31,6 +31,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.AlphaMin = 0 },
 		func(c *Config) { c.AlphaMax = c.AlphaMin - 1 },
 		func(c *Config) { c.Rho = -1 },
+		func(c *Config) { c.Gamma = -1 },
 	}
 	for i, mut := range bad {
 		c := base()

@@ -83,7 +83,8 @@ type SimConfig struct {
 	// CSMin/CSMax bound the critical-section duration α(x). Defaults
 	// 5 ms and 35 ms.
 	CSMin, CSMax time.Duration
-	// Latency is the one-way network latency γ. Default 600 µs.
+	// Latency is the one-way network latency γ. Default 600 µs;
+	// negative is an error.
 	Latency time.Duration
 	// Processing is the per-message service time δ at a receiving node
 	// (deliveries to one node serialize). Zero selects the calibrated

@@ -44,6 +44,14 @@ func TestSimulateUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsNegativeLatency: a negative γ is a configuration
+// error, not a simulator panic at the first message.
+func TestSimulateRejectsNegativeLatency(t *testing.T) {
+	if _, err := Simulate(SimConfig{Latency: -time.Millisecond, Duration: time.Second}); err == nil {
+		t.Fatal("negative latency accepted")
+	}
+}
+
 func TestSimulateHeadline(t *testing.T) {
 	run := func(a Algorithm) Report {
 		t.Helper()
@@ -190,6 +198,14 @@ func TestClusterMultiProcessValidation(t *testing.T) {
 		Latency: time.Millisecond,
 	}); err == nil {
 		t.Fatal("latency + multi-process accepted")
+	}
+}
+
+func TestClusterRejectsNegativeLatency(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 2, Latency: -time.Millisecond})
+	if err == nil {
+		c.Close()
+		t.Fatal("negative latency accepted")
 	}
 }
 
