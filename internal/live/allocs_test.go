@@ -29,17 +29,19 @@ type sinkMsg struct{}
 
 func (sinkMsg) Kind() string { return "Sink" }
 
-// TestLoopEgressSingleMessageAllocs pins the loop's egress for the
-// commonest flush — one message to one destination — at 0 allocations
-// on both routes, flat and sharded. On the direct route (the cluster
-// built its own fabric) the message is counted and appended to the
-// runner's local queue, which keeps its capacity from drain to drain;
-// on the fabric route (a Mem handed in) it is a run of one out of the
-// outbox's own storage. Together with the transport-level pin this
-// guards the benchmark's allocs_per_op bound on mem_closed (direct,
-// ~17.4 messages per critical section) and sharded_delay (fabric).
+// sinks builds the two do-nothing nodes of the loop-egress tests.
+func sinks(n, m int) []alg.Node { return []alg.Node{sinkNode{}, sinkNode{}} }
+
+// TestLoopEgressSingleMessageAllocs pins the loop's egress at 0
+// allocations per message on both routes, flat and sharded. On the
+// direct route (the cluster built its own fabric) the message is
+// counted and appended to the runner's local queue, which keeps its
+// capacity from drain to drain; on the fabric route (a Mem handed in)
+// it is one Send, which the Mem hands to the destination's mailbox as a
+// value. Together with the transport-level pin this guards the
+// benchmark's allocs_per_op bound on mem_closed (direct, ~17.4 messages
+// per critical section) and sharded_delay (fabric).
 func TestLoopEgressSingleMessageAllocs(t *testing.T) {
-	sinks := func(n, m int) []alg.Node { return []alg.Node{sinkNode{}, sinkNode{}} }
 	for _, route := range []string{"direct", "fabric"} {
 		for _, shards := range []int{1, 2} {
 			cfg := Config{Nodes: 2, Resources: 4, Shards: shards}
@@ -53,15 +55,11 @@ func TestLoopEgressSingleMessageAllocs(t *testing.T) {
 			var m network.Message = sinkMsg{}
 			l := c.loops[shards-1][0]
 			got := -1.0
-			// On the shard's runner, mid-drain: send queues or buffers,
-			// the flush hands a buffered run to the fabric. The first
-			// pass grows the local queue the second one reuses.
+			// On the shard's runner, mid-drain. The first pass grows the
+			// queue the second one reuses.
 			for range 2 {
 				c.InspectShard(shards-1, 0, func(alg.Node) {
-					got = testing.AllocsPerRun(500, func() {
-						l.Send(1, m)
-						l.flushOutbox()
-					})
+					got = testing.AllocsPerRun(500, func() { l.Send(1, m) })
 				})
 			}
 			c.Close()
@@ -69,6 +67,27 @@ func TestLoopEgressSingleMessageAllocs(t *testing.T) {
 				t.Errorf("%s, shards=%d: %v allocs per 1-message egress, want 0", route, shards, got)
 			}
 		}
+	}
+}
+
+// TestFabricSendLeavesMidDrain: on the fabric route a protocol send
+// reaches the transport when it is made, not at the end of the drain
+// that made it — the loop keeps no egress buffer.
+func TestFabricSendLeavesMidDrain(t *testing.T) {
+	tr := transport.NewMem(2, 0)
+	c, err := New(Config{Nodes: 2, Resources: 4, Transport: tr}, sinks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	l := c.loops[0][0]
+	var sent int64
+	c.Inspect(0, func(alg.Node) {
+		l.Send(1, sinkMsg{})
+		sent = tr.Stats()["Sink"]
+	})
+	if sent != 1 {
+		t.Fatalf("the transport had counted %d messages when the sending activation returned, want 1", sent)
 	}
 }
 

@@ -507,7 +507,7 @@ func TestRedialFreshDeltaState(t *testing.T) {
 		if killed := tr.AbortConns(); killed != 1 {
 			t.Fatalf("endpoint %d: AbortConns killed %d conns, want 1", i, killed)
 		}
-		transporttest.Send(tr, transport.Link{From: network.NodeID(i), To: network.NodeID(1 - i)},
+		tr.Send(transport.Link{From: network.NodeID(i), To: network.NodeID(1 - i)},
 			transporttest.Msg{K: transporttest.KindA, From: network.NodeID(i), Seq: 99})
 	}
 	for i, tr := range trs {

@@ -20,8 +20,9 @@
 // the shards parallel. When the cluster builds its own fabric with no
 // latency, every message is between two sites of one runner and never
 // leaves it: Send appends it to a queue the runner handles in the same
-// drain, and the fabric only counts it. Under any other fabric a
-// message between two co-hosted sites lands in the runner's own
+// drain, and the fabric only counts it. Under any other fabric Send
+// hands the message to the transport at once, one message per call; a
+// message between two co-hosted sites then lands in the runner's own
 // mailbox, with no goroutine woken. Both queues are unbounded so that
 // no cycle of full queues can deadlock the token exchange.
 //
@@ -462,15 +463,11 @@ func (c *Cluster) Close() {
 // machine at a time (hypothesis 4); the rest queue under the policy.
 //
 // On a cluster with a direct fabric (Cluster.direct) a protocol send is
-// an append to the runner's local queue and nothing else. Otherwise the
-// loop owns the node's egress batching: while the runner drains,
-// protocol sends accumulate in a per-destination outbox instead of
-// hitting the transport one call at a time, and the whole run to each
-// destination is handed over with one Send — which the TCP fabric
-// turns into one coalesced write. The outbox is flushed at every point
-// where the outside world can observe progress (a waiter's done
-// channel, a grant, the end of the drain), so no message lingers while
-// the runner parks.
+// an append to the runner's local queue and nothing else; otherwise it
+// is one transport Send, made at once. The loop keeps no egress buffer:
+// the protocol already sends one message per destination per
+// activation, and the socket fabric's coalescing writer gathers a
+// drain's sends into one write.
 type loop struct {
 	c     *Cluster
 	r     *runner
@@ -480,15 +477,6 @@ type loop struct {
 
 	sched    *serve.Scheduler
 	inflight *ticket // admitted into the state machine; nil when idle
-
-	// Egress outbox (runner goroutine only; unused on a direct fabric).
-	// perDest[to] accumulates the drain's messages for node to; touched
-	// lists the destinations in first-use order. Every fabric send
-	// passes through it, so the transport is always handed a run out of
-	// storage the loop owns — a message sent alone costs no slice of its
-	// own.
-	perDest [][]network.Message
-	touched []network.NodeID
 }
 
 // runner is one shard's event loop: a single goroutine that applies the
@@ -500,14 +488,12 @@ type loop struct {
 type runner struct {
 	mb mailbox // messages and commands for the shard's local sites
 	// local holds the messages between the shard's sites sent during
-	// this drain (direct fabric only), handled before the drain ends.
-	local []mbItem
-	// draining gates the loops' egress buffering: sends outside a drain
-	// go out at once. dirty lists the loops that buffered sends in the
-	// drain, flushed at its end. woke: the drain readied a waiter.
+	// this drain (direct fabric only), handled before the drain ends;
+	// draining routes a direct send made outside a drain to the mailbox
+	// instead. woke: the drain readied a waiter.
+	local    []mbItem
 	draining bool
 	woke     bool
-	dirty    []*loop
 }
 
 // mbItem is one mailbox entry, for site l. A delivered message — the hot
@@ -640,8 +626,7 @@ func (l *loop) post(v any) bool {
 // run is the shard's event loop goroutine. One drain takes a mailbox
 // batch — every item that queued up while the previous drain ran, for
 // any local site of the shard — under a single wakeup, then the local
-// queue until it is empty (a delivery may add to it), and the sends
-// that went to a fabric leave as per-destination runs. A link's
+// queue until it is empty (a delivery may add to it). A link's
 // messages all take the same queue, so each link stays FIFO. It exits
 // when the mailbox closes; the sessions waiting on its tickets watch
 // the cluster's closed channel themselves, so no Acquire outlives it.
@@ -665,10 +650,6 @@ func (r *runner) run() {
 		}
 		r.local = r.local[:0]
 		r.draining = false
-		for _, l := range r.dirty {
-			l.flushOutbox()
-		}
-		r.dirty = r.dirty[:0]
 		spare = batch
 		if r.woke {
 			// The sessions this drain woke run before the next one:
@@ -703,7 +684,7 @@ func (l *loop) handle(v mbItem) {
 	case cmdReap:
 		l.release(x.t)
 	case cmdInspect:
-		l.wake() // quiesce egress before the snapshot
+		l.wake()
 		x.fn(l.node)
 		close(x.done)
 	case cmdTick:
@@ -714,22 +695,18 @@ func (l *loop) handle(v mbItem) {
 		if dr, ok := l.node.(alg.Drainer); ok {
 			dr.Drain()
 		}
-		l.wake() // the waiter acts on the handoffs being sent
+		l.wake()
 		close(x.done)
 	}
 }
 
-// wake prepares to ready a waiter: the waiter may observe state, so the
-// site's fabric sends go first, and the runner yields after the drain.
-func (l *loop) wake() {
-	l.flushOutbox()
-	l.r.woke = true
-}
+// wake notes that the drain readies a waiter, so the runner yields
+// after it.
+func (l *loop) wake() { l.r.woke = true }
 
 // Send counts m and queues it for to's site on this runner when the
 // fabric is direct — on the local queue during a drain, else in the
-// mailbox. Otherwise it queues m in the outbox, and flushes at once
-// outside a drain.
+// mailbox. Otherwise it hands m to the transport.
 func (l *loop) Send(to network.NodeID, m network.Message) {
 	if d := l.c.direct; d != nil {
 		d.Count(m)
@@ -741,41 +718,7 @@ func (l *loop) Send(to network.NodeID, m network.Message) {
 		}
 		return
 	}
-	if l.perDest == nil {
-		l.perDest = make([][]network.Message, l.c.cfg.Nodes)
-	}
-	if len(l.touched) == 0 && l.r.draining {
-		l.r.dirty = append(l.r.dirty, l)
-	}
-	if len(l.perDest[to]) == 0 {
-		l.touched = append(l.touched, to)
-	}
-	l.perDest[to] = append(l.perDest[to], m)
-	if !l.r.draining {
-		l.flushOutbox()
-	}
-}
-
-// flushOutbox hands each destination's accumulated run to the
-// transport in one call. Messages to one destination keep their send
-// order (the FIFO the protocols rely on); order across destinations is
-// not a transport promise to begin with.
-func (l *loop) flushOutbox() {
-	if len(l.touched) == 0 {
-		return
-	}
-	for _, to := range l.touched {
-		msgs := l.perDest[to]
-		l.c.tr.Send(transport.Link{Shard: l.shard, From: l.id, To: to}, msgs)
-		// Reset the run but keep its capacity (the transport does not
-		// retain it); drop message references so a recycled slot cannot
-		// pin dead payloads.
-		for i := range msgs {
-			msgs[i] = nil
-		}
-		l.perDest[to] = msgs[:0]
-	}
-	l.touched = l.touched[:0]
+	l.c.tr.Send(transport.Link{Shard: l.shard, From: l.id, To: to}, m)
 }
 
 // maybeAdmit feeds the scheduler's next pick into the protocol when
@@ -839,7 +782,7 @@ func (l *loop) Granted() {
 		l.post(cmdReap{t: t})
 		return
 	}
-	l.wake() // everything the grant's activation sent goes first
+	l.wake()
 	t.granted <- struct{}{}
 }
 

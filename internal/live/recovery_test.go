@@ -215,7 +215,7 @@ func TestWedgeThenRecover(t *testing.T) {
 // Reliable → Chaos → Mem, the one stack where a sent record stays
 // reachable from the fabric after its delivery: the reliable wrapper
 // holds it for retransmission until acknowledged, and the fault injector
-// queues some runs twice. A retransmitted or duplicated envelope
+// queues some messages twice. A retransmitted or duplicated envelope
 // therefore points at a record whose receiver may already have scrubbed
 // and refilled it, and only the wrapper's dropping such envelopes on
 // their sequence number, unread, keeps that sound. Every acquire must

@@ -26,16 +26,18 @@ import (
 // reordered only across links), so a delay-only schedule may still
 // assert liveness once the fault window closes.
 type Faults struct {
-	// Drop is the probability a run (one Send — it travels as one wire
-	// envelope, so it is one fault decision) is silently discarded.
+	// Drop is the probability a message (one Send, one fault decision)
+	// is silently discarded.
 	Drop float64
-	// Dup is the probability a run is delivered twice, back to back.
-	// Per-link FIFO is kept (the duplicate follows the original
+	// Dup is the probability a message is delivered twice, back to
+	// back. Per-link FIFO is kept (the duplicate follows the original
 	// immediately); exactly-once is not.
 	Dup float64
-	// DelayMin/DelayMax bound the uniform per-run delivery delay.
-	// Delays are drawn per run but applied by one forwarder per link,
-	// so a link is never reordered with itself — delay reorders
+	// DelayMin/DelayMax bound the uniform per-message delivery delay,
+	// counted from the Send. Delays are drawn per message but applied
+	// by one forwarder per link, which delivers no message before the
+	// one sent ahead of it: a link is never reordered with itself, and
+	// its messages' delays overlap rather than add up. Delay reorders
 	// deliveries only across links (and across connections), like real
 	// queueing would.
 	DelayMin, DelayMax time.Duration
@@ -44,11 +46,12 @@ type Faults struct {
 // active reports whether the profile injects anything.
 func (f Faults) active() bool { return f.Drop > 0 || f.Dup > 0 || f.DelayMax > 0 }
 
-// ChaosStats counts injected faults.
+// ChaosStats counts injected faults, in messages (Killed in
+// connections).
 type ChaosStats struct {
-	Dropped    int64 // messages discarded (batch counted per message)
-	Duplicated int64 // extra deliveries injected
-	Delayed    int64 // deliveries held by a drawn delay
+	Dropped    int64 // messages discarded
+	Duplicated int64 // messages delivered a second time
+	Delayed    int64 // messages held by a drawn delay
 	Killed     int64 // connections forcibly closed via AbortConns
 }
 
@@ -71,7 +74,7 @@ type ChaosStats struct {
 //
 // Determinism: every fault decision is drawn from a per-link RNG seeded
 // from (seed, link) in per-link send order, so a single-threaded driver
-// replays a schedule exactly; Trace serializes the decisions for
+// replays a schedule exactly; Trace digests the decisions for
 // byte-identical comparison. Under concurrent senders the decision
 // sequence per link still depends only on that link's send order.
 type Chaos struct {
@@ -96,24 +99,26 @@ type Chaos struct {
 	wg      sync.WaitGroup
 }
 
-// chaosItem is one queued delivery: a run shipped as a unit after its
-// drawn delay.
+// chaosItem is one queued delivery: a message and, when a delay was
+// drawn, the instant it is due.
 type chaosItem struct {
-	run   held
-	delay time.Duration
+	m   network.Message
+	due time.Time
 }
 
-// chaosLink is one link's fault pipeline: a FIFO queue, a
-// forwarder goroutine, a partition flag, and the link's decision RNG
-// plus trace.
+// chaosLink is one link's fault pipeline: a FIFO queue, a forwarder
+// goroutine, a partition flag, and the link's decision RNG plus the
+// running record of its draws — a count and an FNV-1a digest, so the
+// record stays a fixed size however long the link lives.
 type chaosLink struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	queue   []chaosItem
-	severed bool
-	closed  bool
-	rng     *rand.Rand
-	trace   []byte
+	mu        sync.Mutex
+	cond      sync.Cond
+	queue     []chaosItem
+	severed   bool
+	closed    bool
+	rng       *rand.Rand
+	decisions uint64
+	digest    uint64
 }
 
 // Trace decision actions.
@@ -121,6 +126,12 @@ const (
 	chaosDeliver = 0
 	chaosDrop    = 1
 	chaosDup     = 2
+)
+
+// The 64-bit FNV-1a parameters the decision digest uses.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
 )
 
 // NewChaos wraps inner with fault injection drawn from seed. The
@@ -244,24 +255,19 @@ func (c *Chaos) Stats() map[string]int64 {
 // Err implements Transport by forwarding.
 func (c *Chaos) Err() error { return c.inner.Err() }
 
-// Send implements Transport. One run is one wire envelope, so it is one
-// fault decision: dropped whole, duplicated whole, or delivered whole
-// after one delay — mirroring what killing or delaying one socket write
-// would do to a coalesced flush.
-func (c *Chaos) Send(k Link, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
+// Send implements Transport: one message is one fault decision —
+// dropped, duplicated, or delivered after its drawn delay.
+func (c *Chaos) Send(k Link, m network.Message) {
 	if !c.armed.Load() {
-		c.inner.Send(k, msgs)
+		c.inner.Send(k, m)
 		return
 	}
-	c.dispatch(k, msgs)
+	c.dispatch(k, m)
 }
 
-// dispatch draws the link's next fault decision for one run and
-// enqueues it (once, twice, or not at all).
-func (c *Chaos) dispatch(k Link, msgs []network.Message) {
+// dispatch draws the link's next fault decision for m and enqueues it
+// (once, twice, or not at all).
+func (c *Chaos) dispatch(k Link, m network.Message) {
 	select {
 	case <-c.closed:
 		return
@@ -275,31 +281,33 @@ func (c *Chaos) dispatch(k Link, msgs []network.Message) {
 	f := c.def
 	c.mu.RUnlock()
 	l.mu.Lock()
-	action, delay := l.decide(f, len(msgs))
+	action, delay := l.decide(f)
 	if action == chaosDrop {
 		l.mu.Unlock()
-		c.nDropped.Add(int64(len(msgs)))
-		c.dropped.count(msgs)
+		c.nDropped.Add(1)
+		c.dropped.count(m)
 		return
 	}
+	it := chaosItem{m: m}
 	if delay > 0 {
 		c.nDelayed.Add(1)
+		it.due = time.Now().Add(delay)
 	}
-	it := chaosItem{run: hold(msgs), delay: delay}
 	l.queue = append(l.queue, it)
 	if action == chaosDup {
-		c.nDuplicated.Add(int64(len(msgs)))
+		c.nDuplicated.Add(1)
 		l.queue = append(l.queue, it)
 	}
 	l.cond.Signal()
 	l.mu.Unlock()
 }
 
-// decide draws one fault decision from the link's RNG and records it in
-// the trace (l.mu held). The draw sequence depends only on the fault
-// profile and the link's send order, which is what makes a seeded
-// schedule replay.
-func (l *chaosLink) decide(f Faults, count int) (action byte, delay time.Duration) {
+// decide draws one fault decision from the link's RNG and folds it into
+// the link's record (l.mu held): the action byte, then the delay in
+// nanoseconds as a uvarint, into the digest. The draw sequence depends
+// only on the fault profile and the link's send order, which is what
+// makes a seeded schedule replay.
+func (l *chaosLink) decide(f Faults) (action byte, delay time.Duration) {
 	if f.Drop > 0 && l.rng.Float64() < f.Drop {
 		action = chaosDrop
 	} else if f.Dup > 0 && l.rng.Float64() < f.Dup {
@@ -311,9 +319,14 @@ func (l *chaosLink) decide(f Faults, count int) (action byte, delay time.Duratio
 			delay += time.Duration(l.rng.Int63n(int64(span) + 1))
 		}
 	}
-	l.trace = append(l.trace, action)
-	l.trace = binary.AppendUvarint(l.trace, uint64(count))
-	l.trace = binary.AppendUvarint(l.trace, uint64(delay))
+	var rec [1 + binary.MaxVarintLen64]byte
+	rec[0] = action
+	n := 1 + binary.PutUvarint(rec[1:], uint64(delay))
+	for _, b := range rec[:n] {
+		l.digest ^= uint64(b)
+		l.digest *= fnvPrime64
+	}
+	l.decisions++
 	return action, delay
 }
 
@@ -336,7 +349,7 @@ func (c *Chaos) link(k Link) *chaosLink {
 		return nil
 	default:
 	}
-	l = &chaosLink{rng: rand.New(rand.NewSource(linkSeed(c.seed, k)))}
+	l = &chaosLink{rng: rand.New(rand.NewSource(linkSeed(c.seed, k))), digest: fnvOffset64}
 	l.cond.L = &l.mu
 	c.links[k] = l
 	c.wg.Add(1)
@@ -353,12 +366,11 @@ func linkSeed(seed int64, k Link) int64 {
 }
 
 // forward drains one link's queue in FIFO order: wait out the severed
-// flag, then the item's drawn delay, then deliver through the inner
+// flag, then the item's due instant, then deliver through the inner
 // transport. One forwarder per link is what preserves per-link FIFO
 // while faults reorder across links.
 func (c *Chaos) forward(k Link, l *chaosLink) {
 	defer c.wg.Done()
-	var it chaosItem // outside the loop: see held.msgs
 	for {
 		l.mu.Lock()
 		for (len(l.queue) == 0 || l.severed) && !l.closed {
@@ -369,11 +381,11 @@ func (c *Chaos) forward(k Link, l *chaosLink) {
 			l.mu.Unlock()
 			return
 		}
-		it = l.queue[0]
+		it := l.queue[0]
 		l.queue = l.queue[1:]
 		l.mu.Unlock()
-		if it.delay > 0 {
-			t := time.NewTimer(it.delay)
+		if wait := time.Until(it.due); wait > 0 {
+			t := time.NewTimer(wait)
 			select {
 			case <-t.C:
 			case <-c.closed:
@@ -381,18 +393,18 @@ func (c *Chaos) forward(k Link, l *chaosLink) {
 				return
 			}
 		}
-		c.inner.Send(k, it.run.msgs())
+		c.inner.Send(k, it.m)
 	}
 }
 
-// Trace serializes every link's decision log: links sorted by (shard,
-// from, to), each as from, to, byte length, then the decisions in draw
-// order (action byte, message count, delay nanoseconds). A link of
-// shard s > 0 opens with the wire's shard tag — from is never negative,
-// so the tag is unambiguous and shard-0 traces keep the bytes they had
-// before links carried a shard. Two runs with the same seed, fault
-// schedule, and per-link send order produce identical bytes — the
-// replay check the chaos tier pins.
+// Trace serializes every link's decision record: links sorted by
+// (shard, from, to), each as from, to, then the number of decisions
+// drawn and their digest, both big-endian 64-bit — a fixed size per
+// link however many messages it carried. A link of shard s > 0 opens
+// with the wire's shard tag (from is never negative, so the tag is
+// unambiguous). Two runs with the same seed, fault schedule, and
+// per-link send order produce identical bytes — the replay check the
+// chaos tier pins.
 func (c *Chaos) Trace() []byte {
 	c.mu.RLock()
 	keys := make([]Link, 0, len(c.links))
@@ -413,13 +425,13 @@ func (c *Chaos) Trace() []byte {
 	for _, k := range keys {
 		l := c.links[k]
 		l.mu.Lock()
-		tr := append([]byte(nil), l.trace...)
+		decisions, digest := l.decisions, l.digest
 		l.mu.Unlock()
 		out = wire.AppendShardTag(out, k.Shard)
 		out = binary.AppendVarint(out, int64(k.From))
 		out = binary.AppendVarint(out, int64(k.To))
-		out = binary.AppendUvarint(out, uint64(len(tr)))
-		out = append(out, tr...)
+		out = binary.BigEndian.AppendUint64(out, decisions)
+		out = binary.BigEndian.AppendUint64(out, digest)
 	}
 	c.mu.RUnlock()
 	return out

@@ -67,18 +67,17 @@ func TestChaosScheduleReplay(t *testing.T) {
 			ch.Bind(0, network.NodeID(i), func(network.NodeID, network.Message) {})
 		}
 		ch.SetFaults(f)
-		// A fixed single-threaded drive over three links, batches
-		// included: the decision sequence depends only on per-link
-		// send order, which this fixes exactly.
+		// A fixed single-threaded drive over three links: the decision
+		// sequence depends only on per-link send order, which this
+		// fixes exactly.
 		for s := int64(0); s < 200; s++ {
-			transporttest.Send(ch, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
+			ch.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
 			if s%3 == 0 {
-				transporttest.Send(ch, transport.Link{From: 1, To: 2}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: s})
+				ch.Send(transport.Link{From: 1, To: 2}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: s})
 			}
 			if s%5 == 0 {
-				transporttest.Send(ch, transport.Link{From: 2, To: 0},
-					transporttest.Msg{K: transporttest.KindA, From: 2, Seq: s},
-					transporttest.Msg{K: transporttest.KindB, From: 2, Seq: s + 1})
+				ch.Send(transport.Link{From: 2, To: 0}, transporttest.Msg{K: transporttest.KindA, From: 2, Seq: s})
+				ch.Send(transport.Link{From: 2, To: 0}, transporttest.Msg{K: transporttest.KindB, From: 2, Seq: s + 1})
 			}
 		}
 		return ch.Trace(), ch.ChaosStats()
@@ -103,6 +102,24 @@ func TestChaosScheduleReplay(t *testing.T) {
 	}
 }
 
+// TestChaosTraceBounded: a link's decision record is a fixed size, so a
+// chaotic endpoint's memory does not grow with the messages it sends.
+func TestChaosTraceBounded(t *testing.T) {
+	traceAfter := func(sends int) []byte {
+		ch := transport.NewChaos(transport.NewMem(2, 0), 1)
+		defer ch.Close()
+		ch.Bind(0, 1, func(network.NodeID, network.Message) {})
+		ch.SetFaults(transport.Faults{Drop: 0.1, Dup: 0.1})
+		for s := range sends {
+			ch.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, Seq: int64(s)})
+		}
+		return ch.Trace()
+	}
+	if short, long := traceAfter(10), traceAfter(10_000); len(short) != len(long) {
+		t.Fatalf("trace is %d bytes after 10 sends, %d after 10 000", len(short), len(long))
+	}
+}
+
 // TestChaosDirectedPartition: severing a→b queues that link's traffic
 // (FIFO) while b→a still flows; Heal delivers everything queued, in
 // order — the asymmetric failure mode a bidirectional cut cannot
@@ -117,10 +134,10 @@ func TestChaosDirectedPartition(t *testing.T) {
 
 	ch.Partition(transport.Link{From: 0, To: 1})
 	for s := int64(1); s <= 5; s++ {
-		transporttest.Send(ch, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
+		ch.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
 	}
 	// The reverse link must be untouched.
-	transporttest.Send(ch, transport.Link{From: 1, To: 0}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: 100})
+	ch.Send(transport.Link{From: 1, To: 0}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: 100})
 	select {
 	case m := <-got:
 		if m.From != 1 {

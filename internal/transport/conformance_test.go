@@ -208,13 +208,11 @@ func TestStatsConcurrentFirstMessages(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := make([]network.Message, 1)
 			<-start
 			for i := 0; i < each*kinds; i++ {
 				// Rotate from a different kind per sender, so first
 				// messages of distinct kinds collide too.
-				run[0] = transporttest.Msg{K: fmt.Sprintf("TT.k%d", (g+i)%kinds)}
-				tr.Send(transport.Link{From: 0, To: 1}, run)
+				tr.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: fmt.Sprintf("TT.k%d", (g+i)%kinds)})
 			}
 		}()
 	}

@@ -192,10 +192,13 @@ func runEgressCase(t *testing.T, name string) {
 	for round := 0; round < 2; round++ {
 		for s := 0; s < g; s++ {
 			got.Add(7)
-			transporttest.Send(a, transport.Link{Shard: s, From: 0, To: 2}, req)
-			transporttest.Send(a, transport.Link{Shard: s, From: 1, To: 3}, resp, reqEmpty, respSmall)
-			transporttest.Send(a, transport.Link{Shard: s, From: 0, To: 3}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(round)})
-			transporttest.Send(a, transport.Link{Shard: s, From: 1, To: 2}, resp, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: int64(s)})
+			a.Send(transport.Link{Shard: s, From: 0, To: 2}, req)
+			for _, m := range []network.Message{resp, reqEmpty, respSmall} {
+				a.Send(transport.Link{Shard: s, From: 1, To: 3}, m)
+			}
+			a.Send(transport.Link{Shard: s, From: 0, To: 3}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(round)})
+			a.Send(transport.Link{Shard: s, From: 1, To: 2}, resp)
+			a.Send(transport.Link{Shard: s, From: 1, To: 2}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: int64(s)})
 		}
 	}
 	done := make(chan struct{})

@@ -74,7 +74,7 @@ func TestHandshakeNegotiates(t *testing.T) {
 	a, b := listenPair(t, transport.WireOptions{Delta: true}, transport.WireOptions{Delta: true})
 	got := make(chan network.Message, 1)
 	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
-	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitDelivery(t, got)
 	peer, ok := a.Negotiated(b.Addr())
 	if !ok {
@@ -143,8 +143,8 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 			// The token twice each way: on a delta link the second transfer
 			// meets a warm shadow.
 			for i := 0; i < 2; i++ {
-				transporttest.Send(a, transport.Link{From: 0, To: 2}, resp)
-				transporttest.Send(b, transport.Link{From: 2, To: 0}, resp)
+				a.Send(transport.Link{From: 0, To: 2}, resp)
+				b.Send(transport.Link{From: 2, To: 0}, resp)
 				for _, ch := range []chan network.Message{atA, atB} {
 					if m := waitDelivery(t, ch); m.Kind() != "LASS.Response" {
 						t.Fatalf("delivered %#v", m)
@@ -206,7 +206,7 @@ func TestHandshakeNodesMismatch(t *testing.T) {
 	if err := a.Connect([]string{a.Addr(), b.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitErr(t, a, "rejected")
 	waitErr(t, b, "nodes")
 }
@@ -218,7 +218,7 @@ func TestHandshakeResourceMismatch(t *testing.T) {
 	a, b := listenPair(t, transport.WireOptions{}, transport.WireOptions{})
 	a.Configure(transport.Config{Shards: []int{8}})
 	b.Configure(transport.Config{Shards: []int{9}})
-	transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitErr(t, a, "rejected")
 	waitErr(t, b, "resources")
 }

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 				continue
 			}
 			want++
-			transporttest.Send(eps[from], transport.Link{From: network.NodeID(from), To: network.NodeID(to)},
+			eps[from].Send(transport.Link{From: network.NodeID(from), To: network.NodeID(to)},
 				transporttest.Msg{K: transporttest.KindA, From: network.NodeID(from), Seq: 1})
 		}
 	}
@@ -65,7 +66,7 @@ func TestTCPCloseMidTrafficLeaksNoGoroutines(t *testing.T) {
 			default:
 			}
 			seq++
-			transporttest.Send(eps[0], transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
+			eps[0].Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
 		}
 	}()
 	time.Sleep(20 * time.Millisecond) // let a backlog form
@@ -82,12 +83,10 @@ func TestMemLatencyCloseLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Bind(0, network.NodeID(i), func(network.NodeID, network.Message) { got <- struct{}{} })
 	}
-	msgs := []network.Message{
-		transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1},
-		transporttest.Msg{K: transporttest.KindB, From: 0, Seq: 2},
-	}
-	m.Send(transport.Link{From: 0, To: 1}, msgs) // starts the 0→1 forwarder
-	transporttest.Send(m, transport.Link{From: 0, To: 2}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	// The first send starts the 0→1 forwarder.
+	m.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	m.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindB, From: 0, Seq: 2})
+	m.Send(transport.Link{From: 0, To: 2}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	for i := 0; i < 3; i++ {
 		select {
 		case <-got:
@@ -97,6 +96,33 @@ func TestMemLatencyCloseLeaksNoGoroutines(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+	check()
+}
+
+// TestMemSendRacingCloseLeaksNothing races Sends that open fresh
+// latency links, each starting its link's forwarder, against Close: a
+// forwarder must start before Close waits for the forwarders or not at
+// all. A start after the wait began is a WaitGroup Add racing its Wait,
+// which -race reports, and a goroutine that outlives Close.
+func TestMemSendRacingCloseLeaksNothing(t *testing.T) {
+	check := leakcheck.Check(t)
+	const shards = 16
+	for range 200 {
+		m := transport.NewMem(2, time.Millisecond)
+		m.Configure(transport.Config{Shards: make([]int, shards)})
+		var wg sync.WaitGroup
+		for s := range shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m.Send(transport.Link{Shard: s, From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, Seq: 1})
+			}()
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
 	check()
 }

@@ -18,38 +18,33 @@ import (
 // explicitly (under the Reliable and Chaos wrappers, or bare in tests);
 // latency mode is the route of every cluster that asks for a delay.
 //
-// A run is delivered as a unit: it crosses into the destination under
-// one binder-lock acquisition — and, in latency mode, under one delay —
-// mirroring how the TCP fabric ships a run as one envelope.
-//
 // A positive latency delays every delivery by that amount while
 // preserving FIFO per link: each (shard, sender, destination) link gets
 // one forwarding queue drained by one goroutine, so equal per-message
 // delays cannot reorder a link, and shard traffic pipelines instead of
 // queueing behind other shards' latency.
 //
-// The delay is a time.Sleep per run, and on Linux a sleep shorter than a
-// millisecond does not last what it says: with no other goroutine to
-// run, the P parks in epoll_wait, whose timeout is whole milliseconds
-// rounded up (runtime netpoll: delay < 1e6 ns → 1 ms). Measured at
-// GOMAXPROCS 1 and 2, time.Sleep(200µs) returns after p10/p50/p90 =
-// 1075/1088/1137 µs and 1.5 ms after 2.18 ms. A sub-millisecond latency
-// therefore costs about one millisecond per hop (a second P spinning
-// on other work does not shorten it), and a link forwards one run per
-// sleep. Any timer-based replacement rounds the same way.
+// The delay is a time.Sleep per message, and on Linux a sleep shorter
+// than a millisecond does not last what it says: with no other
+// goroutine to run, the P parks in epoll_wait, whose timeout is whole
+// milliseconds rounded up (runtime netpoll: delay < 1e6 ns → 1 ms).
+// Measured at GOMAXPROCS 1 and 2, time.Sleep(200µs) returns after
+// p10/p50/p90 = 1075/1088/1137 µs and 1.5 ms after 2.18 ms. A
+// sub-millisecond latency therefore costs about one millisecond per hop
+// (a second P spinning on other work does not shorten it), and a link
+// forwards one message per sleep. Any timer-based replacement rounds
+// the same way.
 type Mem struct {
 	n       int
 	latency time.Duration
 	binder  *binder
 	stats   kindStats
 
-	closeMu sync.Mutex
-	closed  chan struct{}
-
-	// links holds each link's delay queue (latency mode only, created
-	// lazily).
-	linkMu sync.Mutex
-	links  map[Link]chan held
+	// mu guards links and the closing of closed, so a link's forwarder
+	// either starts before Close waits for the forwarders or not at all.
+	mu     sync.Mutex
+	closed chan struct{}
+	links  map[Link]chan network.Message // each link's delay queue (latency mode only, created lazily)
 	wg     sync.WaitGroup
 }
 
@@ -85,13 +80,10 @@ func (t *Mem) Bind(shard int, id network.NodeID, h Handler) {
 	t.binder.mustSlot(shard, id).bind(h)
 }
 
-// Send implements Transport: the run is delivered under one binder-lock
-// acquisition (zero latency) or one delay (latency mode — it travels as
-// a unit, like one envelope on a wire).
-func (t *Mem) Send(l Link, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
+// Send implements Transport: m is delivered under the destination's
+// binder lock (zero latency) or after one delay on the link's
+// forwarder (latency mode).
+func (t *Mem) Send(l Link, m network.Message) {
 	checkDest(t.n, l.To)
 	slot := t.binder.mustSlot(l.Shard, l.To)
 	select {
@@ -99,53 +91,61 @@ func (t *Mem) Send(l Link, msgs []network.Message) {
 		return
 	default:
 	}
-	t.stats.count(msgs)
+	t.stats.count(m)
 	if t.latency <= 0 {
-		slot.deliver(l.From, msgs)
+		slot.deliver(l.From, m)
 		return
 	}
+	ch := t.link(l, slot)
+	if ch == nil {
+		return // closed since the check above
+	}
 	select {
-	case t.link(l, slot) <- hold(msgs):
+	case ch <- m:
 	case <-t.closed:
 		// Closed mid-send: the link's forwarder may be gone; drop.
 	}
 }
 
 // link returns the delay queue of one link, starting its forwarding
-// goroutine on first use.
-func (t *Mem) link(l Link, slot *binderSlot) chan held {
-	t.linkMu.Lock()
-	defer t.linkMu.Unlock()
+// goroutine on first use, or nil once the transport is closed.
+func (t *Mem) link(l Link, slot *binderSlot) chan network.Message {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ch, ok := t.links[l]; ok {
+		return ch
+	}
+	select {
+	case <-t.closed:
+		return nil
+	default:
+	}
 	if t.links == nil {
-		t.links = make(map[Link]chan held)
+		t.links = make(map[Link]chan network.Message)
 	}
-	ch, ok := t.links[l]
-	if !ok {
-		// 1024 runs of slack before a sender feels the link's delay as
-		// backpressure; the queue stays bounded like a socket buffer.
-		ch = make(chan held, 1024)
-		t.links[l] = ch
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			var run held // outside the loop: see held.msgs
-			for {
-				select {
-				case run = <-ch:
-					time.Sleep(t.latency)
-					slot.deliver(l.From, run.msgs())
-				case <-t.closed:
-					return
-				}
+	// 1024 messages of slack before a sender feels the link's delay as
+	// backpressure; the queue stays bounded like a socket buffer.
+	ch := make(chan network.Message, 1024)
+	t.links[l] = ch
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		for {
+			select {
+			case m := <-ch:
+				time.Sleep(t.latency)
+				slot.deliver(l.From, m)
+			case <-t.closed:
+				return
 			}
-		}()
-	}
+		}
+	}()
 	return ch
 }
 
 // Count adds m to the per-kind counters Stats reports, for a message
 // the owner of this endpoint delivered without a Send.
-func (t *Mem) Count(m network.Message) { t.stats.counter(m.Kind()).Add(1) }
+func (t *Mem) Count(m network.Message) { t.stats.count(m) }
 
 // Stats implements Transport.
 func (t *Mem) Stats() map[string]int64 { return t.stats.snapshot() }
@@ -158,15 +158,15 @@ func (t *Mem) Err() error { return nil }
 
 // Close implements Transport.
 func (t *Mem) Close() error {
-	t.closeMu.Lock()
+	t.mu.Lock()
 	select {
 	case <-t.closed:
-		t.closeMu.Unlock()
+		t.mu.Unlock()
 		return nil
 	default:
 	}
 	close(t.closed)
-	t.closeMu.Unlock()
+	t.mu.Unlock()
 	t.wg.Wait()
 	return nil
 }

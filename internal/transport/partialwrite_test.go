@@ -128,7 +128,7 @@ func TestTCPDeliveryOverLoopback(t *testing.T) {
 	})
 	const msgs = 2000
 	for s := int64(1); s <= msgs; s++ {
-		transporttest.Send(eps[0], transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
+		eps[0].Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
 	}
 	for s := int64(1); s <= msgs; s++ {
 		select {

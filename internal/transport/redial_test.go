@@ -45,7 +45,7 @@ func TestDialObservesClose(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		transporttest.Send(tr, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+		tr.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	}()
 	select {
 	case <-done:
@@ -93,7 +93,7 @@ func TestDialRetryObservesClose(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		transporttest.Send(tr, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+		tr.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	}()
 	time.Sleep(150 * time.Millisecond) // let it enter the retry loop
 	tr.Close()
@@ -132,7 +132,7 @@ func TestAbortConnsRedial(t *testing.T) {
 	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
 
 	send := func(seq int64) {
-		transporttest.Send(a, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
+		a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
 	}
 	expect := func(seq int64) {
 		t.Helper()

@@ -122,8 +122,8 @@ type relSend struct {
 	mu      sync.Mutex
 	nextSeq uint64 // next sequence number to assign (first frame is 1)
 	// unacked holds the outstanding relData envelopes, oldest first,
-	// already boxed: a fresh run and a retransmission both hand the
-	// inner fabric a slice of it as it stands.
+	// already boxed: a fresh send and a retransmission both hand the
+	// inner fabric an envelope as it stands.
 	unacked []network.Message
 	// attempt counts consecutive retransmission rounds without ack
 	// progress; deadline is when the next round fires.
@@ -263,30 +263,26 @@ func (r *Reliable) recvLink(k Link) *relRecv {
 	return l
 }
 
-// Send wraps each message of the run in a sequenced envelope and
-// transmits the envelopes as one run, retaining them for retransmission
-// until acknowledged.
-func (r *Reliable) Send(k Link, msgs []network.Message) {
-	if len(msgs) == 0 || r.isClosed() {
+// Send wraps m in a sequenced envelope and transmits it, retaining the
+// envelope for retransmission until acknowledged.
+func (r *Reliable) Send(k Link, m network.Message) {
+	if r.isClosed() {
 		return
 	}
 	l := r.sendLink(k)
 	// The link lock is held across the inner send so envelope sequence
 	// numbers hit the wire in order on a healthy link (go-back-N
-	// tolerates reordering, but not wasting it on the common case) —
-	// and so the tail of unacked handed down cannot move under it.
+	// tolerates reordering, but not wasting it on the common case).
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	first := len(l.unacked)
-	for _, m := range msgs {
-		l.unacked = append(l.unacked, relData{Seq: l.nextSeq, M: m})
-		l.nextSeq++
-	}
-	r.stats.count(msgs)
+	var env network.Message = relData{Seq: l.nextSeq, M: m}
+	l.nextSeq++
+	l.unacked = append(l.unacked, env)
+	r.stats.count(m)
 	if l.deadline.IsZero() {
 		l.deadline = time.Now().Add(r.jitter(l.attempt))
 	}
-	r.inner.Send(k, l.unacked[first:])
+	r.inner.Send(k, env)
 }
 
 // onRecv unwraps an inner delivery on link k (k.To is hosted here).
@@ -302,7 +298,7 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 			l.mu.Unlock()
 			// Deliver while no link lock is held: the caller's handler
 			// may send (live's does not, but the contract allows it).
-			r.deliver(k, env.M)
+			r.bind.slot(k.Shard, k.To).deliver(k.From, env.M)
 			r.kickAcker()
 			return
 		case env.Seq < l.expected:
@@ -355,14 +351,8 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 	default:
 		// A frame from an unwrapped peer (misconfiguration): deliver it
 		// rather than wedge — safety degrades to the inner fabric's.
-		r.deliver(k, m)
+		r.bind.slot(k.Shard, k.To).deliver(k.From, m)
 	}
-}
-
-// deliver hands one unwrapped message to the caller's handler.
-func (r *Reliable) deliver(k Link, m network.Message) {
-	one := [1]network.Message{m}
-	r.bind.slot(k.Shard, k.To).deliver(k.From, one[:])
 }
 
 // reverse is the link acks for k's data travel on.
@@ -402,8 +392,7 @@ func (r *Reliable) acker() {
 			}
 			// The ack travels the reverse direction: receiver back to
 			// the data's sender.
-			ack := [1]network.Message{relAck{Cum: cum}}
-			r.inner.Send(k.reverse(), ack[:])
+			r.inner.Send(k.reverse(), relAck{Cum: cum})
 			r.addRel(func(s *RelStats) { s.AcksSent++ })
 		}
 	}
@@ -437,15 +426,17 @@ func (r *Reliable) retransmitter() {
 			}
 			l.attempt++
 			l.deadline = now.Add(r.jitter(l.attempt))
-			// Hold the link lock across the re-send so a concurrent
+			// Hold the link lock across the re-sends so a concurrent
 			// fresh Send cannot interleave a higher sequence number
-			// into the middle of the retransmitted run.
+			// into the middle of the retransmitted window.
 			if r.isClosed() {
 				l.mu.Unlock()
 				return
 			}
 			resent := len(l.unacked)
-			r.inner.Send(k, l.unacked)
+			for _, env := range l.unacked {
+				r.inner.Send(k, env)
+			}
 			l.mu.Unlock()
 			r.addRel(func(s *RelStats) { s.Retransmits += int64(resent) })
 		}

@@ -73,7 +73,7 @@ func TestReliableDupExactlyOnce(t *testing.T) {
 	})
 	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	for i := 1; i <= msgs; i++ {
-		transporttest.Send(r, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
+		r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 	}
 	for i := 1; i <= msgs; i++ {
 		select {
@@ -112,7 +112,7 @@ func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
 	})
 	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	for i := 1; i <= 3; i++ {
-		transporttest.Send(r, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
+		r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 	}
 	select {
 	case m := <-got:
@@ -146,7 +146,7 @@ func TestReliableCloseLeaksNothing(t *testing.T) {
 	r.SetRetransmit(time.Millisecond, 5*time.Millisecond)
 	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	r.Bind(0, 1, func(network.NodeID, network.Message) {})
-	transporttest.Send(r, transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	time.Sleep(10 * time.Millisecond) // let at least one retransmission fire
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func (*keptRecord) Kind() string { return "Test.Kept" }
 // TestHazardDeliveredRecordNeverReadAgain pins what makes "the receiver
 // keeps the record" sound under retransmission and duplication. The
 // wrapper holds every sent message in its retransmit buffer until it is
-// acknowledged and the fault injector may queue a run twice — so on an
+// acknowledged and the fault injector may queue a message twice — so on an
 // in-process fabric an envelope can still point at a record its receiver
 // has already taken over. The stack must drop such an envelope on its
 // sequence number alone: the handler below scribbles on every record the
@@ -196,7 +196,7 @@ func TestHazardDeliveredRecordNeverReadAgain(t *testing.T) {
 	})
 	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	for i := 1; i <= msgs; i++ {
-		transporttest.Send(r, transport.Link{From: 0, To: 1}, &keptRecord{seq: i})
+		r.Send(transport.Link{From: 0, To: 1}, &keptRecord{seq: i})
 	}
 	select {
 	case <-done:

@@ -91,7 +91,7 @@ func TestTCPShardedSetValidation(t *testing.T) {
 		sink := &shardSink{}
 		b.Bind(shard, 1, sink.handler())
 		rs := resource.FromIDs(sz, 0, resource.ID(sz-1))
-		transporttest.Send(a, transport.Link{Shard: shard, From: 0, To: 1}, setMsg{RS: rs})
+		a.Send(transport.Link{Shard: shard, From: 0, To: 1}, setMsg{RS: rs})
 		got := sink.wait(t, 1)
 		if got[0].(setMsg).RS.String() != rs.String() {
 			t.Fatalf("shard %d: set %v, want %v", shard, got[0].(setMsg).RS, rs)
@@ -116,7 +116,7 @@ func TestTCPShardCountMismatch(t *testing.T) {
 		if flatDials {
 			dialer, acceptor, link = b, a, transport.Link{From: 1, To: 0}
 		}
-		transporttest.Send(dialer, link, transporttest.Msg{K: transporttest.KindA, From: link.From, Seq: 1})
+		dialer.Send(link, transporttest.Msg{K: transporttest.KindA, From: link.From, Seq: 1})
 		waitErr(t, dialer, "rejected")
 		waitErr(t, acceptor, "shards")
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"mralloc/internal/network"
 	"mralloc/internal/wire"
 )
 
@@ -55,7 +54,7 @@ func TestStalledPeerBlocksSendAtBudget(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	link := Link{From: 0, To: 1}
-	a.Send(link, []network.Message{relAck{}}) // dials
+	a.Send(link, relAck{}) // dials
 	oc := a.conn(ln.Addr().String())
 	if oc == nil {
 		t.Fatal(a.Err())
@@ -72,17 +71,13 @@ func TestStalledPeerBlocksSendAtBudget(t *testing.T) {
 	for s := 0; s < senders; s++ {
 		go func() {
 			defer func() { released <- struct{}{} }()
-			run := make([]network.Message, 64)
-			for i := range run {
-				run[i] = relAck{Cum: uint64(i)}
-			}
-			for {
+			for i := uint64(0); ; i++ {
 				select {
 				case <-a.closed:
 					return
 				default:
 				}
-				a.Send(link, run)
+				a.Send(link, relAck{Cum: i})
 				sent.Add(1)
 			}
 		}()

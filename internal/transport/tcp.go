@@ -255,16 +255,12 @@ func deltaOn(mine, peer wire.Hello) bool {
 	return mine.Features&peer.Features&wire.FeatDelta != 0
 }
 
-// Send implements Transport: the run is encoded into the connection's
-// coalescing writer in one pass (no syscall until the flusher wakes),
-// or delivered to a local node under one binder lock. Shard-0 frames
-// are byte for byte the flat single-universe encoding; shards above
-// ride a shard tag ahead of the unchanged frame header
-// (wire.AppendShardTag).
-func (t *TCP) Send(l Link, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
+// Send implements Transport: m is encoded into the connection's
+// coalescing writer (no syscall until the flusher wakes), or delivered
+// to a local node under its binder lock. Shard-0 frames are byte for
+// byte the flat single-universe encoding; shards above ride a shard tag
+// ahead of the unchanged frame header (wire.AppendShardTag).
+func (t *TCP) Send(l Link, m network.Message) {
 	checkDest(t.n, l.To)
 	slot := t.binder.mustSlot(l.Shard, l.To)
 	select {
@@ -272,34 +268,31 @@ func (t *TCP) Send(l Link, msgs []network.Message) {
 		return
 	default:
 	}
-	t.stats.count(msgs)
+	t.stats.count(m)
 	if t.local[l.To] {
-		slot.deliver(l.From, msgs)
+		slot.deliver(l.From, m)
 		return
 	}
 	oc := t.connFor(l.To)
 	if oc == nil {
 		return // closed or unreachable; error recorded
 	}
-	strm := oc.strms[l.Shard]
-	for _, m := range msgs {
-		// Owned-frame egress: each frame is encoded once, into a pooled
-		// buffer the coalescing writer writes from directly and releases
-		// after the flush — no copy between encode and syscall.
-		buf := wire.GetFrame(256)[:wire.FrameDataOff]
-		buf = wire.AppendShardTag(buf, l.Shard)
-		buf = binary.AppendVarint(buf, int64(l.From))
-		buf = binary.AppendVarint(buf, int64(l.To))
-		frame, err := wire.AppendStream(buf, m, strm)
-		if err != nil {
-			wire.ReleaseFrame(frame)
-			t.fail(err)
-			return
-		}
-		if !oc.co.AppendOwned(frame, wire.FinishFrame(frame)) {
-			return // connection broke mid-run; error recorded by onErr
-		}
+	// Owned-frame egress: the frame is encoded once, into a pooled
+	// buffer the coalescing writer writes from directly and releases
+	// after the flush — no copy between encode and syscall.
+	buf := wire.GetFrame(256)[:wire.FrameDataOff]
+	buf = wire.AppendShardTag(buf, l.Shard)
+	buf = binary.AppendVarint(buf, int64(l.From))
+	buf = binary.AppendVarint(buf, int64(l.To))
+	frame, err := wire.AppendStream(buf, m, oc.strms[l.Shard])
+	if err != nil {
+		wire.ReleaseFrame(frame)
+		t.fail(err)
+		return
 	}
+	// A false return is a broken connection, its error recorded by
+	// writeFailed.
+	oc.co.AppendOwned(frame, wire.FinishFrame(frame))
 }
 
 // connFor resolves the outbound connection for a destination node.
@@ -588,7 +581,6 @@ func (t *TCP) serve(c net.Conn) {
 	// peer may connect before Configure has announced the layout.
 	delta := deltaOn(mine, peer)
 	var strms []*wire.Stream
-	var one [1]network.Message // each decoded frame, as a run of one
 	for {
 		frame, err := fr.Next()
 		if err != nil {
@@ -630,8 +622,7 @@ func (t *TCP) serve(c net.Conn) {
 			t.connErr(c, err)
 			return
 		}
-		one[0] = m
-		t.binder.slot(shard, to).deliver(from, one[:])
+		t.binder.slot(shard, to).deliver(from, m)
 	}
 }
 

@@ -3,15 +3,18 @@
 // alg.Node state machines run over in-process channels or real sockets
 // without change.
 //
-// There is one way to send: Send(Link{Shard, From, To}, msgs) hands the
-// fabric a run of one or more messages for one link. A link is an
-// ordered node pair inside one resource shard; a flat cluster is the
-// one-shard instance, and shard 0 is an ordinary value. Every fabric
-// and every wrapper implements exactly that method, and every
-// guarantee below holds per link — which is why the wrappers compose in
-// any order at any shard count: their sequence spaces, fault decisions
-// and FIFO queues are keyed by the whole Link, so nothing about shards
-// is special-cased anywhere.
+// There is one way to send: Send(Link{Shard, From, To}, m) hands the
+// fabric one message for one link. A link is an ordered node pair
+// inside one resource shard; a flat cluster is the one-shard instance,
+// and shard 0 is an ordinary value. Every fabric and every wrapper
+// implements exactly that method, and every guarantee below holds per
+// link — which is why the wrappers compose in any order at any shard
+// count: their sequence spaces, fault decisions and FIFO queues are
+// keyed by the whole Link, so nothing about shards is special-cased
+// anywhere. Batching is not the caller's business: the protocol
+// already merges what one activation sends to one destination into one
+// message, and the socket fabric's coalescing writer (wire.Coalescer)
+// gathers whatever Sends queued up since its last write into one.
 //
 // A Transport connects the N nodes of one cluster. Implementations
 // must provide the guarantees the algorithms assume (the paper's
@@ -20,9 +23,9 @@
 //
 //   - reliability: while the transport is open, every sent message is
 //     eventually delivered to the destination's handler;
-//   - FIFO per link: messages of one link are delivered in send order,
-//     across run boundaries (no ordering is promised across links —
-//     which is exactly what lets shards proceed in parallel);
+//   - FIFO per link: messages of one link are delivered in send order
+//     (no ordering is promised across links — which is exactly what
+//     lets shards proceed in parallel);
 //   - no duplication: each sent message is delivered exactly once;
 //   - per-kind accounting: Stats counts every sent message under its
 //     Kind, the synchronization cost the evaluation measures;
@@ -32,9 +35,9 @@
 // A sent message belongs to its receiver (alg.Env.Send): the in-process
 // paths deliver it by reference and the receiving node may scrub and
 // refill it as soon as its handler has run. Everything here that holds
-// a message past the Send that brought it — a delay queue's held run,
-// the binder's backlog of an unbound slot, a fault pipeline's item, the
-// reliable wrapper's retransmit buffer — therefore holds it unread: an
+// a message past the Send that brought it — a delay queue, the binder's
+// backlog of an unbound slot, a fault pipeline's item, the reliable
+// wrapper's retransmit buffer — therefore holds it unread: an
 // in-process path reads a message (its Kind, for the counters) only on
 // the way to its first delivery, and an envelope that may point at a
 // delivered message (a duplicate, a retransmission) is discarded on its
@@ -108,13 +111,10 @@ type Transport interface {
 	// one shard. Messages arriving before their Bind are buffered and
 	// delivered, in order, when the handler is installed.
 	Bind(shard int, id network.NodeID, h Handler)
-	// Send transmits the run msgs (one or more messages, in order) on
-	// link l, whose From is locally hosted. The fabric does not retain
-	// msgs after the call returns — callers send from storage they own
-	// and recycle it. Send may block briefly (backpressure) but must
-	// not block indefinitely while the transport is open; after Close
-	// it is a no-op.
-	Send(l Link, msgs []network.Message)
+	// Send transmits m on link l, whose From is locally hosted. Send
+	// may block briefly (backpressure) but must not block indefinitely
+	// while the transport is open; after Close it is a no-op.
+	Send(l Link, m network.Message)
 	// Stats snapshots the per-kind counters of messages sent through
 	// this endpoint.
 	Stats() map[string]int64
@@ -154,11 +154,7 @@ type kindCount struct {
 	n    *atomic.Int64
 }
 
-func (s *kindStats) count(msgs []network.Message) {
-	for _, m := range msgs {
-		s.counter(m.Kind()).Add(1)
-	}
-}
+func (s *kindStats) count(m network.Message) { s.counter(m.Kind()).Add(1) }
 
 func (s *kindStats) counter(kind string) *atomic.Int64 {
 	if n := s.find(kind); n != nil {
@@ -198,33 +194,6 @@ func (s *kindStats) snapshot() map[string]int64 {
 		out[k.kind] = k.n.Load()
 	}
 	return out
-}
-
-// held is a run a fabric keeps past the Send that brought it (a delay
-// queue, a fault pipeline). The caller recycles its slice, so the run
-// is copied — except that a single message, by far the common run,
-// lives inline and costs no allocation to queue.
-type held struct {
-	one  [1]network.Message
-	more []network.Message // the whole run when longer than one
-}
-
-func hold(msgs []network.Message) held {
-	if len(msgs) == 1 {
-		return held{one: [1]network.Message{msgs[0]}}
-	}
-	return held{more: append([]network.Message(nil), msgs...)}
-}
-
-// msgs returns the run. It aliases h, so h must outlive the slice:
-// forwarders keep the item they are delivering in a variable declared
-// outside their loop, which costs one allocation per goroutine instead
-// of one per item.
-func (h *held) msgs() []network.Message {
-	if h.more != nil {
-		return h.more
-	}
-	return h.one[:]
 }
 
 // binder maps the locally hosted (shard, node) slots to their handlers
@@ -305,22 +274,18 @@ func (s *binderSlot) bind(h Handler) {
 	s.pending = nil
 }
 
-// deliver hands a run from one sender to the slot's handler, or buffers
-// it until Bind. The slot lock is held across the handler calls — once
-// for the whole run — so that a concurrent bind cannot reorder a
-// buffered prefix after a direct delivery.
-func (s *binderSlot) deliver(from network.NodeID, msgs []network.Message) {
+// deliver hands one message to the slot's handler, or buffers it until
+// Bind. The slot lock is held across the handler call, so that a
+// concurrent bind cannot reorder a buffered prefix after a direct
+// delivery.
+func (s *binderSlot) deliver(from network.NodeID, m network.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.h == nil {
-		for _, m := range msgs {
-			s.pending = append(s.pending, pendingMsg{from, m})
-		}
+		s.pending = append(s.pending, pendingMsg{from, m})
 		return
 	}
-	for _, m := range msgs {
-		s.h(from, m)
-	}
+	s.h(from, m)
 }
 
 // checkDest panics on a destination outside the cluster — a wiring bug

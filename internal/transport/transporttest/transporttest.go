@@ -4,7 +4,7 @@
 // guarantees the algorithms assume — reliable delivery, FIFO per link
 // (ordered node pair within one shard), no duplication, accurate
 // per-kind statistics, and clean close semantics — at one shard (the
-// flat cluster) and at three, over runs of one message and of several.
+// flat cluster) and at three.
 //
 // The suite drives the transport through the same endpoint topology a
 // cluster would: a Factory returns one endpoint per node (an
@@ -17,6 +17,7 @@ package transporttest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -68,12 +69,6 @@ func init() {
 // endpoint itself.
 type Factory func(t *testing.T, n int, sizes []int) []transport.Transport
 
-// Send transmits msgs as one run on link l of tr — the suite's and the
-// transport tests' shorthand for building the run slice.
-func Send(tr transport.Transport, l transport.Link, msgs ...network.Message) {
-	tr.Send(l, msgs)
-}
-
 // Layouts are the shard layouts the suite runs under: the flat cluster
 // (one shard — the one-shard instance of the same contract) and a
 // three-shard one.
@@ -87,7 +82,7 @@ func TestTransport(t *testing.T, factory Factory) {
 		g := len(sizes)
 		t.Run(fmt.Sprintf("G=%d", g), func(t *testing.T) {
 			t.Run("FIFONoLossNoDup", func(t *testing.T) { testFIFO(t, mk, g) })
-			t.Run("BatchFIFOAcrossBoundaries", func(t *testing.T) { testBatchFIFO(t, mk, g) })
+			t.Run("BatchFIFOAcrossBoundaries", func(t *testing.T) { testBurstFIFO(t, mk, g) })
 			t.Run("PerKindStats", func(t *testing.T) { testStats(t, mk, g) })
 			t.Run("BindBuffersEarlyTraffic", func(t *testing.T) { testLateBind(t, mk, g) })
 			t.Run("CleanClose", func(t *testing.T) { testClose(t, mk, g) })
@@ -207,8 +202,8 @@ func (r *recorder) waitFor(want int, d time.Duration) {
 }
 
 // testFIFO hammers every link concurrently: one sender goroutine per
-// (shard, ordered pair), interleaved kinds, runs of one message,
-// sequence numbers checked at the receiver.
+// (shard, ordered pair), interleaved kinds, sequence numbers checked
+// at the receiver.
 func testFIFO(t *testing.T, factory build, g int) {
 	const n, msgs = 4, 200
 	eps := factory(t, n)
@@ -231,7 +226,7 @@ func testFIFO(t *testing.T, factory build, g int) {
 						if s%3 == 0 {
 							k = KindB
 						}
-						Send(eps[l.From], l, Msg{K: k, From: l.From, Seq: seqBase(l.Shard) + s})
+						eps[l.From].Send(l, Msg{K: k, From: l.From, Seq: seqBase(l.Shard) + s})
 					}
 				}()
 			}
@@ -241,11 +236,13 @@ func testFIFO(t *testing.T, factory build, g int) {
 	rec.waitFor(g*n*(n-1)*msgs, 10*time.Second)
 }
 
-// testBatchFIFO interleaves runs of one message with runs of varying
-// sizes on every link: sequence numbers must still arrive gapless and
-// in order — run boundaries (and however the transport coalesces them
-// on the wire) must be invisible to delivery order.
-func testBatchFIFO(t *testing.T, factory build, g int) {
+// testBurstFIFO sends bursts of varying length on every link, with a
+// yield between bursts: sequence numbers must still arrive gapless and
+// in order. A fabric that batches on its own (a coalescing writer's
+// gather, a forwarder's queue) sees its batches start and end at
+// varying points, and those boundaries must be invisible to delivery
+// order.
+func testBurstFIFO(t *testing.T, factory build, g int) {
 	const n, rounds = 3, 60
 	eps := factory(t, n)
 	defer closeAll(t, eps)
@@ -260,7 +257,8 @@ func testBatchFIFO(t *testing.T, factory build, g int) {
 					continue
 				}
 				l := transport.Link{Shard: shard, From: network.NodeID(from), To: network.NodeID(to)}
-				// Per link: rounds of [run of 1, run of (r%5)+2, run of 1].
+				// Per link: rounds of [1, (r%5)+2, 1] messages, each
+				// burst followed by a yield.
 				for r := 0; r < rounds; r++ {
 					total += 1 + (r%5 + 2) + 1
 				}
@@ -268,26 +266,23 @@ func testBatchFIFO(t *testing.T, factory build, g int) {
 				go func() {
 					defer wg.Done()
 					seq := seqBase(l.Shard)
-					next := func(k string) Msg {
+					send := func(k string) {
 						seq++
-						return Msg{K: k, From: l.From, Seq: seq}
+						eps[l.From].Send(l, Msg{K: k, From: l.From, Seq: seq})
 					}
-					// The run slice is recycled across sends, as the live
-					// loop recycles its outbox: a fabric that retained it
-					// would deliver overwritten messages.
-					run := make([]network.Message, 0, 8)
 					for r := 0; r < rounds; r++ {
-						eps[l.From].Send(l, append(run[:0], next(KindA)))
-						run = run[:0]
+						send(KindA)
+						runtime.Gosched()
 						for i := 0; i < r%5+2; i++ {
 							k := KindA
 							if i%2 == 1 {
 								k = KindB
 							}
-							run = append(run, next(k))
+							send(k)
 						}
-						eps[l.From].Send(l, run)
-						eps[l.From].Send(l, append(run[:0], next(KindB)))
+						runtime.Gosched()
+						send(KindB)
+						runtime.Gosched()
 					}
 				}()
 			}
@@ -313,7 +308,7 @@ func testStats(t *testing.T, factory build, g int) {
 	send := func(shard, from, to int, k string) {
 		l := transport.Link{Shard: shard, From: network.NodeID(from), To: network.NodeID(to)}
 		seq[l]++
-		Send(eps[from], l, Msg{K: k, From: l.From, Seq: seqBase(shard) + seq[l]})
+		eps[from].Send(l, Msg{K: k, From: l.From, Seq: seqBase(shard) + seq[l]})
 		if k == KindA {
 			wantA++
 		} else {
@@ -361,7 +356,7 @@ func testLateBind(t *testing.T, factory build, g int) {
 		for shard := 0; shard < g; shard++ {
 			l := transport.Link{Shard: shard, From: 0, To: 1}
 			for s := lo; s <= hi; s++ {
-				Send(eps[0], l, Msg{K: KindA, From: 0, Seq: seqBase(shard) + s})
+				eps[0].Send(l, Msg{K: KindA, From: 0, Seq: seqBase(shard) + s})
 			}
 		}
 	}
@@ -387,13 +382,13 @@ func testClose(t *testing.T, factory build, g int) {
 	rec := newRecorder(t, n, g)
 	rec.bindAll(eps)
 	for shard := 0; shard < g; shard++ {
-		Send(eps[0], transport.Link{Shard: shard, From: 0, To: 1}, Msg{K: KindA, From: 0, Seq: seqBase(shard) + 1})
+		eps[0].Send(transport.Link{Shard: shard, From: 0, To: 1}, Msg{K: KindA, From: 0, Seq: seqBase(shard) + 1})
 	}
 	rec.waitFor(g, 10*time.Second)
 	closeAll(t, eps)
 	closeAll(t, eps) // idempotent
 	for shard := 0; shard < g; shard++ {
-		Send(eps[0], transport.Link{Shard: shard, From: 0, To: 1}, Msg{K: KindA, From: 0, Seq: seqBase(shard) + 2})
+		eps[0].Send(transport.Link{Shard: shard, From: 0, To: 1}, Msg{K: KindA, From: 0, Seq: seqBase(shard) + 2})
 	}
 	time.Sleep(10 * time.Millisecond)
 	if got := rec.count(); got != g {
