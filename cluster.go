@@ -65,6 +65,7 @@ type ClusterConfig struct {
 	Algorithm Algorithm
 	// LoanThreshold overrides the loan trigger (default 1): a waiting
 	// node missing at most this many resources asks to borrow them.
+	// CounterLoan only; negative is an error.
 	LoanThreshold int
 	// Latency, when positive, delays every message — useful to make
 	// protocol behaviour visible in demos and tests. In-process
@@ -160,8 +161,12 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	if !ok {
 		return nil, fmt.Errorf("mralloc: algorithm %q not supported for live clusters", cfg.Algorithm)
 	}
-	if cfg.LoanThreshold > 0 {
-		copt.Loan = true
+	switch {
+	case cfg.LoanThreshold < 0:
+		return nil, fmt.Errorf("mralloc: negative LoanThreshold %d", cfg.LoanThreshold)
+	case cfg.LoanThreshold > 0 && !copt.Loan:
+		return nil, fmt.Errorf("mralloc: LoanThreshold applies to %s only", CounterLoan)
+	case cfg.LoanThreshold > 0:
 		copt.LoanThreshold = cfg.LoanThreshold
 	}
 	policy, err := serve.ParsePolicy(string(o.policy))

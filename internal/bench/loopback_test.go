@@ -133,12 +133,12 @@ func (f *loopback) wireStats() wire.CoalescerStats {
 	return total
 }
 
-// peerMsgs sums the per-kind protocol message counters of both peer
-// endpoints.
+// peerMsgs sums the per-kind protocol message counters of both
+// clusters.
 func (f *loopback) peerMsgs() int64 {
 	var total int64
-	for _, tr := range f.trs {
-		total += sumStats(tr.Stats())
+	for _, c := range f.clusters {
+		total += sumStats(c.Stats())
 	}
 	return total
 }

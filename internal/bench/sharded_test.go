@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,8 +38,9 @@ import (
 // at every G>1, and come in twins: ordered (ascending shard locking)
 // vs twophase (parallel submit, timed back-off). One op is one
 // granted-and-released acquisition, so ns/op is directly comparable
-// across cells, and the wait quantiles are the per-worker accumulators
-// merged (metrics.Accum.Merge).
+// across cells, and the workers add their waits into one accumulator
+// under a lock: one uncontended lock per granted op, against at least
+// one 200µs hop per protocol message on this fabric.
 const (
 	shardedM       = 64
 	shardedBlocks  = 16 // one block = one G16 shard
@@ -80,7 +82,10 @@ func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDra
 		defer c.Close()
 		ctx := context.Background()
 		base := sumStats(c.Stats())
-		waits := make([]metrics.Accum, workers) // one per worker, merged below
+		var (
+			mu   sync.Mutex
+			wait metrics.Accum
+		)
 		b.ReportAllocs()
 		b.ResetTimer()
 		driveClosed(b, workers, func(w int, i int64) error {
@@ -90,16 +95,15 @@ func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDra
 			if err != nil {
 				return err
 			}
-			waits[w].Add(float64(time.Since(start)) / float64(time.Millisecond))
+			waited := float64(time.Since(start)) / float64(time.Millisecond)
+			mu.Lock()
+			wait.Add(waited)
+			mu.Unlock()
 			release()
 			return nil
 		})
 		b.StopTimer()
 
-		var wait metrics.Accum
-		for i := range waits {
-			wait.Merge(&waits[i])
-		}
 		s := wait.Summary()
 		b.ReportMetric(s.Mean, "wait_mean_ms")
 		b.ReportMetric(s.P50, "wait_p50_ms")

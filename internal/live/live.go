@@ -5,26 +5,29 @@
 // test (the race detector sees real interleavings) and the basis of the
 // public lock-manager API (package mralloc).
 //
-// The transport decides the deployment shape. With the default
-// in-process transport every node lives in this process and messages
-// are direct handler calls; with a TCP transport (internal/transport)
-// a cluster spans OS processes, each hosting the subset of nodes named
-// by Config.Local, and messages cross the wire through the
-// internal/wire codec. The protocol cannot tell the difference — the
-// transport contract (reliable FIFO per ordered pair, see
-// internal/transport) is exactly the paper's hypotheses 1–3.
+// The transport decides the deployment shape. With no transport every
+// node lives in this process and messages never leave it; with a TCP
+// transport (internal/transport) a cluster spans OS processes, each
+// hosting the subset of nodes named by Config.Local, and messages cross
+// the wire through the internal/wire codec. The protocol cannot tell
+// the difference — the transport contract (reliable FIFO per ordered
+// pair, see internal/transport) is exactly the paper's hypotheses 1–3.
 //
 // Each shard has one runner: a goroutine that serializes the protocol
 // activations of every site this process hosts in that shard — per site
 // exactly the atomicity the algorithms assume; separate runners keep
-// the shards parallel. When the cluster builds its own fabric with no
-// latency, every message is between two sites of one runner and never
-// leaves it: Send appends it to a queue the runner handles in the same
-// drain, and the fabric only counts it. Under any other fabric Send
-// hands the message to the transport at once, one message per call; a
-// message between two co-hosted sites then lands in the runner's own
-// mailbox, with no goroutine woken. Both queues are unbounded so that
-// no cycle of full queues can deadlock the token exchange.
+// the shards parallel. A cluster with no Transport and no latency has no
+// fabric at all: every message is between two sites of one runner, and
+// Send appends it to a queue the runner handles in the same drain.
+// Under a fabric Send hands the message to the transport at once, one
+// message per call; a message between two co-hosted sites then lands in
+// the runner's own mailbox, with no goroutine woken. Both queues are
+// unbounded so that no cycle of full queues can deadlock the token
+// exchange.
+//
+// Send is also where the cluster counts its messages, by kind, before
+// routing them (Cluster.Stats): what the protocol sent, once each,
+// whatever fabric or wrappers carry it.
 //
 // Above the protocol sits the serve layer (internal/serve): a node's
 // single request slot (hypothesis 4) is fed by an admission scheduler,
@@ -58,17 +61,18 @@ var ErrClosed = errors.New("live: cluster closed")
 type Config struct {
 	Nodes     int
 	Resources int
-	// Latency, when positive, delays every message delivery of the
-	// built-in in-process transport (FIFO per link is preserved). It
-	// cannot be combined with a custom Transport, and a negative value
-	// is an error. The delay is a time.Sleep, which an idle Linux
-	// process rounds up to whole milliseconds: 200µs here is about 1.1
-	// ms per hop (transport.Mem). At zero with no Transport a message
-	// never leaves its shard's runner (see the package comment).
+	// Latency, when positive, delays every message delivery through an
+	// in-process transport.Mem the cluster builds (FIFO per link is
+	// preserved). It cannot be combined with a custom Transport, and a
+	// negative value is an error. The delay is a time.Sleep, which an
+	// idle Linux process rounds up to whole milliseconds: 200µs here is
+	// about 1.1 ms per hop (transport.Mem). At zero with no Transport
+	// the cluster builds no fabric and a message never leaves its
+	// shard's runner (see the package comment).
 	Latency time.Duration
 	// Transport, when non-nil, carries the cluster's messages; the
-	// cluster takes ownership and closes it on Close. Nil selects the
-	// in-process transport, which requires every node to be local.
+	// cluster takes ownership and closes it on Close. Nil keeps every
+	// message in this process, which requires every node to be local.
 	Transport transport.Transport
 	// Local lists the node ids hosted by this process. Nil or empty
 	// means all of them (the single-process configuration). Remote
@@ -123,11 +127,12 @@ type Config struct {
 // multi-process deployment.
 type Cluster struct {
 	cfg Config
-	tr  transport.Transport
-	// direct is tr when the cluster built it with no latency: sends then
-	// queue on the sender's runner (loop.Send) and direct only counts.
-	direct *transport.Mem
-	smap   resource.ShardMap // global↔(shard, local) resource mapping; 1 shard when flat
+	// tr carries the cluster's messages; nil when there is no fabric
+	// (no Transport, no Latency), and sends then queue on the sender's
+	// runner (loop.Send).
+	tr    transport.Transport
+	stats kindStats         // every message the local sites sent, by kind
+	smap  resource.ShardMap // global↔(shard, local) resource mapping; 1 shard when flat
 	// loops[s][id] is node id's site in shard s; nil for nodes hosted
 	// elsewhere. runners[s] runs every local site of shard s. The flat
 	// configuration is exactly one shard.
@@ -195,16 +200,13 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		seen[id] = true
 	}
 	tr := cfg.Transport
-	var direct *transport.Mem
 	if tr == nil {
 		if len(local) != cfg.Nodes {
 			return fail("hosting %d of %d nodes needs a transport (the in-process fabric cannot reach the rest)", len(local), cfg.Nodes)
 		}
-		mem := transport.NewMem(cfg.Nodes, cfg.Latency)
-		if cfg.Latency == 0 {
-			direct = mem
+		if cfg.Latency > 0 {
+			tr = transport.NewMem(cfg.Nodes, cfg.Latency)
 		}
-		tr = mem
 	} else {
 		if cfg.Latency > 0 {
 			return fail("Latency applies only to the built-in transport")
@@ -212,18 +214,20 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		if tr.N() != cfg.Nodes {
 			return fail("transport spans %d nodes, cluster has %d", tr.N(), cfg.Nodes)
 		}
-	}
-	for _, id := range local {
-		if !tr.Hosts(network.NodeID(id)) {
-			return fail("local node %d is not hosted by the transport endpoint", id)
+		for _, id := range local {
+			if !tr.Hosts(network.NodeID(id)) {
+				return fail("local node %d is not hosted by the transport endpoint", id)
+			}
 		}
 	}
 	smap := resource.NewShardMap(cfg.Resources, g)
-	sizes := make([]int, g)
-	for s := range sizes {
-		sizes[s] = smap.Size(s)
+	if tr != nil {
+		sizes := make([]int, g)
+		for s := range sizes {
+			sizes[s] = smap.Size(s)
+		}
+		tr.Configure(transport.Config{Shards: sizes, Wire: cfg.Wire})
 	}
-	tr.Configure(transport.Config{Shards: sizes, Wire: cfg.Wire})
 	// One allocator fleet per shard, each over its shard's local
 	// universe. The flat cluster is the one-shard instance of the same
 	// construction: Size(0) == Resources, so the factory call is exactly
@@ -232,14 +236,15 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 	for s := 0; s < g; s++ {
 		nodesByShard[s] = factory(cfg.Nodes, smap.Size(s))
 		if len(nodesByShard[s]) != cfg.Nodes {
-			tr.Close()
+			if tr != nil {
+				tr.Close()
+			}
 			return nil, fmt.Errorf("live: factory built %d nodes, want %d", len(nodesByShard[s]), cfg.Nodes)
 		}
 	}
 	c := &Cluster{
 		cfg:    cfg,
 		tr:     tr,
-		direct: direct,
 		smap:   smap,
 		start:  time.Now(),
 		spare:  make([][]*Session, cfg.Nodes),
@@ -258,7 +263,9 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 			// A peer process already running may send at once: what
 			// arrives before the runner starts waits in its mailbox, and
 			// every Attach precedes the first Deliver.
-			tr.Bind(s, l.id, l.deliver)
+			if tr != nil {
+				tr.Bind(s, l.id, l.deliver)
+			}
 			l.node.Attach(l)
 		}
 	}
@@ -342,14 +349,13 @@ func (c *Cluster) Local(id int) bool {
 // unit (sim.Time), which the serve scheduler's deadlines and aging use.
 func (c *Cluster) now() sim.Time { return sim.Time(time.Since(c.start)) }
 
-// Stats snapshots the per-kind message counters of this process's
-// transport endpoint: what was sent through it and, on a direct fabric,
-// what the runners delivered themselves. In a multi-process cluster
-// each process counts its own sends; summing over processes gives the
-// cluster total.
-func (c *Cluster) Stats() map[string]int64 {
-	return c.tr.Stats()
-}
+// Stats snapshots the cluster's per-kind message counters: every
+// message a local site sent, counted once where it was sent (loop.Send),
+// whatever fabric or wrappers carried it — a retransmission, a chaos
+// duplicate or a reliability envelope is never a protocol message. In a
+// multi-process cluster each process counts its own sites' sends;
+// summing over processes gives the cluster total.
+func (c *Cluster) Stats() map[string]int64 { return c.stats.snapshot() }
 
 // Inspect runs fn against node id's shard-0 protocol state on the
 // shard's runner, so fn sees a quiesced snapshot without data races (the
@@ -438,7 +444,7 @@ func (c *Cluster) NodeLoad(id int) serve.Load {
 	return c.loops[0][id].sched.Load()
 }
 
-// Close stops every shard's runner and closes the transport. Every
+// Close stops every shard's runner and closes the transport, if any. Every
 // outstanding or queued Acquire fails promptly with ErrClosed, and all
 // runner goroutines exit. Close is idempotent.
 func (c *Cluster) Close() {
@@ -454,7 +460,9 @@ func (c *Cluster) Close() {
 	for _, r := range c.runners {
 		r.mb.close()
 	}
-	c.tr.Close()
+	if c.tr != nil {
+		c.tr.Close()
+	}
 }
 
 // loop is one site of one shard: the state its runner applies the
@@ -462,9 +470,9 @@ func (c *Cluster) Close() {
 // node's admission scheduler: at most one ticket is fed into the state
 // machine at a time (hypothesis 4); the rest queue under the policy.
 //
-// On a cluster with a direct fabric (Cluster.direct) a protocol send is
-// an append to the runner's local queue and nothing else; otherwise it
-// is one transport Send, made at once. The loop keeps no egress buffer:
+// On a cluster with no fabric (Cluster.tr nil) a protocol send is an
+// append to the runner's local queue; otherwise it is one transport
+// Send, made at once. The loop keeps no egress buffer:
 // the protocol already sends one message per destination per
 // activation, and the socket fabric's coalescing writer gathers a
 // drain's sends into one write.
@@ -481,15 +489,15 @@ type loop struct {
 
 // runner is one shard's event loop: a single goroutine that applies the
 // activations of every local site of the shard, one at a time, drawn
-// from one mailbox whose items name their site and, on a direct fabric,
+// from one mailbox whose items name their site and, with no fabric,
 // from the local queue of messages its sites sent one another. A Send
 // that blocks (a TCP peer stalled at its byte budget) holds up all of
 // those sites.
 type runner struct {
 	mb mailbox // messages and commands for the shard's local sites
 	// local holds the messages between the shard's sites sent during
-	// this drain (direct fabric only), handled before the drain ends;
-	// draining routes a direct send made outside a drain to the mailbox
+	// this drain (no fabric only), handled before the drain ends;
+	// draining routes such a send made outside a drain to the mailbox
 	// instead. woke: the drain readied a waiter.
 	local    []mbItem
 	draining bool
@@ -704,12 +712,12 @@ func (l *loop) handle(v mbItem) {
 // after it.
 func (l *loop) wake() { l.r.woke = true }
 
-// Send counts m and queues it for to's site on this runner when the
-// fabric is direct — on the local queue during a drain, else in the
-// mailbox. Otherwise it hands m to the transport.
+// Send counts m, then routes it: with no fabric it queues m for to's
+// site on this runner — on the local queue during a drain, else in the
+// mailbox; otherwise it hands m to the transport.
 func (l *loop) Send(to network.NodeID, m network.Message) {
-	if d := l.c.direct; d != nil {
-		d.Count(m)
+	l.c.stats.count(m)
+	if l.c.tr == nil {
 		v := mbItem{l: l.c.loops[l.shard][to], from: l.id, msg: m}
 		if l.r.draining {
 			l.r.local = append(l.r.local, v)

@@ -66,36 +66,6 @@ func (a *Accum) Add(x float64) {
 	a.q99.add(0.99, x)
 }
 
-// Merge folds everything o has accumulated into a, as if a had seen
-// o's samples too. Count, mean, standard deviation, min and max combine
-// exactly (Chan et al.'s parallel Welford update); the P² quantile
-// markers combine by inverting the count-weighted mixture of the two
-// sides' marker CDFs (see mergeQuantiles) — exact while either side
-// holds five or fewer samples (they are stored raw), a marker-anchored
-// approximation beyond that. Per-shard accumulators merge into a
-// cluster-level summary this way without re-observing samples.
-func (a *Accum) Merge(o *Accum) {
-	if o.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *o
-		return
-	}
-	mergeQuantiles(a, o)
-	na, nb := float64(a.n), float64(o.n)
-	d := o.mean - a.mean
-	a.m2 += o.m2 + d*d*na*nb/(na+nb)
-	a.mean += d * nb / (na + nb)
-	a.n += o.n
-	if o.min < a.min {
-		a.min = o.min
-	}
-	if o.max > a.max {
-		a.max = o.max
-	}
-}
-
 // Summary finalizes the accumulated statistics.
 func (a *Accum) Summary() Summary {
 	s := Summary{Count: a.n, Mean: a.mean, Min: a.min, Max: a.max,

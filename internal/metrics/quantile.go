@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // p2 is one streaming quantile estimator after Jain & Chlamtac's P²
 // algorithm (CACM 1985): five markers track the minimum, the target
@@ -92,172 +89,6 @@ func (e *p2) parabolic(i int, s float64) float64 {
 func (e *p2) linear(i int, s float64) float64 {
 	j := i + int(s)
 	return e.q[i] + s*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// replayInto feeds e's raw stored samples into dst — only valid while
-// e still holds five or fewer observations.
-func (e *p2) replayInto(p float64, dst *p2) {
-	for _, x := range e.q[:e.n] {
-		dst.add(p, x)
-	}
-}
-
-// reset overwrites e with a converged-state snapshot: n observations,
-// the given marker heights, and positions/desired positions set to the
-// closed form add() maintains incrementally — as if all n observations
-// had streamed through this estimator.
-func (e *p2) reset(p float64, n int, q [5]float64) {
-	for i := 1; i < 5; i++ {
-		if q[i] < q[i-1] {
-			q[i] = q[i-1]
-		}
-	}
-	e.n = n
-	e.q = q
-	nf := float64(n)
-	e.des = [5]float64{1, 1 + 2*p + (nf-5)*p/2, 1 + 4*p + (nf-5)*p, 3 + 2*p + (nf-5)*(1+p)/2, nf}
-	e.pos[0], e.pos[4] = 1, nf
-	for i := 1; i <= 3; i++ {
-		pi := math.Round(e.des[i])
-		if pi <= e.pos[i-1] {
-			pi = e.pos[i-1] + 1
-		}
-		e.pos[i] = pi
-	}
-	for i := 3; i >= 1; i-- {
-		if e.pos[i] >= e.pos[i+1] {
-			e.pos[i] = e.pos[i+1] - 1
-		}
-	}
-}
-
-// points appends the estimator's marker curve as (cumulative fraction,
-// height) pairs — the anchor points its markers have converged to.
-func (e *p2) points(dst []cdfPoint) []cdfPoint {
-	for i := 0; i < 5; i++ {
-		dst = append(dst, cdfPoint{fr: (e.pos[i] - 1) / (e.pos[4] - 1), ht: e.q[i]})
-	}
-	return dst
-}
-
-// cdfPoint is one (cumulative fraction, height) anchor of a marker
-// curve.
-type cdfPoint struct{ fr, ht float64 }
-
-// curve is a piecewise-linear empirical CDF assembled from marker
-// anchor points, sorted by fraction with heights forced monotone.
-type curve []cdfPoint
-
-// newCurve pools anchor points (from several estimators over the same
-// sample stream) into one monotone curve.
-func newCurve(pts []cdfPoint) curve {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].fr != pts[j].fr {
-			return pts[i].fr < pts[j].fr
-		}
-		return pts[i].ht < pts[j].ht
-	})
-	out := pts[:0]
-	for _, p := range pts {
-		// Different estimators disagree slightly about interior heights;
-		// keep the running maximum so the curve stays a function.
-		if len(out) > 0 {
-			if p.fr == out[len(out)-1].fr {
-				out[len(out)-1].ht = p.ht
-				continue
-			}
-			if p.ht < out[len(out)-1].ht {
-				p.ht = out[len(out)-1].ht
-			}
-		}
-		out = append(out, p)
-	}
-	return curve(out)
-}
-
-// cdf evaluates the curve at height x as a cumulative fraction in
-// [0, 1], linearly interpolating between anchors.
-func (c curve) cdf(x float64) float64 {
-	if len(c) == 0 || x <= c[0].ht {
-		return 0
-	}
-	last := c[len(c)-1]
-	if x >= last.ht {
-		return 1
-	}
-	for i := 0; i+1 < len(c); i++ {
-		if x <= c[i+1].ht {
-			span := c[i+1].ht - c[i].ht
-			if span <= 0 {
-				return c[i+1].fr
-			}
-			return c[i].fr + (x-c[i].ht)/span*(c[i+1].fr-c[i].fr)
-		}
-	}
-	return 1
-}
-
-// mergeQuantiles rebuilds a's three quantile estimators as if they had
-// seen o's samples too. While either side still stores raw samples
-// (n ≤ 5) they replay exactly. Once both have converged marker curves,
-// each side's fifteen markers (three estimators × five) pool into one
-// piecewise-linear CDF — anchored at eleven distinct rank fractions,
-// including each target quantile itself — and the merged markers come
-// from inverting the count-weighted mixture of the two curves at each
-// estimator's desired fractions. Inverting at an anchored fraction
-// pivots on heights both estimators actually converged to, which keeps
-// merged p50/p95/p99 honest; replaying synthetic samples through add
-// instead lets P² chase the synthetic ordering and drift.
-func mergeQuantiles(a, o *Accum) {
-	targets := [3]struct {
-		ea, eo *p2
-		p      float64
-	}{
-		{&a.q50, &o.q50, 0.50},
-		{&a.q95, &o.q95, 0.95},
-		{&a.q99, &o.q99, 0.99},
-	}
-	if o.n <= 5 {
-		for _, t := range targets {
-			t.eo.replayInto(t.p, t.ea)
-		}
-		return
-	}
-	if a.n <= 5 {
-		for _, t := range targets {
-			old := *t.ea
-			*t.ea = *t.eo
-			old.replayInto(t.p, t.ea)
-		}
-		return
-	}
-	var ptsA, ptsO []cdfPoint
-	for _, t := range targets {
-		ptsA = t.ea.points(ptsA)
-		ptsO = t.eo.points(ptsO)
-	}
-	ca, co := newCurve(ptsA), newCurve(ptsO)
-	na, nb := float64(a.n), float64(o.n)
-	lo := math.Min(ca[0].ht, co[0].ht)
-	hi := math.Max(ca[len(ca)-1].ht, co[len(co)-1].ht)
-	mix := func(x float64) float64 { return (na*ca.cdf(x) + nb*co.cdf(x)) / (na + nb) }
-	inv := func(f float64) float64 {
-		l, h := lo, hi
-		for i := 0; i < 60 && h-l > 0; i++ {
-			mid := l + (h-l)/2
-			if mix(mid) < f {
-				l = mid
-			} else {
-				h = mid
-			}
-		}
-		return l + (h-l)/2
-	}
-	n := a.n + o.n
-	for _, t := range targets {
-		q := [5]float64{lo, inv(t.p / 2), inv(t.p), inv((1 + t.p) / 2), hi}
-		t.ea.reset(t.p, n, q)
-	}
 }
 
 // quantile reports the current estimate for quantile p, exact while

@@ -63,7 +63,7 @@ type ChaosStats struct {
 // has its own fault decisions, queue and forwarder.
 //
 // With no fault ever armed, Chaos is a pure passthrough: every Send
-// delegates directly, byte- and stats-identical, which is what lets the
+// delegates directly, byte-identical, which is what lets the
 // conformance suite run against a wrapped fabric unchanged. Arming any
 // fault (SetFaults, Partition) permanently routes traffic through one
 // FIFO queue per link, each drained by its own forwarder goroutine —
@@ -86,8 +86,6 @@ type Chaos struct {
 	mu    sync.RWMutex
 	def   Faults
 	links map[Link]*chaosLink
-
-	dropped kindStats // per-kind counts of discarded messages
 
 	nDropped    atomic.Int64
 	nDuplicated atomic.Int64
@@ -240,21 +238,6 @@ func (c *Chaos) Configure(cfg Config) { c.inner.Configure(cfg) }
 // Bind implements Transport.
 func (c *Chaos) Bind(shard int, id network.NodeID, h Handler) { c.inner.Bind(shard, id, h) }
 
-// Stats implements Transport. Dropped messages are counted under their
-// kind even though they never reached the inner fabric (a Send
-// happened; the fault ate it), so per-kind totals still account for
-// every Send. Duplicates count twice — both deliveries really crossed.
-func (c *Chaos) Stats() map[string]int64 {
-	out := c.inner.Stats()
-	for k, v := range c.dropped.snapshot() {
-		out[k] += v
-	}
-	return out
-}
-
-// Err implements Transport by forwarding.
-func (c *Chaos) Err() error { return c.inner.Err() }
-
 // Send implements Transport: one message is one fault decision —
 // dropped, duplicated, or delivered after its drawn delay.
 func (c *Chaos) Send(k Link, m network.Message) {
@@ -285,7 +268,6 @@ func (c *Chaos) dispatch(k Link, m network.Message) {
 	if action == chaosDrop {
 		l.mu.Unlock()
 		c.nDropped.Add(1)
-		c.dropped.count(m)
 		return
 	}
 	it := chaosItem{m: m}

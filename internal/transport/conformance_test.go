@@ -2,9 +2,7 @@ package transport_test
 
 import (
 	"encoding/binary"
-	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -190,42 +188,6 @@ func TestTCPRejectsMisshapenFrames(t *testing.T) {
 	case m := <-delivered:
 		t.Fatalf("misshapen frame delivered: %#v", m)
 	default:
-	}
-}
-
-// TestStatsConcurrentFirstMessages races the first message of several
-// kinds from several goroutines — the one moment the per-kind counters
-// take their slow path — and checks that no count is lost and no kind
-// appears twice. Mem carries any kind (nothing is encoded).
-func TestStatsConcurrentFirstMessages(t *testing.T) {
-	const senders, kinds, each = 8, 6, 200
-	tr := transport.NewMem(2, 0)
-	defer tr.Close()
-	tr.Bind(0, 1, func(network.NodeID, network.Message) {})
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < senders; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for i := 0; i < each*kinds; i++ {
-				// Rotate from a different kind per sender, so first
-				// messages of distinct kinds collide too.
-				tr.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: fmt.Sprintf("TT.k%d", (g+i)%kinds)})
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	st := tr.Stats()
-	if len(st) != kinds {
-		t.Fatalf("stats has %d kinds, want %d: %v", len(st), kinds, st)
-	}
-	for k, v := range st {
-		if v != senders*each {
-			t.Errorf("%s = %d, want %d", k, v, senders*each)
-		}
 	}
 }
 

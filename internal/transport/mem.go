@@ -10,10 +10,10 @@ import (
 
 // Mem is the in-process transport: all N nodes live on this endpoint
 // and a Send is a direct (per-destination-serialized) handler call, so
-// messages never leave the process and never serialize. A live cluster
-// that builds its own zero-latency Mem does not send through it: every
-// message there is between two sites of one shard runner, which
-// delivers it in its own drain and only reports it to Count. The
+// messages never leave the process and never serialize; Mem never reads
+// the message it carries. A live cluster with no Transport and no
+// latency builds no Mem at all: every message there is between two
+// sites of one shard runner, which delivers it in its own drain. The
 // zero-latency Send is the route of a Mem handed to a cluster
 // explicitly (under the Reliable and Chaos wrappers, or bare in tests);
 // latency mode is the route of every cluster that asks for a delay.
@@ -38,7 +38,6 @@ type Mem struct {
 	n       int
 	latency time.Duration
 	binder  *binder
-	stats   kindStats
 
 	// mu guards links and the closing of closed, so a link's forwarder
 	// either starts before Close waits for the forwarders or not at all.
@@ -91,7 +90,6 @@ func (t *Mem) Send(l Link, m network.Message) {
 		return
 	default:
 	}
-	t.stats.count(m)
 	if t.latency <= 0 {
 		slot.deliver(l.From, m)
 		return
@@ -143,18 +141,8 @@ func (t *Mem) link(l Link, slot *binderSlot) chan network.Message {
 	return ch
 }
 
-// Count adds m to the per-kind counters Stats reports, for a message
-// the owner of this endpoint delivered without a Send.
-func (t *Mem) Count(m network.Message) { t.stats.count(m) }
-
-// Stats implements Transport.
-func (t *Mem) Stats() map[string]int64 { return t.stats.snapshot() }
-
 // AbortConns implements Transport: there are no connections to kill.
 func (t *Mem) AbortConns() int { return 0 }
-
-// Err implements Transport: nothing in the fabric fails asynchronously.
-func (t *Mem) Err() error { return nil }
 
 // Close implements Transport.
 func (t *Mem) Close() error {

@@ -24,11 +24,9 @@
 //     an inline ack on a self-link would re-enter the binder slot lock
 //     and deadlock. A background acker goroutine coalesces and sends
 //     cumulative acks instead.
-//   - Stats() reports the logical kinds only (what the caller sent),
-//     never Rel.* envelope counts: the transport contract's per-kind
-//     accounting is about protocol cost, and the conformance suite
-//     rejects any extra kind. Recovery traffic is accounted separately
-//     in RelStats.
+//   - The wrapper counts no message kinds: the caller counts what it
+//     sent, and the Rel.* envelopes and acks that carry it are recovery
+//     traffic, accounted in RelStats.
 package transport
 
 import (
@@ -96,9 +94,9 @@ const (
 	DefaultRetransmitMax  = 250 * time.Millisecond
 )
 
-// RelStats counts the recovery layer's own work, separately from the
-// logical per-kind Stats: these are the observability counters the
-// chaos bench rows and the mrallocd shutdown summary surface.
+// RelStats counts the recovery layer's own work: these are the
+// observability counters the chaos bench rows and the mrallocd shutdown
+// summary surface.
 type RelStats struct {
 	// Retransmits counts data frames re-sent by the timer.
 	Retransmits int64
@@ -145,8 +143,7 @@ type relRecv struct {
 type Reliable struct {
 	inner Transport
 	bind  *binder
-	bound int       // shards whose hosted nodes are bound on inner
-	stats kindStats // logical kinds, as the caller sent them
+	bound int // shards whose hosted nodes are bound on inner
 
 	base, max time.Duration
 	rngMu     sync.Mutex
@@ -278,7 +275,6 @@ func (r *Reliable) Send(k Link, m network.Message) {
 	var env network.Message = relData{Seq: l.nextSeq, M: m}
 	l.nextSeq++
 	l.unacked = append(l.unacked, env)
-	r.stats.count(m)
 	if l.deadline.IsZero() {
 		l.deadline = time.Now().Add(r.jitter(l.attempt))
 	}
@@ -473,17 +469,9 @@ func (r *Reliable) RelStats() RelStats {
 	return r.rel
 }
 
-// Stats reports the logical per-kind counters — the messages the
-// caller sent, not the Rel.* envelopes and acks that carried them
-// (those are RelStats' business).
-func (r *Reliable) Stats() map[string]int64 { return r.stats.snapshot() }
-
 // AbortConns implements Transport by forwarding; frames lost to the
 // abort are exactly what the retransmission timer repairs.
 func (r *Reliable) AbortConns() int { return r.inner.AbortConns() }
-
-// Err implements Transport by forwarding.
-func (r *Reliable) Err() error { return r.inner.Err() }
 
 func (r *Reliable) isClosed() bool {
 	r.closeMu.Lock()

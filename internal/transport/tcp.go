@@ -66,15 +66,12 @@ const handshakeTimeout = 5 * time.Second
 // burst. WireStats exposes the write/frame/batch counters.
 //
 // Sends to a node hosted by this same endpoint short-circuit through
-// memory without touching the codec; per-kind stats count them all the
-// same, so an in-process and a multi-process cluster report identical
-// message costs for identical protocol runs.
+// memory without touching the codec.
 type TCP struct {
 	n      int
 	local  map[network.NodeID]bool
 	ln     net.Listener
 	binder *binder
-	stats  kindStats
 
 	// shape is the announced cluster layout and wire tuning (Configure),
 	// swapped whole so the per-frame and per-send reads take no lock.
@@ -268,7 +265,6 @@ func (t *TCP) Send(l Link, m network.Message) {
 		return
 	default:
 	}
-	t.stats.count(m)
 	if t.local[l.To] {
 		slot.deliver(l.From, m)
 		return
@@ -655,15 +651,12 @@ func (t *TCP) fail(err error) {
 
 // Err reports the first asynchronous transport error observed (dial
 // failure past the retry window, broken write, corrupt inbound frame),
-// or nil. Also returned by Close. Implements Transport.
+// or nil. Also returned by Close.
 func (t *TCP) Err() error {
 	t.errMu.Lock()
 	defer t.errMu.Unlock()
 	return t.firstErr
 }
-
-// Stats implements Transport.
-func (t *TCP) Stats() map[string]int64 { return t.stats.snapshot() }
 
 // WireStats aggregates the egress counters of every connection this
 // endpoint has dialed: writes (the syscall proxy), flushes, frames,

@@ -27,26 +27,28 @@
 //     (no ordering is promised across links — which is exactly what
 //     lets shards proceed in parallel);
 //   - no duplication: each sent message is delivered exactly once;
-//   - per-kind accounting: Stats counts every sent message under its
-//     Kind, the synchronization cost the evaluation measures;
 //   - clean close: Close is idempotent, terminates the transport's
 //     goroutines, and later Sends are dropped rather than panicking.
 //
+// Counting messages is not a transport's business: the sender counts
+// what the protocol sent (live's loop.Send), once per message, so no
+// fabric or wrapper here keeps a per-kind counter, and what a wrapper
+// adds on the way down (an envelope, an ack, a retransmission, a chaos
+// duplicate) is never a protocol message.
+//
 // A sent message belongs to its receiver (alg.Env.Send): the in-process
 // paths deliver it by reference and the receiving node may scrub and
-// refill it as soon as its handler has run. Everything here that holds
-// a message past the Send that brought it — a delay queue, the binder's
-// backlog of an unbound slot, a fault pipeline's item, the reliable
-// wrapper's retransmit buffer — therefore holds it unread: an
-// in-process path reads a message (its Kind, for the counters) only on
-// the way to its first delivery, and an envelope that may point at a
-// delivered message (a duplicate, a retransmission) is discarded on its
-// sequence number alone. A socket path may encode a message again: what
-// it encodes was never handed to a receiver.
+// refill it as soon as its handler has run. Nothing on an in-process
+// path reads a message it carries — a delay queue, the binder's backlog
+// of an unbound slot, a fault pipeline's item and the reliable
+// wrapper's retransmit buffer hold it unread — and an envelope that may
+// point at a delivered message (a duplicate, a retransmission) is
+// discarded on its sequence number alone. A socket path may encode a
+// message again: what it encodes was never handed to a receiver.
 //
 // Wrappers stack as live → Reliable → Chaos → TCP|Mem. Each forwards
-// Configure, AbortConns and Err to the fabric underneath, so a caller
-// holds the top of the stack and never reaches around it.
+// Configure and AbortConns to the fabric underneath, so a caller holds
+// the top of the stack and never reaches around it.
 //
 // Handlers may be invoked concurrently for different senders and must
 // not block for long — the live runtime's handlers only append to an
@@ -56,7 +58,6 @@ package transport
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -115,17 +116,11 @@ type Transport interface {
 	// may block briefly (backpressure) but must not block indefinitely
 	// while the transport is open; after Close it is a no-op.
 	Send(l Link, m network.Message)
-	// Stats snapshots the per-kind counters of messages sent through
-	// this endpoint.
-	Stats() map[string]int64
 	// AbortConns forcibly closes every live connection of the fabric,
 	// as a peer crash or a cut cable would, and reports how many died
 	// (always zero on a fabric without connections). Frames queued or
 	// in flight on a killed connection are lost; the next Send redials.
 	AbortConns() int
-	// Err reports the first asynchronous error the fabric observed, or
-	// nil.
-	Err() error
 	// Close tears the endpoint down. Idempotent.
 	Close() error
 }
@@ -137,63 +132,6 @@ type WireOptions struct {
 	// wire.FeatDelta bit): a link ships token deltas instead of full snapshots when both of its
 	// ends enable it, and full snapshots otherwise.
 	Delta bool
-}
-
-// kindStats is the shared per-kind message counter. Counting is on the
-// path of every message of every fabric and wrapper, so it takes no
-// lock and hashes nothing: each kind owns an atomic counter, found by
-// scanning the published handful of kinds with a string compare. Only
-// the first message of a kind takes the lock, to publish a longer copy.
-type kindStats struct {
-	kinds atomic.Pointer[[]kindCount]
-	mu    sync.Mutex // serialises publication
-}
-
-type kindCount struct {
-	kind string
-	n    *atomic.Int64
-}
-
-func (s *kindStats) count(m network.Message) { s.counter(m.Kind()).Add(1) }
-
-func (s *kindStats) counter(kind string) *atomic.Int64 {
-	if n := s.find(kind); n != nil {
-		return n
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.find(kind); n != nil {
-		return n
-	}
-	n := new(atomic.Int64)
-	// Clipped, so the append copies: readers keep scanning the old array.
-	grown := append(slices.Clip(s.load()), kindCount{kind, n})
-	s.kinds.Store(&grown)
-	return n
-}
-
-func (s *kindStats) load() []kindCount {
-	if p := s.kinds.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (s *kindStats) find(kind string) *atomic.Int64 {
-	for _, k := range s.load() {
-		if k.kind == kind {
-			return k.n
-		}
-	}
-	return nil
-}
-
-func (s *kindStats) snapshot() map[string]int64 {
-	out := make(map[string]int64)
-	for _, k := range s.load() {
-		out[k.kind] = k.n.Load()
-	}
-	return out
 }
 
 // binder maps the locally hosted (shard, node) slots to their handlers

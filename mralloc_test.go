@@ -231,6 +231,23 @@ func TestClusterCustomThreshold(t *testing.T) {
 	release()
 }
 
+// TestClusterRejectsBadLoanThreshold: a loan threshold on the no-loan
+// algorithm, or a negative one, is a configuration error — not loans
+// switched on behind the caller's back, nor a threshold silently
+// ignored.
+func TestClusterRejectsBadLoanThreshold(t *testing.T) {
+	for _, cfg := range []ClusterConfig{
+		{Nodes: 2, Resources: 2, Algorithm: CounterNoLoan, LoanThreshold: 2},
+		{Nodes: 2, Resources: 2, LoanThreshold: -1},
+		{Nodes: 2, Resources: 2, Algorithm: CounterNoLoan, LoanThreshold: -1},
+	} {
+		if c, err := NewCluster(cfg); err == nil {
+			c.Close()
+			t.Errorf("algorithm %q with LoanThreshold %d accepted", cfg.Algorithm, cfg.LoanThreshold)
+		}
+	}
+}
+
 func TestLoanStatsRaceFree(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{Nodes: 4, Resources: 6})
 	if err != nil {
