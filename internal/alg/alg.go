@@ -3,12 +3,13 @@
 //
 // An algorithm instance is one Node per site. Nodes are message-driven
 // state machines: the runtime (a deterministic simulation in
-// internal/driver, or internal/live, where one runner goroutine per
-// shard steps every node it hosts) calls Request/Release/Deliver, and
-// the node calls back through its Env
-// to send messages and to announce that the critical section has been
-// entered. A node never blocks; "waiting" is simply the state between
-// Request and the Granted callback.
+// internal/driver; internal/live, where one runner goroutine per shard
+// steps every node it hosts; or internal/explore, where a test or an
+// exhaustive search chooses every step) calls Request/Release/Deliver,
+// and the node calls back through its Env to send messages and to
+// announce that the critical section has been entered. A node never
+// blocks; "waiting" is simply the state between Request and the Granted
+// callback.
 package alg
 
 import (

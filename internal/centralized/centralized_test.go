@@ -3,40 +3,40 @@ package centralized
 import (
 	"testing"
 
-	"mralloc/internal/alg"
-	"mralloc/internal/network"
+	"mralloc/internal/explore"
 	"mralloc/internal/resource"
-	"mralloc/internal/sim"
 )
 
-// fakeEnv is a minimal Env for driving nodes directly.
-type fakeEnv struct {
-	id      network.NodeID
-	granted *[]network.NodeID
+// build runs n nodes over m resources on an explore.World, which hands
+// every node the real shape and checks every grant against a safety
+// monitor. Nothing here drains the World, so a message any node sent is
+// still in flight when the test ends: the scheduler must send none.
+func build(t *testing.T, n, m int) (*explore.World, *Scheduler) {
+	w := explore.New(NewFactory(), n, m)
+	t.Cleanup(func() {
+		if sent := w.InFlight(); len(sent) != 0 {
+			t.Errorf("centralized sent %d messages, want none: %v", len(sent), sent)
+		}
+	})
+	return w, w.Node(0).(*Node).sched
 }
 
-func (e *fakeEnv) ID() network.NodeID                   { return e.id }
-func (e *fakeEnv) N() int                               { return 4 }
-func (e *fakeEnv) M() int                               { return 8 }
-func (e *fakeEnv) Now() sim.Time                        { return 0 }
-func (e *fakeEnv) Send(network.NodeID, network.Message) { panic("no messages expected") }
-func (e *fakeEnv) Granted()                             { *e.granted = append(*e.granted, e.id) }
-
-func build(t *testing.T, n, m int) ([]alg.Node, *[]network.NodeID, *Scheduler) {
-	t.Helper()
-	nodes := NewFactory()(n, m)
-	var grants []network.NodeID
-	for i, nd := range nodes {
-		nd.Attach(&fakeEnv{id: network.NodeID(i), granted: &grants})
+// inCS lists the sites inside their critical section.
+func inCS(w *explore.World, n int) []int {
+	var in []int
+	for s := 0; s < n; s++ {
+		if w.InCS(s) {
+			in = append(in, s)
+		}
 	}
-	return nodes, &grants, nodes[0].(*Node).sched
+	return in
 }
 
 func TestImmediateGrantWhenFree(t *testing.T) {
-	nodes, grants, sched := build(t, 2, 8)
-	nodes[0].Request(resource.FromIDs(8, 1, 2))
-	if len(*grants) != 1 || (*grants)[0] != 0 {
-		t.Fatalf("grants = %v", *grants)
+	w, sched := build(t, 2, 8)
+	w.Request(0, resource.FromIDs(8, 1, 2))
+	if got := inCS(w, 2); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("in CS: %v", got)
 	}
 	if sched.QueueLen() != 0 {
 		t.Fatal("queue should be empty")
@@ -44,80 +44,75 @@ func TestImmediateGrantWhenFree(t *testing.T) {
 }
 
 func TestConflictingWaitsUntilRelease(t *testing.T) {
-	nodes, grants, sched := build(t, 2, 8)
-	nodes[0].Request(resource.FromIDs(8, 1, 2))
-	nodes[1].Request(resource.FromIDs(8, 2, 3))
-	if len(*grants) != 1 {
-		t.Fatalf("conflicting request granted early: %v", *grants)
+	w, sched := build(t, 2, 8)
+	w.Request(0, resource.FromIDs(8, 1, 2))
+	w.Request(1, resource.FromIDs(8, 2, 3))
+	if w.InCS(1) {
+		t.Fatalf("conflicting request granted early: in CS %v", inCS(w, 2))
 	}
 	if sched.QueueLen() != 1 {
 		t.Fatalf("queue len = %d", sched.QueueLen())
 	}
-	nodes[0].Release()
-	if len(*grants) != 2 || (*grants)[1] != 1 {
-		t.Fatalf("grants after release = %v", *grants)
+	w.Release(0)
+	if got := inCS(w, 2); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("in CS after release: %v", got)
 	}
 }
 
 func TestNonConflictingOvertakes(t *testing.T) {
-	nodes, grants, _ := build(t, 3, 8)
-	nodes[0].Request(resource.FromIDs(8, 1))
-	nodes[1].Request(resource.FromIDs(8, 1)) // blocked behind node 0
-	nodes[2].Request(resource.FromIDs(8, 5)) // disjoint: must overtake
-	if len(*grants) != 2 || (*grants)[1] != 2 {
-		t.Fatalf("grants = %v, want node 2 overtaking", *grants)
+	w, _ := build(t, 3, 8)
+	w.Request(0, resource.FromIDs(8, 1))
+	w.Request(1, resource.FromIDs(8, 1)) // blocked behind node 0
+	w.Request(2, resource.FromIDs(8, 5)) // disjoint: must overtake
+	if got := inCS(w, 3); len(got) != 2 || got[1] != 2 {
+		t.Fatalf("in CS: %v, want node 2 overtaking", got)
 	}
 }
 
 func TestFIFOAmongConflicting(t *testing.T) {
-	nodes, grants, _ := build(t, 3, 8)
-	nodes[0].Request(resource.FromIDs(8, 1))
-	nodes[1].Request(resource.FromIDs(8, 1))
-	nodes[2].Request(resource.FromIDs(8, 1))
-	nodes[0].Release()
-	nodes[1].Release()
-	want := []network.NodeID{0, 1, 2}
-	if len(*grants) != 3 {
-		t.Fatalf("grants = %v", *grants)
+	w, _ := build(t, 3, 8)
+	for s := 0; s < 3; s++ {
+		w.Request(s, resource.FromIDs(8, 1))
 	}
-	for i, w := range want {
-		if (*grants)[i] != w {
-			t.Fatalf("grant order %v, want %v", *grants, want)
+	for s := 0; s < 3; s++ {
+		if got := inCS(w, 3); len(got) != 1 || got[0] != s {
+			t.Fatalf("in CS: %v, want site %d next in arrival order", got, s)
 		}
+		w.Release(s)
 	}
 }
 
 func TestReleaseCascade(t *testing.T) {
-	nodes, grants, _ := build(t, 4, 8)
-	nodes[0].Request(resource.FromIDs(8, 1, 2, 3))
-	nodes[1].Request(resource.FromIDs(8, 1))
-	nodes[2].Request(resource.FromIDs(8, 2))
-	nodes[3].Request(resource.FromIDs(8, 3))
-	if len(*grants) != 1 {
-		t.Fatalf("grants = %v", *grants)
+	w, _ := build(t, 4, 8)
+	w.Request(0, resource.FromIDs(8, 1, 2, 3))
+	w.Request(1, resource.FromIDs(8, 1))
+	w.Request(2, resource.FromIDs(8, 2))
+	w.Request(3, resource.FromIDs(8, 3))
+	if got := inCS(w, 4); len(got) != 1 {
+		t.Fatalf("in CS: %v", got)
 	}
-	nodes[0].Release() // all three waiters become admissible at once
-	if len(*grants) != 4 {
-		t.Fatalf("grants after cascade = %v", *grants)
+	w.Release(0) // all three waiters become admissible at once
+	if got := inCS(w, 4); len(got) != 3 {
+		t.Fatalf("in CS after cascade: %v", got)
 	}
 }
 
 func TestReleaseWithoutGrantPanics(t *testing.T) {
-	nodes, _, _ := build(t, 1, 4)
+	w, _ := build(t, 1, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	nodes[0].Release()
+	w.Node(0).Release()
 }
 
 func TestUnexpectedMessagePanics(t *testing.T) {
-	nodes, _, _ := build(t, 1, 4)
+	w, _ := build(t, 1, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	nodes[0].Deliver(0, nil)
+	w.Node(0).Deliver(0, nil)
 }

@@ -339,7 +339,7 @@ func TestParkedEntryReclaimsStolenToken(t *testing.T) {
 // announcement loses the token but keeps what it knew of it — the
 // stamps it judges replayed requests by, as after an ordinary transfer.
 func TestFencedOwnerKeepsStaleStamps(t *testing.T) {
-	f := newFifoNet(3, 3, WithoutLoan())
+	f := newWorld(3, 3, WithoutLoan())
 	f.acquire(t, 1, ids(3, 0))
 	f.release(1) // r0's token rests at node 1
 	nd := f.nodes[1]
@@ -354,8 +354,8 @@ func TestFencedOwnerKeepsStaleStamps(t *testing.T) {
 	if nd.stats.Fenced != 1 || nd.curEpoch[0] != 1 || nd.tokDir[0] != 0 {
 		t.Fatalf("after the fence: fenced %d, epoch %d, father s%d", nd.stats.Fenced, nd.curEpoch[0], nd.tokDir[0])
 	}
-	if len(f.queue) != 0 {
-		t.Fatalf("an idle fenced owner sent %d messages", len(f.queue))
+	if len(f.InFlight()) != 0 {
+		t.Fatalf("an idle fenced owner sent %d messages", len(f.InFlight()))
 	}
 	// Replays of what the dead token had already served are dropped;
 	// the request it had not served is stored and chases the new token.
@@ -370,10 +370,10 @@ func TestFencedOwnerKeepsStaleStamps(t *testing.T) {
 	if h := nd.pending[0].reqs; len(h) != 1 || h[0].ID != 5 {
 		t.Fatalf("history after the replays: %v, want the one live request", h)
 	}
-	if len(f.queue) != 1 || f.queue[0].to != 0 {
-		t.Fatalf("forwarded %d messages, want one to the regenerated token's owner", len(f.queue))
+	if len(f.InFlight()) != 1 || f.InFlight()[0].To != 0 {
+		t.Fatalf("forwarded %d messages, want one to the regenerated token's owner", len(f.InFlight()))
 	}
-	if fwd := f.queue[0].m.(*reqBatch); len(fwd.Reqs) != 1 || fwd.Reqs[0].ID != 5 {
+	if fwd := f.InFlight()[0].M.(*reqBatch); len(fwd.Reqs) != 1 || fwd.Reqs[0].ID != 5 {
 		t.Fatalf("forwarded %v, want the one live request", fwd.Reqs)
 	}
 }
@@ -383,7 +383,7 @@ func TestFencedOwnerKeepsStaleStamps(t *testing.T) {
 // both stamp vectors — so the reborn token still drops the replays the
 // old one had served, and the cluster goes on under the new epoch.
 func TestRegenerateFromStaleStamps(t *testing.T) {
-	f := newFifoNet(3, 3, WithoutLoan())
+	f := newWorld(3, 3, WithoutLoan())
 	nd := f.nodes[0] // steward of r0, and its genesis owner
 	tok := nd.tok[0]
 	tok.Counter = 9
@@ -407,17 +407,18 @@ func TestRegenerateFromStaleStamps(t *testing.T) {
 	}
 	// Two announcements, then the reborn token on its way to the live
 	// request's site (the steward does not compete for r0).
-	if len(f.queue) != 3 {
-		t.Fatalf("regenerate sent %d messages, want 2 announcements and the token", len(f.queue))
+	sent := f.InFlight()
+	if len(sent) != 3 {
+		t.Fatalf("regenerate sent %d messages, want 2 announcements and the token", len(sent))
 	}
 	for i, to := range []network.NodeID{1, 2} {
-		if rg, ok := f.queue[i].m.(regenMsg); !ok || f.queue[i].to != to || rg != (regenMsg{R: 0, Epoch: 1, Owner: 0}) {
-			t.Fatalf("message %d: %+v to s%d, want the announcement to s%d", i, f.queue[i].m, f.queue[i].to, to)
+		if rg, ok := sent[i].M.(regenMsg); !ok || sent[i].To != to || rg != (regenMsg{R: 0, Epoch: 1, Owner: 0}) {
+			t.Fatalf("message %d: %+v to s%d, want the announcement to s%d", i, sent[i].M, sent[i].To, to)
 		}
 	}
-	resp, ok := f.queue[2].m.(*respBatch)
-	if !ok || f.queue[2].to != 2 || len(resp.Tokens) != 1 {
-		t.Fatalf("third message %+v to s%d, want r0's token to s2", f.queue[2].m, f.queue[2].to)
+	resp, ok := sent[2].M.(*respBatch)
+	if !ok || sent[2].To != 2 || len(resp.Tokens) != 1 {
+		t.Fatalf("third message %+v to s%d, want r0's token to s2", sent[2].M, sent[2].To)
 	}
 	reborn := resp.Tokens[0]
 	if reborn.Epoch != 1 || reborn.Counter != stale+1 || reborn.LastCS[2] != 4 || reborn.LastReqC[2] != 6 {
@@ -432,7 +433,7 @@ func TestRegenerateFromStaleStamps(t *testing.T) {
 
 	// The old token's holder is fenced by the announcement and the
 	// cluster serves r0 under the new epoch.
-	f.pump()
+	f.Drain(nil)
 	if f.nodes[1].owned.Has(0) || f.nodes[1].stats.Fenced != 1 || !f.nodes[2].owned.Has(0) {
 		t.Fatalf("after the announcements: s1 owns %v (fenced %d), s2 owns %v",
 			f.nodes[1].owned, f.nodes[1].stats.Fenced, f.nodes[2].owned)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"mralloc/internal/explore"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/wire"
@@ -148,8 +149,8 @@ func TestLoanSetsFollowTheirLoans(t *testing.T) {
 	want := func(i int) request { return in.Reqs[i] }
 	// deliver hands a copy of the batch to site 4 of a fresh system
 	// whose fathers for the batch's resources are set by dest.
-	deliver := func(opt Options, dest func(r resource.ID) network.NodeID) *fifoNet {
-		f := newFifoNet(5, 8, opt)
+	deliver := func(opt Options, dest func(r resource.ID) network.NodeID) *coreWorld {
+		f := newWorld(5, 8, opt)
 		nd := f.nodes[4]
 		for r := range nd.tokDir {
 			nd.tokDir[r] = dest(resource.ID(r))
@@ -172,11 +173,11 @@ func TestLoanSetsFollowTheirLoans(t *testing.T) {
 		}
 		return f
 	}
-	check := func(x fifoMsg, to network.NodeID, reqs []request, sets ...resource.Set) {
+	check := func(x explore.Msg, to network.NodeID, reqs []request, sets ...resource.Set) {
 		t.Helper()
-		b, ok := x.m.(*reqBatch)
-		if !ok || x.to != to {
-			t.Fatalf("message %T to s%d, want a request batch to s%d", x.m, x.to, to)
+		b, ok := x.M.(*reqBatch)
+		if !ok || x.To != to {
+			t.Fatalf("message %T to s%d, want a request batch to s%d", x.M, x.To, to)
 		}
 		if !reflect.DeepEqual(b.Reqs, reqs) {
 			t.Errorf("batch to s%d carries %v, want %v", to, b.Reqs, reqs)
@@ -199,27 +200,27 @@ func TestLoanSetsFollowTheirLoans(t *testing.T) {
 		}
 		return 2
 	})
-	if len(f.queue) != 2 {
-		t.Fatalf("%d batches forwarded, want 2", len(f.queue))
+	if len(f.InFlight()) != 2 {
+		t.Fatalf("%d batches forwarded, want 2", len(f.InFlight()))
 	}
-	check(f.queue[0], 2, []request{want(0), want(2), want(4)}, first)
-	check(f.queue[1], 3, []request{want(1), want(3)}, second)
+	check(f.InFlight()[0], 2, []request{want(0), want(2), want(4)}, first)
+	check(f.InFlight()[1], 3, []request{want(1), want(3)}, second)
 
 	// Both to one site: one batch, the sets in loan order.
 	f = deliver(WithLoan(), func(resource.ID) network.NodeID { return 2 })
-	if len(f.queue) != 1 {
-		t.Fatalf("%d batches forwarded, want 1", len(f.queue))
+	if len(f.InFlight()) != 1 {
+		t.Fatalf("%d batches forwarded, want 1", len(f.InFlight()))
 	}
-	check(f.queue[0], 2, in.Reqs, first, second)
+	check(f.InFlight()[0], 2, in.Reqs, first, second)
 
 	// Without aggregation every request travels alone, a loan with its set.
 	opt := WithLoan()
 	opt.DisableAggregation = true
 	f = deliver(opt, func(resource.ID) network.NodeID { return 2 })
-	if len(f.queue) != len(in.Reqs) {
-		t.Fatalf("%d messages forwarded, want %d", len(f.queue), len(in.Reqs))
+	if len(f.InFlight()) != len(in.Reqs) {
+		t.Fatalf("%d messages forwarded, want %d", len(f.InFlight()), len(in.Reqs))
 	}
-	for i, x := range f.queue {
+	for i, x := range f.InFlight() {
 		switch i {
 		case 0:
 			check(x, 2, []request{want(i)}, first)
@@ -236,7 +237,7 @@ func TestLoanSetsFollowTheirLoans(t *testing.T) {
 // lend away another further down the walk — which then has no token
 // here to look at, and whose own queued loans left with it.
 func TestLoanScanSkipsTokensLentAway(t *testing.T) {
-	f := newFifoNet(3, 4, WithLoan())
+	f := newWorld(3, 4, WithLoan())
 	nd := f.nodes[0] // owns every token, idle
 	nd.tok[0].Loans = []loanEntry{{Ref: reqRef{Site: 1, ID: 1, Mark: 1}, R: 0, Missing: ids(4, 0, 1)}}
 	nd.tok[1].Loans = []loanEntry{{Ref: reqRef{Site: 2, ID: 1, Mark: 2}, R: 1, Missing: ids(4, 1)}}
@@ -245,10 +246,10 @@ func TestLoanScanSkipsTokensLentAway(t *testing.T) {
 	if nd.stats.LoansGranted != 1 || nd.owned.Has(0) || nd.owned.Has(1) || nd.tok[1] != nil || !nd.lent.Equal(ids(4, 0, 1)) {
 		t.Fatalf("after the scan: %d loans granted, owned %v, lent %v", nd.stats.LoansGranted, nd.owned, nd.lent)
 	}
-	if len(f.queue) != 1 || f.queue[0].to != 1 {
-		t.Fatalf("%d messages sent, want both tokens to s1 in one", len(f.queue))
+	if len(f.InFlight()) != 1 || f.InFlight()[0].To != 1 {
+		t.Fatalf("%d messages sent, want both tokens to s1 in one", len(f.InFlight()))
 	}
-	toks := f.queue[0].m.(*respBatch).Tokens
+	toks := f.InFlight()[0].M.(*respBatch).Tokens
 	if len(toks) != 2 || toks[1].R != 1 || len(toks[1].Loans) != 1 || toks[1].Loans[0].Ref.Site != 2 {
 		t.Fatalf("lent tokens %+v, want r1's to carry s2's queued loan", toks)
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mralloc/internal/explore"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/sim"
@@ -148,31 +149,28 @@ func TestVisitedSetStopsForwarding(t *testing.T) {
 	// forwards: every batch owns its visited set, so the three sets the
 	// next hop sees are {origin, that forwarder} — none of them has
 	// picked up a sibling's entry.
-	f := newFifoNet(5, 4, WithoutLoan())
+	f := newWorld(5, 4, WithoutLoan())
 	origin := f.nodes[4]
 	for r, father := range []network.NodeID{1, 2, 3} {
 		origin.tokDir[r] = father // stale pointers to three different sites
 	}
-	origin.Request(ids(4, 0, 1, 2))
-	if len(f.queue) != 3 {
-		t.Fatalf("request fanned out to %d destinations, want 3", len(f.queue))
+	f.Request(4, ids(4, 0, 1, 2))
+	if len(f.InFlight()) != 3 {
+		t.Fatalf("request fanned out to %d destinations, want 3", len(f.InFlight()))
 	}
-	fanned := append([]fifoMsg(nil), f.queue...)
-	f.queue = f.queue[:0]
-	for _, x := range fanned {
-		f.nodes[x.to].Deliver(x.from, x.m) // non-owners: each forwards to node 0
+	// The three non-owners each forward to node 0: hold what reaches it.
+	f.Drain(func(x explore.Msg) bool { return x.To == 0 })
+	if len(f.InFlight()) != 3 {
+		t.Fatalf("%d batches forwarded, want 3", len(f.InFlight()))
 	}
-	if len(f.queue) != 3 {
-		t.Fatalf("%d batches forwarded, want 3", len(f.queue))
-	}
-	for i, x := range f.queue {
-		got := x.m.(*reqBatch).Visited
-		if want := []network.NodeID{4, x.from}; x.to != 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("forwarded batch %d (s%d→s%d): visited %v, want %v", i, x.from, x.to, got, want)
+	for i, x := range f.InFlight() {
+		got := x.M.(*reqBatch).Visited
+		if want := []network.NodeID{4, x.From}; x.To != 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("forwarded batch %d (s%d→s%d): visited %v, want %v", i, x.From, x.To, got, want)
 		}
 	}
-	f.pump()
-	if f.granted[4] != 1 {
+	f.Drain(nil)
+	if !f.InCS(4) {
 		t.Fatal("fan-out request never granted")
 	}
 }

@@ -123,7 +123,7 @@ func TestQueueSortedProperty(t *testing.T) {
 // records of two resources in one chunk do not overlap.
 func TestStaleStampsIndependent(t *testing.T) {
 	const n = 4
-	nd := newFifoNet(n, 2*tableChunk, WithoutLoan()).nodes[1]
+	nd := newWorld(n, 2*tableChunk, WithoutLoan()).nodes[1]
 	if nd.staleStamps(3) != nil {
 		t.Fatal("a stale record exists before any token left")
 	}

@@ -4,78 +4,45 @@ import (
 	"reflect"
 	"testing"
 
+	"mralloc/internal/explore"
 	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
-	"mralloc/internal/sim"
 )
 
-// fifoNet is the in-order fake fabric of the record-reuse tests: sends
-// queue in one global FIFO (so every link is FIFO) and pump delivers
-// until the system is quiet. It allocates nothing once its queue has
-// grown, so an allocation seen across it is the protocol's.
-type fifoNet struct {
-	nodes   []*Node
-	m       int
-	queue   []fifoMsg
-	granted []int
+// coreWorld is an explore.World of core Nodes, the Nodes at hand: the
+// hand-stepped fabric of the record-reuse tests and of every test that
+// inspects what a node sends. Drain(nil) delivers in send order (so
+// every link is FIFO) until the system is quiet. It allocates nothing
+// once its queue has grown, so an allocation seen across it is the
+// protocol's.
+type coreWorld struct {
+	*explore.World
+	nodes []*Node
 }
 
-type fifoMsg struct {
-	from, to network.NodeID
-	m        network.Message
-}
-
-type fifoEnv struct {
-	net *fifoNet
-	id  network.NodeID
-}
-
-func (e *fifoEnv) ID() network.NodeID { return e.id }
-func (e *fifoEnv) N() int             { return len(e.net.nodes) }
-func (e *fifoEnv) M() int             { return e.net.m }
-func (e *fifoEnv) Now() sim.Time      { return 0 }
-func (e *fifoEnv) Granted()           { e.net.granted[e.id]++ }
-func (e *fifoEnv) Send(to network.NodeID, m network.Message) {
-	e.net.queue = append(e.net.queue, fifoMsg{e.id, to, m})
-}
-
-func newFifoNet(n, m int, opt Options) *fifoNet {
-	f := &fifoNet{nodes: make([]*Node, n), m: m, granted: make([]int, n)}
+func newWorld(n, m int, opt Options) *coreWorld {
+	f := &coreWorld{World: explore.New(NewFactory(opt), n, m), nodes: make([]*Node, n)}
 	for i := range f.nodes {
-		f.nodes[i] = &Node{opt: opt, mark: opt.mark()}
-	}
-	for i, nd := range f.nodes {
-		nd.Attach(&fifoEnv{net: f, id: network.NodeID(i)})
+		f.nodes[i] = f.Node(i).(*Node)
 	}
 	return f
 }
 
-// pump delivers queued messages, and the ones they provoke, in order.
-func (f *fifoNet) pump() {
-	for i := 0; i < len(f.queue); i++ {
-		x := f.queue[i]
-		f.queue[i] = fifoMsg{}
-		f.nodes[x.to].Deliver(x.from, x.m)
-	}
-	f.queue = f.queue[:0]
-}
-
-// acquire drives node id through Request → pump and fails the test
+// acquire drives node id through Request → Drain and fails the test
 // unless the grant arrived.
-func (f *fifoNet) acquire(t *testing.T, id int, rs resource.Set) {
+func (f *coreWorld) acquire(t *testing.T, id int, rs resource.Set) {
 	t.Helper()
-	before := f.granted[id]
-	f.nodes[id].Request(rs)
-	f.pump()
-	if f.granted[id] != before+1 {
+	f.Request(id, rs)
+	f.Drain(nil)
+	if !f.InCS(id) {
 		t.Fatalf("node %d not granted %v", id, rs)
 	}
 }
 
-func (f *fifoNet) release(id int) {
-	f.nodes[id].Release()
-	f.pump()
+func (f *coreWorld) release(id int) {
+	f.Release(id)
+	f.Drain(nil)
 }
 
 // TestCoreSteadyStateAllocs pins the receiver-keeps-the-record message
@@ -90,7 +57,7 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 	}
 	t.Run("cycle", func(t *testing.T) {
 		const n, m = 4, 8
-		f := newFifoNet(n, m, WithoutLoan())
+		f := newWorld(n, m, WithoutLoan())
 		sets := make([]resource.Set, n)
 		for i := range sets {
 			// Consecutive sites overlap in one resource, so the next
@@ -105,14 +72,13 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 		rotation := func() {
 			for k := 0; k < n; k++ {
 				next := (cur + 1) % n
-				before := f.granted[next]
-				f.nodes[next].Request(sets[next])
-				f.pump()
-				if f.granted[next] != before {
+				f.Request(next, sets[next])
+				f.Drain(nil)
+				if f.InCS(next) {
 					t.Fatalf("node %d granted %v while node %d holds %v", next, sets[next], cur, sets[cur])
 				}
 				f.release(cur)
-				if f.granted[next] != before+1 {
+				if !f.InCS(next) {
 					t.Fatalf("node %d not granted after node %d released", next, cur)
 				}
 				cur = next
@@ -147,15 +113,15 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 		// (lender ↔ borrower, parker ↔ holder): over a pair of rounds
 		// every site is sent what it sends.
 		const n, m = 4, 8
-		f := newFifoNet(n, m, WithLoan())
+		f := newWorld(n, m, WithLoan())
 		r034, r34, r1, r01 := ids(m, 0, 3, 4), ids(m, 3, 4), ids(m, 1), ids(m, 0, 1)
 		first := 0
 		round := func() {
 			lender, borrower, parker, holder := first, 1-first, 2+first, 3-first
 			first = 1 - first
 			f.acquire(t, holder, r34) // into a long critical section
-			f.nodes[lender].Request(r034)
-			f.pump() // lender: owns r0, queued on r3 and r4
+			f.Request(lender, r034)
+			f.Drain(nil) // lender: owns r0, queued on r3 and r4
 			f.acquire(t, parker, r1)
 			f.release(parker) // r1 parked at an idle site, its counter bumped
 			f.acquire(t, borrower, r01)
@@ -213,7 +179,7 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 // one.
 func TestHazardRecycleAfterFlush(t *testing.T) {
 	const n, m = 4, 4
-	f := newFifoNet(n, m, WithoutLoan())
+	f := newWorld(n, m, WithoutLoan())
 	// Node 2 ends up owning r1 (idle); r0 stays with node 0. Node 2's
 	// free list holds what the set-up delivered to it.
 	f.acquire(t, 2, ids(m, 1))
@@ -233,12 +199,13 @@ func TestHazardRecycleAfterFlush(t *testing.T) {
 		},
 	}
 	mid.Deliver(1, in)
-	if len(f.queue) != 2 {
-		t.Fatalf("activation sent %d messages, want a forwarded batch and an answer", len(f.queue))
+	sent := f.InFlight()
+	if len(sent) != 2 {
+		t.Fatalf("activation sent %d messages, want a forwarded batch and an answer", len(sent))
 	}
-	fwd, ok := f.queue[0].m.(*reqBatch)
-	if !ok || f.queue[0].to != 0 {
-		t.Fatalf("first message %T to %d, want the batch forwarded to node 0", f.queue[0].m, f.queue[0].to)
+	fwd, ok := sent[0].M.(*reqBatch)
+	if !ok || sent[0].To != 0 {
+		t.Fatalf("first message %T to %d, want the batch forwarded to node 0", sent[0].M, sent[0].To)
 	}
 	if want := []network.NodeID{3, 1, 2}; !reflect.DeepEqual(fwd.Visited, want) {
 		t.Errorf("forwarded visited set %v, want %v", fwd.Visited, want)
@@ -246,9 +213,9 @@ func TestHazardRecycleAfterFlush(t *testing.T) {
 	if len(fwd.Reqs) != 1 || !reflect.DeepEqual(fwd.Reqs[0], request{Kind: reqCnt, R: 0, Init: 3, ID: 1}) {
 		t.Errorf("forwarded requests %v, want the one for r0", fwd.Reqs)
 	}
-	ans, ok := f.queue[1].m.(*respBatch)
-	if !ok || f.queue[1].to != 3 || len(ans.Tokens) != 1 || ans.Tokens[0].R != 1 {
-		t.Fatalf("second message %+v to %d, want r1's token sent to node 3", f.queue[1].m, f.queue[1].to)
+	ans, ok := sent[1].M.(*respBatch)
+	if !ok || sent[1].To != 3 || len(ans.Tokens) != 1 || ans.Tokens[0].R != 1 {
+		t.Fatalf("second message %+v to %d, want r1's token sent to node 3", sent[1].M, sent[1].To)
 	}
 	if (*batch)(fwd) == (*batch)(in) || (*batch)(ans) == (*batch)(in) {
 		t.Error("the delivered record left again in the activation that consumed it")
@@ -265,13 +232,13 @@ func TestHazardRecycleAfterFlush(t *testing.T) {
 // (TestHotRecordsPointerFree) and are truncated, not cleared.
 func TestHazardRecycledRecordScrubbed(t *testing.T) {
 	const n, m = 4, 8
-	f := newFifoNet(n, m, WithLoan())
+	f := newWorld(n, m, WithLoan())
 	// Loan rounds and plain cycles: every record kind and every field
 	// gets used, Missing sets and multi-token responses included.
 	for i := 0; i < 6; i++ {
 		f.acquire(t, 3, ids(m, 3))
-		f.nodes[1].Request(ids(m, 0, 3))
-		f.pump()
+		f.Request(1, ids(m, 0, 3))
+		f.Drain(nil)
 		f.acquire(t, 0, ids(m, 0, 1))
 		f.release(0)
 		f.release(3)

@@ -37,7 +37,7 @@ func (e *scriptEnv) Granted() {
 
 func newScript(t *testing.T, n, m int, opt Options) *scriptHarness {
 	h := &scriptHarness{t: t, eng: sim.New(), m: m}
-	h.nw = network.New(h.eng, n, network.Constant{D: 600 * sim.Microsecond}, nil)
+	h.nw = network.New(h.eng, n, network.Constant{D: 600 * sim.Microsecond})
 	h.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		nd := &Node{opt: opt, mark: opt.mark()}
@@ -322,7 +322,7 @@ func TestObsoleteRequestDiscarded(t *testing.T) {
 	tok := newToken(0, 3)
 	tok.LastCS[2] = 4
 	tok.LastReqC[2] = 6
-	nd := newFifoNet(3, 2*tableChunk, WithoutLoan()).nodes[1]
+	nd := newWorld(3, 2*tableChunk, WithoutLoan()).nodes[1]
 	if nd.staleObsolete(&request{Kind: reqRes, R: 0, Init: 2, ID: 4}) {
 		t.Fatal("a site the token never left calls a request obsolete")
 	}

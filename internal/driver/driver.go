@@ -105,7 +105,7 @@ func Run(cfg Config, factory alg.Factory) (Result, error) {
 
 	wl := cfg.Workload
 	eng := sim.New()
-	nw := network.New(eng, wl.N, lat, sim.Stream(wl.Seed, "latency"))
+	nw := network.New(eng, wl.N, lat)
 	nw.SetProcessingDelay(cfg.Processing)
 	nodes := factory(wl.N, wl.M)
 	if len(nodes) != wl.N {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"mralloc/internal/driver"
+	"mralloc/internal/explore"
 	"mralloc/internal/network"
 	"mralloc/internal/sim"
 	"mralloc/internal/workload"
@@ -235,21 +237,25 @@ func TestFairness(t *testing.T) {
 	}
 }
 
-// TestAllAlgorithmsUnderJitter reruns every algorithm with a jittered
-// latency model (FIFO restored by the network layer): correctness must
-// not depend on deterministic delays.
+// TestAllAlgorithmsUnderJitter: correctness must not depend on which
+// delivery order a latency model happens to produce. Every algorithm is
+// searched over every delivery order FIFO links allow on the committed
+// shapes (explore.Shapes): safety and hypothesis 4 at every state, every
+// request granted at every terminal state. Shapes past the state budget
+// are cut off and logged as such. -short keeps the N = 2 shapes.
 func TestAllAlgorithmsUnderJitter(t *testing.T) {
-	for _, a := range []Algorithm{Incremental, Bouabdallah, WithoutLoan, WithLoan, Maddi, Manager} {
-		p := Point{
-			Alg: a, Phi: 6, Load: HighLoad, Seed: 9,
-			Latency: network.Uniform{Min: 100 * sim.Microsecond, Max: 3 * sim.Millisecond},
-		}
-		res, err := Run(p, tiny)
-		if err != nil {
-			t.Fatalf("%s: %v", a, err)
-		}
-		if res.Grants == 0 {
-			t.Fatalf("%s stalled under jitter", a)
+	for _, name := range AlgorithmNames() {
+		a, _ := AlgorithmByName(name)
+		for _, sh := range explore.Shapes() {
+			if testing.Short() && sh.N > 2 {
+				continue
+			}
+			start := time.Now()
+			res := explore.Search(Factory(a), sh, explore.Options{})
+			t.Logf("%-22s %-14s %v (%v)", name, sh.Name, res, time.Since(start).Round(time.Millisecond))
+			if res.Err != nil {
+				t.Errorf("%s on %s: %v", name, sh.Name, res.Err)
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ type harness struct {
 
 func newHarness(t *testing.T, n int, hold sim.Time) *harness {
 	h := &harness{eng: sim.New(), inCS: network.None, t: t}
-	h.nw = network.New(h.eng, n, network.Constant{D: sim.Millisecond}, nil)
+	h.nw = network.New(h.eng, n, network.Constant{D: sim.Millisecond})
 	h.insts = make([]*Instance, n)
 	for i := 0; i < n; i++ {
 		id := network.NodeID(i)

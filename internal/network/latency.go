@@ -1,16 +1,12 @@
 package network
 
-import (
-	"math/rand"
-
-	"mralloc/internal/sim"
-)
+import "mralloc/internal/sim"
 
 // LatencyModel yields the one-way delay of a message on the (from, to)
-// link. Implementations must be side-effect free apart from consuming
-// the supplied random stream.
+// link. A model is a function of the link alone, so every message of a
+// link takes the same delay and links stay FIFO without help.
 type LatencyModel interface {
-	Latency(from, to NodeID, r *rand.Rand) sim.Time
+	Latency(from, to NodeID) sim.Time
 }
 
 // Constant is the paper's testbed model: every link takes the same γ
@@ -18,19 +14,7 @@ type LatencyModel interface {
 type Constant struct{ D sim.Time }
 
 // Latency implements LatencyModel.
-func (c Constant) Latency(_, _ NodeID, _ *rand.Rand) sim.Time { return c.D }
-
-// Uniform draws each delay uniformly from [Min, Max], modelling jitter.
-// FIFO per link is restored by the network layer.
-type Uniform struct{ Min, Max sim.Time }
-
-// Latency implements LatencyModel.
-func (u Uniform) Latency(_, _ NodeID, r *rand.Rand) sim.Time {
-	if u.Max <= u.Min {
-		return u.Min
-	}
-	return u.Min + sim.Time(r.Int63n(int64(u.Max-u.Min)))
-}
+func (c Constant) Latency(_, _ NodeID) sim.Time { return c.D }
 
 // Hierarchical models the "hierarchical physical topology such as
 // Clouds" from the paper's conclusion: nodes live in zones; intra-zone
@@ -42,11 +26,11 @@ type Hierarchical struct {
 }
 
 // Latency implements LatencyModel.
-func (h Hierarchical) Latency(from, to NodeID, r *rand.Rand) sim.Time {
+func (h Hierarchical) Latency(from, to NodeID) sim.Time {
 	if h.Zone(from) == h.Zone(to) {
-		return h.Local.Latency(from, to, r)
+		return h.Local.Latency(from, to)
 	}
-	return h.Remote.Latency(from, to, r)
+	return h.Remote.Latency(from, to)
 }
 
 // TwoZones splits n nodes into two equal halves — the standard

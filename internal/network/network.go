@@ -1,13 +1,15 @@
 // Package network simulates the communication substrate assumed by the
-// paper (§3.1): a complete graph of reliable FIFO point-to-point links
-// between N nodes, with a configurable latency model γ. It also counts
-// traffic per message kind, which the evaluation harness reports as the
-// synchronization cost of each algorithm.
+// paper (§3.1): a complete graph of reliable point-to-point links between
+// N nodes, with a per-link latency model γ and a per-receiver service
+// time δ. Both are fixed per link and per receiver, so a message never
+// overtakes one sent before it on its link: FIFO holds by construction.
+// Delivery orders this timing never produces are internal/explore's job.
+// The network also counts traffic per message kind, which the evaluation
+// harness reports as the synchronization cost of each algorithm.
 package network
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"mralloc/internal/sim"
@@ -35,13 +37,9 @@ type Handler func(from NodeID, m Message)
 type Network struct {
 	eng *sim.Engine
 	lat LatencyModel
-	rng *rand.Rand
 
 	handlers []Handler
-	// lastArrival enforces FIFO per ordered pair under jittered latency:
-	// a message never arrives before one sent earlier on the same link.
-	lastArrival []sim.Time
-	n           int
+	n        int
 
 	// proc is the per-message service time at the receiving process;
 	// busyUntil serializes deliveries per destination. A zero proc
@@ -97,20 +95,17 @@ func (d *delivery) deliver() {
 	h(from, m)
 }
 
-// New creates a network of n nodes over eng. The latency model may be
-// stochastic; rng drives it deterministically.
-func New(eng *sim.Engine, n int, lat LatencyModel, rng *rand.Rand) *Network {
+// New creates a network of n nodes over eng.
+func New(eng *sim.Engine, n int, lat LatencyModel) *Network {
 	if n <= 0 {
 		panic("network: need at least one node")
 	}
 	return &Network{
-		eng:         eng,
-		lat:         lat,
-		rng:         rng,
-		handlers:    make([]Handler, n),
-		lastArrival: make([]sim.Time, n*n),
-		busyUntil:   make([]sim.Time, n),
-		n:           n,
+		eng:       eng,
+		lat:       lat,
+		handlers:  make([]Handler, n),
+		busyUntil: make([]sim.Time, n),
+		n:         n,
 	}
 }
 
@@ -141,12 +136,7 @@ func (nw *Network) Send(from, to NodeID, m Message) {
 		panic(fmt.Sprintf("network: send to invalid node %d", to))
 	}
 	nw.count(m.Kind())
-	at := nw.eng.Now() + nw.lat.Latency(from, to, nw.rng)
-	link := int(from)*nw.n + int(to)
-	if at < nw.lastArrival[link] {
-		at = nw.lastArrival[link] // preserve FIFO under jitter
-	}
-	nw.lastArrival[link] = at
+	at := nw.eng.Now() + nw.lat.Latency(from, to)
 	if nw.proc > 0 {
 		// The receiver is a single server: handling starts when both
 		// the message has arrived and the previous one is finished.

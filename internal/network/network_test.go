@@ -17,7 +17,7 @@ func (m testMsg) Kind() string { return m.kind }
 
 func TestConstantLatencyDelivery(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 2, Constant{D: 5 * sim.Millisecond}, nil)
+	nw := New(eng, 2, Constant{D: 5 * sim.Millisecond})
 	var gotAt sim.Time
 	var gotFrom NodeID
 	nw.Bind(1, func(from NodeID, m Message) {
@@ -32,40 +32,60 @@ func TestConstantLatencyDelivery(t *testing.T) {
 	}
 }
 
-func TestFIFOUnderJitter(t *testing.T) {
-	prop := func(seed int64) bool {
-		eng := sim.New()
-		rng := rand.New(rand.NewSource(seed))
-		nw := New(eng, 2, Uniform{Min: 0, Max: 10 * sim.Millisecond}, rng)
-		var got []int
-		nw.Bind(1, func(_ NodeID, m Message) { got = append(got, m.(testMsg).seq) })
-		nw.Bind(0, func(NodeID, Message) {})
-		const k = 40
-		for i := 0; i < k; i++ {
-			i := i
-			eng.At(sim.Time(i)*sim.Microsecond, func() {
-				nw.Send(0, 1, testMsg{kind: "m", seq: i})
-			})
-		}
-		eng.Run()
-		if len(got) != k {
-			return false
-		}
-		for i := 1; i < k; i++ {
-			if got[i-1] > got[i] {
-				return false
-			}
-		}
-		return true
+// TestFIFOUnderZonesAndProcessing: every latency model there is fixes
+// the delay per link and the service time per receiver, so per-link FIFO
+// holds with no clamp in Send — across zones, with and without δ, for
+// messages sent at arbitrary instants from and to arbitrary sites.
+func TestFIFOUnderZonesAndProcessing(t *testing.T) {
+	const n, k = 4, 200
+	lat := Hierarchical{
+		Zone:   TwoZones(n),
+		Local:  Constant{D: 100 * sim.Microsecond},
+		Remote: Constant{D: 2 * sim.Millisecond},
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+	for _, proc := range []sim.Time{0, 600 * sim.Microsecond} {
+		prop := func(seed int64) bool {
+			eng := sim.New()
+			nw := New(eng, n, lat)
+			nw.SetProcessingDelay(proc)
+			sent := make([]int, n*n) // per link: messages sent so far
+			got := make([]int, n*n)  // per link: sequence number due next
+			ok := true
+			for i := 0; i < n; i++ {
+				to := i
+				nw.Bind(NodeID(i), func(from NodeID, m Message) {
+					link := int(from)*n + to
+					if m.(testMsg).seq != got[link] {
+						ok = false
+					}
+					got[link]++
+				})
+			}
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < k; i++ {
+				from := NodeID(r.Intn(n))
+				to := NodeID((int(from) + 1 + r.Intn(n-1)) % n)
+				eng.At(sim.Time(r.Int63n(int64(5*sim.Millisecond))), func() {
+					link := int(from)*n + int(to)
+					nw.Send(from, to, testMsg{kind: "m", seq: sent[link]})
+					sent[link]++
+				})
+			}
+			eng.Run()
+			for link := range sent {
+				ok = ok && got[link] == sent[link]
+			}
+			return ok
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("δ=%v: %v", proc, err)
+		}
 	}
 }
 
 func TestStatsCounting(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 3, Constant{}, nil)
+	nw := New(eng, 3, Constant{})
 	for i := 0; i < 3; i++ {
 		nw.Bind(NodeID(i), func(NodeID, Message) {})
 	}
@@ -94,7 +114,7 @@ func TestStatsCounting(t *testing.T) {
 // and the kind slots are warm, a send and its delivery allocate nothing.
 func TestNetworkSendSteadyStateAllocs(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 2, Constant{D: sim.Millisecond}, nil)
+	nw := New(eng, 2, Constant{D: sim.Millisecond})
 	nw.SetProcessingDelay(sim.Microsecond)
 	delivered := 0
 	for i := 0; i < 2; i++ {
@@ -120,7 +140,7 @@ func TestNetworkSendSteadyStateAllocs(t *testing.T) {
 
 func TestSelfSendPanics(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 2, Constant{}, nil)
+	nw := New(eng, 2, Constant{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("self-send did not panic")
@@ -131,7 +151,7 @@ func TestSelfSendPanics(t *testing.T) {
 
 func TestInvalidDestinationPanics(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 2, Constant{}, nil)
+	nw := New(eng, 2, Constant{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalid destination did not panic")
@@ -146,35 +166,20 @@ func TestHierarchicalLatency(t *testing.T) {
 		Local:  Constant{D: 1 * sim.Millisecond},
 		Remote: Constant{D: 9 * sim.Millisecond},
 	}
-	if d := h.Latency(0, 3, nil); d != 1*sim.Millisecond {
+	if d := h.Latency(0, 3); d != 1*sim.Millisecond {
 		t.Errorf("intra-zone latency %v", d)
 	}
-	if d := h.Latency(0, 4, nil); d != 9*sim.Millisecond {
+	if d := h.Latency(0, 4); d != 9*sim.Millisecond {
 		t.Errorf("cross-zone latency %v", d)
 	}
-	if d := h.Latency(7, 4, nil); d != 1*sim.Millisecond {
+	if d := h.Latency(7, 4); d != 1*sim.Millisecond {
 		t.Errorf("intra-zone (second zone) latency %v", d)
-	}
-}
-
-func TestUniformBounds(t *testing.T) {
-	u := Uniform{Min: 2 * sim.Millisecond, Max: 4 * sim.Millisecond}
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		d := u.Latency(0, 1, r)
-		if d < u.Min || d >= u.Max {
-			t.Fatalf("sample %v outside [%v,%v)", d, u.Min, u.Max)
-		}
-	}
-	// Degenerate range behaves like Constant.
-	if d := (Uniform{Min: 5, Max: 5}).Latency(0, 1, r); d != 5 {
-		t.Fatalf("degenerate uniform = %v", d)
 	}
 }
 
 func TestProcessingDelaySerializesReceiver(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 3, Constant{D: sim.Millisecond}, nil)
+	nw := New(eng, 3, Constant{D: sim.Millisecond})
 	nw.SetProcessingDelay(2 * sim.Millisecond)
 	var arrivals []sim.Time
 	nw.Bind(2, func(NodeID, Message) { arrivals = append(arrivals, eng.Now()) })
@@ -198,7 +203,7 @@ func TestProcessingDelaySerializesReceiver(t *testing.T) {
 
 func TestProcessingDelayIdleReceiverNoQueue(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 2, Constant{D: sim.Millisecond}, nil)
+	nw := New(eng, 2, Constant{D: sim.Millisecond})
 	nw.SetProcessingDelay(2 * sim.Millisecond)
 	var at sim.Time
 	nw.Bind(1, func(NodeID, Message) { at = eng.Now() })
@@ -218,7 +223,7 @@ func TestProcessingDelayIdleReceiverNoQueue(t *testing.T) {
 
 func TestNegativeProcessingDelayPanics(t *testing.T) {
 	eng := sim.New()
-	nw := New(eng, 2, Constant{}, nil)
+	nw := New(eng, 2, Constant{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative delay accepted")

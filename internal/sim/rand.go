@@ -6,15 +6,15 @@ import (
 )
 
 // Stream derives an independent, reproducible random stream from a run
-// seed and a textual label ("node/7/think", "latency", ...). Labeled
+// seed and a textual label ("node/7/think", ...). Labeled
 // derivation keeps sub-streams stable when unrelated consumers are added
 // or removed, which keeps recorded experiment outputs comparable across
 // code revisions.
 //
 // A stream is seeded at its first draw: seeding a math/rand source runs
 // its seeding generator over a 4.9 kB table (≈ 11 µs), and a run names
-// streams its configuration never draws from — a latency stream under a
-// constant latency, a zone coin without zones.
+// streams its configuration never draws from — a zone coin without
+// zones.
 func Stream(seed int64, label string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(label))

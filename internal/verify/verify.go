@@ -14,6 +14,8 @@ package verify
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
@@ -89,9 +91,12 @@ func (mo *Monitor) Grants() int { return mo.grants }
 // CheckQuiescent verifies liveness at the end of a drained run: with no
 // events left, every request must have been granted and every resource
 // freed. Runs truncated at a horizon should use PendingRequests instead.
+// Pending requests are reported in site order (as by CheckLiveness), so
+// the first violation, all a panicking report shows, is the same on
+// every run.
 func (mo *Monitor) CheckQuiescent(t sim.Time) {
-	for s, since := range mo.pending {
-		mo.report(Violation{t, fmt.Sprintf("request from site %d issued at %v never granted (liveness)", s, since)})
+	for _, s := range slices.Sorted(maps.Keys(mo.pending)) {
+		mo.report(Violation{t, fmt.Sprintf("request from site %d issued at %v never granted (liveness)", s, mo.pending[s])})
 	}
 	for r, h := range mo.holder {
 		if h != network.None {
@@ -106,8 +111,8 @@ func (mo *Monitor) CheckQuiescent(t sim.Time) {
 // the faults stop. bound must cover the configured recovery horizon
 // (retransmission backoff, lease expiry plus regeneration).
 func (mo *Monitor) CheckLiveness(t, bound sim.Time) {
-	for s, since := range mo.pending {
-		if t-since > bound {
+	for _, s := range slices.Sorted(maps.Keys(mo.pending)) {
+		if since := mo.pending[s]; t-since > bound {
 			mo.report(Violation{t, fmt.Sprintf("request from site %d pending for %v, bound %v (liveness under faults)", s, t-since, bound)})
 		}
 	}

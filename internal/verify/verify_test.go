@@ -85,6 +85,30 @@ func TestLivenessViolationAtQuiescence(t *testing.T) {
 	}
 }
 
+// TestViolationsInSiteOrder: liveness violations come out in site order
+// on every run, so the first one — all a panicking report ever shows —
+// is the same each time a failing schedule is replayed.
+func TestViolationsInSiteOrder(t *testing.T) {
+	want := []string{"site 1 ", "site 4 ", "site 7 "}
+	for rep := 0; rep < 20; rep++ {
+		vs, report := collect()
+		m := New(2, report)
+		m.Requested(7, 1)
+		m.Requested(1, 2)
+		m.Requested(4, 3)
+		m.CheckQuiescent(100)
+		m.CheckLiveness(100, 10)
+		if len(*vs) != 2*len(want) {
+			t.Fatalf("violations = %v", *vs)
+		}
+		for i, v := range *vs {
+			if !strings.Contains(v.Desc, want[i%len(want)]) {
+				t.Fatalf("repetition %d: violation %d is %q, want %q first", rep, i, v.Desc, want[i%len(want)])
+			}
+		}
+	}
+}
+
 func TestHeldAtQuiescenceDetected(t *testing.T) {
 	vs, report := collect()
 	m := New(2, report)
