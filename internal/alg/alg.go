@@ -2,13 +2,15 @@
 // multi-resource allocation algorithm in this repository implements.
 //
 // An algorithm instance is one Node per site. Nodes are message-driven
-// state machines: the runtime (a deterministic simulation in
-// internal/driver; internal/live, where one runner goroutine per shard
-// steps every node it hosts; or internal/explore, where a test or an
-// exhaustive search chooses every step) calls Request/Release/Deliver,
-// and the node calls back through its Env to send messages and to
-// announce that the critical section has been entered. A node never
-// blocks; "waiting" is simply the state between Request and the Granted
+// state machines, and there are two runtimes. internal/explore's World
+// is the deterministic one: the simulator (internal/driver) lets time
+// choose its next step, an exhaustive search or a test chooses it by
+// hand, and one Env, one in-flight store and one message count serve
+// them all. internal/live is the other: one runner goroutine per shard
+// steps every node it hosts. Either calls Request/Release/Deliver, and
+// the node calls back through its Env to send messages and to announce
+// that the critical section has been entered. A node never blocks;
+// "waiting" is simply the state between Request and the Granted
 // callback.
 package alg
 

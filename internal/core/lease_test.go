@@ -8,9 +8,9 @@ import (
 	"mralloc/internal/sim"
 )
 
-// Lease, regeneration and fencing tests run on the deterministic script
-// harness (script_test.go): virtual time, constant 600µs latency, and
-// explicit Tick scheduling stand in for the live runtime's clock.
+// Lease, regeneration and fencing tests run on a timed World
+// (script_test.go): virtual time, constant 600µs latency, and explicit
+// Tick scheduling stand in for the live runtime's clock.
 
 // leaseOpts arms leases with a 10ms TTL (heartbeats every ~3.3ms).
 func leaseOpts() Options {
@@ -20,40 +20,37 @@ func leaseOpts() Options {
 }
 
 // tickAll schedules a Tick for every node each everyMs in (0, untilMs],
-// skipping nodes the alive filter (nil = all alive) rejects — the
-// harness equivalent of live.Config.Tick plus crash simulation.
-func (h *scriptHarness) tickAll(everyMs, untilMs float64, alive func(i int) bool) {
+// skipping crashed sites and nodes the alive filter (nil = all alive)
+// rejects — the harness equivalent of live.Config.Tick plus crash
+// simulation.
+func (f *coreWorld) tickAll(everyMs, untilMs float64, alive func(i int) bool) {
 	for t := everyMs; t <= untilMs; t += everyMs {
-		h.at(t, func() {
-			for i, nd := range h.nodes {
-				if alive == nil || alive(i) {
-					nd.Tick(h.eng.Now())
+		f.at(t, func() {
+			for i, nd := range f.nodes {
+				if !f.sites[i].dead && (alive == nil || alive(i)) {
+					nd.Tick(f.Now())
 				}
 			}
 		})
 	}
 }
 
-// crash makes node i disappear: its inbound messages are dropped and
-// (by the caller's alive filter) its clock stops. Its in-memory state
-// survives for a later "resurrection" via revive.
-func (h *scriptHarness) crash(i int) {
-	h.nw.Bind(network.NodeID(i), func(network.NodeID, network.Message) {})
-}
+// crash makes node i disappear: its inbound messages are dropped and its
+// clock stops. Its in-memory state survives for a later "resurrection"
+// via revive.
+func (f *coreWorld) crash(i int) { f.sites[i].dead = true }
 
-func (h *scriptHarness) revive(i int) {
-	h.nw.Bind(network.NodeID(i), h.nodes[i].Deliver)
-}
+func (f *coreWorld) revive(i int) { f.sites[i].dead = false }
 
 // TestLeaseGatesEntry: with leases armed, even the genesis owner of
 // every token may not enter its critical section before a heartbeat
 // round establishes its leases — and must enter right after.
 func TestLeaseGatesEntry(t *testing.T) {
-	h := newScript(t, 2, 2, leaseOpts())
+	h := newTimed(2, 2, leaseOpts())
 	h.tickAll(2, 30, nil)
 
 	h.at(1, func() {
-		h.nodes[0].Request(ids(2, 0, 1)) // owns both, but no lease yet
+		h.Request(0, ids(2, 0, 1)) // owns both, but no lease yet
 		if h.nodes[0].st == stInCS {
 			t.Fatal("entered CS without any lease")
 		}
@@ -68,9 +65,9 @@ func TestLeaseGatesEntry(t *testing.T) {
 		if h.nodes[0].st != stInCS {
 			t.Fatalf("state %v after heartbeat round, want inCS", h.nodes[0].st)
 		}
-		h.nodes[0].Release()
+		h.Release(0)
 	})
-	h.eng.Run()
+	h.Run()
 	if got := h.nodes[0].Counters(); got.Heartbeats == 0 {
 		t.Fatalf("no heartbeat sent: %+v", got)
 	}
@@ -83,27 +80,26 @@ func TestLeaseGatesEntry(t *testing.T) {
 // dies with its holder, the steward regenerates it after the lease
 // silence window, and a request wedged on the dead holder completes.
 func TestLeaseRegenAfterCrash(t *testing.T) {
-	h := newScript(t, 3, 3, leaseOpts())
-	dead := false
-	h.tickAll(2, 400, func(i int) bool { return i != 1 || !dead })
+	h := newTimed(3, 3, leaseOpts())
+	h.tickAll(2, 400, nil)
 
 	// Move r0's token to node1 (steward of r0 is node0 = 0 % 3).
-	h.at(5, func() { h.nodes[1].Request(ids(3, 0)) })
+	h.at(5, func() { h.Request(1, ids(3, 0)) })
 	h.at(20, func() {
 		if h.nodes[1].st != stInCS {
 			t.Fatalf("setup: node1 state %v", h.nodes[1].st)
 		}
-		h.nodes[1].Release()
+		h.Release(1)
 	})
 
 	// Crash the holder; the token of r0 is gone with it.
-	h.at(50, func() { dead = true; h.crash(1) })
+	h.at(50, func() { h.crash(1) })
 
 	// A request that routes through the dead holder wedges...
 	base := 0
 	h.at(60, func() {
 		base = len(h.grants)
-		h.nodes[2].Request(ids(3, 0))
+		h.Request(2, ids(3, 0))
 	})
 	h.at(85, func() {
 		if len(h.grantedSince(base)) != 0 {
@@ -126,9 +122,9 @@ func TestLeaseRegenAfterCrash(t *testing.T) {
 		if h.nodes[2].tok[0].Epoch != 1 {
 			t.Fatalf("served token epoch %d, want 1", h.nodes[2].tok[0].Epoch)
 		}
-		h.nodes[2].Release()
+		h.Release(2)
 	})
-	h.eng.Run()
+	h.Run()
 }
 
 // TestStaleHolderFencedOnResurface: the crashed ex-holder comes back
@@ -136,13 +132,12 @@ func TestLeaseRegenAfterCrash(t *testing.T) {
 // answered with the regeneration announcement, after which it fences
 // its own dead ownership instead of competing with the live token.
 func TestStaleHolderFencedOnResurface(t *testing.T) {
-	h := newScript(t, 3, 3, leaseOpts())
-	dead := false
-	h.tickAll(2, 400, func(i int) bool { return i != 1 || !dead })
+	h := newTimed(3, 3, leaseOpts())
+	h.tickAll(2, 400, nil)
 
-	h.at(5, func() { h.nodes[1].Request(ids(3, 0)) })
-	h.at(20, func() { h.nodes[1].Release() })
-	h.at(50, func() { dead = true; h.crash(1) })
+	h.at(5, func() { h.Request(1, ids(3, 0)) })
+	h.at(20, func() { h.Release(1) })
+	h.at(50, func() { h.crash(1) })
 
 	// Regeneration happens around t=90; resurrect well after.
 	h.at(200, func() {
@@ -152,7 +147,6 @@ func TestStaleHolderFencedOnResurface(t *testing.T) {
 		if !h.nodes[1].owned.Has(0) {
 			t.Fatal("precondition: resurrected node must still believe it owns r0")
 		}
-		dead = false
 		h.revive(1)
 	})
 	// Its next heartbeat carries epoch 0; the steward's regen reply
@@ -169,35 +163,35 @@ func TestStaleHolderFencedOnResurface(t *testing.T) {
 			t.Fatalf("stale holder epoch view %d, want 1", nd.curEpoch[0])
 		}
 		// And it can still acquire the resource through the live token.
-		nd.Request(ids(3, 0))
+		h.Request(1, ids(3, 0))
 	})
 	h.at(300, func() {
 		if h.nodes[1].st != stInCS {
 			t.Fatalf("resurrected node wedged: state %v", h.nodes[1].st)
 		}
-		h.nodes[1].Release()
+		h.Release(1)
 	})
-	h.eng.Run()
+	h.Run()
 }
 
 // TestFencedMidParkFallsBack: a locally-satisfied entry parked on a
 // lapsed lease loses its token to a regeneration; the node must fall
 // back to the remote request path and still complete.
 func TestFencedMidParkFallsBack(t *testing.T) {
-	h := newScript(t, 2, 2, leaseOpts())
+	h := newTimed(2, 2, leaseOpts())
 	wedged := false
 	// Node 0's clock stops at t=30 — it keeps receiving messages (a
 	// partition of its *steward traffic* only would be equivalent) but
 	// stops heartbeating, so node1 (steward of r1) regenerates r1.
 	h.tickAll(2, 600, func(i int) bool { return i != 0 || !wedged })
 
-	h.at(1, func() { h.nodes[0].Request(ids(2, 0, 1)) })
-	h.at(10, func() { h.nodes[0].Release() })
+	h.at(1, func() { h.Request(0, ids(2, 0, 1)) })
+	h.at(10, func() { h.Release(0) })
 	h.at(30, func() { wedged = true })
 
 	// With its leases lapsing and no ticks, a fresh local request parks.
 	h.at(60, func() {
-		h.nodes[0].Request(ids(2, 1))
+		h.Request(0, ids(2, 1))
 		if h.nodes[0].st == stInCS {
 			t.Fatal("entered CS on a lapsed lease")
 		}
@@ -212,9 +206,9 @@ func TestFencedMidParkFallsBack(t *testing.T) {
 			t.Fatalf("parked entry never recovered: state %v, counters %+v",
 				h.nodes[0].st, h.nodes[0].Counters())
 		}
-		h.nodes[0].Release()
+		h.Release(0)
 	})
-	h.eng.Run()
+	h.Run()
 	if h.nodes[0].Counters().Fenced == 0 {
 		t.Fatalf("no fence recorded on node0: %+v", h.nodes[0].Counters())
 	}
@@ -224,7 +218,7 @@ func TestFencedMidParkFallsBack(t *testing.T) {
 // a dead epoch arriving at a node that has witnessed a newer one is
 // dropped at install, not merged.
 func TestProcessUpdateFencesStaleEpoch(t *testing.T) {
-	h := newScript(t, 2, 2, leaseOpts())
+	h := newTimed(2, 2, leaseOpts())
 	nd := h.nodes[1]
 	nd.curEpoch[0] = 2
 	stale := newToken(0, 2)
@@ -248,9 +242,9 @@ func TestProcessUpdateFencesStaleEpoch(t *testing.T) {
 // its steward (or the next site when the drainer is the steward), so a
 // restart never wedges a resource even without leases.
 func TestDrainHandsOffTokens(t *testing.T) {
-	h := newScript(t, 3, 3, WithoutLoan())
+	h := newTimed(3, 3, WithoutLoan())
 	h.at(1, func() { h.nodes[0].Drain() })
-	h.eng.Run()
+	h.Run()
 	nd := h.nodes[0]
 	if !nd.owned.Empty() {
 		t.Fatalf("drained node still owns %v", nd.owned)
@@ -265,34 +259,34 @@ func TestDrainHandsOffTokens(t *testing.T) {
 			h.nodes[0].owned, h.nodes[1].owned, h.nodes[2].owned)
 	}
 	// The cluster still works: acquire through the moved tokens.
-	h.at(2, func() { h.nodes[2].Request(ids(3, 0, 1, 2)) })
-	h.eng.Run()
+	h.at(2, func() { h.Request(2, ids(3, 0, 1, 2)) })
+	h.Run()
 	if h.nodes[2].st != stInCS {
 		t.Fatalf("post-drain acquire wedged: %v", h.nodes[2].st)
 	}
-	h.nodes[2].Release()
+	h.Release(2)
 }
 
 // TestDrainQueueHeadWins: a waiting queue head outranks the steward as
 // the drain destination — the handoff should serve the waiter directly.
 func TestDrainQueueHeadWins(t *testing.T) {
-	h := newScript(t, 3, 3, WithoutLoan())
+	h := newTimed(3, 3, WithoutLoan())
 	// node1 holds r1 in CS; node2 queues behind it.
-	h.at(1, func() { h.nodes[1].Request(ids(3, 1)) })
-	h.at(10, func() { h.nodes[2].Request(ids(3, 1)) })
+	h.at(1, func() { h.Request(1, ids(3, 1)) })
+	h.at(10, func() { h.Request(2, ids(3, 1)) })
 	h.at(20, func() {
 		if !h.nodes[1].tok[1].Queue.contains(2, h.nodes[2].curID) {
 			t.Fatalf("setup: node2 not queued at node1: %v", h.nodes[1].tok[1].Queue)
 		}
 		// node1 releases, then drains: the token must go to node2 (the
 		// released queue head service already does this; drain the rest).
-		h.nodes[1].Release()
+		h.Release(1)
 	})
-	h.eng.Run()
+	h.Run()
 	if h.nodes[2].st != stInCS {
 		t.Fatalf("queue head not served: %v", h.nodes[2].st)
 	}
-	h.nodes[2].Release()
+	h.Release(2)
 }
 
 // TestParkedEntryReclaimsStolenToken: node0 parks its genesis-owned
@@ -300,24 +294,24 @@ func TestDrainQueueHeadWins(t *testing.T) {
 // node1's competing request takes the tokens away. The reclaim path
 // must re-register node0's interest or the entry wedges forever.
 func TestParkedEntryReclaimsStolenToken(t *testing.T) {
-	h := newScript(t, 2, 3, leaseOpts())
+	h := newTimed(2, 3, leaseOpts())
 	h.tickAll(2, 200, nil)
 
 	h.at(0.1, func() {
-		h.nodes[0].Request(ids(3, 0, 1, 2))
+		h.Request(0, ids(3, 0, 1, 2))
 		if h.nodes[0].st == stInCS {
 			t.Fatal("entered CS without a lease")
 		}
 	})
 	// Node1 requests the same set while node0 is parked leaseless.
-	h.at(0.2, func() { h.nodes[1].Request(ids(3, 0, 1, 2)) })
+	h.at(0.2, func() { h.Request(1, ids(3, 0, 1, 2)) })
 	// Whoever is granted releases on the next sweep, so both entries
 	// get their turn in either order.
 	for ms := 5.0; ms <= 180; ms += 5 {
 		h.at(ms, func() {
-			for _, nd := range h.nodes {
+			for i, nd := range h.nodes {
 				if nd.st == stInCS {
-					nd.Release()
+					h.Release(i)
 				}
 			}
 		})
@@ -329,7 +323,7 @@ func TestParkedEntryReclaimsStolenToken(t *testing.T) {
 				n0.st, n0.entryHeld, n0.owned, n1.st, n1.owned)
 		}
 	})
-	h.eng.Run()
+	h.Run()
 	if len(h.grants) != 2 {
 		t.Fatalf("grants=%v, want both nodes served", h.grants)
 	}

@@ -371,18 +371,18 @@ func TestFailedLoanPathExercised(t *testing.T) {
 // processes with disjoint resource sets execute their critical
 // sections concurrently — neither waits for the other.
 func TestConcurrencyProperty(t *testing.T) {
-	h := newScript(t, 3, 4, WithLoan())
+	h := newTimed(3, 4, WithLoan())
 	// Disjoint requests issued at the same instant; both tokensets live
 	// at node 0 initially, so both requesters talk only to node 0.
-	h.at(1, func() { h.nodes[1].Request(ids(4, 0, 1)) })
-	h.at(1, func() { h.nodes[2].Request(ids(4, 2, 3)) })
+	h.at(1, func() { h.Request(1, ids(4, 0, 1)) })
+	h.at(1, func() { h.Request(2, ids(4, 2, 3)) })
 	h.at(10, func() {
 		if h.nodes[1].st != stInCS || h.nodes[2].st != stInCS {
 			t.Fatalf("states %v/%v: disjoint requests must overlap in CS",
 				h.nodes[1].st, h.nodes[2].st)
 		}
 	})
-	h.eng.Run()
-	h.nodes[1].Release()
-	h.nodes[2].Release()
+	h.Run()
+	h.Release(1)
+	h.Release(2)
 }

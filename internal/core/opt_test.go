@@ -14,32 +14,32 @@ import (
 // single activation buffering several requests to one destination must
 // emit exactly one wire message.
 func TestAggregationOneBatchPerDestination(t *testing.T) {
-	h := newScript(t, 2, 4, WithoutLoan())
+	h := newTimed(2, 4, WithoutLoan())
 	// Node 1 requests three resources, all owned by node 0: the three
 	// ReqCnt must travel in one reqBatch.
-	h.at(0.1, func() { h.nodes[1].Request(ids(4, 0, 1, 2)) })
-	h.eng.RunUntil(sim.FromMillis(0.5)) // sent, not yet delivered
-	if got := h.nw.Stats().ByKind["LASS.Request"]; got != 1 {
+	h.at(0.1, func() { h.Request(1, ids(4, 0, 1, 2)) })
+	h.RunUntil(sim.FromMillis(0.5)) // sent, not yet delivered
+	if got := h.Stats().ByKind["LASS.Request"]; got != 1 {
 		t.Fatalf("sent %d request messages, want 1 aggregated batch", got)
 	}
-	h.eng.Run()
+	h.Run()
 	if h.nodes[1].st != stInCS {
 		t.Fatalf("node1 state %v", h.nodes[1].st)
 	}
-	h.nodes[1].Release()
+	h.Release(1)
 }
 
 // TestNoAggregationSplitsBatches is the ablation counterpart: with
 // aggregation disabled the same activation emits one message per item.
 func TestNoAggregationSplitsBatches(t *testing.T) {
-	h := newScript(t, 2, 4, Options{DisableAggregation: true})
-	h.at(0.1, func() { h.nodes[1].Request(ids(4, 0, 1, 2)) })
-	h.eng.RunUntil(sim.FromMillis(0.5))
-	if got := h.nw.Stats().ByKind["LASS.Request"]; got != 3 {
+	h := newTimed(2, 4, Options{DisableAggregation: true})
+	h.at(0.1, func() { h.Request(1, ids(4, 0, 1, 2)) })
+	h.RunUntil(sim.FromMillis(0.5))
+	if got := h.Stats().ByKind["LASS.Request"]; got != 3 {
 		t.Fatalf("sent %d request messages, want 3 unaggregated", got)
 	}
-	h.eng.Run()
-	h.nodes[1].Release()
+	h.Run()
+	h.Release(1)
 }
 
 // TestShortcutRewiresFather pins §4.6.2(1): after a Counter reply the
@@ -47,25 +47,25 @@ func TestNoAggregationSplitsBatches(t *testing.T) {
 // so the follow-up ReqRes travels one hop.
 func TestShortcutRewiresFather(t *testing.T) {
 	run := func(disable bool) network.NodeID {
-		h := newScript(t, 3, 2, Options{DisableShortcut: disable})
+		h := newTimed(3, 2, Options{DisableShortcut: disable})
 		// Move token r1 to node 2 so node 1's father pointer (still
 		// node 0) is stale.
-		h.at(0, func() { h.nodes[2].Request(ids(2, 1)) })
-		h.at(5, func() { h.nodes[2].Release() })
+		h.at(0, func() { h.Request(2, ids(2, 1)) })
+		h.at(5, func() { h.Release(2) })
 		// Node 2 holds r1 inside a CS so it answers ReqCnt with a
 		// Counter instead of the whole token.
-		h.at(10, func() { h.nodes[2].Request(ids(2, 1)) })
+		h.at(10, func() { h.Request(2, ids(2, 1)) })
 		// Node 1 asks for {r0, r1}: the r1 counter comes from node 2.
-		h.at(20, func() { h.nodes[1].Request(ids(2, 0, 1)) })
-		h.eng.RunUntil(sim.FromMillis(30))
+		h.at(20, func() { h.Request(1, ids(2, 0, 1)) })
+		h.RunUntil(sim.FromMillis(30))
 		father := h.nodes[1].tokDir[1]
-		h.eng.Run()
+		h.Run()
 		if h.nodes[2].st == stInCS {
-			h.nodes[2].Release()
+			h.Release(2)
 		}
-		h.eng.Run()
+		h.Run()
 		if h.nodes[1].st == stInCS {
-			h.nodes[1].Release()
+			h.Release(1)
 		}
 		return father
 	}
@@ -81,12 +81,12 @@ func TestShortcutRewiresFather(t *testing.T) {
 // waitCS with a higher-priority pending request for r must not forward
 // a ReqRes for r — it stores it and replays it when the token arrives.
 func TestForwardStopKeepsRequestLocal(t *testing.T) {
-	h := newScript(t, 3, 2, WithoutLoan())
+	h := newTimed(3, 2, WithoutLoan())
 	nd := h.nodes[1]
 	// Put node 1 into waitCS for r0 with a known small mark, without
 	// owning it (node 0 keeps the token busy in a CS).
-	h.at(0, func() { h.nodes[0].Request(ids(2, 0, 1)) }) // immediate CS
-	h.at(5, func() { nd.Request(ids(2, 0, 1)) })
+	h.at(0, func() { h.Request(0, ids(2, 0, 1)) }) // immediate CS
+	h.at(5, func() { h.Request(1, ids(2, 0, 1)) })
 	h.at(10, func() {
 		if nd.st != stWaitCS {
 			t.Fatalf("node1 state %v", nd.st)
@@ -95,22 +95,22 @@ func TestForwardStopKeepsRequestLocal(t *testing.T) {
 		// node 2 with node 1's father (node 0) already visited: the
 		// §4.2.1 rule alone would stop it; the §4.6.2 rule must stop
 		// it even when the father was NOT visited.
-		before := h.nw.Stats().Total
+		before := h.Stats().Total
 		nd.Deliver(2, &reqBatch{
 			Visited: []network.NodeID{2},
 			Reqs: []request{{
 				Kind: reqRes, R: 0, Init: 2, ID: 1, Mark: nd.myMark + 100,
 			}},
 		})
-		if got := h.nw.Stats().Total - before; got != 0 {
+		if got := h.Stats().Total - before; got != 0 {
 			t.Fatalf("forwarded %d messages, want 0 (forward stop)", got)
 		}
 		if len(nd.pending[0].reqs) != 1 {
 			t.Fatalf("pendingReq = %v, want the stored request", nd.pending[0].reqs)
 		}
 	})
-	h.at(20, func() { h.nodes[0].Release() })
-	h.eng.Run()
+	h.at(20, func() { h.Release(0) })
+	h.Run()
 	// Node 1 got the tokens, entered CS; on its release the replayed
 	// request from node 2 must have reached the queue and the token
 	// must flow to node 2 (which never even sent a proper request —
@@ -123,27 +123,27 @@ func TestForwardStopKeepsRequestLocal(t *testing.T) {
 	if !tok.Queue.contains(2, 1) {
 		t.Fatalf("replayed request missing from queue: %v", tok.Queue)
 	}
-	h.nodes[1].Release()
+	h.Release(1)
 }
 
 // TestVisitedSetStopsForwarding pins §4.2.1: a request whose next hop
 // is already in its visited set is stored, not forwarded (the token is
 // heading to a site that already has a pendingReq copy).
 func TestVisitedSetStopsForwarding(t *testing.T) {
-	h := newScript(t, 3, 2, WithoutLoan())
+	h := newTimed(3, 2, WithoutLoan())
 	nd := h.nodes[1] // father for everything is node 0
-	before := h.nw.Stats().Total
+	before := h.Stats().Total
 	nd.Deliver(2, &reqBatch{
 		Visited: []network.NodeID{2, 0}, // node 0 = nd's father, visited
 		Reqs:    []request{{Kind: reqRes, R: 0, Init: 2, ID: 1, Mark: 1}},
 	})
-	if got := h.nw.Stats().Total - before; got != 0 {
+	if got := h.Stats().Total - before; got != 0 {
 		t.Fatalf("forwarded %d messages despite visited father", got)
 	}
 	if len(nd.pending[0].reqs) != 1 {
 		t.Fatal("request not stored in local history")
 	}
-	h.eng.Run()
+	h.Run()
 
 	// One flush fanning out to three destinations, each of which
 	// forwards: every batch owns its visited set, so the three sets the
@@ -180,7 +180,7 @@ func TestVisitedSetStopsForwarding(t *testing.T) {
 // the history must stay bounded, and the loans that survive the prune
 // must still find their own missing sets.
 func TestPendingPruneDropsObsolete(t *testing.T) {
-	h := newScript(t, 3, 2, WithLoan())
+	h := newTimed(3, 2, WithLoan())
 	nd := h.nodes[1]
 	// Node 1 saw r0's token leave with stamps that say: node 2's
 	// requests up to id 2^40 are all served.
@@ -211,10 +211,10 @@ func TestPendingPruneDropsObsolete(t *testing.T) {
 // TestStaleCounterIgnored pins hardening deviation 1: a Counter reply
 // for a previous request id must not corrupt the current vector.
 func TestStaleCounterIgnored(t *testing.T) {
-	h := newScript(t, 2, 2, WithoutLoan())
+	h := newTimed(2, 2, WithoutLoan())
 	nd := h.nodes[1]
-	h.at(0, func() { h.nodes[0].Request(ids(2, 0, 1)) })
-	h.at(5, func() { nd.Request(ids(2, 0, 1)) })
+	h.at(0, func() { h.Request(0, ids(2, 0, 1)) })
+	h.at(5, func() { h.Request(1, ids(2, 0, 1)) })
 	h.at(10, func() {
 		if nd.st != stWaitCS {
 			t.Fatalf("state %v", nd.st)
@@ -230,7 +230,7 @@ func TestStaleCounterIgnored(t *testing.T) {
 			t.Fatal("unneeded counter accepted")
 		}
 	})
-	h.at(20, func() { h.nodes[0].Release() })
-	h.eng.Run()
-	h.nodes[1].Release()
+	h.at(20, func() { h.Release(0) })
+	h.Run()
+	h.Release(1)
 }

@@ -15,10 +15,13 @@ import (
 // inspects what a node sends. Drain(nil) delivers in send order (so
 // every link is FIFO) until the system is quiet. It allocates nothing
 // once its queue has grown, so an allocation seen across it is the
-// protocol's.
+// protocol's. A timed one (newTimed) also has sites that can crash and
+// the list of its grants.
 type coreWorld struct {
 	*explore.World
-	nodes []*Node
+	nodes  []*Node
+	sites  []*mortal
+	grants []network.NodeID
 }
 
 func newWorld(n, m int, opt Options) *coreWorld {

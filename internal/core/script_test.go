@@ -3,61 +3,45 @@ package core
 import (
 	"testing"
 
+	"mralloc/internal/explore"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/sim"
 )
 
-// scriptHarness drives Nodes directly (no workload generator) so tests
-// can replay the paper's figures step by step and inspect internals.
-type scriptHarness struct {
-	t      *testing.T
-	eng    *sim.Engine
-	nw     *network.Network
-	nodes  []*Node
-	grants []network.NodeID
-	m      int
+// The scenario tests below replay the paper's figures step by step on a
+// timed World: constant 600 µs links, steps scheduled at fixed instants.
+
+// mortal is a site that can crash: while dead it loses what is delivered
+// to it, and its memory survives for a revival.
+type mortal struct {
+	*Node
+	dead bool
 }
 
-type scriptEnv struct {
-	h  *scriptHarness
-	id network.NodeID
-}
-
-func (e *scriptEnv) ID() network.NodeID { return e.id }
-func (e *scriptEnv) N() int             { return len(e.h.nodes) }
-func (e *scriptEnv) M() int             { return e.h.m }
-func (e *scriptEnv) Now() sim.Time      { return e.h.eng.Now() }
-func (e *scriptEnv) Send(to network.NodeID, m network.Message) {
-	e.h.nw.Send(e.id, to, m)
-}
-func (e *scriptEnv) Granted() {
-	e.h.grants = append(e.h.grants, e.id)
-}
-
-func newScript(t *testing.T, n, m int, opt Options) *scriptHarness {
-	h := &scriptHarness{t: t, eng: sim.New(), m: m}
-	h.nw = network.New(h.eng, n, network.Constant{D: 600 * sim.Microsecond})
-	h.nodes = make([]*Node, n)
-	for i := 0; i < n; i++ {
-		nd := &Node{opt: opt, mark: opt.mark()}
-		h.nodes[i] = nd
+func (x *mortal) Deliver(from network.NodeID, m network.Message) {
+	if !x.dead {
+		x.Node.Deliver(from, m)
 	}
-	for i := 0; i < n; i++ {
-		id := network.NodeID(i)
-		h.nodes[i].Attach(&scriptEnv{h: h, id: id})
-		h.nw.Bind(id, h.nodes[i].Deliver)
+}
+
+// newTimed is a coreWorld run by time, which records its grants in order.
+func newTimed(n, m int, opt Options) *coreWorld {
+	f := &coreWorld{nodes: make([]*Node, n), sites: make([]*mortal, n)}
+	nodes := NewFactory(opt)(n, m)
+	for i, nd := range nodes {
+		f.nodes[i] = nd.(*Node)
+		f.sites[i] = &mortal{Node: f.nodes[i]}
+		nodes[i] = f.sites[i]
 	}
-	return h
+	rule := network.NewTiming(n, network.Constant{D: 600 * sim.Microsecond}, 0)
+	f.World = explore.NewTimed(nodes, m, rule, func(s int) { f.grants = append(f.grants, network.NodeID(s)) })
+	return f
 }
 
-func (h *scriptHarness) at(ms float64, fn func()) {
-	h.eng.At(sim.FromMillis(ms), fn)
-}
+func (f *coreWorld) at(ms float64, fn func()) { f.At(sim.FromMillis(ms), fn) }
 
-func (h *scriptHarness) grantedSince(from int) []network.NodeID {
-	return h.grants[from:]
-}
+func (f *coreWorld) grantedSince(from int) []network.NodeID { return f.grants[from:] }
 
 func ids(m int, rs ...int) resource.Set {
 	s := resource.NewSet(m)
@@ -75,17 +59,17 @@ func ids(m int, rs ...int) resource.Set {
 // it must obtain both counter values, queue two ReqRes, receive both
 // tokens at the releases, and end as root of both trees (Figure 3c).
 func TestFigure3Scenario(t *testing.T) {
-	h := newScript(t, 3, 2, WithoutLoan())
+	h := newTimed(3, 2, WithoutLoan())
 	const red, blue = 0, 1
 
 	// Setup: move the blue token to node2 (node0 owns both initially).
-	h.at(0, func() { h.nodes[2].Request(ids(2, blue)) })
-	h.at(5, func() { h.nodes[2].Release() })
+	h.at(0, func() { h.Request(2, ids(2, blue)) })
+	h.at(5, func() { h.Release(2) })
 
 	// Initial configuration of Figure 3(a): node0 in CS on red, node2
 	// in CS on blue.
-	h.at(10, func() { h.nodes[0].Request(ids(2, red)) })
-	h.at(11, func() { h.nodes[2].Request(ids(2, blue)) })
+	h.at(10, func() { h.Request(0, ids(2, red)) })
+	h.at(11, func() { h.Request(2, ids(2, blue)) })
 	h.at(12, func() {
 		if h.nodes[0].st != stInCS || h.nodes[2].st != stInCS {
 			t.Fatalf("setup failed: states %v %v", h.nodes[0].st, h.nodes[2].st)
@@ -96,7 +80,7 @@ func TestFigure3Scenario(t *testing.T) {
 	base := 0
 	h.at(15, func() {
 		base = len(h.grants)
-		h.nodes[1].Request(ids(2, red, blue))
+		h.Request(1, ids(2, red, blue))
 	})
 
 	// Counters must be collected while the holders stay in CS.
@@ -113,10 +97,10 @@ func TestFigure3Scenario(t *testing.T) {
 		}
 	})
 
-	h.at(40, func() { h.nodes[0].Release() })
-	h.at(45, func() { h.nodes[2].Release() })
+	h.at(40, func() { h.Release(0) })
+	h.at(45, func() { h.Release(2) })
 
-	h.eng.Run()
+	h.Run()
 	if got := h.grantedSince(base); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("grants after request: %v, want [1]", got)
 	}
@@ -134,7 +118,7 @@ func TestFigure3Scenario(t *testing.T) {
 	if h.nodes[2].tokDir[blue] != 1 {
 		t.Fatalf("node2 father for blue = %d, want 1", h.nodes[2].tokDir[blue])
 	}
-	h.nodes[1].Release()
+	h.Release(1)
 }
 
 // TestLoanScenario builds the §4.5 situation deterministically: node1
@@ -144,26 +128,26 @@ func TestFigure3Scenario(t *testing.T) {
 // its critical section strictly before node3 releases, and the token
 // must return to node1 afterwards.
 func TestLoanScenario(t *testing.T) {
-	h := newScript(t, 4, 4, WithLoan())
+	h := newTimed(4, 4, WithLoan())
 
 	// A: node1 acquires r0 and r3 once so it ends up owning both.
-	h.at(0, func() { h.nodes[1].Request(ids(4, 0, 3)) })
-	h.at(5, func() { h.nodes[1].Release() })
+	h.at(0, func() { h.Request(1, ids(4, 0, 3)) })
+	h.at(5, func() { h.Release(1) })
 
 	// B: node3 takes r3 into a long critical section (until t=200).
-	h.at(10, func() { h.nodes[3].Request(ids(4, 3)) })
+	h.at(10, func() { h.Request(3, ids(4, 3)) })
 
 	// C: node1 re-requests {r0, r3}: owns r0, waits on r3 → lender.
-	h.at(20, func() { h.nodes[1].Request(ids(4, 0, 3)) })
+	h.at(20, func() { h.Request(1, ids(4, 0, 3)) })
 
 	// D: park r1 at idle node2 so the borrower's second counter comes
 	// back as a direct token (order matters; see package tests doc).
 	// The second cycle bumps r1's counter so the borrower's mark ends
 	// strictly above the lender's — the loan path, not a priority yield.
-	h.at(30, func() { h.nodes[2].Request(ids(4, 1)) })
-	h.at(35, func() { h.nodes[2].Release() })
-	h.at(38, func() { h.nodes[2].Request(ids(4, 1)) })
-	h.at(42, func() { h.nodes[2].Release() })
+	h.at(30, func() { h.Request(2, ids(4, 1)) })
+	h.at(35, func() { h.Release(2) })
+	h.at(38, func() { h.Request(2, ids(4, 1)) })
+	h.at(42, func() { h.Release(2) })
 
 	// E: node0 requests {r0, r1}: Counter for r0 from node1 arrives
 	// first, token r1 from node2 second → waitCS with missing {r0} →
@@ -172,7 +156,7 @@ func TestLoanScenario(t *testing.T) {
 	base := 0
 	h.at(50, func() {
 		base = len(h.grants)
-		h.nodes[0].Request(ids(4, 0, 1))
+		h.Request(0, ids(4, 0, 1))
 	})
 	h.at(80, func() {
 		got := h.grantedSince(base)
@@ -180,7 +164,7 @@ func TestLoanScenario(t *testing.T) {
 			t.Fatalf("borrower not granted via loan: grants=%v, node0 state %v, node1 lent=%v asks=%d",
 				got, h.nodes[0].st, h.nodes[1].lent, h.nodes[0].Counters().LoanAsks)
 		}
-		grantedAt = h.eng.Now()
+		grantedAt = h.Now()
 		if h.nodes[1].Counters().LoansGranted != 1 {
 			t.Fatalf("lender counters = %+v", h.nodes[1].Counters())
 		}
@@ -192,7 +176,7 @@ func TestLoanScenario(t *testing.T) {
 			t.Fatalf("borrowed token lender = %d, want 1", tok.Lender)
 		}
 		// The borrower finishes and the token goes home.
-		h.nodes[0].Release()
+		h.Release(0)
 	})
 	h.at(100, func() {
 		if !h.nodes[1].owned.Has(0) || !h.nodes[1].lent.Empty() {
@@ -205,43 +189,43 @@ func TestLoanScenario(t *testing.T) {
 	})
 
 	// node3 finally releases; node1 completes its own CS.
-	h.at(200, func() { h.nodes[3].Release() })
+	h.at(200, func() { h.Release(3) })
 
-	h.eng.Run()
+	h.Run()
 	if grantedAt == 0 || grantedAt >= sim.FromMillis(200) {
 		t.Fatalf("loan did not beat the long CS: borrower granted at %v", grantedAt)
 	}
 	if h.nodes[1].st != stInCS {
 		t.Fatalf("lender never completed: state %v", h.nodes[1].st)
 	}
-	h.nodes[1].Release()
-	h.eng.Run()
+	h.Release(1)
+	h.Run()
 }
 
 // TestSingleOwnedImmediate: a single-resource request on a token the
 // site already owns enters the CS synchronously with zero messages.
 func TestSingleOwnedImmediate(t *testing.T) {
-	h := newScript(t, 2, 2, WithoutLoan())
+	h := newTimed(2, 2, WithoutLoan())
 	h.at(0, func() {
-		h.nodes[0].Request(ids(2, 1)) // node0 owns everything initially
+		h.Request(0, ids(2, 1)) // node0 owns everything initially
 		if h.nodes[0].st != stInCS {
 			t.Fatalf("state %v, want inCS", h.nodes[0].st)
 		}
 	})
-	h.eng.Run()
-	if h.nw.Stats().Total != 0 {
-		t.Fatalf("owned single request sent %d messages", h.nw.Stats().Total)
+	h.Run()
+	if h.Stats().Total != 0 {
+		t.Fatalf("owned single request sent %d messages", h.Stats().Total)
 	}
-	h.nodes[0].Release()
+	h.Release(0)
 }
 
 // TestCounterServiceDuringCS: a token holder in its critical section
 // still answers ReqCnt with a Counter (the counter mechanism is
 // independent of exclusive access, §3.3.1).
 func TestCounterServiceDuringCS(t *testing.T) {
-	h := newScript(t, 2, 2, WithoutLoan())
-	h.at(0, func() { h.nodes[0].Request(ids(2, 0, 1)) }) // immediate CS
-	h.at(5, func() { h.nodes[1].Request(ids(2, 0, 1)) })
+	h := newTimed(2, 2, WithoutLoan())
+	h.at(0, func() { h.Request(0, ids(2, 0, 1)) }) // immediate CS
+	h.at(5, func() { h.Request(1, ids(2, 0, 1)) })
 	h.at(10, func() {
 		nd := h.nodes[1]
 		if nd.st != stWaitCS {
@@ -254,34 +238,34 @@ func TestCounterServiceDuringCS(t *testing.T) {
 			t.Fatalf("grants %v", h.grants)
 		}
 	})
-	h.at(20, func() { h.nodes[0].Release() })
-	h.eng.Run()
+	h.at(20, func() { h.Release(0) })
+	h.Run()
 	if len(h.grants) != 2 || h.grants[1] != 1 {
 		t.Fatalf("grants %v", h.grants)
 	}
-	h.nodes[1].Release()
+	h.Release(1)
 }
 
 // TestPriorityYield: a waitCS holder yields a token to a request with a
 // smaller mark and queues itself (pseudo lines 179-181), and the token
 // eventually comes back.
 func TestPriorityYield(t *testing.T) {
-	h := newScript(t, 3, 3, WithoutLoan())
+	h := newTimed(3, 3, WithoutLoan())
 
 	// Give node1 ownership of r0 (and r2, to keep it waiting later).
-	h.at(0, func() { h.nodes[1].Request(ids(3, 0, 2)) })
-	h.at(5, func() { h.nodes[1].Release() })
+	h.at(0, func() { h.Request(1, ids(3, 0, 2)) })
+	h.at(5, func() { h.Release(1) })
 
 	// node2 takes r2 hostage for a long CS.
-	h.at(10, func() { h.nodes[2].Request(ids(3, 2)) })
+	h.at(10, func() { h.Request(2, ids(3, 2)) })
 
 	// node1 requests {r0, r2}: owns r0 with local counters (small
 	// marks), waits on r2 → waitCS holding r0.
-	h.at(20, func() { h.nodes[1].Request(ids(3, 0, 2)) })
+	h.at(20, func() { h.Request(1, ids(3, 0, 2)) })
 
 	// node0 requests {r0}: single fast path → node1 applies A with a
 	// *fresh* (larger) counter, so node0 does NOT outrank node1...
-	h.at(30, func() { h.nodes[0].Request(ids(3, 0)) })
+	h.at(30, func() { h.Request(0, ids(3, 0)) })
 	h.at(40, func() {
 		if got := h.nodes[0].st; got != stWaitCS {
 			t.Fatalf("node0 state %v", got)
@@ -297,21 +281,21 @@ func TestPriorityYield(t *testing.T) {
 
 	// Release the hostage: node1 enters CS, then releases; r0 must flow
 	// to node0.
-	h.at(50, func() { h.nodes[2].Release() })
+	h.at(50, func() { h.Release(2) })
 	h.at(60, func() {
 		if h.nodes[1].st != stInCS {
 			t.Fatalf("node1 state %v", h.nodes[1].st)
 		}
-		h.nodes[1].Release()
+		h.Release(1)
 	})
-	h.eng.Run()
+	h.Run()
 	if h.nodes[0].st != stInCS {
 		t.Fatalf("node0 state %v, want inCS after queue service", h.nodes[0].st)
 	}
 	if h.nodes[1].Counters().Yields != 0 {
 		t.Fatalf("unexpected yield recorded: %+v", h.nodes[1].Counters())
 	}
-	h.nodes[0].Release()
+	h.Release(0)
 }
 
 // TestObsoleteRequestDiscarded: replaying a stale pendingReq copy after

@@ -1,25 +1,27 @@
-// Package driver wires one algorithm, one workload, and one simulated
-// network into a complete experiment run and extracts the paper's
-// metrics from it.
+// Package driver runs the paper's request cycle over a timed
+// explore.World — the simulator — and extracts the paper's metrics from
+// it.
 //
-// Each site loops through the paper's request cycle: think for β, issue
-// a request of x ≤ φ resources, wait for the grant, hold the resources
-// for α(x), release, repeat. A site has one request at a time, so the
-// paper's hypothesis 4 holds by construction. The driver owns this
-// cycle; algorithms only see Request/Release/Deliver and answer through
-// Env.Granted, so every algorithm runs under a byte-identical workload
-// for a given seed.
+// Each site loops through the cycle: think for β, issue a request of
+// x ≤ φ resources, wait for the grant, hold the resources for α(x),
+// release, repeat. A site has one request at a time, so the paper's
+// hypothesis 4 holds by construction. The driver owns this cycle and
+// schedules it on the World's agenda, next to the deliveries the World
+// schedules itself; algorithms only see Request/Release/Deliver, so every
+// algorithm runs under a byte-identical workload for a given seed. The
+// World's Monitor checks every grant and release, and a violation panics:
+// a run that breaks safety must not produce a data point.
 package driver
 
 import (
 	"fmt"
 
 	"mralloc/internal/alg"
+	"mralloc/internal/explore"
 	"mralloc/internal/metrics"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/sim"
-	"mralloc/internal/verify"
 	"mralloc/internal/workload"
 )
 
@@ -48,11 +50,6 @@ type Config struct {
 	// WaitBuckets are the inclusive lower edges of the waiting-time
 	// size buckets (Figure 7); nil collects a single bucket.
 	WaitBuckets []int
-
-	// OnViolation receives invariant violations; nil panics, which is
-	// the right default for both tests and figure generation — a run
-	// that breaks safety must not produce a data point.
-	OnViolation func(verify.Violation)
 
 	// TraceGrant, when non-nil, observes every grant interval for the
 	// Gantt tooling: site, resources, admission and release instants.
@@ -98,63 +95,50 @@ func Run(cfg Config, factory alg.Factory) (Result, error) {
 	if lat == nil {
 		lat = network.Constant{D: cfg.Workload.Gamma}
 	}
-	onViolation := cfg.OnViolation
-	if onViolation == nil {
-		onViolation = func(v verify.Violation) { panic(v) }
-	}
 
 	wl := cfg.Workload
-	eng := sim.New()
-	nw := network.New(eng, wl.N, lat)
-	nw.SetProcessingDelay(cfg.Processing)
 	nodes := factory(wl.N, wl.M)
 	if len(nodes) != wl.N {
 		return Result{}, fmt.Errorf("driver: factory built %d nodes, want %d", len(nodes), wl.N)
 	}
-
 	d := &runState{
 		cfg:      cfg,
-		eng:      eng,
-		nw:       nw,
-		nodes:    nodes,
-		mon:      verify.New(wl.M, onViolation),
 		use:      metrics.NewUseRate(wl.M, cfg.Warmup, cfg.Horizon),
 		waiting:  metrics.NewWaiting(cfg.WaitBuckets),
 		siteWait: make([]metrics.Accum, wl.N),
 		sites:    make([]siteState, wl.N),
 	}
-	for i := range nodes {
-		id := network.NodeID(i)
-		env := &nodeEnv{run: d, id: id}
-		nodes[i].Attach(env)
-		nw.Bind(id, nodes[i].Deliver)
+	w := explore.NewTimed(nodes, wl.M, network.NewTiming(wl.N, lat, cfg.Processing), d.granted)
+	d.w = w
+	for i := range d.sites {
 		st := &d.sites[i]
 		st.gen = workload.NewGenerator(wl, i)
 		// Bind the cycle callbacks once per site: the request loop
 		// reschedules them constantly, and prebound closures keep that
 		// off the allocator.
-		st.issueFn = func() { d.issue(id) }
-		st.releaseFn = func() { d.release(id) }
+		st.issueFn = func() { d.issue(i) }
+		st.releaseFn = func() { d.release(i) }
 	}
 	// Stagger the very first request of each site by an independent
 	// think draw so time zero is not a synchronized thundering herd.
 	for i := range d.sites {
-		eng.At(d.sites[i].gen.Think(), d.sites[i].issueFn)
+		w.At(d.sites[i].gen.Think(), d.sites[i].issueFn)
 	}
 
-	eng.RunUntil(cfg.Horizon)
+	w.RunUntil(cfg.Horizon)
+	mon := w.Monitor()
 	if cfg.Drain {
-		eng.Run()
-		d.mon.CheckQuiescent(eng.Now())
+		w.Run()
+		mon.CheckQuiescent(w.Now())
 	}
 
 	res := Result{
 		UseRate:   d.use.Rate(),
 		Waiting:   d.waiting.Overall(),
-		Messages:  nw.Stats(),
-		Grants:    d.mon.Grants(),
-		Events:    eng.Executed(),
-		Ungranted: len(d.mon.PendingRequests()),
+		Messages:  w.Stats(),
+		Grants:    mon.Grants(),
+		Events:    w.Executed(),
+		Ungranted: len(mon.PendingRequests()),
 	}
 	waitMeans := make([]float64, wl.N)
 	grants := make([]float64, wl.N)
@@ -178,7 +162,6 @@ type siteState struct {
 	gen       *workload.Generator
 	req       workload.Request
 	issuedAt  sim.Time // waits measure from here
-	waiting   bool     // req is issued and not yet granted
 	grantedAt sim.Time
 
 	// issueFn and releaseFn are the site's cycle callbacks, bound once
@@ -188,78 +171,50 @@ type siteState struct {
 
 type runState struct {
 	cfg      Config
-	eng      *sim.Engine
-	nw       *network.Network
-	nodes    []alg.Node
-	mon      *verify.Monitor
+	w        *explore.World
 	use      *metrics.UseRate
 	waiting  *metrics.Waiting
 	siteWait []metrics.Accum
 	sites    []siteState
 }
 
-// issue starts site id's next request, unless the horizon has passed.
-func (d *runState) issue(id network.NodeID) {
-	now := d.eng.Now()
+// issue starts site s's next request, unless the horizon has passed.
+func (d *runState) issue(s int) {
+	now := d.w.Now()
 	if now >= d.cfg.Horizon {
 		return
 	}
-	st := &d.sites[id]
+	st := &d.sites[s]
 	st.req = st.gen.Next()
 	st.issuedAt = now
-	st.waiting = true
-	d.mon.Requested(id, now)
-	d.nodes[id].Request(st.req.Resources)
+	d.w.Request(s, st.req.Resources)
 }
 
-// granted is the Env.Granted callback: site id entered its CS.
-func (d *runState) granted(id network.NodeID) {
-	st := &d.sites[id]
-	if !st.waiting {
-		panic(fmt.Sprintf("driver: site %d granted with no request waiting", id))
-	}
-	st.waiting = false
-	now := d.eng.Now()
+// granted is the World's grant callback: site s entered its CS.
+func (d *runState) granted(s int) {
+	st := &d.sites[s]
+	now := d.w.Now()
 	st.grantedAt = now
-	d.mon.Granted(id, st.req.Resources, now)
 	if st.issuedAt >= d.cfg.Warmup {
 		d.waiting.Observe(st.req.Size, now-st.issuedAt)
-		d.siteWait[id].Add((now - st.issuedAt).Milliseconds())
+		d.siteWait[s].Add((now - st.issuedAt).Milliseconds())
 	}
 	st.req.Resources.ForEach(func(r resource.ID) { d.use.Acquire(int(r), now) })
-	d.eng.After(st.req.CS, st.releaseFn)
+	d.w.After(st.req.CS, st.releaseFn)
 }
 
-// release ends site id's critical section and schedules its next
+// release ends site s's critical section and schedules its next
 // request.
-func (d *runState) release(id network.NodeID) {
-	st := &d.sites[id]
-	now := d.eng.Now()
+func (d *runState) release(s int) {
+	st := &d.sites[s]
+	now := d.w.Now()
 	st.req.Resources.ForEach(func(r resource.ID) { d.use.Release(int(r), now) })
-	d.mon.Released(id, st.req.Resources, now)
 	if d.cfg.TraceGrant != nil {
-		d.cfg.TraceGrant(id, st.req.Resources, st.grantedAt, now)
+		d.cfg.TraceGrant(network.NodeID(s), st.req.Resources, st.grantedAt, now)
 	}
-	d.nodes[id].Release()
+	d.w.Release(s)
 	next := now + st.gen.Think()
 	if next < d.cfg.Horizon {
-		d.eng.At(next, st.issueFn)
+		d.w.At(next, st.issueFn)
 	}
 }
-
-// nodeEnv adapts the run state to the alg.Env contract for one site.
-type nodeEnv struct {
-	run *runState
-	id  network.NodeID
-}
-
-func (e *nodeEnv) ID() network.NodeID { return e.id }
-func (e *nodeEnv) N() int             { return e.run.cfg.Workload.N }
-func (e *nodeEnv) M() int             { return e.run.cfg.Workload.M }
-func (e *nodeEnv) Now() sim.Time      { return e.run.eng.Now() }
-
-func (e *nodeEnv) Send(to network.NodeID, m network.Message) {
-	e.run.nw.Send(e.id, to, m)
-}
-
-func (e *nodeEnv) Granted() { e.run.granted(e.id) }

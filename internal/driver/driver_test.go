@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 
 	"mralloc/internal/alg"
@@ -139,17 +140,36 @@ func TestTraceGrantObservesEveryCS(t *testing.T) {
 	}
 }
 
+// eager grants itself again after every release, asking nobody.
+type eager struct {
+	alg.Node
+	env alg.Env
+}
+
+func (e *eager) Attach(env alg.Env) { e.env = env; e.Node.Attach(env) }
+func (e *eager) Release()           { e.Node.Release(); e.env.Granted() }
+
+// TestViolationCallbackUsed: the World's Monitor checks every grant of a
+// run. A healthy run returns; a grant nobody asked for makes Run panic
+// with the violation, so a run that breaks an invariant yields no result.
 func TestViolationCallbackUsed(t *testing.T) {
-	cfg := smallConfig()
-	var got []verify.Violation
-	cfg.OnViolation = func(v verify.Violation) { got = append(got, v) }
-	// A healthy run must not produce violations.
-	if _, err := Run(cfg, centralized.NewFactory()); err != nil {
+	if _, err := Run(smallConfig(), centralized.NewFactory()); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Fatalf("violations on healthy run: %v", got)
+	bad := func(n, m int) []alg.Node {
+		nodes := centralized.NewFactory()(n, m)
+		for i := range nodes {
+			nodes[i] = &eager{Node: nodes[i]}
+		}
+		return nodes
 	}
+	defer func() {
+		p := recover()
+		if v, ok := p.(verify.Violation); !ok || !strings.Contains(v.Desc, "without a pending request") {
+			t.Fatalf("run with unasked grants: panic %v, want the Monitor's violation", p)
+		}
+	}()
+	Run(smallConfig(), bad)
 }
 
 // TestUseRateConservation cross-checks the metrics pipeline: with no

@@ -1,13 +1,17 @@
-// Package explore runs alg.Node instances one caller-chosen step at a
-// time. A World is fresh nodes from an alg.Factory, an Env per site, a
-// FIFO queue per ordered link and a clock that moves only on a Tick.
-// Tests script interleavings on it by hand; Search enumerates all of a
-// small Shape's, checking the paper's Annex B properties (safety at every
-// state, liveness at every terminal one) under every FIFO delivery order.
+// Package explore is the deterministic runtime of alg.Node. A World is
+// the nodes, an Env per site, a FIFO queue per ordered link, one clock,
+// one verify.Monitor and one per-kind message count. What differs between
+// its uses is who picks the next step: Search enumerates every schedule
+// of a small Shape, checking the paper's Annex B properties (safety at
+// every state, liveness at every terminal one) under every FIFO delivery
+// order; a test scripts one by hand; and the simulator (internal/driver)
+// lets time pick, in a World from NewTimed whose every send schedules its
+// link's delivery at the instant network.Timing gives it.
 package explore
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -32,17 +36,46 @@ type Msg struct {
 
 // World is one protocol instance under the caller's control. Grants and
 // releases go through a verify.Monitor whose report panics, so a safety
-// or hypothesis-4 violation stops the step that caused it.
+// or hypothesis-4 violation stops the step that caused it. The embedded
+// Engine is the World's clock and agenda: Tick moves it, and in a timed
+// World Run and RunUntil step the deliveries it holds.
 type World struct {
+	sim.Engine
 	nodes   []alg.Node
 	m       int
-	now     sim.Time
 	mon     *verify.Monitor
-	flight  []Msg          // in send order; a link's queue is its subsequence
 	want    []resource.Set // each pending or in-CS site's set
 	pending []bool         // requested, not yet granted
 	inCS    []bool
+
+	// The messages in flight are slots, each on its link's FIFO list, so
+	// a link's oldest message is one lookup whatever else is in flight.
+	slots []slot
+	links []fifo  // link a→b at a*N+b
+	free  int32   // first spare slot, chained through next; -1: none
+	view  []Msg   // InFlight's result
+	order []int32 // InFlight's scratch: slots in send order
+
+	// kinds counts what the nodes sent per kind, in first-seen order: a
+	// scan of a handful of kinds beats hashing every message's kind.
+	kinds []kindCount
+	total int64
+
+	tm      *network.Timing // nil: the caller picks every delivery
+	granted func(site int)
 }
+
+// slot holds one message in flight, or is spare. A timed World binds its
+// run, the delivery of the slot's link's oldest message, on first use.
+type slot struct {
+	Msg
+	seq  int64 // send order, across links
+	next int32 // the next slot on the link, or the next spare; -1: none
+	run  func()
+}
+
+// fifo is one link's in-flight slots, oldest first; -1: empty.
+type fifo struct{ head, tail int32 }
 
 // New builds the n nodes of f over m resources and attaches them.
 func New(f alg.Factory, n, m int) *World {
@@ -50,8 +83,27 @@ func New(f alg.Factory, n, m int) *World {
 	if len(nodes) != n {
 		panic(fmt.Sprintf("explore: factory built %d nodes, want %d", len(nodes), n))
 	}
-	w := &World{nodes: nodes, m: m, mon: verify.New(m, func(v verify.Violation) { panic(v) }),
-		want: make([]resource.Set, n), pending: make([]bool, n), inCS: make([]bool, n)}
+	return attach(&World{}, nodes, m)
+}
+
+// NewTimed attaches nodes over m resources in a World run by time: every
+// Send also schedules, at the instant tm gives the message, the delivery
+// of its link's oldest message. Links stay FIFO under tm, so that is the
+// message sent. granted, if not nil, learns of each grant once the
+// Monitor has checked it. The caller schedules its own steps with At;
+// the agenda owns every delivery, so Drain panics on a timed World.
+func NewTimed(nodes []alg.Node, m int, tm *network.Timing, granted func(site int)) *World {
+	return attach(&World{tm: tm, granted: granted}, nodes, m)
+}
+
+func attach(w *World, nodes []alg.Node, m int) *World {
+	n := len(nodes)
+	w.nodes, w.m, w.mon = nodes, m, verify.New(m, func(v verify.Violation) { panic(v) })
+	w.want, w.pending, w.inCS = make([]resource.Set, n), make([]bool, n), make([]bool, n)
+	w.links, w.free = make([]fifo, n*n), -1
+	for l := range w.links {
+		w.links[l] = fifo{-1, -1}
+	}
 	for i, nd := range nodes {
 		nd.Attach(&env{w, network.NodeID(i)})
 	}
@@ -61,61 +113,146 @@ func New(f alg.Factory, n, m int) *World {
 // Node returns site s's node.
 func (w *World) Node(s int) alg.Node { return w.nodes[s] }
 
+// Monitor is the World's safety and liveness monitor.
+func (w *World) Monitor() *verify.Monitor { return w.mon }
+
+// Stats counts what the nodes have sent, by kind.
+func (w *World) Stats() network.Stats {
+	s := network.Stats{ByKind: make(map[string]int64, len(w.kinds)), Total: w.total}
+	for _, k := range w.kinds {
+		s.ByKind[k.kind] = k.n
+	}
+	return s
+}
+
+type kindCount struct {
+	kind string
+	n    int64
+}
+
+func (w *World) count(kind string) {
+	w.total++
+	for i := range w.kinds {
+		if w.kinds[i].kind == kind {
+			w.kinds[i].n++
+			return
+		}
+	}
+	w.kinds = append(w.kinds, kindCount{kind, 1})
+}
+
 // InFlight lists the undelivered messages in send order, in a slice that
 // is the World's and valid until the next step.
-func (w *World) InFlight() []Msg { return w.flight }
+func (w *World) InFlight() []Msg {
+	w.order = w.order[:0]
+	for _, l := range w.links {
+		for i := l.head; i >= 0; i = w.slots[i].next {
+			w.order = append(w.order, i)
+		}
+	}
+	slices.SortFunc(w.order, func(i, j int32) int { return cmp.Compare(w.slots[i].seq, w.slots[j].seq) })
+	w.view = w.view[:0]
+	for _, i := range w.order {
+		w.view = append(w.view, w.slots[i].Msg)
+	}
+	return w.view
+}
 
 // InCS reports whether site s is inside its critical section.
 func (w *World) InCS(s int) bool { return w.inCS[s] }
 
 // Request has site s ask for rs.
 func (w *World) Request(s int, rs resource.Set) {
-	w.mon.Requested(network.NodeID(s), w.now)
+	w.mon.Requested(network.NodeID(s), w.Now())
 	w.want[s], w.pending[s] = rs, true
 	w.nodes[s].Request(rs)
 }
 
 // Release ends site s's critical section.
 func (w *World) Release(s int) {
-	w.mon.Released(network.NodeID(s), w.want[s], w.now)
+	w.mon.Released(network.NodeID(s), w.want[s], w.Now())
 	w.inCS[s] = false
 	w.nodes[s].Release()
 	w.want[s] = resource.Set{} // an idle site's last set is no state
 }
 
-// Tick moves the clock by d and ticks every alg.Ticker node.
+// Tick moves the clock by d, running what the agenda holds until then,
+// and ticks every alg.Ticker node.
 func (w *World) Tick(d sim.Time) {
-	w.now += d
+	w.RunUntil(w.Now() + d)
 	for _, nd := range w.nodes {
 		if t, ok := nd.(alg.Ticker); ok {
-			t.Tick(w.now)
+			t.Tick(w.Now())
 		}
 	}
 }
 
 // Drain delivers in send order every message that hold rejects (nil
 // holds none) and whatever those deliveries send, until what is left is
-// held or queued behind a held message on its link.
+// held or queued behind a held message on its link. A timed World's
+// agenda owns its deliveries, so Drain panics there.
 func (w *World) Drain(hold func(Msg) bool) {
-	for i := 0; i < len(w.flight); {
-		if x := w.flight[i]; (hold == nil || !hold(x)) && w.link(x.From, x.To) == i {
-			w.deliver(i) // what is before i stays held or behind a held message
-		} else {
-			i++
+	if w.tm != nil {
+		panic("explore: Drain on a timed World, whose agenda owns every delivery")
+	}
+	for {
+		next := int32(-1) // the oldest link head hold lets through
+		for _, l := range w.links {
+			if i := l.head; i >= 0 && (next < 0 || w.slots[i].seq < w.slots[next].seq) && (hold == nil || !hold(w.slots[i].Msg)) {
+				next = i
+			}
 		}
+		if next < 0 {
+			return
+		}
+		w.deliver(w.slots[next].From, w.slots[next].To)
 	}
 }
 
-// link is the index in flight of the oldest message on a→b, or -1.
-func (w *World) link(a, b network.NodeID) int {
-	return slices.IndexFunc(w.flight, func(x Msg) bool { return x.From == a && x.To == b })
+// link is a→b's FIFO.
+func (w *World) link(a, b network.NodeID) *fifo { return &w.links[int(a)*len(w.nodes)+int(b)] }
+
+// deliver takes the oldest message off link a→b and hands it to b.
+func (w *World) deliver(a, b network.NodeID) {
+	l := w.link(a, b)
+	i := l.head
+	s := &w.slots[i]
+	m := s.M
+	if l.head = s.next; l.head < 0 {
+		l.tail = -1
+	}
+	s.Msg, s.next, w.free = Msg{}, w.free, i
+	w.nodes[b].Deliver(a, m)
 }
 
-// deliver takes flight[i] off its link and hands it to its receiver.
-func (w *World) deliver(i int) {
-	x := w.flight[i]
-	w.flight = slices.Delete(w.flight, i, i+1) // zeroes the vacated slot
-	w.nodes[x.To].Deliver(x.From, x.M)
+// push puts x at the tail of its link, in a spare slot if there is one,
+// and returns the slot.
+func (w *World) push(x Msg) int32 {
+	i := w.free
+	if i < 0 {
+		i = int32(len(w.slots))
+		w.slots = append(w.slots, slot{})
+	} else {
+		w.free = w.slots[i].next
+	}
+	w.slots[i].Msg, w.slots[i].seq, w.slots[i].next = x, w.total, -1
+	if l := w.link(x.From, x.To); l.tail < 0 {
+		l.head, l.tail = i, i
+	} else {
+		w.slots[l.tail].next, l.tail = i, i
+	}
+	return i
+}
+
+// schedule books the delivery of the message slot i was just given at
+// the instant the timing rule sets. Its link is FIFO under the rule, so
+// delivering the link's oldest message then delivers this one.
+func (w *World) schedule(i int32) {
+	s := &w.slots[i]
+	if s.run == nil {
+		s.run = func() { w.deliver(w.slots[i].From, w.slots[i].To) }
+	}
+	w.At(w.tm.Due(w.Now(), s.From, s.To), s.run)
 }
 
 // env is one site's alg.Env.
@@ -127,19 +264,26 @@ type env struct {
 func (e *env) ID() network.NodeID { return e.id }
 func (e *env) N() int             { return len(e.w.nodes) }
 func (e *env) M() int             { return e.w.m }
-func (e *env) Now() sim.Time      { return e.w.now }
+func (e *env) Now() sim.Time      { return e.w.Now() }
 
 func (e *env) Send(to network.NodeID, m network.Message) {
-	if to == e.id || to < 0 || int(to) >= len(e.w.nodes) {
+	w := e.w
+	if to == e.id || to < 0 || int(to) >= len(w.nodes) {
 		panic(fmt.Sprintf("explore: site %d sending %s to site %d", e.id, m.Kind(), to))
 	}
-	e.w.flight = append(e.w.flight, Msg{e.id, to, m})
+	w.count(m.Kind())
+	if i := w.push(Msg{e.id, to, m}); w.tm != nil {
+		w.schedule(i)
+	}
 }
 
 func (e *env) Granted() {
 	w, s := e.w, int(e.id)
-	w.mon.Granted(e.id, w.want[s], w.now)
+	w.mon.Granted(e.id, w.want[s], w.Now())
 	w.pending[s], w.inCS[s] = false, true
+	if w.granted != nil {
+		w.granted(s)
+	}
 }
 
 // TickStep is how far one tick of a search moves the clock; settleTicks
@@ -334,8 +478,8 @@ func (s *search) enabled() (cs []choice) {
 	}
 	for a := range n {
 		for b := range n {
-			if w.link(a, b) >= 0 {
-				cs = append(cs, choice{fmt.Sprintf("d%d>%d", a, b), func(s *search) { s.w.deliver(s.w.link(a, b)) }})
+			if w.link(a, b).head >= 0 {
+				cs = append(cs, choice{fmt.Sprintf("d%d>%d", a, b), func(s *search) { s.w.deliver(a, b) }})
 			}
 		}
 	}
@@ -344,7 +488,7 @@ func (s *search) enabled() (cs []choice) {
 			cs = append(cs, choice{fmt.Sprintf("x%d", site), func(s *search) { s.w.Release(site) }})
 		}
 	}
-	if s.w.now < sim.Time(s.sh.Ticks)*TickStep {
+	if s.w.Now() < sim.Time(s.sh.Ticks)*TickStep {
 		cs = append(cs, tick)
 	}
 	return cs
@@ -361,7 +505,7 @@ func (s *search) step(c choice) (err error) {
 		}
 	}()
 	if c.do(s); s.opt.Invariant != nil {
-		return s.opt.Invariant(s.w.nodes, s.w.flight)
+		return s.opt.Invariant(s.w.nodes, s.w.InFlight())
 	}
 	return nil
 }
@@ -380,7 +524,7 @@ func (s *search) finish() (err error) {
 		}})
 	}
 	if err == nil {
-		err = s.step(choice{do: func(s *search) { s.w.mon.CheckQuiescent(s.w.now) }})
+		err = s.step(choice{do: func(s *search) { s.w.mon.CheckQuiescent(s.w.Now()) }})
 	}
 	return err
 }
@@ -391,9 +535,9 @@ func (s *search) fingerprint() [32]byte {
 	w, e := s.w, &s.enc
 	e.buf = e.buf[:0]
 	clear(e.ptrs)
-	flight := slices.Clone(w.flight)
+	flight := w.InFlight() // rebuilt on every call, so sorting it is safe
 	slices.SortStableFunc(flight, func(x, y Msg) int { return int(x.From-y.From)*len(w.nodes) + int(x.To-y.To) })
-	e.value(reflect.ValueOf([]any{w.now, s.issued, w.pending, w.inCS, w.want, w.nodes, flight}))
+	e.value(reflect.ValueOf([]any{w.Now(), s.issued, w.pending, w.inCS, w.want, w.nodes, flight}))
 	return sha256.Sum256(e.buf)
 }
 

@@ -2,12 +2,14 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"mralloc/internal/alg"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
+	"mralloc/internal/sim"
 )
 
 // greedy grants every request at once, asking nobody: unsafe as soon as
@@ -165,3 +167,17 @@ func TestExploreInvariantHook(t *testing.T) {
 }
 
 var errTokenInFlight = errors.New("token in flight")
+
+// TestDrainPanicsOnTimedWorld: a timed World's agenda has booked every
+// message's delivery, so a hand-stepped delivery would make a booked
+// one take the wrong message.
+func TestDrainPanicsOnTimedWorld(t *testing.T) {
+	w := NewTimed(factory[ring]()(2, 1), 1, network.NewTiming(2, network.Constant{D: sim.Millisecond}, 0), nil)
+	w.Request(1, resource.FromIDs(1, 0)) // site 1 asks site 0 for the token
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "timed World") {
+			t.Fatalf("Drain on a timed World: recovered %v, want its panic", p)
+		}
+	}()
+	w.Drain(nil)
+}

@@ -9,20 +9,20 @@ import (
 	"mralloc/internal/sim"
 )
 
-// wire adapts Msg to network.Message for the test harness.
-type wire struct{ M Msg }
-
-func (w wire) Kind() string {
-	if w.M.Type == MsgRequest {
+// kind labels m for the harness's message count.
+func kind(m Msg) string {
+	if m.Type == MsgRequest {
 		return "NT.Request"
 	}
 	return "NT.Token"
 }
 
-// harness runs one NT instance over a simulated network.
+// harness runs one NT instance on a sim.Engine: each message is
+// delivered at the instant the timing rule gives it.
 type harness struct {
 	eng   *sim.Engine
-	nw    *network.Network
+	rule  *network.Timing
+	msgs  network.Stats
 	insts []*Instance
 	inCS  network.NodeID // current CS occupant, None if free
 	count int            // completed critical sections
@@ -31,12 +31,12 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, n int, hold sim.Time) *harness {
-	h := &harness{eng: sim.New(), inCS: network.None, t: t}
-	h.nw = network.New(h.eng, n, network.Constant{D: sim.Millisecond})
+	h := &harness{eng: sim.New(), inCS: network.None, t: t, msgs: network.Stats{ByKind: map[string]int64{}}}
+	h.rule = network.NewTiming(n, network.Constant{D: sim.Millisecond}, 0)
 	h.insts = make([]*Instance, n)
 	for i := 0; i < n; i++ {
 		id := network.NodeID(i)
-		send := func(to network.NodeID, m Msg) { h.nw.Send(id, to, wire{m}) }
+		send := func(to network.NodeID, m Msg) { h.send(id, to, m) }
 		granted := func(any) {
 			if h.inCS != network.None {
 				t.Fatalf("s%d entered CS while s%d inside (mutual exclusion)", id, h.inCS)
@@ -50,11 +50,15 @@ func newHarness(t *testing.T, n int, hold sim.Time) *harness {
 			})
 		}
 		h.insts[i] = New(id, 0, nil, send, granted)
-		h.nw.Bind(id, func(_ network.NodeID, m network.Message) {
-			h.insts[id].Deliver(m.(wire).M)
-		})
 	}
 	return h
+}
+
+// send counts m and schedules its delivery to site to.
+func (h *harness) send(from, to network.NodeID, m Msg) {
+	h.msgs.Total++
+	h.msgs.ByKind[kind(m)]++
+	h.eng.At(h.rule.Due(h.eng.Now(), from, to), func() { h.insts[to].Deliver(m) })
 }
 
 func TestIdleRootGrantsImmediately(t *testing.T) {
@@ -165,7 +169,7 @@ func TestPayloadRidesToken(t *testing.T) {
 	var values []int
 	for i := 0; i < 3; i++ {
 		id := network.NodeID(i)
-		send := func(to network.NodeID, m Msg) { h.nw.Send(id, to, wire{m}) }
+		send := func(to network.NodeID, m Msg) { h.send(id, to, m) }
 		granted := func(p any) {
 			v := p.(int)
 			values = append(values, v)
@@ -191,7 +195,7 @@ func TestMessageComplexityIsModest(t *testing.T) {
 		h.eng.At(sim.Time(i*50)*sim.Microsecond, func() { h.insts[i].Request() })
 	}
 	h.eng.Run()
-	st := h.nw.Stats()
+	st := h.msgs
 	// Worst case is O(N) per request; the dynamic tree keeps the
 	// average well below that. Allow a generous bound.
 	if st.Total > int64(3*n*n) {

@@ -1,10 +1,14 @@
-package network
+package network_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"mralloc/internal/alg"
+	"mralloc/internal/explore"
+	"mralloc/internal/network"
+	"mralloc/internal/resource"
 	"mralloc/internal/sim"
 )
 
@@ -15,67 +19,89 @@ type testMsg struct {
 
 func (m testMsg) Kind() string { return m.kind }
 
+// probe is a node that keeps its Env, so a test can send through it, and
+// reports what is delivered to it.
+type probe struct {
+	env alg.Env
+	got func(from network.NodeID, m network.Message)
+}
+
+func (p *probe) Attach(env alg.Env)   { p.env = env }
+func (p *probe) Request(resource.Set) {}
+func (p *probe) Release()             {}
+func (p *probe) Deliver(from network.NodeID, m network.Message) {
+	if p.got != nil {
+		p.got(from, m)
+	}
+}
+
+// world is a timed World of n probes under lat and service time proc.
+func world(n int, lat network.LatencyModel, proc sim.Time) (*explore.World, []*probe) {
+	ps, nodes := make([]*probe, n), make([]alg.Node, n)
+	for i := range ps {
+		ps[i] = &probe{}
+		nodes[i] = ps[i]
+	}
+	return explore.NewTimed(nodes, 1, network.NewTiming(n, lat, proc), nil), ps
+}
+
 func TestConstantLatencyDelivery(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 2, Constant{D: 5 * sim.Millisecond})
+	w, ps := world(2, network.Constant{D: 5 * sim.Millisecond}, 0)
 	var gotAt sim.Time
-	var gotFrom NodeID
-	nw.Bind(1, func(from NodeID, m Message) {
-		gotAt = eng.Now()
-		gotFrom = from
-	})
-	nw.Bind(0, func(NodeID, Message) {})
-	nw.Send(0, 1, testMsg{kind: "x"})
-	eng.Run()
+	gotFrom := network.None
+	ps[1].got = func(from network.NodeID, m network.Message) { gotAt, gotFrom = w.Now(), from }
+	ps[0].env.Send(1, testMsg{kind: "x"})
+	w.Run()
 	if gotAt != 5*sim.Millisecond || gotFrom != 0 {
 		t.Fatalf("delivered at %v from %d", gotAt, gotFrom)
 	}
 }
 
 // TestFIFOUnderZonesAndProcessing: every latency model there is fixes
-// the delay per link and the service time per receiver, so per-link FIFO
-// holds with no clamp in Send — across zones, with and without δ, for
-// messages sent at arbitrary instants from and to arbitrary sites.
+// the delay per link and the service time per receiver, so no message is
+// due before one sent earlier on its link — across zones, with and
+// without δ, for messages sent at arbitrary instants from and to
+// arbitrary sites. That is what lets a timed World deliver the head of
+// its link at each due instant: each delivery is the message sent, at
+// the instant the timing rule gave it.
 func TestFIFOUnderZonesAndProcessing(t *testing.T) {
 	const n, k = 4, 200
-	lat := Hierarchical{
-		Zone:   TwoZones(n),
-		Local:  Constant{D: 100 * sim.Microsecond},
-		Remote: Constant{D: 2 * sim.Millisecond},
+	lat := network.Hierarchical{
+		Zone:   network.TwoZones(n),
+		Local:  network.Constant{D: 100 * sim.Microsecond},
+		Remote: network.Constant{D: 2 * sim.Millisecond},
 	}
 	for _, proc := range []sim.Time{0, 600 * sim.Microsecond} {
 		prop := func(seed int64) bool {
-			eng := sim.New()
-			nw := New(eng, n, lat)
-			nw.SetProcessingDelay(proc)
-			sent := make([]int, n*n) // per link: messages sent so far
-			got := make([]int, n*n)  // per link: sequence number due next
+			w, ps := world(n, lat, proc)
+			rule := network.NewTiming(n, lat, proc) // the same rule, booked in step
+			dueAt := make([][]sim.Time, n*n)        // per link: due instant of each message sent
+			got := make([]int, n*n)                 // per link: sequence number due next
 			ok := true
-			for i := 0; i < n; i++ {
+			for i := range ps {
 				to := i
-				nw.Bind(NodeID(i), func(from NodeID, m Message) {
+				ps[i].got = func(from network.NodeID, m network.Message) {
 					link := int(from)*n + to
-					if m.(testMsg).seq != got[link] {
-						ok = false
-					}
+					seq := m.(testMsg).seq
+					ok = ok && seq == got[link] && w.Now() == dueAt[link][seq]
 					got[link]++
-				})
+				}
 			}
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < k; i++ {
-				from := NodeID(r.Intn(n))
-				to := NodeID((int(from) + 1 + r.Intn(n-1)) % n)
-				eng.At(sim.Time(r.Int63n(int64(5*sim.Millisecond))), func() {
+				from := network.NodeID(r.Intn(n))
+				to := network.NodeID((int(from) + 1 + r.Intn(n-1)) % n)
+				w.At(sim.Time(r.Int63n(int64(5*sim.Millisecond))), func() {
 					link := int(from)*n + int(to)
-					nw.Send(from, to, testMsg{kind: "m", seq: sent[link]})
-					sent[link]++
+					dueAt[link] = append(dueAt[link], rule.Due(w.Now(), from, to))
+					ps[from].env.Send(to, testMsg{kind: "m", seq: len(dueAt[link]) - 1})
 				})
 			}
-			eng.Run()
-			for link := range sent {
-				ok = ok && got[link] == sent[link]
+			w.Run()
+			for link := range dueAt {
+				ok = ok && got[link] == len(dueAt[link])
 			}
-			return ok
+			return ok && len(w.InFlight()) == 0
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 			t.Fatalf("δ=%v: %v", proc, err)
@@ -83,17 +109,15 @@ func TestFIFOUnderZonesAndProcessing(t *testing.T) {
 	}
 }
 
+// TestStatsCounting: a World counts what its nodes send, by kind, once
+// per Send.
 func TestStatsCounting(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 3, Constant{})
-	for i := 0; i < 3; i++ {
-		nw.Bind(NodeID(i), func(NodeID, Message) {})
-	}
-	nw.Send(0, 1, testMsg{kind: "A"})
-	nw.Send(1, 2, testMsg{kind: "A"})
-	nw.Send(2, 0, testMsg{kind: "B"})
-	eng.Run()
-	st := nw.Stats()
+	w, ps := world(3, network.Constant{}, 0)
+	ps[0].env.Send(1, testMsg{kind: "A"})
+	ps[1].env.Send(2, testMsg{kind: "A"})
+	ps[2].env.Send(0, testMsg{kind: "B"})
+	w.Run()
+	st := w.Stats()
 	if st.Total != 3 || st.ByKind["A"] != 2 || st.ByKind["B"] != 1 {
 		t.Fatalf("stats = %v", st)
 	}
@@ -104,67 +128,64 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatalf("String = %q", st.String())
 	}
 	// Snapshot is independent of later traffic.
-	nw.Send(0, 2, testMsg{kind: "A"})
+	ps[0].env.Send(2, testMsg{kind: "A"})
 	if st.Total != 3 {
 		t.Fatal("snapshot mutated by later send")
 	}
 }
 
-// TestNetworkSendSteadyStateAllocs: once the delivery pool, the agenda
-// and the kind slots are warm, a send and its delivery allocate nothing.
+// TestNetworkSendSteadyStateAllocs: once the delivery records, the
+// agenda, the in-flight queue and the kind slots are warm, a timed send
+// and its delivery allocate nothing.
 func TestNetworkSendSteadyStateAllocs(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 2, Constant{D: sim.Millisecond})
-	nw.SetProcessingDelay(sim.Microsecond)
+	w, ps := world(2, network.Constant{D: sim.Millisecond}, sim.Microsecond)
 	delivered := 0
-	for i := 0; i < 2; i++ {
-		nw.Bind(NodeID(i), func(NodeID, Message) { delivered++ })
+	for _, p := range ps {
+		p.got = func(network.NodeID, network.Message) { delivered++ }
 	}
 	// Boxed once: converting a testMsg per send would be the test's own
-	// allocation, not the network's.
-	var a, b Message = testMsg{kind: "A"}, testMsg{kind: "B"}
+	// allocation, not the World's.
+	var a, b network.Message = testMsg{kind: "A"}, testMsg{kind: "B"}
 	round := func() {
-		nw.Send(0, 1, a)
-		nw.Send(1, 0, b)
-		nw.Send(0, 1, b)
-		eng.Run()
+		ps[0].env.Send(1, a)
+		ps[1].env.Send(0, b)
+		ps[0].env.Send(1, b)
+		w.Run()
 	}
 	round()
 	if got := testing.AllocsPerRun(100, round); got != 0 {
 		t.Fatalf("steady-state round allocated %.1f objects, want 0", got)
 	}
-	if st := nw.Stats(); st.Total != int64(delivered) || st.ByKind["A"]*2 != st.ByKind["B"] {
+	if st := w.Stats(); st.Total != int64(delivered) || st.ByKind["A"]*2 != st.ByKind["B"] {
 		t.Fatalf("stats = %v after %d deliveries", st, delivered)
 	}
 }
 
 func TestSelfSendPanics(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 2, Constant{})
+	_, ps := world(2, network.Constant{}, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("self-send did not panic")
 		}
 	}()
-	nw.Send(1, 1, testMsg{kind: "x"})
+	ps[1].env.Send(1, testMsg{kind: "x"})
 }
 
 func TestInvalidDestinationPanics(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 2, Constant{})
+	_, ps := world(2, network.Constant{}, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalid destination did not panic")
 		}
 	}()
-	nw.Send(0, 7, testMsg{kind: "x"})
+	ps[0].env.Send(7, testMsg{kind: "x"})
 }
 
 func TestHierarchicalLatency(t *testing.T) {
-	h := Hierarchical{
-		Zone:   TwoZones(8),
-		Local:  Constant{D: 1 * sim.Millisecond},
-		Remote: Constant{D: 9 * sim.Millisecond},
+	h := network.Hierarchical{
+		Zone:   network.TwoZones(8),
+		Local:  network.Constant{D: 1 * sim.Millisecond},
+		Remote: network.Constant{D: 9 * sim.Millisecond},
 	}
 	if d := h.Latency(0, 3); d != 1*sim.Millisecond {
 		t.Errorf("intra-zone latency %v", d)
@@ -175,59 +196,51 @@ func TestHierarchicalLatency(t *testing.T) {
 	if d := h.Latency(7, 4); d != 1*sim.Millisecond {
 		t.Errorf("intra-zone (second zone) latency %v", d)
 	}
+	// The rule applies the model per link.
+	rule := network.NewTiming(8, h, 0)
+	if at := rule.Due(sim.Millisecond, 4, 0); at != 10*sim.Millisecond {
+		t.Errorf("cross-zone message sent at 1ms due at %v, want 10ms", at)
+	}
 }
 
 func TestProcessingDelaySerializesReceiver(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 3, Constant{D: sim.Millisecond})
-	nw.SetProcessingDelay(2 * sim.Millisecond)
-	var arrivals []sim.Time
-	nw.Bind(2, func(NodeID, Message) { arrivals = append(arrivals, eng.Now()) })
-	nw.Bind(0, func(NodeID, Message) {})
-	nw.Bind(1, func(NodeID, Message) {})
-	// Two senders hit node 2 at the same instant: the second delivery
+	rule := network.NewTiming(3, network.Constant{D: sim.Millisecond}, 2*sim.Millisecond)
+	// Two senders hit node 2 at the same instant: the second message
 	// must wait for the first service to finish.
-	nw.Send(0, 2, testMsg{kind: "x"})
-	nw.Send(1, 2, testMsg{kind: "x"})
-	eng.Run()
-	if len(arrivals) != 2 {
-		t.Fatalf("arrivals = %v", arrivals)
+	if at := rule.Due(0, 0, 2); at != 3*sim.Millisecond { // 1ms wire + 2ms service
+		t.Errorf("first message due at %v, want 3ms", at)
 	}
-	if arrivals[0] != 3*sim.Millisecond { // 1ms wire + 2ms service
-		t.Errorf("first delivery at %v, want 3ms", arrivals[0])
+	if at := rule.Due(0, 1, 2); at != 5*sim.Millisecond { // queued behind the first
+		t.Errorf("second message due at %v, want 5ms", at)
 	}
-	if arrivals[1] != 5*sim.Millisecond { // queued behind the first
-		t.Errorf("second delivery at %v, want 5ms", arrivals[1])
+	// Another receiver's queue is its own.
+	if at := rule.Due(0, 2, 0); at != 3*sim.Millisecond {
+		t.Errorf("message to an idle receiver due at %v, want 3ms", at)
 	}
 }
 
 func TestProcessingDelayIdleReceiverNoQueue(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 2, Constant{D: sim.Millisecond})
-	nw.SetProcessingDelay(2 * sim.Millisecond)
+	w, ps := world(2, network.Constant{D: sim.Millisecond}, 2*sim.Millisecond)
 	var at sim.Time
-	nw.Bind(1, func(NodeID, Message) { at = eng.Now() })
-	nw.Bind(0, func(NodeID, Message) {})
-	nw.Send(0, 1, testMsg{kind: "x"})
-	eng.RunUntil(10 * sim.Millisecond)
+	ps[1].got = func(network.NodeID, network.Message) { at = w.Now() }
+	ps[0].env.Send(1, testMsg{kind: "x"})
+	w.RunUntil(10 * sim.Millisecond)
 	if at != 3*sim.Millisecond {
 		t.Errorf("delivery at %v, want 3ms", at)
 	}
 	// A later message to an idle node pays only wire + service again.
-	nw.Send(0, 1, testMsg{kind: "x"})
-	eng.Run()
+	ps[0].env.Send(1, testMsg{kind: "x"})
+	w.Run()
 	if at != 13*sim.Millisecond {
 		t.Errorf("second delivery at %v, want 13ms", at)
 	}
 }
 
 func TestNegativeProcessingDelayPanics(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, 2, Constant{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative delay accepted")
 		}
 	}()
-	nw.SetProcessingDelay(-1)
+	network.NewTiming(2, network.Constant{}, -1)
 }
