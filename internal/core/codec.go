@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"unsafe"
 
 	"mralloc/internal/network"
@@ -39,17 +40,25 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 	}
 }
 
-// The decoders build the record the receiving node keeps (see batch):
-// one allocation for the record, one per non-empty slice, each sized to
+// The decoders build the record the receiving node keeps (see batch)
+// with newBatch and fill its first storage: one allocation for a record
+// of the common case, one more per list that outgrows its room, sized to
 // the message at hand.
 func decReqBatch(d *wire.Dec) network.Message {
-	b := new(reqBatch)
-	b.Visited = d.Nodes()
+	b := (*reqBatch)(newBatch())
 	n := d.Count()
+	if d.Err() != nil || !d.Charge(8*n) {
+		return b
+	}
+	b.Visited = slices.Grow(b.Visited, n)
+	for i := 0; i < n; i++ {
+		b.Visited = append(b.Visited, d.Site())
+	}
+	n = d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(request{}))) {
 		return b
 	}
-	b.Reqs = make([]request, 0, n)
+	b.Reqs = slices.Grow(b.Reqs, n)
 	for i := 0; i < n; i++ {
 		var r request
 		k := d.Uvarint()
@@ -94,23 +103,21 @@ func encRespBatch(e *wire.Enc, m network.Message) {
 }
 
 func decRespBatch(d *wire.Dec) network.Message {
-	b := new(respBatch)
+	b := (*respBatch)(newBatch())
 	n := d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(counterVal{}))) {
 		return b
 	}
-	if n > 0 {
-		b.Counters = make([]counterVal, 0, n)
-		for i := 0; i < n; i++ {
-			var c counterVal
-			c.R = d.Res()
-			c.Val = d.Varint()
-			c.ID = d.Varint()
-			if d.Err() != nil {
-				return b
-			}
-			b.Counters = append(b.Counters, c)
+	b.Counters = slices.Grow(b.Counters, n)
+	for i := 0; i < n; i++ {
+		var c counterVal
+		c.R = d.Res()
+		c.Val = d.Varint()
+		c.ID = d.Varint()
+		if d.Err() != nil {
+			return b
 		}
+		b.Counters = append(b.Counters, c)
 	}
 	n = d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(token{}))) {
@@ -119,15 +126,13 @@ func decRespBatch(d *wire.Dec) network.Message {
 	if st := decDeltaState(d); st != nil {
 		st.beginFrame() // each resource's token at most once per frame
 	}
-	if n > 0 {
-		b.Tokens = make([]*token, 0, n)
-		for i := 0; i < n; i++ {
-			t := decToken(d)
-			if d.Err() != nil {
-				return b
-			}
-			b.Tokens = append(b.Tokens, t)
+	b.Tokens = slices.Grow(b.Tokens, n)
+	for i := 0; i < n; i++ {
+		t := decToken(d)
+		if d.Err() != nil {
+			return b
 		}
+		b.Tokens = append(b.Tokens, t)
 	}
 	return b
 }

@@ -77,7 +77,7 @@ func (o *outbox) destAdd(to network.NodeID) {
 }
 
 // get returns an empty record: a recycled one when the free list has
-// any, else a fresh one whose slices flush sizes to the message at hand.
+// any, else a fresh one (newBatch).
 func (o *outbox) get() *batch {
 	if n := len(o.free); n > 0 {
 		b := o.free[n-1]
@@ -85,7 +85,7 @@ func (o *outbox) get() *batch {
 		o.free = o.free[:n-1]
 		return b
 	}
-	return new(batch)
+	return newBatch()
 }
 
 // recycle scrubs a delivered record — no token and no missing set may
@@ -99,6 +99,10 @@ func (o *outbox) recycle(b *batch) {
 	}
 	clear(b.Missing)
 	clear(b.Tokens)
+	// A list that moved to storage of its own left its first entries
+	// behind in the record's first storage.
+	clear(b.oneSet[:])
+	clear(b.tokens[:])
 	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
 	b.Counters, b.Tokens = b.Counters[:0], b.Tokens[:0]
 	o.free = append(o.free, b)

@@ -74,12 +74,28 @@ type batch struct {
 	Counters []counterVal
 	Tokens   []*token
 
-	// oneSet is Missing's first storage. A loan round asks with one
+	// The lists' first storage (newBatch). A loan round asks with one
 	// reqLoan per missing resource and a site forwards what it was
-	// sent, so a batch with more than one loan is rare: with room for
-	// one in the record, the side list costs a fresh (decoded) record
-	// no allocation of its own.
-	oneSet [1]resource.Set
+	// sent, so a batch with more than one loan is rare; a request
+	// travels a handful of sites, and a batch carries a request or two,
+	// a counter or two and a token or two. With room for that in the
+	// record, a fresh (decoded) record of the common case is one
+	// allocation; a list that outgrows its room moves to storage of its
+	// own and keeps it across reuse.
+	oneSet   [1]resource.Set
+	visited  [4]network.NodeID
+	reqs     [2]request
+	counters [2]counterVal
+	tokens   [2]*token
+}
+
+// newBatch returns an empty record whose lists start in its own first
+// storage. Every record a node or a decoder fills is built here.
+func newBatch() *batch {
+	b := new(batch)
+	b.Visited, b.Reqs, b.Missing = b.visited[:0], b.reqs[:0], b.oneSet[:0]
+	b.Counters, b.Tokens = b.counters[:0], b.tokens[:0]
+	return b
 }
 
 // reqBatch aggregates request messages to one destination (§4.2.2).
@@ -107,9 +123,6 @@ func (l *loanSets) next(req *request) (miss resource.Set) {
 func (b *batch) addReq(r *request, miss resource.Set) {
 	b.Reqs = append(b.Reqs, *r)
 	if r.Kind == reqLoan {
-		if b.Missing == nil {
-			b.Missing = b.oneSet[:0]
-		}
 		b.Missing = append(b.Missing, miss)
 	}
 }
