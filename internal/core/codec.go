@@ -11,8 +11,9 @@ import (
 
 // The wire codecs for the two LASS message kinds. Tokens travel inside
 // LASS.Response batches, so the token layout — counter, obsolescence
-// stamps, waiting queue, loan queue, lender — is part of the Response
-// encoding. Field order is load-bearing: changing it is a wire break.
+// stamps, waiting queue, loan queue, lender, epoch, version — is part of
+// the Response encoding. Both kinds end with the sender's holder hints.
+// Field order is load-bearing: changing it is a wire break.
 
 func init() {
 	wire.Register("LASS.Request", encReqBatch, decReqBatch)
@@ -38,6 +39,7 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 		e.Set(sets.next(r))
 		e.Bool(r.Single)
 	}
+	encHints(e, b.Hints)
 }
 
 // The decoders build the record the receiving node keeps (see batch)
@@ -85,6 +87,7 @@ func decReqBatch(d *wire.Dec) network.Message {
 		}
 		(*batch)(b).addReq(&r, miss)
 	}
+	decHints(d, (*batch)(b))
 	return b
 }
 
@@ -99,6 +102,36 @@ func encRespBatch(e *wire.Enc, m network.Message) {
 	e.Uvarint(uint64(len(b.Tokens)))
 	for _, t := range b.Tokens {
 		encToken(e, t)
+	}
+	encHints(e, b.Hints)
+}
+
+func encHints(e *wire.Enc, hints []hint) {
+	e.Uvarint(uint64(len(hints)))
+	for _, h := range hints {
+		e.Varint(int64(h.R))
+		e.Varint(h.V.Epoch)
+		e.Varint(h.V.Ver)
+	}
+}
+
+// decHints fills b's hints, charged against the frame budget like every
+// other list.
+func decHints(d *wire.Dec, b *batch) {
+	n := d.Count()
+	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(hint{}))) {
+		return
+	}
+	b.Hints = slices.Grow(b.Hints, n)
+	for i := 0; i < n; i++ {
+		h := hint{R: d.Res(), V: tokVer{Epoch: d.Varint(), Ver: d.Varint()}}
+		if (h.V.Epoch < 0 || h.V.Ver < 0) && d.Err() == nil {
+			d.Fail("holder hint for resource %d at negative version %+v", h.R, h.V)
+		}
+		if d.Err() != nil {
+			return
+		}
+		b.Hints = append(b.Hints, h)
 	}
 }
 
@@ -134,6 +167,7 @@ func decRespBatch(d *wire.Dec) network.Message {
 		}
 		b.Tokens = append(b.Tokens, t)
 	}
+	decHints(d, (*batch)(b))
 	return b
 }
 
@@ -176,6 +210,7 @@ func encTokenSnap(e *wire.Enc, t *token) {
 	}
 	e.Node(t.Lender)
 	e.Varint(t.Epoch)
+	e.Varint(t.Ver)
 }
 
 func decTokenSnap(d *wire.Dec) *token {
@@ -242,8 +277,9 @@ func decTokenSnap(d *wire.Dec) *token {
 	}
 	t.Lender = d.Node()
 	t.Epoch = d.Varint()
-	if t.Epoch < 0 && d.Err() == nil {
-		d.Fail("negative token epoch %d", t.Epoch)
+	t.Ver = d.Varint()
+	if (t.Epoch < 0 || t.Ver < 0) && d.Err() == nil {
+		d.Fail("negative token epoch %d or version %d", t.Epoch, t.Ver)
 	}
 	return t
 }
@@ -259,8 +295,8 @@ func decRef(d *wire.Dec) reqRef {
 }
 
 // codecSamples builds one representative message per shape the LASS
-// protocol produces: plain and loan requests, counter replies, and a
-// token carrying queue, loans and lender state.
+// protocol produces: plain and loan requests, counter replies, a token
+// carrying queue, loans, lender and version state, and holder hints.
 func codecSamples() []network.Message {
 	missing := resource.FromIDs(8, 2, 5)
 	tok := newToken(3, 4)
@@ -272,6 +308,7 @@ func codecSamples() []network.Message {
 	tok.Loans = append(tok.Loans, loanEntry{Ref: reqRef{Site: 2, ID: 9, Mark: 3}, R: 3, Missing: missing})
 	tok.Lender = 2
 	tok.Epoch = 2 // a regenerated token's bumped authority generation
+	tok.Ver = 5   // its fifth transfer since
 	return []network.Message{
 		&reqBatch{
 			Visited: []network.NodeID{0, 2},
@@ -282,11 +319,13 @@ func codecSamples() []network.Message {
 				{Kind: reqLoan, R: 5, Init: 1, ID: 2, Mark: 0.5},
 			},
 			Missing: []resource.Set{missing},
+			Hints:   []hint{{R: 0, V: tokVer{Ver: 3}}, {R: 6, V: tokVer{Epoch: 1, Ver: 12}}},
 		},
 		&reqBatch{},
 		&respBatch{
 			Counters: []counterVal{{R: 1, Val: 42, ID: 3}, {R: 2, Val: 7, ID: 3}},
 			Tokens:   []*token{tok, newToken(0, 4)},
+			Hints:    []hint{{R: 1, V: tokVer{Ver: 9}}, {R: 2, V: tokVer{Ver: 4}}},
 		},
 		&respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}},
 		// Two loans with sets of their own between the other kinds: a

@@ -31,7 +31,8 @@ import (
 //	       queue diff: removals  uvarint(k), k × uvarint(idxGap)   — into the old queue
 //	                   inserts   uvarint(k), k × (uvarint(idxGap), ref) — into the new queue
 //	       bool loansChanged [uvarint(k), k × loan entry],
-//	       bool lenderChanged [node]
+//	       bool lenderChanged [node],
+//	       varint(dEpoch), varint(dVer)
 //
 // Index gaps are absolute for the first entry and ≥1 after, so both
 // lists are strictly ascending by construction. Queue edits are
@@ -97,6 +98,7 @@ func copyTokenInto(dst, src *token) {
 	}
 	dst.Lender = src.Lender
 	dst.Epoch = src.Epoch
+	dst.Ver = src.Ver
 }
 
 // tokenDeltaEnc is the egress half: one per delta-capable stream,
@@ -180,10 +182,12 @@ func (st *tokenDeltaEnc) encTokenDelta(e *wire.Enc, old, t *token) {
 		e.Bool(true)
 		e.Node(t.Lender)
 	}
-	// Authority-epoch delta, appended last: almost always 0 (one byte),
-	// non-zero only when a regenerated token crosses a stream that had
-	// already shadowed its predecessor.
+	// Authority-epoch delta: almost always 0 (one byte), non-zero only
+	// when a regenerated token crosses a stream that had already
+	// shadowed its predecessor. Then the version delta, appended last:
+	// the transfers the token made since it last crossed the stream.
 	e.Varint(t.Epoch - old.Epoch)
+	e.Varint(t.Ver - old.Ver)
 }
 
 func loansEqual(a, b []loanEntry) bool {
@@ -454,8 +458,9 @@ func applyTokenDelta(d *wire.Dec, tok *token) {
 		tok.Lender = d.Node()
 	}
 	tok.Epoch += d.Varint()
-	if tok.Epoch < 0 && d.Err() == nil {
-		d.Fail("token delta yields negative epoch %d", tok.Epoch)
+	tok.Ver += d.Varint()
+	if (tok.Epoch < 0 || tok.Ver < 0) && d.Err() == nil {
+		d.Fail("token delta yields negative epoch %d or version %d", tok.Epoch, tok.Ver)
 	}
 }
 

@@ -41,7 +41,7 @@ func (p *deltaPipe) recv(frame []byte, nodes, resources int) (*respBatch, error)
 }
 
 func tokensEqual(a, b *token) error {
-	if a.R != b.R || a.Counter != b.Counter || a.Lender != b.Lender {
+	if a.R != b.R || a.Counter != b.Counter || a.Lender != b.Lender || a.Epoch != b.Epoch || a.Ver != b.Ver {
 		return fmt.Errorf("scalar fields differ: %+v vs %+v", a, b)
 	}
 	if len(a.LastReqC) != len(b.LastReqC) || len(a.LastCS) != len(b.LastCS) {
@@ -415,6 +415,7 @@ func TestTokenDeltaLegacyUnchanged(t *testing.T) {
 	e.Uvarint(0) // counters
 	e.Uvarint(1) // tokens
 	encTokenSnap(&e, tok)
+	e.Uvarint(0) // hints
 	if string(legacy) != string(e.Bytes()) {
 		t.Fatal("stream-free encoding differs from the bare snapshot layout")
 	}
@@ -476,19 +477,23 @@ func FuzzTokenDelta(f *testing.F) {
 		tok.Counter = 7
 		tok.LastReqC[2] = 3
 		tok.Queue.Insert(reqRef{Site: 4, ID: 1, Mark: 1.5})
+		tok.Ver = 2
 		return tok
 	}
-	// Seeds: a valid delta, a valid full, and the empty input.
+	// Seeds: a valid delta, a valid full, and the empty input; both
+	// carry a holder hint.
 	{
 		enc := wire.NewStream()
 		tok := seedTok()
-		full, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc)
+		hints := []hint{{R: 0, V: tokVer{Ver: 1}}}
+		full, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}, Hints: hints}, enc)
 		if err != nil {
 			f.Fatal(err)
 		}
 		tok.Counter++
+		tok.Ver++
 		tok.Queue.PopHead()
-		delta, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc)
+		delta, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}, Hints: hints}, enc)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -523,6 +528,7 @@ func FuzzTokenDelta(f *testing.F) {
 			t.Fatalf("full snapshot did not resync the stream: %v", err)
 		}
 		tok2.Counter++
+		tok2.Ver++
 		delta2, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok2}}, enc2)
 		if err != nil {
 			t.Fatal(err)

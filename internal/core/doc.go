@@ -43,11 +43,12 @@
 // scrubs it onto a small capped free list its own next flush draws
 // from. The scrub rule: nothing another site may own stays reachable
 // from a waiting record — its token pointers and the missing sets of
-// its loan requests are cleared; its requests hold no pointer (a loan's
-// set rides in a list beside them, batch.Missing) and are only
-// truncated. Nodes run serialized, so none of this needs a lock, and a
+// its loan requests are cleared; its requests and holder hints hold no
+// pointer (a loan's set rides in a list beside them, batch.Missing) and
+// are only truncated, so a refilled record carries its new sender's
+// hints alone. Nodes run serialized, so none of this needs a lock, and a
 // free-list miss costs what building the message from scratch costs: a
-// fresh record with slices sized to the message at hand. Over a socket
+// fresh record whose lists start in its own first storage. Over a socket
 // the rule holds for the outbound half: decoded records are fresh, and
 // what a site decodes feeds what it sends.
 //
@@ -67,7 +68,8 @@
 //
 // # Deviations from the paper's pseudo-code
 //
-// Five defensive deviations, each preserving the paper's semantics:
+// Five defensive deviations, each preserving the paper's semantics, and
+// one that replaces an optimization:
 //
 //  1. A site that assigns itself a counter value from a token it just
 //     received also stamps lastReqC[self], and Counter replies carry the
@@ -90,4 +92,33 @@
 //     without it a node can head its own queue, or — after a failed
 //     loan reset loanAsked — pass canLend against its own replayed
 //     loan request and try to lend the token to itself.
+//  6. Versioned holder hints replace §4.6.2's counter-reply shortcut.
+//     Every token carries a transfer version, bumped by sendToken (the
+//     one place a token leaves a node: loans, returns, yields, Drain and
+//     lease handoff all go through it); a regenerated token starts a new
+//     epoch at version 0, so versions compare as (Epoch, Ver). A node
+//     keeps, per resource, the version of the holding its father
+//     pointer names, and a LASS record carries the tokens its sender
+//     holds with their versions, in the first record to each site since
+//     that list last changed: on a FIFO link the site has acted on every
+//     hint of the list before it reads the next record, so a repeat
+//     could move no pointer. A receiver that does not own r repoints
+//     tokDir[r] at the sender when the hint is a later holding than the
+//     one it knows, before it routes the record's requests; a counter
+//     replier owns r when it replies, so the old shortcut is the hint
+//     for r in the reply's record. Why no pointer cycle forms: a node's
+//     known version only grows, and a node named at version v held the
+//     token at v, so it either still holds it or, having sent it on,
+//     knows a version above v — versions strictly increase along every
+//     chain of father pointers, which therefore ends at the holder or at
+//     the site the token is on its way to. A hint from an ex-holder that
+//     arrives late names an older holding and is ignored; taken, it
+//     could point a later holder back along the chain and close a
+//     cycle. The §4.2.1 visited-stop keeps its meaning: a site that
+//     points at a visited site v names a holding of v later than the
+//     request's pass through v, so the token reached v after the
+//     request did and v replays it from pendingReq.
+//     Options.DisableShortcut switches all repointing from received
+//     hints off. On the paper's high-load point (N = 32, M = 80, φ = 16,
+//     loan) messages per critical section fall from 62.6 to 42.8.
 package core

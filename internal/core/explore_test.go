@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -14,9 +13,13 @@ import (
 
 // tokenInvariant is core's check at every explored state: each resource
 // has exactly one token of its newest epoch, counted across the nodes
-// and the messages in flight, and a lent token comes home — once nothing
-// is in flight and every site is idle, nothing is out on loan.
+// and the messages in flight; a lent token comes home — once nothing is
+// in flight and every site is idle, nothing is out on loan; and the
+// father pointers form no cycle (fathersInvariant).
 func tokenInvariant(nodes []alg.Node, inflight []explore.Msg) error {
+	if err := fathersInvariant(nodes, inflight); err != nil {
+		return err
+	}
 	m := len(nodes[0].(*Node).tok)
 	count, epoch := make([]int, m), make([]int64, m)
 	quiet := len(inflight) == 0
@@ -59,23 +62,52 @@ func tokenInvariant(nodes []alg.Node, inflight []explore.Msg) error {
 	return nil
 }
 
-// scratchFields are the Node fields that do not decide what a node does
-// next: scratch space reused by every activation, the record free lists
-// and slabs, and the event counters.
-var scratchFields = map[string]bool{
-	"scratch": true, "ids": true, "lendIDs": true, "bounceIDs": true, "miss": true,
-	"newOwned": true, "out": true, "stats": true, "reqSlab": true, "setSlab": true,
+// fathersInvariant is deviation 6's safety argument, checked: from every
+// site that does not own a resource's token, the father pointers lead
+// to a site that holds a token of it, or to where one is in flight,
+// through holdings that grow strictly later at every site passed, and
+// the last pointer names no holding later than the one it reaches.
+func fathersInvariant(nodes []alg.Node, inflight []explore.Msg) error {
+	n, m := len(nodes), len(nodes[0].(*Node).tok)
+	// at[r*n+s] is s's holding of r's token, or where one is heading.
+	at, holds := make([]tokVer, n*m), make([]bool, n*m)
+	for s, a := range nodes {
+		for _, t := range a.(*Node).tok {
+			if t != nil {
+				at[int(t.R)*n+s], holds[int(t.R)*n+s] = t.version(), true
+			}
+		}
+	}
+	for _, x := range inflight {
+		if b, ok := x.M.(*respBatch); ok {
+			for _, t := range b.Tokens {
+				at[int(t.R)*n+int(x.To)], holds[int(t.R)*n+int(x.To)] = t.version(), true
+			}
+		}
+	}
+	for r := range m {
+		for start := range nodes {
+			for s, steps := start, 0; !holds[r*n+s]; steps++ {
+				nd := nodes[s].(*Node)
+				next, v := int(nd.tokDir[r]), nd.ver[r]
+				if next == int(network.None) || steps == n {
+					return fmt.Errorf("r%d: the father pointers from s%d end at s%d, which holds no token (or cycle)", r, start, s)
+				}
+				if holds[r*n+next] {
+					if held := at[r*n+next]; v.newer(held) {
+						return fmt.Errorf("r%d: s%d names s%d's holding %+v, later than its %+v", r, s, next, v, held)
+					}
+				} else if w := nodes[next].(*Node).ver[r]; !w.newer(v) {
+					return fmt.Errorf("r%d: s%d names s%d at %+v, whose own pointer names %+v, not later", r, s, next, v, w)
+				}
+				s = next
+			}
+		}
+	}
+	return nil
 }
 
-func exploreOptions() explore.Options {
-	nodeType := reflect.TypeOf(Node{})
-	return explore.Options{
-		Invariant: tokenInvariant,
-		Ignore: func(owner reflect.Type, f reflect.StructField) bool {
-			return owner == nodeType && scratchFields[f.Name]
-		},
-	}
-}
+func exploreOptions() explore.Options { return explore.Options{Invariant: tokenInvariant} }
 
 // coreShapes are the committed shapes plus one where core lends: one site
 // asks for all three resources, a second for two of them, and a third

@@ -363,9 +363,7 @@ func (nd *Node) regenerate(r resource.ID, now sim.Time) {
 		t.Counter = st[2*n] + 1
 	}
 	t.Epoch = newE
-	nd.tok[r] = t
-	nd.owned.Add(r)
-	nd.tokDir[r] = network.None
+	nd.own(t)
 	nd.stewardDeadline[r] = 0
 	nd.regenOwner[r] = nd.self()
 	nd.grantLease(r, now+nd.opt.LeaseTTL)
@@ -402,7 +400,11 @@ func (nd *Node) onRegen(rg regenMsg) {
 		nd.lent.Remove(r)
 	}
 	if rg.Owner != nd.self() && !nd.owned.Has(r) {
-		nd.tokDir[r] = rg.Owner
+		if v := (tokVer{Epoch: rg.Epoch}); v.newer(nd.ver[r]) {
+			// Unless a hint already named a later holding of the
+			// regenerated token.
+			nd.tokDir[r], nd.ver[r] = rg.Owner, v
+		}
 		nd.leaseUntil[r] = 0
 		nd.leaseLapsed[r] = false
 	}

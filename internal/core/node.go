@@ -82,7 +82,10 @@ func (h *history) add(r *request, miss resource.Set) {
 }
 
 // Node is one site of the algorithm. All fields map one-to-one to the
-// pseudo-code's local variables (Figure 9).
+// pseudo-code's local variables (Figure 9). Fields tagged explore:"-"
+// are scratch space, record free lists and slabs, and event counts:
+// they do not decide what the node does next, so the explorer's state
+// fingerprint skips them.
 type Node struct {
 	env  alg.Env
 	n    int // env.N(), kept for the stale table's indexing
@@ -91,21 +94,24 @@ type Node struct {
 
 	st        state
 	tokDir    []network.NodeID // father per resource; None when owner
+	ver       []tokVer         // per resource: the holding tokDir names, or the one we hold
 	tok       []*token         // the token of every owned resource, nil for the rest
+	held      []hint           // the tokens in tok that have moved, by resource: the records' Hints
+	told      []bool           // per site: held went out to it since held last changed
 	owned     resource.Set     // TOwned
 	required  resource.Set     // TRequired
 	cntNeeded resource.Set     // CntNeeded
 	lent      resource.Set     // TLent
 	myVector  []int64          // MyVector
-	scratch   []int64          // scratch vector for single-entry marks
+	scratch   []int64          `explore:"-"` // scratch vector for single-entry marks
 	myMark    float64          // A(MyVector), cached entering waitCS
 	curID     int64            // curId
 	loanAsked bool
 	single    bool // current request took the §4.6.1 fast path
 
 	pending []history // pendingReq, per resource
-	out     outbox
-	stats   Counters
+	out     outbox    `explore:"-"`
+	stats   Counters  `explore:"-"`
 
 	// stale holds what this node remembers of the tokens it no longer
 	// owns, for the §4.2.1 staleness test of a forwarded request and
@@ -117,8 +123,8 @@ type Node struct {
 	// and a zero counter says no token of r has been here.
 	stale [][]int64
 	// The histories' first storage (storePending).
-	reqSlab slab[request]
-	setSlab slab[resource.Set]
+	reqSlab slab[request]      `explore:"-"`
+	setSlab slab[resource.Set] `explore:"-"`
 
 	// Lease machinery (lease.go), live when opt.LeaseTTL > 0.
 	leaseUntil      []sim.Time       // per owned resource: lease end on our clock
@@ -129,7 +135,7 @@ type Node struct {
 	nextHB          sim.Time
 	leaseInit       bool
 	entryHeld       bool          // a CS entry parked on a lapsed lease (maybeEnter)
-	newOwned        []resource.ID // tokens installed this activation, awaiting a heartbeat
+	newOwned        []resource.ID `explore:"-"` // tokens installed this activation, awaiting a heartbeat
 
 	// Reusable hot-path scratch. ids snapshots a set for iteration in
 	// Release/scanQueues/processLoanQueues/Tick/Drain (never nested with
@@ -139,10 +145,10 @@ type Node struct {
 	// runs before scanQueues and processLoanQueues take ids in the same
 	// activation — its own slice, so it nests with nothing. miss holds
 	// maybeAskLoan's missing-set computation.
-	ids       []resource.ID
-	lendIDs   []resource.ID
-	bounceIDs []resource.ID
-	miss      resource.Set
+	ids       []resource.ID `explore:"-"`
+	lendIDs   []resource.ID `explore:"-"`
+	bounceIDs []resource.ID `explore:"-"`
+	miss      resource.Set  `explore:"-"`
 }
 
 // Counters exposes protocol-internal event counts that never cross the
@@ -209,6 +215,8 @@ func (nd *Node) Attach(env alg.Env) {
 	n, m := env.N(), env.M()
 	nd.n = n
 	nd.tokDir = make([]network.NodeID, m)
+	nd.ver = make([]tokVer, m)
+	nd.told = make([]bool, n)
 	nd.tok = make([]*token, m)
 	nd.owned = resource.NewSet(m)
 	nd.required = resource.NewSet(m)
@@ -291,10 +299,39 @@ func (nd *Node) staleObsolete(req *request) bool {
 // requests from, nil when the node originates them; request batches
 // leave stamped with it plus this site.
 func (nd *Node) flush(visited []network.NodeID) {
-	nd.out.flush(nd.env, visited, !nd.opt.DisableAggregation)
+	nd.out.flush(nd.env, visited, nd.held, nd.told, !nd.opt.DisableAggregation)
 }
 
 func (nd *Node) flushOwn() { nd.flush(nil) }
+
+// own makes t this node's: t is in tok and in the held list, and ver
+// names its holding. A genesis holding, version (0, 0), is left out of
+// the held list: every site knows it already, so it is no hint.
+func (nd *Node) own(t *token) {
+	r := t.R
+	nd.tok[r] = t
+	nd.owned.Add(r)
+	nd.tokDir[r] = network.None
+	nd.ver[r] = t.version()
+	if nd.ver[r] == (tokVer{}) {
+		return
+	}
+	i := heldAt(nd.held, r)
+	nd.held = append(nd.held, hint{})
+	copy(nd.held[i+1:], nd.held[i:])
+	nd.held[i] = hint{R: r, V: nd.ver[r]}
+	clear(nd.told)
+}
+
+// heldAt is where r is, or belongs, in the held list. A node holds a
+// handful of tokens, so a scan beats a search.
+func heldAt(held []hint, r resource.ID) int {
+	i := 0
+	for i < len(held) && held[i].R < r {
+		i++
+	}
+	return i
+}
 
 // disown ends this node's ownership of r and returns the token: its
 // stamps stay behind in the stale table, the token itself is no longer
@@ -304,18 +341,24 @@ func (nd *Node) disown(r resource.ID) *token {
 	nd.keepStale(t)
 	nd.tok[r] = nil
 	nd.owned.Remove(r)
+	if i := heldAt(nd.held, r); i < len(nd.held) && nd.held[i].R == r {
+		nd.held = append(nd.held[:i], nd.held[i+1:]...)
+		clear(nd.told)
+	}
 	return t
 }
 
 // sendToken transfers ownership of r's token to another site: the
-// token rides the wire, its stamps stay behind for obsolescence
-// pruning, and the father pointer follows the token.
+// token rides the wire at its next version, its stamps stay behind for
+// obsolescence pruning, and the father pointer follows the token.
 func (nd *Node) sendToken(to network.NodeID, r resource.ID) {
 	if to == nd.self() {
 		panic(fmt.Sprintf("core: s%d sending token %d to itself", nd.self(), r))
 	}
 	t := nd.disown(r)
+	t.Ver++
 	nd.tokDir[r] = to
+	nd.ver[r] = t.version()
 	if nd.leasing() && nd.steward(r) == nd.self() {
 		// Our own steward duty resumes the moment the token leaves:
 		// the new holder gets a full silence window before regeneration.
@@ -457,11 +500,13 @@ func (nd *Node) Release() {
 func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 	switch msg := m.(type) {
 	case *reqBatch:
+		nd.onHints(from, msg.Hints)
 		nd.onRequests(msg)
 		nd.flush(msg.Visited)
 		nd.out.recycle((*batch)(msg))
 	case *respBatch:
-		nd.onCounters(from, msg.Counters)
+		nd.onHints(from, msg.Hints)
+		nd.onCounters(msg.Counters)
 		if len(msg.Tokens) > 0 {
 			nd.onTokens(msg.Tokens)
 		} else if nd.st == stWaitS && nd.cntNeeded.Empty() {
@@ -478,6 +523,21 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 		nd.flushOwn()
 	default:
 		panic(fmt.Sprintf("core: unexpected message %T", m))
+	}
+}
+
+// onHints repoints the father pointer of every token the sender named
+// and this node does not own at the sender, when the hint is a later
+// holding than the one the pointer names (deviation 6). It runs before
+// the record's requests are routed.
+func (nd *Node) onHints(from network.NodeID, hints []hint) {
+	if nd.opt.DisableShortcut {
+		return
+	}
+	for _, h := range hints {
+		if nd.tok[h.R] == nil && h.V.newer(nd.ver[h.R]) {
+			nd.tokDir[h.R], nd.ver[h.R] = from, h.V
+		}
 	}
 }
 
@@ -671,17 +731,16 @@ func (nd *Node) processReqLoan(req *request, miss resource.Set) {
 }
 
 // onCounters implements "Receive Counter" (pseudo lines 255-262); the
-// caller handles the CntNeeded-empty transition.
-func (nd *Node) onCounters(from network.NodeID, cnts []counterVal) {
+// caller handles the CntNeeded-empty transition. The §4.6.2 shortcut —
+// the replier held the token — is the hint for it the reply's record
+// carries (onHints).
+func (nd *Node) onCounters(cnts []counterVal) {
 	for _, c := range cnts {
 		if c.ID != nd.curID || !nd.cntNeeded.Has(c.R) {
 			continue // stale reply (hardening deviation 1)
 		}
 		nd.myVector[c.R] = c.Val
 		nd.cntNeeded.Remove(c.R)
-		if !nd.opt.DisableShortcut {
-			nd.tokDir[c.R] = from // §4.6.2: the replier held the token
-		}
 	}
 }
 
@@ -754,9 +813,7 @@ func (nd *Node) processUpdate(t *token) {
 	// try to lend the token to ourselves (hardening deviation 5, doc.go).
 	t.Queue.RemoveSite(self)
 	t.removeLoans(self)
-	nd.tok[r] = t
-	nd.owned.Add(r)
-	nd.tokDir[r] = network.None
+	nd.own(t)
 	if nd.leasing() {
 		// A fresh tenure starts unleased: the echo of the heartbeat
 		// sent right after this batch (onTokens) arms it.

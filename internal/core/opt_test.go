@@ -77,6 +77,36 @@ func TestShortcutRewiresFather(t *testing.T) {
 	}
 }
 
+// TestLateHintLeavesNewerPointer pins deviation 6's version test: a
+// hint from an ex-holder that arrives after the token moved on names an
+// older holding than the receiver's father pointer, which it must leave
+// alone. Taken, it would aim the pointer back at the ex-holder, whose
+// own pointer may lead back here: a cycle no request leaves.
+func TestLateHintLeavesNewerPointer(t *testing.T) {
+	const n, m = 3, 2
+	f := newWorld(n, m, WithoutLoan())
+	// r0 goes 0 → 1 → 2 → 1, at versions 1, 2 and 3.
+	for _, site := range []int{1, 2, 1} {
+		f.acquire(t, site, ids(m, 0))
+		f.release(site)
+	}
+	x := f.nodes[2]
+	want := tokVer{Ver: 3}
+	if x.tokDir[0] != 1 || x.ver[0] != want {
+		t.Fatalf("set-up: s2 names s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
+	}
+	// What site 0 could have sent while it held r0 at version 0, at
+	// the start, arriving only now.
+	x.Deliver(0, &reqBatch{Hints: []hint{{R: 0, V: tokVer{}}}})
+	if x.tokDir[0] != 1 || x.ver[0] != want {
+		t.Errorf("a late hint moved s2's pointer to s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
+	}
+	f.acquire(t, 2, ids(m, 0))
+	if got := x.tok[0].version(); got != (tokVer{Ver: 4}) {
+		t.Errorf("r0 reached s2 at %+v, want its fourth transfer", got)
+	}
+}
+
 // TestForwardStopKeepsRequestLocal pins §4.6.2(2): a non-owner in
 // waitCS with a higher-priority pending request for r must not forward
 // a ReqRes for r — it stores it and replays it when the token arrives.

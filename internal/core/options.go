@@ -81,8 +81,10 @@ type Options struct {
 	// DisableSingleResOpt turns off the §4.6.1 fast path (single
 	// resource requests skip the counter round-trip).
 	DisableSingleResOpt bool
-	// DisableShortcut turns off the §4.6.2 father-pointer shortcut on
-	// Counter receipt.
+	// DisableShortcut turns off every father-pointer repoint a received
+	// message causes: the versioned holder hints (deviation 6, doc.go)
+	// that generalize §4.6.2's shortcut on Counter receipt. Pointers
+	// then move only with the tokens themselves and on regeneration.
 	DisableShortcut bool
 	// DisableForwardStop turns off the §4.6.2 early stop of ReqRes
 	// forwarding at sites that know they will receive the token first.

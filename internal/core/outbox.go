@@ -76,43 +76,64 @@ func (o *outbox) destAdd(to network.NodeID) {
 	o.dests = append(o.dests, to)
 }
 
-// get returns an empty record: a recycled one when the free list has
-// any, else a fresh one (newBatch).
-func (o *outbox) get() *batch {
+// get returns a record for to that carries nothing but, unless to was
+// told them already (told), the hints held: a recycled record when the
+// free list has any, else a fresh one (newBatch).
+func (o *outbox) get(to network.NodeID, held []hint, told []bool) *batch {
+	var b *batch
 	if n := len(o.free); n > 0 {
-		b := o.free[n-1]
+		b = o.free[n-1]
 		o.free[n-1] = nil
 		o.free = o.free[:n-1]
-		return b
+	} else {
+		b = newBatch()
 	}
-	return newBatch()
+	if !told[to] {
+		b.Hints = append(b.Hints, held...)
+		told[to] = true
+	}
+	return b
 }
 
 // recycle scrubs a delivered record — no token and no missing set may
-// stay reachable from a record waiting for reuse; its requests hold no
-// pointer and are merely truncated — and keeps it for the next flush.
+// stay reachable from a record waiting for reuse; its requests and hints
+// hold no pointer and are merely truncated — and keeps it for the next
+// flush.
 // Callers recycle only after the activation's flush has returned: a
 // forwarded batch reads the record's Visited until then.
 func (o *outbox) recycle(b *batch) {
 	if len(o.free) >= maxFreeBatches {
 		return
 	}
-	clear(b.Missing)
-	clear(b.Tokens)
+	if len(b.Missing) > 0 {
+		clear(b.Missing)
+	}
+	if len(b.Tokens) > 0 {
+		clear(b.Tokens)
+	}
 	// A list that moved to storage of its own left its first entries
 	// behind in the record's first storage.
-	clear(b.oneSet[:])
-	clear(b.tokens[:])
+	if cap(b.Missing) > len(b.oneSet) {
+		b.oneSet = [len(b.oneSet)]resource.Set{}
+	}
+	if cap(b.Tokens) > len(b.tokens) {
+		b.tokens = [len(b.tokens)]*token{}
+	}
 	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
-	b.Counters, b.Tokens = b.Counters[:0], b.Tokens[:0]
+	b.Counters, b.Tokens, b.Hints = b.Counters[:0], b.Tokens[:0], b.Hints[:0]
 	o.free = append(o.free, b)
 }
 
 // flush transmits everything buffered. visited is the set the requests
 // being forwarded arrived with (nil for the node's own); every request
 // batch copies it, plus the sending site, into its own record, so the
-// caller keeps the slice and no two receivers share one.
-func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
+// caller keeps the slice and no two receivers share one. held, the
+// tokens the node holds, is copied the same way into the first record
+// for each site since held last changed; told marks the sites that have
+// it. A site that was sent a list on its FIFO link has acted on every
+// hint in it before it reads the next record, so sending the list again
+// could move no pointer.
+func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told []bool, aggregate bool) {
 	if len(o.reqs) > 0 {
 		if aggregate {
 			// Index loops throughout: a destReq is 48 bytes, and these
@@ -128,7 +149,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 						n++
 					}
 				}
-				b := o.get()
+				b := o.get(to, held, told)
 				b.stamp(visited, env.ID())
 				b.Reqs = slices.Grow(b.Reqs, n)
 				sets := loanSets(o.miss)
@@ -144,7 +165,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 		} else {
 			sets := loanSets(o.miss)
 			for i := range o.reqs {
-				b := o.get()
+				b := o.get(o.reqs[i].to, held, told)
 				b.stamp(visited, env.ID())
 				b.addReq(&o.reqs[i].r, sets.next(&o.reqs[i].r))
 				env.Send(o.reqs[i].to, (*reqBatch)(b))
@@ -176,7 +197,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 					nt++
 				}
 			}
-			b := o.get()
+			b := o.get(to, held, told)
 			b.Counters = slices.Grow(b.Counters, nc)
 			for _, x := range o.cnts {
 				if x.to == to {
@@ -193,12 +214,12 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, aggregate bool) {
 		}
 	} else {
 		for _, x := range o.cnts {
-			b := o.get()
+			b := o.get(x.to, held, told)
 			b.Counters = append(b.Counters, x.c)
 			env.Send(x.to, (*respBatch)(b))
 		}
 		for _, x := range o.toks {
-			b := o.get()
+			b := o.get(x.to, held, told)
 			b.Tokens = append(b.Tokens, x.t)
 			env.Send(x.to, (*respBatch)(b))
 		}

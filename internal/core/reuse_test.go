@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"mralloc/internal/alg"
 	"mralloc/internal/explore"
 	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
@@ -280,5 +282,115 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 	}
 	if asks == 0 || records == 0 || sets == 0 {
 		t.Fatalf("scenario exercised nothing: %d loan asks, %d recycled records with room for %d sets", asks, records, sets)
+	}
+}
+
+// hintChecked is a core node whose Env checks every LASS record it
+// sends against what it holds, and which remembers the records it was
+// delivered and how many hints each carried.
+type hintChecked struct {
+	*Node
+	t         *testing.T
+	delivered map[*batch]int            // record → hints it arrived with
+	sent      map[network.NodeID][]hint // per site: the last hints sent to it
+	reused    int                       // records sent again after their delivery here
+	shrunk    int                       // ... carrying fewer hints than they arrived with
+	carried   int                       // records sent with hints
+}
+
+type hintEnv struct {
+	alg.Env
+	c *hintChecked
+}
+
+func (c *hintChecked) Attach(env alg.Env) { c.Node.Attach(&hintEnv{env, c}) }
+
+func (c *hintChecked) Deliver(from network.NodeID, m network.Message) {
+	if b := asBatch(m); b != nil {
+		c.delivered[b] = len(b.Hints)
+	}
+	c.Node.Deliver(from, m)
+}
+
+func (e *hintEnv) Send(to network.NodeID, m network.Message) {
+	c := e.c
+	if b := asBatch(m); b != nil {
+		// A record carries what the site holds, or nothing when the
+		// last list it sent that site already says so.
+		switch {
+		case len(b.Hints) > 0 && !slices.Equal(b.Hints, c.held):
+			c.t.Errorf("s%d sends %s with hints %v while it holds %v", e.ID(), m.Kind(), b.Hints, c.held)
+		case len(c.held) == 0:
+			c.sent[to] = nil // the empty list, or none: the same news
+		case len(b.Hints) == 0 && !slices.Equal(c.sent[to], c.held):
+			c.t.Errorf("s%d sends %s without hints to s%d, last told %v, while it holds %v", e.ID(), m.Kind(), to, c.sent[to], c.held)
+		case len(b.Hints) > 0:
+			c.sent[to] = slices.Clone(b.Hints)
+			c.carried++
+		}
+		if had, ok := c.delivered[b]; ok {
+			c.reused++
+			if had > len(b.Hints) {
+				c.shrunk++
+			}
+			delete(c.delivered, b)
+		}
+	}
+	e.Env.Send(to, m)
+}
+
+func asBatch(m network.Message) *batch {
+	switch b := m.(type) {
+	case *reqBatch:
+		return (*batch)(b)
+	case *respBatch:
+		return (*batch)(b)
+	}
+	return nil
+}
+
+// TestHazardRecycledRecordHints: a record a node is delivered carries
+// its sender's hints; refilled for a message of the node's own, it must
+// carry the node's hints and nothing of the previous message's — a
+// stale hint would aim a receiver's father pointer at a site that never
+// held the token at that version. Every record every site sends is
+// checked against what the site holds at that moment — the full list,
+// or none when the last list sent to that receiver is the same — over
+// loan rounds and plain cycles in which sites hold different numbers of
+// tokens.
+func TestHazardRecycledRecordHints(t *testing.T) {
+	const n, m = 4, 8
+	checked := make([]*hintChecked, n)
+	w := explore.New(func(n, m int) []alg.Node {
+		nodes := make([]alg.Node, n)
+		for i, a := range NewFactory(WithLoan())(n, m) {
+			checked[i] = &hintChecked{Node: a.(*Node), t: t, delivered: map[*batch]int{}, sent: map[network.NodeID][]hint{}}
+			nodes[i] = checked[i]
+		}
+		return nodes
+	}, n, m)
+	f := &coreWorld{World: w, nodes: make([]*Node, n)}
+	for i, c := range checked {
+		f.nodes[i] = c.Node
+	}
+	for i := 0; i < 6; i++ {
+		f.acquire(t, 3, ids(m, 3))
+		f.Request(1, ids(m, 0, 3))
+		f.Drain(nil)
+		f.acquire(t, 0, ids(m, 0, 1))
+		f.release(0)
+		f.release(3)
+		f.release(1)
+		f.acquire(t, 2, ids(m, 0, 1, 3, 5))
+		f.release(2)
+	}
+	var reused, shrunk, carried int
+	for _, c := range checked {
+		reused += c.reused
+		shrunk += c.shrunk
+		carried += c.carried
+	}
+	if shrunk == 0 || carried == 0 {
+		t.Fatalf("no site refilled a record it was sent with fewer hints than it arrived with (%d reused, %d sent with hints)", reused, carried)
 	}
 }

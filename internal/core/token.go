@@ -117,6 +117,27 @@ type token struct {
 	// epoch (delta.go), which names encoder cache generations — Epoch
 	// is protocol state and travels inside the token itself.
 	Epoch int64
+	// Ver counts the token's transfers within its epoch: sendToken,
+	// the one place a token leaves a node, bumps it. (Epoch, Ver) names
+	// one holding of the token, which is what a holder hint carries.
+	Ver int64
+}
+
+// tokVer is one holding of a resource's token: a regenerated token
+// starts a new epoch, so versions compare by epoch first.
+type tokVer struct{ Epoch, Ver int64 }
+
+func (t *token) version() tokVer { return tokVer{t.Epoch, t.Ver} }
+
+// newer reports whether a is a later holding than b.
+func (a tokVer) newer(b tokVer) bool {
+	return a.Epoch > b.Epoch || a.Epoch == b.Epoch && a.Ver > b.Ver
+}
+
+// hint names a token its sender holds and the holding's version.
+type hint struct {
+	R resource.ID
+	V tokVer
 }
 
 func newToken(r resource.ID, n int) *token {

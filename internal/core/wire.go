@@ -73,20 +73,28 @@ type batch struct {
 	// Counters and Tokens are a respBatch's counter replies and tokens.
 	Counters []counterVal
 	Tokens   []*token
+	// Hints are the tokens the sender held when it sent the record, by
+	// resource (Node.held), or none when the receiver was sent that list
+	// already: a receiver that does not own one repoints its father
+	// pointer at the sender when the hint is newer than what it knows
+	// (Node.onHints).
+	Hints []hint
 
 	// The lists' first storage (newBatch). A loan round asks with one
 	// reqLoan per missing resource and a site forwards what it was
 	// sent, so a batch with more than one loan is rare; a request
 	// travels a handful of sites, and a batch carries a request or two,
-	// a counter or two and a token or two. With room for that in the
-	// record, a fresh (decoded) record of the common case is one
-	// allocation; a list that outgrows its room moves to storage of its
-	// own and keeps it across reuse.
-	oneSet   [1]resource.Set
-	visited  [4]network.NodeID
-	reqs     [2]request
-	counters [2]counterVal
-	tokens   [2]*token
+	// a counter or two and a token or two, and its sender holds a few
+	// tokens. With room for that in the record, a fresh (decoded) record
+	// of the common case is one allocation; a list that outgrows its
+	// room moves to storage of its own and keeps it across reuse. The
+	// lists are the record's content; the explorer reads only them.
+	oneSet   [1]resource.Set   `explore:"-"`
+	visited  [4]network.NodeID `explore:"-"`
+	reqs     [2]request        `explore:"-"`
+	counters [2]counterVal     `explore:"-"`
+	tokens   [2]*token         `explore:"-"`
+	hints    [4]hint           `explore:"-"`
 }
 
 // newBatch returns an empty record whose lists start in its own first
@@ -94,7 +102,7 @@ type batch struct {
 func newBatch() *batch {
 	b := new(batch)
 	b.Visited, b.Reqs, b.Missing = b.visited[:0], b.reqs[:0], b.oneSet[:0]
-	b.Counters, b.Tokens = b.counters[:0], b.tokens[:0]
+	b.Counters, b.Tokens, b.Hints = b.counters[:0], b.tokens[:0], b.hints[:0]
 	return b
 }
 

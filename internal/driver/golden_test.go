@@ -57,17 +57,17 @@ func TestRunGoldens(t *testing.T) {
 		want string
 	}{
 		{"paper/1", paper(1), core.WithLoan(),
-			"grants=709 events=44836 LASS.Request=32655 LASS.Response=10755 wait=40653e598e02ae91 use=3fc46b61a8ca7b20"},
+			"grants=682 events=30286 LASS.Request=18807 LASS.Response=10087 wait=4065f20b5a94ded2 use=3fc3a407cf2a7e9d"},
 		{"paper/2", paper(2), core.WithLoan(),
-			"grants=675 events=42251 LASS.Request=30471 LASS.Response=10401 wait=4066684d233030f0 use=3fc3f90ff0556ed9"},
+			"grants=682 events=30381 LASS.Request=18839 LASS.Response=10176 wait=4066052c08cf0117 use=3fc427cd1906def2"},
 		{"paper/3", paper(3), core.WithLoan(),
-			"grants=683 events=42426 LASS.Request=30792 LASS.Response=10243 wait=4066264454271236 use=3fc3ae40a0dfe053"},
+			"grants=690 events=29960 LASS.Request=18509 LASS.Response=10075 wait=4065dcf11b206583 use=3fc3c87e88f44440"},
 		{"small/1", small(1), core.WithoutLoan(),
-			"grants=471 events=5520 LASS.Request=2914 LASS.Response=1664 wait=40322ff92a980be5 use=3fd450829bca6446"},
+			"grants=480 events=4763 LASS.Request=2150 LASS.Response=1653 wait=40311bee1108e0b8 use=3fd516cf7fc1a328"},
 		{"small/2", small(2), core.WithoutLoan(),
-			"grants=463 events=5468 LASS.Request=2841 LASS.Response=1701 wait=4032a6552f9c3965 use=3fd4875980288216"},
+			"grants=458 events=4676 LASS.Request=2136 LASS.Response=1624 wait=403309379dcb2aaa use=3fd41e6fc183ee62"},
 		{"small/3", small(3), core.WithoutLoan(),
-			"grants=453 events=5582 LASS.Request=2985 LASS.Response=1691 wait=4033422357d30fa4 use=3fd41df0b69e033a"},
+			"grants=485 events=5043 LASS.Request=2318 LASS.Response=1755 wait=40310b96ae3b9165 use=3fd5b6940eff8291"},
 	}
 	for _, c := range cases {
 		res, err := Run(c.cfg, core.NewFactory(c.opt))

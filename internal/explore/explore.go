@@ -324,25 +324,30 @@ func Shapes() []Shape {
 	}
 }
 
-// Options extend a search from an algorithm's own test package. Ignore
-// names the struct fields the state fingerprint skips: scratch and
-// statistics that do not decide what a node does next (func fields and
-// the World's Envs are always skipped).
+// Options extend a search from an algorithm's own test package.
+//
+// The state fingerprint skips func fields, the World's Envs and every
+// struct field tagged `explore:"-"`: a node's scratch space, statistics
+// and the first storage of its lists, which do not decide what it does
+// next.
 type Options struct {
 	Invariant func(nodes []alg.Node, inflight []Msg) error // checked at every state
-	Ignore    func(owner reflect.Type, f reflect.StructField) bool
 }
 
 // Result is what a search found: distinct states visited, how many had
-// no choice left, whether it visited them all, the first violation.
+// no choice left, whether it visited them all, the first violation, and
+// the least and most messages sent per grant over the terminal states
+// visited (each priced on the first schedule that reached it).
 type Result struct {
-	States, Terminals int
-	Complete          bool
-	Err               *Failure
+	States, Terminals        int
+	Complete                 bool
+	MinPerGrant, MaxPerGrant float64
+	Err                      *Failure
 }
 
 func (r Result) String() string {
-	s := fmt.Sprintf("%d states, %d terminal, complete=%v", r.States, r.Terminals, r.Complete)
+	s := fmt.Sprintf("%d states, %d terminal, complete=%v, msgs/grant %.2f–%.2f",
+		r.States, r.Terminals, r.Complete, r.MinPerGrant, r.MaxPerGrant)
 	if r.Err != nil {
 		s += ": " + r.Err.Error()
 	}
@@ -395,7 +400,7 @@ func Replay(f alg.Factory, sh Shape, opt Options, vector string) error {
 
 func explore(f alg.Factory, sh Shape, opt Options, script []string) Result {
 	s := &search{f: f, sh: sh, opt: opt, script: script, seen: map[[32]byte]bool{}}
-	s.enc = encoder{ptrs: map[uintptr]uint64{}, fields: map[reflect.Type][]int{}, ignore: opt.Ignore}
+	s.enc = encoder{ptrs: map[uintptr]uint64{}, fields: map[reflect.Type][]int{}}
 	for mask := 1; mask < 1<<sh.M; mask++ {
 		s.menu = append(s.menu, resource.NewSet(sh.M))
 		for id := range sh.M {
@@ -438,7 +443,13 @@ func (s *search) dfs(path []choice) bool {
 	}
 	if len(cs) == 0 {
 		s.res.Terminals++
-		return s.ok(path, s.finish())
+		err := s.finish()
+		p := float64(s.w.total) / float64(max(s.w.mon.Grants(), 1))
+		if s.res.Terminals == 1 {
+			s.res.MinPerGrant, s.res.MaxPerGrant = p, p
+		}
+		s.res.MinPerGrant, s.res.MaxPerGrant = min(s.res.MinPerGrant, p), max(s.res.MaxPerGrant, p)
+		return s.ok(path, err)
 	}
 	for i, c := range cs {
 		if i > 0 {
@@ -550,7 +561,6 @@ type encoder struct {
 	buf    []byte
 	ptrs   map[uintptr]uint64
 	fields map[reflect.Type][]int // per struct type, the fields encoded
-	ignore func(owner reflect.Type, f reflect.StructField) bool
 }
 
 func (e *encoder) value(v reflect.Value) {
@@ -588,7 +598,7 @@ func (e *encoder) value(v reflect.Value) {
 	case k == reflect.Struct:
 		fields, ok := e.fields[v.Type()]
 		for i := 0; !ok && i < v.NumField(); i++ {
-			if f := v.Type().Field(i); f.Type.Kind() != reflect.Func && (e.ignore == nil || !e.ignore(v.Type(), f)) {
+			if f := v.Type().Field(i); f.Type.Kind() != reflect.Func && f.Tag.Get("explore") != "-" {
 				fields = append(fields, i)
 			}
 		}
@@ -601,7 +611,7 @@ func (e *encoder) value(v reflect.Value) {
 	case k == reflect.Map: // entries in key order; keys share no pointers
 		keys, vals := [][]byte{}, map[string]reflect.Value{}
 		for it := v.MapRange(); it.Next(); {
-			sub := encoder{ptrs: map[uintptr]uint64{}, fields: e.fields, ignore: e.ignore}
+			sub := encoder{ptrs: map[uintptr]uint64{}, fields: e.fields}
 			sub.value(it.Key())
 			keys, vals[string(sub.buf)] = append(keys, sub.buf), it.Value()
 		}

@@ -16,6 +16,7 @@ import (
 	"mralloc/internal/sim"
 	"mralloc/internal/transport"
 	"mralloc/internal/verify"
+	"mralloc/internal/wire"
 )
 
 // TestDupTokenTransferExactlyOnce is the deterministic duplication
@@ -219,8 +220,11 @@ func TestWedgeThenRecover(t *testing.T) {
 // therefore points at a record whose receiver may already have scrubbed
 // and refilled it, and only the wrapper's dropping such envelopes on
 // their sequence number, unread, keeps that sound. Every acquire must
-// complete under the monitor, and afterwards every token must still be
-// there exactly once: each node in turn takes all M resources.
+// complete under the monitor, every record a node is handed must be,
+// byte for byte, the one sent on its link (a refilled record carries
+// its new sender's hints, not the ones it was sent with), and afterwards
+// every token must still be there exactly once: each node in turn takes
+// all M resources.
 func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 	const n, m = 4, 8
 	iters := 60
@@ -230,7 +234,8 @@ func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 0xfee1)
 	rel := transport.NewReliable(ch)
 	rel.SetRetransmit(time.Millisecond, 20*time.Millisecond)
-	c, err := New(Config{Nodes: n, Resources: m, Transport: rel}, core.NewFactory(core.WithLoan()))
+	seal := &sealed{Transport: rel, t: t, sent: map[transport.Link][][]byte{}}
+	c, err := New(Config{Nodes: n, Resources: m, Transport: seal}, core.NewFactory(core.WithLoan()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +299,54 @@ func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 	if cs.Duplicated == 0 || rs.Retransmits == 0 || rs.DupsDropped == 0 {
 		t.Fatalf("no delivered record was put back on the fabric: chaos %+v, recovery %+v", cs, rs)
 	}
+	if seal.checked == 0 {
+		t.Fatal("no delivery was checked against what was sent")
+	}
 	var loans int
 	for id := 0; id < n; id++ {
 		c.Inspect(id, func(nd alg.Node) { loans += nd.(*core.Node).Counters().LoansGranted })
 	}
 	t.Logf("%d grants, %d loans; chaos dropped=%d dup=%d; retransmits=%d dups dropped=%d",
 		mon.Grants(), loans, cs.Dropped, cs.Duplicated, rs.Retransmits, rs.DupsDropped)
+}
+
+// sealed checks that a transport hands every handler exactly what was
+// sent: it encodes each message as it is sent and compares the encoding
+// of each delivery with the oldest one sent on that link.
+type sealed struct {
+	transport.Transport
+	t       *testing.T
+	mu      sync.Mutex
+	sent    map[transport.Link][][]byte
+	checked int
+}
+
+func (s *sealed) Send(l transport.Link, m network.Message) {
+	b, err := wire.Append(nil, m)
+	if err != nil {
+		s.t.Errorf("encoding %s: %v", m.Kind(), err)
+	}
+	s.mu.Lock()
+	s.sent[l] = append(s.sent[l], b)
+	s.mu.Unlock()
+	s.Transport.Send(l, m)
+}
+
+func (s *sealed) Bind(shard int, id network.NodeID, h transport.Handler) {
+	s.Transport.Bind(shard, id, func(from network.NodeID, m network.Message) {
+		l := transport.Link{Shard: shard, From: from, To: id}
+		got, _ := wire.Append(nil, m)
+		s.mu.Lock()
+		if q := s.sent[l]; len(q) == 0 {
+			s.t.Errorf("link %+v delivers a %s nobody sent", l, m.Kind())
+		} else {
+			if string(got) != string(q[0]) {
+				s.t.Errorf("link %+v delivers a %s other than the one sent", l, m.Kind())
+			}
+			s.sent[l] = q[1:]
+			s.checked++
+		}
+		s.mu.Unlock()
+		h(from, m)
+	})
 }

@@ -116,7 +116,8 @@ func (e *Enc) String(s string) {
 // Node appends a node identifier (which may be network.None).
 func (e *Enc) Node(id network.NodeID) { e.Varint(int64(id)) }
 
-// Nodes appends a length-prefixed slice of node identifiers.
+// Nodes appends a length-prefixed slice of node identifiers; a decoder
+// reads it back with Count and one Site per entry.
 func (e *Enc) Nodes(v []network.NodeID) {
 	e.Uvarint(uint64(len(v)))
 	for _, id := range v {
@@ -362,23 +363,6 @@ func (d *Dec) Count() int {
 		return 0
 	}
 	return int(n)
-}
-
-// Nodes reads a slice of node identifiers; nil when empty. Entries are
-// read as sites (visited lists and queues never carry None).
-func (d *Dec) Nodes() []network.NodeID {
-	n := d.Count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if !d.charge(8 * n) {
-		return nil
-	}
-	out := make([]network.NodeID, n)
-	for i := range out {
-		out[i] = d.Site()
-	}
-	return out
 }
 
 // Int64s reads a slice of signed integers; nil when empty.

@@ -222,8 +222,11 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if got := d.Node(); got != network.None {
 		t.Errorf("node: %v", got)
 	}
-	if got := d.Nodes(); len(got) != 3 || got[0] != 3 || got[1] != 1 || got[2] != 4 {
-		t.Errorf("nodes: %v", got)
+	if n := d.Count(); n != 3 {
+		t.Errorf("nodes: %d of them", n)
+	}
+	if a, b, c := d.Site(), d.Site(), d.Site(); a != 3 || b != 1 || c != 4 {
+		t.Errorf("nodes: %v %v %v", a, b, c)
 	}
 	if got := d.Int64s(); len(got) != 3 || got[0] != -7 || got[2] != 9 {
 		t.Errorf("int64s: %v", got)
