@@ -12,7 +12,8 @@ import (
 // The wire codecs for the two LASS message kinds. Tokens travel inside
 // LASS.Response batches, so the token layout — counter, obsolescence
 // stamps, waiting queue, loan queue, lender, epoch, version — is part of
-// the Response encoding. Both kinds end with the sender's holder hints.
+// the Response encoding. Both kinds end with the sender's holder hints,
+// and a Request with the holdings it relays after them.
 // Field order is load-bearing: changing it is a wire break.
 
 func init() {
@@ -40,6 +41,13 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 		e.Bool(r.Single)
 	}
 	encHints(e, b.Hints)
+	e.Uvarint(uint64(len(b.Relay)))
+	for _, h := range b.Relay {
+		e.Varint(int64(h.R))
+		e.Node(h.H)
+		e.Varint(h.V.Epoch)
+		e.Varint(h.V.Ver)
+	}
 }
 
 // The decoders build the record the receiving node keeps (see batch)
@@ -88,6 +96,21 @@ func decReqBatch(d *wire.Dec) network.Message {
 		(*batch)(b).addReq(&r, miss)
 	}
 	decHints(d, (*batch)(b))
+	n = d.Count()
+	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(relay{}))) {
+		return b
+	}
+	b.Relay = slices.Grow(b.Relay, n)
+	for i := 0; i < n; i++ {
+		h := relay{R: d.Res(), H: d.Site(), V: tokVer{Epoch: d.Varint(), Ver: d.Varint()}}
+		if (h.V.Epoch < 0 || h.V.Ver < 0) && d.Err() == nil {
+			d.Fail("relayed holding of resource %d at negative version %+v", h.R, h.V)
+		}
+		if d.Err() != nil {
+			return b
+		}
+		b.Relay = append(b.Relay, h)
+	}
 	return b
 }
 
@@ -296,7 +319,8 @@ func decRef(d *wire.Dec) reqRef {
 
 // codecSamples builds one representative message per shape the LASS
 // protocol produces: plain and loan requests, counter replies, a token
-// carrying queue, loans, lender and version state, and holder hints.
+// carrying queue, loans, lender and version state, holder hints and
+// relayed holdings.
 func codecSamples() []network.Message {
 	missing := resource.FromIDs(8, 2, 5)
 	tok := newToken(3, 4)
@@ -320,6 +344,7 @@ func codecSamples() []network.Message {
 			},
 			Missing: []resource.Set{missing},
 			Hints:   []hint{{R: 0, V: tokVer{Ver: 3}}, {R: 6, V: tokVer{Epoch: 1, Ver: 12}}},
+			Relay:   []relay{{R: 3, H: 1, V: tokVer{Ver: 7}}, {R: 7, H: 3, V: tokVer{Epoch: 2, Ver: 1}}},
 		},
 		&reqBatch{},
 		&respBatch{
@@ -341,6 +366,7 @@ func codecSamples() []network.Message {
 				{Kind: reqCnt, R: 3, Init: 0, ID: 5, Single: true},
 			},
 			Missing: []resource.Set{missing, resource.FromIDs(8, 7)},
+			Relay:   []relay{{R: 1, H: 0, V: tokVer{Ver: 2}}},
 		},
 	}
 }

@@ -43,10 +43,10 @@
 // scrubs it onto a small capped free list its own next flush draws
 // from. The scrub rule: nothing another site may own stays reachable
 // from a waiting record — its token pointers and the missing sets of
-// its loan requests are cleared; its requests and holder hints hold no
-// pointer (a loan's set rides in a list beside them, batch.Missing) and
-// are only truncated, so a refilled record carries its new sender's
-// hints alone. Nodes run serialized, so none of this needs a lock, and a
+// its loan requests are cleared; its requests, holder hints and relays
+// hold no pointer (a loan's set rides in a list beside them,
+// batch.Missing) and are only truncated, so a refilled record carries
+// its new sender's hints and relays alone. Nodes run serialized, so none of this needs a lock, and a
 // free-list miss costs what building the message from scratch costs: a
 // fresh record whose lists start in its own first storage. Over a socket
 // the rule holds for the outbound half: decoded records are fresh, and
@@ -68,8 +68,8 @@
 //
 // # Deviations from the paper's pseudo-code
 //
-// Five defensive deviations, each preserving the paper's semantics, and
-// one that replaces an optimization:
+// Five defensive deviations, each preserving the paper's semantics, one
+// that replaces an optimization and one that extends it:
 //
 //  1. A site that assigns itself a counter value from a token it just
 //     received also stamps lastReqC[self], and Counter replies carry the
@@ -121,4 +121,36 @@
 //     Options.DisableShortcut switches all repointing from received
 //     hints off. On the paper's high-load point (N = 32, M = 80, φ = 16,
 //     loan) messages per critical section fall from 62.6 to 42.8.
+//  7. Gossiped holder hints. A hint reaches only the sites its holder
+//     sends a record to; every other site learns where a token went when
+//     its request has chased it. So each node keeps a ring of the
+//     freshest holdings it made or learned, one entry per resource:
+//     (r, H, V) for a token it sent to H at version V, and for every hint
+//     or relay that moved its pointer at H. A replaced resource keeps
+//     its slot; a new one takes the oldest slot once the ring is full,
+//     which holds min(8, max(1, N/4)) entries. Every LASS.Request record
+//     carries, in Relay, the entries written since the last request
+//     record to its destination, less those that name the destination.
+//     A receiver applies them after the hints and before the requests,
+//     by deviation 6's rule: it repoints tokDir[r] at H when it does not
+//     own r, H is not itself and V is a later holding than the one it
+//     knows. Why this is safe: an entry names a real holding — H held r
+//     at V, or r is on its way to H at V — which is all deviation 6's
+//     argument asks of a hint, so versions still strictly increase along
+//     every chain of father pointers, which ends at the holder or at the
+//     site the token is on its way to. A relay that names its receiver
+//     says the token is on its way there; taken before it lands, it
+//     would point the receiver at itself. Why a site gets an entry once:
+//     a per-site sequence number marks what went out to it. On a FIFO
+//     link the site has acted on an entry before it reads the next
+//     record, and its known version only grows, so sending the entry
+//     again could move no pointer — a resend differs from none only in
+//     the bytes of the record, and the explorer's fingerprint leaves the
+//     sequence numbers out (explore:"-") while it keeps the entries, the
+//     fill and the cursor, which decide what the ring says. The ring
+//     lives on the node, not in the outbox, whose state the fingerprint
+//     skips. Options.DisableShortcut keeps the ring empty as well. On
+//     the paper's high-load point messages per critical section fall
+//     from 42.8 to 34.0, forwarded counter requests from 12.9 to 5.3 per
+//     grant.
 package core

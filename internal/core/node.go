@@ -98,6 +98,7 @@ type Node struct {
 	tok       []*token         // the token of every owned resource, nil for the rest
 	held      []hint           // the tokens in tok that have moved, by resource: the records' Hints
 	told      []bool           // per site: held went out to it since held last changed
+	relays    relayRing        // holdings made or learned, for the request records' Relay
 	owned     resource.Set     // TOwned
 	required  resource.Set     // TRequired
 	cntNeeded resource.Set     // CntNeeded
@@ -217,6 +218,7 @@ func (nd *Node) Attach(env alg.Env) {
 	nd.tokDir = make([]network.NodeID, m)
 	nd.ver = make([]tokVer, m)
 	nd.told = make([]bool, n)
+	nd.relays = newRelayRing(n, m)
 	nd.tok = make([]*token, m)
 	nd.owned = resource.NewSet(m)
 	nd.required = resource.NewSet(m)
@@ -299,7 +301,7 @@ func (nd *Node) staleObsolete(req *request) bool {
 // requests from, nil when the node originates them; request batches
 // leave stamped with it plus this site.
 func (nd *Node) flush(visited []network.NodeID) {
-	nd.out.flush(nd.env, visited, nd.held, nd.told, !nd.opt.DisableAggregation)
+	nd.out.flush(nd.env, visited, nd.held, nd.told, &nd.relays, !nd.opt.DisableAggregation)
 }
 
 func (nd *Node) flushOwn() { nd.flush(nil) }
@@ -359,6 +361,9 @@ func (nd *Node) sendToken(to network.NodeID, r resource.ID) {
 	t.Ver++
 	nd.tokDir[r] = to
 	nd.ver[r] = t.version()
+	if !nd.opt.DisableShortcut {
+		nd.relays.put(relay{R: r, H: to, V: nd.ver[r]})
+	}
 	if nd.leasing() && nd.steward(r) == nd.self() {
 		// Our own steward duty resumes the moment the token leaves:
 		// the new holder gets a full silence window before regeneration.
@@ -501,6 +506,7 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 	switch msg := m.(type) {
 	case *reqBatch:
 		nd.onHints(from, msg.Hints)
+		nd.onRelays(msg.Relay)
 		nd.onRequests(msg)
 		nd.flush(msg.Visited)
 		nd.out.recycle((*batch)(msg))
@@ -529,7 +535,8 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 // onHints repoints the father pointer of every token the sender named
 // and this node does not own at the sender, when the hint is a later
 // holding than the one the pointer names (deviation 6). It runs before
-// the record's requests are routed.
+// the record's requests are routed; a pointer it moves goes in the
+// relay ring.
 func (nd *Node) onHints(from network.NodeID, hints []hint) {
 	if nd.opt.DisableShortcut {
 		return
@@ -537,6 +544,26 @@ func (nd *Node) onHints(from network.NodeID, hints []hint) {
 	for _, h := range hints {
 		if nd.tok[h.R] == nil && h.V.newer(nd.ver[h.R]) {
 			nd.tokDir[h.R], nd.ver[h.R] = from, h.V
+			nd.relays.put(relay{R: h.R, H: from, V: h.V})
+		}
+	}
+}
+
+// onRelays applies the holdings a request record relays by deviation
+// 6's rule (deviation 7): a token this node does not own is repointed
+// at the named holder when the relay is a later holding than the one
+// the pointer names, unless it names this node — whose token is then on
+// its way here. It runs after onHints and before the requests are
+// routed; a pointer it moves goes in the ring again.
+func (nd *Node) onRelays(relays []relay) {
+	if nd.opt.DisableShortcut {
+		return
+	}
+	self := nd.self()
+	for _, h := range relays {
+		if h.H != self && nd.tok[h.R] == nil && h.V.newer(nd.ver[h.R]) {
+			nd.tokDir[h.R], nd.ver[h.R] = h.H, h.V
+			nd.relays.put(h)
 		}
 	}
 }

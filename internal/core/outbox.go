@@ -96,9 +96,9 @@ func (o *outbox) get(to network.NodeID, held []hint, told []bool) *batch {
 }
 
 // recycle scrubs a delivered record — no token and no missing set may
-// stay reachable from a record waiting for reuse; its requests and hints
-// hold no pointer and are merely truncated — and keeps it for the next
-// flush.
+// stay reachable from a record waiting for reuse; its requests, hints
+// and relays hold no pointer and are merely truncated — and keeps it for
+// the next flush.
 // Callers recycle only after the activation's flush has returned: a
 // forwarded batch reads the record's Visited until then.
 func (o *outbox) recycle(b *batch) {
@@ -121,6 +121,7 @@ func (o *outbox) recycle(b *batch) {
 	}
 	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
 	b.Counters, b.Tokens, b.Hints = b.Counters[:0], b.Tokens[:0], b.Hints[:0]
+	b.Relay = b.Relay[:0]
 	o.free = append(o.free, b)
 }
 
@@ -132,8 +133,9 @@ func (o *outbox) recycle(b *batch) {
 // for each site since held last changed; told marks the sites that have
 // it. A site that was sent a list on its FIFO link has acted on every
 // hint in it before it reads the next record, so sending the list again
-// could move no pointer.
-func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told []bool, aggregate bool) {
+// could move no pointer. For the same reason a request record relays
+// only the ring's entries its destination was not sent yet.
+func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told []bool, ring *relayRing, aggregate bool) {
 	if len(o.reqs) > 0 {
 		if aggregate {
 			// Index loops throughout: a destReq is 48 bytes, and these
@@ -150,6 +152,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 					}
 				}
 				b := o.get(to, held, told)
+				b.Relay = ring.appendNew(b.Relay, to)
 				b.stamp(visited, env.ID())
 				b.Reqs = slices.Grow(b.Reqs, n)
 				sets := loanSets(o.miss)
@@ -166,6 +169,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 			sets := loanSets(o.miss)
 			for i := range o.reqs {
 				b := o.get(o.reqs[i].to, held, told)
+				b.Relay = ring.appendNew(b.Relay, o.reqs[i].to)
 				b.stamp(visited, env.ID())
 				b.addReq(&o.reqs[i].r, sets.next(&o.reqs[i].r))
 				env.Send(o.reqs[i].to, (*reqBatch)(b))

@@ -1,15 +1,21 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"mralloc/internal/alg"
 	"mralloc/internal/explore"
 	"mralloc/internal/leakcheck"
+	"mralloc/internal/live"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
+	"mralloc/internal/transport"
 )
 
 // coreWorld is an explore.World of core Nodes, the Nodes at hand: the
@@ -393,4 +399,161 @@ func TestHazardRecycledRecordHints(t *testing.T) {
 	if shrunk == 0 || carried == 0 {
 		t.Fatalf("no site refilled a record it was sent with fewer hints than it arrived with (%d reused, %d sent with hints)", reused, carried)
 	}
+}
+
+// relayChecked is a core node whose Env checks every request record it
+// sends against its relay ring: the record relays exactly the entries
+// written since the last request record to that site, less those that
+// name the site, and a response record relays nothing. It also counts
+// the records it was delivered with relays and then sent again.
+type relayChecked struct {
+	*Node
+	t        *testing.T
+	last     []uint64        // per site: the ring's seq when a request record last went to it
+	arrived  map[*batch]bool // delivered records that came with relays
+	refilled int             // ... sent again by this node
+}
+
+type relayEnv struct {
+	alg.Env
+	c *relayChecked
+}
+
+func relayCheckedFactory(t *testing.T, opt Options, into *[]*relayChecked) alg.Factory {
+	return func(n, m int) []alg.Node {
+		nodes := make([]alg.Node, n)
+		*into = make([]*relayChecked, n)
+		for i, a := range NewFactory(opt)(n, m) {
+			c := &relayChecked{Node: a.(*Node), t: t, last: make([]uint64, n), arrived: map[*batch]bool{}}
+			(*into)[i], nodes[i] = c, c
+		}
+		return nodes
+	}
+}
+
+func (c *relayChecked) Attach(env alg.Env) { c.Node.Attach(&relayEnv{env, c}) }
+
+func (c *relayChecked) Deliver(from network.NodeID, m network.Message) {
+	if b, ok := m.(*reqBatch); ok && len(b.Relay) > 0 {
+		c.arrived[(*batch)(b)] = true
+	}
+	c.Node.Deliver(from, m)
+}
+
+func (e *relayEnv) Send(to network.NodeID, m network.Message) {
+	c := e.c
+	if b := asBatch(m); b != nil {
+		if c.arrived[b] {
+			c.refilled++
+			delete(c.arrived, b)
+		}
+		var want []relay
+		if _, ok := m.(*reqBatch); ok {
+			g := &c.relays
+			for i, h := range g.ents {
+				if g.wrote[i] > c.last[to] && h.H != to {
+					want = append(want, h)
+				}
+			}
+			c.last[to] = g.seq
+		}
+		if !slices.Equal(b.Relay, want) {
+			c.t.Errorf("s%d sends %s to s%d relaying %v, want %v", e.ID(), m.Kind(), to, b.Relay, want)
+		}
+	}
+	e.Env.Send(to, m)
+}
+
+// TestHazardRecycledRecordRelays: a request record a node is delivered
+// carries its sender's relays; refilled for a message of the node's
+// own, it must relay the node's new ring entries and nothing of the
+// previous message's — a stale relay is a holding the new sender never
+// vouched for. Every record every site sends is checked against the
+// sender's ring, on the hand-stepped World with enough sites for a
+// ring of two, and on a live cluster over Reliable whose chaos fabric
+// duplicates and drops records, so retransmitted envelopes point at
+// records their receiver has refilled.
+func TestHazardRecycledRecordRelays(t *testing.T) {
+	refilled := func(nodes []*relayChecked) (k int) {
+		for _, c := range nodes {
+			k += c.refilled
+		}
+		return k
+	}
+	t.Run("world", func(t *testing.T) {
+		const n, m = 8, 8
+		var nodes []*relayChecked
+		f := &coreWorld{World: explore.New(relayCheckedFactory(t, WithLoan(), &nodes), n, m), nodes: make([]*Node, n)}
+		for i, c := range nodes {
+			f.nodes[i] = c.Node
+		}
+		rng := rand.New(rand.NewSource(1))
+		for round := 0; round < 40; round++ {
+			asked := rng.Perm(n)[:3]
+			for _, s := range asked {
+				f.Request(s, resource.Sample(rng, m, 1+rng.Intn(3)))
+			}
+			f.Drain(nil)
+			for len(asked) > 0 {
+				waiting := asked[:0]
+				for _, s := range asked {
+					if f.InCS(s) {
+						f.release(s)
+					} else {
+						waiting = append(waiting, s)
+					}
+				}
+				if len(waiting) == len(asked) {
+					t.Fatalf("round %d: sites %v wait and none is granted", round, waiting)
+				}
+				asked = waiting
+			}
+		}
+		if refilled(nodes) == 0 {
+			t.Fatal("no site sent again a record it was delivered with relays")
+		}
+	})
+	t.Run("reliable", func(t *testing.T) {
+		const n, m = 4, 8
+		ch := transport.NewChaos(transport.NewMem(n, 0), 0xfee1)
+		rel := transport.NewReliable(ch)
+		rel.SetRetransmit(time.Millisecond, 20*time.Millisecond)
+		var nodes []*relayChecked
+		c, err := live.New(live.Config{Nodes: n, Resources: m, Transport: rel}, relayCheckedFactory(t, WithLoan(), &nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
+		var wg sync.WaitGroup
+		for node := 0; node < n; node++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(node) + 7))
+				for i := 0; i < 40; i++ {
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					var rs []int
+					for _, r := range resource.Sample(rng, m, 1+rng.Intn(4)).Members() {
+						rs = append(rs, int(r))
+					}
+					release, err := c.Acquire(ctx, node, rs...)
+					cancel()
+					if err != nil {
+						t.Errorf("node %d: %v", node, err)
+						return
+					}
+					release()
+				}
+			}()
+		}
+		wg.Wait()
+		ch.StopFaults()
+		c.Close()
+		if cs, rs := ch.ChaosStats(), rel.RelStats(); cs.Duplicated == 0 || rs.Retransmits == 0 {
+			t.Fatalf("no record was put back on the fabric: chaos %+v, recovery %+v", cs, rs)
+		}
+		if refilled(nodes) == 0 {
+			t.Fatal("no site sent again a record it was delivered with relays")
+		}
+	})
 }

@@ -79,13 +79,18 @@ type batch struct {
 	// pointer at the sender when the hint is newer than what it knows
 	// (Node.onHints).
 	Hints []hint
+	// Relay, on a reqBatch only, holds the holdings its sender made or
+	// learned that the receiver was not sent yet (Node.relays): the
+	// receiver applies them by the hints' rule (Node.onRelays).
+	Relay []relay
 
 	// The lists' first storage (newBatch). A loan round asks with one
 	// reqLoan per missing resource and a site forwards what it was
 	// sent, so a batch with more than one loan is rare; a request
 	// travels a handful of sites, and a batch carries a request or two,
 	// a counter or two and a token or two, and its sender holds a few
-	// tokens. With room for that in the record, a fresh (decoded) record
+	// tokens, and learns of a few holdings between two records to one
+	// site. With room for that in the record, a fresh (decoded) record
 	// of the common case is one allocation; a list that outgrows its
 	// room moves to storage of its own and keeps it across reuse. The
 	// lists are the record's content; the explorer reads only them.
@@ -95,6 +100,7 @@ type batch struct {
 	counters [2]counterVal     `explore:"-"`
 	tokens   [2]*token         `explore:"-"`
 	hints    [4]hint           `explore:"-"`
+	relays   [4]relay          `explore:"-"`
 }
 
 // newBatch returns an empty record whose lists start in its own first
@@ -103,6 +109,7 @@ func newBatch() *batch {
 	b := new(batch)
 	b.Visited, b.Reqs, b.Missing = b.visited[:0], b.reqs[:0], b.oneSet[:0]
 	b.Counters, b.Tokens, b.Hints = b.counters[:0], b.tokens[:0], b.hints[:0]
+	b.Relay = b.relays[:0]
 	return b
 }
 

@@ -35,7 +35,7 @@ import (
 // carrying a different version is rejected — the version only moves
 // when the stream alphabet or the mandatory hello fields change, which
 // the feature bits exist to avoid.
-const ProtoVersion = 5
+const ProtoVersion = 6
 
 const (
 	// CtrlHello carries a Hello. It is the dialer's first stream element
