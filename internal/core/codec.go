@@ -40,14 +40,8 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 		e.Set(sets.next(r))
 		e.Bool(r.Single)
 	}
-	encHints(e, b.Hints)
-	e.Uvarint(uint64(len(b.Relay)))
-	for _, h := range b.Relay {
-		e.Varint(int64(h.R))
-		e.Node(h.H)
-		e.Varint(h.V.Epoch)
-		e.Varint(h.V.Ver)
-	}
+	encList(e, b.Hints, encHint)
+	encList(e, b.Relay, encRelay)
 }
 
 // The decoders build the record the receiving node keeps (see batch)
@@ -95,22 +89,8 @@ func decReqBatch(d *wire.Dec) network.Message {
 		}
 		(*batch)(b).addReq(&r, miss)
 	}
-	decHints(d, (*batch)(b))
-	n = d.Count()
-	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(relay{}))) {
-		return b
-	}
-	b.Relay = slices.Grow(b.Relay, n)
-	for i := 0; i < n; i++ {
-		h := relay{R: d.Res(), H: d.Site(), V: tokVer{Epoch: d.Varint(), Ver: d.Varint()}}
-		if (h.V.Epoch < 0 || h.V.Ver < 0) && d.Err() == nil {
-			d.Fail("relayed holding of resource %d at negative version %+v", h.R, h.V)
-		}
-		if d.Err() != nil {
-			return b
-		}
-		b.Relay = append(b.Relay, h)
-	}
+	b.Hints = decList(d, b.Hints, decHint)
+	b.Relay = decList(d, b.Relay, decRelay)
 	return b
 }
 
@@ -126,36 +106,60 @@ func encRespBatch(e *wire.Enc, m network.Message) {
 	for _, t := range b.Tokens {
 		encToken(e, t)
 	}
-	encHints(e, b.Hints)
+	encList(e, b.Hints, encHint)
 }
 
-func encHints(e *wire.Enc, hints []hint) {
-	e.Uvarint(uint64(len(hints)))
-	for _, h := range hints {
-		e.Varint(int64(h.R))
-		e.Varint(h.V.Epoch)
-		e.Varint(h.V.Ver)
+// encList puts a hint or relay list on the wire: its length, then every
+// entry as one writes it.
+func encList[T hint | relay](e *wire.Enc, list []T, one func(*wire.Enc, T)) {
+	e.Uvarint(uint64(len(list)))
+	for _, h := range list {
+		one(e, h)
 	}
 }
 
-// decHints fills b's hints, charged against the frame budget like every
-// other list.
-func decHints(d *wire.Dec, b *batch) {
+// decList appends a hint or relay list to dst, charged against the
+// frame budget like every other list, each entry read by one.
+func decList[T hint | relay](d *wire.Dec, dst []T, one func(*wire.Dec) T) []T {
 	n := d.Count()
-	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(hint{}))) {
-		return
+	var entry T
+	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(entry))) {
+		return dst
 	}
-	b.Hints = slices.Grow(b.Hints, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		h := hint{R: d.Res(), V: tokVer{Epoch: d.Varint(), Ver: d.Varint()}}
-		if (h.V.Epoch < 0 || h.V.Ver < 0) && d.Err() == nil {
-			d.Fail("holder hint for resource %d at negative version %+v", h.R, h.V)
-		}
+		entry = one(d)
 		if d.Err() != nil {
-			return
+			return dst
 		}
-		b.Hints = append(b.Hints, h)
+		dst = append(dst, entry)
 	}
+	return dst
+}
+
+// A hint is its resource and version; a relay is a hint and its holder.
+func encHint(e *wire.Enc, h hint) {
+	e.Varint(int64(h.R))
+	e.Varint(h.V.Epoch)
+	e.Varint(h.V.Ver)
+}
+
+func encRelay(e *wire.Enc, h relay) {
+	encHint(e, h.hint)
+	e.Node(h.H)
+}
+
+func decHint(d *wire.Dec) hint {
+	h := hint{R: d.Res(), V: tokVer{Epoch: d.Varint(), Ver: d.Varint()}}
+	if (h.V.Epoch < 0 || h.V.Ver < 0) && d.Err() == nil {
+		d.Fail("holding of resource %d at negative version %+v", h.R, h.V)
+	}
+	return h
+}
+
+func decRelay(d *wire.Dec) relay {
+	h := decHint(d)
+	return relay{h, d.Site()}
 }
 
 func decRespBatch(d *wire.Dec) network.Message {
@@ -190,7 +194,7 @@ func decRespBatch(d *wire.Dec) network.Message {
 		}
 		b.Tokens = append(b.Tokens, t)
 	}
-	decHints(d, (*batch)(b))
+	b.Hints = decList(d, b.Hints, decHint)
 	return b
 }
 
@@ -344,7 +348,7 @@ func codecSamples() []network.Message {
 			},
 			Missing: []resource.Set{missing},
 			Hints:   []hint{{R: 0, V: tokVer{Ver: 3}}, {R: 6, V: tokVer{Epoch: 1, Ver: 12}}},
-			Relay:   []relay{{R: 3, H: 1, V: tokVer{Ver: 7}}, {R: 7, H: 3, V: tokVer{Epoch: 2, Ver: 1}}},
+			Relay:   []relay{{hint{3, tokVer{Ver: 7}}, 1}, {hint{7, tokVer{Epoch: 2, Ver: 1}}, 3}},
 		},
 		&reqBatch{},
 		&respBatch{
@@ -366,7 +370,7 @@ func codecSamples() []network.Message {
 				{Kind: reqCnt, R: 3, Init: 0, ID: 5, Single: true},
 			},
 			Missing: []resource.Set{missing, resource.FromIDs(8, 7)},
-			Relay:   []relay{{R: 1, H: 0, V: tokVer{Ver: 2}}},
+			Relay:   []relay{{hint{1, tokVer{Ver: 2}}, 0}},
 		},
 	}
 }

@@ -202,9 +202,13 @@ func (nd *Node) Counters() Counters { return nd.stats }
 // resources, site 0 initially owning every token ("elected node").
 func NewFactory(opt Options) alg.Factory {
 	return func(n, m int) []alg.Node {
+		c := relayCap(n)
+		if opt.DisableShortcut {
+			c = 0
+		}
 		nodes := make([]alg.Node, n)
 		for i := range nodes {
-			nodes[i] = &Node{opt: opt, mark: opt.mark()}
+			nodes[i] = &Node{opt: opt, mark: opt.mark(), relays: newRelayRing(n, m, c)}
 		}
 		return nodes
 	}
@@ -218,7 +222,6 @@ func (nd *Node) Attach(env alg.Env) {
 	nd.tokDir = make([]network.NodeID, m)
 	nd.ver = make([]tokVer, m)
 	nd.told = make([]bool, n)
-	nd.relays = newRelayRing(n, m)
 	nd.tok = make([]*token, m)
 	nd.owned = resource.NewSet(m)
 	nd.required = resource.NewSet(m)
@@ -361,9 +364,7 @@ func (nd *Node) sendToken(to network.NodeID, r resource.ID) {
 	t.Ver++
 	nd.tokDir[r] = to
 	nd.ver[r] = t.version()
-	if !nd.opt.DisableShortcut {
-		nd.relays.put(relay{R: r, H: to, V: nd.ver[r]})
-	}
+	nd.relays.put(relay{hint{r, nd.ver[r]}, to})
 	if nd.leasing() && nd.steward(r) == nd.self() {
 		// Our own steward duty resumes the moment the token leaves:
 		// the new holder gets a full silence window before regeneration.
@@ -544,7 +545,7 @@ func (nd *Node) onHints(from network.NodeID, hints []hint) {
 	for _, h := range hints {
 		if nd.tok[h.R] == nil && h.V.newer(nd.ver[h.R]) {
 			nd.tokDir[h.R], nd.ver[h.R] = from, h.V
-			nd.relays.put(relay{R: h.R, H: from, V: h.V})
+			nd.relays.put(relay{h, from})
 		}
 	}
 }

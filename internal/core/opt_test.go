@@ -114,7 +114,7 @@ func TestLateHintLeavesNewerPointer(t *testing.T) {
 // site whose own pointer leads back here.
 func TestLateRelayLeavesNewerPointer(t *testing.T) {
 	const n, m = 3, 2
-	f := newWorld(n, m, WithoutLoan())
+	f := worldOf(withRing(WithoutLoan(), 1), n, m)
 	// r0 goes 0 → 1 → 0 → 2 → 1, at versions 1 to 4.
 	for _, site := range []int{1, 0, 2, 1} {
 		f.acquire(t, site, ids(m, 0))
@@ -128,7 +128,7 @@ func TestLateRelayLeavesNewerPointer(t *testing.T) {
 		t.Fatalf("set-up: s0 names s%d, want s2", s0.tokDir[0])
 	}
 	// "r0 is on its way to s0 at version 2", as s1's ring had it then.
-	x.Deliver(1, &reqBatch{Relay: []relay{{R: 0, H: 0, V: tokVer{Ver: 2}}}})
+	x.Deliver(1, &reqBatch{Relay: []relay{{hint{0, tokVer{Ver: 2}}, 0}}})
 	if x.tokDir[0] != 1 || x.ver[0] != want {
 		t.Errorf("a late relay moved s2's pointer to s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
 	}
@@ -145,14 +145,14 @@ func TestLateRelayLeavesNewerPointer(t *testing.T) {
 // small shapes never deliver such a relay, so this test stands in.
 func TestRelayNamingReceiverIgnored(t *testing.T) {
 	const n, m = 3, 2
-	f := newWorld(n, m, WithoutLoan())
+	f := worldOf(withRing(WithoutLoan(), 1), n, m)
 	f.acquire(t, 1, ids(m, 0))
 	f.release(1) // r0 at s1, version 1
 	x := f.nodes[2]
 	if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
 		t.Fatalf("set-up: s2 names s%d at %+v, want s0 at the genesis holding", x.tokDir[0], x.ver[0])
 	}
-	x.Deliver(1, &reqBatch{Relay: []relay{{R: 0, H: 2, V: tokVer{Ver: 2}}}})
+	x.Deliver(1, &reqBatch{Relay: []relay{{hint{0, tokVer{Ver: 2}}, 2}}})
 	if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
 		t.Errorf("a relay naming s2 moved its pointer to s%d at %+v", x.tokDir[0], x.ver[0])
 	}

@@ -2,26 +2,33 @@ package core
 
 import (
 	"mralloc/internal/network"
-	"mralloc/internal/resource"
 )
 
-// relay names a holding of r's token its sender made or learned: H held
-// it at version V, or it is on its way to H at V (deviation 7, doc.go).
+// relay names a holding of R's token its sender made or learned: a
+// hint plus its holder — H held it at V, or it is on its way to H at V
+// (deviation 7, doc.go).
 type relay struct {
-	R resource.ID
+	hint
 	H network.NodeID
-	V tokVer
 }
 
-// relayCap is how many holdings a node's ring keeps: a quarter of the
-// sites, at least one and at most eight — 1 at N ≤ 7, 2 at N = 8, 8 at
-// the paper's N = 32. The cap keeps records small at hundreds of sites.
-func relayCap(n int) int { return min(8, max(1, n/4)) }
+// relayCap is how many holdings a node's ring keeps at n sites: a
+// quarter of them, at most eight, and none below 16 sites. As priced in
+// deviation 7 (doc.go): below 16 sites a ring saves under 3 % of the
+// messages, and at 8 it cost more CPU than those messages; past eight
+// entries the wire bytes grow faster than the messages fall.
+func relayCap(n int) int {
+	if n < 16 {
+		return 0
+	}
+	return min(8, n/4)
+}
 
 // relayRing is a node's short list of the freshest holdings it made (a
 // token it sent) or learned (a hint or relay that moved its father
 // pointer), one entry per resource. Every LASS.Request record carries
-// the entries its destination was not sent yet.
+// the entries its destination was not sent yet. A ring of capacity 0
+// keeps and sends nothing.
 type relayRing struct {
 	ents   []relay // len is the fill, cap the capacity
 	at     []uint8 // per resource: its entry's slot + 1, 0 when it has none
@@ -35,8 +42,11 @@ type relayRing struct {
 	sent  []uint64 `explore:"-"` // per site: seq when the ring last went out to it
 }
 
-func newRelayRing(n, m int) relayRing {
-	c := relayCap(n)
+// newRelayRing returns a ring of c entries for n sites over m resources.
+func newRelayRing(n, m, c int) relayRing {
+	if c == 0 {
+		return relayRing{}
+	}
 	return relayRing{ents: make([]relay, 0, c), at: make([]uint8, m), wrote: make([]uint64, c), sent: make([]uint64, n)}
 }
 
@@ -44,6 +54,9 @@ func newRelayRing(n, m int) relayRing {
 // in a free slot, else over the oldest entry, and gives it the next
 // sequence number: O(1), no scan.
 func (g *relayRing) put(h relay) {
+	if cap(g.ents) == 0 {
+		return
+	}
 	i := int(g.at[h.R]) - 1
 	if i < 0 {
 		if len(g.ents) < cap(g.ents) {
@@ -67,6 +80,9 @@ func (g *relayRing) put(h relay) {
 // out to site to, leaving out those that name to itself, and marks them
 // sent. It is O(1) when nothing is new.
 func (g *relayRing) appendNew(dst []relay, to network.NodeID) []relay {
+	if g.seq == 0 {
+		return dst // nothing was ever put, or the ring has no room
+	}
 	last := g.sent[to]
 	if last == g.seq {
 		return dst

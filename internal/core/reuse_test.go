@@ -32,12 +32,35 @@ type coreWorld struct {
 	grants []network.NodeID
 }
 
-func newWorld(n, m int, opt Options) *coreWorld {
-	f := &coreWorld{World: explore.New(NewFactory(opt), n, m), nodes: make([]*Node, n)}
+func newWorld(n, m int, opt Options) *coreWorld { return worldOf(NewFactory(opt), n, m) }
+
+// worldOf is a coreWorld of the nodes fac builds: core Nodes, or
+// checked ones.
+func worldOf(fac alg.Factory, n, m int) *coreWorld {
+	f := &coreWorld{World: explore.New(fac, n, m), nodes: make([]*Node, n)}
 	for i := range f.nodes {
-		f.nodes[i] = f.Node(i).(*Node)
+		switch x := f.Node(i).(type) {
+		case *Node:
+			f.nodes[i] = x
+		case *checked:
+			f.nodes[i] = x.Node
+		}
 	}
 	return f
+}
+
+// withRing is NewFactory(opt) whose nodes keep a relay ring of c
+// entries whatever the site count. relayCap gives none below 16 sites,
+// so the worlds and shapes small enough to step or search by hand ask
+// for one to exercise deviation 7.
+func withRing(opt Options, c int) alg.Factory {
+	return func(n, m int) []alg.Node {
+		nodes := NewFactory(opt)(n, m)
+		for _, a := range nodes {
+			a.(*Node).relays = newRelayRing(n, m, c)
+		}
+		return nodes
+	}
 }
 
 // acquire drives node id through Request → Drain and fails the test
@@ -291,38 +314,59 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 	}
 }
 
-// hintChecked is a core node whose Env checks every LASS record it
-// sends against what it holds, and which remembers the records it was
-// delivered and how many hints each carried.
-type hintChecked struct {
+// checked is a core node whose Env checks every LASS record it sends
+// against the sender's state, and which remembers the records it was
+// delivered and what each carried. Hints: a record carries what the
+// site holds, or nothing when the last list it sent that site already
+// says so. Relays: a request record relays every ring entry that does
+// not name its destination and was not relayed there before, and
+// nothing else; a response record relays nothing.
+type checked struct {
 	*Node
 	t         *testing.T
-	delivered map[*batch]int            // record → hints it arrived with
+	delivered map[*batch][2]int         // record → hints and relays it arrived with
 	sent      map[network.NodeID][]hint // per site: the last hints sent to it
+	relayed   []map[resource.ID]relay   // per site: the last relay of each resource sent to it
 	reused    int                       // records sent again after their delivery here
 	shrunk    int                       // ... carrying fewer hints than they arrived with
+	refilled  int                       // ... that had arrived with relays
 	carried   int                       // records sent with hints
 }
 
-type hintEnv struct {
+type checkedEnv struct {
 	alg.Env
-	c *hintChecked
+	c *checked
 }
 
-func (c *hintChecked) Attach(env alg.Env) { c.Node.Attach(&hintEnv{env, c}) }
+// checkedFactory builds checked nodes with relay rings of ring entries
+// into *into.
+func checkedFactory(t *testing.T, opt Options, ring int, into *[]*checked) alg.Factory {
+	return func(n, m int) []alg.Node {
+		nodes := make([]alg.Node, n)
+		*into = make([]*checked, n)
+		for i, a := range withRing(opt, ring)(n, m) {
+			c := &checked{Node: a.(*Node), t: t, delivered: map[*batch][2]int{}, sent: map[network.NodeID][]hint{}, relayed: make([]map[resource.ID]relay, n)}
+			for j := range c.relayed {
+				c.relayed[j] = map[resource.ID]relay{}
+			}
+			(*into)[i], nodes[i] = c, c
+		}
+		return nodes
+	}
+}
 
-func (c *hintChecked) Deliver(from network.NodeID, m network.Message) {
+func (c *checked) Attach(env alg.Env) { c.Node.Attach(&checkedEnv{env, c}) }
+
+func (c *checked) Deliver(from network.NodeID, m network.Message) {
 	if b := asBatch(m); b != nil {
-		c.delivered[b] = len(b.Hints)
+		c.delivered[b] = [2]int{len(b.Hints), len(b.Relay)}
 	}
 	c.Node.Deliver(from, m)
 }
 
-func (e *hintEnv) Send(to network.NodeID, m network.Message) {
+func (e *checkedEnv) Send(to network.NodeID, m network.Message) {
 	c := e.c
 	if b := asBatch(m); b != nil {
-		// A record carries what the site holds, or nothing when the
-		// last list it sent that site already says so.
 		switch {
 		case len(b.Hints) > 0 && !slices.Equal(b.Hints, c.held):
 			c.t.Errorf("s%d sends %s with hints %v while it holds %v", e.ID(), m.Kind(), b.Hints, c.held)
@@ -334,10 +378,27 @@ func (e *hintEnv) Send(to network.NodeID, m network.Message) {
 			c.sent[to] = slices.Clone(b.Hints)
 			c.carried++
 		}
+		var want []relay
+		if _, ok := m.(*reqBatch); ok {
+			for _, h := range c.relays.ents {
+				if h.H != to && c.relayed[to][h.R] != h {
+					want = append(want, h)
+				}
+			}
+		}
+		if !slices.Equal(b.Relay, want) {
+			c.t.Errorf("s%d sends %s to s%d relaying %v, want %v", e.ID(), m.Kind(), to, b.Relay, want)
+		}
+		for _, h := range b.Relay {
+			c.relayed[to][h.R] = h
+		}
 		if had, ok := c.delivered[b]; ok {
 			c.reused++
-			if had > len(b.Hints) {
+			if had[0] > len(b.Hints) {
 				c.shrunk++
+			}
+			if had[1] > 0 {
+				c.refilled++
 			}
 			delete(c.delivered, b)
 		}
@@ -356,137 +417,50 @@ func asBatch(m network.Message) *batch {
 }
 
 // TestHazardRecycledRecordHints: a record a node is delivered carries
-// its sender's hints; refilled for a message of the node's own, it must
-// carry the node's hints and nothing of the previous message's — a
-// stale hint would aim a receiver's father pointer at a site that never
+// its sender's hints and, a request record, its sender's relays;
+// refilled for a message of the node's own, it must carry the node's
+// hints and relays and nothing of the previous message's — a stale hint
+// or relay would aim a receiver's father pointer at a site that never
 // held the token at that version. Every record every site sends is
-// checked against what the site holds at that moment — the full list,
-// or none when the last list sent to that receiver is the same — over
-// loan rounds and plain cycles in which sites hold different numbers of
-// tokens.
+// checked against the site's holdings and relay ring at that moment.
+// Three drivers: loan rounds and plain cycles in which sites hold
+// different numbers of tokens; random requests on eight sites, a ring
+// of two; and a live cluster over Reliable whose chaos fabric drops and
+// duplicates records, so retransmitted envelopes point at records
+// their receiver has refilled.
 func TestHazardRecycledRecordHints(t *testing.T) {
-	const n, m = 4, 8
-	checked := make([]*hintChecked, n)
-	w := explore.New(func(n, m int) []alg.Node {
-		nodes := make([]alg.Node, n)
-		for i, a := range NewFactory(WithLoan())(n, m) {
-			checked[i] = &hintChecked{Node: a.(*Node), t: t, delivered: map[*batch]int{}, sent: map[network.NodeID][]hint{}}
-			nodes[i] = checked[i]
-		}
-		return nodes
-	}, n, m)
-	f := &coreWorld{World: w, nodes: make([]*Node, n)}
-	for i, c := range checked {
-		f.nodes[i] = c.Node
-	}
-	for i := 0; i < 6; i++ {
-		f.acquire(t, 3, ids(m, 3))
-		f.Request(1, ids(m, 0, 3))
-		f.Drain(nil)
-		f.acquire(t, 0, ids(m, 0, 1))
-		f.release(0)
-		f.release(3)
-		f.release(1)
-		f.acquire(t, 2, ids(m, 0, 1, 3, 5))
-		f.release(2)
-	}
-	var reused, shrunk, carried int
-	for _, c := range checked {
-		reused += c.reused
-		shrunk += c.shrunk
-		carried += c.carried
-	}
-	if shrunk == 0 || carried == 0 {
-		t.Fatalf("no site refilled a record it was sent with fewer hints than it arrived with (%d reused, %d sent with hints)", reused, carried)
-	}
-}
-
-// relayChecked is a core node whose Env checks every request record it
-// sends against its relay ring: the record relays exactly the entries
-// written since the last request record to that site, less those that
-// name the site, and a response record relays nothing. It also counts
-// the records it was delivered with relays and then sent again.
-type relayChecked struct {
-	*Node
-	t        *testing.T
-	last     []uint64        // per site: the ring's seq when a request record last went to it
-	arrived  map[*batch]bool // delivered records that came with relays
-	refilled int             // ... sent again by this node
-}
-
-type relayEnv struct {
-	alg.Env
-	c *relayChecked
-}
-
-func relayCheckedFactory(t *testing.T, opt Options, into *[]*relayChecked) alg.Factory {
-	return func(n, m int) []alg.Node {
-		nodes := make([]alg.Node, n)
-		*into = make([]*relayChecked, n)
-		for i, a := range NewFactory(opt)(n, m) {
-			c := &relayChecked{Node: a.(*Node), t: t, last: make([]uint64, n), arrived: map[*batch]bool{}}
-			(*into)[i], nodes[i] = c, c
-		}
-		return nodes
-	}
-}
-
-func (c *relayChecked) Attach(env alg.Env) { c.Node.Attach(&relayEnv{env, c}) }
-
-func (c *relayChecked) Deliver(from network.NodeID, m network.Message) {
-	if b, ok := m.(*reqBatch); ok && len(b.Relay) > 0 {
-		c.arrived[(*batch)(b)] = true
-	}
-	c.Node.Deliver(from, m)
-}
-
-func (e *relayEnv) Send(to network.NodeID, m network.Message) {
-	c := e.c
-	if b := asBatch(m); b != nil {
-		if c.arrived[b] {
-			c.refilled++
-			delete(c.arrived, b)
-		}
-		var want []relay
-		if _, ok := m.(*reqBatch); ok {
-			g := &c.relays
-			for i, h := range g.ents {
-				if g.wrote[i] > c.last[to] && h.H != to {
-					want = append(want, h)
-				}
-			}
-			c.last[to] = g.seq
-		}
-		if !slices.Equal(b.Relay, want) {
-			c.t.Errorf("s%d sends %s to s%d relaying %v, want %v", e.ID(), m.Kind(), to, b.Relay, want)
-		}
-	}
-	e.Env.Send(to, m)
-}
-
-// TestHazardRecycledRecordRelays: a request record a node is delivered
-// carries its sender's relays; refilled for a message of the node's
-// own, it must relay the node's new ring entries and nothing of the
-// previous message's — a stale relay is a holding the new sender never
-// vouched for. Every record every site sends is checked against the
-// sender's ring, on the hand-stepped World with enough sites for a
-// ring of two, and on a live cluster over Reliable whose chaos fabric
-// duplicates and drops records, so retransmitted envelopes point at
-// records their receiver has refilled.
-func TestHazardRecycledRecordRelays(t *testing.T) {
-	refilled := func(nodes []*relayChecked) (k int) {
+	sum := func(nodes []*checked, count func(*checked) int) (k int) {
 		for _, c := range nodes {
-			k += c.refilled
+			k += count(c)
 		}
 		return k
 	}
-	t.Run("world", func(t *testing.T) {
-		const n, m = 8, 8
-		var nodes []*relayChecked
-		f := &coreWorld{World: explore.New(relayCheckedFactory(t, WithLoan(), &nodes), n, m), nodes: make([]*Node, n)}
-		for i, c := range nodes {
-			f.nodes[i] = c.Node
+	refilled := func(c *checked) int { return c.refilled }
+	t.Run("cycles", func(t *testing.T) {
+		const n, m = 4, 8
+		var nodes []*checked
+		f := worldOf(checkedFactory(t, WithLoan(), 1, &nodes), n, m)
+		for i := 0; i < 6; i++ {
+			f.acquire(t, 3, ids(m, 3))
+			f.Request(1, ids(m, 0, 3))
+			f.Drain(nil)
+			f.acquire(t, 0, ids(m, 0, 1))
+			f.release(0)
+			f.release(3)
+			f.release(1)
+			f.acquire(t, 2, ids(m, 0, 1, 3, 5))
+			f.release(2)
 		}
+		shrunk := sum(nodes, func(c *checked) int { return c.shrunk })
+		if carried := sum(nodes, func(c *checked) int { return c.carried }); shrunk == 0 || carried == 0 {
+			t.Fatalf("no site refilled a record it was sent with fewer hints than it arrived with (%d reused, %d sent with hints)",
+				sum(nodes, func(c *checked) int { return c.reused }), carried)
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		const n, m = 8, 8
+		var nodes []*checked
+		f := worldOf(checkedFactory(t, WithLoan(), 2, &nodes), n, m)
 		rng := rand.New(rand.NewSource(1))
 		for round := 0; round < 40; round++ {
 			asked := rng.Perm(n)[:3]
@@ -509,7 +483,7 @@ func TestHazardRecycledRecordRelays(t *testing.T) {
 				asked = waiting
 			}
 		}
-		if refilled(nodes) == 0 {
+		if sum(nodes, refilled) == 0 {
 			t.Fatal("no site sent again a record it was delivered with relays")
 		}
 	})
@@ -518,8 +492,8 @@ func TestHazardRecycledRecordRelays(t *testing.T) {
 		ch := transport.NewChaos(transport.NewMem(n, 0), 0xfee1)
 		rel := transport.NewReliable(ch)
 		rel.SetRetransmit(time.Millisecond, 20*time.Millisecond)
-		var nodes []*relayChecked
-		c, err := live.New(live.Config{Nodes: n, Resources: m, Transport: rel}, relayCheckedFactory(t, WithLoan(), &nodes))
+		var nodes []*checked
+		c, err := live.New(live.Config{Nodes: n, Resources: m, Transport: rel}, checkedFactory(t, WithLoan(), 1, &nodes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +526,7 @@ func TestHazardRecycledRecordRelays(t *testing.T) {
 		if cs, rs := ch.ChaosStats(), rel.RelStats(); cs.Duplicated == 0 || rs.Retransmits == 0 {
 			t.Fatalf("no record was put back on the fabric: chaos %+v, recovery %+v", cs, rs)
 		}
-		if refilled(nodes) == 0 {
+		if sum(nodes, refilled) == 0 {
 			t.Fatal("no site sent again a record it was delivered with relays")
 		}
 	})

@@ -63,11 +63,11 @@ func TestRunGoldens(t *testing.T) {
 		{"paper/3", paper(3), core.WithLoan(),
 			"grants=692 events=24495 LASS.Request=13334 LASS.Response=9757 wait=40658c8f414d6199 use=3fc3de0314fde9e1"},
 		{"small/1", small(1), core.WithoutLoan(),
-			"grants=481 events=4587 LASS.Request=1992 LASS.Response=1633 wait=403113446d1ab3a7 use=3fd534572c195cb6"},
+			"grants=480 events=4763 LASS.Request=2150 LASS.Response=1653 wait=40311bee1108e0b8 use=3fd516cf7fc1a328"},
 		{"small/2", small(2), core.WithoutLoan(),
-			"grants=477 events=4674 LASS.Request=2052 LASS.Response=1668 wait=4031dbef643e4c91 use=3fd4ed03e76fb90c"},
+			"grants=458 events=4676 LASS.Request=2136 LASS.Response=1624 wait=403309379dcb2aaa use=3fd41e6fc183ee62"},
 		{"small/3", small(3), core.WithoutLoan(),
-			"grants=477 events=4871 LASS.Request=2157 LASS.Response=1760 wait=40310f3d7fa83821 use=3fd56f0f4b3a6f0d"},
+			"grants=485 events=5043 LASS.Request=2318 LASS.Response=1755 wait=40310b96ae3b9165 use=3fd5b6940eff8291"},
 	}
 	for _, c := range cases {
 		res, err := Run(c.cfg, core.NewFactory(c.opt))
