@@ -4,7 +4,8 @@
 // its uses is who picks the next step: Search enumerates every schedule
 // of a small Shape, checking the paper's Annex B properties (safety at
 // every state, liveness at every terminal one) under every FIFO delivery
-// order; a test scripts one by hand; and the simulator (internal/driver)
+// order; Walk takes one seeded random schedule of a shape too large to
+// enumerate (walk.go); a test scripts one by hand; and the simulator (internal/driver)
 // lets time pick, in a World from NewTimed whose every send schedules its
 // link's delivery at the instant network.Timing gives it.
 package explore
@@ -390,7 +391,8 @@ type search struct {
 func Search(f alg.Factory, sh Shape, opt Options) Result { return explore(f, sh, opt, nil) }
 
 // Replay runs the one schedule of sh that a Failure's vector names, with
-// every check, and returns the violation it reaches, or nil.
+// every check, and returns the violation it reaches, or nil. A walk's
+// failure replays on its WalkShape's Shape, whose sets the vector names.
 func Replay(f alg.Factory, sh Shape, opt Options, vector string) error {
 	if res := explore(f, sh, opt, strings.Fields(vector)); res.Err != nil {
 		return res.Err
@@ -399,9 +401,15 @@ func Replay(f alg.Factory, sh Shape, opt Options, vector string) error {
 }
 
 func explore(f alg.Factory, sh Shape, opt Options, script []string) Result {
+	if script != nil && sh.Sets == nil && sh.PerSite == 0 {
+		var err error // a walk's schedule (WalkShape.Shape): it names its sets
+		if sh.Sets, err = scriptSets(script, sh.N, sh.M); err != nil {
+			return Result{Err: &Failure{strings.Join(script, " "), err.Error()}}
+		}
+	}
 	s := &search{f: f, sh: sh, opt: opt, script: script, seen: map[[32]byte]bool{}}
 	s.enc = encoder{ptrs: map[uintptr]uint64{}, fields: map[reflect.Type][]int{}}
-	for mask := 1; mask < 1<<sh.M; mask++ {
+	for mask := 1; sh.Sets == nil && mask < 1<<sh.M; mask++ {
 		s.menu = append(s.menu, resource.NewSet(sh.M))
 		for id := range sh.M {
 			if mask>>id&1 == 1 {
@@ -425,13 +433,15 @@ func (s *search) reset(path []choice) {
 }
 
 func (s *search) dfs(path []choice) bool {
-	fp := s.fingerprint()
-	if s.seen[fp] {
-		return true
-	} else if len(s.seen) >= maxStates {
-		return false
+	if s.script == nil { // a replay follows one path: nothing to prune, no budget
+		fp := s.fingerprint()
+		if s.seen[fp] {
+			return true
+		} else if len(s.seen) >= maxStates {
+			return false
+		}
+		s.seen[fp] = true
 	}
-	s.seen[fp] = true
 	s.res.States++
 	cs := s.enabled()
 	if d := len(path); s.script != nil && d < len(s.script) {
@@ -507,7 +517,17 @@ func (s *search) enabled() (cs []choice) {
 
 // step takes c and checks the invariant at the state it leads to. A
 // panic (a Monitor violation, a node's own assertion) is its failure.
-func (s *search) step(c choice) (err error) {
+func (s *search) step(c choice) error {
+	return guard(func() error {
+		if c.do(s); s.opt.Invariant != nil {
+			return s.opt.Invariant(s.w.nodes, s.w.InFlight())
+		}
+		return nil
+	})
+}
+
+// guard runs do and returns its error, or the panic it raised as one.
+func guard(do func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if err, _ = p.(error); err == nil {
@@ -515,10 +535,7 @@ func (s *search) step(c choice) (err error) {
 			}
 		}
 	}()
-	if c.do(s); s.opt.Invariant != nil {
-		return s.opt.Invariant(s.w.nodes, s.w.InFlight())
-	}
-	return nil
+	return do()
 }
 
 // finish checks a terminal state: every request granted, nothing held.
