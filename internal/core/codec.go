@@ -12,8 +12,8 @@ import (
 // The wire codecs for the two LASS message kinds. Tokens travel inside
 // LASS.Response batches, so the token layout — counter, obsolescence
 // stamps, waiting queue, loan queue, lender, epoch, version — is part of
-// the Response encoding. Both kinds end with the sender's holder hints,
-// and a Request with the holdings it relays after them.
+// the Response encoding. Both kinds end with the same tail (encTail):
+// the sender's holder hints, then the holdings it relays.
 // Field order is load-bearing: changing it is a wire break.
 
 func init() {
@@ -40,8 +40,7 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 		e.Set(sets.next(r))
 		e.Bool(r.Single)
 	}
-	encList(e, b.Hints, encHint)
-	encList(e, b.Relay, encRelay)
+	encTail(e, (*batch)(b))
 }
 
 // The decoders build the record the receiving node keeps (see batch)
@@ -89,8 +88,7 @@ func decReqBatch(d *wire.Dec) network.Message {
 		}
 		(*batch)(b).addReq(&r, miss)
 	}
-	b.Hints = decList(d, b.Hints, decHint)
-	b.Relay = decList(d, b.Relay, decRelay)
+	decTail(d, (*batch)(b))
 	return b
 }
 
@@ -106,7 +104,19 @@ func encRespBatch(e *wire.Enc, m network.Message) {
 	for _, t := range b.Tokens {
 		encToken(e, t)
 	}
+	encTail(e, (*batch)(b))
+}
+
+// encTail ends a record of either kind: its hints, then its relays.
+func encTail(e *wire.Enc, b *batch) {
 	encList(e, b.Hints, encHint)
+	encList(e, b.Relay, encRelay)
+}
+
+// decTail reads encTail's lists into b.
+func decTail(d *wire.Dec, b *batch) {
+	b.Hints = decList(d, b.Hints, decHint)
+	b.Relay = decList(d, b.Relay, decRelay)
 }
 
 // encList puts a hint or relay list on the wire: its length, then every
@@ -194,7 +204,7 @@ func decRespBatch(d *wire.Dec) network.Message {
 		}
 		b.Tokens = append(b.Tokens, t)
 	}
-	b.Hints = decList(d, b.Hints, decHint)
+	decTail(d, (*batch)(b))
 	return b
 }
 
@@ -355,8 +365,9 @@ func codecSamples() []network.Message {
 			Counters: []counterVal{{R: 1, Val: 42, ID: 3}, {R: 2, Val: 7, ID: 3}},
 			Tokens:   []*token{tok, newToken(0, 4)},
 			Hints:    []hint{{R: 1, V: tokVer{Ver: 9}}, {R: 2, V: tokVer{Ver: 4}}},
+			Relay:    []relay{{hint{5, tokVer{Ver: 3}}, 2}, {hint{6, tokVer{Epoch: 1, Ver: 2}}, 0}},
 		},
-		&respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}},
+		&respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}, Relay: []relay{{hint{4, tokVer{Ver: 1}}, 3}}},
 		// Two loans with sets of their own between the other kinds: a
 		// set is found by its loan's position among the loans.
 		// (Last: transport's egress goldens send the first four samples.)

@@ -416,6 +416,7 @@ func TestTokenDeltaLegacyUnchanged(t *testing.T) {
 	e.Uvarint(1) // tokens
 	encTokenSnap(&e, tok)
 	e.Uvarint(0) // hints
+	e.Uvarint(0) // relays
 	if string(legacy) != string(e.Bytes()) {
 		t.Fatal("stream-free encoding differs from the bare snapshot layout")
 	}

@@ -513,6 +513,7 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 		nd.out.recycle((*batch)(msg))
 	case *respBatch:
 		nd.onHints(from, msg.Hints)
+		nd.onRelays(msg.Relay)
 		nd.onCounters(msg.Counters)
 		if len(msg.Tokens) > 0 {
 			nd.onTokens(msg.Tokens)
@@ -550,12 +551,13 @@ func (nd *Node) onHints(from network.NodeID, hints []hint) {
 	}
 }
 
-// onRelays applies the holdings a request record relays by deviation
-// 6's rule (deviation 7): a token this node does not own is repointed
-// at the named holder when the relay is a later holding than the one
-// the pointer names, unless it names this node — whose token is then on
-// its way here. It runs after onHints and before the requests are
-// routed; a pointer it moves goes in the ring again.
+// onRelays applies the holdings a record relays by deviation 6's rule
+// (deviation 7): a token this node does not own is repointed at the
+// named holder when the relay is a later holding than the one the
+// pointer names, unless it names this node — whose token is then on its
+// way here. It runs after onHints and before the record's requests are
+// routed or its counters and tokens taken; a pointer it moves goes in
+// the ring again.
 func (nd *Node) onRelays(relays []relay) {
 	if nd.opt.DisableShortcut {
 		return

@@ -107,61 +107,80 @@ func TestLateHintLeavesNewerPointer(t *testing.T) {
 	}
 }
 
-// TestLateRelayLeavesNewerPointer pins deviation 7's version test: a
-// relay is a holding learned second hand, so it may arrive long after
-// the token moved on. Older than what the receiver's pointer names, it
-// must leave the pointer alone: taken, it would aim the pointer at a
-// site whose own pointer leads back here.
+// relayCarriers are the two record kinds a relay rides in, each
+// carrying nothing but the relays given.
+var relayCarriers = []struct {
+	kind string
+	with func([]relay) network.Message
+}{
+	{"request", func(r []relay) network.Message { return &reqBatch{Relay: r} }},
+	{"response", func(r []relay) network.Message { return &respBatch{Relay: r} }},
+}
+
+// TestLateRelayLeavesNewerPointer pins deviation 7's version test, in
+// both record kinds: a relay is a holding learned second hand, so it
+// may arrive long after the token moved on. Older than what the
+// receiver's pointer names, it must leave the pointer alone: taken, it
+// would aim the pointer at a site whose own pointer leads back here.
 func TestLateRelayLeavesNewerPointer(t *testing.T) {
-	const n, m = 3, 2
-	f := worldOf(withRing(WithoutLoan(), 1), n, m)
-	// r0 goes 0 → 1 → 0 → 2 → 1, at versions 1 to 4.
-	for _, site := range []int{1, 0, 2, 1} {
-		f.acquire(t, site, ids(m, 0))
-		f.release(site)
-	}
-	x, want := f.nodes[2], tokVer{Ver: 4}
-	if x.tokDir[0] != 1 || x.ver[0] != want {
-		t.Fatalf("set-up: s2 names s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
-	}
-	if s0 := f.nodes[0]; s0.tokDir[0] != 2 {
-		t.Fatalf("set-up: s0 names s%d, want s2", s0.tokDir[0])
-	}
-	// "r0 is on its way to s0 at version 2", as s1's ring had it then.
-	x.Deliver(1, &reqBatch{Relay: []relay{{hint{0, tokVer{Ver: 2}}, 0}}})
-	if x.tokDir[0] != 1 || x.ver[0] != want {
-		t.Errorf("a late relay moved s2's pointer to s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
-	}
-	f.acquire(t, 2, ids(m, 0))
-	if got := x.tok[0].version(); got != (tokVer{Ver: 5}) {
-		t.Errorf("r0 reached s2 at %+v, want its fifth transfer", got)
+	for _, c := range relayCarriers {
+		t.Run(c.kind, func(t *testing.T) {
+			const n, m = 3, 2
+			f := worldOf(withRing(WithoutLoan(), 1), n, m)
+			// r0 goes 0 → 1 → 0 → 2 → 1, at versions 1 to 4.
+			for _, site := range []int{1, 0, 2, 1} {
+				f.acquire(t, site, ids(m, 0))
+				f.release(site)
+			}
+			x, want := f.nodes[2], tokVer{Ver: 4}
+			if x.tokDir[0] != 1 || x.ver[0] != want {
+				t.Fatalf("set-up: s2 names s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
+			}
+			if s0 := f.nodes[0]; s0.tokDir[0] != 2 {
+				t.Fatalf("set-up: s0 names s%d, want s2", s0.tokDir[0])
+			}
+			// "r0 is on its way to s0 at version 2", as s1's ring had it then.
+			x.Deliver(1, c.with([]relay{{hint{0, tokVer{Ver: 2}}, 0}}))
+			if x.tokDir[0] != 1 || x.ver[0] != want {
+				t.Errorf("a late relay moved s2's pointer to s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
+			}
+			f.acquire(t, 2, ids(m, 0))
+			if got := x.tok[0].version(); got != (tokVer{Ver: 5}) {
+				t.Errorf("r0 reached s2 at %+v, want its fifth transfer", got)
+			}
+		})
 	}
 }
 
-// TestRelayNamingReceiverIgnored pins deviation 7's other test: a relay
-// that names its receiver says the token is on its way there. Taken
-// before the token lands, it would point the receiver at itself, and a
-// request routed along the pointer would go nowhere. The explorer's
-// small shapes never deliver such a relay, so this test stands in.
+// TestRelayNamingReceiverIgnored pins deviation 7's other test, in both
+// record kinds: a relay that names its receiver says the token is on
+// its way there. Taken before the token lands, it would point the
+// receiver at itself, and a request routed along the pointer would go
+// nowhere. The explorer's small shapes never deliver such a relay, so
+// this test stands in.
 func TestRelayNamingReceiverIgnored(t *testing.T) {
-	const n, m = 3, 2
-	f := worldOf(withRing(WithoutLoan(), 1), n, m)
-	f.acquire(t, 1, ids(m, 0))
-	f.release(1) // r0 at s1, version 1
-	x := f.nodes[2]
-	if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
-		t.Fatalf("set-up: s2 names s%d at %+v, want s0 at the genesis holding", x.tokDir[0], x.ver[0])
-	}
-	x.Deliver(1, &reqBatch{Relay: []relay{{hint{0, tokVer{Ver: 2}}, 2}}})
-	if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
-		t.Errorf("a relay naming s2 moved its pointer to s%d at %+v", x.tokDir[0], x.ver[0])
-	}
-	if len(x.relays.ents) != 0 {
-		t.Errorf("s2 keeps %v in its ring, want nothing", x.relays.ents)
-	}
-	f.acquire(t, 2, ids(m, 0))
-	if got := x.tok[0].version(); got != (tokVer{Ver: 2}) {
-		t.Errorf("r0 reached s2 at %+v, want its second transfer", got)
+	for _, c := range relayCarriers {
+		t.Run(c.kind, func(t *testing.T) {
+			const n, m = 3, 2
+			f := worldOf(withRing(WithoutLoan(), 1), n, m)
+			f.acquire(t, 1, ids(m, 0))
+			f.release(1) // r0 at s1, version 1
+			x := f.nodes[2]
+			if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
+				t.Fatalf("set-up: s2 names s%d at %+v, want s0 at the genesis holding", x.tokDir[0], x.ver[0])
+			}
+			x.Deliver(1, c.with([]relay{{hint{0, tokVer{Ver: 2}}, 2}}))
+			if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
+				t.Errorf("a relay naming s2 moved its pointer to s%d at %+v", x.tokDir[0], x.ver[0])
+			}
+			if len(x.relays.ents) != 0 {
+				t.Errorf("s2 keeps %v in its ring, want nothing", x.relays.ents)
+			}
+			f.acquire(t, 2, ids(m, 0))
+			if got := x.tok[0].version(); got != (tokVer{Ver: 2}) {
+				t.Errorf("r0 reached s2 at %+v, want its second transfer", got)
+			}
+		})
 	}
 }
 

@@ -77,9 +77,10 @@ func (o *outbox) destAdd(to network.NodeID) {
 }
 
 // get returns a record for to that carries nothing but, unless to was
-// told them already (told), the hints held: a recycled record when the
-// free list has any, else a fresh one (newBatch).
-func (o *outbox) get(to network.NodeID, held []hint, told []bool) *batch {
+// told them already (told), the hints held, and the ring's entries to
+// was not sent yet: a recycled record when the free list has any, else
+// a fresh one (newBatch).
+func (o *outbox) get(to network.NodeID, held []hint, told []bool, ring *relayRing) *batch {
 	var b *batch
 	if n := len(o.free); n > 0 {
 		b = o.free[n-1]
@@ -92,6 +93,7 @@ func (o *outbox) get(to network.NodeID, held []hint, told []bool) *batch {
 		b.Hints = append(b.Hints, held...)
 		told[to] = true
 	}
+	b.Relay = ring.appendNew(b.Relay, to)
 	return b
 }
 
@@ -133,8 +135,8 @@ func (o *outbox) recycle(b *batch) {
 // for each site since held last changed; told marks the sites that have
 // it. A site that was sent a list on its FIFO link has acted on every
 // hint in it before it reads the next record, so sending the list again
-// could move no pointer. For the same reason a request record relays
-// only the ring's entries its destination was not sent yet.
+// could move no pointer. For the same reason a record relays only the
+// ring's entries its destination was not sent yet, whatever its kind.
 func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told []bool, ring *relayRing, aggregate bool) {
 	if len(o.reqs) > 0 {
 		if aggregate {
@@ -151,8 +153,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 						n++
 					}
 				}
-				b := o.get(to, held, told)
-				b.Relay = ring.appendNew(b.Relay, to)
+				b := o.get(to, held, told, ring)
 				b.stamp(visited, env.ID())
 				b.Reqs = slices.Grow(b.Reqs, n)
 				sets := loanSets(o.miss)
@@ -168,8 +169,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 		} else {
 			sets := loanSets(o.miss)
 			for i := range o.reqs {
-				b := o.get(o.reqs[i].to, held, told)
-				b.Relay = ring.appendNew(b.Relay, o.reqs[i].to)
+				b := o.get(o.reqs[i].to, held, told, ring)
 				b.stamp(visited, env.ID())
 				b.addReq(&o.reqs[i].r, sets.next(&o.reqs[i].r))
 				env.Send(o.reqs[i].to, (*reqBatch)(b))
@@ -201,7 +201,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 					nt++
 				}
 			}
-			b := o.get(to, held, told)
+			b := o.get(to, held, told, ring)
 			b.Counters = slices.Grow(b.Counters, nc)
 			for _, x := range o.cnts {
 				if x.to == to {
@@ -218,12 +218,12 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 		}
 	} else {
 		for _, x := range o.cnts {
-			b := o.get(x.to, held, told)
+			b := o.get(x.to, held, told, ring)
 			b.Counters = append(b.Counters, x.c)
 			env.Send(x.to, (*respBatch)(b))
 		}
 		for _, x := range o.toks {
-			b := o.get(x.to, held, told)
+			b := o.get(x.to, held, told, ring)
 			b.Tokens = append(b.Tokens, x.t)
 			env.Send(x.to, (*respBatch)(b))
 		}

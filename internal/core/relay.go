@@ -12,23 +12,25 @@ type relay struct {
 	H network.NodeID
 }
 
-// relayCap is how many holdings a node's ring keeps at n sites: a
-// quarter of them, at most eight, and none below 16 sites. As priced in
-// deviation 7 (doc.go): below 16 sites a ring saves under 3 % of the
-// messages, and at 8 it cost more CPU than those messages; past eight
-// entries the wire bytes grow faster than the messages fall.
+// relayCap is how many holdings a node's ring keeps at n sites: half of
+// them, at most sixteen, and none below 16 sites. As priced in deviation
+// 7 (doc.go): below 16 sites a ring saves under 3 % of the messages, and
+// at 8 it cost more CPU than those messages; at the paper's N = 32 a
+// ring of 16 saves a further 7 % over one of 8 at the price of 4 % more
+// allocations, and past sixteen entries the wire bytes grow faster than
+// the messages fall.
 func relayCap(n int) int {
 	if n < 16 {
 		return 0
 	}
-	return min(8, n/4)
+	return min(16, n/2)
 }
 
 // relayRing is a node's short list of the freshest holdings it made (a
 // token it sent) or learned (a hint or relay that moved its father
-// pointer), one entry per resource. Every LASS.Request record carries
-// the entries its destination was not sent yet. A ring of capacity 0
-// keeps and sends nothing.
+// pointer), one entry per resource. Every LASS record, request or
+// response, carries the entries its destination was not sent yet. A
+// ring of capacity 0 keeps and sends nothing.
 type relayRing struct {
 	ents   []relay // len is the fill, cap the capacity
 	at     []uint8 // per resource: its entry's slot + 1, 0 when it has none

@@ -318,9 +318,9 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 // against the sender's state, and which remembers the records it was
 // delivered and what each carried. Hints: a record carries what the
 // site holds, or nothing when the last list it sent that site already
-// says so. Relays: a request record relays every ring entry that does
-// not name its destination and was not relayed there before, and
-// nothing else; a response record relays nothing.
+// says so. Relays: a record of either kind relays every ring entry that
+// does not name its destination and was not relayed there before, by a
+// record of either kind, and nothing else.
 type checked struct {
 	*Node
 	t         *testing.T
@@ -379,11 +379,9 @@ func (e *checkedEnv) Send(to network.NodeID, m network.Message) {
 			c.carried++
 		}
 		var want []relay
-		if _, ok := m.(*reqBatch); ok {
-			for _, h := range c.relays.ents {
-				if h.H != to && c.relayed[to][h.R] != h {
-					want = append(want, h)
-				}
+		for _, h := range c.relays.ents {
+			if h.H != to && c.relayed[to][h.R] != h {
+				want = append(want, h)
 			}
 		}
 		if !slices.Equal(b.Relay, want) {
@@ -417,7 +415,7 @@ func asBatch(m network.Message) *batch {
 }
 
 // TestHazardRecycledRecordHints: a record a node is delivered carries
-// its sender's hints and, a request record, its sender's relays;
+// its sender's hints and relays;
 // refilled for a message of the node's own, it must carry the node's
 // hints and relays and nothing of the previous message's — a stale hint
 // or relay would aim a receiver's father pointer at a site that never

@@ -79,9 +79,9 @@ type batch struct {
 	// pointer at the sender when the hint is newer than what it knows
 	// (Node.onHints).
 	Hints []hint
-	// Relay, on a reqBatch only, holds the holdings its sender made or
-	// learned that the receiver was not sent yet (Node.relays): the
-	// receiver applies them by the hints' rule (Node.onRelays).
+	// Relay holds the holdings its sender made or learned that the
+	// receiver was not sent yet, in a record of either kind (Node.relays):
+	// the receiver applies them by the hints' rule (Node.onRelays).
 	Relay []relay
 
 	// The lists' first storage (newBatch). A loan round asks with one
@@ -89,8 +89,10 @@ type batch struct {
 	// sent, so a batch with more than one loan is rare; a request
 	// travels a handful of sites, and a batch carries a request or two,
 	// a counter or two and a token or two, and its sender holds a few
-	// tokens, and learns of a few holdings between two records to one
-	// site. With room for that in the record, a fresh (decoded) record
+	// tokens, and learns of up to eight holdings between two records to
+	// one site (at 32 sites, room for four relays left 4 % more
+	// allocations per grant than room for eight). With room for that in
+	// the record, a fresh (decoded) record
 	// of the common case is one allocation; a list that outgrows its
 	// room moves to storage of its own and keeps it across reuse. The
 	// lists are the record's content; the explorer reads only them.
@@ -100,7 +102,7 @@ type batch struct {
 	counters [2]counterVal     `explore:"-"`
 	tokens   [2]*token         `explore:"-"`
 	hints    [4]hint           `explore:"-"`
-	relays   [4]relay          `explore:"-"`
+	relays   [8]relay          `explore:"-"`
 }
 
 // newBatch returns an empty record whose lists start in its own first

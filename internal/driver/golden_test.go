@@ -57,11 +57,11 @@ func TestRunGoldens(t *testing.T) {
 		want string
 	}{
 		{"paper/1", paper(1), core.WithLoan(),
-			"grants=709 events=24847 LASS.Request=13479 LASS.Response=9932 wait=40651a1b7dbbb4e7 use=3fc4731c536bfbb0"},
+			"grants=702 events=22167 LASS.Request=11219 LASS.Response=9524 wait=406580fa60684984 use=3fc41f32890fb5ea"},
 		{"paper/2", paper(2), core.WithLoan(),
-			"grants=684 events=24312 LASS.Request=13182 LASS.Response=9739 wait=4065ddf86cebd74a use=3fc43d0477f08091"},
+			"grants=664 events=21205 LASS.Request=10680 LASS.Response=9190 wait=4066a76e8f567e41 use=3fc3c82759612b07"},
 		{"paper/3", paper(3), core.WithLoan(),
-			"grants=692 events=24495 LASS.Request=13334 LASS.Response=9757 wait=40658c8f414d6199 use=3fc3de0314fde9e1"},
+			"grants=722 events=22866 LASS.Request=11557 LASS.Response=9843 wait=4064af6fc8e562cb use=3fc4a5e952bf6a8f"},
 		{"small/1", small(1), core.WithoutLoan(),
 			"grants=480 events=4763 LASS.Request=2150 LASS.Response=1653 wait=40311bee1108e0b8 use=3fd516cf7fc1a328"},
 		{"small/2", small(2), core.WithoutLoan(),

@@ -35,7 +35,7 @@ import (
 // carrying a different version is rejected — the version only moves
 // when the stream alphabet or the mandatory hello fields change, which
 // the feature bits exist to avoid.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 const (
 	// CtrlHello carries a Hello. It is the dialer's first stream element
