@@ -128,39 +128,41 @@
 //     (r, H, V) for a token it sent to H at version V, and for every hint
 //     or relay that moved its pointer at H. A replaced resource keeps
 //     its slot; a new one takes the oldest slot once the ring is full.
-//     The ring holds min(8, N/4) entries from 16 sites on and none
-//     below, priced in messages per critical section at the paper's
-//     load (M = 80, φ = 16, loan, 4 seeds): a ring of N/4 saves 0.8 %
-//     of the messages at N = 3, 0.1 % at 4, 2.3 % at 8, 2.8 % at 12,
-//     6.2 % at 16 and 19 % at 32; at N = 8 the in-process benchmark
-//     gave those messages back as 7–11 % fewer operations per second.
-//     Past eight entries (N/4 at 128 and 512 sites, the live largeN
-//     cells) messages fell a further 6–7 % while wire bytes per
-//     operation rose 18–61 %, allocations 12–14 % and time per
-//     operation 6–13 %. Every LASS.Request record carries, in Relay, the
-//     entries written since the last request record to its destination,
-//     less those that name the destination. A receiver applies them
-//     after the hints and before the requests, by deviation 6's rule: it
-//     repoints tokDir[r] at H when it does not own r, H is not itself
-//     and V is a later holding than the one it knows. Why this is safe:
-//     an entry names a real holding — H held r at V, or r is on its way
-//     to H at V — which is all deviation 6's argument asks of a hint,
-//     so versions still strictly increase along every chain of father
-//     pointers, which ends at the holder or at the site the token is on
-//     its way to. A relay that names its receiver
-//     says the token is on its way there; taken before it lands, it
-//     would point the receiver at itself. Why a site gets an entry once:
-//     a per-site sequence number marks what went out to it. On a FIFO
-//     link the site has acted on an entry before it reads the next
-//     record, and its known version only grows, so sending the entry
-//     again could move no pointer — a resend differs from none only in
-//     the bytes of the record, and the explorer's fingerprint leaves the
-//     sequence numbers out (explore:"-") while it keeps the entries, the
-//     fill and the cursor, which decide what the ring says. The ring
-//     lives on the node, not in the outbox, whose state the fingerprint
-//     skips; its shapes have under 16 sites, so core's search gives
-//     every site a ring of one entry. A ring of no entries, and
-//     Options.DisableShortcut, keep and send nothing. On the paper's
-//     high-load point messages per critical section fall from 42.8 to
-//     34.0, forwarded counter requests from 12.9 to 5.3 per grant.
+//     Every LASS record, request or response, carries in Relay the
+//     entries written since the last record of either kind to its
+//     destination, less those that name the destination. A receiver
+//     applies them after the hints and before the requests, counters
+//     and tokens, by deviation 6's rule: it repoints tokDir[r] at H when
+//     it does not own r, H is not itself and V is a later holding than
+//     the one it knows. Why this is safe: an entry names a real holding
+//     — H held r at V, or r is on its way to H at V — which is all
+//     deviation 6's argument asks of a hint, so versions still strictly
+//     increase along every chain of father pointers, which ends at the
+//     holder or at the site the token is on its way to. A relay that
+//     names its receiver says the token is on its way there; taken
+//     before it lands, it would point the receiver at itself. A relay
+//     about a token riding in the same response is older than the
+//     token, which then lands over the pointer. Why a site gets an entry
+//     once: a per-site sequence number, one for both record kinds, marks
+//     what went out to it. On a FIFO link the site has acted on an entry
+//     before it reads the next record, and its known version only
+//     grows, so sending the entry again could move no pointer — a resend
+//     differs from none only in the bytes of the record, and the
+//     explorer's fingerprint leaves the sequence numbers out
+//     (explore:"-") while it keeps the entries, the fill and the cursor,
+//     which decide what the ring says. The ring lives on the node, not
+//     in the outbox, whose state the fingerprint skips.
+//     The ring holds min(16, N/2) entries from 16 sites on, eight from
+//     128 on, and none below 16. Below 16 sites a ring of N/4 saved under 3 % of the
+//     messages at the paper's load (M = 80, φ = 16, loan: 0.8 % at N =
+//     3, 2.3 % at 8, 2.8 % at 12), and at N = 8 the in-process benchmark
+//     gave them back as 7–11 % fewer operations per second. Against
+//     the ring of min(8, N/4) that only requests carried, messages per
+//     critical section fall 7 % at N = 16, 11 % at 32 (sim_paper: 33.98
+//     → 30.32) and 16 % at 64. relayCap's comment prices the size against
+//     a ring of 8, and at 128 and 512 sites, the live largeN cells. The searches' shapes
+//     have under 16 sites, so core's search gives every site a ring of
+//     one entry; the seeded walks (TestExploreWalks) run the shipped
+//     ring at N = 16 and 32. A ring of no entries, and
+//     Options.DisableShortcut, keep and send nothing.
 package core

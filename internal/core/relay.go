@@ -12,18 +12,24 @@ type relay struct {
 	H network.NodeID
 }
 
-// relayCap is how many holdings a node's ring keeps at n sites: half of
-// them, at most sixteen, and none below 16 sites. As priced in deviation
-// 7 (doc.go): below 16 sites a ring saves under 3 % of the messages, and
-// at 8 it cost more CPU than those messages; at the paper's N = 32 a
-// ring of 16 saves a further 7 % over one of 8 at the price of 4 % more
-// allocations, and past sixteen entries the wire bytes grow faster than
-// the messages fall.
+// relayCap is how many holdings a node's ring keeps at n sites: none
+// below 16 sites, half of them up to sixteen below 128 sites, and eight
+// from 128 on. As priced in deviation 7 (doc.go) and CHANGES.md: below
+// 16 sites a ring saves under 3 % of the messages, and at 8 it cost more
+// CPU than those messages. At the paper's load a ring of 16 sends 7 %
+// fewer messages than one of 8 at 32 sites and 11 % fewer at 64, for
+// 7 % more allocations. At 128 and 512 sites (the live largeN cells) it
+// sends 4 % fewer, for 7–25 % more wire bytes, a quarter to a third more
+// allocations and no less time per operation: every destination is
+// then sent nearly the whole ring.
 func relayCap(n int) int {
-	if n < 16 {
+	switch {
+	case n < 16:
 		return 0
+	case n < 128:
+		return min(16, n/2)
 	}
-	return min(16, n/2)
+	return 8
 }
 
 // relayRing is a node's short list of the freshest holdings it made (a
