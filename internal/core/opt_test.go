@@ -8,6 +8,7 @@ import (
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/sim"
+	"mralloc/internal/wire"
 )
 
 // TestAggregationOneBatchPerDestination pins the §4.2.2 invariant: a
@@ -179,6 +180,46 @@ func TestRelayNamingReceiverIgnored(t *testing.T) {
 			f.acquire(t, 2, ids(m, 0))
 			if got := x.tok[0].version(); got != (tokVer{Ver: 2}) {
 				t.Errorf("r0 reached s2 at %+v, want its second transfer", got)
+			}
+		})
+	}
+}
+
+// TestRelayCodecChecksHoldings: in both record kinds a relay survives
+// the codec, and the decoder refuses one that names a site outside the
+// cluster or a negative version — taken, either would aim a father
+// pointer at no holding at all.
+func TestRelayCodecChecksHoldings(t *testing.T) {
+	const n, m = 4, 8
+	for _, c := range relayCarriers {
+		t.Run(c.kind, func(t *testing.T) {
+			for _, x := range []struct {
+				name string
+				r    relay
+				ok   bool
+			}{
+				{"holding", relay{hint{5, tokVer{Epoch: 1, Ver: 3}}, 2}, true},
+				{"site outside", relay{hint{5, tokVer{Ver: 3}}, n}, false},
+				{"negative epoch", relay{hint{5, tokVer{Epoch: -1, Ver: 3}}, 2}, false},
+				{"negative version", relay{hint{5, tokVer{Ver: -3}}, 2}, false},
+			} {
+				enc, err := wire.Append(nil, c.with([]relay{x.r}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := wire.DecodeFor(enc, n, m)
+				if !x.ok {
+					if err == nil {
+						t.Errorf("%s: %+v decoded", x.name, x.r)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", x.name, err)
+				}
+				if b := asBatch(got); len(b.Relay) != 1 || b.Relay[0] != x.r {
+					t.Errorf("%s: decoded %v, want [%v]", x.name, b.Relay, x.r)
+				}
 			}
 		})
 	}

@@ -5,9 +5,10 @@
 // of a small Shape, checking the paper's Annex B properties (safety at
 // every state, liveness at every terminal one) under every FIFO delivery
 // order; Walk takes one seeded random schedule of a shape too large to
-// enumerate (walk.go); a test scripts one by hand; and the simulator (internal/driver)
-// lets time pick, in a World from NewTimed whose every send schedules its
-// link's delivery at the instant network.Timing gives it.
+// enumerate (walk.go); a test scripts one by hand; and the simulator
+// (internal/driver) lets time pick, in a World from NewTimed whose every
+// send schedules its link's delivery at the instant network.Timing
+// gives it.
 package explore
 
 import (
@@ -493,20 +494,20 @@ func (s *search) enabled() (cs []choice) {
 		}
 		for _, set := range asks {
 			if !w.pending[site] && !w.inCS[site] {
-				cs = append(cs, choice{fmt.Sprintf("r%d%v", site, set), func(s *search) { s.issued[site]++; s.w.Request(site, set.Clone()) }})
+				cs = append(cs, choice{requestStep(site, set), func(s *search) { s.issued[site]++; s.w.Request(site, set.Clone()) }})
 			}
 		}
 	}
 	for a := range n {
 		for b := range n {
 			if w.link(a, b).head >= 0 {
-				cs = append(cs, choice{fmt.Sprintf("d%d>%d", a, b), func(s *search) { s.w.deliver(a, b) }})
+				cs = append(cs, choice{deliverStep(a, b), func(s *search) { s.w.deliver(a, b) }})
 			}
 		}
 	}
 	for site, in := range w.inCS {
 		if in {
-			cs = append(cs, choice{fmt.Sprintf("x%d", site), func(s *search) { s.w.Release(site) }})
+			cs = append(cs, choice{releaseStep(site), func(s *search) { s.w.Release(site) }})
 		}
 	}
 	if s.w.Now() < sim.Time(s.sh.Ticks)*TickStep {
@@ -514,6 +515,12 @@ func (s *search) enabled() (cs []choice) {
 	}
 	return cs
 }
+
+// The names of a schedule's steps, as a Failure prints them and Replay
+// reads them back.
+func requestStep(site int, set resource.Set) string { return fmt.Sprintf("r%d%v", site, set) }
+func deliverStep(a, b network.NodeID) string        { return fmt.Sprintf("d%d>%d", a, b) }
+func releaseStep(site int) string                   { return fmt.Sprintf("x%d", site) }
 
 // step takes c and checks the invariant at the state it leads to. A
 // panic (a Monitor violation, a node's own assertion) is its failure.

@@ -53,8 +53,8 @@ func (r WalkResult) String() string {
 // step. The walk is a function of its seed: a failure names the seed
 // and the step, and Replay reruns its schedule with every check at
 // every step. The asynchrony is arbitrary interleaving, not a latency
-// model: no message is ever delivered late enough to matter or early
-// enough to help, except by the draw.
+// model: any link's oldest message may go next, however long ago it
+// was sent.
 func Walk(f alg.Factory, sh WalkShape, opt Options, seed int64, steps int) WalkResult {
 	w := New(f, sh.N, sh.M)
 	rng := sim.Stream(seed, "explore/walk")
@@ -105,16 +105,16 @@ func Walk(f alg.Factory, sh WalkShape, opt Options, seed int64, steps int) WalkR
 			case walkDeliver:
 				l := links[rng.Intn(len(links))]
 				a, b := network.NodeID(l/sh.N), network.NodeID(l%sh.N)
-				path = append(path, fmt.Sprintf("d%d>%d", a, b))
+				path = append(path, deliverStep(a, b))
 				w.deliver(a, b)
 			case walkRequest:
 				s := idle[rng.Intn(len(idle))]
 				set := gens[s].Next().Resources
-				path = append(path, fmt.Sprintf("r%d%v", s, set))
+				path = append(path, requestStep(s, set))
 				w.Request(s, set)
 			case walkRelease:
 				s := holders[rng.Intn(len(holders))]
-				path = append(path, fmt.Sprintf("x%d", s))
+				path = append(path, releaseStep(s))
 				w.Release(s)
 			}
 			if sh.Stride > 1 && (res.Steps+1)%sh.Stride != 0 {
