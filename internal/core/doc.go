@@ -153,16 +153,17 @@
 //     which decide what the ring says. The ring lives on the node, not
 //     in the outbox, whose state the fingerprint skips.
 //     The ring holds min(16, N/2) entries from 16 sites on, eight from
-//     128 on, and none below 16. Below 16 sites a ring of N/4 saved under 3 % of the
-//     messages at the paper's load (M = 80, φ = 16, loan: 0.8 % at N =
-//     3, 2.3 % at 8, 2.8 % at 12), and at N = 8 the in-process benchmark
-//     gave them back as 7–11 % fewer operations per second. Against
-//     the ring of min(8, N/4) that only requests carried, messages per
-//     critical section fall 7 % at N = 16, 11 % at 32 (sim_paper: 33.98
-//     → 30.32) and 16 % at 64. relayCap's comment prices the size against
-//     a ring of 8, and at 128 and 512 sites, the live largeN cells. The searches' shapes
-//     have under 16 sites, so core's search gives every site a ring of
-//     one entry; the seeded walks (TestExploreWalks) run the shipped
-//     ring at N = 16 and 32. A ring of no entries, and
-//     Options.DisableShortcut, keep and send nothing.
+//     128 on, and none below 16. Below 16 sites a ring of N/4 saved
+//     under 3 % of the messages at the paper's load (M = 80, φ = 16,
+//     loan: 0.8 % at N = 3, 2.3 % at 8, 2.8 % at 12), and at N = 8 the
+//     in-process benchmark gave them back as 7–11 % fewer operations per
+//     second. Against the ring of min(8, N/4) that only requests
+//     carried, messages per critical section fall 7 % at N = 16, 11 % at
+//     32 (sim_paper: 33.98 → 30.32) and 16 % at 64. relayCap's comment
+//     prices the size against a ring of 8, and at 128 and 512 sites, the
+//     live largeN cells. The searches' shapes have under 16 sites, so
+//     core's search gives every site a ring of one entry; the seeded
+//     walks (TestExploreWalks) run the shipped ring at N = 16 and 32. A
+//     ring of no entries, and Options.DisableShortcut, keep and send
+//     nothing.
 package core
