@@ -162,12 +162,12 @@ func TestExploreCore(t *testing.T) {
 // exists: counter-loan on NewFactory's own nodes, so with the ring
 // relayCap gives, at N = 16 (M = 40, φ = 8) and at the paper's N = 32
 // (M = 80, φ = 16), three seeds each. Safety and hypothesis 4 are checked
-// at every step, the token invariant every Stride steps and at the end,
+// at every step, the token invariant every ten steps and at the end,
 // and liveness once the walk settles. -short keeps one short walk.
 func TestExploreWalks(t *testing.T) {
 	shapes := []explore.WalkShape{
-		{Name: "16x40 phi=8", N: 16, M: 40, Phi: 8, Stride: 10},
-		{Name: "32x80 phi=16", N: 32, M: 80, Phi: 16, Stride: 10},
+		{Name: "16x40 phi=8", N: 16, M: 40, Phi: 8},
+		{Name: "32x80 phi=16", N: 32, M: 80, Phi: 16},
 	}
 	seeds, steps := []int64{1, 2, 3}, walkSteps
 	if testing.Short() {
@@ -179,8 +179,8 @@ func TestExploreWalks(t *testing.T) {
 			res := explore.Walk(NewFactory(WithLoan()), sh, exploreOptions(), seed, steps)
 			t.Logf("counter-loan %-13s seed %d: %v (%v)", sh.Name, seed, res, time.Since(start).Round(time.Millisecond))
 			if res.Err != nil {
-				t.Errorf("replay with explore.Replay(NewFactory(WithLoan()), %#v.Shape(), exploreOptions(), vector): %v",
-					sh, res.Err.Cause)
+				t.Errorf("%v (rerun with explore.Replay(NewFactory(WithLoan()), res.Shape, exploreOptions(), res.Err.Vector))",
+					res.Err.Cause)
 			}
 		}
 	}

@@ -393,7 +393,7 @@ func Search(f alg.Factory, sh Shape, opt Options) Result { return explore(f, sh,
 
 // Replay runs the one schedule of sh that a Failure's vector names, with
 // every check, and returns the violation it reaches, or nil. A walk's
-// failure replays on its WalkShape's Shape, whose sets the vector names.
+// failure replays on its WalkResult's Shape.
 func Replay(f alg.Factory, sh Shape, opt Options, vector string) error {
 	if res := explore(f, sh, opt, strings.Fields(vector)); res.Err != nil {
 		return res.Err
@@ -402,12 +402,6 @@ func Replay(f alg.Factory, sh Shape, opt Options, vector string) error {
 }
 
 func explore(f alg.Factory, sh Shape, opt Options, script []string) Result {
-	if script != nil && sh.Sets == nil && sh.PerSite == 0 {
-		var err error // a walk's schedule (WalkShape.Shape): it names its sets
-		if sh.Sets, err = scriptSets(script, sh.N, sh.M); err != nil {
-			return Result{Err: &Failure{strings.Join(script, " "), err.Error()}}
-		}
-	}
 	s := &search{f: f, sh: sh, opt: opt, script: script, seen: map[[32]byte]bool{}}
 	s.enc = encoder{ptrs: map[uintptr]uint64{}, fields: map[reflect.Type][]int{}}
 	for mask := 1; sh.Sets == nil && mask < 1<<sh.M; mask++ {

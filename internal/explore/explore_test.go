@@ -187,23 +187,23 @@ func TestDrainPanicsOnTimedWorld(t *testing.T) {
 // replays to the same violation; a walk of ring nodes is clean, settles
 // with every request granted, and repeats itself from its seed.
 func TestExploreWalkFindsViolationAndReplaysIt(t *testing.T) {
-	sh := WalkShape{Name: "3x4", N: 3, M: 4, Phi: 3, Stride: 5}
+	sh := WalkShape{Name: "3x4", N: 3, M: 4, Phi: 3}
 	res := Walk(factory[greedy](), sh, Options{}, 7, 200)
 	if res.Err == nil || !strings.Contains(res.Err.Cause, "safety") || !strings.Contains(res.Err.Cause, "seed 7, step ") {
 		t.Fatalf("greedy: %v, want a safety violation with its seed and step", res)
 	}
-	err := Replay(factory[greedy](), sh.Shape(), Options{}, res.Err.Vector)
+	err := Replay(factory[greedy](), res.Shape, Options{}, res.Err.Vector)
 	var f *Failure
 	if !errors.As(err, &f) || !strings.HasSuffix(res.Err.Cause, ": "+f.Cause) || f.Vector != res.Err.Vector {
 		t.Fatalf("replay of the walk's schedule: %v, want %v", err, res.Err)
 	}
 
-	sh1 := WalkShape{Name: "4x1", N: 4, M: 1, Phi: 1, Stride: 3}
+	sh1 := WalkShape{Name: "4x1", N: 4, M: 1, Phi: 1}
 	a := Walk(factory[ring](), sh1, Options{}, 3, 500)
 	if a.Err != nil || a.Grants < 50 || a.Steps < 500 {
 		t.Fatalf("ring: %v, want a clean walk with its requests granted", a)
 	}
-	if b := Walk(factory[ring](), sh1, Options{}, 3, 500); b != a {
+	if b := Walk(factory[ring](), sh1, Options{}, 3, 500); b.Steps != a.Steps || b.Grants != a.Grants || b.Msgs != a.Msgs {
 		t.Fatalf("two walks of one seed: %v and %v", a, b)
 	}
 	if c := Walk(factory[mute](), sh1, Options{}, 3, 50); c.Err == nil || !strings.Contains(c.Err.Cause, "liveness") {

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"mralloc/internal/alg"
@@ -14,24 +13,26 @@ import (
 
 // WalkShape is an instance too large to search: N sites over M
 // resources, each request a set workload.Generator draws for its site
-// at φ = Phi. A walk checks Options.Invariant every Stride steps (every
-// step when Stride is 0) and at its end: a full check of a large
-// instance can cost far more than the step it follows.
+// at φ = Phi.
 type WalkShape struct {
 	Name      string
 	N, M, Phi int
-	Stride    int
 }
 
-// Shape is the Shape a failed walk's schedule replays on.
-func (sh WalkShape) Shape() Shape { return Shape{Name: sh.Name, N: sh.N, M: sh.M} }
+// walkStride is how many steps a walk takes between two checks of
+// Options.Invariant (it also checks at its end): a full check of a large
+// instance can cost far more than the step it follows.
+const walkStride = 10
 
 // WalkResult is what a walk did: the steps it took (settling included),
 // the grants and messages they made, and the first violation, whose
-// Vector is the walk's schedule as Replay takes it.
+// Vector is the walk's schedule. Shape is the Shape that schedule
+// replays on, its Sets the sets each site requested, in order:
+// Replay(f, res.Shape, opt, res.Err.Vector) reruns the walk.
 type WalkResult struct {
 	Steps, Grants int
 	Msgs          int64
+	Shape         Shape
 	Err           *Failure
 }
 
@@ -62,8 +63,8 @@ func Walk(f alg.Factory, sh WalkShape, opt Options, seed int64, steps int) WalkR
 	for i := range gens {
 		gens[i] = workload.NewGenerator(workload.Config{N: sh.N, M: sh.M, Phi: sh.Phi, Seed: seed}, i)
 	}
+	res := WalkResult{Shape: Shape{Name: sh.Name, N: sh.N, M: sh.M, Sets: make([][]resource.Set, sh.N)}}
 	var (
-		res                  WalkResult
 		path                 []string
 		links, idle, holders []int // this step's choices: non-empty links (a*N+b), sites
 		kinds                []walkKind
@@ -111,13 +112,14 @@ func Walk(f alg.Factory, sh WalkShape, opt Options, seed int64, steps int) WalkR
 				s := idle[rng.Intn(len(idle))]
 				set := gens[s].Next().Resources
 				path = append(path, requestStep(s, set))
+				res.Shape.Sets[s] = append(res.Shape.Sets[s], set)
 				w.Request(s, set)
 			case walkRelease:
 				s := holders[rng.Intn(len(holders))]
 				path = append(path, releaseStep(s))
 				w.Release(s)
 			}
-			if sh.Stride > 1 && (res.Steps+1)%sh.Stride != 0 {
+			if (res.Steps+1)%walkStride != 0 {
 				return nil
 			}
 			return check()
@@ -155,30 +157,4 @@ func walkFailed(w *World, res WalkResult, sh WalkShape, seed int64, path []strin
 	res.Steps, res.Grants, res.Msgs = len(path), w.mon.Grants(), w.total
 	res.Err = &Failure{strings.Join(path, " "), fmt.Sprintf("walk %s seed %d, step %d: %v", sh.Name, seed, len(path), err)}
 	return res
-}
-
-// scriptSets reads, per site, the sets a schedule has it request in
-// order: the Sets of the Shape a walk's failure replays on.
-func scriptSets(script []string, n, m int) ([][]resource.Set, error) {
-	sets := make([][]resource.Set, n)
-	for _, c := range script {
-		if !strings.HasPrefix(c, "r") {
-			continue
-		}
-		at := strings.IndexByte(c, '{')
-		site, err := strconv.Atoi(c[1:max(at, 1)])
-		if at < 0 || !strings.HasSuffix(c, "}") || err != nil || site < 0 || site >= n {
-			return nil, fmt.Errorf("explore: step %q names no site's request", c)
-		}
-		set := resource.NewSet(m)
-		for _, f := range strings.FieldsFunc(c[at+1:len(c)-1], func(r rune) bool { return r == ',' }) {
-			id, err := strconv.Atoi(f)
-			if err != nil || id < 0 || id >= m {
-				return nil, fmt.Errorf("explore: step %q names resource %q of %d", c, f, m)
-			}
-			set.Add(resource.ID(id))
-		}
-		sets[site] = append(sets[site], set)
-	}
-	return sets, nil
 }
