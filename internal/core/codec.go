@@ -12,8 +12,8 @@ import (
 // The wire codecs for the two LASS message kinds. Tokens travel inside
 // LASS.Response batches, so the token layout — counter, obsolescence
 // stamps, waiting queue, loan queue, lender, epoch, version — is part of
-// the Response encoding. Both kinds end with the same tail (encTail):
-// the sender's holder hints, then the holdings it relays.
+// the Response encoding. Both kinds end with the same list of holdings
+// (encHoldings).
 // Field order is load-bearing: changing it is a wire break.
 
 func init() {
@@ -40,7 +40,7 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 		e.Set(sets.next(r))
 		e.Bool(r.Single)
 	}
-	encTail(e, (*batch)(b))
+	encHoldings(e, b.Holdings)
 }
 
 // The decoders build the record the receiving node keeps (see batch)
@@ -88,7 +88,7 @@ func decReqBatch(d *wire.Dec) network.Message {
 		}
 		(*batch)(b).addReq(&r, miss)
 	}
-	decTail(d, (*batch)(b))
+	b.Holdings = decHoldings(d, b.Holdings)
 	return b
 }
 
@@ -104,72 +104,42 @@ func encRespBatch(e *wire.Enc, m network.Message) {
 	for _, t := range b.Tokens {
 		encToken(e, t)
 	}
-	encTail(e, (*batch)(b))
+	encHoldings(e, b.Holdings)
 }
 
-// encTail ends a record of either kind: its hints, then its relays.
-func encTail(e *wire.Enc, b *batch) {
-	encList(e, b.Hints, encHint)
-	encList(e, b.Relay, encRelay)
-}
-
-// decTail reads encTail's lists into b.
-func decTail(d *wire.Dec, b *batch) {
-	b.Hints = decList(d, b.Hints, decHint)
-	b.Relay = decList(d, b.Relay, decRelay)
-}
-
-// encList puts a hint or relay list on the wire: its length, then every
-// entry as one writes it.
-func encList[T hint | relay](e *wire.Enc, list []T, one func(*wire.Enc, T)) {
-	e.Uvarint(uint64(len(list)))
-	for _, h := range list {
-		one(e, h)
+// encHoldings ends a record of either kind: the holdings' count, then
+// each as its resource, version and holder.
+func encHoldings(e *wire.Enc, hs []holding) {
+	e.Uvarint(uint64(len(hs)))
+	for _, h := range hs {
+		e.Varint(int64(h.R))
+		e.Varint(h.V.Epoch)
+		e.Varint(h.V.Ver)
+		e.Node(h.H)
 	}
 }
 
-// decList appends a hint or relay list to dst, charged against the
-// frame budget like every other list, each entry read by one.
-func decList[T hint | relay](d *wire.Dec, dst []T, one func(*wire.Dec) T) []T {
+// decHoldings appends encHoldings' list to dst, charged against the
+// frame budget like every other list. A holding names a site of the
+// cluster at a version that is not negative: anything else would aim a
+// father pointer at no holding at all.
+func decHoldings(d *wire.Dec, dst []holding) []holding {
 	n := d.Count()
-	var entry T
-	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(entry))) {
+	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(holding{}))) {
 		return dst
 	}
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		entry = one(d)
+		h := holding{R: d.Res(), V: tokVer{Epoch: d.Varint(), Ver: d.Varint()}, H: d.Site()}
+		if (h.V.Epoch < 0 || h.V.Ver < 0) && d.Err() == nil {
+			d.Fail("holding of resource %d at negative version %+v", h.R, h.V)
+		}
 		if d.Err() != nil {
 			return dst
 		}
-		dst = append(dst, entry)
+		dst = append(dst, h)
 	}
 	return dst
-}
-
-// A hint is its resource and version; a relay is a hint and its holder.
-func encHint(e *wire.Enc, h hint) {
-	e.Varint(int64(h.R))
-	e.Varint(h.V.Epoch)
-	e.Varint(h.V.Ver)
-}
-
-func encRelay(e *wire.Enc, h relay) {
-	encHint(e, h.hint)
-	e.Node(h.H)
-}
-
-func decHint(d *wire.Dec) hint {
-	h := hint{R: d.Res(), V: tokVer{Epoch: d.Varint(), Ver: d.Varint()}}
-	if (h.V.Epoch < 0 || h.V.Ver < 0) && d.Err() == nil {
-		d.Fail("holding of resource %d at negative version %+v", h.R, h.V)
-	}
-	return h
-}
-
-func decRelay(d *wire.Dec) relay {
-	h := decHint(d)
-	return relay{h, d.Site()}
 }
 
 func decRespBatch(d *wire.Dec) network.Message {
@@ -204,7 +174,7 @@ func decRespBatch(d *wire.Dec) network.Message {
 		}
 		b.Tokens = append(b.Tokens, t)
 	}
-	decTail(d, (*batch)(b))
+	b.Holdings = decHoldings(d, b.Holdings)
 	return b
 }
 
@@ -333,8 +303,8 @@ func decRef(d *wire.Dec) reqRef {
 
 // codecSamples builds one representative message per shape the LASS
 // protocol produces: plain and loan requests, counter replies, a token
-// carrying queue, loans, lender and version state, holder hints and
-// relayed holdings.
+// carrying queue, loans, lender and version state, and holdings, first-
+// hand and relayed.
 func codecSamples() []network.Message {
 	missing := resource.FromIDs(8, 2, 5)
 	tok := newToken(3, 4)
@@ -357,17 +327,20 @@ func codecSamples() []network.Message {
 				{Kind: reqLoan, R: 5, Init: 1, ID: 2, Mark: 0.5},
 			},
 			Missing: []resource.Set{missing},
-			Hints:   []hint{{R: 0, V: tokVer{Ver: 3}}, {R: 6, V: tokVer{Epoch: 1, Ver: 12}}},
-			Relay:   []relay{{hint{3, tokVer{Ver: 7}}, 1}, {hint{7, tokVer{Epoch: 2, Ver: 1}}, 3}},
+			// Sent by site 0 in transport's egress goldens: two tokens
+			// it holds, then two holdings it relays.
+			Holdings: []holding{{0, 0, tokVer{Ver: 3}}, {6, 0, tokVer{Epoch: 1, Ver: 12}},
+				{3, 1, tokVer{Ver: 7}}, {7, 3, tokVer{Epoch: 2, Ver: 1}}},
 		},
 		&reqBatch{},
 		&respBatch{
 			Counters: []counterVal{{R: 1, Val: 42, ID: 3}, {R: 2, Val: 7, ID: 3}},
 			Tokens:   []*token{tok, newToken(0, 4)},
-			Hints:    []hint{{R: 1, V: tokVer{Ver: 9}}, {R: 2, V: tokVer{Ver: 4}}},
-			Relay:    []relay{{hint{5, tokVer{Ver: 3}}, 2}, {hint{6, tokVer{Epoch: 1, Ver: 2}}, 0}},
+			// Sent by site 1: the same mix.
+			Holdings: []holding{{1, 1, tokVer{Ver: 9}}, {2, 1, tokVer{Ver: 4}},
+				{5, 2, tokVer{Ver: 3}}, {6, 0, tokVer{Epoch: 1, Ver: 2}}},
 		},
-		&respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}, Relay: []relay{{hint{4, tokVer{Ver: 1}}, 3}}},
+		&respBatch{Counters: []counterVal{{R: 0, Val: 1, ID: 1}}, Holdings: []holding{{4, 3, tokVer{Ver: 1}}}},
 		// Two loans with sets of their own between the other kinds: a
 		// set is found by its loan's position among the loans.
 		// (Last: transport's egress goldens send the first four samples.)
@@ -380,8 +353,8 @@ func codecSamples() []network.Message {
 				{Kind: reqLoan, R: 7, Init: 3, ID: 2, Mark: 2},
 				{Kind: reqCnt, R: 3, Init: 0, ID: 5, Single: true},
 			},
-			Missing: []resource.Set{missing, resource.FromIDs(8, 7)},
-			Relay:   []relay{{hint{1, tokVer{Ver: 2}}, 0}},
+			Missing:  []resource.Set{missing, resource.FromIDs(8, 7)},
+			Holdings: []holding{{1, 0, tokVer{Ver: 2}}},
 		},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
 	"mralloc/internal/resource"
 	"mralloc/internal/wire"
@@ -415,8 +416,7 @@ func TestTokenDeltaLegacyUnchanged(t *testing.T) {
 	e.Uvarint(0) // counters
 	e.Uvarint(1) // tokens
 	encTokenSnap(&e, tok)
-	e.Uvarint(0) // hints
-	e.Uvarint(0) // relays
+	e.Uvarint(0) // holdings
 	if string(legacy) != string(e.Bytes()) {
 		t.Fatal("stream-free encoding differs from the bare snapshot layout")
 	}
@@ -482,19 +482,19 @@ func FuzzTokenDelta(f *testing.F) {
 		return tok
 	}
 	// Seeds: a valid delta, a valid full, and the empty input; both
-	// carry a holder hint.
+	// carry a holding.
 	{
 		enc := wire.NewStream()
 		tok := seedTok()
-		hints := []hint{{R: 0, V: tokVer{Ver: 1}}}
-		full, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}, Hints: hints}, enc)
+		hs := []holding{{0, 1, tokVer{Ver: 1}}}
+		full, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}, Holdings: hs}, enc)
 		if err != nil {
 			f.Fatal(err)
 		}
 		tok.Counter++
 		tok.Ver++
 		tok.Queue.PopHead()
-		delta, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}, Hints: hints}, enc)
+		delta, err := wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}, Holdings: hs}, enc)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -542,4 +542,39 @@ func FuzzTokenDelta(f *testing.F) {
 			t.Fatalf("post-resync token wrong: %v", err)
 		}
 	})
+}
+
+// TestDeltaDecodeAllocs pins what decoding one LASS.Response that
+// carries a delta-encoded token allocates: the record, the token and
+// one array for both of its stamp vectors, as a snapshot's are cut.
+func TestDeltaDecodeAllocs(t *testing.T) {
+	if leakcheck.Race {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	const n, m, runs = 8, 4, 50
+	enc, dec := wire.NewStream(), wire.NewStream()
+	tok := newToken(1, n)
+	frames := make([][]byte, runs+2) // a snapshot, then AllocsPerRun's runs+1 deltas
+	for i := range frames {
+		tok.Counter++
+		tok.LastCS[i%n]++
+		tok.Ver++
+		var err error
+		if frames[i], err = wire.AppendStream(nil, &respBatch{Tokens: []*token{tok}}, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wire.DecodeStream(frames[0], n, m, dec); err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := wire.DecodeStream(frames[next], n, m, dec); err != nil {
+			t.Fatalf("delta %d: %v", next, err)
+		}
+		next++
+	})
+	if got != 3 {
+		t.Errorf("%v allocations per delta-token response decoded, want 3", got)
+	}
 }

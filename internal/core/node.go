@@ -96,9 +96,7 @@ type Node struct {
 	tokDir    []network.NodeID // father per resource; None when owner
 	ver       []tokVer         // per resource: the holding tokDir names, or the one we hold
 	tok       []*token         // the token of every owned resource, nil for the rest
-	held      []hint           // the tokens in tok that have moved, by resource: the records' Hints
-	told      []bool           // per site: held went out to it since held last changed
-	relays    relayRing        // holdings made or learned, for the request records' Relay
+	log       holdings         // what the records tell: tokens held, holdings made or learned
 	owned     resource.Set     // TOwned
 	required  resource.Set     // TRequired
 	cntNeeded resource.Set     // CntNeeded
@@ -208,7 +206,7 @@ func NewFactory(opt Options) alg.Factory {
 		}
 		nodes := make([]alg.Node, n)
 		for i := range nodes {
-			nodes[i] = &Node{opt: opt, mark: opt.mark(), relays: newRelayRing(n, m, c)}
+			nodes[i] = &Node{opt: opt, mark: opt.mark(), log: newHoldings(n, m, c)}
 		}
 		return nodes
 	}
@@ -221,7 +219,6 @@ func (nd *Node) Attach(env alg.Env) {
 	nd.n = n
 	nd.tokDir = make([]network.NodeID, m)
 	nd.ver = make([]tokVer, m)
-	nd.told = make([]bool, n)
 	nd.tok = make([]*token, m)
 	nd.owned = resource.NewSet(m)
 	nd.required = resource.NewSet(m)
@@ -304,38 +301,23 @@ func (nd *Node) staleObsolete(req *request) bool {
 // requests from, nil when the node originates them; request batches
 // leave stamped with it plus this site.
 func (nd *Node) flush(visited []network.NodeID) {
-	nd.out.flush(nd.env, visited, nd.held, nd.told, &nd.relays, !nd.opt.DisableAggregation)
+	nd.out.flush(nd.env, visited, &nd.log, !nd.opt.DisableAggregation)
 }
 
 func (nd *Node) flushOwn() { nd.flush(nil) }
 
-// own makes t this node's: t is in tok and in the held list, and ver
-// names its holding. A genesis holding, version (0, 0), is left out of
-// the held list: every site knows it already, so it is no hint.
+// own makes t this node's: t is in tok and in the log's held entries,
+// and ver names its holding. A genesis holding, version (0, 0), is left
+// out of the log: every site knows it already, so it is no hint.
 func (nd *Node) own(t *token) {
 	r := t.R
 	nd.tok[r] = t
 	nd.owned.Add(r)
 	nd.tokDir[r] = network.None
 	nd.ver[r] = t.version()
-	if nd.ver[r] == (tokVer{}) {
-		return
+	if nd.ver[r] != (tokVer{}) {
+		nd.log.hold(holding{r, nd.self(), nd.ver[r]})
 	}
-	i := heldAt(nd.held, r)
-	nd.held = append(nd.held, hint{})
-	copy(nd.held[i+1:], nd.held[i:])
-	nd.held[i] = hint{R: r, V: nd.ver[r]}
-	clear(nd.told)
-}
-
-// heldAt is where r is, or belongs, in the held list. A node holds a
-// handful of tokens, so a scan beats a search.
-func heldAt(held []hint, r resource.ID) int {
-	i := 0
-	for i < len(held) && held[i].R < r {
-		i++
-	}
-	return i
 }
 
 // disown ends this node's ownership of r and returns the token: its
@@ -346,10 +328,7 @@ func (nd *Node) disown(r resource.ID) *token {
 	nd.keepStale(t)
 	nd.tok[r] = nil
 	nd.owned.Remove(r)
-	if i := heldAt(nd.held, r); i < len(nd.held) && nd.held[i].R == r {
-		nd.held = append(nd.held[:i], nd.held[i+1:]...)
-		clear(nd.told)
-	}
+	nd.log.drop(r)
 	return t
 }
 
@@ -364,7 +343,7 @@ func (nd *Node) sendToken(to network.NodeID, r resource.ID) {
 	t.Ver++
 	nd.tokDir[r] = to
 	nd.ver[r] = t.version()
-	nd.relays.put(relay{hint{r, nd.ver[r]}, to})
+	nd.log.put(holding{r, to, nd.ver[r]})
 	if nd.leasing() && nd.steward(r) == nd.self() {
 		// Our own steward duty resumes the moment the token leaves:
 		// the new holder gets a full silence window before regeneration.
@@ -506,14 +485,12 @@ func (nd *Node) Release() {
 func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 	switch msg := m.(type) {
 	case *reqBatch:
-		nd.onHints(from, msg.Hints)
-		nd.onRelays(msg.Relay)
+		nd.onHoldings(msg.Holdings)
 		nd.onRequests(msg)
 		nd.flush(msg.Visited)
 		nd.out.recycle((*batch)(msg))
 	case *respBatch:
-		nd.onHints(from, msg.Hints)
-		nd.onRelays(msg.Relay)
+		nd.onHoldings(msg.Holdings)
 		nd.onCounters(msg.Counters)
 		if len(msg.Tokens) > 0 {
 			nd.onTokens(msg.Tokens)
@@ -534,39 +511,21 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 	}
 }
 
-// onHints repoints the father pointer of every token the sender named
-// and this node does not own at the sender, when the hint is a later
-// holding than the one the pointer names (deviation 6). It runs before
-// the record's requests are routed; a pointer it moves goes in the
-// relay ring.
-func (nd *Node) onHints(from network.NodeID, hints []hint) {
-	if nd.opt.DisableShortcut {
-		return
-	}
-	for _, h := range hints {
-		if nd.tok[h.R] == nil && h.V.newer(nd.ver[h.R]) {
-			nd.tokDir[h.R], nd.ver[h.R] = from, h.V
-			nd.relays.put(relay{h, from})
-		}
-	}
-}
-
-// onRelays applies the holdings a record relays by deviation 6's rule
-// (deviation 7): a token this node does not own is repointed at the
-// named holder when the relay is a later holding than the one the
-// pointer names, unless it names this node — whose token is then on its
-// way here. It runs after onHints and before the record's requests are
-// routed or its counters and tokens taken; a pointer it moves goes in
-// the ring again.
-func (nd *Node) onRelays(relays []relay) {
+// onHoldings applies a record's holdings by deviation 6's rule: a
+// token this node does not own is repointed at the named holder when
+// the holding is later than the one the pointer names, unless it names
+// this node — whose token is then on its way here. It runs before the
+// record's requests are routed or its counters and tokens taken; a
+// pointer it moves goes in the ring.
+func (nd *Node) onHoldings(hs []holding) {
 	if nd.opt.DisableShortcut {
 		return
 	}
 	self := nd.self()
-	for _, h := range relays {
+	for _, h := range hs {
 		if h.H != self && nd.tok[h.R] == nil && h.V.newer(nd.ver[h.R]) {
 			nd.tokDir[h.R], nd.ver[h.R] = h.H, h.V
-			nd.relays.put(h)
+			nd.log.put(h)
 		}
 	}
 }
@@ -763,7 +722,7 @@ func (nd *Node) processReqLoan(req *request, miss resource.Set) {
 // onCounters implements "Receive Counter" (pseudo lines 255-262); the
 // caller handles the CntNeeded-empty transition. The §4.6.2 shortcut —
 // the replier held the token — is the hint for it the reply's record
-// carries (onHints).
+// carries (onHoldings).
 func (nd *Node) onCounters(cnts []counterVal) {
 	for _, c := range cnts {
 		if c.ID != nd.curID || !nd.cntNeeded.Has(c.R) {

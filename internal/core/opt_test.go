@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"mralloc/internal/explore"
@@ -98,7 +99,7 @@ func TestLateHintLeavesNewerPointer(t *testing.T) {
 	}
 	// What site 0 could have sent while it held r0 at version 0, at
 	// the start, arriving only now.
-	x.Deliver(0, &reqBatch{Hints: []hint{{R: 0, V: tokVer{}}}})
+	x.Deliver(0, &reqBatch{Holdings: []holding{{0, 0, tokVer{}}}})
 	if x.tokDir[0] != 1 || x.ver[0] != want {
 		t.Errorf("a late hint moved s2's pointer to s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
 	}
@@ -108,117 +109,146 @@ func TestLateHintLeavesNewerPointer(t *testing.T) {
 	}
 }
 
-// relayCarriers are the two record kinds a relay rides in, each
-// carrying nothing but the relays given.
+// relayCarriers are the two record kinds a holding rides in, each
+// carrying nothing but the holdings given.
 var relayCarriers = []struct {
 	kind string
-	with func([]relay) network.Message
+	with func([]holding) network.Message
 }{
-	{"request", func(r []relay) network.Message { return &reqBatch{Relay: r} }},
-	{"response", func(r []relay) network.Message { return &respBatch{Relay: r} }},
+	{"request", func(h []holding) network.Message { return &reqBatch{Holdings: h} }},
+	{"response", func(h []holding) network.Message { return &respBatch{Holdings: h} }},
 }
 
-// TestLateRelayLeavesNewerPointer pins deviation 7's version test, in
-// both record kinds: a relay is a holding learned second hand, so it
-// may arrive long after the token moved on. Older than what the
-// receiver's pointer names, it must leave the pointer alone: taken, it
-// would aim the pointer at a site whose own pointer leads back here.
+// TestLateRelayLeavesNewerPointer pins deviation 6's version test, in
+// both record kinds, for a holding first-hand (its sender's own) and
+// relayed (learned second hand): either may arrive long after the token
+// moved on. Older than what the receiver's pointer names, it must leave
+// the pointer alone: taken, it would aim the pointer at a site whose
+// own pointer leads back here.
 func TestLateRelayLeavesNewerPointer(t *testing.T) {
 	for _, c := range relayCarriers {
 		t.Run(c.kind, func(t *testing.T) {
-			const n, m = 3, 2
-			f := worldOf(withRing(WithoutLoan(), 1), n, m)
-			// r0 goes 0 → 1 → 0 → 2 → 1, at versions 1 to 4.
-			for _, site := range []int{1, 0, 2, 1} {
-				f.acquire(t, site, ids(m, 0))
-				f.release(site)
-			}
-			x, want := f.nodes[2], tokVer{Ver: 4}
-			if x.tokDir[0] != 1 || x.ver[0] != want {
-				t.Fatalf("set-up: s2 names s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
-			}
-			if s0 := f.nodes[0]; s0.tokDir[0] != 2 {
-				t.Fatalf("set-up: s0 names s%d, want s2", s0.tokDir[0])
-			}
-			// "r0 is on its way to s0 at version 2", as s1's ring had it then.
-			x.Deliver(1, c.with([]relay{{hint{0, tokVer{Ver: 2}}, 0}}))
-			if x.tokDir[0] != 1 || x.ver[0] != want {
-				t.Errorf("a late relay moved s2's pointer to s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
-			}
-			f.acquire(t, 2, ids(m, 0))
-			if got := x.tok[0].version(); got != (tokVer{Ver: 5}) {
-				t.Errorf("r0 reached s2 at %+v, want its fifth transfer", got)
+			for _, e := range []struct {
+				name string
+				late holding
+			}{
+				{"first-hand", holding{0, 1, tokVer{Ver: 1}}}, // "s1 holds r0 at version 1", as s1 had it then
+				{"relayed", holding{0, 0, tokVer{Ver: 2}}},    // "r0 is on its way to s0 at version 2", as s1's ring had it
+			} {
+				t.Run(e.name, func(t *testing.T) {
+					const n, m = 3, 2
+					f := worldOf(withRing(WithoutLoan(), 1), n, m)
+					// r0 goes 0 → 1 → 0 → 2 → 1, at versions 1 to 4.
+					for _, site := range []int{1, 0, 2, 1} {
+						f.acquire(t, site, ids(m, 0))
+						f.release(site)
+					}
+					x, want := f.nodes[2], tokVer{Ver: 4}
+					if x.tokDir[0] != 1 || x.ver[0] != want {
+						t.Fatalf("set-up: s2 names s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
+					}
+					if s0 := f.nodes[0]; s0.tokDir[0] != 2 {
+						t.Fatalf("set-up: s0 names s%d, want s2", s0.tokDir[0])
+					}
+					x.Deliver(1, c.with([]holding{e.late}))
+					if x.tokDir[0] != 1 || x.ver[0] != want {
+						t.Errorf("a late holding moved s2's pointer to s%d at %+v, want s1 at %+v", x.tokDir[0], x.ver[0], want)
+					}
+					f.acquire(t, 2, ids(m, 0))
+					if got := x.tok[0].version(); got != (tokVer{Ver: 5}) {
+						t.Errorf("r0 reached s2 at %+v, want its fifth transfer", got)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestRelayNamingReceiverIgnored pins deviation 7's other test, in both
-// record kinds: a relay that names its receiver says the token is on
+// TestRelayNamingReceiverIgnored pins deviation 6's other test, in both
+// record kinds: a holding that names its receiver says the token is on
 // its way there. Taken before the token lands, it would point the
 // receiver at itself, and a request routed along the pointer would go
-// nowhere. The explorer's small shapes never deliver such a relay, so
-// this test stands in.
+// nowhere. It is ignored alone and behind a first-hand holding of its
+// sender's, which is taken. The explorer's small shapes never deliver
+// such a holding, so this test stands in.
 func TestRelayNamingReceiverIgnored(t *testing.T) {
+	naming := holding{0, 2, tokVer{Ver: 2}}
 	for _, c := range relayCarriers {
 		t.Run(c.kind, func(t *testing.T) {
-			const n, m = 3, 2
-			f := worldOf(withRing(WithoutLoan(), 1), n, m)
-			f.acquire(t, 1, ids(m, 0))
-			f.release(1) // r0 at s1, version 1
-			x := f.nodes[2]
-			if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
-				t.Fatalf("set-up: s2 names s%d at %+v, want s0 at the genesis holding", x.tokDir[0], x.ver[0])
-			}
-			x.Deliver(1, c.with([]relay{{hint{0, tokVer{Ver: 2}}, 2}}))
-			if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
-				t.Errorf("a relay naming s2 moved its pointer to s%d at %+v", x.tokDir[0], x.ver[0])
-			}
-			if len(x.relays.ents) != 0 {
-				t.Errorf("s2 keeps %v in its ring, want nothing", x.relays.ents)
-			}
-			f.acquire(t, 2, ids(m, 0))
-			if got := x.tok[0].version(); got != (tokVer{Ver: 2}) {
-				t.Errorf("r0 reached s2 at %+v, want its second transfer", got)
+			for _, e := range []struct {
+				name string
+				rec  []holding
+				ring []holding // what s2 keeps after the record
+			}{
+				{"relayed", []holding{naming}, nil},
+				{"behind first-hand", []holding{{1, 1, tokVer{Ver: 1}}, naming}, []holding{{1, 1, tokVer{Ver: 1}}}},
+			} {
+				t.Run(e.name, func(t *testing.T) {
+					const n, m = 3, 2
+					f := worldOf(withRing(WithoutLoan(), 1), n, m)
+					f.acquire(t, 1, ids(m, 0, 1))
+					f.release(1) // r0 and r1 at s1, version 1
+					x := f.nodes[2]
+					if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
+						t.Fatalf("set-up: s2 names s%d at %+v, want s0 at the genesis holding", x.tokDir[0], x.ver[0])
+					}
+					x.Deliver(1, c.with(slices.Clone(e.rec)))
+					if x.tokDir[0] != 0 || x.ver[0] != (tokVer{}) {
+						t.Errorf("a holding naming s2 moved its pointer to s%d at %+v", x.tokDir[0], x.ver[0])
+					}
+					var ring []holding
+					for _, l := range x.log.ring {
+						ring = append(ring, l.holding)
+					}
+					if !slices.Equal(ring, e.ring) {
+						t.Errorf("s2 keeps %v in its ring, want %v", ring, e.ring)
+					}
+					f.acquire(t, 2, ids(m, 0))
+					if got := x.tok[0].version(); got != (tokVer{Ver: 2}) {
+						t.Errorf("r0 reached s2 at %+v, want its second transfer", got)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestRelayCodecChecksHoldings: in both record kinds a relay survives
-// the codec, and the decoder refuses one that names a site outside the
-// cluster or a negative version — taken, either would aim a father
-// pointer at no holding at all.
+// TestRelayCodecChecksHoldings: in both record kinds a holding survives
+// the codec behind a first-hand one, and the decoder refuses a list
+// with one that names a site outside the cluster or a negative version
+// — taken, either would aim a father pointer at no holding at all.
 func TestRelayCodecChecksHoldings(t *testing.T) {
 	const n, m = 4, 8
+	first := holding{1, 0, tokVer{Ver: 1}}
 	for _, c := range relayCarriers {
 		t.Run(c.kind, func(t *testing.T) {
 			for _, x := range []struct {
 				name string
-				r    relay
+				h    holding
 				ok   bool
 			}{
-				{"holding", relay{hint{5, tokVer{Epoch: 1, Ver: 3}}, 2}, true},
-				{"site outside", relay{hint{5, tokVer{Ver: 3}}, n}, false},
-				{"negative epoch", relay{hint{5, tokVer{Epoch: -1, Ver: 3}}, 2}, false},
-				{"negative version", relay{hint{5, tokVer{Ver: -3}}, 2}, false},
+				{"holding", holding{5, 2, tokVer{Epoch: 1, Ver: 3}}, true},
+				{"site outside", holding{5, n, tokVer{Ver: 3}}, false},
+				{"negative epoch", holding{5, 2, tokVer{Epoch: -1, Ver: 3}}, false},
+				{"negative version", holding{5, 2, tokVer{Ver: -3}}, false},
 			} {
-				enc, err := wire.Append(nil, c.with([]relay{x.r}))
+				list := []holding{first, x.h}
+				enc, err := wire.Append(nil, c.with(list))
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, err := wire.DecodeFor(enc, n, m)
 				if !x.ok {
 					if err == nil {
-						t.Errorf("%s: %+v decoded", x.name, x.r)
+						t.Errorf("%s: %+v decoded", x.name, x.h)
 					}
 					continue
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", x.name, err)
 				}
-				if b := asBatch(got); len(b.Relay) != 1 || b.Relay[0] != x.r {
-					t.Errorf("%s: decoded %v, want [%v]", x.name, b.Relay, x.r)
+				if b := asBatch(got); !slices.Equal(b.Holdings, list) {
+					t.Errorf("%s: decoded %v, want %v", x.name, b.Holdings, list)
 				}
 			}
 		})

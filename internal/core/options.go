@@ -82,11 +82,11 @@ type Options struct {
 	// resource requests skip the counter round-trip).
 	DisableSingleResOpt bool
 	// DisableShortcut turns off every father-pointer repoint a received
-	// message causes: the versioned holder hints (deviation 6, doc.go)
-	// that generalize §4.6.2's shortcut on Counter receipt, and the
-	// holdings request records relay (deviation 7), which the node then
-	// neither keeps nor sends. Pointers then move only with the tokens
-	// themselves and on regeneration.
+	// message causes: the versioned holdings records carry (deviation 6,
+	// doc.go) that generalize §4.6.2's shortcut on Counter receipt. The
+	// node then keeps no ring and sends only the tokens it holds.
+	// Pointers then move only with the tokens themselves and on
+	// regeneration.
 	DisableShortcut bool
 	// DisableForwardStop turns off the §4.6.2 early stop of ReqRes
 	// forwarding at sites that know they will receive the token first.

@@ -76,11 +76,10 @@ func (o *outbox) destAdd(to network.NodeID) {
 	o.dests = append(o.dests, to)
 }
 
-// get returns a record for to that carries nothing but, unless to was
-// told them already (told), the hints held, and the ring's entries to
-// was not sent yet: a recycled record when the free list has any, else
-// a fresh one (newBatch).
-func (o *outbox) get(to network.NodeID, held []hint, told []bool, ring *relayRing) *batch {
+// get returns a record for to that carries nothing but the log's
+// entries to was not sent yet: a recycled record when the free list has
+// any, else a fresh one (newBatch).
+func (o *outbox) get(to network.NodeID, log *holdings) *batch {
 	var b *batch
 	if n := len(o.free); n > 0 {
 		b = o.free[n-1]
@@ -89,17 +88,13 @@ func (o *outbox) get(to network.NodeID, held []hint, told []bool, ring *relayRin
 	} else {
 		b = newBatch()
 	}
-	if !told[to] {
-		b.Hints = append(b.Hints, held...)
-		told[to] = true
-	}
-	b.Relay = ring.appendNew(b.Relay, to)
+	b.Holdings = log.news(b.Holdings, to)
 	return b
 }
 
 // recycle scrubs a delivered record — no token and no missing set may
-// stay reachable from a record waiting for reuse; its requests, hints
-// and relays hold no pointer and are merely truncated — and keeps it for
+// stay reachable from a record waiting for reuse; its requests and
+// holdings hold no pointer and are merely truncated — and keeps it for
 // the next flush.
 // Callers recycle only after the activation's flush has returned: a
 // forwarded batch reads the record's Visited until then.
@@ -122,22 +117,19 @@ func (o *outbox) recycle(b *batch) {
 		b.tokens = [len(b.tokens)]*token{}
 	}
 	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
-	b.Counters, b.Tokens, b.Hints = b.Counters[:0], b.Tokens[:0], b.Hints[:0]
-	b.Relay = b.Relay[:0]
+	b.Counters, b.Tokens, b.Holdings = b.Counters[:0], b.Tokens[:0], b.Holdings[:0]
 	o.free = append(o.free, b)
 }
 
 // flush transmits everything buffered. visited is the set the requests
 // being forwarded arrived with (nil for the node's own); every request
 // batch copies it, plus the sending site, into its own record, so the
-// caller keeps the slice and no two receivers share one. held, the
-// tokens the node holds, is copied the same way into the first record
-// for each site since held last changed; told marks the sites that have
-// it. A site that was sent a list on its FIFO link has acted on every
-// hint in it before it reads the next record, so sending the list again
-// could move no pointer. For the same reason a record relays only the
-// ring's entries its destination was not sent yet, whatever its kind.
-func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told []bool, ring *relayRing, aggregate bool) {
+// caller keeps the slice and no two receivers share one. Every record
+// carries the log's entries its destination was not sent yet, whatever
+// its kind: a site that was sent an entry on its FIFO link has acted on
+// it before it reads the next record, so sending it again could move no
+// pointer.
+func (o *outbox) flush(env alg.Env, visited []network.NodeID, log *holdings, aggregate bool) {
 	if len(o.reqs) > 0 {
 		if aggregate {
 			// Index loops throughout: a destReq is 48 bytes, and these
@@ -153,7 +145,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 						n++
 					}
 				}
-				b := o.get(to, held, told, ring)
+				b := o.get(to, log)
 				b.stamp(visited, env.ID())
 				b.Reqs = slices.Grow(b.Reqs, n)
 				sets := loanSets(o.miss)
@@ -169,7 +161,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 		} else {
 			sets := loanSets(o.miss)
 			for i := range o.reqs {
-				b := o.get(o.reqs[i].to, held, told, ring)
+				b := o.get(o.reqs[i].to, log)
 				b.stamp(visited, env.ID())
 				b.addReq(&o.reqs[i].r, sets.next(&o.reqs[i].r))
 				env.Send(o.reqs[i].to, (*reqBatch)(b))
@@ -201,7 +193,7 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 					nt++
 				}
 			}
-			b := o.get(to, held, told, ring)
+			b := o.get(to, log)
 			b.Counters = slices.Grow(b.Counters, nc)
 			for _, x := range o.cnts {
 				if x.to == to {
@@ -218,12 +210,12 @@ func (o *outbox) flush(env alg.Env, visited []network.NodeID, held []hint, told 
 		}
 	} else {
 		for _, x := range o.cnts {
-			b := o.get(x.to, held, told, ring)
+			b := o.get(x.to, log)
 			b.Counters = append(b.Counters, x.c)
 			env.Send(x.to, (*respBatch)(b))
 		}
 		for _, x := range o.toks {
-			b := o.get(x.to, held, told, ring)
+			b := o.get(x.to, log)
 			b.Tokens = append(b.Tokens, x.t)
 			env.Send(x.to, (*respBatch)(b))
 		}

@@ -52,12 +52,12 @@ func worldOf(fac alg.Factory, n, m int) *coreWorld {
 // withRing is NewFactory(opt) whose nodes keep a relay ring of c
 // entries whatever the site count. relayCap gives none below 16 sites,
 // so the worlds and shapes small enough to step or search by hand ask
-// for one to exercise deviation 7.
+// for one to exercise the ring.
 func withRing(opt Options, c int) alg.Factory {
 	return func(n, m int) []alg.Node {
 		nodes := NewFactory(opt)(n, m)
 		for _, a := range nodes {
-			a.(*Node).relays = newRelayRing(n, m, c)
+			a.(*Node).log = newHoldings(n, m, c)
 		}
 		return nodes
 	}
@@ -316,21 +316,21 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 
 // checked is a core node whose Env checks every LASS record it sends
 // against the sender's state, and which remembers the records it was
-// delivered and what each carried. Hints: a record carries what the
-// site holds, or nothing when the last list it sent that site already
-// says so. Relays: a record of either kind relays every ring entry that
-// does not name its destination and was not relayed there before, by a
-// record of either kind, and nothing else.
+// delivered and how many holdings each carried. The rule: a record
+// carries every holding its sender's log gained since the last record
+// of either kind to its destination — the tokens the sender holds
+// first, by resource, then the ring's entries — except those naming
+// the destination, and no holding the destination was sent before.
 type checked struct {
 	*Node
 	t         *testing.T
-	delivered map[*batch][2]int         // record → hints and relays it arrived with
-	sent      map[network.NodeID][]hint // per site: the last hints sent to it
-	relayed   []map[resource.ID]relay   // per site: the last relay of each resource sent to it
-	reused    int                       // records sent again after their delivery here
-	shrunk    int                       // ... carrying fewer hints than they arrived with
-	refilled  int                       // ... that had arrived with relays
-	carried   int                       // records sent with hints
+	delivered map[*batch]int     // record → the holdings it arrived with
+	last      [][]holding        // per site: the log when a record last went to it
+	told      []map[holding]bool // per site: every holding sent to it
+	reused    int                // records sent again after their delivery here
+	shrunk    int                // ... carrying fewer holdings than they arrived with
+	refilled  int                // ... that had arrived with holdings
+	carried   int                // records sent with a token their sender holds
 }
 
 type checkedEnv struct {
@@ -345,9 +345,9 @@ func checkedFactory(t *testing.T, opt Options, ring int, into *[]*checked) alg.F
 		nodes := make([]alg.Node, n)
 		*into = make([]*checked, n)
 		for i, a := range withRing(opt, ring)(n, m) {
-			c := &checked{Node: a.(*Node), t: t, delivered: map[*batch][2]int{}, sent: map[network.NodeID][]hint{}, relayed: make([]map[resource.ID]relay, n)}
-			for j := range c.relayed {
-				c.relayed[j] = map[resource.ID]relay{}
+			c := &checked{Node: a.(*Node), t: t, delivered: map[*batch]int{}, last: make([][]holding, n), told: make([]map[holding]bool, n)}
+			for j := range c.told {
+				c.told[j] = map[holding]bool{}
 			}
 			(*into)[i], nodes[i] = c, c
 		}
@@ -359,43 +359,49 @@ func (c *checked) Attach(env alg.Env) { c.Node.Attach(&checkedEnv{env, c}) }
 
 func (c *checked) Deliver(from network.NodeID, m network.Message) {
 	if b := asBatch(m); b != nil {
-		c.delivered[b] = [2]int{len(b.Hints), len(b.Relay)}
+		c.delivered[b] = len(b.Holdings)
 	}
 	c.Node.Deliver(from, m)
 }
 
 func (e *checkedEnv) Send(to network.NodeID, m network.Message) {
-	c := e.c
+	c, self := e.c, e.ID()
 	if b := asBatch(m); b != nil {
-		switch {
-		case len(b.Hints) > 0 && !slices.Equal(b.Hints, c.held):
-			c.t.Errorf("s%d sends %s with hints %v while it holds %v", e.ID(), m.Kind(), b.Hints, c.held)
-		case len(c.held) == 0:
-			c.sent[to] = nil // the empty list, or none: the same news
-		case len(b.Hints) == 0 && !slices.Equal(c.sent[to], c.held):
-			c.t.Errorf("s%d sends %s without hints to s%d, last told %v, while it holds %v", e.ID(), m.Kind(), to, c.sent[to], c.held)
-		case len(b.Hints) > 0:
-			c.sent[to] = slices.Clone(b.Hints)
-			c.carried++
+		// The log as the node's state has it: the tokens it holds,
+		// less the genesis holdings every site knows, then its ring.
+		var log, want []holding
+		for r, t := range c.tok {
+			if t != nil && t.version() != (tokVer{}) {
+				log = append(log, holding{resource.ID(r), self, t.version()})
+			}
 		}
-		var want []relay
-		for _, h := range c.relays.ents {
-			if h.H != to && c.relayed[to][h.R] != h {
+		for _, l := range c.log.ring {
+			log = append(log, l.holding)
+		}
+		for _, h := range log {
+			if h.H != to && !slices.Contains(c.last[to], h) {
 				want = append(want, h)
 			}
 		}
-		if !slices.Equal(b.Relay, want) {
-			c.t.Errorf("s%d sends %s to s%d relaying %v, want %v", e.ID(), m.Kind(), to, b.Relay, want)
+		if !slices.Equal(b.Holdings, want) {
+			c.t.Errorf("s%d sends %s to s%d with holdings %v, want %v", self, m.Kind(), to, b.Holdings, want)
 		}
-		for _, h := range b.Relay {
-			c.relayed[to][h.R] = h
+		for _, h := range b.Holdings {
+			if c.told[to][h] {
+				c.t.Errorf("s%d sends %s to s%d with %v, which it was sent before", self, m.Kind(), to, h)
+			}
+			c.told[to][h] = true
+		}
+		c.last[to] = log
+		if len(b.Holdings) > 0 && b.Holdings[0].H == self {
+			c.carried++
 		}
 		if had, ok := c.delivered[b]; ok {
 			c.reused++
-			if had[0] > len(b.Hints) {
+			if had > len(b.Holdings) {
 				c.shrunk++
 			}
-			if had[1] > 0 {
+			if had > 0 {
 				c.refilled++
 			}
 			delete(c.delivered, b)
@@ -415,12 +421,12 @@ func asBatch(m network.Message) *batch {
 }
 
 // TestHazardRecycledRecordHints: a record a node is delivered carries
-// its sender's hints and relays;
-// refilled for a message of the node's own, it must carry the node's
-// hints and relays and nothing of the previous message's — a stale hint
-// or relay would aim a receiver's father pointer at a site that never
-// held the token at that version. Every record every site sends is
-// checked against the site's holdings and relay ring at that moment.
+// its sender's holdings; refilled for a message of the node's own, it
+// must carry the node's news and nothing of the previous message's — a
+// stale holding would aim a receiver's father pointer at a site that
+// never held the token at that version. Every record every site sends
+// is checked against the site's tokens and ring at that moment (see
+// checked).
 // Three drivers: loan rounds and plain cycles in which sites hold
 // different numbers of tokens; random requests on eight sites, a ring
 // of two; and a live cluster over Reliable whose chaos fabric drops and
@@ -451,7 +457,7 @@ func TestHazardRecycledRecordHints(t *testing.T) {
 		}
 		shrunk := sum(nodes, func(c *checked) int { return c.shrunk })
 		if carried := sum(nodes, func(c *checked) int { return c.carried }); shrunk == 0 || carried == 0 {
-			t.Fatalf("no site refilled a record it was sent with fewer hints than it arrived with (%d reused, %d sent with hints)",
+			t.Fatalf("no site refilled a record it was sent with fewer holdings than it arrived with (%d reused, %d sent with its own)",
 				sum(nodes, func(c *checked) int { return c.reused }), carried)
 		}
 	})
@@ -482,7 +488,7 @@ func TestHazardRecycledRecordHints(t *testing.T) {
 			}
 		}
 		if sum(nodes, refilled) == 0 {
-			t.Fatal("no site sent again a record it was delivered with relays")
+			t.Fatal("no site sent again a record it was delivered with holdings")
 		}
 	})
 	t.Run("reliable", func(t *testing.T) {
@@ -525,7 +531,32 @@ func TestHazardRecycledRecordHints(t *testing.T) {
 			t.Fatalf("no record was put back on the fabric: chaos %+v, recovery %+v", cs, rs)
 		}
 		if sum(nodes, refilled) == 0 {
-			t.Fatal("no site sent again a record it was delivered with relays")
+			t.Fatal("no site sent again a record it was delivered with holdings")
 		}
 	})
+}
+
+// TestExploreWalkSendsOnlyNews runs the record checker (checked) on one
+// seeded walk at the paper's N, with the ring relayCap gives there, so
+// every record of 8 000 steps of arbitrary interleaving is held to the
+// news rule.
+func TestExploreWalkSendsOnlyNews(t *testing.T) {
+	sh := explore.WalkShape{Name: "32x80 phi=16", N: 32, M: 80, Phi: 16}
+	steps := 8_000
+	if testing.Short() {
+		steps /= 10
+	}
+	var nodes []*checked
+	res := explore.Walk(checkedFactory(t, WithLoan(), relayCap(sh.N), &nodes), sh, explore.Options{}, 1, steps)
+	t.Logf("counter-loan %s seed 1: %v", sh.Name, res)
+	if res.Err != nil {
+		t.Fatal(res.Err.Cause)
+	}
+	carried := 0
+	for _, c := range nodes {
+		carried += c.carried
+	}
+	if carried == 0 {
+		t.Fatal("no record carried a token its sender holds")
+	}
 }

@@ -134,12 +134,6 @@ func (a tokVer) newer(b tokVer) bool {
 	return a.Epoch > b.Epoch || a.Epoch == b.Epoch && a.Ver > b.Ver
 }
 
-// hint names a token its sender holds and the holding's version.
-type hint struct {
-	R resource.ID
-	V tokVer
-}
-
 func newToken(r resource.ID, n int) *token {
 	return &token{
 		R:        r,

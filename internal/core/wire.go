@@ -73,36 +73,31 @@ type batch struct {
 	// Counters and Tokens are a respBatch's counter replies and tokens.
 	Counters []counterVal
 	Tokens   []*token
-	// Hints are the tokens the sender held when it sent the record, by
-	// resource (Node.held), or none when the receiver was sent that list
-	// already: a receiver that does not own one repoints its father
-	// pointer at the sender when the hint is newer than what it knows
-	// (Node.onHints).
-	Hints []hint
-	// Relay holds the holdings its sender made or learned that the
-	// receiver was not sent yet, in a record of either kind (Node.relays):
-	// the receiver applies them by the hints' rule (Node.onRelays).
-	Relay []relay
+	// Holdings are the entries of its sender's log the receiver was not
+	// sent yet, in a record of either kind (Node.log): the tokens the
+	// sender holds, by resource, then the holdings it made or learned.
+	// A receiver that does not own one repoints its father pointer at
+	// the holder when it is newer than what it knows (Node.onHoldings).
+	Holdings []holding
 
 	// The lists' first storage (newBatch). A loan round asks with one
 	// reqLoan per missing resource and a site forwards what it was
 	// sent, so a batch with more than one loan is rare; a request
 	// travels a handful of sites, and a batch carries a request or two,
-	// a counter or two and a token or two, and its sender holds a few
-	// tokens, and learns of up to eight holdings between two records to
-	// one site (at 32 sites, room for four relays left 4 % more
-	// allocations per grant than room for eight). With room for that in
-	// the record, a fresh (decoded) record
-	// of the common case is one allocation; a list that outgrows its
-	// room moves to storage of its own and keeps it across reuse. The
-	// lists are the record's content; the explorer reads only them.
+	// a counter or two and a token or two, and its sender tells of up
+	// to a dozen holdings between two records to one site (at 32 sites,
+	// room for eight left 2 % more allocations per grant than room for
+	// twelve, and room for four 10 % more). With room for that in the
+	// record, a fresh (decoded) record of the common case is one
+	// allocation; a list that outgrows its room moves to storage of its
+	// own and keeps it across reuse. The lists are the record's content;
+	// the explorer reads only them.
 	oneSet   [1]resource.Set   `explore:"-"`
 	visited  [4]network.NodeID `explore:"-"`
 	reqs     [2]request        `explore:"-"`
 	counters [2]counterVal     `explore:"-"`
 	tokens   [2]*token         `explore:"-"`
-	hints    [4]hint           `explore:"-"`
-	relays   [8]relay          `explore:"-"`
+	holdings [12]holding       `explore:"-"`
 }
 
 // newBatch returns an empty record whose lists start in its own first
@@ -110,8 +105,7 @@ type batch struct {
 func newBatch() *batch {
 	b := new(batch)
 	b.Visited, b.Reqs, b.Missing = b.visited[:0], b.reqs[:0], b.oneSet[:0]
-	b.Counters, b.Tokens, b.Hints = b.counters[:0], b.tokens[:0], b.hints[:0]
-	b.Relay = b.relays[:0]
+	b.Counters, b.Tokens, b.Holdings = b.counters[:0], b.tokens[:0], b.holdings[:0]
 	return b
 }
 
