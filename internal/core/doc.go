@@ -138,19 +138,25 @@
 //     differs from none only in the bytes of the record, and the
 //     explorer's fingerprint leaves the sequence numbers out
 //     (explore:"-") while it keeps the entries, the fill and the cursor.
-//     Options.DisableShortcut switches all repointing and the ring off.
+//     Options.DisableShortcut switches all repointing and the log off:
+//     records then carry no holdings.
 //     On the paper's high-load point (N = 32, M = 80, φ = 16, loan)
 //     hints cut messages per critical section from 62.6 to 42.8, and
 //     the ring to 30.32 (sim_paper). The ring holds min(16, N/2)
-//     entries from 16 sites on, eight from 128 on, and none below 16:
-//     there a ring of N/4 saved under 3 % of the messages at the paper's
-//     load (0.8 % at N = 3, 2.3 % at 8, 2.8 % at 12), and at N = 8 the
-//     in-process benchmark gave them back as 7–11 % fewer operations
-//     per second. Against the ring of min(8, N/4) that only requests
-//     carried, messages per critical section fall 7 % at N = 16, 11 % at
-//     32 (sim_paper: 33.98 → 30.32) and 16 % at 64. relayCap's comment
-//     prices the size against a ring of 8, and at 128 and 512 sites, the
-//     live largeN cells. The searches' shapes have under 16 sites, so
-//     core's search gives every site a ring of one entry; the seeded
-//     walks (TestExploreWalks) run the shipped ring at N = 16 and 32.
+//     entries from 16 sites on, eight from 128 on, and none below 16,
+//     where a ring costs more CPU than the messages it saves. At
+//     N = 8 (M = 32, φ = 8, loan, seeds 1–3) a ring saves 2.5–4.6 % of
+//     the messages with 2 entries, 5.6–8.4 % with 4 and 8.7–9.4 % with
+//     16; at N = 4 (M = 32, φ = 2) a ring of 16 saves 3.0–3.4 %. On the
+//     in-process benchmark at N = 8 (mem_closed) a ring of 16 cut
+//     messages per critical section from 13.44 to 12.57 and operations
+//     per second by 9–28 % over four pairs of runs; an earlier ring of
+//     N/4 there lost 7–11 %. Against the ring of min(8, N/4) that only
+//     requests carried, messages per critical section fall 7 % at
+//     N = 16, 11 % at 32 (sim_paper: 33.98 → 30.32) and 16 % at 64.
+//     relayCap's comment prices the size against a ring of 8, and at
+//     128 and 512 sites, the live largeN cells. The searches' shapes
+//     have under 16 sites, so core's search gives every site a ring of
+//     one entry; the seeded walks (TestExploreWalks) run the shipped
+//     ring in each regime, at N = 16, 32, 64 and 128.
 package core

@@ -14,10 +14,14 @@ import (
 // tokenInvariant is core's check at every explored state: each resource
 // has exactly one token of its newest epoch, counted across the nodes
 // and the messages in flight; a lent token comes home — once nothing is
-// in flight and every site is idle, nothing is out on loan; and the
-// father pointers form no cycle (fathersInvariant).
+// in flight and every site is idle, nothing is out on loan; the father
+// pointers form no cycle (fathersInvariant); and the nodes' merged view
+// names every token (mergedViewInvariant).
 func tokenInvariant(nodes []alg.Node, inflight []explore.Msg) error {
 	if err := fathersInvariant(nodes, inflight); err != nil {
+		return err
+	}
+	if err := mergedViewInvariant(nodes, inflight); err != nil {
 		return err
 	}
 	m := len(nodes[0].(*Node).tok)
@@ -107,6 +111,60 @@ func fathersInvariant(nodes []alg.Node, inflight []explore.Msg) error {
 	return nil
 }
 
+// mergedViewInvariant is what a merged view of the nodes' (tokDir, ver,
+// owned) tells with no consistent cut: per resource, take the latest
+// holding any node knows; every node that knows it either owns the
+// token at that holding, or points at the site that does or that the
+// token is in flight to. Versions grow along every pointer chain
+// (deviation 6, doc.go), so no later holding exists anywhere.
+func mergedViewInvariant(nodes []alg.Node, inflight []explore.Msg) error {
+	m := len(nodes[0].(*Node).tok)
+	latest := make([]tokVer, m)
+	for _, a := range nodes {
+		for r, v := range a.(*Node).ver {
+			if v.newer(latest[r]) {
+				latest[r] = v
+			}
+		}
+	}
+	// at[r] is the site that holds r's token at latest[r], or that it is
+	// in flight to.
+	at := make([]network.NodeID, m)
+	for r := range at {
+		at[r] = network.None
+	}
+	for s, a := range nodes {
+		for r, t := range a.(*Node).tok {
+			if t != nil && t.version() == latest[r] {
+				at[r] = network.NodeID(s)
+			}
+		}
+	}
+	for _, x := range inflight {
+		if b, ok := x.M.(*respBatch); ok {
+			for _, t := range b.Tokens {
+				if t.version() == latest[t.R] {
+					at[t.R] = x.To
+				}
+			}
+		}
+	}
+	for s, a := range nodes {
+		nd := a.(*Node)
+		for r := range m {
+			if nd.ver[r] != latest[r] || nd.tok[r] != nil || nd.tokDir[r] == at[r] {
+				continue
+			}
+			if at[r] == network.None {
+				return fmt.Errorf("r%d: s%d knows the latest holding %+v, which no site holds or is sent", r, s, latest[r])
+			}
+			return fmt.Errorf("r%d: s%d knows the latest holding %+v and points at s%d, but the token is at s%d",
+				r, s, latest[r], nd.tokDir[r], at[r])
+		}
+	}
+	return nil
+}
+
 func exploreOptions() explore.Options { return explore.Options{Invariant: tokenInvariant} }
 
 // coreShapes are the committed shapes plus one where core lends: one site
@@ -160,24 +218,33 @@ func TestExploreCore(t *testing.T) {
 
 // TestExploreWalks walks the shipped configuration where the relay ring
 // exists: counter-loan on NewFactory's own nodes, so with the ring
-// relayCap gives, at N = 16 (M = 40, φ = 8) and at the paper's N = 32
-// (M = 80, φ = 16), three seeds each. Safety and hypothesis 4 are checked
+// relayCap gives, in each of its regimes: N = 16 (M = 40, φ = 8) and the
+// paper's N = 32 (M = 80, φ = 16), three seeds each, with a ring of N/2;
+// N = 64 (M = 160, φ = 16), a ring of 16; N = 128 (M = 80, φ = 16), a
+// ring of 8, as the live largeN cells run. The two large walks take one
+// seed and a quarter of the steps. Safety and hypothesis 4 are checked
 // at every step, the token invariant every ten steps and at the end,
 // and liveness once the walk settles. -short keeps one short walk.
 func TestExploreWalks(t *testing.T) {
-	shapes := []explore.WalkShape{
-		{Name: "16x40 phi=8", N: 16, M: 40, Phi: 8},
-		{Name: "32x80 phi=16", N: 32, M: 80, Phi: 16},
+	walks := []struct {
+		sh    explore.WalkShape
+		seeds []int64
+		steps int
+	}{
+		{explore.WalkShape{Name: "16x40 phi=8", N: 16, M: 40, Phi: 8}, []int64{1, 2, 3}, walkSteps},
+		{explore.WalkShape{Name: "32x80 phi=16", N: 32, M: 80, Phi: 16}, []int64{1, 2, 3}, walkSteps},
+		{explore.WalkShape{Name: "64x160 phi=16", N: 64, M: 160, Phi: 16}, []int64{1}, walkSteps / 4},
+		{explore.WalkShape{Name: "128x80 phi=16", N: 128, M: 80, Phi: 16}, []int64{1}, walkSteps / 4},
 	}
-	seeds, steps := []int64{1, 2, 3}, walkSteps
 	if testing.Short() {
-		shapes, seeds, steps = shapes[:1], seeds[:1], walkSteps/10
+		walks = walks[:1]
+		walks[0].seeds, walks[0].steps = walks[0].seeds[:1], walkSteps/10
 	}
-	for _, sh := range shapes {
-		for _, seed := range seeds {
+	for _, w := range walks {
+		for _, seed := range w.seeds {
 			start := time.Now()
-			res := explore.Walk(NewFactory(WithLoan()), sh, exploreOptions(), seed, steps)
-			t.Logf("counter-loan %-13s seed %d: %v (%v)", sh.Name, seed, res, time.Since(start).Round(time.Millisecond))
+			res := explore.Walk(NewFactory(WithLoan()), w.sh, exploreOptions(), seed, w.steps)
+			t.Logf("counter-loan %-13s seed %d: %v (%v)", w.sh.Name, seed, res, time.Since(start).Round(time.Millisecond))
 			if res.Err != nil {
 				t.Errorf("%v (rerun with explore.Replay(NewFactory(WithLoan()), res.Shape, exploreOptions(), res.Err.Vector))",
 					res.Err.Cause)

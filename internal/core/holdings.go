@@ -28,13 +28,15 @@ type logged struct {
 // relayCap is how many holdings a node's ring keeps at n sites: none
 // below 16 sites, half of them up to sixteen below 128 sites, and eight
 // from 128 on. As priced in deviation 6 (doc.go) and CHANGES.md: below
-// 16 sites a ring saves under 3 % of the messages, and at 8 it cost more
-// CPU than those messages. At the paper's load a ring of 16 sends 7 %
-// fewer messages than one of 8 at 32 sites and 11 % fewer at 64, for
-// 7 % more allocations. At 128 and 512 sites (the live largeN cells) it
-// sends 4 % fewer, for 7–25 % more wire bytes, a quarter to a third more
-// allocations and no less time per operation: every destination is
-// then sent nearly the whole ring.
+// 16 sites a ring does save messages, up to 9 % at 8 sites with 16
+// entries, but it costs more CPU than they would: on the in-process
+// benchmark at 8 sites a ring of 16 cut messages per critical section
+// 6 % and operations per second 9–28 %. At the paper's load a ring of
+// 16 sends 7 % fewer messages than one of 8 at 32 sites and 11 % fewer
+// at 64, for 7 % more allocations. At 128 and 512 sites (the live
+// largeN cells) it sends 4 % fewer, for 7–25 % more wire bytes, a
+// quarter to a third more allocations and no less time per operation:
+// every destination is then sent nearly the whole ring.
 func relayCap(n int) int {
 	switch {
 	case n < 16:

@@ -308,14 +308,16 @@ func (nd *Node) flushOwn() { nd.flush(nil) }
 
 // own makes t this node's: t is in tok and in the log's held entries,
 // and ver names its holding. A genesis holding, version (0, 0), is left
-// out of the log: every site knows it already, so it is no hint.
+// out of the log: every site knows it already, so it is no hint. Under
+// DisableShortcut no receiver reads a holding (onHoldings), so the log
+// keeps none: its ring is empty too (NewFactory), and news sends nothing.
 func (nd *Node) own(t *token) {
 	r := t.R
 	nd.tok[r] = t
 	nd.owned.Add(r)
 	nd.tokDir[r] = network.None
 	nd.ver[r] = t.version()
-	if nd.ver[r] != (tokVer{}) {
+	if nd.ver[r] != (tokVer{}) && !nd.opt.DisableShortcut {
 		nd.log.hold(holding{r, nd.self(), nd.ver[r]})
 	}
 }

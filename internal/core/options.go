@@ -84,7 +84,7 @@ type Options struct {
 	// DisableShortcut turns off every father-pointer repoint a received
 	// message causes: the versioned holdings records carry (deviation 6,
 	// doc.go) that generalize §4.6.2's shortcut on Counter receipt. The
-	// node then keeps no ring and sends only the tokens it holds.
+	// node then keeps no holdings log, and its records carry none.
 	// Pointers then move only with the tokens themselves and on
 	// regeneration.
 	DisableShortcut bool

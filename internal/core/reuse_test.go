@@ -321,6 +321,7 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 // of either kind to its destination — the tokens the sender holds
 // first, by resource, then the ring's entries — except those naming
 // the destination, and no holding the destination was sent before.
+// Under DisableShortcut the log is empty, so every record carries none.
 type checked struct {
 	*Node
 	t         *testing.T
@@ -331,6 +332,7 @@ type checked struct {
 	shrunk    int                // ... carrying fewer holdings than they arrived with
 	refilled  int                // ... that had arrived with holdings
 	carried   int                // records sent with a token their sender holds
+	sent      int                // records sent
 }
 
 type checkedEnv struct {
@@ -370,8 +372,9 @@ func (e *checkedEnv) Send(to network.NodeID, m network.Message) {
 		// The log as the node's state has it: the tokens it holds,
 		// less the genesis holdings every site knows, then its ring.
 		var log, want []holding
+		c.sent++
 		for r, t := range c.tok {
-			if t != nil && t.version() != (tokVer{}) {
+			if t != nil && t.version() != (tokVer{}) && !c.opt.DisableShortcut {
 				log = append(log, holding{resource.ID(r), self, t.version()})
 			}
 		}
@@ -558,5 +561,43 @@ func TestExploreWalkSendsOnlyNews(t *testing.T) {
 	}
 	if carried == 0 {
 		t.Fatal("no record carried a token its sender holds")
+	}
+}
+
+// TestDisableShortcutSendsNoHoldings runs the record checker on seeded
+// walks below 16 sites, where relayCap gives no ring, and at the paper's
+// N. With repointing on, records below 16 sites still carry the tokens
+// their senders hold; with it off no receiver reads a holding, and no
+// record carries one.
+func TestDisableShortcutSendsNoHoldings(t *testing.T) {
+	off := WithLoan()
+	off.DisableShortcut = true
+	steps := 4_000
+	if testing.Short() {
+		steps /= 10
+	}
+	for _, c := range []struct {
+		opt Options
+		sh  explore.WalkShape
+	}{
+		{WithLoan(), explore.WalkShape{Name: "8x32 phi=4", N: 8, M: 32, Phi: 4}},
+		{off, explore.WalkShape{Name: "8x32 phi=4", N: 8, M: 32, Phi: 4}},
+		{off, explore.WalkShape{Name: "32x80 phi=16", N: 32, M: 80, Phi: 16}},
+	} {
+		// No ring, as NewFactory gives: none below 16 sites, and none
+		// with repointing off.
+		var nodes []*checked
+		res := explore.Walk(checkedFactory(t, c.opt, 0, &nodes), c.sh, explore.Options{}, 1, steps)
+		t.Logf("shortcut off=%v %s seed 1: %v", c.opt.DisableShortcut, c.sh.Name, res)
+		if res.Err != nil {
+			t.Fatal(res.Err.Cause)
+		}
+		sent, carried := 0, 0
+		for _, n := range nodes {
+			sent, carried = sent+n.sent, carried+n.carried
+		}
+		if sent == 0 || (carried == 0) != c.opt.DisableShortcut {
+			t.Errorf("%d records sent, %d with a token their sender holds", sent, carried)
+		}
 	}
 }

@@ -284,26 +284,32 @@ func (c *Client) readLoop(mine wire.Hello) {
 	c.hello = hello
 	close(c.helloed)
 	fr := wire.NewFrameReader(br, maxClientFrame)
+	var rt roundTrip
 	for {
 		frame, err := fr.Next()
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
 			return
 		}
-		m, err := wire.Decode(frame)
+		if err := rt.parse(frame, 0, 0); err != nil {
+			c.fail(fmt.Errorf("%w: bad frame: %v", ErrConnLost, err))
+			return
+		}
+		if rt.kind == grantKind {
+			c.dispatch(rt.grant.Req, clientResult{granted: true})
+			continue
+		}
+		m, err := wire.Decode(frame) // a denial, or a kind the daemon must not send
 		if err != nil {
 			c.fail(fmt.Errorf("%w: bad frame: %v", ErrConnLost, err))
 			return
 		}
-		switch x := m.(type) {
-		case ClientGrant:
-			c.dispatch(x.Req, clientResult{granted: true})
-		case ClientDeny:
-			c.dispatch(x.Req, clientResult{reason: x.Reason, code: x.Code})
-		default:
+		x, ok := m.(ClientDeny)
+		if !ok {
 			c.fail(fmt.Errorf("%w: unexpected %s from daemon", ErrConnLost, m.Kind()))
 			return
 		}
+		c.dispatch(x.Req, clientResult{reason: x.Reason, code: x.Code})
 	}
 }
 

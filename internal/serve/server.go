@@ -374,24 +374,32 @@ func (cn *conn) readLoop() {
 	}
 	cn.c.SetReadDeadline(time.Time{})
 	fr := wire.NewFrameReader(br, maxClientFrame)
+	var rt roundTrip
 	for {
 		frame, err := fr.Next()
 		if err != nil {
 			return
 		}
-		m, err := wire.DecodeFor(frame, cn.s.cfg.Nodes, cn.s.cfg.Resources)
-		if err != nil {
+		if rt.parse(frame, cn.s.cfg.Nodes, cn.s.cfg.Resources) != nil {
 			return // malformed frame: kill the connection
 		}
-		switch x := m.(type) {
-		case ClientAcquire:
-			if !cn.handleAcquire(x) {
+		switch rt.kind {
+		case acquireKind:
+			if !cn.handleAcquire(&rt.acquire) {
 				return // protocol violation: kill the connection
 			}
-		case ClientRelease:
-			cn.handleRelease(x.Req)
+			if len(rt.acquire.Resources) > cn.s.cfg.Resources {
+				// Longer than the universe, so full of repeats: its
+				// storage is not kept for the next acquire.
+				rt.acquire.Resources = nil
+			}
+		case releaseKind:
+			cn.handleRelease(rt.release.Req)
 		default:
-			return // a client must not send server-side kinds
+			// A client must not send server-side kinds, and one that
+			// sends an unknown kind breaks the protocol too: decoded or
+			// not, any other frame kills the connection.
+			return
 		}
 	}
 }
@@ -417,7 +425,7 @@ func (s *Server) answerHello(peer wire.Hello) (wire.Hello, error) {
 // only a reused in-flight request id is fatal: denying it would carry
 // the original request's id, which a conforming client must treat as
 // that request's outcome, stranding the real grant when it lands.
-func (cn *conn) handleAcquire(x ClientAcquire) bool {
+func (cn *conn) handleAcquire(x *ClientAcquire) bool {
 	if len(x.Resources) == 0 {
 		cn.deny(x.Req, "empty resource set")
 		return true

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 
 	"mralloc/internal/network"
 	"mralloc/internal/wire"
@@ -125,6 +127,88 @@ func appendRelease(buf []byte, req uint64) []byte {
 	return binary.AppendUvarint(appendKind(buf, "Client.Release"), req)
 }
 
+// The same three kinds are decoded by hand on the read loops: one field
+// parser per kind, which the registered decoders call too, and
+// roundTrip, which splits a frame and parses it into storage the loop
+// keeps from frame to frame (TestDirectDecodersMatchCodecs,
+// FuzzClientPortDecode).
+
+// parse reads an acquire's fields into x. The resource list goes into
+// x.Resources' storage, grown when too small, under Dec.Int64s' rules:
+// a count the input cannot hold and an allocation out of proportion
+// with it are errors, and an empty list leaves nil storage nil.
+func (x *ClientAcquire) parse(d *wire.Dec) {
+	x.Req = d.Uvarint()
+	x.Node = d.Node()
+	x.Resources = x.Resources[:0]
+	if n := d.Count(); n > 0 && d.Charge(8*n) {
+		x.Resources = slices.Grow(x.Resources, n)[:n]
+		d.Varints(x.Resources)
+	}
+	x.DeadlineMS = d.Varint()
+	if x.DeadlineMS < 0 {
+		d.Fail("negative client deadline %d", x.DeadlineMS)
+	}
+}
+
+func (x *ClientGrant) parse(d *wire.Dec)   { x.Req = d.Uvarint() }
+func (x *ClientRelease) parse(d *wire.Dec) { x.Req = d.Uvarint() }
+
+// roundTripKind says which of a roundTrip's fields its last frame filled.
+type roundTripKind uint8
+
+const (
+	otherKind roundTripKind = iota // any other kind: not parsed, wire.Decode's to read
+	acquireKind
+	releaseKind
+	grantKind
+)
+
+// roundTrip is one frame of an acquire's round trip, parsed without
+// building a message or the interface it would travel in. A read loop
+// keeps one for its connection, so an acquire's resource list reuses
+// the storage of the one before.
+type roundTrip struct {
+	kind    roundTripKind
+	acquire ClientAcquire
+	release ClientRelease
+	grant   ClientGrant
+}
+
+// parse reads frame under the cluster shape (zeroes leave it
+// unchecked) into the field its kind names, and fails exactly where
+// wire.DecodeFor would fail on that kind: a malformed field, a bad node
+// id, a negative deadline or trailing bytes. A frame of any other kind
+// is left to wire.Decode; parse checks only its kind's length.
+func (rt *roundTrip) parse(frame []byte, nodes, resources int) error {
+	kind, payload, err := wire.SplitKind(frame)
+	if err != nil {
+		return err
+	}
+	d := wire.NewDecFor(payload, nodes, resources)
+	switch string(kind) { // compared in place: no string is built
+	case "Client.Acquire":
+		rt.kind = acquireKind
+		rt.acquire.parse(d)
+	case "Client.Release":
+		rt.kind = releaseKind
+		rt.release.parse(d)
+	case "Client.Grant":
+		rt.kind = grantKind
+		rt.grant.parse(d)
+	default:
+		rt.kind = otherKind
+		return nil
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if d.Remaining() != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after %q payload", d.Remaining(), kind)
+	}
+	return nil
+}
+
 func init() {
 	wire.Register("Client.Acquire",
 		func(e *wire.Enc, m network.Message) {
@@ -136,13 +220,7 @@ func init() {
 		},
 		func(d *wire.Dec) network.Message {
 			var x ClientAcquire
-			x.Req = d.Uvarint()
-			x.Node = d.Node()
-			x.Resources = d.Int64s()
-			x.DeadlineMS = d.Varint()
-			if x.DeadlineMS < 0 {
-				d.Fail("negative client deadline %d", x.DeadlineMS)
-			}
+			x.parse(d)
 			return x
 		})
 	wire.Register("Client.Grant",
@@ -150,14 +228,18 @@ func init() {
 			e.Uvarint(m.(ClientGrant).Req)
 		},
 		func(d *wire.Dec) network.Message {
-			return ClientGrant{Req: d.Uvarint()}
+			var x ClientGrant
+			x.parse(d)
+			return x
 		})
 	wire.Register("Client.Release",
 		func(e *wire.Enc, m network.Message) {
 			e.Uvarint(m.(ClientRelease).Req)
 		},
 		func(d *wire.Dec) network.Message {
-			return ClientRelease{Req: d.Uvarint()}
+			var x ClientRelease
+			x.parse(d)
+			return x
 		})
 	wire.Register("Client.Deny",
 		func(e *wire.Enc, m network.Message) {

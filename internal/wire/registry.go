@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -144,6 +145,21 @@ func DecodeStream(b []byte, nodes, resources int, strm *Stream) (network.Message
 	*d = Dec{}
 	decPool.Put(d)
 	return m, err
+}
+
+// SplitKind splits an encoded message into its kind's bytes and its
+// payload, both aliasing b, and fails where Decode fails on the kind's
+// length: for a connection loop that switches on the kind without
+// building its string and parses the payload with a Dec of its own.
+func SplitKind(b []byte) (kind, payload []byte, err error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 {
+		return nil, nil, fmt.Errorf("wire: truncated or overlong kind length")
+	}
+	if n > uint64(len(b)-w) {
+		return nil, nil, fmt.Errorf("wire: kind length %d exceeds %d remaining bytes", n, len(b)-w)
+	}
+	return b[w : w+int(n)], b[w+int(n):], nil
 }
 
 // decode reads the kind, then hands the rest of d to the kind's codec.
