@@ -55,7 +55,10 @@ type Node interface {
 	// before any other method.
 	Attach(env Env)
 	// Request asks for exclusive access to every resource in rs
-	// (rs must be non-empty). The node owns rs and must not mutate it.
+	// (rs must be non-empty). The node must not mutate rs, which stays
+	// valid until the Release that ends this request returns: a caller
+	// may refill it for the site's next request (workload.Generator
+	// does), so a node that keeps it longer keeps a copy.
 	Request(rs resource.Set)
 	// Release ends the critical section entered at the last Granted.
 	Release()
@@ -86,5 +89,11 @@ type Drainer interface {
 // n sites and m resources. Implementations may return nodes that share
 // internal state only if the algorithm is explicitly centralized (the
 // shared-memory comparator); distributed algorithms must keep all
-// shared state inside tokens and messages.
+// shared protocol state inside tokens and messages. The nodes of one
+// call may share scratch storage that decides nothing, such as a free
+// list of spent message records (internal/core does), because both
+// runtimes step the nodes of one call from one goroutine: the explore
+// World all of them, internal/live each shard's from that shard's
+// runner, which calls the factory once per shard. A runtime that
+// stepped one call's nodes concurrently would break that.
 type Factory func(n, m int) []Node

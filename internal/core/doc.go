@@ -40,17 +40,22 @@
 // the sending side is unsound by construction). Deliver hands the record
 // to the receiving node, which, after the activation's flush has
 // returned (the forwarded batches copy its visited set until then),
-// scrubs it onto a small capped free list its own next flush draws
-// from. The scrub rule: nothing another site may own stays reachable
-// from a waiting record — its token pointers and the missing sets of
-// its loan requests are cleared; its requests and holdings hold no
-// pointer (a loan's set rides in a list beside them, batch.Missing) and
-// are only truncated, so a refilled record carries its new sender's
-// holdings alone. Nodes run serialized, so none of this needs a lock,
-// and a free-list miss costs what building the message from scratch
-// costs: a fresh record whose lists start in its own first storage. Over
-// a socket the rule holds for the outbound half: decoded records are
-// fresh, and what a site decodes feeds what it sends.
+// scrubs it onto a small capped free list. The list is shared by the
+// nodes of one factory call (NewFactory), so what one site is sent
+// feeds what another sends: sites that mostly receive and sites that
+// mostly send balance out, where a list per site leaves the first
+// building fresh records and the second dropping its surplus. Both
+// runtimes step one call's nodes from one goroutine (alg.Factory), so
+// none of this needs a lock. The scrub rule: nothing another site may
+// own stays reachable from a waiting record — its token pointers and
+// the missing sets of its loan requests are cleared; its requests and
+// holdings hold no pointer (a loan's set rides in a list beside them,
+// batch.Missing) and are only truncated, so a refilled record carries
+// its new sender's holdings alone. A free-list miss costs what building
+// the message from scratch costs: a fresh record whose lists start in
+// its own first storage. Over a socket the rule holds for the outbound
+// half: decoded records are fresh, and what a site decodes feeds what
+// its shard's sites send.
 //
 // # Node state
 //

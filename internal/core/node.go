@@ -50,8 +50,8 @@ const (
 // resource, and nothing at Attach.
 const tableChunk = 8
 
-// slab hands out the first storage of per-resource lists, cut from
-// chunks made when the previous one is used up.
+// slab hands out the first storage of per-resource lists and the words
+// of loan sets, cut from chunks made when the previous one is used up.
 type slab[T any] struct{ rest []T }
 
 // take returns an empty list with room for c entries and no more, so a
@@ -121,9 +121,11 @@ type Node struct {
 	// of its resources has left; all-zero stamps call nothing obsolete
 	// and a zero counter says no token of r has been here.
 	stale [][]int64
-	// The histories' first storage (storePending).
-	reqSlab slab[request]      `explore:"-"`
-	setSlab slab[resource.Set] `explore:"-"`
+	// The histories' first storage (storePending), and the words of
+	// the missing sets this node's loan rounds ask with (maybeAskLoan).
+	reqSlab  slab[request]      `explore:"-"`
+	setSlab  slab[resource.Set] `explore:"-"`
+	loanSlab slab[uint64]       `explore:"-"`
 
 	// Lease machinery (lease.go), live when opt.LeaseTTL > 0.
 	leaseUntil      []sim.Time       // per owned resource: lease end on our clock
@@ -205,8 +207,9 @@ func NewFactory(opt Options) alg.Factory {
 			c = 0
 		}
 		nodes := make([]alg.Node, n)
+		free := new(freeRecords)
 		for i := range nodes {
-			nodes[i] = &Node{opt: opt, mark: opt.mark(), log: newHoldings(n, m, c)}
+			nodes[i] = &Node{opt: opt, mark: opt.mark(), log: newHoldings(n, m, c), out: outbox{free: free}}
 		}
 		return nodes
 	}
@@ -930,8 +933,9 @@ func (nd *Node) maybeAskLoan() {
 	// One copy of the missing set rides every ReqLoan of this round.
 	// Receivers store and forward it by reference, so it must be
 	// treated as immutable from here on — nothing may mutate a loan's
-	// missing set in place.
-	missing := nd.miss.Clone()
+	// missing set in place, and its piece of the slab is never handed
+	// out again.
+	missing := nd.miss.CloneInto(nd.loanSlab.take(resource.Words(nd.miss.Universe())))
 	nd.miss.ForEach(func(r resource.ID) {
 		nd.out.request(nd.tokDir[r], &request{
 			Kind: reqLoan, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark,

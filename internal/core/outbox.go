@@ -25,15 +25,21 @@ type outbox struct {
 	// linear scans beat a map here — and allocate nothing.
 	dests []network.NodeID
 
-	// free holds the records this node was delivered and is done with,
-	// scrubbed (see recycle and batch): the next flush fills them
-	// instead of allocating. Only the node's own serialized activations
-	// reach this list.
-	free []*batch
+	// free is the list of delivered records this node draws from and
+	// recycles into, shared with the other nodes of its factory call.
+	free *freeRecords
 }
 
-// maxFreeBatches caps the free list: a site that receives more than it
-// sends (a hot token holder's forwarders) leaves the surplus to the GC.
+// freeRecords holds the records the nodes of one NewFactory call were
+// delivered and are done with, scrubbed (see recycle and batch): the
+// next flush of any of them fills one instead of allocating. One list
+// per call, not per node, so a site that is sent more records than it
+// sends feeds one that sends more than it is sent. The runtimes step
+// one call's nodes from one goroutine (alg.Factory), so no lock.
+type freeRecords struct{ recs []*batch }
+
+// maxFreeBatches caps the free list: records beyond it, which the
+// call's nodes were sent more of than they send, are left to the GC.
 const maxFreeBatches = 64
 
 type destReq struct {
@@ -81,10 +87,11 @@ func (o *outbox) destAdd(to network.NodeID) {
 // any, else a fresh one (newBatch).
 func (o *outbox) get(to network.NodeID, log *holdings) *batch {
 	var b *batch
-	if n := len(o.free); n > 0 {
-		b = o.free[n-1]
-		o.free[n-1] = nil
-		o.free = o.free[:n-1]
+	if f := o.free; len(f.recs) > 0 {
+		n := len(f.recs) - 1
+		b = f.recs[n]
+		f.recs[n] = nil
+		f.recs = f.recs[:n]
 	} else {
 		b = newBatch()
 	}
@@ -95,11 +102,11 @@ func (o *outbox) get(to network.NodeID, log *holdings) *batch {
 // recycle scrubs a delivered record — no token and no missing set may
 // stay reachable from a record waiting for reuse; its requests and
 // holdings hold no pointer and are merely truncated — and keeps it for
-// the next flush.
+// the next flush of any node that shares the list.
 // Callers recycle only after the activation's flush has returned: a
 // forwarded batch reads the record's Visited until then.
 func (o *outbox) recycle(b *batch) {
-	if len(o.free) >= maxFreeBatches {
+	if len(o.free.recs) >= maxFreeBatches {
 		return
 	}
 	if len(b.Missing) > 0 {
@@ -118,7 +125,7 @@ func (o *outbox) recycle(b *batch) {
 	}
 	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
 	b.Counters, b.Tokens, b.Holdings = b.Counters[:0], b.Tokens[:0], b.Holdings[:0]
-	o.free = append(o.free, b)
+	o.free.recs = append(o.free.recs, b)
 }
 
 // flush transmits everything buffered. visited is the set the requests

@@ -53,6 +53,9 @@ type Config struct {
 
 	// TraceGrant, when non-nil, observes every grant interval for the
 	// Gantt tooling: site, resources, admission and release instants.
+	// rs is the site's request generator's own set, valid during the
+	// call only: the site's next request refills it. A tracer that
+	// keeps the set clones it.
 	TraceGrant func(s network.NodeID, rs resource.Set, granted, released sim.Time)
 }
 

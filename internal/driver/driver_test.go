@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -241,9 +242,10 @@ func TestRunRejectsNegativeProcessing(t *testing.T) {
 // length — the figure its allocs_per_op reports. A run starts from
 // nothing, so this is where per-node and per-resource state built on
 // first touch shows (the steady-state budgets of core see none of it):
-// the run reads 13.5; with one stamp snapshot and one history allocated
-// per (site, resource) instead of cut from per-node chunks it read 22.4,
-// and either of the two coming back is 1.8 over.
+// the run reads 3.51. It read 7.49 with a record free list per node
+// instead of one per factory call, a fresh request set per request and
+// a cloned missing set per loan round; any one of those coming back
+// breaks the budget.
 func TestRunPaperAllocs(t *testing.T) {
 	if leakcheck.Race {
 		t.Skip("allocation budgets are measured without the race detector")
@@ -260,17 +262,24 @@ func TestRunPaperAllocs(t *testing.T) {
 	if grants == 0 {
 		t.Fatal("the run granted nothing")
 	}
-	if per := objects / float64(grants); per > 14.5 {
-		t.Errorf("%.0f objects for %d grants: %.2f per grant, want ≤ 14.5", objects, grants, per)
+	per := objects / float64(grants)
+	if per > 3.85 {
+		t.Errorf("%.0f objects for %d grants: %.2f per grant, want ≤ 3.85", objects, grants, per)
 	}
+	t.Logf("%.0f objects for %d grants: %.2f per grant", objects, grants, per)
 }
 
 // BenchmarkRunPaper is one run of eight simulated seconds at the
 // benchmark's sim_paper point with loan — the loop to put under
-// -cpuprofile when the simulated path is the subject.
+// -cpuprofile when the simulated path is the subject. Next to ns per
+// granted critical section it reports the objects allocated per grant,
+// the figure TestRunPaperAllocs budgets.
 func BenchmarkRunPaper(b *testing.B) {
 	cfg := paperConfig(1, 8*sim.Second)
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
 	grants := 0
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg, core.NewFactory(core.WithLoan()))
@@ -279,5 +288,8 @@ func BenchmarkRunPaper(b *testing.B) {
 		}
 		grants += res.Grants
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grants), "ns/grant")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(grants), "allocs/grant")
 }

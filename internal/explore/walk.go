@@ -110,7 +110,7 @@ func Walk(f alg.Factory, sh WalkShape, opt Options, seed int64, steps int) WalkR
 				w.deliver(a, b)
 			case walkRequest:
 				s := idle[rng.Intn(len(idle))]
-				set := gens[s].Next().Resources
+				set := gens[s].Next().Resources.Clone() // kept in res.Shape for Replay
 				path = append(path, requestStep(s, set))
 				res.Shape.Sets[s] = append(res.Shape.Sets[s], set)
 				w.Request(s, set)

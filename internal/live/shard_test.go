@@ -113,7 +113,13 @@ func TestShardedOverReliable(t *testing.T) {
 		}
 		release()
 	}
-	if rs := rel.RelStats(); rs.Acked == 0 {
+	// Reliable acknowledges asynchronously: the last frames' acks may
+	// still be on their way when the last release returns.
+	rs := rel.RelStats()
+	for deadline := time.Now().Add(10 * time.Second); rs.Acked == 0 && time.Now().Before(deadline); rs = rel.RelStats() {
+		time.Sleep(time.Millisecond)
+	}
+	if rs.Acked == 0 {
 		t.Fatalf("no frame was acknowledged — traffic bypassed the wrapper (stats: %+v)", rs)
 	}
 }

@@ -29,7 +29,7 @@ func NewSet(m int) Set {
 	if m < 0 {
 		panic("resource: negative universe size")
 	}
-	return Set{words: make([]uint64, (m+63)/64), m: m}
+	return Set{words: make([]uint64, Words(m)), m: m}
 }
 
 // FromIDs builds a set over {0..m-1} holding exactly the given ids.
@@ -90,6 +90,19 @@ func (s Set) Empty() bool {
 // Clone returns an independent copy.
 func (s Set) Clone() Set {
 	c := Set{words: make([]uint64, len(s.words)), m: s.m}
+	copy(c.words, s.words)
+	return c
+}
+
+// Words is the number of 64-bit words a set over {0..m-1} is stored
+// in: the room CloneInto needs.
+func Words(m int) int { return (m + 63) / 64 }
+
+// CloneInto returns an independent copy of s stored in buf, for a
+// caller that cuts many sets from one chunk of memory. buf must have
+// room for Words(s.Universe()) words; its contents are overwritten.
+func (s Set) CloneInto(buf []uint64) Set {
+	c := Set{words: buf[:len(s.words)], m: s.m}
 	copy(c.words, s.words)
 	return c
 }
@@ -223,10 +236,20 @@ func (s Set) String() string {
 // O(m) permutation scratch. It is the request generator for every
 // workload in the evaluation.
 func Sample(r *rand.Rand, m, k int) Set {
+	s := NewSet(m)
+	s.Resample(r, k)
+	return s
+}
+
+// Resample replaces s's members with a uniformly random subset of size
+// k of its universe, drawn exactly as Sample draws it: the same
+// generator state yields the same set, and s's storage is reused.
+func (s *Set) Resample(r *rand.Rand, k int) {
+	m := s.m
 	if k < 0 || k > m {
 		panic(fmt.Sprintf("resource: cannot sample %d of %d", k, m))
 	}
-	s := NewSet(m)
+	s.Clear()
 	for j := m - k; j < m; j++ {
 		t := ID(r.Intn(j + 1))
 		if s.Has(t) {
@@ -235,5 +258,4 @@ func Sample(r *rand.Rand, m, k int) Set {
 			s.Add(t)
 		}
 	}
-	return s
 }

@@ -97,6 +97,36 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneIntoUsesBuf: a copy cut from a chunk lives in the chunk's
+// words, independent of the original and of the chunk's next piece.
+func TestCloneIntoUsesBuf(t *testing.T) {
+	a := FromIDs(100, 3, 70)
+	chunk := make([]uint64, 2*Words(100))
+	c := a.CloneInto(chunk[:0:Words(100)])
+	d := FromIDs(100, 4).CloneInto(chunk[Words(100):])
+	a.Clear()
+	if !c.Equal(FromIDs(100, 3, 70)) || !d.Equal(FromIDs(100, 4)) {
+		t.Fatalf("copies %v and %v, want {3,70} and {4}", c, d)
+	}
+	c.Add(5)
+	if chunk[0] != 1<<3|1<<5 {
+		t.Fatalf("copy's words are not the chunk's: chunk[0] = %#x", chunk[0])
+	}
+}
+
+// TestResampleMatchesSample: refilling a set draws what Sample draws from
+// the same generator state, whatever the set held before.
+func TestResampleMatchesSample(t *testing.T) {
+	s := FromIDs(50, 0, 1, 2, 49)
+	for k := 0; k <= 50; k += 7 {
+		want := Sample(rand.New(rand.NewSource(int64(k))), 50, k)
+		s.Resample(rand.New(rand.NewSource(int64(k))), k)
+		if !s.Equal(want) {
+			t.Fatalf("k=%d: Resample drew %v, Sample %v", k, s, want)
+		}
+	}
+}
+
 func TestForEachAscendingAndMin(t *testing.T) {
 	s := FromIDs(200, 150, 3, 64, 65, 199)
 	got := s.Members()

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +150,69 @@ type fixedSession struct{ release func() }
 
 func (s fixedSession) Acquire(context.Context, AcquireOpts) (func(), error) { return s.release, nil }
 func (fixedSession) Close()                                                 {}
+
+// keptSession grants at once and hands each acquire's options to the
+// test: their resource list is the request record's own storage.
+type keptSession struct{ got chan AcquireOpts }
+
+func (s keptSession) Acquire(_ context.Context, o AcquireOpts) (func(), error) {
+	s.got <- o
+	return func() {}, nil
+}
+func (keptSession) Close() {}
+
+// TestAcquireKeepsDistinctResources: a request record keeps its
+// resource list while its connection lives, so it must keep the
+// distinct ids only. One maximal frame naming resource 0 1 048 512
+// times is granted as {0}, its record's list has room for no more than
+// the universe, and the admission oracle is asked about one resource.
+func TestAcquireKeepsDistinctResources(t *testing.T) {
+	const resources = 8
+	sess := keptSession{got: make(chan AcquireOpts, 1)}
+	var asked atomic.Int64
+	srv, err := NewServer(ServerConfig{
+		Listen: "127.0.0.1:0", Nodes: 1, Resources: resources, Local: []int{0},
+		Open:       func(int) (BackendSession, error) { return sess, nil },
+		Overloaded: func(_, size int) bool { asked.Store(int64(size)); return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello := wire.Hello{Version: wire.ProtoVersion}
+	if _, err := nc.Write(wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, hello))); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	if _, err := wire.ReadHelloReply(br, hello); err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]int, maxClientFrame-64)
+	if _, err := nc.Write(wire.AppendFrame(nil, appendAcquire(nil, 1, 0, zeros, 0))); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.NewFrameReader(br, maxClientFrame).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt roundTrip
+	if err := rt.parse(frame, 1, resources); err != nil || rt.kind != grantKind || rt.grant.Req != 1 {
+		t.Fatalf("answer %q (%v), want the grant of request 1", frame, err)
+	}
+	got := <-sess.got
+	if !slices.Equal(got.Resources, []int{0}) || cap(got.Resources) > resources {
+		t.Errorf("granted %d ids, first %v, with room for %d; want [0] and room for at most %d",
+			len(got.Resources), got.Resources[:min(len(got.Resources), resources)], cap(got.Resources), resources)
+	}
+	if n := asked.Load(); n != 1 {
+		t.Errorf("admission oracle asked about %d resources, want 1", n)
+	}
+}
 
 // TestClientPortAllocs pins one Acquire→release through a loopback
 // client port, client and server counted separately: the server side

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mralloc/internal/network"
+	"mralloc/internal/resource"
 	"mralloc/internal/wire"
 )
 
@@ -67,6 +68,7 @@ type ServerConfig struct {
 	// queue passes the knee; without it a node's queue is unbounded. A
 	// request that does not target a node is spread past shedding
 	// nodes first and denied only when every hosted node sheds it.
+	// size is the number of distinct resources the request names.
 	Overloaded func(node, size int) bool
 	// NoteShed, when non-nil, is told about every oracle denial so the
 	// policy's denial-rate statistics see sheds that never reach the
@@ -310,11 +312,19 @@ type conn struct {
 	free []*connReq     // by node: idle records, linked through next
 	all  []*connReq     // every record built, for teardown (read loop only)
 	wg   sync.WaitGroup // admitted requests whose run has not returned
+
+	// distinct's scratch (read loop only): the resources seen, empty
+	// between calls, and the ids it returns.
+	seen resource.Set
+	ids  []int
 }
 
 func (s *Server) serve(nc net.Conn) {
 	defer s.wg.Done()
-	cn := &conn{s: s, c: nc, reqs: make(map[uint64]*connReq), free: make([]*connReq, s.cfg.Nodes)}
+	cn := &conn{
+		s: s, c: nc, reqs: make(map[uint64]*connReq), free: make([]*connReq, s.cfg.Nodes),
+		seen: resource.NewSet(s.cfg.Resources),
+	}
 	// A write error marks the connection dead; the read loop notices
 	// and unwinds.
 	cn.co = wire.NewCoalescer(nc, 0, func(error) { nc.Close() })
@@ -436,7 +446,8 @@ func (cn *conn) handleAcquire(x *ClientAcquire) bool {
 			return true
 		}
 	}
-	size := len(x.Resources)
+	ids := cn.distinct(x.Resources)
+	size := len(ids)
 	node := int(x.Node)
 	if x.Node == network.None {
 		local := cn.s.cfg.Local
@@ -489,10 +500,9 @@ func (cn *conn) handleAcquire(x *ClientAcquire) bool {
 		cn.all = append(cn.all, r)
 	}
 	r.id = x.Req
-	r.opts.Resources = r.opts.Resources[:0]
-	for _, res := range x.Resources {
-		r.opts.Resources = append(r.opts.Resources, int(res))
-	}
+	// Repeats dropped: the record keeps this storage while its
+	// connection lives, so it never holds more than the universe.
+	r.opts.Resources = append(r.opts.Resources[:0], ids...)
 	r.opts.Deadline = time.Time{}
 	if x.DeadlineMS > 0 {
 		r.opts.Deadline = time.Now().Add(time.Duration(x.DeadlineMS) * time.Millisecond)
@@ -510,6 +520,24 @@ func (cn *conn) handleAcquire(x *ClientAcquire) bool {
 	cn.wg.Add(1)
 	cn.s.dispatch(r)
 	return true
+}
+
+// distinct returns the ids of rs, which are in range, without repeats
+// and in first-occurrence order. The list is the connection's scratch,
+// valid until the next call.
+func (cn *conn) distinct(rs []int64) []int {
+	ids := cn.ids[:0]
+	for _, res := range rs {
+		if !cn.seen.Has(resource.ID(res)) {
+			cn.seen.Add(resource.ID(res))
+			ids = append(ids, int(res))
+		}
+	}
+	for _, id := range ids {
+		cn.seen.Remove(resource.ID(id))
+	}
+	cn.ids = ids
+	return ids
 }
 
 // run performs an admitted request's blocking acquisition and answers

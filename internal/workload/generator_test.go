@@ -76,17 +76,37 @@ func nextConfigs() []struct {
 	}{{"uniform", base(), 0}, {"zoned", zoned, 17}, {"skewed", skewed, 3}}
 }
 
-// TestNextAllocs pins what a request costs the allocator: the words of
-// the set it returns. Starting the substream allocates nothing, and the
-// skewed reservoir is the generator's own. A zone-local request samples
-// its block first and shifts the result into the returned set: two.
+// TestNextAllocs pins what a request costs the allocator: nothing, on
+// every sampling path. Starting the substream allocates nothing, and the
+// returned set, a zone-local request's block draw and the skewed
+// reservoir are the generator's own.
 func TestNextAllocs(t *testing.T) {
-	budget := map[string]float64{"uniform": 1, "zoned": 2, "skewed": 1}
 	for _, c := range nextConfigs() {
 		g := NewGenerator(c.cfg, c.site)
 		g.Next() // the skewed reservoir grows once
-		if got := testing.AllocsPerRun(200, func() { g.Next() }); got > budget[c.name] {
-			t.Errorf("%s: %.2f allocs per Next, want ≤ %v", c.name, got, budget[c.name])
+		if got := testing.AllocsPerRun(200, func() { g.Next() }); got != 0 {
+			t.Errorf("%s: %.2f allocs per Next, want 0", c.name, got)
+		}
+	}
+}
+
+// TestNextRefillsOneSet: every request of a generator comes in the same
+// set, refilled in place, and a clone taken before the next request
+// keeps what was drawn.
+func TestNextRefillsOneSet(t *testing.T) {
+	for _, c := range nextConfigs() {
+		g := NewGenerator(c.cfg, c.site)
+		first := g.Next()
+		kept := first.Resources.Clone()
+		second := g.Next()
+		for second.Resources.Equal(kept) {
+			second = g.Next()
+		}
+		if !first.Resources.Equal(second.Resources) {
+			t.Errorf("%s: a request came in a set of its own", c.name)
+		}
+		if kept.Len() != first.Size {
+			t.Errorf("%s: the clone holds %v, not the %d resources drawn", c.name, kept, first.Size)
 		}
 	}
 }

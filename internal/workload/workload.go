@@ -148,6 +148,10 @@ type Generator struct {
 	smp         *rand.Rand // over sub
 	sub         substream
 	top         []keyed // sampleSkewed's reservoir, reused across requests
+	// set is the set every Next returns, refilled in place; local is a
+	// zone-local request's draw over the home block, before the shift.
+	set   resource.Set
+	local resource.Set
 }
 
 // substream is the resource sampler's reseedable source: math/rand's
@@ -172,8 +176,10 @@ func NewGenerator(cfg Config, site int) *Generator {
 		sampleSeeds: sim.Stream(cfg.Seed, "wl/sample/"+key),
 	}
 	g.smp = rand.New(&g.sub)
+	g.set = resource.NewSet(cfg.M)
 	if cfg.Zones > 1 {
 		g.zone = site / (cfg.N / cfg.Zones)
+		g.local = resource.NewSet(cfg.M / cfg.Zones)
 	}
 	if cfg.Skew > 0 {
 		g.weights = make([]float64, cfg.M)
@@ -187,7 +193,8 @@ func NewGenerator(cfg Config, site int) *Generator {
 // sampleSkewed draws x distinct resources with probability proportional
 // to the Zipf weights, using the Efraimidis–Spirakis one-pass weighted
 // reservoir: each resource gets key u^(1/w); the x largest keys win.
-func (g *Generator) sampleSkewed(rng *rand.Rand, x int) resource.Set {
+// The draw goes into g.set.
+func (g *Generator) sampleSkewed(rng *rand.Rand, x int) {
 	top := g.top[:0] // kept sorted ascending by key
 	for r := 0; r < g.cfg.M; r++ {
 		k := math.Pow(rng.Float64(), 1/g.weights[r])
@@ -207,11 +214,10 @@ func (g *Generator) sampleSkewed(rng *rand.Rand, x int) resource.Set {
 		}
 	}
 	g.top = top
-	s := resource.NewSet(g.cfg.M)
+	g.set.Clear()
 	for _, e := range top {
-		s.Add(e.r)
+		g.set.Add(e.r)
 	}
-	return s
 }
 
 // keyed is one reservoir entry of sampleSkewed.
@@ -223,31 +229,34 @@ type keyed struct {
 // Next draws the site's next request. The resource sampler runs on its
 // own per-request substream (see the Generator comment), so its internal
 // draw count cannot leak into the rest of the scenario.
+//
+// The request's set is the generator's own, refilled by every call: it
+// stays valid until the site's next Next. The request cycle needs no
+// more: a site asks again only after its critical section is released
+// (hypothesis 4), and alg.Node.Request keeps the set no longer than
+// that. A caller that keeps a set clones it.
 func (g *Generator) Next() Request {
 	x := 1 + g.sizes.Intn(g.cfg.Phi)
 	g.sub.Seed(g.sampleSeeds.Int63())
 	smp := g.smp
-	if g.weights != nil {
-		return Request{Resources: g.sampleSkewed(smp, x), Size: x, CS: g.cfg.Alpha(x)}
-	}
-	if g.cfg.Zones > 1 && g.picks.Float64() < g.cfg.LocalBias {
+	switch {
+	case g.weights != nil:
+		g.sampleSkewed(smp, x)
+	case g.cfg.Zones > 1 && g.picks.Float64() < g.cfg.LocalBias:
 		// A zone-local request: resources from the home block only.
 		block := g.cfg.M / g.cfg.Zones
 		if x > block {
 			x = block
 		}
-		local := resource.Sample(smp, block, x)
-		rs := resource.NewSet(g.cfg.M)
-		local.ForEach(func(r resource.ID) {
-			rs.Add(r + resource.ID(g.zone*block))
+		g.local.Resample(smp, x)
+		g.set.Clear()
+		g.local.ForEach(func(r resource.ID) {
+			g.set.Add(r + resource.ID(g.zone*block))
 		})
-		return Request{Resources: rs, Size: x, CS: g.cfg.Alpha(x)}
+	default:
+		g.set.Resample(smp, x)
 	}
-	return Request{
-		Resources: resource.Sample(smp, g.cfg.M, x),
-		Size:      x,
-		CS:        g.cfg.Alpha(x),
-	}
+	return Request{Resources: g.set, Size: x, CS: g.cfg.Alpha(x)}
 }
 
 // Think draws the pause before the site's next request (the paper's β).
