@@ -33,10 +33,11 @@ const (
 	// PolicyAdaptive closes the loop on observed load: each node tracks
 	// EWMAs of queue depth, grant latency and slot occupancy, orders the
 	// queue EDF when calm and smallest-first under pressure, and
-	// self-tunes an admission bound (Little's law against the
-	// WithAdmitTarget latency target) past which a multi-process
-	// deployment's client port sheds arrivals early instead of queueing
-	// them beyond the saturation knee.
+	// self-tunes an admission bound (Little's law against a 100ms
+	// grant-latency target) past which mrallocd's client port sheds
+	// arrivals early instead of queueing them beyond the saturation
+	// knee. A Cluster has no client port, so here the policy only
+	// orders the queue.
 	PolicyAdaptive Policy = "adaptive"
 )
 
@@ -87,52 +88,12 @@ type ClusterConfig struct {
 	// Peers[Local[0]]; set it when the advertised address differs from
 	// the bindable one (e.g. listening on :port behind a hostname).
 	Listen string
-}
 
-// WireConfig tunes the peer wire path of a multi-process cluster. The
-// zero value selects the default (delta off). In-process clusters have
-// no wire and ignore it.
-type WireConfig struct {
-	// Delta delta-encodes token state against the per-peer baseline on
-	// every link whose other end enables it too.
-	Delta bool
-}
-
-// Option customizes NewCluster beyond the core shape in ClusterConfig.
-type Option func(*clusterOptions)
-
-type clusterOptions struct {
-	policy      Policy
-	aging       time.Duration
-	wire        WireConfig
-	haveWire    bool
-	admitTarget time.Duration
-}
-
-// WithPolicy selects the admission-scheduling policy (PolicyFIFO, the
-// default, PolicySSF, PolicyEDF, PolicyAdaptive).
-func WithPolicy(p Policy) Option {
-	return func(o *clusterOptions) { o.policy = p }
-}
-
-// WithAging sets the starvation bound: the wait after which a queued
-// request is admitted in arrival order regardless of policy. Zero
-// selects a sane default (500ms).
-func WithAging(d time.Duration) Option {
-	return func(o *clusterOptions) { o.aging = d }
-}
-
-// WithWire tunes the peer wire path of a multi-process cluster; see
-// WireConfig. A second WithWire replaces the whole config.
-func WithWire(w WireConfig) Option {
-	return func(o *clusterOptions) { o.wire = w; o.haveWire = true }
-}
-
-// WithAdmitTarget sets PolicyAdaptive's grant-latency target: the
-// sojourn the self-tuned admission bound aims to keep queued requests
-// under (zero selects the built-in default). Other policies ignore it.
-func WithAdmitTarget(d time.Duration) Option {
-	return func(o *clusterOptions) { o.admitTarget = d }
+	// Policy is the admission-scheduling policy of every node
+	// (PolicyFIFO when empty, PolicySSF, PolicyEDF, PolicyAdaptive). A
+	// request queued longer than 500ms is admitted in arrival order
+	// whatever the policy.
+	Policy Policy
 }
 
 // Cluster is a running in-process multi-resource lock manager. All
@@ -148,15 +109,10 @@ type LoanStats struct {
 	Asked, Granted, Returned int
 }
 
-// NewCluster starts a cluster of protocol nodes. ClusterConfig gives
-// the core shape (nodes, resources, algorithm, deployment); everything
-// else — admission policy, aging, wire tuning — is a functional option
-// (WithPolicy, WithAging, WithWire, WithAdmitTarget).
-func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
-	var o clusterOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+// NewCluster starts a cluster of protocol nodes as cfg describes. The
+// peer links of a multi-process cluster always delta-encode token
+// state.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	copt, ok := coreOptions(cfg.Algorithm)
 	if !ok {
 		return nil, fmt.Errorf("mralloc: algorithm %q not supported for live clusters", cfg.Algorithm)
@@ -169,24 +125,19 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	case cfg.LoanThreshold > 0:
 		copt.LoanThreshold = cfg.LoanThreshold
 	}
-	policy, err := serve.ParsePolicy(string(o.policy))
+	policy, err := serve.ParsePolicy(string(cfg.Policy))
 	if err != nil {
 		return nil, fmt.Errorf("mralloc: %w", err)
-	}
-	if o.haveWire && len(cfg.Peers) == 0 {
-		return nil, fmt.Errorf("mralloc: wire options apply to multi-process clusters only")
 	}
 	if cfg.Latency < 0 {
 		return nil, fmt.Errorf("mralloc: negative Latency %v", cfg.Latency)
 	}
 	lcfg := live.Config{
-		Nodes:       cfg.Nodes,
-		Resources:   cfg.Resources,
-		Latency:     cfg.Latency,
-		Policy:      policy,
-		Aging:       o.aging,
-		AdmitTarget: o.admitTarget,
-		Wire:        transport.WireOptions{Delta: o.wire.Delta},
+		Nodes:     cfg.Nodes,
+		Resources: cfg.Resources,
+		Latency:   cfg.Latency,
+		Policy:    policy,
+		Wire:      transport.WireOptions{Delta: true},
 	}
 	if len(cfg.Peers) > 0 {
 		if len(cfg.Peers) != cfg.Nodes {

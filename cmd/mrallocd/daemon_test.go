@@ -32,10 +32,9 @@ func freeAddrs(t *testing.T, n int) []string {
 }
 
 // TestDaemonPairServesAndDrains assembles two whole daemons from their
-// command lines — a default one and a -wire-delta=false one, each with
-// a client port — drives both through serve.Dial so tokens cross the
-// negotiated link in both directions, then cancels them: each must
-// drain, report and return nil. A break anywhere in the daemon wiring
+// command lines, each with a client port, drives both through
+// serve.Dial so tokens cross the link in both directions, then cancels
+// them: each must drain, report and return nil. A break anywhere in the daemon wiring
 // (flags → transport → live → client port → shutdown) fails here.
 func TestDaemonPairServesAndDrains(t *testing.T) {
 	addrs := freeAddrs(t, 4)
@@ -48,12 +47,12 @@ func TestDaemonPairServesAndDrains(t *testing.T) {
 		err chan error
 	}
 	daemons := make([]*daemon, 2)
-	for i, extra := range [][]string{nil, {"-wire-delta=false"}} {
+	for i := range daemons {
 		var cfg daemonConfig
 		fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
 		registerFlags(fs, &cfg)
-		args := append([]string{"-nodes=2", "-resources=16", "-local", strconv.Itoa(i), "-listen", peers[i],
-			"-peers", strings.Join(peers, ","), "-client-listen", clientPorts[i]}, extra...)
+		args := []string{"-nodes=2", "-resources=16", "-local", strconv.Itoa(i), "-listen", peers[i],
+			"-peers", strings.Join(peers, ","), "-client-listen", clientPorts[i]}
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}

@@ -23,8 +23,7 @@ policy
 pprof
 reliable
 resources
-shards
-wire-delta`
+shards`
 
 func TestFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
@@ -40,7 +39,7 @@ func TestFlagSurface(t *testing.T) {
 // TestRemovedFlagRejected: a flag that left the surface gets no alias —
 // the flag package's own error names it.
 func TestRemovedFlagRejected(t *testing.T) {
-	for _, arg := range []string{"-ops=20", "-linger=2s", "-chaos-drop=0.1", "-hb-interval=1s", "-wire-window=65536", "-max-queue=4", "-egress-budget=-1"} {
+	for _, arg := range []string{"-ops=20", "-linger=2s", "-chaos-drop=0.1", "-hb-interval=1s", "-wire-window=65536", "-max-queue=4", "-egress-budget=-1", "-wire-delta=false"} {
 		fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		registerFlags(fs, new(daemonConfig))

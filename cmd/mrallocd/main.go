@@ -65,7 +65,6 @@ type daemonConfig struct {
 	policyStr        string
 	admitTarget      time.Duration
 	pprofAddr        string
-	wireDelta        bool
 	chaosSpec        string
 	reliable         bool
 	leaseTTL         time.Duration
@@ -86,7 +85,6 @@ func registerFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.StringVar(&cfg.policyStr, "policy", "fifo", "admission policy for multiplexed sessions: fifo, ssf, edf, adaptive")
 	fs.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
-	fs.BoolVar(&cfg.wireDelta, "wire-delta", true, "delta-encode token state on peer connections; a link uses it only when both ends offer it, so mixed settings need no coordination. =false forces full snapshots on every link of this daemon: the baseline of the largeN nodelta bench cell and the delta-off end of the mixed-endpoint CI step")
 	fs.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection on outgoing peer messages, as key=value pairs: seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s (drop/dup: probability in [0,1] per message, dup breaks the no-duplication hypothesis — expect safety-only behavior; delay: uniform extra delay; kill-every: abort every live peer connection at this interval, exercising the redial path; absent keys are off). A chaotic run prints its spec for replay")
 	fs.BoolVar(&cfg.reliable, "reliable", false, "per-link ack/retransmit wrapper on peer traffic: restores reliable delivery (and so liveness) over a lossy fabric, at the cost of ack frames and retransmit buffers")
 	fs.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "token lease TTL (counter-loan/counter-no-loan only): leases renewed by a heartbeat every lease-ttl/3 let a steward regenerate tokens lost with a crashed peer, fencing the stale epoch (0 = leases off)")
@@ -236,7 +234,7 @@ func run(ctx context.Context, cfg daemonConfig, out io.Writer) error {
 		Policy:             policy,
 		AdmitTarget:        cfg.admitTarget,
 		Tick:               tick,
-		Wire:               transport.WireOptions{Delta: cfg.wireDelta},
+		Wire:               transport.WireOptions{Delta: true},
 	}, factory)
 	if err != nil {
 		return err

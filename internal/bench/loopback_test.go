@@ -35,10 +35,10 @@ type loopback struct {
 }
 
 // startLoopback assembles the two daemons. lc carries what the tiers
-// vary — Nodes (even), Wire, Policy, AdmitTarget; Resources, Transport
-// and Local are filled in here. An Adaptive policy also wires the
-// cluster's load oracle into the client ports, so the daemons shed at
-// the self-tuned bound.
+// vary — Nodes (even), Policy, AdmitTarget; Resources, Transport, Local
+// and Wire are filled in here, Wire as mrallocd sets it (delta on). An
+// Adaptive policy also wires the cluster's load oracle into the client
+// ports, so the daemons shed at the self-tuned bound.
 func startLoopback(lc live.Config, ports bool) (*loopback, error) {
 	var locals [2][]int
 	for i := 0; i < lc.Nodes; i++ {
@@ -67,6 +67,7 @@ func startLoopback(lc live.Config, ports bool) (*loopback, error) {
 		}
 		cfg := lc
 		cfg.Resources, cfg.Transport, cfg.Local = loopM, f.trs[d], local
+		cfg.Wire = transport.WireOptions{Delta: true}
 		c, err := live.New(cfg, core.NewFactory(core.WithLoan()))
 		if err != nil {
 			return fail(err)
@@ -205,18 +206,13 @@ const largeNSessions = 32
 // largeNCell drives the clusters directly at a size where token state
 // dominates the wire: a token carries two N-sized stamp vectors, so
 // every LASS.Response ships hundreds to thousands of bytes of
-// mostly-unchanged state, which delta-encoded tokens exist to cut. The
-// delta and nodelta twins run the same workload and protocol traffic
-// (msg_per_cs matches within run jitter); wire_bytes_per_op is what
-// the pair compares.
-func largeNCell(nodes int, delta bool) cell {
-	tag := "nodelta"
-	if delta {
-		tag = "delta"
-	}
+// mostly-unchanged state, which the delta-encoded tokens of every peer
+// link cut (core's TestDeltaTokensCutBytes prices that cut on this
+// cell's shape and request pattern).
+func largeNCell(nodes int) cell {
 	ctx := context.Background()
-	return socketCell(fmt.Sprintf("largeN/n%d/%s", nodes, tag),
-		live.Config{Nodes: nodes, Wire: transport.WireOptions{Delta: delta}}, false, largeNSessions,
+	return socketCell(fmt.Sprintf("largeN/n%d", nodes),
+		live.Config{Nodes: nodes}, false, largeNSessions,
 		func(f *loopback, w int, i int64) (func(), error) {
 			node := int(i+int64(w*13)) % nodes
 			r1, r2 := loopPair(w, i)

@@ -238,12 +238,12 @@ func (nd *Node) Tick(now sim.Time) {
 	}
 	if now >= nd.nextHB {
 		nd.nextHB = now + nd.opt.hbInterval()
-		nd.ids = nd.owned.AppendMembers(nd.ids)
+		nd.ids = nd.owned.AppendMembers(room(nd.ids))
 		nd.sendHeartbeats(now, nd.ids)
 	}
 	// Holder-side lapse edges: an owned lease running out is counted
 	// once, not once per tick.
-	nd.ids = nd.owned.AppendMembers(nd.ids)
+	nd.ids = nd.owned.AppendMembers(room(nd.ids))
 	for _, r := range nd.ids {
 		if nd.leaseUntil[r] > 0 && nd.leaseUntil[r] <= now && !nd.leaseLapsed[r] {
 			nd.leaseLapsed[r] = true
@@ -460,7 +460,7 @@ func (nd *Node) Drain() {
 	if nd.env.N() == 1 {
 		return
 	}
-	nd.ids = nd.owned.AppendMembers(nd.ids)
+	nd.ids = nd.owned.AppendMembers(room(nd.ids))
 	for _, r := range nd.ids {
 		if nd.st == stInCS && nd.required.Has(r) {
 			continue // an active critical section cannot be handed off

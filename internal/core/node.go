@@ -144,11 +144,13 @@ type Node struct {
 	// from inside a processLoanQueues iteration; bounceIDs is onTokens'
 	// failed-loan scan, which calls sendToken while it iterates and
 	// runs before scanQueues and processLoanQueues take ids in the same
-	// activation — its own slice, so it nests with nothing. miss holds
+	// activation — its own slice, so it nests with nothing. loans is
+	// processLoanQueues' copy of a token's loan queue. miss holds
 	// maybeAskLoan's missing-set computation.
 	ids       []resource.ID `explore:"-"`
 	lendIDs   []resource.ID `explore:"-"`
 	bounceIDs []resource.ID `explore:"-"`
+	loans     []loanEntry   `explore:"-"`
 	miss      resource.Set  `explore:"-"`
 }
 
@@ -312,8 +314,8 @@ func (nd *Node) flushOwn() { nd.flush(nil) }
 // own makes t this node's: t is in tok and in the log's held entries,
 // and ver names its holding. A genesis holding, version (0, 0), is left
 // out of the log: every site knows it already, so it is no hint. Under
-// DisableShortcut no receiver reads a holding (onHoldings), so the log
-// keeps none: its ring is empty too (NewFactory), and news sends nothing.
+// DisableShortcut the log keeps none and its ring is empty too
+// (NewFactory), so news sends nothing and no onHoldings repoints.
 func (nd *Node) own(t *token) {
 	r := t.R
 	nd.tok[r] = t
@@ -451,7 +453,7 @@ func (nd *Node) Release() {
 	nd.loanAsked = false
 	nd.single = false
 	nd.entryHeld = false
-	nd.ids = nd.required.AppendMembers(nd.ids)
+	nd.ids = nd.required.AppendMembers(room(nd.ids))
 	for _, r := range nd.ids {
 		if !nd.owned.Has(r) {
 			continue // fenced away mid-CS by an epoch regeneration
@@ -523,9 +525,6 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 // record's requests are routed or its counters and tokens taken; a
 // pointer it moves goes in the ring.
 func (nd *Node) onHoldings(hs []holding) {
-	if nd.opt.DisableShortcut {
-		return
-	}
 	self := nd.self()
 	for _, h := range hs {
 		if h.H != self && nd.tok[h.R] == nil && h.V.newer(nd.ver[h.R]) {
@@ -677,7 +676,7 @@ func (nd *Node) canLend(req *request, miss resource.Set) bool {
 	if !miss.SubsetOf(nd.owned) {
 		return false
 	}
-	nd.lendIDs = nd.owned.AppendMembers(nd.lendIDs)
+	nd.lendIDs = nd.owned.AppendMembers(room(nd.lendIDs))
 	for _, r := range nd.lendIDs {
 		if nd.tok[r].Lender != network.None {
 			return false // we hold borrowed tokens ourselves
@@ -759,7 +758,7 @@ func (nd *Node) onTokens(toks []*token) {
 		// borrowed tokens straight back to the lender and restore our
 		// queue position (hardening deviation 4).
 		returned := false
-		nd.bounceIDs = nd.owned.AppendMembers(nd.bounceIDs)
+		nd.bounceIDs = nd.owned.AppendMembers(room(nd.bounceIDs))
 		for _, r := range nd.bounceIDs {
 			t := nd.tok[r]
 			if t.Lender == network.None || t.Lender == nd.self() {
@@ -869,7 +868,7 @@ func (nd *Node) replayPending(t *token) {
 // queue; in waitCS we yield to higher-priority heads; tokens we do not
 // compete for go to their head directly.
 func (nd *Node) scanQueues() {
-	nd.ids = nd.owned.AppendMembers(nd.ids)
+	nd.ids = nd.owned.AppendMembers(room(nd.ids))
 	for _, r := range nd.ids {
 		t := nd.tok[r]
 		head, ok := t.Queue.Head()
@@ -898,15 +897,18 @@ func (nd *Node) processLoanQueues() {
 	if nd.st == stInCS {
 		return
 	}
-	nd.ids = nd.owned.AppendMembers(nd.ids)
+	nd.ids = nd.owned.AppendMembers(room(nd.ids))
 	for _, r := range nd.ids {
 		t := nd.tok[r]
 		if t == nil || len(t.Loans) == 0 {
 			continue // nil: lent away earlier in this very scan
 		}
-		loans := t.Loans
-		t.Loans = nil
-		for _, l := range loans {
+		// Walk a copy: every loan re-queued meanwhile goes back into
+		// the token's own list, truncated in place, where hasLoan sees
+		// only the loans queued since.
+		nd.loans = append(nd.loans[:0], t.Loans...)
+		t.Loans = t.Loans[:0]
+		for _, l := range nd.loans {
 			if !nd.owned.Has(l.R) {
 				continue // lent away earlier in this very scan
 			}

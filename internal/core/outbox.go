@@ -30,6 +30,24 @@ type outbox struct {
 	free *freeRecords
 }
 
+// firstRoom is the first capacity of a scratch list, the outbox's and
+// the node's member lists alike, given on first use (room), not at
+// Attach, so a site that never sends pays nothing. In sim_paper's runs
+// (N = 32, M = 80, φ = 16) one activation buffers at most 16 requests,
+// 16 tokens, 14 destinations and 7 counters, and a member list rarely
+// passes 16. Sizing each list to its bound, M entries or N
+// destinations, instead adds a fifth to that workload's set-up time:
+// the bytes a one-P process collects.
+const firstRoom = 16
+
+// room gives a scratch list its first storage when it has none.
+func room[T any](buf []T) []T {
+	if buf == nil {
+		return make([]T, 0, firstRoom)
+	}
+	return buf
+}
+
 // freeRecords holds the records the nodes of one NewFactory call were
 // delivered and are done with, scrubbed (see recycle and batch): the
 // next flush of any of them fills one instead of allocating. One list
@@ -58,18 +76,18 @@ type destTok struct {
 // request buffers r for to; miss is the missing set of a reqLoan and
 // ignored for the other kinds.
 func (o *outbox) request(to network.NodeID, r *request, miss resource.Set) {
-	o.reqs = append(o.reqs, destReq{to, *r})
+	o.reqs = append(room(o.reqs), destReq{to, *r})
 	if r.Kind == reqLoan {
 		o.miss = append(o.miss, miss)
 	}
 }
 
 func (o *outbox) counter(to network.NodeID, c counterVal) {
-	o.cnts = append(o.cnts, destCnt{to, c})
+	o.cnts = append(room(o.cnts), destCnt{to, c})
 }
 
 func (o *outbox) token(to network.NodeID, t *token) {
-	o.toks = append(o.toks, destTok{to, t})
+	o.toks = append(room(o.toks), destTok{to, t})
 }
 
 // destAdd records a destination in first-occurrence order.
@@ -79,7 +97,7 @@ func (o *outbox) destAdd(to network.NodeID) {
 			return
 		}
 	}
-	o.dests = append(o.dests, to)
+	o.dests = append(room(o.dests), to)
 }
 
 // get returns a record for to that carries nothing but the log's

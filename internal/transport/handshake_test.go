@@ -98,9 +98,9 @@ func TestHandshakeNegotiates(t *testing.T) {
 // negotiation. Over {delta on, off} at either end, a link carries token
 // state as deltas exactly when both ends enabled it, whichever end dialed
 // — each pair is tapped in both directions, so every setting is seen as
-// dialer and as acceptor — and as bare snapshots otherwise: a default
-// daemon and a -wire-delta=false one interoperate. Nothing but the hello
-// and frames is on the wire, and token state crosses either way.
+// dialer and as acceptor — and as bare snapshots otherwise: endpoints
+// configured either way interoperate. Nothing but the hello and frames
+// is on the wire, and token state crosses either way.
 func TestHandshakeFeatureIntersection(t *testing.T) {
 	var resp network.Message
 	for _, m := range wire.Samples() {

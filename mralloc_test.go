@@ -299,7 +299,7 @@ func TestClusterSessions(t *testing.T) {
 		t.Run(string(policy), func(t *testing.T) {
 			t.Parallel()
 			const nodes, m, sessions, iters = 2, 6, 8, 6
-			c, err := NewCluster(ClusterConfig{Nodes: nodes, Resources: m}, WithPolicy(policy))
+			c, err := NewCluster(ClusterConfig{Nodes: nodes, Resources: m, Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +360,7 @@ func TestClusterSessionErrors(t *testing.T) {
 	if _, err := s.Acquire(context.Background(), 0); !errors.Is(err, ErrSessionClosed) {
 		t.Errorf("acquire on closed session: %v, want ErrSessionClosed", err)
 	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 1, Resources: 1}, WithPolicy("lifo")); err == nil {
+	if _, err := NewCluster(ClusterConfig{Nodes: 1, Resources: 1, Policy: "lifo"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	c.Close()
@@ -369,19 +369,15 @@ func TestClusterSessionErrors(t *testing.T) {
 	}
 }
 
-// TestClusterOptions: the functional options are accepted, bad values
-// still error, and wire options are refused on in-process clusters
-// (which have no wire).
+// TestClusterOptions: a known policy in ClusterConfig is accepted and
+// an unknown one refused.
 func TestClusterOptions(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithPolicy(PolicySSF), WithAging(time.Second))
+	c, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4, Policy: PolicySSF})
 	if err != nil {
-		t.Fatalf("valid options refused: %v", err)
+		t.Fatalf("valid policy refused: %v", err)
 	}
 	c.Close()
-	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithPolicy("lifo")); err == nil {
-		t.Error("unknown policy accepted via option")
-	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4}, WithWire(WireConfig{Delta: true})); err == nil {
-		t.Error("wire options accepted on an in-process cluster")
+	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 4, Policy: "lifo"}); err == nil {
+		t.Error("unknown policy accepted")
 	}
 }
