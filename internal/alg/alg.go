@@ -37,7 +37,10 @@ type Env interface {
 	// not touch, resend or reuse m (or storage m points into) after the
 	// call. A runtime may hold m for as long as it likes — in a delay
 	// queue, for retransmission — but delivers it at most once, and
-	// never reads a message it has already delivered.
+	// never reads a message it has already delivered. A socket path
+	// encodes m once and releases it to its codec (wire.Release), which
+	// may refill m's storage in a later decode; a runtime that hands one
+	// message to two readers hands one of them a copy.
 	Send(to network.NodeID, m network.Message)
 	// Granted tells the runtime the node has entered its critical
 	// section: it holds exclusive access to every requested resource.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"unsafe"
 
 	"mralloc/internal/network"
@@ -19,7 +20,49 @@ import (
 func init() {
 	wire.Register("LASS.Request", encReqBatch, decReqBatch)
 	wire.Register("LASS.Response", encRespBatch, decRespBatch)
+	wire.RegisterRelease("LASS.Request", releaseBatch)
+	wire.RegisterRelease("LASS.Response", releaseBatch)
 	wire.RegisterSamples(codecSamples()...)
+}
+
+// The records and tokens a socket sent, for its decoders to refill.
+// A node's own free list (freeRecords) is the first tier and needs no
+// lock; these pools exist only where a record crosses goroutines: the
+// sender's runner releases what its socket encoded (wire.Release), a
+// connection's reader decodes into it.
+var (
+	batchPool = sync.Pool{New: func() any { return newBatch() }}
+	tokenPool = sync.Pool{New: func() any { return new(token) }}
+)
+
+// releaseBatch takes back a record its socket has encoded: the sender
+// gave it away with its tokens (sendToken disowns them), so both go to
+// the pools, scrubbed as a recycled record is.
+func releaseBatch(m network.Message) {
+	var b *batch
+	switch m := m.(type) {
+	case *reqBatch:
+		b = (*batch)(m)
+	case *respBatch:
+		b = (*batch)(m)
+	}
+	for _, t := range b.Tokens {
+		if len(t.Loans) > 0 {
+			clear(t.Loans)
+		}
+		tokenPool.Put(t)
+	}
+	b.scrub()
+	batchPool.Put(b)
+}
+
+// pooledBatch returns an empty record for a decoder to fill: a released
+// one when the pool has any, else a fresh one (newBatch). It is scrubbed
+// here too, so a decoder owes nothing to what was put in the pool.
+func pooledBatch() *batch {
+	b := batchPool.Get().(*batch)
+	b.scrub()
+	return b
 }
 
 func encReqBatch(e *wire.Enc, m network.Message) {
@@ -43,12 +86,12 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 	encHoldings(e, b.Holdings)
 }
 
-// The decoders build the record the receiving node keeps (see batch)
-// with newBatch and fill its first storage: one allocation for a record
-// of the common case, one more per list that outgrows its room, sized to
-// the message at hand.
+// The decoders fill the record the receiving node keeps (see batch)
+// from the pool (pooledBatch): no allocation for a released record whose
+// lists have room, one for a fresh record of the common case, one more
+// per list that outgrows its room, sized to the message at hand.
 func decReqBatch(d *wire.Dec) network.Message {
-	b := (*reqBatch)(newBatch())
+	b := (*reqBatch)(pooledBatch())
 	n := d.Count()
 	if d.Err() != nil || !d.Charge(8*n) {
 		return b
@@ -143,7 +186,7 @@ func decHoldings(d *wire.Dec, dst []holding) []holding {
 }
 
 func decRespBatch(d *wire.Dec) network.Message {
-	b := (*respBatch)(newBatch())
+	b := (*respBatch)(pooledBatch())
 	n := d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(counterVal{}))) {
 		return b
@@ -220,20 +263,31 @@ func encTokenSnap(e *wire.Enc, t *token) {
 	e.Varint(t.Ver)
 }
 
+// stampRoom gives t's stamp vectors n entries each, reusing their
+// storage when it has room; fresh ones are cut from one allocation.
+// Their content is left for the caller to overwrite.
+func (t *token) stampRoom(n int) {
+	if cap(t.LastReqC) >= n && cap(t.LastCS) >= n {
+		t.LastReqC, t.LastCS = t.LastReqC[:n], t.LastCS[:n]
+		return
+	}
+	stamps := make([]int64, 2*n)
+	t.LastReqC, t.LastCS = stamps[:n:n], stamps[n:]
+}
+
+// decTokenSnap overwrites every field of a pooled token, reusing its
+// storage where it has room.
 func decTokenSnap(d *wire.Dec) *token {
-	t := &token{}
+	t := tokenPool.Get().(*token)
 	t.R = d.Res()
 	t.Counter = d.Varint()
-	// Both stamp vectors are N long on an honest token: cut them from
-	// one allocation.
+	t.Queue, t.Loans = t.Queue[:0], t.Loans[:0]
+	// Both stamp vectors are N long on an honest token.
 	n := d.Count()
 	if d.Err() != nil || !d.Charge(16*n) {
 		return t
 	}
-	if n > 0 {
-		stamps := make([]int64, 2*n)
-		t.LastReqC, t.LastCS = stamps[:n:n], stamps[n:]
-	}
+	t.stampRoom(n)
 	d.Varints(t.LastReqC)
 	if n2 := d.Count(); n2 != n && d.Err() == nil {
 		d.Fail("token stamp vectors of %d and %d entries", n, n2)
@@ -252,35 +306,35 @@ func decTokenSnap(d *wire.Dec) *token {
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(reqRef{}))) {
 		return t
 	}
-	if n > 0 {
+	if cap(t.Queue) < n {
 		t.Queue = make(wqueue, 0, n)
-		for i := 0; i < n; i++ {
-			r := decRef(d)
-			if d.Err() != nil {
-				return t
-			}
-			t.Queue = append(t.Queue, r)
+	}
+	for i := 0; i < n; i++ {
+		r := decRef(d)
+		if d.Err() != nil {
+			return t
 		}
+		t.Queue = append(t.Queue, r)
 	}
 	n = d.Count()
 	if d.Err() != nil || !d.Charge(n*int(unsafe.Sizeof(loanEntry{}))) {
 		return t
 	}
-	if n > 0 {
+	if cap(t.Loans) < n {
 		t.Loans = make([]loanEntry, 0, n)
-		for i := 0; i < n; i++ {
-			var l loanEntry
-			l.Ref = decRef(d)
-			l.R = d.Res()
-			l.Missing = d.Set()
-			if l.Missing.Universe() == 0 && d.Err() == nil {
-				d.Fail("loan entry without a missing set")
-			}
-			if d.Err() != nil {
-				return t
-			}
-			t.Loans = append(t.Loans, l)
+	}
+	for i := 0; i < n; i++ {
+		var l loanEntry
+		l.Ref = decRef(d)
+		l.R = d.Res()
+		l.Missing = d.Set()
+		if l.Missing.Universe() == 0 && d.Err() == nil {
+			d.Fail("loan entry without a missing set")
 		}
+		if d.Err() != nil {
+			return t
+		}
+		t.Loans = append(t.Loans, l)
 	}
 	t.Lender = d.Node()
 	t.Epoch = d.Varint()

@@ -363,7 +363,7 @@ func (st *tokenDeltaDec) decode(d *wire.Dec) *token {
 		copyTokenInto(&sh.tok, t)
 		return t
 	case tokDelta:
-		t := &token{}
+		t := tokenPool.Get().(*token)
 		r := d.Res()
 		epoch := d.Uvarint()
 		seq := d.Uvarint()
@@ -399,12 +399,8 @@ func (st *tokenDeltaDec) decode(d *wire.Dec) *token {
 		// paid for field by field, the cache holds at most
 		// maxDeltaEntries of them, and the per-frame dedup (frameDup)
 		// lets a frame re-materialize each one at most once.
-		// Both stamp vectors are cut from one allocation, as a
-		// snapshot's are (decTokenSnap).
-		if a, b := len(sh.tok.LastReqC), len(sh.tok.LastCS); a+b > 0 {
-			stamps := make([]int64, a+b)
-			t.LastReqC, t.LastCS = stamps[:0:a], stamps[a:a]
-		}
+		// The stamp vectors get room as a snapshot's do (stampRoom).
+		t.stampRoom(len(sh.tok.LastReqC))
 		copyTokenInto(t, &sh.tok)
 		return t
 	default:

@@ -53,9 +53,15 @@
 // batch.Missing) and are only truncated, so a refilled record carries
 // its new sender's holdings alone. A free-list miss costs what building
 // the message from scratch costs: a fresh record whose lists start in
-// its own first storage. Over a socket the rule holds for the outbound
-// half: decoded records are fresh, and what a site decodes feeds what
-// its shard's sites send.
+// its own first storage. Over a socket the sender's half of the loop
+// closes in the codec: TCP releases each record it has encoded
+// (wire.Release), and the record's tokens with it, since the sender gave
+// both away, into the codec's pools after the same scrub (releaseBatch);
+// the decoders fill records and tokens from there (pooledBatch,
+// tokenPool), reusing their storage where it has room and overwriting
+// every field. The free list stays the first tier and takes no lock; the
+// pools exist only where a record crosses goroutines, from the runner
+// that sent it to the connection reader that decodes the next one.
 //
 // # Node state
 //

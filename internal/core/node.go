@@ -719,7 +719,7 @@ func (nd *Node) processReqLoan(req *request, miss resource.Set) {
 	}
 	t := nd.tok[req.R]
 	if !t.hasLoan(req.ref(), req.R) {
-		t.Loans = append(t.Loans, loanEntry{Ref: req.ref(), R: req.R, Missing: miss})
+		t.Loans = append(room(t.Loans), loanEntry{Ref: req.ref(), R: req.R, Missing: miss})
 	}
 }
 
@@ -857,7 +857,7 @@ func (nd *Node) replayPending(t *token) {
 			t.Queue.Insert(req.ref())
 		case req.Kind == reqLoan:
 			if !t.hasLoan(req.ref(), r) {
-				t.Loans = append(t.Loans, loanEntry{Ref: req.ref(), R: r, Missing: miss})
+				t.Loans = append(room(t.Loans), loanEntry{Ref: req.ref(), R: r, Missing: miss})
 			}
 		}
 	}

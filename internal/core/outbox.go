@@ -117,16 +117,22 @@ func (o *outbox) get(to network.NodeID, log *holdings) *batch {
 	return b
 }
 
-// recycle scrubs a delivered record — no token and no missing set may
-// stay reachable from a record waiting for reuse; its requests and
-// holdings hold no pointer and are merely truncated — and keeps it for
-// the next flush of any node that shares the list.
-// Callers recycle only after the activation's flush has returned: a
-// forwarded batch reads the record's Visited until then.
+// recycle scrubs a delivered record and keeps it for the next flush of
+// any node that shares the list. Callers recycle only after the
+// activation's flush has returned: a forwarded batch reads the record's
+// Visited until then.
 func (o *outbox) recycle(b *batch) {
 	if len(o.free.recs) >= maxFreeBatches {
 		return
 	}
+	b.scrub()
+	o.free.recs = append(o.free.recs, b)
+}
+
+// scrub empties a record for reuse: no token and no missing set may stay
+// reachable from a record waiting for it; its requests and holdings hold
+// no pointer and are merely truncated.
+func (b *batch) scrub() {
 	if len(b.Missing) > 0 {
 		clear(b.Missing)
 	}
@@ -143,7 +149,6 @@ func (o *outbox) recycle(b *batch) {
 	}
 	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
 	b.Counters, b.Tokens, b.Holdings = b.Counters[:0], b.Tokens[:0], b.Holdings[:0]
-	o.free.recs = append(o.free.recs, b)
 }
 
 // flush transmits everything buffered. visited is the set the requests

@@ -101,7 +101,8 @@ type batch struct {
 }
 
 // newBatch returns an empty record whose lists start in its own first
-// storage. Every record a node or a decoder fills is built here.
+// storage. Every record is built here: a node's free list and the
+// codec's pool (pooledBatch) hand out records built here, refilled.
 func newBatch() *batch {
 	b := new(batch)
 	b.Visited, b.Reqs, b.Missing = b.visited[:0], b.reqs[:0], b.oneSet[:0]

@@ -242,11 +242,13 @@ func TestRunRejectsNegativeProcessing(t *testing.T) {
 // length — the figure its allocs_per_op reports. A run starts from
 // nothing, so this is where per-node and per-resource state built on
 // first touch shows (the steady-state budgets of core see none of it):
-// the run reads 2.853. It read 7.49 with a record free list per node
-// instead of one per factory call, a fresh request set per request and
-// a cloned missing set per loan round, and 3.51 with scratch lists that
-// grew by doubling and a fresh loan list per loan-queue walk; any one
-// of those coming back breaks the budget.
+// the run reads 2.649 alone and 2.651 after the package's other tests.
+// It read 7.49 with a record free list per node instead of one per
+// factory call, a fresh request set per request and a cloned missing
+// set per loan round, 3.51 with scratch lists that grew by doubling and
+// a fresh loan list per loan-queue walk, and 2.853 with token wait
+// queues and loan lists that grew by doubling from nil; any one of
+// those coming back breaks the budget.
 func TestRunPaperAllocs(t *testing.T) {
 	if leakcheck.Race {
 		t.Skip("allocation budgets are measured without the race detector")
@@ -264,8 +266,8 @@ func TestRunPaperAllocs(t *testing.T) {
 		t.Fatal("the run granted nothing")
 	}
 	per := objects / float64(grants)
-	if per > 2.86 {
-		t.Errorf("%.0f objects for %d grants: %.3f per grant, want ≤ 2.86", objects, grants, per)
+	if per > 2.66 {
+		t.Errorf("%.0f objects for %d grants: %.3f per grant, want ≤ 2.66", objects, grants, per)
 	}
 	t.Logf("%.0f objects for %d grants: %.3f per grant", objects, grants, per)
 }

@@ -234,14 +234,140 @@ func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 0xfee1)
 	rel := transport.NewReliable(ch)
 	rel.SetRetransmit(time.Millisecond, 20*time.Millisecond)
-	seal := &sealed{Transport: rel, t: t, sent: map[transport.Link][][]byte{}}
-	c, err := New(Config{Nodes: n, Resources: m, Transport: seal}, core.NewFactory(core.WithLoan()))
+	lg := newLedger(t, 1)
+	c, err := New(Config{Nodes: n, Resources: m, Transport: &sealed{rel, lg}}, core.NewFactory(core.WithLoan()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
 
+	grants := monitoredStorm(t, n, m, iters, c.Acquire, ch.StopFaults)
+	cs, rs := ch.ChaosStats(), rel.RelStats()
+	if cs.Duplicated == 0 || rs.Retransmits == 0 || rs.DupsDropped == 0 {
+		t.Fatalf("no delivered record was put back on the fabric: chaos %+v, recovery %+v", cs, rs)
+	}
+	if lg.deliveries() == 0 {
+		t.Fatal("no delivery was checked against what was sent")
+	}
+	var loans int
+	for id := 0; id < n; id++ {
+		c.Inspect(id, func(nd alg.Node) { loans += nd.(*core.Node).Counters().LoansGranted })
+	}
+	t.Logf("%d grants, %d loans; chaos dropped=%d dup=%d; retransmits=%d dups dropped=%d",
+		grants, loans, cs.Dropped, cs.Duplicated, rs.Retransmits, rs.DupsDropped)
+}
+
+// TestHazardReleasedRecordSentOnce runs core with loans over sockets,
+// one endpoint per node, where a record leaves for good: TCP releases
+// every record it has encoded (wire.Release), and the next decode in the
+// process may refill it. A fabric handed one record twice would encode
+// the second time whatever the record has become since. Chaos is the one
+// layer that sends a message twice, and it sends its duplicate of a
+// record as a codec copy.
+//
+//   - dup: Chaos(TCP) duplicates every message and nothing below the
+//     nodes drops the copies. LASS does not survive a duplicated token
+//     (hypothesis 3: a token delivered twice is owned twice), so the
+//     test's seal hands each node the first copy only, after checking
+//     both, byte for byte, against what was sent.
+//   - reliable-lossy: Reliable(Chaos(TCP)) with 5 % drops and
+//     duplicates. An envelope registers no release func, so what the
+//     wrapper keeps for retransmission is never released, and every
+//     delivery is the record sent on its link.
+//
+// Either way every acquire completes under the monitor and, the faults
+// stopped, every token is still there exactly once.
+func TestHazardReleasedRecordSentOnce(t *testing.T) {
+	const n, m = 4, 8
+	iters := 40
+	if testing.Short() {
+		iters = 20
+	}
+	for _, tc := range []struct {
+		name   string
+		copies int
+		faults transport.Faults
+	}{
+		{"dup", 2, transport.Faults{Dup: 1}},
+		{"reliable-lossy", 1, transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs := make([]*transport.TCP, n)
+			addrs := make([]string, n)
+			for i := range trs {
+				tr, err := transport.ListenTCP("127.0.0.1:0", n, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trs[i], addrs[i] = tr, tr.Addr()
+			}
+			lg := newLedger(t, tc.copies)
+			chs := make([]*transport.Chaos, n)
+			cs := make([]*Cluster, n)
+			for i := range cs {
+				if err := trs[i].Connect(addrs); err != nil {
+					t.Fatal(err)
+				}
+				chs[i] = transport.NewChaos(trs[i], int64(i)+1)
+				var tr transport.Transport = chs[i]
+				if tc.copies == 1 {
+					rel := transport.NewReliable(chs[i])
+					rel.SetRetransmit(time.Millisecond, 20*time.Millisecond)
+					tr = rel
+				}
+				c, err := New(Config{
+					Nodes: n, Resources: m, Local: []int{i},
+					Transport: &sealed{tr, lg},
+					Wire:      transport.WireOptions{Delta: true},
+				}, core.NewFactory(core.WithLoan()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				cs[i] = c
+				chs[i].SetFaults(tc.faults)
+			}
+			acquire := func(ctx context.Context, node int, ids ...int) (func(), error) {
+				return cs[node].Acquire(ctx, node, ids...)
+			}
+			// The seal counts on every message of the dup case arriving
+			// twice, so its faults stay on to the end.
+			stop := func() {}
+			if tc.copies == 1 {
+				stop = func() {
+					for _, ch := range chs {
+						ch.StopFaults()
+					}
+				}
+			}
+			defer func() {
+				for i, tr := range trs {
+					if err := tr.Err(); err != nil {
+						t.Errorf("endpoint %d: %v", i, err)
+					}
+				}
+			}()
+			grants := monitoredStorm(t, n, m, iters, acquire, stop)
+			var dups int64
+			for _, ch := range chs {
+				dups += ch.ChaosStats().Duplicated
+			}
+			checked := lg.deliveries()
+			if dups == 0 || checked == 0 {
+				t.Fatalf("%d duplicates, %d deliveries checked: the run put no record on a socket twice", dups, checked)
+			}
+			t.Logf("%d grants; %d duplicates; %d deliveries checked", grants, dups, checked)
+		})
+	}
+}
+
+// monitoredStorm has every node acquire iters random sets of one to
+// four of the m resources under the verify monitor, stops the faults,
+// then has each node in turn take all m: a lost or doubled token shows
+// there. It returns the grants the monitor saw.
+func monitoredStorm(t *testing.T, n, m, iters int, acquireFn func(context.Context, int, ...int) (func(), error), stopFaults func()) int {
+	t.Helper()
 	var monMu sync.Mutex
 	mon := verify.New(m, func(v verify.Violation) { t.Errorf("%v", v) })
 	start := time.Now()
@@ -253,7 +379,7 @@ func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 		mon.Requested(network.NodeID(node), now())
 		monMu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		release, err := c.Acquire(ctx, node, ids...)
+		release, err := acquireFn(ctx, node, ids...)
 		cancel()
 		if err != nil {
 			t.Errorf("node %d: acquire %v: %v", node, rs, err)
@@ -281,7 +407,7 @@ func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ch.StopFaults()
+	stopFaults()
 
 	all := resource.NewSet(m)
 	for r := 0; r < m; r++ {
@@ -293,32 +419,47 @@ func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 		}
 	}
 	monMu.Lock()
+	defer monMu.Unlock()
 	mon.CheckQuiescent(now())
-	monMu.Unlock()
-	cs, rs := ch.ChaosStats(), rel.RelStats()
-	if cs.Duplicated == 0 || rs.Retransmits == 0 || rs.DupsDropped == 0 {
-		t.Fatalf("no delivered record was put back on the fabric: chaos %+v, recovery %+v", cs, rs)
-	}
-	if seal.checked == 0 {
-		t.Fatal("no delivery was checked against what was sent")
-	}
-	var loans int
-	for id := 0; id < n; id++ {
-		c.Inspect(id, func(nd alg.Node) { loans += nd.(*core.Node).Counters().LoansGranted })
-	}
-	t.Logf("%d grants, %d loans; chaos dropped=%d dup=%d; retransmits=%d dups dropped=%d",
-		mon.Grants(), loans, cs.Dropped, cs.Duplicated, rs.Retransmits, rs.DupsDropped)
+	return mon.Grants()
+}
+
+// ledger holds what the sealed endpoints of one cluster sent: each
+// link's messages, encoded as they were sent, oldest first.
+type ledger struct {
+	t *testing.T
+	// copies is how often each sent message is delivered: 2 where the
+	// fabric duplicates every one.
+	copies  int
+	mu      sync.Mutex
+	sent    map[transport.Link][]sentMsg
+	checked int
+}
+
+type sentMsg struct {
+	b    []byte
+	seen int // deliveries so far
+}
+
+func newLedger(t *testing.T, copies int) *ledger {
+	return &ledger{t: t, copies: copies, sent: map[transport.Link][]sentMsg{}}
+}
+
+// deliveries is how many deliveries were checked so far; a copy may
+// still be on its way.
+func (lg *ledger) deliveries() int {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	return lg.checked
 }
 
 // sealed checks that a transport hands every handler exactly what was
 // sent: it encodes each message as it is sent and compares the encoding
-// of each delivery with the oldest one sent on that link.
+// of each delivery with the oldest one sent on that link. The handler
+// is handed the first copy of each message only.
 type sealed struct {
 	transport.Transport
-	t       *testing.T
-	mu      sync.Mutex
-	sent    map[transport.Link][][]byte
-	checked int
+	*ledger
 }
 
 func (s *sealed) Send(l transport.Link, m network.Message) {
@@ -327,26 +468,38 @@ func (s *sealed) Send(l transport.Link, m network.Message) {
 		s.t.Errorf("encoding %s: %v", m.Kind(), err)
 	}
 	s.mu.Lock()
-	s.sent[l] = append(s.sent[l], b)
+	s.sent[l] = append(s.sent[l], sentMsg{b: b})
 	s.mu.Unlock()
 	s.Transport.Send(l, m)
 }
 
 func (s *sealed) Bind(shard int, id network.NodeID, h transport.Handler) {
 	s.Transport.Bind(shard, id, func(from network.NodeID, m network.Message) {
-		l := transport.Link{Shard: shard, From: from, To: id}
-		got, _ := wire.Append(nil, m)
-		s.mu.Lock()
-		if q := s.sent[l]; len(q) == 0 {
-			s.t.Errorf("link %+v delivers a %s nobody sent", l, m.Kind())
-		} else {
-			if string(got) != string(q[0]) {
-				s.t.Errorf("link %+v delivers a %s other than the one sent", l, m.Kind())
-			}
-			s.sent[l] = q[1:]
-			s.checked++
+		if s.check(transport.Link{Shard: shard, From: from, To: id}, m) {
+			h(from, m)
 		}
-		s.mu.Unlock()
-		h(from, m)
 	})
+}
+
+// check compares a delivery on l with the oldest message sent there and
+// reports whether it is that message's first copy.
+func (lg *ledger) check(l transport.Link, m network.Message) bool {
+	got, _ := wire.Append(nil, m)
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	q := lg.sent[l]
+	if len(q) == 0 {
+		lg.t.Errorf("link %+v delivers a %s nobody sent", l, m.Kind())
+		return true
+	}
+	if string(got) != string(q[0].b) {
+		lg.t.Errorf("link %+v delivers a %s other than the one sent", l, m.Kind())
+	}
+	lg.checked++
+	q[0].seen++
+	first := q[0].seen == 1
+	if q[0].seen == lg.copies {
+		lg.sent[l] = q[1:]
+	}
+	return first
 }

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,4 +87,96 @@ func TestCodecScaffoldingAllocs(t *testing.T) {
 	if len(seen) != len(own) {
 		t.Fatalf("samples cover %v, want every kind of %v", seen, own)
 	}
+}
+
+// TestTCPRecordRecycleAllocs budgets what a LASS record costs to cross a
+// socket in steady state. Two loopback endpoints relay a request and a
+// response record back and forth, each delivered record sent straight
+// back as a node gives away what it was delivered: the sending TCP
+// releases what it encoded (wire.Release), and the decoder at the other
+// end refills it, tokens included. What is left is the sample loans'
+// missing sets: the one a request's loan decodes into and the copies the
+// delta shadows take of a token's. The relay reads 1.50 objects per
+// delivered record; with no release (every decode a fresh record, fresh
+// tokens and their storage) it read 6.00.
+func TestTCPRecordRecycleAllocs(t *testing.T) {
+	if leakcheck.Race {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	// Four nodes, two per endpoint: the sample tokens' stamp vectors are
+	// four entries long.
+	a, err := transport.ListenTCP("127.0.0.1:0", 4, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := transport.ListenTCP("127.0.0.1:0", 4, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	cfg := transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: true}}
+	a.Configure(cfg)
+	b.Configure(cfg)
+	addrs := []string{a.Addr(), a.Addr(), b.Addr(), b.Addr()}
+	if err := a.Connect(addrs); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Connect(addrs); err != nil {
+		t.Fatal(err)
+	}
+	type delivery struct {
+		at network.NodeID
+		m  network.Message
+	}
+	got := make(chan delivery, 2) // the two records in flight
+	a.Bind(0, 0, func(_ network.NodeID, m network.Message) { got <- delivery{0, m} })
+	b.Bind(0, 2, func(_ network.NodeID, m network.Message) { got <- delivery{2, m} })
+	var req, resp network.Message
+	for _, m := range wire.Samples() {
+		switch {
+		case m.Kind() == "LASS.Request" && req == nil:
+			req = m
+		case m.Kind() == "LASS.Response" && resp == nil:
+			resp = m
+		}
+	}
+	a.Send(transport.Link{From: 0, To: 2}, req)
+	a.Send(transport.Link{From: 0, To: 2}, resp)
+	stall := time.NewTimer(time.Hour) // one timer: time.After costs objects per call
+	relay := func() {
+		stall.Reset(5 * time.Second)
+		select {
+		case d := <-got:
+			if d.at == 0 {
+				a.Send(transport.Link{From: 0, To: 2}, d.m)
+			} else {
+				b.Send(transport.Link{From: 2, To: 0}, d.m)
+			}
+		case <-stall.C:
+			t.Fatalf("relay stalled (a: %v, b: %v)", a.Err(), b.Err())
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		relay()
+	}
+	// testing.AllocsPerRun truncates to whole objects: count them here.
+	const relays = 4000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < relays; i++ {
+		relay()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / relays
+	if err := a.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if per > 1.6 {
+		t.Errorf("%.2f objects per delivered LASS record, want ≤ 1.6", per)
+	}
+	t.Logf("%.2f objects per delivered LASS record (6.00 with no release)", per)
 }

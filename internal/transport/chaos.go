@@ -31,7 +31,8 @@ type Faults struct {
 	Drop float64
 	// Dup is the probability a message is delivered twice, back to
 	// back. Per-link FIFO is kept (the duplicate follows the original
-	// immediately); exactly-once is not.
+	// immediately); exactly-once is not. The duplicate of a message
+	// whose kind has a release func is a codec copy (wire.Copy).
 	Dup float64
 	// DelayMin/DelayMax bound the uniform per-message delivery delay,
 	// counted from the Send. Delays are drawn per message but applied
@@ -278,6 +279,14 @@ func (c *Chaos) dispatch(k Link, m network.Message) {
 	l.queue = append(l.queue, it)
 	if action == chaosDup {
 		c.nDuplicated.Add(1)
+		// A fabric may release what it encodes or keep what it
+		// delivers: it is never handed one such record twice.
+		if wire.Releasable(m) {
+			var err error
+			if it.m, err = wire.Copy(m); err != nil {
+				panic(fmt.Sprintf("transport: chaos duplicate of %s: %v", m.Kind(), err))
+			}
+		}
 		l.queue = append(l.queue, it)
 	}
 	l.cond.Signal()

@@ -143,18 +143,22 @@ func runEgressCase(t *testing.T, name string) {
 		t.Fatalf("unknown egress case %q", name)
 	}
 	g := c.g
-	var lass []network.Message
-	for _, m := range wire.Samples() {
-		if k := m.Kind(); k == "LASS.Request" || k == "LASS.Response" {
-			lass = append(lass, m)
+	// The recorded bytes are the first four LASS request/response
+	// samples; samples added since ride the fuzz corpus only. A Send
+	// gives its message away (TCP releases what it encoded), so each
+	// round of each shard sends copies of its own, resp twice over.
+	lass := func() (req, reqEmpty, resp, respSmall network.Message) {
+		var ms []network.Message
+		for _, m := range wire.Samples() {
+			if k := m.Kind(); k == "LASS.Request" || k == "LASS.Response" {
+				ms = append(ms, m)
+			}
 		}
+		if len(ms) < 4 {
+			t.Fatalf("want the 4 recorded LASS request/response samples, got %d", len(ms))
+		}
+		return ms[0], ms[1], ms[2], ms[3]
 	}
-	// The recorded bytes are the first four; samples added since ride
-	// the fuzz corpus only.
-	if len(lass) < 4 {
-		t.Fatalf("want the 4 recorded LASS request/response samples, got %d", len(lass))
-	}
-	req, reqEmpty, resp, respSmall := lass[0], lass[1], lass[2], lass[3]
 	sizes := make([]int, g)
 	for s := range sizes {
 		sizes[s] = 8
@@ -192,12 +196,14 @@ func runEgressCase(t *testing.T, name string) {
 	for round := 0; round < 2; round++ {
 		for s := 0; s < g; s++ {
 			got.Add(7)
+			req, reqEmpty, resp, respSmall := lass()
+			_, _, resp2, _ := lass()
 			a.Send(transport.Link{Shard: s, From: 0, To: 2}, req)
 			for _, m := range []network.Message{resp, reqEmpty, respSmall} {
 				a.Send(transport.Link{Shard: s, From: 1, To: 3}, m)
 			}
 			a.Send(transport.Link{Shard: s, From: 0, To: 3}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(round)})
-			a.Send(transport.Link{Shard: s, From: 1, To: 2}, resp)
+			a.Send(transport.Link{Shard: s, From: 1, To: 2}, resp2)
 			a.Send(transport.Link{Shard: s, From: 1, To: 2}, transporttest.Msg{K: transporttest.KindB, From: 1, Seq: int64(s)})
 		}
 	}

@@ -102,14 +102,18 @@ func TestHandshakeNegotiates(t *testing.T) {
 // configured either way interoperate. Nothing but the hello and frames
 // is on the wire, and token state crosses either way.
 func TestHandshakeFeatureIntersection(t *testing.T) {
-	var resp network.Message
-	for _, m := range wire.Samples() {
-		if m.Kind() == "LASS.Response" {
-			resp = m
-			break
+	// A Send gives its message away (TCP releases what it encoded), so
+	// every Send below gets a fresh copy of the sample.
+	resp := func() network.Message {
+		for _, m := range wire.Samples() {
+			if m.Kind() == "LASS.Response" {
+				return m
+			}
 		}
+		t.Fatal("no LASS.Response sample")
+		return nil
 	}
-	bare, err := wire.Append(nil, resp)
+	bare, err := wire.Append(nil, resp())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +147,8 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 			// The token twice each way: on a delta link the second transfer
 			// meets a warm shadow.
 			for i := 0; i < 2; i++ {
-				a.Send(transport.Link{From: 0, To: 2}, resp)
-				b.Send(transport.Link{From: 2, To: 0}, resp)
+				a.Send(transport.Link{From: 0, To: 2}, resp())
+				b.Send(transport.Link{From: 2, To: 0}, resp())
 				for _, ch := range []chan network.Message{atA, atB} {
 					if m := waitDelivery(t, ch); m.Kind() != "LASS.Response" {
 						t.Fatalf("delivered %#v", m)

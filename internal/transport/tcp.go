@@ -253,8 +253,9 @@ func deltaOn(mine, peer wire.Hello) bool {
 }
 
 // Send implements Transport: m is encoded into the connection's
-// coalescing writer (no syscall until the flusher wakes), or delivered
-// to a local node under its binder lock. Shard-0 frames are byte for
+// coalescing writer (no syscall until the flusher wakes) and released
+// to its codec (wire.Release), or delivered to a local node under its
+// binder lock, which keeps it. Shard-0 frames are byte for
 // byte the flat single-universe encoding; shards above ride a shard tag
 // ahead of the unchanged frame header (wire.AppendShardTag).
 func (t *TCP) Send(l Link, m network.Message) {
@@ -286,6 +287,9 @@ func (t *TCP) Send(l Link, m network.Message) {
 		t.fail(err)
 		return
 	}
+	// The frame is all that crosses: the sender gave m away and nothing
+	// reads it again, so its codec may refill it in a later decode.
+	wire.Release(m)
 	// A false return is a broken connection, its error recorded by
 	// writeFailed.
 	oc.co.AppendOwned(frame, wire.FinishFrame(frame))

@@ -43,8 +43,11 @@
 // of an unbound slot, a fault pipeline's item and the reliable
 // wrapper's retransmit buffer hold it unread — and an envelope that may
 // point at a delivered message (a duplicate, a retransmission) is
-// discarded on its sequence number alone. A socket path may encode a
-// message again: what it encodes was never handed to a receiver.
+// discarded on its sequence number alone. A socket path encodes a
+// message once and releases it (wire.Release), so the decoder at the
+// other end may refill its storage; a wrapper that sends one twice (a
+// chaos duplicate) sends a copy (wire.Copy). An envelope registers no
+// release func, so a retransmission re-encodes the message it wraps.
 //
 // Wrappers stack as live → Reliable → Chaos → TCP|Mem. Each forwards
 // Configure and AbortConns to the fabric underneath, so a caller holds

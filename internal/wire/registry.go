@@ -18,9 +18,15 @@ type EncodeFunc func(*Enc, network.Message)
 // must be reported through the decoder's sticky error, never a panic.
 type DecodeFunc func(*Dec) network.Message
 
+// ReleaseFunc takes back a message its sender gave away and the last
+// reader has encoded (transport.TCP's remote Send): the kind's codec
+// may keep its storage for the next decode.
+type ReleaseFunc func(network.Message)
+
 type codec struct {
 	enc EncodeFunc
 	dec DecodeFunc
+	rel ReleaseFunc // nil: the collector takes the message
 }
 
 var (
@@ -46,6 +52,51 @@ func Register(kind string, enc EncodeFunc, dec DecodeFunc) {
 		panic(fmt.Sprintf("wire: kind %q registered twice", kind))
 	}
 	registry[kind] = codec{enc: enc, dec: dec}
+}
+
+// RegisterRelease installs the release func of a kind Register already
+// installed. Only a kind whose messages no sender keeps or sends twice
+// may have one: Release hands the message back to its codec for good.
+func RegisterRelease(kind string, rel ReleaseFunc) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	c, ok := registry[kind]
+	if !ok {
+		panic(fmt.Sprintf("wire: release func for unregistered kind %q", kind))
+	}
+	c.rel = rel
+	registry[kind] = c
+}
+
+// Releasable reports whether m's kind has a release func.
+func Releasable(m network.Message) bool { return release(m) != nil }
+
+// Release hands m back to its kind's codec, which may refill its
+// storage in a later decode; a kind without a release func leaves m to
+// the collector. The caller must be m's last reader: whoever sent m
+// gave it away, and nothing reads it once it is released.
+func Release(m network.Message) {
+	if rel := release(m); rel != nil {
+		rel(m)
+	}
+}
+
+func release(m network.Message) ReleaseFunc {
+	regMu.RLock()
+	c := registry[m.Kind()]
+	regMu.RUnlock()
+	return c.rel
+}
+
+// Copy returns a copy of m that shares no storage with it: m encoded
+// and decoded again, with no Stream. A message that must be handed to
+// two readers is handed to one as m and to the other as a Copy.
+func Copy(m network.Message) (network.Message, error) {
+	b, err := Append(nil, m)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(b)
 }
 
 // RegisterSamples adds representative messages to the shared corpus.
@@ -78,11 +129,21 @@ func Kinds() []string {
 	return out
 }
 
-// Samples returns the registered sample messages.
+// Samples returns fresh copies of the registered sample messages
+// (Copy): a caller may send each once, as Env.Send gives a message
+// away, without touching the corpus.
 func Samples() []network.Message {
 	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]network.Message(nil), samples...)
+	out := append([]network.Message(nil), samples...)
+	regMu.RUnlock()
+	for i, m := range out {
+		c, err := Copy(m)
+		if err != nil {
+			panic(fmt.Sprintf("wire: sample %d (%s) does not round-trip: %v", i, m.Kind(), err))
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // Append encodes m — kind string, then payload — onto buf and returns
