@@ -85,7 +85,7 @@ func registerFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.StringVar(&cfg.policyStr, "policy", "fifo", "admission policy for multiplexed sessions: fifo, ssf, edf, adaptive")
 	fs.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
-	fs.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection on outgoing peer messages, as key=value pairs: seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s (drop/dup: probability in [0,1] per message, dup breaks the no-duplication hypothesis — expect safety-only behavior; delay: uniform extra delay; kill-every: abort every live peer connection at this interval, exercising the redial path; absent keys are off). A chaotic run prints its spec for replay")
+	fs.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection on outgoing peer messages, as key=value pairs: seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s (drop/dup: probability in [0,1] per message; delay: uniform extra delay; kill-every: abort every live peer connection at this interval, exercising the redial path; absent keys are off). drop, dup and kill-every lose or repeat messages, which the protocols do not survive (a token delivered twice is owned twice), so they require -reliable. A chaotic run prints its spec for replay")
 	fs.BoolVar(&cfg.reliable, "reliable", false, "per-link ack/retransmit wrapper on peer traffic: restores reliable delivery (and so liveness) over a lossy fabric, at the cost of ack frames and retransmit buffers")
 	fs.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "token lease TTL (counter-loan/counter-no-loan only): leases renewed by a heartbeat every lease-ttl/3 let a steward regenerate tokens lost with a crashed peer, fencing the stale epoch (0 = leases off)")
 }
@@ -160,6 +160,11 @@ func run(ctx context.Context, cfg daemonConfig, out io.Writer) error {
 	chaos, err := transport.ParseSpec(cfg.chaosSpec)
 	if err != nil {
 		return fmt.Errorf("-chaos-spec: %w", err)
+	}
+	// A lost frame wedges the protocol and a repeated one hands a token
+	// to two owners: only Reliable above the chaos keeps either from it.
+	if (chaos.Drop > 0 || chaos.Dup > 0 || chaos.KillEvery > 0) && !cfg.reliable {
+		return fmt.Errorf("-chaos-spec %s can lose or repeat peer messages: it needs -reliable", chaos)
 	}
 	policy, err := serve.ParsePolicy(cfg.policyStr)
 	if err != nil {

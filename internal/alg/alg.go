@@ -92,11 +92,5 @@ type Drainer interface {
 // n sites and m resources. Implementations may return nodes that share
 // internal state only if the algorithm is explicitly centralized (the
 // shared-memory comparator); distributed algorithms must keep all
-// shared protocol state inside tokens and messages. The nodes of one
-// call may share scratch storage that decides nothing, such as a free
-// list of spent message records (internal/core does), because both
-// runtimes step the nodes of one call from one goroutine: the explore
-// World all of them, internal/live each shard's from that shard's
-// runner, which calls the factory once per shard. A runtime that
-// stepped one call's nodes concurrently would break that.
+// shared protocol state inside tokens and messages.
 type Factory func(n, m int) []Node

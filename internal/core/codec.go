@@ -25,19 +25,18 @@ func init() {
 	wire.RegisterSamples(codecSamples()...)
 }
 
-// The records and tokens a socket sent, for its decoders to refill.
-// A node's own free list (freeRecords) is the first tier and needs no
-// lock; these pools exist only where a record crosses goroutines: the
-// sender's runner releases what its socket encoded (wire.Release), a
-// connection's reader decodes into it.
+// The one recycler of records and tokens, process-wide: records go in
+// through recycle and come out through pooledBatch, for every flush and
+// every decoder; tokens come back only over a socket (releaseBatch),
+// and only the decoders take them.
 var (
 	batchPool = sync.Pool{New: func() any { return newBatch() }}
 	tokenPool = sync.Pool{New: func() any { return new(token) }}
 )
 
 // releaseBatch takes back a record its socket has encoded: the sender
-// gave it away with its tokens (sendToken disowns them), so both go to
-// the pools, scrubbed as a recycled record is.
+// gave it away with its tokens (sendToken disowns them), so the tokens
+// go to their pool, and the record is recycled.
 func releaseBatch(m network.Message) {
 	var b *batch
 	switch m := m.(type) {
@@ -52,17 +51,41 @@ func releaseBatch(m network.Message) {
 		}
 		tokenPool.Put(t)
 	}
-	b.scrub()
-	batchPool.Put(b)
+	recycle(b)
 }
 
-// pooledBatch returns an empty record for a decoder to fill: a released
-// one when the pool has any, else a fresh one (newBatch). It is scrubbed
-// here too, so a decoder owes nothing to what was put in the pool.
-func pooledBatch() *batch {
-	b := batchPool.Get().(*batch)
-	b.scrub()
-	return b
+// pooledBatch returns an empty record to fill: a recycled one when the
+// pool has any, else a fresh one (newBatch). Whatever went in was
+// scrubbed on the way (recycle).
+func pooledBatch() *batch { return batchPool.Get().(*batch) }
+
+// recycle scrubs a record its holder is done with and puts it in the
+// codec's pool, where the next flush or decode of any node takes it: a
+// node after its activation has flushed (a forwarded batch reads the
+// delivered record's Visited until then), a socket once it has encoded
+// the record (releaseBatch). The scrub rule: nothing another site may
+// own stays reachable from a pooled record — its token pointers and
+// the missing sets of its loan requests are cleared, over the lists'
+// whole capacity; its requests and holdings hold no pointer and are
+// only truncated.
+func recycle(b *batch) {
+	if len(b.Missing) > 0 {
+		clear(b.Missing)
+	}
+	if len(b.Tokens) > 0 {
+		clear(b.Tokens)
+	}
+	// A list that moved to storage of its own left its first entries
+	// behind in the record's first storage.
+	if cap(b.Missing) > len(b.oneSet) {
+		b.oneSet = [len(b.oneSet)]resource.Set{}
+	}
+	if cap(b.Tokens) > len(b.tokens) {
+		b.tokens = [len(b.tokens)]*token{}
+	}
+	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
+	b.Counters, b.Tokens, b.Holdings = b.Counters[:0], b.Tokens[:0], b.Holdings[:0]
+	batchPool.Put(b)
 }
 
 func encReqBatch(e *wire.Enc, m network.Message) {
@@ -87,7 +110,7 @@ func encReqBatch(e *wire.Enc, m network.Message) {
 }
 
 // The decoders fill the record the receiving node keeps (see batch)
-// from the pool (pooledBatch): no allocation for a released record whose
+// from the pool (pooledBatch): no allocation for a recycled record whose
 // lists have room, one for a fresh record of the common case, one more
 // per list that outgrows its room, sized to the message at hand.
 func decReqBatch(d *wire.Dec) network.Message {

@@ -82,20 +82,16 @@ type deltaShadow struct {
 	tok        token
 }
 
-// copyTokenInto deep-copies src over dst, reusing dst's capacity. Loan
-// missing-sets are cloned too: shadows must never share mutable state
-// with tokens the protocol owns.
+// copyTokenInto copies src over dst, reusing dst's capacity. The lists
+// are copied; a loan's missing set is shared, as no one writes it once
+// it is queued (loanEntry.Missing).
 func copyTokenInto(dst, src *token) {
 	dst.R = src.R
 	dst.Counter = src.Counter
 	dst.LastReqC = append(dst.LastReqC[:0], src.LastReqC...)
 	dst.LastCS = append(dst.LastCS[:0], src.LastCS...)
 	dst.Queue = append(dst.Queue[:0], src.Queue...)
-	dst.Loans = dst.Loans[:0]
-	for _, l := range src.Loans {
-		l.Missing = l.Missing.Clone()
-		dst.Loans = append(dst.Loans, l)
-	}
+	dst.Loans = append(dst.Loans[:0], src.Loans...)
 	dst.Lender = src.Lender
 	dst.Epoch = src.Epoch
 	dst.Ver = src.Ver

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mralloc/internal/alg"
@@ -687,10 +688,15 @@ func FuzzTokenDelta(f *testing.F) {
 // TestDeltaDecodeAllocs pins what decoding one LASS.Response that
 // carries a delta-encoded token allocates: the record, the token and
 // one array for both of its stamp vectors, as a snapshot's are cut.
+// The pools start empty, whatever the tests before this one recycled:
+// a collection moves a sync.Pool's contents aside and the next drops
+// them.
 func TestDeltaDecodeAllocs(t *testing.T) {
 	if leakcheck.Race {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
+	runtime.GC()
+	runtime.GC()
 	const n, m, runs = 8, 4, 50
 	enc, dec := wire.NewStream(), wire.NewStream()
 	tok := newToken(1, n)

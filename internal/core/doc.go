@@ -40,28 +40,23 @@
 // the sending side is unsound by construction). Deliver hands the record
 // to the receiving node, which, after the activation's flush has
 // returned (the forwarded batches copy its visited set until then),
-// scrubs it onto a small capped free list. The list is shared by the
-// nodes of one factory call (NewFactory), so what one site is sent
-// feeds what another sends: sites that mostly receive and sites that
-// mostly send balance out, where a list per site leaves the first
-// building fresh records and the second dropping its surplus. Both
-// runtimes step one call's nodes from one goroutine (alg.Factory), so
-// none of this needs a lock. The scrub rule: nothing another site may
-// own stays reachable from a waiting record — its token pointers and
-// the missing sets of its loan requests are cleared; its requests and
-// holdings hold no pointer (a loan's set rides in a list beside them,
-// batch.Missing) and are only truncated, so a refilled record carries
-// its new sender's holdings alone. A free-list miss costs what building
-// the message from scratch costs: a fresh record whose lists start in
-// its own first storage. Over a socket the sender's half of the loop
-// closes in the codec: TCP releases each record it has encoded
-// (wire.Release), and the record's tokens with it, since the sender gave
-// both away, into the codec's pools after the same scrub (releaseBatch);
-// the decoders fill records and tokens from there (pooledBatch,
-// tokenPool), reusing their storage where it has room and overwriting
-// every field. The free list stays the first tier and takes no lock; the
-// pools exist only where a record crosses goroutines, from the runner
-// that sent it to the connection reader that decodes the next one.
+// recycles it into the codec's pool (recycle); every record a node
+// sends and every record a decoder fills comes from there
+// (pooledBatch). One process-wide pool, so what one site is sent feeds
+// what another sends, across shards and sockets alike, and the nodes of
+// one factory call share nothing. The scrub rule, applied as a record
+// goes in: nothing another site may own stays reachable from a pooled
+// record — its token pointers and the missing sets of its loan requests
+// are cleared; its requests and holdings hold no pointer (a loan's set
+// rides in a list beside them, batch.Missing) and are only truncated,
+// so a refilled record carries its new sender's holdings alone. A pool
+// miss costs what building the message from scratch costs: a fresh
+// record whose lists start in its own first storage. Over a socket the
+// record's last reader is the sender's TCP transport: it releases each
+// record it has encoded (wire.Release), and the record's tokens with
+// it, since the sender gave both away (releaseBatch); the decoders fill
+// tokens from their pool (tokenPool), reusing their storage where it
+// has room and overwriting every field.
 //
 // # Node state
 //

@@ -83,9 +83,8 @@ func (h *history) add(r *request, miss resource.Set) {
 
 // Node is one site of the algorithm. All fields map one-to-one to the
 // pseudo-code's local variables (Figure 9). Fields tagged explore:"-"
-// are scratch space, record free lists and slabs, and event counts:
-// they do not decide what the node does next, so the explorer's state
-// fingerprint skips them.
+// are scratch space, slabs and event counts: they do not decide what
+// the node does next, so the explorer's state fingerprint skips them.
 type Node struct {
 	env  alg.Env
 	n    int // env.N(), kept for the stale table's indexing
@@ -209,9 +208,8 @@ func NewFactory(opt Options) alg.Factory {
 			c = 0
 		}
 		nodes := make([]alg.Node, n)
-		free := new(freeRecords)
 		for i := range nodes {
-			nodes[i] = &Node{opt: opt, mark: opt.mark(), log: newHoldings(n, m, c), out: outbox{free: free}}
+			nodes[i] = &Node{opt: opt, mark: opt.mark(), log: newHoldings(n, m, c)}
 		}
 		return nodes
 	}
@@ -495,7 +493,7 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 		nd.onHoldings(msg.Holdings)
 		nd.onRequests(msg)
 		nd.flush(msg.Visited)
-		nd.out.recycle((*batch)(msg))
+		recycle((*batch)(msg))
 	case *respBatch:
 		nd.onHoldings(msg.Holdings)
 		nd.onCounters(msg.Counters)
@@ -505,7 +503,7 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 			nd.processCntNeededEmpty()
 		}
 		nd.flushOwn()
-		nd.out.recycle((*batch)(msg))
+		recycle((*batch)(msg))
 	case hbMsg:
 		nd.onHeartbeat(from, msg)
 	case leaseMsg:

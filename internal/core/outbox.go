@@ -24,10 +24,6 @@ type outbox struct {
 	// across activations. An activation talks to a handful of sites, so
 	// linear scans beat a map here — and allocate nothing.
 	dests []network.NodeID
-
-	// free is the list of delivered records this node draws from and
-	// recycles into, shared with the other nodes of its factory call.
-	free *freeRecords
 }
 
 // firstRoom is the first capacity of a scratch list, the outbox's and
@@ -47,18 +43,6 @@ func room[T any](buf []T) []T {
 	}
 	return buf
 }
-
-// freeRecords holds the records the nodes of one NewFactory call were
-// delivered and are done with, scrubbed (see recycle and batch): the
-// next flush of any of them fills one instead of allocating. One list
-// per call, not per node, so a site that is sent more records than it
-// sends feeds one that sends more than it is sent. The runtimes step
-// one call's nodes from one goroutine (alg.Factory), so no lock.
-type freeRecords struct{ recs []*batch }
-
-// maxFreeBatches caps the free list: records beyond it, which the
-// call's nodes were sent more of than they send, are left to the GC.
-const maxFreeBatches = 64
 
 type destReq struct {
 	to network.NodeID
@@ -101,54 +85,12 @@ func (o *outbox) destAdd(to network.NodeID) {
 }
 
 // get returns a record for to that carries nothing but the log's
-// entries to was not sent yet: a recycled record when the free list has
-// any, else a fresh one (newBatch).
+// entries to was not sent yet: a recycled record when the codec's pool
+// has one, else a fresh one (pooledBatch).
 func (o *outbox) get(to network.NodeID, log *holdings) *batch {
-	var b *batch
-	if f := o.free; len(f.recs) > 0 {
-		n := len(f.recs) - 1
-		b = f.recs[n]
-		f.recs[n] = nil
-		f.recs = f.recs[:n]
-	} else {
-		b = newBatch()
-	}
+	b := pooledBatch()
 	b.Holdings = log.news(b.Holdings, to)
 	return b
-}
-
-// recycle scrubs a delivered record and keeps it for the next flush of
-// any node that shares the list. Callers recycle only after the
-// activation's flush has returned: a forwarded batch reads the record's
-// Visited until then.
-func (o *outbox) recycle(b *batch) {
-	if len(o.free.recs) >= maxFreeBatches {
-		return
-	}
-	b.scrub()
-	o.free.recs = append(o.free.recs, b)
-}
-
-// scrub empties a record for reuse: no token and no missing set may stay
-// reachable from a record waiting for it; its requests and holdings hold
-// no pointer and are merely truncated.
-func (b *batch) scrub() {
-	if len(b.Missing) > 0 {
-		clear(b.Missing)
-	}
-	if len(b.Tokens) > 0 {
-		clear(b.Tokens)
-	}
-	// A list that moved to storage of its own left its first entries
-	// behind in the record's first storage.
-	if cap(b.Missing) > len(b.oneSet) {
-		b.oneSet = [len(b.oneSet)]resource.Set{}
-	}
-	if cap(b.Tokens) > len(b.tokens) {
-		b.tokens = [len(b.tokens)]*token{}
-	}
-	b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
-	b.Counters, b.Tokens, b.Holdings = b.Counters[:0], b.Tokens[:0], b.Holdings[:0]
 }
 
 // flush transmits everything buffered. visited is the set the requests

@@ -10,16 +10,18 @@ import (
 )
 
 // TestDecodeIntoDirtyStorage: the decoders fill records and tokens from
-// the codec's pools, which hold whatever a socket released, and must
-// overwrite every field and list whatever that storage held, within its
-// length or beyond it. The pools are seeded with stale records and
-// tokens before every decode; each LASS sample, decoded as a snapshot
-// and through a delta stream (a full snapshot, then a delta), must
-// encode again to the sample's own bytes.
+// the codec's pools, which hold whatever was recycled, and must
+// overwrite every field and list whatever that storage held: a record
+// stale beyond its lists' lengths (recycle truncates and clears the
+// pointers, nothing more), a token stale within its lengths and beyond.
+// The pools are seeded with such records and tokens before every
+// decode; each LASS sample, decoded as a snapshot and through a delta
+// stream (a full snapshot, then a delta), must encode again to the
+// sample's own bytes.
 func TestDecodeIntoDirtyStorage(t *testing.T) {
 	seed := func() {
 		for i := 0; i < 4; i++ {
-			batchPool.Put(dirtyBatch(i%2 == 0))
+			recycle(dirtyBatch())
 			tokenPool.Put(dirtyToken(6))
 			tokenPool.Put(dirtyToken(2)) // stamp vectors too short to reuse
 		}
@@ -61,9 +63,8 @@ func TestDecodeIntoDirtyStorage(t *testing.T) {
 	}
 }
 
-// dirtyBatch is a record full of stale entries: within its lists'
-// lengths when full, else only beyond them.
-func dirtyBatch(full bool) *batch {
+// dirtyBatch is a record full of stale entries.
+func dirtyBatch() *batch {
 	b := newBatch()
 	b.Visited = append(b.Visited, 5, 6, 7)
 	b.Reqs = append(b.Reqs, request{Kind: reqLoan, R: 6, Init: 3, ID: 11, Mark: 4})
@@ -71,10 +72,6 @@ func dirtyBatch(full bool) *batch {
 	b.Counters = append(b.Counters, counterVal{R: 5, Val: 40, ID: 2})
 	b.Tokens = append(b.Tokens, dirtyToken(6))
 	b.Holdings = append(b.Holdings, holding{R: 2, H: 3, V: tokVer{Epoch: 4, Ver: 9}})
-	if !full {
-		b.Visited, b.Reqs, b.Missing = b.Visited[:0], b.Reqs[:0], b.Missing[:0]
-		b.Counters, b.Tokens, b.Holdings = b.Counters[:0], b.Tokens[:0], b.Holdings[:0]
-	}
 	return b
 }
 

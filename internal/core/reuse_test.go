@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +43,8 @@ func worldOf(fac alg.Factory, n, m int) *coreWorld {
 		case *Node:
 			f.nodes[i] = x
 		case *checked:
+			f.nodes[i] = x.Node
+		case *scrubCheck:
 			f.nodes[i] = x.Node
 		}
 	}
@@ -121,7 +122,7 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		for i := 0; i < 8; i++ {
-			rotation() // warm-up: free lists, queues, histories reach their sizes
+			rotation() // warm-up: the pool, queues, histories reach their sizes
 		}
 		var before, after Counters
 		for _, nd := range f.nodes {
@@ -209,23 +210,19 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 // TestHazardRecycleAfterFlush: a site that is delivered a batch,
 // forwards part of it and answers part of it in one activation builds
 // the forwarded batch from the delivered record's visited set — so the
-// record may join the free list only after the flush. Recycled earlier,
-// it would be scrubbed (and, last in, be the very record the flush
-// refills) and the forwarded batch would leave with a visited set of
-// one.
+// record may go back to the pool only after the flush. Recycled
+// earlier, it would be scrubbed (and, last in, be the very record the
+// flush takes from the pool) and the forwarded batch would leave with
+// a visited set of one.
 func TestHazardRecycleAfterFlush(t *testing.T) {
 	const n, m = 4, 4
 	f := newWorld(n, m, WithoutLoan())
-	// Node 2 ends up owning r1 (idle); r0 stays with node 0. The
-	// nodes' shared free list holds what the set-up delivered.
+	// Node 2 ends up owning r1 (idle); r0 stays with node 0.
 	f.acquire(t, 2, ids(m, 1))
 	f.release(2)
 	mid := f.nodes[2]
 	if !mid.owned.Has(1) || mid.owned.Has(0) || mid.tokDir[0] != 0 {
 		t.Fatalf("set-up: node 2 owns %v, father of r0 = %d", mid.owned, mid.tokDir[0])
-	}
-	if len(mid.out.free.recs) == 0 {
-		t.Fatal("set-up left the nodes no recycled record: the hazard needs one to refill")
 	}
 	in := &reqBatch{
 		Visited: []network.NodeID{3, 1},
@@ -235,6 +232,9 @@ func TestHazardRecycleAfterFlush(t *testing.T) {
 		},
 	}
 	mid.Deliver(1, in)
+	if len(in.Visited)+len(in.Reqs) != 0 {
+		t.Errorf("the delivered record was not recycled: visited %v, requests %v", in.Visited, in.Reqs)
+	}
 	sent := f.InFlight()
 	if len(sent) != 2 {
 		t.Fatalf("activation sent %d messages, want a forwarded batch and an answer", len(sent))
@@ -256,50 +256,64 @@ func TestHazardRecycleAfterFlush(t *testing.T) {
 	if (*batch)(fwd) == (*batch)(in) || (*batch)(ans) == (*batch)(in) {
 		t.Error("the delivered record left again in the activation that consumed it")
 	}
-	if recs := mid.out.free.recs; recs[len(recs)-1] != (*batch)(in) {
-		t.Error("the delivered record did not join the free list after the flush")
+}
+
+// scrubCheck is a core node that checks every record it is delivered
+// once Deliver has returned, when the record waits in the pool: it must
+// pin no token (the token is some other site's by then) and no missing
+// set, over the whole capacity of its lists, not only their length.
+// Requests hold no pointer (TestHotRecordsPointerFree) and are
+// truncated, not cleared.
+type scrubCheck struct {
+	*Node
+	t              *testing.T
+	records, loans int // records checked; ... that arrived with a missing set
+	tokens         int // ... that arrived with a token
+}
+
+func (c *scrubCheck) Deliver(from network.NodeID, m network.Message) {
+	b := asBatch(m)
+	if b == nil {
+		c.Node.Deliver(from, m)
+		return
+	}
+	if len(b.Missing) > 0 {
+		c.loans++
+	}
+	if len(b.Tokens) > 0 {
+		c.tokens++
+	}
+	c.Node.Deliver(from, m)
+	c.records++
+	if len(b.Visited)+len(b.Reqs)+len(b.Missing)+len(b.Counters)+len(b.Tokens)+len(b.Holdings) != 0 {
+		c.t.Errorf("recycled record still has contents: %+v", b)
+	}
+	for _, tk := range b.Tokens[:cap(b.Tokens)] {
+		if tk != nil {
+			c.t.Errorf("recycled record pins the token of r%d", tk.R)
+		}
+	}
+	for _, s := range b.Missing[:cap(b.Missing)] {
+		if s.Universe() != 0 {
+			c.t.Errorf("recycled record keeps the missing set %v", s)
+		}
 	}
 }
 
-// TestFreeListSharedByFactoryCall: the nodes of one factory call draw
-// from one free list, so a record one site was delivered is the next
-// record another site sends; a second call's nodes never see it.
-func TestFreeListSharedByFactoryCall(t *testing.T) {
-	const n, m = 4, 4
-	f := newWorld(n, m, WithoutLoan())
-	other := newWorld(n, m, WithoutLoan())
-	if f.nodes[0].out.free == other.nodes[0].out.free {
-		t.Fatal("two factory calls share a free list")
-	}
-	// An empty response to an idle site sends nothing: the activation
-	// only recycles the record.
-	in := &respBatch{}
-	f.nodes[3].Deliver(0, in)
-	if recs := f.nodes[3].out.free.recs; len(recs) != 1 || recs[0] != (*batch)(in) {
-		t.Fatalf("free list after the delivery holds %d records, want the delivered one", len(recs))
-	}
-	f.Request(2, ids(m, 1))
-	sent := f.InFlight()
-	if len(sent) != 1 || sent[0].From != 2 || sent[0].To != 0 {
-		t.Fatalf("node 2's request sent %v, want one record to node 0", sent)
-	}
-	if got, ok := sent[0].M.(*reqBatch); !ok || (*batch)(got) != (*batch)(in) {
-		t.Errorf("node 2 sent %p, want the record node 3 was delivered (%p)", sent[0].M, in)
-	}
-	f.Drain(nil)
-	if !f.InCS(2) {
-		t.Fatal("node 2 not granted r1")
-	}
-}
-
-// TestHazardRecycledRecordScrubbed: a record waiting on a free list may
-// sit there for long; it must pin no token (the token is some other
-// site's by then) and no missing set — over the whole capacity of its
-// slices, not only their length. Requests hold no pointer
-// (TestHotRecordsPointerFree) and are truncated, not cleared.
+// TestHazardRecycledRecordScrubbed: a record back in the pool may sit
+// there for long, so every record every site is delivered is checked
+// once its activation is over (scrubCheck).
 func TestHazardRecycledRecordScrubbed(t *testing.T) {
 	const n, m = 4, 8
-	f := newWorld(n, m, WithLoan())
+	var nodes []*scrubCheck
+	f := worldOf(func(n, m int) []alg.Node {
+		built := NewFactory(WithLoan())(n, m)
+		for i, a := range built {
+			c := &scrubCheck{Node: a.(*Node), t: t}
+			nodes, built[i] = append(nodes, c), c
+		}
+		return built
+	}, n, m)
 	// Loan rounds and plain cycles: every record kind and every field
 	// gets used, Missing sets and multi-token responses included.
 	for i := 0; i < 6; i++ {
@@ -313,26 +327,10 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 		f.acquire(t, 2, ids(m, 0, 1, 3, 5))
 		f.release(2)
 	}
-	var asks, records, sets int
-	for i, b := range f.nodes[0].out.free.recs {
-		records++
-		if len(b.Visited)+len(b.Reqs)+len(b.Missing)+len(b.Counters)+len(b.Tokens) != 0 {
-			t.Errorf("recycled record %d still has contents: %+v", i, b)
-		}
-		for _, tk := range b.Tokens[:cap(b.Tokens)] {
-			if tk != nil {
-				t.Errorf("recycled record %d pins the token of r%d", i, tk.R)
-			}
-		}
-		sets += cap(b.Missing)
-		for _, s := range b.Missing[:cap(b.Missing)] {
-			if s.Universe() != 0 {
-				t.Errorf("recycled record %d keeps the missing set %v", i, s)
-			}
-		}
-	}
+	var asks, records, loans, tokens int
 	for id, nd := range f.nodes {
 		asks += nd.Counters().LoanAsks
+		records, loans, tokens = records+nodes[id].records, loans+nodes[id].loans, tokens+nodes[id].tokens
 		if len(nd.out.miss) != 0 {
 			t.Errorf("node %d: outbox keeps %d missing sets between activations", id, len(nd.out.miss))
 		}
@@ -342,8 +340,8 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 			}
 		}
 	}
-	if asks == 0 || records == 0 || sets == 0 {
-		t.Fatalf("scenario exercised nothing: %d loan asks, %d recycled records with room for %d sets", asks, records, sets)
+	if asks == 0 || records == 0 || loans == 0 || tokens == 0 {
+		t.Fatalf("scenario exercised nothing: %d loan asks, %d records delivered, %d with a missing set, %d with a token", asks, records, loans, tokens)
 	}
 }
 
@@ -572,51 +570,73 @@ func TestHazardRecycledRecordHints(t *testing.T) {
 	})
 }
 
-// exclusive is a core node whose activations check that no other node
-// of its factory call is stepped at the same time: the free list the
-// call's nodes share needs that (alg.Factory).
-type exclusive struct {
+// shardTagged is a core node that notes, in a table its cluster's
+// shards share, which shard each record it is delivered went to, and
+// counts the records its shard sends that were last delivered on
+// another: records that went through the one pool from one shard's
+// runner to another's. It reads no record, only compares pointers.
+type shardTagged struct {
 	*Node
-	t    *testing.T
-	busy *atomic.Int32 // one per factory call
+	shard int
+	seen  *shardSeen
 }
 
-func (e exclusive) enter() {
-	if !e.busy.CompareAndSwap(0, 1) {
-		e.t.Error("two nodes of one factory call stepped at once")
+type shardSeen struct {
+	mu      sync.Mutex
+	at      map[*batch]int // record → the shard it was last delivered on
+	crossed int
+}
+
+type shardTaggedEnv struct {
+	alg.Env
+	s shardTagged
+}
+
+func (s shardTagged) Attach(env alg.Env) { s.Node.Attach(shardTaggedEnv{env, s}) }
+
+func (s shardTagged) Deliver(from network.NodeID, m network.Message) {
+	if b := asBatch(m); b != nil {
+		s.seen.mu.Lock()
+		s.seen.at[b] = s.shard
+		s.seen.mu.Unlock()
 	}
+	s.Node.Deliver(from, m)
 }
 
-func (e exclusive) Request(rs resource.Set) { e.enter(); e.Node.Request(rs); e.busy.Store(0) }
-func (e exclusive) Release()                { e.enter(); e.Node.Release(); e.busy.Store(0) }
-func (e exclusive) Deliver(from network.NodeID, m network.Message) {
-	e.enter()
-	e.Node.Deliver(from, m)
-	e.busy.Store(0)
+func (e shardTaggedEnv) Send(to network.NodeID, m network.Message) {
+	if b := asBatch(m); b != nil {
+		seen := e.s.seen
+		seen.mu.Lock()
+		if at, ok := seen.at[b]; ok && at != e.s.shard {
+			seen.crossed++
+		}
+		delete(seen.at, b)
+		seen.mu.Unlock()
+	}
+	e.Env.Send(to, m)
 }
 
-// TestHazardShardedFreeLists: a sharded live cluster calls the factory
-// once per shard and steps each shard's nodes from that shard's runner,
-// so each shard's nodes share one record free list, which no other
-// runner touches. Three shards over a Reliable(Chaos) fabric that drops
-// and duplicates records, with sessions of every node on every shard at
-// once (and some across shards): under the race detector a record
-// recycled into another shard's list is a reported race, and the nodes
-// check that no two of one shard step at once.
-func TestHazardShardedFreeLists(t *testing.T) {
+// TestHazardShardedPool: a sharded live cluster steps each shard's
+// nodes from that shard's runner, and every runner recycles into and
+// takes from the one record pool. Three shards over a Reliable(Chaos)
+// fabric that drops and duplicates records, with sessions of every
+// node on every shard at once (and some across shards): under the
+// race detector a record one runner recycled and another refilled
+// without the pool ordering the two is a reported race, and the run
+// must show such records (shardTagged).
+func TestHazardShardedPool(t *testing.T) {
 	const n, m, g = 4, 12, 3
 	ch := transport.NewChaos(transport.NewMem(n, 0), 0xbead)
 	rel := transport.NewReliable(ch)
 	rel.SetRetransmit(time.Millisecond, 20*time.Millisecond)
-	var calls [][]exclusive // in shard order: live calls the factory per shard
+	seen := &shardSeen{at: map[*batch]int{}}
+	calls := 0 // live calls the factory once per shard, in shard order
 	fac := func(n, m int) []alg.Node {
 		nodes := NewFactory(WithLoan())(n, m)
-		call, busy := make([]exclusive, n), new(atomic.Int32)
 		for i, a := range nodes {
-			call[i] = exclusive{Node: a.(*Node), t: t, busy: busy}
-			nodes[i] = call[i]
+			nodes[i] = shardTagged{Node: a.(*Node), shard: calls, seen: seen}
 		}
-		calls = append(calls, call)
+		calls++
 		return nodes
 	}
 	c, err := live.New(live.Config{Nodes: n, Resources: m, Shards: g, Transport: rel}, fac)
@@ -655,32 +675,16 @@ func TestHazardShardedFreeLists(t *testing.T) {
 	if cs, rs := ch.ChaosStats(), rel.RelStats(); cs.Dropped == 0 || cs.Duplicated == 0 || rs.Retransmits == 0 {
 		t.Fatalf("the fabric neither lost nor repeated a record: chaos %+v, recovery %+v", cs, rs)
 	}
-	if len(calls) != g {
-		t.Fatalf("%d factory calls for %d shards", len(calls), g)
+	if calls != g {
+		t.Fatalf("%d factory calls for %d shards", calls, g)
 	}
-	for shard, call := range calls {
-		list := call[0].out.free
-		for id := range call {
-			var got *freeRecords
-			var held int
-			if !c.InspectShard(shard, id, func(a alg.Node) {
-				got, held = a.(exclusive).out.free, len(a.(exclusive).out.free.recs)
-			}) {
-				t.Fatalf("shard %d node %d: cluster closed", shard, id)
-			}
-			if got != list {
-				t.Errorf("shard %d node %d draws from a list its shard's other nodes do not", shard, id)
-			}
-			if id == 0 && held == 0 {
-				t.Errorf("shard %d recycled no record", shard)
-			}
-		}
-		for other := range shard {
-			if calls[other][0].out.free == list {
-				t.Errorf("shards %d and %d share a free list", other, shard)
-			}
-		}
+	seen.mu.Lock()
+	crossed := seen.crossed
+	seen.mu.Unlock()
+	if crossed == 0 {
+		t.Error("no shard sent a record another shard was delivered: the storm never crossed the pool")
 	}
+	t.Logf("%d records crossed shards through the pool", crossed)
 }
 
 // TestExploreWalkSendsOnlyNews runs the record checker (checked) on one

@@ -98,8 +98,11 @@ func (q *wqueue) RemoveSite(s network.NodeID) int {
 
 // loanEntry is one pending loan request stored in a token's wLoan.
 type loanEntry struct {
-	Ref     reqRef
-	R       resource.ID
+	Ref reqRef
+	R   resource.ID
+	// Missing is never written once queued: its words are cut from
+	// the borrower's loanSlab, which never hands them out twice, or
+	// freshly decoded. Tokens, delta shadows and records share it.
 	Missing resource.Set
 }
 

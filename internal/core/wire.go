@@ -56,10 +56,9 @@ func (r request) String() string {
 // batch is the one record both LASS message kinds travel in. It owns
 // its storage: a sender fills a record and gives it away for good with
 // Env.Send, the receiving node keeps it and, once the activation that
-// consumed it has flushed, refills it for a message of its own (see
-// outbox.recycle). One layout for both kinds lets a site that mostly
-// receives requests and sends responses, or the reverse, reuse what it
-// was sent whatever its kind.
+// consumed it has flushed, recycles it into the codec's pool, where the
+// next record any node sends or decodes is taken from (recycle). One
+// layout for both kinds lets a record serve either kind next.
 type batch struct {
 	// Visited is the visited-sites set of §4.2.1, shared by all the
 	// requests of a reqBatch.
@@ -101,8 +100,8 @@ type batch struct {
 }
 
 // newBatch returns an empty record whose lists start in its own first
-// storage. Every record is built here: a node's free list and the
-// codec's pool (pooledBatch) hand out records built here, refilled.
+// storage. Every record is built here: the codec's pool (pooledBatch)
+// hands out records built here, refilled.
 func newBatch() *batch {
 	b := new(batch)
 	b.Visited, b.Reqs, b.Missing = b.visited[:0], b.reqs[:0], b.oneSet[:0]

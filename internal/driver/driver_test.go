@@ -237,39 +237,54 @@ func TestRunRejectsNegativeProcessing(t *testing.T) {
 	}
 }
 
-// TestRunPaperAllocs budgets the objects one cold run allocates per
-// granted critical section, at the benchmark's sim_paper point and run
-// length — the figure its allocs_per_op reports. A run starts from
+// TestRunPaperAllocs budgets the objects one run allocates per granted
+// critical section, at the benchmark's sim_paper point and run length —
+// the figure its allocs_per_op reports. A run builds its nodes from
 // nothing, so this is where per-node and per-resource state built on
-// first touch shows (the steady-state budgets of core see none of it):
-// the run reads 2.649 alone and 2.651 after the package's other tests.
-// It read 7.49 with a record free list per node instead of one per
-// factory call, a fresh request set per request and a cloned missing
-// set per loan round, 3.51 with scratch lists that grew by doubling and
-// a fresh loan list per loan-queue walk, and 2.853 with token wait
-// queues and loan lists that grew by doubling from nil; any one of
-// those coming back breaks the budget.
+// first touch shows (the steady-state budgets of core see none of it);
+// its message records come from the codec's pool, which the run before
+// it (AllocsPerRun's warm-up, the benchmark's earlier rounds) left
+// stocked. The run reads 2.47, alone and after the package's other
+// tests. It read 2.65 with a record free list per factory call, 7.49
+// with one per node, a fresh request set per request and a cloned
+// missing set per loan round, 3.51 with scratch lists that grew by
+// doubling and a fresh loan list per loan-queue walk, and 2.853 with
+// token wait queues and loan lists that grew by doubling from nil; any
+// one of those coming back breaks the budget. A cold run, the pools
+// emptied first, is logged next to it and not budgeted: it reads 2.72,
+// above the free list's 2.65, as its first activations find the pool
+// empty.
 func TestRunPaperAllocs(t *testing.T) {
 	if leakcheck.Race {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	cfg := paperConfig(1, 8*sim.Second)
 	grants := 0
-	objects := testing.AllocsPerRun(1, func() {
+	run := func() {
 		res, err := Run(cfg, core.NewFactory(core.WithLoan()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		grants = res.Grants
-	})
+	}
+	// A collection moves a sync.Pool's contents aside and the next
+	// drops them.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	cold := float64(after.Mallocs-before.Mallocs) / float64(grants)
+	objects := testing.AllocsPerRun(1, run)
 	if grants == 0 {
 		t.Fatal("the run granted nothing")
 	}
 	per := objects / float64(grants)
-	if per > 2.66 {
-		t.Errorf("%.0f objects for %d grants: %.3f per grant, want ≤ 2.66", objects, grants, per)
+	if per > 2.55 {
+		t.Errorf("%.0f objects for %d grants: %.3f per grant, want ≤ 2.55", objects, grants, per)
 	}
-	t.Logf("%.0f objects for %d grants: %.3f per grant", objects, grants, per)
+	t.Logf("%.0f objects for %d grants: %.3f per grant (%.3f cold)", objects, grants, per, cold)
 }
 
 // BenchmarkRunPaper is one run of eight simulated seconds at the

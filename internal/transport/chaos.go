@@ -19,9 +19,12 @@ import (
 // Faults is one link's fault profile. The zero value injects nothing.
 //
 // Drop and Dup deliberately violate the transport contract (reliability
-// and no-duplication are the paper's channel hypotheses 1 and 3): with
-// them armed the algorithms' guarantees no longer all hold, which is
-// the point — the stress tier asserts which ones survive. Delay alone
+// and no-duplication are the paper's channel hypotheses 1 and 3), and
+// the algorithms survive neither: a dropped token is waited for forever
+// and a token delivered twice is owned twice. A run that must stay
+// safe and live stacks Reliable above them, which restores both
+// (mrallocd refuses them, and kill-every, without -reliable); armed
+// bare, they test the fabric and the wrappers themselves. Delay alone
 // preserves every contract guarantee (messages are late, never lost,
 // reordered only across links), so a delay-only schedule may still
 // assert liveness once the fault window closes.
