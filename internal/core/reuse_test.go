@@ -346,20 +346,23 @@ func TestHazardRecycledRecordScrubbed(t *testing.T) {
 }
 
 // checked is a core node whose Env checks every LASS record it sends
-// against the sender's state, and which remembers the records it was
-// delivered and how many holdings each carried. The rule: a record
-// carries every holding its sender's log gained since the last record
-// of either kind to its destination — the tokens the sender holds
-// first, by resource, then the ring's entries — except those naming
-// the destination, and no holding the destination was sent before.
-// Under DisableShortcut the log is empty, so every record carries none.
+// against the sender's state. The rule: a record carries every holding
+// its sender's log gained since the last record of either kind to its
+// destination — the tokens the sender holds first, by resource, then
+// the ring's entries — except those naming the destination, and no
+// holding the destination was sent before. Under DisableShortcut the
+// log is empty, so every record carries none. The nodes of one factory
+// call share one table of the records they were delivered and how many
+// holdings each carried: a pooled record is refilled by whichever node
+// takes it, so reuse is counted by record, at the node that sends it
+// next. The nodes of one call must run on one goroutine.
 type checked struct {
 	*Node
 	t         *testing.T
-	delivered map[*batch]int     // record → the holdings it arrived with
+	delivered map[*batch]int     // record → the holdings it last arrived with, at any node of the call
 	last      [][]holding        // per site: the log when a record last went to it
 	told      []map[holding]bool // per site: every holding sent to it
-	reused    int                // records sent again after their delivery here
+	reused    int                // records this node sent again after a delivery
 	shrunk    int                // ... carrying fewer holdings than they arrived with
 	refilled  int                // ... that had arrived with holdings
 	carried   int                // records sent with a token their sender holds
@@ -377,8 +380,9 @@ func checkedFactory(t *testing.T, opt Options, ring int, into *[]*checked) alg.F
 	return func(n, m int) []alg.Node {
 		nodes := make([]alg.Node, n)
 		*into = make([]*checked, n)
+		delivered := map[*batch]int{}
 		for i, a := range withRing(opt, ring)(n, m) {
-			c := &checked{Node: a.(*Node), t: t, delivered: map[*batch]int{}, last: make([][]holding, n), told: make([]map[holding]bool, n)}
+			c := &checked{Node: a.(*Node), t: t, delivered: delivered, last: make([][]holding, n), told: make([]map[holding]bool, n)}
 			for j := range c.told {
 				c.told[j] = map[holding]bool{}
 			}

@@ -103,8 +103,7 @@ func runChaosLossless(t *testing.T, factory alg.Factory) {
 	ch.SetFaults(transport.Faults{DelayMax: 2 * time.Millisecond})
 
 	var monMu sync.Mutex
-	start := time.Now()
-	now := func() sim.Time { return sim.Time(time.Since(start)) }
+	now := sim.Wall().Now
 	mon := verify.New(m, func(v verify.Violation) {
 		t.Errorf("%v", v)
 	})
@@ -234,7 +233,6 @@ func runChaosLossy(t *testing.T, factory alg.Factory, m, shards int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.SetDialWindow(2 * time.Second)
 		trs[i] = tr
 		addrs[i] = tr.Addr()
 	}
@@ -267,8 +265,7 @@ func runChaosLossy(t *testing.T, factory alg.Factory, m, shards int) {
 	}()
 
 	var monMu sync.Mutex
-	start := time.Now()
-	now := func() sim.Time { return sim.Time(time.Since(start)) }
+	now := sim.Wall().Now
 	mon := verify.New(m, func(v verify.Violation) {
 		t.Errorf("%v", v)
 	})

@@ -38,6 +38,7 @@
 package live
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -64,11 +65,11 @@ type Config struct {
 	// Latency, when positive, delays every message delivery through an
 	// in-process transport.Mem the cluster builds (FIFO per link is
 	// preserved). It cannot be combined with a custom Transport, and a
-	// negative value is an error. The delay is a time.Sleep, which an
-	// idle Linux process rounds up to whole milliseconds: 200µs here is
-	// about 1.1 ms per hop (transport.Mem). At zero with no Transport
-	// the cluster builds no fabric and a message never leaves its
-	// shard's runner (see the package comment).
+	// negative value is an error. The delay is a Clock.Sleep, on the wall
+	// clock a time.Sleep, which an idle Linux process rounds up to whole
+	// milliseconds: 200µs is about 1.1 ms per hop (transport.Mem). At
+	// zero with no Transport the cluster builds no fabric and a message
+	// never leaves its shard's runner (see the package comment).
 	Latency time.Duration
 	// Transport, when non-nil, carries the cluster's messages; the
 	// cluster takes ownership and closes it on Close. Nil keeps every
@@ -120,6 +121,10 @@ type Config struct {
 	// so it covers every connection the cluster dials; fabrics without a
 	// wire path (Mem) ignore it.
 	Wire transport.WireOptions
+	// Clock is where the cluster and, through the transport.Config that
+	// carries Wire, its fabric read the time and arm their timers. Nil is
+	// sim.Wall().
+	Clock sim.Clock
 }
 
 // Cluster is a set of running protocol nodes — all of them in the
@@ -138,7 +143,6 @@ type Cluster struct {
 	// configuration is exactly one shard.
 	loops   [][]*loop
 	runners []*runner
-	start   time.Time
 
 	sessMu  sync.Mutex
 	sessSeq uint64 // session id allocator
@@ -221,12 +225,13 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		}
 	}
 	smap := resource.NewShardMap(cfg.Resources, g)
+	cfg.Clock = cmp.Or(cfg.Clock, sim.Wall())
 	if tr != nil {
 		sizes := make([]int, g)
 		for s := range sizes {
 			sizes[s] = smap.Size(s)
 		}
-		tr.Configure(transport.Config{Shards: sizes, Wire: cfg.Wire})
+		tr.Configure(transport.Config{Shards: sizes, Wire: cfg.Wire, Clock: cfg.Clock})
 	}
 	// One allocator fleet per shard, each over its shard's local
 	// universe. The flat cluster is the one-shard instance of the same
@@ -246,7 +251,6 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		cfg:    cfg,
 		tr:     tr,
 		smap:   smap,
-		start:  time.Now(),
 		spare:  make([][]*Session, cfg.Nodes),
 		closed: make(chan struct{}),
 	}
@@ -274,21 +278,21 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 	}
 	if cfg.Tick > 0 {
 		c.tickWG.Add(1)
-		go c.runTicker(local)
+		go c.runTicker(local, cfg.Clock.NewTimer(cfg.Tick))
 	}
 	return c, nil
 }
 
 // runTicker posts a cmdTick to every local loop each Config.Tick, so
 // timed protocol machinery advances as an activation on the shard's
-// runner. It exits when the cluster closes.
-func (c *Cluster) runTicker(local []int) {
+// runner, and re-arms tick once they are posted. It exits when the
+// cluster closes.
+func (c *Cluster) runTicker(local []int, tick *sim.Timer) {
 	defer c.tickWG.Done()
-	tick := time.NewTicker(c.cfg.Tick)
-	defer tick.Stop()
 	for {
 		select {
 		case <-c.closed:
+			tick.Stop()
 			return
 		case <-tick.C:
 			for _, shard := range c.loops {
@@ -296,6 +300,7 @@ func (c *Cluster) runTicker(local []int) {
 					shard[id].post(cmdTick{})
 				}
 			}
+			tick.Reset(c.cfg.Tick)
 		}
 	}
 }
@@ -345,9 +350,9 @@ func (c *Cluster) Local(id int) bool {
 	return id >= 0 && id < c.cfg.Nodes && c.loops[0][id] != nil
 }
 
-// now is the cluster clock: wall time since start, in the simulation's
-// unit (sim.Time), which the serve scheduler's deadlines and aging use.
-func (c *Cluster) now() sim.Time { return sim.Time(time.Since(c.start)) }
+// now is the cluster clock (Config.Clock), in the simulation's unit,
+// which the serve scheduler's deadlines and aging use.
+func (c *Cluster) now() sim.Time { return c.cfg.Clock.Now() }
 
 // Stats snapshots the cluster's per-kind message counters: every
 // message a local site sent, counted once where it was sent (loop.Send),

@@ -37,8 +37,7 @@ func TestDupTokenTransferExactlyOnce(t *testing.T) {
 	defer c.Close()
 
 	mon := verify.New(m, func(v verify.Violation) { t.Errorf("%v", v) })
-	start := time.Now()
-	now := func() sim.Time { return sim.Time(time.Since(start)) }
+	now := sim.Wall().Now
 
 	// No drops, no delays: duplication only, so the run is a pure
 	// replay test — every message arrives, then arrives again.
@@ -370,8 +369,7 @@ func monitoredStorm(t *testing.T, n, m, iters int, acquireFn func(context.Contex
 	t.Helper()
 	var monMu sync.Mutex
 	mon := verify.New(m, func(v verify.Violation) { t.Errorf("%v", v) })
-	start := time.Now()
-	now := func() sim.Time { return sim.Time(time.Since(start)) }
+	now := sim.Wall().Now
 	acquire := func(node int, rs resource.Set) bool {
 		ids := make([]int, 0, rs.Len())
 		rs.ForEach(func(r resource.ID) { ids = append(ids, int(r)) })

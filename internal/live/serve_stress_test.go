@@ -52,8 +52,7 @@ func runScheduledSessionStress(t *testing.T, fb fabric, policy serve.Policy) {
 	defer sys.close()
 
 	var monMu sync.Mutex
-	start := time.Now()
-	now := func() sim.Time { return sim.Time(time.Since(start)) }
+	now := sim.Wall().Now
 	mon := verify.New(m, func(v verify.Violation) { t.Errorf("%s: %v", policy, v) })
 
 	var wg sync.WaitGroup

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -48,6 +48,7 @@ type Session struct {
 
 	slots []slot    // by shard
 	parts []*ticket // route's result; scratch of the running Acquire (busy-guarded)
+	rng   rand.PCG  // two-phase jitter, seeded from (node, id) so a schedule replays (busy-guarded)
 }
 
 // slot is a session's place for one shard's ticket.
@@ -75,7 +76,7 @@ func (c *Cluster) NewSession(node int) (*Session, error) {
 	c.sessSeq++
 	id := c.sessSeq
 	c.sessMu.Unlock()
-	return &Session{c: c, node: node, id: id, slots: make([]slot, c.smap.Shards())}, nil
+	return &Session{c: c, node: node, id: id, slots: make([]slot, c.smap.Shards()), rng: *rand.NewPCG(uint64(node), id)}, nil
 }
 
 // ID reports the session's cluster-unique identifier.
@@ -150,7 +151,7 @@ func (s *Session) acquire(ctx context.Context, opts serve.AcquireOpts) (hold, er
 	}
 	var dl sim.Time
 	if !deadline.IsZero() {
-		dl = sim.Time(deadline.Sub(s.c.start))
+		dl = s.c.now() + sim.Time(time.Until(deadline)) // wall: the caller's deadline is a wall instant
 		if dl <= 0 {
 			dl = 1 // already due: the nearest possible deadline, not "none"
 		}
@@ -288,9 +289,12 @@ const (
 // the request afresh.
 func (s *Session) acquireTwoPhase(ctx context.Context, resources []int, parts []*ticket, dl sim.Time) (hold, error) {
 	wait := twoPhaseBaseWait
+	timer := s.c.cfg.Clock.NewTimer(wait + time.Duration(s.rng.Uint64()%uint64(wait))) // each attempt's timeout, then its backoff
+	defer timer.Stop()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			parts = s.route(resources)
+			timer.Reset(wait + time.Duration(s.rng.Uint64()%uint64(wait)))
 		}
 		for i, t := range parts {
 			if !s.submit(t, dl) {
@@ -300,7 +304,6 @@ func (s *Session) acquireTwoPhase(ctx context.Context, resources []int, parts []
 				return hold{}, ErrClosed
 			}
 		}
-		timer := time.NewTimer(wait + time.Duration(rand.Int63n(int64(wait))))
 		refs := make([]grantRef, len(parts)) // refs[i].t set once part i is held
 		var permErr error
 		timedOut := false
@@ -319,7 +322,6 @@ func (s *Session) acquireTwoPhase(ctx context.Context, resources []int, parts []
 				timedOut = true
 			}
 		}
-		timer.Stop()
 		if permErr == nil && !timedOut {
 			return hold{first: refs[0], more: refs[1:]}, nil
 		}
@@ -335,12 +337,13 @@ func (s *Session) acquireTwoPhase(ctx context.Context, resources []int, parts []
 		if permErr != nil {
 			return hold{}, permErr
 		}
+		timer.Reset(time.Duration(s.rng.Uint64() % uint64(wait)))
 		select {
 		case <-ctx.Done():
 			return hold{}, ctx.Err()
 		case <-s.c.closed:
 			return hold{}, ErrClosed
-		case <-time.After(time.Duration(rand.Int63n(int64(wait)))):
+		case <-timer.C:
 		}
 		if wait *= 2; wait > twoPhaseMaxWait {
 			wait = twoPhaseMaxWait

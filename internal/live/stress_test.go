@@ -206,8 +206,7 @@ func runVerifiedStress(t *testing.T, fb fabric, factory alg.Factory) {
 	// Granted is recorded after Acquire returns and Released strictly
 	// before the release call, so a recorded overlap is a real overlap.
 	var monMu sync.Mutex
-	start := time.Now()
-	now := func() sim.Time { return sim.Time(time.Since(start)) }
+	now := sim.Wall().Now
 	mon := verify.New(m, func(v verify.Violation) {
 		t.Errorf("%v", v)
 	})

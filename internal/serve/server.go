@@ -239,7 +239,7 @@ func (s *Server) dispatch(r *connReq) {
 // it has been idle for workerIdle or the server closes.
 func (s *Server) worker(r *connReq) {
 	defer s.wg.Done()
-	idle := time.NewTimer(workerIdle)
+	idle := time.NewTimer(workerIdle) // wall: a goroutine pool's idle timeout at the socket edge
 	defer idle.Stop()
 	for {
 		r.run()
@@ -362,7 +362,7 @@ func (s *Server) serve(nc net.Conn) {
 	// may be gone), fold the egress counters into the server total,
 	// and drop the socket. The bounded close join backstops the write
 	// deadline so a wedged client can never hang daemon teardown.
-	nc.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+	nc.SetWriteDeadline(time.Now().Add(closeFlushTimeout)) // wall: a socket deadline, which the kernel reads
 	cn.co.CloseWithin(2 * closeFlushTimeout)
 	s.connsMu.Lock()
 	delete(s.conns, cn)
@@ -378,7 +378,7 @@ func (cn *conn) readLoop() {
 	// is safe: the hello precedes every request, so the response
 	// coalescer has never been touched yet.
 	br := bufio.NewReader(cn.c)
-	cn.c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	cn.c.SetReadDeadline(time.Now().Add(handshakeTimeout)) // wall: a socket deadline, which the kernel reads
 	if _, _, err := wire.AcceptHello(br, cn.c, cn.s.answerHello); err != nil {
 		return
 	}
@@ -505,7 +505,7 @@ func (cn *conn) handleAcquire(x *ClientAcquire) bool {
 	r.opts.Resources = append(r.opts.Resources[:0], ids...)
 	r.opts.Deadline = time.Time{}
 	if x.DeadlineMS > 0 {
-		r.opts.Deadline = time.Now().Add(time.Duration(x.DeadlineMS) * time.Millisecond)
+		r.opts.Deadline = time.Now().Add(time.Duration(x.DeadlineMS) * time.Millisecond) // wall: a remote client's deadline, relative to its arrival
 	}
 
 	cn.mu.Lock()

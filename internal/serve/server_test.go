@@ -229,8 +229,7 @@ func TestClientProtocolStress(t *testing.T) {
 		t.Run(string(policy), func(t *testing.T) {
 			_, srv := startServer(t, nodes, m, policy)
 			var monMu sync.Mutex
-			start := time.Now()
-			now := func() sim.Time { return sim.Time(time.Since(start)) }
+			now := sim.Wall().Now
 			mon := verify.New(m, func(v verify.Violation) { t.Errorf("%v", v) })
 
 			// A handful of connections, many sessions each: the wire

@@ -10,4 +10,8 @@
 // The kernel is single-threaded by design. Parallelism in this repository
 // happens one level up: independent simulations (one per experiment point)
 // run concurrently on separate Engine instances.
+//
+// Clock is where the live runtime reads the time: Wall, or a Virtual
+// clock whose timers wait on an Engine agenda behind a mutex and fire
+// only when the test that owns it advances it.
 package sim

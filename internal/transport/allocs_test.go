@@ -8,6 +8,7 @@ import (
 	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
 	_ "mralloc/internal/serve" // registers the Client kinds and their samples
+	"mralloc/internal/sim"
 	"mralloc/internal/transport"
 	"mralloc/internal/transport/transporttest"
 	"mralloc/internal/wire"
@@ -40,6 +41,37 @@ func TestSingleMessageSendAllocs(t *testing.T) {
 				t.Fatalf("%v allocs per Send, want 0", got)
 			}
 		})
+	}
+}
+
+// TestReliableIdleAllocs pins the retransmitter's scan at zero
+// allocations: an idle wrapper rescans its send links every
+// millisecond, and a fresh snapshot of them per scan was one object per
+// millisecond per endpoint. One acknowledged exchange first, so that
+// there is a link to scan; then a thousand ticks of a virtual clock,
+// each advanced once the retransmitter has re-armed.
+func TestReliableIdleAllocs(t *testing.T) {
+	clk := sim.NewVirtual()
+	r := transport.NewReliable(transport.NewMem(2, 0))
+	r.Configure(transport.Config{Clock: clk})
+	defer r.Close()
+	got := make(chan struct{}, 1)
+	r.Bind(0, 1, func(network.NodeID, network.Message) { got <- struct{}{} })
+	r.Bind(0, 0, func(network.NodeID, network.Message) {})
+	r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+	<-got
+	for deadline := time.Now().Add(10 * time.Second); r.RelStats().Acked == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the one frame sent was never acknowledged")
+		}
+		runtime.Gosched()
+	}
+	tick := func() {
+		awaitArmed(t, clk, "the retransmitter")
+		clk.Advance(time.Millisecond)
+	}
+	if got := testing.AllocsPerRun(1000, tick); got > 0 {
+		t.Fatalf("%v allocs per idle retransmitter tick, want 0", got)
 	}
 }
 

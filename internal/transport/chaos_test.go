@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"mralloc/internal/network"
+	"mralloc/internal/sim"
 	"mralloc/internal/transport"
 	"mralloc/internal/transport/transporttest"
 )
@@ -161,6 +163,66 @@ func TestChaosDirectedPartition(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("message %d never delivered after heal", s)
+		}
+	}
+}
+
+// oneConn is an in-process fabric that reports one connection killed
+// per AbortConns, so the chaos layer's kill count is visible over Mem.
+type oneConn struct{ *transport.Mem }
+
+func (oneConn) AbortConns() int { return 1 }
+
+// TestChaosKillEveryOnClock: a spec's kill period waits for the stack
+// to be configured and then runs on the announced clock — on a virtual
+// clock nothing is killed until it moves, and each period passed kills
+// once.
+func TestChaosKillEveryOnClock(t *testing.T) {
+	clk := sim.NewVirtual()
+	ch := transport.NewChaos(oneConn{transport.NewMem(2, 0)}, 5)
+	defer ch.Close()
+	ch.Apply(transport.Spec{KillEvery: time.Second})
+	ch.Configure(transport.Config{Clock: clk})
+	for i := 1; i <= 3; i++ {
+		awaitArmed(t, clk, "the connection killer")
+		if got := ch.ChaosStats().Killed; got != int64(i-1) {
+			t.Fatalf("after %d periods: %d kills", i-1, got)
+		}
+		clk.Advance(time.Second)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ch.ChaosStats().Killed < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("3 periods passed, %d kills", ch.ChaosStats().Killed)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestHazardChaosConfiguredMidTraffic: a daemon arms its faults before
+// the cluster configures the stack, and a peer's early frame can make
+// its Reliable send an ack through the armed wrapper first. Sends that
+// draw delays, and the forwarders they start, run while Configure
+// announces the clock; under the race detector that must be clean.
+func TestHazardChaosConfiguredMidTraffic(t *testing.T) {
+	ch := transport.NewChaos(transport.NewMem(2, 0), 9)
+	defer ch.Close()
+	got := make(chan struct{}, 256)
+	ch.Bind(0, 1, func(network.NodeID, network.Message) { got <- struct{}{} })
+	ch.SetFaults(transport.Faults{DelayMin: time.Microsecond, DelayMax: 100 * time.Microsecond})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for s := int64(1); s <= 200; s++ {
+			ch.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
+		}
+	}()
+	ch.Configure(transport.Config{})
+	<-done
+	for i := 0; i < 200; i++ {
+		select {
+		case <-got:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 200 delayed messages delivered", i)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mralloc/internal/network"
+	"mralloc/internal/sim"
 )
 
 // Mem is the in-process transport: all N nodes live on this endpoint
@@ -24,10 +25,11 @@ import (
 // delays cannot reorder a link, and shard traffic pipelines instead of
 // queueing behind other shards' latency.
 //
-// The delay is a time.Sleep per message, and on Linux a sleep shorter
-// than a millisecond does not last what it says: with no other
-// goroutine to run, the P parks in epoll_wait, whose timeout is whole
-// milliseconds rounded up (runtime netpoll: delay < 1e6 ns → 1 ms).
+// The delay is one Clock.Sleep (Config.Clock) per message, on the wall
+// clock a time.Sleep, and on Linux a sleep shorter than a millisecond
+// does not last what it says: with no other goroutine to run, the P
+// parks in epoll_wait, whose timeout is whole milliseconds rounded up
+// (runtime netpoll: delay < 1e6 ns → 1 ms).
 // Measured at GOMAXPROCS 1 and 2, time.Sleep(200µs) returns after
 // p10/p50/p90 = 1075/1088/1137 µs and 1.5 ms after 2.18 ms. A
 // sub-millisecond latency therefore costs about one millisecond per hop
@@ -38,6 +40,7 @@ type Mem struct {
 	n       int
 	latency time.Duration
 	binder  *binder
+	clk     sim.Clock // Configure announces it, before any traffic; Wall until then
 
 	// mu guards links and the closing of closed, so a link's forwarder
 	// either starts before Close waits for the forwarders or not at all.
@@ -58,6 +61,7 @@ func NewMem(n int, latency time.Duration) *Mem {
 		n:       n,
 		latency: latency,
 		binder:  newBinder(n),
+		clk:     sim.Wall(),
 		closed:  make(chan struct{}),
 	}
 }
@@ -70,9 +74,12 @@ func (t *Mem) N() int { return t.n }
 func (t *Mem) Hosts(id network.NodeID) bool { return id >= 0 && int(id) < t.n }
 
 // Configure implements Transport. The in-process fabric only needs the
-// shard count: there is no codec to validate universes against and no
-// wire path to tune.
-func (t *Mem) Configure(cfg Config) { t.binder.grow(len(cfg.Shards)) }
+// shard count and the clock its delays sleep on: there is no codec to
+// validate universes against and no wire path to tune.
+func (t *Mem) Configure(cfg Config) {
+	t.clk = cfg.clock()
+	t.binder.grow(len(cfg.Shards))
+}
 
 // Bind implements Transport.
 func (t *Mem) Bind(shard int, id network.NodeID, h Handler) {
@@ -131,7 +138,7 @@ func (t *Mem) link(l Link, slot *binderSlot) chan network.Message {
 		for {
 			select {
 			case m := <-ch:
-				time.Sleep(t.latency)
+				t.clk.Sleep(t.latency)
 				slot.deliver(l.From, m)
 			case <-t.closed:
 				return

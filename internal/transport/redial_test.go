@@ -7,6 +7,7 @@ import (
 
 	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
+	"mralloc/internal/sim"
 	"mralloc/internal/transport"
 	"mralloc/internal/transport/transporttest"
 )
@@ -69,9 +70,10 @@ func TestDialObservesClose(t *testing.T) {
 }
 
 // TestDialRetryObservesClose: the dial retry loop against a dead
-// address (instant refusals, 50ms backoff sleeps) must also observe
-// Close, with a window long enough that riding it out would be
-// visible.
+// address (instant refusals, backoff pauses) must also observe Close.
+// The endpoint runs on a virtual clock that nobody advances, so neither
+// the dial window nor a backoff can ever run out: only Close can unwind
+// the Send.
 func TestDialRetryObservesClose(t *testing.T) {
 	check := leakcheck.Check(t)
 	// Grab a port and release it: dials get ECONNREFUSED instantly.
@@ -86,7 +88,8 @@ func TestDialRetryObservesClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetDialWindow(30 * time.Second)
+	clk := sim.NewVirtual()
+	tr.Configure(transport.Config{Clock: clk})
 	if err := tr.Connect([]string{tr.Addr(), dead}); err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +98,16 @@ func TestDialRetryObservesClose(t *testing.T) {
 		defer close(done)
 		tr.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	}()
-	time.Sleep(150 * time.Millisecond) // let it enter the retry loop
+	// A backoff armed: the Send is in the retry loop.
+	awaitArmed(t, clk, "the dial retry loop")
 	tr.Close()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Send still retrying 2s after Close")
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatalf("a Send cut short by Close reported %v", err)
 	}
 	check()
 }

@@ -30,11 +30,14 @@
 package transport
 
 import (
-	"math/rand"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
 	"mralloc/internal/network"
+	"mralloc/internal/sim"
 	"mralloc/internal/wire"
 )
 
@@ -87,7 +90,7 @@ func init() {
 // round trip (loopback plus chaos delays of a few hundred µs) so acks
 // usually win the race, and the cap bounds how long a healed link
 // stays idle. Each round's delay is drawn with equal jitter (see
-// jitter), so links that lost frames together do not retransmit in
+// rearm), so links that lost frames together do not retransmit in
 // lockstep.
 const (
 	DefaultRetransmitBase = 10 * time.Millisecond
@@ -124,9 +127,11 @@ type relSend struct {
 	// inner fabric an envelope as it stands.
 	unacked []network.Message
 	// attempt counts consecutive retransmission rounds without ack
-	// progress; deadline is when the next round fires.
+	// progress; deadline is when the next round fires, drawn from rng,
+	// which is seeded from the link so a schedule replays.
 	attempt  int
-	deadline time.Time
+	deadline sim.Time
+	rng      rand.PCG
 }
 
 // relRecv is the receive half of one link.
@@ -143,11 +148,10 @@ type relRecv struct {
 type Reliable struct {
 	inner Transport
 	bind  *binder
-	bound int // shards whose hosted nodes are bound on inner
+	bound int       // shards whose hosted nodes are bound on inner
+	clk   sim.Clock // Configure announces it, before any traffic; Wall until then
 
 	base, max time.Duration
-	rngMu     sync.Mutex
-	rng       *rand.Rand
 
 	mu    sync.Mutex
 	send  map[Link]*relSend
@@ -160,6 +164,7 @@ type Reliable struct {
 	wg      sync.WaitGroup
 	closeMu sync.Mutex
 	closed  bool
+	tick    *sim.Timer // the retransmitter's; nil until it starts
 }
 
 // NewReliable wraps inner in the ack/retransmit discipline. Both
@@ -170,28 +175,29 @@ func NewReliable(inner Transport) *Reliable {
 	r := &Reliable{
 		inner:   inner,
 		bind:    newBinder(inner.N()),
+		clk:     sim.Wall(),
 		base:    DefaultRetransmitBase,
 		max:     DefaultRetransmitMax,
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		send:    make(map[Link]*relSend),
 		recv:    make(map[Link]*relRecv),
 		ackKick: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
 	r.bindShards(1)
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.acker()
-	go r.retransmitter()
 	return r
 }
 
 // Configure implements Transport: the layout goes down unchanged, with
 // broken writes marked recoverable — frames lost with a dead connection
-// are exactly what the retransmission timer repairs.
+// are what the retransmitter, started here on the clock, repairs.
 func (r *Reliable) Configure(cfg Config) {
+	r.clk = cfg.clock()
 	cfg.LossRecovered = true
 	r.inner.Configure(cfg)
 	r.bindShards(len(cfg.Shards))
+	r.open()
 }
 
 // bindShards installs the unwrapping handler of every hosted node in
@@ -243,7 +249,7 @@ func (r *Reliable) sendLink(k Link) *relSend {
 	defer r.mu.Unlock()
 	l := r.send[k]
 	if l == nil {
-		l = &relSend{nextSeq: 1}
+		l = &relSend{nextSeq: 1, rng: *rand.NewPCG(uint64(linkSeed(0, k)), 0)}
 		r.send[k] = l
 	}
 	return l
@@ -263,7 +269,7 @@ func (r *Reliable) recvLink(k Link) *relRecv {
 // Send wraps m in a sequenced envelope and transmits it, retaining the
 // envelope for retransmission until acknowledged.
 func (r *Reliable) Send(k Link, m network.Message) {
-	if r.isClosed() {
+	if !r.open() {
 		return
 	}
 	l := r.sendLink(k)
@@ -275,8 +281,8 @@ func (r *Reliable) Send(k Link, m network.Message) {
 	var env network.Message = relData{Seq: l.nextSeq, M: m}
 	l.nextSeq++
 	l.unacked = append(l.unacked, env)
-	if l.deadline.IsZero() {
-		l.deadline = time.Now().Add(r.jitter(l.attempt))
+	if l.deadline == 0 {
+		r.rearm(l, r.clk.Now())
 	}
 	r.inner.Send(k, env)
 }
@@ -335,9 +341,9 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 			// Progress: restart the backoff schedule.
 			l.attempt = 0
 			if len(l.unacked) == 0 {
-				l.deadline = time.Time{}
+				l.deadline = 0
 			} else {
-				l.deadline = time.Now().Add(r.jitter(0))
+				r.rearm(l, r.clk.Now())
 			}
 		}
 		l.mu.Unlock()
@@ -365,6 +371,7 @@ func (r *Reliable) kickAcker() {
 // from a receive handler — see the package comment).
 func (r *Reliable) acker() {
 	defer r.wg.Done()
+	var links []Link
 	for {
 		select {
 		case <-r.stop:
@@ -372,10 +379,7 @@ func (r *Reliable) acker() {
 		case <-r.ackKick:
 		}
 		r.mu.Lock()
-		links := make([]Link, 0, len(r.recv))
-		for k := range r.recv {
-			links = append(links, k)
-		}
+		links = slices.AppendSeq(links[:0], maps.Keys(r.recv))
 		r.mu.Unlock()
 		for _, k := range links {
 			l := r.recvLink(k)
@@ -394,66 +398,75 @@ func (r *Reliable) acker() {
 	}
 }
 
-// retransmitter periodically rescans send links and re-sends every
-// unacked frame of any link whose timer expired (go-back-N).
+// open reports whether the wrapper is still open, and starts the
+// retransmitter the first time it finds it so. Only Configure and Send
+// call it: the loop's timer is on the clock Configure announced, which
+// a delivery arriving before the announcement must not fix.
+func (r *Reliable) open() bool {
+	r.closeMu.Lock()
+	defer r.closeMu.Unlock()
+	if !r.closed && r.tick == nil {
+		r.tick = r.clk.NewTimer(time.Millisecond)
+		r.wg.Add(1)
+		go r.retransmitter()
+	}
+	return !r.closed
+}
+
+// retransmitter rescans the send links every millisecond and re-sends
+// every unacked frame of any link whose timer expired (go-back-N).
 func (r *Reliable) retransmitter() {
 	defer r.wg.Done()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
+	var links []Link
 	for {
 		select {
 		case <-r.stop:
+			r.tick.Stop()
 			return
-		case <-tick.C:
+		case <-r.tick.C:
 		}
-		now := time.Now()
+		now := r.clk.Now()
 		r.mu.Lock()
-		links := make([]Link, 0, len(r.send))
-		for k := range r.send {
-			links = append(links, k)
-		}
+		links = slices.AppendSeq(links[:0], maps.Keys(r.send))
 		r.mu.Unlock()
 		for _, k := range links {
 			l := r.sendLink(k)
 			l.mu.Lock()
-			if len(l.unacked) == 0 || l.deadline.IsZero() || now.Before(l.deadline) {
+			if len(l.unacked) == 0 || l.deadline == 0 || now < l.deadline {
 				l.mu.Unlock()
 				continue
 			}
 			l.attempt++
-			l.deadline = now.Add(r.jitter(l.attempt))
+			r.rearm(l, now)
 			// Hold the link lock across the re-sends so a concurrent
 			// fresh Send cannot interleave a higher sequence number
-			// into the middle of the retransmitted window.
+			// into the middle of the retransmitted window. They are
+			// counted first, so a frame they deliver finds them counted.
 			if r.isClosed() {
 				l.mu.Unlock()
 				return
 			}
 			resent := len(l.unacked)
+			r.addRel(func(s *RelStats) { s.Retransmits += int64(resent) })
 			for _, env := range l.unacked {
 				r.inner.Send(k, env)
 			}
 			l.mu.Unlock()
-			r.addRel(func(s *RelStats) { s.Retransmits += int64(resent) })
 		}
+		r.tick.Reset(time.Millisecond)
 	}
 }
 
-// jitter computes the equal-jitter deadline delay after `attempt`
-// fruitless retransmission rounds: uniform in [d/2, d] with
-// d = min(max, base·2ⁿ).
-func (r *Reliable) jitter(attempt int) time.Duration {
+// rearm sets l's next deadline (l.mu held) with equal jitter after
+// l.attempt fruitless retransmission rounds: uniform in [d/2, d] from
+// now, with d = min(max, base·2ⁿ).
+func (r *Reliable) rearm(l *relSend, now sim.Time) {
 	d := r.base
-	for i := 0; i < attempt && d < r.max; i++ {
+	for i := 0; i < l.attempt && d < r.max; i++ {
 		d *= 2
 	}
-	if d > r.max {
-		d = r.max
-	}
-	r.rngMu.Lock()
-	f := r.rng.Float64()
-	r.rngMu.Unlock()
-	return d/2 + time.Duration(f*float64(d/2))
+	d = min(d, r.max)
+	l.deadline = now + sim.Time(d/2) + sim.Time(l.rng.Uint64()%uint64(d/2+1))
 }
 
 func (r *Reliable) addRel(f func(*RelStats)) {

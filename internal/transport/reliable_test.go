@@ -1,11 +1,13 @@
 package transport_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"mralloc/internal/leakcheck"
 	"mralloc/internal/network"
+	"mralloc/internal/sim"
 	"mralloc/internal/transport"
 	"mralloc/internal/transport/transporttest"
 )
@@ -98,12 +100,20 @@ func TestReliableDupExactlyOnce(t *testing.T) {
 
 // TestReliableRetransmitAfterTotalLoss wedges a link completely (Drop
 // = 1), then heals it: the retransmission timer must deliver the
-// frames sent into the black hole, in order, with no caller action.
+// frames sent into the black hole, in order, with no caller action. The
+// stack runs on a virtual clock, so the schedule is exact: nothing is
+// retransmitted before the clock moves; one advance past the first
+// deadline re-sends the three frames once each into the still dropping
+// link, where they vanish too; after the heal, one advance past the
+// backed-off deadline re-sends them again and they arrive.
 func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
+	const base = time.Second
+	clk := sim.NewVirtual()
 	ch := transport.NewChaos(transport.NewMem(2, 0), 11)
 	ch.SetFaults(transport.Faults{Drop: 1.0})
 	r := transport.NewReliable(ch)
-	r.SetRetransmit(2*time.Millisecond, 20*time.Millisecond)
+	r.SetRetransmit(base, 8*base)
+	r.Configure(transport.Config{Clock: clk})
 	defer r.Close()
 
 	got := make(chan transporttest.Msg, 16)
@@ -114,12 +124,26 @@ func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 	}
-	select {
-	case m := <-got:
-		t.Fatalf("delivery through a fully dropping link: %+v", m)
-	case <-time.After(30 * time.Millisecond):
+	if rs := r.RelStats(); rs.Retransmits != 0 {
+		t.Fatalf("retransmitted before the clock moved (stats: %+v)", rs)
 	}
+	// Chaos drops inside Send, so whatever got through is already here.
+	noDelivery := func(when string) {
+		select {
+		case m := <-got:
+			t.Fatalf("delivery through a fully dropping link %s: %+v", when, m)
+		default:
+		}
+	}
+	noDelivery("before the clock moved")
+	clk.Advance(base) // past the first deadline, in [base/2, base]
+	awaitArmed(t, clk, "the retransmitter")
+	if rs := r.RelStats(); rs.Retransmits != 3 {
+		t.Fatalf("first round re-sent %d frames, want 3 (stats: %+v)", rs.Retransmits, rs)
+	}
+	noDelivery("after the first retransmission")
 	ch.StopFaults()
+	clk.Advance(2 * base) // past the second deadline, in [2base, 3base]
 	for i := 1; i <= 3; i++ {
 		select {
 		case m := <-got:
@@ -130,8 +154,20 @@ func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
 			t.Fatalf("frame %d lost despite retransmission", i)
 		}
 	}
-	if rs := r.RelStats(); rs.Retransmits == 0 {
-		t.Fatalf("link healed by retransmission but Retransmits = 0 (stats: %+v)", rs)
+	if rs := r.RelStats(); rs.Retransmits != 6 {
+		t.Fatalf("two rounds re-send each of the 3 frames twice, got Retransmits = %d (stats: %+v)", rs.Retransmits, rs)
+	}
+}
+
+// awaitArmed waits until clk has a timer armed — the goroutines a test
+// drives have re-armed theirs, so its next Advance replays one schedule
+// — and fails the test, naming what, if none is within 10 s.
+func awaitArmed(t *testing.T, clk *sim.Virtual, what string) {
+	for deadline := time.Now().Add(10 * time.Second); clk.Armed() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Helper()
+			t.Fatalf("%s did not arm a timer within 10s", what)
+		}
 	}
 }
 

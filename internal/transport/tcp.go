@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mralloc/internal/network"
+	"mralloc/internal/sim"
 	"mralloc/internal/wire"
 )
 
@@ -24,10 +25,10 @@ import (
 // hostile length prefix from demanding gigabytes.
 const maxFrame = 1 << 24
 
-// defaultDialWindow is how long a Send retries dialing a peer that is
-// not up yet, which absorbs multi-process startup races on loopback.
-// SetDialWindow overrides it per endpoint.
-const defaultDialWindow = 10 * time.Second
+// dialWindow is how long, on the endpoint's clock, a Send retries
+// dialing a peer that is not up yet (every 50 ms), which absorbs
+// multi-process startup races on loopback.
+const dialWindow = 10 * time.Second
 
 // closeFlushTimeout bounds how long Close waits for each connection's
 // coalescing writer to drain frames queued before the close.
@@ -73,11 +74,10 @@ type TCP struct {
 	ln     net.Listener
 	binder *binder
 
-	// shape is the announced cluster layout and wire tuning (Configure),
-	// swapped whole so the per-frame and per-send reads take no lock.
-	// Wire options apply to connections dialed after the call.
-	shape   atomic.Pointer[tcpShape]
-	dialWin atomic.Int64 // SetDialWindow, ns; 0 = defaultDialWindow
+	// shape is the announced cluster layout, wire tuning and clock
+	// (Configure), swapped whole so the per-frame and per-send reads take
+	// no lock. Wire options apply to connections dialed after the call.
+	shape atomic.Pointer[tcpShape]
 
 	peersMu sync.RWMutex
 	peers   []string // per node; nil until Connect
@@ -88,8 +88,12 @@ type TCP struct {
 	wireMu    sync.Mutex
 	wireAccum wire.CoalescerStats // stats of retired connections
 
+	// ctx ends when the endpoint closes, cutting short a dial in flight;
+	// closed is its Done channel.
+	ctx     context.Context
+	stop    context.CancelFunc
+	closed  <-chan struct{}
 	closeMu sync.Mutex
-	closed  chan struct{}
 	wg      sync.WaitGroup
 
 	errMu    sync.Mutex
@@ -99,7 +103,8 @@ type TCP struct {
 // tcpShape is one Configure call, plus what is derived from it once
 // rather than per frame. cfg.Shards is never empty: an endpoint not
 // configured, or configured without a layout, is one shard of unknown
-// size (zero — the codec then checks site ids alone).
+// size (zero — the codec then checks site ids alone). cfg.Clock is
+// never nil.
 type tcpShape struct {
 	cfg Config
 	// resources is the global universe M (the sum of the shard sizes),
@@ -149,13 +154,16 @@ func ListenTCP(addr string, n int, local ...int) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
+	ctx, stop := context.WithCancel(context.Background())
 	t := &TCP{
 		n:      n,
 		local:  loc,
 		ln:     ln,
 		binder: newBinder(n),
 		conns:  make(map[string]*outConn),
-		closed: make(chan struct{}),
+		ctx:    ctx,
+		stop:   stop,
+		closed: ctx.Done(),
 	}
 	t.Configure(Config{})
 	t.wg.Add(1)
@@ -196,6 +204,7 @@ func (t *TCP) Configure(cfg Config) {
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = []int{0}
 	}
+	cfg.Clock = cfg.clock()
 	sh := &tcpShape{cfg: cfg}
 	for _, sz := range cfg.Shards {
 		sh.resources += sz
@@ -307,25 +316,12 @@ func (t *TCP) connFor(to network.NodeID) *outConn {
 	return t.conn(peers[to])
 }
 
-// SetDialWindow overrides how long a Send retries dialing an
-// unreachable peer (the default absorbs multi-process startup races;
-// chaos and failover tests shorten it so a killed peer costs bounded
-// retry time). Non-positive restores the default.
-func (t *TCP) SetDialWindow(d time.Duration) { t.dialWin.Store(int64(d)) }
-
-func (t *TCP) dialWindow() time.Duration {
-	if d := time.Duration(t.dialWin.Load()); d > 0 {
-		return d
-	}
-	return defaultDialWindow
-}
-
 // conn returns the (dialed) connection to addr, dialing with retries
-// inside the dial window so that peers still starting up are absorbed.
-// Every wait in the retry loop — the dial itself, the handshake, the
-// backoff sleep — observes Close, so a Send blocked behind a dead peer
-// unwinds the moment the transport shuts down instead of riding out
-// the window.
+// until the dial window has passed on the endpoint's clock, so that
+// peers still starting up are absorbed. Every wait in the retry loop —
+// the dial itself, the handshake, the backoff — observes Close, so a
+// Send blocked behind a dead peer unwinds the moment the transport
+// shuts down instead of riding out the window.
 func (t *TCP) conn(addr string) *outConn {
 	t.connMu.Lock()
 	oc, ok := t.conns[addr]
@@ -333,25 +329,10 @@ func (t *TCP) conn(addr string) *outConn {
 	if ok && !oc.broken.Load() {
 		return oc
 	}
-	// ctx ends when the transport closes or this attempt gives up; the
-	// watcher goroutine lives exactly as long as the call.
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(t.dialWindow()))
-	defer cancel()
-	go func() {
-		select {
-		case <-t.closed:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	var lastErr error
+	clk := t.shape.Load().cfg.Clock
+	giveUp := clk.Now() + sim.Time(dialWindow)
 	for {
-		select {
-		case <-t.closed:
-			return nil
-		default:
-		}
-		c, err := t.dialOnce(ctx, addr)
+		c, err := t.dialOnce(addr)
 		if err == nil {
 			mine := t.localHello()
 			peer, err := t.dialHandshake(c, mine)
@@ -388,24 +369,28 @@ func (t *TCP) conn(addr string) *outConn {
 			t.connMu.Unlock()
 			return oc
 		}
-		lastErr = err
-		select {
-		case <-ctx.Done():
+		if clk.Now() >= giveUp {
 			select {
 			case <-t.closed:
 			default:
-				t.fail(fmt.Errorf("transport: dial %s: %w", addr, lastErr))
+				t.fail(fmt.Errorf("transport: dial %s: %w", addr, err))
 			}
 			return nil
-		case <-time.After(50 * time.Millisecond):
+		}
+		backoff := clk.NewTimer(50 * time.Millisecond)
+		select {
+		case <-t.closed:
+			backoff.Stop()
+			return nil
+		case <-backoff.C:
 		}
 	}
 }
 
-// dialOnce is one bounded dial attempt that aborts when ctx ends —
-// the transport closing or the dial window expiring.
-func (t *TCP) dialOnce(ctx context.Context, addr string) (net.Conn, error) {
-	dctx, cancel := context.WithTimeout(ctx, time.Second)
+// dialOnce is one bounded dial attempt that aborts when the transport
+// closes.
+func (t *TCP) dialOnce(addr string) (net.Conn, error) {
+	dctx, cancel := context.WithTimeout(t.ctx, time.Second) // wall: bounds one connect, which the kernel times
 	defer cancel()
 	var d net.Dialer
 	return d.DialContext(dctx, "tcp", addr)
@@ -418,16 +403,9 @@ func (t *TCP) dialHandshake(c net.Conn, mine wire.Hello) (wire.Hello, error) {
 	// The handshake deadline caps a silent peer, but a transport
 	// shutting down must not ride it out: closing the socket unblocks
 	// the exchange the moment Close runs.
-	hsDone := make(chan struct{})
-	defer close(hsDone)
-	go func() {
-		select {
-		case <-t.closed:
-			c.Close()
-		case <-hsDone:
-		}
-	}()
-	c.SetDeadline(time.Now().Add(handshakeTimeout))
+	stop := context.AfterFunc(t.ctx, func() { c.Close() })
+	defer stop()
+	c.SetDeadline(time.Now().Add(handshakeTimeout)) // wall: a socket deadline, which the kernel reads
 	defer c.SetDeadline(time.Time{})
 	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
 	if _, err := c.Write(hello); err != nil {
@@ -553,18 +531,12 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) serve(c net.Conn) {
 	defer t.wg.Done()
 	defer c.Close()
-	done := make(chan struct{})
-	defer close(done)
-	go func() { // unblock the pending Read when the transport closes
-		select {
-		case <-t.closed:
-			c.Close()
-		case <-done: // the connection ended first; don't outlive it
-		}
-	}()
+	// Unblock the pending Read when the transport closes.
+	stop := context.AfterFunc(t.ctx, func() { c.Close() })
+	defer stop()
 	// The hello reply is the only thing this side ever writes.
 	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	c.SetReadDeadline(time.Now().Add(handshakeTimeout)) // wall: a socket deadline, which the kernel reads
 	mine, peer, err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
 		mine := t.localHello()
 		return mine, mine.Check(peer)
@@ -694,7 +666,7 @@ func (t *TCP) Close() error {
 	case <-t.closed:
 		t.closeMu.Unlock()
 	default:
-		close(t.closed)
+		t.stop()
 		t.closeMu.Unlock()
 		t.ln.Close()
 		t.connMu.Lock()
@@ -710,7 +682,7 @@ func (t *TCP) Close() error {
 			// blocked mid-Write, and the bounded close join covers
 			// writers that ignore deadlines (wrapped conns) — Close must
 			// never hang behind a stuck peer.
-			oc.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+			oc.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout)) // wall: a socket deadline, which the kernel reads
 			oc.co.CloseWithin(2 * closeFlushTimeout)
 			oc.c.Close()
 			t.retire(oc)

@@ -60,11 +60,13 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"mralloc/internal/network"
+	"mralloc/internal/sim"
 )
 
 // Handler consumes a message delivered to a locally hosted node.
@@ -97,7 +99,14 @@ type Config struct {
 	// dead connection is retransmitted after the redial, so a failed
 	// write is part of normal recovery, not a silently dropped frame.
 	LossRecovered bool
+	// Clock is what every fabric and wrapper reads the time from and
+	// arms its timers on; socket I/O deadlines stay on the wall clock,
+	// which the kernel reads. Nil is sim.Wall().
+	Clock sim.Clock
 }
+
+// clock is the announced Clock, sim.Wall() when there is none.
+func (cfg Config) clock() sim.Clock { return cmp.Or(cfg.Clock, sim.Wall()) }
 
 // Transport is one process's endpoint of a cluster's message fabric.
 // An in-process cluster hosts all N nodes on one endpoint; a

@@ -275,7 +275,7 @@ var ErrCloseTimeout = errors.New("wire: coalescer close timed out awaiting flush
 func (c *Coalescer) CloseWithin(d time.Duration) error {
 	c.beginClose()
 	if d > 0 {
-		t := time.NewTimer(d)
+		t := time.NewTimer(d) // wall: bounds a wait on a socket write
 		defer t.Stop()
 		select {
 		case <-c.done:
