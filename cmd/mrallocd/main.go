@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof exposes the default mux's profiles
 	"os"
@@ -76,14 +77,14 @@ func registerFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.nodes, "nodes", 3, "total number of nodes N in the cluster")
 	fs.IntVar(&cfg.resources, "resources", 16, "number of resources M")
 	fs.IntVar(&cfg.shards, "shards", 1, "split the resource universe into this many contiguous shards, each with its own allocator instances and event loops; every daemon of the cluster must agree (1 = flat)")
-	fs.BoolVar(&cfg.crossTwoPhase, "cross-two-phase", false, "acquire cross-shard sets with the parallel two-phase scheme (timeout, hand back, retry) instead of ordered shard locking")
+	fs.BoolVar(&cfg.crossTwoPhase, "cross-two-phase", false, "acquire cross-shard sets with the parallel two-phase scheme (timeout, hand back, retry) instead of ordered shard locking (needs -shards above 1)")
 	fs.StringVar(&cfg.algName, "alg", "counter-loan", "algorithm: "+strings.Join(experiments.AlgorithmNames(), ", ")+" (shared-memory, maddi and manager are simulator-only)")
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:7000", "TCP listen address of this process")
 	fs.StringVar(&cfg.peersCSV, "peers", "", "comma-separated list of N addresses; entry i hosts node i")
 	fs.StringVar(&cfg.localCSV, "local", "0", "comma-separated node ids hosted by this process")
 	fs.StringVar(&cfg.clientListen, "client-listen", "", "TCP address of the client port (empty = no client port)")
 	fs.StringVar(&cfg.policyStr, "policy", "fifo", "admission policy for multiplexed sessions: fifo, ssf, edf, adaptive")
-	fs.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
+	fs.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; -policy adaptive only)")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	fs.StringVar(&cfg.chaosSpec, "chaos-spec", "", "fault injection on outgoing peer messages, as key=value pairs: seed=7,drop=0.02,dup=0.02,delay=100us..1ms,kill-every=2s (drop/dup: probability in [0,1] per message; delay: uniform extra delay; kill-every: abort every live peer connection at this interval, exercising the redial path; absent keys are off). drop, dup and kill-every lose or repeat messages, which the protocols do not survive (a token delivered twice is owned twice), so they require -reliable. A chaotic run prints its spec for replay")
 	fs.BoolVar(&cfg.reliable, "reliable", false, "per-link ack/retransmit wrapper on peer traffic: restores reliable delivery (and so liveness) over a lossy fabric, at the cost of ack frames and retransmit buffers")
@@ -102,14 +103,120 @@ func main() {
 	}
 }
 
+// shutdownBound is how long a shutdown waits for the drain and the
+// report before it closes the cluster.
+const shutdownBound = 5 * time.Second
+
+// stack is one daemon's layers as buildStack assembles them: the peer
+// endpoint and the wrappers above it, the cluster's configuration and
+// the client port's listener. Its listeners are bound; nothing connects
+// or sends before serve.
+type stack struct {
+	cfg     daemonConfig
+	local   []int
+	peers   []string // serve points the peer endpoint here
+	factory alg.Factory
+	policy  serve.Policy
+	tcp     *transport.TCP
+	spec    transport.Spec
+	chaos   *transport.Chaos    // nil without -chaos-spec
+	rel     *transport.Reliable // nil without -reliable
+	live    live.Config
+	port    net.Listener // the client port; nil without -client-listen
+	cluster *live.Cluster
+	srv     *serve.Server
+}
+
+// buildStack refuses every flag combination the daemon cannot run, then
+// binds the peer endpoint and the client port and assembles the stack
+// over them: live → Reliable → Chaos → TCP.
+func buildStack(cfg daemonConfig) (*stack, error) {
+	st := &stack{cfg: cfg}
+	var err error
+	if st.factory, err = factoryFor(cfg.algName, cfg.leaseTTL); err != nil {
+		return nil, err
+	}
+	if st.spec, err = transport.ParseSpec(cfg.chaosSpec); err != nil {
+		return nil, fmt.Errorf("-chaos-spec: %w", err)
+	}
+	// A lost frame wedges the protocol and a repeated one hands a token
+	// to two owners: only Reliable above the chaos keeps either from it.
+	if (st.spec.Drop > 0 || st.spec.Dup > 0 || st.spec.KillEvery > 0) && !cfg.reliable {
+		return nil, fmt.Errorf("-chaos-spec %s can lose or repeat peer messages: it needs -reliable", st.spec)
+	}
+	if st.policy, err = serve.ParsePolicy(cfg.policyStr); err != nil {
+		return nil, err
+	}
+	if cfg.admitTarget != 0 && st.policy != serve.Adaptive {
+		return nil, fmt.Errorf("-admit-target %v: -policy %s has no grant-latency target (only adaptive does)", cfg.admitTarget, st.policy)
+	}
+	if st.local, err = parseIDs(cfg.localCSV, cfg.nodes); err != nil {
+		return nil, err
+	}
+	if st.peers = strings.Split(cfg.peersCSV, ","); cfg.peersCSV == "" || len(st.peers) != cfg.nodes {
+		return nil, fmt.Errorf("-peers must list exactly %d addresses, got %d", cfg.nodes, len(st.peers))
+	}
+	if cfg.shards < 1 || cfg.shards > cfg.resources {
+		return nil, fmt.Errorf("-shards %d outside [1, %d]", cfg.shards, cfg.resources)
+	}
+	if cfg.crossTwoPhase && cfg.shards == 1 {
+		return nil, fmt.Errorf("-cross-two-phase: -shards 1 has no cross-shard set to acquire")
+	}
+
+	if st.tcp, err = transport.ListenTCP(cfg.listen, cfg.nodes, st.local...); err != nil {
+		return nil, err
+	}
+	// The cluster's transport: the raw TCP endpoint, or — given a
+	// -chaos-spec — that endpoint behind the fault-injecting wrapper.
+	// -reliable stacks the ack/retransmit wrapper above it, so injected
+	// drops and duplicates are healed below the protocol.
+	var tr transport.Transport = st.tcp
+	if st.spec != (transport.Spec{}) {
+		st.chaos = transport.NewChaos(tr, st.spec.Seed)
+		st.chaos.Apply(st.spec)
+		tr = st.chaos
+	}
+	if cfg.reliable {
+		st.rel = transport.NewReliable(tr)
+		tr = st.rel
+	}
+	// Leases need a clock: tick each node three times per heartbeat
+	// (the heartbeat period is a third of the TTL).
+	var tick time.Duration
+	if cfg.leaseTTL > 0 {
+		if tick = cfg.leaseTTL / 9; tick <= 0 {
+			tick = time.Millisecond
+		}
+	}
+	st.live = live.Config{
+		Nodes:              cfg.nodes,
+		Resources:          cfg.resources,
+		Shards:             cfg.shards,
+		CrossShardTwoPhase: cfg.crossTwoPhase,
+		Transport:          tr,
+		Local:              st.local,
+		Policy:             st.policy,
+		AdmitTarget:        cfg.admitTarget,
+		Tick:               tick,
+		Wire:               transport.WireOptions{Delta: true},
+	}
+	if cfg.clientListen != "" {
+		if st.port, err = net.Listen("tcp", cfg.clientListen); err != nil {
+			tr.Close()
+			return nil, fmt.Errorf("-client-listen %s: %w", cfg.clientListen, err)
+		}
+	}
+	return st, nil
+}
+
 func factoryFor(name string, leaseTTL time.Duration) (alg.Factory, error) {
 	a, ok := experiments.AlgorithmByName(name)
 	if !ok {
-		return nil, fmt.Errorf("unknown algorithm %q", name)
+		return nil, fmt.Errorf("-alg: unknown algorithm %q", name)
 	}
 	switch a {
 	case experiments.SharedMem, experiments.Maddi, experiments.Manager:
-		return nil, fmt.Errorf("algorithm %q is simulator-only: its messages have no wire codec", name)
+		return nil, fmt.Errorf("-alg %s is simulator-only: its messages have no wire codec", name)
 	}
 	if leaseTTL > 0 {
 		// Leases are a counter-algorithm feature: the token carries the
@@ -122,7 +229,7 @@ func factoryFor(name string, leaseTTL time.Duration) (alg.Factory, error) {
 		case experiments.WithoutLoan:
 			opt = core.WithoutLoan()
 		default:
-			return nil, fmt.Errorf("-lease-ttl: algorithm %q has no lease support (counter-loan and counter-no-loan only)", name)
+			return nil, fmt.Errorf("-lease-ttl: -alg %s has no lease support (counter-loan and counter-no-loan only)", name)
 		}
 		opt.LeaseTTL = sim.Time(leaseTTL)
 		return core.NewFactory(opt), nil
@@ -139,142 +246,102 @@ func parseIDs(csv string, n int) ([]int, error) {
 		}
 		id, err := strconv.Atoi(f)
 		if err != nil || id < 0 || id >= n {
-			return nil, fmt.Errorf("bad node id %q (cluster has %d nodes)", f, n)
+			return nil, fmt.Errorf("-local: bad node id %q (cluster has %d nodes)", f, n)
 		}
 		out = append(out, id)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no local node ids given")
+		return nil, fmt.Errorf("-local: no node ids given")
 	}
 	return out, nil
 }
 
-// run serves until ctx is cancelled (main: SIGINT/SIGTERM), then drains
-// and reports on out.
+// run builds the daemon's stack, serves until ctx is cancelled (main:
+// SIGINT/SIGTERM), then drains and reports on out.
 func run(ctx context.Context, cfg daemonConfig, out io.Writer) error {
-	nodes, resources := cfg.nodes, cfg.resources
-	factory, err := factoryFor(cfg.algName, cfg.leaseTTL)
+	st, err := buildStack(cfg)
 	if err != nil {
 		return err
-	}
-	chaos, err := transport.ParseSpec(cfg.chaosSpec)
-	if err != nil {
-		return fmt.Errorf("-chaos-spec: %w", err)
-	}
-	// A lost frame wedges the protocol and a repeated one hands a token
-	// to two owners: only Reliable above the chaos keeps either from it.
-	if (chaos.Drop > 0 || chaos.Dup > 0 || chaos.KillEvery > 0) && !cfg.reliable {
-		return fmt.Errorf("-chaos-spec %s can lose or repeat peer messages: it needs -reliable", chaos)
-	}
-	policy, err := serve.ParsePolicy(cfg.policyStr)
-	if err != nil {
-		return err
-	}
-	local, err := parseIDs(cfg.localCSV, nodes)
-	if err != nil {
-		return err
-	}
-	peers := strings.Split(cfg.peersCSV, ",")
-	if cfg.peersCSV == "" || len(peers) != nodes {
-		return fmt.Errorf("-peers must list exactly %d addresses, got %d", nodes, len(peers))
-	}
-	if cfg.shards < 1 || cfg.shards > resources {
-		return fmt.Errorf("-shards %d outside [1, %d]", cfg.shards, resources)
 	}
 	if cfg.pprofAddr != "" {
 		// Profiles for live bench/debug runs: the default mux carries
-		// net/http/pprof. Failure to bind is fatal — a daemon asked to
-		// be profiled silently not serving profiles wastes the session.
-		errc := make(chan error, 1)
-		go func() { errc <- http.ListenAndServe(cfg.pprofAddr, nil) }()
-		select {
-		case err := <-errc:
+		// net/http/pprof, served on a port bound here, so a bind error is
+		// fatal rather than lost, and closed when run returns.
+		ln, err := net.Listen("tcp", cfg.pprofAddr)
+		if err != nil {
+			st.close()
 			return fmt.Errorf("-pprof %s: %w", cfg.pprofAddr, err)
-		case <-time.After(100 * time.Millisecond):
-			fmt.Fprintf(out, "mrallocd: pprof on http://%s/debug/pprof/\n", cfg.pprofAddr)
 		}
+		served := make(chan struct{})
+		go func() { http.Serve(ln, nil); close(served) }()
+		defer func() { ln.Close(); <-served }()
+		fmt.Fprintf(out, "mrallocd: pprof on http://%s/debug/pprof/\n", ln.Addr())
 	}
+	return st.serve(ctx, out)
+}
 
-	tr, err := transport.ListenTCP(cfg.listen, nodes, local...)
-	if err != nil {
-		return err
+// close stops the client port and the cluster, or, before serve, closes
+// what buildStack bound. Each layer's Close is idempotent.
+func (st *stack) close() {
+	if st.srv != nil {
+		st.srv.Close()
+	} else if st.port != nil {
+		st.port.Close()
 	}
-	if err := tr.Connect(peers); err != nil {
-		tr.Close()
-		return err
-	}
-	// The cluster's transport: the raw TCP endpoint, or — given a
-	// -chaos-spec — that endpoint behind the fault-injecting wrapper,
-	// with the spec printed so the run can be replayed.
-	var clusterTr transport.Transport = tr
-	if chaos != (transport.Spec{}) {
-		ch := transport.NewChaos(tr, chaos.Seed)
-		ch.Apply(chaos)
-		clusterTr = ch
-		fmt.Fprintf(out, "mrallocd: chaos armed, replay with -chaos-spec %s\n", chaos)
-	}
-	// -reliable stacks the ack/retransmit wrapper above the (possibly
-	// chaotic) endpoint: live → Reliable → Chaos → TCP, so injected
-	// drops and duplicates are healed below the protocol.
-	var rel *transport.Reliable
-	if cfg.reliable {
-		rel = transport.NewReliable(clusterTr)
-		clusterTr = rel
-	}
-	// Leases need a clock: tick each node three times per heartbeat
-	// (the heartbeat period is a third of the TTL).
-	var tick time.Duration
-	if cfg.leaseTTL > 0 {
-		if tick = cfg.leaseTTL / 9; tick <= 0 {
-			tick = time.Millisecond
-		}
-	}
-	cluster, err := live.New(live.Config{
-		Nodes:              nodes,
-		Resources:          resources,
-		Shards:             cfg.shards,
-		CrossShardTwoPhase: cfg.crossTwoPhase,
-		Transport:          clusterTr,
-		Local:              local,
-		Policy:             policy,
-		AdmitTarget:        cfg.admitTarget,
-		Tick:               tick,
-		Wire:               transport.WireOptions{Delta: true},
-	}, factory)
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-	if cfg.shards > 1 {
-		fmt.Fprintf(out, "mrallocd: hosting nodes %v of %d (%s, M=%d, G=%d shards) on %s\n",
-			local, nodes, cfg.algName, resources, cfg.shards, tr.Addr())
+	if st.cluster != nil {
+		st.cluster.Close()
 	} else {
-		fmt.Fprintf(out, "mrallocd: hosting nodes %v of %d (%s, M=%d) on %s\n",
-			local, nodes, cfg.algName, resources, tr.Addr())
+		st.live.Transport.Close()
 	}
+}
 
-	if cfg.clientListen != "" {
+// serve points the peer endpoint at st.peers, starts the cluster on the
+// assembled transport and opens the client port onto it; it serves
+// until ctx is cancelled, then drains, reports on out and closes the
+// stack.
+func (st *stack) serve(ctx context.Context, out io.Writer) error {
+	defer st.close()
+	if err := st.tcp.Connect(st.peers); err != nil {
+		return err
+	}
+	cluster, err := live.New(st.live, st.factory)
+	if err != nil {
+		return err
+	}
+	st.cluster = cluster
+	cfg := st.cfg
+	if st.port != nil {
 		scfg := serve.ServerConfig{
-			Listen:    cfg.clientListen,
-			Nodes:     nodes,
-			Resources: resources,
+			Listener:  st.port,
+			Nodes:     cfg.nodes,
+			Resources: cfg.resources,
 			Shards:    cfg.shards,
-			Local:     local,
+			Local:     st.local,
 			Open:      func(node int) (serve.BackendSession, error) { return cluster.NewSession(node) },
 		}
-		if policy == serve.Adaptive {
+		if st.policy == serve.Adaptive {
 			// The adaptive load oracle: the client port consults each
 			// node's self-tuned bound before queueing and reports the
 			// denials back into its shed-rate tracking.
 			scfg.Overloaded = cluster.Overloaded
 			scfg.NoteShed = cluster.NoteShed
 		}
-		srv, err := serve.NewServer(scfg)
-		if err != nil {
+		if st.srv, err = serve.NewServer(scfg); err != nil {
 			return err
 		}
-		defer srv.Close()
-		fmt.Fprintf(out, "mrallocd: client port on %s (policy %s)\n", srv.Addr(), policy)
+	}
+	if st.chaos != nil {
+		fmt.Fprintf(out, "mrallocd: chaos armed, replay with -chaos-spec %s\n", st.spec)
+	}
+	if cfg.shards > 1 {
+		fmt.Fprintf(out, "mrallocd: hosting nodes %v of %d (%s, M=%d, G=%d shards) on %s\n",
+			st.local, cfg.nodes, cfg.algName, cfg.resources, cfg.shards, st.tcp.Addr())
+	} else {
+		fmt.Fprintf(out, "mrallocd: hosting nodes %v of %d (%s, M=%d) on %s\n",
+			st.local, cfg.nodes, cfg.algName, cfg.resources, st.tcp.Addr())
+	}
+	if st.srv != nil {
+		fmt.Fprintf(out, "mrallocd: client port on %s (policy %s)\n", st.srv.Addr(), st.policy)
 	}
 
 	<-ctx.Done()
@@ -282,12 +349,19 @@ func run(ctx context.Context, cfg daemonConfig, out io.Writer) error {
 	// Graceful exit: hand off every token our nodes own (to a waiting
 	// requester or the resource's steward) before the process dies, so
 	// peers never have to wait out a lease expiry and regeneration for
-	// resources we were holding.
+	// resources we were holding. The drain and the report wait on the
+	// shard runners, and a runner sending to a daemon that has exited
+	// already waits out the endpoint's dial window, once per message:
+	// past shutdownBound the cluster closes, which cuts every wait short.
+	cut := time.AfterFunc(shutdownBound, cluster.Close)
 	if cluster.Drain() {
 		fmt.Fprintln(out, "mrallocd: drained — owned tokens handed off to peers")
 	}
 	printStats(out, cluster.Stats())
-	printRecovery(out, cluster, local, rel)
+	printRecovery(out, cluster, st.local, st.rel)
+	if !cut.Stop() {
+		fmt.Fprintf(out, "mrallocd: shutdown cut short after %v: a peer is unreachable\n", shutdownBound)
+	}
 	return nil
 }
 
@@ -308,12 +382,15 @@ func printRecovery(out io.Writer, cluster *live.Cluster, local []int, rel *trans
 	seen := false
 	for s := 0; s < g; s++ {
 		for _, id := range local {
-			cluster.InspectShard(s, id, func(n alg.Node) {
+			closed := !cluster.InspectShard(s, id, func(n alg.Node) {
 				if nd, ok := n.(*core.Node); ok {
 					perShard[s].Add(nd.Counters())
 					seen = true
 				}
 			})
+			if closed {
+				return // fn may still run: read nothing it writes
+			}
 		}
 		agg.Add(perShard[s])
 	}

@@ -446,8 +446,17 @@ func (nd *Node) reclaimParked(r resource.ID) {
 	// computed. The reclaim is therefore uniform: fall back to the
 	// waitCS path and chase the departed token with an ordinary marked
 	// resource request.
+	//
+	// The entry is no longer whole, so it stops being parked: it waits
+	// in waitCS like any other, where every later departure of one of
+	// its tokens keeps its claim (a yield queues it, a loan comes
+	// home). A parked borrower's loan has failed with it: a token it
+	// borrowed stays out of its lender's hands until it returns it, and
+	// the lender may be what the departed token's new holder waits for.
+	nd.entryHeld = false
 	nd.st = stWaitCS
 	nd.ask(&request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
+	nd.returnLoans()
 }
 
 // Drain implements alg.Drainer: an orderly shutdown hands every owned
@@ -466,6 +475,9 @@ func (nd *Node) Drain() {
 			continue // an active critical section cannot be handed off
 		}
 		t := nd.tok[r]
+		if t == nil {
+			continue // returned to its lender earlier in this very loop
+		}
 		var to network.NodeID
 		if head, ok := t.Queue.Head(); ok && head.Site != nd.self() {
 			t.Queue.PopHead()

@@ -140,10 +140,11 @@ type Node struct {
 	// Reusable hot-path scratch. ids snapshots a set for iteration in
 	// Release/scanQueues/processLoanQueues/Tick/Drain (never nested with
 	// each other); lendIDs is canLend's own snapshot, which IS reached
-	// from inside a processLoanQueues iteration; bounceIDs is onTokens'
-	// failed-loan scan, which calls sendToken while it iterates and
-	// runs before scanQueues and processLoanQueues take ids in the same
-	// activation — its own slice, so it nests with nothing. loans is
+	// from inside a processLoanQueues iteration; bounceIDs is
+	// returnLoans' failed-loan scan, which calls sendToken while it
+	// iterates. reclaimParked runs it too, reached by a sendToken inside
+	// an ids scan, so those scans skip a token returned under them; it
+	// never nests in itself, as reclaimParked unparks first. loans is
 	// processLoanQueues' copy of a token's loan queue. miss holds
 	// maybeAskLoan's missing-set computation.
 	ids       []resource.ID `explore:"-"`
@@ -752,27 +753,8 @@ func (nd *Node) onTokens(toks []*token) {
 		nd.maybeEnter()
 	} else if waiting {
 		// Any borrowed token we cannot use right now means the loan
-		// failed (we yielded other tokens in the meantime): bounce the
-		// borrowed tokens straight back to the lender and restore our
-		// queue position (hardening deviation 4).
-		returned := false
-		nd.bounceIDs = nd.owned.AppendMembers(room(nd.bounceIDs))
-		for _, r := range nd.bounceIDs {
-			t := nd.tok[r]
-			if t.Lender == network.None || t.Lender == nd.self() {
-				continue
-			}
-			lender := t.Lender
-			nd.sendToken(lender, r)
-			nd.stats.LoanReturns++
-			returned = true
-			if nd.st == stWaitCS && nd.required.Has(r) {
-				nd.ask(&request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
-			}
-		}
-		if returned {
-			nd.loanAsked = false
-		}
+		// failed (we yielded other tokens in the meantime).
+		nd.returnLoans()
 	}
 
 	if nd.st == stWaitS && nd.cntNeeded.Empty() {
@@ -781,6 +763,30 @@ func (nd *Node) onTokens(toks []*token) {
 	nd.scanQueues()
 	nd.processLoanQueues()
 	nd.maybeAskLoan()
+}
+
+// returnLoans ends a failed loan (hardening deviation 4): every
+// borrowed token goes straight back to its lender, and our claim on it
+// is restored by an ordinary request.
+func (nd *Node) returnLoans() {
+	returned := false
+	nd.bounceIDs = nd.owned.AppendMembers(room(nd.bounceIDs))
+	for _, r := range nd.bounceIDs {
+		t := nd.tok[r]
+		if t.Lender == network.None || t.Lender == nd.self() {
+			continue
+		}
+		lender := t.Lender
+		nd.sendToken(lender, r)
+		nd.stats.LoanReturns++
+		returned = true
+		if nd.st == stWaitCS && nd.required.Has(r) {
+			nd.ask(&request{Kind: reqRes, R: r, Init: nd.self(), ID: nd.curID, Mark: nd.myMark})
+		}
+	}
+	if returned {
+		nd.loanAsked = false
+	}
 }
 
 // processUpdate installs an arriving token and replays the local
@@ -869,6 +875,9 @@ func (nd *Node) scanQueues() {
 	nd.ids = nd.owned.AppendMembers(room(nd.ids))
 	for _, r := range nd.ids {
 		t := nd.tok[r]
+		if t == nil {
+			continue // returned to its lender earlier in this very scan
+		}
 		head, ok := t.Queue.Head()
 		if !ok {
 			continue

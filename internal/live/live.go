@@ -287,7 +287,7 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 // timed protocol machinery advances as an activation on the shard's
 // runner, and re-arms tick once they are posted. It exits when the
 // cluster closes.
-func (c *Cluster) runTicker(local []int, tick *sim.Timer) {
+func (c *Cluster) runTicker(local []int, tick sim.Timer) {
 	defer c.tickWG.Done()
 	for {
 		select {

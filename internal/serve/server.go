@@ -40,8 +40,10 @@ const DefaultEgressBudget = 4 << 20
 // ServerConfig sizes a client-port server.
 type ServerConfig struct {
 	// Listen is the TCP address of the client port (":0" picks a free
-	// port; Addr reports it).
-	Listen string
+	// port; Addr reports it), unless Listener is set: a port the caller
+	// has bound already, which the server then owns.
+	Listen   string
+	Listener net.Listener
 	// Nodes and Resources are the cluster shape, used to validate
 	// inbound frames and client requests.
 	Nodes, Resources int
@@ -134,9 +136,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	ln, err := net.Listen("tcp", cfg.Listen)
-	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", cfg.Listen, err)
+	ln := cfg.Listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", cfg.Listen); err != nil {
+			return nil, fmt.Errorf("serve: listen %s: %w", cfg.Listen, err)
+		}
 	}
 	s := &Server{
 		cfg:          cfg,

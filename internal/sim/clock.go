@@ -14,17 +14,23 @@ type Clock interface {
 	// Sleep blocks until d has passed on the clock.
 	Sleep(d time.Duration)
 	// NewTimer returns a timer armed to fire once d has passed.
-	NewTimer(d time.Duration) *Timer
+	NewTimer(d time.Duration) Timer
 }
 
 // Timer is a one-shot timer of a Clock, shaped like time.Timer: C
 // receives one value when it fires, Stop and Reset report whether it
 // was armed, and no value armed before a Stop or Reset is received
-// after it. w is a wall timer; the rest serve a virtual one.
+// after it. It is a value, so a wall timer costs what its time.Timer
+// does: w is that timer, v the state of a virtual one.
 type Timer struct {
-	C     <-chan time.Time
-	w     *time.Timer
-	v     *Virtual
+	C <-chan time.Time
+	w *time.Timer
+	v *vtimer
+}
+
+// vtimer is a virtual timer's state, guarded by its clock's lock.
+type vtimer struct {
+	clk   *Virtual
 	c     chan time.Time
 	due   Time
 	armed bool
@@ -32,24 +38,24 @@ type Timer struct {
 }
 
 // Stop disarms the timer, reporting whether it was armed.
-func (t *Timer) Stop() bool {
+func (t Timer) Stop() bool {
 	if t.w != nil {
 		return t.w.Stop()
 	}
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	return t.disarm()
+	t.v.clk.mu.Lock()
+	defer t.v.clk.mu.Unlock()
+	return t.v.disarm()
 }
 
 // Reset re-arms the timer to fire d from now, reporting whether it was armed.
-func (t *Timer) Reset(d time.Duration) bool {
+func (t Timer) Reset(d time.Duration) bool {
 	if t.w != nil {
 		return t.w.Reset(d)
 	}
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	was := t.disarm()
-	t.arm(d)
+	t.v.clk.mu.Lock()
+	defer t.v.clk.mu.Unlock()
+	was := t.v.disarm()
+	t.v.arm(d)
 	return was
 }
 
@@ -65,9 +71,9 @@ func Wall() Clock { return wall{} }
 func (wall) Now() Time             { return Time(time.Since(wallEpoch)) }
 func (wall) Sleep(d time.Duration) { time.Sleep(d) }
 
-func (wall) NewTimer(d time.Duration) *Timer {
+func (wall) NewTimer(d time.Duration) Timer {
 	w := time.NewTimer(d)
-	return &Timer{C: w.C, w: w}
+	return Timer{C: w.C, w: w}
 }
 
 // Virtual is a clock that stands still until Advance moves it. Its
@@ -95,9 +101,9 @@ func (v *Virtual) Now() Time {
 func (v *Virtual) Sleep(d time.Duration) { <-v.NewTimer(d).C }
 
 // NewTimer implements Clock. A timer armed for d ≤ 0 fires at once.
-func (v *Virtual) NewTimer(d time.Duration) *Timer {
+func (v *Virtual) NewTimer(d time.Duration) Timer {
 	c := make(chan time.Time, 1)
-	t := &Timer{C: c, v: v, c: c}
+	t := &vtimer{clk: v, c: c}
 	t.fire = func() {
 		if t.armed && t.due == v.eng.Now() {
 			t.disarm()
@@ -107,7 +113,7 @@ func (v *Virtual) NewTimer(d time.Duration) *Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	t.arm(d)
-	return t
+	return Timer{C: c, v: t}
 }
 
 // Advance moves the clock d forward, firing every timer due on the way.
@@ -127,24 +133,24 @@ func (v *Virtual) Armed() int {
 
 // arm and disarm run under the clock's lock; disarm also drains a fired
 // value nobody took.
-func (t *Timer) arm(d time.Duration) {
+func (t *vtimer) arm(d time.Duration) {
 	t.armed = true
-	t.v.armed++
-	t.due = t.v.eng.Now() + Time(max(d, 0))
-	t.v.eng.At(t.due, t.fire)
+	t.clk.armed++
+	t.due = t.clk.eng.Now() + Time(max(d, 0))
+	t.clk.eng.At(t.due, t.fire)
 	if d <= 0 {
-		t.v.eng.RunUntil(t.due)
+		t.clk.eng.RunUntil(t.due)
 	}
 }
 
-func (t *Timer) disarm() (was bool) {
+func (t *vtimer) disarm() (was bool) {
 	select {
 	case <-t.c:
 	default:
 	}
 	if was = t.armed; was {
 		t.armed = false
-		t.v.armed--
+		t.clk.armed--
 	}
 	return was
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // fired reports whether t has fired, without waiting.
-func fired(t *Timer) bool {
+func fired(t Timer) bool {
 	select {
 	case <-t.C:
 		return true
@@ -90,5 +90,19 @@ func TestWallNowAllocs(t *testing.T) {
 	w := c.NewTimer(time.Hour)
 	if !w.Stop() || fired(w) {
 		t.Fatal("a stopped wall timer fired")
+	}
+}
+
+// wallClock is the wall clock behind the interface a live runtime holds
+// it by, so a timer it makes is not inlined away.
+var wallClock = Wall()
+
+// TestWallTimerAllocs: the live stack arms its timers through Clock, so
+// a wall Timer must cost what the time.Timer it wraps costs and no
+// object more.
+func TestWallTimerAllocs(t *testing.T) {
+	want := testing.AllocsPerRun(1000, func() { time.NewTimer(time.Hour).Stop() })
+	if got := testing.AllocsPerRun(1000, func() { wallClock.NewTimer(time.Hour).Stop() }); got > want {
+		t.Fatalf("%v allocs per wall NewTimer+Stop, want %v as time.NewTimer", got, want)
 	}
 }

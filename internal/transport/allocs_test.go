@@ -44,12 +44,12 @@ func TestSingleMessageSendAllocs(t *testing.T) {
 	}
 }
 
-// TestReliableIdleAllocs pins the retransmitter's scan at zero
-// allocations: an idle wrapper rescans its send links every
-// millisecond, and a fresh snapshot of them per scan was one object per
-// millisecond per endpoint. One acknowledged exchange first, so that
-// there is a link to scan; then a thousand ticks of a virtual clock,
-// each advanced once the retransmitter has re-armed.
+// TestReliableIdleAllocs: a wrapper whose every link is acknowledged
+// arms no timer, so it neither wakes nor allocates while idle. One
+// acknowledged exchange first, so that there is a link, and one advance
+// past its first deadline, where the timer armed for it fires, finds
+// nothing due and stays stopped; then a thousand 1-ms advances of a
+// virtual clock, with nothing armed across any of them.
 func TestReliableIdleAllocs(t *testing.T) {
 	clk := sim.NewVirtual()
 	r := transport.NewReliable(transport.NewMem(2, 0))
@@ -66,12 +66,23 @@ func TestReliableIdleAllocs(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+	clk.Advance(transport.DefaultRetransmitBase)
+	for deadline := time.Now().Add(10 * time.Second); clk.Armed() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("10s past the first deadline: %d timers armed, want 0", clk.Armed())
+		}
+		runtime.Gosched()
+	}
+	armed := 0
 	tick := func() {
-		awaitArmed(t, clk, "the retransmitter")
 		clk.Advance(time.Millisecond)
+		armed = max(armed, clk.Armed())
 	}
 	if got := testing.AllocsPerRun(1000, tick); got > 0 {
-		t.Fatalf("%v allocs per idle retransmitter tick, want 0", got)
+		t.Fatalf("%v allocs per idle millisecond, want 0", got)
+	}
+	if armed != 0 {
+		t.Fatalf("an idle wrapper armed %d timers, want none", armed)
 	}
 }
 

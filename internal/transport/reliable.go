@@ -164,7 +164,9 @@ type Reliable struct {
 	wg      sync.WaitGroup
 	closeMu sync.Mutex
 	closed  bool
-	tick    *sim.Timer // the retransmitter's; nil until it starts
+	tick    sim.Timer // the retransmitter's; zero until it starts
+	armMu   sync.Mutex
+	armedAt sim.Time // the deadline tick is armed for; 0: none
 }
 
 // NewReliable wraps inner in the ack/retransmit discipline. Both
@@ -283,6 +285,7 @@ func (r *Reliable) Send(k Link, m network.Message) {
 	l.unacked = append(l.unacked, env)
 	if l.deadline == 0 {
 		r.rearm(l, r.clk.Now())
+		r.armBy(l.deadline)
 	}
 	r.inner.Send(k, env)
 }
@@ -338,12 +341,16 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 				l.unacked[i] = nil
 			}
 			l.unacked = l.unacked[:len(rest)]
-			// Progress: restart the backoff schedule.
+			// Progress: restart the backoff schedule. A deadline that
+			// moves later, or goes with the last frame, needs no wake:
+			// the armed timer fires once early and the scan re-arms or
+			// stops it. Only a reset backoff can bring it nearer.
 			l.attempt = 0
 			if len(l.unacked) == 0 {
 				l.deadline = 0
 			} else {
 				r.rearm(l, r.clk.Now())
+				r.armBy(l.deadline)
 			}
 		}
 		l.mu.Unlock()
@@ -405,16 +412,19 @@ func (r *Reliable) acker() {
 func (r *Reliable) open() bool {
 	r.closeMu.Lock()
 	defer r.closeMu.Unlock()
-	if !r.closed && r.tick == nil {
-		r.tick = r.clk.NewTimer(time.Millisecond)
+	if !r.closed && r.tick.C == nil {
+		r.tick = r.clk.NewTimer(0) // the first scan runs at once
 		r.wg.Add(1)
 		go r.retransmitter()
 	}
 	return !r.closed
 }
 
-// retransmitter rescans the send links every millisecond and re-sends
-// every unacked frame of any link whose timer expired (go-back-N).
+// retransmitter re-sends every unacked frame of any link whose
+// deadline has passed (go-back-N), then arms its timer for the earliest
+// deadline left, or not at all while every link is acknowledged. A Send
+// to an idle link, or an ack that resets a backoff, arms it sooner
+// itself (armBy).
 func (r *Reliable) retransmitter() {
 	defer r.wg.Done()
 	var links []Link
@@ -425,35 +435,65 @@ func (r *Reliable) retransmitter() {
 			return
 		case <-r.tick.C:
 		}
+		r.armMu.Lock()
+		r.armedAt = 0 // a Send during the scan arms for its own deadline
+		r.armMu.Unlock()
 		now := r.clk.Now()
 		r.mu.Lock()
 		links = slices.AppendSeq(links[:0], maps.Keys(r.send))
 		r.mu.Unlock()
+		var next sim.Time // the earliest deadline left; 0: none
 		for _, k := range links {
 			l := r.sendLink(k)
 			l.mu.Lock()
-			if len(l.unacked) == 0 || l.deadline == 0 || now < l.deadline {
+			if len(l.unacked) == 0 || l.deadline == 0 {
 				l.mu.Unlock()
 				continue
 			}
-			l.attempt++
-			r.rearm(l, now)
-			// Hold the link lock across the re-sends so a concurrent
-			// fresh Send cannot interleave a higher sequence number
-			// into the middle of the retransmitted window. They are
-			// counted first, so a frame they deliver finds them counted.
-			if r.isClosed() {
-				l.mu.Unlock()
-				return
+			if now >= l.deadline {
+				l.attempt++
+				r.rearm(l, now)
+				// Hold the link lock across the re-sends so a concurrent
+				// fresh Send cannot interleave a higher sequence number
+				// into the middle of the retransmitted window. They are
+				// counted first, so a frame they deliver finds them
+				// counted.
+				if r.isClosed() {
+					l.mu.Unlock()
+					return
+				}
+				resent := len(l.unacked)
+				r.addRel(func(s *RelStats) { s.Retransmits += int64(resent) })
+				for _, env := range l.unacked {
+					r.inner.Send(k, env)
+				}
 			}
-			resent := len(l.unacked)
-			r.addRel(func(s *RelStats) { s.Retransmits += int64(resent) })
-			for _, env := range l.unacked {
-				r.inner.Send(k, env)
+			if next == 0 || l.deadline < next {
+				next = l.deadline
 			}
 			l.mu.Unlock()
 		}
-		r.tick.Reset(time.Millisecond)
+		r.armMu.Lock()
+		if r.armedAt != 0 && (next == 0 || r.armedAt < next) {
+			next = r.armedAt
+		}
+		if r.armedAt = next; next != 0 {
+			r.tick.Reset(time.Duration(next - r.clk.Now()))
+		} else {
+			r.tick.Stop()
+		}
+		r.armMu.Unlock()
+	}
+}
+
+// armBy arms the retransmitter's timer for deadline unless it is armed
+// for an earlier one.
+func (r *Reliable) armBy(deadline sim.Time) {
+	r.armMu.Lock()
+	defer r.armMu.Unlock()
+	if r.armedAt == 0 || deadline < r.armedAt {
+		r.armedAt = deadline
+		r.tick.Reset(time.Duration(deadline - r.clk.Now()))
 	}
 }
 
