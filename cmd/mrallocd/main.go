@@ -350,8 +350,8 @@ func (st *stack) serve(ctx context.Context, out io.Writer) error {
 	// requester or the resource's steward) before the process dies, so
 	// peers never have to wait out a lease expiry and regeneration for
 	// resources we were holding. The drain and the report wait on the
-	// shard runners, and a runner sending to a daemon that has exited
-	// already waits out the endpoint's dial window, once per message:
+	// shard runners, and the first send to a daemon that has exited
+	// already waits out the endpoint's dial window (later ones dial once):
 	// past shutdownBound the cluster closes, which cuts every wait short.
 	cut := time.AfterFunc(shutdownBound, cluster.Close)
 	if cluster.Drain() {

@@ -75,10 +75,11 @@ type Config struct {
 	// cluster takes ownership and closes it on Close. Nil keeps every
 	// message in this process, which requires every node to be local.
 	Transport transport.Transport
-	// Local lists the node ids hosted by this process. Nil or empty
-	// means all of them (the single-process configuration). Remote
-	// nodes are reachable through the transport but cannot be driven
-	// by this cluster's sessions or inspected.
+	// Local lists the node ids hosted by this process, exactly the ones
+	// a supplied Transport's endpoint hosts. Nil or empty means all of
+	// them (the single-process configuration). Remote nodes are
+	// reachable through the transport but cannot be driven by this
+	// cluster's sessions or inspected.
 	Local []int
 	// Policy selects the admission ordering of each node's scheduler
 	// (serve.FIFO when empty); Aging is the starvation-freedom
@@ -117,9 +118,10 @@ type Config struct {
 	Tick time.Duration
 	// Wire tunes the wire path of a socket fabric: delta-encoded token
 	// state. It reaches the fabric through any wrappers, in the one
-	// transport.Config the cluster announces before any node attaches,
-	// so it covers every connection the cluster dials; fabrics without a
-	// wire path (Mem) ignore it.
+	// transport.Config the cluster announces once every node has
+	// attached, before the fabric carries any traffic, so it covers every
+	// connection the cluster dials or accepts; fabrics without a wire
+	// path (Mem) ignore it.
 	Wire transport.WireOptions
 	// Clock is where the cluster and, through the transport.Config that
 	// carries Wire, its fabric read the time and arm their timers. Nil is
@@ -218,21 +220,19 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		if tr.N() != cfg.Nodes {
 			return fail("transport spans %d nodes, cluster has %d", tr.N(), cfg.Nodes)
 		}
-		for _, id := range local {
-			if !tr.Hosts(network.NodeID(id)) {
+		// The endpoint delivers to every node it hosts, so Local names
+		// exactly those.
+		for id := 0; id < cfg.Nodes; id++ {
+			switch hosted := tr.Hosts(network.NodeID(id)); {
+			case seen[id] && !hosted:
 				return fail("local node %d is not hosted by the transport endpoint", id)
+			case hosted && !seen[id]:
+				return fail("node %d is hosted by the transport endpoint but not local", id)
 			}
 		}
 	}
 	smap := resource.NewShardMap(cfg.Resources, g)
 	cfg.Clock = cmp.Or(cfg.Clock, sim.Wall())
-	if tr != nil {
-		sizes := make([]int, g)
-		for s := range sizes {
-			sizes[s] = smap.Size(s)
-		}
-		tr.Configure(transport.Config{Shards: sizes, Wire: cfg.Wire, Clock: cfg.Clock})
-	}
 	// One allocator fleet per shard, each over its shard's local
 	// universe. The flat cluster is the one-shard instance of the same
 	// construction: Size(0) == Resources, so the factory call is exactly
@@ -264,14 +264,21 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 		for _, id := range local {
 			l := newLoop(c, r, network.NodeID(id), nodesByShard[s][id], s)
 			c.loops[s][id] = l
-			// A peer process already running may send at once: what
-			// arrives before the runner starts waits in its mailbox, and
-			// every Attach precedes the first Deliver.
-			if tr != nil {
-				tr.Bind(s, l.id, l.deliver)
-			}
 			l.node.Attach(l)
 		}
+	}
+	// Traffic starts here, once every site is attached: a message that
+	// arrives before its runner starts waits in the runner's mailbox.
+	if tr != nil {
+		sizes := make([]int, g)
+		for s := range sizes {
+			sizes[s] = smap.Size(s)
+		}
+		tr.Configure(transport.Config{Shards: sizes, Wire: cfg.Wire, Clock: cfg.Clock},
+			func(k transport.Link, m network.Message) {
+				l := c.loops[k.Shard][k.To]
+				l.r.mb.put(mbItem{l: l, from: k.From, msg: m})
+			})
 	}
 	for _, r := range c.runners {
 		go r.run()
@@ -622,12 +629,6 @@ func newLoop(c *Cluster, r *runner, id network.NodeID, node alg.Node, shard int)
 		l.sched.SetTarget(sim.Time(c.cfg.AdmitTarget))
 	}
 	return l
-}
-
-// deliver enqueues a message delivered to the site; it is the site's
-// transport handler.
-func (l *loop) deliver(from network.NodeID, m network.Message) {
-	l.r.mb.put(mbItem{l: l, from: from, msg: m})
 }
 
 // post enqueues a control command for the site, reporting false once

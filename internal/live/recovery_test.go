@@ -471,10 +471,10 @@ func (s *sealed) Send(l transport.Link, m network.Message) {
 	s.Transport.Send(l, m)
 }
 
-func (s *sealed) Bind(shard int, id network.NodeID, h transport.Handler) {
-	s.Transport.Bind(shard, id, func(from network.NodeID, m network.Message) {
-		if s.check(transport.Link{Shard: shard, From: from, To: id}, m) {
-			h(from, m)
+func (s *sealed) Configure(cfg transport.Config, deliver transport.Handler) {
+	s.Transport.Configure(cfg, func(l transport.Link, m network.Message) {
+		if s.check(l, m) {
+			deliver(l, m)
 		}
 	})
 }

@@ -266,9 +266,9 @@ func runVerifiedStress(t *testing.T, fb fabric, factory alg.Factory) {
 	}
 }
 
-// TestLocalMustMatchTransportHosting: a Local set the transport does
-// not host must be rejected with an error (and the transport closed),
-// never a Bind panic.
+// TestLocalMustMatchTransportHosting: a Local set that differs from
+// what the transport hosts, either way, must be rejected with an error
+// (and the transport closed), never a panic at the first delivery.
 func TestLocalMustMatchTransportHosting(t *testing.T) {
 	tr, err := transport.ListenTCP("127.0.0.1:0", 8, 0, 1, 2, 3)
 	if err != nil {
@@ -284,6 +284,12 @@ func TestLocalMustMatchTransportHosting(t *testing.T) {
 		t.Fatalf("transport leaked by rejected config: %v", err)
 	} else {
 		ln.Close()
+	}
+	// The reverse: an in-process endpoint hosts every node, and a node it
+	// delivers to must have a site here.
+	if _, err := New(Config{Nodes: 4, Resources: 4, Transport: transport.NewMem(4, 0), Local: []int{0, 1}},
+		core.NewFactory(core.WithLoan())); err == nil {
+		t.Fatal("cluster accepted a transport hosting nodes it does not drive")
 	}
 }
 

@@ -32,7 +32,7 @@ func TestSingleMessageSendAllocs(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			defer c.tr.Close()
-			c.tr.Bind(0, 1, func(network.NodeID, network.Message) {})
+			c.tr.Configure(transport.Config{}, func(transport.Link, network.Message) {})
 			var m network.Message = transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1}
 			l := transport.Link{From: 0, To: 1}
 			// 500 sends stay inside the latency link's queue, so no send
@@ -53,11 +53,9 @@ func TestSingleMessageSendAllocs(t *testing.T) {
 func TestReliableIdleAllocs(t *testing.T) {
 	clk := sim.NewVirtual()
 	r := transport.NewReliable(transport.NewMem(2, 0))
-	r.Configure(transport.Config{Clock: clk})
-	defer r.Close()
 	got := make(chan struct{}, 1)
-	r.Bind(0, 1, func(network.NodeID, network.Message) { got <- struct{}{} })
-	r.Bind(0, 0, func(network.NodeID, network.Message) {})
+	r.Configure(transport.Config{Clock: clk}, func(transport.Link, network.Message) { got <- struct{}{} })
+	defer r.Close()
 	r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	<-got
 	for deadline := time.Now().Add(10 * time.Second); r.RelStats().Acked == 0; {
@@ -159,9 +157,6 @@ func TestTCPRecordRecycleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	cfg := transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: true}}
-	a.Configure(cfg)
-	b.Configure(cfg)
 	addrs := []string{a.Addr(), a.Addr(), b.Addr(), b.Addr()}
 	if err := a.Connect(addrs); err != nil {
 		t.Fatal(err)
@@ -174,8 +169,9 @@ func TestTCPRecordRecycleAllocs(t *testing.T) {
 		m  network.Message
 	}
 	got := make(chan delivery, 2) // the two records in flight
-	a.Bind(0, 0, func(_ network.NodeID, m network.Message) { got <- delivery{0, m} })
-	b.Bind(0, 2, func(_ network.NodeID, m network.Message) { got <- delivery{2, m} })
+	cfg := transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: true}}
+	a.Configure(cfg, func(l transport.Link, m network.Message) { got <- delivery{l.To, m} })
+	b.Configure(cfg, func(l transport.Link, m network.Message) { got <- delivery{l.To, m} })
 	var req, resp network.Message
 	for _, m := range wire.Samples() {
 		switch {

@@ -85,10 +85,7 @@ type ChaosStats struct {
 type Chaos struct {
 	inner Transport
 	seed  int64
-	// clk is the clock Configure announced, Wall until then. A daemon
-	// arms faults before it configures, and an ack its Reliable sends for
-	// an early peer frame may already start a forwarder, hence the atomic.
-	clk atomic.Pointer[sim.Clock]
+	clk   sim.Clock // Configure sets it, before any traffic
 
 	armed atomic.Bool
 
@@ -145,15 +142,12 @@ const (
 // NewChaos wraps inner with fault injection drawn from seed. The
 // wrapper owns inner: Close closes it.
 func NewChaos(inner Transport, seed int64) *Chaos {
-	c := &Chaos{
+	return &Chaos{
 		inner:  inner,
 		seed:   seed,
 		links:  make(map[Link]*chaosLink),
 		closed: make(chan struct{}),
 	}
-	wall := sim.Wall()
-	c.clk.Store(&wall)
-	return c
 }
 
 // SetFaults installs the fault profile of every link and arms the fault
@@ -247,12 +241,11 @@ func (c *Chaos) Hosts(id network.NodeID) bool { return c.inner.Hosts(id) }
 
 // Configure implements Transport by forwarding, and starts the
 // connection killer Apply asked for on the announced clock.
-func (c *Chaos) Configure(cfg Config) {
-	clk := cfg.clock()
-	c.clk.Store(&clk)
-	c.inner.Configure(cfg)
+func (c *Chaos) Configure(cfg Config, deliver Handler) {
+	c.clk = cfg.clock()
+	c.inner.Configure(cfg, deliver)
 	if d := c.killEvery; d > 0 {
-		t := clk.NewTimer(d)
+		t := c.clk.NewTimer(d)
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -270,12 +263,12 @@ func (c *Chaos) Configure(cfg Config) {
 	}
 }
 
-// Bind implements Transport.
-func (c *Chaos) Bind(shard int, id network.NodeID, h Handler) { c.inner.Bind(shard, id, h) }
-
 // Send implements Transport: one message is one fault decision —
 // dropped, duplicated, or delivered after its drawn delay.
 func (c *Chaos) Send(k Link, m network.Message) {
+	if c.clk == nil {
+		panic("transport: Send before Configure")
+	}
 	if !c.armed.Load() {
 		c.inner.Send(k, m)
 		return
@@ -308,7 +301,7 @@ func (c *Chaos) dispatch(k Link, m network.Message) {
 	it := chaosItem{m: m}
 	if delay > 0 {
 		c.nDelayed.Add(1)
-		it.due = (*c.clk.Load()).Now() + sim.Time(delay)
+		it.due = c.clk.Now() + sim.Time(delay)
 	}
 	l.queue = append(l.queue, it)
 	if action == chaosDup {
@@ -409,12 +402,11 @@ func (c *Chaos) forward(k Link, l *chaosLink) {
 		it := l.queue[0]
 		l.queue = l.queue[1:]
 		l.mu.Unlock()
-		clk := *c.clk.Load()
-		if wait := time.Duration(it.due - clk.Now()); wait > 0 {
+		if wait := time.Duration(it.due - c.clk.Now()); wait > 0 {
 			// A fresh timer per delayed item: re-arming one timer for
 			// every item saves its allocations, but on a 2-CPU host it
 			// read 22 % more lossy acquire p50, 10 of 10 pairs worse.
-			t := clk.NewTimer(wait)
+			t := c.clk.NewTimer(wait)
 			select {
 			case <-t.C:
 			case <-c.closed:

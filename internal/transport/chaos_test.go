@@ -44,15 +44,15 @@ func chaosTCPFabric(t *testing.T, n int) []transport.Transport {
 }
 
 func TestChaosMemConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(chaosMemFabric))
+	transporttest.TestTransport(t, chaosMemFabric)
 }
 
 func TestChaosMemArmedConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(chaosMemArmedFabric))
+	transporttest.TestTransport(t, chaosMemArmedFabric)
 }
 
 func TestChaosTCPConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(chaosTCPFabric))
+	transporttest.TestTransport(t, chaosTCPFabric)
 }
 
 // TestChaosScheduleReplay pins determinism: the same seed, fault
@@ -65,9 +65,7 @@ func TestChaosScheduleReplay(t *testing.T) {
 		const n = 3
 		ch := transport.NewChaos(transport.NewMem(n, 0), seed)
 		defer ch.Close()
-		for i := 0; i < n; i++ {
-			ch.Bind(0, network.NodeID(i), func(network.NodeID, network.Message) {})
-		}
+		ch.Configure(transport.Config{}, func(transport.Link, network.Message) {})
 		ch.SetFaults(f)
 		// A fixed single-threaded drive over three links: the decision
 		// sequence depends only on per-link send order, which this
@@ -110,7 +108,7 @@ func TestChaosTraceBounded(t *testing.T) {
 	traceAfter := func(sends int) []byte {
 		ch := transport.NewChaos(transport.NewMem(2, 0), 1)
 		defer ch.Close()
-		ch.Bind(0, 1, func(network.NodeID, network.Message) {})
+		ch.Configure(transport.Config{}, func(transport.Link, network.Message) {})
 		ch.SetFaults(transport.Faults{Drop: 0.1, Dup: 0.1})
 		for s := range sends {
 			ch.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, Seq: int64(s)})
@@ -131,8 +129,7 @@ func TestChaosDirectedPartition(t *testing.T) {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 7)
 	defer ch.Close()
 	got := make(chan transporttest.Msg, 64)
-	ch.Bind(0, 0, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
-	ch.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
+	ch.Configure(transport.Config{}, func(_ transport.Link, m network.Message) { got <- m.(transporttest.Msg) })
 
 	ch.Partition(transport.Link{From: 0, To: 1})
 	for s := int64(1); s <= 5; s++ {
@@ -182,7 +179,7 @@ func TestChaosKillEveryOnClock(t *testing.T) {
 	ch := transport.NewChaos(oneConn{transport.NewMem(2, 0)}, 5)
 	defer ch.Close()
 	ch.Apply(transport.Spec{KillEvery: time.Second})
-	ch.Configure(transport.Config{Clock: clk})
+	ch.Configure(transport.Config{Clock: clk}, func(transport.Link, network.Message) {})
 	for i := 1; i <= 3; i++ {
 		awaitArmed(t, clk, "the connection killer")
 		if got := ch.ChaosStats().Killed; got != int64(i-1) {
@@ -195,35 +192,6 @@ func TestChaosKillEveryOnClock(t *testing.T) {
 			t.Fatalf("3 periods passed, %d kills", ch.ChaosStats().Killed)
 		}
 		runtime.Gosched()
-	}
-}
-
-// TestHazardChaosConfiguredMidTraffic: a daemon arms its faults before
-// the cluster configures the stack, and a peer's early frame can make
-// its Reliable send an ack through the armed wrapper first. Sends that
-// draw delays, and the forwarders they start, run while Configure
-// announces the clock; under the race detector that must be clean.
-func TestHazardChaosConfiguredMidTraffic(t *testing.T) {
-	ch := transport.NewChaos(transport.NewMem(2, 0), 9)
-	defer ch.Close()
-	got := make(chan struct{}, 256)
-	ch.Bind(0, 1, func(network.NodeID, network.Message) { got <- struct{}{} })
-	ch.SetFaults(transport.Faults{DelayMin: time.Microsecond, DelayMax: 100 * time.Microsecond})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for s := int64(1); s <= 200; s++ {
-			ch.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: s})
-		}
-	}()
-	ch.Configure(transport.Config{})
-	<-done
-	for i := 0; i < 200; i++ {
-		select {
-		case <-got:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of 200 delayed messages delivered", i)
-		}
 	}
 }
 

@@ -2,7 +2,9 @@ package transport_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,9 @@ import (
 	"mralloc/internal/transport/transporttest"
 	"mralloc/internal/wire"
 )
+
+// discard is a handler for endpoints whose deliveries a test ignores.
+func discard(transport.Link, network.Message) {}
 
 // shared returns the fabric of one endpoint hosting every node.
 func shared(ep transport.Transport, n int) []transport.Transport {
@@ -21,25 +26,16 @@ func shared(ep transport.Transport, n int) []transport.Transport {
 	return eps
 }
 
-// configured announces the shard layout to every distinct endpoint of
-// a fabric, as live.New does, and returns the fabric.
-func configured(eps []transport.Transport, sizes []int) []transport.Transport {
-	seen := map[transport.Transport]bool{}
-	for _, ep := range eps {
-		if !seen[ep] {
-			seen[ep] = true
-			ep.Configure(transport.Config{Shards: sizes})
-		}
-	}
-	return eps
+// withWire is an endpoint configured with the wire options w,
+// whatever Config it is announced.
+type withWire struct {
+	transport.Transport
+	w transport.WireOptions
 }
 
-// over turns a fabric builder into a conformance factory: build, then
-// configure every endpoint for the suite's layout.
-func over(fabric func(t *testing.T, n int) []transport.Transport) transporttest.Factory {
-	return func(t *testing.T, n int, sizes []int) []transport.Transport {
-		return configured(fabric(t, n), sizes)
-	}
+func (e withWire) Configure(cfg transport.Config, deliver transport.Handler) {
+	cfg.Wire = e.w
+	e.Transport.Configure(cfg, deliver)
 }
 
 // memFabric: one in-process endpoint hosts every node.
@@ -122,25 +118,29 @@ func tcpPairedFabric(t *testing.T, n int) []transport.Transport {
 	return eps
 }
 
-// tcpDeltaFactory: the per-node topology with delta-encoded token
+// tcpDeltaFabric: the per-node topology with delta-encoded token
 // state on at both ends of every link, so each shard's traffic runs
 // over its own codec stream per connection direction.
-func tcpDeltaFactory(t *testing.T, n int, sizes []int) []transport.Transport {
+func tcpDeltaFabric(t *testing.T, n int) []transport.Transport {
 	eps := tcpFabric(t, n)
-	for _, ep := range eps {
-		ep.Configure(transport.Config{Shards: sizes, Wire: transport.WireOptions{Delta: true}})
+	for i, ep := range eps {
+		eps[i] = withWire{ep, transport.WireOptions{Delta: true}}
 	}
 	return eps
 }
 
-// tcpHeteroFactory: the tcpPairedFabric topology with endpoint a
+// tcpHeteroFabric: the tcpPairedFabric topology with endpoint a
 // delta-on and endpoint b delta-off — negotiation must land each link
 // on the common subset (full snapshots) while every transport guarantee
 // still holds.
-func tcpHeteroFactory(t *testing.T, n int, sizes []int) []transport.Transport {
+func tcpHeteroFabric(t *testing.T, n int) []transport.Transport {
 	eps := tcpPairedFabric(t, n)
-	eps[0].Configure(transport.Config{Shards: sizes, Wire: transport.WireOptions{Delta: true}})
-	eps[n-1].Configure(transport.Config{Shards: sizes})
+	a := withWire{eps[0], transport.WireOptions{Delta: true}}
+	for i := range eps {
+		if eps[i] == a.Transport {
+			eps[i] = a
+		}
+	}
 	return eps
 }
 
@@ -154,9 +154,8 @@ func TestTCPRejectsMisshapenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.Configure(transport.Config{Shards: []int{8}})
 	delivered := make(chan network.Message, 1)
-	tr.Bind(0, 0, func(from network.NodeID, m network.Message) { delivered <- m })
+	tr.Configure(transport.Config{Shards: []int{8}}, func(_ transport.Link, m network.Message) { delivered <- m })
 
 	c, err := net.Dial("tcp", tr.Addr())
 	if err != nil {
@@ -192,25 +191,66 @@ func TestTCPRejectsMisshapenFrames(t *testing.T) {
 }
 
 func TestMemConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(memFabric(0)))
+	transporttest.TestTransport(t, memFabric(0))
 }
 
 func TestMemLatencyConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(memFabric(200*time.Microsecond)))
+	transporttest.TestTransport(t, memFabric(200*time.Microsecond))
 }
 
 func TestTCPConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(tcpFabric))
+	transporttest.TestTransport(t, tcpFabric)
 }
 
 func TestTCPDeltaConformance(t *testing.T) {
-	transporttest.TestTransport(t, tcpDeltaFactory)
+	transporttest.TestTransport(t, tcpDeltaFabric)
 }
 
 func TestTCPPairedConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(tcpPairedFabric))
+	transporttest.TestTransport(t, tcpPairedFabric)
 }
 
 func TestTCPHeteroConformance(t *testing.T) {
-	transporttest.TestTransport(t, tcpHeteroFactory)
+	transporttest.TestTransport(t, tcpHeteroFabric)
+}
+
+// TestWiringBugsPanic: a Send before Configure and a second Configure
+// are wiring bugs, never runtime conditions, and every fabric and
+// wrapper panics on them with a message that names the bug.
+func TestWiringBugsPanic(t *testing.T) {
+	stacks := []struct {
+		name string
+		mk   func() transport.Transport
+	}{
+		{"Mem", func() transport.Transport { return transport.NewMem(2, 0) }},
+		{"TCP", func() transport.Transport {
+			tr, err := transport.ListenTCP("127.0.0.1:0", 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+		{"Chaos", func() transport.Transport { return transport.NewChaos(transport.NewMem(2, 0), 1) }},
+		{"Reliable", func() transport.Transport { return transport.NewReliable(transport.NewMem(2, 0)) }},
+	}
+	mustPanic := func(t *testing.T, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("recovered %v, want a panic naming %q", r, want)
+			}
+		}()
+		f()
+	}
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) {
+			tr := st.mk()
+			defer tr.Close()
+			mustPanic(t, "Send before Configure", func() {
+				tr.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+			})
+			tr.Configure(transport.Config{}, discard)
+			mustPanic(t, "Configure called twice", func() { tr.Configure(transport.Config{}, discard) })
+		})
+	}
 }

@@ -19,7 +19,7 @@ import (
 
 // listenPair builds a two-process cluster: endpoint a hosts node 0,
 // endpoint b hosts node 1, tuned before any connection is dialed.
-func listenPair(t *testing.T, tuneA, tuneB transport.WireOptions) (a, b *transport.TCP) {
+func listenPair(t *testing.T) (a, b *transport.TCP) {
 	t.Helper()
 	a, err := transport.ListenTCP("127.0.0.1:0", 2, 0)
 	if err != nil {
@@ -29,8 +29,6 @@ func listenPair(t *testing.T, tuneA, tuneB transport.WireOptions) (a, b *transpo
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Configure(transport.Config{Wire: tuneA})
-	b.Configure(transport.Config{Wire: tuneB})
 	addrs := []string{a.Addr(), b.Addr()}
 	if err := a.Connect(addrs); err != nil {
 		t.Fatal(err)
@@ -71,9 +69,11 @@ func waitDelivery(t *testing.T, ch <-chan network.Message) network.Message {
 // TestHandshakeNegotiates: two same-build endpoints exchange hellos,
 // agree on the full feature set, and traffic flows.
 func TestHandshakeNegotiates(t *testing.T) {
-	a, b := listenPair(t, transport.WireOptions{Delta: true}, transport.WireOptions{Delta: true})
+	a, b := listenPair(t)
 	got := make(chan network.Message, 1)
-	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
+	delta := transport.Config{Wire: transport.WireOptions{Delta: true}}
+	a.Configure(delta, discard)
+	b.Configure(delta, func(_ transport.Link, m network.Message) { got <- m })
 	a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitDelivery(t, got)
 	peer, ok := a.Negotiated(b.Addr())
@@ -131,8 +131,6 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			a.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: tc.deltaA}})
-			b.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: tc.deltaB}})
 			toB, toA := newEgressTap(t, b.Addr()), newEgressTap(t, a.Addr())
 			viaB, viaA := toB.ln.Addr().String(), toA.ln.Addr().String()
 			if err := a.Connect([]string{a.Addr(), a.Addr(), viaB, viaB}); err != nil {
@@ -142,8 +140,10 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 				t.Fatal(err)
 			}
 			atA, atB := make(chan network.Message, 2), make(chan network.Message, 2)
-			a.Bind(0, 0, func(from network.NodeID, m network.Message) { atA <- m })
-			b.Bind(0, 2, func(from network.NodeID, m network.Message) { atB <- m })
+			a.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: tc.deltaA}},
+				func(_ transport.Link, m network.Message) { atA <- m })
+			b.Configure(transport.Config{Shards: []int{8}, Wire: transport.WireOptions{Delta: tc.deltaB}},
+				func(_ transport.Link, m network.Message) { atB <- m })
 			// The token twice each way: on a delta link the second transfer
 			// meets a warm shadow.
 			for i := 0; i < 2; i++ {
@@ -210,6 +210,8 @@ func TestHandshakeNodesMismatch(t *testing.T) {
 	if err := a.Connect([]string{a.Addr(), b.Addr()}); err != nil {
 		t.Fatal(err)
 	}
+	a.Configure(transport.Config{}, discard)
+	b.Configure(transport.Config{}, discard)
 	a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitErr(t, a, "rejected")
 	waitErr(t, b, "nodes")
@@ -219,9 +221,9 @@ func TestHandshakeNodesMismatch(t *testing.T) {
 // universe and disagree — rejected. One side not knowing (zero) is
 // fine: the shape check only binds where both sides have announced.
 func TestHandshakeResourceMismatch(t *testing.T) {
-	a, b := listenPair(t, transport.WireOptions{}, transport.WireOptions{})
-	a.Configure(transport.Config{Shards: []int{8}})
-	b.Configure(transport.Config{Shards: []int{9}})
+	a, b := listenPair(t)
+	a.Configure(transport.Config{Shards: []int{8}}, discard)
+	b.Configure(transport.Config{Shards: []int{9}}, discard)
 	a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	waitErr(t, a, "rejected")
 	waitErr(t, b, "resources")
@@ -298,6 +300,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer b.Close()
+		b.Configure(transport.Config{}, discard)
 		reason := rawDial(t, b, tc.first)
 		want := fmt.Sprintf("protocol version %d, want %d", tc.version, wire.ProtoVersion)
 		if !strings.Contains(reason, want) {
@@ -319,6 +322,7 @@ func TestHandshakeHostile(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer b.Close()
+		b.Configure(transport.Config{}, discard)
 		c, err := net.Dial("tcp", b.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -342,7 +346,7 @@ func TestHandshakeHostile(t *testing.T) {
 			}
 			defer b.Close()
 			got := make(chan network.Message, 1)
-			b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m })
+			b.Configure(transport.Config{}, func(_ transport.Link, m network.Message) { got <- m })
 			c, err := net.Dial("tcp", b.Addr())
 			if err != nil {
 				t.Fatal(err)
@@ -372,9 +376,8 @@ func TestLegacyDialerServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.Configure(transport.Config{Shards: []int{8}})
 	got := make(chan network.Message, 1)
-	b.Bind(0, 0, func(from network.NodeID, m network.Message) { got <- m })
+	b.Configure(transport.Config{Shards: []int{8}}, func(_ transport.Link, m network.Message) { got <- m })
 
 	if reason := rawDial(t, b, rawFrame(t, 1, 0)); !strings.Contains(reason, "hello required") {
 		t.Fatalf("reject reason %q", reason)
@@ -396,6 +399,7 @@ func TestSilentDialerDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	b.Configure(transport.Config{}, discard)
 	reason := rawDial(t, b, nil)
 	if !strings.Contains(reason, "hello required") || !strings.Contains(reason, "timeout") {
 		t.Fatalf("reject reason %q, want the hello required and the timeout named", reason)

@@ -20,9 +20,8 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 	check := leakcheck.Check(t)
 	eps := tcpFabric(t, 3)
 	done := make(chan struct{}, 64)
-	for i := 0; i < 3; i++ {
-		id := network.NodeID(i)
-		eps[i].Bind(0, id, func(network.NodeID, network.Message) { done <- struct{}{} })
+	for _, ep := range eps {
+		ep.Configure(transport.Config{}, func(transport.Link, network.Message) { done <- struct{}{} })
 	}
 	// Traffic on several pairs: dials conns, starts flushers both ways.
 	want := 0
@@ -52,8 +51,9 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 func TestTCPCloseMidTrafficLeaksNoGoroutines(t *testing.T) {
 	check := leakcheck.Check(t)
 	eps := tcpFabric(t, 2)
-	eps[1].Bind(0, 1, func(network.NodeID, network.Message) {})
-	eps[0].Bind(0, 0, func(network.NodeID, network.Message) {})
+	for _, ep := range eps {
+		ep.Configure(transport.Config{}, discard)
+	}
 	stop := make(chan struct{})
 	sent := make(chan struct{})
 	go func() {
@@ -80,9 +80,7 @@ func TestMemLatencyCloseLeaksNoGoroutines(t *testing.T) {
 	check := leakcheck.Check(t)
 	m := transport.NewMem(4, 100*time.Microsecond)
 	got := make(chan struct{}, 64)
-	for i := 0; i < 4; i++ {
-		m.Bind(0, network.NodeID(i), func(network.NodeID, network.Message) { got <- struct{}{} })
-	}
+	m.Configure(transport.Config{}, func(transport.Link, network.Message) { got <- struct{}{} })
 	// The first send starts the 0→1 forwarder.
 	m.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	m.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindB, From: 0, Seq: 2})
@@ -110,7 +108,7 @@ func TestMemSendRacingCloseLeaksNothing(t *testing.T) {
 	const shards = 16
 	for range 200 {
 		m := transport.NewMem(2, time.Millisecond)
-		m.Configure(transport.Config{Shards: make([]int, shards)})
+		m.Configure(transport.Config{Shards: make([]int, shards)}, discard)
 		var wg sync.WaitGroup
 		for s := range shards {
 			wg.Add(1)

@@ -39,8 +39,10 @@ import (
 type Mem struct {
 	n       int
 	latency time.Duration
-	binder  *binder
-	clk     sim.Clock // Configure announces it, before any traffic; Wall until then
+	// Configure sets these once, before any traffic.
+	deliver Handler
+	shards  int
+	clk     sim.Clock
 
 	// mu guards links and the closing of closed, so a link's forwarder
 	// either starts before Close waits for the forwarders or not at all.
@@ -60,8 +62,6 @@ func NewMem(n int, latency time.Duration) *Mem {
 	return &Mem{
 		n:       n,
 		latency: latency,
-		binder:  newBinder(n),
-		clk:     sim.Wall(),
 		closed:  make(chan struct{}),
 	}
 }
@@ -76,32 +76,26 @@ func (t *Mem) Hosts(id network.NodeID) bool { return id >= 0 && int(id) < t.n }
 // Configure implements Transport. The in-process fabric only needs the
 // shard count and the clock its delays sleep on: there is no codec to
 // validate universes against and no wire path to tune.
-func (t *Mem) Configure(cfg Config) {
+func (t *Mem) Configure(cfg Config, deliver Handler) {
+	configure(&t.deliver, deliver)
+	t.shards = max(1, len(cfg.Shards))
 	t.clk = cfg.clock()
-	t.binder.grow(len(cfg.Shards))
 }
 
-// Bind implements Transport.
-func (t *Mem) Bind(shard int, id network.NodeID, h Handler) {
-	t.binder.mustSlot(shard, id).bind(h)
-}
-
-// Send implements Transport: m is delivered under the destination's
-// binder lock (zero latency) or after one delay on the link's
-// forwarder (latency mode).
+// Send implements Transport: m is handed to the handler at once (zero
+// latency) or after one delay on the link's forwarder (latency mode).
 func (t *Mem) Send(l Link, m network.Message) {
-	checkDest(t.n, l.To)
-	slot := t.binder.mustSlot(l.Shard, l.To)
+	checkLink(t.deliver, t.n, t.shards, l)
 	select {
 	case <-t.closed:
 		return
 	default:
 	}
 	if t.latency <= 0 {
-		slot.deliver(l.From, m)
+		t.deliver(l, m)
 		return
 	}
-	ch := t.link(l, slot)
+	ch := t.link(l)
 	if ch == nil {
 		return // closed since the check above
 	}
@@ -114,7 +108,7 @@ func (t *Mem) Send(l Link, m network.Message) {
 
 // link returns the delay queue of one link, starting its forwarding
 // goroutine on first use, or nil once the transport is closed.
-func (t *Mem) link(l Link, slot *binderSlot) chan network.Message {
+func (t *Mem) link(l Link) chan network.Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ch, ok := t.links[l]; ok {
@@ -139,7 +133,7 @@ func (t *Mem) link(l Link, slot *binderSlot) chan network.Message {
 			select {
 			case m := <-ch:
 				t.clk.Sleep(t.latency)
-				slot.deliver(l.From, m)
+				t.deliver(l, m)
 			case <-t.closed:
 				return
 			}

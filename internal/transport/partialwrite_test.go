@@ -123,7 +123,8 @@ func TestTCPDeliveryOverLoopback(t *testing.T) {
 	eps := tcpFabric(t, 2)
 	defer closeAll(t, eps)
 	got := make(chan int64, 4096)
-	eps[1].Bind(0, 1, func(from network.NodeID, m network.Message) {
+	eps[0].Configure(transport.Config{}, discard)
+	eps[1].Configure(transport.Config{}, func(_ transport.Link, m network.Message) {
 		got <- m.(transporttest.Msg).Seq
 	})
 	const msgs = 2000

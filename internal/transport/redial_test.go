@@ -2,6 +2,8 @@ package transport_test
 
 import (
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +45,7 @@ func TestDialObservesClose(t *testing.T) {
 	if err := tr.Connect([]string{tr.Addr(), ln.Addr().String()}); err != nil {
 		t.Fatal(err)
 	}
+	tr.Configure(transport.Config{}, discard)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -89,7 +92,7 @@ func TestDialRetryObservesClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := sim.NewVirtual()
-	tr.Configure(transport.Config{Clock: clk})
+	tr.Configure(transport.Config{Clock: clk}, discard)
 	if err := tr.Connect([]string{tr.Addr(), dead}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,8 @@ func TestAbortConnsRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan transporttest.Msg, 16)
-	b.Bind(0, 1, func(from network.NodeID, m network.Message) { got <- m.(transporttest.Msg) })
+	a.Configure(transport.Config{}, discard)
+	b.Configure(transport.Config{}, func(_ transport.Link, m network.Message) { got <- m.(transporttest.Msg) })
 
 	send := func(seq int64) {
 		a.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
@@ -178,5 +182,125 @@ func TestAbortConnsRedial(t *testing.T) {
 	expect(4)
 	if _, open := a.Negotiated(b.Addr()); !open {
 		t.Fatal("no negotiated connection after redial")
+	}
+}
+
+// TestDialBeforeConfigure: a 4-shard endpoint sends to a peer that is
+// bound (ListenTCP) but not configured yet. The peer accepts only once
+// Configure has told it its layout, so the dial waits instead of
+// meeting a flat endpoint that rejects it, and the frame arrives once
+// the peer configures its 4 shards, with no error at either end. The
+// wait is the dial window (10 s), not one handshake: at a 6 s gap the
+// first handshake has timed out (5 s) against the silent acceptor and
+// the dial is retried.
+func TestDialBeforeConfigure(t *testing.T) {
+	for _, gap := range []time.Duration{200 * time.Millisecond, 6 * time.Second} {
+		t.Run(gap.String(), func(t *testing.T) {
+			a, b := listenPair(t)
+			sizes := []int{2, 2, 2, 2}
+			a.Configure(transport.Config{Shards: sizes}, discard)
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				a.Send(transport.Link{Shard: 3, From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+			}()
+			time.Sleep(gap)
+			got := make(chan transport.Link, 1)
+			b.Configure(transport.Config{Shards: sizes}, func(l transport.Link, _ network.Message) { got <- l })
+			select {
+			case l := <-got:
+				if l != (transport.Link{Shard: 3, From: 0, To: 1}) {
+					t.Fatalf("delivered on %+v", l)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("frame never delivered (a: %v, b: %v)", a.Err(), b.Err())
+			}
+			<-sent
+			if err := a.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDialWindowOncePerOutage: the first Send to a dead peer rides out
+// the dial window; the peer is then down, and the next Send to it makes
+// one dial attempt and returns without arming a backoff, so a shard
+// runner sending to a dead peer stalls once per outage, not once per
+// message. The endpoint runs on a virtual clock that the test advances
+// through the window's backoffs. Once the peer is up again, a single
+// dial reaches it.
+func TestDialWindowOncePerOutage(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	tr, err := transport.ListenTCP("127.0.0.1:0", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	clk := sim.NewVirtual()
+	tr.Configure(transport.Config{Clock: clk}, discard)
+	if err := tr.Connect([]string{tr.Addr(), dead}); err != nil {
+		t.Fatal(err)
+	}
+	send := func() <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			tr.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+		}()
+		return done
+	}
+	first := send()
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		select {
+		case <-first:
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("the first Send still dialing 30s into the test")
+			}
+			if clk.Armed() > 0 {
+				clk.Advance(50 * time.Millisecond)
+			}
+			continue
+		}
+		break
+	}
+	if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "dial") {
+		t.Fatalf("window ran out, error %v", err)
+	}
+	select {
+	case <-send():
+	case <-time.After(2 * time.Second):
+		t.Fatal("a Send to a peer already down still blocked after 2s: it started another dial window")
+	}
+	if n := clk.Armed(); n != 0 {
+		t.Fatalf("a Send to a peer already down armed %d timers, want none", n)
+	}
+
+	peer, err := transport.ListenTCP(dead, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	got := make(chan struct{}, 1)
+	peer.Configure(transport.Config{}, func(transport.Link, network.Message) { got <- struct{}{} })
+	select {
+	case <-send():
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Send to a peer back up still blocked after 10s")
+	}
+	select {
+	case <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the peer back up never received the frame")
 	}
 }

@@ -21,7 +21,7 @@
 //     break. Delta savings on wrapped links are deliberately forgone.
 //   - Acks are never sent inline from the receive handler. Over the
 //     zero-latency Mem fabric Send is a synchronous handler call, so
-//     an inline ack on a self-link would re-enter the binder slot lock
+//     an inline ack would re-enter the link locks the delivery holds
 //     and deadlock. A background acker goroutine coalesces and sends
 //     cumulative acks instead.
 //   - The wrapper counts no message kinds: the caller counts what it
@@ -34,6 +34,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mralloc/internal/network"
@@ -147,9 +148,9 @@ type relRecv struct {
 // design constraints.
 type Reliable struct {
 	inner Transport
-	bind  *binder
-	bound int       // shards whose hosted nodes are bound on inner
-	clk   sim.Clock // Configure announces it, before any traffic; Wall until then
+	// Configure sets these once, before any traffic.
+	deliver Handler
+	clk     sim.Clock
 
 	base, max time.Duration
 
@@ -162,9 +163,8 @@ type Reliable struct {
 	ackKick chan struct{}
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	closeMu sync.Mutex
-	closed  bool
-	tick    sim.Timer // the retransmitter's; zero until it starts
+	closed  atomic.Bool
+	tick    sim.Timer // the retransmitter's, armed from Configure on
 	armMu   sync.Mutex
 	armedAt sim.Time // the deadline tick is armed for; 0: none
 }
@@ -174,10 +174,8 @@ type Reliable struct {
 // understood by a bare endpoint's protocol handlers). The wrapper owns
 // inner and closes it on Close.
 func NewReliable(inner Transport) *Reliable {
-	r := &Reliable{
+	return &Reliable{
 		inner:   inner,
-		bind:    newBinder(inner.N()),
-		clk:     sim.Wall(),
 		base:    DefaultRetransmitBase,
 		max:     DefaultRetransmitMax,
 		send:    make(map[Link]*relSend),
@@ -185,41 +183,21 @@ func NewReliable(inner Transport) *Reliable {
 		ackKick: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
-	r.bindShards(1)
-	r.wg.Add(1)
-	go r.acker()
-	return r
 }
 
 // Configure implements Transport: the layout goes down unchanged, with
 // broken writes marked recoverable — frames lost with a dead connection
-// are what the retransmitter, started here on the clock, repairs.
-func (r *Reliable) Configure(cfg Config) {
+// are what the retransmitter, started here on the clock, repairs — and
+// the unwrapping onRecv as the inner handler.
+func (r *Reliable) Configure(cfg Config, deliver Handler) {
+	configure(&r.deliver, deliver)
 	r.clk = cfg.clock()
+	r.tick = r.clk.NewTimer(0) // the first scan runs at once
+	r.wg.Add(2)
+	go r.acker()
+	go r.retransmitter()
 	cfg.LossRecovered = true
-	r.inner.Configure(cfg)
-	r.bindShards(len(cfg.Shards))
-	r.open()
-}
-
-// bindShards installs the unwrapping handler of every hosted node in
-// each shard below g not bound yet — shard 0 at construction, the rest
-// once the layout is announced (both before traffic, from the goroutine
-// assembling the stack, so bound needs no lock). The wrapper's own
-// binder buffers traffic that beats the caller's Bind.
-func (r *Reliable) bindShards(g int) {
-	r.bind.grow(g)
-	for ; r.bound < g; r.bound++ {
-		for id := 0; id < r.inner.N(); id++ {
-			shard, to := r.bound, network.NodeID(id)
-			if !r.inner.Hosts(to) {
-				continue
-			}
-			r.inner.Bind(shard, to, func(from network.NodeID, m network.Message) {
-				r.onRecv(Link{Shard: shard, From: from, To: to}, m)
-			})
-		}
-	}
+	r.inner.Configure(cfg, r.onRecv)
 }
 
 // SetRetransmit tunes the retransmission timer (equal jitter in
@@ -239,12 +217,6 @@ func (r *Reliable) N() int { return r.inner.N() }
 
 // Hosts reports whether the wrapped endpoint hosts id.
 func (r *Reliable) Hosts(id network.NodeID) bool { return r.inner.Hosts(id) }
-
-// Bind installs the delivery handler for a hosted node; deliveries
-// that arrived first are flushed to it in order.
-func (r *Reliable) Bind(shard int, id network.NodeID, h Handler) {
-	r.bind.mustSlot(shard, id).bind(h)
-}
 
 func (r *Reliable) sendLink(k Link) *relSend {
 	r.mu.Lock()
@@ -271,7 +243,10 @@ func (r *Reliable) recvLink(k Link) *relRecv {
 // Send wraps m in a sequenced envelope and transmits it, retaining the
 // envelope for retransmission until acknowledged.
 func (r *Reliable) Send(k Link, m network.Message) {
-	if !r.open() {
+	if r.deliver == nil {
+		panic("transport: Send before Configure")
+	}
+	if r.closed.Load() {
 		return
 	}
 	l := r.sendLink(k)
@@ -298,12 +273,15 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 		l.mu.Lock()
 		switch {
 		case env.Seq == l.expected:
+			// Deliver under the link lock: a redialed connection's frames
+			// may arrive while the dead one's tail is still being
+			// delivered, and a frame the sequence check passed must
+			// reach the handler before the next one can pass it. The
+			// handler must therefore not send on this link.
 			l.expected++
 			l.ackDue = true
+			r.deliver(k, env.M)
 			l.mu.Unlock()
-			// Deliver while no link lock is held: the caller's handler
-			// may send (live's does not, but the contract allows it).
-			r.bind.slot(k.Shard, k.To).deliver(k.From, env.M)
 			r.kickAcker()
 			return
 		case env.Seq < l.expected:
@@ -360,7 +338,7 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 	default:
 		// A frame from an unwrapped peer (misconfiguration): deliver it
 		// rather than wedge — safety degrades to the inner fabric's.
-		r.bind.slot(k.Shard, k.To).deliver(k.From, m)
+		r.deliver(k, m)
 	}
 }
 
@@ -394,7 +372,7 @@ func (r *Reliable) acker() {
 			due, cum := l.ackDue, l.expected-1
 			l.ackDue = false
 			l.mu.Unlock()
-			if !due || r.isClosed() {
+			if !due || r.closed.Load() {
 				continue
 			}
 			// The ack travels the reverse direction: receiver back to
@@ -403,21 +381,6 @@ func (r *Reliable) acker() {
 			r.addRel(func(s *RelStats) { s.AcksSent++ })
 		}
 	}
-}
-
-// open reports whether the wrapper is still open, and starts the
-// retransmitter the first time it finds it so. Only Configure and Send
-// call it: the loop's timer is on the clock Configure announced, which
-// a delivery arriving before the announcement must not fix.
-func (r *Reliable) open() bool {
-	r.closeMu.Lock()
-	defer r.closeMu.Unlock()
-	if !r.closed && r.tick.C == nil {
-		r.tick = r.clk.NewTimer(0) // the first scan runs at once
-		r.wg.Add(1)
-		go r.retransmitter()
-	}
-	return !r.closed
 }
 
 // retransmitter re-sends every unacked frame of any link whose
@@ -458,7 +421,7 @@ func (r *Reliable) retransmitter() {
 				// into the middle of the retransmitted window. They are
 				// counted first, so a frame they deliver finds them
 				// counted.
-				if r.isClosed() {
+				if r.closed.Load() {
 					l.mu.Unlock()
 					return
 				}
@@ -526,12 +489,6 @@ func (r *Reliable) RelStats() RelStats {
 // abort are exactly what the retransmission timer repairs.
 func (r *Reliable) AbortConns() int { return r.inner.AbortConns() }
 
-func (r *Reliable) isClosed() bool {
-	r.closeMu.Lock()
-	defer r.closeMu.Unlock()
-	return r.closed
-}
-
 // Close stops the recovery goroutines and closes the inner transport.
 // Idempotent; unacked frames are abandoned (the cluster is going away).
 //
@@ -543,13 +500,9 @@ func (r *Reliable) isClosed() bool {
 // then leave the fabric a dial failure to report. A Send that arrives
 // after the inner Close is dropped by the fabric.
 func (r *Reliable) Close() error {
-	r.closeMu.Lock()
-	if r.closed {
-		r.closeMu.Unlock()
+	if !r.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	r.closed = true
-	r.closeMu.Unlock()
 	close(r.stop)
 	err := r.inner.Close()
 	r.wg.Wait()

@@ -47,15 +47,15 @@ func reliableLossyFabric(t *testing.T, n int) []transport.Transport {
 }
 
 func TestReliableMemConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(reliableMemFabric))
+	transporttest.TestTransport(t, reliableMemFabric)
 }
 
 func TestReliableTCPConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(reliableTCPFabric))
+	transporttest.TestTransport(t, reliableTCPFabric)
 }
 
 func TestReliableLossyConformance(t *testing.T) {
-	transporttest.TestTransport(t, over(reliableLossyFabric))
+	transporttest.TestTransport(t, reliableLossyFabric)
 }
 
 // TestReliableDupExactlyOnce is the deterministic dup regression: with
@@ -70,10 +70,7 @@ func TestReliableDupExactlyOnce(t *testing.T) {
 
 	const msgs = 50
 	got := make(chan transporttest.Msg, 4*msgs)
-	r.Bind(0, 1, func(from network.NodeID, m network.Message) {
-		got <- m.(transporttest.Msg)
-	})
-	r.Bind(0, 0, func(network.NodeID, network.Message) {})
+	r.Configure(transport.Config{}, func(_ transport.Link, m network.Message) { got <- m.(transporttest.Msg) })
 	for i := 1; i <= msgs; i++ {
 		r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 	}
@@ -113,14 +110,10 @@ func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
 	ch.SetFaults(transport.Faults{Drop: 1.0})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(base, 8*base)
-	r.Configure(transport.Config{Clock: clk})
+	got := make(chan transporttest.Msg, 16)
+	r.Configure(transport.Config{Clock: clk}, func(_ transport.Link, m network.Message) { got <- m.(transporttest.Msg) })
 	defer r.Close()
 
-	got := make(chan transporttest.Msg, 16)
-	r.Bind(0, 1, func(from network.NodeID, m network.Message) {
-		got <- m.(transporttest.Msg)
-	})
-	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	for i := 1; i <= 3; i++ {
 		r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: int64(i)})
 	}
@@ -180,8 +173,7 @@ func TestReliableCloseLeaksNothing(t *testing.T) {
 	ch.SetFaults(transport.Faults{Drop: 1.0})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(time.Millisecond, 5*time.Millisecond)
-	r.Bind(0, 0, func(network.NodeID, network.Message) {})
-	r.Bind(0, 1, func(network.NodeID, network.Message) {})
+	r.Configure(transport.Config{}, discard)
 	r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
 	time.Sleep(10 * time.Millisecond) // let at least one retransmission fire
 	if err := r.Close(); err != nil {
@@ -220,7 +212,7 @@ func TestHazardDeliveredRecordNeverReadAgain(t *testing.T) {
 		msgs = 500
 	}
 	next, done := 1, make(chan struct{})
-	r.Bind(0, 1, func(from network.NodeID, m network.Message) {
+	r.Configure(transport.Config{}, func(_ transport.Link, m network.Message) {
 		rec := m.(*keptRecord)
 		if rec.seq != next {
 			t.Errorf("delivery %d carries seq %d: a record was delivered again after its receiver took it over", next, rec.seq)
@@ -230,7 +222,6 @@ func TestHazardDeliveredRecordNeverReadAgain(t *testing.T) {
 			close(done)
 		}
 	})
-	r.Bind(0, 0, func(network.NodeID, network.Message) {})
 	for i := 1; i <= msgs; i++ {
 		r.Send(transport.Link{From: 0, To: 1}, &keptRecord{seq: i})
 	}

@@ -31,31 +31,30 @@ func init() {
 		func(d *wire.Dec) network.Message { return setMsg{RS: d.Set()} })
 }
 
-// shardSink binds one (shard, node) slot and collects deliveries.
+// shardSink is an endpoint's handler that collects its deliveries.
 type shardSink struct {
-	mu   sync.Mutex
-	got  []network.Message
-	from []network.NodeID
+	mu    sync.Mutex
+	got   []network.Message
+	links []transport.Link
 }
 
-func (s *shardSink) handler() transport.Handler {
-	return func(from network.NodeID, m network.Message) {
-		s.mu.Lock()
-		s.got = append(s.got, m)
-		s.from = append(s.from, from)
-		s.mu.Unlock()
-	}
+func (s *shardSink) deliver(l transport.Link, m network.Message) {
+	s.mu.Lock()
+	s.got = append(s.got, m)
+	s.links = append(s.links, l)
+	s.mu.Unlock()
 }
 
-func (s *shardSink) wait(t *testing.T, n int) []network.Message {
+// wait returns the first n deliveries and the links they came on.
+func (s *shardSink) wait(t *testing.T, n int) ([]network.Message, []transport.Link) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		s.mu.Lock()
 		if len(s.got) >= n {
-			out := append([]network.Message(nil), s.got...)
+			got, links := s.got[:n:n], s.links[:n:n]
 			s.mu.Unlock()
-			return out
+			return got, links
 		}
 		s.mu.Unlock()
 		time.Sleep(time.Millisecond)
@@ -63,21 +62,12 @@ func (s *shardSink) wait(t *testing.T, n int) []network.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t.Fatalf("wanted %d deliveries, got %d", n, len(s.got))
-	return nil
+	return nil, nil
 }
 
-// shardedPair builds a two-endpoint TCP fabric with both ends
-// configured for the same shard layout. (FIFO, stats, late bind and
-// close over sharded links are the conformance suite's business; the
-// cases here are what only a socket fabric has — per-shard codec
-// validation and the hello's shard count.)
-func shardedPair(t *testing.T, sizes []int) (a, b *transport.TCP) {
-	t.Helper()
-	a, b = listenPair(t, transport.WireOptions{}, transport.WireOptions{})
-	a.Configure(transport.Config{Shards: sizes})
-	b.Configure(transport.Config{Shards: sizes})
-	return a, b
-}
+// FIFO, stats, late configuration and close over sharded links are the
+// conformance suite's business; the cases here are what only a socket
+// fabric has — per-shard codec validation and the hello's shard count.
 
 // TestTCPShardedSetValidation pins per-shard codec validation: a set
 // over shard 1's local universe (3 resources) crosses the wire intact
@@ -86,15 +76,16 @@ func shardedPair(t *testing.T, sizes []int) (a, b *transport.TCP) {
 // validates against sizes[0], not the global M.
 func TestTCPShardedSetValidation(t *testing.T) {
 	sizes := []int{4, 3, 3}
-	a, b := shardedPair(t, sizes)
+	a, b := listenPair(t)
+	sink := &shardSink{}
+	a.Configure(transport.Config{Shards: sizes}, discard)
+	b.Configure(transport.Config{Shards: sizes}, sink.deliver)
 	for shard, sz := range sizes {
-		sink := &shardSink{}
-		b.Bind(shard, 1, sink.handler())
 		rs := resource.FromIDs(sz, 0, resource.ID(sz-1))
 		a.Send(transport.Link{Shard: shard, From: 0, To: 1}, setMsg{RS: rs})
-		got := sink.wait(t, 1)
-		if got[0].(setMsg).RS.String() != rs.String() {
-			t.Fatalf("shard %d: set %v, want %v", shard, got[0].(setMsg).RS, rs)
+		got, links := sink.wait(t, shard+1)
+		if m := got[shard].(setMsg); links[shard].Shard != shard || m.RS.String() != rs.String() {
+			t.Fatalf("shard %d: set %v on shard %d, want %v", shard, m.RS, links[shard].Shard, rs)
 		}
 	}
 	if err := a.Err(); err != nil {
@@ -110,8 +101,9 @@ func TestTCPShardedSetValidation(t *testing.T) {
 // acceptor records the mismatch and the dialer learns it was rejected.
 func TestTCPShardCountMismatch(t *testing.T) {
 	for _, flatDials := range []bool{true, false} {
-		a, b := listenPair(t, transport.WireOptions{}, transport.WireOptions{})
-		a.Configure(transport.Config{Shards: []int{4, 3, 3}})
+		a, b := listenPair(t)
+		a.Configure(transport.Config{Shards: []int{4, 3, 3}}, discard)
+		b.Configure(transport.Config{}, discard)
 		dialer, acceptor, link := a, b, transport.Link{From: 0, To: 1}
 		if flatDials {
 			dialer, acceptor, link = b, a, transport.Link{From: 1, To: 0}
@@ -123,7 +115,7 @@ func TestTCPShardCountMismatch(t *testing.T) {
 }
 
 // TestTCPShardFrameOnFlatEndpoint: a tagged frame arriving at an
-// endpoint that never configured shards is a protocol violation, not a
+// endpoint configured flat (no layout) is a protocol violation, not a
 // silent misroute into the flat namespace. The handshake already
 // blocks sharded endpoints from connecting here, so play a raw dialer
 // whose hello claims no shard count.
@@ -134,7 +126,7 @@ func TestTCPShardFrameOnFlatEndpoint(t *testing.T) {
 	}
 	defer b.Close()
 	sink := &shardSink{}
-	b.Bind(0, 1, sink.handler())
+	b.Configure(transport.Config{}, sink.deliver)
 
 	c, err := net.Dial("tcp", b.Addr())
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mralloc/internal/network"
 	"mralloc/internal/wire"
 )
 
@@ -52,6 +53,7 @@ func TestStalledPeerBlocksSendAtBudget(t *testing.T) {
 	if err := a.Connect([]string{a.Addr(), ln.Addr().String()}); err != nil {
 		t.Fatal(err)
 	}
+	a.Configure(Config{}, func(Link, network.Message) {})
 	baseline := runtime.NumGoroutine()
 	link := Link{From: 0, To: 1}
 	a.Send(link, relAck{}) // dials

@@ -27,7 +27,9 @@ const maxFrame = 1 << 24
 
 // dialWindow is how long, on the endpoint's clock, a Send retries
 // dialing a peer that is not up yet (every 50 ms), which absorbs
-// multi-process startup races on loopback.
+// multi-process startup races on loopback. A peer that outlasts it is
+// down: each later Send to it dials once, without retrying, until a
+// dial succeeds again.
 const dialWindow = 10 * time.Second
 
 // closeFlushTimeout bounds how long Close waits for each connection's
@@ -40,8 +42,9 @@ const closeFlushTimeout = 2 * time.Second
 const DefaultBudget = 16 << 20
 
 // handshakeTimeout bounds either end's wait for the other's hello: a
-// listener that never answers must fail the dial promptly rather than
-// hang it, and a dialer that never speaks must not hold the acceptor's
+// listener that never answers (not configured yet, or stalled) costs
+// one dial attempt, retried within the dial window rather than hanging
+// it, and a dialer that never speaks must not hold the acceptor's
 // goroutine and descriptor until Close.
 const handshakeTimeout = 5 * time.Second
 
@@ -69,21 +72,27 @@ const handshakeTimeout = 5 * time.Second
 // Sends to a node hosted by this same endpoint short-circuit through
 // memory without touching the codec.
 type TCP struct {
-	n      int
-	local  map[network.NodeID]bool
-	ln     net.Listener
-	binder *binder
+	n     int
+	local map[network.NodeID]bool
+	ln    net.Listener
 
-	// shape is the announced cluster layout, wire tuning and clock
-	// (Configure), swapped whole so the per-frame and per-send reads take
-	// no lock. Wire options apply to connections dialed after the call.
-	shape atomic.Pointer[tcpShape]
+	// Configure sets these once, before it starts accepting and before
+	// any Send. cfg.Shards is never empty: a Config without a layout is
+	// one shard of unknown size (zero — the codec then checks site ids
+	// alone), and resources, the global universe M announced in the
+	// hello, is then zero. cfg.Clock is never nil.
+	cfg       Config
+	resources int
+	deliver   Handler
 
 	peersMu sync.RWMutex
 	peers   []string // per node; nil until Connect
 
 	connMu sync.Mutex
 	conns  map[string]*outConn
+	// down holds the peers whose dial window ran out; a Send to one
+	// dials once instead of retrying (conn).
+	down map[string]bool
 
 	wireMu    sync.Mutex
 	wireAccum wire.CoalescerStats // stats of retired connections
@@ -98,18 +107,6 @@ type TCP struct {
 
 	errMu    sync.Mutex
 	firstErr error
-}
-
-// tcpShape is one Configure call, plus what is derived from it once
-// rather than per frame. cfg.Shards is never empty: an endpoint not
-// configured, or configured without a layout, is one shard of unknown
-// size (zero — the codec then checks site ids alone). cfg.Clock is
-// never nil.
-type tcpShape struct {
-	cfg Config
-	// resources is the global universe M (the sum of the shard sizes),
-	// announced in the hello; zero while unknown.
-	resources int
 }
 
 // outConn is one dialed connection plus its coalescing writer.
@@ -132,8 +129,9 @@ type outConn struct {
 
 // ListenTCP opens an endpoint for a cluster of n nodes, hosting the
 // given local node ids (all ids when none are given). The address may
-// use port 0; Addr reports the bound address to hand to peers. Call
-// Connect before the first Send.
+// use port 0; Addr reports the bound address to hand to peers. The
+// endpoint accepts peers only once Configure has run; call Connect
+// before the first Send.
 func ListenTCP(addr string, n int, local ...int) (*TCP, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: need ≥1 node, got %d", n)
@@ -155,20 +153,16 @@ func ListenTCP(addr string, n int, local ...int) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	ctx, stop := context.WithCancel(context.Background())
-	t := &TCP{
+	return &TCP{
 		n:      n,
 		local:  loc,
 		ln:     ln,
-		binder: newBinder(n),
 		conns:  make(map[string]*outConn),
+		down:   make(map[string]bool),
 		ctx:    ctx,
 		stop:   stop,
 		closed: ctx.Done(),
-	}
-	t.Configure(Config{})
-	t.wg.Add(1)
-	go t.acceptLoop()
-	return t, nil
+	}, nil
 }
 
 // Addr reports the endpoint's bound listen address.
@@ -193,43 +187,40 @@ func (t *TCP) N() int { return t.n }
 // Hosts implements Transport.
 func (t *TCP) Hosts(id network.NodeID) bool { return t.local[id] }
 
-// Configure implements Transport: inbound frames must then carry
-// resource ids within their shard's universe (site ids are checked
-// against the listen-time n regardless), the hello announces the layout
-// and the wire features, and peers claiming a different shard count are
-// rejected. Call it before the first Send: connections negotiated
-// earlier announced the previous configuration.
-func (t *TCP) Configure(cfg Config) {
+// Configure implements Transport and starts accepting: inbound frames
+// must carry resource ids within their shard's universe (site ids are
+// checked against the listen-time n regardless), the hello announces the
+// layout and the wire features, and peers claiming a different shard
+// count are rejected.
+func (t *TCP) Configure(cfg Config, deliver Handler) {
+	configure(&t.deliver, deliver)
 	cfg.Shards = append([]int(nil), cfg.Shards...)
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = []int{0}
 	}
 	cfg.Clock = cfg.clock()
-	sh := &tcpShape{cfg: cfg}
+	t.cfg = cfg
 	for _, sz := range cfg.Shards {
-		sh.resources += sz
+		t.resources += sz
 	}
-	// Slots first: a frame validated against the new shape must find
-	// its shard's slot.
-	t.binder.grow(len(cfg.Shards))
-	t.shape.Store(sh)
+	t.wg.Add(1)
+	go t.acceptLoop()
 }
 
 // localHello assembles the hello this endpoint sends (dial side) or
 // answers with (accept side): protocol version, cluster shape and the
 // locally enabled feature set.
 func (t *TCP) localHello() wire.Hello {
-	sh := t.shape.Load()
 	var feat uint64
-	if sh.cfg.Wire.Delta {
+	if t.cfg.Wire.Delta {
 		feat |= wire.FeatDelta
 	}
 	return wire.Hello{
 		Version:   wire.ProtoVersion,
 		Nodes:     t.n,
-		Resources: sh.resources,
+		Resources: t.resources,
 		Features:  feat,
-		Shards:    len(sh.cfg.Shards),
+		Shards:    len(t.cfg.Shards),
 	}
 }
 
@@ -246,15 +237,6 @@ func (t *TCP) Negotiated(addr string) (wire.Hello, bool) {
 	return oc.peer, true
 }
 
-// Bind implements Transport. Shard 0 is the namespace untagged frames
-// land in.
-func (t *TCP) Bind(shard int, id network.NodeID, h Handler) {
-	if !t.local[id] {
-		panic(fmt.Sprintf("transport: binding node %d not hosted by this endpoint", id))
-	}
-	t.binder.mustSlot(shard, id).bind(h)
-}
-
 // deltaOn reports whether a link whose ends sent these hellos carries
 // token state as deltas: both must have advertised it.
 func deltaOn(mine, peer wire.Hello) bool {
@@ -263,20 +245,19 @@ func deltaOn(mine, peer wire.Hello) bool {
 
 // Send implements Transport: m is encoded into the connection's
 // coalescing writer (no syscall until the flusher wakes) and released
-// to its codec (wire.Release), or delivered to a local node under its
-// binder lock, which keeps it. Shard-0 frames are byte for
-// byte the flat single-universe encoding; shards above ride a shard tag
-// ahead of the unchanged frame header (wire.AppendShardTag).
+// to its codec (wire.Release), or handed to the handler of a local node,
+// which keeps it. Shard-0 frames are byte for byte the flat
+// single-universe encoding; shards above ride a shard tag ahead of the
+// unchanged frame header (wire.AppendShardTag).
 func (t *TCP) Send(l Link, m network.Message) {
-	checkDest(t.n, l.To)
-	slot := t.binder.mustSlot(l.Shard, l.To)
+	checkLink(t.deliver, t.n, len(t.cfg.Shards), l)
 	select {
 	case <-t.closed:
 		return
 	default:
 	}
 	if t.local[l.To] {
-		slot.deliver(l.From, m)
+		t.deliver(l, m)
 		return
 	}
 	oc := t.connFor(l.To)
@@ -318,26 +299,38 @@ func (t *TCP) connFor(to network.NodeID) *outConn {
 
 // conn returns the (dialed) connection to addr, dialing with retries
 // until the dial window has passed on the endpoint's clock, so that
-// peers still starting up are absorbed. Every wait in the retry loop —
-// the dial itself, the handshake, the backoff — observes Close, so a
-// Send blocked behind a dead peer unwinds the moment the transport
-// shuts down instead of riding out the window.
+// peers still starting up are absorbed: a refused dial and a handshake
+// that times out against a silent acceptor (a peer bound but not
+// configured yet) are both retried. A rejected or garbled hello reply
+// is final. The window runs once per outage: a peer that outlasted it
+// is marked down, and a Send to it makes one dial attempt and no more
+// until one succeeds. Every wait in the retry loop — the dial itself,
+// the handshake, the backoff — observes Close, so a Send blocked behind
+// a dead peer unwinds the moment the transport shuts down instead of
+// riding out the window.
 func (t *TCP) conn(addr string) *outConn {
 	t.connMu.Lock()
 	oc, ok := t.conns[addr]
+	down := t.down[addr]
 	t.connMu.Unlock()
 	if ok && !oc.broken.Load() {
 		return oc
 	}
-	clk := t.shape.Load().cfg.Clock
-	giveUp := clk.Now() + sim.Time(dialWindow)
+	clk := t.cfg.Clock
+	giveUp := clk.Now()
+	if !down {
+		giveUp += sim.Time(dialWindow)
+	}
 	for {
 		c, err := t.dialOnce(addr)
 		if err == nil {
 			mine := t.localHello()
-			peer, err := t.dialHandshake(c, mine)
-			if err != nil {
-				c.Close()
+			var peer wire.Hello
+			if peer, err = t.dialHandshake(c, mine); err == nil {
+				return t.register(addr, c, mine, peer)
+			}
+			c.Close()
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
 				select {
 				case <-t.closed: // a handshake cut short by Close is not a failure
 				default:
@@ -345,34 +338,14 @@ func (t *TCP) conn(addr string) *outConn {
 				}
 				return nil
 			}
-			t.connMu.Lock()
-			select {
-			case <-t.closed:
-				// Close ran while the dial was in flight and has already
-				// swept t.conns; registering now would leak the socket.
-				t.connMu.Unlock()
-				c.Close()
-				return nil
-			default:
-			}
-			if existing, ok := t.conns[addr]; ok && !existing.broken.Load() {
-				t.connMu.Unlock()
-				c.Close() // lost a dial race; use the winner
-				return existing
-			}
-			// No usable connection — either none, or a broken one still
-			// awaiting its writeFailed sweep; the fresh one replaces it
-			// (dropConn deletes by identity, so the sweep cannot evict
-			// this registration).
-			oc = t.newOutConn(c, mine, peer)
-			t.conns[addr] = oc
-			t.connMu.Unlock()
-			return oc
 		}
 		if clk.Now() >= giveUp {
 			select {
 			case <-t.closed:
 			default:
+				t.connMu.Lock()
+				t.down[addr] = true
+				t.connMu.Unlock()
 				t.fail(fmt.Errorf("transport: dial %s: %w", addr, err))
 			}
 			return nil
@@ -385,6 +358,33 @@ func (t *TCP) conn(addr string) *outConn {
 		case <-backoff.C:
 		}
 	}
+}
+
+// register makes a freshly dialed and negotiated connection the one to
+// addr and returns it, unless Close ran meanwhile or a concurrent dial
+// got there first.
+func (t *TCP) register(addr string, c net.Conn, mine, peer wire.Hello) *outConn {
+	t.connMu.Lock()
+	defer t.connMu.Unlock()
+	select {
+	case <-t.closed:
+		// Close ran while the dial was in flight and has already swept
+		// t.conns; registering now would leak the socket.
+		c.Close()
+		return nil
+	default:
+	}
+	if existing, ok := t.conns[addr]; ok && !existing.broken.Load() {
+		c.Close() // lost a dial race; use the winner
+		return existing
+	}
+	// No usable connection — either none, or a broken one still awaiting
+	// its writeFailed sweep; the fresh one replaces it (dropConn deletes
+	// by identity, so the sweep cannot evict this registration).
+	oc := t.newOutConn(c, mine, peer)
+	t.conns[addr] = oc
+	delete(t.down, addr)
+	return oc
 }
 
 // dialOnce is one bounded dial attempt that aborts when the transport
@@ -471,7 +471,7 @@ func (t *TCP) writeFailed(oc *outConn, err error) {
 		return
 	}
 	t.dropConn(oc)
-	if t.shape.Load().cfg.LossRecovered {
+	if t.cfg.LossRecovered {
 		return
 	}
 	select {
@@ -548,21 +548,21 @@ func (t *TCP) serve(c net.Conn) {
 	c.SetReadDeadline(time.Time{})
 	fr := wire.NewFrameReader(br, maxFrame)
 	// The ingress codec contexts, by shard: stateful codecs keep their
-	// per-connection caches in them. None on a link that did not
-	// negotiate delta; otherwise they grow as shards show up, because a
-	// peer may connect before Configure has announced the layout.
-	delta := deltaOn(mine, peer)
-	var strms []*wire.Stream
+	// per-connection caches in them. All nil on a link that did not
+	// negotiate delta.
+	strms := make([]*wire.Stream, len(t.cfg.Shards))
+	if deltaOn(mine, peer) {
+		for s := range strms {
+			strms[s] = wire.NewStream()
+		}
+	}
 	for {
 		frame, err := fr.Next()
 		if err != nil {
 			t.connErr(c, err)
 			return
 		}
-		// Re-read the shape per frame: a peer may connect (and send)
-		// before this process's cluster has announced it via Configure.
-		sh := t.shape.Load()
-		d := wire.NewDecFor(frame, t.n, sh.resources)
+		d := wire.NewDecFor(frame, t.n, t.resources)
 		shard := d.ShardTag()
 		from := d.Site()
 		to := d.Site()
@@ -574,27 +574,20 @@ func (t *TCP) serve(c net.Conn) {
 		// 0 included — its universe is Shards[0], not the announced global
 		// M); a tagged frame on a flat endpoint is a peer speaking a
 		// protocol this side was not configured for.
-		if shard >= len(sh.cfg.Shards) {
-			t.connErr(c, fmt.Errorf("frame for shard %d, endpoint has %d shards", shard, len(sh.cfg.Shards)))
+		if shard >= len(t.cfg.Shards) {
+			t.connErr(c, fmt.Errorf("frame for shard %d, endpoint has %d shards", shard, len(t.cfg.Shards)))
 			return
 		}
 		if !t.local[to] {
 			t.connErr(c, fmt.Errorf("frame for node %d, not hosted here", to))
 			return
 		}
-		var strm *wire.Stream
-		if delta {
-			for len(strms) <= shard {
-				strms = append(strms, wire.NewStream())
-			}
-			strm = strms[shard]
-		}
-		m, err := wire.DecodeStream(d.Rest(), t.n, sh.cfg.Shards[shard], strm)
+		m, err := wire.DecodeStream(d.Rest(), t.n, t.cfg.Shards[shard], strms[shard])
 		if err != nil {
 			t.connErr(c, err)
 			return
 		}
-		t.binder.slot(shard, to).deliver(from, m)
+		t.deliver(Link{Shard: shard, From: from, To: to}, m)
 	}
 }
 

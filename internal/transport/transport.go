@@ -39,38 +39,47 @@
 // A sent message belongs to its receiver (alg.Env.Send): the in-process
 // paths deliver it by reference and the receiving node may scrub and
 // refill it as soon as its handler has run. Nothing on an in-process
-// path reads a message it carries — a delay queue, the binder's backlog
-// of an unbound slot, a fault pipeline's item and the reliable
-// wrapper's retransmit buffer hold it unread — and an envelope that may
-// point at a delivered message (a duplicate, a retransmission) is
-// discarded on its sequence number alone. A socket path encodes a
-// message once and releases it (wire.Release), so the decoder at the
-// other end may refill its storage; a wrapper that sends one twice (a
-// chaos duplicate) sends a copy (wire.Copy). An envelope registers no
-// release func, so a retransmission re-encodes the message it wraps.
+// path reads a message it carries — a delay queue, a fault pipeline's
+// item and the reliable wrapper's retransmit buffer hold it unread —
+// and an envelope that may point at a delivered message (a duplicate, a
+// retransmission) is discarded on its sequence number alone. A socket
+// path encodes a message once and releases it (wire.Release), so the
+// decoder at the other end may refill its storage; a wrapper that sends
+// one twice (a chaos duplicate) sends a copy (wire.Copy). An envelope
+// registers no release func, so a retransmission re-encodes the message
+// it wraps.
+//
+// An endpoint has one lifecycle: construct, Connect (a socket fabric),
+// one Configure, then traffic, then Close. Configure is the single
+// announcement that starts traffic: it carries the shard layout and the
+// delivery handler, so nothing reaches an endpoint before it knows
+// both. A socket endpoint accepts peers only from Configure on; a peer
+// dialing in earlier keeps retrying (each handshake times out after
+// 5 s against the silent endpoint) until it does, for as long as its
+// 10 s dial window lasts. Configuring twice, or sending before
+// Configure, is a wiring bug and panics.
 //
 // Wrappers stack as live → Reliable → Chaos → TCP|Mem. Each forwards
 // Configure and AbortConns to the fabric underneath, so a caller holds
 // the top of the stack and never reaches around it.
 //
-// Handlers may be invoked concurrently for different senders and must
-// not block for long — the live runtime's handlers only append to an
-// unbounded per-runner mailbox, and custom transports should assume no
-// more than that.
+// The handler may be invoked from several goroutines at once, must not
+// block for long and must not send on the link it is handed a message
+// from — the live runtime's only appends to an unbounded per-runner
+// mailbox, and custom transports should assume no more than that.
 package transport
 
 import (
 	"cmp"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"mralloc/internal/network"
 	"mralloc/internal/sim"
 )
 
-// Handler consumes a message delivered to a locally hosted node.
-type Handler func(from network.NodeID, m network.Message)
+// Handler consumes a message delivered on link l, whose To is a locally
+// hosted node.
+type Handler func(l Link, m network.Message)
 
 // Link addresses one FIFO channel of the fabric: the ordered pair
 // From→To inside resource shard Shard. Each shard is its own token
@@ -82,7 +91,7 @@ type Link struct {
 }
 
 // Config is what a cluster announces to its fabric, once, before the
-// first Bind or Send.
+// first Send.
 type Config struct {
 	// Shards lists the local resource-universe size of every shard; a
 	// flat cluster is the one-shard instance {M}. A socket fabric
@@ -115,15 +124,13 @@ type Transport interface {
 	// N reports the cluster size the transport connects.
 	N() int
 	// Hosts reports whether node id is hosted by this endpoint —
-	// i.e. whether Bind(shard, id, ...) is legal here.
+	// i.e. whether links to id deliver here.
 	Hosts(id network.NodeID) bool
-	// Configure announces the cluster's shard layout and wire options.
-	// An endpoint never configured is a flat one with default options.
-	Configure(Config)
-	// Bind installs the delivery handler of a locally hosted node in
-	// one shard. Messages arriving before their Bind are buffered and
-	// delivered, in order, when the handler is installed.
-	Bind(shard int, id network.NodeID, h Handler)
+	// Configure announces the cluster's shard layout and wire options
+	// and installs the handler every message to a hosted node is
+	// delivered to; traffic starts here. It is called exactly once,
+	// before the first Send.
+	Configure(cfg Config, deliver Handler)
 	// Send transmits m on link l, whose From is locally hosted. Send
 	// may block briefly (backpressure) but must not block indefinitely
 	// while the transport is open; after Close it is a no-op.
@@ -146,102 +153,29 @@ type WireOptions struct {
 	Delta bool
 }
 
-// binder maps the locally hosted (shard, node) slots to their handlers
-// and buffers deliveries that race ahead of Bind: a peer process may
-// legitimately start sending before this process has attached its
-// nodes, and a reliable transport must not drop those messages.
-// Per-slot locking keeps delivery FIFO per destination without
-// serializing the whole endpoint. Shard 0 exists from construction;
-// grow adds the rest when the cluster announces its layout.
-type binder struct {
-	n      int
-	shards atomic.Pointer[[][]binderSlot] // [shard][node]
-}
-
-type binderSlot struct {
-	mu      sync.Mutex
-	h       Handler
-	pending []pendingMsg
-}
-
-type pendingMsg struct {
-	from network.NodeID
-	m    network.Message
-}
-
-func newBinder(n int) *binder {
-	b := &binder{n: n}
-	b.grow(1)
-	return b
-}
-
-// grow extends the table to g shards. Existing shards keep their slots
-// (handlers and buffered traffic included); the table never shrinks.
-// Only the goroutine assembling the stack grows it (constructors and
-// Configure); deliveries read it concurrently, hence the atomic swap.
-func (b *binder) grow(g int) {
-	var cur [][]binderSlot
-	if p := b.shards.Load(); p != nil {
-		cur = *p
+// configure is the wiring check of every Configure: deliver is required
+// and becomes *dst, which must not be set yet.
+func configure(dst *Handler, deliver Handler) {
+	if deliver == nil {
+		panic("transport: Configure without a handler")
 	}
-	if g <= len(cur) {
-		return
+	if *dst != nil {
+		panic("transport: Configure called twice")
 	}
-	next := append([][]binderSlot(nil), cur...)
-	for len(next) < g {
-		next = append(next, make([]binderSlot, b.n))
-	}
-	b.shards.Store(&next)
+	*dst = deliver
 }
 
-// slot resolves one (shard, node) slot, or nil for a shard the endpoint
-// was never configured for.
-func (b *binder) slot(shard int, id network.NodeID) *binderSlot {
-	shards := *b.shards.Load()
-	if shard < 0 || shard >= len(shards) {
-		return nil
+// checkLink panics on a Send that is a wiring bug on the sending side,
+// never input from a peer: one before Configure installed the handler,
+// to a node outside the cluster, or on a shard outside the layout.
+func checkLink(deliver Handler, n, shards int, l Link) {
+	if deliver == nil {
+		panic("transport: Send before Configure")
 	}
-	return &shards[shard][id]
-}
-
-// mustSlot is slot for the local call sites (Bind, Send), where an
-// unknown shard is a wiring bug, not a runtime condition.
-func (b *binder) mustSlot(shard int, id network.NodeID) *binderSlot {
-	s := b.slot(shard, id)
-	if s == nil {
-		panic(fmt.Sprintf("transport: shard %d on an endpoint with %d shards", shard, len(*b.shards.Load())))
+	if l.To < 0 || int(l.To) >= n {
+		panic(fmt.Sprintf("transport: send to invalid node %d", l.To))
 	}
-	return s
-}
-
-func (s *binderSlot) bind(h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.h = h
-	for _, p := range s.pending {
-		h(p.from, p.m)
-	}
-	s.pending = nil
-}
-
-// deliver hands one message to the slot's handler, or buffers it until
-// Bind. The slot lock is held across the handler call, so that a
-// concurrent bind cannot reorder a buffered prefix after a direct
-// delivery.
-func (s *binderSlot) deliver(from network.NodeID, m network.Message) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.h == nil {
-		s.pending = append(s.pending, pendingMsg{from, m})
-		return
-	}
-	s.h(from, m)
-}
-
-// checkDest panics on a destination outside the cluster — a wiring bug
-// on the sending side, never input from a peer.
-func checkDest(n int, to network.NodeID) {
-	if to < 0 || int(to) >= n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
+	if l.Shard < 0 || l.Shard >= shards {
+		panic(fmt.Sprintf("transport: send on shard %d of an endpoint with %d shards", l.Shard, shards))
 	}
 }

@@ -3,16 +3,18 @@
 // live cluster must pass TestTransport: it asserts exactly the
 // guarantees the algorithms assume — reliable delivery, FIFO per link
 // (ordered node pair within one shard), no duplication, every message
-// delivered as the kind it was sent, and clean close semantics — at one
-// shard (the flat cluster) and at three.
+// delivered as the kind it was sent, no loss of what is sent to a peer
+// endpoint not configured yet, and clean close semantics — at one shard
+// (the flat cluster) and at three.
 //
-// The suite drives the transport through the same endpoint topology a
-// cluster would: a Factory returns one endpoint per node (an
-// in-process transport returns the same endpoint N times; a socket
-// transport returns N connected endpoints), each configured for the
-// shard layout the suite asks for. Message codecs for the suite's own
-// test messages are registered with internal/wire, so a codec-backed
-// transport needs no special support.
+// The suite drives the transport through the same endpoint topology and
+// lifecycle a cluster would: a Factory returns one connected endpoint
+// per node (an in-process transport returns the same endpoint N times; a
+// socket transport returns N connected endpoints), and the suite
+// configures each for the shard layout it runs under, with its own
+// handler. Message codecs for the suite's own test messages are
+// registered with internal/wire, so a codec-backed transport needs no
+// special support.
 package transporttest
 
 import (
@@ -64,11 +66,10 @@ func init() {
 }
 
 // Factory builds a connected transport fabric for n nodes and returns
-// node i's endpoint at index i, every endpoint configured (Configure)
-// for the shard layout sizes. Endpoints may repeat (one in-process
-// endpoint hosting every node). The suite closes each distinct
-// endpoint itself.
-type Factory func(t *testing.T, n int, sizes []int) []transport.Transport
+// node i's endpoint at index i, not configured yet. Endpoints may repeat
+// (one in-process endpoint hosting every node). The suite configures
+// and closes each distinct endpoint itself.
+type Factory func(t *testing.T, n int) []transport.Transport
 
 // Layouts are the shard layouts the suite runs under: the flat cluster
 // (one shard — the one-shard instance of the same contract) and a
@@ -79,20 +80,36 @@ var Layouts = [][]int{{8}, {4, 3, 3}}
 // once per layout.
 func TestTransport(t *testing.T, factory Factory) {
 	for _, sizes := range Layouts {
-		mk := func(t *testing.T, n int) []transport.Transport { return factory(t, n, sizes) }
-		g := len(sizes)
-		t.Run(fmt.Sprintf("G=%d", g), func(t *testing.T) {
-			t.Run("FIFONoLossNoDup", func(t *testing.T) { testFIFO(t, mk, g) })
-			t.Run("BatchFIFOAcrossBoundaries", func(t *testing.T) { testBurstFIFO(t, mk, g) })
-			t.Run("PerKindStats", func(t *testing.T) { testKinds(t, mk, g) })
-			t.Run("BindBuffersEarlyTraffic", func(t *testing.T) { testLateBind(t, mk, g) })
-			t.Run("CleanClose", func(t *testing.T) { testClose(t, mk, g) })
+		f := fabric{factory, sizes}
+		t.Run(fmt.Sprintf("G=%d", len(sizes)), func(t *testing.T) {
+			t.Run("FIFONoLossNoDup", func(t *testing.T) { testFIFO(t, f) })
+			t.Run("BatchFIFOAcrossBoundaries", func(t *testing.T) { testBurstFIFO(t, f) })
+			t.Run("PerKindStats", func(t *testing.T) { testKinds(t, f) })
+			t.Run("PeerConfiguredLate", func(t *testing.T) { testLateConfigure(t, f) })
+			t.Run("CleanClose", func(t *testing.T) { testClose(t, f) })
 		})
 	}
 }
 
-// build is a Factory with the layout already chosen.
-type build func(t *testing.T, n int) []transport.Transport
+// fabric is a Factory with the layout the suite runs under.
+type fabric struct {
+	factory Factory
+	sizes   []int
+}
+
+// config is what the suite announces to every endpoint.
+func (f fabric) config() transport.Config { return transport.Config{Shards: f.sizes} }
+
+// start builds a fabric of n nodes and configures every endpoint with a
+// fresh recorder as its handler, as live.New does.
+func (f fabric) start(t *testing.T, n int) ([]transport.Transport, *recorder) {
+	eps := f.factory(t, n)
+	rec := newRecorder(t, n, len(f.sizes))
+	for _, ep := range distinct(eps) {
+		ep.Configure(f.config(), rec.deliver)
+	}
+	return eps, rec
+}
 
 // seqBase offsets each shard's sequence space, so a message that
 // leaked into another shard's handler reads as a sequence error.
@@ -150,35 +167,25 @@ func newRecorder(t *testing.T, n, g int) *recorder {
 	return r
 }
 
-// bindAll binds every (shard, node) slot of the fabric to the recorder.
-func (r *recorder) bindAll(eps []transport.Transport) {
-	for s := range r.lastSeq {
-		for i, ep := range eps {
-			ep.Bind(s, network.NodeID(i), r.handler(s, network.NodeID(i)))
-		}
+// deliver is the handler of every endpoint under test.
+func (r *recorder) deliver(l transport.Link, nm network.Message) {
+	m, ok := nm.(Msg)
+	if !ok {
+		r.t.Errorf("shard %d node %d received %T, want Msg", l.Shard, l.To, nm)
+		return
 	}
-}
-
-func (r *recorder) handler(shard int, to network.NodeID) transport.Handler {
-	return func(from network.NodeID, nm network.Message) {
-		m, ok := nm.(Msg)
-		if !ok {
-			r.t.Errorf("shard %d node %d received %T, want Msg", shard, to, nm)
-			return
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if m.From != from {
-			r.t.Errorf("shard %d node %d: envelope sender %d but payload sender %d", shard, to, from, m.From)
-		}
-		if want := r.lastSeq[shard][to][from] + 1; m.Seq != want {
-			r.t.Errorf("shard %d link %d→%d: got seq %d, want %d (loss, duplication, reordering or shard leak)",
-				shard, from, to, m.Seq, want)
-		}
-		r.lastSeq[shard][to][from] = m.Seq
-		r.total++
-		r.kinds[m.Kind()]++
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m.From != l.From {
+		r.t.Errorf("shard %d node %d: envelope sender %d but payload sender %d", l.Shard, l.To, l.From, m.From)
 	}
+	if want := r.lastSeq[l.Shard][l.To][l.From] + 1; m.Seq != want {
+		r.t.Errorf("shard %d link %d→%d: got seq %d, want %d (loss, duplication, reordering or shard leak)",
+			l.Shard, l.From, l.To, m.Seq, want)
+	}
+	r.lastSeq[l.Shard][l.To][l.From] = m.Seq
+	r.total++
+	r.kinds[m.Kind()]++
 }
 
 func (r *recorder) count() int {
@@ -208,15 +215,14 @@ func (r *recorder) waitFor(want int, d time.Duration) {
 // testFIFO hammers every link concurrently: one sender goroutine per
 // (shard, ordered pair), interleaved kinds, sequence numbers checked
 // at the receiver.
-func testFIFO(t *testing.T, factory build, g int) {
+func testFIFO(t *testing.T, f fabric) {
 	const n, msgs = 4, 200
-	eps := factory(t, n)
+	g := len(f.sizes)
+	eps, rec := f.start(t, n)
 	defer closeAll(t, eps)
 	if got := eps[0].N(); got != n {
 		t.Fatalf("N() = %d, want %d", got, n)
 	}
-	rec := newRecorder(t, n, g)
-	rec.bindAll(eps)
 	var wg sync.WaitGroup
 	for shard := 0; shard < g; shard++ {
 		for from := 0; from < n; from++ {
@@ -249,12 +255,11 @@ func testFIFO(t *testing.T, factory build, g int) {
 // gather, a forwarder's queue) sees its batches start and end at
 // varying points, and those boundaries must be invisible to delivery
 // order.
-func testBurstFIFO(t *testing.T, factory build, g int) {
+func testBurstFIFO(t *testing.T, f fabric) {
 	const n, rounds = 3, 60
-	eps := factory(t, n)
+	g := len(f.sizes)
+	eps, rec := f.start(t, n)
 	defer closeAll(t, eps)
-	rec := newRecorder(t, n, g)
-	rec.bindAll(eps)
 	total := 0
 	var wg sync.WaitGroup
 	for shard := 0; shard < g; shard++ {
@@ -303,12 +308,11 @@ func testBurstFIFO(t *testing.T, factory build, g int) {
 // checks that the handlers received exactly those counts by kind: a
 // message arrives as the kind it was sent, and nothing a wrapper adds
 // on the way (an envelope, an ack) ever reaches a handler.
-func testKinds(t *testing.T, factory build, g int) {
+func testKinds(t *testing.T, f fabric) {
 	const n = 3
-	eps := factory(t, n)
+	g := len(f.sizes)
+	eps, rec := f.start(t, n)
 	defer closeAll(t, eps)
-	rec := newRecorder(t, n, g)
-	rec.bindAll(eps)
 	want := map[string]int{}
 	seq := map[transport.Link]int64{}
 	send := func(shard, from, to int, k string) {
@@ -331,43 +335,47 @@ func testKinds(t *testing.T, factory build, g int) {
 	}
 }
 
-// testLateBind sends to a node, in every shard, before its handlers
-// are bound; a reliable transport buffers and delivers in order at
-// Bind time.
-func testLateBind(t *testing.T, factory build, g int) {
+// testLateConfigure sends from node 0 to node 1, in every shard, while
+// node 1's endpoint is not configured yet, and configures it 20 ms
+// later: a peer that is up but not yet announced (a process between
+// ListenTCP and its cluster's Configure) holds what is sent to it, and
+// everything must arrive, in order. Where both nodes share one
+// endpoint, both ends are configured from the start.
+func testLateConfigure(t *testing.T, f fabric) {
 	const n, early = 2, 50
-	eps := factory(t, n)
+	g := len(f.sizes)
+	eps := f.factory(t, n)
 	defer closeAll(t, eps)
 	rec := newRecorder(t, n, g)
-	sendRange := func(lo, hi int64) {
+	eps[0].Configure(f.config(), rec.deliver)
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
 		for shard := 0; shard < g; shard++ {
 			l := transport.Link{Shard: shard, From: 0, To: 1}
-			for s := lo; s <= hi; s++ {
+			for s := int64(1); s <= early; s++ {
 				eps[0].Send(l, Msg{K: KindA, From: 0, Seq: seqBase(shard) + s})
 			}
 		}
-	}
-	for shard := 0; shard < g; shard++ {
-		eps[0].Bind(shard, 0, rec.handler(shard, 0))
-	}
-	sendRange(1, early)
-	// Give an async transport time to get the early traffic in flight,
-	// then bind: everything must arrive, in order.
+	}()
 	time.Sleep(20 * time.Millisecond)
-	for shard := 0; shard < g; shard++ {
-		eps[1].Bind(shard, 1, rec.handler(shard, 1))
+	if eps[1] != eps[0] {
+		eps[1].Configure(f.config(), rec.deliver)
 	}
-	sendRange(early+1, 2*early)
-	rec.waitFor(g*2*early, 10*time.Second)
+	select {
+	case <-sent:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send to a peer configured late still blocked after 10s")
+	}
+	rec.waitFor(g*early, 10*time.Second)
 }
 
 // testClose: Close is idempotent, terminates, and later Sends — on any
 // shard — neither panic nor deliver.
-func testClose(t *testing.T, factory build, g int) {
+func testClose(t *testing.T, f fabric) {
 	const n = 2
-	eps := factory(t, n)
-	rec := newRecorder(t, n, g)
-	rec.bindAll(eps)
+	g := len(f.sizes)
+	eps, rec := f.start(t, n)
 	for shard := 0; shard < g; shard++ {
 		eps[0].Send(transport.Link{Shard: shard, From: 0, To: 1}, Msg{K: KindA, From: 0, Seq: seqBase(shard) + 1})
 	}
