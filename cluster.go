@@ -1,6 +1,7 @@
 package mralloc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -9,7 +10,7 @@ import (
 	"mralloc/internal/core"
 	"mralloc/internal/live"
 	"mralloc/internal/serve"
-	"mralloc/internal/transport"
+	"mralloc/internal/stack"
 )
 
 // Policy names an admission-scheduling policy for multiplexed
@@ -61,13 +62,10 @@ type ClusterConfig struct {
 	Nodes int
 	// Resources is the size M of the lockable universe.
 	Resources int
-	// Algorithm must be CounterLoan (default) or CounterNoLoan; the
-	// baselines exist for simulation comparisons, not production use.
+	// Algorithm is CounterLoan when empty. Any algorithm with a wire
+	// codec runs live, the comparators included (CounterLoan is the
+	// one to use); SharedMemory is simulation only.
 	Algorithm Algorithm
-	// LoanThreshold overrides the loan trigger (default 1): a waiting
-	// node missing at most this many resources asks to borrow them.
-	// CounterLoan only; negative is an error.
-	LoanThreshold int
 	// Latency, when positive, delays every message — useful to make
 	// protocol behaviour visible in demos and tests. In-process
 	// clusters only; negative is an error.
@@ -78,8 +76,9 @@ type ClusterConfig struct {
 	// the nodes listed in Local, exchanging protocol messages over the
 	// wire (internal/wire binary codec, length-prefixed frames). Every
 	// participating process must use the same Nodes, Resources,
-	// Algorithm and Peers, and the Local sets must partition the nodes.
-	// cmd/mrallocd is a ready-made daemon around exactly this mode.
+	// Algorithm and Peers, and the Local sets must partition the nodes;
+	// a peer that differs is refused at the handshake. cmd/mrallocd is
+	// a ready-made daemon around exactly this mode.
 	Peers []string
 	// Local lists the node ids hosted by this process (required with
 	// Peers). Acquire works only for local nodes.
@@ -104,71 +103,33 @@ type Cluster struct {
 
 // LoanStats aggregates the loan mechanism's activity across nodes: how
 // many loans were requested, granted, and bounced back (failed). All
-// zeros under CounterNoLoan.
+// zeros under CounterNoLoan and the comparators.
 type LoanStats struct {
 	Asked, Granted, Returned int
 }
 
-// NewCluster starts a cluster of protocol nodes as cfg describes. The
-// peer links of a multi-process cluster always delta-encode token
-// state.
+// NewCluster starts a cluster of protocol nodes as cfg describes, built
+// and refused as mrallocd's flags are (internal/stack); a refusal names
+// the flags.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	copt, ok := coreOptions(cfg.Algorithm)
-	if !ok {
-		return nil, fmt.Errorf("mralloc: algorithm %q not supported for live clusters", cfg.Algorithm)
-	}
-	switch {
-	case cfg.LoanThreshold < 0:
-		return nil, fmt.Errorf("mralloc: negative LoanThreshold %d", cfg.LoanThreshold)
-	case cfg.LoanThreshold > 0 && !copt.Loan:
-		return nil, fmt.Errorf("mralloc: LoanThreshold applies to %s only", CounterLoan)
-	case cfg.LoanThreshold > 0:
-		copt.LoanThreshold = cfg.LoanThreshold
-	}
-	policy, err := serve.ParsePolicy(string(cfg.Policy))
+	st, err := stack.Build(stack.Spec{
+		Nodes:     cfg.Nodes,
+		Resources: cfg.Resources,
+		Shards:    1,
+		Alg:       string(cmp.Or(cfg.Algorithm, CounterLoan)),
+		Peers:     cfg.Peers,
+		Local:     cfg.Local,
+		Listen:    cfg.Listen,
+		Policy:    serve.Policy(cfg.Policy),
+		Latency:   cfg.Latency,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mralloc: %w", err)
 	}
-	if cfg.Latency < 0 {
-		return nil, fmt.Errorf("mralloc: negative Latency %v", cfg.Latency)
-	}
-	lcfg := live.Config{
-		Nodes:     cfg.Nodes,
-		Resources: cfg.Resources,
-		Latency:   cfg.Latency,
-		Policy:    policy,
-		Wire:      transport.WireOptions{Delta: true},
-	}
-	if len(cfg.Peers) > 0 {
-		if len(cfg.Peers) != cfg.Nodes {
-			return nil, fmt.Errorf("mralloc: %d peer addresses for %d nodes", len(cfg.Peers), cfg.Nodes)
-		}
-		if len(cfg.Local) == 0 {
-			return nil, fmt.Errorf("mralloc: multi-process mode needs Local node ids")
-		}
-		if cfg.Latency > 0 {
-			return nil, fmt.Errorf("mralloc: Latency applies to in-process clusters only")
-		}
-		listen := cfg.Listen
-		if listen == "" {
-			if l := cfg.Local[0]; l >= 0 && l < len(cfg.Peers) {
-				listen = cfg.Peers[l]
-			}
-		}
-		tr, err := transport.ListenTCP(listen, cfg.Nodes, cfg.Local...)
-		if err != nil {
-			return nil, err
-		}
-		if err := tr.Connect(cfg.Peers); err != nil {
-			tr.Close()
-			return nil, err
-		}
-		lcfg.Transport = tr
-		lcfg.Local = cfg.Local
-	}
-	inner, err := live.New(lcfg, core.NewFactory(copt))
+	inner, err := st.Start()
 	if err != nil {
-		return nil, err
+		st.Close()
+		return nil, fmt.Errorf("mralloc: %w", err)
 	}
 	return &Cluster{inner: inner}, nil
 }
@@ -180,10 +141,12 @@ func (c *Cluster) LoanStats() LoanStats {
 	var s LoanStats
 	for id := 0; id < c.inner.N(); id++ {
 		c.inner.Inspect(id, func(nd alg.Node) {
-			cs := nd.(*core.Node).Counters()
-			s.Asked += cs.LoanAsks
-			s.Granted += cs.LoansGranted
-			s.Returned += cs.LoanReturns
+			if n, ok := nd.(*core.Node); ok {
+				cs := n.Counters()
+				s.Asked += cs.LoanAsks
+				s.Granted += cs.LoansGranted
+				s.Returned += cs.LoanReturns
+			}
 		})
 	}
 	return s

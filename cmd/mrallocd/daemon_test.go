@@ -16,8 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"mralloc/internal/alg"
+	"mralloc/internal/core"
+	"mralloc/internal/live"
 	"mralloc/internal/resource"
 	"mralloc/internal/serve"
+	"mralloc/internal/stack"
 )
 
 // lossySpec loses, repeats, delays and cuts peer traffic; delaySpec only
@@ -68,7 +72,7 @@ func (c cell) args() []string {
 	return args
 }
 
-// refusal is the flags of the rule buildStack refuses c by, or nil:
+// refusal is the flags of the rule stack.Build refuses c by, or nil:
 // leases on a comparator, and chaos that can lose or repeat a message
 // without -reliable. A cell both rules refuse names the flags of one.
 func (c cell) refusal() [][]string {
@@ -147,11 +151,15 @@ func pairwise(all []cell) []cell {
 // TestStackMatrix builds every stack the daemon's stack-shaping flags
 // make — -alg, -shards/-cross-two-phase, -reliable, -chaos-spec,
 // -lease-ttl, -policy — from real command lines through registerFlags
-// and buildStack, plus four refusals outside that product. A
-// refused stack must name every flag of its rule. An accepted one runs
-// as two in-process daemons of two nodes each (N = 4, M = 16), stormed
-// through their client ports (runPair). -short runs a pairwise covering
-// array of the product instead of all of it.
+// and stack.Build, plus four refusals outside that product. A refused
+// stack must name every flag of its rule. An accepted one runs as two
+// in-process daemons of two nodes each (N = 4, M = 16), stormed through
+// their client ports (runPair). -short runs a pairwise covering array of
+// the product instead of all of it.
+//
+// Then the pairs whose two command lines differ in one flag. A local
+// flag may differ, and the mixed pair runs the storm. A cluster-wide one
+// may not: the handshake keeps the two daemons apart (runMismatch).
 func TestStackMatrix(t *testing.T) {
 	cells := allCells()
 	if testing.Short() {
@@ -161,7 +169,7 @@ func TestStackMatrix(t *testing.T) {
 	for _, c := range cells {
 		t.Run(c.name(), func(t *testing.T) {
 			t.Parallel()
-			runPair(t, c.args(), c.refusal(), c[axShards] > 0)
+			runPair(t, both(c.args()), c.refusal(), c[axShards] > 0)
 		})
 	}
 	for _, r := range []struct {
@@ -175,9 +183,36 @@ func TestStackMatrix(t *testing.T) {
 		{"dup-raw", []string{"-chaos-spec=dup=0.02"}, []string{"-chaos-spec", "-reliable"}},
 		{"kill-every-raw", []string{"-chaos-spec=kill-every=1s"}, []string{"-chaos-spec", "-reliable"}},
 	} {
-		t.Run("refused/"+r.name, func(t *testing.T) { runPair(t, r.args, [][]string{r.flags}, false) })
+		t.Run("refused/"+r.name, func(t *testing.T) { runPair(t, both(r.args), [][]string{r.flags}, false) })
+	}
+	for _, r := range []struct {
+		name string
+		args [2][]string
+	}{
+		{"policy", [2][]string{{"-policy=fifo"}, {"-policy=adaptive"}}},
+		{"admit-target", [2][]string{{"-policy=adaptive", "-admit-target=50ms"}, {"-policy=adaptive"}}},
+		{"chaos-spec", [2][]string{{"-chaos-spec=" + delaySpec}, nil}},
+		{"cross-two-phase", [2][]string{{"-shards=4", "-cross-two-phase"}, {"-shards=4"}}},
+	} {
+		t.Run("mixed/"+r.name, func(t *testing.T) {
+			t.Parallel()
+			runPair(t, r.args, nil, r.name == "cross-two-phase")
+		})
+	}
+	for _, r := range []struct{ name, a, b string }{
+		{"alg", "-alg=counter-loan", "-alg=incremental"},
+		{"lease-ttl", "-lease-ttl=250ms", "-lease-ttl=4s"},
+		{"reliable", "-reliable=true", "-reliable=false"},
+	} {
+		t.Run("mismatch/"+r.name, func(t *testing.T) {
+			t.Parallel()
+			runMismatch(t, r.a, r.b)
+		})
 	}
 }
+
+// both is one daemon's extra arguments given to each daemon of a pair.
+func both(args []string) [2][]string { return [2][]string{args, args} }
 
 // TestDaemonPairServesAndDrains assembles two whole daemons from their
 // default command lines, storms both client ports so tokens cross the
@@ -185,7 +220,7 @@ func TestStackMatrix(t *testing.T) {
 // and return nil. A break anywhere in the daemon wiring (flags →
 // transport → live → client port → shutdown) fails here.
 func TestDaemonPairServesAndDrains(t *testing.T) {
-	for i, out := range runPair(t, nil, nil, false) {
+	for i, out := range runPair(t, [2][]string{}, nil, false) {
 		if !strings.Contains(out, "drained — owned tokens handed off") {
 			t.Errorf("daemon %d did not drain:\n%s", i, out)
 		}
@@ -198,36 +233,38 @@ func TestDaemonPairServesAndDrains(t *testing.T) {
 // The storm of one stack: sessions per daemon, each acquiring ops random
 // sets of one to four resources; every acquire is granted or shed
 // within acquireBound, and each daemon returns within stopBound of its
-// cancellation.
+// cancellation. A mismatched pair's acquire waits mismatchWait.
 const (
 	sessions, ops = 2, 30
 	acquireBound  = 20 * time.Second
 	stopBound     = 30 * time.Second
+	mismatchWait  = 2 * time.Second
 )
 
-// runPair builds two daemons of two nodes each over 16 resources from
-// their command lines plus extra. With refused set, buildStack must
-// refuse both with an error naming every flag of one of the rules.
-// Otherwise both are started, every listener on a port it chose, and
-// stormed through their client ports, and runPair returns what each
-// printed. Checks:
-//   - safety on the hold intervals the clients observe: a client sees
-//     its grant after the grant and releases before the release, so an
-//     overlap it sees is a real one;
-//   - every acquire is granted or shed within acquireBound;
-//   - with sharded set, at least a quarter of the grants span shards;
-//   - with lossy chaos, drops and retransmits happened; the fault window
-//     then closes through the Chaos handle buildStack returned;
-//   - after the storm one probe acquire per node is granted;
-//   - each daemon drains and returns nil within stopBound.
-func runPair(t *testing.T, extra []string, refused [][]string, sharded bool) [2]string {
+// pair is two daemons serving, a client connected to each one's port.
+type pair struct {
+	sts     [2]*stack.Stack
+	lives   [2]*live.Cluster
+	clients [2]*serve.Client
+	cancel  context.CancelFunc
+	outs    [2]bytes.Buffer
+	errs    [2]chan error
+}
+
+// startPair builds two daemons of two nodes each over 16 resources from
+// their command lines, daemon i's plus extra[i]. With refused set,
+// stack.Build must refuse both with an error naming every flag of one of
+// the rules, and startPair returns nil. Otherwise both serve, every
+// listener on a port it chose, and each one's client has had its hello
+// answered.
+func startPair(t *testing.T, extra [2][]string, refused [][]string) *pair {
 	// Every pair listens on a loopback address of its own: a daemon
 	// still redialing a peer that has exited reaches no other pair's
 	// listener on a port the kernel handed out again.
 	n := pairs.Add(1)
 	host := fmt.Sprintf("127.1.%d.%d", n>>8&255, n&255)
-	var sts [2]*stack
-	for i := range sts {
+	p := &pair{}
+	for i := range p.sts {
 		var cfg daemonConfig
 		fs := flag.NewFlagSet("mrallocd", flag.ContinueOnError)
 		registerFlags(fs, &cfg)
@@ -235,58 +272,99 @@ func runPair(t *testing.T, extra []string, refused [][]string, sharded bool) [2]
 		// it is bound: the pair is built on placeholders and pointed at
 		// the bound ports before it starts.
 		args := append([]string{"-nodes=4", "-resources=16", fmt.Sprintf("-local=%d,%d", 2*i, 2*i+1),
-			"-listen=" + host + ":0", "-client-listen=" + host + ":0", "-peers=-,-,-,-"}, extra...)
+			"-listen=" + host + ":0", "-client-listen=" + host + ":0", "-peers=-,-,-,-"}, extra[i]...)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		st, err := buildStack(cfg)
+		st, err := stack.Build(cfg.Spec)
 		switch {
 		case refused != nil && err == nil:
-			st.close()
-			t.Fatalf("%v: built, want refused naming %v", extra, refused)
+			st.Close()
+			t.Fatalf("%v: built, want refused naming %v", extra[i], refused)
 		case refused != nil && !namesRule(err, refused):
-			t.Fatalf("%v: refused with %q, want it to name every flag of one of %v", extra, err, refused)
+			t.Fatalf("%v: refused with %q, want it to name every flag of one of %v", extra[i], err, refused)
 		case refused != nil:
-			return [2]string{} // the other daemon's command line differs in -local alone
+			return nil // the other daemon's command line differs in -local alone
 		case err != nil:
 			if i > 0 {
-				sts[0].close()
+				p.sts[0].Close()
 			}
-			t.Fatalf("%v: %v", extra, err)
+			t.Fatalf("%v: %v", extra[i], err)
 		}
-		sts[i] = st
+		p.sts[i] = st
 	}
 
-	peers := []string{sts[0].tcp.Addr(), sts[0].tcp.Addr(), sts[1].tcp.Addr(), sts[1].tcp.Addr()}
+	peers := []string{p.sts[0].TCP.Addr(), p.sts[0].TCP.Addr(), p.sts[1].TCP.Addr(), p.sts[1].TCP.Addr()}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var outs [2]bytes.Buffer
-	var errs [2]chan error
-	clients := make([]*serve.Client, 2)
-	for i, st := range sts {
-		st.peers = peers
-		errs[i] = make(chan error, 1)
-		go func() { errs[i] <- st.serve(ctx, &outs[i]) }()
-		cl, err := serve.Dial(st.port.Addr().String())
+	p.cancel = cancel
+	t.Cleanup(cancel)
+	for i, st := range p.sts {
+		st.Spec.Peers = peers
+		c, err := st.Start()
+		if err != nil {
+			st.Close()
+			t.Fatalf("daemon %d: %v", i, err)
+		}
+		p.lives[i] = c
+		p.errs[i] = make(chan error, 1)
+		go func() { p.errs[i] <- serveStack(ctx, st, c, &p.outs[i]) }()
+		cl, err := serve.Dial(st.Port.Addr().String())
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
 		}
-		defer cl.Close()
-		clients[i] = cl
+		t.Cleanup(func() { cl.Close() })
+		p.clients[i] = cl
 	}
-	for i, cl := range clients {
+	for i, cl := range p.clients {
 		// A daemon replies once its cluster runs: storm traffic then
 		// finds every peer endpoint configured with its shard layout.
 		if _, err := cl.Hello(ctx); err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
 		}
 	}
+	return p
+}
 
+// stop cancels both daemons, requires each to return nil within
+// stopBound, and returns what each printed.
+func (p *pair) stop(t *testing.T) [2]string {
+	p.cancel()
+	var printed [2]string
+	for i := range p.sts {
+		select {
+		case err := <-p.errs[i]:
+			if err != nil {
+				t.Errorf("daemon %d returned %v", i, err)
+			}
+		case <-time.After(stopBound):
+			t.Fatalf("daemon %d did not return within %v of its cancellation", i, stopBound)
+		}
+		printed[i] = p.outs[i].String()
+	}
+	return printed
+}
+
+// runPair starts a pair (startPair) and storms it through its client
+// ports, then stops it and returns what each daemon printed. Checks:
+//   - safety on the hold intervals the clients observe: a client sees
+//     its grant after the grant and releases before the release, so an
+//     overlap it sees is a real one;
+//   - every acquire is granted or shed within acquireBound;
+//   - with sharded set, at least a quarter of the grants span shards;
+//   - with lossy chaos on daemon 0, drops and retransmits happened; the
+//     fault window then closes through the Chaos handle the stack holds;
+//   - after the storm one probe acquire per node is granted;
+//   - each daemon returns nil within stopBound.
+func runPair(t *testing.T, extra [2][]string, refused [][]string, sharded bool) [2]string {
+	p := startPair(t, extra, refused)
+	if p == nil {
+		return [2]string{}
+	}
 	var held [16]atomic.Int32
 	var granted, shed, cross atomic.Int64
-	smap := resource.NewShardMap(16, sts[0].cfg.shards)
+	smap := resource.NewShardMap(16, p.sts[0].Spec.Shards)
 	acquire := func(cl *serve.Client, node int, rs []int) error {
-		actx, acancel := context.WithTimeout(ctx, acquireBound)
+		actx, acancel := context.WithTimeout(context.Background(), acquireBound)
 		release, err := cl.Acquire(actx, node, rs...)
 		acancel()
 		if err != nil {
@@ -305,7 +383,7 @@ func runPair(t *testing.T, extra []string, refused [][]string, sharded bool) [2]
 		return nil
 	}
 	var wg sync.WaitGroup
-	for i, cl := range clients {
+	for i, cl := range p.clients {
 		for s := range sessions {
 			wg.Add(1)
 			go func() {
@@ -338,40 +416,64 @@ func runPair(t *testing.T, extra []string, refused [][]string, sharded bool) [2]
 		t.Errorf("%v: %d of %d grants spanned shards, want at least a quarter", extra, cross.Load(), granted.Load())
 	}
 	var dropped, retransmits int64
-	for _, st := range sts {
-		if st.chaos != nil {
-			dropped += st.chaos.ChaosStats().Dropped
-			st.chaos.StopFaults()
+	for _, st := range p.sts {
+		if st.Chaos != nil {
+			dropped += st.Chaos.ChaosStats().Dropped
+			st.Chaos.StopFaults()
 		}
-		if st.rel != nil {
-			retransmits += st.rel.RelStats().Retransmits
+		if st.Rel != nil {
+			retransmits += st.Rel.RelStats().Retransmits
 		}
 	}
-	if sts[0].spec.Drop > 0 && (dropped == 0 || retransmits == 0) {
+	if strings.Contains(p.sts[0].Spec.ChaosSpec, "drop") && (dropped == 0 || retransmits == 0) {
 		t.Errorf("%v: the storm dropped %d frames and retransmitted %d, want both above 0", extra, dropped, retransmits)
 	}
 	for node := range 4 {
-		if err := acquire(clients[node/2], node, []int{node}); err != nil {
+		if err := acquire(p.clients[node/2], node, []int{node}); err != nil {
 			t.Errorf("%v: node %d: post-storm probe: %v", extra, node, err)
 		}
 	}
 	t.Logf("%d granted, %d shed, %d across shards; chaos dropped %d, retransmits %d",
 		granted.Load(), shed.Load(), cross.Load(), dropped, retransmits)
+	return p.stop(t)
+}
 
+// runMismatch starts a pair whose command lines differ in one
+// cluster-wide flag, a on daemon 0 and b on daemon 1, and requires the
+// handshake to keep the two apart:
+//   - an acquire on daemon 1 that needs daemon 0's tokens times out (at
+//     genesis node 0 owns every token, so daemon 0 has none of daemon
+//     1's to need);
+//   - each peer endpoint's error names a and b;
+//   - no node of either daemon has regenerated or fenced a token;
+//   - and, implicitly, neither panics on a frame it cannot read.
+func runMismatch(t *testing.T, a, b string) {
+	p := startPair(t, [2][]string{{a}, {b}}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), mismatchWait)
+	_, err := p.clients[1].Acquire(ctx, 2, 0)
 	cancel()
-	var printed [2]string
-	for i := range sts {
-		select {
-		case err := <-errs[i]:
-			if err != nil {
-				t.Errorf("%v: daemon %d returned %v", extra, i, err)
-			}
-		case <-time.After(stopBound):
-			t.Fatalf("%v: daemon %d did not return within %v of its cancellation", extra, i, stopBound)
-		}
-		printed[i] = outs[i].String()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("%s against %s: acquire across the pair returned %v, want it to time out", a, b, err)
 	}
-	return printed
+	for i, st := range p.sts {
+		if err := st.TCP.Err(); err == nil || !strings.Contains(err.Error(), a) || !strings.Contains(err.Error(), b) {
+			t.Errorf("%s against %s: daemon %d's peer endpoint error is %v, want one naming both", a, b, i, err)
+		}
+	}
+	for i, c := range p.lives {
+		var sum core.Counters
+		for _, id := range p.sts[i].Spec.Local {
+			c.Inspect(id, func(n alg.Node) {
+				if nd, ok := n.(*core.Node); ok {
+					sum.Add(nd.Counters())
+				}
+			})
+		}
+		if sum.Regens != 0 || sum.Fenced != 0 {
+			t.Errorf("%s against %s: daemon %d regenerated %d tokens and fenced %d", a, b, i, sum.Regens, sum.Fenced)
+		}
+	}
+	p.stop(t)
 }
 
 // pairs counts runPair's pairs, for their loopback addresses.

@@ -117,7 +117,8 @@ type Config struct {
 	// pick a period a few times smaller than the heartbeat interval).
 	Tick time.Duration
 	// Wire tunes the wire path of a socket fabric: delta-encoded token
-	// state. It reaches the fabric through any wrappers, in the one
+	// state, and the cluster configuration its hello carries. It
+	// reaches the fabric through any wrappers, in the one
 	// transport.Config the cluster announces once every node has
 	// attached, before the fabric carries any traffic, so it covers every
 	// connection the cluster dials or accepts; fabrics without a wire

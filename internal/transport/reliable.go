@@ -265,7 +265,9 @@ func (r *Reliable) Send(k Link, m network.Message) {
 	r.inner.Send(k, env)
 }
 
-// onRecv unwraps an inner delivery on link k (k.To is hosted here).
+// onRecv unwraps an inner delivery on link k (k.To is hosted here). Every
+// frame is a Rel.* envelope: a cluster built by internal/stack refuses,
+// at the handshake, a peer that does not run the wrapper.
 func (r *Reliable) onRecv(k Link, m network.Message) {
 	switch env := m.(type) {
 	case relData:
@@ -335,10 +337,6 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 		if n > 0 {
 			r.addRel(func(s *RelStats) { s.Acked += int64(n) })
 		}
-	default:
-		// A frame from an unwrapped peer (misconfiguration): deliver it
-		// rather than wedge — safety degrades to the inner fabric's.
-		r.deliver(k, m)
 	}
 }
 

@@ -190,8 +190,8 @@ func (t *TCP) Hosts(id network.NodeID) bool { return t.local[id] }
 // Configure implements Transport and starts accepting: inbound frames
 // must carry resource ids within their shard's universe (site ids are
 // checked against the listen-time n regardless), the hello announces the
-// layout and the wire features, and peers claiming a different shard
-// count are rejected.
+// layout, the wire features and the cluster configuration, and peers
+// claiming a different shard count or configuration are rejected.
 func (t *TCP) Configure(cfg Config, deliver Handler) {
 	configure(&t.deliver, deliver)
 	cfg.Shards = append([]int(nil), cfg.Shards...)
@@ -208,8 +208,8 @@ func (t *TCP) Configure(cfg Config, deliver Handler) {
 }
 
 // localHello assembles the hello this endpoint sends (dial side) or
-// answers with (accept side): protocol version, cluster shape and the
-// locally enabled feature set.
+// answers with (accept side): protocol version, cluster shape, the
+// locally enabled feature set and the cluster configuration.
 func (t *TCP) localHello() wire.Hello {
 	var feat uint64
 	if t.cfg.Wire.Delta {
@@ -221,6 +221,7 @@ func (t *TCP) localHello() wire.Hello {
 		Resources: t.resources,
 		Features:  feat,
 		Shards:    len(t.cfg.Shards),
+		Cluster:   t.cfg.Wire.Cluster,
 	}
 }
 

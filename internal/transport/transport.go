@@ -151,6 +151,10 @@ type WireOptions struct {
 	// wire.FeatDelta bit): a link ships token deltas instead of full snapshots when both of its
 	// ends enable it, and full snapshots otherwise.
 	Delta bool
+	// Cluster is the cluster-wide configuration the hello carries
+	// (wire.Hello.Cluster): a peer that sends a different one is
+	// refused at the handshake. internal/stack renders it.
+	Cluster string
 }
 
 // configure is the wiring check of every Configure: deliver is required

@@ -10,9 +10,10 @@ import (
 // Connection negotiation. Every connection (peer transport and client
 // port alike) opens with a hello exchange, and that exchange is the whole
 // negotiation: the dialer's first bytes are its hello — protocol
-// version, cluster shape and feature set — and the acceptor answers with
-// its own, or, when it cannot proceed (anything but a hello first, a
-// different version, a disagreeing shape), with a reject naming the
+// version, cluster shape, feature set and cluster configuration — and
+// the acceptor answers with its own, or, when it cannot proceed
+// (anything but a hello first, a different version, a disagreeing shape
+// or configuration), with a reject naming the
 // reason instead of silently dropping the socket. Each end then uses a
 // capability iff both hellos carry its bit; nothing is announced, turned
 // on or renegotiated later, so the stream that follows holds frames and
@@ -35,7 +36,7 @@ import (
 // carrying a different version is rejected — the version only moves
 // when the stream alphabet or the mandatory hello fields change, which
 // the feature bits exist to avoid.
-const ProtoVersion = 8
+const ProtoVersion = 9
 
 const (
 	// CtrlHello carries a Hello. It is the dialer's first stream element
@@ -84,12 +85,18 @@ type Hello struct {
 	// shard. Zero means unknown, like the shape — only a client sends it
 	// — and mismatching non-zero values are rejected the same way.
 	Shards int
+	// Cluster is the sender's cluster-wide configuration, rendered by
+	// the builder (internal/stack) in flag syntax, such as
+	// "-alg=counter-loan -lease-ttl=0s -reliable=false". It must equal
+	// the peer's exactly; an endpoint built without it, and a client,
+	// send it empty.
+	Cluster string
 }
 
 // Check reports why the sender of h cannot talk to the sender of peer:
-// the protocol version must match exactly, and nodes, resources and
-// shards must each agree wherever both sides announce one (zero means
-// unknown).
+// the protocol version must match exactly, nodes, resources and shards
+// must each agree wherever both sides announce one (zero means
+// unknown), and the cluster strings must be equal.
 func (h Hello) Check(peer Hello) error {
 	if peer.Version != h.Version {
 		return fmt.Errorf("protocol version %d, want %d", peer.Version, h.Version)
@@ -106,6 +113,9 @@ func (h Hello) Check(peer Hello) error {
 			return fmt.Errorf("cluster of %d %s, this end has %d", f.peer, f.what, f.mine)
 		}
 	}
+	if peer.Cluster != h.Cluster {
+		return fmt.Errorf("cluster configured %q, this end has %q", peer.Cluster, h.Cluster)
+	}
 	return nil
 }
 
@@ -113,26 +123,32 @@ func (h Hello) Check(peer Hello) error {
 // hostile hello must not smuggle absurd shapes past validation.
 const maxHelloShape = 1 << 24
 
+// maxHelloCluster bounds a hello's cluster string, so that a reject
+// quoting two of them fits maxRejectReason.
+const maxHelloCluster = 100
+
 // AppendHello appends h's payload encoding (version, nodes, resources,
-// features, shards — all uvarints) onto dst. Wrap it in a
-// control with AppendControl(dst, CtrlHello, payload).
+// features, shards — all uvarints — then the cluster string, its
+// length first) onto dst. Wrap it in a control with
+// AppendControl(dst, CtrlHello, payload).
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.AppendUvarint(dst, h.Version)
 	dst = binary.AppendUvarint(dst, uint64(h.Nodes))
 	dst = binary.AppendUvarint(dst, uint64(h.Resources))
 	dst = binary.AppendUvarint(dst, h.Features)
 	dst = binary.AppendUvarint(dst, uint64(h.Shards))
-	return dst
+	dst = binary.AppendUvarint(dst, uint64(len(h.Cluster)))
+	return append(dst, h.Cluster...)
 }
 
-// ParseHello decodes a CtrlHello payload: five mandatory uvarints.
-// Trailing bytes are ignored — future versions may append fields — but
-// a truncated or absurd hello is an error.
+// ParseHello decodes a CtrlHello payload: five mandatory uvarints and
+// the cluster string. Trailing bytes are ignored — future versions may
+// append fields — but a truncated or absurd hello is an error.
 func ParseHello(payload []byte) (Hello, error) {
 	var h Hello
-	var nodes, resources, shards uint64
+	var nodes, resources, shards, cluster uint64
 	rest := payload
-	for i, f := range [5]*uint64{&h.Version, &nodes, &resources, &h.Features, &shards} {
+	for i, f := range [6]*uint64{&h.Version, &nodes, &resources, &h.Features, &shards, &cluster} {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return Hello{}, fmt.Errorf("wire: hello truncated at field %d", i)
@@ -146,7 +162,14 @@ func ParseHello(payload []byte) (Hello, error) {
 	if shards > MaxShards {
 		return Hello{}, fmt.Errorf("wire: hello claims absurd shard count %d", shards)
 	}
+	if cluster > maxHelloCluster {
+		return Hello{}, fmt.Errorf("wire: hello claims a %d-byte cluster string, limit %d", cluster, maxHelloCluster)
+	}
+	if uint64(len(rest)) < cluster {
+		return Hello{}, fmt.Errorf("wire: hello truncated in its cluster string")
+	}
 	h.Nodes, h.Resources, h.Shards = int(nodes), int(resources), int(shards)
+	h.Cluster = string(rest[:cluster])
 	return h, nil
 }
 

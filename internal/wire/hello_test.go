@@ -11,32 +11,30 @@ import (
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := wire.Hello{
-		Version:   wire.ProtoVersion,
-		Nodes:     512,
-		Resources: 80,
-		Features:  wire.FeatDelta,
-		Shards:    1,
-	}
-	got, err := wire.ParseHello(wire.AppendHello(nil, h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("round trip: got %+v, want %+v", got, h)
+	for _, h := range []wire.Hello{
+		{Version: wire.ProtoVersion, Nodes: 512, Resources: 80, Features: wire.FeatDelta, Shards: 1},
+		{Version: wire.ProtoVersion, Nodes: 4, Resources: 16, Shards: 4, Cluster: "-alg=counter-loan -lease-ttl=250ms -reliable=true"},
+	} {
+		got, err := wire.ParseHello(wire.AppendHello(nil, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != h {
+			t.Fatalf("round trip: got %+v, want %+v", got, h)
+		}
 	}
 }
 
 // TestHelloForwardCompat: a future hello may append fields; today's
 // parser must ignore the trailing bytes rather than reject them.
 func TestHelloForwardCompat(t *testing.T) {
-	payload := wire.AppendHello(nil, wire.Hello{Version: 1, Nodes: 3, Resources: 4})
+	payload := wire.AppendHello(nil, wire.Hello{Version: 1, Nodes: 3, Resources: 4, Cluster: "-alg=incremental"})
 	payload = append(payload, 0xAB, 0xCD, 0xEF) // hypothetical future fields
 	got, err := wire.ParseHello(payload)
 	if err != nil {
 		t.Fatalf("trailing bytes rejected: %v", err)
 	}
-	if got.Nodes != 3 || got.Resources != 4 {
+	if got.Nodes != 3 || got.Resources != 4 || got.Cluster != "-alg=incremental" {
 		t.Fatalf("parsed %+v", got)
 	}
 }
@@ -56,6 +54,17 @@ func TestHelloHostile(t *testing.T) {
 		"absurd shape": func() []byte {
 			return wire.AppendHello(nil, wire.Hello{Version: 1, Nodes: 1 << 30, Resources: 4})
 		}(),
+		// The cluster string is mandatory too: a version-9 hello that ends
+		// after the shard count has none.
+		"no cluster string": func() []byte {
+			h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 4, Shards: 1})
+			return h[:len(h)-1] // an empty string is its one length byte
+		}(),
+		"cluster string cut short": func() []byte {
+			h := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Shards: 1, Cluster: "-alg=counter-loan"})
+			return h[:len(h)-3]
+		}(),
+		"over-long cluster string": wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Shards: 1, Cluster: strings.Repeat("x", 101)}),
 	}
 	for name, payload := range cases {
 		if _, err := wire.ParseHello(payload); err == nil {
@@ -119,11 +128,12 @@ func TestReadControl(t *testing.T) {
 // control and anything that is not a control all fail the handshake, each
 // naming why.
 func TestReadHelloReply(t *testing.T) {
-	mine := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 8, Shards: 1}
+	const cluster, other = "-alg=counter-loan -reliable=true", "-alg=counter-loan -reliable=false"
+	mine := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 8, Shards: 1, Cluster: cluster}
 	hello := func(h wire.Hello) []byte {
 		return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))
 	}
-	peer := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Features: wire.FeatDelta, Shards: 1}
+	peer := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Features: wire.FeatDelta, Shards: 1, Cluster: cluster}
 	got, err := wire.ReadHelloReply(bufio.NewReader(bytes.NewReader(hello(peer))), mine)
 	if err != nil || got != peer {
 		t.Fatalf("sound reply: %+v, %v", got, err)
@@ -134,6 +144,8 @@ func TestReadHelloReply(t *testing.T) {
 	}{
 		"other version": {hello(wire.Hello{Version: wire.ProtoVersion - 1, Nodes: 3}), fmt.Sprintf("version %d, want %d", wire.ProtoVersion-1, wire.ProtoVersion)},
 		"other shape":   {hello(wire.Hello{Version: wire.ProtoVersion, Nodes: 4}), "4 nodes"},
+		"other cluster": {hello(wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Shards: 1, Cluster: other}),
+			fmt.Sprintf("cluster configured %q, this end has %q", other, cluster)},
 		"garbage hello": {wire.AppendControl(nil, wire.CtrlHello, []byte{0xFF}), "truncated"},
 		"reject":        {wire.AppendControl(nil, wire.CtrlReject, wire.AppendReject(nil, "no room")), "handshake rejected: no room"},
 		"other control": {wire.AppendControl(nil, 1, nil), "stream control 1"},

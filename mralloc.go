@@ -12,12 +12,12 @@
 //
 //   - NewCluster starts a live lock manager: one goroutine per shard,
 //     stepping the shard's nodes one activation at a time, running the
-//     paper's algorithm for real — in-process over the
-//     in-memory transport by default, or spanning OS processes over
-//     TCP (ClusterConfig.Peers; cmd/mrallocd is the ready-made
-//     daemon). Acquire/Release give callers deadlock-free exclusive
-//     access to arbitrary subsets of M resources with no global lock
-//     and no prior knowledge of the conflict graph.
+//     paper's algorithm for real — in-process by default, or spanning
+//     OS processes over TCP (ClusterConfig.Peers), built by the one
+//     builder of cmd/mrallocd, the ready-made daemon. Acquire/Release
+//     give callers deadlock-free exclusive access to arbitrary subsets
+//     of M resources with no global lock and no prior knowledge of the
+//     conflict graph.
 //
 // See README.md (Architecture map) for the system inventory.
 package mralloc
@@ -27,14 +27,14 @@ import (
 	"time"
 
 	"mralloc/internal/alg"
-	"mralloc/internal/core"
 	"mralloc/internal/driver"
 	"mralloc/internal/experiments"
 	"mralloc/internal/sim"
 	"mralloc/internal/workload"
 )
 
-// Algorithm selects one of the five systems of the paper's evaluation.
+// Algorithm selects one of the five systems of the paper's evaluation;
+// NewCluster runs all but SharedMemory, which has no wire codec.
 type Algorithm string
 
 // The available algorithms.
@@ -185,16 +185,4 @@ func Simulate(cfg SimConfig) (Report, error) {
 		MsgPerGrant: res.MsgPerGrant,
 	}
 	return rep, nil
-}
-
-// coreOptions converts public knobs to core.Options (used by cluster.go).
-func coreOptions(a Algorithm) (core.Options, bool) {
-	switch a {
-	case CounterLoan, "":
-		return core.WithLoan(), true
-	case CounterNoLoan:
-		return core.WithoutLoan(), true
-	default:
-		return core.Options{}, false
-	}
 }

@@ -209,42 +209,24 @@ func TestClusterRejectsNegativeLatency(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsBaselines: the simulator-only algorithm is refused;
+// a comparator with a wire codec runs, and reads zero loan stats.
 func TestClusterRejectsBaselines(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 2, Algorithm: SharedMemory}); err == nil {
 		t.Fatal("shared-memory live cluster accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 2, Algorithm: Incremental}); err == nil {
-		t.Fatal("incremental live cluster accepted")
-	}
-}
-
-func TestClusterCustomThreshold(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 3, Resources: 6, LoanThreshold: 2})
+	c, err := NewCluster(ClusterConfig{Nodes: 2, Resources: 2, Algorithm: Incremental})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	release, err := c.Acquire(context.Background(), 2, 0, 3, 5)
+	release, err := c.Acquire(context.Background(), 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	release()
-}
-
-// TestClusterRejectsBadLoanThreshold: a loan threshold on the no-loan
-// algorithm, or a negative one, is a configuration error — not loans
-// switched on behind the caller's back, nor a threshold silently
-// ignored.
-func TestClusterRejectsBadLoanThreshold(t *testing.T) {
-	for _, cfg := range []ClusterConfig{
-		{Nodes: 2, Resources: 2, Algorithm: CounterNoLoan, LoanThreshold: 2},
-		{Nodes: 2, Resources: 2, LoanThreshold: -1},
-		{Nodes: 2, Resources: 2, Algorithm: CounterNoLoan, LoanThreshold: -1},
-	} {
-		if c, err := NewCluster(cfg); err == nil {
-			c.Close()
-			t.Errorf("algorithm %q with LoanThreshold %d accepted", cfg.Algorithm, cfg.LoanThreshold)
-		}
+	if s := c.LoanStats(); s != (LoanStats{}) {
+		t.Errorf("incremental cluster's loan stats %+v, want zeros", s)
 	}
 }
 
