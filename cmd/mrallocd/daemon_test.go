@@ -446,6 +446,9 @@ func runPair(t *testing.T, extra [2][]string, refused [][]string, sharded bool) 
 //     1's to need);
 //   - each peer endpoint's error names a and b;
 //   - no node of either daemon has regenerated or fenced a token;
+//   - daemon 0, cut short at shutdown (daemon 1 exits first, and a
+//     hand-off to it waits out the dial window), still reports its
+//     nodes' lease counters when it runs leases;
 //   - and, implicitly, neither panics on a frame it cannot read.
 func runMismatch(t *testing.T, a, b string) {
 	p := startPair(t, [2][]string{{a}, {b}}, nil)
@@ -473,7 +476,10 @@ func runMismatch(t *testing.T, a, b string) {
 			t.Errorf("%s against %s: daemon %d regenerated %d tokens and fenced %d", a, b, i, sum.Regens, sum.Fenced)
 		}
 	}
-	p.stop(t)
+	out := p.stop(t)[0]
+	if p.sts[0].Spec.LeaseTTL > 0 && !strings.Contains(out, "leases: heartbeats=") {
+		t.Errorf("%s against %s: daemon 0 reported no lease counters:\n%s", a, b, out)
+	}
 }
 
 // pairs counts runPair's pairs, for their loopback addresses.

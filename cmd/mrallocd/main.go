@@ -192,7 +192,8 @@ func serveStack(ctx context.Context, st *stack.Stack, cluster *live.Cluster, out
 	// resources we were holding. The drain and the report wait on the
 	// shard runners, and the first send to a daemon that has exited
 	// already waits out the endpoint's dial window (later ones dial once):
-	// past shutdownBound the cluster closes, which cuts every wait short.
+	// past shutdownBound the cluster closes, which cuts every wait short,
+	// and the report then reads the stopped nodes.
 	cut := time.AfterFunc(shutdownBound, cluster.Close)
 	if cluster.Drain() {
 		fmt.Fprintln(out, "mrallocd: drained — owned tokens handed off to peers")
@@ -222,15 +223,12 @@ func printRecovery(out io.Writer, cluster *live.Cluster, local []int, rel *trans
 	seen := false
 	for s := 0; s < g; s++ {
 		for _, id := range local {
-			closed := !cluster.InspectShard(s, id, func(n alg.Node) {
+			cluster.InspectShard(s, id, func(n alg.Node) {
 				if nd, ok := n.(*core.Node); ok {
 					perShard[s].Add(nd.Counters())
 					seen = true
 				}
 			})
-			if closed {
-				return // fn may still run: read nothing it writes
-			}
 		}
 		agg.Add(perShard[s])
 	}

@@ -245,7 +245,7 @@ func decRespBatch(d *wire.Dec) network.Message {
 }
 
 // encToken puts one token on the wire. Without a Stream (off-stream,
-// or on a link that did not negotiate delta) it is the bare snapshot
+// or in a cluster that does not run delta) it is the bare snapshot
 // layout; under one it dispatches to the stateful delta
 // encoder (delta.go), which ships a full snapshot the first time a
 // resource's token crosses the stream and field deltas afterwards.

@@ -13,7 +13,7 @@ import (
 // vectors, so at large N the LASS.Response payload is dominated by
 // bytes that barely change between transfers: one transfer typically
 // bumps the counter a few times, touches a handful of stamp entries
-// and moves one queue head. On a link whose hellos negotiated
+// and moves one queue head. On a link of a cluster that runs
 // wire.FeatDelta — which is exactly when the transport hands the codec a
 // wire.Stream — both ends therefore keep a per-resource shadow
 // of the last token state that crossed the stream: the first transfer

@@ -404,8 +404,8 @@ func TestTokenDeltaFrameDedup(t *testing.T) {
 
 // TestTokenDeltaLegacyUnchanged: the Stream is the whole decision.
 // Without one the encoding is byte-identical to the bare snapshot layout
-// — what a link that did not negotiate delta carries, and what a
-// delta-off peer decodes — and under one it is the delta-capable form.
+// — what a link of a cluster without delta carries — and under one it
+// is the delta-capable form.
 func TestTokenDeltaLegacyUnchanged(t *testing.T) {
 	tok := newToken(2, 4)
 	tok.Counter = 9

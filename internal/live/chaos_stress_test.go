@@ -226,18 +226,19 @@ func TestRedialFreshDeltaState(t *testing.T) {
 	// the bug under test), so this append hits the corpse, the flush
 	// fails, and the conn is swept. No protocol frame pays the price.
 	for i, tr := range trs {
+		if err := tr.Err(); err != nil {
+			t.Fatalf("endpoint %d before the kill: %v", i, err)
+		}
 		if killed := tr.AbortConns(); killed != 1 {
 			t.Fatalf("endpoint %d: AbortConns killed %d conns, want 1", i, killed)
 		}
 		tr.Send(transport.Link{From: network.NodeID(i), To: network.NodeID(1 - i)},
 			transporttest.Msg{K: transporttest.KindA, From: network.NodeID(i), Seq: 99})
 	}
+	// The failed write is recorded once its connection is swept.
 	for i, tr := range trs {
 		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, open := tr.Negotiated(addrs[1-i]); !open {
-				break
-			}
+		for tr.Err() == nil {
 			if time.Now().After(deadline) {
 				t.Fatalf("endpoint %d: killed conn never swept", i)
 			}

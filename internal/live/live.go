@@ -156,7 +156,7 @@ type Cluster struct {
 
 	closed  chan struct{}
 	closeMu sync.Mutex
-	tickWG  sync.WaitGroup // the Config.Tick driver goroutine
+	wg      sync.WaitGroup // the shard runners and the Config.Tick driver
 }
 
 // New builds and starts a cluster running the given algorithm. The
@@ -282,10 +282,11 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 			})
 	}
 	for _, r := range c.runners {
-		go r.run()
+		c.wg.Add(1)
+		go func() { defer c.wg.Done(); r.run() }()
 	}
 	if cfg.Tick > 0 {
-		c.tickWG.Add(1)
+		c.wg.Add(1)
 		go c.runTicker(local, cfg.Clock.NewTimer(cfg.Tick))
 	}
 	return c, nil
@@ -296,7 +297,7 @@ func New(cfg Config, factory alg.Factory) (*Cluster, error) {
 // runner, and re-arms tick once they are posted. It exits when the
 // cluster closes.
 func (c *Cluster) runTicker(local []int, tick sim.Timer) {
-	defer c.tickWG.Done()
+	defer c.wg.Done()
 	for {
 		select {
 		case <-c.closed:
@@ -372,11 +373,13 @@ func (c *Cluster) Stats() map[string]int64 { return c.stats.snapshot() }
 
 // Inspect runs fn against node id's shard-0 protocol state on the
 // shard's runner, so fn sees a quiesced snapshot without data races (the
-// whole protocol state of a flat cluster). It reports false when the
-// cluster is closed or the node is not local. No local site of the shard
-// takes a step while fn runs, so fn must not block on other cluster
-// operations: waiting on another local node of the same shard — an
-// Acquire, a release, an Inspect — deadlocks.
+// whole protocol state of a flat cluster). On a closed cluster fn runs
+// on the caller's goroutine against the stopped node, once Close has
+// returned. It reports false, and fn does not run, when the node is not
+// local. No local site of the shard takes a step while fn runs, so fn
+// must not block on other cluster operations: waiting on another local
+// node of the same shard — an Acquire, a release, an Inspect —
+// deadlocks.
 func (c *Cluster) Inspect(id int, fn func(alg.Node)) bool {
 	return c.InspectShard(0, id, fn)
 }
@@ -389,29 +392,32 @@ func (c *Cluster) InspectShard(shard, id int, fn func(alg.Node)) bool {
 	}
 	l := c.loops[shard][id]
 	done := make(chan struct{})
-	if !l.post(cmdInspect{fn: fn, done: done}) {
-		return false
+	if l.post(cmdInspect{fn: fn, done: done}) {
+		select {
+		case <-done:
+			return true
+		case <-c.closed:
+		}
 	}
+	// Closed: Close holds closeMu until the runners have exited, so fn
+	// either ran on the runner before it stopped or runs here.
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
 	select {
 	case <-done:
-		return true
-	case <-c.closed:
-		return false
+	default:
+		fn(l.node)
 	}
+	return true
 }
 
 // QueueLen reports how many admission requests are queued (not yet fed
 // into the protocol) at node id, summed over its shards, for tests and
-// load introspection. It reports 0 for non-local nodes or a closed
-// cluster.
+// load introspection. It reports 0 for non-local nodes.
 func (c *Cluster) QueueLen(id int) int {
 	total := 0
 	for s, shard := range c.loops {
-		n := 0 // fn may still run after a false return: total is not its to touch
-		if !c.InspectShard(s, id, func(alg.Node) { n = shard[id].sched.Len() }) {
-			break
-		}
-		total += n
+		c.InspectShard(s, id, func(alg.Node) { total += shard[id].sched.Len() })
 	}
 	return total
 }
@@ -457,9 +463,10 @@ func (c *Cluster) NodeLoad(id int) serve.Load {
 	return c.loops[0][id].sched.Load()
 }
 
-// Close stops every shard's runner and closes the transport, if any. Every
-// outstanding or queued Acquire fails promptly with ErrClosed, and all
-// runner goroutines exit. Close is idempotent.
+// Close stops every shard's runner and closes the transport, if any, then
+// waits for the runners to exit: closing the transport first releases a
+// runner blocked in a Send. Every outstanding or queued Acquire fails
+// promptly with ErrClosed. Close is idempotent.
 func (c *Cluster) Close() {
 	c.closeMu.Lock()
 	defer c.closeMu.Unlock()
@@ -469,13 +476,13 @@ func (c *Cluster) Close() {
 	default:
 	}
 	close(c.closed)
-	c.tickWG.Wait()
 	for _, r := range c.runners {
 		r.mb.close()
 	}
 	if c.tr != nil {
 		c.tr.Close()
 	}
+	c.wg.Wait()
 }
 
 // loop is one site of one shard: the state its runner applies the

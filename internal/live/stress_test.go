@@ -84,41 +84,25 @@ func shardedMemFabric(g int, twoPhase bool) fabric {
 // tcpFabric hosts every node in its own cluster instance over TCP
 // loopback — the maximally distributed deployment, each endpoint a
 // stand-in for one OS process, every message through the wire codec.
-func tcpFabric() fabric { return tcpWireFabric("tcp", nil) }
+func tcpFabric() fabric { return tcpWireFabric("tcp", 0, transport.WireOptions{}) }
 
 // tcpDeltaFabric is tcpFabric with delta-encoded token state on every
 // link — the invariant battery must hold bit-exact protocol behavior
 // under it.
 func tcpDeltaFabric() fabric {
-	return tcpWireFabric("tcp-delta", func(int) transport.WireOptions {
-		return transport.WireOptions{Delta: true}
-	})
-}
-
-// tcpHeteroFabric mixes configurations: even nodes delta-on, odd nodes
-// delta-off. Every cross-parity link must negotiate down to the common
-// subset (full snapshots) in its hello exchange, and the invariant
-// battery must hold over the mixture.
-func tcpHeteroFabric() fabric {
-	return tcpWireFabric("tcp-hetero", func(i int) transport.WireOptions {
-		return transport.WireOptions{Delta: i%2 == 0}
-	})
+	return tcpWireFabric("tcp-delta", 0, transport.WireOptions{Delta: true})
 }
 
 // tcpShardedFabric is the per-node TCP topology with the universe
 // split into g shards on every endpoint: shard traffic rides tagged
 // frames and per-shard codec contexts over the same connections.
 func tcpShardedFabric(g int) fabric {
-	return tcpShardedWireFabric(fmt.Sprintf("tcp-sharded-g%d", g), g, nil)
+	return tcpWireFabric(fmt.Sprintf("tcp-sharded-g%d", g), g, transport.WireOptions{})
 }
 
-// tcpWireFabric builds the per-node TCP topology with wireFor(i)
-// tuning node i's endpoint (nil leaves every endpoint at defaults).
-func tcpWireFabric(name string, wireFor func(i int) transport.WireOptions) fabric {
-	return tcpShardedWireFabric(name, 0, wireFor)
-}
-
-func tcpShardedWireFabric(name string, shards int, wireFor func(i int) transport.WireOptions) fabric {
+// tcpWireFabric builds the per-node TCP topology, every endpoint with
+// the given shard count and wire options.
+func tcpWireFabric(name string, shards int, wire transport.WireOptions) fabric {
 	return fabric{name: name, buildPolicy: func(t *testing.T, n, m int, f alg.Factory, p serve.Policy, aging time.Duration) *system {
 		trs := make([]*transport.TCP, n)
 		addrs := make([]string, n)
@@ -134,10 +118,6 @@ func tcpShardedWireFabric(name string, shards int, wireFor func(i int) transport
 		for i := range cs {
 			if err := trs[i].Connect(addrs); err != nil {
 				t.Fatal(err)
-			}
-			var wire transport.WireOptions
-			if wireFor != nil {
-				wire = wireFor(i)
 			}
 			c, err := New(Config{Nodes: n, Resources: m, Transport: trs[i], Local: []int{i}, Policy: p, Aging: aging, Wire: wire, Shards: shards}, f)
 			if err != nil {
@@ -177,7 +157,7 @@ func tcpShardedWireFabric(name string, shards int, wireFor func(i int) transport
 // the in-process and the TCP-loopback fabric.
 func TestVerifiedStress(t *testing.T) {
 	fabrics := []fabric{
-		memFabric(), tcpFabric(), tcpDeltaFabric(), tcpHeteroFabric(),
+		memFabric(), tcpFabric(), tcpDeltaFabric(),
 		shardedMemFabric(4, false), shardedMemFabric(4, true), tcpShardedFabric(4),
 	}
 	for algName, factory := range liveAlgorithms() {

@@ -82,7 +82,7 @@ type clientResult struct {
 	code    DenyCode
 }
 
-// Dial connects to a daemon's client port and opens negotiation: the
+// Dial connects to a daemon's client port and opens the handshake: the
 // client's hello goes out before any request, and the daemon's reply
 // carries the cluster shape (see Hello) — a client needs no
 // out-of-band N or M. Dial does not wait for the reply; requests may

@@ -377,14 +377,14 @@ func (s *Server) serve(nc net.Conn) {
 }
 
 func (cn *conn) readLoop() {
-	// Negotiation: the client's hello is answered with this daemon's —
+	// Handshake: the client's hello is answered with this daemon's —
 	// protocol version and cluster shape (how a client learns N, M and
 	// the shard count without out-of-band config). Writing the reply raw
 	// is safe: the hello precedes every request, so the response
 	// coalescer has never been touched yet.
 	br := bufio.NewReader(cn.c)
 	cn.c.SetReadDeadline(time.Now().Add(handshakeTimeout)) // wall: a socket deadline, which the kernel reads
-	if _, _, err := wire.AcceptHello(br, cn.c, cn.s.answerHello); err != nil {
+	if wire.AcceptHello(br, cn.c, cn.s.answerHello) != nil {
 		return
 	}
 	cn.c.SetReadDeadline(time.Time{})

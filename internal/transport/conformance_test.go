@@ -129,21 +129,6 @@ func tcpDeltaFabric(t *testing.T, n int) []transport.Transport {
 	return eps
 }
 
-// tcpHeteroFabric: the tcpPairedFabric topology with endpoint a
-// delta-on and endpoint b delta-off — negotiation must land each link
-// on the common subset (full snapshots) while every transport guarantee
-// still holds.
-func tcpHeteroFabric(t *testing.T, n int) []transport.Transport {
-	eps := tcpPairedFabric(t, n)
-	a := withWire{eps[0], transport.WireOptions{Delta: true}}
-	for i := range eps {
-		if eps[i] == a.Transport {
-			eps[i] = a
-		}
-	}
-	return eps
-}
-
 // TestTCPRejectsMisshapenFrames plays a peer from a differently
 // configured (or hostile) cluster: raw frames with out-of-range site
 // ids must be rejected at the codec — error recorded, connection
@@ -208,10 +193,6 @@ func TestTCPDeltaConformance(t *testing.T) {
 
 func TestTCPPairedConformance(t *testing.T) {
 	transporttest.TestTransport(t, tcpPairedFabric)
-}
-
-func TestTCPHeteroConformance(t *testing.T) {
-	transporttest.TestTransport(t, tcpHeteroFabric)
 }
 
 // TestWiringBugsPanic: a Send before Configure and a second Configure

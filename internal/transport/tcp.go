@@ -115,12 +115,9 @@ type outConn struct {
 	co *wire.Coalescer
 	// strms are the egress codec contexts, one per configured shard (delta
 	// caches are keyed by resource id, and shard-local ids collide across
-	// shards); all nil unless the hellos negotiated delta.
+	// shards); all nil unless the endpoint runs delta (Config.Wire).
 	strms  []*wire.Stream
 	broken atomic.Bool // write failed; next Send to this peer redials
-	// peer is the hello the acceptor answered with, set before the
-	// connection is registered and read-only after, so no lock guards it.
-	peer wire.Hello
 	// retired marks the stats folded into wireAccum; guarded by the
 	// endpoint's wireMu so a snapshot can never miss or double-count a
 	// connection retiring concurrently.
@@ -191,7 +188,8 @@ func (t *TCP) Hosts(id network.NodeID) bool { return t.local[id] }
 // must carry resource ids within their shard's universe (site ids are
 // checked against the listen-time n regardless), the hello announces the
 // layout, the wire features and the cluster configuration, and peers
-// claiming a different shard count or configuration are rejected.
+// claiming a different shard count, feature set or configuration are
+// rejected.
 func (t *TCP) Configure(cfg Config, deliver Handler) {
 	configure(&t.deliver, deliver)
 	cfg.Shards = append([]int(nil), cfg.Shards...)
@@ -225,23 +223,18 @@ func (t *TCP) localHello() wire.Hello {
 	}
 }
 
-// Negotiated reports the hello received from the peer at addr, if a
-// connection to it is currently open — the test hook for asserting what
-// a differently configured pair agreed on.
-func (t *TCP) Negotiated(addr string) (wire.Hello, bool) {
-	t.connMu.Lock()
-	defer t.connMu.Unlock()
-	oc, ok := t.conns[addr]
-	if !ok {
-		return wire.Hello{}, false
+// streams returns a connection direction's codec contexts, one per
+// shard, in which stateful codecs keep their per-connection caches: all
+// nil unless the endpoint runs delta, which the hello has checked the
+// peer runs too.
+func (t *TCP) streams() []*wire.Stream {
+	strms := make([]*wire.Stream, len(t.cfg.Shards))
+	if t.cfg.Wire.Delta {
+		for s := range strms {
+			strms[s] = wire.NewStream()
+		}
 	}
-	return oc.peer, true
-}
-
-// deltaOn reports whether a link whose ends sent these hellos carries
-// token state as deltas: both must have advertised it.
-func deltaOn(mine, peer wire.Hello) bool {
-	return mine.Features&peer.Features&wire.FeatDelta != 0
+	return strms
 }
 
 // Send implements Transport: m is encoded into the connection's
@@ -325,10 +318,8 @@ func (t *TCP) conn(addr string) *outConn {
 	for {
 		c, err := t.dialOnce(addr)
 		if err == nil {
-			mine := t.localHello()
-			var peer wire.Hello
-			if peer, err = t.dialHandshake(c, mine); err == nil {
-				return t.register(addr, c, mine, peer)
+			if err = t.dialHandshake(c); err == nil {
+				return t.register(addr, c)
 			}
 			c.Close()
 			if !errors.Is(err, os.ErrDeadlineExceeded) {
@@ -361,10 +352,10 @@ func (t *TCP) conn(addr string) *outConn {
 	}
 }
 
-// register makes a freshly dialed and negotiated connection the one to
+// register makes a freshly dialed and handshaken connection the one to
 // addr and returns it, unless Close ran meanwhile or a concurrent dial
 // got there first.
-func (t *TCP) register(addr string, c net.Conn, mine, peer wire.Hello) *outConn {
+func (t *TCP) register(addr string, c net.Conn) *outConn {
 	t.connMu.Lock()
 	defer t.connMu.Unlock()
 	select {
@@ -382,7 +373,7 @@ func (t *TCP) register(addr string, c net.Conn, mine, peer wire.Hello) *outConn 
 	// No usable connection — either none, or a broken one still awaiting
 	// its writeFailed sweep; the fresh one replaces it (dropConn deletes
 	// by identity, so the sweep cannot evict this registration).
-	oc := t.newOutConn(c, mine, peer)
+	oc := t.newOutConn(c)
 	t.conns[addr] = oc
 	delete(t.down, addr)
 	return oc
@@ -397,10 +388,10 @@ func (t *TCP) dialOnce(addr string) (net.Conn, error) {
 	return d.DialContext(dctx, "tcp", addr)
 }
 
-// dialHandshake runs the dial side of connection negotiation: send our
-// hello, wait (bounded) for the peer's hello or rejection. The hello
+// dialHandshake runs the dial side of the handshake: send our hello,
+// wait (bounded) for the peer's matching hello or rejection. The hello
 // reply is the last thing the acceptor ever writes on the connection.
-func (t *TCP) dialHandshake(c net.Conn, mine wire.Hello) (wire.Hello, error) {
+func (t *TCP) dialHandshake(c net.Conn) error {
 	// The handshake deadline caps a silent peer, but a transport
 	// shutting down must not ride it out: closing the socket unblocks
 	// the exchange the moment Close runs.
@@ -408,30 +399,24 @@ func (t *TCP) dialHandshake(c net.Conn, mine wire.Hello) (wire.Hello, error) {
 	defer stop()
 	c.SetDeadline(time.Now().Add(handshakeTimeout)) // wall: a socket deadline, which the kernel reads
 	defer c.SetDeadline(time.Time{})
+	mine := t.localHello()
 	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
 	if _, err := c.Write(hello); err != nil {
-		return wire.Hello{}, fmt.Errorf("transport: hello to %s: %w", c.RemoteAddr(), err)
+		return fmt.Errorf("transport: hello to %s: %w", c.RemoteAddr(), err)
 	}
-	peer, err := wire.ReadHelloReply(bufio.NewReader(c), mine)
-	if err != nil {
-		return wire.Hello{}, fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
+	if _, err := wire.ReadHelloReply(bufio.NewReader(c), mine); err != nil {
+		return fmt.Errorf("transport: peer %s: %w", c.RemoteAddr(), err)
 	}
-	return peer, nil
+	return nil
 }
 
 // newOutConn builds the coalescing writer for a freshly dialed
-// connection and, where the two hellos negotiated delta, the encoder's
-// shadow caches.
-func (t *TCP) newOutConn(c net.Conn, mine, peer wire.Hello) *outConn {
-	oc := &outConn{c: c, peer: peer, strms: make([]*wire.Stream, mine.Shards)}
+// connection and its egress codec contexts.
+func (t *TCP) newOutConn(c net.Conn) *outConn {
+	oc := &outConn{c: c, strms: t.streams()}
 	oc.co = wire.NewCoalescer(c, 0, func(err error) {
 		t.writeFailed(oc, err)
 	})
-	if deltaOn(mine, peer) {
-		for s := range oc.strms {
-			oc.strms[s] = wire.NewStream()
-		}
-	}
 	// The one flow-control rule of a peer link: a stalled peer costs
 	// bounded memory and blocked Sends, never an OOM.
 	oc.co.SetByteBudget(DefaultBudget)
@@ -538,7 +523,7 @@ func (t *TCP) serve(c net.Conn) {
 	// The hello reply is the only thing this side ever writes.
 	br := bufio.NewReader(c)
 	c.SetReadDeadline(time.Now().Add(handshakeTimeout)) // wall: a socket deadline, which the kernel reads
-	mine, peer, err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
+	err := wire.AcceptHello(br, c, func(peer wire.Hello) (wire.Hello, error) {
 		mine := t.localHello()
 		return mine, mine.Check(peer)
 	})
@@ -548,15 +533,7 @@ func (t *TCP) serve(c net.Conn) {
 	}
 	c.SetReadDeadline(time.Time{})
 	fr := wire.NewFrameReader(br, maxFrame)
-	// The ingress codec contexts, by shard: stateful codecs keep their
-	// per-connection caches in them. All nil on a link that did not
-	// negotiate delta.
-	strms := make([]*wire.Stream, len(t.cfg.Shards))
-	if deltaOn(mine, peer) {
-		for s := range strms {
-			strms[s] = wire.NewStream()
-		}
-	}
+	strms := t.streams()
 	for {
 		frame, err := fr.Next()
 		if err != nil {

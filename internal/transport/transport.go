@@ -148,8 +148,9 @@ type Transport interface {
 // value selects the default.
 type WireOptions struct {
 	// Delta enables delta-encoded token state (the hello's
-	// wire.FeatDelta bit): a link ships token deltas instead of full snapshots when both of its
-	// ends enable it, and full snapshots otherwise.
+	// wire.FeatDelta bit): every link ships token deltas instead of full
+	// snapshots. It is cluster-wide: a peer that differs is refused at
+	// the handshake.
 	Delta bool
 	// Cluster is the cluster-wide configuration the hello carries
 	// (wire.Hello.Cluster): a peer that sends a different one is

@@ -7,17 +7,17 @@ import (
 	"io"
 )
 
-// Connection negotiation. Every connection (peer transport and client
-// port alike) opens with a hello exchange, and that exchange is the whole
-// negotiation: the dialer's first bytes are its hello — protocol
-// version, cluster shape, feature set and cluster configuration — and
-// the acceptor answers with its own, or, when it cannot proceed
-// (anything but a hello first, a different version, a disagreeing shape
-// or configuration), with a reject naming the
-// reason instead of silently dropping the socket. Each end then uses a
-// capability iff both hellos carry its bit; nothing is announced, turned
-// on or renegotiated later, so the stream that follows holds frames and
-// envelopes only (batch.go).
+// Connection handshake. Every connection (peer transport and client
+// port alike) opens with a hello exchange, and nothing is negotiated:
+// the dialer's first bytes are its hello — protocol version, cluster
+// shape, wire features and cluster configuration — and the acceptor
+// answers with its own, or, when it cannot proceed (anything but a
+// hello first, or a different version, shape, feature set or
+// configuration), with a reject naming the reason instead of silently
+// dropping the socket. Both ends of a connection therefore run the same
+// wire features; nothing is announced, turned on or renegotiated later,
+// so the stream that follows holds frames and envelopes only
+// (batch.go).
 //
 // Both messages travel as control elements, which exist for the
 // handshake alone:
@@ -27,15 +27,12 @@ import (
 //	         uvarint(code)       CtrlHello or CtrlReject
 //	         uvarint(k), k bytes the code's payload
 //
-// The hello payload is forward-compatible by construction: decoders
-// ignore trailing bytes, so future versions may append fields without
-// breaking old peers, and unknown feature bits are simply never part
-// of the negotiated intersection.
+// Decoders ignore trailing bytes of a hello payload, so a later version
+// may append fields.
 
 // ProtoVersion is the wire protocol version this build speaks. A hello
-// carrying a different version is rejected — the version only moves
-// when the stream alphabet or the mandatory hello fields change, which
-// the feature bits exist to avoid.
+// carrying a different version is rejected — the version moves when the
+// stream alphabet or the mandatory hello fields change.
 const ProtoVersion = 9
 
 const (
@@ -43,8 +40,8 @@ const (
 	// and the acceptor's answer to one it accepts.
 	CtrlHello = 2
 	// CtrlReject refuses a handshake with a human-readable reason
-	// (no hello, version or shape mismatch); the connection dies after
-	// it.
+	// (no hello, or a hello that does not match); the connection dies
+	// after it.
 	CtrlReject = 4
 )
 
@@ -60,18 +57,16 @@ func AppendControl(dst []byte, code uint64, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// Feature bits a hello advertises. A capability is used on a
-// connection only when both hellos carry its bit, which is what lets
-// differently configured endpoints interoperate: the connection degrades
-// to the common subset instead of desynchronizing.
+// Feature bits a hello carries. They are cluster-wide settings: a
+// peer whose bits differ is refused like any other mismatch.
 const (
 	// FeatDelta: the sender encodes and decodes token state as deltas
 	// against per-connection shadows (internal/core's delta.go).
 	FeatDelta uint64 = 1 << iota
 )
 
-// Hello is the negotiation announcement either side of a connection
-// sends as a CtrlHello control before any frame.
+// Hello is the announcement either side of a connection sends as a
+// CtrlHello control before any frame.
 type Hello struct {
 	// Version is the sender's ProtoVersion.
 	Version uint64
@@ -79,7 +74,8 @@ type Hello struct {
 	// Zero means "unknown/unchecked" — a client that dials precisely to
 	// learn M sends zero; mismatching non-zero values are rejected.
 	Nodes, Resources int
-	// Features is the sender's advertised feature set (Feat* bits).
+	// Features is the sender's wire feature set (Feat* bits); it must
+	// equal the peer's.
 	Features uint64
 	// Shards is the sender's resource-shard count; a flat cluster is one
 	// shard. Zero means unknown, like the shape — only a client sends it
@@ -96,7 +92,7 @@ type Hello struct {
 // Check reports why the sender of h cannot talk to the sender of peer:
 // the protocol version must match exactly, nodes, resources and shards
 // must each agree wherever both sides announce one (zero means
-// unknown), and the cluster strings must be equal.
+// unknown), and the feature sets and cluster strings must be equal.
 func (h Hello) Check(peer Hello) error {
 	if peer.Version != h.Version {
 		return fmt.Errorf("protocol version %d, want %d", peer.Version, h.Version)
@@ -112,6 +108,9 @@ func (h Hello) Check(peer Hello) error {
 		if f.peer != 0 && f.mine != 0 && f.peer != f.mine {
 			return fmt.Errorf("cluster of %d %s, this end has %d", f.peer, f.what, f.mine)
 		}
+	}
+	if peer.Features != h.Features {
+		return fmt.Errorf("wire features %#x, this end has %#x", peer.Features, h.Features)
 	}
 	if peer.Cluster != h.Cluster {
 		return fmt.Errorf("cluster configured %q, this end has %q", peer.Cluster, h.Cluster)
@@ -265,13 +264,13 @@ func ReadHelloReply(br *bufio.Reader, mine Hello) (Hello, error) {
 // refuse. A refusal (anything but a hello first included) is sent as a
 // CtrlReject naming the reason and returned as the error; the caller
 // closes the connection. A dialer that hangs up without sending a byte
-// is io.EOF. On success the pair the connection runs under is returned:
-// the hello sent back and the dialer's.
-func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, error)) (mine, peer Hello, err error) {
+// is io.EOF.
+func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, error)) error {
 	ctl, err := ReadControl(br)
 	if err == io.EOF {
-		return Hello{}, Hello{}, err
+		return err
 	}
+	var mine, peer Hello
 	switch {
 	case err != nil:
 		err = fmt.Errorf("hello required: %w", err)
@@ -291,10 +290,10 @@ func AcceptHello(br *bufio.Reader, w io.Writer, answer func(peer Hello) (Hello, 
 		// Tell the dialer why before dying: its handshake is blocked on
 		// this reply and would otherwise time out.
 		w.Write(AppendControl(nil, CtrlReject, AppendReject(nil, err.Error())))
-		return Hello{}, Hello{}, err
+		return err
 	}
 	if _, err := w.Write(AppendControl(nil, CtrlHello, AppendHello(nil, mine))); err != nil {
-		return Hello{}, Hello{}, fmt.Errorf("hello reply: %w", err)
+		return fmt.Errorf("hello reply: %w", err)
 	}
-	return mine, peer, nil
+	return nil
 }

@@ -129,7 +129,7 @@ func TestReadControl(t *testing.T) {
 // naming why.
 func TestReadHelloReply(t *testing.T) {
 	const cluster, other = "-alg=counter-loan -reliable=true", "-alg=counter-loan -reliable=false"
-	mine := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 8, Shards: 1, Cluster: cluster}
+	mine := wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Resources: 8, Features: wire.FeatDelta, Shards: 1, Cluster: cluster}
 	hello := func(h wire.Hello) []byte {
 		return wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))
 	}
@@ -144,7 +144,9 @@ func TestReadHelloReply(t *testing.T) {
 	}{
 		"other version": {hello(wire.Hello{Version: wire.ProtoVersion - 1, Nodes: 3}), fmt.Sprintf("version %d, want %d", wire.ProtoVersion-1, wire.ProtoVersion)},
 		"other shape":   {hello(wire.Hello{Version: wire.ProtoVersion, Nodes: 4}), "4 nodes"},
-		"other cluster": {hello(wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Shards: 1, Cluster: other}),
+		"other features": {hello(wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Shards: 1, Cluster: cluster}),
+			fmt.Sprintf("wire features 0x0, this end has %#x", wire.FeatDelta)},
+		"other cluster": {hello(wire.Hello{Version: wire.ProtoVersion, Nodes: 3, Features: wire.FeatDelta, Shards: 1, Cluster: other}),
 			fmt.Sprintf("cluster configured %q, this end has %q", other, cluster)},
 		"garbage hello": {wire.AppendControl(nil, wire.CtrlHello, []byte{0xFF}), "truncated"},
 		"reject":        {wire.AppendControl(nil, wire.CtrlReject, wire.AppendReject(nil, "no room")), "handshake rejected: no room"},

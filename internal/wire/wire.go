@@ -31,8 +31,8 @@ import (
 // Stream carries per-connection codec state across frames: whatever a
 // codec keeps for the life of the connection — the token delta caches of
 // internal/core live here. One Stream serves one direction of one
-// connection (and one shard of it), and exists iff the two hellos
-// negotiated such state for the link: stateful codecs take a non-nil
+// connection (and one shard of it), and exists iff the cluster runs
+// such state (a feature bit both hellos carry): stateful codecs take a non-nil
 // Stream as the decision. Encoding through a shared Stream from
 // concurrent senders is safe (codecs guard their own state), decoding
 // is single-goroutine per connection by construction.
