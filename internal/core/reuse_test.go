@@ -539,7 +539,7 @@ func TestHazardRecycledRecordHints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
+		ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond}})
 		var wg sync.WaitGroup
 		for node := 0; node < n; node++ {
 			wg.Add(1)
@@ -648,7 +648,7 @@ func TestHazardShardedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond}})
 	smap := c.ShardLayout()
 	var wg sync.WaitGroup
 	for node := 0; node < n; node++ {

@@ -53,7 +53,7 @@ func runChaosLossless(t *testing.T, factory alg.Factory) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ch.SetFaults(transport.Faults{DelayMax: 2 * time.Millisecond})
+	ch.Apply(transport.Spec{Faults: transport.Faults{DelayMax: 2 * time.Millisecond}})
 
 	var monMu sync.Mutex
 	now := sim.Wall().Now

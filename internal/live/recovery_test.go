@@ -41,7 +41,7 @@ func TestDupTokenTransferExactlyOnce(t *testing.T) {
 
 	// No drops, no delays: duplication only, so the run is a pure
 	// replay test — every message arrives, then arrives again.
-	ch.SetFaults(transport.Faults{Dup: 1.0})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Dup: 1.0}})
 
 	rs := resource.NewSet(m)
 	for r := 0; r < m; r++ {
@@ -239,7 +239,7 @@ func TestHazardRecordReuseUnderRetransmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond}})
 
 	grants := monitoredStorm(t, n, m, iters, c.Acquire, ch.StopFaults)
 	cs, rs := ch.ChaosStats(), rel.RelStats()
@@ -325,7 +325,7 @@ func TestHazardReleasedRecordSentOnce(t *testing.T) {
 				}
 				defer c.Close()
 				cs[i] = c
-				chs[i].SetFaults(tc.faults)
+				chs[i].Apply(transport.Spec{Faults: tc.faults})
 			}
 			acquire := func(ctx context.Context, node int, ids ...int) (func(), error) {
 				return cs[node].Acquire(ctx, node, ids...)

@@ -87,14 +87,14 @@ func TestStatsCountsWhatSitesSent(t *testing.T) {
 		}, true},
 		{"reliable-chaos-mem", func() (Config, *transport.Chaos) {
 			ch := transport.NewChaos(transport.NewMem(n, 0), 0x5ca1e)
-			ch.SetFaults(transport.Faults{Drop: 0.2, Dup: 0.2})
+			ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 0.2, Dup: 0.2}})
 			rel := transport.NewReliable(ch)
 			rel.SetRetransmit(2*time.Millisecond, 20*time.Millisecond)
 			return Config{Transport: rel}, ch
 		}, true},
 		{"chaos-mem", func() (Config, *transport.Chaos) {
 			ch := transport.NewChaos(transport.NewMem(n, 0), 0xd0b1e)
-			ch.SetFaults(transport.Faults{Dup: 0.3})
+			ch.Apply(transport.Spec{Faults: transport.Faults{Dup: 0.3}})
 			return Config{Transport: ch}, ch
 		}, false},
 	}

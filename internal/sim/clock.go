@@ -59,6 +59,21 @@ func (t Timer) Reset(d time.Duration) bool {
 	return was
 }
 
+// ResetAt re-arms the timer to fire once its clock reaches at, at once
+// if it has, reporting whether it was armed. Unlike Reset(at - Now()),
+// it reads the clock as it arms, so a virtual clock advanced in between
+// cannot make it fire late.
+func (t Timer) ResetAt(at Time) bool {
+	if t.w != nil {
+		return t.w.Reset(time.Duration(at - wall{}.Now()))
+	}
+	t.v.clk.mu.Lock()
+	defer t.v.clk.mu.Unlock()
+	was := t.v.disarm()
+	t.v.arm(time.Duration(at - t.v.clk.eng.Now()))
+	return was
+}
+
 var wallEpoch = time.Now() // the wall clock's origin
 
 type wall struct{}

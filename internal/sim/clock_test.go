@@ -55,6 +55,31 @@ func TestVirtualTimers(t *testing.T) {
 	}
 }
 
+// TestVirtualResetAt: a timer re-armed for an instant fires when the
+// clock reaches it, and at once for an instant already passed.
+func TestVirtualResetAt(t *testing.T) {
+	v := NewVirtual()
+	a := v.NewTimer(time.Millisecond)
+	v.Advance(2 * time.Millisecond)
+	if !fired(a) {
+		t.Fatal("the 1ms timer did not fire at 2ms")
+	}
+	if a.ResetAt(3*Millisecond) || fired(a) {
+		t.Fatal("ResetAt of a fired timer reports false and does not fire before its instant")
+	}
+	v.Advance(500 * time.Microsecond)
+	if fired(a) {
+		t.Fatal("a timer re-armed for 3ms fired at 2.5ms")
+	}
+	v.Advance(500 * time.Microsecond)
+	if !fired(a) || v.Armed() != 0 {
+		t.Fatal("a timer re-armed for 3ms did not fire at 3ms")
+	}
+	if a.ResetAt(Millisecond) || !fired(a) {
+		t.Fatal("a timer re-armed for a passed instant fires at once")
+	}
+}
+
 // TestVirtualSleep: Sleep returns once the clock passes its end, and
 // not before.
 func TestVirtualSleep(t *testing.T) {

@@ -70,7 +70,7 @@ type ChaosStats struct {
 // With no fault ever armed, Chaos is a pure passthrough: every Send
 // delegates directly, byte-identical, which is what lets the
 // conformance suite run against a wrapped fabric unchanged. Arming any
-// fault (SetFaults, Partition) permanently routes traffic through one
+// fault (Apply, Partition) permanently routes traffic through one
 // FIFO queue per link, each drained by its own forwarder goroutine —
 // the structure that keeps per-link FIFO intact while faults reorder
 // traffic across links. Arm before the link carries traffic; arming
@@ -148,15 +148,6 @@ func NewChaos(inner Transport, seed int64) *Chaos {
 		links:  make(map[Link]*chaosLink),
 		closed: make(chan struct{}),
 	}
-}
-
-// SetFaults installs the fault profile of every link and arms the fault
-// pipeline.
-func (c *Chaos) SetFaults(f Faults) {
-	c.mu.Lock()
-	c.def = f
-	c.mu.Unlock()
-	c.armed.Store(true)
 }
 
 // StopFaults ends the fault window: the fault profile is zeroed and
@@ -605,11 +596,15 @@ func parseSpecDuration(val string) (time.Duration, error) {
 	return d, nil
 }
 
-// Apply arms the wrapper with the spec's default fault profile. A
-// KillEvery killer starts on Configure, on the announced clock.
+// Apply arms the fault pipeline with the spec's fault profile on every
+// link, unless the profile injects nothing. A KillEvery killer starts
+// on Configure, on the announced clock.
 func (c *Chaos) Apply(s Spec) {
 	if s.Faults.active() {
-		c.SetFaults(s.Faults)
+		c.mu.Lock()
+		c.def = s.Faults
+		c.mu.Unlock()
+		c.armed.Store(true)
 	}
 	c.killEvery = s.KillEvery
 }

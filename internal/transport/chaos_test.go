@@ -23,13 +23,15 @@ func chaosMemFabric(t *testing.T, n int) []transport.Transport {
 	return shared(transport.NewChaos(transport.NewMem(n, 0), 1), n)
 }
 
-// chaosMemArmedFabric arms the fault pipeline with an all-zero
-// profile: traffic routes through the per-link forwarder queues, and
-// every transport guarantee must still hold — the pipeline itself may
-// not lose, duplicate, or reorder a link.
+// chaosMemArmedFabric arms the fault pipeline and closes the fault
+// window before any traffic, the way a run's faults stop: traffic
+// routes through the per-link forwarder queues, and every transport
+// guarantee must still hold — the pipeline itself may not lose,
+// duplicate, or reorder a link.
 func chaosMemArmedFabric(t *testing.T, n int) []transport.Transport {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 1)
-	ch.SetFaults(transport.Faults{})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 1}})
+	ch.StopFaults()
 	return shared(ch, n)
 }
 
@@ -66,7 +68,7 @@ func TestChaosScheduleReplay(t *testing.T) {
 		ch := transport.NewChaos(transport.NewMem(n, 0), seed)
 		defer ch.Close()
 		ch.Configure(transport.Config{}, func(transport.Link, network.Message) {})
-		ch.SetFaults(f)
+		ch.Apply(transport.Spec{Faults: f})
 		// A fixed single-threaded drive over three links: the decision
 		// sequence depends only on per-link send order, which this
 		// fixes exactly.
@@ -109,7 +111,7 @@ func TestChaosTraceBounded(t *testing.T) {
 		ch := transport.NewChaos(transport.NewMem(2, 0), 1)
 		defer ch.Close()
 		ch.Configure(transport.Config{}, func(transport.Link, network.Message) {})
-		ch.SetFaults(transport.Faults{Drop: 0.1, Dup: 0.1})
+		ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 0.1, Dup: 0.1}})
 		for s := range sends {
 			ch.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, Seq: int64(s)})
 		}

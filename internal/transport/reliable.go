@@ -2,10 +2,18 @@
 // sequence-numbers every frame per link, acknowledges cumulatively,
 // retransmits on a jittered timer, and deduplicates at the receiver —
 // the go-back-N discipline that upgrades the chaos fabric's "safety
-// only" caveat to safety and liveness. All of its state is keyed by the
-// whole Link, so every (shard, from, to) channel has its own sequence
-// space and retransmit buffer and a sharded cluster needs nothing
-// extra.
+// only" caveat to safety and liveness. Every (shard, from, to) link has
+// its own sequence space and retransmit buffer, so a sharded cluster
+// needs nothing extra.
+//
+// The rules are one plain value per link, relLink, with no lock,
+// goroutine, timer or clock, so a test drives two of them through every
+// schedule within a fault budget (TestExploreReliableLink). Around
+// them, Reliable keeps one map of links, a lock per link half, an acker
+// and a retransmitter. The retransmitter alone owns the one timer,
+// armed for the earliest deadline of any link and not at all while
+// every link is acknowledged; a Send or an ack that brings a deadline
+// nearer kicks it, the way an arriving frame kicks the acker.
 //
 // The stack composes as live → Reliable → Chaos → TCP/Mem, so
 // retransmitted frames re-traverse the fault injector like any other
@@ -19,17 +27,19 @@
 //     re-encode byte-identically and duplicate delivery must be
 //     side-effect free, both of which per-stream delta caches would
 //     break. Delta savings on wrapped links are deliberately forgone.
-//   - Acks are never sent inline from the receive handler. Over the
-//     zero-latency Mem fabric Send is a synchronous handler call, so
-//     an inline ack would re-enter the link locks the delivery holds
-//     and deadlock. A background acker goroutine coalesces and sends
-//     cumulative acks instead.
+//   - Over the zero-latency Mem fabric Send is a synchronous handler
+//     call, so one lock per link, or an ack sent from the receive
+//     handler, would re-enter a lock the delivery holds and deadlock.
+//     Hence the two locks, and the acker goroutine that coalesces and
+//     sends cumulative acks, apart from the retransmitter so acks do
+//     not queue behind a retransmission blocked on a stalled peer.
 //   - The wrapper counts no message kinds: the caller counts what it
 //     sent, and the Rel.* envelopes and acks that carry it are recovery
 //     traffic, accounted in RelStats.
 package transport
 
 import (
+	"cmp"
 	"maps"
 	"math/rand/v2"
 	"slices"
@@ -91,7 +101,7 @@ func init() {
 // round trip (loopback plus chaos delays of a few hundred µs) so acks
 // usually win the race, and the cap bounds how long a healed link
 // stays idle. Each round's delay is drawn with equal jitter (see
-// rearm), so links that lost frames together do not retransmit in
+// backoff), so links that lost frames together do not retransmit in
 // lockstep.
 const (
 	DefaultRetransmitBase = 10 * time.Millisecond
@@ -118,28 +128,119 @@ type RelStats struct {
 	AcksSent int64
 }
 
-// relSend is the send half of one link: frames outstanding toward one
-// destination.
-type relSend struct {
-	mu      sync.Mutex
-	nextSeq uint64 // next sequence number to assign (first frame is 1)
+// relLink is one link's go-back-N rules. Its send half runs on the
+// endpoint hosting the link's From, its receive half (expected, ackDue)
+// on the one hosting its To.
+type relLink struct {
+	base, max time.Duration // the backoff schedule (SetRetransmit)
+
+	next uint64 // sequence number of the next send (the first is 1)
 	// unacked holds the outstanding relData envelopes, oldest first,
 	// already boxed: a fresh send and a retransmission both hand the
 	// inner fabric an envelope as it stands.
 	unacked []network.Message
-	// attempt counts consecutive retransmission rounds without ack
-	// progress; deadline is when the next round fires, drawn from rng,
-	// which is seeded from the link so a schedule replays.
+	// attempt counts retransmission rounds since the last ack progress;
+	// deadline is when the next round is due (0: nothing outstanding),
+	// drawn from rng, which is seeded from the link so a schedule
+	// replays.
 	attempt  int
 	deadline sim.Time
 	rng      rand.PCG
+
+	expected uint64 // sequence number of the next delivery (the first is 1)
+	ackDue   bool   // a frame arrived since the last ack was taken
 }
 
-// relRecv is the receive half of one link.
-type relRecv struct {
-	mu       sync.Mutex
-	expected uint64 // next sequence number to deliver (starts at 1)
-	ackDue   bool
+func newRelLink(k Link, base, max time.Duration) relLink {
+	return relLink{base: base, max: max, next: 1, expected: 1, rng: *rand.NewPCG(uint64(linkSeed(0, k)), 0)}
+}
+
+// send numbers m and keeps its envelope until it is acknowledged.
+// nearer reports that the deadline moved nearer (an idle link starts
+// one), so the retransmitter's timer may be armed too late.
+func (l *relLink) send(m network.Message, now sim.Time) (env network.Message, nearer bool) {
+	env = relData{Seq: l.next, M: m}
+	l.next++
+	l.unacked = append(l.unacked, env)
+	if l.deadline == 0 {
+		l.backoff(now)
+		nearer = true
+	}
+	return env, nearer
+}
+
+// recv classifies the data frame seq against the next expected one: 0
+// in order, to be delivered (recv moves past it); -1 a duplicate,
+// delivered before; +1 a gap, an earlier frame was lost. Every frame
+// makes an ack due: re-acking a duplicate advances a sender whose ack
+// was lost, and re-acking the prefix on a gap lets the sender's timer
+// refill the hole in order.
+func (l *relLink) recv(seq uint64) int {
+	l.ackDue = true
+	c := cmp.Compare(seq, l.expected)
+	if c == 0 {
+		l.expected++
+	}
+	return c
+}
+
+// takeAck returns the cumulative ack, every frame delivered so far, and
+// whether one is due.
+func (l *relLink) takeAck() (cum uint64, due bool) {
+	due, l.ackDue = l.ackDue, false
+	return l.expected - 1, due
+}
+
+// ack trims the envelopes up to cum from the window and reports how
+// many went. Progress restarts the backoff: the deadline goes with the
+// last frame, or is drawn afresh from now, and nearer reports that it
+// moved nearer.
+func (l *relLink) ack(cum uint64, now sim.Time) (n int, nearer bool) {
+	for n < len(l.unacked) && l.unacked[n].(relData).Seq <= cum {
+		n++
+	}
+	if n == 0 {
+		return 0, false
+	}
+	l.unacked = slices.Delete(l.unacked, 0, n)
+	l.attempt = 0
+	old := l.deadline
+	if l.deadline = 0; len(l.unacked) > 0 {
+		l.backoff(now)
+	}
+	return n, l.deadline != 0 && l.deadline < old
+}
+
+// due returns the whole window (go-back-N, oldest first) once now has
+// reached the deadline, counting the fruitless round and drawing the
+// next deadline; nil before.
+func (l *relLink) due(now sim.Time) []network.Message {
+	if l.deadline == 0 || now < l.deadline {
+		return nil
+	}
+	l.attempt++
+	l.backoff(now)
+	return l.unacked
+}
+
+// backoff draws the next deadline with equal jitter after l.attempt
+// fruitless rounds: uniform in [d/2, d] from now, with
+// d = min(max, base·2ⁿ).
+func (l *relLink) backoff(now sim.Time) {
+	d := l.base
+	for i := 0; i < l.attempt && d < l.max; i++ {
+		d *= 2
+	}
+	d = min(d, l.max)
+	l.deadline = now + sim.Time(d/2) + sim.Time(l.rng.Uint64()%uint64(d/2+1))
+}
+
+// relEntry is a link's rules with a lock per half: sendMu guards the
+// send half of l, recvMu its receive half.
+type relEntry struct {
+	k              Link
+	sendMu, recvMu sync.Mutex
+	l              relLink
 }
 
 // Reliable wraps an inner Transport with per-link acked, retransmitted,
@@ -155,18 +256,14 @@ type Reliable struct {
 	base, max time.Duration
 
 	mu    sync.Mutex
-	send  map[Link]*relSend
-	recv  map[Link]*relRecv
-	relMu sync.Mutex
-	rel   RelStats
+	links map[Link]*relEntry
 
-	ackKick chan struct{}
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	closed  atomic.Bool
-	tick    sim.Timer // the retransmitter's, armed from Configure on
-	armMu   sync.Mutex
-	armedAt sim.Time // the deadline tick is armed for; 0: none
+	retransmits, acked, dupsDropped, gaps, acksSent atomic.Int64
+
+	ackKick, retxKick chan struct{}
+	stop              chan struct{}
+	wg                sync.WaitGroup
+	closed            atomic.Bool
 }
 
 // NewReliable wraps inner in the ack/retransmit discipline. Both
@@ -175,13 +272,13 @@ type Reliable struct {
 // inner and closes it on Close.
 func NewReliable(inner Transport) *Reliable {
 	return &Reliable{
-		inner:   inner,
-		base:    DefaultRetransmitBase,
-		max:     DefaultRetransmitMax,
-		send:    make(map[Link]*relSend),
-		recv:    make(map[Link]*relRecv),
-		ackKick: make(chan struct{}, 1),
-		stop:    make(chan struct{}),
+		inner:    inner,
+		base:     DefaultRetransmitBase,
+		max:      DefaultRetransmitMax,
+		links:    make(map[Link]*relEntry),
+		ackKick:  make(chan struct{}, 1),
+		retxKick: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
 }
 
@@ -192,7 +289,6 @@ func NewReliable(inner Transport) *Reliable {
 func (r *Reliable) Configure(cfg Config, deliver Handler) {
 	configure(&r.deliver, deliver)
 	r.clk = cfg.clock()
-	r.tick = r.clk.NewTimer(0) // the first scan runs at once
 	r.wg.Add(2)
 	go r.acker()
 	go r.retransmitter()
@@ -218,26 +314,22 @@ func (r *Reliable) N() int { return r.inner.N() }
 // Hosts reports whether the wrapped endpoint hosts id.
 func (r *Reliable) Hosts(id network.NodeID) bool { return r.inner.Hosts(id) }
 
-func (r *Reliable) sendLink(k Link) *relSend {
+func (r *Reliable) link(k Link) *relEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := r.send[k]
-	if l == nil {
-		l = &relSend{nextSeq: 1, rng: *rand.NewPCG(uint64(linkSeed(0, k)), 0)}
-		r.send[k] = l
+	e := r.links[k]
+	if e == nil {
+		e = &relEntry{k: k, l: newRelLink(k, r.base, r.max)}
+		r.links[k] = e
 	}
-	return l
+	return e
 }
 
-func (r *Reliable) recvLink(k Link) *relRecv {
+// snapshot refills links with every link the wrapper knows.
+func (r *Reliable) snapshot(links []*relEntry) []*relEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := r.recv[k]
-	if l == nil {
-		l = &relRecv{expected: 1}
-		r.recv[k] = l
-	}
-	return l
+	return slices.AppendSeq(links[:0], maps.Values(r.links))
 }
 
 // Send wraps m in a sequenced envelope and transmits it, retaining the
@@ -249,20 +341,17 @@ func (r *Reliable) Send(k Link, m network.Message) {
 	if r.closed.Load() {
 		return
 	}
-	l := r.sendLink(k)
-	// The link lock is held across the inner send so envelope sequence
-	// numbers hit the wire in order on a healthy link (go-back-N
+	e := r.link(k)
+	// The send half's lock is held across the inner send so envelope
+	// sequence numbers hit the wire in order on a healthy link (go-back-N
 	// tolerates reordering, but not wasting it on the common case).
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var env network.Message = relData{Seq: l.nextSeq, M: m}
-	l.nextSeq++
-	l.unacked = append(l.unacked, env)
-	if l.deadline == 0 {
-		r.rearm(l, r.clk.Now())
-		r.armBy(l.deadline)
-	}
+	e.sendMu.Lock()
+	env, nearer := e.l.send(m, r.clk.Now())
 	r.inner.Send(k, env)
+	e.sendMu.Unlock()
+	if nearer {
+		kick(r.retxKick)
+	}
 }
 
 // onRecv unwraps an inner delivery on link k (k.To is hosted here). Every
@@ -271,71 +360,35 @@ func (r *Reliable) Send(k Link, m network.Message) {
 func (r *Reliable) onRecv(k Link, m network.Message) {
 	switch env := m.(type) {
 	case relData:
-		l := r.recvLink(k)
-		l.mu.Lock()
-		switch {
-		case env.Seq == l.expected:
-			// Deliver under the link lock: a redialed connection's frames
-			// may arrive while the dead one's tail is still being
-			// delivered, and a frame the sequence check passed must
-			// reach the handler before the next one can pass it. The
+		e := r.link(k)
+		e.recvMu.Lock()
+		switch e.l.recv(env.Seq) {
+		case 0:
+			// Deliver under the receive half's lock: a redialed
+			// connection's frames may arrive while the dead one's tail is
+			// still being delivered, and a frame the sequence check passed
+			// must reach the handler before the next one can pass it. The
 			// handler must therefore not send on this link.
-			l.expected++
-			l.ackDue = true
 			r.deliver(k, env.M)
-			l.mu.Unlock()
-			r.kickAcker()
-			return
-		case env.Seq < l.expected:
-			// Duplicate (chaos Dup, or a retransmission that raced its
-			// own ack): drop the payload unread — on an in-process
-			// fabric env.M is the very record the first copy delivered,
-			// and its receiver may be refilling it — but re-ack so a
-			// sender whose ack was lost still advances.
-			l.ackDue = true
-			l.mu.Unlock()
-			r.addRel(func(s *RelStats) { s.DupsDropped++ })
-			r.kickAcker()
-			return
+		case -1:
+			// Drop the payload unread: on an in-process fabric env.M is
+			// the very record the first copy delivered, and its receiver
+			// may be refilling it.
+			r.dupsDropped.Add(1)
 		default:
-			// Gap: an earlier frame was lost. Discard and re-ack the
-			// prefix; the sender's timer refills the hole in order.
-			l.ackDue = true
-			l.mu.Unlock()
-			r.addRel(func(s *RelStats) { s.Gaps++ })
-			r.kickAcker()
-			return
+			r.gaps.Add(1)
 		}
+		e.recvMu.Unlock()
+		kick(r.ackKick)
 	case relAck:
 		// Ack for data we sent the other way: the link is the reverse.
-		l := r.sendLink(k.reverse())
-		l.mu.Lock()
-		n := 0
-		for n < len(l.unacked) && l.unacked[n].(relData).Seq <= env.Cum {
-			n++
-		}
-		if n > 0 {
-			rest := l.unacked[n:]
-			copy(l.unacked, rest)
-			for i := len(rest); i < len(l.unacked); i++ {
-				l.unacked[i] = nil
-			}
-			l.unacked = l.unacked[:len(rest)]
-			// Progress: restart the backoff schedule. A deadline that
-			// moves later, or goes with the last frame, needs no wake:
-			// the armed timer fires once early and the scan re-arms or
-			// stops it. Only a reset backoff can bring it nearer.
-			l.attempt = 0
-			if len(l.unacked) == 0 {
-				l.deadline = 0
-			} else {
-				r.rearm(l, r.clk.Now())
-				r.armBy(l.deadline)
-			}
-		}
-		l.mu.Unlock()
-		if n > 0 {
-			r.addRel(func(s *RelStats) { s.Acked += int64(n) })
+		e := r.link(k.reverse())
+		e.sendMu.Lock()
+		n, nearer := e.l.ack(env.Cum, r.clk.Now())
+		e.sendMu.Unlock()
+		r.acked.Add(int64(n))
+		if nearer {
+			kick(r.retxKick)
 		}
 	}
 }
@@ -343,9 +396,10 @@ func (r *Reliable) onRecv(k Link, m network.Message) {
 // reverse is the link acks for k's data travel on.
 func (k Link) reverse() Link { return Link{Shard: k.Shard, From: k.To, To: k.From} }
 
-func (r *Reliable) kickAcker() {
+// kick wakes the goroutine that waits on c, unless a wake is pending.
+func kick(c chan struct{}) {
 	select {
-	case r.ackKick <- struct{}{}:
+	case c <- struct{}{}:
 	default:
 	}
 }
@@ -354,133 +408,78 @@ func (r *Reliable) kickAcker() {
 // from a receive handler — see the package comment).
 func (r *Reliable) acker() {
 	defer r.wg.Done()
-	var links []Link
+	var links []*relEntry
 	for {
 		select {
 		case <-r.stop:
 			return
 		case <-r.ackKick:
 		}
-		r.mu.Lock()
-		links = slices.AppendSeq(links[:0], maps.Keys(r.recv))
-		r.mu.Unlock()
-		for _, k := range links {
-			l := r.recvLink(k)
-			l.mu.Lock()
-			due, cum := l.ackDue, l.expected-1
-			l.ackDue = false
-			l.mu.Unlock()
-			if !due || r.closed.Load() {
-				continue
+		links = r.snapshot(links)
+		for _, e := range links {
+			e.recvMu.Lock()
+			cum, due := e.l.takeAck()
+			e.recvMu.Unlock()
+			if due && !r.closed.Load() {
+				r.inner.Send(e.k.reverse(), relAck{Cum: cum})
+				r.acksSent.Add(1)
 			}
-			// The ack travels the reverse direction: receiver back to
-			// the data's sender.
-			r.inner.Send(k.reverse(), relAck{Cum: cum})
-			r.addRel(func(s *RelStats) { s.AcksSent++ })
 		}
 	}
 }
 
-// retransmitter re-sends every unacked frame of any link whose
-// deadline has passed (go-back-N), then arms its timer for the earliest
-// deadline left, or not at all while every link is acknowledged. A Send
-// to an idle link, or an ack that resets a backoff, arms it sooner
-// itself (armBy).
+// retransmitter owns the timer. Woken by it or by a kick, it re-sends
+// the window of every link whose deadline has passed, then arms the
+// timer for the earliest deadline left, or stops it while every link is
+// acknowledged.
 func (r *Reliable) retransmitter() {
 	defer r.wg.Done()
-	var links []Link
+	tick := r.clk.NewTimer(0) // the first scan runs at once
+	defer tick.Stop()
+	var links []*relEntry
 	for {
 		select {
 		case <-r.stop:
-			r.tick.Stop()
 			return
-		case <-r.tick.C:
+		case <-tick.C:
+		case <-r.retxKick:
 		}
-		r.armMu.Lock()
-		r.armedAt = 0 // a Send during the scan arms for its own deadline
-		r.armMu.Unlock()
 		now := r.clk.Now()
-		r.mu.Lock()
-		links = slices.AppendSeq(links[:0], maps.Keys(r.send))
-		r.mu.Unlock()
 		var next sim.Time // the earliest deadline left; 0: none
-		for _, k := range links {
-			l := r.sendLink(k)
-			l.mu.Lock()
-			if len(l.unacked) == 0 || l.deadline == 0 {
-				l.mu.Unlock()
-				continue
-			}
-			if now >= l.deadline {
-				l.attempt++
-				r.rearm(l, now)
-				// Hold the link lock across the re-sends so a concurrent
-				// fresh Send cannot interleave a higher sequence number
-				// into the middle of the retransmitted window. They are
-				// counted first, so a frame they deliver finds them
-				// counted.
-				if r.closed.Load() {
-					l.mu.Unlock()
-					return
-				}
-				resent := len(l.unacked)
-				r.addRel(func(s *RelStats) { s.Retransmits += int64(resent) })
-				for _, env := range l.unacked {
-					r.inner.Send(k, env)
+		links = r.snapshot(links)
+		for _, e := range links {
+			// The send half's lock is held across the re-sends so a Send
+			// cannot interleave a higher sequence number into the window.
+			// A re-send is counted before it goes, as it may deliver.
+			e.sendMu.Lock()
+			if resend := e.l.due(now); len(resend) > 0 && !r.closed.Load() {
+				r.retransmits.Add(int64(len(resend)))
+				for _, env := range resend {
+					r.inner.Send(e.k, env)
 				}
 			}
-			if next == 0 || l.deadline < next {
-				next = l.deadline
+			if d := e.l.deadline; d != 0 && (next == 0 || d < next) {
+				next = d
 			}
-			l.mu.Unlock()
+			e.sendMu.Unlock()
 		}
-		r.armMu.Lock()
-		if r.armedAt != 0 && (next == 0 || r.armedAt < next) {
-			next = r.armedAt
-		}
-		if r.armedAt = next; next != 0 {
-			r.tick.Reset(time.Duration(next - r.clk.Now()))
+		if next != 0 {
+			tick.ResetAt(next)
 		} else {
-			r.tick.Stop()
+			tick.Stop()
 		}
-		r.armMu.Unlock()
 	}
-}
-
-// armBy arms the retransmitter's timer for deadline unless it is armed
-// for an earlier one.
-func (r *Reliable) armBy(deadline sim.Time) {
-	r.armMu.Lock()
-	defer r.armMu.Unlock()
-	if r.armedAt == 0 || deadline < r.armedAt {
-		r.armedAt = deadline
-		r.tick.Reset(time.Duration(deadline - r.clk.Now()))
-	}
-}
-
-// rearm sets l's next deadline (l.mu held) with equal jitter after
-// l.attempt fruitless retransmission rounds: uniform in [d/2, d] from
-// now, with d = min(max, base·2ⁿ).
-func (r *Reliable) rearm(l *relSend, now sim.Time) {
-	d := r.base
-	for i := 0; i < l.attempt && d < r.max; i++ {
-		d *= 2
-	}
-	d = min(d, r.max)
-	l.deadline = now + sim.Time(d/2) + sim.Time(l.rng.Uint64()%uint64(d/2+1))
-}
-
-func (r *Reliable) addRel(f func(*RelStats)) {
-	r.relMu.Lock()
-	f(&r.rel)
-	r.relMu.Unlock()
 }
 
 // RelStats snapshots the recovery layer's counters.
 func (r *Reliable) RelStats() RelStats {
-	r.relMu.Lock()
-	defer r.relMu.Unlock()
-	return r.rel
+	return RelStats{
+		Retransmits: r.retransmits.Load(),
+		Acked:       r.acked.Load(),
+		DupsDropped: r.dupsDropped.Load(),
+		Gaps:        r.gaps.Load(),
+		AcksSent:    r.acksSent.Load(),
+	}
 }
 
 // AbortConns implements Transport by forwarding; frames lost to the

@@ -35,12 +35,12 @@ func reliableTCPFabric(t *testing.T, n int) []transport.Transport {
 // links — this is the wrapper's whole reason to exist.
 func reliableLossyFabric(t *testing.T, n int) []transport.Transport {
 	ch := transport.NewChaos(transport.NewMem(n, 0), 0x10552)
-	ch.SetFaults(transport.Faults{
+	ch.Apply(transport.Spec{Faults: transport.Faults{
 		Drop:     0.10,
 		Dup:      0.10,
 		DelayMin: 0,
 		DelayMax: 200 * time.Microsecond,
-	})
+	}})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(2*time.Millisecond, 50*time.Millisecond)
 	return shared(r, n)
@@ -64,7 +64,7 @@ func TestReliableLossyConformance(t *testing.T) {
 // wrapper must account the discarded copies.
 func TestReliableDupExactlyOnce(t *testing.T) {
 	ch := transport.NewChaos(transport.NewMem(2, 0), 7)
-	ch.SetFaults(transport.Faults{Dup: 1.0})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Dup: 1.0}})
 	r := transport.NewReliable(ch)
 	defer r.Close()
 
@@ -107,7 +107,7 @@ func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
 	const base = time.Second
 	clk := sim.NewVirtual()
 	ch := transport.NewChaos(transport.NewMem(2, 0), 11)
-	ch.SetFaults(transport.Faults{Drop: 1.0})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 1.0}})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(base, 8*base)
 	got := make(chan transporttest.Msg, 16)
@@ -152,6 +152,68 @@ func TestReliableRetransmitAfterTotalLoss(t *testing.T) {
 	}
 }
 
+// TestReliableAckResetsBackoff: two fruitless rounds push a link's
+// deadline out to about 4×base, then an ack covering part of the
+// window restarts the backoff. The rest must be retransmitted within
+// base of that ack, not at the pushed-out deadline. The ack is held
+// back by partitioning the ack link, so it arrives only when the fault
+// window closes, two rounds late.
+func TestReliableAckResetsBackoff(t *testing.T) {
+	const base = time.Second
+	clk := sim.NewVirtual()
+	ch := transport.NewChaos(transport.NewMem(2, 0), 17)
+	r := transport.NewReliable(ch)
+	r.SetRetransmit(base, 8*base)
+	got := make(chan transporttest.Msg, 16)
+	r.Configure(transport.Config{Clock: clk}, func(_ transport.Link, m network.Message) { got <- m.(transporttest.Msg) })
+	defer r.Close()
+	expect := func(seq int64, when string) {
+		t.Helper()
+		select {
+		case m := <-got:
+			if m.Seq != seq {
+				t.Fatalf("%s: got seq %d, want %d", when, m.Seq, seq)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: seq %d never arrived", when, seq)
+		}
+	}
+	await := func(what string, done func(transport.RelStats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(r.RelStats()); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s within 10s (stats: %+v)", what, r.RelStats())
+			}
+		}
+	}
+	send := func(seq int64) {
+		r.Send(transport.Link{From: 0, To: 1}, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: seq})
+	}
+
+	ch.Partition(transport.Link{From: 1, To: 0}) // acks queue until the heal
+	send(1)
+	expect(1, "before any fault")
+	await("no ack of frame 1 queued", func(s transport.RelStats) bool { return s.AcksSent == 1 })
+	ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 1}})
+	send(2)
+	send(3)
+	clk.Advance(base) // round 1: the window 1..3, all dropped
+	awaitArmed(t, clk, "the retransmitter after round 1")
+	clk.Advance(2 * base) // round 2: dropped too; the next is 4×base out
+	awaitArmed(t, clk, "the retransmitter after round 2")
+	if rs := r.RelStats(); rs.Retransmits != 6 || rs.Acked != 0 {
+		t.Fatalf("two fruitless rounds: want 6 retransmits and nothing acked (stats: %+v)", rs)
+	}
+	ch.StopFaults() // heals the ack link: the ack of frame 1 arrives
+	await("frame 1 not acked", func(s transport.RelStats) bool { return s.Acked == 1 })
+	clk.Advance(base)
+	expect(2, "within base of the partial ack")
+	expect(3, "within base of the partial ack")
+	if rs := r.RelStats(); rs.Retransmits != 8 {
+		t.Fatalf("the reset round re-sends frames 2 and 3 once, got Retransmits = %d (stats: %+v)", rs.Retransmits, rs)
+	}
+}
+
 // awaitArmed waits until clk has a timer armed — the goroutines a test
 // drives have re-armed theirs, so its next Advance replays one schedule
 // — and fails the test, naming what, if none is within 10 s.
@@ -170,7 +232,7 @@ func awaitArmed(t *testing.T, clk *sim.Virtual, what string) {
 func TestReliableCloseLeaksNothing(t *testing.T) {
 	defer leakcheck.Check(t)()
 	ch := transport.NewChaos(transport.NewMem(2, 0), 13)
-	ch.SetFaults(transport.Faults{Drop: 1.0})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 1.0}})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(time.Millisecond, 5*time.Millisecond)
 	r.Configure(transport.Config{}, discard)
@@ -202,7 +264,7 @@ func (*keptRecord) Kind() string { return "Test.Kept" }
 // and the receiver — is a data race the detector reports.
 func TestHazardDeliveredRecordNeverReadAgain(t *testing.T) {
 	ch := transport.NewChaos(transport.NewMem(2, 0), 0x5eed)
-	ch.SetFaults(transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond})
+	ch.Apply(transport.Spec{Faults: transport.Faults{Drop: 0.05, Dup: 0.05, DelayMax: 300 * time.Microsecond}})
 	r := transport.NewReliable(ch)
 	r.SetRetransmit(time.Millisecond, 10*time.Millisecond)
 	defer r.Close()

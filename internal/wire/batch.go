@@ -72,8 +72,8 @@ func uvarintLen(x uint64) int {
 //
 // The slice returned by Next aliases an internal buffer that is reused
 // by the following Next call: decode the frame (decoders copy what they
-// keep) before reading the next. This is what removes the
-// allocation-per-frame of the old ReadFrame path.
+// keep) before reading the next: the buffer is reused from frame to
+// frame.
 type FrameReader struct {
 	br  *bufio.Reader
 	max uint64

@@ -1,11 +1,6 @@
 package wire
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
+import "encoding/binary"
 
 // Stream framing, shared by every connection that carries wire
 // messages — the peer transport (internal/transport) and the client
@@ -20,27 +15,4 @@ import (
 func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	return append(dst, payload...)
-}
-
-// ReadFrame reads one frame from br, rejecting lengths above max — a
-// corrupt or hostile prefix must not demand gigabytes. A clean
-// end-of-stream at a frame boundary surfaces as io.EOF.
-//
-// ReadFrame understands only the single-frame format and allocates per
-// frame; the connection loops all use FrameReader (batch.go), which
-// also accepts batch envelopes and reuses its buffer. This remains for
-// tools that want one frame with no reader state.
-func ReadFrame(br *bufio.Reader, max uint64) ([]byte, error) {
-	size, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if size > max {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", size, max)
-	}
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(br, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }
