@@ -33,11 +33,11 @@ const (
 
 // axes are the six stack-shaping flags TestStackMatrix varies: each
 // value is a label for the cell's name and the arguments it adds to
-// both daemons' command lines. 4 × 3 × 2 × 3 × 2 × 2 = 288 stacks.
+// both daemons' command lines. 4 × 2 × 2 × 3 × 2 × 2 = 192 stacks.
 var axes = [6][]struct{ label, args string }{
 	{{"counter-loan", "-alg=counter-loan"}, {"counter-no-loan", "-alg=counter-no-loan"},
 		{"incremental", "-alg=incremental"}, {"bouabdallah", "-alg=bouabdallah-laforest"}},
-	{{"g1", "-shards=1"}, {"g4", "-shards=4"}, {"g4-2pc", "-shards=4 -cross-two-phase"}},
+	{{"g1", "-shards=1"}, {"g4", "-shards=4"}},
 	{{"raw", ""}, {"reliable", "-reliable"}},
 	{{"calm", ""}, {"delay", "-chaos-spec=" + delaySpec}, {"lossy", "-chaos-spec=" + lossySpec}},
 	{{"nolease", ""}, {"lease", "-lease-ttl=250ms"}},
@@ -149,13 +149,13 @@ func pairwise(all []cell) []cell {
 }
 
 // TestStackMatrix builds every stack the daemon's stack-shaping flags
-// make — -alg, -shards/-cross-two-phase, -reliable, -chaos-spec,
-// -lease-ttl, -policy — from real command lines through registerFlags
-// and stack.Build, plus four refusals outside that product. A refused
-// stack must name every flag of its rule. An accepted one runs as two
-// in-process daemons of two nodes each (N = 4, M = 16), stormed through
-// their client ports (runPair). -short runs a pairwise covering array of
-// the product instead of all of it.
+// make — -alg, -shards, -reliable, -chaos-spec, -lease-ttl, -policy —
+// from real command lines through registerFlags and stack.Build, plus
+// three refusals outside that product. A refused stack must name every
+// flag of its rule. An accepted one runs as two in-process daemons of
+// two nodes each (N = 4, M = 16), stormed through their client ports
+// (runPair). -short runs a pairwise covering array of the product
+// instead of all of it.
 //
 // Then the pairs whose two command lines differ in one flag. A local
 // flag may differ, and the mixed pair runs the storm. A cluster-wide one
@@ -177,7 +177,6 @@ func TestStackMatrix(t *testing.T) {
 		args  []string
 		flags []string
 	}{
-		{"cross-two-phase-flat", []string{"-shards=1", "-cross-two-phase"}, []string{"-cross-two-phase", "-shards"}},
 		{"admit-target-fifo", []string{"-policy=fifo", "-admit-target=50ms"}, []string{"-admit-target", "-policy"}},
 		// lossySpec sets every lossy key at once; each is refused alone.
 		{"dup-raw", []string{"-chaos-spec=dup=0.02"}, []string{"-chaos-spec", "-reliable"}},
@@ -192,11 +191,10 @@ func TestStackMatrix(t *testing.T) {
 		{"policy", [2][]string{{"-policy=fifo"}, {"-policy=adaptive"}}},
 		{"admit-target", [2][]string{{"-policy=adaptive", "-admit-target=50ms"}, {"-policy=adaptive"}}},
 		{"chaos-spec", [2][]string{{"-chaos-spec=" + delaySpec}, nil}},
-		{"cross-two-phase", [2][]string{{"-shards=4", "-cross-two-phase"}, {"-shards=4"}}},
 	} {
 		t.Run("mixed/"+r.name, func(t *testing.T) {
 			t.Parallel()
-			runPair(t, r.args, nil, r.name == "cross-two-phase")
+			runPair(t, r.args, nil, false)
 		})
 	}
 	for _, r := range []struct{ name, a, b string }{

@@ -70,7 +70,6 @@ func registerFlags(fs *flag.FlagSet, cfg *daemonConfig) {
 	fs.IntVar(&cfg.Nodes, "nodes", 3, "total number of nodes N in the cluster")
 	fs.IntVar(&cfg.Resources, "resources", 16, "number of resources M")
 	fs.IntVar(&cfg.Shards, "shards", 1, "split the resource universe into this many contiguous shards, each with its own allocator instances and event loops; every daemon of the cluster must agree (1 = flat)")
-	fs.BoolVar(&cfg.CrossTwoPhase, "cross-two-phase", false, "acquire cross-shard sets with the parallel two-phase scheme (timeout, hand back, retry) instead of ordered shard locking (needs -shards above 1)")
 	fs.StringVar(&cfg.Alg, "alg", "counter-loan", "algorithm: "+strings.Join(experiments.AlgorithmNames(), ", ")+" (shared-memory, maddi and manager are simulator-only); every daemon of the cluster must agree")
 	fs.StringVar(&cfg.Listen, "listen", "127.0.0.1:7000", "TCP listen address of this process")
 	fs.Func("peers", "comma-separated list of N addresses; entry i hosts node i", func(v string) error {

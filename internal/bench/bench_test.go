@@ -7,10 +7,10 @@
 // contended acquire/release cycles through it and reports protocol and
 // wire counters through b.ReportMetric:
 //
-//	tcploop/n4/{s8,s32}/batch                 client sessions over two loopback daemons
-//	largeN/n{128,512}                         token state on the wire at large N
-//	sharded/g{1,4,16}/single                  shard parallelism on the latency fabric
-//	sharded/g{4,16}/cross/{ordered,twophase}  the two cross-shard compositions
+//	tcploop/n4/{s8,s32}/batch      client sessions over two loopback daemons
+//	largeN/n{128,512}              token state on the wire at large N
+//	sharded/g{1,4,16}/single       shard parallelism on the latency fabric
+//	sharded/g{4,16}/cross/ordered  cross-shard sets, shards taken in ascending order
 //
 // The first element of a cell's name is its benchmark family, so a
 // cell name is a -bench pattern that selects that cell:
@@ -206,15 +206,13 @@ func TestShardedScales(t *testing.T) {
 	}
 }
 
-// TestShardedCrossTwins smoke-runs the G=4 cross-shard twins: both
-// composition strategies must move real cross-shard traffic and report
-// sane waits. It asserts shape, not which twin wins — that ordering is
-// not a per-machine invariant.
+// TestShardedCrossTwins smoke-runs the G=4 cross-shard cell: ordered
+// shard locking must move real cross-shard traffic and report sane
+// waits.
 func TestShardedCrossTwins(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two benchmark cells in -short mode")
+		t.Skip("a benchmark cell in -short mode")
 	}
-	for _, name := range []string{"sharded/g4/cross/ordered", "sharded/g4/cross/twophase"} {
-		checkSharded(t, name, measure(t, name))
-	}
+	const name = "sharded/g4/cross/ordered"
+	checkSharded(t, name, measure(t, name))
 }

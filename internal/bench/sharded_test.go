@@ -35,12 +35,12 @@ import (
 // protocol message, is the quantity that repeats.
 //
 // Cross cells span two blocks 8 apart, which land in different shards
-// at every G>1, and come in twins: ordered (ascending shard locking)
-// vs twophase (parallel submit, timed back-off). One op is one
-// granted-and-released acquisition, so ns/op is directly comparable
-// across cells, and the workers add their waits into one accumulator
-// under a lock: one uncontended lock per granted op, against at least
-// one 200µs hop per protocol message on this fabric.
+// at every G>1, so every acquisition takes its two shards in ascending
+// order. One op is one granted-and-released acquisition, so ns/op is
+// directly comparable across cells, and the workers add their waits
+// into one accumulator under a lock: one uncontended lock per granted
+// op, against at least one 200µs hop per protocol message on this
+// fabric.
 const (
 	shardedM       = 64
 	shardedBlocks  = 16 // one block = one G16 shard
@@ -67,14 +67,13 @@ func crossDraw(w int, i int64) (int, int) {
 		(p+shardedBlocks/2)*shardedBlockSz + int(i)%shardedBlockSz
 }
 
-func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDraw) cell {
+func shardedCell(name string, g int, workers int, draw shardedDraw) cell {
 	return cell{name, func(b *testing.B) {
 		c, err := live.New(live.Config{
-			Nodes:              2,
-			Resources:          shardedM,
-			Latency:            shardedLatency,
-			Shards:             g,
-			CrossShardTwoPhase: twoPhase,
+			Nodes:     2,
+			Resources: shardedM,
+			Latency:   shardedLatency,
+			Shards:    g,
 		}, core.NewFactory(core.WithLoan()))
 		if err != nil {
 			b.Fatal(err)
@@ -115,18 +114,16 @@ func shardedCell(name string, g int, twoPhase bool, workers int, draw shardedDra
 
 // shardedCells is the single-shard workload at G∈{1,4,16} (the
 // parallel-allocators scaling claim) and the cross-shard block-pair
-// workload at G∈{4,16} under both composition strategies.
+// workload at G∈{4,16}.
 func shardedCells() []cell {
 	var out []cell
 	for _, g := range []int{1, 4, 16} {
 		out = append(out, shardedCell(
-			fmt.Sprintf("sharded/g%d/single", g), g, false, 2*shardedBlocks, singleDraw))
+			fmt.Sprintf("sharded/g%d/single", g), g, 2*shardedBlocks, singleDraw))
 	}
 	for _, g := range []int{4, 16} {
 		out = append(out, shardedCell(
-			fmt.Sprintf("sharded/g%d/cross/ordered", g), g, false, shardedBlocks, crossDraw))
-		out = append(out, shardedCell(
-			fmt.Sprintf("sharded/g%d/cross/twophase", g), g, true, shardedBlocks, crossDraw))
+			fmt.Sprintf("sharded/g%d/cross/ordered", g), g, shardedBlocks, crossDraw))
 	}
 	return out
 }

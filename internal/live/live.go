@@ -93,24 +93,15 @@ type Config struct {
 	// Shards, when above 1, splits the resource universe into that many
 	// contiguous shards (resource.ShardMap), each running its own
 	// allocator instances and runner: single-shard acquires from
-	// different shards proceed fully in parallel on every node. Every
-	// transport carries any shard count, wrapped (Reliable, Chaos) or
-	// not — a shard is one field of the link a message is sent on;
-	// every process of a multi-process cluster must configure the same
-	// count. 0 or 1 selects the flat single-universe cluster: the
-	// one-shard instance of the same code path, whose frames carry no
-	// shard tag.
+	// different shards proceed fully in parallel on every node, and a
+	// set spanning shards takes them one at a time in ascending shard
+	// order (Session.Acquire). Every transport carries any shard count,
+	// wrapped (Reliable, Chaos) or not — a shard is one field of the
+	// link a message is sent on; every process of a multi-process
+	// cluster must configure the same count. 0 or 1 selects the flat
+	// single-universe cluster: the one-shard instance of the same code
+	// path, whose frames carry no shard tag.
 	Shards int
-	// CrossShardTwoPhase switches acquires spanning several shards from
-	// ordered locking (shards taken one at a time in ascending shard
-	// order, which every session shares, so no cycle of holders can
-	// form) to a two-phase scheme: every shard is requested in
-	// parallel and, when the full set cannot be assembled before the
-	// attempt times out, everything is handed back and the acquire
-	// retries after a jittered backoff. Two-phase trades the ordered
-	// walk's serial latency for retry work under contention; the bench
-	// measures both.
-	CrossShardTwoPhase bool
 	// Tick, when positive, drives time-based protocol machinery: every
 	// local node implementing alg.Ticker gets a Tick on its shard's runner
 	// at this period. Required for token leases (core Options.LeaseTTL —

@@ -58,13 +58,11 @@ func mustAcquire(t *testing.T, s *Session, resources ...int) func() {
 
 // TestHazardStaleRelease: a release func belongs to one grant. Called a
 // second time, or after the session's next grant (on the same ticket),
-// it releases nothing — flat, and across shards on both cross-shard
-// schemes.
+// it releases nothing — flat, and across shards.
 func TestHazardStaleRelease(t *testing.T) {
 	for _, cfg := range []Config{
 		{Nodes: 2, Resources: 4},
 		{Nodes: 2, Resources: 4, Shards: 2},
-		{Nodes: 2, Resources: 4, Shards: 2, CrossShardTwoPhase: true},
 	} {
 		c, err := New(cfg, core.NewFactory(core.WithLoan()))
 		if err != nil {
@@ -147,7 +145,6 @@ func TestHazardCancelThenReacquire(t *testing.T) {
 	for _, cfg := range []Config{
 		{Nodes: 2, Resources: 4},
 		{Nodes: 2, Resources: 4, Shards: 2},
-		{Nodes: 2, Resources: 4, Shards: 2, CrossShardTwoPhase: true},
 	} {
 		c, err := New(cfg, core.NewFactory(core.WithLoan()))
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -48,7 +47,6 @@ type Session struct {
 
 	slots []slot    // by shard
 	parts []*ticket // route's result; scratch of the running Acquire (busy-guarded)
-	rng   rand.PCG  // two-phase jitter, seeded from (node, id) so a schedule replays (busy-guarded)
 }
 
 // slot is a session's place for one shard's ticket.
@@ -76,7 +74,7 @@ func (c *Cluster) NewSession(node int) (*Session, error) {
 	c.sessSeq++
 	id := c.sessSeq
 	c.sessMu.Unlock()
-	return &Session{c: c, node: node, id: id, slots: make([]slot, c.smap.Shards()), rng: *rand.NewPCG(uint64(node), id)}, nil
+	return &Session{c: c, node: node, id: id, slots: make([]slot, c.smap.Shards())}, nil
 }
 
 // ID reports the session's cluster-unique identifier.
@@ -104,12 +102,11 @@ func (s *Session) Close() { s.closed.Store(true) }
 // On a sharded cluster the set is split along shard boundaries and
 // each part is acquired from its shard's allocator. A set inside one
 // shard is a single protocol request, exactly like a flat acquire; a
-// set spanning shards composes them — shards taken one at a time in
+// set spanning shards composes them, taking shards one at a time in
 // ascending shard order (deadlock-free: every session walks shards in
-// the same order), or all at once with timeout-and-retry under
-// Config.CrossShardTwoPhase. The grant is all-or-nothing either way:
-// Acquire returns only when every part is held, and any failure hands
-// back whatever was assembled.
+// the same order). The grant is all-or-nothing: Acquire returns only
+// when every part is held, and any failure hands back whatever was
+// assembled.
 //
 // If ctx ends first, the request is withdrawn — immediately when still
 // queued; by handing the grant straight back when the protocol has
@@ -159,14 +156,11 @@ func (s *Session) acquire(ctx context.Context, opts serve.AcquireOpts) (hold, er
 
 	var h hold
 	var err error
-	switch parts := s.route(opts.Resources); {
-	case len(parts) == 1:
+	if parts := s.route(opts.Resources); len(parts) == 1 {
 		// Whole set inside one shard (every flat acquire is this case):
 		// one protocol request, no composition.
 		h.first, err = s.acquireOne(ctx, parts[0], dl)
-	case s.c.cfg.CrossShardTwoPhase:
-		h, err = s.acquireTwoPhase(ctx, opts.Resources, parts, dl)
-	default:
+	} else {
 		h, err = s.acquireOrdered(ctx, parts, dl)
 	}
 	if err != nil {
@@ -269,86 +263,6 @@ func (s *Session) acquireOrdered(ctx context.Context, parts []*ticket, dl sim.Ti
 		refs = append(refs, g)
 	}
 	return hold{first: refs[0], more: refs[1:]}, nil
-}
-
-// Two-phase attempt pacing: an attempt that cannot assemble the full
-// set within its window hands everything back and retries after a
-// jittered backoff, so two sessions holding complementary halves
-// cannot spin in lockstep forever.
-const (
-	twoPhaseBaseWait = 2 * time.Millisecond
-	twoPhaseMaxWait  = 100 * time.Millisecond
-)
-
-// acquireTwoPhase requests every part in parallel and keeps the set
-// only if all grants land before the attempt times out; otherwise it
-// releases what it got, backs off, and tries again. Higher concurrency
-// than the ordered walk when shards are uncontended, at the price of
-// retry work when they are not. Every attempt ends with its tickets
-// held, back in their slots or left with their loops, so a retry routes
-// the request afresh.
-func (s *Session) acquireTwoPhase(ctx context.Context, resources []int, parts []*ticket, dl sim.Time) (hold, error) {
-	wait := twoPhaseBaseWait
-	timer := s.c.cfg.Clock.NewTimer(wait + time.Duration(s.rng.Uint64()%uint64(wait))) // each attempt's timeout, then its backoff
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			parts = s.route(resources)
-			timer.Reset(wait + time.Duration(s.rng.Uint64()%uint64(wait)))
-		}
-		for i, t := range parts {
-			if !s.submit(t, dl) {
-				for _, u := range parts[:i] {
-					s.withdraw(u)
-				}
-				return hold{}, ErrClosed
-			}
-		}
-		refs := make([]grantRef, len(parts)) // refs[i].t set once part i is held
-		var permErr error
-		timedOut := false
-		for i, t := range parts {
-			if permErr != nil || timedOut {
-				break
-			}
-			select {
-			case <-t.granted:
-				refs[i] = grantRef{t: t, gen: t.gen.Load()}
-			case <-s.c.closed:
-				permErr = ErrClosed
-			case <-ctx.Done():
-				permErr = ctx.Err()
-			case <-timer.C:
-				timedOut = true
-			}
-		}
-		if permErr == nil && !timedOut {
-			return hold{first: refs[0], more: refs[1:]}, nil
-		}
-		// Hand everything back: release what landed, withdraw the rest
-		// (a grant racing the withdrawal is released by the loop).
-		for i, t := range parts {
-			if refs[i].t != nil {
-				refs[i].release()
-			} else {
-				s.withdraw(t)
-			}
-		}
-		if permErr != nil {
-			return hold{}, permErr
-		}
-		timer.Reset(time.Duration(s.rng.Uint64() % uint64(wait)))
-		select {
-		case <-ctx.Done():
-			return hold{}, ctx.Err()
-		case <-s.c.closed:
-			return hold{}, ErrClosed
-		case <-timer.C:
-		}
-		if wait *= 2; wait > twoPhaseMaxWait {
-			wait = twoPhaseMaxWait
-		}
-	}
 }
 
 // submit enqueues a filled ticket on its loop, reporting false once the

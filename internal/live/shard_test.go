@@ -132,54 +132,53 @@ func TestShardedOverReliable(t *testing.T) {
 // test wedges (each session holding the shard the other needs) and the
 // deadline fails it.
 func TestShardedOppositeOrderNoDeadlock(t *testing.T) {
-	for _, twoPhase := range []bool{false, true} {
-		t.Run(fmt.Sprintf("twoPhase=%v", twoPhase), func(t *testing.T) {
-			c, err := New(Config{Nodes: 2, Resources: 8, Shards: 4, CrossShardTwoPhase: twoPhase},
-				core.NewFactory(core.WithLoan()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	// The subtest keeps the name it had when a two-phase composer ran
+	// beside ordered locking; ordered locking is now the only path.
+	t.Run("twoPhase=false", func(t *testing.T) {
+		c, err := New(Config{Nodes: 2, Resources: 8, Shards: 4}, core.NewFactory(core.WithLoan()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-			const iters = 50
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			errc := make(chan error, 2)
-			for w := 0; w < 2; w++ {
-				w := w
-				go func() {
-					s, err := c.NewSession(w)
+		const iters = 50
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		errc := make(chan error, 2)
+		for w := 0; w < 2; w++ {
+			w := w
+			go func() {
+				s, err := c.NewSession(w)
+				if err != nil {
+					errc <- err
+					return
+				}
+				// Worker 0 asks [1, 6], worker 1 asks [6, 1]: shards 0
+				// and 3, named in opposite order.
+				rs := []int{1, 6}
+				if w == 1 {
+					rs = []int{6, 1}
+				}
+				for i := 0; i < iters; i++ {
+					release, err := s.Acquire(ctx, serve.AcquireOpts{Resources: rs})
 					if err != nil {
-						errc <- err
+						errc <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 						return
 					}
-					// Worker 0 asks [1, 6], worker 1 asks [6, 1]: shards 0
-					// and 3, named in opposite order.
-					rs := []int{1, 6}
-					if w == 1 {
-						rs = []int{6, 1}
-					}
-					for i := 0; i < iters; i++ {
-						release, err := s.Acquire(ctx, serve.AcquireOpts{Resources: rs})
-						if err != nil {
-							errc <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
-							return
-						}
-						release()
-					}
-					errc <- nil
-				}()
-			}
-			for w := 0; w < 2; w++ {
-				if err := <-errc; err != nil {
-					if errors.Is(err, context.DeadlineExceeded) {
-						t.Fatalf("deadlock: %v", err)
-					}
-					t.Fatal(err)
+					release()
 				}
+				errc <- nil
+			}()
+		}
+		for w := 0; w < 2; w++ {
+			if err := <-errc; err != nil {
+				if errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("deadlock: %v", err)
+				}
+				t.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestShardedAcquireCancel: a canceled cross-shard acquire withdraws

@@ -66,14 +66,10 @@ func memFabric() fabric {
 
 // shardedMemFabric splits the universe into g shards on the in-process
 // fabric; the battery's random global sets then exercise cross-shard
-// composition (ordered or two-phase) alongside single-shard requests.
-func shardedMemFabric(g int, twoPhase bool) fabric {
-	name := fmt.Sprintf("mem-sharded-g%d", g)
-	if twoPhase {
-		name += "-2p"
-	}
-	return fabric{name: name, buildPolicy: func(t *testing.T, n, m int, f alg.Factory, p serve.Policy, aging time.Duration) *system {
-		c, err := New(Config{Nodes: n, Resources: m, Policy: p, Aging: aging, Shards: g, CrossShardTwoPhase: twoPhase}, f)
+// composition alongside single-shard requests.
+func shardedMemFabric(g int) fabric {
+	return fabric{name: fmt.Sprintf("mem-sharded-g%d", g), buildPolicy: func(t *testing.T, n, m int, f alg.Factory, p serve.Policy, aging time.Duration) *system {
+		c, err := New(Config{Nodes: n, Resources: m, Policy: p, Aging: aging, Shards: g}, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +154,7 @@ func tcpWireFabric(name string, shards int, wire transport.WireOptions) fabric {
 func TestVerifiedStress(t *testing.T) {
 	fabrics := []fabric{
 		memFabric(), tcpFabric(), tcpDeltaFabric(),
-		shardedMemFabric(4, false), shardedMemFabric(4, true), tcpShardedFabric(4),
+		shardedMemFabric(4), tcpShardedFabric(4),
 	}
 	for algName, factory := range liveAlgorithms() {
 		for _, fb := range fabrics {

@@ -30,8 +30,7 @@ import (
 // field named after its mrallocd flag.
 type Spec struct {
 	Nodes, Resources int
-	Shards           int // at least 1
-	CrossTwoPhase    bool
+	Shards           int           // at least 1
 	Alg              string        // cluster-wide
 	LeaseTTL         time.Duration // cluster-wide
 	Reliable         bool          // cluster-wide
@@ -104,20 +103,16 @@ func Build(s Spec) (*Stack, error) {
 	if s.Shards < 1 || s.Shards > s.Resources {
 		return nil, fmt.Errorf("-shards %d outside [1, %d]", s.Shards, s.Resources)
 	}
-	if s.CrossTwoPhase && s.Shards == 1 {
-		return nil, fmt.Errorf("-cross-two-phase: -shards 1 has no cross-shard set to acquire")
-	}
 
 	st := &Stack{factory: factory}
 	st.cfg = live.Config{
-		Nodes:              s.Nodes,
-		Resources:          s.Resources,
-		Shards:             s.Shards,
-		CrossShardTwoPhase: s.CrossTwoPhase,
-		Local:              s.Local,
-		Latency:            s.Latency,
-		Policy:             s.Policy,
-		AdmitTarget:        s.AdmitTarget,
+		Nodes:       s.Nodes,
+		Resources:   s.Resources,
+		Shards:      s.Shards,
+		Local:       s.Local,
+		Latency:     s.Latency,
+		Policy:      s.Policy,
+		AdmitTarget: s.AdmitTarget,
 		Wire: transport.WireOptions{
 			Delta:   true,
 			Cluster: fmt.Sprintf("-alg=%s -lease-ttl=%v -reliable=%t", s.Alg, s.LeaseTTL, s.Reliable),

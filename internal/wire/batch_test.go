@@ -326,6 +326,26 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
+// TestEmptyFramePanics: a frame's zero length prefix is the batch
+// marker a FrameReader reads an envelope after, so a writer handed an
+// empty payload would desynchronize the stream. Both frame writers
+// refuse one.
+func TestEmptyFramePanics(t *testing.T) {
+	for name, write := range map[string]func(){
+		"AppendFrame": func() { wire.AppendFrame(nil, nil) },
+		"FinishFrame": func() { wire.FinishFrame(make([]byte, wire.FrameDataOff)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an empty payload", name)
+				}
+			}()
+			write()
+		}()
+	}
+}
+
 func TestGetReleaseFrame(t *testing.T) {
 	b := wire.GetFrame(10)
 	if len(b) != 0 || cap(b) < 10 {

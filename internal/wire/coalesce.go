@@ -100,9 +100,12 @@ const FrameDataOff = headerReserve + binary.MaxVarintLen64
 // FinishFrame materializes the length prefix of a frame whose payload
 // occupies buf[FrameDataOff:], right-aligned against the payload, and
 // returns the offset where the finished frame starts — the off to hand
-// to AppendOwned.
+// to AppendOwned. An empty payload panics, as in AppendFrame.
 func FinishFrame(buf []byte) int {
 	n := uint64(len(buf) - FrameDataOff)
+	if n == 0 {
+		panic("wire: empty frame payload")
+	}
 	off := FrameDataOff - uvarintLen(n)
 	binary.PutUvarint(buf[off:], n)
 	return off

@@ -12,7 +12,13 @@ import "encoding/binary"
 
 // AppendFrame appends payload as one frame onto dst, returning the
 // extended buffer (pass a recycled buffer's [:0] to avoid allocating).
+// An empty payload panics: its zero length prefix is the batch marker
+// to a FrameReader, and every message encodes at least its kind, so
+// only a program error produces one.
 func AppendFrame(dst, payload []byte) []byte {
+	if len(payload) == 0 {
+		panic("wire: empty frame payload")
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	return append(dst, payload...)
 }
